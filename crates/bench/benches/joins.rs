@@ -15,7 +15,7 @@ fn bench(c: &mut Criterion) {
         let blocked = join_query(
             l.clone(),
             r.clone(),
-            Some(JoinStrategy::BlockedNl { block_size: 256 }),
+            Some(JoinStrategy::BlockedNl),
         );
         let indexed = join_query(l, r, Some(JoinStrategy::IndexedNl));
         let ctx = Context::new();

@@ -10,9 +10,9 @@
 //! query) over 32 bound uids, with a real per-request sleep. Without
 //! batching every uid costs one wire round-trip, overlapped up to the
 //! server's admission budget; with batching the optimizer's `BatchSpec`
-//! mark lets the executor pre-fetch the whole key set as
-//! `ceil(32 / max_keys)` multi-uid wire requests that the per-element
-//! submissions then attach to.
+//! mark lets the evaluator pre-fetch each chunk's keys —
+//! `ceil(32 / max_keys)` multi-uid wire requests in all, one chunk after
+//! the other — that the per-element submissions then attach to.
 //!
 //! Two hard claims, asserted here and re-checked in CI's smoke run:
 //! results are **identical** to the unbatched path (values and their
@@ -108,7 +108,7 @@ fn main() {
     let json = format!(
         r#"{{
   "bench": "batching",
-  "description": "Batched driver round-trips: the per-uid GenBank link workload (32 uids, 4 ms per wire request) with the optimizer's IN-list/multi-uid batching mark on vs off. The batched plan must return identical results while issuing at least 5x fewer wire requests (ceil(32/16) = 2 instead of 32); wall-clock improves because two batched round-trips replace 32 admission-bounded overlapped ones.",
+  "description": "Batched driver round-trips: the per-uid GenBank link workload (32 uids, 4 ms per wire request) with the optimizer's IN-list/multi-uid batching mark on vs off. The batched plan must return identical results while issuing at least 5x fewer wire requests (ceil(32/16) = 2 instead of 32); wall-clock improves because two batched round-trips, one per 16-key chunk and issued one after the other (the evaluator warms a chunk up just before running it), replace 32 admission-bounded overlapped ones.",
   "command": "cargo run -p bench-harness --bin batching_report --release",
   "smoke": {smoke},
   "workload": "{UIDS} per-uid GenBank link counts (E11 CONCURRENCY), {runs} timed repetitions",

@@ -24,7 +24,9 @@
 //!   generator at both grains; per-row body evaluation dominates there,
 //!   so the guard is only that batching never loses.
 //! * **fully-lazy guard** — `prefetch_rows = 0` must stay byte-identical
-//!   to the eager answer, prefetch nothing, and ship zero blocks
+//!   to the reference interpreter's answer (`kleisli_exec::reference`;
+//!   the JSON key keeps its historical name, `byte_identical_to_eager`),
+//!   prefetch nothing, and ship zero blocks
 //!   through the prefetch buffer: clamped-to-0 *is* the single-row
 //!   protocol.
 //!
@@ -35,7 +37,9 @@ use std::time::{Duration, Instant};
 
 use bench_harness::row_pipeline_workload;
 use kleisli_core::{CollKind, Value};
-use kleisli_exec::{collect_blocks, collect_stream, eval, eval_blocks, eval_stream, Context, Env};
+use kleisli_exec::{
+    collect_blocks, collect_stream, eval_blocks, eval_stream, reference, Context, Env,
+};
 use nrc::{Expr, Prim};
 
 fn time_best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> Duration {
@@ -183,8 +187,11 @@ fn main() {
     let (guard_ctx, guard_plan, guard_drivers) =
         row_pipeline_workload(DRIVERS, ARMS_PER_DRIVER, rows, per_request, per_row, 0);
     let streamed = run_rows(&guard_ctx, &guard_plan, CollKind::Set);
-    let eager = eval(&guard_plan, &Env::empty(), &guard_ctx).expect("eager");
-    assert_eq!(streamed, eager, "prefetch_rows = 0 must stay byte-identical");
+    let expected = reference::eval(&guard_plan, &Env::empty(), &guard_ctx).expect("reference");
+    assert_eq!(
+        streamed, expected,
+        "prefetch_rows = 0 must stay byte-identical"
+    );
     let (guard_prefetched, guard_blocks) = guard_drivers
         .iter()
         .map(|d| d.metrics.snapshot())

@@ -11,7 +11,8 @@
 //! * **two-source overlap** — the E13 query issues per-uid requests to
 //!   both servers. The blocking baseline submits and immediately waits on
 //!   every driver request in turn (the pre-submit/handle world, forced by
-//!   rewriting every `ParExt` to width 1 and using the eager evaluator);
+//!   rewriting every `ParExt` to width 1 — the record's two per-uid
+//!   requests are separate fields, evaluated one after the other);
 //!   the concurrent run goes through `Session::submit` → `QueryHandle`,
 //!   keeping up to each server's admission budget in flight.
 //! * **width scaling** — the same query at parallel widths 1/2/5: elapsed

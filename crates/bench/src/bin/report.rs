@@ -166,7 +166,7 @@ fn e8_joins() {
         let blocked = join_query(
             l.clone(),
             r.clone(),
-            Some(nrc::JoinStrategy::BlockedNl { block_size: 256 }),
+            Some(nrc::JoinStrategy::BlockedNl),
         );
         let indexed = join_query(l, r, Some(nrc::JoinStrategy::IndexedNl));
         let tn = time(3, || eval(&naive, &Env::empty(), &ctx).expect("eval"));

@@ -18,8 +18,10 @@
 //!   pull their arms' rows concurrently and elapsed time approaches one
 //!   arm's transfer. Results are asserted identical.
 //! * **fully-lazy guard** — the `prefetch_rows = 0` path must stay
-//!   byte-identical to the eager evaluator's answer and ship zero
-//!   prefetched rows: the laziness contract PR 3 shipped is untouched.
+//!   byte-identical to the reference interpreter's answer
+//!   (`kleisli_exec::reference`; the JSON key keeps its historical name,
+//!   `byte_identical_to_eager`) and ship zero prefetched rows: the
+//!   laziness contract PR 3 shipped is untouched.
 //!
 //! `--smoke` shrinks the workload and loosens the floor for CI runners.
 
@@ -28,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use bench_harness::row_pipeline_workload;
 use kleisli_core::{CollKind, Value};
-use kleisli_exec::{collect_stream, eval, eval_stream, Context, Env};
+use kleisli_exec::{collect_stream, eval_stream, reference, Context, Env};
 use nrc::Expr;
 
 fn time_best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> Duration {
@@ -106,8 +108,11 @@ fn main() {
     let (guard_ctx, guard_plan, guard_drivers) =
         row_pipeline_workload(DRIVERS, ARMS_PER_DRIVER, rows, per_request, per_row, 0);
     let streamed = run_once(&guard_ctx, &guard_plan);
-    let eager = eval(&guard_plan, &Env::empty(), &guard_ctx).expect("eager");
-    assert_eq!(streamed, eager, "prefetch_rows = 0 must stay byte-identical");
+    let expected = reference::eval(&guard_plan, &Env::empty(), &guard_ctx).expect("reference");
+    assert_eq!(
+        streamed, expected,
+        "prefetch_rows = 0 must stay byte-identical"
+    );
     let guard_prefetched: u64 = guard_drivers
         .iter()
         .map(|d| d.metrics.snapshot().rows_prefetched)

@@ -620,10 +620,7 @@ mod tests {
         let (l, r) = join_inputs(200, 10);
         let ctx = Context::new();
         let naive = eval(&join_query(l.clone(), r.clone(), None), &Env::empty(), &ctx).unwrap();
-        for s in [
-            JoinStrategy::BlockedNl { block_size: 64 },
-            JoinStrategy::IndexedNl,
-        ] {
+        for s in [JoinStrategy::BlockedNl, JoinStrategy::IndexedNl] {
             let v = eval(
                 &join_query(l.clone(), r.clone(), Some(s)),
                 &Env::empty(),

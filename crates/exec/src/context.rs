@@ -145,11 +145,11 @@ pub trait ObjectStore: Send + Sync {
     fn deref(&self, oid: &Oid) -> KResult<Value>;
 }
 
-/// Everything the evaluators need besides the expression itself.
+/// Everything the evaluator needs besides the expression itself.
 ///
 /// A `Context` is a cheap handle (one `Arc` bump to clone) over shared
-/// registry state, so the parallel evaluators can hand owned copies to
-/// executor tasks. Registration (`register_driver` /
+/// registry state, so every block operator and every parallel task owns
+/// the copy it uses. Registration (`register_driver` /
 /// `register_object_store`) requires the handle to be *uniquely* owned
 /// — register every source before cloning the context or sharing it
 /// with in-flight queries, exactly the discipline `kleisli::Session`
@@ -316,8 +316,9 @@ impl Context {
 
     /// The row-boundary budget check: `Err(KError::Cancelled)` once the
     /// token fires, `Err(KError::Timeout)` once the deadline passes.
-    /// Evaluators call this between rows so a query over a stalled
-    /// stream resolves at the next row boundary instead of hanging.
+    /// Remote streams and query workers call this between blocks or rows,
+    /// so a query over a stalled stream resolves at the next boundary
+    /// instead of hanging.
     pub fn check_budget(&self) -> KResult<()> {
         if let Some(t) = &self.cancel {
             if t.is_cancelled() {

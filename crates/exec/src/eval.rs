@@ -1,23 +1,26 @@
-//! The eager evaluator for NRC.
+//! The value evaluator: scalars, records, variants, functions, control
+//! flow and primitives.
 //!
 //! Kleisli's evaluation mechanism "is basically eager, with rules used to
 //! introduce a limited amount of laziness in strategic places" (Section 4).
-//! This module is the eager core; the strategic laziness lives in
-//! [`crate::stream`], and the `ParExt` case below overlaps its
-//! per-element driver round-trips by scheduling each chunk on the
-//! context's shared [`kleisli_core::Executor`] — bounded by the plan's
-//! `max_in_flight` on top of the executor's own worker limit, with no
-//! per-chunk OS threads.
+//! This module is the eager core. It does not iterate collections: every
+//! form that assembles one (`Union`, `Ext`, `ParExt`, `Join`, `Remote`,
+//! `RemoteApp`) is handed to the block evaluator in [`crate::stream`] and
+//! drained at the full grain, so a comprehension means the same thing —
+//! same operators, same overlap, same errors — at the top of a query and
+//! inside a record field. The block evaluator calls back into this module
+//! only for the forms it does not stream, so the mutual recursion always
+//! descends.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use kleisli_core::{CollKind, KError, KResult, Value};
-use nrc::{Expr, JoinStrategy, Prim};
+use kleisli_core::{KError, KResult, Value};
+use nrc::{Expr, Prim};
 
-use crate::context::{request_from_value, CacheLookup, Context};
+use crate::context::{CacheLookup, Context};
 use crate::env::{Env, Rt};
 use crate::prims::apply_prim;
+use crate::stream::{collect_blocks, eval_blocks};
 
 /// Evaluate a closed, collection- or value-producing expression.
 pub fn eval(e: &Expr, env: &Env, ctx: &Context) -> KResult<Value> {
@@ -109,37 +112,18 @@ pub fn eval_rt(e: &Expr, env: &Env, ctx: &Context) -> KResult<Rt> {
             *kind,
             vec![eval(inner, env, ctx)?],
         ))),
-        Expr::Union(kind, a, b) => {
-            let va = eval(a, env, ctx)?;
-            let vb = eval(b, env, ctx)?;
-            union_values(*kind, va, vb)
-        }
-        Expr::Ext {
-            kind,
-            var,
-            body,
-            source,
-        } => {
-            let src = eval(source, env, ctx)?;
-            let elems = any_coll_elems(&src, "comprehension generator")?;
-            let mut out = Vec::new();
-            for el in elems {
-                let env2 = env.bind(Arc::clone(var), Rt::Val(el.clone()));
-                let piece = eval(body, &env2, ctx)?;
-                extend_from_piece(&mut out, &piece, *kind)?;
-            }
-            Ok(Rt::Val(Value::collection(*kind, out)))
+        Expr::Union(..)
+        | Expr::Ext { .. }
+        | Expr::ParExt { .. }
+        | Expr::Join { .. }
+        | Expr::Remote { .. }
+        | Expr::RemoteApp { .. } => {
+            let kind = e.coll_kind_hint().expect("a collection form");
+            collect_blocks(eval_blocks(e, env, ctx)?, kind).map(Rt::Val)
         }
         Expr::If(c, t, f) => {
-            let cv = eval(c, env, ctx)?;
-            match cv {
-                Value::Bool(true) => eval_rt(t, env, ctx),
-                Value::Bool(false) => eval_rt(f, env, ctx),
-                other => Err(KError::eval(format!(
-                    "if condition must be bool, got {}",
-                    other.kind_name()
-                ))),
-            }
+            let branch = if eval_cond(c, env, ctx, "if")? { t } else { f };
+            eval_rt(branch, env, ctx)
         }
         Expr::Prim(p, args) => {
             // `and`/`or` short-circuit like the paper's examples expect.
@@ -162,89 +146,6 @@ pub fn eval_rt(e: &Expr, env: &Env, ctx: &Context) -> KResult<Rt> {
             }
             apply_prim(*p, &vals, ctx).map(Rt::Val)
         }
-        Expr::RemoteApp { driver, arg } => {
-            let argv = eval(arg, env, ctx)?;
-            let req = request_from_value(&argv)?;
-            run_remote(driver, &req, ctx)
-        }
-        Expr::Remote { driver, request } => run_remote(driver, request, ctx),
-        Expr::Join {
-            kind,
-            strategy,
-            left,
-            right,
-            lvar,
-            rvar,
-            left_key,
-            right_key,
-            cond,
-            body,
-        } => {
-            let lv = eval(left, env, ctx)?;
-            let rv = eval(right, env, ctx)?;
-            let lelems = coll_elems(&lv, *kind, "join left")?;
-            let relems = coll_elems(&rv, *kind, "join right")?;
-            let mut out = Vec::new();
-            match strategy {
-                JoinStrategy::BlockedNl { block_size } => {
-                    // Scan the inner relation once per block of outer
-                    // elements (I/O pattern of [Kim 80]; in memory the
-                    // result is identical to a nested loop). Equi-keys, if
-                    // present, are folded into the condition.
-                    let cond = match (left_key, right_key) {
-                        (Some(lk), Some(rk)) => Expr::and_arc(
-                            Arc::new(Expr::eq_arc(Arc::clone(lk), Arc::clone(rk))),
-                            Arc::clone(cond),
-                        ),
-                        _ => (**cond).clone(),
-                    };
-                    let block = (*block_size).max(1);
-                    for chunk in lelems.chunks(block) {
-                        for r in relems {
-                            for l in chunk {
-                                emit_join_pair(
-                                    l, r, lvar, rvar, &cond, body, *kind, env, ctx, &mut out,
-                                )?;
-                            }
-                        }
-                    }
-                    if matches!(kind, CollKind::List) {
-                        // Blocked scanning permutes list order; restore the
-                        // nested-loop order for lists by sorting on the
-                        // (outer, inner) indexes — cheap since we only use
-                        // blocked joins on sets/bags in practice.
-                        // (Handled by not blocking below.)
-                    }
-                }
-                JoinStrategy::IndexedNl => {
-                    // Build an index on the fly over the inner relation.
-                    let rk = right_key
-                        .as_ref()
-                        .ok_or_else(|| KError::eval("indexed join without a right key"))?;
-                    let lk = left_key
-                        .as_ref()
-                        .ok_or_else(|| KError::eval("indexed join without a left key"))?;
-                    let mut index: HashMap<Value, Vec<&Value>> = HashMap::new();
-                    for r in relems {
-                        let env2 = env.bind(Arc::clone(rvar), Rt::Val(r.clone()));
-                        let key = eval(rk, &env2, ctx)?;
-                        index.entry(key).or_default().push(r);
-                    }
-                    for l in lelems {
-                        let env2 = env.bind(Arc::clone(lvar), Rt::Val(l.clone()));
-                        let key = eval(lk, &env2, ctx)?;
-                        if let Some(matches) = index.get(&key) {
-                            for r in matches {
-                                emit_join_pair(
-                                    l, r, lvar, rvar, cond, body, *kind, env, ctx, &mut out,
-                                )?;
-                            }
-                        }
-                    }
-                }
-            }
-            Ok(Rt::Val(Value::collection(*kind, out)))
-        }
         Expr::Cached { id, expr } => match ctx.cache_cell(*id).lookup_or_begin() {
             CacheLookup::Hit(v) => Ok(Rt::Val(v)),
             CacheLookup::Miss(ticket) => {
@@ -260,220 +161,27 @@ pub fn eval_rt(e: &Expr, env: &Env, ctx: &Context) -> KResult<Rt> {
             // stack; evaluate without the cache to avoid self-deadlock.
             CacheLookup::Reentrant => Ok(Rt::Val(eval(expr, env, ctx)?)),
         },
-        Expr::ParExt {
-            kind,
-            var,
-            body,
-            source,
-            max_in_flight,
-            batch,
-        } => {
-            let src = eval(source, env, ctx)?;
-            let elems = any_coll_elems(&src, "parallel generator")?;
-            // Fold the loop's per-element requests into batched wire
-            // round-trips before the body runs; the guard keeps the
-            // seeded flights answerable for the whole loop.
-            let _seeds = batch
-                .as_ref()
-                .and_then(|spec| warm_up_batch(spec, elems, var, env, ctx));
-            let pieces = eval_parallel(elems, var, body, env, ctx, *max_in_flight)?;
-            let mut out = Vec::new();
-            for piece in &pieces {
-                extend_from_piece(&mut out, piece, *kind)?;
-            }
-            Ok(Rt::Val(Value::collection(*kind, out)))
-        }
     }
 }
 
-/// The batching warm-up for a marked `ParExt`: evaluate the spec's
-/// request argument for every source element (it is pure-local by the
-/// optimizer's construction, so this duplicates no driver effects),
-/// and ship the distinct requests as a few multi-key wire round-trips
-/// via [`Context::submit_batch`]. Any surprise — an argument that fails
-/// to evaluate, a non-request value, too few distinct keys, a driver
-/// without batching — skips the warm-up entirely and returns `None`:
-/// the per-element path then behaves exactly as unbatched, surfacing
-/// its own errors in their usual place.
-pub(crate) fn warm_up_batch(
-    spec: &nrc::BatchSpec,
-    elems: &[Value],
-    var: &nrc::Name,
-    env: &Env,
-    ctx: &Context,
-) -> Option<crate::context::BatchGuard> {
-    if elems.len() < spec.min_keys.max(1) {
-        return None;
-    }
-    let mut reqs = Vec::with_capacity(elems.len());
-    for el in elems {
-        let env2 = env.bind(Arc::clone(var), Rt::Val(el.clone()));
-        let v = eval(&spec.arg, &env2, ctx).ok()?;
-        reqs.push(request_from_value(&v).ok()?);
-    }
-    let mut distinct = 0usize;
-    for (i, r) in reqs.iter().enumerate() {
-        if !reqs[..i].contains(r) {
-            distinct += 1;
-        }
-    }
-    if distinct < spec.min_keys.max(1) {
-        return None;
-    }
-    ctx.submit_batch(&spec.driver, &reqs).ok().flatten()
-}
-
-/// Evaluate `body` for every element of `elems`, at most `max_in_flight`
-/// at a time, preserving element order in the result. This is the
-/// parallel-retrieval primitive of Section 4 ("Laziness, Latency, and
-/// Concurrency"): requests to remote servers overlap, but no more than the
-/// server's tolerated number run at once.
-///
-/// Each chunk runs as a batch on the context's shared
-/// [`kleisli_core::Executor`] — tasks own cheap clones of the body
-/// `Arc`, the environment, and the context handle, so no OS thread is
-/// ever created per element. The submitting thread helps drain its own
-/// batch, which both caps in-flight work at `max_in_flight` and keeps
-/// nested parallel loops deadlock-free on the bounded pool (see
-/// `kleisli_core::executor`). A task that panics surfaces as an
-/// evaluation error, and an error stops later chunks from being
-/// submitted at all.
-pub fn eval_parallel(
-    elems: &[Value],
-    var: &nrc::Name,
-    body: &Arc<Expr>,
-    env: &Env,
-    ctx: &Context,
-    max_in_flight: usize,
-) -> KResult<Vec<Value>> {
-    let width = max_in_flight.max(1);
-    if width == 1 || elems.len() <= 1 {
-        return elems
-            .iter()
-            .map(|el| eval(body, &env.bind(Arc::clone(var), Rt::Val(el.clone())), ctx))
-            .collect();
-    }
-    let mut out = Vec::with_capacity(elems.len());
-    for chunk in elems.chunks(width) {
-        let tasks: Vec<Box<dyn FnOnce() -> KResult<Value> + Send>> = chunk
-            .iter()
-            .map(|el| {
-                let env2 = env.bind(Arc::clone(var), Rt::Val(el.clone()));
-                let body = Arc::clone(body);
-                let ctx = ctx.clone();
-                Box::new(move || eval(&body, &env2, &ctx))
-                    as Box<dyn FnOnce() -> KResult<Value> + Send>
-            })
-            .collect();
-        for r in ctx.executor().run_all(tasks) {
-            out.push(r.unwrap_or_else(|| Err(KError::eval("worker thread panicked")))?);
-        }
-    }
-    Ok(out)
-}
-
-#[allow(clippy::too_many_arguments)] // one slot per join-clause binding
-fn emit_join_pair(
-    l: &Value,
-    r: &Value,
-    lvar: &nrc::Name,
-    rvar: &nrc::Name,
-    cond: &Expr,
-    body: &Expr,
-    kind: CollKind,
-    env: &Env,
-    ctx: &Context,
-    out: &mut Vec<Value>,
-) -> KResult<()> {
-    let env2 = env
-        .bind(Arc::clone(lvar), Rt::Val(l.clone()))
-        .bind(Arc::clone(rvar), Rt::Val(r.clone()));
-    match eval(cond, &env2, ctx)? {
-        Value::Bool(true) => {
-            let piece = eval(body, &env2, ctx)?;
-            extend_from_piece(out, &piece, kind)
-        }
-        Value::Bool(false) => Ok(()),
+/// Evaluate a condition to its truth value; `what` names the construct
+/// (`if`, `join`) in the error a non-bool raises.
+pub(crate) fn eval_cond(c: &Expr, env: &Env, ctx: &Context, what: &str) -> KResult<bool> {
+    match eval(c, env, ctx)? {
+        Value::Bool(b) => Ok(b),
         other => Err(KError::eval(format!(
-            "join condition must be bool, got {}",
+            "{what} condition must be bool, got {}",
             other.kind_name()
         ))),
     }
-}
-
-fn run_remote(driver: &str, req: &kleisli_core::DriverRequest, ctx: &Context) -> KResult<Rt> {
-    // Submit-then-wait: the eager evaluator is the blocking consumer of
-    // the two-phase driver API (overlap lives in the streaming executor).
-    // The wait enforces the driver's resilience policy and the query
-    // deadline; the drain re-checks the budget at block boundaries so a
-    // mid-stream stall resolves as Timeout, not a hang.
-    let mut stream = ctx.submit_resilient(driver, req)?.wait()?;
-    let mut out = Vec::new();
-    while let Some(block) = stream.next_block(kleisli_core::DEFAULT_BLOCK_ROWS) {
-        ctx.check_budget()?;
-        for item in block.into_rows() {
-            out.push(item?);
-        }
-    }
-    Ok(Rt::Val(Value::set(out)))
-}
-
-/// Elements of *any* collection kind. CPL generators may draw from a
-/// collection of a different kind than the comprehension produces (the
-/// paper: "x <- p.authors matches elements of a list rather than elements
-/// of a set").
-fn any_coll_elems<'a>(v: &'a Value, what: &str) -> KResult<&'a [Value]> {
-    v.elements().ok_or_else(|| {
-        KError::eval(format!(
-            "{what}: expected a collection, got {}",
-            v.kind_name()
-        ))
-    })
-}
-
-fn coll_elems<'a>(v: &'a Value, kind: CollKind, what: &str) -> KResult<&'a [Value]> {
-    match v.coll_kind() {
-        Some(k) if k == kind => Ok(v.elements().expect("collection")),
-        Some(k) => Err(KError::eval(format!(
-            "{what}: expected a {}, got a {}",
-            kind.name(),
-            k.name()
-        ))),
-        None => Err(KError::eval(format!(
-            "{what}: expected a {}, got {}",
-            kind.name(),
-            v.kind_name()
-        ))),
-    }
-}
-
-fn extend_from_piece(out: &mut Vec<Value>, piece: &Value, kind: CollKind) -> KResult<()> {
-    match piece.coll_kind() {
-        Some(k) if k == kind => {
-            out.extend_from_slice(piece.elements().expect("collection"));
-            Ok(())
-        }
-        _ => Err(KError::eval(format!(
-            "comprehension body must produce a {}, got {}",
-            kind.name(),
-            piece.kind_name()
-        ))),
-    }
-}
-
-fn union_values(kind: CollKind, a: Value, b: Value) -> KResult<Rt> {
-    let ea = coll_elems(&a, kind, "union")?;
-    let eb = coll_elems(&b, kind, "union")?;
-    let mut out = Vec::with_capacity(ea.len() + eb.len());
-    out.extend_from_slice(ea);
-    out.extend_from_slice(eb);
-    Ok(Rt::Val(Value::collection(kind, out)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cpl::{desugar, parse_expr, Definitions};
+    use kleisli_core::CollKind;
+    use nrc::JoinStrategy;
 
     fn run_with(src: &str, defs: &Definitions) -> KResult<Value> {
         let ast = parse_expr(src).expect("parse");
@@ -708,12 +416,15 @@ mod tests {
         };
         let left = mk_set(0..30, |i| i % 7);
         let right = mk_set(0..20, |i| i % 5);
-        // reference: nested-loop comprehension
+        // The oracle's nested-loop comprehension — which the evaluator's
+        // own reading of the same comprehension must match too.
         let mut defs = Definitions::new();
         defs.insert_value("L", left.clone());
         defs.insert_value("R", right.clone());
-        let reference =
-            run_with(r"{[a = l.v, b = r.v] | \l <- L, \r <- R, l.k = r.k}", &defs).unwrap();
+        let nested = r"{[a = l.v, b = r.v] | \l <- L, \r <- R, l.k = r.k}";
+        let loops = desugar(&parse_expr(nested).expect("parse"), &defs).unwrap();
+        let reference = crate::reference::eval(&loops, &Env::empty(), &Context::new()).unwrap();
+        assert_eq!(run_with(nested, &defs).unwrap(), reference);
 
         let body = Expr::single(
             CollKind::Set,
@@ -722,10 +433,7 @@ mod tests {
                 ("b", Expr::proj(Expr::var("r"), "v")),
             ]),
         );
-        for strategy in [
-            JoinStrategy::BlockedNl { block_size: 4 },
-            JoinStrategy::IndexedNl,
-        ] {
+        for strategy in [JoinStrategy::BlockedNl, JoinStrategy::IndexedNl] {
             let e = Expr::Join {
                 kind: CollKind::Set,
                 strategy: strategy.clone(),
@@ -743,6 +451,8 @@ mod tests {
             };
             let got = eval(&e, &Env::empty(), &Context::new()).unwrap();
             assert_eq!(got, reference, "strategy {strategy:?}");
+            let by_the_book = crate::reference::eval(&e, &Env::empty(), &Context::new());
+            assert_eq!(by_the_book.unwrap(), reference, "strategy {strategy:?}");
         }
     }
 
@@ -785,7 +495,7 @@ mod tests {
         };
         let ctx = Context::new();
         assert_eq!(
-            eval(&seq, &Env::empty(), &ctx).unwrap(),
+            crate::reference::eval(&seq, &Env::empty(), &ctx).unwrap(),
             eval(&par, &Env::empty(), &ctx).unwrap()
         );
     }
@@ -805,6 +515,8 @@ mod tests {
         };
         let got = eval(&par, &Env::empty(), &Context::new()).unwrap();
         assert_eq!(got, src);
+        let expected = crate::reference::eval(&par, &Env::empty(), &Context::new()).unwrap();
+        assert_eq!(got, expected);
     }
 
     #[test]

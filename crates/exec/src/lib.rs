@@ -2,13 +2,15 @@
 //!
 //! Query execution for the Kleisli reproduction:
 //!
-//! * [`mod@eval`] — the eager recursive evaluator, including the two local
-//!   join operators of Section 4 (blocked nested-loop and indexed blocked
-//!   nested-loop with an on-the-fly index), subquery caching, and the
-//!   bounded-concurrency parallel retrieval primitive.
-//! * [`stream`] — the pipelined executor providing the paper's strategic
-//!   laziness: `first_n` produces initial output without materializing
-//!   the full result.
+//! * [`stream`] — the block evaluator, the one evaluator of
+//!   collection-typed NRC: generators, unions, the join operator of
+//!   Section 4 (blocked or indexed nested loop), remote scans, subquery
+//!   caching and bounded-concurrency parallel retrieval as pull-based
+//!   block operators. `first_n` stops after a prefix without
+//!   materializing the result — the paper's strategic laziness.
+//! * [`mod@eval`] — the value evaluator (scalars, records, functions,
+//!   control flow, primitives); a collection form it meets is drained
+//!   through [`stream`], so there is one meaning per plan.
 //! * [`context`] — the driver registry, object store, and subquery cache.
 //! * [`result_cache`] — the process-wide memory-accounted single-flight
 //!   result cache shared by multi-session deployments (`kleislid`).
@@ -18,6 +20,8 @@ pub mod context;
 pub mod env;
 pub mod eval;
 pub mod prims;
+#[doc(hidden)]
+pub mod reference;
 pub mod result_cache;
 pub mod stream;
 

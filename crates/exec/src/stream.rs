@@ -1,4 +1,4 @@
-//! The pipelined (lazy) executor.
+//! The block evaluator: the one evaluator of collection-typed NRC.
 //!
 //! Section 4 of the paper: "each (x, y) pair in the result can be assembled
 //! by retrieving a single element x from DB and single element from the set
@@ -7,9 +7,12 @@
 //! output quickly, and minimize storage of intermediate results."
 //!
 //! `eval_blocks` compiles a collection-valued NRC expression into a
-//! pull-based [`BlockSource`]: generators (`Ext`), unions, conditionals,
-//! remote scans, joins and cached subqueries all stream; anything else
-//! falls back to the eager evaluator. The unit of transfer is a
+//! pull-based [`BlockSource`]: generators (`Ext`, `ParExt`), unions,
+//! conditionals, remote scans, joins and cached subqueries all stream;
+//! everything else is a value, computed by [`crate::eval()`] — which in turn
+//! hands every collection form it meets (a comprehension in a record
+//! field, say) back here and drains it, so a plan means the same thing
+//! wherever it sits. The unit of transfer is a
 //! [`ValueBlock`] whose grain the *consumer* chooses per pull
 //! (`next_block(max_rows)`): full drains ask for
 //! [`DEFAULT_BLOCK_ROWS`]-row batches — and `Ext` generators whose body
@@ -24,9 +27,13 @@
 //! is what makes `first_n` cheap — the intended use, as in the paper, is
 //! fast first response on queries whose laziness the optimizer has
 //! identified as profitable. Consumers of a set-typed prefix that must
-//! not see duplicates use [`first_n_distinct`].
+//! not see duplicates use [`first_n_distinct`]. Inside a plan the same
+//! shortcut is taken only where the consumer's own canonicalization
+//! hides it: a bag or list comprehension over a source that assembles a
+//! set (or a list one over a bag) drains and canonicalizes that source
+//! first, so a generator sees each element of a set exactly once.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use kleisli_core::{
@@ -35,9 +42,9 @@ use kleisli_core::{
 };
 use nrc::{Expr, JoinStrategy, Name};
 
-use crate::context::{request_from_value, CacheLookup, Context, PopulateTicket};
+use crate::context::{request_from_value, BatchGuard, CacheLookup, Context, PopulateTicket};
 use crate::env::{Env, Rt};
-use crate::eval::{eval, eval_parallel};
+use crate::eval::{eval, eval_cond, eval_rt};
 
 /// A pull-based stream of collection elements — the single-row view.
 /// [`BlockStream`] boxes iterate at grain 1, so any block stream coerces.
@@ -47,20 +54,100 @@ pub type RowStream = Box<dyn Iterator<Item = KResult<Value>> + Send>;
 /// time: the grain-1 view of [`eval_blocks`], byte-identical to the
 /// pre-block single-row executor (each pull moves at most one row, and
 /// only on demand).
-pub fn eval_stream(e: &Expr, env: &Env, ctx: &Arc<Context>) -> KResult<RowStream> {
+pub fn eval_stream(e: &Expr, env: &Env, ctx: &Context) -> KResult<RowStream> {
     Ok(Box::new(eval_blocks(e, env, ctx)?))
 }
 
 /// Stream the elements of a collection-valued expression as row blocks.
-pub fn eval_blocks(e: &Expr, env: &Env, ctx: &Arc<Context>) -> KResult<BlockStream> {
+/// Operators keep their own clone of `ctx` (one `Arc` bump plus the
+/// query's deadline and cancellation token).
+pub fn eval_blocks(e: &Expr, env: &Env, ctx: &Context) -> KResult<BlockStream> {
+    blocks(e, env, ctx, Want::Any)
+}
+
+/// What the consumer of a block chain requires of the collection feeding
+/// it. The type checker settles this statically; for `any`-typed values
+/// (driver rows, runtime-selected branches) it is checked here, wherever
+/// a materialized [`Value`] or a collection form of evident kind enters
+/// a chain — so a query's top and its nested parts are equally strict.
+#[derive(Clone, Copy)]
+enum Want {
+    /// The top of a query: any collection.
+    Any,
+    /// The source of a comprehension of the given kind. Generators draw
+    /// from any collection kind (the paper: "x <- p.authors matches
+    /// elements of a list rather than elements of a set"), and a *set*
+    /// comprehension may read a raw stream — duplicates and arrival order
+    /// vanish when its own result is canonicalized. A bag comprehension
+    /// must see each element of a set once, and a list comprehension must
+    /// see a set or bag in canonical order, so for those a source that
+    /// assembles such a collection is drained and canonicalized first.
+    Source(CollKind),
+    /// A union operand or join side (named by the `&str`): this kind.
+    Operand(&'static str, CollKind),
+    /// One piece of a comprehension or join body: this kind.
+    Piece(CollKind),
+}
+
+impl Want {
+    /// Check a collection entering the chain: `got` is its kind (`None`
+    /// for a non-collection) and `name` what to call it in the error.
+    fn check(self, got: Option<CollKind>, name: &str) -> KResult<()> {
+        let mismatch = match (self, got) {
+            (Want::Any | Want::Source(_), Some(_)) => return Ok(()),
+            (Want::Operand(_, k) | Want::Piece(k), Some(g)) if g == k => return Ok(()),
+            (Want::Any, _) => format!("cannot stream a non-collection ({name})"),
+            (Want::Source(_), _) => {
+                format!("comprehension generator: expected a collection, got {name}")
+            }
+            (Want::Operand(what, k), _) => {
+                let a = if got.is_some() { "a " } else { "" };
+                format!("{what}: expected a {}, got {a}{name}", k.name())
+            }
+            (Want::Piece(k), _) => {
+                format!("comprehension body must produce a {}, got {name}", k.name())
+            }
+        };
+        Err(KError::eval(mismatch))
+    }
+}
+
+/// The kind of collection `e` itself assembles; `None` for forms that
+/// pass one through (`If`, `Let`, `Cached`) or compute a value.
+fn built_kind(e: &Expr) -> Option<CollKind> {
+    match e {
+        Expr::If(..) | Expr::Let { .. } | Expr::Cached { .. } | Expr::Const(_) => None,
+        _ => e.coll_kind_hint(),
+    }
+}
+
+/// The elements of one evaluated comprehension or join body piece.
+fn piece_elems(piece: &Value, kind: CollKind) -> KResult<&[Value]> {
+    Want::Piece(kind).check(piece.coll_kind(), piece.kind_name())?;
+    Ok(piece.elements().expect("checked to be a collection"))
+}
+
+fn blocks(e: &Expr, env: &Env, ctx: &Context, want: Want) -> KResult<BlockStream> {
+    if let Some(built) = built_kind(e) {
+        want.check(Some(built), built.name())?;
+        if let Want::Source(consumer) = want {
+            // See `Want::Source`: drain and canonicalize a set under a
+            // bag or list comprehension, a bag under a list one.
+            if consumer != CollKind::Set && built != CollKind::List && built != consumer {
+                let v = collect_blocks(blocks(e, env, ctx, Want::Any)?, built)?;
+                return value_blocks(&v, want);
+            }
+        }
+    }
     match e {
         Expr::Empty(_) => Ok(blocks_of_rows(Box::new(std::iter::empty()))),
         Expr::Single(_, inner) => {
             let v = eval(inner, env, ctx)?;
             Ok(slice_blocks(Arc::new(vec![v])))
         }
-        Expr::Union(_, a, b) => {
-            let sa = eval_blocks(a, env, ctx)?;
+        Expr::Union(kind, a, b) => {
+            let want = Want::Operand("union", *kind);
+            let sa = blocks(a, env, ctx, want)?;
             // When the right operand is a spine of remote scans on
             // drivers whose `submit` is genuinely non-blocking, building
             // its stream *now* puts those requests in flight, so the
@@ -75,46 +162,42 @@ pub fn eval_blocks(e: &Expr, env: &Env, ctx: &Arc<Context>) -> KResult<BlockStre
             // real work at construction time (locals, joins, cached
             // populations, or submission through a blocking default
             // adapter) stays fully lazy: a consumer that stops inside
-            // the left operand never evaluates it. Cloning the Arc is
-            // O(1) regardless of plan size.
-            if prefetchable(b, ctx) {
-                // A construction error (e.g. a malformed request record)
-                // falls through to the lazy path below, preserving the
-                // old guarantee that a left-arm-only consumer never sees
-                // the right arm fail.
-                if let Ok(sb) = eval_blocks(b, env, ctx) {
-                    return Ok(Box::new(ChainBlocks {
-                        a: Some(sa),
-                        b: Some(sb),
-                    }));
+            // the left operand never evaluates it.
+            // A construction error (e.g. a malformed request record)
+            // falls back to the lazy path, preserving the guarantee that
+            // a left-arm-only consumer never sees the right arm fail.
+            let sb = match prefetchable(b, ctx).then(|| blocks(b, env, ctx, want)) {
+                Some(Ok(sb)) => sb,
+                _ => {
+                    let (b, env2, ctx2) = (Arc::clone(b), env.clone(), ctx.clone());
+                    Box::new(LazyBlocks::new(move || blocks(&b, &env2, &ctx2, want)))
                 }
-            }
-            let b = Arc::clone(b);
-            let env2 = env.clone();
-            let ctx2 = Arc::clone(ctx);
-            let sb = LazyBlocks::new(move || eval_blocks(&b, &env2, &ctx2));
+            };
             Ok(Box::new(ChainBlocks {
                 a: Some(sa),
-                b: Some(Box::new(sb)),
+                b: Some(sb),
             }))
         }
         Expr::Ext {
-            var, body, source, ..
+            kind,
+            var,
+            body,
+            source,
         } => {
-            let src = eval_blocks(source, env, ctx)?;
+            let src = blocks(source, env, ctx, Want::Source(*kind))?;
             // Fused fast path: a body that is a pure projection
             // (`Single`) or filter+projection (`If(c, Single, Empty)`)
             // evaluates a whole source batch in one pass — no per-row
             // body stream construction at all. Anything else flat-maps
             // a body block stream per source element.
-            if let Some(fused) = FusedBody::of(body) {
+            if let Some(fused) = FusedBody::of(body, *kind) {
                 return Ok(Box::new(FusedExtBlocks {
                     source: Some(src),
                     leftover: VecDeque::new(),
                     fused,
                     var: Arc::clone(var),
                     env: env.clone(),
-                    ctx: Arc::clone(ctx),
+                    ctx: ctx.clone(),
                     failed: false,
                 }));
             }
@@ -122,24 +205,21 @@ pub fn eval_blocks(e: &Expr, env: &Env, ctx: &Arc<Context>) -> KResult<BlockStre
                 source: Some(src),
                 src_rows: VecDeque::new(),
                 current: None,
+                kind: *kind,
                 var: Arc::clone(var),
                 body: Arc::clone(body),
                 env: env.clone(),
-                ctx: Arc::clone(ctx),
+                ctx: ctx.clone(),
                 failed: false,
             }))
         }
-        Expr::If(c, t, f) => match eval(c, env, ctx)? {
-            Value::Bool(true) => eval_blocks(t, env, ctx),
-            Value::Bool(false) => eval_blocks(f, env, ctx),
-            other => Err(KError::eval(format!(
-                "if condition must be bool, got {}",
-                other.kind_name()
-            ))),
-        },
+        Expr::If(c, t, f) => {
+            let branch = if eval_cond(c, env, ctx, "if")? { t } else { f };
+            blocks(branch, env, ctx, want)
+        }
         Expr::Let { var, def, body } => {
-            let d = crate::eval::eval_rt(def, env, ctx)?;
-            eval_blocks(body, &env.bind(Arc::clone(var), d), ctx)
+            let d = eval_rt(def, env, ctx)?;
+            blocks(body, &env.bind(Arc::clone(var), d), ctx, want)
         }
         Expr::Remote { driver, request } => {
             // Two-phase: the request is in flight from this moment; the
@@ -160,6 +240,7 @@ pub fn eval_blocks(e: &Expr, env: &Env, ctx: &Arc<Context>) -> KResult<BlockStre
             Ok(PendingBlocks::boxed(ctx.submit_resilient(driver, &req)?, ctx))
         }
         Expr::Join {
+            kind,
             strategy,
             left,
             right,
@@ -169,72 +250,56 @@ pub fn eval_blocks(e: &Expr, env: &Env, ctx: &Arc<Context>) -> KResult<BlockStre
             right_key,
             cond,
             body,
-            ..
         } => {
             // Materialize the inner (right) relation, stream the outer —
             // but build the outer stream *first*: its driver request (if
             // any) is then already in flight while the inner relation is
             // being collected, overlapping the two sources' round-trips.
-            let lstream = eval_blocks(left, env, ctx)?;
-            let rv: Vec<Value> = collect_rows(eval_blocks(right, env, ctx)?)?;
-            match strategy {
-                JoinStrategy::IndexedNl => {
-                    let (Some(lk), Some(rk)) = (left_key, right_key) else {
-                        return Err(KError::eval("indexed join without keys"));
-                    };
-                    let mut index: std::collections::HashMap<Value, Vec<Value>> =
-                        std::collections::HashMap::new();
+            let lstream = blocks(left, env, ctx, Want::Operand("join left", *kind))?;
+            let rv = collect_rows(blocks(right, env, ctx, Want::Operand("join right", *kind))?)?;
+            let (probe, cond) = match (strategy, left_key, right_key) {
+                // Index the inner relation on the fly by its key.
+                (JoinStrategy::IndexedNl, Some(lk), Some(rk)) => {
+                    let mut index: HashMap<Value, Vec<Value>> = HashMap::new();
                     for r in rv {
-                        let env2 = env.bind(Arc::clone(rvar), Rt::Val(r.clone()));
-                        let key = eval(rk, &env2, ctx)?;
+                        let key = eval(rk, &env.bind(Arc::clone(rvar), Rt::Val(r.clone())), ctx)?;
                         index.entry(key).or_default().push(r);
                     }
-                    Ok(Box::new(IndexedJoinBlocks {
-                        left: lstream,
-                        index,
-                        pending: VecDeque::new(),
-                        lvar: Arc::clone(lvar),
-                        rvar: Arc::clone(rvar),
-                        left_key: Arc::clone(lk),
-                        cond: Arc::clone(cond),
-                        body: Arc::clone(body),
-                        env: env.clone(),
-                        ctx: Arc::clone(ctx),
-                        failed: false,
-                    }))
+                    (Probe::Index(Arc::clone(lk), index), Arc::clone(cond))
                 }
-                JoinStrategy::BlockedNl { .. } => {
-                    // Fold equi-keys into the condition; the two fresh
-                    // nodes reference the existing key/cond subplans by
-                    // Arc, so this is O(1) in plan size.
-                    let cond = match (left_key, right_key) {
-                        (Some(lk), Some(rk)) => Arc::new(Expr::and_arc(
-                            Arc::new(Expr::eq_arc(Arc::clone(lk), Arc::clone(rk))),
-                            Arc::clone(cond),
-                        )),
-                        _ => Arc::clone(cond),
-                    };
-                    Ok(Box::new(NlJoinBlocks {
-                        left: lstream,
-                        right: rv,
-                        pending: VecDeque::new(),
-                        lvar: Arc::clone(lvar),
-                        rvar: Arc::clone(rvar),
-                        cond,
-                        body: Arc::clone(body),
-                        env: env.clone(),
-                        ctx: Arc::clone(ctx),
-                        failed: false,
-                    }))
+                (JoinStrategy::IndexedNl, ..) => {
+                    return Err(KError::eval("indexed join without keys"))
                 }
-            }
+                // Fold equi-keys into the condition; the two fresh nodes
+                // reference the existing key/cond subplans by Arc, so
+                // this is O(1) in plan size.
+                (JoinStrategy::BlockedNl, Some(lk), Some(rk)) => {
+                    let eq = Arc::new(Expr::eq_arc(Arc::clone(lk), Arc::clone(rk)));
+                    let cond = Arc::new(Expr::and_arc(eq, Arc::clone(cond)));
+                    (Probe::Scan(rv), cond)
+                }
+                (JoinStrategy::BlockedNl, ..) => (Probe::Scan(rv), Arc::clone(cond)),
+            };
+            Ok(Box::new(JoinBlocks {
+                left: lstream,
+                probe,
+                pending: VecDeque::new(),
+                kind: *kind,
+                lvar: Arc::clone(lvar),
+                rvar: Arc::clone(rvar),
+                cond,
+                body: Arc::clone(body),
+                env: env.clone(),
+                ctx: ctx.clone(),
+                failed: false,
+            }))
         }
         Expr::Cached { id, expr } => match ctx.cache_cell(*id).lookup_or_begin() {
             // Hit: stream the memoized rows; no driver traffic at all.
-            CacheLookup::Hit(v) => value_blocks(&v),
+            CacheLookup::Hit(v) => value_blocks(&v, want),
             // Re-entrant lookup (this thread is populating the same id
             // higher up): stream the subquery directly, uncached.
-            CacheLookup::Reentrant => eval_blocks(expr, env, ctx),
+            CacheLookup::Reentrant => blocks(expr, env, ctx, want),
             // Miss: this consumer is the populator. When the subplan's
             // collection kind is syntactically evident we stream the
             // subquery lazily, teeing rows aside, and commit the canonical
@@ -242,14 +307,14 @@ pub fn eval_blocks(e: &Expr, env: &Env, ctx: &Arc<Context>) -> KResult<BlockStre
             // a cached remote scan still pulls only what it needs (an
             // abandoned prefix aborts the ticket and leaves the slot
             // empty). The ticket rides inside the stream, keeping the
-            // single-flight guarantee of the eager path: racing
+            // single-flight guarantee of `eval`'s `Cached` arm: racing
             // evaluators block until commit or abort. The tee is
             // order-sensitive (it must record every row that passed),
             // so it stays a single-row operator over the grain-1 view.
             CacheLookup::Miss(ticket) => match expr.coll_kind_hint() {
                 Some(kind) => {
                     // An Err here drops the ticket (abort) on the way out.
-                    let inner: RowStream = Box::new(eval_blocks(expr, env, ctx)?);
+                    let inner: RowStream = Box::new(blocks(expr, env, ctx, want)?);
                     Ok(blocks_of_rows(Box::new(CachingStream {
                         inner,
                         ticket: Some(ticket),
@@ -259,45 +324,42 @@ pub fn eval_blocks(e: &Expr, env: &Env, ctx: &Arc<Context>) -> KResult<BlockStre
                     })))
                 }
                 None => {
-                    // Kind unknowable from syntax: populate eagerly so the
-                    // cached value is canonicalized exactly like the eager
-                    // evaluator's, then stream it.
+                    // Kind unknowable from syntax: compute the value,
+                    // commit it, then stream it.
                     let v = eval(expr, env, ctx)?;
                     ticket.commit(v.clone());
-                    value_blocks(&v)
+                    value_blocks(&v, want)
                 }
             },
         },
         Expr::ParExt {
+            kind,
             var,
             body,
             source,
             max_in_flight,
             batch,
-            ..
         } => {
             // Chunk assembly is order-sensitive (a chunk boundary is an
             // observable concurrency boundary), so the parallel operator
             // keeps its single-row pull loop over the grain-1 view.
-            let src: RowStream = Box::new(eval_blocks(source, env, ctx)?);
+            let src: RowStream = Box::new(blocks(source, env, ctx, Want::Source(*kind))?);
             Ok(blocks_of_rows(Box::new(ParChunkStream {
                 source: src,
                 buffer: Vec::new(),
+                kind: *kind,
                 var: Arc::clone(var),
                 body: Arc::clone(body),
                 env: env.clone(),
-                ctx: Arc::clone(ctx),
+                ctx: ctx.clone(),
                 width: (*max_in_flight).max(1),
                 batch: batch.clone(),
                 guard: None,
                 failed: false,
             })))
         }
-        // Everything else: evaluate eagerly and stream the collection.
-        other => {
-            let v = eval(other, env, ctx)?;
-            value_blocks(&v)
-        }
+        // Everything else is a value: compute it and stream its elements.
+        other => value_blocks(&eval(other, env, ctx)?, want),
     }
 }
 
@@ -305,25 +367,20 @@ pub fn eval_blocks(e: &Expr, env: &Env, ctx: &Arc<Context>) -> KResult<BlockStre
 /// copying it: the source shares the collection's element vector (one
 /// `Arc` bump) and clones elements only as they are pulled — a `first_n`
 /// over a huge cache hit touches `n` elements, not the whole collection.
-fn value_blocks(v: &Value) -> KResult<BlockStream> {
-    let elems: Arc<Vec<Value>> = match v {
-        Value::Set(es) | Value::Bag(es) | Value::List(es) => Arc::clone(es),
-        other => {
-            return Err(KError::eval(format!(
-                "cannot stream a non-collection ({})",
-                other.kind_name()
-            )))
-        }
+fn value_blocks(v: &Value, want: Want) -> KResult<BlockStream> {
+    want.check(v.coll_kind(), v.kind_name())?;
+    let (Value::Set(es) | Value::Bag(es) | Value::List(es)) = v else {
+        unreachable!("`Want::check` rejects non-collections")
     };
-    Ok(slice_blocks(elems))
+    Ok(slice_blocks(Arc::clone(es)))
 }
 
 fn slice_blocks(elems: Arc<Vec<Value>>) -> BlockStream {
     Box::new(SliceBlocks { elems, i: 0 })
 }
 
-/// Blocks over a shared element vector (cache hits, `Single`, the eager
-/// fallback). Clones elements only as they are packed.
+/// Blocks over a shared element vector (cache hits, `Single`, computed
+/// values). Clones elements only as they are packed.
 struct SliceBlocks {
     elems: Arc<Vec<Value>>,
     i: usize,
@@ -347,7 +404,7 @@ impl BlockSource for SliceBlocks {
 /// Pull at most `n` elements from the stream of `e` — the "fast response"
 /// path. Returns the elements in arrival order. Pulls at grain 1: the
 /// prefix stop must not cause even one row more than demanded to move.
-pub fn first_n(e: &Expr, n: usize, env: &Env, ctx: &Arc<Context>) -> KResult<Vec<Value>> {
+pub fn first_n(e: &Expr, n: usize, env: &Env, ctx: &Context) -> KResult<Vec<Value>> {
     let mut out = Vec::with_capacity(n);
     for item in eval_stream(e, env, ctx)? {
         out.push(item?);
@@ -362,7 +419,7 @@ pub fn first_n(e: &Expr, n: usize, env: &Env, ctx: &Arc<Context>) -> KResult<Vec
 /// canonicalization (see the module docs), so a set query can yield the
 /// same element several times; here duplicates are dropped and do not
 /// count toward `n`. First-arrival order is preserved.
-pub fn first_n_distinct(e: &Expr, n: usize, env: &Env, ctx: &Arc<Context>) -> KResult<Vec<Value>> {
+pub fn first_n_distinct(e: &Expr, n: usize, env: &Env, ctx: &Context) -> KResult<Vec<Value>> {
     let mut out = Vec::with_capacity(n);
     let mut seen: HashSet<Value> = HashSet::new();
     if n == 0 {
@@ -405,8 +462,8 @@ fn collect_rows(mut stream: BlockStream) -> KResult<Vec<Value>> {
 
 /// Lazy population of a [`crate::context::CacheCell`]: passes the inner
 /// stream's rows through while teeing them aside, and commits the
-/// canonical collection (same canonicalization as the eager evaluator's
-/// `Value::collection`) when the inner stream is exhausted. Dropping the
+/// canonical collection (`Value::collection`, exactly what draining the
+/// subquery yields) when the inner stream is exhausted. Dropping the
 /// stream early drops the ticket uncommitted, releasing the single-flight
 /// claim with the slot still empty.
 struct CachingStream {
@@ -524,41 +581,24 @@ impl BlockSource for ChainBlocks {
 struct PendingBlocks {
     handle: Option<kleisli_core::resilience::ResilientHandle>,
     inner: Option<BlockStream>,
-    /// Query budget, checked at every block boundary so a mid-stream
-    /// stall resolves as `Timeout`/`Cancelled` at the next pull instead
-    /// of silently hanging the consumer forever. (Grain-1 consumers
-    /// check per row, exactly as before.)
-    deadline: Option<std::time::Instant>,
-    cancel: Option<Arc<kleisli_core::CancelToken>>,
+    /// The query budget, tightened by the driver policy's own deadline;
+    /// checked at every block boundary so a mid-stream stall resolves as
+    /// `Timeout`/`Cancelled` at the next pull instead of silently hanging
+    /// the consumer forever. (Grain-1 consumers check per row.)
+    ctx: Context,
     failed: bool,
 }
 
 impl PendingBlocks {
     fn boxed(handle: kleisli_core::resilience::ResilientHandle, ctx: &Context) -> BlockStream {
         Box::new(PendingBlocks {
-            deadline: handle.deadline(),
-            cancel: ctx.cancel_token().cloned(),
+            ctx: handle
+                .deadline()
+                .map_or_else(|| ctx.clone(), |d| ctx.with_deadline(d)),
             handle: Some(handle),
             inner: None,
             failed: false,
         })
-    }
-
-    fn over_budget(&self) -> Option<KError> {
-        if let Some(t) = &self.cancel {
-            if t.is_cancelled() {
-                return Some(KError::cancelled("query cancelled"));
-            }
-        }
-        if let Some(d) = self.deadline {
-            if std::time::Instant::now() >= d {
-                return Some(KError::timeout(
-                    "query",
-                    "deadline exceeded at row boundary",
-                ));
-            }
-        }
-        None
     }
 }
 
@@ -576,7 +616,7 @@ impl BlockSource for PendingBlocks {
                 }
             }
         }
-        if let Some(e) = self.over_budget() {
+        if let Err(e) = self.ctx.check_budget() {
             self.failed = true;
             // Drop the redeemed stream now: over a prefetching driver
             // this closes the block buffer and stops refill work.
@@ -633,16 +673,20 @@ enum FusedBody {
 }
 
 impl FusedBody {
-    fn of(body: &Expr) -> Option<FusedBody> {
+    /// Recognize a fusable body of a `kind` comprehension. A body piece
+    /// of another kind is left to the general path, which rejects it.
+    fn of(body: &Expr, kind: CollKind) -> Option<FusedBody> {
         match body {
-            Expr::Single(_, inner) => Some(FusedBody::Project {
+            Expr::Single(k, inner) if *k == kind => Some(FusedBody::Project {
                 inner: Arc::clone(inner),
             }),
             Expr::If(c, t, f) => match (t.as_ref(), f.as_ref()) {
-                (Expr::Single(_, inner), Expr::Empty(_)) => Some(FusedBody::FilterProject {
-                    cond: Arc::clone(c),
-                    inner: Arc::clone(inner),
-                }),
+                (Expr::Single(k, inner), Expr::Empty(k2)) if *k == kind && *k2 == kind => {
+                    Some(FusedBody::FilterProject {
+                        cond: Arc::clone(c),
+                        inner: Arc::clone(inner),
+                    })
+                }
                 _ => None,
             },
             _ => None,
@@ -652,18 +696,17 @@ impl FusedBody {
     /// Evaluate the body for one source element: `Ok(Some)` emits,
     /// `Ok(None)` is a filtered-out element. Error semantics match the
     /// unfused path exactly (a body-stream construction error there).
-    fn apply(&self, el: Value, var: &Name, env: &Env, ctx: &Arc<Context>) -> KResult<Option<Value>> {
+    fn apply(&self, el: Value, var: &Name, env: &Env, ctx: &Context) -> KResult<Option<Value>> {
         let env2 = env.bind(Arc::clone(var), Rt::Val(el));
         match self {
             FusedBody::Project { inner } => eval(inner, &env2, ctx).map(Some),
-            FusedBody::FilterProject { cond, inner } => match eval(cond, &env2, ctx)? {
-                Value::Bool(true) => eval(inner, &env2, ctx).map(Some),
-                Value::Bool(false) => Ok(None),
-                other => Err(KError::eval(format!(
-                    "if condition must be bool, got {}",
-                    other.kind_name()
-                ))),
-            },
+            FusedBody::FilterProject { cond, inner } => {
+                if eval_cond(cond, &env2, ctx, "if")? {
+                    eval(inner, &env2, ctx).map(Some)
+                } else {
+                    Ok(None)
+                }
+            }
         }
     }
 }
@@ -681,7 +724,7 @@ struct FusedExtBlocks {
     fused: FusedBody,
     var: Name,
     env: Env,
-    ctx: Arc<Context>,
+    ctx: Context,
     failed: bool,
 }
 
@@ -746,10 +789,11 @@ struct ExtBlocks {
     /// Source rows pulled but not yet expanded.
     src_rows: VecDeque<KResult<Value>>,
     current: Option<BlockStream>,
+    kind: CollKind,
     var: Name,
     body: Arc<Expr>,
     env: Env,
-    ctx: Arc<Context>,
+    ctx: Context,
     failed: bool,
 }
 
@@ -795,7 +839,7 @@ impl BlockSource for ExtBlocks {
                 }
                 Some(Ok(el)) => {
                     let env2 = self.env.bind(Arc::clone(&self.var), Rt::Val(el));
-                    match eval_blocks(&self.body, &env2, &self.ctx) {
+                    match blocks(&self.body, &env2, &self.ctx, Want::Piece(self.kind)) {
                         Ok(s) => self.current = Some(s),
                         Err(e) => {
                             self.failed = true;
@@ -824,101 +868,57 @@ fn drain_pending(pending: &mut VecDeque<Value>, max: usize) -> ValueBlock {
     b
 }
 
-/// Streaming nested-loop join: outer side streams, inner side materialized.
-struct NlJoinBlocks {
+/// How the join operator finds an outer element's inner candidates —
+/// the one thing the two Section-4 strategies differ in.
+enum Probe {
+    /// Blocked nested loop [Kim 80]: every element of the materialized
+    /// inner relation (equi-keys, if any, folded into the condition).
+    Scan(Vec<Value>),
+    /// Indexed nested loop [Nakayama et al. 88]: the inner elements whose
+    /// key equals the outer element's, by an index built on the fly.
+    Index(Arc<Expr>, HashMap<Value, Vec<Value>>),
+}
+
+/// Streaming join: the outer side streams, the inner side is
+/// materialized; results come out outer-major, so list joins keep the
+/// nested-loop order under either strategy.
+struct JoinBlocks {
     left: BlockStream,
-    right: Vec<Value>,
+    probe: Probe,
     pending: VecDeque<Value>,
+    kind: CollKind,
     lvar: Name,
     rvar: Name,
     cond: Arc<Expr>,
     body: Arc<Expr>,
     env: Env,
-    ctx: Arc<Context>,
+    ctx: Context,
     failed: bool,
 }
 
-impl NlJoinBlocks {
+impl JoinBlocks {
     fn emit_for(&mut self, l: Value) -> KResult<()> {
-        for r in &self.right {
-            let env2 = self
-                .env
-                .bind(Arc::clone(&self.lvar), Rt::Val(l.clone()))
-                .bind(Arc::clone(&self.rvar), Rt::Val(r.clone()));
-            if let Value::Bool(true) = eval(&self.cond, &env2, &self.ctx)? {
-                let piece = eval(&self.body, &env2, &self.ctx)?;
-                let es = piece
-                    .elements()
-                    .ok_or_else(|| KError::eval("join body must yield a collection"))?;
-                self.pending.extend(es.iter().cloned());
-            }
-        }
-        Ok(())
-    }
-}
-
-impl BlockSource for NlJoinBlocks {
-    fn next_block(&mut self, max_rows: usize) -> Option<ValueBlock> {
-        if self.failed {
-            return None;
-        }
-        loop {
-            if !self.pending.is_empty() {
-                return Some(drain_pending(&mut self.pending, max_rows));
-            }
-            match next_row(&mut self.left)? {
-                Err(e) => {
-                    self.failed = true;
-                    return Some(ValueBlock::of_err(e));
-                }
-                Ok(l) => {
-                    if let Err(e) = self.emit_for(l) {
-                        self.failed = true;
-                        return Some(ValueBlock::of_err(e));
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Streaming indexed join: probes a prebuilt hash index per outer element.
-struct IndexedJoinBlocks {
-    left: BlockStream,
-    index: std::collections::HashMap<Value, Vec<Value>>,
-    pending: VecDeque<Value>,
-    lvar: Name,
-    rvar: Name,
-    left_key: Arc<Expr>,
-    cond: Arc<Expr>,
-    body: Arc<Expr>,
-    env: Env,
-    ctx: Arc<Context>,
-    failed: bool,
-}
-
-impl IndexedJoinBlocks {
-    fn emit_for(&mut self, l: Value) -> KResult<()> {
-        let lenv = self.env.bind(Arc::clone(&self.lvar), Rt::Val(l.clone()));
-        let key = eval(&self.left_key, &lenv, &self.ctx)?;
-        let Some(matches) = self.index.get(&key) else {
-            return Ok(());
+        let lenv = self.env.bind(Arc::clone(&self.lvar), Rt::Val(l));
+        let candidates = match &self.probe {
+            Probe::Scan(right) => right.as_slice(),
+            Probe::Index(left_key, index) => match index.get(&eval(left_key, &lenv, &self.ctx)?) {
+                Some(matches) => matches.as_slice(),
+                None => return Ok(()),
+            },
         };
-        for r in matches.clone() {
-            let env2 = lenv.bind(Arc::clone(&self.rvar), Rt::Val(r));
-            if let Value::Bool(true) = eval(&self.cond, &env2, &self.ctx)? {
+        for r in candidates {
+            let env2 = lenv.bind(Arc::clone(&self.rvar), Rt::Val(r.clone()));
+            if eval_cond(&self.cond, &env2, &self.ctx, "join")? {
                 let piece = eval(&self.body, &env2, &self.ctx)?;
-                let es = piece
-                    .elements()
-                    .ok_or_else(|| KError::eval("join body must yield a collection"))?;
-                self.pending.extend(es.iter().cloned());
+                self.pending
+                    .extend(piece_elems(&piece, self.kind)?.iter().cloned());
             }
         }
         Ok(())
     }
 }
 
-impl BlockSource for IndexedJoinBlocks {
+impl BlockSource for JoinBlocks {
     fn next_block(&mut self, max_rows: usize) -> Option<ValueBlock> {
         if self.failed {
             return None;
@@ -949,10 +949,11 @@ impl BlockSource for IndexedJoinBlocks {
 struct ParChunkStream {
     source: RowStream,
     buffer: Vec<Value>,
+    kind: CollKind,
     var: Name,
     body: Arc<Expr>,
     env: Env,
-    ctx: Arc<Context>,
+    ctx: Context,
     width: usize,
     /// The optimizer's batching mark: assemble chunks at the driver's
     /// key-per-request grain (never below `width`) and warm each one up
@@ -961,8 +962,25 @@ struct ParChunkStream {
     batch: Option<nrc::BatchSpec>,
     /// The current chunk's seeded flights; replaced (and the previous
     /// chunk's seeds released) at each warm-up.
-    guard: Option<crate::context::BatchGuard>,
+    guard: Option<BatchGuard>,
     failed: bool,
+}
+
+impl ParChunkStream {
+    /// Warm up and evaluate one chunk, appending its pieces to the buffer.
+    fn run_chunk(&mut self, chunk: &[Value]) -> KResult<()> {
+        if let Some(spec) = &self.batch {
+            self.guard = warm_up_batch(spec, chunk, &self.var, &self.env, &self.ctx);
+        }
+        let pieces = eval_parallel(
+            chunk, &self.var, &self.body, &self.env, &self.ctx, self.width,
+        )?;
+        for piece in &pieces {
+            let elems = piece_elems(piece, self.kind)?;
+            self.buffer.extend_from_slice(elems);
+        }
+        Ok(())
+    }
 }
 
 impl Iterator for ParChunkStream {
@@ -997,33 +1015,98 @@ impl Iterator for ParChunkStream {
             if chunk.is_empty() {
                 return None;
             }
-            if let Some(spec) = &self.batch {
-                self.guard =
-                    crate::eval::warm_up_batch(spec, &chunk, &self.var, &self.env, &self.ctx);
-            }
-            match eval_parallel(
-                &chunk, &self.var, &self.body, &self.env, &self.ctx, self.width,
-            ) {
-                Err(e) => {
-                    self.failed = true;
-                    return Some(Err(e));
-                }
-                Ok(pieces) => {
-                    for piece in pieces {
-                        match piece.elements() {
-                            Some(es) => self.buffer.extend_from_slice(es),
-                            None => {
-                                self.failed = true;
-                                return Some(Err(KError::eval(
-                                    "parallel body must yield a collection",
-                                )));
-                            }
-                        }
-                    }
-                }
+            if let Err(e) = self.run_chunk(&chunk) {
+                self.failed = true;
+                return Some(Err(e));
             }
         }
     }
+}
+
+/// The batching warm-up for a marked `ParExt` chunk: evaluate the spec's
+/// request argument for every chunk element (it is pure-local by the
+/// optimizer's construction, so this duplicates no driver effects),
+/// and ship the distinct requests as a few multi-key wire round-trips
+/// via [`Context::submit_batch`]. Any surprise — an argument that fails
+/// to evaluate, a non-request value, too few distinct keys, a driver
+/// without batching — skips the warm-up entirely and returns `None`:
+/// the per-element path then behaves exactly as unbatched, surfacing
+/// its own errors in their usual place.
+fn warm_up_batch(
+    spec: &nrc::BatchSpec,
+    elems: &[Value],
+    var: &Name,
+    env: &Env,
+    ctx: &Context,
+) -> Option<BatchGuard> {
+    if elems.len() < spec.min_keys.max(1) {
+        return None;
+    }
+    let mut reqs = Vec::with_capacity(elems.len());
+    for el in elems {
+        let env2 = env.bind(Arc::clone(var), Rt::Val(el.clone()));
+        let v = eval(&spec.arg, &env2, ctx).ok()?;
+        reqs.push(request_from_value(&v).ok()?);
+    }
+    let mut distinct = 0usize;
+    for (i, r) in reqs.iter().enumerate() {
+        if !reqs[..i].contains(r) {
+            distinct += 1;
+        }
+    }
+    if distinct < spec.min_keys.max(1) {
+        return None;
+    }
+    ctx.submit_batch(&spec.driver, &reqs).ok().flatten()
+}
+
+/// Evaluate `body` for every element of `elems`, at most `max_in_flight`
+/// at a time, preserving element order in the result. This is the
+/// parallel-retrieval primitive of Section 4 ("Laziness, Latency, and
+/// Concurrency"): requests to remote servers overlap, but no more than the
+/// server's tolerated number run at once.
+///
+/// Each chunk runs as a batch on the context's shared
+/// [`kleisli_core::Executor`] — tasks own cheap clones of the body
+/// `Arc`, the environment, and the context handle, so no OS thread is
+/// ever created per element. The submitting thread helps drain its own
+/// batch, which both caps in-flight work at `max_in_flight` and keeps
+/// nested parallel loops deadlock-free on the bounded pool (see
+/// `kleisli_core::executor`). A task that panics surfaces as an
+/// evaluation error, and an error stops later chunks from being
+/// submitted at all.
+fn eval_parallel(
+    elems: &[Value],
+    var: &Name,
+    body: &Arc<Expr>,
+    env: &Env,
+    ctx: &Context,
+    max_in_flight: usize,
+) -> KResult<Vec<Value>> {
+    let width = max_in_flight.max(1);
+    if width == 1 || elems.len() <= 1 {
+        return elems
+            .iter()
+            .map(|el| eval(body, &env.bind(Arc::clone(var), Rt::Val(el.clone())), ctx))
+            .collect();
+    }
+    let mut out = Vec::with_capacity(elems.len());
+    for chunk in elems.chunks(width) {
+        let tasks: Vec<Box<dyn FnOnce() -> KResult<Value> + Send>> = chunk
+            .iter()
+            .map(|el| {
+                let env2 = env.bind(Arc::clone(var), Rt::Val(el.clone()));
+                let body = Arc::clone(body);
+                let ctx = ctx.clone();
+                Box::new(move || eval(&body, &env2, &ctx))
+                    as Box<dyn FnOnce() -> KResult<Value> + Send>
+            })
+            .collect();
+        for r in ctx.executor().run_all(tasks) {
+            out.push(r.unwrap_or_else(|| Err(KError::eval("worker thread panicked")))?);
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -1120,11 +1203,12 @@ mod tests {
             ),
             remote_scan(),
         );
-        let eager = eval(&e, &Env::empty(), &ctx).unwrap();
+        let expected = crate::reference::eval(&e, &Env::empty(), &ctx).unwrap();
         let streamed =
             collect_stream(eval_stream(&e, &Env::empty(), &ctx).unwrap(), CollKind::Set).unwrap();
-        assert_eq!(eager, streamed);
-        assert_eq!(eager.len(), Some(25));
+        assert_eq!(expected, streamed);
+        assert_eq!(expected, eval(&e, &Env::empty(), &ctx).unwrap());
+        assert_eq!(expected.len(), Some(25));
     }
 
     #[test]
@@ -1244,10 +1328,7 @@ mod tests {
                 ("b", Expr::proj(Expr::var("r"), "b")),
             ]),
         );
-        for strategy in [
-            JoinStrategy::BlockedNl { block_size: 8 },
-            JoinStrategy::IndexedNl,
-        ] {
+        for strategy in [JoinStrategy::BlockedNl, JoinStrategy::IndexedNl] {
             let e = Expr::Join {
                 kind: CollKind::Set,
                 strategy,
@@ -1264,15 +1345,16 @@ mod tests {
                 body: Arc::new(body.clone()),
             };
             let ctx = Arc::new(Context::new());
-            let eager = eval(&e, &Env::empty(), &ctx).unwrap();
+            let expected = crate::reference::eval(&e, &Env::empty(), &ctx).unwrap();
             let streamed =
                 collect_stream(eval_stream(&e, &Env::empty(), &ctx).unwrap(), CollKind::Set)
                     .unwrap();
             let blocked =
                 collect_blocks(eval_blocks(&e, &Env::empty(), &ctx).unwrap(), CollKind::Set)
                     .unwrap();
-            assert_eq!(eager, streamed);
-            assert_eq!(eager, blocked);
+            assert_eq!(expected, streamed);
+            assert_eq!(expected, blocked);
+            assert_eq!(expected, eval(&e, &Env::empty(), &ctx).unwrap());
         }
     }
 
@@ -1303,7 +1385,7 @@ mod tests {
             CollKind::Set,
         )
         .unwrap();
-        let b = eval(&seq, &Env::empty(), &ctx).unwrap();
+        let b = crate::reference::eval(&seq, &Env::empty(), &ctx).unwrap();
         assert_eq!(a, b);
     }
 

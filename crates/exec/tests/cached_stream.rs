@@ -16,7 +16,7 @@ use kleisli_core::{
     blocks_of_rows, BlockStream, Capabilities, CollKind, Driver, DriverRequest, KResult,
     MetricsSnapshot, Value,
 };
-use kleisli_exec::{collect_stream, eval, eval_stream, first_n, Context, Env};
+use kleisli_exec::{collect_stream, eval, eval_stream, first_n, reference, Context, Env};
 use nrc::{name, Expr};
 
 /// Counts both `perform` calls and per-row pulls.
@@ -130,19 +130,23 @@ fn abandoned_prefix_leaves_cell_empty_then_full_stream_populates() {
 
 #[test]
 fn streamed_and_eager_cached_values_are_identical() {
-    // The value the streaming populator commits must canonicalize exactly
-    // like the eager evaluator's, so mixed executors can share a cell.
+    // The value the streaming populator commits must be the canonical
+    // collection the oracle computes (which keeps no cells of its own),
+    // whether a grain-1 stream or a full `eval` drain populated the cell.
     let (ctx_stream, ..) = counting_ctx(20);
-    let (ctx_eager, ..) = counting_ctx(20);
+    let (ctx_eval, ..) = counting_ctx(20);
     let e = cached_scan(3);
     let streamed = collect_stream(
         eval_stream(&e, &Env::empty(), &ctx_stream).unwrap(),
         CollKind::Set,
     )
     .unwrap();
-    let eager = eval(&e, &Env::empty(), &ctx_eager).unwrap();
-    assert_eq!(streamed, eager);
-    assert_eq!(ctx_stream.cache_get(3), ctx_eager.cache_get(3));
+    let expected = reference::eval(&e, &Env::empty(), &ctx_eval).unwrap();
+    assert_eq!(ctx_eval.cache_get(3), None);
+    assert_eq!(streamed, expected);
+    assert_eq!(eval(&e, &Env::empty(), &ctx_eval).unwrap(), expected);
+    assert_eq!(ctx_stream.cache_get(3), Some(expected));
+    assert_eq!(ctx_stream.cache_get(3), ctx_eval.cache_get(3));
 }
 
 #[test]

@@ -1,0 +1,457 @@
+//! One evaluator, one meaning: every way of running a plan — `eval`, a
+//! full-grain block drain, a grain-1 row drain — agrees with the naive
+//! reference interpreter, on values and on stringified errors.
+//!
+//! * a property over small random plans (sets / bags / lists, both join
+//!   strategies, `ParExt`, `Cached`, collections nested in record fields
+//!   to depth 2, an element whose evaluation fails);
+//! * the runtime kind errors the type checker cannot rule out on
+//!   `any`-typed values, raised identically at the top of a query and in
+//!   its nested parts;
+//! * generators of one kind drawing from a source of another.
+
+use std::fmt;
+use std::sync::Arc;
+
+use kleisli_core::{CollKind, Value};
+use kleisli_exec::{
+    collect_blocks, collect_stream, eval, eval_blocks, eval_stream, reference, Context, Env,
+};
+use nrc::{name, Expr, JoinStrategy, Prim};
+use proptest::prelude::*;
+use proptest::TestRng;
+
+type Outcome = Result<Value, String>;
+
+/// Run `e` (a `kind` collection) every way there is, each on a fresh
+/// context so no run sees another's cache cells: `eval`, full-grain
+/// drain, grain-1 drain, and the oracle.
+fn every_way(e: &Expr, kind: CollKind) -> [Outcome; 4] {
+    let env = Env::empty();
+    let text = |r: kleisli_core::KResult<Value>| r.map_err(|err| err.to_string());
+    [
+        text(eval(e, &env, &Context::new())),
+        text(eval_blocks(e, &env, &Context::new()).and_then(|s| collect_blocks(s, kind))),
+        text(eval_stream(e, &env, &Context::new()).and_then(|s| collect_stream(s, kind))),
+        text(reference::eval(e, &env, &Context::new())),
+    ]
+}
+
+const KINDS: [CollKind; 3] = [CollKind::Set, CollKind::Bag, CollKind::List];
+
+/// A random plan and the kind of collection it builds.
+struct Plan(Expr, CollKind);
+
+impl fmt::Debug for Plan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.0)
+    }
+}
+
+/// Plan generator: recursive descent on the test RNG. Every method's
+/// `vars` are the int-typed variables in scope; `next` numbers binders
+/// and cache ids.
+struct Gen<'a> {
+    rng: &'a mut TestRng,
+    next: u64,
+}
+
+impl Gen<'_> {
+    fn below(&mut self, n: u64) -> u64 {
+        self.rng.below(n)
+    }
+
+    fn kind(&mut self) -> CollKind {
+        KINDS[self.below(3) as usize]
+    }
+
+    fn fresh(&mut self, prefix: &str) -> String {
+        self.next += 1;
+        format!("{prefix}{}", self.next)
+    }
+
+    /// An int-valued expression over `vars`; one shape in eight divides
+    /// by `v - 3`, which fails on the element 3.
+    fn scalar(&mut self, vars: &[String], depth: u32) -> Expr {
+        let var = |g: &mut Gen| match vars.len() {
+            0 => Expr::int(g.below(6) as i64),
+            n => Expr::var(&vars[g.below(n as u64) as usize]),
+        };
+        match self.below(8) {
+            0 => Expr::int(self.below(6) as i64),
+            1 | 2 => var(self),
+            3 => Expr::prim(Prim::Add, vec![var(self), Expr::int(self.below(4) as i64)]),
+            4 => Expr::prim(Prim::Mul, vec![var(self), Expr::int(self.below(3) as i64)]),
+            5 => Expr::prim(
+                Prim::Mod,
+                vec![var(self), Expr::int(1 + self.below(3) as i64)],
+            ),
+            6 if depth > 0 => {
+                let kind = self.kind();
+                Expr::prim(Prim::Count, vec![self.ints(kind, vars, depth - 1)])
+            }
+            6 => var(self),
+            _ => Expr::prim(
+                Prim::Div,
+                vec![
+                    Expr::int(12),
+                    Expr::prim(Prim::Sub, vec![var(self), Expr::int(3)]),
+                ],
+            ),
+        }
+    }
+
+    fn cond(&mut self, vars: &[String], depth: u32) -> Expr {
+        let (a, b) = (self.scalar(vars, depth), self.scalar(vars, depth));
+        let op = [Prim::Lt, Prim::Le, Prim::Eq, Prim::Ne][self.below(4) as usize];
+        Expr::prim(op, vec![a, b])
+    }
+
+    fn literal(&mut self, kind: CollKind) -> Expr {
+        let n = self.below(5);
+        let elems = (0..n).map(|_| Value::Int(self.below(6) as i64)).collect();
+        Expr::Const(Value::collection(kind, elems))
+    }
+
+    /// The body of a `kind` comprehension binding `x`.
+    fn body(&mut self, kind: CollKind, vars: &[String], depth: u32) -> Expr {
+        match self.below(4) {
+            0 => Expr::single(kind, self.scalar(vars, depth)),
+            1 => Expr::if_(
+                self.cond(vars, depth),
+                Expr::single(kind, self.scalar(vars, depth)),
+                Expr::Empty(kind),
+            ),
+            _ if depth > 0 => self.ints(kind, vars, depth - 1),
+            _ => Expr::single(kind, self.scalar(vars, 0)),
+        }
+    }
+
+    /// A `kind` collection of ints.
+    fn ints(&mut self, kind: CollKind, vars: &[String], depth: u32) -> Expr {
+        if depth == 0 {
+            return match self.below(3) {
+                0 => Expr::single(kind, self.scalar(vars, 0)),
+                _ => self.literal(kind),
+            };
+        }
+        let d = depth - 1;
+        match self.below(10) {
+            0 => self.literal(kind),
+            1 => Expr::union(kind, self.ints(kind, vars, d), self.ints(kind, vars, d)),
+            2..=4 => {
+                // A generator may draw from a collection of any kind.
+                let source_kind = self.kind();
+                let source = self.ints(source_kind, vars, d);
+                let x = self.fresh("x");
+                let mut inner = vars.to_vec();
+                inner.push(x.clone());
+                let body = self.body(kind, &inner, d);
+                if self.below(3) == 0 {
+                    Expr::ParExt {
+                        kind,
+                        var: name(&x),
+                        body: Arc::new(body),
+                        source: Arc::new(source),
+                        max_in_flight: 1 + self.below(4) as usize,
+                        batch: None,
+                    }
+                } else {
+                    Expr::ext(kind, &x, body, source)
+                }
+            }
+            5 | 6 => self.join(kind, vars, d),
+            // Memoize a *closed* subquery, as the optimizer's cache rule
+            // does; inside a loop every iteration but the first hits.
+            7 => Expr::Cached {
+                id: {
+                    self.next += 1;
+                    self.next
+                },
+                expr: Arc::new(self.ints(kind, &[], d)),
+            },
+            8 => Expr::if_(
+                self.cond(vars, d),
+                self.ints(kind, vars, d),
+                self.ints(kind, vars, d),
+            ),
+            _ => {
+                let y = self.fresh("y");
+                let def = self.scalar(vars, d);
+                let mut inner = vars.to_vec();
+                inner.push(y.clone());
+                Expr::let_(&y, def, self.ints(kind, &inner, d))
+            }
+        }
+    }
+
+    fn join(&mut self, kind: CollKind, vars: &[String], depth: u32) -> Expr {
+        let (left, right) = (self.ints(kind, vars, depth), self.ints(kind, vars, depth));
+        let (l, r) = (self.fresh("l"), self.fresh("r"));
+        let mut inner = vars.to_vec();
+        inner.extend([l.clone(), r.clone()]);
+        // Keys cannot fail: the hash join evaluates them per side, the
+        // nested loop per pair, and the two may not disagree on errors.
+        let modulus = 1 + self.below(3) as i64;
+        let key = |v: &str| {
+            Arc::new(Expr::prim(
+                Prim::Mod,
+                vec![Expr::var(v), Expr::int(modulus)],
+            ))
+        };
+        let (strategy, left_key, right_key) = match self.below(3) {
+            0 => (JoinStrategy::BlockedNl, None, None),
+            1 => (JoinStrategy::BlockedNl, Some(key(&l)), Some(key(&r))),
+            _ => (JoinStrategy::IndexedNl, Some(key(&l)), Some(key(&r))),
+        };
+        Expr::Join {
+            kind,
+            strategy,
+            left: Arc::new(left),
+            right: Arc::new(right),
+            lvar: name(&l),
+            rvar: name(&r),
+            left_key,
+            right_key,
+            cond: Arc::new(self.cond(&inner, 0)),
+            body: Arc::new(self.body(kind, &inner, depth.min(1))),
+        }
+    }
+
+    /// A `kind` collection whose elements are ints or records carrying
+    /// collections, themselves carrying a record with one more.
+    fn plan(&mut self, kind: CollKind) -> Expr {
+        if self.below(3) == 0 {
+            return self.ints(kind, &[], 3);
+        }
+        let source_kind = self.kind();
+        let source = self.ints(source_kind, &[], 2);
+        let x = self.fresh("x");
+        let vars = [x.clone()];
+        let (k1, k2) = (self.kind(), self.kind());
+        let deep = Expr::record(vec![("more", self.ints(k2, &vars, 1))]);
+        let row = Expr::record(vec![
+            ("k", self.scalar(&vars, 1)),
+            ("inner", self.ints(k1, &vars, 2)),
+            ("deep", deep),
+        ]);
+        Expr::ext(kind, &x, Expr::single(kind, row), source)
+    }
+}
+
+/// The strategy: one [`Plan`] per case, from the case's seeded RNG.
+struct Plans;
+
+impl Strategy for Plans {
+    type Value = Plan;
+    fn generate(&self, rng: &mut TestRng) -> Plan {
+        let mut g = Gen { rng, next: 0 };
+        let kind = g.kind();
+        Plan(g.plan(kind), kind)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn every_way_of_running_a_plan_agrees_with_the_oracle(plan in Plans) {
+        let [evaluated, blocks, rows, oracle] = every_way(&plan.0, plan.1);
+        prop_assert_eq!(&evaluated, &oracle);
+        prop_assert_eq!(&blocks, &oracle);
+        prop_assert_eq!(&rows, &oracle);
+    }
+}
+
+#[test]
+fn the_property_exercises_values_errors_and_every_operator() {
+    // Guard the generator itself: over 256 plans it must produce both
+    // outcomes and reach each collection operator.
+    let (mut ok, mut failed) = (0, 0);
+    let mut seen = [false; 5];
+    for seed in 0..256u64 {
+        let plan = Plans.generate(&mut TestRng::new(seed));
+        plan.0.visit(&mut |e| match e {
+            Expr::Join {
+                strategy: JoinStrategy::BlockedNl,
+                ..
+            } => seen[0] = true,
+            Expr::Join { .. } => seen[1] = true,
+            Expr::ParExt { .. } => seen[2] = true,
+            Expr::Cached { .. } => seen[3] = true,
+            Expr::Union(..) => seen[4] = true,
+            _ => {}
+        });
+        match reference::eval(&plan.0, &Env::empty(), &Context::new()) {
+            Ok(_) => ok += 1,
+            Err(_) => failed += 1,
+        }
+    }
+    assert!(ok >= 64 && failed >= 16, "{ok} values, {failed} errors");
+    assert_eq!(seen, [true; 5], "blocked, indexed, par, cached, union");
+}
+
+fn join(kind: CollKind, left: Expr, right: Expr, cond: Expr, body: Expr) -> Expr {
+    Expr::Join {
+        kind,
+        strategy: JoinStrategy::BlockedNl,
+        left: Arc::new(left),
+        right: Arc::new(right),
+        lvar: name("l"),
+        rvar: name("r"),
+        left_key: None,
+        right_key: None,
+        cond: Arc::new(cond),
+        body: Arc::new(body),
+    }
+}
+
+#[test]
+fn runtime_kind_errors_are_the_same_everywhere() {
+    use CollKind::{Bag, List, Set};
+    let set = || Expr::Const(Value::set(vec![Value::Int(1), Value::Int(2)]));
+    let list = || Expr::Const(Value::list(vec![Value::Int(1)]));
+    // `any`-typed at compile time: a runtime-selected branch.
+    let either = |e: Expr| Expr::if_(Expr::bool(true), e, Expr::Empty(Set));
+    let pair = || Expr::single(Set, Expr::var("l"));
+    let par = |body: Expr| Expr::ParExt {
+        kind: Set,
+        var: name("x"),
+        body: Arc::new(body),
+        source: Arc::new(set()),
+        max_in_flight: 2,
+        batch: None,
+    };
+    let cases: Vec<(&str, Expr, &str)> = vec![
+        (
+            "union, right",
+            Expr::union(Set, set(), list()),
+            "union: expected a set, got a list",
+        ),
+        (
+            "union, left",
+            Expr::union(Set, either(list()), set()),
+            "union: expected a set, got a list",
+        ),
+        (
+            "union of a scalar",
+            Expr::union(Set, set(), Expr::int(1)),
+            "union: expected a set, got int",
+        ),
+        (
+            "union of a form",
+            Expr::union(Bag, Expr::Empty(Bag), Expr::single(Set, Expr::int(1))),
+            "union: expected a bag, got a set",
+        ),
+        (
+            "ext body value",
+            Expr::ext(Set, "x", either(list()), set()),
+            "comprehension body must produce a set, got list",
+        ),
+        (
+            "ext body form",
+            Expr::ext(Set, "x", Expr::single(List, Expr::var("x")), set()),
+            "comprehension body must produce a set, got list",
+        ),
+        (
+            "ext filter form",
+            Expr::ext(
+                List,
+                "x",
+                Expr::if_(
+                    Expr::bool(true),
+                    Expr::single(Set, Expr::var("x")),
+                    Expr::Empty(List),
+                ),
+                set(),
+            ),
+            "comprehension body must produce a list, got set",
+        ),
+        (
+            "ext body scalar",
+            Expr::ext(Set, "x", Expr::var("x"), set()),
+            "comprehension body must produce a set, got int",
+        ),
+        (
+            "parext body",
+            par(either(list())),
+            "comprehension body must produce a set, got list",
+        ),
+        (
+            "join left",
+            join(Set, list(), set(), Expr::bool(true), pair()),
+            "join left: expected a set, got a list",
+        ),
+        (
+            "join right",
+            join(Set, set(), either(list()), Expr::bool(true), pair()),
+            "join right: expected a set, got a list",
+        ),
+        (
+            "join body",
+            join(Set, set(), set(), Expr::bool(true), either(list())),
+            "comprehension body must produce a set, got list",
+        ),
+        (
+            "join condition",
+            join(Set, set(), set(), Expr::var("l"), pair()),
+            "join condition must be bool, got int",
+        ),
+        (
+            "generator",
+            Expr::ext(Set, "x", Expr::single(Set, Expr::var("x")), Expr::int(7)),
+            "comprehension generator: expected a collection, got int",
+        ),
+    ];
+    for (what, e, expected) in cases {
+        let kind = e.coll_kind_hint().expect("a collection form");
+        // Bare, and nested in a record field of an enclosing comprehension.
+        let nested = Expr::ext(
+            Bag,
+            "outer",
+            Expr::single(Bag, Expr::record(vec![("field", e.clone())])),
+            Expr::Const(Value::bag(vec![Value::Int(0)])),
+        );
+        for (plan, kind) in [(e, kind), (nested, Bag)] {
+            for (way, outcome) in ["eval", "blocks", "rows", "oracle"]
+                .iter()
+                .zip(every_way(&plan, kind))
+            {
+                let err = outcome.expect_err(what);
+                assert!(err.contains(expected), "{what} via {way}: {err}");
+            }
+        }
+    }
+    // Generators may draw from any kind: not an error.
+    let mixed = Expr::ext(Set, "x", Expr::single(Set, Expr::var("x")), list());
+    for outcome in every_way(&mixed, Set) {
+        assert_eq!(outcome, Ok(Value::set(vec![Value::Int(1)])));
+    }
+}
+
+#[test]
+fn a_bag_or_list_generator_sees_a_set_source_canonically() {
+    // {| x | \x <- {y mod 2 | \y <- [|3, 2, 1, 0|]} |}: the inner set has
+    // two elements however many rows streamed into it, and a list drawn
+    // from it follows the set's canonical order, not arrival order.
+    let inner = Expr::ext(
+        CollKind::Set,
+        "y",
+        Expr::single(
+            CollKind::Set,
+            Expr::prim(Prim::Mod, vec![Expr::var("y"), Expr::int(2)]),
+        ),
+        Expr::Const(Value::list((0..4).rev().map(Value::Int).collect())),
+    );
+    let over = |kind| Expr::ext(kind, "x", Expr::single(kind, Expr::var("x")), inner.clone());
+    let two = vec![Value::Int(0), Value::Int(1)];
+    for (kind, expected) in [
+        (CollKind::Bag, Value::bag(two.clone())),
+        (CollKind::List, Value::list(two.clone())),
+        (CollKind::Set, Value::set(two)),
+    ] {
+        for outcome in every_way(&over(kind), kind) {
+            assert_eq!(outcome, Ok(expected.clone()), "{kind:?}");
+        }
+    }
+}

@@ -12,7 +12,9 @@ use kleisli_core::{
     blocks_of_rows, BlockStream, Capabilities, CollKind, Driver, DriverRequest, KError, KResult,
     MetricsSnapshot, Value, DEFAULT_BLOCK_ROWS,
 };
-use kleisli_exec::{collect_stream, eval, eval_blocks, eval_stream, first_n, Context, Env};
+use kleisli_exec::{
+    collect_stream, eval, eval_blocks, eval_stream, first_n, reference, Context, Env,
+};
 use nrc::{name, Expr};
 
 fn scan(driver: &str) -> Expr {
@@ -58,9 +60,13 @@ fn prefetched_stream_agrees_with_lazy_and_eager() {
         CollKind::Set,
     )
     .unwrap();
-    let eager_v = eval(&wrap_ext(scan("P")), &Env::empty(), &pre_ctx).unwrap();
+    let expected = reference::eval(&wrap_ext(scan("P")), &Env::empty(), &pre_ctx).unwrap();
     assert_eq!(lazy_v, pre_v, "prefetch must not change results");
-    assert_eq!(pre_v, eager_v);
+    assert_eq!(pre_v, expected);
+    assert_eq!(
+        eval(&wrap_ext(scan("P")), &Env::empty(), &pre_ctx).unwrap(),
+        expected
+    );
 }
 
 #[test]
@@ -274,10 +280,11 @@ fn clamped_to_zero_full_drain_is_byte_identical_to_fully_lazy() {
         CollKind::Set,
     )
     .unwrap();
-    let eager_v = eval(&wrap_ext(scan("clamped")), &Env::empty(), &clamped_ctx).unwrap();
+    let expected =
+        reference::eval(&wrap_ext(scan("clamped")), &Env::empty(), &clamped_ctx).unwrap();
     assert_eq!(plain_v, clamped_rows_v);
     assert_eq!(clamped_rows_v, clamped_blocks_v);
-    assert_eq!(clamped_blocks_v, eager_v);
+    assert_eq!(clamped_blocks_v, expected);
 
     let m = clamped_metrics.snapshot();
     assert_eq!(m.rows_prefetched, 0, "clamped-to-0 must prefetch nothing");

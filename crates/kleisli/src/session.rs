@@ -187,10 +187,10 @@ struct QueryShared {
 ///   admission ticket is leaked.
 ///
 /// Cancellation granularity: a request already running inside a driver
-/// finishes on its worker (its result is thrown away); plans that fall
-/// back to the eager evaluator check the flag only between driver
-/// round-trips of the streaming spine, i.e. cancellation is cooperative,
-/// not preemptive.
+/// finishes on its worker (its result is thrown away); a plan that is not
+/// visibly a collection, and any collection nested inside a row, is
+/// drained in one piece and checks the flag only at its own driver
+/// round-trips, i.e. cancellation is cooperative, not preemptive.
 ///
 /// ```
 /// use kleisli::{QueryStatus, Session};
@@ -229,8 +229,8 @@ impl QueryHandle {
         deadline: Option<Duration>,
     ) -> QueryHandle {
         // The same kind/dedup decisions as the synchronous query paths:
-        // stream when the plan's collection kind is syntactically
-        // evident, else fall back to the eager evaluator on the worker.
+        // stream row by row when the plan's collection kind is
+        // syntactically evident, else evaluate in one piece on the worker.
         let kind = compiled.optimized.coll_kind_hint();
         let dedup = match &compiled.ty {
             Type::Coll(k, _) => *k == CollKind::Set,
@@ -265,7 +265,8 @@ impl QueryHandle {
     }
 
     /// The worker body: stream rows into the shared state when the plan
-    /// is collection-shaped, eagerly evaluate otherwise.
+    /// is collection-shaped, evaluate it in one piece otherwise. Either
+    /// way the block evaluator runs the plan; only the grain differs.
     fn run(
         shared: &Arc<QueryShared>,
         compiled: &Compiled,
@@ -391,10 +392,11 @@ impl QueryHandle {
             };
             match result {
                 Some(Ok(v)) => {
-                    // Serve the prefix from the final value: the eager
-                    // fallback, and the streaming worker's completion
-                    // path (whose collection holds every streamed row,
-                    // superseding whatever snapshot we took above).
+                    // Serve the prefix from the final value: the
+                    // one-piece fallback, and the streaming worker's
+                    // completion path (whose collection holds every
+                    // streamed row, superseding whatever snapshot we
+                    // took above).
                     return match v.elements() {
                         Some(es) => Ok(if self.dedup {
                             distinct_prefix(es, n)
@@ -948,10 +950,12 @@ impl Session {
         self.submit(src)?.wait()
     }
 
-    /// Evaluate an already-compiled query with the *blocking* evaluator:
-    /// every driver request is submitted and immediately waited on, one
-    /// at a time. This is the sequential baseline the concurrency bench
-    /// compares against (and what `run` uses for program statements).
+    /// Evaluate an already-compiled query on the caller's thread: the
+    /// same block evaluator [`Session::submit_compiled`] runs on a worker,
+    /// drained at the full grain with no per-row hand-off, progress or
+    /// cancellation. Union arms, join sides and `ParExt` chunks overlap
+    /// their round-trips exactly as they do there. (`run` evaluates
+    /// program statements the same way.)
     pub fn run_compiled(&self, compiled: &Compiled) -> KResult<Value> {
         self.ctx.cache_clear();
         eval(&compiled.optimized, &Env::empty(), &self.ctx)

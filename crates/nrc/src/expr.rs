@@ -91,9 +91,10 @@ pub fn fresh(prefix: &str) -> Name {
 /// Strategy chosen for a local join by the join rule set.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum JoinStrategy {
-    /// Blocked nested-loop join [Kim 80]: the inner collection is scanned
-    /// once per block of outer elements.
-    BlockedNl { block_size: usize },
+    /// Blocked nested-loop join [Kim 80]: the inner collection is
+    /// materialized and scanned per outer element (in memory the block
+    /// structure of the I/O pattern is unobservable, so none is kept).
+    BlockedNl,
     /// Indexed blocked nested-loop join (a variation of the hashed-loop
     /// join of [Nakayama et al. 88]): an index is built on the fly over the
     /// inner collection, keyed by `right_key`; outer elements probe it with
@@ -1103,18 +1104,18 @@ impl Expr {
     }
 
     /// The collection kind this expression produces, when it is evident
-    /// from the plan's syntax. Used by the streaming executor to
-    /// canonicalize a cached subquery's rows exactly like the eager
-    /// evaluator would, and by `Session::query_first_n` to decide whether
-    /// the streamed prefix needs set deduplication. `None` means the kind
-    /// is only knowable from types or runtime values (e.g. a bare `Var`).
+    /// from the plan's syntax. Used by the evaluator to canonicalize a
+    /// drained plan (or a cached subquery's teed rows) into the right
+    /// collection, and by `Session::query_first_n` to decide whether the
+    /// streamed prefix needs set deduplication. `None` means the kind is
+    /// only knowable from types or runtime values (e.g. a bare `Var`).
     pub fn coll_kind_hint(&self) -> Option<CollKind> {
         match self {
             Expr::Empty(k) | Expr::Single(k, _) | Expr::Union(k, ..) => Some(*k),
             Expr::Ext { kind, .. } | Expr::ParExt { kind, .. } | Expr::Join { kind, .. } => {
                 Some(*kind)
             }
-            // Drivers stream back sets (see `run_remote`).
+            // Drivers answer with sets (so `typing` says too).
             Expr::Remote { .. } | Expr::RemoteApp { .. } => Some(CollKind::Set),
             Expr::Cached { expr, .. } => expr.coll_kind_hint(),
             Expr::Let { body, .. } => body.coll_kind_hint(),

@@ -156,8 +156,8 @@ pub fn write_expr(f: &mut fmt::Formatter<'_>, e: &Expr, depth: usize) -> fmt::Re
             ..
         } => {
             let tag = match strategy {
-                JoinStrategy::BlockedNl { block_size } => format!("BLOCKED-NL-JOIN[b={block_size}]"),
-                JoinStrategy::IndexedNl => "INDEXED-NL-JOIN".to_string(),
+                JoinStrategy::BlockedNl => "BLOCKED-NL-JOIN",
+                JoinStrategy::IndexedNl => "INDEXED-NL-JOIN",
             };
             write!(f, "{tag}(\\{lvar} <- ")?;
             write_expr(f, left, depth + 1)?;

@@ -55,8 +55,6 @@ pub struct OptConfig {
     /// instead of once per occurrence. Off only for benchmarks measuring
     /// the unmemoized engine.
     pub enable_rewrite_memo: bool,
-    /// Block size for blocked nested-loop joins.
-    pub join_block_size: usize,
     /// Concurrency used when a server does not declare a limit.
     pub default_concurrency: usize,
     /// Distinct-key floor below which a batch-marked loop skips warm-up:
@@ -78,7 +76,6 @@ impl Default for OptConfig {
             enable_parallel: true,
             enable_batching: true,
             enable_rewrite_memo: true,
-            join_block_size: 256,
             default_concurrency: 5,
             min_batch_keys: 4,
             max_passes: 20,

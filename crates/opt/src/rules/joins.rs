@@ -81,14 +81,7 @@ fn local_join(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
         .reduce(Expr::and)
         .unwrap_or_else(|| Expr::bool(true));
     let (strategy, lk, rk, cond) = if left_keys.is_empty() {
-        (
-            JoinStrategy::BlockedNl {
-                block_size: ctx.config.join_block_size,
-            },
-            None,
-            None,
-            Arc::clone(cond),
-        )
+        (JoinStrategy::BlockedNl, None, None, Arc::clone(cond))
     } else {
         let key = |ks: Vec<Expr>| {
             if ks.len() == 1 {
@@ -256,7 +249,7 @@ mod tests {
         let opt = run(e);
         match &opt {
             Expr::Join { strategy, .. } => {
-                assert!(matches!(strategy, JoinStrategy::BlockedNl { .. }))
+                assert!(matches!(strategy, JoinStrategy::BlockedNl))
             }
             other => panic!("no join operator introduced: {other}"),
         }

@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use bio_data::{GdbConfig, GenBankConfig};
 use kleisli::{bio_federation, BioFederation, Session};
-use kleisli_core::LatencyModel;
+use kleisli_core::{LatencyModel, Value};
 use kleisli_opt::OptConfig;
 
 fn federation(loci: usize) -> (Session, BioFederation) {
@@ -203,4 +203,55 @@ fn e8_join_strategies_choose_by_condition_shape() {
         }
     });
     assert_eq!(indexed, 1, "equality predicates become index keys: {}", compiled.optimized);
+}
+
+#[test]
+fn an_optimized_list_join_keeps_the_naive_order_on_every_path() {
+    // A list theta-join becomes a BLOCKED-NL-JOIN; a list's order is
+    // observable, so the operator must emit outer-major like the nested
+    // comprehension it replaced — at the top of a query and inside a
+    // record field, whichever entry point runs the plan.
+    const BARE: &str = r"[| [a = l, b = r] | \l <- [|1, 2, 3|], \r <- [|10, 20|], l < r |]";
+    const NESTED: &str = r"[| [k = k, pairs = [| [a = l, b = r] |
+        \l <- [|1, 2, 3|], \r <- [|10, 20|], l < r + k |]] | \k <- [|0|] |]";
+    for src in [BARE, NESTED] {
+        let mut naive = Session::new();
+        naive.set_opt_config(OptConfig::none());
+        let expected = naive.query(src).expect("naive");
+
+        let mut session = Session::new();
+        let compiled = session.compile(src).expect("compile");
+        assert!(
+            compiled.optimized.to_string().contains("BLOCKED-NL-JOIN"),
+            "the default optimizer plans a join here: {}",
+            compiled.optimized
+        );
+        assert_eq!(session.query(src).expect("query"), expected, "query: {src}");
+        assert_eq!(
+            session.run_compiled(&compiled).expect("run_compiled"),
+            expected,
+            "run_compiled: {src}"
+        );
+        match &session.run(&format!("{src};")).expect("run")[..] {
+            [kleisli::StmtResult::Value(v)] => assert_eq!(*v, expected, "run: {src}"),
+            other => panic!("one statement, one value: {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_bag_drawn_from_a_set_counts_each_element_once_on_every_path() {
+    // The inner set has two elements however many rows streamed into it.
+    const SRC: &str = r"{| x | \x <- {y mod 2 | \y <- {1, 2, 3, 4}} |}";
+    let expected = Value::bag(vec![Value::Int(0), Value::Int(1)]);
+    for config in [OptConfig::default(), OptConfig::none()] {
+        let mut session = Session::new();
+        session.set_opt_config(config);
+        let compiled = session.compile(SRC).expect("compile");
+        assert_eq!(session.query(SRC).expect("query"), expected);
+        assert_eq!(
+            session.run_compiled(&compiled).expect("run_compiled"),
+            expected
+        );
+    }
 }
