@@ -1,79 +1,48 @@
-//! Request coalescing and batched driver round-trips — the submit-window
-//! at the driver boundary (ROADMAP: "Request coalescing and batched
-//! driver round-trips").
+//! Batched driver round-trips — the per-driver submit window (ROADMAP:
+//! "Request coalescing and batched driver round-trips").
 //!
 //! The paper's Section 4 semijoin strategy ships a *set* of keys to a
 //! source in one request instead of one round-trip per element. Through
 //! PR 8 this reproduction still issued one driver request per uid and
 //! only *hid* the latency with overlap (`ParExt`, prefetch); this module
-//! *removes* round-trips, two ways:
+//! *removes* round-trips.
 //!
-//! 1. **Coalescing.** A per-driver [`BatchWindow`] keyed by request hash.
-//!    The first submitter of a coalescable request opens a [`Flight`];
-//!    followers submitting the *same* request while the flight is
-//!    pending (or, within [`BatchPolicy::coalesce_window`], after it
-//!    completed) attach to the existing flight instead of issuing a
-//!    second wire request. N concurrent queries needing the same GenBank
-//!    uid cost one round-trip. This also closes PR 6's hedge-dedup gap:
-//!    a hedge is fired *by the flight*, so N queries sharing a flight
-//!    produce at most one hedge, not N.
-//! 2. **Multi-key batching.** `DriverResilience::submit_batch` groups up
-//!    to [`BatchPolicy::max_keys`] distinct per-key requests into one
-//!    wire request (an `IN`-list for SQL sources, a multi-uid fetch for
-//!    Entrez), executed by [`crate::Driver::submit_batch`] through the
-//!    driver's worker pool. The batched reply is split back out per key:
-//!    each key's [`Flight`] resolves with its own rows (or its own
-//!    error), and the per-element consumers attach exactly as coalescing
-//!    followers do.
-//!
-//! # The flight state machine
-//!
-//! ```text
-//!             lead                    drive resolves
-//!  (submit) ────────► Pending{wire} ────────────────► Done{result}
-//!               │        ▲    │ take wire                  │
-//!    attach ────┘        │    ▼                            ▼
-//!  (follower waits       │  a waiter DRIVES the wire    waiters replay
-//!   on the flight)       │  under its own deadline      the shared rows
-//!                        └── yielded: the waiter's own
-//!                            deadline/cancel fired — the
-//!                            wire is handed back intact
-//!                            for the next waiter
-//! ```
-//!
-//! There is no dedicated driving thread: the flight's wire handle is
-//! driven by whichever attached waiter redeems first. A waiter whose
-//! *own* deadline passes (or whose query is cancelled) hands the
-//! still-pending wire back and resolves only itself — one waiter giving
-//! up never cancels or poisons the shared flight. Only when the *last*
-//! waiter drops its handle is the orphaned wire abandoned (its admission
-//! ticket reclaimed) and the window entry removed.
+//! **Multi-key batching.** `DriverResilience::submit_batch` groups up to
+//! [`BatchPolicy::max_keys`] distinct per-key requests into one wire
+//! request (an `IN`-list for SQL sources, a multi-uid fetch for Entrez),
+//! executed by [`crate::Driver::submit_batch`] through the driver's
+//! worker pool. Each key gets a [`Flight`] (`Pending`, then `Done` with
+//! that key's rows or error) registered in the driver's [`BatchWindow`]
+//! while the wire request is in flight; the batch's completion callback
+//! resolves every flight, and the per-element consumers *attach* — they
+//! park on the flight and replay its shared reply. A plain submission of
+//! a request that already has a pending flight attaches too (counted as
+//! `coalesced`); one that finds none keeps its own lazily streamed wire
+//! request and never registers a flight, so plain submissions never
+//! share with each other.
 //!
 //! # Invariants
 //!
 //! * **One admission ticket per wire request, never per logical key.**
-//!   Followers and batched keys hold promise-side state only; the only
-//!   pool submission is the flight's wire attempt (or the one batched
-//!   request covering many keys).
-//! * **Failures are charged once.** The driving waiter's retry loop
-//!   records breaker failures and `retries`/`timeouts` per *wire* event;
-//!   attached waiters receive the cloned error without touching the
-//!   breaker.
-//! * **Errors are never cached.** A flight that resolves `Err` fans the
-//!   error to its current waiters and leaves the window immediately; the
-//!   next submitter opens a fresh flight.
+//!   Attached waiters and batched keys hold promise-side state only; the
+//!   only pool submission is the one batched request covering many keys.
+//! * **Failures are charged once.** The batch operation records breaker
+//!   failures and `retries` per *wire* event; attached waiters receive
+//!   the cloned error without touching the breaker.
+//! * **Errors are never cached.** A flight leaves the window the moment
+//!   it resolves, `Ok` or `Err`; the next submitter makes a fresh wire
+//!   request.
+//! * **A waiter giving up resolves only itself.** An attached waiter
+//!   whose own deadline passes (or whose query is cancelled) returns its
+//!   own error; the flight and its other waiters are untouched.
 //! * **Values are byte-identical.** A shared reply is the materialized
-//!   row vector of the single wire stream; every waiter replays the same
-//!   rows in the same order (then the same terminal error, if the stream
-//!   failed mid-way). What changes is *when* rows cross the boundary
-//!   (once, eagerly, at wire completion) and the per-waiter traffic
-//!   counters — never the rows themselves.
+//!   row vector of one key's share of the wire reply; every waiter
+//!   replays the same rows in the same order (then the same terminal
+//!   error, if the stream failed mid-way).
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 use crate::block::{BlockSource, BlockStream, ValueBlock, DEFAULT_BLOCK_ROWS};
 use crate::driver::DriverRequest;
@@ -84,27 +53,18 @@ use crate::value::Value;
 /// A driver's batching advertisement, carried in
 /// [`crate::Capabilities::batching`]. Present means the source supports
 /// set-at-a-time access (multi-uid Entrez fetches, SQL `IN`-lists) and
-/// opts its coalescable requests into the shared-flight machinery.
+/// opts its coalescable requests into the batched submit path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Maximum logical keys folded into one wire request by the batched
     /// submit path. `0` is normalized to `1` (no folding) by
     /// [`BatchPolicy::keys_per_request`].
     pub max_keys: usize,
-    /// How long a *completed* (successful) flight stays attachable in
-    /// the window after resolving. `Duration::ZERO` — the default, and
-    /// what the simulated remote servers advertise — coalesces only
-    /// requests that overlap in flight, leaving sequential request
-    /// counts byte-identical to the un-batched behavior.
-    pub coalesce_window: Duration,
 }
 
 impl Default for BatchPolicy {
     fn default() -> BatchPolicy {
-        BatchPolicy {
-            max_keys: 16,
-            coalesce_window: Duration::ZERO,
-        }
+        BatchPolicy { max_keys: 16 }
     }
 }
 
@@ -160,7 +120,7 @@ impl SharedReply {
 
     /// Drain a live wire stream into a shared reply. Pulls at
     /// [`DEFAULT_BLOCK_ROWS`] grain; per-row charges (latency model,
-    /// traffic counters) fire here, once, on the driving waiter's clock.
+    /// traffic counters) fire here, once, on the caller's clock.
     pub fn materialize(mut stream: BlockStream) -> SharedReply {
         let mut rows = Vec::new();
         let mut terminal = None;
@@ -222,36 +182,23 @@ impl BlockSource for Replay {
     }
 }
 
-/// The shared state of one coalesced wire request; see the module docs
-/// for the state machine. Created by `DriverResilience` (the leader of a
-/// coalescing group, or the batched submit path) and held by every
-/// attached `ResilientHandle` plus the driver's [`BatchWindow`].
+/// The shared state of one batched key: `Pending` until the batch
+/// operation that covers it resolves it, then `Done`. Created by
+/// `DriverResilience::submit_batch` and held by every attached
+/// `ResilientHandle` plus — while pending — the driver's [`BatchWindow`].
 pub struct Flight {
     pub(crate) driver: String,
     pub(crate) key: u64,
     pub(crate) request: DriverRequest,
     pub(crate) state: Mutex<FlightState>,
     pub(crate) cv: Condvar,
-    /// Attached `ResilientHandle`s alive right now. When the last one
-    /// drops while the wire is still pending, the wire is abandoned and
-    /// the window entry removed — nobody is left to drive it.
-    pub(crate) waiters: AtomicUsize,
 }
 
 pub(crate) enum FlightState {
-    /// The wire request has not resolved. `wire` holds the resilient
-    /// wire handle when no waiter is currently driving it; a driving
-    /// waiter takes it out and puts it back if it yields. Batched
-    /// flights keep `wire: None` throughout — their resolution arrives
-    /// from the batch operation's completion callback.
-    Pending {
-        wire: Option<Box<crate::resilience::ResilientHandle>>,
-    },
-    /// Resolved: every current and future waiter replays `result`.
-    Done {
-        at: Instant,
-        result: Result<Arc<SharedReply>, KError>,
-    },
+    /// The batched wire request covering this key has not resolved.
+    Pending,
+    /// Resolved: every current and future waiter replays the result.
+    Done(Result<Arc<SharedReply>, KError>),
 }
 
 impl Flight {
@@ -260,13 +207,11 @@ impl Flight {
             driver: driver.to_string(),
             key: request_key(req),
             request: req.clone(),
-            state: Mutex::new(FlightState::Pending { wire: None }),
+            state: Mutex::new(FlightState::Pending),
             cv: Condvar::new(),
-            waiters: AtomicUsize::new(0),
         })
     }
 
-    /// The request this flight answers.
     /// The name of the driver this flight belongs to.
     pub fn driver(&self) -> &str {
         &self.driver
@@ -284,31 +229,18 @@ impl Flight {
 
     /// Whether the flight has resolved (without blocking).
     pub fn is_done(&self) -> bool {
-        matches!(&*self.lock_state(), FlightState::Done { .. })
+        matches!(&*self.lock_state(), FlightState::Done(_))
     }
 
     pub(crate) fn lock_state(&self) -> std::sync::MutexGuard<'_, FlightState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Park the wire handle for the next waiter and wake one.
-    pub(crate) fn install_wire(&self, handle: crate::resilience::ResilientHandle) {
-        let mut st = self.lock_state();
-        if let FlightState::Pending { wire } = &mut *st {
-            *wire = Some(Box::new(handle));
-        }
-        drop(st);
-        self.cv.notify_all();
-    }
-
     /// Resolve the flight (first resolution wins) and wake every waiter.
     pub(crate) fn finish(&self, result: Result<Arc<SharedReply>, KError>) {
         let mut st = self.lock_state();
-        if matches!(&*st, FlightState::Pending { .. }) {
-            *st = FlightState::Done {
-                at: Instant::now(),
-                result,
-            };
+        if matches!(&*st, FlightState::Pending) {
+            *st = FlightState::Done(result);
         }
         drop(st);
         self.cv.notify_all();
@@ -330,37 +262,34 @@ impl Pulsable for Flight {
 
 /// Outcome of [`BatchWindow::join`].
 pub(crate) enum Joined {
-    /// An existing flight answers this request; the caller attaches.
+    /// A pending flight already answers this request.
     Attached(Arc<Flight>),
-    /// A fresh flight was registered; the caller must lead it (submit
-    /// the wire request and [`Flight::install_wire`] it, or hand the
-    /// flight to a batch operation).
+    /// A fresh flight was registered; the caller must hand it to a
+    /// batch operation, which resolves it.
     Lead(Arc<Flight>),
 }
 
-/// The per-driver submit window: request hash → live flights. Pending
-/// flights are always attachable; completed (successful) flights stay
-/// attachable for [`BatchPolicy::coalesce_window`]; failed flights leave
-/// immediately (errors are never cached).
+/// The per-driver submit window: request hash → pending flights. A
+/// flight is registered by the batched submit path and leaves *before*
+/// it turns `Done` — so every flight found here is attachable and no
+/// result, `Ok` or `Err`, is ever served to a submission that did not
+/// overlap the wire request.
+#[derive(Default)]
 pub struct BatchWindow {
-    keep: Duration,
     entries: Mutex<HashMap<u64, Vec<Arc<Flight>>>>,
 }
 
 impl BatchWindow {
-    /// A window retaining completed flights for `keep`.
-    pub fn new(keep: Duration) -> BatchWindow {
-        BatchWindow {
-            keep,
-            entries: Mutex::new(HashMap::new()),
-        }
+    /// An empty window.
+    pub fn new() -> BatchWindow {
+        BatchWindow::default()
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Vec<Arc<Flight>>>> {
         self.entries.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Live flights registered right now (tests/inspection).
+    /// Pending flights registered right now (tests/inspection).
     pub fn len(&self) -> usize {
         self.lock().values().map(Vec::len).sum()
     }
@@ -370,119 +299,43 @@ impl BatchWindow {
         self.len() == 0
     }
 
-    fn attachable(&self, flight: &Flight) -> bool {
-        match &*flight.lock_state() {
-            FlightState::Pending { .. } => true,
-            FlightState::Done { at, result } => {
-                result.is_ok() && at.elapsed() <= self.keep
-            }
-        }
-    }
-
-    /// Attach to an existing flight for `req`, or register a fresh one
-    /// the caller must lead. Stale flights (expired or failed) are
-    /// pruned on the way. The returned flight has the caller counted as
-    /// a waiter when `count_waiter` is set (the `ResilientHandle` that
-    /// wraps it decrements on drop).
-    pub(crate) fn join(
-        &self,
-        driver: &str,
-        req: &DriverRequest,
-        count_waiter: bool,
-    ) -> Joined {
-        let key = request_key(req);
+    /// Attach to the pending flight for `req`, or register a fresh one
+    /// the caller must lead (the batched submit path).
+    pub(crate) fn join(&self, driver: &str, req: &DriverRequest) -> Joined {
         let mut map = self.lock();
-        let chain = map.entry(key).or_default();
-        chain.retain(|f| self.attachable(f));
+        let chain = map.entry(request_key(req)).or_default();
         if let Some(f) = chain.iter().find(|f| f.request == *req) {
-            let f = Arc::clone(f);
-            if count_waiter {
-                f.waiters.fetch_add(1, Ordering::AcqRel);
-            }
-            return Joined::Attached(f);
+            return Joined::Attached(Arc::clone(f));
         }
         let f = Flight::new(driver, req);
-        if count_waiter {
-            f.waiters.fetch_add(1, Ordering::AcqRel);
-        }
         chain.push(Arc::clone(&f));
         Joined::Lead(f)
     }
 
-    /// Attach to an existing flight for `req` without ever registering
-    /// a fresh one. This is the zero-window submit path: a plain
-    /// submission must keep streaming its reply lazily (leading a
-    /// flight would materialize it for replay), but an identical
-    /// request already in flight — a batch warm-up seed, or another
-    /// lead — still answers this one. The returned flight has the
-    /// caller counted as a waiter.
+    /// Attach to the pending flight for `req` without ever registering
+    /// a fresh one. This is the plain submit path: a plain submission
+    /// must keep streaming its reply lazily (a flight's reply is
+    /// materialized for replay), but an identical request already in
+    /// flight — a batch warm-up seed — still answers this one.
     pub(crate) fn try_attach(&self, req: &DriverRequest) -> Option<Arc<Flight>> {
-        let key = request_key(req);
-        let mut map = self.lock();
-        let chain = map.get_mut(&key)?;
-        chain.retain(|f| self.attachable(f));
-        if chain.is_empty() {
-            map.remove(&key);
-            return None;
-        }
-        let f = Arc::clone(chain.iter().find(|f| f.request == *req)?);
-        f.waiters.fetch_add(1, Ordering::AcqRel);
-        Some(f)
-    }
-
-    /// Remove `flight` from the window unless `keep` (a successful
-    /// completion inside a non-zero coalesce window).
-    pub(crate) fn complete(&self, flight: &Arc<Flight>, keep: bool) {
-        if keep && self.keep > Duration::ZERO {
-            return;
-        }
-        self.remove(flight);
+        let map = self.lock();
+        let f = map.get(&request_key(req))?.iter().find(|f| f.request == *req)?;
+        Some(Arc::clone(f))
     }
 
     /// Drop `flight`'s window entry (by identity; a newer flight under
-    /// the same key is left alone).
-    pub(crate) fn remove(&self, flight: &Arc<Flight>) {
-        let mut map = self.lock();
-        if let Some(chain) = map.get_mut(&flight.key) {
-            chain.retain(|f| !Arc::ptr_eq(f, flight));
-            if chain.is_empty() {
-                map.remove(&flight.key);
-            }
-        }
-    }
-
-    /// Last-waiter cleanup: if nobody holds a handle to `flight` and its
-    /// wire request is parked un-driven, abandon the wire (reclaiming
-    /// the admission ticket), resolve the flight as cancelled, and drop
-    /// the window entry. Lock order: window before flight, matching
-    /// [`BatchWindow::join`].
-    pub(crate) fn abandon_if_orphan(&self, flight: &Arc<Flight>) {
-        let mut map = self.lock();
-        let mut st = flight.lock_state();
-        if flight.waiters.load(Ordering::Acquire) != 0 {
-            return;
-        }
-        if let FlightState::Pending { wire } = &mut *st {
-            if let Some(w) = wire.take() {
-                // Dropping the resilient wire handle abandons its
-                // in-flight attempt (ticket reclaimed, worker orphaned).
-                drop(w);
-                *st = FlightState::Done {
-                    at: Instant::now(),
-                    result: Err(KError::cancelled(
-                        "coalesced flight abandoned by its last waiter",
-                    )),
-                };
-                drop(st);
-                flight.cv.notify_all();
-                if let Some(chain) = map.get_mut(&flight.key) {
-                    chain.retain(|f| !Arc::ptr_eq(f, flight));
-                    if chain.is_empty() {
-                        map.remove(&flight.key);
-                    }
+    /// the same key is left alone), then resolve it.
+    pub(crate) fn resolve(&self, flight: &Arc<Flight>, result: Result<Arc<SharedReply>, KError>) {
+        {
+            let mut map = self.lock();
+            if let Some(chain) = map.get_mut(&flight.key) {
+                chain.retain(|f| !Arc::ptr_eq(f, flight));
+                if chain.is_empty() {
+                    map.remove(&flight.key);
                 }
             }
         }
+        flight.finish(result);
     }
 }
 
@@ -543,67 +396,48 @@ mod tests {
 
     #[test]
     fn window_attaches_to_pending_and_prunes_failed_flights() {
-        let w = BatchWindow::new(Duration::ZERO);
-        let f = match w.join("E", &req(7), true) {
+        let w = BatchWindow::new();
+        let f = match w.join("E", &req(7)) {
             Joined::Lead(f) => f,
             Joined::Attached(_) => panic!("empty window cannot attach"),
         };
-        // Pending flights are attachable.
-        match w.join("E", &req(7), true) {
+        // Pending flights are attachable, by either door.
+        match w.join("E", &req(7)) {
             Joined::Attached(g) => assert!(Arc::ptr_eq(&f, &g)),
             Joined::Lead(_) => panic!("must attach to the pending flight"),
         }
-        assert_eq!(f.waiters.load(Ordering::SeqCst), 2);
+        assert!(Arc::ptr_eq(&f, &w.try_attach(&req(7)).expect("pending")));
+        assert!(w.try_attach(&req(8)).is_none(), "try_attach never leads");
         // A failed flight leaves the window: the next join leads afresh.
-        f.finish(Err(KError::eval("boom")));
-        w.remove(&f);
-        match w.join("E", &req(7), true) {
+        w.resolve(&f, Err(KError::eval("boom")));
+        match w.join("E", &req(7)) {
             Joined::Lead(g) => assert!(!Arc::ptr_eq(&f, &g)),
             Joined::Attached(_) => panic!("errors are never cached"),
         }
     }
 
     #[test]
-    fn completed_flights_linger_only_within_the_window() {
-        let w = BatchWindow::new(Duration::from_millis(30));
-        let f = match w.join("E", &req(9), false) {
-            Joined::Lead(f) => f,
-            Joined::Attached(_) => panic!(),
-        };
-        f.finish(Ok(Arc::new(SharedReply::of_rows(vec![Value::Int(9)]))));
-        w.complete(&f, true);
-        match w.join("E", &req(9), false) {
-            Joined::Attached(g) => assert!(Arc::ptr_eq(&f, &g)),
-            Joined::Lead(_) => panic!("fresh completion must be attachable"),
-        }
-        std::thread::sleep(Duration::from_millis(40));
-        match w.join("E", &req(9), false) {
-            Joined::Lead(_) => {}
-            Joined::Attached(_) => panic!("expired completion must be pruned"),
-        }
-    }
-
-    #[test]
     fn zero_window_drops_completed_flights_immediately() {
-        let w = BatchWindow::new(Duration::ZERO);
-        let f = match w.join("E", &req(3), false) {
+        let w = BatchWindow::new();
+        let f = match w.join("E", &req(3)) {
             Joined::Lead(f) => f,
             Joined::Attached(_) => panic!(),
         };
-        f.finish(Ok(Arc::new(SharedReply::of_rows(vec![]))));
-        w.complete(&f, true);
-        assert!(w.is_empty(), "zero-window completions leave immediately");
+        w.resolve(&f, Ok(Arc::new(SharedReply::of_rows(vec![]))));
+        assert!(f.is_done());
+        assert!(w.is_empty(), "completions leave the window immediately");
+        assert!(w.try_attach(&req(3)).is_none(), "results are never cached");
     }
 
     #[test]
     fn hash_collisions_are_disambiguated_by_request_equality() {
-        let w = BatchWindow::new(Duration::ZERO);
-        let Joined::Lead(_f) = w.join("E", &req(1), false) else {
+        let w = BatchWindow::new();
+        let Joined::Lead(_f) = w.join("E", &req(1)) else {
             panic!()
         };
         // A different request always leads its own flight, even if the
         // chain under its key were shared.
-        match w.join("E", &req(2), false) {
+        match w.join("E", &req(2)) {
             Joined::Lead(_) => {}
             Joined::Attached(_) => panic!("different requests must not share"),
         }

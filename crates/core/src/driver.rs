@@ -69,12 +69,6 @@ use crate::pool::PoolCore;
 use crate::resilience::ResiliencePolicy;
 use crate::value::Value;
 
-/// A single-row streaming result — the pre-block shape of the driver
-/// boundary, kept as the input type of [`crate::block::blocks_of_rows`]:
-/// drivers whose rows are naturally an iterator wrap it into the
-/// [`BlockStream`] that [`Driver::perform`] now returns.
-pub type ValueStream = Box<dyn Iterator<Item = KResult<Value>> + Send>;
-
 /// A request shipped to a driver, in a form the optimizer can construct and
 /// inspect. `Hash` feeds the structural plan hash in `nrc::hash` (and
 /// through it the deterministic `Cached` ids), so the derive must keep
@@ -129,9 +123,9 @@ pub enum DriverRequest {
 }
 
 impl DriverRequest {
-    /// Whether identical submissions of this request may share one wire
-    /// round-trip through the driver's
-    /// [`crate::batch::BatchWindow`]. Key-addressed reads — SQL text,
+    /// Whether this request may be answered by a shared flight in the
+    /// driver's [`crate::batch::BatchWindow`] (a key of a batched wire
+    /// request, or a plain submission attaching to one). Key-addressed reads — SQL text,
     /// Entrez fetches/links, ACE fetches — are; [`DriverRequest::Call`]
     /// is not (an opaque escape hatch may have effects per invocation),
     /// and [`DriverRequest::TableScan`] is not (bulk transfers gain
@@ -215,7 +209,7 @@ pub struct Capabilities {
     /// The driver's set-at-a-time advertisement (see
     /// [`crate::batch`]): present when the source can answer many keys
     /// in one round-trip (multi-uid Entrez fetches, SQL `IN`-lists) and
-    /// its coalescable requests should share in-flight wire round-trips.
+    /// its coalescable requests may be folded into batched wire requests.
     /// `None` (the default) keeps every request on its own round-trip —
     /// byte-identical to the pre-batching behavior.
     pub batching: Option<BatchPolicy>,
@@ -314,10 +308,9 @@ pub struct DriverMetrics {
     /// the consecutive-failure threshold, or from half-open on a failed
     /// probe).
     pub breaker_opens: AtomicU64,
-    /// Submissions answered by attaching to an existing in-flight (or
-    /// still-warm) request in the driver's
-    /// [`crate::batch::BatchWindow`] — wire round-trips *saved* by
-    /// coalescing.
+    /// Plain submissions answered by attaching to a pending flight in
+    /// the driver's [`crate::batch::BatchWindow`] — wire round-trips
+    /// *saved* by coalescing.
     pub coalesced: AtomicU64,
     /// Batched wire requests shipped by the multi-key submit path (each
     /// covers up to [`crate::batch::BatchPolicy::max_keys`] logical

@@ -17,8 +17,8 @@
 //!   transfer between drivers, the prefetch buffer, and the executor.
 //! * [`driver`] — the driver trait, request language, capabilities,
 //!   statistics, and traffic metrics.
-//! * [`batch`] — request coalescing (shared in-flight flights keyed by
-//!   request hash) and batched multi-key wire round-trips.
+//! * [`batch`] — batched multi-key wire round-trips and the per-key
+//!   flights (keyed by request hash) their consumers attach to.
 //! * [`pool`] — per-driver worker pools and the adaptive row-prefetch
 //!   buffer (row-pipelined execution).
 //! * [`executor`] — the shared session-level compute executor behind
@@ -57,7 +57,6 @@ pub use block::{blocks_of_rows, charged_blocks, BlockSource, BlockStream, ValueB
 pub use driver::{
     BatchCompletion, BatchReply, Capabilities, Driver, DriverMetrics, DriverRef, DriverRequest,
     GateTicket, MetricsSnapshot, RequestGate, RequestHandle, RequestStatus, TableStats,
-    ValueStream,
 };
 pub use error::{KError, KResult};
 pub use executor::Executor;

@@ -37,22 +37,22 @@
 //! `breaker_opens`); the session layer merges these resilience-side
 //! counters with the driver's own traffic counters.
 //!
-//! # Coalescing and batching
+//! # Batching
 //!
-//! When a driver advertises [`crate::Capabilities::batching`], this
-//! layer additionally routes coalescable requests through the driver's
-//! [`crate::batch::BatchWindow`]: identical in-flight requests share one
-//! wire round-trip (and therefore at most one hedge, one retry loop,
-//! and one breaker charge per wire failure), and the multi-key
-//! [`DriverResilience::submit_batch`] path folds many per-key requests
-//! into single wire requests. See [`crate::batch`] for the flight state
-//! machine and its invariants.
+//! When a driver advertises [`crate::Capabilities::batching`], the
+//! multi-key [`DriverResilience::submit_batch`] path folds many per-key
+//! requests into single wire requests (one retry loop and one breaker
+//! charge per wire failure, however many consumers wait on the keys),
+//! and a plain submission whose request is already pending in the
+//! driver's [`crate::batch::BatchWindow`] attaches to that flight
+//! instead of making its own round-trip. See [`crate::batch`] for the
+//! invariants.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
-use crate::batch::{BatchPolicy, BatchWindow, Flight, Joined, SharedReply};
+use crate::batch::{BatchPolicy, BatchWindow, Flight, FlightState, Joined, SharedReply};
 use crate::driver::{
     BatchCompletion, DriverMetrics, DriverRef, DriverRequest, MetricsSnapshot, RequestHandle,
 };
@@ -420,7 +420,7 @@ pub struct DriverResilience {
     breaker: Option<CircuitBreaker>,
     rtt: RttEstimator,
     metrics: Arc<DriverMetrics>,
-    /// The driver's coalescing window, present only when its
+    /// The driver's batching window, present only when its
     /// capabilities advertise [`crate::Capabilities::batching`].
     batching: Option<BatchState>,
 }
@@ -432,14 +432,14 @@ struct BatchState {
 
 impl DriverResilience {
     /// Resilience state for driver `name` under `policy`, with no
-    /// coalescing window — every submission keeps its own wire
+    /// batching window — every submission keeps its own wire
     /// round-trip, byte-identical to the pre-batching behavior.
     pub fn new(name: impl Into<String>, policy: ResiliencePolicy) -> DriverResilience {
         DriverResilience::with_batching(name, policy, None)
     }
 
     /// Resilience state for driver `name` under `policy`, with a
-    /// coalescing/batching window when the driver advertises one
+    /// batching window when the driver advertises one
     /// ([`crate::Capabilities::batching`]).
     pub fn with_batching(
         name: impl Into<String>,
@@ -454,16 +454,10 @@ impl DriverResilience {
             rtt: RttEstimator::new(),
             metrics: Arc::new(DriverMetrics::default()),
             batching: batching.map(|policy| BatchState {
-                window: BatchWindow::new(policy.coalesce_window),
+                window: BatchWindow::new(),
                 policy,
             }),
         }
-    }
-
-    /// The driver's batching advertisement, when this state carries a
-    /// coalescing window.
-    pub fn batch_policy(&self) -> Option<&BatchPolicy> {
-        self.batching.as_ref().map(|b| &b.policy)
     }
 
     /// The driver name this state belongs to.
@@ -531,17 +525,15 @@ impl DriverResilience {
     /// resubmit it; breaker rejection is returned immediately.
     ///
     /// When the driver advertises [`crate::Capabilities::batching`] and
-    /// the request is [`DriverRequest::coalescable`], the submission
-    /// goes through the driver's [`crate::batch::BatchWindow`]: an
-    /// identical in-flight (or still-warm) request answers this one
-    /// too. With a *non-zero* coalesce window this submission may also
-    /// lead a fresh shared flight — the explicit opt-in to
-    /// materializing replies for replay. With a zero window a plain
-    /// submission never leads (its reply keeps streaming lazily, so
-    /// `first_n` stays cheap against large scans); only flights already
-    /// in the window — batch warm-up seeds or concurrent leads — can
-    /// answer it. Either way the returned handle redeems exactly like a
-    /// direct one.
+    /// the request is [`DriverRequest::coalescable`], a flight already
+    /// pending for the identical request in the driver's
+    /// [`crate::batch::BatchWindow`] — a batch warm-up seed — answers
+    /// this submission too (one `coalesced` count, no wire request).
+    /// Otherwise the submission is direct: a plain submission never
+    /// registers a flight, so its reply keeps streaming lazily
+    /// (`first_n` stays cheap against large scans) and concurrent
+    /// identical plain submissions each keep their own round-trip.
+    /// Either way the returned handle redeems the same way.
     pub fn submit(
         self: &Arc<Self>,
         driver: &DriverRef,
@@ -552,9 +544,6 @@ impl DriverResilience {
         let deadline = self.merge_deadline(deadline);
         if let Some(b) = &self.batching {
             if req.coalescable() {
-                if b.policy.coalesce_window > Duration::ZERO {
-                    return self.submit_coalesced(driver, req, deadline, cancel);
-                }
                 if let Some(flight) = b.window.try_attach(req) {
                     self.metrics.record_coalesced();
                     return Ok(self.attached(flight, deadline, cancel));
@@ -608,51 +597,11 @@ impl DriverResilience {
                 attempt: Some(attempt),
                 retries_left: retry.map_or(0, |r| r.max_retries),
                 backoff: retry.map_or(Duration::ZERO, |r| r.base_backoff),
-                pending_retry: None,
             })),
         })
     }
 
-    /// Submit through the coalescing window: attach to an existing
-    /// flight for `req`, or lead a fresh one whose wire request is the
-    /// shared round-trip every attached waiter redeems.
-    fn submit_coalesced(
-        self: &Arc<Self>,
-        driver: &DriverRef,
-        req: &DriverRequest,
-        deadline: Option<Instant>,
-        cancel: Option<Arc<CancelToken>>,
-    ) -> KResult<ResilientHandle> {
-        let window = &self.batching.as_ref().expect("checked by submit").window;
-        match window.join(&self.name, req, true) {
-            Joined::Attached(flight) => {
-                self.metrics.record_coalesced();
-                Ok(self.attached(flight, deadline, cancel))
-            }
-            Joined::Lead(flight) => {
-                // The wire attempt is bounded by the *policy's* deadline
-                // only and carries no cancel token: individual waiters'
-                // budgets must never cancel the shared round-trip.
-                let wire_deadline = self.policy.deadline.map(|p| Instant::now() + p);
-                match self.submit_direct(driver, req, wire_deadline, None) {
-                    Ok(wire) => {
-                        flight.install_wire(wire);
-                        Ok(self.attached(flight, deadline, cancel))
-                    }
-                    Err(e) => {
-                        // Give back the waiter slot `join` counted for
-                        // us — no handle will exist to release it.
-                        flight.waiters.fetch_sub(1, Ordering::AcqRel);
-                        self.finish_flight(&flight, Err(e.clone()));
-                        Err(e)
-                    }
-                }
-            }
-        }
-    }
-
-    /// Wrap `flight` in an attached handle (the waiter slot was already
-    /// counted by `join` / [`DriverResilience::attach_seeded`]).
+    /// Wrap `flight` in an attached handle.
     fn attached(
         self: &Arc<Self>,
         flight: Arc<Flight>,
@@ -678,7 +627,6 @@ impl DriverResilience {
         deadline: Option<Instant>,
         cancel: Option<Arc<CancelToken>>,
     ) -> ResilientHandle {
-        flight.waiters.fetch_add(1, Ordering::AcqRel);
         self.attached(Arc::clone(flight), self.merge_deadline(deadline), cancel)
     }
 
@@ -703,7 +651,7 @@ impl DriverResilience {
             if seeds.iter().any(|f| f.request() == req) {
                 continue;
             }
-            match b.window.join(&self.name, req, false) {
+            match b.window.join(&self.name, req) {
                 Joined::Attached(flight) => seeds.push(flight),
                 Joined::Lead(flight) => {
                     fresh.push(Arc::clone(&flight));
@@ -734,28 +682,12 @@ impl DriverResilience {
         Some(seeds)
     }
 
-    /// Resolve `flight` and update its window entry: successful
-    /// completions may linger for the coalesce window, failures leave
-    /// immediately (errors are never cached).
-    pub(crate) fn finish_flight(
-        &self,
-        flight: &Arc<Flight>,
-        result: Result<Arc<SharedReply>, KError>,
-    ) {
-        let keep = result.is_ok();
-        flight.finish(result);
-        if let Some(b) = &self.batching {
-            b.window.complete(flight, keep);
-        }
-    }
-
-    /// An attached handle dropped; when it was the last one and the
-    /// flight's wire request is parked un-driven, abandon it.
-    pub(crate) fn release_flight(&self, flight: &Arc<Flight>) {
-        if flight.waiters.fetch_sub(1, Ordering::AcqRel) == 1 {
-            if let Some(b) = &self.batching {
-                b.window.abandon_if_orphan(flight);
-            }
+    /// Resolve `flight`, dropping its window entry first (no result,
+    /// `Ok` or `Err`, is ever cached).
+    fn finish_flight(&self, flight: &Arc<Flight>, result: Result<Arc<SharedReply>, KError>) {
+        match &self.batching {
+            Some(b) => b.window.resolve(flight, result),
+            None => flight.finish(result),
         }
     }
 }
@@ -874,14 +806,13 @@ impl BatchOp {
 /// applied when the handle is redeemed with [`ResilientHandle::wait`].
 ///
 /// A handle is either **direct** — it owns its wire [`RequestHandle`]
-/// and the retry state, as before batching — or **attached** to a
-/// shared [`Flight`] in the driver's coalescing window, in which case
-/// redeeming replays the flight's shared reply (driving the shared wire
-/// request itself if no other waiter got there first). Dropping a
-/// direct handle unredeemed abandons the in-flight round-trip (ticket
-/// reclaimed, wedged worker orphaned); dropping an attached handle only
-/// detaches this waiter — the shared flight is abandoned only when its
-/// *last* waiter lets go.
+/// and the retry state, and runs deadline → hedge → retry to an outcome
+/// when redeemed — or **attached** to a batch-led [`Flight`], in which
+/// case redeeming parks until the batch operation resolves the flight
+/// and replays its shared reply. Dropping a direct handle unredeemed
+/// abandons the in-flight round-trip (ticket reclaimed, wedged worker
+/// orphaned); dropping an attached handle only detaches this waiter —
+/// the batched wire request belongs to the batch operation.
 pub struct ResilientHandle {
     res: Arc<DriverResilience>,
     deadline: Option<Instant>,
@@ -896,11 +827,8 @@ enum HandleMode {
     Attached { flight: Arc<Flight> },
 }
 
-/// The wire-owning half of a direct (or flight-leading) submission,
-/// including the retry budget. Kept separate from [`ResilientHandle`]
-/// so a flight waiter can drive it under *its own* bounds and hand it
-/// back intact when they fire (the retry/backoff state survives the
-/// hand-off; a charged failure is never re-charged).
+/// The wire-owning half of a direct submission, including the retry
+/// budget.
 struct DirectState {
     driver: DriverRef,
     req: DriverRequest,
@@ -909,43 +837,14 @@ struct DirectState {
     attempt: Option<Result<RequestHandle, KError>>,
     retries_left: u32,
     backoff: Duration,
-    /// A retryable failure already charged to the breaker/metrics whose
-    /// backoff was interrupted by a yield; the next driver resumes at
-    /// the backoff step without re-charging it.
-    pending_retry: Option<KError>,
 }
 
-/// What [`DirectState::drive`] produced.
-pub(crate) enum DriveStep {
-    /// The request ran to an outcome under the policy.
-    Resolved(KResult<BlockStream>),
-    /// The *caller's* yield bound fired while the wire was still in
-    /// flight; the state is intact for the next driver.
-    Yielded,
-}
-
-enum RoundStep {
-    Resolved(KResult<BlockStream>),
-    Yielded(RequestHandle),
-}
-
-enum RetryStep {
-    Continue,
-    Resolve(KError),
-    Yield,
-}
-
-/// The per-drive context: the owning resilience state and the *flight's*
-/// bounds (deadline/cancel of the submission that owns the wire). A
-/// waiter's own bounds arrive separately as the yield bound;
-/// `yield_watch` is the waiter's cancel token, watched on the wire
-/// handles so a mid-wait cancellation wakes the blocked driver to
-/// re-check its yield predicate (it never cancels the wire itself).
+/// The bounds one handle is redeemed under: the owning resilience
+/// state and the submission's deadline/cancel.
 struct DriveCtx<'a> {
-    res: &'a Arc<DriverResilience>,
+    res: &'a DriverResilience,
     deadline: Option<Instant>,
     cancel: Option<&'a Arc<CancelToken>>,
-    yield_watch: Option<&'a Arc<CancelToken>>,
 }
 
 impl DriveCtx<'_> {
@@ -977,150 +876,59 @@ impl ResilientHandle {
     /// enforced (with the ticket stolen back from a wedged worker on
     /// expiry), hedge fired after the EWMA-p99 delay, retryable errors
     /// resubmitted with jittered exponential backoff, cancellation
-    /// honored promptly. An attached handle waits on its shared flight
-    /// instead (driving the shared wire request when it is this
-    /// waiter's turn) and replays the shared reply. Consumes the handle.
+    /// honored promptly. An attached handle waits on its flight instead
+    /// (under its own deadline and cancellation only) and replays the
+    /// shared reply. Consumes the handle.
     pub fn wait(mut self) -> KResult<BlockStream> {
-        let res = Arc::clone(&self.res);
-        let deadline = self.deadline;
-        let cancel = self.cancel.clone();
+        let cx = DriveCtx {
+            res: &self.res,
+            deadline: self.deadline,
+            cancel: self.cancel.as_ref(),
+        };
         match &mut self.mode {
-            HandleMode::Direct(st) => {
-                let cx = DriveCtx {
-                    res: &res,
-                    deadline,
-                    cancel: cancel.as_ref(),
-                    yield_watch: None,
-                };
-                match st.drive(&cx, None, &mut || false) {
-                    DriveStep::Resolved(r) => r,
-                    // Unreachable: no yield bound was given.
-                    DriveStep::Yielded => Err(KError::eval("drive yielded without a bound")),
-                }
-            }
-            HandleMode::Attached { flight } => {
-                let flight = Arc::clone(flight);
-                await_flight(&res, &flight, deadline, cancel.as_ref())
-            }
-        }
-    }
-
-    /// Drive a parked wire handle under a *foreign* waiter's bounds:
-    /// the handle's own deadline/cancel still resolve the flight, while
-    /// `yield_deadline`/`yield_interrupt` merely hand the wire back
-    /// (`yield_watch` wakes the blocked drive when the waiter's cancel
-    /// token fires so the predicate is re-checked promptly).
-    pub(crate) fn drive_parked(
-        &mut self,
-        yield_deadline: Option<Instant>,
-        yield_interrupt: &mut dyn FnMut() -> bool,
-        yield_watch: Option<&Arc<CancelToken>>,
-    ) -> DriveStep {
-        let res = Arc::clone(&self.res);
-        let deadline = self.deadline;
-        let cancel = self.cancel.clone();
-        match &mut self.mode {
-            HandleMode::Direct(st) => {
-                let cx = DriveCtx {
-                    res: &res,
-                    deadline,
-                    cancel: cancel.as_ref(),
-                    yield_watch,
-                };
-                st.drive(&cx, yield_deadline, yield_interrupt)
-            }
-            HandleMode::Attached { .. } => {
-                DriveStep::Resolved(Err(KError::eval("attached handles cannot be driven")))
-            }
+            HandleMode::Direct(st) => st.drive(&cx),
+            HandleMode::Attached { flight } => await_flight(&cx, flight),
         }
     }
 }
 
 impl DirectState {
-    /// The retry loop, resumable across yields. Each iteration: finish
-    /// any pending backoff, then run one round on the current attempt.
-    fn drive(
-        &mut self,
-        cx: &DriveCtx<'_>,
-        yd: Option<Instant>,
-        yi: &mut dyn FnMut() -> bool,
-    ) -> DriveStep {
+    /// The retry loop: one round on the current attempt, then — on a
+    /// retryable failure with budget left — back off and resubmit.
+    fn drive(&mut self, cx: &DriveCtx<'_>) -> KResult<BlockStream> {
         loop {
-            if self.pending_retry.is_some() {
-                match self.backoff_and_resubmit(cx, yd, yi) {
-                    RetryStep::Continue => {}
-                    RetryStep::Resolve(e) => return DriveStep::Resolved(Err(e)),
-                    RetryStep::Yield => return DriveStep::Yielded,
-                }
-            }
             let attempt = match self.attempt.take() {
                 Some(a) => a,
-                None => {
-                    return DriveStep::Resolved(Err(KError::eval(
-                        "request result already taken",
-                    )))
-                }
+                None => return Err(KError::eval("request result already taken")),
             };
             let started = Instant::now();
-            let outcome = match attempt {
-                Ok(handle) => match self.round(cx, handle, yd, yi) {
-                    RoundStep::Resolved(r) => r,
-                    RoundStep::Yielded(h) => {
-                        self.attempt = Some(Ok(h));
-                        return DriveStep::Yielded;
-                    }
-                },
-                Err(e) => Err(e),
-            };
-            match outcome {
+            match attempt.and_then(|handle| self.round(cx, handle)) {
                 Ok(stream) => {
                     cx.res.rtt.observe(started.elapsed());
                     cx.res.record_success();
-                    return DriveStep::Resolved(Ok(stream));
+                    return Ok(stream);
                 }
                 Err(e) => {
                     cx.res.record_failure(&e);
                     if !e.is_retryable() || self.retries_left == 0 || cx.cancelled() {
-                        return DriveStep::Resolved(Err(e));
+                        return Err(e);
                     }
-                    self.pending_retry = Some(e);
+                    self.backoff_and_resubmit(cx, e)?;
                 }
             }
         }
     }
 
-    /// Serve the pending retry's backoff (in slices, so a yield bound
-    /// can reclaim this waiter mid-backoff), re-admit through the
-    /// breaker, and resubmit.
-    fn backoff_and_resubmit(
-        &mut self,
-        cx: &DriveCtx<'_>,
-        yd: Option<Instant>,
-        yi: &mut dyn FnMut() -> bool,
-    ) -> RetryStep {
-        let e = self.pending_retry.clone().expect("checked by drive");
+    /// Serve the backoff owed for the (already charged) failure `e`,
+    /// re-admit through the breaker, and resubmit. `Err` ends the retry
+    /// loop with that error.
+    fn backoff_and_resubmit(&mut self, cx: &DriveCtx<'_>, e: KError) -> Result<(), KError> {
         // Retry only if the backoff still fits the deadline.
         let pause = jittered(self.backoff);
-        if let Some(d) = cx.deadline {
-            if Instant::now() + pause >= d {
-                self.pending_retry = None;
-                return RetryStep::Resolve(e);
-            }
+        if cx.deadline.is_some_and(|d| Instant::now() + pause >= d) {
+            return Err(e);
         }
-        let wake = Instant::now() + pause;
-        loop {
-            if yi() || yd.is_some_and(|d| Instant::now() >= d) {
-                // The backoff stays pending: the failure was already
-                // charged, the next driver resumes the sleep.
-                return RetryStep::Yield;
-            }
-            let now = Instant::now();
-            if now >= wake {
-                break;
-            }
-            std::thread::sleep((wake - now).min(Duration::from_millis(1)));
-        }
-        self.pending_retry = None;
+        std::thread::sleep(pause);
         let max = cx
             .res
             .policy
@@ -1131,51 +939,34 @@ impl DirectState {
         self.retries_left -= 1;
         if let Some(b) = &cx.res.breaker {
             if !b.try_admit() {
-                return RetryStep::Resolve(KError::circuit_open(&cx.res.name));
+                return Err(KError::circuit_open(&cx.res.name));
             }
         }
         cx.res.metrics.record_retry();
         self.attempt = Some(self.driver.submit(&self.req));
-        RetryStep::Continue
+        Ok(())
     }
 
     /// One round: wait on `primary` until it resolves, the hedge delay
     /// elapses (then race a second submit against it), the deadline
-    /// passes (abandon everything, `Timeout`), cancellation fires
-    /// (abandon everything, `Cancelled`), or a yield bound fires (hand
-    /// the primary back intact).
-    fn round(
-        &self,
-        cx: &DriveCtx<'_>,
-        primary: RequestHandle,
-        yd: Option<Instant>,
-        yi: &mut dyn FnMut() -> bool,
-    ) -> RoundStep {
-        for t in [cx.cancel, cx.yield_watch].into_iter().flatten() {
+    /// passes (abandon everything, `Timeout`), or cancellation fires
+    /// (abandon everything, `Cancelled`).
+    fn round(&self, cx: &DriveCtx<'_>, primary: RequestHandle) -> KResult<BlockStream> {
+        if let Some(t) = cx.cancel {
             t.watch(primary.watcher());
         }
         // Phase 1: wait for the primary alone until the hedge point.
         let hedge_at = self.hedge_fire_at(cx);
-        let phase1 = min_deadline(min_deadline(hedge_at, cx.deadline), yd);
         loop {
-            match primary.wait_for_ref(phase1, || cx.cancelled() || yi()) {
-                WaitFor::Ready => return RoundStep::Resolved(primary.wait()),
-                WaitFor::Interrupted => {
-                    if cx.cancelled() {
-                        return RoundStep::Resolved(abandon_cancelled(cx, primary, None));
-                    }
-                    return RoundStep::Yielded(primary);
-                }
+            match primary.wait_for_ref(min_deadline(hedge_at, cx.deadline), || cx.cancelled()) {
+                WaitFor::Ready => return primary.wait(),
+                WaitFor::Interrupted => return abandon_cancelled(primary, None),
                 WaitFor::TimedOut => {
                     let now = Instant::now();
-                    // The flight's own deadline outranks a yield bound;
-                    // the hedge point only matters once neither has
-                    // passed. A clock race re-enters the wait.
+                    // The deadline outranks the hedge point; a clock
+                    // race re-enters the wait.
                     if cx.deadline.is_some_and(|d| now >= d) {
-                        return RoundStep::Resolved(timeout(cx, primary, None));
-                    }
-                    if yd.is_some_and(|d| now >= d) {
-                        return RoundStep::Yielded(primary);
+                        return timeout(cx, primary, None);
                     }
                     if hedge_at.is_some_and(|h| now >= h) {
                         break;
@@ -1188,7 +979,7 @@ impl DirectState {
         let mut hedge = match self.driver.submit(&self.req) {
             Ok(h) => {
                 h.mirror_into(&primary);
-                for t in [cx.cancel, cx.yield_watch].into_iter().flatten() {
+                if let Some(t) = cx.cancel {
                     t.watch(h.watcher());
                 }
                 Some(h)
@@ -1197,51 +988,38 @@ impl DirectState {
             // is still in flight.
             Err(_) => None,
         };
-        let phase2 = min_deadline(cx.deadline, yd);
         loop {
             let hedge_ready = || {
                 hedge
                     .as_ref()
                     .is_some_and(|h| h.poll() != crate::driver::RequestStatus::Pending)
             };
-            match primary.wait_for_ref(phase2, || cx.cancelled() || yi() || hedge_ready()) {
+            match primary.wait_for_ref(cx.deadline, || cx.cancelled() || hedge_ready()) {
                 WaitFor::Ready => {
                     if let Some(h) = hedge.take() {
                         h.abandon(KError::cancelled("hedged request lost the race"));
                     }
-                    return RoundStep::Resolved(primary.wait());
+                    return primary.wait();
                 }
                 WaitFor::TimedOut => {
-                    let now = Instant::now();
-                    if cx.deadline.is_some_and(|d| now >= d) {
-                        return RoundStep::Resolved(timeout(cx, primary, hedge.take()));
-                    }
-                    if yd.is_some_and(|d| now >= d) {
-                        if let Some(h) = hedge.take() {
-                            h.abandon(KError::cancelled("hedge abandoned on waiter yield"));
-                        }
-                        return RoundStep::Yielded(primary);
+                    if cx.deadline.is_some_and(|d| Instant::now() >= d) {
+                        return timeout(cx, primary, hedge.take());
                     }
                 }
                 WaitFor::Interrupted => {
                     if cx.cancelled() {
-                        return RoundStep::Resolved(abandon_cancelled(cx, primary, hedge.take()));
+                        return abandon_cancelled(primary, hedge.take());
                     }
+                    // The hedge resolved first. A failed hedge: keep
+                    // waiting on the primary alone (hedge stays
+                    // taken/None).
                     if hedge_ready() {
-                        // The hedge resolved first. A failed hedge:
-                        // keep waiting on the primary alone (hedge
-                        // stays taken/None).
                         if let Some(Ok(stream)) = hedge.take().map(RequestHandle::wait) {
                             cx.res.metrics.record_hedge_win();
                             primary
                                 .abandon(KError::cancelled("primary request lost to its hedge"));
-                            return RoundStep::Resolved(Ok(stream));
+                            return Ok(stream);
                         }
-                    } else if yi() {
-                        if let Some(h) = hedge.take() {
-                            h.abandon(KError::cancelled("hedge abandoned on waiter yield"));
-                        }
-                        return RoundStep::Yielded(primary);
                     }
                 }
             }
@@ -1293,11 +1071,7 @@ fn timeout(
     }
 }
 
-fn abandon_cancelled(
-    _cx: &DriveCtx<'_>,
-    primary: RequestHandle,
-    hedge: Option<RequestHandle>,
-) -> KResult<BlockStream> {
+fn abandon_cancelled(primary: RequestHandle, hedge: Option<RequestHandle>) -> KResult<BlockStream> {
     if let Some(h) = hedge {
         h.abandon(KError::cancelled("query cancelled"));
     }
@@ -1309,139 +1083,54 @@ fn abandon_cancelled(
     }
 }
 
-/// An attached waiter's loop over its shared flight: replay a resolved
-/// result, drive the parked wire handle when it is free, or sleep on
-/// the flight's condvar until something changes. The waiter's own
-/// deadline/cancel resolve only *this waiter* — the shared flight is
-/// never cancelled or poisoned by one waiter giving up.
-fn await_flight(
-    res: &Arc<DriverResilience>,
-    flight: &Arc<Flight>,
-    deadline: Option<Instant>,
-    cancel: Option<&Arc<CancelToken>>,
-) -> KResult<BlockStream> {
-    use crate::batch::FlightState;
-    if let Some(t) = cancel {
+/// An attached waiter's loop over its flight: replay a resolved result,
+/// or sleep on the flight's condvar until the batch operation resolves
+/// it. The waiter's own deadline/cancel resolve only *this waiter* —
+/// the shared flight is never cancelled or poisoned by one waiter
+/// giving up.
+fn await_flight(cx: &DriveCtx<'_>, flight: &Arc<Flight>) -> KResult<BlockStream> {
+    if let Some(t) = cx.cancel {
         let p: Arc<dyn Pulsable> = Arc::clone(flight) as Arc<dyn Pulsable>;
         t.watch(Arc::downgrade(&p));
     }
-    enum Role {
-        Replay(Result<Arc<SharedReply>, KError>),
-        Drive(Box<ResilientHandle>),
-        Park,
-    }
+    let mut st = flight.lock_state();
     loop {
-        let role = {
-            let mut st = flight.lock_state();
-            match &mut *st {
-                FlightState::Done { result, .. } => Role::Replay(result.clone()),
-                FlightState::Pending { wire } => match wire.take() {
-                    Some(h) => Role::Drive(h),
-                    None => Role::Park,
-                },
-            }
-        };
-        match role {
-            Role::Replay(Ok(reply)) => return Ok(reply.replay()),
-            Role::Replay(Err(e)) => return Err(e),
-            Role::Drive(mut h) => {
-                let mut yi = || cancel.is_some_and(|t| t.is_cancelled());
-                match h.drive_parked(deadline, &mut yi, cancel) {
-                    DriveStep::Resolved(r) => {
-                        // Materialize on this waiter's clock (per-row
-                        // charges fire once, here), publish, replay.
-                        let result = match r {
-                            Ok(stream) => Ok(Arc::new(SharedReply::materialize(stream))),
-                            Err(e) => Err(e),
-                        };
-                        res.finish_flight(flight, result.clone());
-                        return match result {
-                            Ok(reply) => Ok(reply.replay()),
-                            Err(e) => Err(e),
-                        };
-                    }
-                    DriveStep::Yielded => {
-                        // Our own bound fired: hand the wire back for
-                        // the next waiter and resolve only ourselves.
-                        {
-                            let mut st = flight.lock_state();
-                            if let FlightState::Pending { wire } = &mut *st {
-                                *wire = Some(h);
-                            }
-                        }
-                        flight.pulse_now();
-                        return Err(waiter_bound_error(res, deadline, cancel));
-                    }
-                }
-            }
-            Role::Park => {
-                let st = flight.lock_state();
-                // Re-check under the lock: resolution or a wire
-                // hand-back may have raced our snapshot.
-                match &*st {
-                    FlightState::Done { .. } => continue,
-                    FlightState::Pending { wire } if wire.is_some() => continue,
-                    FlightState::Pending { .. } => {}
-                }
-                if cancel.is_some_and(|t| t.is_cancelled()) {
-                    return Err(KError::cancelled(
-                        "query cancelled while the request was in flight",
-                    ));
-                }
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    res.metrics.record_timeout();
-                    return Err(KError::timeout(&res.name, "request deadline exceeded"));
-                }
-                // Bounded nap: pulses (cancellation, resolution, wire
-                // hand-back) cut it short; the cap keeps an un-wired
-                // flight responsive even without one.
-                let cap = Duration::from_millis(20);
-                let nap = deadline
-                    .map(|d| d.saturating_duration_since(Instant::now()).min(cap))
-                    .unwrap_or(cap);
-                let _ = flight
-                    .cv
-                    .wait_timeout(st, nap)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
+        if let FlightState::Done(result) = &*st {
+            return result.clone().map(|reply| reply.replay());
         }
+        if cx.cancelled() {
+            return Err(KError::cancelled(
+                "query cancelled while the request was in flight",
+            ));
+        }
+        if cx.deadline.is_some_and(|d| Instant::now() >= d) {
+            cx.res.metrics.record_timeout();
+            return Err(KError::timeout(&cx.res.name, "request deadline exceeded"));
+        }
+        // Bounded nap: pulses (cancellation, resolution) cut it short;
+        // the cap keeps the waiter responsive even without one.
+        let cap = Duration::from_millis(20);
+        let nap = cx
+            .deadline
+            .map_or(cap, |d| d.saturating_duration_since(Instant::now()).min(cap));
+        st = flight
+            .cv
+            .wait_timeout(st, nap)
+            .unwrap_or_else(|e| e.into_inner())
+            .0;
     }
-}
-
-/// The error an attached waiter resolves with when its *own* bound
-/// fired while the shared flight was still pending.
-fn waiter_bound_error(
-    res: &Arc<DriverResilience>,
-    deadline: Option<Instant>,
-    cancel: Option<&Arc<CancelToken>>,
-) -> KError {
-    if cancel.is_some_and(|t| t.is_cancelled()) {
-        return KError::cancelled("query cancelled while the request was in flight");
-    }
-    if deadline.is_some_and(|d| Instant::now() >= d) {
-        res.metrics.record_timeout();
-        return KError::timeout(&res.name, "request deadline exceeded");
-    }
-    KError::eval("flight waiter yielded without a bound")
 }
 
 impl Drop for ResilientHandle {
     fn drop(&mut self) {
-        match &mut self.mode {
-            // An unredeemed in-flight attempt has no future consumer:
-            // don't just flag it cancelled (the worker would hold the
-            // admission ticket until the — possibly wedged — work
-            // returns), abandon it so the ticket is reclaimed now.
-            HandleMode::Direct(st) => {
-                if let Some(Ok(h)) = st.attempt.take() {
-                    h.abandon(KError::cancelled("resilient handle dropped unredeemed"));
-                }
-            }
-            // Detach from the shared flight; the last waiter out
-            // abandons a parked, un-driven wire request.
-            HandleMode::Attached { flight } => {
-                let flight = Arc::clone(flight);
-                self.res.release_flight(&flight);
+        // An unredeemed in-flight attempt has no future consumer: don't
+        // just flag it cancelled (the worker would hold the admission
+        // ticket until the — possibly wedged — work returns), abandon it
+        // so the ticket is reclaimed now. An attached handle owns no
+        // wire request; dropping it only detaches this waiter.
+        if let HandleMode::Direct(st) = &mut self.mode {
+            if let Some(Ok(h)) = st.attempt.take() {
+                h.abandon(KError::cancelled("resilient handle dropped unredeemed"));
             }
         }
     }
@@ -1522,7 +1211,7 @@ mod tests {
     }
 
     // --------------------------------------------------------------
-    // Request coalescing and batched wire requests
+    // Batched wire requests and attached waiters
     // --------------------------------------------------------------
 
     use crate::batch::BatchPolicy;
@@ -1549,14 +1238,11 @@ mod tests {
         n
     }
 
-    fn coalescing(name: &str, policy: ResiliencePolicy, window: Duration) -> Arc<DriverResilience> {
+    fn batching(name: &str, policy: ResiliencePolicy) -> Arc<DriverResilience> {
         Arc::new(DriverResilience::with_batching(
             name,
             policy,
-            Some(BatchPolicy {
-                max_keys: 16,
-                coalesce_window: window,
-            }),
+            Some(BatchPolicy::default()),
         ))
     }
 
@@ -1565,25 +1251,24 @@ mod tests {
         let d = SlowDriver::new("co", 4, Duration::from_millis(2), 4);
         d.set_fault(Fault::NeverRespond);
         let dref: DriverRef = d.clone();
-        let res = coalescing("co", ResiliencePolicy::default(), Duration::from_millis(200));
-        let mut joins = Vec::new();
-        for _ in 0..8 {
-            let res = Arc::clone(&res);
-            let dref = Arc::clone(&dref);
-            joins.push(thread::spawn(move || {
+        let res = batching("co", ResiliencePolicy::default());
+        // A batch seed for the request is wedged on the wire, so every
+        // plain submission of it attaches instead of going out itself.
+        let seeds = res.submit_batch(&dref, &[links(7)]).expect("batching advertised");
+        assert_eq!(seeds.len(), 1);
+        let joins: Vec<_> = (0..8)
+            .map(|_| {
                 let h = res.submit(&dref, &links(7), None, None).expect("submit");
-                h.wait().map(drain)
-            }));
-        }
-        // Every submission lands while the single wire request is
-        // wedged, so all eight must share it.
-        thread::sleep(Duration::from_millis(100));
+                thread::spawn(move || h.wait().map(drain))
+            })
+            .collect();
         d.release_wedged();
         for j in joins {
             assert_eq!(j.join().expect("thread").expect("rows"), 4);
         }
-        assert_eq!(d.performs.load(Ordering::SeqCst), 1, "one perform for 8 waiters");
-        assert_eq!(res.metrics_snapshot().coalesced, 7);
+        assert_eq!(d.batch_performs.load(Ordering::SeqCst), 1, "one wire request for 8 waiters");
+        assert_eq!(d.performs.load(Ordering::SeqCst), 0, "no per-submission round-trips");
+        assert_eq!(res.metrics_snapshot().coalesced, 8);
     }
 
     #[test]
@@ -1591,52 +1276,74 @@ mod tests {
         let d = SlowDriver::new("co", 3, Duration::from_millis(2), 2);
         d.set_fault(Fault::NeverRespond);
         let dref: DriverRef = d.clone();
-        let res = coalescing("co", ResiliencePolicy::default(), Duration::from_millis(200));
+        let res = batching("co", ResiliencePolicy::default());
+        let seeds = res.submit_batch(&dref, &[links(1)]).expect("batching advertised");
         let cancel = Arc::new(CancelToken::new());
-        let h1 = res
-            .submit(&dref, &links(1), None, Some(Arc::clone(&cancel)))
+        let cancelled = res.attach_seeded(&seeds[0], None, Some(Arc::clone(&cancel)));
+        let bounded = res
+            .submit(&dref, &links(1), Some(Instant::now() + Duration::from_millis(30)), None)
             .expect("submit");
-        let h2 = res.submit(&dref, &links(1), None, None).expect("submit");
-        let t1 = thread::spawn(move || h1.wait());
-        let t2 = thread::spawn(move || h2.wait().map(drain));
-        thread::sleep(Duration::from_millis(50));
+        let survivors = [
+            res.attach_seeded(&seeds[0], None, None),
+            res.submit(&dref, &links(1), None, None).expect("submit"),
+        ];
+        let t_cancelled = thread::spawn(move || cancelled.wait().map(drain));
+        let t_bounded = thread::spawn(move || bounded.wait().map(drain));
+        let t_survivors = survivors.map(|h| thread::spawn(move || h.wait().map(drain)));
+        // The wire is still wedged: each bound resolves only its waiter.
+        let e = t_bounded.join().expect("thread").expect_err("own deadline");
+        assert!(e.is_timeout(), "got: {e}");
         cancel.cancel();
-        let r1 = t1.join().expect("thread");
-        let e = match r1 {
-            Err(e) => e,
-            Ok(_) => panic!("cancelled waiter must resolve with its own error"),
-        };
+        let e = t_cancelled.join().expect("thread").expect_err("own cancellation");
         assert!(format!("{e}").contains("cancelled"), "got: {e}");
-        // The surviving waiter still redeems the shared flight.
+        assert!(!seeds[0].is_done(), "a waiter giving up never resolves the flight");
+        // The surviving waiters still replay the shared rows.
         d.release_wedged();
-        assert_eq!(t2.join().expect("thread").expect("rows"), 3);
-        assert_eq!(d.performs.load(Ordering::SeqCst), 1);
+        for t in t_survivors {
+            assert_eq!(t.join().expect("thread").expect("rows"), 3);
+        }
+        assert_eq!(d.batch_performs.load(Ordering::SeqCst), 1);
+        assert_eq!(d.performs.load(Ordering::SeqCst), 0);
+        let m = res.metrics_snapshot();
+        assert_eq!((m.timeouts, m.coalesced), (1, 2), "{m:?}");
     }
 
     #[test]
-    fn warm_flights_answer_followers_within_the_window_only() {
-        let d = SlowDriver::new("co", 2, Duration::from_millis(1), 2);
+    fn concurrent_plain_submissions_keep_their_own_lazy_wire_requests() {
+        // The production semantics: with no seed in flight, a batching
+        // driver's plain submissions never share — N identical
+        // concurrent requests are N wire requests, each streamed lazily.
+        let d = SlowDriver::new("co", 100, Duration::from_millis(1), 4);
+        d.set_fault(Fault::NeverRespond);
         let dref: DriverRef = d.clone();
-        let res = coalescing("co", ResiliencePolicy::default(), Duration::from_millis(200));
-        let first = res.submit(&dref, &links(9), None, None).expect("submit");
-        assert_eq!(drain(first.wait().expect("rows")), 2);
-        // Immediately after: the completed flight is still warm.
-        let second = res.submit(&dref, &links(9), None, None).expect("submit");
-        assert_eq!(drain(second.wait().expect("rows")), 2);
-        assert_eq!(d.performs.load(Ordering::SeqCst), 1, "warm flight replayed");
-        assert_eq!(res.metrics_snapshot().coalesced, 1);
-        // After the window expires the flight is pruned: fresh wire.
-        thread::sleep(Duration::from_millis(250));
-        let third = res.submit(&dref, &links(9), None, None).expect("submit");
-        assert_eq!(drain(third.wait().expect("rows")), 2);
-        assert_eq!(d.performs.load(Ordering::SeqCst), 2, "expired flight not replayed");
+        let res = batching("co", ResiliencePolicy::default());
+        let handles: Vec<_> = (0..4)
+            .map(|_| res.submit(&dref, &links(2), None, None).expect("submit"))
+            .collect();
+        while d.current.load(Ordering::SeqCst) < 4 {
+            thread::sleep(Duration::from_millis(1)); // all four overlap on the wire
+        }
+        d.release_wedged();
+        let mut streams: Vec<BlockStream> =
+            handles.into_iter().map(|h| h.wait().expect("reply")).collect();
+        assert_eq!(d.performs.load(Ordering::SeqCst), 4);
+        assert_eq!(res.metrics_snapshot().coalesced, 0);
+        assert_eq!(d.metrics.snapshot().rows_shipped, 0, "nothing ships until pulled");
+        for s in &mut streams {
+            assert_eq!(s.next_block(1).expect("first row").len(), 1);
+        }
+        assert_eq!(
+            d.metrics.snapshot().rows_shipped,
+            4,
+            "one row per pull: a materialized reply would have shipped all 400"
+        );
     }
 
     #[test]
     fn zero_window_never_replays_completed_flights() {
         let d = SlowDriver::new("co", 2, Duration::from_millis(1), 2);
         let dref: DriverRef = d.clone();
-        let res = coalescing("co", ResiliencePolicy::default(), Duration::ZERO);
+        let res = batching("co", ResiliencePolicy::default());
         for _ in 0..3 {
             let h = res.submit(&dref, &links(4), None, None).expect("submit");
             assert_eq!(drain(h.wait().expect("rows")), 2);
@@ -1644,24 +1351,24 @@ mod tests {
         assert_eq!(
             d.performs.load(Ordering::SeqCst),
             3,
-            "sequential requests keep their own round-trips under a zero window"
+            "sequential requests keep their own round-trips"
         );
         assert_eq!(res.metrics_snapshot().coalesced, 0);
     }
 
     #[test]
-    fn last_waiter_dropping_abandons_the_parked_flight() {
+    fn dropping_a_direct_handle_abandons_its_wire_request() {
         let d = SlowDriver::new("co", 2, Duration::from_millis(2), 2);
         d.set_fault(Fault::NeverRespond);
         let dref: DriverRef = d.clone();
-        let res = coalescing("co", ResiliencePolicy::default(), Duration::ZERO);
+        let res = batching("co", ResiliencePolicy::default());
         let h = res.submit(&dref, &links(3), None, None).expect("submit");
         thread::sleep(Duration::from_millis(20));
-        drop(h); // last waiter out: the parked wire request is abandoned
+        drop(h); // unredeemed: the wedged wire request is abandoned
         d.release_wedged();
         d.set_fault(Fault::None);
-        // The abandoned flight left the window: a new submission leads a
-        // fresh wire request instead of attaching to a poisoned entry.
+        // Nothing of the abandoned request lingers in the window: a new
+        // submission makes a fresh wire request of its own.
         let again = res.submit(&dref, &links(3), None, None).expect("submit");
         assert_eq!(drain(again.wait().expect("rows")), 2);
         assert_eq!(d.performs.load(Ordering::SeqCst), 2);
@@ -1674,10 +1381,7 @@ mod tests {
         let res = Arc::new(DriverResilience::with_batching(
             "bat",
             ResiliencePolicy::default(),
-            Some(BatchPolicy {
-                max_keys: 4,
-                coalesce_window: Duration::ZERO,
-            }),
+            Some(BatchPolicy { max_keys: 4 }),
         ));
         // Seven logical keys, six distinct: the duplicate shares its
         // key's flight instead of adding a slot.
@@ -1697,46 +1401,6 @@ mod tests {
         let m = res.metrics_snapshot();
         assert_eq!(m.batch_requests, 2);
         assert_eq!(m.batched_keys, 6);
-    }
-
-    #[test]
-    fn identical_hedged_queries_share_a_flight_and_hedge_once() {
-        let d = SlowDriver::new("hg", 2, Duration::from_millis(1), 8);
-        d.set_fault(Fault::NeverRespond);
-        let dref: DriverRef = d.clone();
-        let policy = ResiliencePolicy {
-            hedge: Some(HedgePolicy {
-                min_delay: Duration::from_millis(30),
-                max_delay: Duration::from_millis(30),
-            }),
-            ..ResiliencePolicy::default()
-        };
-        let res = coalescing("hg", policy, Duration::from_millis(200));
-        let mut joins = Vec::new();
-        for _ in 0..4 {
-            let res = Arc::clone(&res);
-            let dref = Arc::clone(&dref);
-            joins.push(thread::spawn(move || {
-                let h = res.submit(&dref, &links(5), None, None).expect("submit");
-                h.wait().map(drain)
-            }));
-        }
-        // Sit well past the hedge point while the wire is wedged: the
-        // four identical queries share one flight, so at most one hedge
-        // fires for the whole group (pre-coalescing: one per query).
-        thread::sleep(Duration::from_millis(150));
-        d.release_wedged();
-        for j in joins {
-            assert_eq!(j.join().expect("thread").expect("rows"), 2);
-        }
-        assert!(
-            d.performs.load(Ordering::SeqCst) <= 2,
-            "primary plus at most one hedge, got {}",
-            d.performs.load(Ordering::SeqCst)
-        );
-        let m = res.metrics_snapshot();
-        assert!(m.hedges_fired <= 1, "one shared flight hedges at most once");
-        assert_eq!(m.coalesced, 3, "three of four submissions attached");
     }
 
     #[test]

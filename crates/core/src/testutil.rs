@@ -215,8 +215,8 @@ impl SlowDriver {
     }
 
     /// Advertise (or withdraw, with `None`) a [`BatchPolicy`] in this
-    /// driver's [`Capabilities`], turning on request coalescing and the
-    /// batched wire path for its resilience state.
+    /// driver's [`Capabilities`], turning on the batched wire path for
+    /// its resilience state.
     pub fn set_batching(&self, policy: Option<BatchPolicy>) {
         *self.batching.lock().unwrap_or_else(|e| e.into_inner()) = policy;
     }

@@ -11,7 +11,6 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::RwLock;
 
@@ -320,12 +319,9 @@ impl Driver for EntrezServer {
             // a remote source: advertise retry + circuit breaking
             resilience: ResiliencePolicy::standard(),
             // multi-uid fetch: the rewriter may fold a per-element link
-            // loop into ceil(n/16) wire round-trips. The zero coalesce
-            // window means sequential identical requests still pay their
-            // own round-trips (concurrent ones share a flight).
+            // loop into ceil(n/16) wire round-trips.
             batching: Some(BatchPolicy {
                 max_keys: ENTREZ_BATCH_KEYS,
-                coalesce_window: Duration::ZERO,
             }),
         }
     }

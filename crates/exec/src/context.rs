@@ -258,7 +258,7 @@ impl Context {
             return Err(KError::driver(name, "no such driver registered"));
         };
         // Keep the driver's advertised batching window across policy
-        // swaps — the override replaces *resilience*, not coalescing.
+        // swaps — the override replaces *resilience*, not batching.
         let batching = driver.capabilities().batching;
         inner.resilience.insert(
             name.to_string(),
@@ -351,7 +351,7 @@ impl Context {
             .ok_or_else(|| KError::driver(name, "no resilience state registered"))?;
         // A flight pre-seeded by a batch warm-up answers this request
         // even if it already resolved (the seed table outlives the
-        // coalescing window for exactly the span of the loop).
+        // flight's window entry for exactly the span of the loop).
         if req.coalescable() {
             let seeds = self.inner.batch_seeds.lock();
             if !seeds.is_empty() {

@@ -17,7 +17,7 @@
 //!   plan, so N sessions racing the same cold query cost **one** compile,
 //!   not N. (A failed compile is not cached; the error propagates to the
 //!   compiling caller and waiting callers retry — each retry is its own
-//!   compile until one succeeds.)
+//!   compile until one succeeds. The same holds if the compile panics.)
 //! * **Eviction accounting.** [`PlanCacheStats`] now counts `evictions`
 //!   (plans dropped for capacity), alongside the existing hit/miss
 //!   counters. `misses` equals the number of compiles started.
@@ -144,14 +144,16 @@ impl PlanCache {
             break;
         }
         drop(st);
+        let _marker = InFlight {
+            cache: self,
+            src,
+            config,
+        };
         let result = compile();
-        let mut st = self.lock();
-        st.in_flight.retain(|(s, c)| !(s == src && c == config));
         if let Ok(plan) = &result {
-            st.insert(src.to_string(), config.clone(), Arc::clone(plan));
+            self.lock()
+                .insert(src.to_string(), config.clone(), Arc::clone(plan));
         }
-        drop(st);
-        self.cv.notify_all();
         result
     }
 
@@ -235,6 +237,25 @@ impl PlanCache {
     /// evictions).
     pub fn clear(&self) {
         self.lock().entries.clear();
+    }
+}
+
+/// One key's in-flight marker. Dropping it clears the marker and wakes
+/// the key's waiters — on unwind too, so a compile that panics never
+/// leaves later lookups of its key blocked with nobody left to wake them.
+struct InFlight<'a> {
+    cache: &'a PlanCache,
+    src: &'a str,
+    config: &'a OptConfig,
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.cache
+            .lock()
+            .in_flight
+            .retain(|(s, c)| !(s == self.src && c == self.config));
+        self.cache.cv.notify_all();
     }
 }
 
@@ -345,6 +366,30 @@ mod tests {
         assert_eq!(cache.stats().entries, 0);
         // The key is compilable again — no wedged in-flight marker.
         cache.get_or_compile("bad", &cfg, || Ok(plan())).unwrap();
+        assert_eq!(cache.stats().entries, 1);
+    }
+
+    #[test]
+    fn panicking_compile_releases_the_flight() {
+        let cache = PlanCache::new(8);
+        let cfg = OptConfig::default();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_compile("q", &cfg, || panic!("compile blew up"))
+        }));
+        assert!(unwound.is_err());
+        // A later lookup of the same key compiles afresh instead of
+        // waiting forever on the dead compiler's marker.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let lookup = {
+            let cache = Arc::clone(&cache);
+            thread::spawn(move || {
+                let got = cache.get_or_compile("q", &OptConfig::default(), || Ok(plan()));
+                let _ = tx.send(got.is_ok());
+            })
+        };
+        let compiled = rx.recv_timeout(Duration::from_secs(5));
+        assert_eq!(compiled, Ok(true), "lookup after a panicked compile hung");
+        lookup.join().unwrap();
         assert_eq!(cache.stats().entries, 1);
     }
 

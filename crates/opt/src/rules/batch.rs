@@ -113,7 +113,6 @@ mod tests {
     use crate::catalog::{NullCatalog, StaticCatalog};
     use crate::engine::OptConfig;
     use kleisli_core::{BatchPolicy, Capabilities, CollKind};
-    use std::time::Duration;
 
     fn run(e: Expr, catalog: &dyn crate::catalog::SourceCatalog, config: &OptConfig) -> Expr {
         let ctx = RuleCtx { catalog, config };
@@ -144,10 +143,7 @@ mod tests {
         catalog.add_driver(
             "GenBank",
             Capabilities {
-                batching: Some(BatchPolicy {
-                    max_keys,
-                    coalesce_window: Duration::ZERO,
-                }),
+                batching: Some(BatchPolicy { max_keys }),
                 ..Default::default()
             },
         );

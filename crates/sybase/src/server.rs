@@ -4,7 +4,6 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::RwLock;
 
@@ -649,12 +648,9 @@ impl Driver for SybaseServer {
             resilience: ResiliencePolicy::standard(),
             // IN-list pushdown: the rewriter may fold a per-element
             // `col = K` loop into ceil(n/16) wire round-trips, each a
-            // single scan. The zero coalesce window keeps sequential
-            // identical requests on their own round-trips (concurrent
-            // ones share a flight).
+            // single scan.
             batching: Some(BatchPolicy {
                 max_keys: SYBASE_BATCH_KEYS,
-                coalesce_window: Duration::ZERO,
             }),
         }
     }

@@ -367,9 +367,9 @@ fn dropping_a_query_over_a_wedged_driver_neither_blocks_nor_leaks_the_ticket() {
 }
 
 // ---------------------------------------------------------------------------
-// Batched and coalesced flights under failure: a failing wire request is
-// charged to the breaker once per attempt — never once per attached
-// waiter — and every waiter resolves with the shared error.
+// Batched flights under failure: a failing wire request is charged to
+// the breaker once per attempt — never once per attached waiter — and
+// every waiter resolves with the shared error.
 // ---------------------------------------------------------------------------
 
 use kleisli_core::{BatchPolicy, DriverRef, DriverResilience};
@@ -393,10 +393,7 @@ fn a_failing_batched_wire_request_fails_every_key_and_charges_the_breaker_once_p
             }),
             ..ResiliencePolicy::default()
         },
-        Some(BatchPolicy {
-            max_keys: 16,
-            coalesce_window: Duration::ZERO,
-        }),
+        Some(BatchPolicy { max_keys: 16 }),
     ));
     let reqs: Vec<kleisli_core::DriverRequest> = (0..8)
         .map(|uid| kleisli_core::DriverRequest::EntrezLinks {
@@ -436,60 +433,4 @@ fn a_failing_batched_wire_request_fails_every_key_and_charges_the_breaker_once_p
     assert_eq!(m.batch_requests, 1, "8 keys fit one wire request: {m:?}");
     assert_eq!(m.batched_keys, 8, "{m:?}");
     assert_eq!(res.breaker_state(), Some(BreakerState::Open));
-}
-
-#[test]
-fn a_coalesced_timeout_charges_the_breaker_once_not_per_waiter() {
-    let drv = SlowDriver::new("SRC", 3, Duration::from_millis(1), 2);
-    drv.set_fault(Fault::NeverRespond);
-    let dref: DriverRef = drv.clone();
-    let res = Arc::new(DriverResilience::with_batching(
-        "SRC",
-        ResiliencePolicy {
-            deadline: Some(Duration::from_millis(50)),
-            breaker: Some(BreakerPolicy {
-                failure_threshold: 2,
-                cooldown: Duration::from_secs(60),
-            }),
-            ..ResiliencePolicy::default()
-        },
-        Some(BatchPolicy {
-            max_keys: 16,
-            coalesce_window: Duration::from_millis(500),
-        }),
-    ));
-    let req = kleisli_core::DriverRequest::EntrezLinks {
-        db: "na".into(),
-        uid: 7,
-    };
-    let waiters: Vec<_> = (0..4)
-        .map(|_| {
-            let res = Arc::clone(&res);
-            let dref = Arc::clone(&dref);
-            let req = req.clone();
-            std::thread::spawn(move || {
-                let h = res.submit(&dref, &req, None, None).expect("submit");
-                match h.wait() {
-                    Err(e) => e,
-                    Ok(_) => panic!("the wedged wire must time out"),
-                }
-            })
-        })
-        .collect();
-    for w in waiters {
-        let err = w.join().expect("waiter thread");
-        assert!(err.is_timeout(), "expected a timeout, got: {err}");
-    }
-    // One wire request timed out once; four waiter-level timeouts must
-    // not each count as a breaker failure. With a threshold of 2, a
-    // per-waiter charge would have tripped the breaker — the single
-    // wire-level charge leaves it closed.
-    assert_eq!(drv.performs.load(Ordering::SeqCst), 1, "one shared wire request");
-    let m = res.metrics_snapshot();
-    assert_eq!(m.breaker_opens, 0, "per-waiter breaker charges: {m:?}");
-    assert_eq!(res.breaker_state(), Some(BreakerState::Closed));
-    assert!(m.timeouts >= 1, "{m:?}");
-    assert_eq!(m.coalesced, 3, "three of four submissions attached: {m:?}");
-    drv.release_wedged();
-    wait_until("abandoned workers to retire", || drv.pool.orphans() == 0);
 }
