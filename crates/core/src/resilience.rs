@@ -480,6 +480,12 @@ impl DriverResilience {
         &self.rtt
     }
 
+    /// Flights pending in the driver's batching window right now
+    /// (tests/inspection; `0` once every batched wire request resolved).
+    pub fn pending_flights(&self) -> usize {
+        self.batching.as_ref().map_or(0, |b| b.window.len())
+    }
+
     /// A snapshot of the resilience-side counters (timeouts, retries,
     /// hedges, breaker opens; the traffic counters stay zero here —
     /// merge with the driver's own snapshot for the full picture).

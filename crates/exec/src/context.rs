@@ -400,6 +400,12 @@ impl Context {
         }))
     }
 
+    /// Flights seeded by live [`BatchGuard`]s right now (tests/inspection;
+    /// `0` once every batch-marked loop has finished or been dropped).
+    pub fn seeded_flights(&self) -> usize {
+        self.inner.batch_seeds.lock().values().map(Vec::len).sum()
+    }
+
     /// A driver's full metrics picture: its own traffic counters merged
     /// with the resilience-side counters (timeouts, retries, hedges,
     /// breaker opens) kept outside the driver.

@@ -37,8 +37,8 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use kleisli_core::{
-    blocks_of_rows, BlockSource, BlockStream, CollKind, KError, KResult, Value, ValueBlock,
-    DEFAULT_BLOCK_ROWS,
+    blocks_of_rows, BlockSource, BlockStream, CollKind, DriverRequest, KError, KResult, Value,
+    ValueBlock, DEFAULT_BLOCK_ROWS,
 };
 use nrc::{Expr, JoinStrategy, Name};
 
@@ -345,17 +345,18 @@ fn blocks(e: &Expr, env: &Env, ctx: &Context, want: Want) -> KResult<BlockStream
             // keeps its single-row pull loop over the grain-1 view.
             let src: RowStream = Box::new(blocks(source, env, ctx, Want::Source(*kind))?);
             Ok(blocks_of_rows(Box::new(ParChunkStream {
-                source: src,
-                buffer: Vec::new(),
+                source: Some(src),
+                buffer: VecDeque::new(),
+                error: None,
+                ahead: None,
                 kind: *kind,
                 var: Arc::clone(var),
                 body: Arc::clone(body),
                 env: env.clone(),
                 ctx: ctx.clone(),
                 width: (*max_in_flight).max(1),
+                attach_only: batch.is_some() && remote_nodes(body) == 1,
                 batch: batch.clone(),
-                guard: None,
-                failed: false,
             })))
         }
         // Everything else is a value: compute it and stream its elements.
@@ -946,9 +947,34 @@ impl BlockSource for JoinBlocks {
 /// Streaming bounded-parallel `Ext`: pulls a chunk of `width` source
 /// elements, evaluates their bodies concurrently, yields the union, then
 /// pulls the next chunk. Concurrency never exceeds `width`.
+///
+/// **Rows before errors.** A source error ends the chunk being
+/// assembled; the elements pulled before it still run, their pieces are
+/// delivered, and then the error — unless one of those bodies fails,
+/// which is the earlier error and wins. Likewise the pieces of the
+/// bodies preceding a failing one are delivered in front of its error.
+/// The stream thus fails exactly where an element-at-a-time evaluation
+/// would, which is what lets a staged two-hop loop (`opt::rules::batch`)
+/// report what the nested one does.
+///
+/// **Read-ahead (batch-marked loops only).** [`warm_up_batch`] does not
+/// block: it puts the chunk's batched requests on the wire and returns.
+/// So a marked loop pulls and warms up *two* chunks whenever it has none
+/// in hand, then runs them in turn — the two chunks' wire requests are
+/// in flight together instead of the second waiting behind the first's
+/// bodies. At most one chunk beyond the one whose rows are being
+/// consumed is ever pulled, so a prefix consumer costs at most
+/// `2 * max_keys` keys per loop. Unmarked loops pull one chunk at a
+/// time, as they always did.
 struct ParChunkStream {
-    source: RowStream,
-    buffer: Vec<Value>,
+    /// `None` once exhausted or failed.
+    source: Option<RowStream>,
+    /// Rows of the chunks run so far, not yet handed out.
+    buffer: VecDeque<Value>,
+    /// The error that ends the stream once `buffer` has drained.
+    error: Option<KError>,
+    /// The chunk pulled and warmed up ahead of the one last run.
+    ahead: Option<Chunk>,
     kind: CollKind,
     var: Name,
     body: Arc<Expr>,
@@ -960,65 +986,116 @@ struct ParChunkStream {
     /// into batched wire round-trips before its bodies run. Output
     /// values and their order are unchanged — only the wire traffic is.
     batch: Option<nrc::BatchSpec>,
-    /// The current chunk's seeded flights; replaced (and the previous
-    /// chunk's seeds released) at each warm-up.
+    /// The marked request is the body's only remote node: the bodies of
+    /// a warmed-up chunk then do nothing but attach to its flights, so
+    /// they run on the calling thread — executor hands would only park
+    /// on the same few wire requests.
+    attach_only: bool,
+}
+
+/// How many driver calls `e` holds.
+fn remote_nodes(e: &Expr) -> usize {
+    let mut n = 0;
+    e.visit(&mut |node| {
+        n += usize::from(matches!(node, Expr::Remote { .. } | Expr::RemoteApp { .. }))
+    });
+    n
+}
+
+/// One chunk of source elements, warmed up but not yet run.
+struct Chunk {
+    elems: Vec<Value>,
+    /// The warm-up's seeded flights, held until the bodies have run.
     guard: Option<BatchGuard>,
-    failed: bool,
+    /// The source error that cut the chunk short.
+    source_err: Option<KError>,
 }
 
 impl ParChunkStream {
-    /// Warm up and evaluate one chunk, appending its pieces to the buffer.
-    fn run_chunk(&mut self, chunk: &[Value]) -> KResult<()> {
-        if let Some(spec) = &self.batch {
-            self.guard = warm_up_batch(spec, chunk, &self.var, &self.env, &self.ctx);
+    /// Pull up to one chunk grain of source elements and warm them up.
+    fn pull_chunk(&mut self) -> Chunk {
+        let grain = match &self.batch {
+            Some(spec) => self.width.max(spec.max_keys),
+            None => self.width,
+        };
+        let mut elems = Vec::with_capacity(grain);
+        let mut source_err = None;
+        while elems.len() < grain {
+            match self.source.as_mut().and_then(Iterator::next) {
+                Some(Ok(v)) => elems.push(v),
+                end => {
+                    self.source = None;
+                    source_err = end.and_then(Result::err);
+                    break;
+                }
+            }
         }
-        let pieces = eval_parallel(
-            chunk, &self.var, &self.body, &self.env, &self.ctx, self.width,
-        )?;
-        for piece in &pieces {
-            let elems = piece_elems(piece, self.kind)?;
-            self.buffer.extend_from_slice(elems);
+        let guard = self
+            .batch
+            .as_ref()
+            .and_then(|spec| warm_up_batch(spec, &elems, &self.var, &self.env, &self.ctx));
+        Chunk {
+            elems,
+            guard,
+            source_err,
         }
-        Ok(())
+    }
+
+    /// Evaluate one chunk's bodies, buffering the pieces that precede
+    /// the first error and recording that error.
+    fn run_chunk(&mut self, chunk: Chunk) {
+        let width = if self.attach_only && chunk.guard.is_some() {
+            1
+        } else {
+            self.width
+        };
+        let mut pieces = Vec::with_capacity(chunk.elems.len());
+        let ran = eval_parallel(
+            &chunk.elems,
+            &self.var,
+            &self.body,
+            &self.env,
+            &self.ctx,
+            width,
+            &mut pieces,
+        );
+        let unpacked = pieces.iter().try_for_each(|piece| {
+            self.buffer
+                .extend(piece_elems(piece, self.kind)?.iter().cloned());
+            Ok(())
+        });
+        // In element order: a piece of the wrong kind, then the first
+        // failing body, then the source error behind the chunk.
+        if let Err(e) = unpacked.and(ran).and(chunk.source_err.map_or(Ok(()), Err)) {
+            self.error = Some(e);
+            self.source = None;
+            self.ahead = None;
+        }
     }
 }
 
 impl Iterator for ParChunkStream {
     type Item = KResult<Value>;
     fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        let grain = match &self.batch {
-            Some(spec) => self.width.max(spec.max_keys),
-            None => self.width,
-        };
         loop {
-            if !self.buffer.is_empty() {
-                return Some(Ok(self.buffer.remove(0)));
+            if let Some(v) = self.buffer.pop_front() {
+                return Some(Ok(v));
             }
-            let mut chunk = Vec::with_capacity(grain);
-            for item in self.source.by_ref() {
-                match item {
-                    Err(e) => {
-                        self.failed = true;
-                        return Some(Err(e));
-                    }
-                    Ok(v) => {
-                        chunk.push(v);
-                        if chunk.len() >= grain {
-                            break;
-                        }
-                    }
-                }
-            }
-            if chunk.is_empty() {
-                return None;
-            }
-            if let Err(e) = self.run_chunk(&chunk) {
-                self.failed = true;
+            if let Some(e) = self.error.take() {
                 return Some(Err(e));
             }
+            let chunk = match self.ahead.take() {
+                Some(chunk) => chunk,
+                None => {
+                    self.source.as_ref()?;
+                    let chunk = self.pull_chunk();
+                    if self.batch.is_some() && self.source.is_some() {
+                        self.ahead = Some(self.pull_chunk());
+                    }
+                    chunk
+                }
+            };
+            self.run_chunk(chunk);
         }
     }
 }
@@ -1028,10 +1105,11 @@ impl Iterator for ParChunkStream {
 /// optimizer's construction, so this duplicates no driver effects),
 /// and ship the distinct requests as a few multi-key wire round-trips
 /// via [`Context::submit_batch`]. Any surprise — an argument that fails
-/// to evaluate, a non-request value, too few distinct keys, a driver
-/// without batching — skips the warm-up entirely and returns `None`:
-/// the per-element path then behaves exactly as unbatched, surfacing
-/// its own errors in their usual place.
+/// to evaluate, a non-request value, a request no batch can carry, too
+/// few distinct keys, a driver without batching — skips the warm-up
+/// entirely and returns `None`: the per-element path then behaves
+/// exactly as unbatched, surfacing its own errors in their usual place.
+/// A returned guard therefore seeds the request of *every* element.
 fn warm_up_batch(
     spec: &nrc::BatchSpec,
     elems: &[Value],
@@ -1046,7 +1124,11 @@ fn warm_up_batch(
     for el in elems {
         let env2 = env.bind(Arc::clone(var), Rt::Val(el.clone()));
         let v = eval(&spec.arg, &env2, ctx).ok()?;
-        reqs.push(request_from_value(&v).ok()?);
+        reqs.push(
+            request_from_value(&v)
+                .ok()
+                .filter(DriverRequest::coalescable)?,
+        );
     }
     let mut distinct = 0usize;
     for (i, r) in reqs.iter().enumerate() {
@@ -1074,7 +1156,8 @@ fn warm_up_batch(
 /// nested parallel loops deadlock-free on the bounded pool (see
 /// `kleisli_core::executor`). A task that panics surfaces as an
 /// evaluation error, and an error stops later chunks from being
-/// submitted at all.
+/// submitted at all; `out` then holds the results of the elements in
+/// front of the failing one.
 fn eval_parallel(
     elems: &[Value],
     var: &Name,
@@ -1082,15 +1165,16 @@ fn eval_parallel(
     env: &Env,
     ctx: &Context,
     max_in_flight: usize,
-) -> KResult<Vec<Value>> {
+    out: &mut Vec<Value>,
+) -> KResult<()> {
     let width = max_in_flight.max(1);
     if width == 1 || elems.len() <= 1 {
-        return elems
-            .iter()
-            .map(|el| eval(body, &env.bind(Arc::clone(var), Rt::Val(el.clone())), ctx))
-            .collect();
+        for el in elems {
+            let env2 = env.bind(Arc::clone(var), Rt::Val(el.clone()));
+            out.push(eval(body, &env2, ctx)?);
+        }
+        return Ok(());
     }
-    let mut out = Vec::with_capacity(elems.len());
     for chunk in elems.chunks(width) {
         let tasks: Vec<Box<dyn FnOnce() -> KResult<Value> + Send>> = chunk
             .iter()
@@ -1106,7 +1190,7 @@ fn eval_parallel(
             out.push(r.unwrap_or_else(|| Err(KError::eval("worker thread panicked")))?);
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -19,7 +19,9 @@
 //!    inner loops;
 //! 7. **batch** — marking remote inner loops over batching-capable
 //!    servers so the executor folds per-element requests into multi-key
-//!    wire round-trips (IN-list / multi-uid pushdown).
+//!    wire round-trips (IN-list / multi-uid pushdown), after staging
+//!    two-hop dependent loops so the second hop's keys reach the batch
+//!    grain.
 
 pub mod catalog;
 pub mod engine;
@@ -74,8 +76,8 @@ pub fn optimize_shared(
     if config.enable_parallel {
         e = rules::parallel::rule_set().run(e, &ctx, &mut trace);
     }
-    // Batching runs last: it only *marks* ParExt nodes (advisory for the
-    // executor), and every substituting rewrite above drops stale marks.
+    // Batching runs last: its marks on ParExt nodes are advisory for the
+    // executor, and every substituting rewrite above drops stale marks.
     if config.enable_batching {
         e = rules::batch::rule_set().run(e, &ctx, &mut trace);
     }

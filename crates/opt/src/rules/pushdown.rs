@@ -47,6 +47,12 @@ enum Operand {
     Lit(Value),
 }
 
+impl Operand {
+    fn is_col(&self) -> bool {
+        matches!(self, Operand::Col(..))
+    }
+}
+
 #[derive(Debug)]
 struct Pred {
     op: Prim,
@@ -60,7 +66,8 @@ struct ConjQuery {
     /// (loop variable, table name) in generator order.
     tables: Vec<(Name, String)>,
     preds: Vec<Pred>,
-    /// (output field, source) — `select src as field`.
+    /// (output field, source), in head order. Columns ship as
+    /// `select src as field`; literals stay local (see [`sql_migrate`]).
     select: Vec<(Name, Operand)>,
     /// The whole query is statically known to be empty (a pattern demanded
     /// a column the schema lacks).
@@ -78,9 +85,32 @@ fn sql_migrate(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
         return Some(Expr::Empty(CollKind::Set));
     }
     let sql = generate_sql(&q);
-    Some(Expr::Remote {
+    let shipped = Expr::Remote {
         driver: q.driver,
         request: DriverRequest::Sql { query: sql },
+    };
+    if q.select.iter().all(|(_, o)| o.is_col()) {
+        return Some(shipped);
+    }
+    // Constant head fields stay local: the servers' SQL subset selects
+    // columns only, and a constant is not worth a place in every shipped
+    // row anyway. Each row is rebuilt around its columns here.
+    let row = nrc::fresh("row");
+    let fields = q.select.into_iter().map(|(field, o)| {
+        let value = match o {
+            Operand::Col(..) => Expr::Proj(Arc::new(Expr::Var(Arc::clone(&row))), field.clone()),
+            Operand::Lit(v) => Expr::Const(v),
+        };
+        (field, Arc::new(value))
+    });
+    Some(Expr::Ext {
+        kind: CollKind::Set,
+        body: Arc::new(Expr::Single(
+            CollKind::Set,
+            Arc::new(Expr::Record(fields.collect())),
+        )),
+        var: row,
+        source: Arc::new(shipped),
     })
 }
 
@@ -110,14 +140,15 @@ fn recognize(e: &Expr, ctx: &RuleCtx<'_>) -> Option<ConjQuery> {
     walk_body(body, &mut q, ctx)?;
     // Require at least one predicate or an explicit projection narrower
     // than "everything", and at least one output column.
-    if q.select.is_empty() {
+    let columns = q.select.iter().filter(|(_, o)| o.is_col()).count();
+    if columns == 0 {
         return None;
     }
     if q.tables.len() == 1 && q.preds.is_empty() && !q.impossible {
         // A bare projection is still worth shipping only if it actually
         // narrows the row; without schema info assume it does.
         let narrow = match ctx.catalog.table_stats(&q.driver, &q.tables[0].1) {
-            Some(stats) => q.select.len() < stats.columns.len(),
+            Some(stats) => columns < stats.columns.len(),
             None => true,
         };
         if !narrow {
@@ -255,6 +286,7 @@ fn generate_sql(q: &ConjQuery) -> String {
     let select: Vec<String> = q
         .select
         .iter()
+        .filter(|(_, o)| o.is_col())
         .map(|(n, o)| format!("{} as {}", operand_sql(o), n))
         .collect();
     let from: Vec<String> = q

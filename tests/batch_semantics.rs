@@ -8,12 +8,20 @@
 //! flights; the loop body is unchanged and merely attaches to them), so
 //! any divergence here is a real defect in the coalescing window, the
 //! batched reply splitting, or the warm-up's sharing discipline.
+//!
+//! The one exception is a two-hop dependent loop, which batching
+//! *rewrites* (`batch/stage-dependent-remote-loop`): the second half of
+//! this file holds the staged plan to the nested plan, to
+//! `OptConfig::none()` and to `kleisli_exec::reference::eval`, with keys
+//! that fail at either hop.
 
 use std::time::Duration;
 
 use bench_harness::latency_federation;
 use kleisli::Session;
 use kleisli_core::Value;
+use kleisli_exec::{reference, Env};
+use kleisli_opt::OptConfig;
 use proptest::prelude::*;
 
 /// Set comprehension (dedup observable): per-uid link counts.
@@ -162,4 +170,218 @@ fn batched_run_actually_batches() {
         m.batch_requests >= 1 && m.batched_keys >= 16,
         "batching never engaged: {m:?}"
     );
+}
+
+// ------------------------------------------------------------------------
+// Two-hop dependent loops: the staged plan
+// ------------------------------------------------------------------------
+
+/// Hop 1 of the two-hop loops: an accession's sequence uids (the DOE
+/// query's `ASN-IDs`).
+const IDS: &str = r#"define IDS == \acc => flatten(GenBank([db = "na",
+    select = "accession " ^ acc, path = "Seq-entry.seq.id..giim"]));"#;
+
+/// The comprehension brackets and bound key collection of each kind.
+const KINDS: [(&str, &str, &str); 3] = [
+    ("{", "}", "KEYS"),
+    ("{|", "|}", "KEYB"),
+    ("[|", "|]", "KEYL"),
+];
+const LIST: (&str, &str, &str) = KINDS[2];
+
+/// `\k <- KEYS, \uid <- IDS(k.acc)` with the per-uid link count in the
+/// head. The outer element's `bump` is added to the hop-2 key, so the
+/// generator can break a key at either hop: a trailing word in `acc`
+/// fails the hop-1 query, a large `bump` names a uid nobody has.
+fn two_hop((open, close, keys): (&str, &str, &str)) -> String {
+    format!(
+        r#"{open}[a = k.acc, u = uid, n = count(GenBank([db = "na", link = uid + k.bump]))] |
+            \k <- {keys}, \uid <- IDS(k.acc){close}"#
+    )
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    Hop1,
+    Hop2,
+}
+
+/// A session with `IDS` defined and the keys bound as a set, a bag and
+/// a list. `picks` index the accession pool (duplicates welcome: they
+/// become duplicate `(i, o)` pairs in the bag and list loops); each
+/// fault breaks the key at its position, with that position in the
+/// error text so the harness can tell *which* failure was reported.
+fn two_hop_session(picks: &[usize], faults: &[(usize, Fault)]) -> Session {
+    let (mut s, fed) = latency_federation(12, Duration::ZERO);
+    s.run(IDS).expect("define");
+    let pool = &fed.genbank_data.entries;
+    let mut keys: Vec<(String, i64)> = picks
+        .iter()
+        .map(|i| (pool[i % pool.len()].accession.clone(), 0))
+        .collect();
+    for (at, fault) in faults {
+        if keys.is_empty() {
+            break;
+        }
+        let at = at % keys.len();
+        match fault {
+            Fault::Hop1 => keys[at].0 = format!("{} bad{at}", keys[at].0),
+            Fault::Hop2 => keys[at].1 = 9_000_000 + at as i64,
+        }
+    }
+    let vals: Vec<Value> = keys
+        .into_iter()
+        .map(|(acc, bump)| {
+            Value::record_from(vec![("acc", Value::str(acc)), ("bump", Value::Int(bump))])
+        })
+        .collect();
+    s.bind_value("KEYS", Value::set(vals.clone()));
+    s.bind_value("KEYB", Value::bag(vals.clone()));
+    s.bind_value("KEYL", Value::list(vals));
+    s
+}
+
+/// The four readings of one query that must agree: the definitional
+/// semantics of the desugared NRC, the unoptimized plan, the nested
+/// (batching-off) plan and the staged (batching-on) plan — as printed
+/// values or error texts.
+fn four_ways(s: &mut Session, query: &str) -> [Result<String, String>; 4] {
+    let raw = s.compile(query).expect("compile").raw;
+    let by_the_book = reference::eval(&raw, &Env::empty(), &s.context());
+    let mut run = |config: OptConfig| {
+        s.set_opt_config(config);
+        s.query(query)
+    };
+    let naive = run(OptConfig::none());
+    let nested = run(OptConfig {
+        enable_batching: false,
+        ..OptConfig::default()
+    });
+    let staged = run(OptConfig::default());
+    [by_the_book, naive, nested, staged]
+        .map(|r| r.map(|v| v.to_string()).map_err(|e| e.to_string()))
+}
+
+fn fault_picks() -> impl Strategy<Value = Vec<(usize, Fault)>> {
+    let fault = prop_oneof![Just(Fault::Hop1), Just(Fault::Hop2)];
+    proptest::collection::vec((0usize..1000, fault), 0..3)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Up to 40 keys: several 16-key chunks per hop, so chunk
+    /// boundaries, read-ahead and partial chunks all take part.
+    #[test]
+    fn two_hop_loops_match_every_other_reading(
+        picks in proptest::collection::vec(0usize..1000, 0..40),
+        faults in fault_picks(),
+    ) {
+        let mut s = two_hop_session(&picks, &faults);
+        for kind in KINDS {
+            let [by_the_book, naive, nested, staged] = four_ways(&mut s, &two_hop(kind));
+            prop_assert_eq!(&naive, &by_the_book, "unoptimized {} loop", kind.2);
+            prop_assert_eq!(&nested, &by_the_book, "nested {} loop", kind.2);
+            prop_assert_eq!(&staged, &by_the_book, "staged {} loop", kind.2);
+        }
+    }
+
+    /// A list prefix is the same rows in the same order however the loop
+    /// runs — and an error counts only if it precedes the `n`-th row.
+    #[test]
+    fn two_hop_first_n_sees_the_same_prefix(
+        picks in proptest::collection::vec(0usize..1000, 0..40),
+        faults in fault_picks(),
+        n in 0usize..30,
+    ) {
+        let mut s = two_hop_session(&picks, &faults);
+        let query = two_hop(LIST);
+        let prefix = |s: &mut Session, config: OptConfig| {
+            s.set_opt_config(config);
+            s.query_first_n(&query, n).map_err(|e| e.to_string())
+        };
+        let naive = prefix(&mut s, OptConfig::none());
+        let nested = prefix(&mut s, OptConfig { enable_batching: false, ..OptConfig::default() });
+        let staged = prefix(&mut s, OptConfig::default());
+        prop_assert_eq!(&nested, &naive);
+        prop_assert_eq!(&staged, &naive);
+        let raw = s.compile(&query).expect("compile").raw;
+        match (reference::eval(&raw, &Env::empty(), &s.context()), staged) {
+            (Ok(all), staged) => {
+                let all = all.elements().expect("a list");
+                prop_assert_eq!(staged, Ok(all[..n.min(all.len())].to_vec()));
+            }
+            (Err(e), Err(staged)) => prop_assert_eq!(staged, e.to_string()),
+            // The error lies beyond the prefix: nothing to compare it to.
+            (Err(_), Ok(rows)) => prop_assert_eq!(rows.len(), n),
+        }
+    }
+
+    /// Set and bag prefixes arrive in stream order, which staging is
+    /// free to change: hold them to membership and size.
+    #[test]
+    fn two_hop_set_and_bag_prefixes_are_drawn_from_the_result(
+        picks in proptest::collection::vec(0usize..1000, 0..40),
+        n in 0usize..30,
+    ) {
+        let s = two_hop_session(&picks, &[]);
+        for kind in &KINDS[..2] {
+            let query = two_hop(*kind);
+            let all = s.query(&query).expect("query");
+            let all = all.elements().expect("a collection");
+            let got = s.query_first_n(&query, n).expect("prefix");
+            prop_assert_eq!(got.len(), n.min(all.len()));
+            prop_assert!(got.iter().all(|row| all.contains(row)));
+        }
+    }
+}
+
+#[test]
+fn a_bad_key_at_both_hops_reports_the_earlier_element() {
+    // One stage-1 chunk holds both failures. Whichever key comes first
+    // in list order is the one an element-at-a-time evaluation trips
+    // over — even when that is the hop-2 failure and stage 1, run as a
+    // whole, would have hit the later key's hop-1 failure first.
+    let picks: Vec<usize> = (0..12).collect();
+    for (faults, culprit) in [
+        ([(3, Fault::Hop2), (8, Fault::Hop1)], "no entry with uid"),
+        ([(3, Fault::Hop1), (8, Fault::Hop2)], "bad3"),
+    ] {
+        let mut s = two_hop_session(&picks, &faults);
+        for kind in KINDS {
+            let [by_the_book, naive, nested, staged] = four_ways(&mut s, &two_hop(kind));
+            assert_eq!(naive, by_the_book, "{kind:?} {faults:?}");
+            assert_eq!(nested, by_the_book, "{kind:?} {faults:?}");
+            assert_eq!(staged, by_the_book, "{kind:?} {faults:?}");
+            if kind == LIST {
+                let err = staged.expect_err("both keys are bad");
+                assert!(err.contains(culprit), "{faults:?} reported {err}");
+            }
+        }
+        // The rows in front of the failure still arrive.
+        s.set_opt_config(OptConfig::default());
+        assert_eq!(s.query_first_n(&two_hop(LIST), 3).expect("prefix").len(), 3);
+        assert!(s.query_first_n(&two_hop(LIST), 4).is_err());
+    }
+}
+
+#[test]
+fn two_hop_run_actually_stages() {
+    // Guard against the harness silently testing nothing: 40 distinct
+    // keys must stage, and both hops must ride batched wire requests.
+    let picks: Vec<usize> = (0..40).collect();
+    let s = two_hop_session(&picks, &[]);
+    for kind in KINDS {
+        let query = two_hop(kind);
+        assert!(
+            s.explain(&query)
+                .expect("explain")
+                .contains("batch/stage-dependent-remote-loop"),
+            "{kind:?} loop was not staged"
+        );
+        s.reset_metrics();
+        s.query(&query).expect("query");
+        let m = s.driver_metrics("GenBank").expect("metrics");
+        assert_eq!((m.requests, m.batched_keys), (6, 80), "{kind:?}: {m:?}");
+    }
 }

@@ -7,13 +7,19 @@ use std::collections::BTreeMap;
 
 use bio_data::{GdbConfig, GenBankConfig};
 use kleisli::{bio_federation, Session};
+use kleisli_core::testutil::SlowDriver;
 use kleisli_core::{DriverRequest, LatencyModel, Value};
 use nrc::Expr;
+use std::time::Duration;
 
 fn federation() -> (Session, kleisli::BioFederation) {
+    federation_of(400)
+}
+
+fn federation_of(loci: usize) -> (Session, kleisli::BioFederation) {
     let fed = bio_federation(
         &GdbConfig {
-            loci: 400,
+            loci,
             seed: 11,
             ..Default::default()
         },
@@ -158,13 +164,62 @@ fn doe_plan_uses_every_optimization_of_section_4() {
 
 #[test]
 fn doe_query_ships_one_relational_request() {
-    let (session, _fed) = federation();
+    let (session, fed) = federation_of(1200);
+    let loci = fed.gdb_data.expected_loci("22").len() as u64;
+    assert!(loci > 16, "the seed must give each hop more than one chunk");
     session.reset_metrics();
     let _ = session.query(DOE).expect("query");
     let gdb = session.driver_metrics("GDB").expect("gdb metrics");
     assert_eq!(gdb.requests, 1, "Loci22 must be a single shipped SQL query");
+    // Staged, each hop sees all its keys: ceil(n/16) multi-key requests
+    // for the accession look-ups, as many again for the links, and not
+    // one key travelling alone.
     let gb = session.driver_metrics("GenBank").expect("genbank metrics");
-    assert!(gb.requests >= 2, "per-locus Entrez requests happen");
+    assert_eq!(gb.requests, 2 * loci.div_ceil(16), "{gb:?}");
+    assert_eq!(gb.batch_requests, gb.requests, "{gb:?}");
+    assert_eq!(gb.batched_keys, 2 * loci, "{gb:?}");
+}
+
+/// How often `explain` reports the staging rule for `query`.
+fn stagings(session: &Session, query: &str) -> usize {
+    let plan = session.explain(query).expect("explain");
+    plan.lines()
+        .filter(|l| l.contains("batch/stage-dependent-remote-loop"))
+        .map(|l| {
+            let count = l.trim().split(' ').next().expect("`<n> x <rule>`");
+            count.parse::<usize>().expect("a count")
+        })
+        .sum()
+}
+
+#[test]
+fn only_a_dependent_loop_with_two_batchable_hops_is_staged() {
+    let (mut session, _fed) = federation();
+    // A source that answers one key per request.
+    session.register_driver(SlowDriver::new("PLAIN", 1, Duration::ZERO, 2));
+    assert_eq!(stagings(&session, DOE), 1);
+
+    // The inner source does not depend on the outer variable: the second
+    // hop's keys are the same for every locus and nothing is gained.
+    let independent = r#"{[s = locus.locus_symbol, n = count(NA-Links(uid))] |
+        \locus <- Loci22, \uid <- ASN-IDs("M81409")}"#;
+    assert_eq!(stagings(&session, independent), 0);
+    // Either hop on a driver without `Capabilities::batching`.
+    let plain_second = r#"{y.n | \locus <- Loci22, \uid <- ASN-IDs(locus.genbank_ref),
+        \y <- PLAIN([db = "na", link = uid])}"#;
+    assert_eq!(stagings(&session, plain_second), 0);
+    let plain_first = r#"{l.uid | \locus <- Loci22, \h <- PLAIN([class = locus.locus_symbol]),
+        \l <- NA-Links(h.n)}"#;
+    assert_eq!(stagings(&session, plain_first), 0);
+    // Those loops are still parallel ones; it is staging that declined.
+    for query in [independent, plain_second, plain_first] {
+        let plan = session.explain(query).expect("explain");
+        let parallel = "2 x parallel/parallel-remote-inner-loop";
+        assert!(plan.contains(parallel), "{plan}");
+    }
+
+    session.set_batching(false);
+    assert_eq!(stagings(&session, DOE), 0);
 }
 
 #[test]

@@ -434,3 +434,120 @@ fn a_failing_batched_wire_request_fails_every_key_and_charges_the_breaker_once_p
     assert_eq!(m.batched_keys, 8, "{m:?}");
     assert_eq!(res.breaker_state(), Some(BreakerState::Open));
 }
+
+// ---------------------------------------------------------------------------
+// Read-ahead in a staged two-hop loop: one chunk demanded plus one ahead
+// per hop, and nothing left behind when the stream is dropped with the
+// read-ahead chunk's batched request still on the wire.
+// ---------------------------------------------------------------------------
+
+/// 100 keys through two batching drivers, one per hop so each hop's
+/// traffic reads off its own counters. Every request yields the one row
+/// `[n = 0]`, so hop 2 sees one `(i, o)` pair — and one key — per key of
+/// hop 1.
+const TWO_HOP: &str = r#"[| y.n | \x <- KEYL,
+    \h <- HOP1([db = "d", link = x]), \y <- HOP2([db = "d", link = h.n + x]) |]"#;
+const TWO_HOP_KEYS: i64 = 100;
+const MAX_KEYS: u64 = 16;
+const WIDTH: usize = 2;
+
+fn two_hop_session(delay: Duration) -> (Session, [Arc<SlowDriver>; 2]) {
+    let mut s = Session::new();
+    let hops = ["HOP1", "HOP2"].map(|name| {
+        let drv = SlowDriver::new(name, 1, delay, WIDTH);
+        drv.set_batching(Some(BatchPolicy {
+            max_keys: MAX_KEYS as usize,
+        }));
+        s.register_driver(drv.clone());
+        drv
+    });
+    s.bind_value(
+        "KEYL",
+        Value::list((0..TWO_HOP_KEYS).map(Value::Int).collect()),
+    );
+    let plan = s.explain(TWO_HOP).expect("explain");
+    assert!(plan.contains("batch/stage-dependent-remote-loop"), "{plan}");
+    (s, hops)
+}
+
+/// Every batched wire request resolved, every ticket returned, every
+/// guard dropped — and admission never went past the driver's width.
+fn assert_two_hop_quiescent(s: &Session, hops: &[Arc<SlowDriver>; 2]) {
+    let ctx = s.context();
+    for drv in hops {
+        let name = drv.name();
+        wait_until("admission tickets to be released", || {
+            drv.gate.in_flight() == 0
+        });
+        wait_until("pending flights to resolve", || {
+            ctx.resilience(name).expect("registered").pending_flights() == 0
+        });
+        assert!(drv.max_seen.load(Ordering::SeqCst) <= WIDTH, "{name}");
+        assert_eq!(
+            drv.performs.load(Ordering::SeqCst),
+            0,
+            "{name}: a key went alone"
+        );
+    }
+    assert_eq!(
+        ctx.seeded_flights(),
+        0,
+        "a dropped loop left its seeds behind"
+    );
+}
+
+#[test]
+fn a_prefix_over_a_two_hop_loop_reads_one_chunk_ahead_per_hop() {
+    let (s, hops) = two_hop_session(Duration::from_millis(1));
+    assert_eq!(
+        s.query_first_n(TWO_HOP, 1).expect("prefix"),
+        [Value::Int(0)]
+    );
+    assert_two_hop_quiescent(&s, &hops);
+    for drv in &hops {
+        let name = drv.name();
+        let m = s.driver_metrics(name).expect("metrics");
+        assert!(
+            m.batched_keys > MAX_KEYS && m.batched_keys <= 2 * MAX_KEYS,
+            "{name} must ship the demanded chunk and one ahead, not {} keys",
+            m.batched_keys
+        );
+        assert_eq!(drv.batch_performs.load(Ordering::SeqCst), 2, "{name}");
+    }
+
+    // The full drain, for contrast: every key, ceil(100/16) requests.
+    s.reset_metrics();
+    assert_eq!(s.query(TWO_HOP).expect("query").len(), Some(100));
+    assert_two_hop_quiescent(&s, &hops);
+    for name in ["HOP1", "HOP2"] {
+        let m = s.driver_metrics(name).expect("metrics");
+        assert_eq!((m.batched_keys, m.batch_requests), (100, 7), "{name}");
+    }
+}
+
+#[test]
+fn cancelling_a_two_hop_loop_mid_read_ahead_leaves_the_drivers_quiescent() {
+    let (s, hops) = two_hop_session(Duration::from_millis(30));
+    let handle = s.submit(TWO_HOP).expect("submit");
+    // Both of hop 1's warm-ups — the demanded chunk and the one read
+    // ahead — are on the wire before any body has run.
+    wait_until("hop 1's read-ahead to be in flight", || {
+        hops[0].gate.in_flight() == WIDTH
+    });
+    handle.cancel();
+    assert!(matches!(handle.wait(), Err(KError::Cancelled(_))));
+    assert_two_hop_quiescent(&s, &hops);
+    assert_eq!(hops[1].batch_performs.load(Ordering::SeqCst), 0);
+}
+
+#[test]
+fn a_deadline_inside_a_two_hop_loop_leaves_the_drivers_quiescent() {
+    let (s, hops) = two_hop_session(Duration::from_millis(30));
+    let err = s
+        .submit_with_deadline(TWO_HOP, Duration::from_millis(10))
+        .expect("submit")
+        .wait()
+        .unwrap_err();
+    assert!(err.is_timeout(), "expected a timeout, got: {err}");
+    assert_two_hop_quiescent(&s, &hops);
+}

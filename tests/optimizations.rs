@@ -255,3 +255,22 @@ fn a_bag_drawn_from_a_set_counts_each_element_once_on_every_path() {
         );
     }
 }
+
+#[test]
+fn a_constant_head_field_stays_local_when_the_rest_is_pushed_down() {
+    // `select ..., 7 as nonce` is outside the servers' SQL subset: the
+    // columns ship as one query and the constant is added to each row
+    // here.
+    let (mut session, _fed) = federation(200);
+    let query = r#"{[sym = x, ref = y, nonce = 7] |
+        [locus_symbol = \x, locus_id = \a, ...] <- GDB-Tab("locus"),
+        [genbank_ref = \y, object_id = a, ...] <- GDB-Tab("object_genbank_eref")}"#;
+    session.reset_metrics();
+    let pushed = session.query(query).expect("a constant head field");
+    let gdb = session.driver_metrics("GDB").unwrap();
+    assert_eq!(gdb.requests, 1, "still one SQL query");
+    assert!(!pushed.elements().expect("a set").is_empty());
+
+    session.set_opt_config(OptConfig::none());
+    assert_eq!(pushed, session.query(query).expect("naive"));
+}
