@@ -10,7 +10,7 @@
 //!
 //! * [`store`] — classes, named objects with OIDs, tag-value trees.
 //! * [`mod@format`] — the `.ace` bulk-load text format (parse and print).
-//! * [`server`] — the ACE `Driver` for `[class = ..., name = ...]`
+//! * [`server`] — the ACE `Source` for `[class = ..., name = ...]`
 //!   requests.
 
 pub mod format;
@@ -18,5 +18,5 @@ pub mod server;
 pub mod store;
 
 pub use format::{parse_ace, print_ace};
-pub use server::AceServer;
+pub use server::{Ace, AceServer};
 pub use store::AceStore;

@@ -1,39 +1,24 @@
-//! The ACE `Driver`: serves class scans and named-object fetches through
-//! the two-phase submit/handle API, with the server's tolerated request
-//! concurrency enforced by its worker pool (at most
-//! `ACE_CONCURRENT_REQUESTS` threads, reused across requests) and rows
-//! prefetched a bounded distance ahead of the consumer.
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+//! The ACE `Source`: answers class scans and named-object fetches. Served
+//! through the shared remote-driver shell, which enforces the tolerated
+//! request concurrency advertised here and prefetches rows a bounded
+//! distance ahead of the consumer.
 
 use parking_lot::RwLock;
 
 use kleisli_core::{
-    Capabilities, Driver, DriverMetrics, DriverRequest, KError, KResult, LatencyModel,
-    MetricsSnapshot, Oid, RequestHandle, ResiliencePolicy, Value, WorkerPool, charged_blocks,
-    BlockStream,
+    Capabilities, DriverRequest, KError, KResult, LatencyModel, Oid, Remote, ResiliencePolicy,
+    Source, Value,
 };
 
 use crate::store::AceStore;
 
-/// A served ACE database.
-pub struct AceServer {
-    core: Arc<AceCore>,
-    pool: WorkerPool,
+/// The data half of a served ACE database.
+pub struct Ace {
+    store: RwLock<AceStore>,
 }
 
-/// Shared server state, `Arc`'d for the request workers.
-struct AceCore {
-    name: String,
-    store: RwLock<AceStore>,
-    latency: Arc<LatencyModel>,
-    metrics: Arc<DriverMetrics>,
-    /// Reachability knob: `false` simulates the lab workstation being
-    /// down — requests fail with a retryable `KError::Transport` so the
-    /// resilience layer can retry them and the breaker counts them.
-    available: AtomicBool,
-}
+/// A served ACE database.
+pub type AceServer = Remote<Ace>;
 
 /// ACE servers of the era tolerated only a few concurrent clients.
 const ACE_CONCURRENT_REQUESTS: usize = 4;
@@ -46,122 +31,64 @@ const ACE_CONCURRENT_REQUESTS: usize = 4;
 /// transfer cost — with instant rows there is no latency to hide.
 pub const ACE_PREFETCH_ROWS: usize = 8;
 
-impl AceServer {
-    pub fn new(name: impl Into<String>, store: AceStore, latency: LatencyModel) -> AceServer {
-        let core = Arc::new(AceCore {
-            name: name.into(),
+impl From<AceStore> for Ace {
+    fn from(store: AceStore) -> Ace {
+        Ace {
             store: RwLock::new(store),
-            latency: Arc::new(latency),
-            metrics: Arc::new(DriverMetrics::default()),
-            available: AtomicBool::new(true),
-        });
-        let pool = WorkerPool::new(
-            "ace",
-            ACE_CONCURRENT_REQUESTS,
-            Some(Arc::clone(&core.metrics)),
-        );
-        AceServer { core, pool }
+        }
     }
+}
 
+impl Ace {
     pub fn with_store<R>(&self, f: impl FnOnce(&mut AceStore) -> R) -> R {
-        f(&mut self.core.store.write())
+        f(&mut self.store.write())
     }
 
     /// Resolve an object identity (used by the session's `deref`).
     pub fn deref(&self, oid: &Oid) -> KResult<Value> {
-        self.core.store.read().deref(oid)
-    }
-
-    /// Simulate the server (un)reachable: while `false`, every request
-    /// fails with a retryable transport error. Fault injection for the
-    /// resilience tests and benchmarks.
-    pub fn set_available(&self, up: bool) {
-        self.core.available.store(up, Ordering::Release);
+        self.store.read().deref(oid)
     }
 }
 
-impl AceCore {
-    fn perform(&self, req: &DriverRequest) -> KResult<BlockStream> {
-        self.metrics.record_request();
-        if !self.available.load(Ordering::Acquire) {
-            return Err(KError::transport(&self.name, "connection refused"));
-        }
-        self.latency.charge_request();
-        let rows: Vec<Value> = match req {
-            DriverRequest::AceFetch { class, name } => {
-                let store = self.store.read();
-                match name {
-                    Some(n) => {
-                        let obj = store.find(class, n).ok_or_else(|| {
-                            KError::driver(
-                                &self.name,
-                                format!("no object {class}:\"{n}\""),
-                            )
-                        })?;
-                        vec![obj.to_value()]
-                    }
-                    None => store.class(class).iter().map(|o| o.to_value()).collect(),
-                }
-            }
-            other => {
-                return Err(KError::driver(
-                    &self.name,
-                    format!("unsupported request: {}", other.describe()),
-                ))
-            }
-        };
-        Ok(charged_blocks(
-            rows,
-            Arc::clone(&self.latency),
-            Arc::clone(&self.metrics),
-        ))
-    }
-}
-
-impl Driver for AceServer {
-    fn name(&self) -> &str {
-        &self.core.name
-    }
-
-    fn capabilities(&self) -> Capabilities {
+impl Source for Ace {
+    fn capabilities(&self, latency: &LatencyModel) -> Capabilities {
         Capabilities {
             max_concurrent_requests: ACE_CONCURRENT_REQUESTS,
             // 0 unless the latency model realizes a real per-row sleep:
             // prefetch pipelines wall-clock transfer latency only.
-            prefetch_rows: self.core.latency.effective_prefetch(ACE_PREFETCH_ROWS),
+            prefetch_rows: latency.effective_prefetch(ACE_PREFETCH_ROWS),
             // a remote source: advertise retry + circuit breaking
             resilience: ResiliencePolicy::standard(),
             ..Capabilities::default()
         }
     }
 
-    fn perform(&self, req: &DriverRequest) -> KResult<BlockStream> {
-        self.core.perform(req)
-    }
-
-    fn submit(&self, req: &DriverRequest) -> KResult<RequestHandle> {
-        let core = Arc::clone(&self.core);
-        let req = req.clone();
-        let prefetch = self.capabilities().prefetch_rows;
-        Ok(self.pool.submit(prefetch, move || core.perform(&req)))
-    }
-
-    fn nonblocking_submit(&self) -> bool {
-        true
-    }
-
-    fn metrics(&self) -> MetricsSnapshot {
-        self.core.metrics.snapshot()
-    }
-
-    fn reset_metrics(&self) {
-        self.core.metrics.reset();
+    fn answer(&self, driver: &str, req: &DriverRequest) -> KResult<Vec<Value>> {
+        match req {
+            DriverRequest::AceFetch { class, name } => {
+                let store = self.store.read();
+                match name {
+                    Some(n) => {
+                        let obj = store.find(class, n).ok_or_else(|| {
+                            KError::driver(driver, format!("no object {class}:\"{n}\""))
+                        })?;
+                        Ok(vec![obj.to_value()])
+                    }
+                    None => Ok(store.class(class).iter().map(|o| o.to_value()).collect()),
+                }
+            }
+            other => Err(KError::driver(
+                driver,
+                format!("unsupported request: {}", other.describe()),
+            )),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kleisli_core::Driver;
 
     fn server() -> AceServer {
         let mut store = AceStore::new();
@@ -179,7 +106,7 @@ mod tests {
                 vec![("Length".into(), vec![Value::Int(900)])],
             )
             .unwrap();
-        AceServer::new("ACE22", store, LatencyModel::instant())
+        AceServer::serve("ACE22", store.into(), LatencyModel::instant())
     }
 
     #[test]

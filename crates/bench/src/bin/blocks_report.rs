@@ -138,7 +138,7 @@ fn main() {
     );
     let (prefetched, pulled, blocks_shipped) = pre_drivers
         .iter()
-        .map(|d| d.metrics.snapshot())
+        .map(|d| d.counters().snapshot())
         .fold((0u64, 0u64, 0u64), |acc, m| {
             (
                 acc.0 + m.rows_prefetched,
@@ -194,7 +194,7 @@ fn main() {
     );
     let (guard_prefetched, guard_blocks) = guard_drivers
         .iter()
-        .map(|d| d.metrics.snapshot())
+        .map(|d| d.counters().snapshot())
         .fold((0u64, 0u64), |acc, m| {
             (acc.0 + m.rows_prefetched, acc.1 + m.blocks_shipped)
         });

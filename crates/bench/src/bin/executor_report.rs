@@ -104,7 +104,7 @@ fn main() {
     );
     let (scan_prefetched, scan_pulled) = pre_drivers
         .iter()
-        .map(|d| d.metrics.snapshot())
+        .map(|d| d.counters().snapshot())
         .fold((0u64, 0u64), |acc, m| {
             (acc.0 + m.rows_prefetched, acc.1 + m.rows_pulled)
         });
@@ -167,7 +167,7 @@ fn main() {
             2,
             ceiling,
         );
-        let metrics = Arc::clone(&driver.metrics);
+        let metrics = Arc::clone(driver.counters());
         let stream = kleisli_core::Driver::submit(
             &*driver,
             &kleisli_core::DriverRequest::TableScan {

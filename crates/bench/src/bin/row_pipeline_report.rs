@@ -99,7 +99,7 @@ fn main() {
     );
     let pre_metrics = pre_drivers
         .iter()
-        .map(|d| d.metrics.snapshot())
+        .map(|d| d.counters().snapshot())
         .fold((0u64, 0u64), |acc, m| {
             (acc.0 + m.rows_prefetched, acc.1 + m.rows_pulled)
         });
@@ -115,7 +115,7 @@ fn main() {
     );
     let guard_prefetched: u64 = guard_drivers
         .iter()
-        .map(|d| d.metrics.snapshot().rows_prefetched)
+        .map(|d| d.counters().snapshot().rows_prefetched)
         .sum();
     assert_eq!(guard_prefetched, 0, "prefetch_rows = 0 must prefetch nothing");
 

@@ -281,7 +281,7 @@ mod tests {
     #[test]
     fn loads_into_entrez_and_fetches_by_accession() {
         let (gdb, gb) = data();
-        let server = EntrezServer::new("GenBank", LatencyModel::instant());
+        let server = EntrezServer::serve("GenBank", Default::default(), LatencyModel::instant());
         gb.load(&server, "na").unwrap();
         let locus = gdb
             .loci
@@ -308,7 +308,7 @@ mod tests {
     #[test]
     fn links_resolve_with_organisms() {
         let (_, gb) = data();
-        let server = EntrezServer::new("GenBank", LatencyModel::instant());
+        let server = EntrezServer::serve("GenBank", Default::default(), LatencyModel::instant());
         gb.load(&server, "na").unwrap();
         let some_linked = gb.links[0].0;
         let links: Vec<Value> = server

@@ -40,17 +40,23 @@
 //!
 //! # The worker pool
 //!
-//! Drivers that model real remote servers own a
-//! [`crate::pool::WorkerPool`] and submit through it: at most
-//! [`Capabilities::concurrency_limit`] worker threads per driver (the
-//! paper's "say five" tolerated requests), spawned lazily and reused
-//! across requests, so queued submissions cost a deque slot, not an OS
-//! thread. Workers consume [`RequestGate`] admission tickets at pickup
-//! time, making the limit *enforced admission*, not advisory metadata.
-//! When the driver also advertises [`Capabilities::prefetch_rows`], the
-//! worker that performed a request keeps pulling up to that many rows
-//! into a bounded buffer ahead of the consumer, pipelining per-row
-//! transfer latency as well (see `crate::pool` for the full story).
+//! Drivers that model real remote servers do not implement this trait by
+//! hand: they implement [`crate::remote::Source`] — the blocking,
+//! data-only half (`capabilities` + "answer this request") — and are
+//! served through the one shell, [`crate::remote::Remote`], which owns
+//! the registered name, latency model, traffic counters and the only
+//! [`crate::pool::WorkerPool`] constructed in the workspace. **A new
+//! source is one file: implement `Source`.** The shell's pool runs at
+//! most [`Capabilities::concurrency_limit`] worker threads per driver
+//! (the paper's "say five" tolerated requests), spawned lazily and
+//! reused across requests, so queued submissions cost a deque slot, not
+//! an OS thread. Workers consume [`RequestGate`] admission tickets at
+//! pickup time, making the limit *enforced admission*, not advisory
+//! metadata. When the source also advertises
+//! [`Capabilities::prefetch_rows`], the worker that performed a request
+//! keeps pulling up to that many rows into a bounded buffer ahead of the
+//! consumer, pipelining per-row transfer latency as well (see
+//! `crate::pool` for the full story).
 //!
 //! All handle blocking is built on the shared one-shot promise in
 //! [`crate::oneshot`] — the same primitive the session-level
@@ -237,8 +243,8 @@ impl Default for Capabilities {
 impl Capabilities {
     /// The enforced admission limit, normalized: a declared `0` (admit
     /// nothing — meaningless) is treated as `1` (strictly serial). Both
-    /// the optimizer's parallel rule and [`RequestGate::for_capabilities`]
-    /// read this, never the raw field.
+    /// the optimizer's parallel rule and the shell sizing its pool
+    /// ([`crate::remote::Remote::serve`]) read this, never the raw field.
     pub fn concurrency_limit(&self) -> usize {
         self.max_concurrent_requests.max(1)
     }
@@ -553,11 +559,6 @@ impl RequestGate {
             in_flight: Mutex::new(0),
             cv: Condvar::new(),
         })
-    }
-
-    /// A gate sized by a driver's declared capabilities.
-    pub fn for_capabilities(caps: &Capabilities) -> Arc<RequestGate> {
-        RequestGate::new(caps.concurrency_limit())
     }
 
     /// The admission limit this gate enforces.
@@ -955,12 +956,12 @@ pub trait Driver: Send + Sync {
     ///
     /// The default adapter runs [`Driver::perform`] inline and returns an
     /// already-completed handle, so simple (local / test) drivers stay
-    /// one method. Drivers simulating remote servers override this by
-    /// submitting `perform` through their [`crate::pool::WorkerPool`],
-    /// making submission genuinely non-blocking, the concurrency budget
-    /// enforced (pool threads + admission gate), and — when
-    /// [`Capabilities::prefetch_rows`] is advertised — row transfer
-    /// pipelined ahead of the consumer.
+    /// one method. Remote sources get the pooled override from
+    /// [`crate::remote::Remote`], which submits `perform` through its
+    /// [`crate::pool::WorkerPool`], making submission genuinely
+    /// non-blocking, the concurrency budget enforced (pool threads +
+    /// admission gate), and — when [`Capabilities::prefetch_rows`] is
+    /// advertised — row transfer pipelined ahead of the consumer.
     fn submit(&self, req: &DriverRequest) -> KResult<RequestHandle> {
         Ok(RequestHandle::ready(self.perform(req)?))
     }
@@ -997,8 +998,8 @@ pub trait Driver: Send + Sync {
     /// Submit one batched wire request without waiting, delivering the
     /// outcome through `complete` (called exactly once). Returns the
     /// pool handle keeping the wire request alive, or `None` when the
-    /// work ran inline (the default adapter). Pool drivers override
-    /// this to route [`Driver::batch`] through their worker pool so the
+    /// work ran inline (the default adapter). [`crate::remote::Remote`]
+    /// routes [`Driver::batch`] through its worker pool so the
     /// whole batch consumes **one admission ticket** — the
     /// ticket-per-wire-request invariant of [`crate::batch`].
     fn submit_batch(
@@ -1096,7 +1097,6 @@ mod tests {
             ..Capabilities::default()
         };
         assert_eq!(zero.concurrency_limit(), 1, "0 normalizes to serial");
-        assert_eq!(RequestGate::for_capabilities(&zero).limit(), 1);
     }
 
     #[test]

@@ -302,12 +302,12 @@ impl ExecCore {
     }
 }
 
-/// One [`Executor::run_all`] call in flight: the shared item list the
-/// caller and any helping workers drain together, the slot-per-task
-/// result vector, and the completion latch.
 /// An indexed batch task: original slot plus the work to run there.
 type BatchTask<T> = (usize, Box<dyn FnOnce() -> T + Send>);
 
+/// One [`Executor::run_all`] call in flight: the shared item list the
+/// caller and any helping workers drain together, the slot-per-task
+/// result vector, and the completion latch.
 struct Batch<T> {
     pending: Mutex<VecDeque<BatchTask<T>>>,
     results: Mutex<Vec<Option<T>>>,

@@ -19,7 +19,10 @@
 //!   statistics, and traffic metrics.
 //! * [`batch`] — batched multi-key wire round-trips and the per-key
 //!   flights (keyed by request hash) their consumers attach to.
-//! * [`pool`] — per-driver worker pools and the adaptive row-prefetch
+//! * [`remote`] — the one remote-driver shell: `Remote<S: Source>` owns
+//!   the name, pool, gate, latency model and counters; a new source is
+//!   one `Source` impl.
+//! * [`pool`] — the shell's worker pool and the adaptive row-prefetch
 //!   buffer (row-pipelined execution).
 //! * [`executor`] — the shared session-level compute executor behind
 //!   query workers and `ParExt` chunk evaluation.
@@ -45,6 +48,7 @@ pub mod latency;
 pub mod oneshot;
 pub mod pool;
 pub mod print;
+pub mod remote;
 pub mod remy;
 pub mod resilience;
 pub mod testutil;
@@ -62,7 +66,7 @@ pub use error::{KError, KResult};
 pub use executor::Executor;
 pub use latency::{LatencyModel, RttEstimator};
 pub use oneshot::{OneShot, PromiseState, Pulsable, WaitFor};
-pub use pool::WorkerPool;
+pub use remote::{Remote, Source};
 pub use remy::{CachedProjector, Directory, RemyRecord};
 pub use resilience::{
     BreakerPolicy, BreakerState, CancelToken, CircuitBreaker, DriverResilience, HedgePolicy,

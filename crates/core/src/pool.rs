@@ -13,7 +13,10 @@
 //! from the driver's [`RequestGate`] are consumed by workers at the
 //! moment they pick a request up, never by parked threads, and
 //! cancelling a still-queued request simply removes it from the deque —
-//! no thread ever existed for it.
+//! no thread ever existed for it. Exactly one place constructs a pool:
+//! the remote-driver shell [`crate::remote::Remote`], which names it
+//! after the registered source so every error the pool raises (request
+//! panic, stream panic, deadline) is labelled with that name.
 //!
 //! # Row prefetch, in blocks
 //!
@@ -475,12 +478,7 @@ impl PoolCore {
             // prefetch for it would burn this worker on per-row latency
             // nobody will consume.
             Ok(stream) if prefetch > 0 && !shared.is_cancelled() => {
-                let buf = RowBuf::new(
-                    stream,
-                    prefetch,
-                    Arc::downgrade(self),
-                    self.metrics.clone(),
-                );
+                let buf = RowBuf::new(stream, prefetch, self);
                 // Resolve first so waiters start consuming while this
                 // worker works ahead of them.
                 shared.resolve_stream(Ok(PrefetchedStream::boxed(Arc::clone(&buf))));
@@ -538,9 +536,13 @@ impl PoolCore {
 /// workers and on consumers holding shared buffer state; letting a
 /// stream panic unwind through either would leak the `pulling` flag (or
 /// the worker itself), wedging every waiter.
-fn guarded_next_block(s: &mut BlockStream, max_rows: usize) -> Result<Option<ValueBlock>, KError> {
+fn guarded_next_block(
+    driver: &str,
+    s: &mut BlockStream,
+    max_rows: usize,
+) -> Result<Option<ValueBlock>, KError> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.next_block(max_rows)))
-        .map_err(|_| KError::driver("worker-pool", "driver panicked while streaming rows"))
+        .map_err(|_| KError::driver(driver, "driver panicked while streaming rows"))
 }
 
 /// Drop a poisoned stream without letting a panicking `Drop` unwind.
@@ -602,17 +604,14 @@ pub(crate) struct RowBuf {
     /// Rows per refill block — tied to the prefetch window (module
     /// docs, "Block geometry").
     block_rows: usize,
+    /// The pool's (== its driver's) name, labelling a stream panic.
+    driver: String,
     pool: Weak<PoolCore>,
     metrics: Option<Arc<DriverMetrics>>,
 }
 
 impl RowBuf {
-    fn new(
-        stream: BlockStream,
-        prefetch_rows: usize,
-        pool: Weak<PoolCore>,
-        metrics: Option<Arc<DriverMetrics>>,
-    ) -> Arc<RowBuf> {
+    fn new(stream: BlockStream, prefetch_rows: usize, pool: &Arc<PoolCore>) -> Arc<RowBuf> {
         // A quarter-window block keeps at least ~4 wakes per window (so
         // the adaptive depth still has decisions to take) while large
         // windows ship DEFAULT_BLOCK_ROWS-row batches. Floor division
@@ -637,8 +636,9 @@ impl RowBuf {
             cv: Condvar::new(),
             max_depth,
             block_rows,
-            pool,
-            metrics,
+            driver: pool.name.clone(),
+            pool: Arc::downgrade(pool),
+            metrics: pool.metrics.clone(),
         })
     }
 
@@ -663,7 +663,7 @@ impl RowBuf {
     ) -> (std::sync::MutexGuard<'b, BufState>, Option<ValueBlock>) {
         drop(st);
         let t0 = Instant::now();
-        let item = guarded_next_block(&mut s, max_rows);
+        let item = guarded_next_block(&buf.driver, &mut s, max_rows);
         let took = t0.elapsed();
         let mut st = buf.lock();
         st.pulling = false;

@@ -1334,12 +1334,12 @@ mod tests {
             handles.into_iter().map(|h| h.wait().expect("reply")).collect();
         assert_eq!(d.performs.load(Ordering::SeqCst), 4);
         assert_eq!(res.metrics_snapshot().coalesced, 0);
-        assert_eq!(d.metrics.snapshot().rows_shipped, 0, "nothing ships until pulled");
+        assert_eq!(d.counters().snapshot().rows_shipped, 0, "nothing ships until pulled");
         for s in &mut streams {
             assert_eq!(s.next_block(1).expect("first row").len(), 1);
         }
         assert_eq!(
-            d.metrics.snapshot().rows_shipped,
+            d.counters().snapshot().rows_shipped,
             4,
             "one row per pull: a materialized reply would have shipped all 400"
         );

@@ -1,19 +1,18 @@
-//! Instrumented driver test-double shared by the concurrency test suites
-//! (and a minimal reference implementation of the pooled two-phase
-//! [`Driver::submit`]): every request charges a configurable per-request
-//! latency on its pool worker — and optionally a per-row transfer
-//! latency on whoever pulls each row — tracks the high-water mark of
-//! concurrent `perform`s, and enforces its declared
-//! `max_concurrent_requests` through a per-driver [`WorkerPool`] — the
-//! same structure as the real Sybase/Entrez/ACE servers. Construct with
+//! Instrumented source test-double shared by the concurrency test suites:
+//! [`SlowDriver`] is the production shell ([`Remote`]) over a
+//! [`SlowSource`], so pooling, admission, prefetch and batching under test
+//! are the very code the Sybase/Entrez/ACE servers ship. Every request
+//! costs a configurable delay of worker time — and optionally a per-row
+//! transfer latency on whoever pulls each row — and the source tracks the
+//! high-water mark of concurrent requests. Construct with
 //! [`SlowDriver::pipelined`] to also advertise a row-prefetch depth and
 //! exercise the row-pipelined execution path.
 //!
-//! For the resilience test suites the driver can also be put into a
-//! [`Fault`] mode: never answering, stalling mid-stream, failing the
-//! next N requests with transport errors, or spiking the latency of
-//! every k-th request. Wedged workers block on an internal latch until
-//! [`SlowDriver::release_wedged`] lets them finish, so tests can assert
+//! For the resilience test suites the source can also be put into a
+//! [`Fault`] mode: never answering, failing the next N requests with
+//! transport errors, or spiking the latency of every k-th request. Wedged
+//! workers block on an internal latch until
+//! [`SlowSource::release_wedged`] lets them finish, so tests can assert
 //! that abandoning a wedged round-trip neither blocks the caller nor
 //! leaks the admission ticket — and still exit with every thread joined.
 
@@ -21,33 +20,26 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use crate::batch::{BatchPolicy, SharedReply};
-use crate::block::{blocks_of_rows, BlockSource, BlockStream, ValueBlock, DEFAULT_BLOCK_ROWS};
-use crate::driver::{
-    BatchCompletion, BatchReply, Capabilities, Driver, DriverMetrics, DriverRequest,
-    MetricsSnapshot, RequestGate, RequestHandle,
-};
+use crate::batch::BatchPolicy;
+use crate::driver::{Capabilities, DriverRequest};
 use crate::error::{KError, KResult};
 use crate::latency::LatencyModel;
-use crate::pool::WorkerPool;
+use crate::remote::{Remote, Source};
 use crate::resilience::ResiliencePolicy;
 use crate::value::Value;
 
-/// An injectable failure mode for [`SlowDriver`].
+/// An injectable failure mode for [`SlowSource`].
 #[derive(Debug, Clone)]
 pub enum Fault {
     /// Healthy: behave exactly as configured (the default).
     None,
     /// Requests wedge before producing any rows and hold their worker
-    /// until [`SlowDriver::release_wedged`] — the "source fell off the
+    /// until [`SlowSource::release_wedged`] — the "source fell off the
     /// network mid-round-trip" scenario deadlines exist for.
     NeverRespond,
-    /// Requests answer normally but the *stream* wedges after yielding
-    /// this many rows — the mid-stream stall scenario.
-    StallAfterRows(usize),
     /// The next N requests fail with a retryable [`KError::Transport`]
-    /// error, then the driver recovers — the retry-then-succeed
-    /// scenario. (The counter is armed by [`SlowDriver::set_fault`].)
+    /// error, then the source recovers — the retry-then-succeed
+    /// scenario. (The counter is armed by [`SlowSource::set_fault`].)
     FailRequests(u32),
     /// Every `every`-th request (1-based) takes `extra` longer — the
     /// straggler scenario hedging exists for.
@@ -67,13 +59,6 @@ struct WedgeLatch {
 }
 
 impl WedgeLatch {
-    fn new() -> WedgeLatch {
-        WedgeLatch {
-            released: Mutex::new(false),
-            cv: Condvar::new(),
-        }
-    }
-
     fn wedge(&self) {
         let mut released = self.released.lock().unwrap_or_else(|e| e.into_inner());
         while !*released {
@@ -90,42 +75,33 @@ impl WedgeLatch {
     }
 }
 
-/// Fault-injection state shared between the driver facade and the work
-/// closures already queued on pool workers.
-struct FaultState {
+/// A simulated slow source for concurrency tests, served through the
+/// production shell.
+pub type SlowDriver = Remote<SlowSource>;
+
+/// The data half of [`SlowDriver`]: `rows` records per request after
+/// `delay` of worker time. The instrumentation counters are public so
+/// tests can assert on them directly (through the shell's `Deref`).
+pub struct SlowSource {
+    rows: i64,
+    delay: Duration,
+    limit: usize,
+    prefetch: usize,
+    /// Requests inside the source right now.
+    pub current: Arc<AtomicUsize>,
+    /// High-water mark of `current`.
+    pub max_seen: Arc<AtomicUsize>,
+    /// Total per-request round-trips ([`Source::answer`] invocations).
+    pub performs: Arc<AtomicU64>,
+    /// Total batched wire round-trips ([`Source::answer_batch`]
+    /// invocations).
+    pub batch_performs: Arc<AtomicU64>,
     fault: Mutex<Fault>,
     /// Requests still owed a transport failure under `FailRequests`.
     fail_remaining: AtomicU64,
     /// Monotonic request number (1-based), for `SpikeEvery`.
     seq: AtomicU64,
     wedge: WedgeLatch,
-}
-
-/// A simulated slow source for concurrency tests. The instrumentation
-/// counters are public so tests can assert on them directly.
-pub struct SlowDriver {
-    name: String,
-    rows: i64,
-    limit: usize,
-    prefetch: usize,
-    /// Request/row latency model (real sleeps).
-    latency: Arc<LatencyModel>,
-    /// The request worker pool (sized to `limit`; public so tests can
-    /// watch thread growth).
-    pub pool: WorkerPool,
-    /// The admission gate (public so tests can watch tickets drain).
-    pub gate: Arc<RequestGate>,
-    /// Requests inside `perform` right now.
-    pub current: Arc<AtomicUsize>,
-    /// High-water mark of `current`.
-    pub max_seen: Arc<AtomicUsize>,
-    /// Total `perform` invocations.
-    pub performs: Arc<AtomicU64>,
-    /// Total batched wire round-trips ([`Driver::batch`] invocations).
-    pub batch_performs: Arc<AtomicU64>,
-    /// Traffic counters (rows shipped, rows prefetched/pulled, ...).
-    pub metrics: Arc<DriverMetrics>,
-    faults: Arc<FaultState>,
     /// The resilience policy advertised in `Capabilities`.
     policy: Mutex<ResiliencePolicy>,
     /// The batching advertisement in `Capabilities` (default: none).
@@ -136,7 +112,7 @@ impl SlowDriver {
     /// A driver named `name` yielding `rows` records per request, each
     /// request costing `delay` of worker time, admitting at most `limit`
     /// requests at once. Rows transfer instantly and are never
-    /// prefetched — the PR-3-identical fully-lazy configuration.
+    /// prefetched — the fully-lazy configuration.
     pub fn new(name: &str, rows: i64, delay: Duration, limit: usize) -> Arc<SlowDriver> {
         SlowDriver::pipelined(name, rows, delay, Duration::ZERO, limit, 0)
     }
@@ -144,7 +120,8 @@ impl SlowDriver {
     /// The fully-configurable constructor: per-request latency `delay`,
     /// per-row transfer latency `row_delay` (charged on whichever thread
     /// pulls the row — the consumer's when lazy, a pool worker's when
-    /// prefetched), and a row-prefetch advertisement of `prefetch_rows`.
+    /// prefetched), and a row-prefetch advertisement of `prefetch_rows`
+    /// (ungated: prefetch is exercised even with instant rows).
     pub fn pipelined(
         name: &str,
         rows: i64,
@@ -153,242 +130,118 @@ impl SlowDriver {
         limit: usize,
         prefetch_rows: usize,
     ) -> Arc<SlowDriver> {
-        let metrics = Arc::new(DriverMetrics::default());
-        let pool = WorkerPool::new(name, limit, Some(Arc::clone(&metrics)));
-        let gate = Arc::clone(pool.gate());
-        Arc::new(SlowDriver {
-            name: name.into(),
+        let source = SlowSource {
             rows,
+            delay,
             limit,
             prefetch: prefetch_rows,
-            latency: Arc::new(LatencyModel::real(delay, row_delay)),
-            pool,
-            gate,
             current: Arc::new(AtomicUsize::new(0)),
             max_seen: Arc::new(AtomicUsize::new(0)),
             performs: Arc::new(AtomicU64::new(0)),
             batch_performs: Arc::new(AtomicU64::new(0)),
-            metrics,
-            faults: Arc::new(FaultState {
-                fault: Mutex::new(Fault::None),
-                fail_remaining: AtomicU64::new(0),
-                seq: AtomicU64::new(0),
-                wedge: WedgeLatch::new(),
-            }),
+            fault: Mutex::new(Fault::None),
+            fail_remaining: AtomicU64::new(0),
+            seq: AtomicU64::new(0),
+            wedge: WedgeLatch {
+                released: Mutex::new(false),
+                cv: Condvar::new(),
+            },
             policy: Mutex::new(ResiliencePolicy::default()),
             batching: Mutex::new(None),
-        })
+        };
+        // The source sleeps `delay` itself, inside its concurrency
+        // bracket; the shell's model carries the per-row cost only.
+        let latency = LatencyModel::real(Duration::ZERO, row_delay);
+        Arc::new(Remote::serve(name, source, latency))
     }
+}
 
+impl SlowSource {
     /// Arm (or clear, with [`Fault::None`]) a failure mode. Applies to
     /// requests *started* after this call; `FailRequests(n)` arms a
     /// countdown of `n` transport failures.
     pub fn set_fault(&self, fault: Fault) {
-        if let Fault::FailRequests(n) = fault {
-            self.faults.fail_remaining.store(n as u64, Ordering::SeqCst);
-        } else {
-            self.faults.fail_remaining.store(0, Ordering::SeqCst);
-        }
-        *self.faults.fault.lock().unwrap_or_else(|e| e.into_inner()) = fault;
+        let owed = match fault {
+            Fault::FailRequests(n) => u64::from(n),
+            _ => 0,
+        };
+        self.fail_remaining.store(owed, Ordering::SeqCst);
+        *self.fault.lock().unwrap_or_else(|e| e.into_inner()) = fault;
     }
 
     /// Release every wedged request (current and future): the
-    /// never-responding / stalled work completes normally from here on.
-    /// Tests call this before dropping the driver so abandoned workers
-    /// finish, notice their stolen tickets, and retire — leaving the
-    /// process with no leaked threads.
+    /// never-responding work completes normally from here on. Tests call
+    /// this before dropping the driver so abandoned workers finish,
+    /// notice their stolen tickets, and retire — leaving the process
+    /// with no leaked threads.
     pub fn release_wedged(&self) {
-        self.faults.wedge.release();
+        self.wedge.release();
     }
 
-    /// How many requests have *started* running (includes wedged and
-    /// failed ones, unlike `performs` which they also count — this is
-    /// the `SpikeEvery` sequence number).
+    /// How many wire requests have *started* running (includes wedged
+    /// and failed ones — this is the `SpikeEvery` sequence number).
     pub fn requests_started(&self) -> u64 {
-        self.faults.seq.load(Ordering::SeqCst)
+        self.seq.load(Ordering::SeqCst)
     }
 
-    /// Override the [`ResiliencePolicy`] this driver advertises in its
+    /// Override the [`ResiliencePolicy`] this source advertises in its
     /// [`Capabilities`] (the default advertises everything off).
     pub fn set_resilience(&self, policy: ResiliencePolicy) {
         *self.policy.lock().unwrap_or_else(|e| e.into_inner()) = policy;
     }
 
     /// Advertise (or withdraw, with `None`) a [`BatchPolicy`] in this
-    /// driver's [`Capabilities`], turning on the batched wire path for
+    /// source's [`Capabilities`], turning on the batched wire path for
     /// its resilience state.
     pub fn set_batching(&self, policy: Option<BatchPolicy>) {
         *self.batching.lock().unwrap_or_else(|e| e.into_inner()) = policy;
     }
 
-    /// One batched wire round-trip serving `n_reqs` logical keys:
-    /// charges one request admission and one request latency, then
-    /// packs each key's rows (per-row latency and traffic counted as
-    /// usual). Fault modes apply to the whole wire request.
-    #[allow(clippy::too_many_arguments)] // mirrors `run`, one slot per knob
-    fn run_batch(
-        name: &str,
-        rows: i64,
-        n_reqs: usize,
-        latency: &Arc<LatencyModel>,
-        current: &AtomicUsize,
-        max_seen: &AtomicUsize,
-        batch_performs: &AtomicU64,
-        metrics: &Arc<DriverMetrics>,
-        faults: &Arc<FaultState>,
-    ) -> KResult<BatchReply> {
-        let seq = faults.seq.fetch_add(1, Ordering::SeqCst) + 1;
-        batch_performs.fetch_add(1, Ordering::SeqCst);
-        metrics.record_request();
-        let fault = faults.fault.lock().unwrap_or_else(|e| e.into_inner()).clone();
-        match &fault {
+    /// Run `work` counted in `current` / `max_seen`.
+    fn in_flight(&self, work: impl FnOnce()) {
+        let now = self.current.fetch_add(1, Ordering::SeqCst) + 1;
+        self.max_seen.fetch_max(now, Ordering::SeqCst);
+        work();
+        self.current.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// One wire round-trip, per-key or batched: count it, apply the
+    /// armed fault, then spend `delay` of worker time.
+    fn round_trip(&self, driver: &str, counter: &AtomicU64) -> KResult<()> {
+        let seq = self.seq.fetch_add(1, Ordering::SeqCst) + 1;
+        counter.fetch_add(1, Ordering::SeqCst);
+        let fault = self.fault.lock().unwrap_or_else(|e| e.into_inner()).clone();
+        match fault {
             Fault::FailRequests(_) => {
-                let owed = faults
+                let owed = self
                     .fail_remaining
                     .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
                     .is_ok();
                 if owed {
-                    return Err(KError::transport(name, "injected transport failure"));
+                    return Err(KError::transport(driver, "injected transport failure"));
                 }
             }
-            Fault::NeverRespond => {
-                let now = current.fetch_add(1, Ordering::SeqCst) + 1;
-                max_seen.fetch_max(now, Ordering::SeqCst);
-                faults.wedge.wedge();
-                current.fetch_sub(1, Ordering::SeqCst);
-            }
+            Fault::NeverRespond => self.in_flight(|| self.wedge.wedge()),
             Fault::SpikeEvery { every, extra } => {
-                if *every > 0 && seq.is_multiple_of(*every) {
-                    std::thread::sleep(*extra);
+                if every > 0 && seq.is_multiple_of(every) {
+                    std::thread::sleep(extra);
                 }
             }
-            Fault::None | Fault::StallAfterRows(_) => {}
+            Fault::None => {}
         }
-        let now = current.fetch_add(1, Ordering::SeqCst) + 1;
-        max_seen.fetch_max(now, Ordering::SeqCst);
-        latency.charge_request();
-        current.fetch_sub(1, Ordering::SeqCst);
-        Ok((0..n_reqs)
-            .map(|_| {
-                let mut out = Vec::with_capacity(rows.max(0) as usize);
-                for i in 0..rows {
-                    latency.charge_row();
-                    let v = Value::record_from(vec![("n", Value::Int(i))]);
-                    metrics.record_row(v.approx_size());
-                    out.push(v);
-                }
-                Ok(SharedReply::of_rows(out))
-            })
-            .collect())
+        self.in_flight(|| std::thread::sleep(self.delay));
+        Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)] // one slot per fault-injection knob
-    fn run(
-        name: &str,
-        rows: i64,
-        latency: &Arc<LatencyModel>,
-        current: &AtomicUsize,
-        max_seen: &AtomicUsize,
-        performs: &AtomicU64,
-        metrics: &Arc<DriverMetrics>,
-        faults: &Arc<FaultState>,
-    ) -> KResult<BlockStream> {
-        let seq = faults.seq.fetch_add(1, Ordering::SeqCst) + 1;
-        performs.fetch_add(1, Ordering::SeqCst);
-        metrics.record_request();
-        let fault = faults.fault.lock().unwrap_or_else(|e| e.into_inner()).clone();
-        match &fault {
-            Fault::FailRequests(_) => {
-                let owed = faults
-                    .fail_remaining
-                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-                    .is_ok();
-                if owed {
-                    return Err(KError::transport(name, "injected transport failure"));
-                }
-            }
-            Fault::NeverRespond => {
-                let now = current.fetch_add(1, Ordering::SeqCst) + 1;
-                max_seen.fetch_max(now, Ordering::SeqCst);
-                faults.wedge.wedge();
-                current.fetch_sub(1, Ordering::SeqCst);
-            }
-            Fault::SpikeEvery { every, extra } => {
-                if *every > 0 && seq.is_multiple_of(*every) {
-                    std::thread::sleep(*extra);
-                }
-            }
-            Fault::None | Fault::StallAfterRows(_) => {}
-        }
-        let now = current.fetch_add(1, Ordering::SeqCst) + 1;
-        max_seen.fetch_max(now, Ordering::SeqCst);
-        latency.charge_request();
-        current.fetch_sub(1, Ordering::SeqCst);
-        let stall_at = match fault {
-            Fault::StallAfterRows(n) => Some(n as i64),
-            _ => None,
-        };
-        Ok(Box::new(SlowBlocks {
-            next: 0,
-            rows,
-            stall_at,
-            latency: Arc::clone(latency),
-            metrics: Arc::clone(metrics),
-            faults: Arc::clone(faults),
-        }))
+    fn records(&self) -> Vec<Value> {
+        (0..self.rows)
+            .map(|i| Value::record_from(vec![("n", Value::Int(i))]))
+            .collect()
     }
 }
 
-/// The native block source behind [`SlowDriver`]: charges per-row
-/// latency and traffic metrics as rows are packed, on the puller's
-/// clock. A [`Fault::StallAfterRows`] stall is checked *before* each
-/// row is charged; if it hits mid-block, the rows already packed ship
-/// now as a partial block and the *next* pull wedges — rows produced
-/// before a stall stay observable, exactly as under the single-row
-/// protocol.
-struct SlowBlocks {
-    next: i64,
-    rows: i64,
-    stall_at: Option<i64>,
-    latency: Arc<LatencyModel>,
-    metrics: Arc<DriverMetrics>,
-    faults: Arc<FaultState>,
-}
-
-impl BlockSource for SlowBlocks {
-    fn next_block(&mut self, max_rows: usize) -> Option<ValueBlock> {
-        let max = max_rows.max(1);
-        let mut block = ValueBlock::with_capacity(max.min(DEFAULT_BLOCK_ROWS));
-        while self.next < self.rows && block.len() < max {
-            if self.stall_at == Some(self.next) {
-                if !block.is_empty() {
-                    // Ship what the stall has not reached; wedge on the
-                    // next pull instead.
-                    return Some(block);
-                }
-                self.faults.wedge.wedge();
-                self.stall_at = None; // released: never wedge again
-            }
-            self.latency.charge_row();
-            let v = Value::record_from(vec![("n", Value::Int(self.next))]);
-            self.metrics.record_row(v.approx_size());
-            block.push_row(v);
-            self.next += 1;
-        }
-        if block.is_empty() {
-            None
-        } else {
-            Some(block)
-        }
-    }
-}
-
-impl Driver for SlowDriver {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn capabilities(&self) -> Capabilities {
+impl Source for SlowSource {
+    fn capabilities(&self, _latency: &LatencyModel) -> Capabilities {
         Capabilities {
             max_concurrent_requests: self.limit,
             prefetch_rows: self.prefetch,
@@ -398,90 +251,20 @@ impl Driver for SlowDriver {
         }
     }
 
-    fn perform(&self, _req: &DriverRequest) -> KResult<BlockStream> {
-        SlowDriver::run(
-            &self.name,
-            self.rows,
-            &self.latency,
-            &self.current,
-            &self.max_seen,
-            &self.performs,
-            &self.metrics,
-            &self.faults,
-        )
+    fn answer(&self, driver: &str, _req: &DriverRequest) -> KResult<Vec<Value>> {
+        self.round_trip(driver, &self.performs)?;
+        Ok(self.records())
     }
 
-    fn submit(&self, _req: &DriverRequest) -> KResult<RequestHandle> {
-        let name = self.name.clone();
-        let rows = self.rows;
-        let latency = Arc::clone(&self.latency);
-        let current = Arc::clone(&self.current);
-        let max_seen = Arc::clone(&self.max_seen);
-        let performs = Arc::clone(&self.performs);
-        let metrics = Arc::clone(&self.metrics);
-        let faults = Arc::clone(&self.faults);
-        Ok(self.pool.submit(self.prefetch, move || {
-            SlowDriver::run(
-                &name, rows, &latency, &current, &max_seen, &performs, &metrics, &faults,
-            )
-        }))
-    }
-
-    fn nonblocking_submit(&self) -> bool {
-        true
-    }
-
-    fn batch(&self, reqs: &[DriverRequest]) -> KResult<BatchReply> {
-        SlowDriver::run_batch(
-            &self.name,
-            self.rows,
-            reqs.len(),
-            &self.latency,
-            &self.current,
-            &self.max_seen,
-            &self.batch_performs,
-            &self.metrics,
-            &self.faults,
-        )
-    }
-
-    fn submit_batch(
+    /// One batched wire round-trip serving every key: fault modes apply
+    /// to the whole wire request.
+    fn answer_batch(
         &self,
-        reqs: Vec<DriverRequest>,
-        complete: BatchCompletion,
-    ) -> Option<RequestHandle> {
-        let name = self.name.clone();
-        let rows = self.rows;
-        let n = reqs.len();
-        let latency = Arc::clone(&self.latency);
-        let current = Arc::clone(&self.current);
-        let max_seen = Arc::clone(&self.max_seen);
-        let batch_performs = Arc::clone(&self.batch_performs);
-        let metrics = Arc::clone(&self.metrics);
-        let faults = Arc::clone(&self.faults);
-        // One pool job == one admission ticket for the whole wire batch.
-        Some(self.pool.submit(0, move || {
-            complete(SlowDriver::run_batch(
-                &name,
-                rows,
-                n,
-                &latency,
-                &current,
-                &max_seen,
-                &batch_performs,
-                &metrics,
-                &faults,
-            ));
-            Ok(blocks_of_rows(Box::new(std::iter::empty())))
-        }))
-    }
-
-    fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
-    }
-
-    fn reset_metrics(&self) {
-        self.metrics.reset();
+        driver: &str,
+        reqs: &[DriverRequest],
+    ) -> KResult<Vec<KResult<Vec<Value>>>> {
+        self.round_trip(driver, &self.batch_performs)?;
+        Ok(reqs.iter().map(|_| Ok(self.records())).collect())
     }
 }
 

@@ -9,7 +9,7 @@
 //!   of index-value pairs");
 //! * [`path`] — path extraction (`Seq-entry.seq.id..giim`) applied during
 //!   the parse, the driver-side pruning of Section 3;
-//! * [`server`] — the `Driver` with precomputed indexes, homology links
+//! * [`server`] — the `Source` with precomputed indexes, homology links
 //!   (`NA-Links`), latency and traffic accounting.
 
 pub mod asn1;
@@ -19,4 +19,4 @@ pub mod server;
 
 pub use path::{Path, Step};
 pub use query::BoolQuery;
-pub use server::{Division, EntrezServer, Entry, Link};
+pub use server::{Division, Entrez, EntrezServer, Entry, Link};

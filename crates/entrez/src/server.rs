@@ -9,16 +9,12 @@
 //! during the parse of each hit so only the pruned value crosses the wire.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use kleisli_core::driver::{BatchCompletion, BatchReply};
 use kleisli_core::{
-    blocks_of_rows, charged_blocks, BatchPolicy, BlockStream, Capabilities, Driver, DriverMetrics,
-    DriverRequest, KError, KResult, LatencyModel, MetricsSnapshot, RequestHandle,
-    ResiliencePolicy, SharedReply, Value, WorkerPool,
+    BatchPolicy, Capabilities, DriverRequest, KError, KResult, LatencyModel, Remote,
+    ResiliencePolicy, Source, Value,
 };
 
 use crate::path::Path;
@@ -112,31 +108,17 @@ impl Division {
     }
 }
 
-/// The Entrez server: named divisions plus latency/traffic accounting.
-///
-/// Two-phase driver: `submit` never blocks on the latency model, and the
-/// paper's "say five" tolerated concurrent requests is enforced by the
-/// server's worker pool (at most five request threads, reused across
-/// requests). The worker that performed a request also prefetches up to
-/// [`ENTREZ_PREFETCH_ROWS`] rows ahead of the consumer, pipelining the
-/// per-row transfer latency.
-pub struct EntrezServer {
-    core: Arc<EntrezCore>,
-    pool: WorkerPool,
+/// The data half of the Entrez server: named divisions answering index
+/// fetches and link lookups.
+#[derive(Default)]
+pub struct Entrez {
+    divisions: RwLock<HashMap<String, Division>>,
 }
 
-/// Shared server state, `Arc`'d for the request workers.
-struct EntrezCore {
-    name: String,
-    divisions: RwLock<HashMap<String, Division>>,
-    latency: Arc<LatencyModel>,
-    metrics: Arc<DriverMetrics>,
-    /// Reachability knob: `false` simulates the wide-area link being
-    /// down — requests fail with a retryable `KError::Transport` rather
-    /// than a semantic driver error, so the resilience layer can retry
-    /// them and the circuit breaker counts them against the source.
-    available: AtomicBool,
-}
+/// The Entrez server: [`Entrez`] served through the shared remote-driver
+/// shell, which adds latency/traffic accounting and enforces the paper's
+/// "say five" tolerated concurrent requests advertised below.
+pub type EntrezServer = Remote<Entrez>;
 
 /// The paper's example: an Entrez server tolerating ~5 requests at once.
 const ENTREZ_CONCURRENT_REQUESTS: usize = 5;
@@ -154,99 +136,55 @@ pub const ENTREZ_PREFETCH_ROWS: usize = 16;
 /// workload costs two wire requests instead of thirty-two.
 pub const ENTREZ_BATCH_KEYS: usize = 16;
 
-impl EntrezServer {
-    pub fn new(name: impl Into<String>, latency: LatencyModel) -> EntrezServer {
-        let core = Arc::new(EntrezCore {
-            name: name.into(),
-            divisions: RwLock::new(HashMap::new()),
-            latency: Arc::new(latency),
-            metrics: Arc::new(DriverMetrics::default()),
-            available: AtomicBool::new(true),
-        });
-        let pool = WorkerPool::new(
-            "entrez",
-            ENTREZ_CONCURRENT_REQUESTS,
-            Some(Arc::clone(&core.metrics)),
-        );
-        EntrezServer { core, pool }
+impl Source for Entrez {
+    fn capabilities(&self, latency: &LatencyModel) -> Capabilities {
+        Capabilities {
+            sql: false,
+            path_extraction: true,
+            links: true,
+            // the paper's example: a server tolerating ~5 requests at
+            // once — enforced by the shell's admission gate
+            max_concurrent_requests: ENTREZ_CONCURRENT_REQUESTS,
+            // 0 unless the latency model realizes a real per-row sleep:
+            // prefetch pipelines wall-clock transfer latency only.
+            prefetch_rows: latency.effective_prefetch(ENTREZ_PREFETCH_ROWS),
+            // a remote source: advertise retry + circuit breaking
+            resilience: ResiliencePolicy::standard(),
+            // multi-uid fetch: the rewriter may fold a per-element link
+            // loop into ceil(n/16) wire round-trips (the shell's default
+            // per-key pass under one request charge).
+            batching: Some(BatchPolicy {
+                max_keys: ENTREZ_BATCH_KEYS,
+            }),
+        }
     }
 
-    pub fn latency(&self) -> &Arc<LatencyModel> {
-        &self.core.latency
-    }
-
-    /// Mutable access to a division for loading data.
-    pub fn with_division<R>(&self, db: &str, f: impl FnOnce(&mut Division) -> R) -> R {
-        let mut divs = self.core.divisions.write();
-        f(divs.entry(db.to_string()).or_default())
-    }
-
-    /// Simulate the server (un)reachable: while `false`, every request
-    /// fails with a retryable transport error. Fault injection for the
-    /// resilience tests and benchmarks.
-    pub fn set_available(&self, up: bool) {
-        self.core.available.store(up, Ordering::Release);
+    fn answer(&self, driver: &str, req: &DriverRequest) -> KResult<Vec<Value>> {
+        match req {
+            DriverRequest::EntrezFetch { db, query, path } => self.fetch(driver, db, query, path),
+            DriverRequest::EntrezLinks { db, uid } => self.links(driver, db, *uid),
+            other => Err(KError::driver(
+                driver,
+                format!("unsupported request: {}", other.describe()),
+            )),
+        }
     }
 }
 
-impl EntrezCore {
-    fn perform(&self, req: &DriverRequest) -> KResult<BlockStream> {
-        self.metrics.record_request();
-        if !self.available.load(Ordering::Acquire) {
-            return Err(KError::transport(&self.name, "connection refused"));
-        }
-        self.latency.charge_request();
-        let rows = match req {
-            DriverRequest::EntrezFetch { db, query, path } => self.fetch(db, query, path)?,
-            DriverRequest::EntrezLinks { db, uid } => self.links(db, *uid)?,
-            other => {
-                return Err(KError::driver(
-                    &self.name,
-                    format!("unsupported request: {}", other.describe()),
-                ))
-            }
-        };
-        Ok(charged_blocks(
-            rows,
-            Arc::clone(&self.latency),
-            Arc::clone(&self.metrics),
-        ))
+impl Entrez {
+    /// Mutable access to a division for loading data.
+    pub fn with_division<R>(&self, db: &str, f: impl FnOnce(&mut Division) -> R) -> R {
+        let mut divs = self.divisions.write();
+        f(divs.entry(db.to_string()).or_default())
     }
 
-    /// Multi-uid / multi-query fetch: one wire round-trip — one request
-    /// charge, one availability check — answering every key. A key whose
-    /// lookup fails semantically (unknown uid, bad query) yields that
-    /// key's `Err` without poisoning its neighbours, exactly as the same
-    /// request would fail on the per-key path.
-    fn perform_batch(&self, reqs: &[DriverRequest]) -> KResult<BatchReply> {
-        self.metrics.record_request();
-        if !self.available.load(Ordering::Acquire) {
-            return Err(KError::transport(&self.name, "connection refused"));
-        }
-        self.latency.charge_request();
-        Ok(reqs
-            .iter()
-            .map(|req| {
-                let rows = match req {
-                    DriverRequest::EntrezFetch { db, query, path } => self.fetch(db, query, path),
-                    DriverRequest::EntrezLinks { db, uid } => self.links(db, *uid),
-                    other => Err(KError::driver(
-                        &self.name,
-                        format!("unsupported request: {}", other.describe()),
-                    )),
-                }?;
-                // Transfer cost and row traffic accrue on the worker's
-                // clock, just as the per-key path charges while shipping.
-                Ok(SharedReply::materialize(charged_blocks(
-                    rows,
-                    Arc::clone(&self.latency),
-                    Arc::clone(&self.metrics),
-                )))
-            })
-            .collect())
-    }
-
-    fn fetch(&self, db: &str, query: &str, path: &Option<String>) -> KResult<Vec<Value>> {
+    fn fetch(
+        &self,
+        driver: &str,
+        db: &str,
+        query: &str,
+        path: &Option<String>,
+    ) -> KResult<Vec<Value>> {
         let parsed = query::parse(query)?;
         let path = match path {
             Some(p) => Some(Path::parse(p)?),
@@ -255,7 +193,7 @@ impl EntrezCore {
         let divs = self.divisions.read();
         let division = divs
             .get(db)
-            .ok_or_else(|| KError::driver(&self.name, format!("no division '{db}'")))?;
+            .ok_or_else(|| KError::driver(driver, format!("no division '{db}'")))?;
         let hits = division.eval_query(&parsed);
         let mut out = Vec::with_capacity(hits.len());
         for pos in hits {
@@ -271,14 +209,14 @@ impl EntrezCore {
         Ok(out)
     }
 
-    fn links(&self, db: &str, uid: i64) -> KResult<Vec<Value>> {
+    fn links(&self, driver: &str, db: &str, uid: i64) -> KResult<Vec<Value>> {
         let divs = self.divisions.read();
         let division = divs
             .get(db)
-            .ok_or_else(|| KError::driver(&self.name, format!("no division '{db}'")))?;
+            .ok_or_else(|| KError::driver(driver, format!("no division '{db}'")))?;
         if !division.by_uid.contains_key(&uid) {
             return Err(KError::driver(
-                &self.name,
+                driver,
                 format!("no entry with uid {uid} in '{db}'"),
             ));
         }
@@ -300,73 +238,10 @@ impl EntrezCore {
     }
 }
 
-impl Driver for EntrezServer {
-    fn name(&self) -> &str {
-        &self.core.name
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            sql: false,
-            path_extraction: true,
-            links: true,
-            // the paper's example: a server tolerating ~5 requests at
-            // once — enforced by this server's admission gate
-            max_concurrent_requests: ENTREZ_CONCURRENT_REQUESTS,
-            // 0 unless the latency model realizes a real per-row sleep:
-            // prefetch pipelines wall-clock transfer latency only.
-            prefetch_rows: self.core.latency.effective_prefetch(ENTREZ_PREFETCH_ROWS),
-            // a remote source: advertise retry + circuit breaking
-            resilience: ResiliencePolicy::standard(),
-            // multi-uid fetch: the rewriter may fold a per-element link
-            // loop into ceil(n/16) wire round-trips.
-            batching: Some(BatchPolicy {
-                max_keys: ENTREZ_BATCH_KEYS,
-            }),
-        }
-    }
-
-    fn perform(&self, req: &DriverRequest) -> KResult<BlockStream> {
-        self.core.perform(req)
-    }
-
-    fn submit(&self, req: &DriverRequest) -> KResult<RequestHandle> {
-        let core = Arc::clone(&self.core);
-        let req = req.clone();
-        let prefetch = self.capabilities().prefetch_rows;
-        Ok(self.pool.submit(prefetch, move || core.perform(&req)))
-    }
-
-    fn batch(&self, reqs: &[DriverRequest]) -> KResult<BatchReply> {
-        self.core.perform_batch(reqs)
-    }
-
-    fn submit_batch(&self, reqs: Vec<DriverRequest>, complete: BatchCompletion) -> Option<RequestHandle> {
-        let core = Arc::clone(&self.core);
-        // One admission ticket for the whole wire request, regardless of
-        // how many logical keys it answers.
-        Some(self.pool.submit(0, move || {
-            complete(core.perform_batch(&reqs));
-            Ok(blocks_of_rows(Box::new(std::iter::empty())))
-        }))
-    }
-
-    fn nonblocking_submit(&self) -> bool {
-        true
-    }
-
-    fn metrics(&self) -> MetricsSnapshot {
-        self.core.metrics.snapshot()
-    }
-
-    fn reset_metrics(&self) {
-        self.core.metrics.reset();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kleisli_core::Driver;
 
     fn entry_value(acc: &str, giim: i64, org: &str) -> Value {
         Value::record_from(vec![
@@ -385,7 +260,7 @@ mod tests {
     }
 
     fn server() -> EntrezServer {
-        let s = EntrezServer::new("GenBank", LatencyModel::instant());
+        let s = EntrezServer::serve("GenBank", Entrez::default(), LatencyModel::instant());
         s.with_division("na", |d| {
             for (i, (acc, org)) in [
                 ("M81409", "human"),

@@ -275,7 +275,7 @@ fn dropped_prefix_stream_frees_the_driver_budget() {
     // submit on the same driver proceeds.
     let driver = SlowDriver::new("gated", 8, Duration::from_millis(20), 1);
     let performs = Arc::clone(&driver.performs);
-    let gate = Arc::clone(&driver.gate);
+    let gate = Arc::clone(driver.gate());
     let mut ctx = Context::new();
     ctx.register_driver(driver);
     let ctx = Arc::new(ctx);

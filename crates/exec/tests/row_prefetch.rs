@@ -83,8 +83,8 @@ fn first_n_early_stop_releases_the_ticket_and_bounds_row_traffic() {
         1,
         prefetch,
     );
-    let gate = Arc::clone(&driver.gate);
-    let metrics = Arc::clone(&driver.metrics);
+    let gate = Arc::clone(driver.gate());
+    let metrics = Arc::clone(driver.counters());
     let ctx = ctx_of(driver);
 
     let cutoff = 3;
@@ -127,7 +127,7 @@ fn prefetch_zero_ships_exactly_the_demanded_prefix() {
     // The fully-lazy path must stay byte-identical: no pool worker ever
     // touches the rows, so the prefix is all that crosses the boundary.
     let driver = SlowDriver::new("lazy", 10_000, Duration::ZERO, 1);
-    let metrics = Arc::clone(&driver.metrics);
+    let metrics = Arc::clone(driver.counters());
     let ctx = ctx_of(driver);
     let got = first_n(&wrap_ext(scan("lazy")), 5, &Env::empty(), &ctx).unwrap();
     assert_eq!(got.len(), 5);
@@ -157,8 +157,8 @@ fn first_n_stopping_mid_block_releases_the_ticket_and_bounds_blocks() {
         1,
         prefetch,
     );
-    let gate = Arc::clone(&driver.gate);
-    let metrics = Arc::clone(&driver.metrics);
+    let gate = Arc::clone(driver.gate());
+    let metrics = Arc::clone(driver.counters());
     let ctx = ctx_of(driver);
 
     let cutoff = 3;
@@ -261,7 +261,7 @@ fn clamped_to_zero_full_drain_is_byte_identical_to_fully_lazy() {
     let rows = 64;
     let plain = SlowDriver::new("plain", rows, Duration::ZERO, 2);
     let clamped = SlowDriver::pipelined("clamped", rows, Duration::ZERO, Duration::ZERO, 2, 0);
-    let clamped_metrics = Arc::clone(&clamped.metrics);
+    let clamped_metrics = Arc::clone(clamped.counters());
     let plain_ctx = ctx_of(plain);
     let clamped_ctx = ctx_of(clamped);
 

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use ace_sim::AceServer;
 use bio_data::{GdbConfig, GdbData, GenBankConfig, GenBankData};
-use entrez_sim::EntrezServer;
+use entrez_sim::{Entrez, EntrezServer};
 use kleisli_core::{KResult, LatencyModel, Oid, Value};
 use kleisli_exec::ObjectStore;
 use sybase_sim::{Database, SybaseServer};
@@ -30,10 +30,10 @@ pub fn bio_federation(
     let gdb_data = GdbData::generate(gdb_config);
     let mut db = Database::new();
     gdb_data.load(&mut db)?;
-    let gdb = Arc::new(SybaseServer::new("GDB", db, gdb_latency));
+    let gdb = Arc::new(SybaseServer::serve("GDB", db.into(), gdb_latency));
 
     let genbank_data = GenBankData::generate(genbank_config, &gdb_data);
-    let genbank = Arc::new(EntrezServer::new("GenBank", genbank_latency));
+    let genbank = Arc::new(EntrezServer::serve("GenBank", Entrez::default(), genbank_latency));
     genbank_data.load(&genbank, "na")?;
 
     Ok(BioFederation {

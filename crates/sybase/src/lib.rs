@@ -15,6 +15,6 @@ pub mod server;
 pub mod sql;
 pub mod storage;
 
-pub use server::{execute_query, SybaseServer};
+pub use server::{execute_query, Sybase, SybaseServer};
 pub use sql::{parse, Query};
 pub use storage::{Database, Datum, Table};

@@ -1,17 +1,14 @@
 //! The query planner/executor and the network-facing server (the
-//! `Driver` implementation the Kleisli system registers as "GDB").
+//! `Source` the Kleisli system serves and registers as "GDB").
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use kleisli_core::driver::{BatchCompletion, BatchReply};
 use kleisli_core::{
-    blocks_of_rows, charged_blocks, BatchPolicy, BlockStream, Capabilities, Driver, DriverMetrics,
-    DriverRequest, KError, KResult, LatencyModel, MetricsSnapshot, RequestHandle,
-    ResiliencePolicy, SharedReply, TableStats, Value, WorkerPool,
+    BatchPolicy, Capabilities, DriverRequest, KError, KResult, LatencyModel, Remote,
+    ResiliencePolicy, Source, TableStats, Value,
 };
 
 use crate::sql::{self, CmpOp, ColRef, Operand, Pred, Query, SelectList};
@@ -450,66 +447,31 @@ fn execute_in_query(
     Ok(out)
 }
 
-/// The simulated remote Sybase server (GDB in the paper). Charges its
-/// latency model per request and per shipped row, and counts traffic in
-/// its metrics — the observables for the pushdown experiments.
-///
-/// Implements the two-phase driver API: `submit` queues the request on
-/// the server's worker pool (at most `max_concurrent_requests` threads,
-/// reused across requests), so submission never blocks the caller on the
-/// latency model and in-flight requests never exceed the budget. The
-/// pool worker that performed a request also prefetches up to
-/// [`SYBASE_PREFETCH_ROWS`] rows ahead of the consumer, pipelining the
-/// per-row transfer latency.
-pub struct SybaseServer {
-    core: Arc<SybaseCore>,
-    pool: WorkerPool,
-}
-
-/// The server's shared state, `Arc`'d so request workers can outlive the
-/// borrow `Driver::submit` gets.
-struct SybaseCore {
-    name: String,
+/// The data half of the simulated remote Sybase server: a relational
+/// database answering SQL and table scans.
+pub struct Sybase {
     db: RwLock<Database>,
-    latency: Arc<LatencyModel>,
-    metrics: Arc<DriverMetrics>,
-    /// Reachability knob: `false` simulates the wide-area link being
-    /// down — requests fail with a retryable `KError::Transport` so the
-    /// resilience layer can retry them and the breaker counts them.
-    available: AtomicBool,
 }
 
-impl SybaseServer {
-    pub fn new(name: impl Into<String>, db: Database, latency: LatencyModel) -> SybaseServer {
-        let core = Arc::new(SybaseCore {
-            name: name.into(),
-            db: RwLock::new(db),
-            latency: Arc::new(latency),
-            metrics: Arc::new(DriverMetrics::default()),
-            available: AtomicBool::new(true),
-        });
-        let pool = WorkerPool::new(
-            "sybase",
-            SYBASE_CONCURRENT_REQUESTS,
-            Some(Arc::clone(&core.metrics)),
-        );
-        SybaseServer { core, pool }
-    }
+/// The simulated remote Sybase server (GDB in the paper): [`Sybase`]
+/// served through the shared remote-driver shell, which charges its
+/// latency model per request and per shipped row, counts traffic — the
+/// observables for the pushdown experiments — and enforces the admission
+/// budget advertised below.
+pub type SybaseServer = Remote<Sybase>;
 
+impl From<Database> for Sybase {
+    fn from(db: Database) -> Sybase {
+        Sybase {
+            db: RwLock::new(db),
+        }
+    }
+}
+
+impl Sybase {
     /// Mutable access for loading data (not part of the driver surface).
     pub fn with_db<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
-        f(&mut self.core.db.write())
-    }
-
-    pub fn latency(&self) -> &Arc<LatencyModel> {
-        &self.core.latency
-    }
-
-    /// Simulate the server (un)reachable: while `false`, every request
-    /// fails with a retryable transport error. Fault injection for the
-    /// resilience tests and benchmarks.
-    pub fn set_available(&self, up: bool) {
-        self.core.available.store(up, Ordering::Release);
+        f(&mut self.db.write())
     }
 }
 
@@ -532,65 +494,28 @@ pub const SYBASE_PREFETCH_ROWS: usize = 32;
 /// advertises in [`Capabilities::batching`].
 pub const SYBASE_BATCH_KEYS: usize = 16;
 
-impl SybaseCore {
-    /// One full request round-trip: charge the request latency, run the
-    /// query, and hand back a block stream that charges/counts per
-    /// packed row (on the puller's clock).
-    fn perform(&self, req: &DriverRequest) -> KResult<BlockStream> {
-        self.metrics.record_request();
-        if !self.available.load(Ordering::Acquire) {
-            return Err(KError::transport(&self.name, "connection refused"));
+impl Source for Sybase {
+    fn capabilities(&self, latency: &LatencyModel) -> Capabilities {
+        Capabilities {
+            sql: true,
+            path_extraction: false,
+            links: false,
+            max_concurrent_requests: SYBASE_CONCURRENT_REQUESTS,
+            // 0 unless the latency model realizes a real per-row sleep:
+            // prefetch pipelines wall-clock transfer latency only.
+            prefetch_rows: latency.effective_prefetch(SYBASE_PREFETCH_ROWS),
+            // a remote source: advertise retry + circuit breaking
+            resilience: ResiliencePolicy::standard(),
+            // IN-list pushdown: the rewriter may fold a per-element
+            // `col = K` loop into ceil(n/16) wire round-trips, each a
+            // single scan.
+            batching: Some(BatchPolicy {
+                max_keys: SYBASE_BATCH_KEYS,
+            }),
         }
-        self.latency.charge_request();
-        let rows = self.run(req)?;
-        Ok(charged_blocks(
-            rows,
-            Arc::clone(&self.latency),
-            Arc::clone(&self.metrics),
-        ))
     }
 
-    /// One wire round-trip answering every key: one request charge, one
-    /// availability check. A batch of structurally identical `SELECT`s
-    /// differing in one equality literal executes as a genuine IN-list —
-    /// a single table scan distributes rows to keys. Any other batch
-    /// falls back to per-key execution, still under the single
-    /// round-trip charge; a key's semantic failure becomes that key's
-    /// `Err` without poisoning its neighbours.
-    fn perform_batch(&self, reqs: &[DriverRequest]) -> KResult<BatchReply> {
-        self.metrics.record_request();
-        if !self.available.load(Ordering::Acquire) {
-            return Err(KError::transport(&self.name, "connection refused"));
-        }
-        self.latency.charge_request();
-        let reply = |rows: Vec<Value>| {
-            SharedReply::materialize(charged_blocks(
-                rows,
-                Arc::clone(&self.latency),
-                Arc::clone(&self.metrics),
-            ))
-        };
-        let parsed: Option<Vec<Query>> = reqs
-            .iter()
-            .map(|r| match r {
-                DriverRequest::Sql { query } => sql::parse(query).ok(),
-                _ => None,
-            })
-            .collect();
-        if let Some(queries) = parsed {
-            if let Some((k, lits)) = in_list_shape(&queries) {
-                let db = self.db.read();
-                // A binding error here would hit every per-key query the
-                // same way; fall through so each key reports it itself.
-                if let Ok(per_key) = execute_in_query(&db, &queries[0], k, &lits) {
-                    return Ok(per_key.into_iter().map(|rows| Ok(reply(rows))).collect());
-                }
-            }
-        }
-        Ok(reqs.iter().map(|req| self.run(req).map(&reply)).collect())
-    }
-
-    fn run(&self, req: &DriverRequest) -> KResult<Vec<Value>> {
+    fn answer(&self, driver: &str, req: &DriverRequest) -> KResult<Vec<Value>> {
         match req {
             DriverRequest::Sql { query } => {
                 let q = sql::parse(query)?;
@@ -623,87 +548,51 @@ impl SybaseCore {
                 Ok(rows)
             }
             other => Err(KError::driver(
-                &self.name,
+                driver,
                 format!("unsupported request: {}", other.describe()),
             )),
         }
     }
-}
 
-impl Driver for SybaseServer {
-    fn name(&self) -> &str {
-        &self.core.name
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            sql: true,
-            path_extraction: false,
-            links: false,
-            max_concurrent_requests: SYBASE_CONCURRENT_REQUESTS,
-            // 0 unless the latency model realizes a real per-row sleep:
-            // prefetch pipelines wall-clock transfer latency only.
-            prefetch_rows: self.core.latency.effective_prefetch(SYBASE_PREFETCH_ROWS),
-            // a remote source: advertise retry + circuit breaking
-            resilience: ResiliencePolicy::standard(),
-            // IN-list pushdown: the rewriter may fold a per-element
-            // `col = K` loop into ceil(n/16) wire round-trips, each a
-            // single scan.
-            batching: Some(BatchPolicy {
-                max_keys: SYBASE_BATCH_KEYS,
-            }),
-        }
-    }
-
-    fn perform(&self, req: &DriverRequest) -> KResult<BlockStream> {
-        self.core.perform(req)
-    }
-
-    fn submit(&self, req: &DriverRequest) -> KResult<RequestHandle> {
-        let core = Arc::clone(&self.core);
-        let req = req.clone();
-        let prefetch = self.capabilities().prefetch_rows;
-        Ok(self.pool.submit(prefetch, move || core.perform(&req)))
-    }
-
-    fn batch(&self, reqs: &[DriverRequest]) -> KResult<BatchReply> {
-        self.core.perform_batch(reqs)
-    }
-
-    fn submit_batch(
+    /// A batch of structurally identical `SELECT`s differing in one
+    /// equality literal executes as a genuine IN-list — a single table
+    /// scan distributes rows to keys. Any other batch falls back to
+    /// per-key execution; a key's semantic failure becomes that key's
+    /// `Err` without poisoning its neighbours.
+    fn answer_batch(
         &self,
-        reqs: Vec<DriverRequest>,
-        complete: BatchCompletion,
-    ) -> Option<RequestHandle> {
-        let core = Arc::clone(&self.core);
-        // One admission ticket for the whole wire request, regardless of
-        // how many logical keys it answers.
-        Some(self.pool.submit(0, move || {
-            complete(core.perform_batch(&reqs));
-            Ok(blocks_of_rows(Box::new(std::iter::empty())))
-        }))
-    }
-
-    fn nonblocking_submit(&self) -> bool {
-        true
+        driver: &str,
+        reqs: &[DriverRequest],
+    ) -> KResult<Vec<KResult<Vec<Value>>>> {
+        let parsed: Option<Vec<Query>> = reqs
+            .iter()
+            .map(|r| match r {
+                DriverRequest::Sql { query } => sql::parse(query).ok(),
+                _ => None,
+            })
+            .collect();
+        if let Some(queries) = parsed {
+            if let Some((k, lits)) = in_list_shape(&queries) {
+                let db = self.db.read();
+                // A binding error here would hit every per-key query the
+                // same way; fall through so each key reports it itself.
+                if let Ok(per_key) = execute_in_query(&db, &queries[0], k, &lits) {
+                    return Ok(per_key.into_iter().map(Ok).collect());
+                }
+            }
+        }
+        Ok(reqs.iter().map(|req| self.answer(driver, req)).collect())
     }
 
     fn table_stats(&self, table: &str) -> Option<TableStats> {
-        self.core.db.read().table(table).ok().map(|t| t.stats())
-    }
-
-    fn metrics(&self) -> MetricsSnapshot {
-        self.core.metrics.snapshot()
-    }
-
-    fn reset_metrics(&self) {
-        self.core.metrics.reset();
+        self.db.read().table(table).ok().map(|t| t.stats())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kleisli_core::Driver;
 
     fn sample_db() -> Database {
         let mut db = Database::new();
@@ -821,7 +710,7 @@ mod tests {
 
     #[test]
     fn driver_counts_traffic_and_streams() {
-        let server = SybaseServer::new("GDB", sample_db(), LatencyModel::instant());
+        let server = SybaseServer::serve("GDB", sample_db().into(), LatencyModel::instant());
         // submit-then-wait: the two-phase path a real consumer takes
         let stream = server
             .submit(&DriverRequest::TableScan {
@@ -843,7 +732,7 @@ mod tests {
 
     #[test]
     fn driver_stats_expose_schema_and_indexes() {
-        let server = SybaseServer::new("GDB", sample_db(), LatencyModel::instant());
+        let server = SybaseServer::serve("GDB", sample_db().into(), LatencyModel::instant());
         let stats = server.table_stats("locus").unwrap();
         assert_eq!(stats.rows, 20);
         assert_eq!(stats.columns, vec!["locus_id", "locus_symbol"]);
@@ -853,7 +742,7 @@ mod tests {
 
     #[test]
     fn unsupported_requests_are_driver_errors() {
-        let server = SybaseServer::new("GDB", sample_db(), LatencyModel::instant());
+        let server = SybaseServer::serve("GDB", sample_db().into(), LatencyModel::instant());
         // the submission itself succeeds; the error arrives at wait()
         assert!(server
             .submit(&DriverRequest::EntrezLinks {
@@ -863,33 +752,5 @@ mod tests {
             .unwrap()
             .wait()
             .is_err());
-    }
-
-    #[test]
-    fn concurrent_submissions_respect_the_admission_budget() {
-        let server = Arc::new(SybaseServer::new(
-            "GDB",
-            sample_db(),
-            LatencyModel::instant(),
-        ));
-        let handles: Vec<_> = (0..2 * SYBASE_CONCURRENT_REQUESTS)
-            .map(|_| {
-                server
-                    .submit(&DriverRequest::TableScan {
-                        table: "locus".into(),
-                        columns: None,
-                    })
-                    .unwrap()
-            })
-            .collect();
-        for h in handles {
-            let rows: Vec<_> = h.wait().unwrap().collect::<KResult<_>>().unwrap();
-            assert_eq!(rows.len(), 20);
-        }
-        assert_eq!(server.pool.gate().in_flight(), 0, "all tickets released");
-        assert!(
-            server.pool.threads_spawned() <= SYBASE_CONCURRENT_REQUESTS,
-            "pool threads bounded by the admission budget"
-        );
     }
 }

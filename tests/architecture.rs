@@ -43,7 +43,7 @@ fn three_source_session() -> Session {
             ],
         )
         .expect("insert");
-    let ace = Arc::new(AceServer::new("ACE22", store, LatencyModel::instant()));
+    let ace = Arc::new(AceServer::serve("ACE22", store.into(), LatencyModel::instant()));
 
     let mut session = Session::new();
     session.register_driver(fed.gdb.clone());

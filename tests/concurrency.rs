@@ -98,7 +98,7 @@ fn cancelled_handle_frees_the_driver_budget_for_later_queries() {
     // then prove the driver still serves subsequent queries — no leaked
     // admission ticket.
     let driver = SlowDriver::new("SRC", 2, Duration::from_millis(30), 1);
-    let gate = Arc::clone(&driver.gate);
+    let gate = Arc::clone(driver.gate());
     let s = slow_session(driver, 4);
 
     let h = s.submit(PER_ELEMENT).expect("submit");

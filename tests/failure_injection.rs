@@ -91,9 +91,9 @@ fn mid_stream_failure_propagates() {
 fn bad_sql_is_reported_not_panicked() {
     let mut db = sybase_sim::Database::new();
     db.create_table("t", &["a"]).unwrap();
-    let server = Arc::new(sybase_sim::SybaseServer::new(
+    let server = Arc::new(sybase_sim::SybaseServer::serve(
         "GDB",
-        db,
+        db.into(),
         kleisli_core::LatencyModel::instant(),
     ));
     let mut s = Session::new();
@@ -259,13 +259,13 @@ fn a_never_responding_driver_times_out_and_releases_its_ticket() {
     // The wedged round-trip was abandoned: its admission ticket is stolen
     // back so the gate's full width is available again immediately.
     wait_until("the admission ticket to be released", || {
-        drv.gate.in_flight() == 0
+        drv.gate().in_flight() == 0
     });
     let m = s.driver_metrics("SRC").expect("metrics");
     assert!(m.timeouts >= 1, "timeout not counted: {m:?}");
     // Let the wedged worker finish, notice its stolen ticket, and retire.
     drv.release_wedged();
-    wait_until("abandoned workers to retire", || drv.pool.orphans() == 0);
+    wait_until("abandoned workers to retire", || drv.orphans() == 0);
 }
 
 #[test]
@@ -346,7 +346,7 @@ fn dropping_a_query_over_a_wedged_driver_neither_blocks_nor_leaks_the_ticket() {
     let s = resilient_session(&drv);
     let handle = s.submit(SCAN).expect("submit");
     wait_until("the request to wedge on the wire", || {
-        drv.gate.in_flight() == 1
+        drv.gate().in_flight() == 1
     });
 
     let t0 = Instant::now();
@@ -360,10 +360,10 @@ fn dropping_a_query_over_a_wedged_driver_neither_blocks_nor_leaks_the_ticket() {
     // Drop cancels; the cancel token interrupts the in-flight wait, which
     // abandons the wedged round-trip and steals the admission ticket back.
     wait_until("the admission ticket to be released", || {
-        drv.gate.in_flight() == 0
+        drv.gate().in_flight() == 0
     });
     drv.release_wedged();
-    wait_until("abandoned workers to retire", || drv.pool.orphans() == 0);
+    wait_until("abandoned workers to retire", || drv.orphans() == 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -477,7 +477,7 @@ fn assert_two_hop_quiescent(s: &Session, hops: &[Arc<SlowDriver>; 2]) {
     for drv in hops {
         let name = drv.name();
         wait_until("admission tickets to be released", || {
-            drv.gate.in_flight() == 0
+            drv.gate().in_flight() == 0
         });
         wait_until("pending flights to resolve", || {
             ctx.resilience(name).expect("registered").pending_flights() == 0
@@ -532,7 +532,7 @@ fn cancelling_a_two_hop_loop_mid_read_ahead_leaves_the_drivers_quiescent() {
     // Both of hop 1's warm-ups — the demanded chunk and the one read
     // ahead — are on the wire before any body has run.
     wait_until("hop 1's read-ahead to be in flight", || {
-        hops[0].gate.in_flight() == WIDTH
+        hops[0].gate().in_flight() == WIDTH
     });
     handle.cancel();
     assert!(matches!(handle.wait(), Err(KError::Cancelled(_))));
