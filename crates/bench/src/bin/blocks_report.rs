@@ -6,7 +6,7 @@
 //! cargo run -p bench-harness --bin blocks_report --release -- --smoke
 //! ```
 //!
-//! Three experiments:
+//! Four experiments:
 //!
 //! * **row-heavy scans** — the row-pipeline workload (a union of remote
 //!   scans over `SlowDriver`s with *real* slept per-row transfer
@@ -15,6 +15,14 @@
 //!   (pool workers prefetch whole `ValueBlock`s, one condvar wake per
 //!   block, the consumer drains at full grain). Results asserted
 //!   identical.
+//! * **window below result** — a record of three row-heavy scans whose
+//!   tables are 3x the advertised prefetch window, real per-row sleeps.
+//!   Strict siblings start together and a value-position scan is a full
+//!   fetch (`kleisli_exec::eval` module docs), so the record costs about
+//!   one scan; `serial_sum_ms` is each scan evaluated alone in the same
+//!   run, summed (there is no switch that turns the overlap off).
+//!   `row_heavy_scans` above sets the window equal to the scan and never
+//!   sees a worker park behind its window.
 //! * **cpu block drain** — pure CPU, no sleeps: a materialized list
 //!   streamed through the pull protocol, grain-1 view (one `ValueBlock`
 //!   per row — the single-row protocol's cost shape) versus the full
@@ -36,9 +44,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bench_harness::row_pipeline_workload;
-use kleisli_core::{CollKind, Value};
+use kleisli_core::testutil::SlowDriver;
+use kleisli_core::{CollKind, DriverRequest, Value};
 use kleisli_exec::{
-    collect_blocks, collect_stream, eval_blocks, eval_stream, reference, Context, Env,
+    collect_blocks, collect_stream, eval, eval_blocks, eval_stream, reference, Context, Env,
 };
 use nrc::{Expr, Prim};
 
@@ -95,6 +104,53 @@ fn fused_plan(n: i64) -> Expr {
     )
 }
 
+/// The `window_below_result` scenario: `(serial_sum, overlapped)` for a
+/// record of three scans of `3 * window` rows each, one driver per scan.
+fn window_below_result(
+    window: usize,
+    per_request: Duration,
+    per_row: Duration,
+    reps: usize,
+) -> (Duration, Duration) {
+    let rows = 3 * window as i64;
+    let mut ctx = Context::new();
+    let scans: Vec<Expr> = (0..3)
+        .map(|i| {
+            let name = format!("W{i}");
+            ctx.register_driver(SlowDriver::pipelined(
+                &name,
+                rows,
+                per_request,
+                per_row,
+                2,
+                window,
+            ));
+            Expr::Remote {
+                driver: nrc::name(&name),
+                request: DriverRequest::TableScan {
+                    table: "t".into(),
+                    columns: None,
+                },
+            }
+        })
+        .collect();
+    let run = |plan: &Expr| eval(plan, &Env::empty(), &ctx).expect("eval");
+    let serial_sum = scans
+        .iter()
+        .map(|scan| time_best_of(reps, || run(scan)))
+        .sum();
+    let record = Expr::record(vec![
+        ("a", scans[0].clone()),
+        ("b", scans[1].clone()),
+        ("c", scans[2].clone()),
+    ]);
+    let value = run(&record);
+    for (field, scan) in ["a", "b", "c"].iter().zip(&scans) {
+        assert_eq!(value.project(field), Some(&run(scan)), "field {field}");
+    }
+    (serial_sum, time_best_of(reps, || run(&record)))
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (rows, per_row_us, reps, floor, cpu_rows, cpu_floor) = if smoke {
@@ -149,6 +205,16 @@ fn main() {
     assert!(
         blocks_shipped > 0,
         "the pipelined run must ship its rows in blocks"
+    );
+
+    // --- window below result: three scans, each 3x its window ------------
+    let window = rows as usize / 2;
+    let (serial_sum, overlapped) = window_below_result(window, per_request, per_row, reps);
+    let overlap_ratio = ms(overlapped) / ms(serial_sum);
+    // Three equal scans overlapped cost about one: a third of the sum.
+    assert!(
+        overlap_ratio < 0.6,
+        "sibling scans stopped overlapping (record {overlapped:?},          the three scans one by one {serial_sum:?})"
     );
 
     // --- cpu block drain: grain-1 view vs full-grain batches ------------
@@ -221,6 +287,13 @@ fn main() {
     "rows_pulled": {pulled},
     "blocks_shipped": {blocks_shipped}
   }},
+  "window_below_result": {{
+    "workload": "record of 3 remote scans on 3 drivers, {window_rows} rows per scan behind a {window}-row prefetch window, {per_row_us} us per row + {per_request_ms} ms per request (real sleeps)",
+    "prefetch_rows": {window},
+    "serial_sum_ms": {serial_sum:.2},
+    "overlapped_ms": {overlapped:.2},
+    "speedup": {overlap_speedup:.2}
+  }},
   "cpu_block_drain": {{
     "workload": "stream drain of a materialized list of {cpu_rows} rows, no latency, no per-row evaluation",
     "grain1_ms": {drain_rows_ms:.2},
@@ -246,6 +319,10 @@ fn main() {
         per_request_ms = per_request.as_millis(),
         lazy = ms(lazy),
         pipelined = ms(pipelined),
+        window_rows = 3 * window,
+        serial_sum = ms(serial_sum),
+        overlapped = ms(overlapped),
+        overlap_speedup = 1.0 / overlap_ratio,
         drain_rows_ms = ms(drain_rows_t),
         drain_blocks_ms = ms(drain_blocks_t),
         fused_rows_ms = ms(fused_rows_t),
@@ -255,10 +332,13 @@ fn main() {
     println!("{json}");
     println!(
         "row-heavy scans: lazy {:.2} ms, block-pipelined {:.2} ms ({speedup:.2}x); \
+         window below result: one by one {:.2} ms, record {:.2} ms; \
          cpu drain: grain-1 {:.2} ms, blocks {:.2} ms ({cpu_speedup:.2}x); \
          fused filter/project {fused_speedup:.2}x",
         ms(lazy),
         ms(pipelined),
+        ms(serial_sum),
+        ms(overlapped),
         ms(drain_rows_t),
         ms(drain_blocks_t),
     );

@@ -98,6 +98,13 @@ impl ValueBlock {
         self.rows.into_iter()
     }
 
+    /// Move every row of `other` behind this block's rows. `self` must
+    /// not end with an error row.
+    pub fn append(&mut self, mut other: ValueBlock) {
+        debug_assert!(!self.ends_with_err(), "rows after an error row");
+        self.rows.append(&mut other.rows);
+    }
+
     /// Split off the first `n` rows as their own block, leaving the
     /// remainder in `self`. Used by the prefetch buffer when a consumer
     /// asks for a smaller grain than the buffered block.

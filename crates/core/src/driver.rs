@@ -379,19 +379,16 @@ impl DriverMetrics {
         self.bytes_shipped.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// One row pulled ahead of the consumer by a prefetch worker.
-    pub fn record_prefetched_row(&self) {
-        self.rows_prefetched.fetch_add(1, Ordering::Relaxed);
+    /// `rows` rows pulled ahead of the consumer by a prefetch worker.
+    pub fn record_prefetched_rows(&self, rows: u64) {
+        self.rows_prefetched.fetch_add(rows, Ordering::Relaxed);
     }
 
-    /// One row delivered to a consumer through a prefetching stream.
-    pub fn record_pulled_row(&self) {
-        self.rows_pulled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One row block handed to a consumer (one buffer handoff).
-    pub fn record_block(&self) {
+    /// One block of `rows` rows handed to a consumer through a
+    /// prefetching stream (one buffer handoff).
+    pub fn record_block(&self, rows: u64) {
         self.blocks_shipped.fetch_add(1, Ordering::Relaxed);
+        self.rows_pulled.fetch_add(rows, Ordering::Relaxed);
     }
 
     /// One adaptive-depth increase in a prefetch buffer.
@@ -663,6 +660,10 @@ pub(crate) struct ReqShared {
     driver: String,
     promise: OneShot<KResult<BlockStream>>,
     cancelled: AtomicBool,
+    /// The caller's handle is gone: a reply resolved from now on has no
+    /// reader (unlike `cancelled`, which an abandoning waiter sets while
+    /// it may still take a reply that beat it to the promise).
+    handle_dropped: AtomicBool,
     /// Set (before the promise) when the request resolved *as
     /// cancelled*, so `poll` can report `Cancelled` rather than `Ready`.
     resolved_cancelled: AtomicBool,
@@ -688,6 +689,7 @@ impl ReqShared {
             driver: driver.into(),
             promise: OneShot::new(),
             cancelled: AtomicBool::new(false),
+            handle_dropped: AtomicBool::new(false),
             resolved_cancelled: AtomicBool::new(false),
             gate,
             ticket: Mutex::new(None),
@@ -722,6 +724,23 @@ impl ReqShared {
             .set(Err(KError::cancelled("driver request cancelled before it ran")));
     }
 
+    /// Once the caller's handle is gone, drop a reply it never redeemed.
+    /// Over a prefetching driver this closes the row buffer, so the
+    /// worker filling it stops at the next block boundary instead of
+    /// shipping a window — for a full fetch, the whole reply — to
+    /// nobody. Called by the dropping handle and, after it parks a
+    /// prefetching reply, by the worker: whichever comes second finds the
+    /// other's mark (the flag is written before, and read after, a
+    /// critical section of the promise's lock). A no-op while the handle
+    /// lives, while the request is pending, and after the reply was taken.
+    pub(crate) fn discard_if_unredeemed(&self) {
+        if self.handle_dropped.load(Ordering::Acquire) {
+            if let Some(Ok(stream)) = self.promise.try_wait() {
+                crate::pool::guarded_drop(stream);
+            }
+        }
+    }
+
     pub(crate) fn lock_ticket_slot(&self) -> std::sync::MutexGuard<'_, Option<GateTicket>> {
         self.ticket.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -751,8 +770,9 @@ impl Pulsable for ReqShared {
 /// cancels the request: if it is still queued in the driver's worker
 /// pool it is removed without contacting the source (no thread ever
 /// existed for it); if it is already running, the work completes on its
-/// pool worker and is thrown away. Either way the admission ticket is
-/// released.
+/// pool worker and is thrown away; if it has completed, the unread reply
+/// is dropped (which stops a row prefetch in progress). Either way the
+/// admission ticket is released.
 pub struct RequestHandle {
     shared: Arc<ReqShared>,
     /// The pool queue the request may still be sitting in, so `cancel`
@@ -770,6 +790,7 @@ impl RequestHandle {
                 driver: "inline".into(),
                 promise: OneShot::ready(Ok(stream)),
                 cancelled: AtomicBool::new(false),
+                handle_dropped: AtomicBool::new(false),
                 resolved_cancelled: AtomicBool::new(false),
                 gate: None,
                 ticket: Mutex::new(None),
@@ -909,6 +930,8 @@ impl RequestHandle {
 impl Drop for RequestHandle {
     fn drop(&mut self) {
         self.cancel();
+        self.shared.handle_dropped.store(true, Ordering::Release);
+        self.shared.discard_if_unredeemed();
     }
 }
 
@@ -964,6 +987,20 @@ pub trait Driver: Send + Sync {
     /// advertised — row transfer pipelined ahead of the consumer.
     fn submit(&self, req: &DriverRequest) -> KResult<RequestHandle> {
         Ok(RequestHandle::ready(self.perform(req)?))
+    }
+
+    /// [`Driver::submit`] for a caller that will read the reply **to its
+    /// end** and keeps every row (the executor collecting a scan into
+    /// the collection it denotes). Buffering such a reply ahead costs no
+    /// memory the caller would not spend anyway, so a driver that
+    /// advertises [`Capabilities::prefetch_rows`] `> 0` lifts the
+    /// prefetch window for it: its pool worker ships the whole reply
+    /// without waiting for the consumer — who may be away draining a
+    /// sibling scan. Said at submission because that is the only moment
+    /// the consumer touches this request before it drains it. The
+    /// default is plain `submit`: lazy drivers stay lazy.
+    fn submit_full(&self, req: &DriverRequest) -> KResult<RequestHandle> {
+        self.submit(req)
     }
 
     /// Does [`Driver::submit`] return *without* running the request

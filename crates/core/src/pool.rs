@@ -57,6 +57,17 @@
 //! to the pre-block protocol — while a large window ships
 //! [`crate::block::DEFAULT_BLOCK_ROWS`]-row batches.
 //!
+//! A **lifted window** (`FULL_FETCH`, what
+//! [`crate::driver::Driver::submit_full`] asks for on a driver that
+//! prefetches at all) is the limit case: full-size blocks and no depth
+//! ceiling, so the worker ships the whole reply and the buffer holds
+//! whatever the consumer has not taken yet. That is memory-neutral only
+//! because such a consumer keeps every row anyway — it is collecting the
+//! scan into the collection it denotes — which is why the window is
+//! lifted per request, by the caller, and never by the driver: for every
+//! other consumer `prefetch_rows` stays the ceiling on rows
+//! shipped-but-unread.
+//!
 //! # Adaptive depth
 //!
 //! [`crate::driver::Capabilities::prefetch_rows`] is a **ceiling**, not
@@ -90,6 +101,13 @@
 //! assert both the equivalence and that refill traffic stops. Every
 //! depth change is counted in [`DriverMetrics`]
 //! (`prefetch_grows` / `prefetch_shrinks`).
+//!
+//! A lifted window does not adapt, and must not: its buffer is never
+//! "full" (no shrink signal) and already at its ceiling (no grow
+//! signal). Its consumer is typically *away* — draining the sibling scan
+//! in front of this one — and a consumer that is away is not a slow
+//! consumer: halving the depth on its absence would re-serialize exactly
+//! the row transfers the full fetch exists to overlap.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -100,6 +118,12 @@ use std::time::{Duration, Instant};
 use crate::block::{BlockSource, BlockStream, ValueBlock, DEFAULT_BLOCK_ROWS};
 use crate::driver::{DriverMetrics, ReqShared, RequestGate, RequestHandle};
 use crate::error::{KError, KResult};
+
+/// The prefetch window of a **full fetch** ([`crate::Driver::submit_full`]):
+/// no row ceiling — the worker ships the whole reply ahead of the
+/// consumer, in [`DEFAULT_BLOCK_ROWS`]-row blocks (module docs, "Block
+/// geometry").
+pub(crate) const FULL_FETCH: usize = usize::MAX;
 
 /// Work queued in a pool: a driver request (with its handle state and a
 /// prefetch depth) or a plain task (row-prefetch refills).
@@ -482,6 +506,10 @@ impl PoolCore {
                 // Resolve first so waiters start consuming while this
                 // worker works ahead of them.
                 shared.resolve_stream(Ok(PrefetchedStream::boxed(Arc::clone(&buf))));
+                // A handle dropped since the check above found nothing
+                // to discard; do it for it, or the refill below ships
+                // rows (all of them, under a lifted window) to nobody.
+                shared.discard_if_unredeemed();
                 RowBuf::refill(&buf);
             }
             other => shared.resolve_stream(other),
@@ -545,8 +573,8 @@ fn guarded_next_block(
         .map_err(|_| KError::driver(driver, "driver panicked while streaming rows"))
 }
 
-/// Drop a poisoned stream without letting a panicking `Drop` unwind.
-fn guarded_drop(s: BlockStream) {
+/// Drop a stream without letting a panicking `Drop` unwind.
+pub(crate) fn guarded_drop(s: BlockStream) {
     let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || drop(s)));
 }
 
@@ -620,7 +648,9 @@ impl RowBuf {
         let max_depth = (prefetch_rows / block_rows).max(1);
         Arc::new(RowBuf {
             state: Mutex::new(BufState {
-                blocks: VecDeque::with_capacity(max_depth.min(1024)),
+                // Grows as blocks arrive: a lifted window has no depth to
+                // size it from.
+                blocks: VecDeque::new(),
                 stream: Some(stream),
                 pulling: false,
                 refill_queued: false,
@@ -719,11 +749,7 @@ impl RowBuf {
             st = st2;
             if let Some(block) = block {
                 if let Some(m) = &buf.metrics {
-                    for row in block.rows() {
-                        if row.is_ok() {
-                            m.record_prefetched_row();
-                        }
-                    }
+                    m.record_prefetched_rows(good_rows(&block));
                 }
                 st.blocks.push_back(block);
             }
@@ -829,14 +855,14 @@ impl PrefetchedStream {
     /// Count a block handed to the consumer into the driver metrics.
     fn record_shipped(&self, block: &ValueBlock) {
         if let Some(m) = &self.buf.metrics {
-            m.record_block();
-            for row in block.rows() {
-                if row.is_ok() {
-                    m.record_pulled_row();
-                }
-            }
+            m.record_block(good_rows(block));
         }
     }
+}
+
+/// The rows of `block` that are not its trailing error.
+fn good_rows(block: &ValueBlock) -> u64 {
+    (block.len() - usize::from(block.ends_with_err())) as u64
 }
 
 impl BlockSource for PrefetchedStream {
@@ -850,11 +876,21 @@ impl BlockSource for PrefetchedStream {
         loop {
             let was_full = st.depth > 0 && st.blocks.len() >= st.depth;
             if let Some(front) = st.blocks.front_mut() {
-                let block = if front.len() <= max {
+                let mut block = if front.len() <= max {
                     st.blocks.pop_front().expect("front exists")
                 } else {
                     front.split_front(max)
                 };
+                // One handoff moves every further buffered block that
+                // still fits the consumer's grain (an error block is the
+                // last one buffered, so nothing follows it).
+                while st
+                    .blocks
+                    .front()
+                    .is_some_and(|next| block.len() + next.len() <= max)
+                {
+                    block.append(st.blocks.pop_front().expect("front exists"));
+                }
                 buf.note_pop(&mut st, starved, was_full);
                 // Keep the worker ahead of us now that there is space.
                 RowBuf::maybe_schedule(&buf, &mut st);
@@ -868,9 +904,15 @@ impl BlockSource for PrefetchedStream {
             }
             if !st.pulling {
                 let Some(s) = st.stream.take() else {
-                    // Stream gone without exhaustion (pool shut down with
-                    // a refill in its queue): nothing more will arrive.
-                    return None;
+                    // Stream gone without exhaustion: the rows behind it
+                    // are lost. A clean end here would pass a truncated
+                    // scan off as complete (and consumers would cache
+                    // it), so the stream fails instead.
+                    st.exhausted = true;
+                    return Some(ValueBlock::of_err(KError::driver(
+                        &buf.driver,
+                        "row stream lost before its end",
+                    )));
                 };
                 // Demand pull on the consumer's clock — the fallback that
                 // keeps the stream alive without any pool worker (and the
@@ -1312,6 +1354,69 @@ mod tests {
         assert_eq!(rows.len(), 3, "two rows, one error, then end-of-stream");
         assert!(rows[0].is_ok() && rows[1].is_ok());
         assert!(rows[2].is_err());
+    }
+
+    #[test]
+    fn a_lost_row_stream_is_an_error_not_an_end_of_stream() {
+        // The state the consumer must never mistake for exhaustion: rows
+        // were delivered, the driver stream is gone, nobody is pulling,
+        // and nothing says the stream ended.
+        let pool = WorkerPool::new("GDB", 1, None);
+        let buf = RowBuf::new(rows_stream(10), 4, &pool.core);
+        // No pool, no refills: only this thread touches the buffer.
+        drop(pool);
+        let mut stream = PrefetchedStream::boxed(Arc::clone(&buf));
+        assert_eq!(stream.next_block(2).unwrap().len(), 2);
+        let lost = buf.lock().stream.take();
+        assert!(lost.is_some(), "the stream was parked between pulls");
+        let block = stream.next_block(DEFAULT_BLOCK_ROWS).expect("an error block");
+        assert_eq!(block.len(), 1);
+        assert_eq!(
+            block.rows()[0].as_ref().unwrap_err().to_string(),
+            "driver 'GDB': row stream lost before its end"
+        );
+        assert!(stream.next_block(DEFAULT_BLOCK_ROWS).is_none(), "then the end");
+    }
+
+    #[test]
+    fn one_pull_takes_every_buffered_block_that_fits() {
+        let metrics = Arc::new(DriverMetrics::default());
+        let pool = WorkerPool::new("t", 1, Some(Arc::clone(&metrics)));
+        // Window 8 -> four 2-row blocks buffered ahead of the consumer.
+        let mut stream = pool.submit(8, move || Ok(rows_stream(8))).wait().unwrap();
+        let t0 = std::time::Instant::now();
+        while metrics.snapshot().rows_prefetched < 8 {
+            assert!(t0.elapsed() < Duration::from_secs(2), "never prefetched");
+            thread::sleep(Duration::from_millis(1));
+        }
+        // Grain 1 still splits the front block ...
+        assert_eq!(stream.next_block(1).unwrap().len(), 1);
+        // ... grain 5 takes the 1-row remainder and two whole blocks, and
+        // leaves the block that would overshoot ...
+        let b = stream.next_block(5).unwrap();
+        assert_eq!(b.len(), 5);
+        // ... and a full-grain pull takes everything left in one handoff.
+        assert_eq!(stream.next_block(DEFAULT_BLOCK_ROWS).unwrap().len(), 2);
+        assert!(stream.next_block(DEFAULT_BLOCK_ROWS).is_none());
+        let snap = metrics.snapshot();
+        assert_eq!((snap.rows_pulled, snap.blocks_shipped), (8, 3));
+    }
+
+    #[test]
+    fn a_lifted_window_ships_the_whole_reply_without_the_consumer() {
+        let metrics = Arc::new(DriverMetrics::default());
+        let pool = WorkerPool::new("t", 1, Some(Arc::clone(&metrics)));
+        let rows = 3 * DEFAULT_BLOCK_ROWS as i64 + 7;
+        let h = pool.submit(FULL_FETCH, move || Ok(rows_stream(rows)));
+        let stream = h.wait().unwrap();
+        let t0 = std::time::Instant::now();
+        while metrics.snapshot().rows_prefetched < rows as u64 {
+            assert!(t0.elapsed() < Duration::from_secs(2), "the worker waited for us");
+            thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(stream.count(), rows as usize);
+        let snap = metrics.snapshot();
+        assert_eq!((snap.prefetch_grows, snap.prefetch_shrinks), (0, 0));
     }
 
     /// A latch the resilience tests wedge pool work on: `wedge` blocks

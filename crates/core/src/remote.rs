@@ -25,7 +25,9 @@
 //! shell's [`WorkerPool`] — the only pool constructed anywhere in the
 //! workspace — so one wire request is one pool job is one admission
 //! ticket, whether it answers one key or sixteen. Only `submit`
-//! prefetches rows: a batch reply is materialized on the worker anyway.
+//! prefetches rows (up to the advertised window; [`Driver::submit_full`]
+//! lifts it for a reply that will be read to its end): a batch reply is
+//! materialized on the worker anyway.
 
 use std::ops::Deref;
 use std::sync::Arc;
@@ -38,7 +40,7 @@ use crate::driver::{
 };
 use crate::error::KResult;
 use crate::latency::LatencyModel;
-use crate::pool::WorkerPool;
+use crate::pool::{WorkerPool, FULL_FETCH};
 use crate::value::Value;
 
 /// The blocking, data-only half of a remote driver: what the source can
@@ -112,6 +114,8 @@ impl<S: Source> Wire<S> {
 pub struct Remote<S: Source> {
     wire: Arc<Wire<S>>,
     pool: WorkerPool,
+    /// The source's advertised [`Capabilities::prefetch_rows`], read once.
+    prefetch_rows: usize,
 }
 
 impl<S: Source> Remote<S> {
@@ -120,9 +124,11 @@ impl<S: Source> Remote<S> {
     pub fn serve(name: impl Into<String>, source: S, latency: LatencyModel) -> Remote<S> {
         let name = name.into();
         let metrics = Arc::new(DriverMetrics::default());
-        let limit = source.capabilities(&latency).concurrency_limit();
+        let caps = source.capabilities(&latency);
+        let limit = caps.concurrency_limit();
         let pool = WorkerPool::new(name.clone(), limit, Some(Arc::clone(&metrics)));
         Remote {
+            prefetch_rows: caps.prefetch_rows,
             wire: Arc::new(Wire {
                 name,
                 source,
@@ -158,6 +164,14 @@ impl<S: Source> Remote<S> {
     pub fn orphans(&self) -> usize {
         self.pool.orphans()
     }
+
+    /// One wire request through the pool, its reply prefetched up to
+    /// `window` rows ahead of the consumer.
+    fn pooled(&self, req: &DriverRequest, window: usize) -> RequestHandle {
+        let wire = Arc::clone(&self.wire);
+        let req = req.clone();
+        self.pool.submit(window, move || wire.perform(&req))
+    }
 }
 
 impl<S: Source> Deref for Remote<S> {
@@ -182,10 +196,14 @@ impl<S: Source> Driver for Remote<S> {
     }
 
     fn submit(&self, req: &DriverRequest) -> KResult<RequestHandle> {
-        let wire = Arc::clone(&self.wire);
-        let req = req.clone();
-        let prefetch = self.capabilities().prefetch_rows;
-        Ok(self.pool.submit(prefetch, move || wire.perform(&req)))
+        Ok(self.pooled(req, self.prefetch_rows))
+    }
+
+    fn submit_full(&self, req: &DriverRequest) -> KResult<RequestHandle> {
+        // Only a driver that prefetches at all lifts its window: with
+        // `prefetch_rows = 0` rows ship on the consumer's clock, always.
+        let window = if self.prefetch_rows > 0 { FULL_FETCH } else { 0 };
+        Ok(self.pooled(req, window))
     }
 
     fn nonblocking_submit(&self) -> bool {

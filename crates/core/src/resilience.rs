@@ -547,6 +547,21 @@ impl DriverResilience {
         deadline: Option<Instant>,
         cancel: Option<Arc<CancelToken>>,
     ) -> KResult<ResilientHandle> {
+        self.submit_as(driver, req, deadline, cancel, false)
+    }
+
+    /// [`DriverResilience::submit`]; with `full`, for a caller that will
+    /// read the reply to its end: every wire submission the handle makes
+    /// — the first attempt, each retry, a hedge — is then a
+    /// [`crate::Driver::submit_full`].
+    pub fn submit_as(
+        self: &Arc<Self>,
+        driver: &DriverRef,
+        req: &DriverRequest,
+        deadline: Option<Instant>,
+        cancel: Option<Arc<CancelToken>>,
+        full: bool,
+    ) -> KResult<ResilientHandle> {
         let deadline = self.merge_deadline(deadline);
         if let Some(b) = &self.batching {
             if req.coalescable() {
@@ -556,7 +571,7 @@ impl DriverResilience {
                 }
             }
         }
-        self.submit_direct(driver, req, deadline, cancel)
+        self.submit_direct(driver, req, deadline, cancel, full)
     }
 
     /// The caller's absolute budget tightened by the policy's own
@@ -578,32 +593,35 @@ impl DriverResilience {
         req: &DriverRequest,
         deadline: Option<Instant>,
         cancel: Option<Arc<CancelToken>>,
+        full: bool,
     ) -> KResult<ResilientHandle> {
         if let Some(b) = &self.breaker {
             if !b.try_admit() {
                 return Err(KError::circuit_open(&self.name));
             }
         }
-        let attempt = driver.submit(req).inspect_err(|e| self.record_failure(e));
+        let retry = self.policy.retry.as_ref();
+        let mut state = Box::new(DirectState {
+            driver: Arc::clone(driver),
+            req: req.clone(),
+            full,
+            attempt: None,
+            retries_left: retry.map_or(0, |r| r.max_retries),
+            backoff: retry.map_or(Duration::ZERO, |r| r.base_backoff),
+        });
+        let attempt = state.wire_submit().inspect_err(|e| self.record_failure(e));
         // A retryable submit error is carried into the handle so wait()
         // can spend the retry budget on it; anything else fails now.
-        let attempt = match attempt {
+        state.attempt = Some(match attempt {
             Ok(h) => Ok(h),
-            Err(e) if e.is_retryable() && self.policy.retry.is_some() => Err(e),
+            Err(e) if e.is_retryable() && retry.is_some() => Err(e),
             Err(e) => return Err(e),
-        };
-        let retry = self.policy.retry.as_ref();
+        });
         Ok(ResilientHandle {
             res: Arc::clone(self),
             deadline,
             cancel,
-            mode: HandleMode::Direct(Box::new(DirectState {
-                driver: Arc::clone(driver),
-                req: req.clone(),
-                attempt: Some(attempt),
-                retries_left: retry.map_or(0, |r| r.max_retries),
-                backoff: retry.map_or(Duration::ZERO, |r| r.base_backoff),
-            })),
+            mode: HandleMode::Direct(state),
         })
     }
 
@@ -838,6 +856,9 @@ enum HandleMode {
 struct DirectState {
     driver: DriverRef,
     req: DriverRequest,
+    /// The caller reads the reply to its end
+    /// ([`DriverResilience::submit_as`]).
+    full: bool,
     /// The current attempt (or its synchronous submit error, kept for
     /// the retry loop). `None` once redeemed.
     attempt: Option<Result<RequestHandle, KError>>,
@@ -899,6 +920,16 @@ impl ResilientHandle {
 }
 
 impl DirectState {
+    /// Put the request on the wire once more (first attempt, retry, or
+    /// hedge), as the kind of fetch the handle was submitted as.
+    fn wire_submit(&self) -> KResult<RequestHandle> {
+        if self.full {
+            self.driver.submit_full(&self.req)
+        } else {
+            self.driver.submit(&self.req)
+        }
+    }
+
     /// The retry loop: one round on the current attempt, then — on a
     /// retryable failure with budget left — back off and resubmit.
     fn drive(&mut self, cx: &DriveCtx<'_>) -> KResult<BlockStream> {
@@ -949,7 +980,7 @@ impl DirectState {
             }
         }
         cx.res.metrics.record_retry();
-        self.attempt = Some(self.driver.submit(&self.req));
+        self.attempt = Some(self.wire_submit());
         Ok(())
     }
 
@@ -982,7 +1013,7 @@ impl DirectState {
         }
         // Phase 2: fire the hedge and wait for either handle.
         cx.res.metrics.record_hedge_fired();
-        let mut hedge = match self.driver.submit(&self.req) {
+        let mut hedge = match self.wire_submit() {
             Ok(h) => {
                 h.mirror_into(&primary);
                 if let Some(t) = cx.cancel {

@@ -164,6 +164,10 @@ pub struct Context {
     deadline: Option<Instant>,
     /// Per-query cooperative cancellation; see [`CancelToken`].
     cancel: Option<Arc<CancelToken>>,
+    /// This clone evaluates an expression that mentions no remote source
+    /// ([`Context::for_bodies`]): nothing under it can start ahead, and the
+    /// evaluator need not look.
+    remote_free: bool,
 }
 
 struct CtxInner {
@@ -216,6 +220,7 @@ impl Context {
             }),
             deadline: None,
             cancel: None,
+            remote_free: false,
         }
     }
 
@@ -304,6 +309,36 @@ impl Context {
         c
     }
 
+    /// The clone an operator evaluates `bodies` under, once per element:
+    /// it remembers whether they can reach a remote source at all, so
+    /// the per-element evaluation of a local body does not re-walk it
+    /// looking for scans to start ahead.
+    pub(crate) fn for_bodies<'e>(
+        &self,
+        bodies: impl IntoIterator<Item = &'e nrc::Expr>,
+    ) -> Context {
+        fn local(e: &nrc::Expr) -> bool {
+            let mut local = true;
+            e.visit(&mut |node| match node {
+                nrc::Expr::Remote { .. } | nrc::Expr::RemoteApp { .. } => local = false,
+                // A function from the environment may scan anything.
+                nrc::Expr::Apply(f, _) if !matches!(**f, nrc::Expr::Lambda { .. }) => {
+                    local = false
+                }
+                _ => {}
+            });
+            local
+        }
+        let mut c = self.clone();
+        c.remote_free = c.remote_free || bodies.into_iter().all(local);
+        c
+    }
+
+    /// Whether this clone only evaluates remote-free expressions.
+    pub(crate) fn remote_free(&self) -> bool {
+        self.remote_free
+    }
+
     /// The query deadline this clone carries, if any.
     pub fn deadline(&self) -> Option<Instant> {
         self.deadline
@@ -343,6 +378,18 @@ impl Context {
     /// and the context's cancellation token all apply; retry and hedging
     /// run when the returned handle is redeemed.
     pub fn submit_resilient(&self, name: &str, req: &DriverRequest) -> KResult<ResilientHandle> {
+        self.submit_as(name, req, false)
+    }
+
+    /// [`Context::submit_resilient`], as a *full fetch*
+    /// ([`kleisli_core::Driver::submit_full`]) when the caller collects
+    /// the reply to its end.
+    pub(crate) fn submit_as(
+        &self,
+        name: &str,
+        req: &DriverRequest,
+        full: bool,
+    ) -> KResult<ResilientHandle> {
         let driver = self.driver(name)?;
         let res = self
             .inner
@@ -365,7 +412,7 @@ impl Context {
                 }
             }
         }
-        res.submit(driver, req, self.deadline, self.cancel.clone())
+        res.submit_as(driver, req, self.deadline, self.cancel.clone(), full)
     }
 
     /// Fold a `ParExt` warm-up's per-element requests into batched wire

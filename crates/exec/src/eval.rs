@@ -11,16 +11,48 @@
 //! inside a record field. The block evaluator calls back into this module
 //! only for the forms it does not stream, so the mutual recursion always
 //! descends.
+//!
+//! # Strict siblings start together; a value-position scan is a full fetch
+//!
+//! The one rule about remote scans, stated here and relied on by
+//! [`crate::stream`]:
+//!
+//! * **Strict siblings start together.** An operator that evaluates
+//!   several children unconditionally and in order — the fields of a
+//!   record, the arguments of a strict primitive, the arms of a union,
+//!   the element of a singleton, nested in each other — first *starts*
+//!   every child whose stream can be built by non-blocking submission
+//!   alone ([`crate::stream`]'s `prefetchable`), and only then drains
+//!   them, in source order. Three scans in one record cost about one
+//!   scan: request ‖ request ‖ request, then rows ‖ rows ‖ rows.
+//!   [`eval`] is `finish(start(e))` over the small `Pending` tree that
+//!   carries the started streams to where they are consumed. Values and
+//!   errors are those of left-to-right evaluation: a child that cannot
+//!   start (or whose start fails) stays lazy and is evaluated — and
+//!   fails — when its turn comes, and dropping the later siblings'
+//!   streams on an earlier error cancels their requests.
+//! * **Value position fetches in full.** When this module collects a
+//!   bare `Remote` / `RemoteApp` (or a union spine of them) to its end,
+//!   the rows *are* the collection it builds, so buffering them ahead is
+//!   memory-neutral: the request is a
+//!   [`kleisli_core::Driver::submit_full`], and a prefetching driver's
+//!   worker ships the whole reply without waiting for the consumer — who
+//!   is away draining the sibling in front.
+//! * **Stream position keeps the window.** Every other consumer of a
+//!   scan — a top-level stream, `first_n`, the source of a generator, a
+//!   scan under a local filter — may stop early or never hold the rows,
+//!   so for it [`kleisli_core::Capabilities::prefetch_rows`] stays the
+//!   ceiling on rows shipped but not yet read.
 
 use std::sync::Arc;
 
-use kleisli_core::{KError, KResult, Value};
-use nrc::{Expr, Prim};
+use kleisli_core::{BlockStream, CollKind, KError, KResult, Value};
+use nrc::{Expr, Name, Prim};
 
 use crate::context::{CacheLookup, Context};
 use crate::env::{Env, Rt};
 use crate::prims::apply_prim;
-use crate::stream::{collect_blocks, eval_blocks};
+use crate::stream::{blocks_at, collect_blocks, prefetchable, try_start, Fetch, Want};
 
 /// Evaluate a closed, collection- or value-producing expression.
 pub fn eval(e: &Expr, env: &Env, ctx: &Context) -> KResult<Value> {
@@ -58,13 +90,6 @@ pub fn eval_rt(e: &Expr, env: &Env, ctx: &Context) -> KResult<Rt> {
                     v.kind_name()
                 ))),
             }
-        }
-        Expr::Record(fields) => {
-            let mut out = Vec::with_capacity(fields.len());
-            for (n, fe) in fields {
-                out.push((Arc::clone(n), eval(fe, env, ctx)?));
-            }
-            Ok(Rt::Val(Value::record(out)))
         }
         Expr::Proj(inner, field) => {
             let v = eval(inner, env, ctx)?;
@@ -108,10 +133,6 @@ pub fn eval_rt(e: &Expr, env: &Env, ctx: &Context) -> KResult<Rt> {
             }
         }
         Expr::Empty(kind) => Ok(Rt::Val(Value::empty(*kind))),
-        Expr::Single(kind, inner) => Ok(Rt::Val(Value::collection(
-            *kind,
-            vec![eval(inner, env, ctx)?],
-        ))),
         Expr::Union(..)
         | Expr::Ext { .. }
         | Expr::ParExt { .. }
@@ -119,33 +140,38 @@ pub fn eval_rt(e: &Expr, env: &Env, ctx: &Context) -> KResult<Rt> {
         | Expr::Remote { .. }
         | Expr::RemoteApp { .. } => {
             let kind = e.coll_kind_hint().expect("a collection form");
-            collect_blocks(eval_blocks(e, env, ctx)?, kind).map(Rt::Val)
+            collect_blocks(blocks_at(e, env, ctx, Want::Any, Fetch::Full)?, kind).map(Rt::Val)
         }
         Expr::If(c, t, f) => {
             let branch = if eval_cond(c, env, ctx, "if")? { t } else { f };
             eval_rt(branch, env, ctx)
         }
-        Expr::Prim(p, args) => {
-            // `and`/`or` short-circuit like the paper's examples expect.
-            if *p == Prim::And || *p == Prim::Or {
-                let a = eval(&args[0], env, ctx)?;
-                if let Value::Bool(b) = a {
-                    if (*p == Prim::And && !b) || (*p == Prim::Or && b) {
-                        return Ok(Rt::Val(Value::Bool(b)));
-                    }
-                    return eval_rt(&args[1], env, ctx);
+        // `and`/`or` short-circuit like the paper's examples expect.
+        Expr::Prim(p @ (Prim::And | Prim::Or), args) => {
+            let a = eval(&args[0], env, ctx)?;
+            if let Value::Bool(b) = a {
+                if (*p == Prim::And && !b) || (*p == Prim::Or && b) {
+                    return Ok(Rt::Val(Value::Bool(b)));
                 }
-                return Err(KError::eval(format!(
-                    "'{p}' expects bool operands, got {}",
-                    a.kind_name()
-                )));
+                return eval_rt(&args[1], env, ctx);
             }
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval(a, env, ctx)?);
-            }
-            apply_prim(*p, &vals, ctx).map(Rt::Val)
+            Err(KError::eval(format!(
+                "'{p}' expects bool operands, got {}",
+                a.kind_name()
+            )))
         }
+        // The strict operators: every child, unconditionally, in order.
+        Expr::Record(_) | Expr::Single(..) | Expr::Prim(..) => if prefetchable(e, ctx) {
+            // Every sibling that can start is in flight before the
+            // first one drains (module docs).
+            let started = strict_children(e)
+                .map(|child| start(child, env, ctx, Fetch::Full))
+                .collect();
+            finish_node(e, started, env, ctx)
+        } else {
+            eval_strict(e, ctx, |child| eval(child, env, ctx))
+        }
+        .map(Rt::Val),
         Expr::Cached { id, expr } => match ctx.cache_cell(*id).lookup_or_begin() {
             CacheLookup::Hit(v) => Ok(Rt::Val(v)),
             CacheLookup::Miss(ticket) => {
@@ -161,6 +187,116 @@ pub fn eval_rt(e: &Expr, env: &Env, ctx: &Context) -> KResult<Rt> {
             // stack; evaluate without the cache to avoid self-deadlock.
             CacheLookup::Reentrant => Ok(Rt::Val(eval(expr, env, ctx)?)),
         },
+    }
+}
+
+/// A *strict operator* evaluates all its children, unconditionally and
+/// in order: a record, a singleton, a primitive other than the
+/// short-circuiting `and` / `or`.
+fn is_strict(e: &Expr) -> bool {
+    match e {
+        Expr::Record(_) | Expr::Single(..) => true,
+        Expr::Prim(p, _) => !matches!(p, Prim::And | Prim::Or),
+        _ => false,
+    }
+}
+
+/// The children of a strict operator — record fields, primitive
+/// arguments, a singleton's element. Empty for every other form.
+pub(crate) fn strict_children(e: &Expr) -> impl Iterator<Item = &Arc<Expr>> {
+    let mut fields: &[(Name, Arc<Expr>)] = &[];
+    let mut args: &[Arc<Expr>] = &[];
+    let mut element = None;
+    match e {
+        Expr::Record(fs) => fields = fs,
+        Expr::Prim(_, ps) if is_strict(e) => args = ps,
+        Expr::Single(_, inner) => element = Some(inner),
+        _ => {}
+    }
+    fields.iter().map(|(_, fe)| fe).chain(args).chain(element)
+}
+
+/// The value of strict operator `e`, each child's value supplied by
+/// `child`, called once per child in source order.
+fn eval_strict(
+    e: &Expr,
+    ctx: &Context,
+    mut child: impl FnMut(&Arc<Expr>) -> KResult<Value>,
+) -> KResult<Value> {
+    match e {
+        Expr::Record(fields) => {
+            let mut out = Vec::with_capacity(fields.len());
+            for (n, fe) in fields {
+                out.push((Arc::clone(n), child(fe)?));
+            }
+            Ok(Value::record(out))
+        }
+        Expr::Single(kind, inner) => Ok(Value::collection(*kind, vec![child(inner)?])),
+        Expr::Prim(p, args) => {
+            let mut vals = Vec::with_capacity(args.len());
+            for a in args {
+                vals.push(child(a)?);
+            }
+            apply_prim(*p, &vals, ctx)
+        }
+        other => unreachable!("not a strict operator: {other}"),
+    }
+}
+
+/// The value of strict operator `e` over its started children: finished
+/// in source order, the first error dropping — and so cancelling — the
+/// streams behind it.
+fn finish_node(e: &Expr, started: Vec<Pending>, env: &Env, ctx: &Context) -> KResult<Value> {
+    let mut started = started.into_iter();
+    eval_strict(e, ctx, |_| {
+        let child = started.next().expect("one started child per child");
+        child.finish(env, ctx)
+    })
+}
+
+/// A strict child between [`start`] and [`Pending::finish`] (module
+/// docs): whatever of it could be put in flight is, and the streams ride
+/// here until the child's turn to be evaluated comes.
+pub(crate) enum Pending {
+    /// Nothing in flight: evaluated from scratch when its turn comes.
+    Lazy(Arc<Expr>),
+    /// A collection form whose block stream is built — its remote
+    /// requests are on the wire — to be collected into a collection of
+    /// this kind.
+    Stream(BlockStream, CollKind),
+    /// A strict operator over its started children.
+    Node(Arc<Expr>, Vec<Pending>),
+}
+
+/// Put in flight whatever `e` will certainly request, without blocking
+/// and without evaluating anything else. `fetch` is the position of the
+/// operator the child belongs to: [`Fetch::Full`] from [`eval`], which
+/// drains every child now; a singleton's own position when it is an
+/// element of a stream that may never be pulled that far.
+pub(crate) fn start(e: &Arc<Expr>, env: &Env, ctx: &Context, fetch: Fetch) -> Pending {
+    if is_strict(e) && prefetchable(e, ctx) {
+        let children = strict_children(e).map(|c| start(c, env, ctx, fetch));
+        return Pending::Node(Arc::clone(e), children.collect());
+    }
+    // A collection form: `finish` collects it. A failed construction (a
+    // malformed request record, an open breaker) is not reported from
+    // here — the child stays lazy and fails when, and only if, its turn
+    // comes.
+    match try_start(e, env, ctx, Want::Any, fetch) {
+        Some(stream) => Pending::Stream(stream, e.coll_kind_hint().expect("a collection form")),
+        None => Pending::Lazy(Arc::clone(e)),
+    }
+}
+
+impl Pending {
+    /// Evaluate the child to its value, draining what [`start`] put in
+    /// flight.
+    pub(crate) fn finish(self, env: &Env, ctx: &Context) -> KResult<Value> {
+        match self {
+            Pending::Lazy(e) => eval(&e, env, ctx),
+            Pending::Stream(stream, kind) => collect_blocks(stream, kind),
+            Pending::Node(e, children) => finish_node(&e, children, env, ctx),
+        }
     }
 }
 

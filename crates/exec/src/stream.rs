@@ -32,6 +32,16 @@
 //! hides it: a bag or list comprehension over a source that assembles a
 //! set (or a list one over a bag) drains and canonicalizes that source
 //! first, so a generator sees each element of a set exactly once.
+//!
+//! Remote scans follow the rule stated once in [`mod@crate::eval`]'s module
+//! docs — *strict siblings start together; value position fetches in
+//! full; stream position keeps the window*. This module's share of it:
+//! a union's right arm is built ahead when that only puts requests in
+//! flight (`try_start`, the step `eval`'s `start` takes for record
+//! fields and primitive arguments), a singleton arm starts its element
+//! and drains it on first pull, and every scan built here without
+//! `eval` asking for it in value position (`Fetch::Window`) leaves the
+//! driver's `prefetch_rows` the ceiling on rows shipped but unread.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -44,7 +54,7 @@ use nrc::{Expr, JoinStrategy, Name};
 
 use crate::context::{request_from_value, BatchGuard, CacheLookup, Context, PopulateTicket};
 use crate::env::{Env, Rt};
-use crate::eval::{eval, eval_cond, eval_rt};
+use crate::eval::{eval, eval_cond, eval_rt, start, strict_children, Pending};
 
 /// A pull-based stream of collection elements — the single-row view.
 /// [`BlockStream`] boxes iterate at grain 1, so any block stream coerces.
@@ -65,13 +75,28 @@ pub fn eval_blocks(e: &Expr, env: &Env, ctx: &Context) -> KResult<BlockStream> {
     blocks(e, env, ctx, Want::Any)
 }
 
+/// How a remote scan's rows are fetched; decided by where its stream is
+/// consumed (the rule is stated once, in [`mod@crate::eval`]'s module docs).
+#[derive(Clone, Copy)]
+pub(crate) enum Fetch {
+    /// Stream position: the consumer may stop early or never hold the
+    /// rows, so the driver's `prefetch_rows` is the ceiling on rows
+    /// shipped but not yet read.
+    Window,
+    /// Value position: the consumer collects the scan to its end and the
+    /// rows are the collection it builds, so the whole reply is fetched
+    /// ahead. Inherited by the arms of a union and by what a singleton
+    /// arm starts for its element, and by nothing else.
+    Full,
+}
+
 /// What the consumer of a block chain requires of the collection feeding
 /// it. The type checker settles this statically; for `any`-typed values
 /// (driver rows, runtime-selected branches) it is checked here, wherever
 /// a materialized [`Value`] or a collection form of evident kind enters
 /// a chain — so a query's top and its nested parts are equally strict.
 #[derive(Clone, Copy)]
-enum Want {
+pub(crate) enum Want {
     /// The top of a query: any collection.
     Any,
     /// The source of a comprehension of the given kind. Generators draw
@@ -127,13 +152,31 @@ fn piece_elems(piece: &Value, kind: CollKind) -> KResult<&[Value]> {
     Ok(piece.elements().expect("checked to be a collection"))
 }
 
+/// Must a `consumer`-kind comprehension drain and canonicalize its
+/// `source` before reading it? See [`Want::Source`]: a set under a bag or
+/// list comprehension, a bag under a list one.
+fn canonicalizes_first(consumer: CollKind, source: &Expr) -> bool {
+    built_kind(source).is_some_and(|built| {
+        consumer != CollKind::Set && built != CollKind::List && built != consumer
+    })
+}
+
+/// The stream of `e` in stream position.
 fn blocks(e: &Expr, env: &Env, ctx: &Context, want: Want) -> KResult<BlockStream> {
+    blocks_at(e, env, ctx, want, Fetch::Window)
+}
+
+pub(crate) fn blocks_at(
+    e: &Expr,
+    env: &Env,
+    ctx: &Context,
+    want: Want,
+    fetch: Fetch,
+) -> KResult<BlockStream> {
     if let Some(built) = built_kind(e) {
         want.check(Some(built), built.name())?;
         if let Want::Source(consumer) = want {
-            // See `Want::Source`: drain and canonicalize a set under a
-            // bag or list comprehension, a bag under a list one.
-            if consumer != CollKind::Set && built != CollKind::List && built != consumer {
+            if canonicalizes_first(consumer, e) {
                 let v = collect_blocks(blocks(e, env, ctx, Want::Any)?, built)?;
                 return value_blocks(&v, want);
             }
@@ -141,38 +184,41 @@ fn blocks(e: &Expr, env: &Env, ctx: &Context, want: Want) -> KResult<BlockStream
     }
     match e {
         Expr::Empty(_) => Ok(blocks_of_rows(Box::new(std::iter::empty()))),
-        Expr::Single(_, inner) => {
-            let v = eval(inner, env, ctx)?;
-            Ok(slice_blocks(Arc::new(vec![v])))
-        }
+        Expr::Single(_, inner) => match start(inner, env, ctx, fetch) {
+            Pending::Lazy(_) => Ok(slice_blocks(Arc::new(vec![eval(inner, env, ctx)?]))),
+            // The element has requests in flight; it is drained on first
+            // pull, so the sibling arms built next put theirs in flight
+            // beside them.
+            started => {
+                let (env, ctx) = (env.clone(), ctx.clone());
+                Ok(Box::new(LazyBlocks::new(move || {
+                    Ok(slice_blocks(Arc::new(vec![started.finish(&env, &ctx)?])))
+                })))
+            }
+        },
         Expr::Union(kind, a, b) => {
             let want = Want::Operand("union", *kind);
-            let sa = blocks(a, env, ctx, want)?;
-            // When the right operand is a spine of remote scans on
-            // drivers whose `submit` is genuinely non-blocking, building
-            // its stream *now* puts those requests in flight, so the
-            // right arm's round-trips overlap consumption of the left
-            // arm — the paper's "keep several requests in flight" traded
-            // against strict laziness. Rows stay lazy up to the driver's
-            // advertised `prefetch_rows`: a prefetching driver's pool
-            // worker pulls that many rows ahead once the request
-            // completes (so the right arm's row transfer also overlaps
-            // the left arm's consumption), while `prefetch_rows = 0`
-            // drivers ship rows strictly on demand. Anything that would do
-            // real work at construction time (locals, joins, cached
-            // populations, or submission through a blocking default
-            // adapter) stays fully lazy: a consumer that stops inside
-            // the left operand never evaluates it.
-            // A construction error (e.g. a malformed request record)
-            // falls back to the lazy path, preserving the guarantee that
-            // a left-arm-only consumer never sees the right arm fail.
-            let sb = match prefetchable(b, ctx).then(|| blocks(b, env, ctx, want)) {
-                Some(Ok(sb)) => sb,
-                _ => {
-                    let (b, env2, ctx2) = (Arc::clone(b), env.clone(), ctx.clone());
-                    Box::new(LazyBlocks::new(move || blocks(&b, &env2, &ctx2, want)))
-                }
-            };
+            let sa = blocks_at(a, env, ctx, want, fetch)?;
+            // Strict siblings start together: when building the right
+            // operand's stream does nothing but put requests in flight
+            // (`prefetchable`), build it *now*, so its round-trips
+            // overlap consumption of the left arm — the paper's "keep
+            // several requests in flight" traded against strict
+            // laziness. In stream position rows stay lazy up to the
+            // driver's advertised `prefetch_rows` (`prefetch_rows = 0`
+            // drivers ship rows strictly on demand). Anything that would
+            // do real work at construction time stays fully lazy: a
+            // consumer that stops inside the left operand never
+            // evaluates it. A construction error (e.g. a malformed
+            // request record) falls back to the lazy path too,
+            // preserving the guarantee that a left-arm-only consumer
+            // never sees the right arm fail.
+            let sb = try_start(b, env, ctx, want, fetch).unwrap_or_else(|| {
+                let (b, env2, ctx2) = (Arc::clone(b), env.clone(), ctx.clone());
+                Box::new(LazyBlocks::new(move || {
+                    blocks_at(&b, &env2, &ctx2, want, fetch)
+                }))
+            });
             Ok(Box::new(ChainBlocks {
                 a: Some(sa),
                 b: Some(sb),
@@ -185,6 +231,7 @@ fn blocks(e: &Expr, env: &Env, ctx: &Context, want: Want) -> KResult<BlockStream
             source,
         } => {
             let src = blocks(source, env, ctx, Want::Source(*kind))?;
+            let ctx = ctx.for_bodies([&**body]);
             // Fused fast path: a body that is a pure projection
             // (`Single`) or filter+projection (`If(c, Single, Empty)`)
             // evaluates a whole source batch in one pass — no per-row
@@ -197,7 +244,7 @@ fn blocks(e: &Expr, env: &Env, ctx: &Context, want: Want) -> KResult<BlockStream
                     fused,
                     var: Arc::clone(var),
                     env: env.clone(),
-                    ctx: ctx.clone(),
+                    ctx,
                     failed: false,
                 }));
             }
@@ -209,7 +256,7 @@ fn blocks(e: &Expr, env: &Env, ctx: &Context, want: Want) -> KResult<BlockStream
                 var: Arc::clone(var),
                 body: Arc::clone(body),
                 env: env.clone(),
-                ctx: ctx.clone(),
+                ctx,
                 failed: false,
             }))
         }
@@ -229,15 +276,11 @@ fn blocks(e: &Expr, env: &Env, ctx: &Context, want: Want) -> KResult<BlockStream
             // through the driver's resilience layer: breaker admission
             // here, deadline/retry/hedging when the first pull redeems
             // it.
-            Ok(PendingBlocks::boxed(
-                ctx.submit_resilient(driver, request)?,
-                ctx,
-            ))
+            PendingBlocks::submit(driver, request, ctx, fetch)
         }
         Expr::RemoteApp { driver, arg } => {
             let argv = eval(arg, env, ctx)?;
-            let req = request_from_value(&argv)?;
-            Ok(PendingBlocks::boxed(ctx.submit_resilient(driver, &req)?, ctx))
+            PendingBlocks::submit(driver, &request_from_value(&argv)?, ctx, fetch)
         }
         Expr::Join {
             kind,
@@ -280,6 +323,8 @@ fn blocks(e: &Expr, env: &Env, ctx: &Context, want: Want) -> KResult<BlockStream
                 }
                 (JoinStrategy::BlockedNl, ..) => (Probe::Scan(rv), Arc::clone(cond)),
             };
+            let per_pair = [&*cond, &**body].into_iter().chain(left_key.as_deref());
+            let ctx = ctx.for_bodies(per_pair);
             Ok(Box::new(JoinBlocks {
                 left: lstream,
                 probe,
@@ -290,7 +335,7 @@ fn blocks(e: &Expr, env: &Env, ctx: &Context, want: Want) -> KResult<BlockStream
                 cond,
                 body: Arc::clone(body),
                 env: env.clone(),
-                ctx: ctx.clone(),
+                ctx,
                 failed: false,
             }))
         }
@@ -353,7 +398,7 @@ fn blocks(e: &Expr, env: &Env, ctx: &Context, want: Want) -> KResult<BlockStream
                 var: Arc::clone(var),
                 body: Arc::clone(body),
                 env: env.clone(),
-                ctx: ctx.clone(),
+                ctx: ctx.for_bodies([&**body]),
                 width: (*max_in_flight).max(1),
                 attach_only: batch.is_some() && remote_nodes(body) == 1,
                 batch: batch.clone(),
@@ -503,15 +548,23 @@ impl Iterator for CachingStream {
     }
 }
 
-/// Is building a stream for `e` effectively free of *blocking* work —
-/// nothing beyond non-blocking driver submissions, environment lookups
-/// and constant collections? For such expressions the union arm builds
-/// the stream eagerly (prefetching the remote requests); everything else
-/// (locals with side work, joins that materialize, cached populations,
-/// or drivers whose `submit` runs the request inline) keeps the fully
-/// lazy path. `RemoteApp` arguments are required to be remote-free
-/// because they are evaluated at construction time.
-fn prefetchable(e: &Expr, ctx: &Context) -> bool {
+/// Is building a stream for `e` (or, for a strict operator,
+/// [`start`]ing it) effectively free of *blocking* work — nothing beyond
+/// non-blocking driver submissions, environment lookups and constant
+/// collections — **and** does it put at least one request in flight?
+/// Such expressions are started ahead of the siblings in front of them
+/// (union arms here, record fields and primitive arguments in
+/// [`mod@crate::eval`]); everything else (locals with side work, joins that
+/// materialize, cached populations, generators that must canonicalize
+/// their source first, or drivers whose `submit` runs the request
+/// inline) keeps the fully lazy path. `RemoteApp` arguments are required
+/// to be remote-free because they are evaluated at construction time. A
+/// strict operator qualifies when any of its children does: starting it
+/// starts those and leaves the rest lazy.
+pub(crate) fn prefetchable(e: &Expr, ctx: &Context) -> bool {
+    if ctx.remote_free() {
+        return false;
+    }
     let nonblocking = |driver: &str| {
         ctx.driver(driver)
             .map(|d| d.nonblocking_submit())
@@ -520,10 +573,28 @@ fn prefetchable(e: &Expr, ctx: &Context) -> bool {
     match e {
         Expr::Remote { driver, .. } => nonblocking(driver),
         Expr::RemoteApp { driver, arg } => !arg.touches_remote() && nonblocking(driver),
-        Expr::Ext { source, .. } | Expr::ParExt { source, .. } => prefetchable(source, ctx),
+        Expr::Ext { kind, source, .. } | Expr::ParExt { kind, source, .. } => {
+            !canonicalizes_first(*kind, source) && prefetchable(source, ctx)
+        }
         Expr::Union(_, a, b) => prefetchable(a, ctx) && prefetchable(b, ctx),
-        _ => false,
+        _ => strict_children(e).any(|child| prefetchable(child, ctx)),
     }
+}
+
+/// Build the stream of `e` now, ahead of its turn, if that only puts
+/// requests in flight — the one start-ahead step union arms and
+/// [`start`] share. `None`: `e` stays lazy.
+pub(crate) fn try_start(
+    e: &Expr,
+    env: &Env,
+    ctx: &Context,
+    want: Want,
+    fetch: Fetch,
+) -> Option<BlockStream> {
+    if !prefetchable(e, ctx) {
+        return None;
+    }
+    blocks_at(e, env, ctx, want, fetch).ok()
 }
 
 /// Two block streams back to back — the union operator. Blocks pass
@@ -564,8 +635,9 @@ impl BlockSource for ChainBlocks {
 /// On drivers advertising a positive `prefetch_rows`, the stream this
 /// redeems is backed by the driver pool's bounded block-prefetch buffer:
 /// the pool worker that performed the request keeps pulling row blocks
-/// ahead of whoever consumes this stream (up to `prefetch_rows` rows),
-/// so per-row transfer latency overlaps consumer work (and other
+/// ahead of whoever consumes this stream (up to `prefetch_rows` rows —
+/// or, for a scan submitted in value position, [`Fetch::Full`], to the
+/// end of the reply), so per-row transfer latency overlaps consumer work (and other
 /// streams' rows — union arms and join sides fill their buffers
 /// concurrently). This is the Section-4 laziness trade at *row*
 /// granularity, and it composes with `nonblocking_submit` the same way
@@ -591,6 +663,17 @@ struct PendingBlocks {
 }
 
 impl PendingBlocks {
+    /// Put `req` on the wire through the driver's resilience layer.
+    fn submit(
+        driver: &str,
+        req: &DriverRequest,
+        ctx: &Context,
+        fetch: Fetch,
+    ) -> KResult<BlockStream> {
+        let handle = ctx.submit_as(driver, req, matches!(fetch, Fetch::Full))?;
+        Ok(PendingBlocks::boxed(handle, ctx))
+    }
+
     fn boxed(handle: kleisli_core::resilience::ResilientHandle, ctx: &Context) -> BlockStream {
         Box::new(PendingBlocks {
             ctx: handle

@@ -4,16 +4,23 @@
 //!
 //! * a property over small random plans (sets / bags / lists, both join
 //!   strategies, `ParExt`, `Cached`, collections nested in record fields
-//!   to depth 2, an element whose evaluation fails);
+//!   to depth 2, an element whose evaluation fails), a quarter of them
+//!   strict siblings over remote scans — records of collections,
+//!   `flatten` of singleton unions, primitives over scans — on a
+//!   prefetching driver whose window is smaller than its table, so what
+//!   the evaluator starts ahead and fetches in full means what
+//!   left-to-right evaluation means;
 //! * the runtime kind errors the type checker cannot rule out on
 //!   `any`-typed values, raised identically at the top of a query and in
 //!   its nested parts;
 //! * generators of one kind drawing from a source of another.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
-use kleisli_core::{CollKind, Value};
+use kleisli_core::testutil::SlowDriver;
+use kleisli_core::{CollKind, DriverRequest, Value};
 use kleisli_exec::{
     collect_blocks, collect_stream, eval, eval_blocks, eval_stream, reference, Context, Env,
 };
@@ -23,17 +30,32 @@ use proptest::TestRng;
 
 type Outcome = Result<Value, String>;
 
+/// Rows `[n = 0] .. [n = 11]` per request behind a 4-row prefetch window
+/// (rows and requests cost nothing: `SlowDriver` prefetches regardless).
+const REMOTE_ROWS: i64 = 12;
+
+/// A fresh context (no run sees another's cache cells) over the one
+/// remote source `R` the generated plans scan.
+fn context() -> Context {
+    static R: OnceLock<Arc<SlowDriver>> = OnceLock::new();
+    let driver = R.get_or_init(|| {
+        SlowDriver::pipelined("R", REMOTE_ROWS, Duration::ZERO, Duration::ZERO, 3, 4)
+    });
+    let mut ctx = Context::new();
+    ctx.register_driver(Arc::clone(driver) as _);
+    ctx
+}
+
 /// Run `e` (a `kind` collection) every way there is, each on a fresh
-/// context so no run sees another's cache cells: `eval`, full-grain
-/// drain, grain-1 drain, and the oracle.
+/// context: `eval`, full-grain drain, grain-1 drain, and the oracle.
 fn every_way(e: &Expr, kind: CollKind) -> [Outcome; 4] {
     let env = Env::empty();
     let text = |r: kleisli_core::KResult<Value>| r.map_err(|err| err.to_string());
     [
-        text(eval(e, &env, &Context::new())),
-        text(eval_blocks(e, &env, &Context::new()).and_then(|s| collect_blocks(s, kind))),
-        text(eval_stream(e, &env, &Context::new()).and_then(|s| collect_stream(s, kind))),
-        text(reference::eval(e, &env, &Context::new())),
+        text(eval(e, &env, &context())),
+        text(eval_blocks(e, &env, &context()).and_then(|s| collect_blocks(s, kind))),
+        text(eval_stream(e, &env, &context()).and_then(|s| collect_stream(s, kind))),
+        text(reference::eval(e, &env, &context())),
     ]
 }
 
@@ -218,11 +240,68 @@ impl Gen<'_> {
         }
     }
 
+    /// A closed collection to put beside others under a strict operator:
+    /// the bare scan of `R`, ints drawn from it by a generator of any
+    /// kind (one shape in three divides by `n - 3`, failing mid-scan), or
+    /// a local collection — which cannot start ahead and must keep its
+    /// place between those that do.
+    fn sibling(&mut self) -> Expr {
+        let scan = Expr::Remote {
+            driver: name("R"),
+            request: DriverRequest::TableScan {
+                table: "t".into(),
+                columns: None,
+            },
+        };
+        let kind = self.kind();
+        let n = Expr::proj(Expr::var("row"), "n");
+        match self.below(5) {
+            0 => scan,
+            1 | 2 => Expr::ext(kind, "row", Expr::single(kind, n), scan),
+            3 => {
+                let risky = Expr::prim(
+                    Prim::Div,
+                    vec![Expr::int(12), Expr::prim(Prim::Sub, vec![n, Expr::int(3)])],
+                );
+                Expr::ext(kind, "row", Expr::single(kind, risky), scan)
+            }
+            _ => self.ints(kind, &[], 1),
+        }
+    }
+
+    /// A `kind` collection assembled by a strict operator over three
+    /// [`Gen::sibling`]s: one record of them, `flatten` of a union of
+    /// their singletons, or primitives over them.
+    fn siblings(&mut self, kind: CollKind) -> Expr {
+        let (a, b, c) = (self.sibling(), self.sibling(), self.sibling());
+        let count = |e: Expr| Expr::prim(Prim::Count, vec![e]);
+        match self.below(3) {
+            0 => Expr::single(kind, Expr::record(vec![("a", a), ("b", b), ("c", c)])),
+            1 => {
+                let [a, b, c] = [a, b, c].map(|e| Expr::single(kind, e));
+                Expr::prim(
+                    Prim::Flatten,
+                    vec![Expr::union(kind, a, Expr::union(kind, b, c))],
+                )
+            }
+            _ => Expr::single(
+                kind,
+                Expr::record(vec![
+                    ("n", Expr::prim(Prim::Add, vec![count(a), count(b)])),
+                    ("none", Expr::prim(Prim::IsEmpty, vec![c])),
+                ]),
+            ),
+        }
+    }
+
     /// A `kind` collection whose elements are ints or records carrying
-    /// collections, themselves carrying a record with one more.
+    /// collections, themselves carrying a record with one more — or one
+    /// assembled from [`Gen::siblings`].
     fn plan(&mut self, kind: CollKind) -> Expr {
-        if self.below(3) == 0 {
-            return self.ints(kind, &[], 3);
+        match self.below(4) {
+            0 => return self.ints(kind, &[], 3),
+            1 => return self.siblings(kind),
+            _ => {}
         }
         let source_kind = self.kind();
         let source = self.ints(source_kind, &[], 2);
@@ -267,10 +346,11 @@ proptest! {
 fn the_property_exercises_values_errors_and_every_operator() {
     // Guard the generator itself: over 256 plans it must produce both
     // outcomes and reach each collection operator.
-    let (mut ok, mut failed) = (0, 0);
+    let (mut ok, mut failed, mut remote_ok, mut remote_failed) = (0, 0, 0, 0);
     let mut seen = [false; 5];
     for seed in 0..256u64 {
         let plan = Plans.generate(&mut TestRng::new(seed));
+        let scans = plan.0.touches_remote();
         plan.0.visit(&mut |e| match e {
             Expr::Join {
                 strategy: JoinStrategy::BlockedNl,
@@ -282,12 +362,16 @@ fn the_property_exercises_values_errors_and_every_operator() {
             Expr::Union(..) => seen[4] = true,
             _ => {}
         });
-        match reference::eval(&plan.0, &Env::empty(), &Context::new()) {
-            Ok(_) => ok += 1,
-            Err(_) => failed += 1,
-        }
+        match reference::eval(&plan.0, &Env::empty(), &context()) {
+            Ok(_) => (ok += 1, remote_ok += u32::from(scans)),
+            Err(_) => (failed += 1, remote_failed += u32::from(scans)),
+        };
     }
     assert!(ok >= 64 && failed >= 16, "{ok} values, {failed} errors");
+    assert!(
+        remote_ok >= 16 && remote_failed >= 8,
+        "over remote scans: {remote_ok} values, {remote_failed} errors"
+    );
     assert_eq!(seen, [true; 5], "blocked, indexed, par, cached, union");
 }
 
