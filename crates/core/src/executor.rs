@@ -160,6 +160,13 @@ impl Executor {
         self.core.threads_spawned.load(Ordering::SeqCst)
     }
 
+    /// Workers running a task right now. Tasks still queued as data
+    /// hold no worker and do not count — which is what lets a caller
+    /// prove that work it is holding back occupies nothing here.
+    pub fn busy(&self) -> usize {
+        self.core.lock_state().busy
+    }
+
     /// Submit a fire-and-forget task. It queues as data until a worker
     /// picks it up; a panic inside the task is caught and discarded
     /// (tasks that must report failure do so through their own promise,

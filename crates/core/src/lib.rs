@@ -72,6 +72,8 @@ pub use resilience::{
     BreakerPolicy, BreakerState, CancelToken, CircuitBreaker, DriverResilience, HedgePolicy,
     ResiliencePolicy, ResilientHandle, RetryPolicy,
 };
-pub use token::{detokenize, read_exchange, tokenize, write_exchange, Token};
+pub use token::{
+    detokenize, read_exchange, tokenize, write_exchange, write_exchange_into, ExchangeSink, Token,
+};
 pub use types::Type;
 pub use value::{CollKind, Oid, Value};

@@ -27,7 +27,11 @@
 //!   [`OneShot::wait_until`] re-check their predicate on every pulse.
 //!   Pulse takes the cell lock before notifying, so a waiter that has
 //!   just checked its predicate and is about to sleep cannot miss the
-//!   wakeup (no lost-wakeup window).
+//!   wakeup (no lost-wakeup window). A pulse wakes only those who watch
+//!   for progress; a consumer in plain [`OneShot::wait`] wants the value
+//!   and sleeps through it — waking a parked thread for nothing costs
+//!   the *producer* tens of microseconds on a virtualized host, and a
+//!   query worker pulses once per block.
 
 use std::sync::{Condvar, Mutex, Weak};
 use std::time::Instant;
@@ -74,6 +78,9 @@ struct Slot<T> {
     value: Option<T>,
     set: bool,
     mirrors: Vec<Weak<dyn Pulsable>>,
+    /// Waiters inside [`OneShot::wait_until`] / [`OneShot::wait_for`]:
+    /// the ones a pulse is for.
+    watchers: usize,
 }
 
 /// A set-once / take-once promise cell (see the module docs).
@@ -117,6 +124,7 @@ impl<T> OneShot<T> {
                 value: None,
                 set: false,
                 mirrors: Vec::new(),
+                watchers: 0,
             }),
             cv: Condvar::new(),
         }
@@ -130,6 +138,7 @@ impl<T> OneShot<T> {
                 value: Some(value),
                 set: true,
                 mirrors: Vec::new(),
+                watchers: 0,
             }),
             cv: Condvar::new(),
         }
@@ -203,14 +212,17 @@ impl<T> OneShot<T> {
         self.lock().value.take()
     }
 
-    /// Wake every waiter without setting the promise, so waiters blocked
-    /// in [`OneShot::wait_until`] re-check external progress (streamed
-    /// rows, cancellation flags). Acquires the cell lock first: a pulse
-    /// fired between a waiter's predicate check and its sleep cannot be
-    /// lost.
+    /// Wake the waiters blocked in [`OneShot::wait_until`] /
+    /// [`OneShot::wait_for`] without setting the promise, so they
+    /// re-check external progress (streamed rows, cancellation flags).
+    /// Acquires the cell lock first: a pulse fired between a waiter's
+    /// predicate check and its sleep cannot be lost. With nobody
+    /// watching it is a lock and nothing else — a consumer in plain
+    /// [`OneShot::wait`] is not woken.
     pub fn pulse(&self) {
-        let _guard = self.lock();
-        self.cv.notify_all();
+        if self.lock().watchers > 0 {
+            self.cv.notify_all();
+        }
     }
 
     /// Block until the promise is set **or** `ready()` returns true.
@@ -219,12 +231,11 @@ impl<T> OneShot<T> {
     /// lock the predicate takes (push progress first, then pulse).
     pub fn wait_until<F: FnMut() -> bool>(&self, mut ready: F) {
         let mut st = self.lock();
-        loop {
-            if st.set || ready() {
-                return;
-            }
+        st.watchers += 1;
+        while !(st.set || ready()) {
             st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
         }
+        st.watchers -= 1;
     }
 
     /// Block until the promise is set, the optional `deadline` passes, or
@@ -243,12 +254,13 @@ impl<T> OneShot<T> {
         mut interrupt: F,
     ) -> WaitFor {
         let mut st = self.lock();
-        loop {
+        st.watchers += 1;
+        let outcome = loop {
             if st.set {
-                return WaitFor::Ready;
+                break WaitFor::Ready;
             }
             if interrupt() {
-                return WaitFor::Interrupted;
+                break WaitFor::Interrupted;
             }
             match deadline {
                 None => {
@@ -257,7 +269,7 @@ impl<T> OneShot<T> {
                 Some(d) => {
                     let now = Instant::now();
                     if now >= d {
-                        return WaitFor::TimedOut;
+                        break WaitFor::TimedOut;
                     }
                     let (guard, _timeout) = self
                         .cv
@@ -266,7 +278,9 @@ impl<T> OneShot<T> {
                     st = guard;
                 }
             }
-        }
+        };
+        st.watchers -= 1;
+        outcome
     }
 }
 
@@ -333,6 +347,27 @@ mod tests {
         assert!(progress.load(Ordering::SeqCst) >= 3);
         t.join().unwrap();
         assert_eq!(p.poll(), PromiseState::Pending, "pulse never sets");
+    }
+
+    #[test]
+    fn a_pulse_is_for_progress_watchers_not_for_plain_waiters() {
+        let p: Arc<OneShot<i32>> = Arc::new(OneShot::new());
+        let watchers = |p: &OneShot<i32>| p.lock().watchers;
+        std::thread::scope(|scope| {
+            let plain = scope.spawn(|| p.wait());
+            let watching = scope.spawn(|| p.wait_until(|| false));
+            while watchers(&p) < 1 {
+                std::thread::yield_now();
+            }
+            p.pulse();
+            assert_eq!(watchers(&p), 1, "the plain waiter never counts");
+            p.set(3);
+            assert_eq!(plain.join().unwrap(), Some(3));
+            watching.join().unwrap();
+        });
+        assert_eq!(watchers(&p), 0);
+        assert_eq!(p.wait_for(None, || true), WaitFor::Ready);
+        assert_eq!(watchers(&p), 0, "every exit of wait_for gives its count back");
     }
 
     #[test]

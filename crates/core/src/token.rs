@@ -175,28 +175,126 @@ fn value_from<I: Iterator<Item = Token>>(tok: Token, rest: &mut I) -> KResult<Va
     }
 }
 
-/// Render a token stream in the line-oriented textual exchange format used
-/// between Kleisli and its drivers.
+/// Where [`write_exchange_into`] puts its text: a `String`, a byte
+/// buffer, or a caller's bounded frame.
+pub trait ExchangeSink {
+    /// Append `text`. Answering `false` stops the writer — a bounded
+    /// sink has taken all it will.
+    fn put(&mut self, text: &str) -> bool;
+}
+
+impl ExchangeSink for String {
+    fn put(&mut self, text: &str) -> bool {
+        self.push_str(text);
+        true
+    }
+}
+
+impl ExchangeSink for Vec<u8> {
+    fn put(&mut self, text: &str) -> bool {
+        self.extend_from_slice(text.as_bytes());
+        true
+    }
+}
+
+/// Render a value in the line-oriented textual exchange format used
+/// between Kleisli and its drivers — one line per token of
+/// [`tokenize`]'s stream.
 pub fn write_exchange(v: &Value) -> String {
     let mut out = String::new();
-    for t in tokenize(v) {
-        match t {
-            Token::Unit => out.push_str("U\n"),
-            Token::Bool(b) => out.push_str(if b { "B 1\n" } else { "B 0\n" }),
-            Token::Int(i) => out.push_str(&format!("I {i}\n")),
-            Token::Float(x) => out.push_str(&format!("F {}\n", hex_f64(x))),
-            Token::Str(s) => out.push_str(&format!("S {}\n", escape(&s))),
-            Token::StartColl(k) => out.push_str(&format!("C {}\n", k.name())),
-            Token::EndColl => out.push_str("c\n"),
-            Token::StartRecord => out.push_str("R\n"),
-            Token::Field(n) => out.push_str(&format!("L {}\n", escape(&n))),
-            Token::EndRecord => out.push_str("r\n"),
-            Token::StartVariant(t) => out.push_str(&format!("V {}\n", escape(&t))),
-            Token::EndVariant => out.push_str("v\n"),
-            Token::Ref(o) => out.push_str(&format!("O {} {}\n", escape(&o.class), o.id)),
+    write_exchange_into(v, &mut out);
+    out
+}
+
+/// [`write_exchange`] straight into `out`: one recursive walk over the
+/// value, no token stream and no allocation per token. Returns `false`
+/// if the sink stopped the walk (what it holds is then a truncated
+/// prefix, of no use to a reader).
+pub fn write_exchange_into(v: &Value, out: &mut impl ExchangeSink) -> bool {
+    match v {
+        Value::Unit => out.put("U\n"),
+        Value::Bool(b) => out.put(if *b { "B 1\n" } else { "B 0\n" }),
+        Value::Int(i) => {
+            let mut digits = [0u8; 20];
+            out.put(if *i < 0 { "I -" } else { "I " })
+                && out.put(decimal(i.unsigned_abs(), &mut digits))
+                && out.put("\n")
+        }
+        Value::Float(x) => {
+            let bits = x.to_bits();
+            let mut hex = [0u8; 16];
+            for (k, h) in hex.iter_mut().enumerate() {
+                *h = b"0123456789abcdef"[(bits >> (60 - 4 * k)) as usize & 0xf];
+            }
+            out.put("F ")
+                && out.put(std::str::from_utf8(&hex).expect("hex digits are ASCII"))
+                && out.put("\n")
+        }
+        Value::Str(s) => put_line(out, "S ", s),
+        Value::Set(es) | Value::Bag(es) | Value::List(es) => {
+            let open = match v {
+                Value::Set(_) => "C set\n",
+                Value::Bag(_) => "C bag\n",
+                _ => "C list\n",
+            };
+            out.put(open) && es.iter().all(|e| write_exchange_into(e, out)) && out.put("c\n")
+        }
+        Value::Record(r) => {
+            out.put("R\n")
+                && r.iter()
+                    .all(|(n, fv)| put_line(out, "L ", n) && write_exchange_into(fv, out))
+                && out.put("r\n")
+        }
+        Value::Variant(tag, inner) => {
+            put_line(out, "V ", tag) && write_exchange_into(inner, out) && out.put("v\n")
+        }
+        Value::Ref(o) => {
+            let mut digits = [0u8; 20];
+            out.put("O ")
+                && put_escaped(out, &o.class)
+                && out.put(" ")
+                && out.put(decimal(o.id, &mut digits))
+                && out.put("\n")
         }
     }
-    out
+}
+
+/// `n` in decimal, written into the tail of `digits`.
+fn decimal(mut n: u64, digits: &mut [u8; 20]) -> &str {
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII")
+}
+
+/// One `<tag><escaped text>\n` line.
+fn put_line(out: &mut impl ExchangeSink, tag: &str, text: &str) -> bool {
+    out.put(tag) && put_escaped(out, text) && out.put("\n")
+}
+
+/// `text` with backslash, newline and carriage return escaped, so a
+/// token never spans lines.
+fn put_escaped(out: &mut impl ExchangeSink, text: &str) -> bool {
+    let mut from = 0;
+    for (at, byte) in text.bytes().enumerate() {
+        let escaped = match byte {
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            _ => continue,
+        };
+        if !(out.put(&text[from..at]) && out.put(escaped)) {
+            return false;
+        }
+        from = at + 1;
+    }
+    out.put(&text[from..])
 }
 
 /// Parse the textual exchange format back into a value.
@@ -277,25 +375,8 @@ fn parse_line(line: &str) -> KResult<Token> {
     }
 }
 
-fn hex_f64(x: f64) -> String {
-    format!("{:016x}", x.to_bits())
-}
-
 fn parse_hex_f64(s: &str) -> Option<f64> {
     u64::from_str_radix(s, 16).ok().map(f64::from_bits)
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn unescape(s: &str) -> KResult<String> {
@@ -382,6 +463,47 @@ mod tests {
         let v = Value::str("line1\nline2\\end");
         let back = read_exchange(&write_exchange(&v)).unwrap();
         assert_eq!(v, back);
+    }
+
+    #[test]
+    fn direct_writer_spells_the_extremes_and_stops_when_the_sink_says_so() {
+        for (v, text) in [
+            (Value::Int(i64::MIN), "I -9223372036854775808\n"),
+            (Value::Int(i64::MAX), "I 9223372036854775807\n"),
+            (Value::Int(0), "I 0\n"),
+            (Value::bag(vec![]), "C bag\nc\n"),
+            (Value::record(vec![]), "R\nr\n"),
+            (Value::str("a\\\r\nb"), "S a\\\\\\r\\nb\n"),
+        ] {
+            assert_eq!(write_exchange(&v), text);
+        }
+
+        /// Takes `room` bytes, then refuses.
+        struct Tight {
+            text: String,
+            room: usize,
+        }
+        impl ExchangeSink for Tight {
+            fn put(&mut self, text: &str) -> bool {
+                if self.text.len() + text.len() > self.room {
+                    return false;
+                }
+                self.text.push_str(text);
+                true
+            }
+        }
+        let big = Value::list((0..10_000).map(Value::Int).collect());
+        let mut tight = Tight {
+            text: String::new(),
+            room: 64,
+        };
+        assert!(!write_exchange_into(&big, &mut tight));
+        assert!(write_exchange(&big).starts_with(&tight.text));
+        assert!(
+            tight.text.len() > 48,
+            "stopped at the bound, not before: {}",
+            tight.text.len()
+        );
     }
 
     #[test]

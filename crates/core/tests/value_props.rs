@@ -4,8 +4,39 @@
 
 use std::sync::Arc;
 
-use kleisli_core::{detokenize, read_exchange, tokenize, write_exchange, Oid, Value};
+use kleisli_core::{
+    detokenize, read_exchange, tokenize, write_exchange, write_exchange_into, Oid, Token, Value,
+};
 use proptest::prelude::*;
+
+/// The exchange text as the token stream spells it, one `format!` per
+/// token — the definition the direct writer is checked against.
+fn exchange_by_tokens(v: &Value) -> String {
+    fn escape(s: &str) -> String {
+        s.replace('\\', "\\\\")
+            .replace('\n', "\\n")
+            .replace('\r', "\\r")
+    }
+    let mut out = String::new();
+    for t in tokenize(v) {
+        out.push_str(&match t {
+            Token::Unit => "U\n".to_string(),
+            Token::Bool(b) => format!("B {}\n", u8::from(b)),
+            Token::Int(i) => format!("I {i}\n"),
+            Token::Float(x) => format!("F {:016x}\n", x.to_bits()),
+            Token::Str(s) => format!("S {}\n", escape(&s)),
+            Token::StartColl(k) => format!("C {}\n", k.name()),
+            Token::EndColl => "c\n".to_string(),
+            Token::StartRecord => "R\n".to_string(),
+            Token::Field(n) => format!("L {}\n", escape(&n)),
+            Token::EndRecord => "r\n".to_string(),
+            Token::StartVariant(t) => format!("V {}\n", escape(&t)),
+            Token::EndVariant => "v\n".to_string(),
+            Token::Ref(o) => format!("O {} {}\n", escape(&o.class), o.id),
+        });
+    }
+    out
+}
 
 /// An arbitrary value, nesting up to `depth`.
 fn value(depth: u32) -> BoxedStrategy<Value> {
@@ -21,8 +52,15 @@ fn value(depth: u32) -> BoxedStrategy<Value> {
             Just(Value::Float(-0.0)),
         ],
         "[a-zA-Z0-9 _.-]{0,12}".prop_map(Value::str),
+        // every character the exchange format escapes, and a non-ASCII one
+        "[ab\\\n\ré]{0,6}".prop_map(Value::str),
+        any::<i64>().prop_map(Value::Int),
         (0u64..50).prop_map(|id| Value::Ref(Oid {
             class: Arc::from("Clone"),
+            id,
+        })),
+        any::<u64>().prop_map(|id| Value::Ref(Oid {
+            class: Arc::from("a\\b c\n"),
             id,
         })),
     ]
@@ -111,6 +149,15 @@ proptest! {
         let back = detokenize(&mut toks).expect("detokenize");
         prop_assert_eq!(&back, &v);
         prop_assert!(toks.next().is_none(), "no trailing tokens");
+    }
+
+    #[test]
+    fn direct_writer_is_byte_identical_to_the_token_stream(v in value(4)) {
+        let by_tokens = exchange_by_tokens(&v);
+        prop_assert_eq!(&write_exchange(&v), &by_tokens);
+        let mut bytes = Vec::new();
+        prop_assert!(write_exchange_into(&v, &mut bytes), "an unbounded sink never stops the walk");
+        prop_assert_eq!(bytes, by_tokens.into_bytes());
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub use kleisli_core::{
 };
 pub use plan_cache::{PlanCache, PlanCacheStats};
 pub use session::{
-    Compiled, QueryCanceller, QueryHandle, QueryStatus, Session, SharedCommit, SharedQuery,
+    Compiled, QueryHandle, QueryStatus, Session, SharedCommit, SharedQuery,
     SourceFlush, StmtResult,
 };
 pub use sources::{bio_federation, AceObjects, BioFederation};

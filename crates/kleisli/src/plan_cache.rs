@@ -27,11 +27,21 @@
 //!   ([`PlanCache::generation`]), so a stale plan can never be served
 //!   after the flush returns. This is the compile-side half of the
 //!   wire-level FLUSH verb.
+//! * **The source catalog lives here.** The table statistics the
+//!   optimizer consults while compiling ([`PlanCache::table_stats`]) are
+//!   a snapshot with the plans' lifetime: fetched from the source at most
+//!   once per (source, table), shared by every session sharing the
+//!   cache, and dropped by exactly what drops the plans derived from it
+//!   — [`PlanCache::clear`] and [`PlanCache::flush_source`] — so a plan
+//!   and the statistics it was compiled against go stale together or
+//!   not at all. The paper notes that remote statistics "are hard to
+//!   get on the fly"; a mediator registers them, it does not
+//!   interrogate its sources per query.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 
-use kleisli_core::KResult;
+use kleisli_core::{KResult, TableStats};
 use kleisli_opt::OptConfig;
 
 use crate::session::Compiled;
@@ -78,7 +88,15 @@ struct State {
 pub struct PlanCache {
     state: StdMutex<State>,
     cv: Condvar,
+    /// The source-catalog snapshot, by source. A lock of its own, held
+    /// across the fetch: that is what makes "at most once" true under
+    /// concurrent compiles, and plan lookups never wait behind it.
+    catalog: StdMutex<HashMap<String, SourceTables>>,
 }
+
+/// What one source said about its tables, by table — `None` (it keeps
+/// no statistics for that one) included.
+type SourceTables = HashMap<String, Option<Arc<TableStats>>>;
 
 impl PlanCache {
     /// A cache keeping at most `capacity` compiled plans (`0` disables
@@ -97,6 +115,7 @@ impl PlanCache {
                 flushes: 0,
             }),
             cv: Condvar::new(),
+            catalog: StdMutex::new(HashMap::new()),
         })
     }
 
@@ -175,6 +194,28 @@ impl PlanCache {
         Some(plan)
     }
 
+    /// The statistics of `table` at `source` as of the source's current
+    /// invalidation generation: answered from the snapshot, which
+    /// `fetch` fills on the first question (a source with nothing to
+    /// say is remembered too). See the module docs for what drops it.
+    pub fn table_stats(
+        &self,
+        source: &str,
+        table: &str,
+        fetch: impl FnOnce() -> Option<TableStats>,
+    ) -> Option<Arc<TableStats>> {
+        let mut catalog = self.catalog.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(known) = catalog.get(source).and_then(|tables| tables.get(table)) {
+            return known.clone();
+        }
+        let fetched = fetch().map(Arc::new);
+        catalog
+            .entry(source.to_string())
+            .or_default()
+            .insert(table.to_string(), fetched.clone());
+        fetched
+    }
+
     /// Hit/miss/eviction counters and occupancy.
     pub fn stats(&self) -> PlanCacheStats {
         let st = self.lock();
@@ -189,12 +230,18 @@ impl PlanCache {
     }
 
     /// Drop every cached plan whose [`Compiled::deps`] mention `source`
-    /// and bump that source's invalidation generation. Returns how many
-    /// plans were dropped. Plans not reading `source` are untouched; an
-    /// in-flight compile of a flushed key commits its (freshly compiled)
-    /// plan normally, which is correct — it started after the caller
-    /// decided to refresh.
+    /// and the statistics snapshot of its tables, and bump that source's
+    /// invalidation generation. Returns how many plans were dropped.
+    /// Plans not reading `source` are untouched; an in-flight compile of
+    /// a flushed key commits its (freshly compiled) plan normally, which
+    /// is correct — it started after the caller decided to refresh.
     pub fn flush_source(&self, source: &str) -> usize {
+        // Statistics first: a compile starting after this line asks the
+        // refreshed source, whatever happens to the plans below.
+        self.catalog
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .remove(source);
         let mut st = self.lock();
         let before = st.entries.len();
         st.entries
@@ -232,11 +279,15 @@ impl PlanCache {
         }
     }
 
-    /// Drop every cached plan (counters are kept; deliberate clears are
-    /// invalidation, not capacity pressure, so they do not count as
-    /// evictions).
+    /// Drop every cached plan and the whole statistics snapshot
+    /// (counters are kept; deliberate clears are invalidation, not
+    /// capacity pressure, so they do not count as evictions).
     pub fn clear(&self) {
         self.lock().entries.clear();
+        self.catalog
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .clear();
     }
 }
 

@@ -17,6 +17,16 @@
 //! default — construct with [`Session::with_executor`] to isolate or
 //! resize it.
 //!
+//! A [`QueryHandle`]'s worker hands its rows over **a block at a time,
+//! at a grain that doubles per pull** from 1 to
+//! [`kleisli_core::DEFAULT_BLOCK_ROWS`]: the first row is visible as
+//! soon as it exists, a long drain pays one budget check, one lock and
+//! one wake per 64 rows instead of per row, and a prefix consumer
+//! ([`QueryHandle::first_n`]) over-evaluates at most the prefix again.
+//! A caller that already runs on the executor — the server's admitted
+//! query — skips the hand-off altogether and evaluates in place with
+//! [`Session::run_shared`], through the same drain.
+//!
 //! # Plan caching
 //!
 //! [`Session::compile`] memoizes compiled plans in a small LRU keyed by
@@ -25,6 +35,11 @@
 //! queries over and over) skips parse/typecheck/optimize entirely. The
 //! cache is invalidated whenever the meaning of a source string can
 //! change: a driver or value binding is registered, or a `define` runs.
+//! The table statistics the optimizer reads while compiling are a
+//! snapshot kept *with* the plans ([`PlanCache::table_stats`]): a source
+//! is asked once per table, and whatever drops the plans derived from
+//! it — [`Session::clear_plan_cache`], [`Session::flush_source`] from
+//! any session sharing the cache — drops its statistics too.
 //!
 //! Before optimization, plans are hash-consed through a session-level
 //! [`nrc::Interner`], so structurally identical subplans — within one
@@ -53,10 +68,11 @@ use std::time::{Duration, Instant};
 use cpl::{desugar_stmt, parse_expr, parse_program, Definitions, Stmt};
 use kleisli_core::{
     CancelToken, Capabilities, CollKind, DriverRef, Executor, KError, KResult, MetricsSnapshot,
-    OneShot, PromiseState, ResiliencePolicy, TableStats, Type, Value,
+    OneShot, PromiseState, ResiliencePolicy, TableStats, Type, Value, ValueBlock,
+    DEFAULT_BLOCK_ROWS,
 };
 use kleisli_exec::{
-    eval, eval_stream, first_n, first_n_distinct, Context, Env, ObjectStore, ResultCache,
+    eval, eval_blocks, first_n, first_n_distinct, Context, Env, ObjectStore, ResultCache,
     ResultLookup, ResultTicket,
 };
 use kleisli_opt::{optimize_shared, OptConfig, SourceCatalog, TraceEntry};
@@ -151,9 +167,9 @@ pub enum QueryStatus {
 /// Worker/consumer state of one in-flight query. The completion half is
 /// the shared [`kleisli_core::OneShot`] promise — the same primitive the
 /// driver-level `RequestHandle` is built on — and the streamed-row
-/// progress rides next to it: the worker pushes a row (releasing the
-/// rows lock first), then [`OneShot::pulse`]s the promise so `first_n`
-/// waiters re-check how much has arrived.
+/// progress rides next to it: the worker pushes a block of rows
+/// (releasing the rows lock first), then [`OneShot::pulse`]s the promise
+/// so `first_n` waiters re-check how much has arrived.
 struct QueryShared {
     /// Rows streamed so far, in arrival order (streaming plans only).
     rows: StdMutex<Vec<Value>>,
@@ -162,8 +178,11 @@ struct QueryShared {
     /// Cooperative cancellation, shared with the evaluation context so
     /// in-flight driver round-trips are woken and abandoned immediately
     /// (their admission tickets reclaimed) rather than discovered at the
-    /// next row boundary.
+    /// next block boundary.
     cancel: Arc<CancelToken>,
+    /// Lock-and-pulse rounds the worker has made (one per block).
+    #[cfg(test)]
+    rounds: std::sync::atomic::AtomicUsize,
 }
 
 /// A query in flight: the public face of the two-phase execution API.
@@ -181,7 +200,7 @@ struct QueryShared {
 ///   in (set-typed prefixes are deduplicated, as in
 ///   [`Session::query_first_n`]), then cancel the remainder;
 /// * [`QueryHandle::cancel`] — stop the evaluation cooperatively: the
-///   worker aborts at the next row boundary, and driver requests still
+///   worker aborts at the next block boundary, and driver requests still
 ///   queued behind admission gates are discarded without ever reaching
 ///   their source. Dropping the handle cancels too; either way no driver
 ///   admission ticket is leaked.
@@ -229,7 +248,7 @@ impl QueryHandle {
         deadline: Option<Duration>,
     ) -> QueryHandle {
         // The same kind/dedup decisions as the synchronous query paths:
-        // stream row by row when the plan's collection kind is
+        // stream block by block when the plan's collection kind is
         // syntactically evident, else evaluate in one piece on the worker.
         let kind = compiled.optimized.coll_kind_hint();
         let dedup = match &compiled.ty {
@@ -249,6 +268,8 @@ impl QueryHandle {
             rows: StdMutex::new(Vec::new()),
             done: OneShot::new(),
             cancel,
+            #[cfg(test)]
+            rounds: Default::default(),
         });
         let worker = Arc::clone(&shared);
         let executor = Arc::clone(ctx.executor());
@@ -264,9 +285,10 @@ impl QueryHandle {
         QueryHandle { shared, dedup }
     }
 
-    /// The worker body: stream rows into the shared state when the plan
-    /// is collection-shaped, evaluate it in one piece otherwise. Either
-    /// way the block evaluator runs the plan; only the grain differs.
+    /// The worker body: stream blocks of rows into the shared state when
+    /// the plan is collection-shaped, evaluate it in one piece otherwise.
+    /// Either way the block evaluator runs the plan; only the grain
+    /// differs.
     fn run(
         shared: &Arc<QueryShared>,
         compiled: &Compiled,
@@ -278,21 +300,20 @@ impl QueryHandle {
             // row-granular cancellation) to offer.
             return eval(&compiled.optimized, &Env::empty(), ctx);
         };
-        let stream = eval_stream(&compiled.optimized, &Env::empty(), ctx)?;
-        for item in stream {
-            // Cancelled -> KError::Cancelled; past the query deadline ->
-            // KError::Timeout, even when every individual round-trip was
-            // fast (the budget is end-to-end).
-            ctx.check_budget()?;
-            let v = item?;
+        drain(&compiled.optimized, ctx, |block| {
             let mut rows = shared.rows.lock().unwrap_or_else(|e| e.into_inner());
-            rows.push(v);
+            let pushed = push_rows(&mut rows, block);
             drop(rows);
+            #[cfg(test)]
+            shared
+                .rounds
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             // Wake first_n waiters to re-count the arrived prefix. The
             // rows lock is released first: pulse holds the promise lock,
             // and waiters evaluate their row-count predicate under it.
             shared.done.pulse();
-        }
+            pushed
+        })?;
         // Move the rows out rather than cloning them: first_n's fallback
         // already serves the prefix from the final value when the row
         // buffer is empty.
@@ -338,8 +359,8 @@ impl QueryHandle {
     /// evaluation error arriving before `n` rows propagates.
     pub fn first_n(self, n: usize) -> KResult<Vec<Value>> {
         // Block until enough rows arrived or the promise resolved. The
-        // worker pushes each row (releasing the rows lock) and then
-        // pulses the promise, so the predicate re-runs per row. The
+        // worker pushes each block (releasing the rows lock) and then
+        // pulses the promise, so the predicate re-runs per block. The
         // wakeup check only needs a count (capped at `n`), maintained
         // *incrementally* across pulses: each wakeup scans only the rows
         // that arrived since the last one, so a long stream of
@@ -432,40 +453,51 @@ impl QueryHandle {
         self.shared.cancel.cancel();
         self.shared.done.pulse();
     }
-
-    /// A detached cancellation handle for this query. Unlike the
-    /// [`QueryHandle`] itself — whose `wait`/`first_n` consume it — a
-    /// canceller is `Clone` and can be stashed in a registry (the server
-    /// keeps one per in-flight query id, so a CANCEL frame can stop an
-    /// evaluation whose handle is blocked in `wait` on another thread).
-    pub fn canceller(&self) -> QueryCanceller {
-        QueryCanceller {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-}
-
-/// A cancel-only view of an in-flight query; see
-/// [`QueryHandle::canceller`]. Dropping a canceller does *not* cancel
-/// the query (unlike dropping the handle).
-#[derive(Clone)]
-pub struct QueryCanceller {
-    shared: Arc<QueryShared>,
-}
-
-impl QueryCanceller {
-    /// Stop the evaluation cooperatively; same semantics as
-    /// [`QueryHandle::cancel`]. Idempotent.
-    pub fn cancel(&self) {
-        self.shared.cancel.cancel();
-        self.shared.done.pulse();
-    }
 }
 
 impl Drop for QueryHandle {
     fn drop(&mut self) {
         self.cancel();
     }
+}
+
+/// Drain a collection-shaped plan block by block, handing each block to
+/// `deliver` — the one loop behind every query evaluated for a consumer
+/// who may be watching or may cancel ([`QueryHandle`]'s worker, and
+/// [`Session::run_shared`] on its caller's thread).
+///
+/// **The grain rule: it doubles per pull**, from 1 up to
+/// [`DEFAULT_BLOCK_ROWS`]. The first row is handed over as soon as it
+/// exists (the paper's fast first response), a long drain pays one
+/// budget check, one hand-over and one wake per 64 rows, and a prefix
+/// consumer over-evaluates at most the prefix again: when its `n`-th row
+/// arrives fewer than `2n` have been delivered (the pull then in flight,
+/// which its cancel stops, asks for at most as many again).
+fn drain(
+    plan: &Expr,
+    ctx: &Context,
+    mut deliver: impl FnMut(ValueBlock) -> KResult<()>,
+) -> KResult<()> {
+    let mut blocks = eval_blocks(plan, &Env::empty(), ctx)?;
+    let mut grain = 1;
+    while let Some(block) = blocks.next_block(grain) {
+        // Cancelled -> KError::Cancelled; past the query deadline ->
+        // KError::Timeout, even when every individual round-trip was
+        // fast (the budget is end-to-end).
+        ctx.check_budget()?;
+        deliver(block)?;
+        grain = (grain * 2).min(DEFAULT_BLOCK_ROWS);
+    }
+    Ok(())
+}
+
+/// Move a block's rows behind `rows`; a block's error is its last row,
+/// so the rows in front of it are kept.
+fn push_rows(rows: &mut Vec<Value>, block: ValueBlock) -> KResult<()> {
+    for row in block.into_rows() {
+        rows.push(row?);
+    }
+    Ok(())
 }
 
 /// First-arrival-order distinct prefix of at most `n` rows.
@@ -523,6 +555,13 @@ impl SharedCommit {
     }
 }
 
+/// Where a shared-result query stands once its plan is compiled and the
+/// cache consulted.
+enum Begun {
+    Hit(Value),
+    Evaluate(Arc<Compiled>, Option<ResultTicket>),
+}
+
 /// A CPL/Kleisli session. Drivers are registered once; `define`s
 /// accumulate; queries compile and run against the registered sources.
 pub struct Session {
@@ -545,15 +584,25 @@ impl Default for Session {
     }
 }
 
-struct CtxCatalog<'a>(&'a Context);
+/// The optimizer's view of the registered sources. Capabilities are
+/// read off the driver; table statistics come from the plan cache's
+/// snapshot ([`PlanCache::table_stats`]), so the source is asked once
+/// per table and invalidation, not eleven times per cold compile.
+struct CtxCatalog<'a> {
+    ctx: &'a Context,
+    plans: &'a PlanCache,
+}
 
 impl SourceCatalog for CtxCatalog<'_> {
     fn capabilities(&self, driver: &str) -> Option<Capabilities> {
-        self.0.driver(driver).ok().map(|d| d.capabilities())
+        self.ctx.driver(driver).ok().map(|d| d.capabilities())
     }
 
     fn table_stats(&self, driver: &str, table: &str) -> Option<TableStats> {
-        self.0.driver(driver).ok().and_then(|d| d.table_stats(table))
+        let source = self.ctx.driver(driver).ok()?;
+        self.plans
+            .table_stats(driver, table, || source.table_stats(table))
+            .map(|stats| TableStats::clone(&stats))
     }
 }
 
@@ -822,7 +871,11 @@ impl Session {
     /// then rewrites once — and run the optimizer pipeline.
     fn intern_and_optimize(&self, raw: Expr) -> (Arc<Expr>, Vec<TraceEntry>) {
         let shared = self.interner.lock().intern(&Arc::new(raw));
-        optimize_shared(shared, &CtxCatalog(&self.ctx), &self.config)
+        let catalog = CtxCatalog {
+            ctx: &self.ctx,
+            plans: &self.plan_cache,
+        };
+        optimize_shared(shared, &catalog, &self.config)
     }
 
     /// Submit one CPL expression for evaluation without waiting for it:
@@ -866,7 +919,7 @@ impl Session {
     /// `budget` has elapsed (measured from submission), remote waits
     /// resolve `KError::Timeout` — abandoning wedged round-trips and
     /// reclaiming their admission tickets — and the evaluation aborts at
-    /// the next row boundary. A driver policy's own deadline, when
+    /// the next block boundary. A driver policy's own deadline, when
     /// tighter, still wins for that driver's requests.
     pub fn submit_with_deadline(&self, src: &str, budget: Duration) -> KResult<QueryHandle> {
         let compiled = self.compile_shared(src)?;
@@ -907,34 +960,74 @@ impl Session {
     /// Without an attached cache this degrades to
     /// [`SharedQuery::Uncached`] (plain [`Session::submit`]).
     pub fn submit_shared(&self, src: &str) -> KResult<SharedQuery> {
-        let compiled = self.compile_shared(src)?;
-        let Some(cache) = &self.result_cache else {
-            self.ctx.cache_clear();
-            return Ok(SharedQuery::Uncached(QueryHandle::spawn(
-                compiled,
-                Arc::clone(&self.ctx),
-                None,
-            )));
-        };
-        match cache.lookup_or_begin_tagged(compiled.plan_hash(), &compiled.deps) {
-            ResultLookup::Hit(v) => Ok(SharedQuery::Cached(v)),
-            ResultLookup::Reentrant => {
-                self.ctx.cache_clear();
-                Ok(SharedQuery::Uncached(QueryHandle::spawn(
-                    compiled,
-                    Arc::clone(&self.ctx),
-                    None,
-                )))
-            }
-            ResultLookup::Miss(ticket) => {
-                self.ctx.cache_clear();
+        Ok(match self.begin_shared(src)? {
+            Begun::Hit(v) => SharedQuery::Cached(v),
+            Begun::Evaluate(compiled, ticket) => {
                 let handle = QueryHandle::spawn(compiled, Arc::clone(&self.ctx), None);
-                Ok(SharedQuery::Fresh {
-                    handle,
-                    commit: SharedCommit { ticket },
-                })
+                match ticket {
+                    Some(ticket) => SharedQuery::Fresh {
+                        handle,
+                        commit: SharedCommit { ticket },
+                    },
+                    None => SharedQuery::Uncached(handle),
+                }
             }
+        })
+    }
+
+    /// [`Session::submit_shared`] for a caller that already *is* a task
+    /// on the compute executor (the server's admitted query): compile,
+    /// consult the shared result cache, and on a miss evaluate **on the
+    /// calling thread** — no second task, no hand-off — committing the
+    /// result before returning it. Returns the value and whether it came
+    /// from the shared cache.
+    ///
+    /// `cancel` stops the evaluation cooperatively, exactly as
+    /// [`QueryHandle::cancel`] does; the drain is the handle worker's
+    /// (the grain rule on [`QueryHandle`]), so cancellation is noticed
+    /// at block boundaries and inside remote waits. A failed or
+    /// cancelled evaluation drops its populate ticket uncommitted,
+    /// waking waiting sessions to retry.
+    pub fn run_shared(&self, src: &str, cancel: &Arc<CancelToken>) -> KResult<(Value, bool)> {
+        let (compiled, ticket) = match self.begin_shared(src)? {
+            Begun::Hit(v) => return Ok((v, true)),
+            Begun::Evaluate(compiled, ticket) => (compiled, ticket),
+        };
+        let ctx = self.ctx.with_cancel_token(Arc::clone(cancel));
+        let value = match compiled.optimized.coll_kind_hint() {
+            None => eval(&compiled.optimized, &Env::empty(), &ctx)?,
+            Some(kind) => {
+                let mut rows = Vec::new();
+                drain(&compiled.optimized, &ctx, |block| {
+                    push_rows(&mut rows, block)
+                })?;
+                Value::collection(kind, rows)
+            }
+        };
+        if let Some(ticket) = ticket {
+            ticket.commit(value.clone());
         }
+        Ok((value, false))
+    }
+
+    /// The front half of both shared-result paths: the compiled plan
+    /// and, unless the cache already holds its answer, the populate
+    /// ticket this caller won (`None`: no cache attached, or a
+    /// re-entrant lookup — evaluate invisibly to other sessions).
+    fn begin_shared(&self, src: &str) -> KResult<Begun> {
+        let compiled = self.compile_shared(src)?;
+        let ticket = match &self.result_cache {
+            None => None,
+            Some(cache) => {
+                match cache.lookup_or_begin_tagged(compiled.plan_hash(), &compiled.deps) {
+                    ResultLookup::Hit(v) => return Ok(Begun::Hit(v)),
+                    ResultLookup::Reentrant => None,
+                    ResultLookup::Miss(ticket) => Some(ticket),
+                }
+            }
+        };
+        self.ctx.cache_clear();
+        Ok(Begun::Evaluate(compiled, ticket))
     }
 
     /// [`Session::submit`] for an already-compiled plan.
@@ -1086,5 +1179,27 @@ impl Session {
     /// unique ownership.
     pub fn context(&self) -> Arc<Context> {
         Arc::clone(&self.ctx)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::Ordering;
+
+    #[test]
+    fn a_long_drain_hands_over_per_block_not_per_row() {
+        let mut session = Session::new();
+        session.bind_value("DB", Value::list((0..10_000).map(Value::Int).collect()));
+        let handle = session.submit(r"[| x + 1 | \x <- DB |]").expect("submit");
+        let shared = Arc::clone(&handle.shared);
+        assert_eq!(handle.wait().expect("drain").len(), Some(10_000));
+        // The grain ramps 1, 2, 4, .. 64 and stays there: 7 pulls for the
+        // first 127 rows, then one per 64.
+        let rounds = shared.rounds.load(Ordering::Relaxed);
+        assert!(
+            (100..=200).contains(&rounds),
+            "{rounds} lock-and-pulse rounds"
+        );
     }
 }

@@ -25,7 +25,7 @@
 
 use std::io::{self, Read, Write};
 
-use kleisli_core::{read_exchange, write_exchange, Value};
+use kleisli_core::{read_exchange, write_exchange, write_exchange_into, ExchangeSink, Value};
 
 /// Frames larger than this are rejected as malformed (64 MiB — far
 /// beyond any sane query text, and a backstop for result payloads).
@@ -197,16 +197,92 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 /// Serialize a [`Response::Result`] payload from an already-serialized
 /// exchange text. The server's warm fast path keeps results in this form
 /// (one serialization per cache generation instead of one per hit); the
-/// ordinary [`encode_response`] path funnels through here too, so the
-/// two encodings cannot drift.
+/// ordinary [`encode_response`] path funnels through here too, and
+/// [`encode_result_frame`] is property-tested against it, so the
+/// encodings cannot drift.
 pub fn encode_result_text(id: u64, served: ServedFrom, text: &str) -> Vec<u8> {
     let mut out = header(OP_RESULT, id, 1 + text.len());
-    out.push(match served {
-        ServedFrom::Fresh => 0,
-        ServedFrom::SharedCache => 1,
-    });
+    out.push(served_byte(served));
     out.extend_from_slice(text.as_bytes());
     out
+}
+
+fn served_byte(served: ServedFrom) -> u8 {
+    match served {
+        ServedFrom::Fresh => 0,
+        ServedFrom::SharedCache => 1,
+    }
+}
+
+/// A complete [`Response::Result`] *frame* — length prefix included,
+/// ready for one socket write — serialized straight from the value: the
+/// reply is written once, into the buffer that goes on the wire.
+/// [`Value::approx_bytes`] sizes the buffer up front; the header is
+/// reserved first and the length patched in last.
+///
+/// `None` when the payload would exceed `limit` bytes. The writer stops
+/// at the limit — an over-limit result is never materialized, and the
+/// buffer never grows past `limit` plus the prefix.
+pub fn encode_result_frame(
+    id: u64,
+    served: ServedFrom,
+    value: &Value,
+    limit: usize,
+) -> Option<Vec<u8>> {
+    // Length prefix (patched below), opcode, id, served-from byte.
+    let mut head = [0u8; 14];
+    head[4] = OP_RESULT;
+    head[5..13].copy_from_slice(&id.to_be_bytes());
+    head[13] = served_byte(served);
+    let hint = usize::try_from(value.approx_bytes()).unwrap_or(usize::MAX);
+    let mut out = Bounded::new(
+        hint.saturating_add(head.len()),
+        4 + limit.min(MAX_FRAME_LEN),
+    );
+    if !(out.put_bytes(&head) && write_exchange_into(value, &mut out)) {
+        return None;
+    }
+    let mut frame = out.frame;
+    let payload_len = u32::try_from(frame.len() - 4).expect("bounded by MAX_FRAME_LEN");
+    frame[..4].copy_from_slice(&payload_len.to_be_bytes());
+    Some(frame)
+}
+
+/// A frame buffer that refuses to pass `max_len` bytes, in length or in
+/// capacity.
+struct Bounded {
+    frame: Vec<u8>,
+    max_len: usize,
+}
+
+impl Bounded {
+    /// Room for `hint` bytes up front, as far as the bound allows.
+    fn new(hint: usize, max_len: usize) -> Bounded {
+        Bounded {
+            frame: Vec::with_capacity(hint.min(max_len)),
+            max_len,
+        }
+    }
+
+    fn put_bytes(&mut self, bytes: &[u8]) -> bool {
+        let len = self.frame.len() + bytes.len();
+        if len > self.max_len {
+            return false;
+        }
+        if len > self.frame.capacity() {
+            // Double, like `Vec`, but never beyond the bound.
+            let target = (self.frame.capacity() * 2).clamp(len, self.max_len);
+            self.frame.reserve_exact(target - self.frame.len());
+        }
+        self.frame.extend_from_slice(bytes);
+        true
+    }
+}
+
+impl ExchangeSink for Bounded {
+    fn put(&mut self, text: &str) -> bool {
+        self.put_bytes(text.as_bytes())
+    }
 }
 
 /// Parse a response payload.
@@ -247,21 +323,26 @@ pub fn decode_response(payload: &[u8]) -> io::Result<Response> {
     }
 }
 
-/// Write one length-prefixed frame.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+/// `payload` behind its length prefix: one frame, one buffer. A separate
+/// 4-byte length write would let Nagle hold the payload back until the
+/// peer ACKs the prefix — ~40 ms of delayed-ACK stall per frame on
+/// loopback.
+pub fn frame(payload: &[u8]) -> io::Result<Vec<u8>> {
     if payload.len() > MAX_FRAME_LEN {
         return Err(malformed(format!(
             "frame of {} bytes exceeds the {MAX_FRAME_LEN}-byte limit",
             payload.len()
         )));
     }
-    // One coalesced write: a separate 4-byte length write would let
-    // Nagle hold the payload back until the peer ACKs the prefix —
-    // ~40 ms of delayed-ACK stall per frame on loopback.
     let mut frame = Vec::with_capacity(4 + payload.len());
     frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
     frame.extend_from_slice(payload);
-    w.write_all(&frame)?;
+    Ok(frame)
+}
+
+/// Write one length-prefixed frame.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    w.write_all(&frame(payload)?)?;
     w.flush()
 }
 
@@ -332,6 +413,31 @@ mod tests {
         ] {
             let decoded = decode_response(&encode_response(&resp)).unwrap();
             assert_eq!(decoded, resp);
+        }
+    }
+
+    #[test]
+    fn result_frames_equal_the_text_path_and_stop_at_the_limit() {
+        let value = Value::set(vec![Value::Int(-1), Value::str("két\n")]);
+        let payload = encode_result_text(9, ServedFrom::Fresh, &write_exchange(&value));
+        // A limit of exactly the payload fits; one byte less does not.
+        let framed = encode_result_frame(9, ServedFrom::Fresh, &value, payload.len()).unwrap();
+        assert_eq!(framed, frame(&payload).unwrap());
+        assert!(encode_result_frame(9, ServedFrom::Fresh, &value, payload.len() - 1).is_none());
+
+        // An over-limit result is never materialized: a ~1 MB reply
+        // against a 4 KiB limit stops within the limit, in length and
+        // in allocation (less than one more exchange line short of it).
+        let big = Value::list((0..100_000).map(|i| Value::Int(1_000_000 + i)).collect());
+        assert!(write_exchange(&big).len() > 900_000);
+        let limit = 4096;
+        assert!(encode_result_frame(1, ServedFrom::Fresh, &big, limit).is_none());
+        for hint in [0, 1_000_000] {
+            let mut out = Bounded::new(hint, limit);
+            assert!(!write_exchange_into(&big, &mut out));
+            let (len, allocated) = (out.frame.len(), out.frame.capacity());
+            assert!(allocated <= limit, "allocated {allocated}");
+            assert!(len > limit - 16, "stopped early at {len}");
         }
     }
 

@@ -10,18 +10,41 @@
 //! captured by the registrar are shared across sessions, so per-driver
 //! admission gates, resilience policies, and metrics are process-wide,
 //! exactly as they were per-session; and every session evaluates on the
-//! process-wide compute [`Executor`](kleisli_core::Executor).
+//! process-wide compute [`Executor`].
+//!
+//! Those are all the threads there are: the accept loop, and a reader
+//! and a writer per connection. **A fresh query is one executor task
+//! from frame to frame** — no thread is created per query and the query
+//! changes threads twice, not five times:
+//!
+//! ```text
+//!  reader ── QUERY frame ──► executor task ── RESULT frame ──► writer queue ──► socket
+//!  (admission, or the       compile · shared-cache lookup ·
+//!   warm fast path)         evaluate · serialize into the frame
+//! ```
+//!
+//! The task evaluates *in place* ([`Session::run_shared`]): the block
+//! evaluator's parallel chunks may borrow further executor workers, but
+//! the query itself never waits on a second task. The one thing a task
+//! may park its worker on is another session's single flight of the
+//! very same plan or result — bounded by that leader's evaluation, which
+//! is itself running and needs no further worker to finish (parallel
+//! chunks are caller-helped). The reply is written once, straight into
+//! the frame the writer puts on the socket ([`encode_result_frame`]).
 //!
 //! # Admission (per-tenant fair share)
 //!
-//! A connection is a tenant. Each gets a private
-//! [`RequestGate`] admitting at most
-//! [`ServerConfig::max_queries_per_connection`] concurrently-running
-//! queries, plus a bounded wait queue of
-//! [`ServerConfig::queue_depth_per_connection`]; a QUERY arriving with
-//! the queue full is rejected immediately with an `Error` response
-//! (message prefix `"busy:"`) instead of stalling the connection. A hot
-//! tenant therefore saturates *its own* gate and queue while every other
+//! A connection is a tenant. Each has
+//! [`ServerConfig::max_queries_per_connection`] *run slots* and a FIFO
+//! of at most [`ServerConfig::queue_depth_per_connection`] admitted
+//! queries waiting for one; a QUERY arriving with the queue full is
+//! rejected immediately with an `Error` response (message prefix
+//! `"busy:"`) instead of stalling the connection. **A gate wait is
+//! data**: the waiting query is an `(id, text)` entry in its
+//! connection's queue — no thread, no executor worker — and the run
+//! slot a finishing query releases is handed straight to the head of
+//! that queue, which only then becomes a task (`RunSlot`). A hot tenant
+//! therefore saturates *its own* slots and queue while every other
 //! tenant's queries keep flowing — downstream, the shared executor and
 //! the per-driver gates arbitrate between tenants' admitted queries on
 //! equal terms. Process-wide, at most
@@ -31,8 +54,8 @@
 //!
 //! # Slow-client isolation
 //!
-//! Responses are never written from a worker or reader thread directly.
-//! Every frame goes onto a bounded per-connection outbound queue
+//! Responses are never written from a query task or reader thread
+//! directly. Every frame goes onto a bounded per-connection outbound queue
 //! ([`ServerConfig::writer_queue_frames`]) drained by the connection's
 //! writer thread under a write deadline
 //! ([`ServerConfig::write_deadline`]). A client that stops reading
@@ -40,7 +63,7 @@
 //! the queue overflows first), and the connection is *condemned*: the
 //! socket is shut down, pending frames are dropped, and its in-flight
 //! queries are cancelled. The stall costs the stalled tenant its
-//! connection and nothing else — no worker thread, and no other
+//! connection and nothing else — no executor worker, and no other
 //! tenant's responses, ever block on a hostile peer's socket.
 //!
 //! # Graceful drain
@@ -50,18 +73,23 @@
 //! `shutting-down:` error, in-flight queries run to completion and
 //! flush their terminal frames through the writer queues — all bounded
 //! by [`ServerConfig::drain_deadline`], after which stragglers are
-//! cancelled. Connection reader/writer/worker threads are all joined
-//! before `shutdown` returns.
+//! cancelled. Each reader waits until its connection's last query task
+//! has released its run slot (a count, not a join: the tasks are the
+//! executor's), then closes and joins its writer; every reader is
+//! joined before `shutdown` returns.
 //!
 //! # Cancellation
 //!
-//! CANCEL frames act on the query id: a queued or running query is
-//! stopped cooperatively (the client still receives a terminal frame for
-//! that id, normally an `Error` reporting the cancellation). Cancelling
-//! a query that is populating the shared result cache drops its populate
-//! ticket, waking any waiting sessions to compute the result themselves
-//! — the shared cache is never poisoned by a cancelled flight. CANCEL
-//! for an unknown or already-finished id is an acknowledged no-op.
+//! CANCEL frames act on the query id: a running query is stopped
+//! cooperatively through its cancellation token, a queued one — waiting
+//! for a run slot or for an executor worker — is marked and answers as
+//! soon as its turn comes, without evaluating (the client still
+//! receives a terminal frame for that id, normally an `Error` reporting
+//! the cancellation). Cancelling a query that is populating the shared
+//! result cache drops its populate ticket, waking any waiting sessions
+//! to compute the result themselves — the shared cache is never
+//! poisoned by a cancelled flight. CANCEL for an unknown or
+//! already-finished id is an acknowledged no-op.
 //!
 //! # Wire-level cache invalidation
 //!
@@ -73,20 +101,21 @@
 //! `generation` accessors.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read};
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use kleisli::{PlanCache, QueryCanceller, Session, SharedQuery};
-use kleisli_core::RequestGate;
+use kleisli::{PlanCache, Session};
+use kleisli_core::{CancelToken, Executor, KError};
 use kleisli_exec::ResultCache;
 
 use crate::proto::{
-    decode_request, encode_response, encode_result_text, write_frame, Request, Response,
-    ServedFrom, MAX_FRAME_LEN,
+    decode_request, encode_response, encode_result_frame, encode_result_text, frame, write_frame,
+    Request, Response, ServedFrom, MAX_FRAME_LEN,
 };
 
 /// Entries kept in the serialized-response cache before a wholesale
@@ -163,6 +192,9 @@ struct ServerShared {
     /// here and is re-serialized once.
     wire_cache: Mutex<HashMap<u64, (u64, Arc<String>)>>,
     registrar: Arc<Registrar>,
+    /// The compute executor every session evaluates on and every
+    /// admitted query is a task of (the process-wide one, outside tests).
+    executor: Arc<Executor>,
     config: ServerConfig,
     /// Stop accepting and reject new QUERYs; in-flight work continues.
     draining: AtomicBool,
@@ -170,7 +202,7 @@ struct ServerShared {
     shutdown: AtomicBool,
     started: Instant,
     /// Live connections by id: reader join handle + per-connection
-    /// state, so shutdown can cancel stragglers and join every thread.
+    /// state, so shutdown can cancel stragglers and join every reader.
     conns: Mutex<HashMap<u64, ConnEntry>>,
     next_conn_id: AtomicU64,
     /// Queries admitted (queued or running) but not yet terminal —
@@ -195,6 +227,11 @@ struct ConnEntry {
 }
 
 impl ServerShared {
+    /// Largest RESULT payload this server sends.
+    fn result_limit(&self) -> usize {
+        self.config.max_result_frame.min(MAX_FRAME_LEN)
+    }
+
     /// The STATS payload: one JSON document over the shared-cache and
     /// admission counters (also what `ServerHandle::stats_json` returns).
     fn stats_json(&self) -> String {
@@ -301,9 +338,9 @@ impl ServerHandle {
     }
 
     /// Queries admitted but not yet terminal — the quantity the drain
-    /// phase waits on; `0` means no query worker holds a gate ticket
-    /// anywhere in the server (what the chaos suite asserts after every
-    /// injected fault).
+    /// phase waits on; `0` means no query holds a run slot or a place in
+    /// a wait queue anywhere in the server (what the chaos suite asserts
+    /// after every injected fault).
     pub fn active_queries(&self) -> u64 {
         self.shared.active_queries.load(Ordering::SeqCst)
     }
@@ -327,7 +364,7 @@ impl ServerHandle {
     /// finish and flush their terminal frames (new QUERYs are rejected
     /// with a `shutting-down:` error meanwhile), cancel any query still
     /// running at the deadline, and join every connection thread —
-    /// readers, writers, and query workers alike.
+    /// readers and writers; the readers wait out their query tasks.
     pub fn shutdown_within(mut self, deadline: Duration) -> DrainReport {
         self.stop(deadline)
     }
@@ -358,8 +395,8 @@ impl ServerHandle {
             thread::sleep(Duration::from_millis(2));
         }
         // Phase 3: stop the readers (they poll `shutdown` at 50 ms) and
-        // cancel whatever outlived the deadline so worker joins are
-        // prompt.
+        // cancel whatever outlived the deadline so the readers' waits
+        // for their query tasks are prompt.
         self.shared.shutdown.store(true, Ordering::SeqCst);
         let entries: Vec<ConnEntry> = {
             let mut conns = self.shared.conns.lock().unwrap_or_else(|e| e.into_inner());
@@ -397,6 +434,15 @@ pub fn serve(
     config: ServerConfig,
     registrar: Arc<Registrar>,
 ) -> io::Result<ServerHandle> {
+    serve_on(addr, config, registrar, Executor::shared())
+}
+
+fn serve_on(
+    addr: impl ToSocketAddrs,
+    config: ServerConfig,
+    registrar: Arc<Registrar>,
+    executor: Arc<Executor>,
+) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
     let shared = Arc::new(ServerShared {
@@ -404,6 +450,7 @@ pub fn serve(
         result_cache: ResultCache::new(config.result_cache_budget),
         wire_cache: Mutex::new(HashMap::new()),
         registrar,
+        executor,
         config,
         draining: AtomicBool::new(false),
         shutdown: AtomicBool::new(false),
@@ -488,10 +535,12 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
                 cv: Condvar::new(),
                 capacity: shared.config.writer_queue_frames.max(1),
             },
-            gate: RequestGate::new(shared.config.max_queries_per_connection),
-            queued: AtomicUsize::new(0),
+            admission: Mutex::new(Admission {
+                running: 0,
+                waiting: VecDeque::new(),
+            }),
+            quiet: Condvar::new(),
             pending: Mutex::new(HashMap::new()),
-            workers: Mutex::new(Vec::new()),
         });
         let id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
         let conn_shared = Arc::clone(&shared);
@@ -552,15 +601,28 @@ fn shed(stream: TcpStream, shared: &ServerShared) {
 }
 
 /// The lifecycle of one query id on a connection, from QUERY frame to
-/// terminal response. Tracked so a CANCEL can land in the window before
-/// the query thread has a handle to cancel.
+/// terminal response. Tracked so a CANCEL can land while the query is
+/// still waiting — for a run slot, or for an executor worker.
 enum Pending {
-    /// QUERY received, evaluation not yet started.
+    /// QUERY admitted, its task not yet started.
     Requested,
-    /// CANCEL received before evaluation started.
+    /// CANCEL received before the task started.
     Cancelled,
-    /// Evaluating; cancel through the handle's canceller.
-    Running(QueryCanceller),
+    /// Compiling or evaluating; cancel through the query's token.
+    Running(Arc<CancelToken>),
+}
+
+/// One tenant's admission state. Run slots are a count; the queries
+/// waiting for one are *data* — `(id, source text)` in arrival order —
+/// exactly as `core::pool::WorkerPool` queues requests, so a waiting
+/// query holds no thread and no executor worker.
+struct Admission {
+    /// Run slots taken, at most
+    /// [`ServerConfig::max_queries_per_connection`].
+    running: usize,
+    /// Admitted queries waiting for a slot, at most
+    /// [`ServerConfig::queue_depth_per_connection`].
+    waiting: VecDeque<(u64, String)>,
 }
 
 /// The bounded outbound frame queue one writer thread drains; see the
@@ -580,32 +642,39 @@ struct WriterState {
 }
 
 /// Per-connection state shared between the reader thread, the writer
-/// thread, and the query worker threads.
+/// thread, and the connection's query tasks.
 struct Conn {
     /// The connection's socket (a second handle to the reader's): the
     /// writer thread writes through it, and condemnation shuts it down
     /// — which unblocks the reader too.
     socket: TcpStream,
     writer: WriterQueue,
-    /// This tenant's admission gate (`max_queries_per_connection` wide).
-    gate: Arc<RequestGate>,
-    /// Queries waiting on the gate (admission queue occupancy).
-    queued: AtomicUsize,
+    /// This tenant's run slots and wait queue.
+    admission: Mutex<Admission>,
+    /// Signalled when the last admitted query releases its run slot;
+    /// connection teardown waits here.
+    quiet: Condvar,
     /// In-flight queries by id, for CANCEL routing.
     pending: Mutex<HashMap<u64, Pending>>,
-    /// Query worker threads, joined when the reader exits.
-    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Conn {
     fn send(&self, resp: &Response) {
-        self.send_payload(encode_response(resp));
+        self.send_payload(&encode_response(resp));
     }
 
-    /// Hand a frame to the writer thread. Never blocks: a full queue
-    /// means the client has stopped reading, and the connection is
-    /// condemned on the spot.
-    fn send_payload(&self, payload: Vec<u8>) {
+    fn send_payload(&self, payload: &[u8]) {
+        match frame(payload) {
+            Ok(frame) => self.send_frame(frame),
+            // Over the protocol's frame limit: undeliverable.
+            Err(_) => self.condemn(),
+        }
+    }
+
+    /// Hand a complete frame (length prefix included) to the writer
+    /// thread. Never blocks: a full queue means the client has stopped
+    /// reading, and the connection is condemned on the spot.
+    fn send_frame(&self, frame: Vec<u8>) {
         let overflow = {
             let mut st = self.lock_writer();
             if st.dead || st.closing {
@@ -616,7 +685,7 @@ impl Conn {
             if st.frames.len() >= self.writer.capacity {
                 true
             } else {
-                st.frames.push_back(payload);
+                st.frames.push_back(frame);
                 false
             }
         };
@@ -641,16 +710,23 @@ impl Conn {
     }
 
     /// Stop cooperatively everything this connection has in flight;
-    /// queries not yet started are marked cancelled so their workers
+    /// queries not yet started are marked cancelled so their tasks
     /// short-circuit.
     fn cancel_all_pending(&self) {
-        let mut pending = self.pending.lock().unwrap_or_else(|e| e.into_inner());
-        for p in pending.values_mut() {
-            match p {
-                Pending::Requested => *p = Pending::Cancelled,
-                Pending::Running(canceller) => canceller.cancel(),
-                Pending::Cancelled => {}
-            }
+        for p in self.lock_pending().values_mut() {
+            cancel(p);
+        }
+    }
+
+    /// Wait until every admitted query has enqueued its terminal frame
+    /// and released its run slot.
+    fn wait_quiet(&self) {
+        let mut admission = self.lock_admission();
+        while admission.running > 0 || !admission.waiting.is_empty() {
+            admission = self
+                .quiet
+                .wait(admission)
+                .unwrap_or_else(|e| e.into_inner());
         }
     }
 
@@ -664,8 +740,26 @@ impl Conn {
         self.writer.cv.notify_all();
     }
 
-    fn lock_writer(&self) -> std::sync::MutexGuard<'_, WriterState> {
+    fn lock_writer(&self) -> MutexGuard<'_, WriterState> {
         self.writer.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn lock_admission(&self) -> MutexGuard<'_, Admission> {
+        self.admission.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn lock_pending(&self) -> MutexGuard<'_, HashMap<u64, Pending>> {
+        self.pending.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+/// Apply a CANCEL to one query's state: a query not yet started is
+/// marked, a started one is stopped through its token.
+fn cancel(p: &mut Pending) {
+    match p {
+        Pending::Requested => *p = Pending::Cancelled,
+        Pending::Running(token) => token.cancel(),
+        Pending::Cancelled => {}
     }
 }
 
@@ -693,7 +787,7 @@ fn writer_loop(conn: &Conn) {
                     .unwrap_or_else(|e| e.into_inner());
             }
         };
-        if write_frame(&mut &conn.socket, &frame).is_err() {
+        if (&conn.socket).write_all(&frame).is_err() {
             conn.condemn();
             return;
         }
@@ -715,7 +809,7 @@ fn handle_connection(mut reader: TcpStream, conn: Arc<Conn>, shared: &Arc<Server
 
     // Build this tenant's session: registrar first (drivers, bindings),
     // shared caches after, so registration never clears them.
-    let mut session = Session::new();
+    let mut session = Session::with_executor(Arc::clone(&shared.executor));
     (shared.registrar)(&mut session);
     session.share_plan_cache(Arc::clone(&shared.plan_cache));
     session.share_result_cache(Arc::clone(&shared.result_cache));
@@ -759,12 +853,9 @@ fn handle_connection(mut reader: TcpStream, conn: Arc<Conn>, shared: &Arc<Server
             }
             Request::Cancel { id } => {
                 shared.cancel_requests.fetch_add(1, Ordering::Relaxed);
-                let mut pending = conn.pending.lock().unwrap_or_else(|e| e.into_inner());
-                match pending.get_mut(&id) {
-                    Some(p @ Pending::Requested) => *p = Pending::Cancelled,
-                    Some(Pending::Running(canceller)) => canceller.cancel(),
-                    // Already finished (or never existed): nothing to do.
-                    Some(Pending::Cancelled) | None => {}
+                // Already finished (or never existed): nothing to do.
+                if let Some(p) = conn.lock_pending().get_mut(&id) {
+                    cancel(p);
                 }
             }
             Request::Flush { id, source } => {
@@ -810,14 +901,11 @@ fn handle_connection(mut reader: TcpStream, conn: Arc<Conn>, shared: &Arc<Server
     }
 
     // Reader gone (EOF, condemned, or shutdown): stop this tenant's
-    // in-flight queries, join the workers so every terminal frame is
-    // enqueued, then let the writer drain and join it. After this no
-    // thread of the connection survives.
+    // in-flight queries, wait out their tasks so every terminal frame
+    // is enqueued, then let the writer drain and join it. After this no
+    // thread of the connection survives and no task refers to it.
     conn.cancel_all_pending();
-    let workers = std::mem::take(&mut *conn.workers.lock().unwrap_or_else(|e| e.into_inner()));
-    for worker in workers {
-        let _ = worker.join();
-    }
+    conn.wait_quiet();
     conn.finish_writer();
     let _ = writer.join();
     // The registry ([`ServerShared::conns`]) still holds this
@@ -827,27 +915,24 @@ fn handle_connection(mut reader: TcpStream, conn: Arc<Conn>, shared: &Arc<Server
     let _ = conn.socket.shutdown(Shutdown::Both);
 }
 
-/// Send a result frame, unless it exceeds the configured frame bound —
-/// then the client gets a clean `Error` frame instead of a frame it
-/// would refuse to read (a silently hung client).
-fn send_bounded(shared: &ServerShared, conn: &Conn, id: u64, payload: Vec<u8>) {
-    let limit = shared.config.max_result_frame.min(MAX_FRAME_LEN);
-    if payload.len() > limit {
-        shared.errors.fetch_add(1, Ordering::Relaxed);
-        conn.send(&Response::Error {
-            id,
-            message: format!(
-                "result too large: {}-byte frame exceeds the {limit}-byte limit",
-                payload.len()
-            ),
-        });
-    } else {
-        conn.send_payload(payload);
-    }
+/// Tell the client its result passed the configured frame bound — a
+/// clean `Error` frame instead of a frame it would refuse to read (a
+/// silently hung client).
+fn send_too_large(shared: &ServerShared, conn: &Conn, id: u64) {
+    shared.errors.fetch_add(1, Ordering::Relaxed);
+    conn.send(&Response::Error {
+        id,
+        message: format!(
+            "result too large: the frame exceeds the {}-byte limit",
+            shared.result_limit()
+        ),
+    });
 }
 
-/// Admission-check a QUERY frame and, if admitted, run it on its own
-/// thread (the thread count is bounded by gate width + queue depth).
+/// Admission-check a QUERY frame. An admitted query is an executor task
+/// as soon as one of its connection's run slots is free — at once, or
+/// when a finishing query hands its slot on ([`RunSlot`]); until then it
+/// waits as data in the connection's FIFO.
 fn start_query(
     shared: &Arc<ServerShared>,
     conn: &Arc<Conn>,
@@ -855,115 +940,97 @@ fn start_query(
     id: u64,
     src: String,
 ) {
-    {
-        let pending = conn.pending.lock().unwrap_or_else(|e| e.into_inner());
-        if pending.contains_key(&id) {
-            conn.send(&Response::Error {
-                id,
-                message: format!("protocol error: query id {id} already in flight"),
-            });
-            return;
-        }
+    if conn.lock_pending().contains_key(&id) {
+        conn.send(&Response::Error {
+            id,
+            message: format!("protocol error: query id {id} already in flight"),
+        });
+        return;
     }
     if try_fast_path(shared, conn, session, id, &src) {
         return;
     }
-    // Claim a free run slot inline if one exists: an *admitted* query
-    // must never count against (or be rejected by) the wait-queue depth
-    // just because its worker thread has not been scheduled yet.
-    let inline_ticket = conn.gate.try_acquire();
-    let was_queued = inline_ticket.is_none();
-    {
-        let mut pending = conn.pending.lock().unwrap_or_else(|e| e.into_inner());
-        if was_queued {
-            // Admission: reject instead of queueing without bound.
-            if conn.queued.load(Ordering::Acquire) >= shared.config.queue_depth_per_connection {
-                shared.rejected.fetch_add(1, Ordering::Relaxed);
-                conn.send(&Response::Error {
-                    id,
-                    message: format!(
-                        "busy: connection queue depth {} exceeded",
-                        shared.config.queue_depth_per_connection
-                    ),
-                });
-                return;
-            }
-            conn.queued.fetch_add(1, Ordering::AcqRel);
-        }
-        pending.insert(id, Pending::Requested);
-    }
-    shared.active_queries.fetch_add(1, Ordering::SeqCst);
-    let worker_shared = Arc::clone(shared);
-    let worker_conn = Arc::clone(conn);
-    let worker_session = Arc::clone(session);
-    let spawned = thread::Builder::new()
-        .name(format!("kleislid-query-{id}"))
-        .spawn(move || {
-            let ticket = match inline_ticket {
-                Some(ticket) => ticket,
-                None => {
-                    let ticket = worker_conn.gate.acquire();
-                    worker_conn.queued.fetch_sub(1, Ordering::AcqRel);
-                    ticket
-                }
-            };
-            // A connection that died (or a CANCEL that landed) while
-            // this query sat in the admission queue: don't evaluate a
-            // query nobody is waiting for.
-            let cancelled_early = matches!(
-                worker_conn
-                    .pending
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .get(&id),
-                Some(Pending::Cancelled)
-            );
-            if cancelled_early {
-                worker_conn
-                    .pending
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .remove(&id);
-                worker_shared.queries.fetch_add(1, Ordering::Relaxed);
-                worker_shared.errors.fetch_add(1, Ordering::Relaxed);
-                worker_conn.send(&Response::Error {
-                    id,
-                    message: "query cancelled before it started".to_string(),
-                });
-            } else {
-                run_query(&worker_shared, &worker_conn, &worker_session, id, &src);
-            }
-            drop(ticket);
-            worker_shared.active_queries.fetch_sub(1, Ordering::SeqCst);
+    let mut admission = conn.lock_admission();
+    let run_now = admission.running < shared.config.max_queries_per_connection.max(1);
+    if !run_now && admission.waiting.len() >= shared.config.queue_depth_per_connection {
+        // Admission: reject instead of queueing without bound.
+        drop(admission);
+        shared.rejected.fetch_add(1, Ordering::Relaxed);
+        conn.send(&Response::Error {
+            id,
+            message: format!(
+                "busy: connection queue depth {} exceeded",
+                shared.config.queue_depth_per_connection
+            ),
         });
-    match spawned {
-        Ok(handle) => {
-            let mut workers = conn.workers.lock().unwrap_or_else(|e| e.into_inner());
-            workers.retain(|w| !w.is_finished());
-            workers.push(handle);
+        return;
+    }
+    // Admitted: cancellable by id and counted for the drain *before* it
+    // can start.
+    conn.lock_pending().insert(id, Pending::Requested);
+    shared.active_queries.fetch_add(1, Ordering::SeqCst);
+    if run_now {
+        admission.running += 1;
+        drop(admission);
+        RunSlot {
+            shared: Arc::clone(shared),
+            conn: Arc::clone(conn),
+            session: Arc::clone(session),
         }
-        Err(_) => {
-            shared.active_queries.fetch_sub(1, Ordering::SeqCst);
-            // The unrun closure was dropped with it, releasing any inline
-            // ticket; only the queued counter needs undoing by hand.
-            if was_queued {
-                conn.queued.fetch_sub(1, Ordering::AcqRel);
+        .spawn(id, src);
+    } else {
+        admission.waiting.push_back((id, src));
+    }
+}
+
+/// Possession of one of a connection's run slots, from the moment an
+/// admitted query becomes an executor task until its terminal frame is
+/// enqueued. Dropping it — on every path, unwinding included — hands the
+/// slot to the connection's longest-waiting query, which becomes a task
+/// in turn, or frees it.
+struct RunSlot {
+    shared: Arc<ServerShared>,
+    conn: Arc<Conn>,
+    session: Arc<Session>,
+}
+
+impl RunSlot {
+    /// Make query `id` a task on the shared executor: it compiles,
+    /// evaluates, serializes and enqueues its own terminal frame there,
+    /// then releases the slot.
+    fn spawn(self, id: u64, src: String) {
+        let executor = Arc::clone(&self.shared.executor);
+        executor.spawn(move || run_query(&self, id, &src));
+    }
+}
+
+impl Drop for RunSlot {
+    fn drop(&mut self) {
+        let next = {
+            let mut admission = self.conn.lock_admission();
+            let next = admission.waiting.pop_front();
+            if next.is_none() {
+                admission.running -= 1;
+                if admission.running == 0 {
+                    self.conn.quiet.notify_all();
+                }
             }
-            conn.pending
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .remove(&id);
-            shared.rejected.fetch_add(1, Ordering::Relaxed);
-            conn.send(&Response::Error {
-                id,
-                message: "busy: cannot spawn query worker".to_string(),
-            });
+            next
+        };
+        if let Some((id, src)) = next {
+            RunSlot {
+                shared: Arc::clone(&self.shared),
+                conn: Arc::clone(&self.conn),
+                session: Arc::clone(&self.session),
+            }
+            .spawn(id, src);
         }
+        self.shared.active_queries.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
 /// Warm fast path: a fully cached query is served inline on the reader
-/// thread — no worker thread, no admission (the per-tenant gate guards
+/// thread — no executor task, no admission (the per-tenant gate guards
 /// *evaluation* capacity; a memory read needs none), and at most one
 /// serialization per result-cache commit generation: the exchange text
 /// lives in the wire cache, so the steady-state hit neither deep-clones
@@ -1013,91 +1080,64 @@ fn try_fast_path(
     };
     shared.queries.fetch_add(1, Ordering::Relaxed);
     shared.served_cached.fetch_add(1, Ordering::Relaxed);
-    send_bounded(
-        shared,
-        conn,
-        id,
-        encode_result_text(id, ServedFrom::SharedCache, &text),
-    );
+    let payload = encode_result_text(id, ServedFrom::SharedCache, &text);
+    if payload.len() > shared.result_limit() {
+        send_too_large(shared, conn, id);
+    } else {
+        conn.send_payload(&payload);
+    }
     true
 }
 
-/// The body of one admitted query: submit through the shared-cache path,
-/// keep the canceller reachable for CANCEL frames, send the terminal
-/// response, and maintain the counters.
-fn run_query(shared: &ServerShared, conn: &Conn, session: &Session, id: u64, src: &str) {
+/// The body of one admitted query's task: make it cancellable by id,
+/// compile and evaluate through the shared-cache path right here, write
+/// the reply once — straight into its frame — and enqueue it, and
+/// maintain the counters.
+fn run_query(slot: &RunSlot, id: u64, src: &str) {
+    let RunSlot {
+        shared,
+        conn,
+        session,
+    } = slot;
     shared.queries.fetch_add(1, Ordering::Relaxed);
-    let outcome = match session.submit_shared(src) {
-        Err(e) => Err(e),
-        Ok(SharedQuery::Cached(value)) => {
-            conn.pending
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .remove(&id);
-            shared.served_cached.fetch_add(1, Ordering::Relaxed);
-            send_bounded(
-                shared,
-                conn,
-                id,
-                encode_response(&Response::Result {
-                    id,
-                    served: ServedFrom::SharedCache,
-                    value,
-                }),
-            );
-            return;
+    // Requested -> Running, unless a CANCEL (or the connection's death)
+    // landed while the query waited: don't evaluate a query nobody is
+    // waiting for.
+    let token = Arc::new(CancelToken::new());
+    let started = {
+        let mut pending = conn.lock_pending();
+        let started = !matches!(pending.get(&id), Some(Pending::Cancelled));
+        if started {
+            pending.insert(id, Pending::Running(Arc::clone(&token)));
         }
-        Ok(SharedQuery::Fresh { handle, commit }) => {
-            arm_canceller(conn, id, handle.canceller());
-            let result = handle.wait();
-            if let Ok(v) = &result {
-                // Publish to waiters and the cache; on error the commit
-                // is dropped instead, waking waiters to retry.
-                commit.commit(v.clone());
-            }
-            result
-        }
-        Ok(SharedQuery::Uncached(handle)) => {
-            arm_canceller(conn, id, handle.canceller());
-            handle.wait()
-        }
+        started
     };
-    conn.pending
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .remove(&id);
+    let outcome = if started {
+        // A panic must still end in a terminal frame for this id.
+        catch_unwind(AssertUnwindSafe(|| session.run_shared(src, &token)))
+            .unwrap_or_else(|_| Err(KError::eval("query evaluation panicked")))
+            .map_err(|e| e.to_string())
+    } else {
+        Err("query cancelled before it started".to_string())
+    };
+    conn.lock_pending().remove(&id);
     match outcome {
-        Ok(value) => {
-            shared.served_fresh.fetch_add(1, Ordering::Relaxed);
-            send_bounded(
-                shared,
-                conn,
-                id,
-                encode_response(&Response::Result {
-                    id,
-                    served: ServedFrom::Fresh,
-                    value,
-                }),
-            );
+        Ok((value, cached)) => {
+            let served = if cached {
+                shared.served_cached.fetch_add(1, Ordering::Relaxed);
+                ServedFrom::SharedCache
+            } else {
+                shared.served_fresh.fetch_add(1, Ordering::Relaxed);
+                ServedFrom::Fresh
+            };
+            match encode_result_frame(id, served, &value, shared.result_limit()) {
+                Some(frame) => conn.send_frame(frame),
+                None => send_too_large(shared, conn, id),
+            }
         }
-        Err(e) => {
+        Err(message) => {
             shared.errors.fetch_add(1, Ordering::Relaxed);
-            conn.send(&Response::Error {
-                id,
-                message: e.to_string(),
-            });
-        }
-    }
-}
-
-/// Make a just-started query cancellable by id — and apply a CANCEL that
-/// raced in before the handle existed.
-fn arm_canceller(conn: &Conn, id: u64, canceller: QueryCanceller) {
-    let mut pending = conn.pending.lock().unwrap_or_else(|e| e.into_inner());
-    match pending.get(&id) {
-        Some(Pending::Cancelled) => canceller.cancel(),
-        _ => {
-            pending.insert(id, Pending::Running(canceller));
+            conn.send(&Response::Error { id, message });
         }
     }
 }
@@ -1168,4 +1208,169 @@ fn read_full(stream: &mut TcpStream, buf: &mut [u8], shutdown: &AtomicBool) -> i
         }
     }
     Ok(true)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{Client, QueryReply};
+    use kleisli_core::testutil::{Fault, SlowDriver};
+    use kleisli_core::Value;
+
+    /// A server over one wedged source (every `SRC` request blocks until
+    /// `release_wedged`) and a local `DB`, one run slot per connection,
+    /// evaluating on `executor`.
+    fn wedged_server(
+        queue_depth: usize,
+        executor: &Arc<Executor>,
+    ) -> (ServerHandle, Arc<SlowDriver>) {
+        let driver = SlowDriver::new("SRC", 1, Duration::ZERO, 4);
+        driver.set_fault(Fault::NeverRespond);
+        let registered = Arc::clone(&driver);
+        let registrar: Arc<Registrar> = Arc::new(move |session: &mut Session| {
+            session.register_driver(registered.clone());
+            session.bind_value("DB", Value::set((0..5).map(Value::Int).collect()));
+        });
+        let config = ServerConfig {
+            max_queries_per_connection: 1,
+            queue_depth_per_connection: queue_depth,
+            ..ServerConfig::default()
+        };
+        let server = serve_on("127.0.0.1:0", config, registrar, Arc::clone(executor)).unwrap();
+        (server, driver)
+    }
+
+    /// A never-seen query costing one `SRC` request.
+    fn probe(k: u64) -> String {
+        format!(r#"count(SRC([function = "probe", arg = {k}]))"#)
+    }
+
+    /// Run slots taken and queries waiting, over every connection.
+    fn admission(server: &ServerHandle) -> (usize, usize) {
+        let conns = server.shared.conns.lock().unwrap();
+        conns.values().fold((0, 0), |(running, waiting), entry| {
+            let admission = entry.conn.lock_admission();
+            (
+                running + admission.running,
+                waiting + admission.waiting.len(),
+            )
+        })
+    }
+
+    fn eventually(what: &str, mut holds: impl FnMut() -> bool) {
+        let start = Instant::now();
+        while !holds() {
+            assert!(
+                start.elapsed() < Duration::from_secs(10),
+                "timed out waiting for {what}"
+            );
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    fn assert_quiescent(server: &ServerHandle) {
+        eventually("every run slot and queue place to be released", || {
+            admission(server) == (0, 0) && server.active_queries() == 0
+        });
+    }
+
+    #[test]
+    fn a_gate_wait_is_data_and_holds_no_executor_worker() {
+        // Two workers. If a query waiting for its connection's run slot
+        // parked one, the wedged query and the first waiter would hold
+        // both and the other tenant below could never run.
+        let executor = Executor::new("served-path", 2);
+        let (server, driver) = wedged_server(16, &executor);
+        let mut hot = Client::connect(server.addr()).unwrap();
+        let ids: Vec<u64> = (0..3).map(|k| hot.send_query(&probe(k)).unwrap()).collect();
+        hot.stats().unwrap(); // the reader has admitted all three
+        eventually("the first query to reach the source", || {
+            driver.requests_started() == 1
+        });
+
+        assert_eq!(
+            admission(&server),
+            (1, 2),
+            "one running, two waiting as data"
+        );
+        assert_eq!(server.active_queries(), 3);
+        assert_eq!(executor.busy(), 1, "only the running query holds a worker");
+
+        let mut other = Client::connect(server.addr()).unwrap();
+        let (v, _) = other.query("count(DB)").unwrap().into_value().unwrap();
+        assert_eq!(
+            v,
+            Value::Int(5),
+            "another tenant runs beside the wedged one"
+        );
+        assert_eq!(driver.requests_started(), 1, "the waiters have not started");
+
+        driver.release_wedged();
+        let order: Vec<u64> = (0..3)
+            .map(|_| match hot.read_response().unwrap() {
+                Response::Result { id, value, .. } => {
+                    assert_eq!(value, Value::Int(1));
+                    id
+                }
+                other => panic!("expected a result, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(order, ids, "one run slot: completion in admission order");
+        assert_quiescent(&server);
+        assert!(executor.threads_spawned() <= executor.limit());
+    }
+
+    #[test]
+    fn cancel_reaches_queued_and_running_queries_and_the_queue_stays_bounded() {
+        let executor = Executor::new("served-path", 2);
+        let (server, driver) = wedged_server(2, &executor);
+        let mut client = Client::connect(server.addr()).unwrap();
+        let running = client.send_query(&probe(0)).unwrap();
+        let queued = client.send_query(&probe(1)).unwrap();
+        let survivor = client.send_query(&probe(2)).unwrap();
+        // One running + queue_depth waiting are admitted; one more is not.
+        let overflow = client.send_query(&probe(3)).unwrap();
+        match client.read_response().unwrap() {
+            Response::Error { id, message } => {
+                assert_eq!(id, overflow);
+                assert!(message.starts_with("busy:"), "{message}");
+            }
+            other => panic!("expected a busy rejection, got {other:?}"),
+        }
+        eventually("the first query to reach the source", || {
+            driver.requests_started() == 1
+        });
+        assert_eq!(admission(&server), (1, 2));
+
+        // The queued id first, then the running one: each ends in its
+        // own terminal Error frame, the running one's first (its slot
+        // is what the queued one is waiting for).
+        client.cancel(queued).unwrap();
+        client.cancel(running).unwrap();
+        for expected in [running, queued] {
+            match client.read_response().unwrap() {
+                Response::Error { id, message } => {
+                    assert_eq!(id, expected);
+                    assert!(message.to_lowercase().contains("cancel"), "{message}");
+                }
+                other => panic!("expected a cancellation error, got {other:?}"),
+            }
+        }
+
+        // The query behind them is untouched: it runs once its turn comes.
+        eventually("the survivor to reach the source", || {
+            driver.requests_started() == 2
+        });
+        driver.release_wedged();
+        match client.wait_reply(survivor).unwrap() {
+            QueryReply::Value { value, .. } => assert_eq!(value, Value::Int(1)),
+            other => panic!("expected a value, got {other:?}"),
+        }
+        assert_eq!(
+            driver.requests_started(),
+            2,
+            "the cancelled waiter never reached the source"
+        );
+        assert_quiescent(&server);
+    }
 }

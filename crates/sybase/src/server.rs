@@ -585,7 +585,7 @@ impl Source for Sybase {
     }
 
     fn table_stats(&self, table: &str) -> Option<TableStats> {
-        self.db.read().table(table).ok().map(|t| t.stats())
+        self.db.read().table(table).ok().map(|t| t.stats().clone())
     }
 }
 

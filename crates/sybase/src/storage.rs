@@ -1,7 +1,7 @@
 //! In-memory relational storage: typed tables, hash indexes, statistics.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::{Arc, OnceLock};
 
 use kleisli_core::{KError, KResult, TableStats, Value};
 
@@ -88,14 +88,20 @@ impl Datum {
 /// A row is a boxed slice of datums in schema order.
 pub type Row = Arc<[Datum]>;
 
-/// A table: schema, rows, and optional hash indexes per column.
+/// A table: schema, rows, and optional hash indexes per column. Rows and
+/// indexes change only through [`Table::insert`] and
+/// [`Table::create_index`], which is what lets [`Table::stats`] be
+/// remembered between them.
 #[derive(Debug, Default)]
 pub struct Table {
     pub name: String,
-    pub columns: Vec<String>,
-    pub rows: Vec<Row>,
+    pub(crate) columns: Vec<String>,
+    pub(crate) rows: Vec<Row>,
     /// column → datum → row ids
     indexes: HashMap<String, HashMap<Datum, Vec<usize>>>,
+    /// The statistics of the current rows and indexes, computed by the
+    /// first [`Table::stats`] after a mutation.
+    stats: OnceLock<TableStats>,
 }
 
 impl Table {
@@ -105,7 +111,13 @@ impl Table {
             columns,
             rows: Vec::new(),
             indexes: HashMap::new(),
+            stats: OnceLock::new(),
         }
+    }
+
+    /// The rows, in insertion order.
+    pub fn rows(&self) -> &[Row] {
+        &self.rows
     }
 
     pub fn col_index(&self, col: &str) -> KResult<usize> {
@@ -143,6 +155,7 @@ impl Table {
             index.entry(row[ci].clone()).or_default().push(id);
         }
         self.rows.push(row);
+        self.stats.take();
         Ok(())
     }
 
@@ -155,6 +168,7 @@ impl Table {
             index.entry(row[ci].clone()).or_default().push(id);
         }
         self.indexes.insert(col.to_string(), index);
+        self.stats.take();
         Ok(())
     }
 
@@ -168,13 +182,17 @@ impl Table {
         self.indexes.contains_key(col)
     }
 
-    pub fn stats(&self) -> TableStats {
+    /// Row count, schema, indexed columns and distinct counts. The scan
+    /// over every row and column runs once per mutation, not per call:
+    /// the optimizer asks on every cold compile.
+    pub fn stats(&self) -> &TableStats {
+        self.stats.get_or_init(|| self.compute_stats())
+    }
+
+    fn compute_stats(&self) -> TableStats {
         let mut distinct = BTreeMap::new();
         for (ci, col) in self.columns.iter().enumerate() {
-            let mut seen: std::collections::HashSet<&Datum> = std::collections::HashSet::new();
-            for row in &self.rows {
-                seen.insert(&row[ci]);
-            }
+            let seen: HashSet<&Datum> = self.rows.iter().map(|row| &row[ci]).collect();
             distinct.insert(col.clone(), seen.len() as u64);
         }
         TableStats {
@@ -256,6 +274,28 @@ mod tests {
         assert_eq!(s.rows, 10);
         assert_eq!(s.columns, vec!["locus_id", "locus_symbol"]);
         assert_eq!(s.distinct["locus_id"], 10);
+    }
+
+    #[test]
+    fn stats_are_remembered_until_the_next_mutation() {
+        let mut t = sample();
+        let before = t.stats().clone();
+        assert!(
+            std::ptr::eq(t.stats(), t.stats()),
+            "no mutation in between: the same snapshot, no second scan"
+        );
+        t.insert(vec![Datum::Int(3), Datum::str("DUP")]).unwrap();
+        t.create_index("locus_symbol").unwrap();
+        let after = t.stats();
+        assert_ne!(*after, before);
+        assert_eq!(
+            *after,
+            t.compute_stats(),
+            "equal to a from-scratch recomputation"
+        );
+        assert_eq!(after.rows, 11);
+        assert_eq!(after.distinct["locus_id"], 10);
+        assert_eq!(after.indexed_columns, vec!["locus_symbol"]);
     }
 
     #[test]

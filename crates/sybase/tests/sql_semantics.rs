@@ -62,8 +62,8 @@ fn reference(db: &Database, q: &Query) -> Vec<Value> {
     let a = db.table("a").unwrap();
     let b = db.table("b").unwrap();
     let mut out = Vec::new();
-    for ra in &a.rows {
-        for rb in &b.rows {
+    for ra in a.rows() {
+        for rb in b.rows() {
             let lookup = |o: &Operand| -> Datum {
                 match o {
                     Operand::Lit(d) => d.clone(),
