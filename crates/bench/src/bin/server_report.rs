@@ -45,7 +45,9 @@ use std::time::{Duration, Instant};
 use bio_data::{GdbConfig, GenBankConfig};
 use kleisli::{bio_federation, BioFederation, Session};
 use kleisli_core::LatencyModel;
-use kleisli_server::{serve_ephemeral, Client, Registrar, ServedFrom, ServerConfig, ServerHandle};
+use kleisli_server::{
+    serve_ephemeral, Client, Registrar, ServedFrom, ServerConfig, ServerHandle, DRAIN_DEADLINE,
+};
 
 const QUERY: &str = r#"{[s = l.locus_symbol] | \l <- GDB-Tab("locus")}"#;
 
@@ -277,7 +279,6 @@ fn drain_scenario(fed: &BioFederation, budget: u64, latency: Duration) -> (bool,
         result_cache_budget: budget,
         ..ServerConfig::default()
     };
-    let deadline = config.drain_deadline;
     let server = serve_ephemeral(config, registrar(fed)).expect("serve");
     let mut client = Client::connect(server.addr()).expect("connect");
     client.send_query(QUERY).expect("send");
@@ -286,9 +287,9 @@ fn drain_scenario(fed: &BioFederation, budget: u64, latency: Duration) -> (bool,
     let report = server.shutdown();
     assert!(
         report.drained,
-        "the single in-flight query must finish inside the {deadline:?} drain deadline"
+        "the single in-flight query must finish inside the {DRAIN_DEADLINE:?} drain deadline"
     );
-    (report.drained, report.elapsed, deadline)
+    (report.drained, report.elapsed, DRAIN_DEADLINE)
 }
 
 fn main() {

@@ -500,7 +500,7 @@ pub fn legacy_run_rule_set(
         top_down: bool,
     ) -> Arc<Expr> {
         let apply_here = |mut cur: Arc<Expr>, changed: &mut bool| -> Arc<Expr> {
-            'outer: for _ in 0..ctx.config.max_passes {
+            'outer: for _ in 0..kleisli_opt::MAX_PASSES {
                 for rule in &rs.rules {
                     if let Some(new) = (rule.apply)(&cur, ctx) {
                         *changed = true;
@@ -533,7 +533,7 @@ pub fn legacy_run_rule_set(
     }
     let top_down = matches!(rs.strategy, kleisli_opt::Strategy::TopDown);
     let mut e = e;
-    for _ in 0..ctx.config.max_passes {
+    for _ in 0..kleisli_opt::MAX_PASSES {
         let mut changed = false;
         e = rebuild_all(rs, &e, ctx, &mut changed, top_down);
         if !changed {

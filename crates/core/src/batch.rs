@@ -253,8 +253,8 @@ impl Flight {
 impl Pulsable for Flight {
     fn pulse_now(&self) {
         // Take the state lock first: a waiter between its flag check and
-        // its condvar wait must not miss the notification (same
-        // lost-wakeup discipline as `RequestGate::nudge`).
+        // its condvar wait must not miss the notification (the
+        // lost-wakeup discipline of `OneShot::pulse`).
         let _guard = self.lock_state();
         self.cv.notify_all();
     }

@@ -27,10 +27,10 @@
 //!    [`RequestHandle::wait`] blocks until the source has answered and
 //!    yields a [`BlockStream`] of row batches; [`RequestHandle::poll`] checks
 //!    progress without blocking; [`RequestHandle::cancel`] (or dropping
-//!    the handle) abandons the request — a request still queued is
-//!    removed from the pool's deque without ever contacting the source
-//!    (and without a thread ever having existed for it), and in every
-//!    case the driver's admission ticket is released, never leaked.
+//!    the handle) abandons the request — a request still queued has
+//!    its work dropped without ever contacting the source (and without
+//!    a thread ever having existed for it), and in every case the
+//!    driver's admission ticket is released, never leaked.
 //!
 //! The blocking half lives in [`Driver::perform`], which executes one
 //! request synchronously. Simple drivers — local, in-memory, or
@@ -50,9 +50,20 @@
 //! most [`Capabilities::concurrency_limit`] worker threads per driver
 //! (the paper's "say five" tolerated requests), spawned lazily and
 //! reused across requests, so queued submissions cost a deque slot, not
-//! an OS thread. Workers consume [`RequestGate`] admission tickets at
-//! pickup time, making the limit *enforced admission*, not advisory
-//! metadata. When the source also advertises
+//! an OS thread.
+//!
+//! # Admission control
+//!
+//! The source's budget **is the pool's width**: a request runs only on a
+//! pool worker, there are at most `concurrency_limit()` of them, and each
+//! runs one round-trip at a time — which makes the limit *enforced
+//! admission*, not advisory metadata, with no second mechanism to keep
+//! in step. [`RequestGate`] is that budget's observable count: a worker
+//! takes a [`GateTicket`] at pickup (never waiting for one), parks it
+//! where an abandoning waiter can steal it back, and releases it when the
+//! round-trip ends, so `in_flight()` reads the requests at the source
+//! right now and `in_flight() == 0` is the quiescence check. When the
+//! source also advertises
 //! [`Capabilities::prefetch_rows`], the worker that performed a request
 //! keeps pulling up to that many rows into a bounded buffer ahead of the
 //! consumer, pipelining per-row transfer latency as well (see
@@ -63,8 +74,8 @@
 //! `QueryHandle` uses.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, Weak};
 use std::time::Instant;
 
 use crate::batch::{BatchPolicy, SharedReply};
@@ -184,11 +195,11 @@ pub struct Capabilities {
     pub links: bool,
     /// How many in-flight requests the server tolerates (the paper's
     /// example: "say five"). This is an **enforced admission limit**, not
-    /// advisory metadata: the driver's [`RequestGate`] queues submissions
-    /// beyond it, the driver's worker pool spawns at most this many
-    /// threads, and the optimizer's parallel rule sizes `ParExt` loops
-    /// by it. A value of `0` is meaningless for an admission limit and is
-    /// normalized to `1` (strictly serial) by
+    /// advisory metadata: it is the width of the driver's worker pool —
+    /// submissions beyond it queue as data — its [`RequestGate`] counts
+    /// the requests in flight against it, and the optimizer's parallel
+    /// rule sizes `ParExt` loops by it. A value of `0` is meaningless for
+    /// an admission limit and is normalized to `1` (strictly serial) by
     /// [`Capabilities::concurrency_limit`]; `Default` is `1`.
     pub max_concurrent_requests: usize,
     /// The *ceiling* on rows a pool worker may pull *ahead* of the
@@ -535,85 +546,52 @@ impl MetricsSnapshot {
 // Admission control
 // ------------------------------------------------------------------------
 
-/// A counting semaphore enforcing a driver's
-/// [`Capabilities::max_concurrent_requests`]: at most `limit` requests run
-/// at once; further submissions queue inside their worker threads until a
-/// [`GateTicket`] is released. One gate is shared by every request path of
-/// one driver, which is what turns the capability from advisory metadata
-/// into an enforced budget.
+/// The observable count of a driver's
+/// [`Capabilities::max_concurrent_requests`] budget (module docs,
+/// "Admission control"). The budget itself is the *width* of the driver's
+/// worker pool — `limit` workers, each holding at most one [`GateTicket`]
+/// for the round-trip it is running — so a ticket is counted in, never
+/// waited for, and nothing here can block: a wait would be unreachable
+/// (ROADMAP item 5 records the probe that showed it).
 pub struct RequestGate {
     limit: usize,
-    in_flight: Mutex<usize>,
-    cv: Condvar,
+    in_flight: AtomicUsize,
 }
 
 impl RequestGate {
-    /// A gate admitting at most `limit` concurrent requests (`0` is
+    /// A gate counting at most `limit` concurrent requests (`0` is
     /// normalized to `1`).
     pub fn new(limit: usize) -> Arc<RequestGate> {
         Arc::new(RequestGate {
             limit: limit.max(1),
-            in_flight: Mutex::new(0),
-            cv: Condvar::new(),
+            in_flight: AtomicUsize::new(0),
         })
     }
 
-    /// The admission limit this gate enforces.
+    /// The admission limit — the width of the pool this gate counts for.
     pub fn limit(&self) -> usize {
         self.limit
     }
 
     /// How many tickets are currently held.
     pub fn in_flight(&self) -> usize {
-        *self.in_flight.lock().unwrap_or_else(|e| e.into_inner())
+        self.in_flight.load(Ordering::SeqCst)
     }
 
-    /// Block until a ticket is available and take it.
-    pub fn acquire(self: &Arc<Self>) -> GateTicket {
-        self.acquire_unless(&AtomicBool::new(false))
-            .expect("acquire with a never-set flag cannot be cancelled")
-    }
-
-    /// Take a ticket if one is free right now.
-    pub fn try_acquire(self: &Arc<Self>) -> Option<GateTicket> {
-        let mut n = self.in_flight.lock().unwrap_or_else(|e| e.into_inner());
-        if *n < self.limit {
-            *n += 1;
-            Some(GateTicket {
-                gate: Arc::clone(self),
-            })
-        } else {
-            None
-        }
-    }
-
-    /// Block until a ticket is available, giving up (returning `None`)
-    /// once `cancelled` is observed set. [`RequestHandle::cancel`] nudges
-    /// the gate so a queued worker re-checks its flag promptly.
-    pub fn acquire_unless(self: &Arc<Self>, cancelled: &AtomicBool) -> Option<GateTicket> {
-        let mut n = self.in_flight.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if cancelled.load(Ordering::Acquire) {
-                return None;
-            }
-            if *n < self.limit {
-                *n += 1;
-                return Some(GateTicket {
-                    gate: Arc::clone(self),
-                });
-            }
-            n = self.cv.wait(n).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Wake every queued worker so it re-checks its cancellation flag.
-    /// Takes the gate lock first: a worker that has checked its flag and
-    /// is about to wait would otherwise miss a notification fired in the
-    /// gap (lost-wakeup), leaving a cancelled request parked until some
-    /// unrelated ticket release.
-    fn nudge(&self) {
-        let _guard = self.in_flight.lock().unwrap_or_else(|e| e.into_inner());
-        self.cv.notify_all();
+    /// Count one request into flight. Never blocks: the caller is a pool
+    /// worker, and the pool's width is what keeps `in_flight` within
+    /// `limit` — asserted here, on every pickup, in debug builds.
+    pub(crate) fn admit(self: &Arc<Self>) -> GateTicket {
+        let before = self.in_flight.fetch_add(1, Ordering::SeqCst);
+        let ticket = GateTicket {
+            gate: Arc::clone(self),
+        };
+        debug_assert!(
+            before < self.limit,
+            "admission exceeded the pool width: {before} in flight at a limit of {}",
+            self.limit
+        );
+        ticket
     }
 }
 
@@ -625,14 +603,7 @@ pub struct GateTicket {
 
 impl Drop for GateTicket {
     fn drop(&mut self) {
-        let mut n = self
-            .gate
-            .in_flight
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        *n = n.saturating_sub(1);
-        drop(n);
-        self.gate.cv.notify_all();
+        self.gate.in_flight.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -651,10 +622,13 @@ pub enum RequestStatus {
     Cancelled,
 }
 
+/// One request's blocking round-trip, as queued in a pool.
+pub(crate) type Work = Box<dyn FnOnce() -> KResult<BlockStream> + Send>;
+
 /// The handle-side state of one submitted request, shared between the
-/// caller, the pool worker that runs it, and the pool queue. Built on
-/// the shared [`OneShot`] promise — the same primitive the session's
-/// `QueryHandle` uses — instead of a private mutex+condvar machine.
+/// caller and the pool task that runs it. Built on the shared [`OneShot`]
+/// promise — the same primitive the session's `QueryHandle` uses —
+/// instead of a private mutex+condvar machine.
 pub(crate) struct ReqShared {
     /// The driver/pool name, labelling `Timeout` resolutions.
     driver: String,
@@ -667,9 +641,11 @@ pub(crate) struct ReqShared {
     /// Set (before the promise) when the request resolved *as
     /// cancelled*, so `poll` can report `Cancelled` rather than `Ready`.
     resolved_cancelled: AtomicBool,
-    /// The gate a worker may be waiting at for this request, so `cancel`
-    /// can wake it promptly.
-    gate: Option<Arc<RequestGate>>,
+    /// The request's blocking work while it is *queued*. Whoever takes it
+    /// out owns the request: the pool worker that picks it up runs it; a
+    /// `cancel` / `abandon` that gets there first drops it, so a request
+    /// cancelled before pickup never reaches its source.
+    work: Mutex<Option<Work>>,
     /// The admission ticket, *parked here by the worker* for the
     /// duration of the request round-trip. Parking makes the ticket
     /// stealable: a waiter whose deadline passed takes it out from under
@@ -681,17 +657,14 @@ pub(crate) struct ReqShared {
 }
 
 impl ReqShared {
-    pub(crate) fn pending(
-        driver: impl Into<String>,
-        gate: Option<Arc<RequestGate>>,
-    ) -> ReqShared {
+    pub(crate) fn pending(driver: impl Into<String>, work: Option<Work>) -> ReqShared {
         ReqShared {
             driver: driver.into(),
             promise: OneShot::new(),
             cancelled: AtomicBool::new(false),
             handle_dropped: AtomicBool::new(false),
             resolved_cancelled: AtomicBool::new(false),
-            gate,
+            work: Mutex::new(work),
             ticket: Mutex::new(None),
         }
     }
@@ -700,8 +673,21 @@ impl ReqShared {
         self.cancelled.load(Ordering::Acquire)
     }
 
-    pub(crate) fn cancelled_flag(&self) -> &AtomicBool {
-        &self.cancelled
+    /// Queued → running: take the work out of its slot. `None` means a
+    /// cancellation claimed it first (and resolved the handle).
+    pub(crate) fn claim_work(&self) -> Option<Work> {
+        self.work.lock().unwrap_or_else(|e| e.into_inner()).take()
+    }
+
+    /// Queued → cancelled: if no worker has picked the request up yet,
+    /// drop its work unrun and resolve as cancelled — at once, with no
+    /// thread ever involved. Returns whether the request was still queued.
+    fn cancel_queued(&self) -> bool {
+        let queued = self.claim_work().is_some();
+        if queued {
+            self.resolve_cancelled();
+        }
+        queued
     }
 
     /// Park the request's outcome (first resolution wins).
@@ -768,16 +754,16 @@ impl Pulsable for ReqShared {
 ///
 /// Obtained from [`Driver::submit`]. Dropping the handle without waiting
 /// cancels the request: if it is still queued in the driver's worker
-/// pool it is removed without contacting the source (no thread ever
-/// existed for it); if it is already running, the work completes on its
+/// pool its work is dropped without contacting the source (no thread
+/// ever existed for it); if it is already running, the work completes on its
 /// pool worker and is thrown away; if it has completed, the unread reply
 /// is dropped (which stops a row prefetch in progress). Either way the
 /// admission ticket is released.
 pub struct RequestHandle {
     shared: Arc<ReqShared>,
-    /// The pool queue the request may still be sitting in, so `cancel`
-    /// can remove it, plus its queue id.
-    pool_slot: Option<(Weak<PoolCore>, u64)>,
+    /// The pool whose worker may be running the request, so `abandon`
+    /// can orphan and replace it.
+    pool: Option<Weak<PoolCore>>,
 }
 
 impl RequestHandle {
@@ -787,25 +773,20 @@ impl RequestHandle {
     pub fn ready(stream: BlockStream) -> RequestHandle {
         RequestHandle {
             shared: Arc::new(ReqShared {
-                driver: "inline".into(),
                 promise: OneShot::ready(Ok(stream)),
-                cancelled: AtomicBool::new(false),
-                handle_dropped: AtomicBool::new(false),
-                resolved_cancelled: AtomicBool::new(false),
-                gate: None,
-                ticket: Mutex::new(None),
+                ..ReqShared::pending("inline", None)
             }),
-            pool_slot: None,
+            pool: None,
         }
     }
 
     /// Assemble a handle over pool-managed request state
     /// (`crate::pool::WorkerPool::submit` calls this).
-    pub(crate) fn from_parts(
-        shared: Arc<ReqShared>,
-        pool_slot: Option<(Weak<PoolCore>, u64)>,
-    ) -> RequestHandle {
-        RequestHandle { shared, pool_slot }
+    pub(crate) fn from_parts(shared: Arc<ReqShared>, pool: Weak<PoolCore>) -> RequestHandle {
+        RequestHandle {
+            shared,
+            pool: Some(pool),
+        }
     }
 
     /// The request's progress, without blocking.
@@ -855,28 +836,23 @@ impl RequestHandle {
     }
 
     /// Resolve this request *now* with `err` and reclaim its resources
-    /// without blocking: still-queued work is removed from the pool
-    /// deque, a mid-flight request has its parked admission ticket
-    /// stolen and released (the wedged worker is orphaned and replaced —
-    /// see `crate::pool`), and any worker parked at the gate is woken.
-    /// Returns whether `err` won the set-once promise (`false`: the
-    /// request had already resolved, and the caller should use that
-    /// result instead). Idempotent; used by the deadline and
+    /// without blocking: still-queued work is dropped unrun, and a
+    /// mid-flight request has its parked admission ticket stolen and
+    /// released (the wedged worker is orphaned and replaced — see
+    /// `crate::pool`). Returns whether `err` won the set-once promise
+    /// (`false`: the request had already resolved, and the caller should
+    /// use that result instead). Idempotent; used by the deadline and
     /// cancellation paths of [`crate::resilience`].
     pub fn abandon(&self, err: KError) -> bool {
         let won = self.shared.resolve_err(err);
         self.shared.cancelled.store(true, Ordering::Release);
-        if let Some((pool, id)) = &self.pool_slot {
-            if let Some(core) = pool.upgrade() {
-                // Still queued: remove (its resolve-as-cancelled is a
-                // set-once no-op after ours). Mid-flight: steal the
-                // parked ticket and orphan the worker.
-                core.remove_job(*id);
+        // Still queued: claim the work (its resolve-as-cancelled is a
+        // set-once no-op after ours). Mid-flight: steal the parked
+        // ticket and orphan the worker.
+        if !self.shared.cancel_queued() {
+            if let Some(core) = self.pool.as_ref().and_then(Weak::upgrade) {
                 core.abandon_running(&self.shared);
             }
-        }
-        if let Some(gate) = &self.shared.gate {
-            gate.nudge();
         }
         won
     }
@@ -907,23 +883,13 @@ impl RequestHandle {
         Arc::downgrade(&arc)
     }
 
-    /// Abandon the request. Still-queued work is removed from the pool
-    /// deque before it contacts the source; running work finishes on its
-    /// worker and is dropped. The admission ticket is released in both
-    /// cases. Idempotent.
+    /// Abandon the request. Still-queued work is dropped before it
+    /// contacts the source (resolving the handle as cancelled); running
+    /// work finishes on its worker and is dropped. The admission ticket
+    /// is released in both cases. Idempotent.
     pub fn cancel(&self) {
         self.shared.cancelled.store(true, Ordering::Release);
-        // Remove the request from the pool queue if a worker has not
-        // picked it up yet (resolves the handle as cancelled).
-        if let Some((pool, id)) = &self.pool_slot {
-            if let Some(core) = pool.upgrade() {
-                core.remove_job(*id);
-            }
-        }
-        // Wake a worker that may be parked at the gate for this request.
-        if let Some(gate) = &self.shared.gate {
-            gate.nudge();
-        }
+        self.shared.cancel_queued();
     }
 }
 
@@ -982,8 +948,8 @@ pub trait Driver: Send + Sync {
     /// one method. Remote sources get the pooled override from
     /// [`crate::remote::Remote`], which submits `perform` through its
     /// [`crate::pool::WorkerPool`], making submission genuinely
-    /// non-blocking, the concurrency budget enforced (pool threads +
-    /// admission gate), and — when [`Capabilities::prefetch_rows`] is
+    /// non-blocking, the concurrency budget enforced (the pool's
+    /// width), and — when [`Capabilities::prefetch_rows`] is
     /// advertised — row transfer pipelined ahead of the consumer.
     fn submit(&self, req: &DriverRequest) -> KResult<RequestHandle> {
         Ok(RequestHandle::ready(self.perform(req)?))
@@ -1068,7 +1034,6 @@ pub type DriverRef = Arc<dyn Driver>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
     use std::thread;
     use std::time::Duration;
 
@@ -1209,15 +1174,5 @@ mod tests {
             assert!(t0.elapsed() < Duration::from_secs(2), "ticket leaked");
             thread::sleep(Duration::from_millis(1));
         }
-    }
-
-    #[test]
-    fn try_acquire_respects_the_limit() {
-        let gate = RequestGate::new(1);
-        let t1 = gate.try_acquire();
-        assert!(t1.is_some());
-        assert!(gate.try_acquire().is_none());
-        drop(t1);
-        assert!(gate.try_acquire().is_some());
     }
 }

@@ -1,28 +1,34 @@
-//! The shared session-level executor: one bounded, lazily-grown pool of
-//! compute workers for everything that is *not* a driver request.
+//! The one scheduler: a bounded, lazily-grown pool of reusable worker
+//! threads running queued tasks. Every thread that does work on behalf of
+//! a query — query evaluation, `ParExt` chunks, driver requests, row
+//! prefetch refills — is a worker of an [`Executor`]; nothing else in
+//! `kleisli-core` spawns a thread.
 //!
-//! # Why a second pool
+//! # One scheduler, two kinds of instance
 //!
-//! [`crate::pool::WorkerPool`] solved thread-per-request at the driver
-//! boundary: queued driver work is data in a deque, run by at most
-//! `concurrency_limit()` reusable workers per driver. But two spawn
-//! sites survived that refactor, both on the *compute* side of the
-//! system: the session's query worker (one ad-hoc OS thread per
-//! submitted query) and the `ParExt` chunk evaluators (one scoped
-//! thread per element of every parallel-loop chunk). Under mediator
-//! traffic — many sessions, many in-flight queries, parallel loops
-//! inside each — that is thread creation proportional to *work items*,
-//! exactly the failure mode the driver pools were built to kill.
+//! Queued work is *data* in a deque, never a parked stack: a burst of
+//! queries, of `ParExt` elements or of driver submissions costs deque
+//! slots, and at most [`Executor::limit`] threads — spawned on demand,
+//! kept parked and reused — ever exist to run them. The instances differ
+//! only in width and in what their tasks wait on:
 //!
-//! [`Executor`] generalizes the `WorkerPool` machinery (the same
-//! idle/busy/live accounting, lazily-spawned reused workers, queue of
-//! jobs as data, per-job panic isolation — and the same handle-over-
-//! `Arc`'d-core structure, so dropping the last handle genuinely shuts
-//! the workers down even though they hold the core alive) without the
-//! driver-specific parts (admission gate, request handles, row
-//! prefetch). One shared instance ([`Executor::shared`]) serves every
-//! session in the process; embedders that want their own sizing or an
-//! isolated pool pass a private executor to their sessions instead.
+//! * [`Executor::shared`] — one per process, oversubscribing the cores,
+//!   for compute tasks (a session's query worker, the server's admitted
+//!   queries, `ParExt` runners) that spend their time blocked *on
+//!   drivers*.
+//! * one **private** executor per remote driver, owned by its
+//!   [`crate::pool::WorkerPool`], of exactly the source's
+//!   [`crate::driver::Capabilities::concurrency_limit`] — the width *is*
+//!   the source's admission budget — whose tasks sleep *on the wire*.
+//!   Driver work never runs on the shared instance: a slow source would
+//!   otherwise pin the workers every session's queries need.
+//!
+//! The pool is the request-shaped client of this module (tickets,
+//! orphans, row prefetch) and borrows two facilities nobody else needs:
+//! [`Executor::disown`] — a waiter gave up on the task a worker is
+//! running, so the worker is written off and replaced — and an explicit
+//! [`Executor::shutdown`], because a pool's queued tasks hold their own
+//! executor alive and so cannot wait for its `Drop`.
 //!
 //! # Two submission shapes
 //!
@@ -52,10 +58,11 @@
 //! # Observability
 //!
 //! [`Executor::threads_spawned`] is the monotone count of workers ever
-//! created, bounded by [`Executor::limit`]; tests assert it stays flat
-//! across request-proportional workloads. The limit defaults to a
-//! multiple of the machine's parallelism (compute tasks here spend most
-//! of their time *blocked on drivers*, so oversubscription is the
+//! created, bounded by [`Executor::limit`] plus the workers ever
+//! [disowned](Executor::disown); tests assert it stays flat across
+//! request-proportional workloads. The shared instance's limit defaults
+//! to a multiple of the machine's parallelism (compute tasks here spend
+//! most of their time *blocked on drivers*, so oversubscription is the
 //! point), clamped to a floor that keeps small containers honest.
 
 use std::collections::VecDeque;
@@ -63,8 +70,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
 use std::thread;
 
-/// A queued fire-and-forget task.
-type Task = Box<dyn FnOnce() + Send>;
+/// A queued task. It returns whether a waiter [disowned](Executor::disown)
+/// it while it ran — in which case its worker has been replaced already
+/// and retires.
+type Task = Box<dyn FnOnce() -> bool + Send>;
 
 struct ExecState {
     queue: VecDeque<Task>,
@@ -74,14 +83,17 @@ struct ExecState {
     busy: usize,
     /// Worker threads currently alive.
     live: usize,
+    /// Disowned workers still inside the task a waiter gave up on. They
+    /// are outside `busy`/`live` (a replacement may be running) and
+    /// bounded by [`Executor::disown_budget`].
+    disowned: usize,
     shutdown: bool,
 }
 
 /// The worker-shared half of an executor. Workers hold this core alive
-/// while the public [`Executor`] is only a *handle* over it — the same
-/// split as `WorkerPool`/`PoolCore` — so the handle's `Drop` actually
-/// runs when the last user reference goes away, even with workers
-/// parked in the condvar.
+/// while the public [`Executor`] is only a *handle* over it, so the
+/// handle's `Drop` actually runs when the last user reference goes away,
+/// even with workers parked in the condvar.
 struct ExecCore {
     name: String,
     state: Mutex<ExecState>,
@@ -120,6 +132,7 @@ impl Executor {
                     idle: 0,
                     busy: 0,
                     live: 0,
+                    disowned: 0,
                     shutdown: false,
                 }),
                 cv: Condvar::new(),
@@ -148,14 +161,16 @@ impl Executor {
         (cores * 4).max(32)
     }
 
-    /// Maximum concurrent tasks (== maximum worker threads).
+    /// Maximum concurrent tasks (== maximum worker threads, not counting
+    /// [disowned](Executor::disown) ones).
     pub fn limit(&self) -> usize {
         self.core.limit
     }
 
     /// Total worker threads created over the executor's lifetime.
-    /// Bounded by [`Executor::limit`]; sequential traffic reuses one
-    /// worker, so this does not grow with task count.
+    /// Bounded by [`Executor::limit`] plus one per disowned worker;
+    /// sequential traffic reuses one worker, so this does not grow with
+    /// task count.
     pub fn threads_spawned(&self) -> usize {
         self.core.threads_spawned.load(Ordering::SeqCst)
     }
@@ -174,6 +189,18 @@ impl Executor {
     /// task runs inline on the caller — degraded to blocking rather
     /// than silently dropped, so promises always resolve.
     pub fn spawn(&self, task: impl FnOnce() + Send + 'static) {
+        self.spawn_disownable(move || {
+            task();
+            false
+        });
+    }
+
+    /// [`Executor::spawn`] for a task a waiter may [`Executor::disown`]
+    /// while it runs. The task returns whether that happened to it —
+    /// only the task can tell, through whatever its client stole from
+    /// it — and `true` retires the worker without touching the counts
+    /// `disown` already settled.
+    pub fn spawn_disownable(&self, task: impl FnOnce() -> bool + Send + 'static) {
         let mut st = self.core.lock_state();
         if st.shutdown {
             drop(st);
@@ -182,6 +209,70 @@ impl Executor {
         }
         st.queue.push_back(Box::new(task));
         self.core.ensure_worker(&mut st);
+    }
+
+    /// A waiter gave up on the task one of this executor's workers is
+    /// running (the caller vouches that it is running, and that it will
+    /// return `true` if it ever returns): the worker leaves `busy` /
+    /// `live`, counts as [disowned](Executor::disowned) until then, and
+    /// a replacement is spawned if work is queued, so the width is whole
+    /// again without anyone blocking on a wedged thread. `release` runs
+    /// once the disowning is certain and before the replacement can
+    /// start: whatever the waiter takes back from the wedged task (its
+    /// admission ticket) is free by the time a successor asks for it.
+    ///
+    /// Declines — `false`, `release` not run — on a shut-down executor
+    /// and when [`Executor::disown_budget`] workers are wedged already:
+    /// the width then shrinks for as long as the wedge lasts instead of
+    /// the executor growing a thread herd against a dead source.
+    pub fn disown(&self, release: impl FnOnce()) -> bool {
+        let mut st = self.core.lock_state();
+        if st.shutdown || st.disowned >= self.disown_budget() {
+            return false;
+        }
+        release();
+        st.disowned += 1;
+        st.busy -= 1;
+        st.live -= 1;
+        self.core.ensure_worker(&mut st);
+        true
+    }
+
+    /// Disowned workers still wedged in their task right now; falls back
+    /// to zero as the tasks return.
+    pub fn disowned(&self) -> usize {
+        self.core.lock_state().disowned
+    }
+
+    /// The most disowned-but-wedged workers tolerated at once,
+    /// `2 * limit + 2`: every running task can be given up on twice over
+    /// before [`Executor::disown`] starts declining.
+    pub fn disown_budget(&self) -> usize {
+        2 * self.core.limit + 2
+    }
+
+    /// Stop now, without waiting for the last handle to drop: workers
+    /// exit as they go idle and tasks still queued run *inline on the
+    /// calling thread* (as does anything spawned afterwards). A client
+    /// whose queued tasks hold their own executor alive calls this from
+    /// its `Drop`, and has those tasks consult
+    /// [`Executor::is_shut_down`] so they resolve their promises without
+    /// doing their work on the dropping thread. Idempotent.
+    pub fn shutdown(&self) {
+        let queued: Vec<Task> = {
+            let mut st = self.core.lock_state();
+            st.shutdown = true;
+            st.queue.drain(..).collect()
+        };
+        self.core.cv.notify_all();
+        for task in queued {
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
+        }
+    }
+
+    /// Whether [`Executor::shutdown`] has run.
+    pub fn is_shut_down(&self) -> bool {
+        self.core.lock_state().shutdown
     }
 
     /// Run a batch of tasks with the caller helping (see the module
@@ -226,20 +317,12 @@ impl Executor {
 
 impl Drop for Executor {
     fn drop(&mut self) {
-        let orphans: Vec<Task> = {
-            let mut st = self.core.lock_state();
-            st.shutdown = true;
-            st.queue.drain(..).collect()
-        };
-        self.core.cv.notify_all();
         // Queued tasks must not be silently discarded: a queued query
-        // worker carries a OneShot someone may be blocked on. Run them
-        // inline here — the shutdown equivalent of `spawn`'s inline
-        // fallback. (Batch runner tasks are cheap no-ops by now or do
-        // useful draining; either is correct.)
-        for task in orphans {
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
-        }
+        // worker carries a OneShot someone may be blocked on, so
+        // `shutdown` runs them inline here — the equivalent of `spawn`'s
+        // inline fallback. (Batch runner tasks are cheap no-ops by now
+        // or do useful draining; either is correct.)
+        self.shutdown();
     }
 }
 
@@ -260,10 +343,15 @@ impl ExecCore {
         self.ensure_worker(&mut st);
     }
 
-    /// Wake an idle worker for freshly queued work, spawning a new one
-    /// while under the limit when demand genuinely exceeds the live
-    /// workers (same policy, and for the same burst reasons, as
-    /// `WorkerPool::ensure_worker`).
+    /// Make sure a worker will pick up freshly queued work: wake an idle
+    /// one, and — when demand genuinely exceeds the live workers — spawn
+    /// a new thread while under the limit. The two checks are
+    /// independent: a burst of submissions can outnumber the idle
+    /// workers before any of them wakes, and waking without spawning
+    /// would serialize the burst. A worker that has just finished a task
+    /// re-checks the queue before parking, so sequential traffic (demand
+    /// never exceeding the live workers) reuses one worker instead of
+    /// growing the pool.
     fn ensure_worker(self: &Arc<Self>, st: &mut ExecState) {
         if st.idle > 0 {
             self.cv.notify_one();
@@ -303,7 +391,14 @@ impl ExecCore {
             };
             // A panicking task must not kill the worker (its live/busy
             // accounting would leak and shrink the pool forever).
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
+            let disowned =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)).unwrap_or(false);
+            if disowned {
+                // `disown` already moved this worker's share of
+                // busy/live to its replacement.
+                core.lock_state().disowned -= 1;
+                return;
+            }
             just_finished = true;
         }
     }
@@ -341,7 +436,10 @@ impl<T: Send + 'static> Batch<T> {
     fn runner(self: &Arc<Self>, core: &Weak<ExecCore>) -> Task {
         let batch = Arc::clone(self);
         let core = core.clone();
-        Box::new(move || batch.drain_as(&core))
+        Box::new(move || {
+            batch.drain_as(&core);
+            false
+        })
     }
 
     /// Run batch items until the shared list is empty. Called by the
@@ -555,6 +653,98 @@ mod tests {
             assert!(
                 t0.elapsed() < Duration::from_secs(2),
                 "worker (and the executor core) leaked after drop"
+            );
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Pin one worker of `exec` in a task that spins until `release` is
+    /// set and then reports `disowned`; returns once the worker is busy.
+    fn pin_a_worker(exec: &Executor, release: &Arc<AtomicU64>, disowned: bool) {
+        let release = Arc::clone(release);
+        exec.spawn_disownable(move || {
+            while release.load(Ordering::SeqCst) == 0 {
+                thread::sleep(Duration::from_millis(1));
+            }
+            disowned
+        });
+        let t0 = std::time::Instant::now();
+        while exec.busy() == 0 {
+            assert!(t0.elapsed() < Duration::from_secs(2), "worker never started");
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_disowned_worker_is_replaced_and_retires_without_double_counting() {
+        let exec = Executor::new("t", 1);
+        assert_eq!(exec.disown_budget(), 4, "2 * limit + 2");
+        let release = Arc::new(AtomicU64::new(0));
+        pin_a_worker(&exec, &release, true);
+        // Queued behind the wedged task on a width-1 executor: only a
+        // replacement worker can run it.
+        let released = Arc::new(AtomicU64::new(0));
+        let (tx, rx) = std::sync::mpsc::channel();
+        {
+            let released = Arc::clone(&released);
+            exec.spawn(move || tx.send(released.load(Ordering::SeqCst)).expect("receiver alive"));
+        }
+        assert!(exec.disown(|| released.store(1, Ordering::SeqCst)));
+        let seen = rx
+            .recv_timeout(Duration::from_secs(2))
+            .expect("the replacement ran the queued task past the wedged worker");
+        assert_eq!(seen, 1, "release ran before the replacement could start");
+        assert_eq!((exec.disowned(), exec.threads_spawned()), (1, 2));
+        // The wedged task returns: its worker retires, touching no count.
+        release.store(1, Ordering::SeqCst);
+        let t0 = std::time::Instant::now();
+        while exec.disowned() != 0 || exec.busy() != 0 {
+            assert!(t0.elapsed() < Duration::from_secs(2), "the disowned worker never retired");
+            thread::sleep(Duration::from_millis(1));
+        }
+        // Exactly one live worker is left — the replacement: more work
+        // neither spawns a third thread nor finds nobody to run it.
+        assert_eq!(exec.run_all(boxed(vec![|| 7, || 8])), vec![Some(7), Some(8)]);
+        let (tx, rx) = std::sync::mpsc::channel();
+        exec.spawn(move || tx.send(()).expect("receiver alive"));
+        rx.recv_timeout(Duration::from_secs(2)).expect("a live worker remains");
+        assert_eq!(exec.threads_spawned(), 2);
+        assert_eq!(exec.core.lock_state().live, 1);
+    }
+
+    #[test]
+    fn explicit_shutdown_reaches_tasks_that_hold_their_executor() {
+        let exec = Executor::new("t", 1);
+        let release = Arc::new(AtomicU64::new(0));
+        pin_a_worker(&exec, &release, false);
+        // A queued task holding its own executor alive, as a driver
+        // pool's tasks do: the handle's `Drop` could never reach it.
+        let saw_shutdown = Arc::new(AtomicU64::new(0));
+        {
+            let own = Arc::clone(&exec);
+            let saw_shutdown = Arc::clone(&saw_shutdown);
+            exec.spawn(move || {
+                saw_shutdown.store(1 + u64::from(own.is_shut_down()), Ordering::SeqCst);
+            });
+        }
+        let weak = Arc::downgrade(&exec.core);
+        exec.shutdown();
+        assert_eq!(
+            saw_shutdown.load(Ordering::SeqCst),
+            2,
+            "the queued task ran inline on the caller and saw the shutdown"
+        );
+        assert!(!exec.disown(|| unreachable!("declined")), "nothing to replace a worker with");
+        // The task's clone died with the task, so this is the last
+        // handle; the pinned worker finds the executor shut down when it
+        // goes idle, exits, and drops the last core reference.
+        drop(exec);
+        release.store(1, Ordering::SeqCst);
+        let t0 = std::time::Instant::now();
+        while weak.upgrade().is_some() {
+            assert!(
+                t0.elapsed() < Duration::from_secs(2),
+                "worker (and the executor core) leaked after shutdown"
             );
             thread::sleep(Duration::from_millis(1));
         }

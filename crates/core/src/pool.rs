@@ -1,22 +1,44 @@
 //! Per-driver worker pools and the bounded row-prefetch buffer: the
 //! row-pipelined half of the two-phase driver API.
 //!
-//! # Why a pool
+//! # The request-shaped client of the one scheduler
 //!
-//! The first incarnation of [`crate::driver::Driver::submit`] parked one
-//! OS thread per *queued* request: a burst of submissions beyond the
-//! admission budget each pinned a thread inside the gate's condvar. Fine
-//! at simulator scale, fatal at mediator scale — queued work should be
-//! *data*, not stacks. A [`WorkerPool`] keeps queued requests in a deque
-//! and runs them on at most [`crate::driver::Capabilities::concurrency_limit`] worker
-//! threads, spawned lazily and reused across requests. Admission tickets
-//! from the driver's [`RequestGate`] are consumed by workers at the
-//! moment they pick a request up, never by parked threads, and
-//! cancelling a still-queued request simply removes it from the deque —
-//! no thread ever existed for it. Exactly one place constructs a pool:
-//! the remote-driver shell [`crate::remote::Remote`], which names it
-//! after the registered source so every error the pool raises (request
-//! panic, stream panic, deadline) is labelled with that name.
+//! A [`WorkerPool`] owns no threads of its own. Its workers are a
+//! **private [`Executor`]** named after the source and exactly
+//! [`crate::driver::Capabilities::concurrency_limit`] wide — private,
+//! never [`Executor::shared`], because driver workers sleep on the wire —
+//! and a submitted request, like a row-prefetch refill, is one task
+//! spawned on it: queued work is *data* in the executor's deque, not a
+//! parked stack, and thread lifecycle, spawn policy, busy/idle
+//! accounting and panic isolation are the executor's, stated once
+//! (`crate::executor`). That width is also the source's admission
+//! budget; the [`RequestGate`] only counts it (`crate::driver`,
+//! "Admission control"). What the pool adds is what makes a task a
+//! *request*:
+//!
+//! * **Cancel before pickup.** The request's work sits in a slot on its
+//!   handle state until a worker claims it. A `cancel` / `abandon` /
+//!   handle drop that claims it first drops it unrun and resolves the
+//!   handle at once — no thread ever existed for it, and the husk left
+//!   in the deque does nothing when a worker reaches it.
+//! * **Orphan and replace.** The worker takes a
+//!   [`crate::driver::GateTicket`] at pickup and *parks* it on the
+//!   handle state for the round-trip. A waiter whose deadline passes
+//!   steals it (`PoolCore::abandon_running`), which releases the slot
+//!   and has the executor [disown](Executor::disown) the wedged worker
+//!   and spawn a replacement, within a budget; the wedged worker finds
+//!   its ticket gone when (if) it returns, discards its result and
+//!   retires.
+//! * **Shutdown.** Dropping the pool shuts the executor down explicitly
+//!   (queued tasks hold the pool, and so their own executor, alive);
+//!   from then on a request task resolves `Cancelled` and a refill task
+//!   returns without pulling, so no driver work runs on the dropping
+//!   thread.
+//! * **Row prefetch** (below), and the **driver's name on every error**
+//!   the pool raises (request panic, stream panic, deadline): exactly
+//!   one place constructs a pool, the remote-driver shell
+//!   [`crate::remote::Remote`], which names it after the registered
+//!   source.
 //!
 //! # Row prefetch, in blocks
 //!
@@ -110,14 +132,13 @@
 //! the row transfers the full fetch exists to overlap.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
-use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::block::{BlockSource, BlockStream, ValueBlock, DEFAULT_BLOCK_ROWS};
 use crate::driver::{DriverMetrics, ReqShared, RequestGate, RequestHandle};
 use crate::error::{KError, KResult};
+use crate::executor::Executor;
 
 /// The prefetch window of a **full fetch** ([`crate::Driver::submit_full`]):
 /// no row ceiling — the worker ships the whole reply ahead of the
@@ -125,64 +146,12 @@ use crate::error::{KError, KResult};
 /// geometry").
 pub(crate) const FULL_FETCH: usize = usize::MAX;
 
-/// Work queued in a pool: a driver request (with its handle state and a
-/// prefetch depth) or a plain task (row-prefetch refills).
-enum Job {
-    Request(RequestJob),
-    Task(Box<dyn FnOnce() + Send>),
-}
-
-struct RequestJob {
-    id: u64,
-    shared: Arc<ReqShared>,
-    work: Box<dyn FnOnce() -> KResult<BlockStream> + Send>,
-    prefetch: usize,
-}
-
-/// What a worker learns about its own request at completion time.
-#[derive(PartialEq)]
-enum WorkerFate {
-    /// Normal completion: the worker resolved the request and keeps
-    /// serving the queue.
-    Kept,
-    /// An abandoning waiter stole the request's ticket mid-flight (see
-    /// [`PoolCore::abandon_running`]): the result was discarded, the
-    /// worker's accounting was already transferred to a replacement, and
-    /// the thread must retire without touching `busy`/`live`.
-    Abandoned,
-}
-
-struct PoolState {
-    queue: VecDeque<Job>,
-    /// Workers currently parked in the condvar waiting for work.
-    idle: usize,
-    /// Workers currently running a job.
-    busy: usize,
-    /// Worker threads currently alive.
-    live: usize,
-    /// Abandoned workers still wedged in a request that was timed out
-    /// from under them. They are outside `live` (a replacement may have
-    /// been spawned) and bounded by `PoolCore::orphan_budget`.
-    orphans: usize,
-    shutdown: bool,
-    next_id: u64,
-}
-
 pub(crate) struct PoolCore {
     name: String,
     gate: Arc<RequestGate>,
     metrics: Option<Arc<DriverMetrics>>,
-    state: Mutex<PoolState>,
-    cv: Condvar,
-    limit: usize,
-    /// How many abandoned-but-still-wedged workers the pool tolerates at
-    /// once. At the budget, `abandon_running` declines: the ticket stays
-    /// with the wedged worker (capacity temporarily shrinks) instead of
-    /// the pool growing an unbounded thread herd against a dead source.
-    orphan_budget: usize,
-    /// Total worker threads ever created (monotonic) — the observable
-    /// for "no thread growth across sequential requests".
-    threads_spawned: AtomicUsize,
+    /// The pool's workers (module docs).
+    exec: Arc<Executor>,
 }
 
 /// A per-driver pool of at most `limit` worker threads executing
@@ -195,51 +164,38 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// A pool running at most `limit` concurrent requests (`0` is
-    /// normalized to `1`, like the admission gate it wraps). Rows pulled
-    /// by prefetch workers are counted into `metrics` when given.
+    /// normalized to `1`). Rows pulled by prefetch workers are counted
+    /// into `metrics` when given.
     pub fn new(name: impl Into<String>, limit: usize, metrics: Option<Arc<DriverMetrics>>) -> WorkerPool {
-        let limit = limit.max(1);
+        let name = name.into();
+        let exec = Executor::new(name.clone(), limit);
         WorkerPool {
             core: Arc::new(PoolCore {
-                name: name.into(),
-                gate: RequestGate::new(limit),
+                name,
+                gate: RequestGate::new(exec.limit()),
                 metrics,
-                state: Mutex::new(PoolState {
-                    queue: VecDeque::new(),
-                    idle: 0,
-                    busy: 0,
-                    live: 0,
-                    orphans: 0,
-                    shutdown: false,
-                    next_id: 0,
-                }),
-                cv: Condvar::new(),
-                limit,
-                // enough headroom that every in-flight request can be
-                // abandoned twice over before capacity starts shrinking
-                orphan_budget: 2 * limit + 2,
-                threads_spawned: AtomicUsize::new(0),
+                exec,
             }),
         }
     }
 
-    /// The admission gate every request of this pool's driver passes
-    /// through. Exposed so tests (and drivers sharing the gate with
-    /// non-pool paths) can observe ticket flow.
+    /// The count of this pool's requests in flight against its limit.
+    /// Exposed so tests and quiescence checks can observe ticket flow.
     pub fn gate(&self) -> &Arc<RequestGate> {
         &self.core.gate
     }
 
     /// Maximum concurrent requests (== maximum worker threads).
     pub fn limit(&self) -> usize {
-        self.core.limit
+        self.core.exec.limit()
     }
 
     /// Total worker threads created over the pool's lifetime. Bounded by
-    /// [`WorkerPool::limit`]; sequential submissions reuse workers, so
-    /// this does not grow with request count.
+    /// [`WorkerPool::limit`] plus the orphans ever replaced; sequential
+    /// submissions reuse workers, so this does not grow with request
+    /// count.
     pub fn threads_spawned(&self) -> usize {
-        self.core.threads_spawned.load(Ordering::SeqCst)
+        self.core.exec.threads_spawned()
     }
 
     /// Abandoned workers still wedged in a timed-out request right now.
@@ -247,7 +203,7 @@ impl WorkerPool {
     /// falls back to zero as the wedged work eventually returns (or the
     /// process exits). Bounded by [`WorkerPool::orphan_budget`].
     pub fn orphans(&self) -> usize {
-        self.core.lock_state().orphans
+        self.core.exec.disowned()
     }
 
     /// The most abandoned-but-wedged workers this pool tolerates at
@@ -255,12 +211,12 @@ impl WorkerPool {
     /// wedged worker (capacity temporarily shrinks) rather than
     /// spawning replacements without bound.
     pub fn orphan_budget(&self) -> usize {
-        self.core.orphan_budget
+        self.core.exec.disown_budget()
     }
 
     /// Submit `work` (one blocking request round-trip) and return a
     /// handle immediately. The request queues as data until a pool
-    /// worker picks it up, acquires an admission ticket, and runs it; a
+    /// worker picks it up, takes an admission ticket, and runs it; a
     /// panic in `work` parks a driver error for every waiter. With
     /// `prefetch > 0`, the worker keeps pulling row blocks into a
     /// bounded buffer after the request completes — `prefetch` is the
@@ -270,221 +226,83 @@ impl WorkerPool {
     where
         F: FnOnce() -> KResult<BlockStream> + Send + 'static,
     {
-        let shared = Arc::new(ReqShared::pending(
-            &self.core.name,
-            Some(Arc::clone(&self.core.gate)),
-        ));
-        let mut st = self.core.lock_state();
-        if st.shutdown {
-            drop(st);
-            shared.resolve_cancelled();
-            return RequestHandle::from_parts(shared, None);
-        }
-        let id = st.next_id;
-        st.next_id += 1;
-        st.queue.push_back(Job::Request(RequestJob {
-            id,
-            shared: Arc::clone(&shared),
-            work: Box::new(work),
-            prefetch,
-        }));
-        self.core.ensure_worker(&mut st);
-        drop(st);
-        RequestHandle::from_parts(shared, Some((Arc::downgrade(&self.core), id)))
+        let shared = Arc::new(ReqShared::pending(&self.core.name, Some(Box::new(work))));
+        let (core, req) = (Arc::clone(&self.core), Arc::clone(&shared));
+        self.core
+            .exec
+            .spawn_disownable(move || core.request_task(&req, prefetch));
+        RequestHandle::from_parts(shared, Arc::downgrade(&self.core))
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        let mut st = self.core.lock_state();
-        st.shutdown = true;
-        let orphans: Vec<Job> = st.queue.drain(..).collect();
-        drop(st);
-        self.core.cv.notify_all();
-        // Still-queued requests resolve as cancelled so their waiters
-        // unblock; queued refill tasks are simply dropped (their streams
-        // fall back to inline pulls).
-        for job in orphans {
-            if let Job::Request(rj) = job {
-                rj.shared.resolve_cancelled();
-            }
-        }
+        // Explicit, because queued tasks hold the core — and with it
+        // their own executor — alive. They run inline here, see the
+        // shutdown, and stand down: requests resolve as cancelled so
+        // their waiters unblock, refills return without pulling (their
+        // streams fall back to inline pulls).
+        self.core.exec.shutdown();
     }
 }
 
 impl PoolCore {
-    fn lock_state(&self) -> std::sync::MutexGuard<'_, PoolState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    /// The task of one submitted request; returns whether the worker
+    /// was orphaned under it (see [`Executor::spawn_disownable`]).
+    ///
+    /// Defense in depth: every panic source inside `run_request` (the work,
+    /// row pulls, stream drops) is individually caught, but an unwind
+    /// escaping the task would leave the waiter pending forever. Catch,
+    /// and resolve.
+    fn request_task(self: &Arc<Self>, shared: &Arc<ReqShared>, prefetch: usize) -> bool {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run_request(shared, prefetch)))
+            .unwrap_or_else(|_| {
+                // Set-once: a no-op if the request already resolved
+                // before the panic.
+                shared.resolve_stream(Err(self.request_panicked()));
+                // Release the ticket if the unwind left it parked; this
+                // worker is still accounted for.
+                drop(shared.steal_ticket());
+                false
+            })
     }
 
-    /// Make sure a worker will pick up freshly queued work: wake an idle
-    /// one, and — when demand genuinely exceeds the live workers — spawn
-    /// a new thread while under the limit. The two checks are
-    /// independent: a burst of submissions can outnumber the idle
-    /// workers before any of them wakes, and waking without spawning
-    /// would serialize the burst. A worker that has just finished a job
-    /// re-checks the queue before parking, so sequential request traffic
-    /// (demand never exceeding the live workers) reuses one worker
-    /// instead of growing the pool.
-    fn ensure_worker(self: &Arc<Self>, st: &mut PoolState) {
-        if st.idle > 0 {
-            self.cv.notify_one();
-        }
-        if st.live < self.limit && st.queue.len() + st.busy > st.live {
-            st.live += 1;
-            self.threads_spawned.fetch_add(1, Ordering::SeqCst);
-            let core = Arc::clone(self);
-            thread::Builder::new()
-                .name(format!("{}-pool-worker", self.name))
-                .spawn(move || PoolCore::worker_loop(core))
-                .expect("spawn pool worker");
-        }
-        // Else: every worker is busy (the job waits its turn in the
-        // deque — as data, not as a parked thread), or a worker between
-        // jobs is about to re-check the queue and will claim it.
+    fn request_panicked(&self) -> KError {
+        KError::driver(&self.name, "driver panicked while performing the request")
     }
 
-    /// Queue a non-request task (row-prefetch refill) on the pool.
-    fn spawn_task(self: &Arc<Self>, task: Box<dyn FnOnce() + Send>) {
-        let mut st = self.lock_state();
-        if st.shutdown {
-            return; // consumer streams fall back to inline pulls
-        }
-        st.queue.push_back(Job::Task(task));
-        self.ensure_worker(&mut st);
-    }
-
-    /// Remove a still-queued request (cancellation): resolves its handle
-    /// as cancelled without a worker ever touching it. Returns whether
-    /// the request was found in the queue.
-    pub(crate) fn remove_job(self: &Arc<Self>, id: u64) -> bool {
-        let mut st = self.lock_state();
-        let pos = st
-            .queue
-            .iter()
-            .position(|j| matches!(j, Job::Request(rj) if rj.id == id));
-        let Some(pos) = pos else { return false };
-        let job = st.queue.remove(pos);
-        drop(st);
-        if let Some(Job::Request(rj)) = job {
-            rj.shared.resolve_cancelled();
-            return true;
-        }
-        false
-    }
-
-    fn worker_loop(core: Arc<PoolCore>) {
-        let mut just_finished = false;
-        loop {
-            let job = {
-                let mut st = core.lock_state();
-                if just_finished {
-                    // (re-set to true after every job below, so no reset)
-                    st.busy -= 1;
-                }
-                loop {
-                    if let Some(j) = st.queue.pop_front() {
-                        st.busy += 1;
-                        break j;
-                    }
-                    if st.shutdown {
-                        st.live -= 1;
-                        return;
-                    }
-                    st.idle += 1;
-                    st = core.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-                    st.idle -= 1;
-                }
-            };
-            match job {
-                Job::Task(task) => {
-                    // A panicking refill must not kill the worker.
-                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
-                }
-                Job::Request(rj) => {
-                    // Defense in depth: every panic source inside
-                    // run_request (the work, row pulls, stream drops) is
-                    // individually caught, but an unwind escaping here
-                    // would kill the worker with its live/busy counts
-                    // leaked — wedging the pool forever. Catch, and make
-                    // sure the waiter is never left pending.
-                    let shared = Arc::clone(&rj.shared);
-                    let fate = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        core.run_request(rj)
-                    }))
-                    .unwrap_or_else(|_| {
-                        // Set-once: a no-op if the request already
-                        // resolved before the panic.
-                        shared.resolve_stream(Err(KError::driver(
-                            &core.name,
-                            "driver panicked while performing the request",
-                        )));
-                        // Release the ticket if the unwind left it
-                        // parked; this worker is still accounted for.
-                        drop(shared.steal_ticket());
-                        WorkerFate::Kept
-                    });
-                    if fate == WorkerFate::Abandoned {
-                        // An abandoning waiter already transferred this
-                        // worker's busy/live accounting to a replacement
-                        // (`abandon_running`); retire the thread without
-                        // touching the counters again.
-                        let mut st = core.lock_state();
-                        st.orphans = st.orphans.saturating_sub(1);
-                        drop(st);
-                        core.cv.notify_all();
-                        return;
-                    }
-                }
-            }
-            just_finished = true;
-        }
-    }
-
-    fn run_request(self: &Arc<Self>, rj: RequestJob) -> WorkerFate {
-        let RequestJob {
-            shared,
-            work,
-            prefetch,
-            ..
-        } = rj;
-        if shared.is_cancelled() {
+    fn run_request(self: &Arc<Self>, shared: &Arc<ReqShared>, prefetch: usize) -> bool {
+        // Queued -> running. An empty slot is the husk of a request that
+        // was cancelled before pickup (and resolved by its canceller).
+        let Some(work) = shared.claim_work() else { return false };
+        if self.exec.is_shut_down() {
             shared.resolve_cancelled();
-            return WorkerFate::Kept;
+            return false;
         }
         // The admission ticket is taken by this worker at pickup time —
-        // never by a parked thread — and covers the request round-trip
-        // (not the row stream, whose transfer the prefetch buffer
-        // pipelines separately). It is *parked* on the shared state for
-        // the duration of the round-trip so a waiter whose deadline
-        // passes can steal it back (`abandon_running`) instead of
-        // blocking on this worker.
-        let Some(ticket) = self.gate.acquire_unless(shared.cancelled_flag()) else {
-            shared.resolve_cancelled();
-            return WorkerFate::Kept;
-        };
-        shared.park_ticket(ticket);
+        // the pool's width guarantees there is one — and covers the
+        // request round-trip (not the row stream, whose transfer the
+        // prefetch buffer pipelines separately). It is *parked* on the
+        // shared state for the duration of the round-trip so a waiter
+        // whose deadline passes can steal it back (`abandon_running`)
+        // instead of blocking on this worker.
+        shared.park_ticket(self.gate.admit());
         if shared.is_cancelled() {
             match shared.steal_ticket() {
                 Some(ticket) => {
                     drop(ticket);
                     shared.resolve_cancelled();
-                    return WorkerFate::Kept;
+                    return false;
                 }
                 // An abandoner raced us between park and this check; it
                 // already resolved the promise and replaced us.
-                None => return WorkerFate::Abandoned,
+                None => return true,
             }
         }
         // A panicking driver must park an error, not leave the handle
         // pending forever (the caller may be blocked in wait()).
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(work))
-            .unwrap_or_else(|_| {
-                Err(KError::driver(
-                    &self.name,
-                    "driver panicked while performing the request",
-                ))
-            });
+            .unwrap_or_else(|_| Err(self.request_panicked()));
         // Reclaim the parked ticket. An empty slot means a deadline (or
         // cancellation) stole it mid-flight: the waiter is gone, the
         // promise already resolved, a replacement worker may already be
@@ -493,7 +311,7 @@ impl PoolCore {
             if let Ok(stream) = result {
                 guarded_drop(stream);
             }
-            return WorkerFate::Abandoned;
+            return true;
         };
         drop(ticket); // release the admission slot
         match result {
@@ -514,7 +332,7 @@ impl PoolCore {
             }
             other => shared.resolve_stream(other),
         }
-        WorkerFate::Kept
+        false
     }
 
     /// Steal a mid-flight request's parked admission ticket and release
@@ -523,35 +341,31 @@ impl PoolCore {
     /// abandoning waiter (deadline passed, hedge lost, query cancelled);
     /// never blocks on the worker. Returns `false` — leaving the ticket
     /// with the worker — if the request is not mid-flight (not yet
-    /// picked up, or already finished) or the orphan budget is spent, in
-    /// which case capacity temporarily shrinks instead of the pool
-    /// growing an unbounded thread herd against a dead source.
+    /// picked up, or already finished), the pool is shut down, or the
+    /// orphan budget is spent, in which case capacity temporarily
+    /// shrinks instead of the pool growing an unbounded thread herd
+    /// against a dead source.
     ///
-    /// Lock order: pool state, then the ticket slot. The finishing
-    /// worker takes only the ticket slot; no path takes them in the
-    /// opposite order.
-    pub(crate) fn abandon_running(self: &Arc<Self>, shared: &Arc<ReqShared>) -> bool {
-        let mut st = self.lock_state();
-        if st.shutdown {
-            return false;
-        }
+    /// The ticket is released inside [`Executor::disown`], *before* the
+    /// replacement it spawns can reach admission, so `in_flight <= limit`
+    /// holds at every instant. Lock order: the ticket slot, then the
+    /// executor's state. The finishing worker takes only the ticket
+    /// slot; no path takes them in the opposite order.
+    pub(crate) fn abandon_running(&self, shared: &ReqShared) -> bool {
         let mut slot = shared.lock_ticket_slot();
-        if slot.is_none() || st.orphans >= self.orphan_budget {
-            return false;
-        }
-        let ticket = slot.take();
-        drop(slot);
-        // Transfer the wedged worker's accounting to a replacement: it
-        // leaves busy/live (the abandoned thread will retire via
-        // `WorkerFate::Abandoned` without touching them again) and is
-        // counted as an orphan until it actually returns.
-        st.orphans += 1;
-        st.busy = st.busy.saturating_sub(1);
-        st.live = st.live.saturating_sub(1);
-        self.ensure_worker(&mut st);
-        drop(st);
-        drop(ticket); // releases the gate slot — the caller's goal
-        true
+        slot.is_some() && self.exec.disown(|| drop(slot.take()))
+    }
+
+    /// Queue a row-prefetch refill. On a shut-down pool the task runs
+    /// inline — under the scheduling consumer's buffer lock, or on the
+    /// thread dropping the pool — and so must not touch the buffer.
+    fn spawn_refill(&self, buf: Arc<RowBuf>) {
+        let exec = Arc::clone(&self.exec);
+        self.exec.spawn(move || {
+            if !exec.is_shut_down() {
+                RowBuf::refill(&buf);
+            }
+        });
     }
 }
 
@@ -775,8 +589,7 @@ impl RowBuf {
         }
         let Some(core) = buf.pool.upgrade() else { return };
         st.refill_queued = true;
-        let b = Arc::clone(buf);
-        core.spawn_task(Box::new(move || RowBuf::refill(&b)));
+        core.spawn_refill(Arc::clone(buf));
     }
 
     /// The adaptive-depth decision, taken once per block handed to the
@@ -959,7 +772,8 @@ mod tests {
     use crate::block::blocks_of_rows;
     use crate::driver::RequestStatus;
     use crate::value::Value;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::thread;
     use std::time::Duration;
 
     fn rows_stream(n: i64) -> BlockStream {
@@ -1540,6 +1354,44 @@ mod tests {
             thread::sleep(Duration::from_millis(1));
         }
         assert!(pool.threads_spawned() <= 1 + 4, "one per orphan plus the original");
+    }
+
+    #[test]
+    fn back_to_back_abandonment_never_admits_past_the_limit() {
+        // Each abandonment finds the next request already queued, so the
+        // replacement worker is spawned inside `disown` and goes straight
+        // to admission: the stolen ticket must be free by then, or
+        // `RequestGate::admit`'s assertion fires on the replacement and
+        // parks a "panicked" error on the request it picked up.
+        let pool = WorkerPool::new("t", 1, None);
+        let mut latch = wedge_latch();
+        let mut running = submit_wedged(&pool, &latch);
+        for i in 0..200 {
+            let t0 = std::time::Instant::now();
+            while pool.gate().in_flight() != 1 {
+                assert!(t0.elapsed() < Duration::from_secs(2), "request {i} never started");
+                thread::yield_now();
+            }
+            let next_latch = wedge_latch();
+            let next = submit_wedged(&pool, &next_latch);
+            assert!(
+                running.abandon(KError::timeout("t", "test abandon")),
+                "request {i} had resolved by itself — admission tripped"
+            );
+            assert!(pool.gate().in_flight() <= 1);
+            // The orphan returns and retires, so the orphan budget is
+            // never what limits the next abandonment.
+            release(&latch);
+            (latch, running) = (next_latch, next);
+        }
+        release(&latch);
+        assert_eq!(collect(running).len(), 1, "the last request runs to its end");
+        await_orphans(&pool, 0);
+        assert_eq!(pool.gate().in_flight(), 0);
+        // One replacement per stolen ticket (an abandonment that lands
+        // before the ticket is parked orphans nobody).
+        let spawned = pool.threads_spawned();
+        assert!((100..=1 + 200).contains(&spawned), "{spawned} threads for 200 abandonments");
     }
 
     #[test]

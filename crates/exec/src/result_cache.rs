@@ -222,30 +222,13 @@ impl ResultCache {
         }
     }
 
-    /// Non-blocking read of a committed value: counts a hit and
-    /// refreshes the entry's LRU position on success, returns `None`
-    /// (counting nothing) when the key is absent or still in flight.
-    /// The server's warm fast path serves from this without claiming a
-    /// populate ticket.
-    pub fn get(&self, key: u64) -> Option<Value> {
-        let cell = {
-            let mut map = self.lock_map();
-            map.tick += 1;
-            let tick = map.tick;
-            let entry = map.entries.get_mut(&key)?;
-            entry.last_used = tick;
-            Arc::clone(&entry.cell)
-        };
-        let v = cell.peek()?;
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(v)
-    }
-
-    /// Like [`ResultCache::get`] but returning only the entry's commit
-    /// sequence — enough for a derived cache holding its own copy (the
-    /// server's serialized-response cache) to validate that copy without
-    /// cloning the value. Counts a hit and refreshes the LRU position;
-    /// `None` while absent or in flight.
+    /// Non-blocking, counted read of a committed entry, returning only
+    /// its commit sequence — enough for a derived cache holding its own
+    /// copy (the server's serialized-response cache) to validate that
+    /// copy without cloning the value. Counts a hit and refreshes the
+    /// LRU position; `None` (counting nothing) while absent or in
+    /// flight. The server's warm fast path serves from this without
+    /// claiming a populate ticket.
     pub fn get_seq(&self, key: u64) -> Option<u64> {
         let mut map = self.lock_map();
         map.tick += 1;
@@ -261,7 +244,7 @@ impl ResultCache {
 
     /// The committed value for `key`, if any, without claiming
     /// population (non-blocking; testing/inspection — no counters or
-    /// LRU refresh; see [`ResultCache::get`] for the counted variant).
+    /// LRU refresh; see [`ResultCache::get_seq`] for the counted probe).
     pub fn peek(&self, key: u64) -> Option<Value> {
         let cell = {
             let map = self.lock_map();

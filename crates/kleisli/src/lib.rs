@@ -32,10 +32,7 @@ pub use kleisli_core::{
     BreakerPolicy, BreakerState, HedgePolicy, ResiliencePolicy, RetryPolicy,
 };
 pub use plan_cache::{PlanCache, PlanCacheStats};
-pub use session::{
-    Compiled, QueryHandle, QueryStatus, Session, SharedCommit, SharedQuery,
-    SourceFlush, StmtResult,
-};
+pub use session::{Compiled, QueryHandle, QueryStatus, Session, SourceFlush, StmtResult};
 pub use sources::{bio_federation, AceObjects, BioFederation};
 
 #[cfg(test)]

@@ -137,15 +137,7 @@ impl PlanCache {
     ) -> KResult<Arc<Compiled>> {
         let mut st = self.lock();
         loop {
-            if let Some(i) = st
-                .entries
-                .iter()
-                .position(|(s, c, _)| s == src && c == config)
-            {
-                let entry = st.entries.remove(i);
-                let plan = Arc::clone(&entry.2);
-                st.entries.push(entry); // move to MRU position
-                st.hits += 1;
+            if let Some(plan) = st.hit(src, config) {
                 return Ok(plan);
             }
             if st
@@ -176,22 +168,24 @@ impl PlanCache {
         result
     }
 
-    /// Non-blocking lookup: the cached plan if one is committed (counted
-    /// as a hit, refreshing its LRU position), `None` otherwise — even
-    /// when a compile of this key is in flight elsewhere. The server's
-    /// warm fast path uses this to serve cache hits without paying the
-    /// single-flight machinery.
+    /// Non-blocking, counter-neutral probe: the cached plan if one is
+    /// committed, `None` otherwise — even when a compile of this key is
+    /// in flight elsewhere. The server's warm fast path uses this to find
+    /// out whether it can serve at all without paying the single-flight
+    /// machinery; it then either serves and says so
+    /// ([`PlanCache::record_hit`]) or falls through to
+    /// [`PlanCache::get_or_compile`], which counts — one hit per query
+    /// served, either way.
     pub fn peek(&self, src: &str, config: &OptConfig) -> Option<Arc<Compiled>> {
-        let mut st = self.lock();
-        let i = st
-            .entries
-            .iter()
-            .position(|(s, c, _)| s == src && c == config)?;
-        let entry = st.entries.remove(i);
-        let plan = Arc::clone(&entry.2);
-        st.entries.push(entry); // move to MRU position
-        st.hits += 1;
-        Some(plan)
+        let st = self.lock();
+        let (_, _, plan) = st.entries.iter().find(|(s, c, _)| s == src && c == config)?;
+        Some(Arc::clone(plan))
+    }
+
+    /// A query was served from the plan [`PlanCache::peek`] found: count
+    /// the hit and refresh the plan's LRU position.
+    pub fn record_hit(&self, src: &str, config: &OptConfig) {
+        self.lock().hit(src, config);
     }
 
     /// The statistics of `table` at `source` as of the source's current
@@ -311,6 +305,20 @@ impl Drop for InFlight<'_> {
 }
 
 impl State {
+    /// The committed plan for the key, counted as a hit and moved to the
+    /// MRU position.
+    fn hit(&mut self, src: &str, config: &OptConfig) -> Option<Arc<Compiled>> {
+        let i = self
+            .entries
+            .iter()
+            .position(|(s, c, _)| s == src && c == config)?;
+        let entry = self.entries.remove(i);
+        let plan = Arc::clone(&entry.2);
+        self.entries.push(entry);
+        self.hits += 1;
+        Some(plan)
+    }
+
     fn insert(&mut self, src: String, config: OptConfig, plan: Arc<Compiled>) {
         if self.capacity == 0 {
             return;

@@ -56,8 +56,8 @@
 //! a session can additionally attach a process-wide
 //! [`ResultCache`] keyed by
 //! [`Compiled::plan_hash`] ([`Session::share_result_cache`]); queries
-//! submitted through [`Session::submit_shared`] then consult and
-//! populate it with single-flight semantics. Attach shared caches
+//! run through [`Session::run_shared`] then consult and populate it
+//! with single-flight semantics. Attach shared caches
 //! *after* registering drivers and bindings — registration invalidates
 //! whatever caches are attached at that moment.
 
@@ -73,7 +73,7 @@ use kleisli_core::{
 };
 use kleisli_exec::{
     eval, eval_blocks, first_n, first_n_distinct, Context, Env, ObjectStore, ResultCache,
-    ResultLookup, ResultTicket,
+    ResultLookup,
 };
 use kleisli_opt::{optimize_shared, OptConfig, SourceCatalog, TraceEntry};
 use nrc::{Expr, Interner, TypeEnv};
@@ -515,53 +515,6 @@ fn distinct_prefix(rows: &[Value], n: usize) -> Vec<Value> {
     out
 }
 
-// ------------------------------------------------------------------------
-// Shared-result submission
-// ------------------------------------------------------------------------
-
-/// What [`Session::submit_shared`] produced; see its docs for the
-/// protocol each variant obligates the caller to.
-pub enum SharedQuery {
-    /// The shared result cache already held the answer (or another
-    /// session just finished computing it): no evaluation was started.
-    Cached(Value),
-    /// This session won the single-flight race and is evaluating. The
-    /// caller must redeem `handle` and, on success, pass the result to
-    /// [`SharedCommit::commit`] so sessions waiting on the same plan
-    /// hash are served; dropping the commit (error, cancellation) wakes
-    /// the waiters to retry — the cache cell is never poisoned.
-    Fresh {
-        handle: QueryHandle,
-        commit: SharedCommit,
-    },
-    /// No shared result cache is attached (or the lookup was re-entrant):
-    /// a plain submission, invisible to other sessions.
-    Uncached(QueryHandle),
-}
-
-/// The obligation half of [`SharedQuery::Fresh`]: a single-flight
-/// populate ticket for the shared result cache, wrapped so the session
-/// API doesn't leak the raw cache machinery. Commit on success, drop on
-/// failure.
-pub struct SharedCommit {
-    ticket: ResultTicket,
-}
-
-impl SharedCommit {
-    /// Publish the query's result to every waiter and cache it (subject
-    /// to the cache's memory budget).
-    pub fn commit(self, v: Value) {
-        self.ticket.commit(v);
-    }
-}
-
-/// Where a shared-result query stands once its plan is compiled and the
-/// cache consulted.
-enum Begun {
-    Hit(Value),
-    Evaluate(Arc<Compiled>, Option<ResultTicket>),
-}
-
 /// A CPL/Kleisli session. Drivers are registered once; `define`s
 /// accumulate; queries compile and run against the registered sources.
 pub struct Session {
@@ -572,7 +525,7 @@ pub struct Session {
     /// server swaps in a shared one ([`Session::share_plan_cache`]).
     plan_cache: Arc<PlanCache>,
     /// Shared whole-query result cache, when attached
-    /// ([`Session::share_result_cache`]); consulted by `submit_shared`.
+    /// ([`Session::share_result_cache`]); consulted by `run_shared`.
     result_cache: Option<Arc<ResultCache>>,
     /// Hash-consing table for every plan this session compiles.
     interner: Mutex<Interner>,
@@ -643,7 +596,7 @@ impl Session {
     }
 
     /// Attach a process-wide single-flight result cache, keyed by
-    /// [`Compiled::plan_hash`]; [`Session::submit_shared`] consults and
+    /// [`Compiled::plan_hash`]; [`Session::run_shared`] consults and
     /// populates it. The same topology caveat as
     /// [`Session::share_plan_cache`] applies, and like the plan cache it
     /// is cleared by [`Session::clear_plan_cache`] (registration and
@@ -931,68 +884,43 @@ impl Session {
         ))
     }
 
-    /// Non-blocking probe of the shared caches: the result if both the
-    /// compiled plan *and* its committed result are already cached,
-    /// `None` otherwise (including while either is still in flight
-    /// elsewhere). A hit costs two map lookups — no compilation, no
-    /// evaluation, no blocking — so a server can serve it inline on its
-    /// reader thread.
-    pub fn peek_shared(&self, src: &str) -> Option<Value> {
-        let cache = self.result_cache.as_ref()?;
-        let compiled = self.plan_cache.peek(src, &self.config)?;
-        cache.get(compiled.plan_hash())
-    }
-
-    /// [`Session::submit`] consulting the attached shared result cache
-    /// (see [`Session::share_result_cache`]) with single-flight
-    /// semantics, keyed by [`Compiled::plan_hash`]:
+    /// [`Session::run`] consulting the attached shared result cache (see
+    /// [`Session::share_result_cache`]) with single-flight semantics,
+    /// keyed by [`Compiled::plan_hash`], for a caller that already *is*
+    /// a task on the compute executor (the server's admitted query):
     ///
-    /// * a cached result returns as [`SharedQuery::Cached`] without
-    ///   starting an evaluation;
-    /// * a cold key starts evaluating here and returns
-    ///   [`SharedQuery::Fresh`] — the caller redeems the handle and
-    ///   commits the result (or drops the commit on failure);
+    /// * a cached result returns without starting an evaluation;
+    /// * a cold key evaluates **on the calling thread** — no second
+    ///   task, no hand-off — and commits the result before returning it;
     /// * a key *currently being computed by another session* blocks
-    ///   until that computation commits (then `Cached`) or aborts (then
+    ///   until that computation commits (then a hit) or aborts (then
     ///   this caller retries the race). This wait is not cancellable —
     ///   its bound is the computing session's own deadline.
     ///
-    /// Without an attached cache this degrades to
-    /// [`SharedQuery::Uncached`] (plain [`Session::submit`]).
-    pub fn submit_shared(&self, src: &str) -> KResult<SharedQuery> {
-        Ok(match self.begin_shared(src)? {
-            Begun::Hit(v) => SharedQuery::Cached(v),
-            Begun::Evaluate(compiled, ticket) => {
-                let handle = QueryHandle::spawn(compiled, Arc::clone(&self.ctx), None);
-                match ticket {
-                    Some(ticket) => SharedQuery::Fresh {
-                        handle,
-                        commit: SharedCommit { ticket },
-                    },
-                    None => SharedQuery::Uncached(handle),
-                }
-            }
-        })
-    }
-
-    /// [`Session::submit_shared`] for a caller that already *is* a task
-    /// on the compute executor (the server's admitted query): compile,
-    /// consult the shared result cache, and on a miss evaluate **on the
-    /// calling thread** — no second task, no hand-off — committing the
-    /// result before returning it. Returns the value and whether it came
-    /// from the shared cache.
+    /// Returns the value and whether it came from the shared cache.
+    /// Without an attached cache (or on a re-entrant lookup) the
+    /// evaluation is invisible to other sessions.
     ///
     /// `cancel` stops the evaluation cooperatively, exactly as
     /// [`QueryHandle::cancel`] does; the drain is the handle worker's
     /// (the grain rule on [`QueryHandle`]), so cancellation is noticed
     /// at block boundaries and inside remote waits. A failed or
     /// cancelled evaluation drops its populate ticket uncommitted,
-    /// waking waiting sessions to retry.
+    /// waking waiting sessions to retry — the cache cell is never
+    /// poisoned.
     pub fn run_shared(&self, src: &str, cancel: &Arc<CancelToken>) -> KResult<(Value, bool)> {
-        let (compiled, ticket) = match self.begin_shared(src)? {
-            Begun::Hit(v) => return Ok((v, true)),
-            Begun::Evaluate(compiled, ticket) => (compiled, ticket),
+        let compiled = self.compile_shared(src)?;
+        let ticket = match &self.result_cache {
+            None => None,
+            Some(cache) => {
+                match cache.lookup_or_begin_tagged(compiled.plan_hash(), &compiled.deps) {
+                    ResultLookup::Hit(v) => return Ok((v, true)),
+                    ResultLookup::Reentrant => None,
+                    ResultLookup::Miss(ticket) => Some(ticket),
+                }
+            }
         };
+        self.ctx.cache_clear();
         let ctx = self.ctx.with_cancel_token(Arc::clone(cancel));
         let value = match compiled.optimized.coll_kind_hint() {
             None => eval(&compiled.optimized, &Env::empty(), &ctx)?,
@@ -1008,26 +936,6 @@ impl Session {
             ticket.commit(value.clone());
         }
         Ok((value, false))
-    }
-
-    /// The front half of both shared-result paths: the compiled plan
-    /// and, unless the cache already holds its answer, the populate
-    /// ticket this caller won (`None`: no cache attached, or a
-    /// re-entrant lookup — evaluate invisibly to other sessions).
-    fn begin_shared(&self, src: &str) -> KResult<Begun> {
-        let compiled = self.compile_shared(src)?;
-        let ticket = match &self.result_cache {
-            None => None,
-            Some(cache) => {
-                match cache.lookup_or_begin_tagged(compiled.plan_hash(), &compiled.deps) {
-                    ResultLookup::Hit(v) => return Ok(Begun::Hit(v)),
-                    ResultLookup::Reentrant => None,
-                    ResultLookup::Miss(ticket) => Some(ticket),
-                }
-            }
-        };
-        self.ctx.cache_clear();
-        Ok(Begun::Evaluate(compiled, ticket))
     }
 
     /// [`Session::submit`] for an already-compiled plan.

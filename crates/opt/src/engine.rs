@@ -36,8 +36,21 @@ pub struct RuleCtx<'a> {
     pub config: &'a OptConfig,
 }
 
-/// Optimizer configuration. The `enable_*` switches exist so benchmarks can
-/// ablate individual optimizations. `PartialEq` makes the config usable as
+/// Concurrency of a parallelized loop over a server that does not
+/// declare a limit (the paper's "say five").
+pub const DEFAULT_CONCURRENCY: usize = 5;
+
+/// Distinct-key floor below which a batch-marked loop skips warm-up: a
+/// handful of keys is served as well by overlapped round-trips, without
+/// delaying first output behind one batched request.
+pub const MIN_BATCH_KEYS: usize = 4;
+
+/// Upper bound on passes per rule set (safety net; the monad rules are
+/// strongly normalizing so the bound is rarely reached).
+pub const MAX_PASSES: usize = 20;
+
+/// Optimizer configuration: one switch per optimization, so benchmarks
+/// can ablate them individually. `PartialEq` makes the config usable as
 /// part of the session plan-cache key.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OptConfig {
@@ -55,15 +68,6 @@ pub struct OptConfig {
     /// instead of once per occurrence. Off only for benchmarks measuring
     /// the unmemoized engine.
     pub enable_rewrite_memo: bool,
-    /// Concurrency used when a server does not declare a limit.
-    pub default_concurrency: usize,
-    /// Distinct-key floor below which a batch-marked loop skips warm-up:
-    /// a handful of keys is served as well by overlapped round-trips,
-    /// without delaying first output behind one batched request.
-    pub min_batch_keys: usize,
-    /// Upper bound on passes per rule set (safety net; the monad rules are
-    /// strongly normalizing so the bound is rarely reached).
-    pub max_passes: usize,
 }
 
 impl Default for OptConfig {
@@ -76,9 +80,6 @@ impl Default for OptConfig {
             enable_parallel: true,
             enable_batching: true,
             enable_rewrite_memo: true,
-            default_concurrency: 5,
-            min_batch_keys: 4,
-            max_passes: 20,
         }
     }
 }
@@ -107,7 +108,7 @@ pub struct TraceEntry {
 }
 
 /// A named group of rules applied with a strategy until fixpoint (bounded
-/// by `max_passes`).
+/// by [`MAX_PASSES`]).
 pub struct RuleSet {
     pub name: &'static str,
     pub strategy: Strategy,
@@ -184,7 +185,7 @@ impl RuleSet {
         trace: &mut Vec<TraceEntry>,
     ) -> Arc<Expr> {
         let mut memo = RewriteMemo::new(ctx.config.enable_rewrite_memo);
-        for pass in 0..ctx.config.max_passes {
+        for pass in 0..MAX_PASSES {
             let next = self.one_pass(&e, ctx, trace, pass, &mut memo);
             if Arc::ptr_eq(&next, &e) {
                 break; // fixpoint: no rule fired anywhere in the plan
@@ -248,7 +249,7 @@ impl RuleSet {
         pass: usize,
     ) -> Arc<Expr> {
         // Keep applying rules at this node until none fires (bounded).
-        'outer: for _ in 0..ctx.config.max_passes {
+        'outer: for _ in 0..MAX_PASSES {
             for rule in &self.rules {
                 if let Some(new) = (rule.apply)(&e, ctx) {
                     debug_assert_ne!(

@@ -28,7 +28,10 @@ pub mod engine;
 pub mod rules;
 
 pub use catalog::{NullCatalog, SourceCatalog, StaticCatalog};
-pub use engine::{OptConfig, Rule, RuleCtx, RuleSet, Strategy, TraceEntry};
+pub use engine::{
+    OptConfig, Rule, RuleCtx, RuleSet, Strategy, TraceEntry, DEFAULT_CONCURRENCY, MAX_PASSES,
+    MIN_BATCH_KEYS,
+};
 
 use std::sync::Arc;
 

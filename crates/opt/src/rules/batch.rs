@@ -41,7 +41,7 @@ use std::sync::Arc;
 
 use nrc::{BatchSpec, Expr, Name};
 
-use crate::engine::{Rule, RuleCtx, RuleSet, Strategy};
+use crate::engine::{Rule, RuleCtx, RuleSet, Strategy, MIN_BATCH_KEYS};
 
 /// Build the batching rule set.
 pub fn rule_set() -> RuleSet {
@@ -207,7 +207,7 @@ fn mark_batchable(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
         batch: Some(BatchSpec {
             driver,
             arg,
-            min_keys: ctx.config.min_batch_keys,
+            min_keys: MIN_BATCH_KEYS,
             max_keys,
         }),
     })
@@ -265,7 +265,7 @@ mod tests {
             } => {
                 assert_eq!(spec.driver.as_ref(), "GenBank");
                 assert_eq!(spec.max_keys, 16);
-                assert_eq!(spec.min_keys, OptConfig::default().min_batch_keys);
+                assert_eq!(spec.min_keys, MIN_BATCH_KEYS);
                 assert!(spec.arg.occurs_free("x"));
             }
             other => panic!("no batch mark: {other}"),

@@ -8,7 +8,7 @@
 
 use nrc::Expr;
 
-use crate::engine::{Rule, RuleCtx, RuleSet, Strategy};
+use crate::engine::{Rule, RuleCtx, RuleSet, Strategy, DEFAULT_CONCURRENCY};
 
 /// Build the parallel rule set.
 pub fn rule_set() -> RuleSet {
@@ -79,12 +79,12 @@ fn parallelize(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
     // `concurrency_limit` is the *normalized* admission budget (a declared
     // 0 means 1, never "unknown"): since the executor enforces the budget
     // at the driver gate, asking for more in-flight work than the server
-    // admits would only queue. Unknown servers fall back to the
-    // configured default.
+    // admits would only queue. Unknown servers fall back to
+    // `DEFAULT_CONCURRENCY`.
     let cap = driver
         .and_then(|d| ctx.catalog.capabilities(&d))
         .map(|c| c.concurrency_limit())
-        .unwrap_or(ctx.config.default_concurrency);
+        .unwrap_or(DEFAULT_CONCURRENCY);
     Some(Expr::ParExt {
         kind: *kind,
         var: var.clone(),
@@ -153,7 +153,7 @@ mod tests {
         let out = run(dependent_remote_loop(), &NullCatalog);
         match out {
             Expr::ParExt { max_in_flight, .. } => {
-                assert_eq!(max_in_flight, OptConfig::default().default_concurrency)
+                assert_eq!(max_in_flight, DEFAULT_CONCURRENCY)
             }
             other => panic!("not parallelized: {other}"),
         }

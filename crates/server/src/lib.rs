@@ -27,4 +27,6 @@ pub mod server;
 
 pub use client::{Client, QueryReply};
 pub use proto::{Request, Response, ServedFrom, MAX_FRAME_LEN};
-pub use server::{serve, serve_ephemeral, DrainReport, Registrar, ServerConfig, ServerHandle};
+pub use server::{
+    serve, serve_ephemeral, DrainReport, Registrar, ServerConfig, ServerHandle, DRAIN_DEADLINE,
+};

@@ -72,11 +72,11 @@
 //! than drops: accepting stops, new QUERY frames are rejected with a
 //! `shutting-down:` error, in-flight queries run to completion and
 //! flush their terminal frames through the writer queues — all bounded
-//! by [`ServerConfig::drain_deadline`], after which stragglers are
-//! cancelled. Each reader waits until its connection's last query task
-//! has released its run slot (a count, not a join: the tasks are the
-//! executor's), then closes and joins its writer; every reader is
-//! joined before `shutdown` returns.
+//! by [`DRAIN_DEADLINE`] (or the caller's own bound), after which
+//! stragglers are cancelled. Each reader waits until its connection's
+//! last query task has released its run slot (a count, not a join: the
+//! tasks are the executor's), then closes and joins its writer; every
+//! reader is joined before `shutdown` returns.
 //!
 //! # Cancellation
 //!
@@ -151,14 +151,16 @@ pub struct ServerConfig {
     /// Longest a single frame write may block on the client's socket
     /// before the connection is condemned.
     pub write_deadline: Duration,
-    /// Longest [`ServerHandle::shutdown`] lets in-flight queries finish
-    /// before cancelling the stragglers.
-    pub drain_deadline: Duration,
     /// Largest result frame the server will send (capped by the
     /// protocol's `MAX_FRAME_LEN`); a larger result becomes a clean
     /// `Error` frame instead of a hung client.
     pub max_result_frame: usize,
 }
+
+/// Longest [`ServerHandle::shutdown`] (and dropping the handle) lets
+/// in-flight queries finish before cancelling the stragglers; a caller
+/// wanting another bound passes it to [`ServerHandle::shutdown_within`].
+pub const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
@@ -170,7 +172,6 @@ impl Default for ServerConfig {
             max_connections: 256,
             writer_queue_frames: 64,
             write_deadline: Duration::from_secs(5),
-            drain_deadline: Duration::from_secs(5),
             max_result_frame: MAX_FRAME_LEN,
         }
     }
@@ -352,12 +353,10 @@ impl ServerHandle {
         }
     }
 
-    /// Gracefully shut down within the configured
-    /// [`ServerConfig::drain_deadline`]; see
+    /// Gracefully shut down within [`DRAIN_DEADLINE`]; see
     /// [`ServerHandle::shutdown_within`].
     pub fn shutdown(mut self) -> DrainReport {
-        let deadline = self.shared.config.drain_deadline;
-        self.stop(deadline)
+        self.stop(DRAIN_DEADLINE)
     }
 
     /// Gracefully shut down: stop accepting, let in-flight queries
@@ -421,8 +420,7 @@ impl ServerHandle {
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        let deadline = self.shared.config.drain_deadline;
-        self.stop(deadline);
+        self.stop(DRAIN_DEADLINE);
     }
 }
 
@@ -1048,8 +1046,9 @@ fn try_fast_path(
         return false;
     };
     let hash = compiled.plan_hash();
-    // `get_seq` does the hit accounting and LRU refresh for the whole
-    // fast path (`peek` below is counter-neutral).
+    // `get_seq` does the result cache's hit accounting and LRU refresh
+    // for the whole fast path (both `peek`s are counter-neutral); the
+    // plan cache's follows once the reply is certain.
     let Some(seq) = shared.result_cache.get_seq(hash) else {
         return false;
     };
@@ -1078,6 +1077,7 @@ fn try_fast_path(
             text
         }
     };
+    session.plan_cache().record_hit(src, session.opt_config());
     shared.queries.fetch_add(1, Ordering::Relaxed);
     shared.served_cached.fetch_add(1, Ordering::Relaxed);
     let payload = encode_result_text(id, ServedFrom::SharedCache, &text);

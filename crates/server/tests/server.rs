@@ -147,11 +147,11 @@ fn n_identical_concurrent_queries_compile_once_and_evaluate_once() {
 
     let plans = server.plan_cache().stats();
     assert_eq!(plans.misses, 1, "exactly one compile: {plans:?}");
-    // Every non-compiling query hits at least once; a query landing
-    // between the plan commit and the result commit hits twice (the
-    // warm fast path peeks the plan, finds no committed result, and
-    // falls through to the ordinary lookup).
-    assert!(plans.hits as usize >= N - 1, "{plans:?}");
+    // Every non-compiling query hits exactly once — also one landing
+    // between the plan commit and the result commit, whose fast-path
+    // probe finds the plan but no result and falls through to the
+    // ordinary (counting) lookup.
+    assert_eq!(plans.hits as usize, N - 1, "{plans:?}");
     let results = server.result_cache().stats();
     assert_eq!(results.misses, 1, "one populate flight: {results:?}");
     assert_eq!(results.hits as usize, N - 1);
@@ -227,6 +227,26 @@ fn queue_depth_overflow_is_rejected_not_stalled() {
 
     let stats = server.stats_json();
     assert!(stats.contains("\"rejected\":"), "{stats}");
+}
+
+#[test]
+fn a_cached_plan_with_an_uncached_result_counts_one_plan_hit_per_query() {
+    // No result is ever retained, so every repeat takes the fast path's
+    // probe (plan found, no result) and then the ordinary lookup: one
+    // query served must still read as one plan-cache hit.
+    const N: u64 = 6;
+    let config = ServerConfig {
+        result_cache_budget: 0,
+        ..ServerConfig::default()
+    };
+    let server = serve_ephemeral(config, local_registrar()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    for _ in 0..N {
+        let (v, served) = client.query(r"count(DB)").unwrap().into_value().unwrap();
+        assert_eq!((v, served), (Value::Int(50), ServedFrom::Fresh));
+    }
+    let plans = server.plan_cache().stats();
+    assert_eq!((plans.misses, plans.hits), (1, N - 1), "{plans:?}");
 }
 
 #[test]

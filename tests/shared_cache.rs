@@ -9,8 +9,8 @@ use std::thread;
 use std::time::Duration;
 
 use bio_data::{GdbConfig, GenBankConfig};
-use kleisli::{bio_federation, BioFederation, PlanCache, Session, SharedQuery};
-use kleisli_core::{LatencyModel, Value};
+use kleisli::{bio_federation, BioFederation, PlanCache, Session};
+use kleisli_core::{CancelToken, LatencyModel, Value};
 use kleisli_exec::ResultCache;
 
 fn shared_pair(fed: &BioFederation) -> (Session, Session, Arc<PlanCache>, Arc<ResultCache>) {
@@ -52,18 +52,13 @@ fn federation(latency_ms: u64) -> BioFederation {
 
 const COUNT_LOCI: &str = r#"count({l | \l <- GDB-Tab("locus")})"#;
 
-/// Redeem a `SharedQuery`, committing fresh results — what a server
-/// connection does per query.
-fn redeem(q: SharedQuery) -> Value {
-    match q {
-        SharedQuery::Cached(v) => v,
-        SharedQuery::Fresh { handle, commit } => {
-            let v = handle.wait().expect("query");
-            commit.commit(v.clone());
-            v
-        }
-        SharedQuery::Uncached(handle) => handle.wait().expect("query"),
-    }
+/// Run one query through the shared caches — what a server connection
+/// does per admitted query.
+fn run(session: &Session, src: &str) -> Value {
+    let (value, _from_cache) = session
+        .run_shared(src, &Arc::new(CancelToken::new()))
+        .expect("query");
+    value
 }
 
 #[test]
@@ -75,11 +70,11 @@ fn two_concurrent_sessions_compile_once_and_populate_once() {
     let (va, vb) = thread::scope(|scope| {
         let ta = scope.spawn(|| {
             barrier.wait();
-            redeem(a.submit_shared(COUNT_LOCI).expect("submit"))
+            run(&a, COUNT_LOCI)
         });
         let tb = scope.spawn(|| {
             barrier.wait();
-            redeem(b.submit_shared(COUNT_LOCI).expect("submit"))
+            run(&b, COUNT_LOCI)
         });
         (ta.join().unwrap(), tb.join().unwrap())
     });
@@ -103,25 +98,23 @@ fn cancelled_flight_does_not_poison_the_shared_cell() {
     let fed = federation(300);
     let (a, b, _plans, results) = shared_pair(&fed);
 
-    // Session A wins the populate flight, then is cancelled mid-flight;
-    // dropping its commit must wake waiters, not cache anything.
-    match a.submit_shared(COUNT_LOCI).expect("submit") {
-        SharedQuery::Fresh { handle, commit } => {
-            handle.cancel();
-            let err = handle.wait().expect_err("cancelled query");
-            assert!(
-                err.to_string().to_lowercase().contains("cancel"),
-                "{err}"
-            );
-            drop(commit);
-        }
-        _ => panic!("first submission must win the flight"),
-    }
+    // Session A wins the populate flight, then is cancelled while its
+    // 300 ms round-trip is in flight; its uncommitted ticket must wake
+    // waiters, not cache anything.
+    let token = Arc::new(CancelToken::new());
+    let err = thread::scope(|scope| {
+        scope.spawn(|| {
+            thread::sleep(Duration::from_millis(50));
+            token.cancel();
+        });
+        a.run_shared(COUNT_LOCI, &token).expect_err("cancelled query")
+    });
+    assert!(err.to_string().to_lowercase().contains("cancel"), "{err}");
     assert_eq!(results.stats().entries, 0, "nothing cached by the abort");
 
     // Session B retries the same plan_hash and completes — the cell was
     // released, not poisoned.
-    let v = redeem(b.submit_shared(COUNT_LOCI).expect("submit"));
+    let v = run(&b, COUNT_LOCI);
     assert_eq!(v, Value::Int(30));
     let r = results.stats();
     assert_eq!(r.entries, 1, "retry cached the result: {r:?}");
