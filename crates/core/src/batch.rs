@@ -11,11 +11,11 @@
 //! [`BatchPolicy::max_keys`] distinct per-key requests into one wire
 //! request (an `IN`-list for SQL sources, a multi-uid fetch for Entrez),
 //! executed by [`crate::Driver::submit_batch`] through the driver's
-//! worker pool. Each key gets a [`Flight`] (`Pending`, then `Done` with
-//! that key's rows or error) registered in the driver's [`BatchWindow`]
-//! while the wire request is in flight; the batch's completion callback
-//! resolves every flight, and the per-element consumers *attach* — they
-//! park on the flight and replay its shared reply. A plain submission of
+//! worker pool. Each key gets a [`Flight`] (a promise of that key's rows
+//! or error) registered in the driver's [`BatchWindow`] while the wire
+//! request is in flight; the batch's completion callback resolves every
+//! flight, and the per-element consumers *attach* — they park on the
+//! flight's [`OneShot`] and replay its shared reply. A plain submission of
 //! a request that already has a pending flight attaches too (counted as
 //! `coalesced`); one that finds none keeps its own lazily streamed wire
 //! request and never registers a flight, so plain submissions never
@@ -33,8 +33,10 @@
 //!   it resolves, `Ok` or `Err`; the next submitter makes a fresh wire
 //!   request.
 //! * **A waiter giving up resolves only itself.** An attached waiter
-//!   whose own deadline passes (or whose query is cancelled) returns its
-//!   own error; the flight and its other waiters are untouched.
+//!   waits in [`OneShot::wait_for`] under its own deadline and
+//!   cancellation token, like every waiter for another caller's result
+//!   ([`crate::flight`]); giving up returns its own error and leaves the
+//!   flight and its other waiters untouched.
 //! * **Values are byte-identical.** A shared reply is the materialized
 //!   row vector of one key's share of the wire reply; every waiter
 //!   replays the same rows in the same order (then the same terminal
@@ -42,12 +44,12 @@
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 use crate::block::{BlockSource, BlockStream, ValueBlock, DEFAULT_BLOCK_ROWS};
 use crate::driver::DriverRequest;
 use crate::error::KError;
-use crate::oneshot::Pulsable;
+use crate::oneshot::{OneShot, PromiseState, Pulsable};
 use crate::value::Value;
 
 /// A driver's batching advertisement, carried in
@@ -182,23 +184,16 @@ impl BlockSource for Replay {
     }
 }
 
-/// The shared state of one batched key: `Pending` until the batch
-/// operation that covers it resolves it, then `Done`. Created by
+/// The shared state of one batched key: a promise the batch operation
+/// covering it resolves once, with that key's rows or error, and that
+/// every waiter reads a clone of. Created by
 /// `DriverResilience::submit_batch` and held by every attached
 /// `ResilientHandle` plus — while pending — the driver's [`BatchWindow`].
 pub struct Flight {
     pub(crate) driver: String,
     pub(crate) key: u64,
     pub(crate) request: DriverRequest,
-    pub(crate) state: Mutex<FlightState>,
-    pub(crate) cv: Condvar,
-}
-
-pub(crate) enum FlightState {
-    /// The batched wire request covering this key has not resolved.
-    Pending,
-    /// Resolved: every current and future waiter replays the result.
-    Done(Result<Arc<SharedReply>, KError>),
+    pub(crate) done: OneShot<Result<Arc<SharedReply>, KError>>,
 }
 
 impl Flight {
@@ -207,8 +202,7 @@ impl Flight {
             driver: driver.to_string(),
             key: request_key(req),
             request: req.clone(),
-            state: Mutex::new(FlightState::Pending),
-            cv: Condvar::new(),
+            done: OneShot::new(),
         })
     }
 
@@ -229,21 +223,12 @@ impl Flight {
 
     /// Whether the flight has resolved (without blocking).
     pub fn is_done(&self) -> bool {
-        matches!(&*self.lock_state(), FlightState::Done(_))
-    }
-
-    pub(crate) fn lock_state(&self) -> std::sync::MutexGuard<'_, FlightState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
+        self.done.poll() != PromiseState::Pending
     }
 
     /// Resolve the flight (first resolution wins) and wake every waiter.
     pub(crate) fn finish(&self, result: Result<Arc<SharedReply>, KError>) {
-        let mut st = self.lock_state();
-        if matches!(&*st, FlightState::Pending) {
-            *st = FlightState::Done(result);
-        }
-        drop(st);
-        self.cv.notify_all();
+        self.done.set(result);
     }
 }
 
@@ -252,11 +237,7 @@ impl Flight {
 /// interrupts their wait promptly.
 impl Pulsable for Flight {
     fn pulse_now(&self) {
-        // Take the state lock first: a waiter between its flag check and
-        // its condvar wait must not miss the notification (the
-        // lost-wakeup discipline of `OneShot::pulse`).
-        let _guard = self.lock_state();
-        self.cv.notify_all();
+        self.done.pulse();
     }
 }
 

@@ -26,8 +26,12 @@
 //!   buffer (row-pipelined execution).
 //! * [`executor`] — the shared session-level compute executor behind
 //!   query workers and `ParExt` chunk evaluation.
-//! * [`oneshot`] — the shared one-shot promise behind every
-//!   submit-now/redeem-later handle.
+//! * [`oneshot`] — the one-shot promise: the single blocking primitive
+//!   behind every submit-now/redeem-later handle and every wait for
+//!   another caller's result.
+//! * [`flight`] — single flight: one cell holding a value or the attempt
+//!   computing it; what every cache that must compute a thing once is a
+//!   map of.
 //! * [`resilience`] — request deadlines, bounded retry with backoff,
 //!   hedged requests, and per-driver circuit breakers.
 //! * [`latency`] — the simulated wide-area latency model and the EWMA
@@ -44,6 +48,7 @@ pub mod block;
 pub mod driver;
 pub mod error;
 pub mod executor;
+pub mod flight;
 pub mod latency;
 pub mod oneshot;
 pub mod pool;
@@ -64,6 +69,7 @@ pub use driver::{
 };
 pub use error::{KError, KResult};
 pub use executor::Executor;
+pub use flight::{Join, Lead, SingleFlight};
 pub use latency::{LatencyModel, RttEstimator};
 pub use oneshot::{OneShot, PromiseState, Pulsable, WaitFor};
 pub use remote::{Remote, Source};

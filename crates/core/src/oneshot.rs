@@ -1,21 +1,27 @@
-//! A one-shot promise: the single blocking primitive shared by every
-//! "submit now, redeem later" handle in the system.
+//! A one-shot promise: the single blocking primitive of the system.
 //!
-//! Both halves of the two-phase execution API — the driver-level
-//! [`crate::driver::RequestHandle`] and the session-level `QueryHandle` in
-//! the `kleisli` crate — used to carry their own mutex+condvar state
-//! machines with identical semantics. [`OneShot`] is that machinery
-//! extracted once: a single `Mutex` + `Condvar` cell that is **set at most
-//! once** by a producer and **taken at most once** by a consumer.
+//! Every "submit now, redeem later" handle — the driver-level
+//! [`crate::driver::RequestHandle`], the session-level `QueryHandle` in
+//! the `kleisli` crate — and every place where one caller waits for
+//! *another caller's* result — [`crate::flight::SingleFlight`] and its
+//! clients, the batched [`crate::batch::Flight`] — parks here and nowhere
+//! else: [`OneShot::wait_for`] is the only loop in the workspace in which
+//! a caller sleeps until someone else's value exists, its own deadline
+//! passes, or its own query is cancelled. (A condition variable elsewhere
+//! parks a thread on a *queue* — executor workers, `RowBuf`, the server's
+//! writer queue — never on a result.) [`OneShot`] is a single mutex +
+//! condition-variable cell that is **set at most once** by a producer and
+//! **taken at most once** by a consumer, or cloned out by many.
 //!
 //! Properties the handles rely on:
 //!
 //! * **Set-once.** The first [`OneShot::set`] wins; later sets are
 //!   rejected (returning `false`) instead of overwriting, so a racing
 //!   cancel/complete pair resolves deterministically.
-//! * **Take-once.** [`OneShot::wait`] / [`OneShot::try_wait`] move the
-//!   value out; a second take observes [`PromiseState::Taken`] rather
-//!   than a stale clone.
+//! * **Take-once, or clone-out.** [`OneShot::wait`] / [`OneShot::try_wait`]
+//!   move the value out; a second take observes [`PromiseState::Taken`]
+//!   rather than a stale clone. A promise with many readers is never
+//!   taken from: each reads it with [`OneShot::cloned`].
 //! * **Poison-immune.** Every lock acquisition recovers the inner state
 //!   from a poisoned mutex (`into_inner`), so a producer that panics
 //!   *near* the cell can never wedge waiters in a poisoned-lock panic —
@@ -31,7 +37,8 @@
 //!   for progress; a consumer in plain [`OneShot::wait`] wants the value
 //!   and sleeps through it — waking a parked thread for nothing costs
 //!   the *producer* tens of microseconds on a virtualized host, and a
-//!   query worker pulses once per block.
+//!   query worker pulses once per block. A promise is itself
+//!   [`Pulsable`], so a `CancelToken` can watch it directly.
 
 use std::sync::{Condvar, Mutex, Weak};
 use std::time::Instant;
@@ -281,6 +288,31 @@ impl<T> OneShot<T> {
         };
         st.watchers -= 1;
         outcome
+    }
+}
+
+impl<T: Clone> OneShot<T> {
+    /// A copy of the value, left in place for the next reader; `None`
+    /// while pending (or after a take).
+    pub fn cloned(&self) -> Option<T> {
+        self.lock().value.clone()
+    }
+}
+
+/// Pulsing a promise wakes its [`OneShot::wait_for`] /
+/// [`OneShot::wait_until`] waiters to re-check their predicates.
+impl<T: Send> Pulsable for OneShot<T> {
+    fn pulse_now(&self) {
+        self.pulse();
+    }
+}
+
+#[cfg(test)]
+impl<T> OneShot<T> {
+    /// Waiters inside [`OneShot::wait_until`] / [`OneShot::wait_for`]
+    /// right now — how a test knows a waiter has parked.
+    pub(crate) fn watchers(&self) -> usize {
+        self.lock().watchers
     }
 }
 

@@ -52,7 +52,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
-use crate::batch::{BatchPolicy, BatchWindow, Flight, FlightState, Joined, SharedReply};
+use crate::batch::{BatchPolicy, BatchWindow, Flight, Joined, SharedReply};
 use crate::driver::{
     BatchCompletion, DriverMetrics, DriverRef, DriverRequest, MetricsSnapshot, RequestHandle,
 };
@@ -1120,41 +1120,27 @@ fn abandon_cancelled(primary: RequestHandle, hedge: Option<RequestHandle>) -> KR
     }
 }
 
-/// An attached waiter's loop over its flight: replay a resolved result,
-/// or sleep on the flight's condvar until the batch operation resolves
-/// it. The waiter's own deadline/cancel resolve only *this waiter* —
-/// the shared flight is never cancelled or poisoned by one waiter
-/// giving up.
+/// An attached waiter's wait for its flight: replay the result the batch
+/// operation resolved it with. The waiter's own deadline/cancel resolve
+/// only *this waiter* — the shared flight is never cancelled or poisoned
+/// by one waiter giving up.
 fn await_flight(cx: &DriveCtx<'_>, flight: &Arc<Flight>) -> KResult<BlockStream> {
     if let Some(t) = cx.cancel {
-        let p: Arc<dyn Pulsable> = Arc::clone(flight) as Arc<dyn Pulsable>;
-        t.watch(Arc::downgrade(&p));
+        t.watch(Arc::downgrade(flight) as Weak<dyn Pulsable>);
     }
-    let mut st = flight.lock_state();
-    loop {
-        if let FlightState::Done(result) = &*st {
-            return result.clone().map(|reply| reply.replay());
-        }
-        if cx.cancelled() {
-            return Err(KError::cancelled(
-                "query cancelled while the request was in flight",
-            ));
-        }
-        if cx.deadline.is_some_and(|d| Instant::now() >= d) {
+    match flight.done.wait_for(cx.deadline, || cx.cancelled()) {
+        WaitFor::Ready => flight
+            .done
+            .cloned()
+            .expect("a flight's result is read, never taken")
+            .map(|reply| reply.replay()),
+        WaitFor::Interrupted => Err(KError::cancelled(
+            "query cancelled while the request was in flight",
+        )),
+        WaitFor::TimedOut => {
             cx.res.metrics.record_timeout();
-            return Err(KError::timeout(&cx.res.name, "request deadline exceeded"));
+            Err(KError::timeout(&cx.res.name, "request deadline exceeded"))
         }
-        // Bounded nap: pulses (cancellation, resolution) cut it short;
-        // the cap keeps the waiter responsive even without one.
-        let cap = Duration::from_millis(20);
-        let nap = cx
-            .deadline
-            .map_or(cap, |d| d.saturating_duration_since(Instant::now()).min(cap));
-        st = flight
-            .cv
-            .wait_timeout(st, nap)
-            .unwrap_or_else(|e| e.into_inner())
-            .0;
     }
 }
 

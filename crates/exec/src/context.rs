@@ -3,8 +3,7 @@
 //! evaluation runs on.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
-use std::thread::{self, ThreadId};
+use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -12,132 +11,9 @@ use parking_lot::Mutex;
 use kleisli_core::batch::{request_key, Flight};
 use kleisli_core::resilience::{CancelToken, DriverResilience, ResiliencePolicy, ResilientHandle};
 use kleisli_core::{
-    DriverRef, DriverRequest, Executor, KError, KResult, MetricsSnapshot, Oid, Value,
+    DriverRef, DriverRequest, Executor, Join, KError, KResult, MetricsSnapshot, Oid, SingleFlight,
+    Value,
 };
-
-/// A memoization slot for one `Cached { id }` subquery, with *single-
-/// flight* population: the first evaluator to find the slot empty becomes
-/// the populator (it receives a [`PopulateTicket`]); everyone else blocks
-/// until the populator commits a value or gives up, then re-checks. This
-/// is what makes a cached subquery under a parallel generator (`ParExt`)
-/// run exactly once, no matter how many worker threads race to it.
-///
-/// Unlike the previous `Mutex<Option<Value>>` design, the slot is *not*
-/// held locked while the value is computed — the populator owns a ticket
-/// it can carry into a lazy stream, so the streaming executor can yield
-/// cached rows as they arrive and commit the canonical collection only
-/// when the stream is exhausted. An abandoned ticket (dropped without
-/// commit — the consumer stopped early, or evaluation failed) wakes the
-/// waiters and leaves the slot empty for the next evaluator to retry.
-///
-/// Built on `std::sync` (the vendored `parking_lot` stub has no condvar).
-#[derive(Default)]
-pub struct CacheCell {
-    state: StdMutex<CellState>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct CellState {
-    value: Option<Value>,
-    /// The thread currently populating, if any.
-    populating: Option<ThreadId>,
-}
-
-/// Outcome of [`CacheCell::lookup_or_begin`].
-pub enum CacheLookup {
-    /// The slot is populated; here is the value.
-    Hit(Value),
-    /// The slot is empty and the caller is now the populator: evaluate the
-    /// subquery and [`PopulateTicket::commit`] the result (dropping the
-    /// ticket without committing aborts and lets someone else retry).
-    Miss(PopulateTicket),
-    /// The calling thread is *already* populating this very cell further
-    /// up its own evaluation (a re-entrant lookup through the same cached
-    /// subquery). Waiting would self-deadlock; the caller must evaluate
-    /// the subquery directly without touching the cache.
-    Reentrant,
-}
-
-/// Exclusive permission to populate a [`CacheCell`]; see there.
-pub struct PopulateTicket {
-    cell: Arc<CacheCell>,
-    committed: bool,
-}
-
-impl CacheCell {
-    /// Read the value or acquire the right to compute it; blocks while
-    /// another thread is populating. See [`CacheLookup`].
-    pub fn lookup_or_begin(self: &Arc<Self>) -> CacheLookup {
-        let me = thread::current().id();
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(v) = &st.value {
-                return CacheLookup::Hit(v.clone());
-            }
-            match st.populating {
-                None => {
-                    st.populating = Some(me);
-                    return CacheLookup::Miss(PopulateTicket {
-                        cell: Arc::clone(self),
-                        committed: false,
-                    });
-                }
-                Some(owner) if owner == me => return CacheLookup::Reentrant,
-                Some(_) => {
-                    st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-                }
-            }
-        }
-    }
-
-    /// The current value, if populated (non-blocking; testing/inspection).
-    pub fn peek(&self) -> Option<Value> {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .value
-            .clone()
-    }
-
-    /// Store a value directly, releasing any in-flight population claim.
-    pub fn put(&self, v: Value) {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.value = Some(v);
-        st.populating = None;
-        drop(st);
-        self.cv.notify_all();
-    }
-}
-
-impl PopulateTicket {
-    /// Publish the computed value and wake every waiter.
-    pub fn commit(mut self, v: Value) {
-        self.committed = true;
-        self.cell.put(v);
-    }
-
-    /// The cell this ticket populates — the result cache compares it by
-    /// identity at commit time to avoid charging a detached flight's
-    /// bytes against a newer entry under the same key.
-    pub(crate) fn cell(&self) -> &Arc<CacheCell> {
-        &self.cell
-    }
-}
-
-impl Drop for PopulateTicket {
-    fn drop(&mut self) {
-        if self.committed {
-            return;
-        }
-        // Abort: release the claim so a waiter (or a later evaluator)
-        // can try again; the slot stays empty.
-        let mut st = self.cell.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.populating = None;
-        drop(st);
-        self.cell.cv.notify_all();
-    }
-}
 
 /// Resolves object references for sources with object identity (ACE).
 /// CPL can dereference but never create or update references.
@@ -178,7 +54,9 @@ struct CtxInner {
     /// [`Context::set_resilience_policy`].
     resilience: HashMap<String, Arc<DriverResilience>>,
     object_stores: Vec<Arc<dyn ObjectStore>>,
-    cache: Mutex<HashMap<u64, Arc<CacheCell>>>,
+    /// One [`SingleFlight`] per `Cached { id }` subquery evaluated since
+    /// the last [`Context::cache_clear`].
+    cache: Mutex<HashMap<u64, Arc<SingleFlight<Value>>>>,
     /// Flights pre-seeded by [`Context::submit_batch`] (the `ParExt`
     /// warm-up), keyed by request hash. [`Context::submit_resilient`]
     /// answers a matching request by attaching to the seeded flight —
@@ -485,24 +363,31 @@ impl Context {
         Err(KError::eval(format!("dangling object reference {oid}")))
     }
 
-    /// The memoization cell for a cached subquery. Ids are the subplan's
-    /// deterministic structural hash (assigned by the optimizer's cache
-    /// rule), so recompiled plans address the same cells. Callers use
-    /// [`CacheCell::lookup_or_begin`]: the first evaluator computes and
-    /// commits, later ones read — even when racing inside a parallel loop
-    /// (single-flight).
-    pub fn cache_cell(&self, id: u64) -> Arc<CacheCell> {
-        Arc::clone(self.inner.cache.lock().entry(id).or_default())
+    /// Join the single flight of cached subquery `id`
+    /// ([`kleisli_core::flight`]): the first evaluator leads — it computes
+    /// and commits, and may carry the lead into a lazy stream — and the
+    /// rest read its value, which is what makes a cached subquery under a
+    /// parallel generator (`ParExt`) run exactly once however many
+    /// workers race to it. A waiter parks under this clone's deadline and
+    /// cancellation token; cut short, it fails with the budget's error.
+    /// Ids are the subplan's deterministic structural hash (assigned by
+    /// the optimizer's cache rule), so recompiled plans address the same
+    /// slots.
+    pub(crate) fn cache_join(&self, id: u64) -> KResult<Join<Value>> {
+        let slot = Arc::clone(self.inner.cache.lock().entry(id).or_default());
+        slot.join(self.deadline, self.cancel.as_ref())
+            .map_err(|_| self.spent_budget())
+    }
+
+    /// The error of a wait this clone's deadline or token cut short.
+    pub fn spent_budget(&self) -> KError {
+        self.check_budget()
+            .expect_err("a wait gives up only on a passed deadline or a fired token")
     }
 
     /// Look up a memoized subquery result (testing convenience).
     pub fn cache_get(&self, id: u64) -> Option<Value> {
-        self.cache_cell(id).peek()
-    }
-
-    /// Store a memoized subquery result (testing convenience).
-    pub fn cache_put(&self, id: u64, v: Value) {
-        self.cache_cell(id).put(v);
+        self.inner.cache.lock().get(&id)?.peek()
     }
 
     /// Drop all memoized results (between queries).
@@ -617,6 +502,19 @@ pub fn request_from_value(v: &Value) -> KResult<DriverRequest> {
 }
 
 #[cfg(test)]
+impl Context {
+    /// Store a memoized subquery result, detaching whatever the slot
+    /// held.
+    pub(crate) fn cache_put(&self, id: u64, v: Value) {
+        let slot: Arc<SingleFlight<Value>> = Arc::default();
+        if let Ok(Join::Lead(lead)) = slot.join(None, None) {
+            lead.commit(v);
+        }
+        self.inner.cache.lock().insert(id, slot);
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -675,6 +573,20 @@ mod tests {
         assert_eq!(ctx.cache_get(1), Some(Value::Int(42)));
         ctx.cache_clear();
         assert_eq!(ctx.cache_get(1), None);
+    }
+
+    #[test]
+    fn a_cache_join_cut_short_fails_with_the_budget_error() {
+        let ctx = Context::new();
+        let Ok(Join::Lead(lead)) = ctx.cache_join(5) else {
+            panic!("an empty slot hands out the lead")
+        };
+        let hurried = ctx.with_deadline(Instant::now() + std::time::Duration::from_millis(10));
+        let waited = std::thread::scope(|s| s.spawn(|| hurried.cache_join(5)).join().unwrap());
+        assert!(matches!(waited, Err(KError::Timeout { .. })));
+        // The leader never noticed.
+        lead.commit(Value::Int(1));
+        assert_eq!(ctx.cache_get(5), Some(Value::Int(1)));
     }
 
     #[test]

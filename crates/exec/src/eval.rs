@@ -46,10 +46,10 @@
 
 use std::sync::Arc;
 
-use kleisli_core::{BlockStream, CollKind, KError, KResult, Value};
+use kleisli_core::{BlockStream, CollKind, Join, KError, KResult, Value};
 use nrc::{Expr, Name, Prim};
 
-use crate::context::{CacheLookup, Context};
+use crate::context::Context;
 use crate::env::{Env, Rt};
 use crate::prims::apply_prim;
 use crate::stream::{blocks_at, collect_blocks, prefetchable, try_start, Fetch, Want};
@@ -172,20 +172,15 @@ pub fn eval_rt(e: &Expr, env: &Env, ctx: &Context) -> KResult<Rt> {
             eval_strict(e, ctx, |child| eval(child, env, ctx))
         }
         .map(Rt::Val),
-        Expr::Cached { id, expr } => match ctx.cache_cell(*id).lookup_or_begin() {
-            CacheLookup::Hit(v) => Ok(Rt::Val(v)),
-            CacheLookup::Miss(ticket) => {
-                // Single-flight: concurrent evaluators of the same id
-                // block in lookup_or_begin until this commit (or until
-                // the ticket is dropped by `?` on an Err, which aborts
-                // and lets one of them retry).
+        Expr::Cached { id, expr } => match ctx.cache_join(*id)? {
+            Join::Hit(v) => Ok(Rt::Val(v)),
+            Join::Lead(lead) => {
+                // An Err drops the lead on the way out: a waiter retries.
                 let v = eval(expr, env, ctx)?;
-                ticket.commit(v.clone());
+                lead.commit(v.clone());
                 Ok(Rt::Val(v))
             }
-            // This thread is already populating this id higher up the
-            // stack; evaluate without the cache to avoid self-deadlock.
-            CacheLookup::Reentrant => Ok(Rt::Val(eval(expr, env, ctx)?)),
+            Join::Reentrant => Ok(Rt::Val(eval(expr, env, ctx)?)),
         },
     }
 }

@@ -2,29 +2,31 @@
 //!
 //! [`ResultCache`] maps 64-bit keys — in practice `nrc::hash::plan_hash`
 //! digests of optimized plans or subplans — to computed [`Value`]s. It is
-//! the cross-*session* counterpart of the per-query [`CacheCell`] slots
-//! in [`crate::context::Context`]: many sessions (for example, the
+//! the cross-*session* counterpart of the per-query subquery slots in
+//! [`crate::context::Context`]: many sessions (for example, the
 //! connections of a `kleislid` server) share one `Arc<ResultCache>`, so a
 //! thousand clients issuing the same GenBank query evaluate it **once**
 //! and everyone else is served from memory.
 //!
 //! Three properties, each load-bearing for the server deployment:
 //!
-//! * **Single-flight population.** Each entry is a [`CacheCell`]: the
-//!   first looker-up becomes the populator and receives a
-//!   [`ResultTicket`]; concurrent lookers-up for the same key block until
-//!   the populator commits, then read the committed value. A populator
-//!   that gives up (error, cancellation — its ticket dropped without
-//!   commit) wakes the waiters and the *next* one becomes the populator:
-//!   an abandoned flight never poisons the cell.
+//! * **Single-flight population.** Each entry is a
+//!   [`kleisli_core::SingleFlight`], and everything about leading,
+//!   waiting, giving up and handing the lead over is stated there
+//!   ([`kleisli_core::flight`]): the first looker-up receives a
+//!   [`ResultTicket`], concurrent lookers-up of the same key wait — each
+//!   under its own deadline and cancellation token — for its commit, and
+//!   a ticket dropped uncommitted passes the lead to one of them.
 //! * **Memory accounting.** Committed values are sized with
 //!   [`Value::approx_bytes`] and charged against a configurable byte
-//!   budget. A commit that pushes the total over budget evicts
-//!   least-recently-used *committed* entries until the total fits again
-//!   (in-flight entries are never evicted — their size is unknown and
-//!   evicting them would duplicate the very work the cache exists to
-//!   share). A single value larger than the whole budget is served to its
-//!   waiters but not retained.
+//!   budget, and so is the serialized copy a server keeps beside one
+//!   ([`ResultCache::exchange_text`]): value and text are one entry, one
+//!   charge, and leave together. A charge that pushes the total over
+//!   budget evicts least-recently-used *committed* entries until the
+//!   total fits again (in-flight entries are never evicted — their size
+//!   is unknown and evicting them would duplicate the very work the cache
+//!   exists to share). A single entry larger than the whole budget is
+//!   served to its waiters but not retained.
 //! * **Observability.** [`ResultCache::stats`] exposes hits, misses,
 //!   evictions, entry count, resident bytes, and the high-water mark
 //!   (`peak_bytes`) — the server's STATS frame and the `server_report`
@@ -36,18 +38,17 @@
 //! entries derived from a refreshed source and bumps that source's
 //! invalidation generation ([`ResultCache::generation`]) — the
 //! result-side half of the wire-level FLUSH verb. An in-flight
-//! population of a flushed key is detached rather than aborted: its
-//! populator commits into the detached cell (waiters already parked
-//! there still wake), while post-flush lookups of the same key start a
-//! fresh flight against the refreshed source.
+//! population of a flushed key is *detached* rather than aborted: its
+//! late commit reaches the waiters already parked on it and nobody else,
+//! and is charged to nothing, while post-flush lookups of the same key
+//! start a fresh flight against the refreshed source.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex as StdMutex};
+use std::time::Instant;
 
-use kleisli_core::Value;
-
-use crate::context::{CacheCell, CacheLookup, PopulateTicket};
+use kleisli_core::{write_exchange, CancelToken, Join, Lead, SingleFlight, Value, WaitFor};
 
 /// Default byte budget for a [`ResultCache`]: 64 MiB.
 pub const DEFAULT_RESULT_CACHE_BUDGET: u64 = 64 * 1024 * 1024;
@@ -80,19 +81,18 @@ pub struct ResultCacheStats {
 
 /// One cache slot plus its accounting metadata.
 struct Entry {
-    cell: Arc<CacheCell>,
-    /// Bytes charged for the committed value; `None` while in flight.
+    cell: Arc<SingleFlight<Value>>,
+    /// The committed value's exchange text, once a reader has asked for
+    /// it ([`ResultCache::exchange_text`]).
+    text: Option<Arc<String>>,
+    /// Bytes charged for the committed value and its text; `None` while
+    /// in flight.
     bytes: Option<u64>,
     /// Source names the cached plan reads from (empty for untagged
     /// entries); what [`ResultCache::flush_source`] matches against.
     deps: Vec<Arc<str>>,
     /// Monotone use tick for LRU eviction.
     last_used: u64,
-    /// Commit sequence number (`0` while in flight): distinguishes one
-    /// committed generation of this key from a later re-commit after
-    /// eviction, so derived caches (e.g. the server's serialized-frame
-    /// cache) can validate their copies without comparing values.
-    seq: u64,
 }
 
 struct CacheMap {
@@ -101,8 +101,6 @@ struct CacheMap {
     bytes: u64,
     /// Monotone lookup counter feeding `Entry::last_used`.
     tick: u64,
-    /// Monotone commit counter feeding `Entry::seq`.
-    commits: u64,
     /// Per-source invalidation generations: bumped by `flush_source`,
     /// never reset. Sources never flushed are implicitly at generation 0.
     generations: HashMap<Arc<str>, u64>,
@@ -129,8 +127,8 @@ pub enum ResultLookup {
     /// committing aborts, waking waiters to retry).
     Miss(ResultTicket),
     /// The calling thread is already populating this key further up its
-    /// own stack (see [`CacheLookup::Reentrant`]); compute without
-    /// touching the cache.
+    /// own stack (see [`Join::Reentrant`]); compute without touching the
+    /// cache.
     Reentrant,
 }
 
@@ -140,7 +138,7 @@ pub enum ResultLookup {
 pub struct ResultTicket {
     cache: Arc<ResultCache>,
     key: u64,
-    inner: PopulateTicket,
+    lead: Lead<Value>,
 }
 
 impl ResultCache {
@@ -153,7 +151,6 @@ impl ResultCache {
                 entries: HashMap::new(),
                 bytes: 0,
                 tick: 0,
-                commits: 0,
                 generations: HashMap::new(),
             }),
             budget,
@@ -182,69 +179,93 @@ impl ResultCache {
         self.lookup_or_begin_tagged(key, &[])
     }
 
-    /// [`ResultCache::lookup_or_begin`] with source tags: `deps` names
-    /// the drivers the plan behind `key` reads from, so a later
-    /// [`ResultCache::flush_source`] of any of them invalidates this
-    /// entry. Tags are recorded when the entry is created; identical
-    /// keys are identical plans, so re-lookups carry the same tags.
+    /// [`ResultCache::lookup_or_begin`] with source tags; a
+    /// [`ResultCache::join`] with no budget to run out of.
     pub fn lookup_or_begin_tagged(self: &Arc<Self>, key: u64, deps: &[Arc<str>]) -> ResultLookup {
+        self.join(key, deps, None, None)
+            .expect("a wait with no deadline and no token never gives up")
+    }
+
+    /// Read the committed value for `key`, acquire the right to compute
+    /// it, or wait for the session computing it — at most until
+    /// `deadline` passes or `cancel` fires, which end this caller's wait
+    /// (`Err`, counting neither a hit nor a miss) and nothing else.
+    /// `deps` names the drivers the plan behind `key` reads from, so a
+    /// later [`ResultCache::flush_source`] of any of them invalidates
+    /// this entry. Tags are recorded when the entry is created; identical
+    /// keys are identical plans, so re-lookups carry the same tags.
+    pub fn join(
+        self: &Arc<Self>,
+        key: u64,
+        deps: &[Arc<str>],
+        deadline: Option<Instant>,
+        cancel: Option<&Arc<CancelToken>>,
+    ) -> Result<ResultLookup, WaitFor> {
         let cell = {
             let mut map = self.lock_map();
             map.tick += 1;
             let tick = map.tick;
             let entry = map.entries.entry(key).or_insert_with(|| Entry {
-                cell: Arc::new(CacheCell::default()),
+                cell: Arc::default(),
+                text: None,
                 bytes: None,
                 deps: deps.to_vec(),
                 last_used: 0,
-                seq: 0,
             });
             entry.last_used = tick;
             Arc::clone(&entry.cell)
         };
         // The map lock is released before the (potentially blocking)
-        // cell lookup: a waiter parked on one key must not hold up
-        // lookups of every other key.
-        match cell.lookup_or_begin() {
-            CacheLookup::Hit(v) => {
+        // join: a waiter parked on one key must not hold up lookups of
+        // every other key.
+        Ok(match cell.join(deadline, cancel)? {
+            Join::Hit(v) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 ResultLookup::Hit(v)
             }
-            CacheLookup::Miss(inner) => {
+            Join::Lead(lead) => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 ResultLookup::Miss(ResultTicket {
                     cache: Arc::clone(self),
                     key,
-                    inner,
+                    lead,
                 })
             }
-            CacheLookup::Reentrant => ResultLookup::Reentrant,
-        }
+            Join::Reentrant => ResultLookup::Reentrant,
+        })
     }
 
-    /// Non-blocking, counted read of a committed entry, returning only
-    /// its commit sequence — enough for a derived cache holding its own
-    /// copy (the server's serialized-response cache) to validate that
-    /// copy without cloning the value. Counts a hit and refreshes the
-    /// LRU position; `None` (counting nothing) while absent or in
-    /// flight. The server's warm fast path serves from this without
-    /// claiming a populate ticket.
-    pub fn get_seq(&self, key: u64) -> Option<u64> {
-        let mut map = self.lock_map();
-        map.tick += 1;
-        let tick = map.tick;
-        let entry = map.entries.get_mut(&key)?;
-        if entry.seq == 0 {
-            return None;
-        }
-        entry.last_used = tick;
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(entry.seq)
+    /// The committed value of `key` in exchange format, for a reader that
+    /// ships it as is (the server's warm fast path): a counted hit with
+    /// an LRU refresh that neither clones the value out nor — after the
+    /// first reader of a commit — serializes it. `None`, counting
+    /// nothing, while absent or in flight. The text is charged to the
+    /// entry like the value and dropped with it by eviction, flush and
+    /// clear, so a re-commit is always serialized afresh.
+    pub fn exchange_text(&self, key: u64) -> Option<Arc<String>> {
+        let (cell, value) = {
+            let mut map = self.lock_map();
+            map.tick += 1;
+            let tick = map.tick;
+            let entry = map.entries.get_mut(&key)?;
+            let value = entry.cell.peek()?;
+            entry.last_used = tick;
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            if let Some(text) = &entry.text {
+                return Some(Arc::clone(text));
+            }
+            (Arc::clone(&entry.cell), value)
+        };
+        // Serialized outside the lock; of two first readers racing here
+        // one copy is kept and charged.
+        let text = Arc::new(write_exchange(&value));
+        self.charge(key, &cell, text.len() as u64, Some(&text));
+        Some(text)
     }
 
     /// The committed value for `key`, if any, without claiming
     /// population (non-blocking; testing/inspection — no counters or
-    /// LRU refresh; see [`ResultCache::get_seq`] for the counted probe).
+    /// LRU refresh).
     pub fn peek(&self, key: u64) -> Option<Value> {
         let cell = {
             let map = self.lock_map();
@@ -268,10 +289,8 @@ impl ResultCache {
         }
     }
 
-    /// Drop every entry (counters are kept). In-flight populations keep
-    /// their cells alive through their own `Arc`s and commit into the
-    /// detached cell — waiters already parked on it still wake — but the
-    /// committed value is no longer reachable from the cache.
+    /// Drop every entry (counters are kept), detaching the populations
+    /// in flight (module docs).
     pub fn clear(&self) {
         let mut map = self.lock_map();
         map.entries.clear();
@@ -279,12 +298,10 @@ impl ResultCache {
     }
 
     /// Drop every entry tagged with `source` and bump that source's
-    /// invalidation generation. Returns the keys of the dropped entries
-    /// so a derived cache (the server's serialized-response cache) can
-    /// prune its copies. Committed entries release their bytes and count
-    /// toward the `flushes` stat; in-flight entries are detached like
-    /// [`ResultCache::clear`] does — the populator commits into the
-    /// detached cell, post-flush lookups start fresh.
+    /// invalidation generation. Returns the keys of the dropped entries.
+    /// Committed entries release their bytes and count toward the
+    /// `flushes` stat; in-flight entries are detached like
+    /// [`ResultCache::clear`] does.
     pub fn flush_source(&self, source: &str) -> Vec<u64> {
         let mut map = self.lock_map();
         let keys: Vec<u64> = map
@@ -317,54 +334,53 @@ impl ResultCache {
         self.map.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Charge a freshly committed value and evict LRU committed entries
-    /// until the budget holds again. Called *after* the value is
-    /// published to the cell, so waiters are never delayed by eviction.
-    /// `cell` is the cell the commit actually populated: if a `clear` or
-    /// `flush_source` detached that flight and a new entry was since
-    /// created under the same key, the identities differ and nothing is
-    /// charged — the stale value lives only in the detached cell.
-    fn account_commit(&self, key: u64, bytes: u64, cell: &Arc<CacheCell>) {
+    /// Charge `bytes` more to the entry of `key` — a freshly committed
+    /// value, or the `text` a reader just serialized from one — and evict
+    /// LRU committed entries until the budget holds again. Called *after*
+    /// the value is published to the cell, so waiters are never delayed
+    /// by eviction. `cell` is the cell the bytes belong to: if a `clear`
+    /// or `flush_source` detached it (whether or not a new entry was
+    /// since created under the same key) nothing is charged or kept —
+    /// the stale value lives only in the detached cell.
+    fn charge(
+        &self,
+        key: u64,
+        cell: &Arc<SingleFlight<Value>>,
+        bytes: u64,
+        text: Option<&Arc<String>>,
+    ) {
         let mut map = self.lock_map();
-        map.commits += 1;
-        let seq = map.commits;
-        if let Some(entry) = map.entries.get_mut(&key) {
-            if !Arc::ptr_eq(&entry.cell, cell) {
-                return;
+        match map.entries.get_mut(&key) {
+            Some(entry) if Arc::ptr_eq(&entry.cell, cell) => {
+                if let Some(text) = text {
+                    if entry.text.is_some() {
+                        return; // a racing reader's copy is kept and charged
+                    }
+                    entry.text = Some(Arc::clone(text));
+                }
+                entry.bytes = Some(entry.bytes.unwrap_or(0) + bytes);
             }
-            entry.bytes = Some(bytes);
-            entry.seq = seq;
-            map.bytes += bytes;
-        } else {
-            // A racing `clear`/`flush_source` detached the entry; there
-            // is nothing to charge.
-            return;
+            _ => return,
         }
-        // Evict oldest committed entries (never the one just committed —
-        // its waiters are being served from it right now) until we fit.
+        map.bytes += bytes;
+        // Evict oldest committed entries (never the one just charged —
+        // its readers are being served from it right now) until we fit.
         while map.bytes > self.budget {
             let victim = map
                 .entries
                 .iter()
                 .filter(|(k, e)| **k != key && e.bytes.is_some())
                 .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k);
-            match victim {
-                Some(k) => {
-                    if let Some(e) = map.entries.remove(&k) {
-                        map.bytes -= e.bytes.unwrap_or(0);
-                        self.evictions.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                None => {
-                    // Only the fresh entry remains and it alone exceeds
-                    // the budget: serve it, do not retain it.
-                    if let Some(e) = map.entries.remove(&key) {
-                        map.bytes -= e.bytes.unwrap_or(0);
-                        self.evictions.fetch_add(1, Ordering::Relaxed);
-                    }
-                    break;
-                }
+                .map(|(k, _)| *k)
+                // Only the charged entry remains and it alone exceeds
+                // the budget: serve it, do not retain it.
+                .unwrap_or(key);
+            if let Some(e) = map.entries.remove(&victim) {
+                map.bytes -= e.bytes.unwrap_or(0);
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+            }
+            if victim == key {
+                break;
             }
         }
         // The high-water mark is taken after eviction: the budget is a
@@ -378,12 +394,10 @@ impl ResultTicket {
     /// Publish `v` to every waiter and charge it against the budget.
     pub fn commit(self, v: Value) {
         let bytes = v.approx_bytes();
-        let cache = Arc::clone(&self.cache);
-        let key = self.key;
-        let cell = Arc::clone(self.inner.cell());
+        let cell = Arc::clone(self.lead.flight());
         // Publish first (wakes waiters), account second (may evict).
-        self.inner.commit(v);
-        cache.account_commit(key, bytes, &cell);
+        self.lead.commit(v);
+        self.cache.charge(self.key, &cell, bytes, None);
     }
 }
 
@@ -563,6 +577,45 @@ mod tests {
         assert_eq!(cache.stats().bytes, 0, "stale commit not charged");
         fresh.commit(vint(44));
         assert_eq!(cache.peek(4), Some(vint(44)));
+    }
+
+    #[test]
+    fn exchange_text_lives_and_dies_with_its_entry() {
+        let node = vint(0).approx_bytes();
+        // Room for two scalars and a short text, not for three scalars.
+        let cache = ResultCache::new(node * 2 + 8);
+        let commit = |key: u64, v: i64| match cache.lookup_or_begin(key) {
+            ResultLookup::Miss(t) => t.commit(vint(v)),
+            _ => panic!("miss expected"),
+        };
+        commit(1, 10);
+        let text = cache.exchange_text(1).expect("committed");
+        assert_eq!(*text, write_exchange(&vint(10)));
+        let charged = cache.stats().bytes;
+        assert_eq!(charged, node + text.len() as u64, "value and text, one charge");
+        let again = cache.exchange_text(1).expect("still committed");
+        assert!(Arc::ptr_eq(&text, &again), "serialized once per commit");
+        assert_eq!(cache.stats().bytes, charged);
+        assert_eq!(cache.stats().hits, 2, "each reader is a counted hit");
+
+        // Absent and in-flight keys have no text and count nothing.
+        assert!(cache.exchange_text(2).is_none());
+        let ResultLookup::Miss(flying) = cache.lookup_or_begin(2) else {
+            panic!("miss expected")
+        };
+        assert!(cache.exchange_text(2).is_none());
+        assert_eq!(cache.stats().hits, 2);
+        flying.commit(vint(20));
+
+        // Budget pressure evicts key 1, value and text together...
+        commit(3, 30);
+        assert_eq!(cache.peek(1), None);
+        assert_eq!(cache.stats().bytes, node * 2);
+        // ...so a re-commit is serialized afresh, never served the old text.
+        commit(1, 11);
+        assert_eq!(*cache.exchange_text(1).unwrap(), write_exchange(&vint(11)));
+        let s = cache.stats();
+        assert!(s.bytes <= s.budget && s.peak_bytes <= s.budget, "{s:?}");
     }
 
     #[test]

@@ -47,12 +47,12 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use kleisli_core::{
-    blocks_of_rows, BlockSource, BlockStream, CollKind, DriverRequest, KError, KResult, Value,
-    ValueBlock, DEFAULT_BLOCK_ROWS,
+    blocks_of_rows, BlockSource, BlockStream, CollKind, DriverRequest, Join, KError, KResult, Lead,
+    Value, ValueBlock, DEFAULT_BLOCK_ROWS,
 };
 use nrc::{Expr, JoinStrategy, Name};
 
-use crate::context::{request_from_value, BatchGuard, CacheLookup, Context, PopulateTicket};
+use crate::context::{request_from_value, BatchGuard, Context};
 use crate::env::{Env, Rt};
 use crate::eval::{eval, eval_cond, eval_rt, start, strict_children, Pending};
 
@@ -339,30 +339,29 @@ pub(crate) fn blocks_at(
                 failed: false,
             }))
         }
-        Expr::Cached { id, expr } => match ctx.cache_cell(*id).lookup_or_begin() {
+        Expr::Cached { id, expr } => match ctx.cache_join(*id)? {
             // Hit: stream the memoized rows; no driver traffic at all.
-            CacheLookup::Hit(v) => value_blocks(&v, want),
-            // Re-entrant lookup (this thread is populating the same id
-            // higher up): stream the subquery directly, uncached.
-            CacheLookup::Reentrant => blocks(expr, env, ctx, want),
-            // Miss: this consumer is the populator. When the subplan's
-            // collection kind is syntactically evident we stream the
-            // subquery lazily, teeing rows aside, and commit the canonical
-            // collection once the stream is exhausted — so `first_n` over
-            // a cached remote scan still pulls only what it needs (an
-            // abandoned prefix aborts the ticket and leaves the slot
-            // empty). The ticket rides inside the stream, keeping the
-            // single-flight guarantee of `eval`'s `Cached` arm: racing
-            // evaluators block until commit or abort. The tee is
-            // order-sensitive (it must record every row that passed),
+            Join::Hit(v) => value_blocks(&v, want),
+            // Re-entrant join (this thread leads the same id higher
+            // up): stream the subquery directly, uncached.
+            Join::Reentrant => blocks(expr, env, ctx, want),
+            // This consumer leads. When the subplan's collection kind is
+            // syntactically evident we stream the subquery lazily,
+            // teeing rows aside, and commit the canonical collection once
+            // the stream is exhausted — so `first_n` over a cached remote
+            // scan still pulls only what it needs (an abandoned prefix
+            // drops the lead and leaves the slot empty). The lead rides
+            // inside the stream, so racing evaluators wait for its commit
+            // or its drop exactly as under `eval`'s `Cached` arm. The tee
+            // is order-sensitive (it must record every row that passed),
             // so it stays a single-row operator over the grain-1 view.
-            CacheLookup::Miss(ticket) => match expr.coll_kind_hint() {
+            Join::Lead(lead) => match expr.coll_kind_hint() {
                 Some(kind) => {
-                    // An Err here drops the ticket (abort) on the way out.
+                    // An Err here drops the lead on the way out.
                     let inner: RowStream = Box::new(blocks(expr, env, ctx, want)?);
                     Ok(blocks_of_rows(Box::new(CachingStream {
                         inner,
-                        ticket: Some(ticket),
+                        lead: Some(lead),
                         rows: Vec::new(),
                         kind,
                         done: false,
@@ -372,7 +371,7 @@ pub(crate) fn blocks_at(
                     // Kind unknowable from syntax: compute the value,
                     // commit it, then stream it.
                     let v = eval(expr, env, ctx)?;
-                    ticket.commit(v.clone());
+                    lead.commit(v.clone());
                     value_blocks(&v, want)
                 }
             },
@@ -506,15 +505,15 @@ fn collect_rows(mut stream: BlockStream) -> KResult<Vec<Value>> {
     Ok(elems)
 }
 
-/// Lazy population of a [`crate::context::CacheCell`]: passes the inner
+/// Lazy population of a cached subquery's slot: passes the inner
 /// stream's rows through while teeing them aside, and commits the
 /// canonical collection (`Value::collection`, exactly what draining the
 /// subquery yields) when the inner stream is exhausted. Dropping the
-/// stream early drops the ticket uncommitted, releasing the single-flight
-/// claim with the slot still empty.
+/// stream early drops the lead uncommitted, releasing the slot still
+/// empty.
 struct CachingStream {
     inner: RowStream,
-    ticket: Option<PopulateTicket>,
+    lead: Option<Lead<Value>>,
     rows: Vec<Value>,
     kind: CollKind,
     done: bool,
@@ -534,13 +533,13 @@ impl Iterator for CachingStream {
             }
             Some(Err(e)) => {
                 self.done = true;
-                self.ticket = None; // abort: do not cache a partial result
+                self.lead = None; // do not cache a partial result
                 Some(Err(e))
             }
             None => {
                 self.done = true;
-                if let Some(t) = self.ticket.take() {
-                    t.commit(Value::collection(self.kind, std::mem::take(&mut self.rows)));
+                if let Some(lead) = self.lead.take() {
+                    lead.commit(Value::collection(self.kind, std::mem::take(&mut self.rows)));
                 }
                 None
             }

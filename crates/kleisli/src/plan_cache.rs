@@ -11,13 +11,14 @@
 //!
 //! Two things are new relative to the private struct:
 //!
-//! * **Single-flight compilation.** [`PlanCache::get_or_compile`] tracks
-//!   keys whose compile is *in flight*: concurrent lookups of the same
-//!   key block until the first compiler finishes and then hit its cached
-//!   plan, so N sessions racing the same cold query cost **one** compile,
-//!   not N. (A failed compile is not cached; the error propagates to the
-//!   compiling caller and waiting callers retry — each retry is its own
-//!   compile until one succeeds. The same holds if the compile panics.)
+//! * **Single-flight compilation.** A key whose compile is *in flight*
+//!   has a [`SingleFlight`] of its own for as long as some caller is
+//!   inside [`PlanCache::get_or_compile`] for it: concurrent lookups of
+//!   the same key wait for the first compiler's plan and nobody else's,
+//!   so N sessions racing the same cold query cost **one** compile, not
+//!   N. (A failed compile is not cached; the error propagates to the
+//!   compiling caller and one waiting caller compiles in its turn. The
+//!   same holds if the compile panics — [`kleisli_core::flight`].)
 //! * **Eviction accounting.** [`PlanCacheStats`] now counts `evictions`
 //!   (plans dropped for capacity), alongside the existing hit/miss
 //!   counters. `misses` equals the number of compiles started.
@@ -25,8 +26,12 @@
 //!   exactly the plans whose [`Compiled::deps`] mention a refreshed
 //!   driver and bumps that source's generation counter
 //!   ([`PlanCache::generation`]), so a stale plan can never be served
-//!   after the flush returns. This is the compile-side half of the
-//!   wire-level FLUSH verb.
+//!   after the flush returns. It also *detaches* every compile in
+//!   flight, as [`PlanCache::clear`] does: a plan's sources are unknown
+//!   until it exists, so a compile that overlapped an invalidation is
+//!   handed to its caller and the waiters already parked on it, and is
+//!   not retained — the next lookup compiles against the refreshed
+//!   source. This is the compile-side half of the wire-level FLUSH verb.
 //! * **The source catalog lives here.** The table statistics the
 //!   optimizer consults while compiling ([`PlanCache::table_stats`]) are
 //!   a snapshot with the plans' lifetime: fetched from the source at most
@@ -39,9 +44,9 @@
 //!   interrogate its sources per query.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Mutex as StdMutex, Weak};
 
-use kleisli_core::{KResult, TableStats};
+use kleisli_core::{Join, KResult, SingleFlight, TableStats};
 use kleisli_opt::OptConfig;
 
 use crate::session::Compiled;
@@ -70,8 +75,10 @@ struct State {
     /// over a Vec: capacities are tens of entries, and a scan over that
     /// is noise next to even a cache-hit `Arc` bump.
     entries: Vec<(String, OptConfig, Arc<Compiled>)>,
-    /// Keys whose compile is currently in flight (single-flight gate).
-    in_flight: Vec<(String, OptConfig)>,
+    /// Keys whose compile is in flight, each held weakly: a mark is live
+    /// exactly while some caller is inside `get_or_compile` with its
+    /// flight in hand, an unwinding one included.
+    in_flight: Vec<(String, OptConfig, Weak<Flight>)>,
     /// Per-source invalidation generations: bumped by `flush_source`,
     /// never reset. Sources never flushed are implicitly at generation 0.
     generations: HashMap<Arc<str>, u64>,
@@ -87,7 +94,6 @@ struct State {
 /// [`Session::share_plan_cache`](crate::Session::share_plan_cache).
 pub struct PlanCache {
     state: StdMutex<State>,
-    cv: Condvar,
     /// The source-catalog snapshot, by source. A lock of its own, held
     /// across the fetch: that is what makes "at most once" true under
     /// concurrent compiles, and plan lookups never wait behind it.
@@ -97,6 +103,9 @@ pub struct PlanCache {
 /// What one source said about its tables, by table — `None` (it keeps
 /// no statistics for that one) included.
 type SourceTables = HashMap<String, Option<Arc<TableStats>>>;
+
+/// One key's compile in flight.
+type Flight = SingleFlight<Arc<Compiled>>;
 
 impl PlanCache {
     /// A cache keeping at most `capacity` compiled plans (`0` disables
@@ -114,7 +123,6 @@ impl PlanCache {
                 evictions: 0,
                 flushes: 0,
             }),
-            cv: Condvar::new(),
             catalog: StdMutex::new(HashMap::new()),
         })
     }
@@ -125,7 +133,7 @@ impl PlanCache {
 
     /// Fetch the plan for `(src, config)`, or compile it via `compile`
     /// and cache the result. Concurrent calls for the same key from
-    /// other threads block until the first compile lands, then hit it
+    /// other threads wait for the first compile, then share its plan
     /// (single-flight; see the module docs). The compile closure runs
     /// **without** the cache lock held, so slow compiles of one query
     /// never stall lookups of others.
@@ -135,37 +143,31 @@ impl PlanCache {
         config: &OptConfig,
         compile: impl FnOnce() -> KResult<Arc<Compiled>>,
     ) -> KResult<Arc<Compiled>> {
-        let mut st = self.lock();
-        loop {
+        let flight = {
+            let mut st = self.lock();
             if let Some(plan) = st.hit(src, config) {
                 return Ok(plan);
             }
-            if st
-                .in_flight
-                .iter()
-                .any(|(s, c)| s == src && c == config)
-            {
-                // Another session is compiling this very key: wait for
-                // its result rather than duplicating the work.
-                st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-                continue;
-            }
-            st.misses += 1;
-            st.in_flight.push((src.to_string(), config.clone()));
-            break;
-        }
-        drop(st);
-        let _marker = InFlight {
-            cache: self,
-            src,
-            config,
+            st.flight(src, config)
         };
-        let result = compile();
-        if let Ok(plan) = &result {
-            self.lock()
-                .insert(src.to_string(), config.clone(), Arc::clone(plan));
+        match flight.join(None, None) {
+            // Waited out another session's compile of this very key.
+            Ok(Join::Hit(plan)) => {
+                self.lock().hits += 1;
+                Ok(plan)
+            }
+            Ok(Join::Lead(lead)) => {
+                self.lock().misses += 1;
+                // An `Err` or an unwind drops the lead: a waiter compiles.
+                let plan = compile()?;
+                self.lock().retire(lead.flight(), &plan);
+                lead.commit(Arc::clone(&plan));
+                Ok(plan)
+            }
+            // A compile that asks for its own key compiles it; a wait
+            // with no budget never gives up.
+            Ok(Join::Reentrant) | Err(_) => compile(),
         }
-        result
     }
 
     /// Non-blocking, counter-neutral probe: the cached plan if one is
@@ -226,9 +228,8 @@ impl PlanCache {
     /// Drop every cached plan whose [`Compiled::deps`] mention `source`
     /// and the statistics snapshot of its tables, and bump that source's
     /// invalidation generation. Returns how many plans were dropped.
-    /// Plans not reading `source` are untouched; an in-flight compile of
-    /// a flushed key commits its (freshly compiled) plan normally, which
-    /// is correct — it started after the caller decided to refresh.
+    /// Plans not reading `source` are untouched; compiles in flight are
+    /// detached (module docs).
     pub fn flush_source(&self, source: &str) -> usize {
         // Statistics first: a compile starting after this line asks the
         // refreshed source, whatever happens to the plans below.
@@ -237,6 +238,7 @@ impl PlanCache {
             .unwrap_or_else(|e| e.into_inner())
             .remove(source);
         let mut st = self.lock();
+        st.in_flight.clear();
         let before = st.entries.len();
         st.entries
             .retain(|(_, _, plan)| !plan.deps.iter().any(|d| &**d == source));
@@ -273,34 +275,18 @@ impl PlanCache {
         }
     }
 
-    /// Drop every cached plan and the whole statistics snapshot
-    /// (counters are kept; deliberate clears are invalidation, not
-    /// capacity pressure, so they do not count as evictions).
+    /// Drop every cached plan and the whole statistics snapshot, and
+    /// detach the compiles in flight (counters are kept; deliberate
+    /// clears are invalidation, not capacity pressure, so they do not
+    /// count as evictions).
     pub fn clear(&self) {
-        self.lock().entries.clear();
         self.catalog
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .clear();
-    }
-}
-
-/// One key's in-flight marker. Dropping it clears the marker and wakes
-/// the key's waiters — on unwind too, so a compile that panics never
-/// leaves later lookups of its key blocked with nobody left to wake them.
-struct InFlight<'a> {
-    cache: &'a PlanCache,
-    src: &'a str,
-    config: &'a OptConfig,
-}
-
-impl Drop for InFlight<'_> {
-    fn drop(&mut self) {
-        self.cache
-            .lock()
-            .in_flight
-            .retain(|(s, c)| !(s == self.src && c == self.config));
-        self.cache.cv.notify_all();
+        let mut st = self.lock();
+        st.in_flight.clear();
+        st.entries.clear();
     }
 }
 
@@ -317,6 +303,28 @@ impl State {
         self.entries.push(entry);
         self.hits += 1;
         Some(plan)
+    }
+
+    /// The flight of the key's compile: the live one, or a fresh one.
+    fn flight(&mut self, src: &str, config: &OptConfig) -> Arc<Flight> {
+        self.in_flight.retain(|(.., f)| f.strong_count() > 0);
+        let live = self.in_flight.iter().find(|(s, c, _)| s == src && c == config);
+        live.and_then(|(.., f)| f.upgrade()).unwrap_or_else(|| {
+            let flight = Arc::default();
+            self.in_flight.push((src.to_string(), config.clone(), Arc::downgrade(&flight)));
+            flight
+        })
+    }
+
+    /// A compile has produced `plan`: take its mark down and cache the
+    /// plan under the mark's key — unless an invalidation detached the
+    /// flight in the meantime, which took the mark with it.
+    fn retire(&mut self, flight: &Arc<Flight>, plan: &Arc<Compiled>) {
+        let mine = Arc::downgrade(flight);
+        if let Some(i) = self.in_flight.iter().position(|(.., f)| f.ptr_eq(&mine)) {
+            let (src, config, _) = self.in_flight.swap_remove(i);
+            self.insert(src, config, Arc::clone(plan));
+        }
     }
 
     fn insert(&mut self, src: String, config: OptConfig, plan: Arc<Compiled>) {
@@ -336,6 +344,7 @@ mod tests {
     use super::*;
     use kleisli_core::Type;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Barrier;
     use std::thread;
     use std::time::Duration;
 
@@ -477,5 +486,35 @@ mod tests {
         assert_eq!(s.evictions, 0, "flushes are not evictions");
         assert!(cache.peek("qb", &cfg).is_some());
         assert!(cache.peek("qa", &cfg).is_none());
+    }
+
+    #[test]
+    fn a_plan_compiled_across_a_flush_is_served_but_not_retained() {
+        let cache = PlanCache::new(8);
+        let cfg = OptConfig::default();
+        let (planning, flushed) = (Barrier::new(2), Barrier::new(2));
+        thread::scope(|s| {
+            let compile = s.spawn(|| {
+                cache.get_or_compile("qa", &cfg, || {
+                    // The compile has read the statistics it plans with
+                    // and is still in flight when the source is refreshed.
+                    cache.table_stats("A", "t", || None);
+                    planning.wait();
+                    flushed.wait();
+                    Ok(plan_on(&["A"]))
+                })
+            });
+            planning.wait();
+            assert_eq!(cache.flush_source("A"), 0, "nothing resident to drop");
+            flushed.wait();
+            assert!(compile.join().unwrap().is_ok(), "the caller gets its plan");
+        });
+        assert!(cache.peek("qa", &cfg).is_none(), "planned against stale statistics");
+        assert_eq!(cache.stats().entries, 0);
+        cache
+            .get_or_compile("qa", &cfg, || Ok(plan_on(&["A"])))
+            .unwrap();
+        let s = cache.stats();
+        assert_eq!((s.misses, s.entries), (2, 1), "the next lookup compiles: {s:?}");
     }
 }

@@ -41,13 +41,14 @@
 //! it — [`Session::clear_plan_cache`], [`Session::flush_source`] from
 //! any session sharing the cache — drops its statistics too.
 //!
-//! Before optimization, plans are hash-consed through a session-level
-//! [`nrc::Interner`], so structurally identical subplans — within one
-//! query or across queries — are one shared `Arc`. That makes the
-//! optimizer's identity-keyed rewrite memo hit across repeated subplans,
-//! and interacts with the deterministic `Cached` ids (the subplan's
-//! structural hash): recompiling the same query addresses the same
-//! `Context` cache slots.
+//! Before optimization, each plan is hash-consed through an
+//! [`nrc::Interner`] of its own, so structurally identical subplans
+//! within it are one shared `Arc` and the optimizer's identity-keyed
+//! rewrite memo rewrites them once. The table lives for that one
+//! compile: nothing a session keeps grows with the number of distinct
+//! queries it has ever been asked. `Cached` ids are the subplan's
+//! structural hash, not an interner identity, so recompiling the same
+//! query addresses the same `Context` cache slots.
 //!
 //! # Process-wide sharing
 //!
@@ -57,7 +58,8 @@
 //! [`ResultCache`] keyed by
 //! [`Compiled::plan_hash`] ([`Session::share_result_cache`]); queries
 //! run through [`Session::run_shared`] then consult and populate it
-//! with single-flight semantics. Attach shared caches
+//! with single-flight semantics ([`kleisli_core::flight`]). Attach shared
+//! caches
 //! *after* registering drivers and bindings — registration invalidates
 //! whatever caches are attached at that moment.
 
@@ -77,7 +79,6 @@ use kleisli_exec::{
 };
 use kleisli_opt::{optimize_shared, OptConfig, SourceCatalog, TraceEntry};
 use nrc::{Expr, Interner, TypeEnv};
-use parking_lot::Mutex;
 
 use crate::plan_cache::{PlanCache, PlanCacheStats};
 
@@ -89,10 +90,6 @@ pub struct SourceFlush {
     pub plans: u64,
     /// Entries dropped from the shared result cache.
     pub results: u64,
-    /// Plan-hash keys of the dropped result entries, so a derived cache
-    /// (the server's serialized-response cache) can prune its copies.
-    /// Empty on a conservative flush — the deriver must clear wholesale.
-    pub flushed_keys: Vec<u64>,
     /// `source` was a value binding (untraceable in compiled plans), so
     /// both caches were cleared rather than matched.
     pub conservative: bool,
@@ -527,8 +524,6 @@ pub struct Session {
     /// Shared whole-query result cache, when attached
     /// ([`Session::share_result_cache`]); consulted by `run_shared`.
     result_cache: Option<Arc<ResultCache>>,
-    /// Hash-consing table for every plan this session compiles.
-    interner: Mutex<Interner>,
 }
 
 impl Default for Session {
@@ -580,7 +575,6 @@ impl Session {
             config: OptConfig::default(),
             plan_cache: PlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY),
             result_cache: None,
-            interner: Mutex::new(Interner::new()),
         }
     }
 
@@ -657,20 +651,15 @@ impl Session {
         self.plan_cache.stats()
     }
 
-    /// Drop every cached compiled plan (counters are kept), any attached
-    /// shared result cache's entries, and the hash-consing table that
-    /// fed them, so a long-lived session's memory stays bounded by its
-    /// *live* plans. Called automatically whenever definitions or
-    /// registered sources change (stale results must never outlive a
-    /// topology change). Interned nodes still referenced by outstanding
-    /// plans stay alive through those plans' own `Arc`s; only cross-plan
-    /// sharing with *future* compiles is given up.
+    /// Drop every cached compiled plan (counters are kept) and any
+    /// attached shared result cache's entries. Called automatically
+    /// whenever definitions or registered sources change (stale results
+    /// must never outlive a topology change).
     pub fn clear_plan_cache(&self) {
         self.plan_cache.clear();
         if let Some(results) = &self.result_cache {
             results.clear();
         }
-        self.interner.lock().clear();
     }
 
     /// Invalidate every cached plan and result derived from `source` —
@@ -712,14 +701,13 @@ impl Session {
         // conservative clear it drops nothing but still bumps the
         // source's generations.
         let plans = self.plan_cache.flush_source(source) as u64;
-        let keys = self
+        let results = self
             .result_cache
             .as_ref()
-            .map_or_else(Vec::new, |c| c.flush_source(source));
+            .map_or(0, |c| c.flush_source(source).len() as u64);
         if !flush.conservative {
             flush.plans = plans;
-            flush.results = keys.len() as u64;
-            flush.flushed_keys = keys;
+            flush.results = results;
         }
         Ok(flush)
     }
@@ -819,11 +807,11 @@ impl Session {
     }
 
     /// The shared back half of compilation: hash-cons the raw plan —
-    /// identical subplans (within this plan or shared with earlier
-    /// compiles) become one Arc, which the engine's identity-keyed memo
-    /// then rewrites once — and run the optimizer pipeline.
+    /// identical subplans within it become one Arc, which the engine's
+    /// identity-keyed memo then rewrites once — and run the optimizer
+    /// pipeline. The table dies with the call (module docs).
     fn intern_and_optimize(&self, raw: Expr) -> (Arc<Expr>, Vec<TraceEntry>) {
-        let shared = self.interner.lock().intern(&Arc::new(raw));
+        let shared = Interner::new().intern(&Arc::new(raw));
         let catalog = CtxCatalog {
             ctx: &self.ctx,
             plans: &self.plan_cache,
@@ -892,10 +880,11 @@ impl Session {
     /// * a cached result returns without starting an evaluation;
     /// * a cold key evaluates **on the calling thread** — no second
     ///   task, no hand-off — and commits the result before returning it;
-    /// * a key *currently being computed by another session* blocks
-    ///   until that computation commits (then a hit) or aborts (then
-    ///   this caller retries the race). This wait is not cancellable —
-    ///   its bound is the computing session's own deadline.
+    /// * a key *currently being computed by another session* waits
+    ///   until that computation commits (then a hit), aborts (then this
+    ///   caller races for the lead), or `cancel` fires — which ends this
+    ///   caller's wait at once, with the error of a cancelled query, and
+    ///   touches nothing else ([`kleisli_core::flight`]).
     ///
     /// Returns the value and whether it came from the shared cache.
     /// Without an attached cache (or on a re-entrant lookup) the
@@ -906,22 +895,22 @@ impl Session {
     /// (the grain rule on [`QueryHandle`]), so cancellation is noticed
     /// at block boundaries and inside remote waits. A failed or
     /// cancelled evaluation drops its populate ticket uncommitted,
-    /// waking waiting sessions to retry — the cache cell is never
-    /// poisoned.
+    /// handing the lead to a waiting session.
     pub fn run_shared(&self, src: &str, cancel: &Arc<CancelToken>) -> KResult<(Value, bool)> {
         let compiled = self.compile_shared(src)?;
+        let ctx = self.ctx.with_cancel_token(Arc::clone(cancel));
         let ticket = match &self.result_cache {
             None => None,
-            Some(cache) => {
-                match cache.lookup_or_begin_tagged(compiled.plan_hash(), &compiled.deps) {
-                    ResultLookup::Hit(v) => return Ok((v, true)),
-                    ResultLookup::Reentrant => None,
-                    ResultLookup::Miss(ticket) => Some(ticket),
-                }
-            }
+            Some(cache) => match cache
+                .join(compiled.plan_hash(), &compiled.deps, ctx.deadline(), Some(cancel))
+                .map_err(|_| ctx.spent_budget())?
+            {
+                ResultLookup::Hit(v) => return Ok((v, true)),
+                ResultLookup::Reentrant => None,
+                ResultLookup::Miss(ticket) => Some(ticket),
+            },
         };
         self.ctx.cache_clear();
-        let ctx = self.ctx.with_cancel_token(Arc::clone(cancel));
         let value = match compiled.optimized.coll_kind_hint() {
             None => eval(&compiled.optimized, &Env::empty(), &ctx)?,
             Some(kind) => {

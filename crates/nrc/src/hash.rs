@@ -206,8 +206,9 @@ pub fn plan_hash(e: &Expr) -> u64 {
 /// makes its internal pointer-keyed hash cache sound: a keyed node can
 /// never be deallocated (and its address reused) while the entry exists.
 ///
-/// The table is append-only for the lifetime of the interner (typically a
-/// [`kleisli` `Session`]); [`Interner::clear`] drops everything.
+/// The table only grows until [`Interner::clear`] or its drop, so give it
+/// the lifetime of what it shares across: `kleisli::Session` builds one
+/// per compile.
 #[derive(Default)]
 pub struct Interner {
     /// hash → canonical nodes with that hash (almost always exactly one).
@@ -232,7 +233,7 @@ impl Interner {
         self.nodes == 0
     }
 
-    /// Drop every canonical node (e.g. alongside a plan-cache clear).
+    /// Drop every canonical node.
     pub fn clear(&mut self) {
         self.buckets.clear();
         self.hashes.clear();

@@ -27,10 +27,12 @@
 //! evaluator's parallel chunks may borrow further executor workers, but
 //! the query itself never waits on a second task. The one thing a task
 //! may park its worker on is another session's single flight of the
-//! very same plan or result — bounded by that leader's evaluation, which
-//! is itself running and needs no further worker to finish (parallel
-//! chunks are caller-helped). The reply is written once, straight into
-//! the frame the writer puts on the socket ([`encode_result_frame`]).
+//! very same plan or result ([`kleisli_core::flight`]) — until that
+//! leader commits, which needs no further worker (it is itself running,
+//! and parallel chunks are caller-helped), or until the waiting query's
+//! own CANCEL arrives, which frees its worker and run slot at once. The
+//! reply is written once, straight into the frame the writer puts on the
+//! socket ([`encode_result_frame`]).
 //!
 //! # Admission (per-tenant fair share)
 //!
@@ -86,19 +88,20 @@
 //! soon as its turn comes, without evaluating (the client still
 //! receives a terminal frame for that id, normally an `Error` reporting
 //! the cancellation). Cancelling a query that is populating the shared
-//! result cache drops its populate ticket, waking any waiting sessions
-//! to compute the result themselves — the shared cache is never
-//! poisoned by a cancelled flight. CANCEL for an unknown or
-//! already-finished id is an acknowledged no-op.
+//! result cache drops its populate ticket, handing the lead to a waiting
+//! session — the shared cache is never poisoned by a cancelled flight —
+//! and cancelling one that is *waiting* on another session's flight
+//! answers it at once and leaves that flight alone. CANCEL for an
+//! unknown or already-finished id is an acknowledged no-op.
 //!
 //! # Wire-level cache invalidation
 //!
 //! A FLUSH frame names a refreshed source. The connection's session
 //! flushes exactly the cached plans and results derived from it
-//! ([`Session::flush_source`]), the server prunes its serialized-frame
-//! copies, and the client gets back a `Flushed` frame with the drop
-//! counts. Source generations are observable through the caches'
-//! `generation` accessors.
+//! ([`Session::flush_source`]) — a result's serialized copy is part of
+//! its cache entry and goes with it — and the client gets back a
+//! `Flushed` frame with the drop counts. Source generations are
+//! observable through the caches' `generation` accessors.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -117,11 +120,6 @@ use crate::proto::{
     decode_request, encode_response, encode_result_frame, encode_result_text, frame, write_frame,
     Request, Response, ServedFrom, MAX_FRAME_LEN,
 };
-
-/// Entries kept in the serialized-response cache before a wholesale
-/// clear. Each entry mirrors one result-cache entry, so the bound only
-/// matters when the plan cache churns faster than the wire cache.
-const WIRE_CACHE_CAP: usize = 128;
 
 /// Tuning knobs for a [`serve`] call. `Default` gives a 64-plan shared
 /// cache, the result cache's default 64 MiB budget, per-connection
@@ -186,12 +184,6 @@ pub type Registrar = dyn Fn(&mut Session) + Send + Sync;
 struct ServerShared {
     plan_cache: Arc<PlanCache>,
     result_cache: Arc<ResultCache>,
-    /// Serialized responses by plan hash, validated against the result
-    /// cache's commit sequence: a warm hit reuses the exchange text
-    /// instead of deep-cloning the `Value` and re-serializing it. A
-    /// stale sequence (the entry was evicted and re-committed) misses
-    /// here and is re-serialized once.
-    wire_cache: Mutex<HashMap<u64, (u64, Arc<String>)>>,
     registrar: Arc<Registrar>,
     /// The compute executor every session evaluates on and every
     /// admitted query is a task of (the process-wide one, outside tests).
@@ -446,7 +438,6 @@ fn serve_on(
     let shared = Arc::new(ServerShared {
         plan_cache: PlanCache::new(config.plan_cache_capacity),
         result_cache: ResultCache::new(config.result_cache_budget),
-        wire_cache: Mutex::new(HashMap::new()),
         registrar,
         executor,
         config,
@@ -860,16 +851,6 @@ fn handle_connection(mut reader: TcpStream, conn: Arc<Conn>, shared: &Arc<Server
                 shared.flush_requests.fetch_add(1, Ordering::Relaxed);
                 match session.flush_source(&source) {
                     Ok(flush) => {
-                        let mut wire =
-                            shared.wire_cache.lock().unwrap_or_else(|e| e.into_inner());
-                        if flush.conservative {
-                            wire.clear();
-                        } else {
-                            for key in &flush.flushed_keys {
-                                wire.remove(key);
-                            }
-                        }
-                        drop(wire);
                         conn.send(&Response::Flushed {
                             id,
                             plans: flush.plans,
@@ -1030,11 +1011,11 @@ impl Drop for RunSlot {
 /// Warm fast path: a fully cached query is served inline on the reader
 /// thread — no executor task, no admission (the per-tenant gate guards
 /// *evaluation* capacity; a memory read needs none), and at most one
-/// serialization per result-cache commit generation: the exchange text
-/// lives in the wire cache, so the steady-state hit neither deep-clones
-/// the `Value` nor re-serializes it. Returns `false` (caller takes the
-/// ordinary admission path) unless both the plan and its committed
-/// result are cached.
+/// serialization per result-cache commit: the exchange text lives in the
+/// result's cache entry ([`ResultCache::exchange_text`]), so the
+/// steady-state hit neither clones the `Value` out nor re-serializes it.
+/// Returns `false` (caller takes the ordinary admission path) unless
+/// both the plan and its committed result are cached.
 fn try_fast_path(
     shared: &ServerShared,
     conn: &Conn,
@@ -1045,37 +1026,12 @@ fn try_fast_path(
     let Some(compiled) = session.plan_cache().peek(src, session.opt_config()) else {
         return false;
     };
-    let hash = compiled.plan_hash();
-    // `get_seq` does the result cache's hit accounting and LRU refresh
-    // for the whole fast path (both `peek`s are counter-neutral); the
-    // plan cache's follows once the reply is certain.
-    let Some(seq) = shared.result_cache.get_seq(hash) else {
+    // `exchange_text` does the result cache's hit accounting and LRU
+    // refresh for the whole fast path (the plan `peek` is
+    // counter-neutral); the plan cache's follows once the reply is
+    // certain.
+    let Some(text) = shared.result_cache.exchange_text(compiled.plan_hash()) else {
         return false;
-    };
-    let cached = {
-        let wire = shared.wire_cache.lock().unwrap_or_else(|e| e.into_inner());
-        match wire.get(&hash) {
-            Some((s, text)) if *s == seq => Some(Arc::clone(text)),
-            _ => None,
-        }
-    };
-    let text = match cached {
-        Some(text) => text,
-        None => {
-            // First hit of this commit generation (or the entry was
-            // re-committed since): serialize once and remember it.
-            let Some(value) = shared.result_cache.peek(hash) else {
-                // Evicted between `get_seq` and here; evaluate normally.
-                return false;
-            };
-            let text = Arc::new(kleisli_core::write_exchange(&value));
-            let mut wire = shared.wire_cache.lock().unwrap_or_else(|e| e.into_inner());
-            if wire.len() >= WIRE_CACHE_CAP && !wire.contains_key(&hash) {
-                wire.clear();
-            }
-            wire.insert(hash, (seq, Arc::clone(&text)));
-            text
-        }
     };
     session.plan_cache().record_hit(src, session.opt_config());
     shared.queries.fetch_add(1, Ordering::Relaxed);

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bio_data::{GdbConfig, GenBankConfig, MemorySource};
 use kleisli::{bio_federation, BioFederation, Session};
@@ -186,6 +186,48 @@ fn cancel_mid_flight_reports_error_and_does_not_poison_the_cache() {
 }
 
 #[test]
+fn a_cancel_reaches_a_query_coalesced_onto_another_connections_flight() {
+    let fed = slow_federation(400);
+    let server = serve_ephemeral(ServerConfig::default(), federation_registrar(&fed)).unwrap();
+    let src = r#"count({l | \l <- GDB-Tab("locus")})"#;
+
+    let mut leader = Client::connect(server.addr()).unwrap();
+    let leading = leader.send_query(src).unwrap();
+    // The first connection leads from the moment its miss is counted.
+    while server.result_cache().stats().misses == 0 {
+        thread::yield_now();
+    }
+    let mut waiter = Client::connect(server.addr()).unwrap();
+    let coalesced = waiter.send_query(src).unwrap();
+    thread::sleep(Duration::from_millis(80));
+    let cancelled = Instant::now();
+    waiter.cancel(coalesced).unwrap();
+    match waiter.wait_reply(coalesced).unwrap() {
+        QueryReply::Error(message) => assert!(message.contains("cancel"), "{message}"),
+        other => panic!("a cancelled waiter must end in an error, got {other:?}"),
+    }
+    let answered = cancelled.elapsed();
+    // ...well before the flight it was parked on lands, which is untouched.
+    let (v, served) = leader.wait_reply(leading).unwrap().into_value().unwrap();
+    let landed = cancelled.elapsed();
+    assert_eq!((v, served), (Value::Int(40), ServedFrom::Fresh));
+    assert!(
+        answered < Duration::from_millis(100) && answered + Duration::from_millis(100) < landed,
+        "ERROR after {answered:?}, the leader's RESULT after {landed:?}"
+    );
+    let r = server.result_cache().stats();
+    assert_eq!((r.misses, r.hits), (1, 0), "the waiter counted nothing: {r:?}");
+    let (v, served) = waiter.query(src).unwrap().into_value().unwrap();
+    assert_eq!((v, served), (Value::Int(40), ServedFrom::SharedCache));
+    // Both run slots go back (a slot is released just after its frame).
+    let settled = Instant::now() + Duration::from_secs(5);
+    while server.active_queries() > 0 {
+        assert!(Instant::now() < settled, "{}", server.stats_json());
+        thread::yield_now();
+    }
+}
+
+#[test]
 fn queue_depth_overflow_is_rejected_not_stalled() {
     let fed = slow_federation(300);
     let config = ServerConfig {
@@ -280,6 +322,28 @@ fn result_cache_budget_is_enforced_over_the_wire() {
     }
     let stats = server.result_cache().stats();
     assert!(stats.evictions > 0, "budget pressure must evict: {stats:?}");
+
+    // Warm hits on more distinct results than fit (three of these do): a
+    // hit keeps the result's serialized copy beside it, charged to the
+    // same budget and evicted with it.
+    let small = |k: i64| format!(r"{{[a = x.v, b = {k}] | \x <- DB, x.v < 10}}");
+    let mut ask = |k: i64, expected: ServedFrom| {
+        let (v, served) = client.query(&small(k)).unwrap().into_value().unwrap();
+        let row = |i| Value::record_from(vec![("a", Value::Int(i)), ("b", Value::Int(k))]);
+        assert_eq!(v, Value::set((0..10).map(row).collect()), "query {k}");
+        assert_eq!(served, expected, "query {k}");
+        let stats = server.result_cache().stats();
+        assert!(stats.bytes <= stats.budget && stats.peak_bytes <= stats.budget, "{stats:?}");
+        stats.bytes
+    };
+    for k in 0..7 {
+        let value_only = ask(k, ServedFrom::Fresh);
+        let with_text = ask(k, ServedFrom::SharedCache);
+        assert!(with_text > value_only, "the text is resident, so it is charged");
+        assert_eq!(ask(k, ServedFrom::SharedCache), with_text, "and serialized once");
+    }
+    // Long evicted, value and text together: recomputed, not replayed.
+    ask(0, ServedFrom::Fresh);
 }
 
 // ---------------------------------------------------------------------

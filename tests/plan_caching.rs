@@ -3,6 +3,7 @@
 //! LRU (hits, invalidation, correctness), and the set-deduplicated
 //! `query_first_n` prefix.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use bio_data::{GdbConfig, GenBankConfig};
@@ -181,4 +182,28 @@ fn repeated_queries_reuse_the_compiled_plan_and_stay_correct() {
     }
     let stats = session.plan_cache_stats();
     assert_eq!(stats.hits, 5, "five warm runs, five plan-cache hits");
+}
+
+#[test]
+fn a_session_keeps_its_cached_plans_alive_not_every_plan_it_ever_compiled() {
+    let mut session = Session::new();
+    session.bind_value("DB", Value::set((0..5).map(Value::Int).collect()));
+    session.set_plan_cache_capacity(2);
+    let query = |k: i64| format!(r"{{x + {k} | \x <- DB}}");
+
+    let compiled = session.compile(&query(0)).unwrap();
+    let Expr::Ext { body, .. } = &compiled.raw else {
+        panic!("a comprehension desugars to a generator: {}", compiled.raw)
+    };
+    // A subplan the compile interned, watched without keeping it alive.
+    let subplan = Arc::downgrade(body);
+    drop(compiled);
+    assert!(subplan.upgrade().is_some(), "the plan cache still holds q0");
+    for k in 1..=3 {
+        session.compile(&query(k)).unwrap();
+    }
+    assert!(
+        subplan.upgrade().is_none(),
+        "q0 left the plan cache, yet something still holds its subplans"
+    );
 }

@@ -6,11 +6,11 @@
 
 use std::sync::{Arc, Barrier};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bio_data::{GdbConfig, GenBankConfig};
 use kleisli::{bio_federation, BioFederation, PlanCache, Session};
-use kleisli_core::{CancelToken, LatencyModel, Value};
+use kleisli_core::{CancelToken, KError, LatencyModel, Value};
 use kleisli_exec::ResultCache;
 
 fn shared_pair(fed: &BioFederation) -> (Session, Session, Arc<PlanCache>, Arc<ResultCache>) {
@@ -119,6 +119,42 @@ fn cancelled_flight_does_not_poison_the_shared_cell() {
     let r = results.stats();
     assert_eq!(r.entries, 1, "retry cached the result: {r:?}");
     assert_eq!(r.misses, 2, "both flights counted as misses: {r:?}");
+}
+
+#[test]
+fn a_cancel_reaches_a_waiter_parked_on_another_sessions_flight() {
+    let fed = federation(300);
+    let (a, b, _plans, results) = shared_pair(&fed);
+    let token = Arc::new(CancelToken::new());
+    thread::scope(|scope| {
+        let leader = scope.spawn(|| run(&a, COUNT_LOCI));
+        // A leads from the moment its miss is counted, 300 ms from done.
+        while results.stats().misses == 0 {
+            thread::yield_now();
+        }
+        scope.spawn(|| {
+            thread::sleep(Duration::from_millis(80));
+            token.cancel();
+        });
+        let parked = Instant::now();
+        let err = b.run_shared(COUNT_LOCI, &token).expect_err("cancelled while waiting");
+        let waited = parked.elapsed();
+        assert!(matches!(err, KError::Cancelled(_)), "{err}");
+        assert!(
+            waited < Duration::from_millis(150),
+            "the waiter sat out {waited:?} of the leader's flight"
+        );
+        // The leader and its commit are untouched...
+        assert_eq!(leader.join().unwrap(), Value::Int(30));
+    });
+    // ...and the waiter that gave up counted neither a hit nor a miss.
+    let r = results.stats();
+    assert_eq!((r.misses, r.hits, r.entries), (1, 0, 1), "{r:?}");
+    let (v, cached) = b
+        .run_shared(COUNT_LOCI, &Arc::new(CancelToken::new()))
+        .expect("a third lookup");
+    assert_eq!((v, cached), (Value::Int(30), true));
+    assert_eq!(results.stats().hits, 1);
 }
 
 #[test]
