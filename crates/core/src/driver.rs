@@ -105,6 +105,19 @@ pub enum DriverRequest {
         /// Columns to project, or `None` for all of them.
         columns: Option<Vec<String>>,
     },
+    /// Rows `from..to` (storage order; `to = None` is "to the end") of a
+    /// [`DriverRequest::TableScan`]: one part of a split full fetch.
+    /// Only [`Driver::split_full`] makes these — no plan ever holds one.
+    TableRows {
+        /// The table to scan.
+        table: String,
+        /// Columns to project, or `None` for all of them.
+        columns: Option<Vec<String>>,
+        /// The first row of the range.
+        from: u64,
+        /// One past its last row, or `None` for every row from `from` on.
+        to: Option<u64>,
+    },
     /// Entrez index retrieval: boolean query over precomputed indexes with
     /// an optional path expression applied *during the parse* of each hit.
     EntrezFetch {
@@ -145,7 +158,8 @@ impl DriverRequest {
     /// request, or a plain submission attaching to one). Key-addressed reads — SQL text,
     /// Entrez fetches/links, ACE fetches — are; [`DriverRequest::Call`]
     /// is not (an opaque escape hatch may have effects per invocation),
-    /// and [`DriverRequest::TableScan`] is not (bulk transfers gain
+    /// and [`DriverRequest::TableScan`] and its
+    /// [`DriverRequest::TableRows`] parts are not (bulk transfers gain
     /// nothing from sharing and would skew scan-count baselines).
     pub fn coalescable(&self) -> bool {
         matches!(
@@ -161,10 +175,16 @@ impl DriverRequest {
     pub fn describe(&self) -> String {
         match self {
             DriverRequest::Sql { query } => format!("sql: {}", compact_ws(query)),
-            DriverRequest::TableScan { table, columns } => match columns {
-                Some(cs) => format!("scan {table} [{}]", cs.join(", ")),
-                None => format!("scan {table}"),
-            },
+            DriverRequest::TableScan { table, columns } => describe_scan(table, columns),
+            DriverRequest::TableRows {
+                table,
+                columns,
+                from,
+                to,
+            } => {
+                let to = to.map_or(String::new(), |to| to.to_string());
+                format!("{} rows {from}..{to}", describe_scan(table, columns))
+            }
             DriverRequest::EntrezFetch { db, query, path } => match path {
                 Some(p) => format!("entrez {db} select=\"{query}\" path={p}"),
                 None => format!("entrez {db} select=\"{query}\""),
@@ -176,6 +196,13 @@ impl DriverRequest {
             },
             DriverRequest::Call { function, .. } => format!("call {function}"),
         }
+    }
+}
+
+fn describe_scan(table: &str, columns: &Option<Vec<String>>) -> String {
+    match columns {
+        Some(cs) => format!("scan {table} [{}]", cs.join(", ")),
+        None => format!("scan {table}"),
     }
 }
 
@@ -969,6 +996,19 @@ pub trait Driver: Send + Sync {
         self.submit(req)
     }
 
+    /// How a full fetch of `req` splits into requests the source admits
+    /// side by side: their replies, concatenated in order, are the reply
+    /// of `req`. Empty — the default — means not at all; a caller given
+    /// two or more parts may [`Driver::submit_full`] each instead of
+    /// `req`, so one large reply crosses on several of the source's
+    /// connections at once (`kleisli_exec::eval`, "a full fetch is as
+    /// wide as its reply"). The answer must depend only on the request,
+    /// the source's data and its advertisement — never on load — so the
+    /// same scan costs the same requests every time.
+    fn split_full(&self, _req: &DriverRequest) -> Vec<DriverRequest> {
+        Vec::new()
+    }
+
     /// Does [`Driver::submit`] return *without* running the request
     /// inline? `false` for the default adapter (submission performs on
     /// the caller's thread); drivers that submit through a worker pool
@@ -1107,6 +1147,15 @@ mod tests {
             query: "select a\n  from t\n  where x = 1".into(),
         };
         assert_eq!(r.describe(), "sql: select a from t where x = 1");
+        let part = |to| DriverRequest::TableRows {
+            table: "locus".into(),
+            columns: Some(vec!["a".into(), "b".into()]),
+            from: 25,
+            to,
+        };
+        assert_eq!(part(Some(50)).describe(), "scan locus [a, b] rows 25..50");
+        assert_eq!(part(None).describe(), "scan locus [a, b] rows 25..");
+        assert!(!part(None).coalescable());
     }
 
     fn rows_stream(n: i64) -> BlockStream {

@@ -28,6 +28,20 @@
 //! prefetches rows (up to the advertised window; [`Driver::submit_full`]
 //! lifts it for a reply that will be read to its end): a batch reply is
 //! materialized on the worker anyway.
+//!
+//! # A full fetch is as wide as its reply
+//!
+//! One connection ships one reply at its row clock, so a large scan read
+//! to its end leaves the rest of the source's admitted connections idle.
+//! [`Driver::split_full`] is how the evaluator asks to use them: a
+//! source that can answer a request piecewise ([`Source::split`] — GDB
+//! answers a table scan by consecutive row ranges) returns the parts, and
+//! the evaluator submits each as a full fetch of its own, ordinary in
+//! every respect — one job, one ticket, its own retry, hedge and breaker
+//! charge. The shell asks only a source that prefetches
+//! (`prefetch_rows > 0`, which every source routes through
+//! [`LatencyModel::effective_prefetch`]): the same gate that lifts the
+//! window, for the same reason.
 
 use std::ops::Deref;
 use std::sync::Arc;
@@ -75,6 +89,46 @@ pub trait Source: Send + Sync + 'static {
     fn table_stats(&self, _table: &str) -> Option<TableStats> {
         None
     }
+
+    /// How a full fetch of `req` splits ([`Driver::split_full`]), for a
+    /// source that can answer a request piecewise: `window` is the
+    /// advertised [`Capabilities::prefetch_rows`] — a reply no longer
+    /// than that gains nothing from a second connection — and `width` the
+    /// admission limit, the most parts worth making. Asked only of a
+    /// source that prefetches. The default splits nothing.
+    fn split(&self, _req: &DriverRequest, _window: usize, _width: usize) -> Vec<DriverRequest> {
+        Vec::new()
+    }
+}
+
+/// The parts of a scan of `table`, `rows` rows long, for a source that
+/// answers [`DriverRequest::TableRows`] — the one rule of how a table
+/// splits ([`Source::split`]'s `window` and `width`): nothing while the
+/// reply fits one window, else `min(ceil(rows / window), width)`
+/// consecutive ranges of equal length. The last is open-ended, so a
+/// table that grew since it was counted loses no row. A function of the
+/// row count and the advertisement alone: the same table always costs
+/// the same requests.
+pub fn row_ranges(
+    table: &str,
+    columns: &Option<Vec<String>>,
+    rows: u64,
+    window: usize,
+    width: usize,
+) -> Vec<DriverRequest> {
+    let parts = rows.div_ceil(window.max(1) as u64).min(width as u64);
+    if parts < 2 {
+        return Vec::new();
+    }
+    let each = rows.div_ceil(parts);
+    (0..parts)
+        .map(|i| DriverRequest::TableRows {
+            table: table.to_string(),
+            columns: columns.clone(),
+            from: i * each,
+            to: (i + 1 < parts).then_some((i + 1) * each),
+        })
+        .collect()
 }
 
 /// What the pool's workers share with the shell: the source and
@@ -204,6 +258,19 @@ impl<S: Source> Driver for Remote<S> {
         // `prefetch_rows = 0` rows ship on the consumer's clock, always.
         let window = if self.prefetch_rows > 0 { FULL_FETCH } else { 0 };
         Ok(self.pooled(req, window))
+    }
+
+    fn split_full(&self, req: &DriverRequest) -> Vec<DriverRequest> {
+        // The gate `submit_full` lifts its window by: where rows ship on
+        // the consumer's clock (virtual-clock experiments, zero-latency
+        // sources) there is no transfer to overlap, and one scan stays
+        // one request.
+        if self.prefetch_rows == 0 {
+            return Vec::new();
+        }
+        self.wire
+            .source
+            .split(req, self.prefetch_rows, self.pool.limit())
     }
 
     fn nonblocking_submit(&self) -> bool {

@@ -574,6 +574,25 @@ impl DriverResilience {
         self.submit_direct(driver, req, deadline, cancel, full)
     }
 
+    /// The parts a full fetch of `req` is to be submitted as
+    /// ([`crate::Driver::split_full`]), each through
+    /// [`DriverResilience::submit_as`]; empty: as itself. Nothing is
+    /// split unless the breaker is closed — a half-open breaker admits
+    /// one probe at a time, and the whole request is that probe.
+    pub fn split_full(&self, driver: &DriverRef, req: &DriverRequest) -> Vec<DriverRequest> {
+        let parts = driver.split_full(req);
+        let closed = || {
+            self.breaker
+                .as_ref()
+                .is_none_or(|b| b.state() == BreakerState::Closed)
+        };
+        if parts.len() >= 2 && closed() {
+            parts
+        } else {
+            Vec::new()
+        }
+    }
+
     /// The caller's absolute budget tightened by the policy's own
     /// per-request deadline.
     fn merge_deadline(&self, deadline: Option<Instant>) -> Option<Instant> {

@@ -15,8 +15,15 @@
 //! [`SlowSource::release_wedged`] lets them finish, so tests can assert
 //! that abandoning a wedged round-trip neither blocks the caller nor
 //! leaks the admission ticket — and still exit with every thread joined.
+//!
+//! [`SlowSource::set_sliceable`] makes the source answer a table scan by
+//! row ranges ([`Source::split`]), the way GDB does, so the suites can
+//! drive a split full fetch — [`Fault::FailRow`] failing exactly the part
+//! that holds one row — through the same instrumentation. Off by
+//! default: a scan of a plain `SlowDriver` is one request, always.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -24,7 +31,7 @@ use crate::batch::BatchPolicy;
 use crate::driver::{Capabilities, DriverRequest};
 use crate::error::{KError, KResult};
 use crate::latency::LatencyModel;
-use crate::remote::{Remote, Source};
+use crate::remote::{row_ranges, Remote, Source};
 use crate::resilience::ResiliencePolicy;
 use crate::value::Value;
 
@@ -49,6 +56,11 @@ pub enum Fault {
         /// Additional wall-clock latency charged to a spiked request.
         extra: Duration,
     },
+    /// Every request whose reply would hold row `n` (0-based) fails with
+    /// a [`KError::Transport`] error after its delay: the whole scan, or
+    /// of a split one ([`SlowSource::set_sliceable`]) the one part whose
+    /// range covers the row — the parts in front of it answer.
+    FailRow(i64),
 }
 
 /// The latch wedged work blocks on. Sticky: once released, every
@@ -106,6 +118,8 @@ pub struct SlowSource {
     policy: Mutex<ResiliencePolicy>,
     /// The batching advertisement in `Capabilities` (default: none).
     batching: Mutex<Option<BatchPolicy>>,
+    /// Answer table scans by row ranges ([`SlowSource::set_sliceable`]).
+    sliceable: AtomicBool,
 }
 
 impl SlowDriver {
@@ -148,6 +162,7 @@ impl SlowDriver {
             },
             policy: Mutex::new(ResiliencePolicy::default()),
             batching: Mutex::new(None),
+            sliceable: AtomicBool::new(false),
         };
         // The source sleeps `delay` itself, inside its concurrency
         // bracket; the shell's model carries the per-row cost only.
@@ -197,6 +212,14 @@ impl SlowSource {
         *self.batching.lock().unwrap_or_else(|e| e.into_inner()) = policy;
     }
 
+    /// Answer [`DriverRequest::TableScan`] by row ranges from now on:
+    /// [`Source::split`] cuts a scan of more rows than the prefetch window
+    /// exactly as GDB does. Only a source that advertises a prefetch depth
+    /// is ever asked.
+    pub fn set_sliceable(&self, on: bool) {
+        self.sliceable.store(on, Ordering::SeqCst);
+    }
+
     /// Run `work` counted in `current` / `max_seen`.
     fn in_flight(&self, work: impl FnOnce()) {
         let now = self.current.fetch_add(1, Ordering::SeqCst) + 1;
@@ -205,9 +228,10 @@ impl SlowSource {
         self.current.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// One wire round-trip, per-key or batched: count it, apply the
-    /// armed fault, then spend `delay` of worker time.
-    fn round_trip(&self, driver: &str, counter: &AtomicU64) -> KResult<()> {
+    /// One wire round-trip, per-key or batched, answering `rows` of the
+    /// source's records: count it, apply the armed fault, then spend
+    /// `delay` of worker time.
+    fn round_trip(&self, driver: &str, counter: &AtomicU64, rows: &Range<i64>) -> KResult<()> {
         let seq = self.seq.fetch_add(1, Ordering::SeqCst) + 1;
         counter.fetch_add(1, Ordering::SeqCst);
         let fault = self.fault.lock().unwrap_or_else(|e| e.into_inner()).clone();
@@ -227,15 +251,29 @@ impl SlowSource {
                     std::thread::sleep(extra);
                 }
             }
-            Fault::None => {}
+            Fault::FailRow(_) | Fault::None => {}
         }
         self.in_flight(|| std::thread::sleep(self.delay));
-        Ok(())
+        match fault {
+            Fault::FailRow(n) if rows.contains(&n) => {
+                Err(KError::transport(driver, "injected transport failure"))
+            }
+            _ => Ok(()),
+        }
     }
 
-    fn records(&self) -> Vec<Value> {
-        (0..self.rows)
-            .map(|i| Value::record_from(vec![("n", Value::Int(i))]))
+    /// The rows a request asks for: a [`DriverRequest::TableRows`] part
+    /// its range, anything else every row.
+    fn rows_of(&self, req: &DriverRequest) -> Range<i64> {
+        let clamp = |row: u64| i64::try_from(row).map_or(self.rows, |row| row.min(self.rows));
+        match req {
+            DriverRequest::TableRows { from, to, .. } => clamp(*from)..to.map_or(self.rows, clamp),
+            _ => 0..self.rows,
+        }
+    }
+
+    fn records(rows: Range<i64>) -> Vec<Value> {
+        rows.map(|i| Value::record_from(vec![("n", Value::Int(i))]))
             .collect()
     }
 }
@@ -251,9 +289,10 @@ impl Source for SlowSource {
         }
     }
 
-    fn answer(&self, driver: &str, _req: &DriverRequest) -> KResult<Vec<Value>> {
-        self.round_trip(driver, &self.performs)?;
-        Ok(self.records())
+    fn answer(&self, driver: &str, req: &DriverRequest) -> KResult<Vec<Value>> {
+        let rows = self.rows_of(req);
+        self.round_trip(driver, &self.performs, &rows)?;
+        Ok(SlowSource::records(rows))
     }
 
     /// One batched wire round-trip serving every key: fault modes apply
@@ -263,8 +302,22 @@ impl Source for SlowSource {
         driver: &str,
         reqs: &[DriverRequest],
     ) -> KResult<Vec<KResult<Vec<Value>>>> {
-        self.round_trip(driver, &self.batch_performs)?;
-        Ok(reqs.iter().map(|_| Ok(self.records())).collect())
+        self.round_trip(driver, &self.batch_performs, &(0..self.rows))?;
+        Ok(reqs
+            .iter()
+            .map(|_| Ok(SlowSource::records(0..self.rows)))
+            .collect())
+    }
+
+    /// GDB's split (`sybase_sim`), over this source's one row count.
+    fn split(&self, req: &DriverRequest, window: usize, width: usize) -> Vec<DriverRequest> {
+        let DriverRequest::TableScan { table, columns } = req else {
+            return Vec::new();
+        };
+        if !self.sliceable.load(Ordering::SeqCst) {
+            return Vec::new();
+        }
+        row_ranges(table, columns, self.rows.max(0) as u64, window, width)
     }
 }
 

@@ -112,15 +112,32 @@ pub fn tokenize(v: &Value) -> Tokenizer {
     Tokenizer::new(v.clone())
 }
 
-/// Rebuild a value from a token stream. Fails on malformed streams.
+/// How deeply a token stream may nest collections, records and variants.
+/// The stream may come from a peer, and rebuilding it recurses once per
+/// level: unbounded, a few hundred kilobytes of `C set` lines — far
+/// inside any frame limit — would overflow the reader's stack.
+pub const MAX_NESTING: usize = 256;
+
+/// Rebuild a value from a token stream. Fails on malformed streams, and
+/// on one nested deeper than [`MAX_NESTING`].
 pub fn detokenize<I: Iterator<Item = Token>>(tokens: &mut I) -> KResult<Value> {
+    next_value(tokens, 0)
+}
+
+fn next_value<I: Iterator<Item = Token>>(tokens: &mut I, depth: usize) -> KResult<Value> {
     let tok = tokens
         .next()
         .ok_or_else(|| KError::exchange("unexpected end of token stream"))?;
-    value_from(tok, tokens)
+    value_from(tok, tokens, depth)
 }
 
-fn value_from<I: Iterator<Item = Token>>(tok: Token, rest: &mut I) -> KResult<Value> {
+/// The value `tok` opens, itself `depth` levels down.
+fn value_from<I: Iterator<Item = Token>>(tok: Token, rest: &mut I, depth: usize) -> KResult<Value> {
+    if depth > MAX_NESTING {
+        return Err(KError::exchange(format!(
+            "value nested deeper than {MAX_NESTING} levels"
+        )));
+    }
     match tok {
         Token::Unit => Ok(Value::Unit),
         Token::Bool(b) => Ok(Value::Bool(b)),
@@ -136,7 +153,7 @@ fn value_from<I: Iterator<Item = Token>>(tok: Token, rest: &mut I) -> KResult<Va
                     .ok_or_else(|| KError::exchange("unterminated collection"))?
                 {
                     Token::EndColl => break,
-                    t => elems.push(value_from(t, rest)?),
+                    t => elems.push(value_from(t, rest, depth + 1)?),
                 }
             }
             Ok(Value::collection(kind, elems))
@@ -149,10 +166,7 @@ fn value_from<I: Iterator<Item = Token>>(tok: Token, rest: &mut I) -> KResult<Va
                     .ok_or_else(|| KError::exchange("unterminated record"))?
                 {
                     Token::EndRecord => break,
-                    Token::Field(n) => {
-                        let v = detokenize(rest)?;
-                        fields.push((n, v));
-                    }
+                    Token::Field(n) => fields.push((n, next_value(rest, depth + 1)?)),
                     other => {
                         return Err(KError::exchange(format!(
                             "expected field or end-of-record, got {other:?}"
@@ -163,7 +177,7 @@ fn value_from<I: Iterator<Item = Token>>(tok: Token, rest: &mut I) -> KResult<Va
             Ok(Value::record(fields))
         }
         Token::StartVariant(tag) => {
-            let inner = detokenize(rest)?;
+            let inner = next_value(rest, depth + 1)?;
             match rest.next() {
                 Some(Token::EndVariant) => Ok(Value::Variant(tag, Arc::new(inner))),
                 other => Err(KError::exchange(format!(
@@ -511,6 +525,12 @@ mod tests {
         assert!(read_exchange("C set\n").is_err()); // unterminated
         assert!(read_exchange("Z what\n").is_err()); // unknown tag
         assert!(read_exchange("R\nI 3\n").is_err()); // value where field expected
+
+        // Nesting is bounded, not recursed into until the stack gives out.
+        let nested = |levels: usize| "C list\n".repeat(levels) + &"c\n".repeat(levels);
+        assert!(read_exchange(&nested(MAX_NESTING)).is_ok());
+        let err = read_exchange(&nested(200_000)).unwrap_err();
+        assert!(err.to_string().contains("nested deeper"), "{err}");
     }
 
     #[test]

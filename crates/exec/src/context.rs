@@ -293,6 +293,16 @@ impl Context {
         res.submit_as(driver, req, self.deadline, self.cancel.clone(), full)
     }
 
+    /// The parts a full fetch of `req` is submitted as, each through
+    /// [`Context::submit_as`]; empty: as itself
+    /// ([`DriverResilience::split_full`]).
+    pub(crate) fn split_full(&self, name: &str, req: &DriverRequest) -> Vec<DriverRequest> {
+        match (self.driver(name), self.resilience(name)) {
+            (Ok(driver), Some(res)) => res.split_full(driver, req),
+            _ => Vec::new(),
+        }
+    }
+
     /// Fold a `ParExt` warm-up's per-element requests into batched wire
     /// round-trips (see [`kleisli_core::resilience::DriverResilience::submit_batch`])
     /// and seed the resulting flights so the loop body's own
@@ -472,8 +482,15 @@ pub fn request_from_value(v: &Value) -> KResult<DriverRequest> {
         return Ok(DriverRequest::TableScan { table, columns });
     }
     if let Some(db) = get_str("db")? {
-        if let Some(Value::Int(uid)) = r.get("link") {
-            return Ok(DriverRequest::EntrezLinks { db, uid: *uid });
+        match r.get("link") {
+            None => {}
+            Some(Value::Int(uid)) => return Ok(DriverRequest::EntrezLinks { db, uid: *uid }),
+            Some(other) => {
+                return Err(KError::eval(format!(
+                    "driver argument field 'link' must be an integer, got {}",
+                    other.kind_name()
+                )))
+            }
         }
         if let Some(select) = get_str("select")? {
             return Ok(DriverRequest::EntrezFetch {
@@ -563,6 +580,11 @@ mod tests {
         assert!(request_from_value(&v).is_err());
         let v = Value::record_from(vec![("db", Value::str("na"))]);
         assert!(request_from_value(&v).is_err());
+        let v = Value::record_from(vec![("db", Value::str("na")), ("link", Value::str("7"))]);
+        assert_eq!(
+            request_from_value(&v).unwrap_err().to_string(),
+            KError::eval("driver argument field 'link' must be an integer, got string").to_string()
+        );
     }
 
     #[test]

@@ -12,10 +12,10 @@
 //! only for the forms it does not stream, so the mutual recursion always
 //! descends.
 //!
-//! # Strict siblings start together; a value-position scan is a full fetch
+//! # Strict siblings start together; a value-position scan is a full fetch, as wide as its reply
 //!
-//! The one rule about remote scans, stated here and relied on by
-//! [`crate::stream`]:
+//! The one rule about remote scans, in four clauses, stated here and
+//! relied on by [`crate::stream`]:
 //!
 //! * **Strict siblings start together.** An operator that evaluates
 //!   several children unconditionally and in order — the fields of a
@@ -37,12 +37,44 @@
 //!   memory-neutral: the request is a
 //!   [`kleisli_core::Driver::submit_full`], and a prefetching driver's
 //!   worker ships the whole reply without waiting for the consumer — who
-//!   is away draining the sibling in front.
+//!   is away draining the sibling in front. The top of a plan is value
+//!   position too when whoever drains it reads to the end by
+//!   construction and keeps every row
+//!   ([`crate::stream::eval_blocks_to_end`]: the server's admitted
+//!   query, which no caller can take a prefix of).
 //! * **Stream position keeps the window.** Every other consumer of a
-//!   scan — a top-level stream, `first_n`, the source of a generator, a
-//!   scan under a local filter — may stop early or never hold the rows,
-//!   so for it [`kleisli_core::Capabilities::prefetch_rows`] stays the
-//!   ceiling on rows shipped but not yet read.
+//!   scan — a top-level stream whose reader may stop, `first_n`, the
+//!   source of a generator, a scan under a local filter — may stop early
+//!   or never hold the rows, so for it
+//!   [`kleisli_core::Capabilities::prefetch_rows`] stays the ceiling on
+//!   rows shipped but not yet read.
+//! * **A full fetch is as wide as its reply.** One connection ships one
+//!   reply at its row clock, and a server tolerates several ("say five"
+//!   requests, Section 4) — so a full fetch first asks the driver how
+//!   the request splits ([`kleisli_core::Driver::split_full`]). A source
+//!   that answers piecewise and prefetches — GDB, for a table scan
+//!   longer than one window: `min(ceil(rows / window), connections)`
+//!   consecutive row ranges — returns the parts, and each is submitted as
+//!   a full fetch of its own before the first is redeemed; their streams
+//!   are read back to back, in part order. One 100-row scan at a window
+//!   of 32 is then `request ‖ request ‖ request ‖ request`, `rows ‖ rows
+//!   ‖ rows ‖ rows`: P − 1 extra round-trips, paid in parallel, for
+//!   (1 − 1/P) of the row transfer. Each part is an ordinary request —
+//!   admitted against the source's limit (parts beyond it queue as data),
+//!   counted, retried, hedged and charged to the breaker on its own, so
+//!   a retried part does not refetch its siblings — and the scan means
+//!   what the unsplit one means: the first error ends it and cancels the
+//!   parts behind, so no row ever follows an error. While the source's
+//!   breaker is anything but closed nothing is split: a half-open
+//!   breaker admits one probe, and the whole request is it. What a
+//!   split gives up is the single instant — P reads at P instants, like
+//!   any join that was not pushed down to its source. Stream position is
+//!   never split, so there each request's buffer holds one window at
+//!   most and `prefetch_rows` stays the ceiling for whoever may stop
+//!   early. No plan shows a split and no option selects one: the part
+//!   count is a function of the table's row count and the driver's
+//!   advertised window and width, so the same query costs the same
+//!   requests every time.
 
 use std::sync::Arc;
 

@@ -32,5 +32,6 @@ pub use result_cache::{
     ResultCache, ResultCacheStats, ResultLookup, ResultTicket, DEFAULT_RESULT_CACHE_BUDGET,
 };
 pub use stream::{
-    collect_blocks, collect_stream, eval_blocks, eval_stream, first_n, first_n_distinct, RowStream,
+    collect_blocks, collect_stream, eval_blocks, eval_blocks_to_end, eval_stream, first_n,
+    first_n_distinct, RowStream,
 };

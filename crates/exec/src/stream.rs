@@ -35,13 +35,19 @@
 //!
 //! Remote scans follow the rule stated once in [`mod@crate::eval`]'s module
 //! docs — *strict siblings start together; value position fetches in
-//! full; stream position keeps the window*. This module's share of it:
-//! a union's right arm is built ahead when that only puts requests in
-//! flight (`try_start`, the step `eval`'s `start` takes for record
-//! fields and primitive arguments), a singleton arm starts its element
-//! and drains it on first pull, and every scan built here without
-//! `eval` asking for it in value position (`Fetch::Window`) leaves the
-//! driver's `prefetch_rows` the ceiling on rows shipped but unread.
+//! full; stream position keeps the window; a full fetch is as wide as
+//! its reply*. This module's share of it: a union's right arm is built
+//! ahead when that only puts requests in flight (`try_start`, the step
+//! `eval`'s `start` takes for record fields and primitive arguments), a
+//! singleton arm starts its element and drains it on first pull, every
+//! scan built here without `eval` asking for it in value position
+//! (`Fetch::Window`) leaves the driver's `prefetch_rows` the ceiling on
+//! rows shipped but unread — and is one request, always — and a
+//! value-position scan (`Fetch::Full`) whose driver splits it is
+//! submitted part by part, all parts in flight before the first is read
+//! (`PartBlocks`: `request ‖ request ‖ …`, then `rows ‖ rows ‖ …`, for
+//! one scan). [`eval_blocks_to_end`] is the same position offered to a
+//! caller outside this crate who drains the blocks itself.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -75,6 +81,17 @@ pub fn eval_blocks(e: &Expr, env: &Env, ctx: &Context) -> KResult<BlockStream> {
     blocks(e, env, ctx, Want::Any)
 }
 
+/// [`eval_blocks`] for a consumer that reads the stream **to its end and
+/// keeps every row**: the top of the plan is then in value position (the
+/// rule in [`mod@crate::eval`]'s module docs), exactly as if [`crate::eval()`]
+/// collected it, while the caller still sees — and can check its budget
+/// between — the blocks. A consumer that may stop early must use
+/// [`eval_blocks`]: a full fetch ships whatever it is not stopped from
+/// shipping.
+pub fn eval_blocks_to_end(e: &Expr, env: &Env, ctx: &Context) -> KResult<BlockStream> {
+    blocks_at(e, env, ctx, Want::Any, Fetch::Full)
+}
+
 /// How a remote scan's rows are fetched; decided by where its stream is
 /// consumed (the rule is stated once, in [`mod@crate::eval`]'s module docs).
 #[derive(Clone, Copy)]
@@ -85,8 +102,9 @@ pub(crate) enum Fetch {
     Window,
     /// Value position: the consumer collects the scan to its end and the
     /// rows are the collection it builds, so the whole reply is fetched
-    /// ahead. Inherited by the arms of a union and by what a singleton
-    /// arm starts for its element, and by nothing else.
+    /// ahead — on as many of the source's connections as it has windows
+    /// of rows (`PartBlocks`). Inherited by the arms of a union and by
+    /// what a singleton arm starts for its element, and by nothing else.
     Full,
 }
 
@@ -662,15 +680,29 @@ struct PendingBlocks {
 }
 
 impl PendingBlocks {
-    /// Put `req` on the wire through the driver's resilience layer.
+    /// Put `req` on the wire through the driver's resilience layer — a
+    /// full fetch as the parts its driver splits it into, when it does
+    /// ([`PartBlocks`]).
     fn submit(
         driver: &str,
         req: &DriverRequest,
         ctx: &Context,
         fetch: Fetch,
     ) -> KResult<BlockStream> {
-        let handle = ctx.submit_as(driver, req, matches!(fetch, Fetch::Full))?;
-        Ok(PendingBlocks::boxed(handle, ctx))
+        let full = matches!(fetch, Fetch::Full);
+        let one = |req| Ok(PendingBlocks::boxed(ctx.submit_as(driver, req, full)?, ctx));
+        let parts = if full {
+            ctx.split_full(driver, req)
+        } else {
+            Vec::new()
+        };
+        if parts.is_empty() {
+            return one(req);
+        }
+        // Every part is in flight before the first is redeemed; a failed
+        // submission drops — cancels — the parts in front of it.
+        let parts = parts.iter().map(one).collect::<KResult<_>>()?;
+        Ok(Box::new(PartBlocks { parts }))
     }
 
     fn boxed(handle: kleisli_core::resilience::ResilientHandle, ctx: &Context) -> BlockStream {
@@ -707,6 +739,32 @@ impl BlockSource for PendingBlocks {
             return Some(ValueBlock::of_err(e));
         }
         self.inner.as_mut()?.next_block(max_rows)
+    }
+}
+
+/// One scan fetched as consecutive parts, each a request of its own
+/// ([`kleisli_core::Driver::split_full`]): the parts' streams back to
+/// back, in part order. Unlike [`ChainBlocks`] — two operands, each with
+/// a meaning of its own — this is *one* reply: the first error block ends
+/// it, and the parts behind the error are dropped with it, which cancels
+/// their requests, so no row ever follows an error.
+struct PartBlocks {
+    parts: VecDeque<BlockStream>,
+}
+
+impl BlockSource for PartBlocks {
+    fn next_block(&mut self, max_rows: usize) -> Option<ValueBlock> {
+        loop {
+            match self.parts.front_mut()?.next_block(max_rows) {
+                Some(block) => {
+                    if block.ends_with_err() {
+                        self.parts.clear();
+                    }
+                    return Some(block);
+                }
+                None => drop(self.parts.pop_front()),
+            }
+        }
     }
 }
 

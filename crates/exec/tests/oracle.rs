@@ -9,7 +9,9 @@
 //!   `flatten` of singleton unions, primitives over scans — on a
 //!   prefetching driver whose window is smaller than its table, so what
 //!   the evaluator starts ahead and fetches in full means what
-//!   left-to-right evaluation means;
+//!   left-to-right evaluation means; every plan run again with the
+//!   driver answering by row ranges, so a full fetch is three requests,
+//!   and once more with the middle range failing;
 //! * the runtime kind errors the type checker cannot rule out on
 //!   `any`-typed values, raised identically at the top of a query and in
 //!   its nested parts;
@@ -19,7 +21,7 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use kleisli_core::testutil::SlowDriver;
+use kleisli_core::testutil::{Fault, SlowDriver};
 use kleisli_core::{CollKind, DriverRequest, Value};
 use kleisli_exec::{
     collect_blocks, collect_stream, eval, eval_blocks, eval_stream, reference, Context, Env,
@@ -34,28 +36,52 @@ type Outcome = Result<Value, String>;
 /// (rows and requests cost nothing: `SlowDriver` prefetches regardless).
 const REMOTE_ROWS: i64 = 12;
 
+/// How the remote source `R` answers the scan the generated plans make.
+#[derive(Clone, Copy, Debug)]
+enum Scans {
+    /// One request, one reply.
+    Whole,
+    /// By row ranges: a full fetch is three requests of four rows.
+    Sliced,
+    /// By row ranges, the one holding row 5 failing: every scan of `R`
+    /// fails, split — behind the four rows in front — or not.
+    SlicedFailing,
+}
+
+const SCANS: [Scans; 3] = [Scans::Whole, Scans::Sliced, Scans::SlicedFailing];
+
 /// A fresh context (no run sees another's cache cells) over the one
 /// remote source `R` the generated plans scan.
-fn context() -> Context {
-    static R: OnceLock<Arc<SlowDriver>> = OnceLock::new();
-    let driver = R.get_or_init(|| {
-        SlowDriver::pipelined("R", REMOTE_ROWS, Duration::ZERO, Duration::ZERO, 3, 4)
-    });
+fn context(scans: Scans) -> Context {
+    static R: [OnceLock<Arc<SlowDriver>>; 3] = [const { OnceLock::new() }; 3];
+    context_over(R[scans as usize].get_or_init(|| source(scans)))
+}
+
+fn context_over(driver: &Arc<SlowDriver>) -> Context {
     let mut ctx = Context::new();
     ctx.register_driver(Arc::clone(driver) as _);
     ctx
 }
 
+fn source(scans: Scans) -> Arc<SlowDriver> {
+    let driver = SlowDriver::pipelined("R", REMOTE_ROWS, Duration::ZERO, Duration::ZERO, 3, 4);
+    driver.set_sliceable(!matches!(scans, Scans::Whole));
+    if matches!(scans, Scans::SlicedFailing) {
+        driver.set_fault(Fault::FailRow(5));
+    }
+    driver
+}
+
 /// Run `e` (a `kind` collection) every way there is, each on a fresh
 /// context: `eval`, full-grain drain, grain-1 drain, and the oracle.
-fn every_way(e: &Expr, kind: CollKind) -> [Outcome; 4] {
+fn every_way(e: &Expr, kind: CollKind, scans: Scans) -> [Outcome; 4] {
     let env = Env::empty();
     let text = |r: kleisli_core::KResult<Value>| r.map_err(|err| err.to_string());
     [
-        text(eval(e, &env, &context())),
-        text(eval_blocks(e, &env, &context()).and_then(|s| collect_blocks(s, kind))),
-        text(eval_stream(e, &env, &context()).and_then(|s| collect_stream(s, kind))),
-        text(reference::eval(e, &env, &context())),
+        text(eval(e, &env, &context(scans))),
+        text(eval_blocks(e, &env, &context(scans)).and_then(|s| collect_blocks(s, kind))),
+        text(eval_stream(e, &env, &context(scans)).and_then(|s| collect_stream(s, kind))),
+        text(reference::eval(e, &env, &context(scans))),
     ]
 }
 
@@ -335,21 +361,35 @@ proptest! {
 
     #[test]
     fn every_way_of_running_a_plan_agrees_with_the_oracle(plan in Plans) {
-        let [evaluated, blocks, rows, oracle] = every_way(&plan.0, plan.1);
-        prop_assert_eq!(&evaluated, &oracle);
-        prop_assert_eq!(&blocks, &oracle);
-        prop_assert_eq!(&rows, &oracle);
+        let mut whole = None;
+        for scans in SCANS {
+            let [evaluated, blocks, rows, oracle] = every_way(&plan.0, plan.1, scans);
+            prop_assert_eq!(&evaluated, &oracle, "{:?}", scans);
+            prop_assert_eq!(&blocks, &oracle, "{:?}", scans);
+            prop_assert_eq!(&rows, &oracle, "{:?}", scans);
+            // How a reply crosses the wire is not part of its meaning.
+            match scans {
+                Scans::Whole => whole = Some(oracle),
+                Scans::Sliced => prop_assert_eq!(Some(oracle), whole.take()),
+                Scans::SlicedFailing => {}
+            }
+        }
     }
 }
 
 #[test]
 fn the_property_exercises_values_errors_and_every_operator() {
     // Guard the generator itself: over 256 plans it must produce both
-    // outcomes and reach each collection operator.
+    // outcomes, reach each collection operator, and hold full fetches
+    // for a source that answers by row ranges to split.
     let (mut ok, mut failed, mut remote_ok, mut remote_failed) = (0, 0, 0, 0);
     let mut seen = [false; 5];
+    let (whole, sliced) = (source(Scans::Whole), source(Scans::Sliced));
     for seed in 0..256u64 {
         let plan = Plans.generate(&mut TestRng::new(seed));
+        for driver in [&whole, &sliced] {
+            let _ = eval(&plan.0, &Env::empty(), &context_over(driver));
+        }
         let scans = plan.0.touches_remote();
         plan.0.visit(&mut |e| match e {
             Expr::Join {
@@ -362,7 +402,7 @@ fn the_property_exercises_values_errors_and_every_operator() {
             Expr::Union(..) => seen[4] = true,
             _ => {}
         });
-        match reference::eval(&plan.0, &Env::empty(), &context()) {
+        match reference::eval(&plan.0, &Env::empty(), &context(Scans::Whole)) {
             Ok(_) => (ok += 1, remote_ok += u32::from(scans)),
             Err(_) => (failed += 1, remote_failed += u32::from(scans)),
         };
@@ -373,6 +413,10 @@ fn the_property_exercises_values_errors_and_every_operator() {
         "over remote scans: {remote_ok} values, {remote_failed} errors"
     );
     assert_eq!(seen, [true; 5], "blocked, indexed, par, cached, union");
+    // A split full fetch is three requests where the whole one is one.
+    let requests = |d: &SlowDriver| d.performs.load(std::sync::atomic::Ordering::SeqCst);
+    let split = (requests(&sliced) - requests(&whole)) / 2;
+    assert!(split >= 16, "{split} full fetches split");
 }
 
 fn join(kind: CollKind, left: Expr, right: Expr, cond: Expr, body: Expr) -> Expr {
@@ -497,10 +541,8 @@ fn runtime_kind_errors_are_the_same_everywhere() {
             Expr::Const(Value::bag(vec![Value::Int(0)])),
         );
         for (plan, kind) in [(e, kind), (nested, Bag)] {
-            for (way, outcome) in ["eval", "blocks", "rows", "oracle"]
-                .iter()
-                .zip(every_way(&plan, kind))
-            {
+            let ways = every_way(&plan, kind, Scans::Whole);
+            for (way, outcome) in ["eval", "blocks", "rows", "oracle"].iter().zip(ways) {
                 let err = outcome.expect_err(what);
                 assert!(err.contains(expected), "{what} via {way}: {err}");
             }
@@ -508,7 +550,7 @@ fn runtime_kind_errors_are_the_same_everywhere() {
     }
     // Generators may draw from any kind: not an error.
     let mixed = Expr::ext(Set, "x", Expr::single(Set, Expr::var("x")), list());
-    for outcome in every_way(&mixed, Set) {
+    for outcome in every_way(&mixed, Set, Scans::Whole) {
         assert_eq!(outcome, Ok(Value::set(vec![Value::Int(1)])));
     }
 }
@@ -534,7 +576,7 @@ fn a_bag_or_list_generator_sees_a_set_source_canonically() {
         (CollKind::List, Value::list(two.clone())),
         (CollKind::Set, Value::set(two)),
     ] {
-        for outcome in every_way(&over(kind), kind) {
+        for outcome in every_way(&over(kind), kind, Scans::Whole) {
             assert_eq!(outcome, Ok(expected.clone()), "{kind:?}");
         }
     }

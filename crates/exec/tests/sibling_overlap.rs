@@ -10,7 +10,12 @@
 //!   evaluation reports, and the siblings started beside it are
 //!   cancelled: no ticket, no orphan, row traffic stops within a block;
 //! * cancel and deadline stop a full fetch the same way;
-//! * one timed guard with the window *below* the table size.
+//! * one timed guard with the window *below* the table size;
+//! * a full fetch is as wide as its reply: over a source that answers by
+//!   row ranges a value-position scan is one request per part, all inside
+//!   the source together; a failing part ends the scan where it stands —
+//!   rows in front of it, nothing behind — and a stream-position scan is
+//!   never split.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -19,7 +24,9 @@ use std::time::{Duration, Instant};
 use kleisli_core::resilience::CancelToken;
 use kleisli_core::testutil::{Fault, SlowDriver};
 use kleisli_core::{CollKind, DriverRequest, KError, Value, DEFAULT_BLOCK_ROWS};
-use kleisli_exec::{collect_blocks, eval, eval_blocks, reference, Context, Env};
+use kleisli_exec::{
+    collect_blocks, eval, eval_blocks, eval_blocks_to_end, first_n, reference, Context, Env,
+};
 use nrc::{name, Expr, Prim};
 
 fn scan(driver: &str) -> Expr {
@@ -335,4 +342,129 @@ fn a_record_of_three_scans_costs_less_than_two_in_series() {
         took < two_in_series - two_in_series / 6,
         "three overlapped scans took {took:?}; two in series cost {two_in_series:?}"
     );
+}
+
+/// `rows` rows behind a `window`-row prefetch window on `limit`
+/// connections, answered by row ranges: a full fetch of it is
+/// `min(ceil(rows / window), limit)` requests.
+fn sliceable(
+    rows: i64,
+    delay: Duration,
+    per_row: Duration,
+    limit: usize,
+    window: usize,
+) -> Arc<SlowDriver> {
+    let driver = SlowDriver::pipelined("S", rows, delay, per_row, limit, window);
+    driver.set_sliceable(true);
+    driver
+}
+
+fn numbered(rows: std::ops::Range<i64>) -> Vec<Value> {
+    rows.map(|n| Value::record_from(vec![("n", Value::Int(n))]))
+        .collect()
+}
+
+#[test]
+fn a_value_position_scan_is_as_wide_as_its_reply() {
+    // 100 rows, window 8, four connections: four parts of 25 rows, inside
+    // the source together. Three such scans in a record queue 12 parts on
+    // the 4 workers, and admission never exceeds the width.
+    let delay = Duration::from_millis(40);
+    let driver = sliceable(100, delay, Duration::ZERO, 4, 8);
+    let ctx = ctx_of(&[&driver]);
+    let v = eval(&scan("S"), &Env::empty(), &ctx).unwrap();
+    assert_eq!(v, Value::set(numbered(0..100)));
+    assert_eq!(driver.performs.load(Ordering::SeqCst), 4);
+    assert_eq!(driver.max_seen.load(Ordering::SeqCst), 4);
+    assert_eq!(quiesced(&driver), 100);
+
+    let e = record_of([scan("S"), scan("S"), scan("S")]);
+    let v = eval(&e, &Env::empty(), &ctx).unwrap();
+    assert_eq!(v, reference::eval(&e, &Env::empty(), &ctx).unwrap());
+    // 12 by `eval`, 3 by the reference, which asks for each scan whole.
+    assert_eq!(driver.performs.load(Ordering::SeqCst), 4 + 12 + 3);
+    assert_eq!(driver.max_seen.load(Ordering::SeqCst), 4);
+    assert!(driver.threads_spawned() <= 4);
+    assert_eq!(quiesced(&driver), 100 + 300 + 300);
+
+    // Not sliceable, too short for a second window, or one connection:
+    // one request, as ever.
+    let plain = SlowDriver::pipelined("S", 100, delay, Duration::ZERO, 4, 8);
+    let short = sliceable(8, delay, Duration::ZERO, 4, 8);
+    let serial = sliceable(100, delay, Duration::ZERO, 1, 8);
+    for d in [&plain, &short, &serial] {
+        eval(&scan("S"), &Env::empty(), &ctx_of(&[d])).unwrap();
+        assert_eq!(d.performs.load(Ordering::SeqCst), 1);
+    }
+}
+
+#[test]
+fn a_failing_part_ends_the_scan_where_it_stands() {
+    // Four parts of 25 rows; the one holding row 30 fails. The consumer
+    // who reads the blocks sees the part in front, the error, the end.
+    let driver = sliceable(100, Duration::from_millis(5), Duration::ZERO, 4, 8);
+    driver.set_fault(Fault::FailRow(30));
+    let ctx = ctx_of(&[&driver]);
+    let mut blocks = eval_blocks_to_end(&scan("S"), &Env::empty(), &ctx).unwrap();
+    let mut rows = Vec::new();
+    while let Some(block) = blocks.next_block(DEFAULT_BLOCK_ROWS) {
+        rows.extend(block.into_rows());
+    }
+    let err = rows.pop().expect("an error row").unwrap_err();
+    assert!(matches!(err, KError::Transport { .. }), "{err}");
+    let delivered: Vec<Value> = rows.into_iter().map(Result::unwrap).collect();
+    assert_eq!(delivered, numbered(0..25), "the part in front, none behind");
+    assert!(blocks.next_block(1).is_none(), "nothing follows the error");
+    drop(blocks);
+    quiesced(&driver);
+
+    // `eval` reports what the unsplit scan reports.
+    let [evaluated, blocks, oracle] = every_way(&scan("S"), &ctx);
+    assert_eq!(evaluated, oracle);
+    assert_eq!(blocks, oracle);
+    assert!(oracle.unwrap_err().contains("injected transport failure"));
+
+    // The first part failing cancels the three behind it mid-transfer:
+    // 2 500 rows each at 200 us, stopped within a block of the error.
+    let per_row = Duration::from_micros(200);
+    let big = sliceable(10_000, Duration::from_millis(5), per_row, 4, 8);
+    big.set_fault(Fault::FailRow(0));
+    let err = eval(&scan("S"), &Env::empty(), &ctx_of(&[&big])).unwrap_err();
+    assert!(matches!(err, KError::Transport { .. }), "{err}");
+    let shipped = quiesced(&big);
+    assert!(big.performs.load(Ordering::SeqCst) <= 4);
+    assert!(shipped < 1_000, "{shipped} rows of 10 000 shipped");
+}
+
+#[test]
+fn a_stream_position_scan_is_never_split() {
+    // A prefix of a 100-row scan that would split four ways in value
+    // position: one request, and no more rows than the window allows.
+    let window = 8;
+    let driver = sliceable(100, Duration::ZERO, Duration::ZERO, 4, window);
+    let ctx = ctx_of(&[&driver]);
+    let prefix = first_n(&scan("S"), 3, &Env::empty(), &ctx).unwrap();
+    assert_eq!(prefix, numbered(0..3));
+    assert_eq!(driver.performs.load(Ordering::SeqCst), 1);
+    let shipped = quiesced(&driver);
+    assert!(shipped <= 3 + window as u64 + 2, "{shipped} rows for 3");
+
+    // The whole stream, read to its end by someone who might have
+    // stopped: still one request.
+    let all = eval_blocks(&scan("S"), &Env::empty(), &ctx)
+        .and_then(|s| collect_blocks(s, CollKind::Set))
+        .unwrap();
+    assert_eq!(all.len(), Some(100));
+    assert_eq!(driver.performs.load(Ordering::SeqCst), 2);
+    // ... and a generator's source is stream position wherever it sits.
+    let ns = Expr::ext(
+        CollKind::Set,
+        "row",
+        Expr::single(CollKind::Set, Expr::proj(Expr::var("row"), "n")),
+        scan("S"),
+    );
+    let e = record_of([ns.clone(), ns.clone(), ns]);
+    let v = eval(&e, &Env::empty(), &ctx).unwrap();
+    assert_eq!(v.project("c").and_then(Value::len), Some(100));
+    assert_eq!(driver.performs.load(Ordering::SeqCst), 2 + 3);
 }

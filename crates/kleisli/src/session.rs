@@ -25,7 +25,11 @@
 //! ([`QueryHandle::first_n`]) over-evaluates at most the prefix again.
 //! A caller that already runs on the executor — the server's admitted
 //! query — skips the hand-off altogether and evaluates in place with
-//! [`Session::run_shared`], through the same drain.
+//! [`Session::run_shared`], through the same drain; nobody can take a
+//! prefix of that evaluation, so its plan's top is in *value position*
+//! (`kleisli_exec::eval`: a scan there is a full fetch, split over the
+//! source's connections when the source can), while a handle's worker
+//! stays in stream position.
 //!
 //! # Plan caching
 //!
@@ -69,13 +73,13 @@ use std::time::{Duration, Instant};
 
 use cpl::{desugar_stmt, parse_expr, parse_program, Definitions, Stmt};
 use kleisli_core::{
-    CancelToken, Capabilities, CollKind, DriverRef, Executor, KError, KResult, MetricsSnapshot,
-    OneShot, PromiseState, ResiliencePolicy, TableStats, Type, Value, ValueBlock,
+    BlockStream, CancelToken, Capabilities, CollKind, DriverRef, Executor, KError, KResult,
+    MetricsSnapshot, OneShot, PromiseState, ResiliencePolicy, TableStats, Type, Value, ValueBlock,
     DEFAULT_BLOCK_ROWS,
 };
 use kleisli_exec::{
-    eval, eval_blocks, first_n, first_n_distinct, Context, Env, ObjectStore, ResultCache,
-    ResultLookup,
+    eval, eval_blocks, eval_blocks_to_end, first_n, first_n_distinct, Context, Env, ObjectStore,
+    ResultCache, ResultLookup,
 };
 use kleisli_opt::{optimize_shared, OptConfig, SourceCatalog, TraceEntry};
 use nrc::{Expr, Interner, TypeEnv};
@@ -297,7 +301,10 @@ impl QueryHandle {
             // row-granular cancellation) to offer.
             return eval(&compiled.optimized, &Env::empty(), ctx);
         };
-        drain(&compiled.optimized, ctx, |block| {
+        // Stream position: the handle's owner may take a prefix and
+        // cancel ([`QueryHandle::first_n`]) at any moment.
+        let blocks = eval_blocks(&compiled.optimized, &Env::empty(), ctx)?;
+        drain(blocks, ctx, |block| {
             let mut rows = shared.rows.lock().unwrap_or_else(|e| e.into_inner());
             let pushed = push_rows(&mut rows, block);
             drop(rows);
@@ -458,10 +465,10 @@ impl Drop for QueryHandle {
     }
 }
 
-/// Drain a collection-shaped plan block by block, handing each block to
-/// `deliver` — the one loop behind every query evaluated for a consumer
-/// who may be watching or may cancel ([`QueryHandle`]'s worker, and
-/// [`Session::run_shared`] on its caller's thread).
+/// Drain a collection-shaped plan's stream block by block, handing each
+/// block to `deliver` — the one loop behind every query evaluated for a
+/// consumer who may be watching or may cancel ([`QueryHandle`]'s worker,
+/// and [`Session::run_shared`] on its caller's thread).
 ///
 /// **The grain rule: it doubles per pull**, from 1 up to
 /// [`DEFAULT_BLOCK_ROWS`]. The first row is handed over as soon as it
@@ -471,11 +478,10 @@ impl Drop for QueryHandle {
 /// arrives fewer than `2n` have been delivered (the pull then in flight,
 /// which its cancel stops, asks for at most as many again).
 fn drain(
-    plan: &Expr,
+    mut blocks: BlockStream,
     ctx: &Context,
     mut deliver: impl FnMut(ValueBlock) -> KResult<()>,
 ) -> KResult<()> {
-    let mut blocks = eval_blocks(plan, &Env::empty(), ctx)?;
     let mut grain = 1;
     while let Some(block) = blocks.next_block(grain) {
         // Cancelled -> KError::Cancelled; past the query deadline ->
@@ -893,7 +899,10 @@ impl Session {
     /// `cancel` stops the evaluation cooperatively, exactly as
     /// [`QueryHandle::cancel`] does; the drain is the handle worker's
     /// (the grain rule on [`QueryHandle`]), so cancellation is noticed
-    /// at block boundaries and inside remote waits. A failed or
+    /// at block boundaries and inside remote waits. Unlike a handle's,
+    /// this evaluation cannot be asked for a prefix, so it drains
+    /// [`kleisli_exec::eval_blocks_to_end`]: a remote scan at the top of
+    /// the plan is fetched the way one inside a record field is. A failed or
     /// cancelled evaluation drops its populate ticket uncommitted,
     /// handing the lead to a waiting session.
     pub fn run_shared(&self, src: &str, cancel: &Arc<CancelToken>) -> KResult<(Value, bool)> {
@@ -914,10 +923,13 @@ impl Session {
         let value = match compiled.optimized.coll_kind_hint() {
             None => eval(&compiled.optimized, &Env::empty(), &ctx)?,
             Some(kind) => {
+                // Value position: nobody can take a prefix of this
+                // evaluation, it reads its plan to the end and keeps
+                // every row — so a scan at the top of the plan is a full
+                // fetch, as it would be one level down.
+                let blocks = eval_blocks_to_end(&compiled.optimized, &Env::empty(), &ctx)?;
                 let mut rows = Vec::new();
-                drain(&compiled.optimized, &ctx, |block| {
-                    push_rows(&mut rows, block)
-                })?;
+                drain(blocks, &ctx, |block| push_rows(&mut rows, block))?;
                 Value::collection(kind, rows)
             }
         };

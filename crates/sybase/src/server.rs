@@ -6,6 +6,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
+use kleisli_core::remote::row_ranges;
 use kleisli_core::{
     BatchPolicy, Capabilities, DriverRequest, KError, KResult, LatencyModel, Remote,
     ResiliencePolicy, Source, TableStats, Value,
@@ -473,6 +474,39 @@ impl Sybase {
     pub fn with_db<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
         f(&mut self.db.write())
     }
+
+    /// Rows `from..to` of `table` in storage order (`to = None`: to the
+    /// end), projected onto `columns` — every table scan, whole or part.
+    fn scan(
+        &self,
+        table: &str,
+        columns: Option<&[String]>,
+        from: u64,
+        to: Option<u64>,
+    ) -> KResult<Vec<Value>> {
+        let db = self.db.read();
+        let t = db.table(table)?;
+        let index = |row: u64| usize::try_from(row).unwrap_or(usize::MAX);
+        let take = to.map_or(usize::MAX, |to| index(to.saturating_sub(from)));
+        let rows = t.rows.iter().skip(index(from)).take(take);
+        Ok(match columns {
+            None => rows.map(|r| t.row_value(r)).collect(),
+            Some(cols) => {
+                let idxs: Vec<(usize, &String)> = cols
+                    .iter()
+                    .map(|c| Ok((t.col_index(c)?, c)))
+                    .collect::<KResult<_>>()?;
+                rows.map(|r| {
+                    Value::record(
+                        idxs.iter()
+                            .map(|(ci, c)| (Arc::from(c.as_str()), r[*ci].to_value()))
+                            .collect(),
+                    )
+                })
+                .collect()
+            }
+        })
+    }
 }
 
 /// The paper-era Sybase front end tolerated a moderate number of open
@@ -522,31 +556,14 @@ impl Source for Sybase {
                 execute_query(&self.db.read(), &q)
             }
             DriverRequest::TableScan { table, columns } => {
-                let db = self.db.read();
-                let t = db.table(table)?;
-                let rows: Vec<Value> = match columns {
-                    None => t.rows.iter().map(|r| t.row_value(r)).collect(),
-                    Some(cols) => {
-                        let idxs: Vec<(usize, &String)> = cols
-                            .iter()
-                            .map(|c| Ok((t.col_index(c)?, c)))
-                            .collect::<KResult<_>>()?;
-                        t.rows
-                            .iter()
-                            .map(|r| {
-                                Value::record(
-                                    idxs.iter()
-                                        .map(|(ci, c)| {
-                                            (Arc::from(c.as_str()), r[*ci].to_value())
-                                        })
-                                        .collect(),
-                                )
-                            })
-                            .collect()
-                    }
-                };
-                Ok(rows)
+                self.scan(table, columns.as_deref(), 0, None)
             }
+            DriverRequest::TableRows {
+                table,
+                columns,
+                from,
+                to,
+            } => self.scan(table, columns.as_deref(), *from, *to),
             other => Err(KError::driver(
                 driver,
                 format!("unsupported request: {}", other.describe()),
@@ -586,6 +603,18 @@ impl Source for Sybase {
 
     fn table_stats(&self, table: &str) -> Option<TableStats> {
         self.db.read().table(table).ok().map(|t| t.stats().clone())
+    }
+
+    /// A table scan splits into row ranges by the table's (memoized) row
+    /// count; SQL does not.
+    fn split(&self, req: &DriverRequest, window: usize, width: usize) -> Vec<DriverRequest> {
+        let DriverRequest::TableScan { table, columns } = req else {
+            return Vec::new();
+        };
+        match self.db.read().table(table) {
+            Ok(t) => row_ranges(table, columns, t.stats().rows, window, width),
+            Err(_) => Vec::new(),
+        }
     }
 }
 

@@ -195,10 +195,14 @@ impl Table {
             let seen: HashSet<&Datum> = self.rows.iter().map(|row| &row[ci]).collect();
             distinct.insert(col.clone(), seen.len() as u64);
         }
+        // Sorted: hash-map order differs between tables and processes,
+        // and equal tables must have equal statistics.
+        let mut indexed_columns: Vec<String> = self.indexes.keys().cloned().collect();
+        indexed_columns.sort();
         TableStats {
             rows: self.rows.len() as u64,
             columns: self.columns.clone(),
-            indexed_columns: self.indexes.keys().cloned().collect(),
+            indexed_columns,
             distinct,
         }
     }
@@ -296,6 +300,23 @@ mod tests {
         assert_eq!(after.rows, 11);
         assert_eq!(after.distinct["locus_id"], 10);
         assert_eq!(after.indexed_columns, vec!["locus_symbol"]);
+    }
+
+    #[test]
+    fn indexed_columns_are_reported_in_one_order() {
+        // Every index order, several tables each: a hash map's key order
+        // differs per map, so unsorted statistics disagree within a few.
+        for order in [["a", "b", "c"], ["c", "a", "b"], ["b", "c", "a"]] {
+            for _ in 0..8 {
+                let mut t = Table::new("t", vec!["a".into(), "b".into(), "c".into()]);
+                t.insert(vec![Datum::Int(1), Datum::Int(2), Datum::Int(3)])
+                    .unwrap();
+                for col in order {
+                    t.create_index(col).unwrap();
+                }
+                assert_eq!(t.stats().indexed_columns, ["a", "b", "c"]);
+            }
+        }
     }
 
     #[test]

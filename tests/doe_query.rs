@@ -251,3 +251,103 @@ fn parameterized_view_other_chromosome() {
         "chromosome parameter respected"
     );
 }
+
+// ---------------------------------------------------------------------------
+// The three `row_stream` texts of the benchmark, served the way `kleislid`
+// serves them (`Session::run_shared`): what they cost on the wire.
+// ---------------------------------------------------------------------------
+
+const ROW_STREAM: [&str; 3] = [
+    r#"GDB-Tab("locus")"#,
+    r#"flatten({GDB-Tab("locus"), GDB-Tab("object_genbank_eref"), GDB-Tab("locus_cyto_location")})"#,
+    r#"[loci = GDB-Tab("locus"), refs = GDB-Tab("object_genbank_eref"), bands = GDB-Tab("locus_cyto_location")]"#,
+];
+
+/// A GDB of 100 loci, 80 cross-references and 100 bands behind `latency`.
+fn row_stream_session(latency: LatencyModel) -> Session {
+    let mut db = sybase_sim::Database::new();
+    for (table, rows) in [
+        ("locus", 100),
+        ("object_genbank_eref", 80),
+        ("locus_cyto_location", 100),
+    ] {
+        db.create_table(table, &["id", "text"]).expect("create");
+        let t = db.table_mut(table).expect("table");
+        for i in 0..rows {
+            t.insert(vec![
+                sybase_sim::Datum::Int(i),
+                sybase_sim::Datum::str(format!("{table}-{i}")),
+            ])
+            .expect("insert");
+        }
+    }
+    let mut session = Session::new();
+    session.register_driver(std::sync::Arc::new(sybase_sim::SybaseServer::serve(
+        "GDB",
+        db.into(),
+        latency,
+    )));
+    session
+}
+
+#[test]
+fn a_served_table_scan_crosses_on_one_connection_per_window_of_rows() {
+    let served = |session: &Session, text: &str| {
+        session.reset_metrics();
+        let cancel = std::sync::Arc::new(kleisli_core::CancelToken::new());
+        let (value, cached) = session.run_shared(text, &cancel).expect("query");
+        assert!(!cached);
+        let m = session.driver_metrics("GDB").expect("metrics");
+        (value, m.requests, m.rows_shipped)
+    };
+    // Rows that cost wall-clock time (as little as a sleep can cost): the
+    // source prefetches, so a scan read to its end is ceil(rows / 32)
+    // requests — 4, 3 and 4 for the three tables.
+    let paced = row_stream_session(LatencyModel::real(
+        Duration::from_micros(50),
+        Duration::from_nanos(1),
+    ));
+    // The same rows on the virtual clock: nothing to overlap, one
+    // request a scan, as before.
+    let counted = row_stream_session(LatencyModel::virtual_only(
+        Duration::from_millis(2),
+        Duration::from_micros(100),
+    ));
+    let wire = [(4, 1, 100), (11, 3, 280), (11, 3, 280)];
+    let plans = [
+        ("REMOTE[GDB: scan locus]", 1, 4),
+        (
+            "flatten(({REMOTE[GDB: scan locus]} U ({REMOTE[GDB: scan object_genbank_eref]} \
+             U {REMOTE[GDB: scan locus_cyto_location]})))",
+            9,
+            12,
+        ),
+        (
+            "[loci = REMOTE[GDB: scan locus], refs = REMOTE[GDB: scan object_genbank_eref], \
+             bands = REMOTE[GDB: scan locus_cyto_location]]",
+            4,
+            12,
+        ),
+    ];
+    for ((text, (split, whole, rows)), (plan, nodes, rules)) in
+        ROW_STREAM.into_iter().zip(wire).zip(plans)
+    {
+        let (fast, requests, shipped) = served(&paced, text);
+        assert_eq!((requests, shipped), (split, rows), "{text}");
+        let (slow, requests, shipped) = served(&counted, text);
+        assert_eq!((requests, shipped), (whole, rows), "{text}");
+        assert_eq!(fast, slow, "{text}");
+        // The split is the driver's, at run time: no plan shows it, and
+        // the plan is what it was before a scan could split.
+        let explained = paced.explain(text).expect("explain");
+        let optimized =
+            format!("== optimized ({nodes} nodes) ==\n{plan}\n\n== rules fired ({rules}) ==");
+        assert!(explained.contains(&optimized), "{explained}");
+        let also = counted.explain(text).expect("explain");
+        assert!(also.contains(&optimized), "{also}");
+    }
+    // A handle's owner may still take a prefix: its scan is one request.
+    paced.reset_metrics();
+    assert_eq!(paced.query(ROW_STREAM[0]).expect("query").len(), Some(100));
+    assert_eq!(paced.driver_metrics("GDB").expect("metrics").requests, 1);
+}

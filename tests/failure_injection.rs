@@ -551,3 +551,150 @@ fn a_deadline_inside_a_two_hop_loop_leaves_the_drivers_quiescent() {
     assert!(err.is_timeout(), "expected a timeout, got: {err}");
     assert_two_hop_quiescent(&s, &hops);
 }
+
+// ---------------------------------------------------------------------------
+// A split full fetch (`kleisli_exec::eval`, "a full fetch is as wide as its
+// reply"): each part is an ordinary request, so whatever ends the query —
+// cancel, deadline, a failing part — with parts in flight and parts still
+// queued leaves the source quiescent, and a retried part is retried alone.
+// ---------------------------------------------------------------------------
+
+/// Three value-position scans of a source that answers by row ranges:
+/// 100 rows behind a 32-row window on eight connections, so four parts a
+/// scan — twelve requests for eight workers.
+const THREE_SCANS: &str =
+    r#"[a = SRC([table = "t"]), b = SRC([table = "t"]), c = SRC([table = "t"])]"#;
+const ONE_SCAN: &str = r#"count(SRC([table = "t"]))"#;
+const PARTS: u64 = 4;
+const CONNECTIONS: usize = 8;
+
+fn sliceable_source(delay: Duration) -> Arc<SlowDriver> {
+    let drv = SlowDriver::pipelined("SRC", 100, delay, Duration::ZERO, CONNECTIONS, 32);
+    drv.set_sliceable(true);
+    drv
+}
+
+/// No ticket, no orphan, no flight pending or seeded. (Admission itself
+/// is asserted where it happens: `RequestGate::admit` checks
+/// `in_flight < limit` on every pickup of a debug build, so a part
+/// admitted past the width fails its scan with a driver panic.)
+fn assert_source_quiescent(s: &Session, drv: &SlowDriver) {
+    wait_until("admission tickets to be released", || {
+        drv.gate().in_flight() == 0
+    });
+    wait_until("abandoned workers to retire", || drv.orphans() == 0);
+    let ctx = s.context();
+    let res = ctx.resilience("SRC").expect("registered");
+    assert_eq!((res.pending_flights(), ctx.seeded_flights()), (0, 0));
+}
+
+#[test]
+fn a_split_scan_is_one_request_per_part_and_never_wider_than_its_source() {
+    let drv = sliceable_source(Duration::from_millis(40));
+    let s = resilient_session(&drv);
+    let v = s.query(THREE_SCANS).expect("query");
+    for field in ["a", "b", "c"] {
+        assert_eq!(v.project(field).and_then(Value::len), Some(100), "{field}");
+    }
+    assert_eq!(drv.performs.load(Ordering::SeqCst), 3 * PARTS);
+    // Nothing was abandoned, so what was inside the source was admitted:
+    // twelve parts, never more than the eight connections at once.
+    assert_eq!(drv.max_seen.load(Ordering::SeqCst), CONNECTIONS);
+    assert_source_quiescent(&s, &drv);
+    assert_eq!(s.driver_metrics("SRC").expect("metrics").rows_shipped, 300);
+}
+
+#[test]
+fn cancel_deadline_and_a_failing_part_leave_a_split_scan_quiescent() {
+    let delay = Duration::from_millis(30);
+    for what in ["cancel", "deadline", "failing part"] {
+        let drv = sliceable_source(delay);
+        let s = resilient_session(&drv);
+        let err = match what {
+            "cancel" => {
+                let handle = s.submit(THREE_SCANS).expect("submit");
+                // Eight parts inside the source, four queued behind them.
+                wait_until("every connection to be busy", || {
+                    drv.gate().in_flight() == CONNECTIONS
+                });
+                handle.cancel();
+                handle.wait().unwrap_err()
+            }
+            "deadline" => s
+                .submit_with_deadline(THREE_SCANS, delay / 3)
+                .expect("submit")
+                .wait()
+                .unwrap_err(),
+            _ => {
+                // The second part of every scan fails; `a`'s is the error.
+                drv.set_fault(Fault::FailRow(30));
+                s.query(THREE_SCANS).unwrap_err()
+            }
+        };
+        match what {
+            "cancel" => assert!(matches!(err, KError::Cancelled(_)), "{what}: {err}"),
+            "deadline" => assert!(err.is_timeout(), "{what}: {err}"),
+            _ => assert!(matches!(err, KError::Transport { .. }), "{what}: {err}"),
+        }
+        drv.set_fault(Fault::None);
+        assert_source_quiescent(&s, &drv);
+        assert!(drv.performs.load(Ordering::SeqCst) <= 3 * PARTS, "{what}");
+        // The source is whole again: the next scan is four requests.
+        let before = drv.performs.load(Ordering::SeqCst);
+        assert_eq!(s.query(ONE_SCAN).expect("query"), Value::Int(100), "{what}");
+        let after = drv.performs.load(Ordering::SeqCst);
+        assert_eq!(after - before, PARTS, "{what}");
+    }
+}
+
+#[test]
+fn a_retried_part_does_not_refetch_its_siblings() {
+    let drv = sliceable_source(Duration::from_millis(1));
+    drv.set_resilience(ResiliencePolicy {
+        retry: Some(RetryPolicy {
+            max_retries: 3,
+            base_backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(5),
+        }),
+        ..ResiliencePolicy::default()
+    });
+    let s = resilient_session(&drv);
+    drv.set_fault(Fault::FailRequests(1));
+    assert_eq!(s.query(ONE_SCAN).expect("retried"), Value::Int(100));
+    assert_eq!(
+        drv.performs.load(Ordering::SeqCst),
+        PARTS + 1,
+        "the failed part again, and only it"
+    );
+    let m = s.driver_metrics("SRC").expect("metrics");
+    assert_eq!((m.retries, m.rows_shipped), (1, 100), "{m:?}");
+    assert_source_quiescent(&s, &drv);
+}
+
+#[test]
+fn a_half_open_breaker_is_probed_by_the_whole_scan_not_by_a_part() {
+    let drv = sliceable_source(Duration::from_millis(1));
+    drv.set_resilience(ResiliencePolicy {
+        breaker: Some(BreakerPolicy {
+            failure_threshold: 1,
+            cooldown: Duration::from_millis(100),
+        }),
+        ..ResiliencePolicy::default()
+    });
+    let s = resilient_session(&drv);
+    drv.set_fault(Fault::FailRow(0));
+    assert!(s.query(ONE_SCAN).is_err());
+    assert_eq!(s.breaker_state("SRC"), Some(BreakerState::Open));
+    drv.set_fault(Fault::None);
+    std::thread::sleep(Duration::from_millis(150));
+    assert_eq!(s.breaker_state("SRC"), Some(BreakerState::HalfOpen));
+    // Half-open admits one request at a time: four parts would be one
+    // probe and three refusals.
+    let before = drv.performs.load(Ordering::SeqCst);
+    assert_eq!(s.query(ONE_SCAN).expect("the probe"), Value::Int(100));
+    assert_eq!(drv.performs.load(Ordering::SeqCst) - before, 1);
+    assert_eq!(s.breaker_state("SRC"), Some(BreakerState::Closed));
+    assert_eq!(s.query(ONE_SCAN).expect("query"), Value::Int(100));
+    assert_eq!(drv.performs.load(Ordering::SeqCst) - before, 1 + PARTS);
+    assert_source_quiescent(&s, &drv);
+}
