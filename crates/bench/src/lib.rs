@@ -1,12 +1,13 @@
 //! # bench-harness
 //!
-//! Shared workload builders for the Criterion benches (`benches/`) and the
-//! table-printing report binary (`src/bin/report.rs`). Each experiment in
-//! EXPERIMENTS.md maps to one function here, so the benches and the report
-//! measure exactly the same workloads.
+//! Workload builders and timing helpers for the one `report` binary
+//! (`src/bin/report.rs`; its output is `BENCH_micro.json` at the repo
+//! root) and for the root test suites that want the same federation
+//! (`tests/batch_semantics.rs`, `tests/concurrency.rs`). Each paper
+//! experiment maps to one builder here.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bio_data::{GdbConfig, GenBankConfig};
 use kleisli::{bio_federation, BioFederation, Session};
@@ -256,16 +257,6 @@ pub const CACHEABLE: &str = r#"{[s = l.locus_symbol,
 pub const CONCURRENCY: &str =
     r#"{[u = uid, n = count(GenBank([db = "na", link = uid]))] | \uid <- UIDS}"#;
 
-/// E13: the two-source overlap workload for the concurrency report —
-/// per-uid requests to *both* servers (GenBank neighbor links and a GDB
-/// locus lookup), so the latency-overlapping scheduler can keep both
-/// sources busy at once, bounded by each one's admission budget. `UIDS`
-/// must be bound in the session (see [`bind_uids`]).
-pub const TWO_SOURCE_CONCURRENCY: &str = r#"{[u = uid,
-       links = count(GenBank([db = "na", link = uid])),
-       loci = count({l | \l <- GDB-Tab("locus"), l.locus_id = uid})] |
-    \uid <- UIDS}"#;
-
 /// Bind `UIDS` to the first `n` GenBank entry uids.
 pub fn bind_uids(session: &mut Session, fed: &BioFederation, n: usize) {
     let uids: Vec<Value> = fed
@@ -306,7 +297,7 @@ pub fn set_par_width(e: &Expr, width: usize) -> Expr {
 }
 
 // ------------------------------------------------------------------------
-// E14: row-pipelined execution (the `row_pipeline` report).
+// E14: row-pipelined execution (`report row_heavy_scans`).
 // ------------------------------------------------------------------------
 
 /// The row-pipeline workload: `drivers` SlowDrivers, each scanned
@@ -374,7 +365,7 @@ pub fn row_pipeline_workload(
 }
 
 // ------------------------------------------------------------------------
-// E9: structural sharing of plans (the `plan_sharing` bench).
+// E9: structural sharing of plans (`report sharing_fixpoint`).
 // ------------------------------------------------------------------------
 
 /// A deep nested comprehension: `depth` levels of
@@ -429,7 +420,7 @@ pub fn deep_comprehension(depth: usize, width: i64) -> Expr {
 }
 
 // ------------------------------------------------------------------------
-// E12: subplan caching (the `plan_cache` bench).
+// E12: the rewrite memo (`report memoized_fixpoint`).
 // ------------------------------------------------------------------------
 
 /// A plan in which one deep subtree is *shared* (one `Arc`, `copies`
@@ -445,142 +436,27 @@ pub fn shared_subtree_plan(copies: usize, depth: usize, width: i64) -> Arc<Expr>
     e
 }
 
-/// Fixpoint over the resolve + monadic sets with the rewrite memo toggled.
-pub fn memo_fixpoint(e: Arc<Expr>, config: &OptConfig, memo: bool) -> Arc<Expr> {
-    let config = OptConfig {
-        enable_rewrite_memo: memo,
-        ..config.clone()
-    };
-    shared_fixpoint(e, &config)
-}
-
-/// A session with a small local database and the plan cache sized by
-/// `capacity` (0 disables caching — the repeat-compile baseline).
-pub fn compile_session(capacity: usize) -> Session {
-    let mut session = Session::new();
-    session.set_plan_cache_capacity(capacity);
-    session.bind_value(
-        "DB",
-        Value::set(
-            (0..64)
-                .map(|i| {
-                    Value::record_from(vec![
-                        ("k", Value::Int(i % 7)),
-                        ("v", Value::Int(i)),
-                        ("name", Value::str(format!("row{i}"))),
-                    ])
-                })
-                .collect(),
-        ),
-    );
-    session
-}
-
-/// The query repeatedly compiled by the plan-cache experiment: enough
-/// nesting and pattern sugar that a compile costs a realistic amount.
-pub const REPEAT_COMPILE: &str = r"{[k = x.k, total = sum({y.v | \y <- DB, y.k = x.k}),
-      names = {y.name | \y <- DB, y.k = x.k}] | \x <- DB}";
-
-/// Run one rule set to fixpoint the way the pre-sharing engine did:
-/// every pass rebuilds **every** node of the plan (one fresh allocation
-/// per node, exactly like the old `Box<Expr>` `map_children`), and the
-/// fixpoint test is the structural `changed` flag. This is the honest
-/// baseline for the `plan_sharing` bench — same rules, same strategy,
-/// same fixpoint bound, different plan representation discipline.
-pub fn legacy_run_rule_set(
-    rs: &kleisli_opt::RuleSet,
-    e: Arc<Expr>,
-    ctx: &kleisli_opt::RuleCtx<'_>,
-) -> Arc<Expr> {
-    fn rebuild_all(
-        rs: &kleisli_opt::RuleSet,
-        e: &Arc<Expr>,
-        ctx: &kleisli_opt::RuleCtx<'_>,
-        changed: &mut bool,
-        top_down: bool,
-    ) -> Arc<Expr> {
-        let apply_here = |mut cur: Arc<Expr>, changed: &mut bool| -> Arc<Expr> {
-            'outer: for _ in 0..kleisli_opt::MAX_PASSES {
-                for rule in &rs.rules {
-                    if let Some(new) = (rule.apply)(&cur, ctx) {
-                        *changed = true;
-                        cur = Arc::new(new);
-                        continue 'outer;
-                    }
-                }
-                break;
-            }
-            cur
-        };
-        let go_children = |e: &Arc<Expr>, changed: &mut bool| -> Arc<Expr> {
-            let rebuilt =
-                Expr::map_children_shared(e, &mut |c| rebuild_all(rs, c, ctx, changed, top_down));
-            // Force the old representation's cost model: one fresh node
-            // allocation per plan node per pass, even when unchanged.
-            if Arc::ptr_eq(&rebuilt, e) {
-                Arc::new((**e).clone())
-            } else {
-                rebuilt
-            }
-        };
-        if top_down {
-            let e2 = apply_here(Arc::clone(e), changed);
-            go_children(&e2, changed)
-        } else {
-            let e2 = go_children(e, changed);
-            apply_here(e2, changed)
-        }
-    }
-    let top_down = matches!(rs.strategy, kleisli_opt::Strategy::TopDown);
-    let mut e = e;
-    for _ in 0..kleisli_opt::MAX_PASSES {
-        let mut changed = false;
-        e = rebuild_all(rs, &e, ctx, &mut changed, top_down);
-        if !changed {
-            break;
-        }
-    }
-    e
-}
-
-/// Fixpoint over the resolve + monadic sets with the sharing engine.
-pub fn shared_fixpoint(e: Arc<Expr>, config: &OptConfig) -> Arc<Expr> {
+/// Fixpoint over the resolve + monadic rule sets under the default
+/// configuration: the sharing-preserving engine with its rewrite memo, or
+/// (`memo = false`) through its unmemoized reference entry point.
+pub fn fixpoint(e: Arc<Expr>, memo: bool) -> Arc<Expr> {
+    let config = OptConfig::default();
     let ctx = kleisli_opt::RuleCtx {
         catalog: &kleisli_opt::NullCatalog,
-        config,
+        config: &config,
     };
     let mut trace = Vec::new();
-    let e = kleisli_opt::rules::resolve::rule_set().run(e, &ctx, &mut trace);
-    kleisli_opt::rules::monadic::rule_set().run(e, &ctx, &mut trace)
-}
-
-/// Fixpoint over the same sets with the legacy rebuild-every-pass engine.
-pub fn legacy_fixpoint(e: Arc<Expr>, config: &OptConfig) -> Arc<Expr> {
-    let ctx = kleisli_opt::RuleCtx {
-        catalog: &kleisli_opt::NullCatalog,
-        config,
-    };
-    let e = legacy_run_rule_set(&kleisli_opt::rules::resolve::rule_set(), e, &ctx);
-    legacy_run_rule_set(&kleisli_opt::rules::monadic::rule_set(), e, &ctx)
-}
-
-/// The deep clones the pre-sharing streaming executor performed while
-/// assembling the `ExtStream` chain for the first output element: one
-/// full copy of the remaining body at every comprehension level. The
-/// returned node count keeps the optimizer from eliding the work.
-pub fn legacy_stream_clone_cost(e: &Expr) -> usize {
-    match e {
-        Expr::Ext { body, source, .. } => {
-            let cloned = body.deep_clone();
-            cloned.size() + legacy_stream_clone_cost(source)
+    let sets = [
+        kleisli_opt::rules::resolve::rule_set(),
+        kleisli_opt::rules::monadic::rule_set(),
+    ];
+    sets.iter().fold(e, |e, set| {
+        if memo {
+            set.run(e, &ctx, &mut trace)
+        } else {
+            set.run_unmemoized(e, &ctx, &mut trace)
         }
-        Expr::Union(_, a, b) => {
-            // the lazy right side was cloned up front
-            let cloned = b.deep_clone();
-            cloned.size() + legacy_stream_clone_cost(a)
-        }
-        _ => 0,
-    }
+    })
 }
 
 /// Build the stream for `e` and pull the first element (the paper's
@@ -590,6 +466,51 @@ pub fn stream_first(e: &Expr) -> usize {
     kleisli_exec::first_n(e, 1, &Env::empty(), &ctx)
         .expect("stream")
         .len()
+}
+
+// ------------------------------------------------------------------------
+// Timing: the three ways `report` reads a clock.
+// ------------------------------------------------------------------------
+
+/// Mean wall time of `reps` runs of `f`, after one untimed warm-up run —
+/// for CPU-bound work, where the mean over many runs is the stable figure.
+pub fn time_mean<R>(reps: usize, mut f: impl FnMut() -> R) -> Duration {
+    f();
+    let t0 = Instant::now();
+    for _ in 0..reps {
+        std::hint::black_box(f());
+    }
+    t0.elapsed() / reps as u32
+}
+
+/// Fastest of `reps` runs of `f` — for work that sleeps, where every
+/// disturbance only ever adds time.
+pub fn time_best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> Duration {
+    (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            std::hint::black_box(f());
+            t0.elapsed()
+        })
+        .min()
+        .expect("at least one repetition")
+}
+
+/// Wall time of each of `n` runs of `f`, ascending — the sorted sample
+/// `kbench::stats::percentile` and [`tail`] read.
+pub fn latencies<R>(n: usize, mut f: impl FnMut() -> R) -> Vec<Duration> {
+    let mut sample: Vec<Duration> = (0..n).map(|_| time_best_of(1, &mut f)).collect();
+    sample.sort();
+    sample
+}
+
+/// The `p`-th percentile of an ascending sample, which must be large
+/// enough to support it (`kbench::stats::supported_percentile`: ten
+/// samples beyond the rank). A measurement that names a tail takes the
+/// samples for it; a p99 of 60 samples is a panic, not a number.
+pub fn tail(sorted: &[Duration], p: f64) -> Duration {
+    kbench::stats::supported_percentile(sorted, p)
+        .unwrap_or_else(|| panic!("{} samples do not support a p{p}", sorted.len()))
 }
 
 #[cfg(test)]
@@ -629,5 +550,75 @@ mod tests {
             .unwrap();
             assert_eq!(v, naive);
         }
+    }
+
+    #[test]
+    fn time_mean_warms_up_once_and_averages_the_rest() {
+        let nap = Duration::from_millis(2);
+        let mut calls = 0;
+        let t0 = Instant::now();
+        let mean = time_mean(4, || {
+            calls += 1;
+            std::thread::sleep(nap);
+        });
+        let wall = t0.elapsed();
+        assert_eq!(calls, 5, "one warm-up run plus four timed ones");
+        assert!(mean >= nap, "{mean:?}");
+        assert!(
+            mean * 4 + nap <= wall,
+            "a mean of the timed runs, warm-up excluded: {mean:?} of {wall:?}"
+        );
+    }
+
+    #[test]
+    fn time_best_of_keeps_the_fastest_run() {
+        let mut calls = 0u64;
+        let best = time_best_of(3, || {
+            calls += 1;
+            // The first run is the slow one.
+            std::thread::sleep(Duration::from_millis(if calls == 1 { 30 } else { 2 }));
+        });
+        assert_eq!(calls, 3, "no warm-up run");
+        assert!(
+            (Duration::from_millis(2)..Duration::from_millis(30)).contains(&best),
+            "{best:?}"
+        );
+    }
+
+    #[test]
+    fn latencies_are_one_sorted_sample_per_run() {
+        let mut calls = 0u64;
+        let sample = latencies(5, || {
+            calls += 1;
+            std::thread::sleep(Duration::from_millis(if calls == 2 { 20 } else { 1 }));
+        });
+        assert_eq!((calls, sample.len()), (5, 5));
+        assert!(sample.windows(2).all(|w| w[0] <= w[1]), "{sample:?}");
+        assert!(sample[4] >= Duration::from_millis(20), "{sample:?}");
+        assert!(sample[3] < Duration::from_millis(20), "{sample:?}");
+    }
+
+    #[test]
+    fn a_tail_is_the_nearest_rank_of_a_sample_that_supports_it() {
+        let sample = |n: u64| (1..=n).map(Duration::from_millis).collect::<Vec<_>>();
+        // One straggler in ten: 60 samples support p80, 200 support p95.
+        assert_eq!(tail(&sample(60), 80.0), Duration::from_millis(48));
+        assert_eq!(tail(&sample(200), 95.0), Duration::from_millis(190));
+    }
+
+    #[test]
+    #[should_panic(expected = "60 samples do not support a p99")]
+    fn a_tail_the_sample_cannot_support_is_refused() {
+        let sample: Vec<Duration> = (1..=60).map(Duration::from_millis).collect();
+        tail(&sample, 99.0);
+    }
+
+    #[test]
+    fn both_fixpoints_normalize_to_the_same_shape() {
+        let plan = shared_subtree_plan(4, 3, 4);
+        assert_eq!(
+            fixpoint(Arc::clone(&plan), true).size(),
+            fixpoint(plan, false).size()
+        );
     }
 }

@@ -29,8 +29,10 @@
 //!   served to its waiters but not retained.
 //! * **Observability.** [`ResultCache::stats`] exposes hits, misses,
 //!   evictions, entry count, resident bytes, and the high-water mark
-//!   (`peak_bytes`) — the server's STATS frame and the `server_report`
-//!   bench assert `peak_bytes <= budget` from it.
+//!   (`peak_bytes`) — the server's STATS frame reports it, kbench reads
+//!   it as `exec.result_cache_peak_mb`, and the server suite's
+//!   `result_cache_budget_is_enforced_over_the_wire` asserts
+//!   `peak_bytes <= budget` from it.
 //!
 //! Entries may additionally be **tagged with source names**
 //! ([`ResultCache::lookup_or_begin_tagged`]): the drivers the cached

@@ -62,12 +62,6 @@ pub struct OptConfig {
     /// Mark remote inner loops over batching-capable servers with a
     /// [`nrc::BatchSpec`] (IN-list / multi-uid pushdown).
     pub enable_batching: bool,
-    /// Memoize per-subplan rewrite results within each rule-set fixpoint,
-    /// keyed by `Arc` identity: a subtree shared by many parents (or
-    /// repeated across passes once it has normalized) is rewritten once
-    /// instead of once per occurrence. Off only for benchmarks measuring
-    /// the unmemoized engine.
-    pub enable_rewrite_memo: bool,
 }
 
 impl Default for OptConfig {
@@ -79,7 +73,6 @@ impl Default for OptConfig {
             enable_cache: true,
             enable_parallel: true,
             enable_batching: true,
-            enable_rewrite_memo: true,
         }
     }
 }
@@ -94,7 +87,6 @@ impl OptConfig {
             enable_cache: false,
             enable_parallel: false,
             enable_batching: false,
-            ..OptConfig::default()
         }
     }
 }
@@ -132,32 +124,18 @@ pub struct RuleSet {
 /// re-walked, in pass *n+1*. Unshared nodes (strong count 1) are never
 /// tracked — they cannot repeat, and skipping them keeps no-op passes as
 /// cheap as the unmemoized engine's.
+#[derive(Default)]
 struct RewriteMemo {
-    enabled: bool,
     map: HashMap<usize, Arc<Expr>>,
     keep: Vec<Arc<Expr>>,
 }
 
 impl RewriteMemo {
-    fn new(enabled: bool) -> RewriteMemo {
-        RewriteMemo {
-            enabled,
-            map: HashMap::new(),
-            keep: Vec::new(),
-        }
-    }
-
     fn get(&self, e: &Arc<Expr>) -> Option<Arc<Expr>> {
-        if !self.enabled {
-            return None;
-        }
         self.map.get(&(Arc::as_ptr(e) as usize)).map(Arc::clone)
     }
 
     fn insert(&mut self, input: &Arc<Expr>, output: &Arc<Expr>) {
-        if !self.enabled {
-            return;
-        }
         self.map
             .insert(Arc::as_ptr(input) as usize, Arc::clone(output));
         self.keep.push(Arc::clone(input));
@@ -172,19 +150,36 @@ impl RuleSet {
     /// equal) and allocates nothing, so the fixpoint test is a single
     /// `Arc::ptr_eq` on the root instead of a structural `PartialEq` walk.
     ///
-    /// With `config.enable_rewrite_memo` (the default), per-subplan
-    /// results are additionally memoized on `Arc` identity for the whole
-    /// fixpoint, so a subtree shared by many parents is rewritten once —
-    /// see `RewriteMemo` (private to this module). A memo hit also skips re-recording trace
-    /// entries: the trace reports rewrites per distinct subplan, not per
-    /// occurrence.
-    pub fn run(
+    /// Per-subplan results are additionally memoized on `Arc` identity
+    /// for the whole fixpoint, so a subtree shared by many parents is
+    /// rewritten once — see `RewriteMemo` (private to this module). A
+    /// memo hit also skips re-recording trace entries: the trace reports
+    /// rewrites per distinct subplan, not per occurrence.
+    pub fn run(&self, e: Arc<Expr>, ctx: &RuleCtx<'_>, trace: &mut Vec<TraceEntry>) -> Arc<Expr> {
+        self.fixpoint(e, ctx, trace, Some(RewriteMemo::default()))
+    }
+
+    /// [`RuleSet::run`] without the rewrite memo: every occurrence of a
+    /// shared subtree is walked again. The reference the memo is tested
+    /// against (`tests/semantics.rs`) and measured against (`report
+    /// memoized_fixpoint`); nothing else calls it.
+    #[doc(hidden)]
+    pub fn run_unmemoized(
+        &self,
+        e: Arc<Expr>,
+        ctx: &RuleCtx<'_>,
+        trace: &mut Vec<TraceEntry>,
+    ) -> Arc<Expr> {
+        self.fixpoint(e, ctx, trace, None)
+    }
+
+    fn fixpoint(
         &self,
         mut e: Arc<Expr>,
         ctx: &RuleCtx<'_>,
         trace: &mut Vec<TraceEntry>,
+        mut memo: Option<RewriteMemo>,
     ) -> Arc<Expr> {
-        let mut memo = RewriteMemo::new(ctx.config.enable_rewrite_memo);
         for pass in 0..MAX_PASSES {
             let next = self.one_pass(&e, ctx, trace, pass, &mut memo);
             if Arc::ptr_eq(&next, &e) {
@@ -208,7 +203,7 @@ impl RuleSet {
         ctx: &RuleCtx<'_>,
         trace: &mut Vec<TraceEntry>,
         pass: usize,
-        memo: &mut RewriteMemo,
+        memo: &mut Option<RewriteMemo>,
     ) -> Arc<Expr> {
         // Only *shared* nodes are worth tracking: a node referenced once
         // can never yield a memo hit within a pass, and every key the
@@ -217,9 +212,9 @@ impl RuleSet {
         // over an unshared plan at one atomic load per node — the
         // PR-1 "a no-op pass allocates nothing" property — while shared
         // subtrees (hand-shared or hash-consed) are rewritten once.
-        let track = memo.enabled && Arc::strong_count(e) > 1;
+        let track = memo.is_some() && Arc::strong_count(e) > 1;
         if track {
-            if let Some(hit) = memo.get(e) {
+            if let Some(hit) = memo.as_ref().and_then(|m| m.get(e)) {
                 return hit;
             }
         }
@@ -235,7 +230,7 @@ impl RuleSet {
                 Expr::map_children_shared(&e2, &mut |c| self.one_pass(c, ctx, trace, pass, memo))
             }
         };
-        if track {
+        if let (true, Some(memo)) = (track, memo.as_mut()) {
             memo.insert(e, &out);
         }
         out
@@ -358,17 +353,18 @@ mod tests {
             Arc::clone(&shared),
         ));
         let catalog = NullCatalog;
+        let config = OptConfig::default();
         let run_with = |memo: bool| {
-            let config = OptConfig {
-                enable_rewrite_memo: memo,
-                ..OptConfig::default()
-            };
             let ctx = RuleCtx {
                 catalog: &catalog,
                 config: &config,
             };
             let mut trace = Vec::new();
-            let out = set().run(Arc::clone(&e), &ctx, &mut trace);
+            let out = if memo {
+                set().run(Arc::clone(&e), &ctx, &mut trace)
+            } else {
+                set().run_unmemoized(Arc::clone(&e), &ctx, &mut trace)
+            };
             (out, trace)
         };
         let (memo_out, memo_trace) = run_with(true);

@@ -9,7 +9,7 @@
 
 use kleisli_core::{CollKind, Value};
 use kleisli_exec::{eval, Context, Env};
-use kleisli_opt::{optimize, NullCatalog, OptConfig};
+use kleisli_opt::{optimize, NullCatalog, OptConfig, RuleCtx};
 use nrc::{Expr, Prim};
 use proptest::prelude::*;
 
@@ -249,35 +249,44 @@ proptest! {
     }
 
     /// The engine's identity-keyed rewrite memo is invisible in the
-    /// output: memoized and unmemoized optimization produce plans of the
-    /// same shape (they may differ in fresh-variable suffixes, i.e. up to
-    /// alpha-equivalence) with the same observable semantics.
+    /// output: for each rule set in pipeline order, over the plan the
+    /// sets before it produced, the memoized and the unmemoized fixpoint
+    /// yield plans of the same shape (they may differ in fresh-variable
+    /// suffixes, i.e. up to alpha-equivalence) with the same observable
+    /// semantics.
     #[test]
     fn rewrite_memo_never_changes_plans(e in coll_expr(Scope(0), 3)) {
-        let memo_cfg = OptConfig::default();
-        let plain_cfg = OptConfig {
-            enable_rewrite_memo: false,
-            ..OptConfig::default()
-        };
-        let (with_memo, _) = optimize(e.clone(), &NullCatalog, &memo_cfg);
-        let (without, _) = optimize(e.clone(), &NullCatalog, &plain_cfg);
-        prop_assert_eq!(
-            with_memo.size(), without.size(),
-            "\n  original: {}\n  memoized: {}\n  unmemoized: {}",
-            e, with_memo, without
-        );
+        use kleisli_opt::rules::{batch, cache, joins, monadic, parallel, pushdown, resolve};
+        use std::sync::Arc;
+        let config = OptConfig::default();
+        let rules = RuleCtx { catalog: &NullCatalog, config: &config };
         let ctx = Context::new();
-        match (eval(&with_memo, &Env::empty(), &ctx), eval(&without, &Env::empty(), &ctx)) {
-            (Ok(a), Ok(b)) => prop_assert_eq!(
-                a, b, "\n  original: {}\n  memoized: {}\n  unmemoized: {}",
-                e, with_memo, without
-            ),
-            (Err(_), Err(_)) => {}
-            (a, b) => {
-                return Err(TestCaseError::fail(format!(
-                    "memoization changed the outcome: {a:?} vs {b:?}\n  plan: {e}"
-                )));
+        let mut plan = Arc::new(e.clone());
+        for set in [
+            resolve::rule_set(), pushdown::rule_set(), monadic::rule_set(), resolve::rule_set(),
+            joins::rule_set(), cache::rule_set(), parallel::rule_set(), batch::rule_set(),
+        ] {
+            let with_memo = set.run(Arc::clone(&plan), &rules, &mut Vec::new());
+            let without = set.run_unmemoized(Arc::clone(&plan), &rules, &mut Vec::new());
+            prop_assert_eq!(
+                with_memo.size(), without.size(),
+                "\n  rule set: {}\n  original: {}\n  memoized: {}\n  unmemoized: {}",
+                set.name, e, with_memo, without
+            );
+            match (eval(&with_memo, &Env::empty(), &ctx), eval(&without, &Env::empty(), &ctx)) {
+                (Ok(a), Ok(b)) => prop_assert_eq!(
+                    a, b, "\n  rule set: {}\n  original: {}\n  memoized: {}\n  unmemoized: {}",
+                    set.name, e, with_memo, without
+                ),
+                (Err(_), Err(_)) => {}
+                (a, b) => {
+                    return Err(TestCaseError::fail(format!(
+                        "memoization changed the outcome of {}: {a:?} vs {b:?}\n  plan: {e}",
+                        set.name
+                    )));
+                }
             }
+            plan = with_memo;
         }
     }
 

@@ -19,7 +19,8 @@
 //!
 //! See `ARCHITECTURE.md` §9 for the protocol and admission-control
 //! design; `examples/server_roundtrip.rs` for an end-to-end tour; and
-//! the `server_report` bench binary for the cold/warm latency numbers.
+//! kbench (`benchmark/`, workloads `doe_cold` and `warm_hits`) for the
+//! cold and warm latency numbers.
 
 pub mod client;
 pub mod proto;

@@ -1,7 +1,8 @@
 //! A tour of the optimizer (Section 4): shows the desugared NRC, the
 //! rewrite rules firing, and the final plans for the paper's motivating
 //! queries — including what changes when individual optimizations are
-//! disabled (the ablations measured in EXPERIMENTS.md).
+//! disabled (the ablations `report t1_pushdown` measures; see
+//! `crates/bench/src/bin/report.rs`).
 //!
 //! ```sh
 //! cargo run --example optimizer_explain

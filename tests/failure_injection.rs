@@ -178,13 +178,13 @@ fn malformed_formats_error_with_format_name() {
 }
 
 // ---------------------------------------------------------------------------
-// Resilience: deadlines, retries, and circuit breakers, end to end through
-// the session layer against an instrumented fault-injecting driver.
+// Resilience: deadlines, retries, hedges and circuit breakers, end to end
+// through the session layer against an instrumented fault-injecting driver.
 // ---------------------------------------------------------------------------
 
 use std::time::{Duration, Instant};
 
-use kleisli::{BreakerPolicy, BreakerState, ResiliencePolicy, RetryPolicy};
+use kleisli::{BreakerPolicy, BreakerState, HedgePolicy, ResiliencePolicy, RetryPolicy};
 use kleisli_core::testutil::{Fault, SlowDriver};
 
 /// A whole-set scan against the [`SlowDriver`] (which ignores the request
@@ -238,18 +238,18 @@ fn a_mid_stream_stall_resolves_as_a_timeout_at_the_row_boundary() {
     );
 }
 
-#[test]
-fn a_never_responding_driver_times_out_and_releases_its_ticket() {
-    let drv = SlowDriver::new("SRC", 5, Duration::from_millis(1), 2);
+/// `run` a scan of a never-responding `drv` under `deadline` — however the
+/// caller imposes it — and check the wedged request becomes a `Timeout`
+/// in about that long, with its ticket and its worker given back.
+fn assert_a_wedged_request_times_out(
+    drv: &Arc<SlowDriver>,
+    deadline: Duration,
+    run: impl FnOnce(&Session) -> kleisli_core::KResult<Value>,
+) {
     drv.set_fault(Fault::NeverRespond);
-    let s = resilient_session(&drv);
-    let deadline = Duration::from_millis(50);
+    let s = resilient_session(drv);
     let t0 = Instant::now();
-    let err = s
-        .submit_with_deadline(SCAN, deadline)
-        .expect("submit")
-        .wait()
-        .unwrap_err();
+    let err = run(&s).unwrap_err();
     let elapsed = t0.elapsed();
     assert!(err.is_timeout(), "expected a timeout, got: {err}");
     assert!(
@@ -266,6 +266,89 @@ fn a_never_responding_driver_times_out_and_releases_its_ticket() {
     // Let the wedged worker finish, notice its stolen ticket, and retire.
     drv.release_wedged();
     wait_until("abandoned workers to retire", || drv.orphans() == 0);
+}
+
+#[test]
+fn a_never_responding_driver_times_out_and_releases_its_ticket() {
+    let drv = SlowDriver::new("SRC", 5, Duration::from_millis(1), 2);
+    let deadline = Duration::from_millis(50);
+    assert_a_wedged_request_times_out(&drv, deadline, |s| {
+        s.submit_with_deadline(SCAN, deadline)
+            .expect("submit")
+            .wait()
+    });
+}
+
+#[test]
+fn a_policy_deadline_turns_a_wedged_request_into_a_timeout() {
+    // No session deadline: the budget is the one the source advertises.
+    let drv = SlowDriver::new("SRC", 5, Duration::from_millis(1), 2);
+    let deadline = Duration::from_millis(50);
+    drv.set_resilience(ResiliencePolicy {
+        deadline: Some(deadline),
+        ..ResiliencePolicy::default()
+    });
+    assert_a_wedged_request_times_out(&drv, deadline, |s| s.query(SCAN));
+}
+
+/// A session over a 4-row, 2 ms source that hedges no sooner than
+/// `min_delay`, after ten healthy queries have taught its RTT estimator
+/// the 2 ms shape (cold, the hedge point is the policy's 500 ms ceiling).
+fn hedging_session(min_delay: Duration) -> (Session, Arc<SlowDriver>) {
+    let drv = SlowDriver::new("SRC", 4, Duration::from_millis(2), 4);
+    drv.set_resilience(ResiliencePolicy {
+        hedge: Some(HedgePolicy {
+            min_delay,
+            ..HedgePolicy::default()
+        }),
+        ..ResiliencePolicy::default()
+    });
+    let s = resilient_session(&drv);
+    for _ in 0..10 {
+        s.query(SCAN).expect("healthy query");
+    }
+    (s, drv)
+}
+
+#[test]
+fn no_hedge_fires_on_a_healthy_source() {
+    // A 2 ms answer never reaches a hedge point 50 ms out.
+    let (s, drv) = hedging_session(Duration::from_millis(50));
+    let m = s.driver_metrics("SRC").expect("metrics");
+    assert_eq!((m.hedges_fired, m.hedge_wins), (0, 0), "{m:?}");
+    assert_eq!(drv.requests_started(), 10, "one wire request per query");
+}
+
+#[test]
+fn a_hedge_fires_after_the_learned_delay_and_wins_against_a_straggler() {
+    let min_delay = Duration::from_millis(10);
+    let spike = Duration::from_millis(200);
+    let (s, drv) = hedging_session(min_delay);
+    let healthy = s.query(SCAN).expect("healthy query");
+    // The next request is the one straggler; the hedge after it is not.
+    drv.set_fault(Fault::SpikeEvery {
+        every: drv.requests_started() + 1,
+        extra: spike,
+    });
+    let t0 = Instant::now();
+    let hedged = s.query(SCAN).expect("the hedge answers");
+    let elapsed = t0.elapsed();
+    assert_eq!(hedged, healthy, "a hedge's answer is the primary's answer");
+    // Fired at the learned ~2 ms estimate clamped up to `min_delay`: not
+    // sooner, and nowhere near the cold 500 ms ceiling or the straggler.
+    assert!(
+        elapsed >= min_delay && elapsed < spike / 2,
+        "hedge point {min_delay:?}, straggler +{spike:?}, answered in {elapsed:?}"
+    );
+    let m = s.driver_metrics("SRC").expect("metrics");
+    assert_eq!((m.hedges_fired, m.hedge_wins), (1, 1), "{m:?}");
+    // The losing primary was abandoned: its ticket is reclaimed while its
+    // worker still sleeps, and the worker retires when it wakes.
+    wait_until("both tickets to be released", || {
+        drv.gate().in_flight() == 0
+    });
+    assert!(t0.elapsed() < spike, "the ticket waited for the straggler");
+    wait_until("the straggler's worker to retire", || drv.orphans() == 0);
 }
 
 #[test]
