@@ -5,6 +5,7 @@
 
 use cpl::{desugar, parse_expr, Definitions};
 use kleisli_core::Value;
+use kleisli_opt::{NullCatalog, OptConfig};
 use proptest::prelude::*;
 
 fn database(rows: usize, seed: usize) -> Value {
@@ -98,7 +99,7 @@ proptest! {
         let e = desugar(&ast, &defs).expect("desugar");
         let ctx = kleisli_exec::Context::new();
         let plain = kleisli_exec::eval(&e, &kleisli_exec::Env::empty(), &ctx).expect("eval");
-        let (opt, _) = kleisli_opt::optimize_default(e);
+        let (opt, _) = kleisli_opt::optimize(e, &NullCatalog, &OptConfig::default());
         let optimized = kleisli_exec::eval(&opt, &kleisli_exec::Env::empty(), &ctx).expect("eval opt");
         prop_assert_eq!(plain, optimized);
     }

@@ -150,16 +150,17 @@ fn rt(e: &Expr, env: &Env, ctx: &Context) -> KResult<Rt> {
             let mut out = Vec::new();
             for l in &ls {
                 for r in &rs {
-                    let pair = env
-                        .bind(Arc::clone(lvar), Rt::Val(l.clone()))
-                        .bind(Arc::clone(rvar), Rt::Val(r.clone()));
+                    let lenv = env.bind(Arc::clone(lvar), Rt::Val(l.clone()));
+                    let renv = env.bind(Arc::clone(rvar), Rt::Val(r.clone()));
                     // Equi-keys the optimizer split off are part of the
-                    // condition, whichever strategy it chose.
+                    // condition, whichever strategy it chose — each over
+                    // its own side alone (`nrc::expr`, "Scope").
                     if let (Some(lk), Some(rk)) = (left_key, right_key) {
-                        if val(lk, &pair)? != val(rk, &pair)? {
+                        if val(lk, &lenv)? != val(rk, &renv)? {
                             continue;
                         }
                     }
+                    let pair = lenv.bind(Arc::clone(rvar), Rt::Val(r.clone()));
                     if truth(&val(cond, &pair)?, "join")? {
                         out.extend(elems(val(body, &pair)?, *kind, None)?);
                     }

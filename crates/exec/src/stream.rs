@@ -318,7 +318,9 @@ pub(crate) fn blocks_at(
             // being collected, overlapping the two sources' round-trips.
             let lstream = blocks(left, env, ctx, Want::Operand("join left", *kind))?;
             let rv = collect_rows(blocks(right, env, ctx, Want::Operand("join right", *kind))?)?;
-            let (probe, cond) = match (strategy, left_key, right_key) {
+            // Each key runs under its own side's variable alone (`nrc::expr`,
+            // "Scope"), so neither strategy can fold them into `cond`.
+            let probe = match (strategy, left_key, right_key) {
                 // Index the inner relation on the fly by its key.
                 (JoinStrategy::IndexedNl, Some(lk), Some(rk)) => {
                     let mut index: HashMap<Value, Vec<Value>> = HashMap::new();
@@ -326,22 +328,15 @@ pub(crate) fn blocks_at(
                         let key = eval(rk, &env.bind(Arc::clone(rvar), Rt::Val(r.clone())), ctx)?;
                         index.entry(key).or_default().push(r);
                     }
-                    (Probe::Index(Arc::clone(lk), index), Arc::clone(cond))
+                    Probe::Index(Arc::clone(lk), index)
                 }
                 (JoinStrategy::IndexedNl, ..) => {
                     return Err(KError::eval("indexed join without keys"))
                 }
-                // Fold equi-keys into the condition; the two fresh nodes
-                // reference the existing key/cond subplans by Arc, so
-                // this is O(1) in plan size.
-                (JoinStrategy::BlockedNl, Some(lk), Some(rk)) => {
-                    let eq = Arc::new(Expr::eq_arc(Arc::clone(lk), Arc::clone(rk)));
-                    let cond = Arc::new(Expr::and_arc(eq, Arc::clone(cond)));
-                    (Probe::Scan(rv), cond)
-                }
-                (JoinStrategy::BlockedNl, ..) => (Probe::Scan(rv), Arc::clone(cond)),
+                (JoinStrategy::BlockedNl, lk, rk) => Probe::Scan(rv, lk.clone().zip(rk.clone())),
             };
-            let per_pair = [&*cond, &**body].into_iter().chain(left_key.as_deref());
+            let keys = left_key.iter().chain(right_key).map(|k| &**k);
+            let per_pair = [&**cond, &**body].into_iter().chain(keys);
             let ctx = ctx.for_bodies(per_pair);
             Ok(Box::new(JoinBlocks {
                 left: lstream,
@@ -350,7 +345,7 @@ pub(crate) fn blocks_at(
                 kind: *kind,
                 lvar: Arc::clone(lvar),
                 rvar: Arc::clone(rvar),
-                cond,
+                cond: Arc::clone(cond),
                 body: Arc::clone(body),
                 env: env.clone(),
                 ctx,
@@ -1013,8 +1008,9 @@ fn drain_pending(pending: &mut VecDeque<Value>, max: usize) -> ValueBlock {
 /// the one thing the two Section-4 strategies differ in.
 enum Probe {
     /// Blocked nested loop [Kim 80]: every element of the materialized
-    /// inner relation (equi-keys, if any, folded into the condition).
-    Scan(Vec<Value>),
+    /// inner relation, kept when its `right_key` equals the outer
+    /// element's `left_key` (if the join has keys).
+    Scan(Vec<Value>, Option<(Arc<Expr>, Arc<Expr>)>),
     /// Indexed nested loop [Nakayama et al. 88]: the inner elements whose
     /// key equals the outer element's, by an index built on the fly.
     Index(Arc<Expr>, HashMap<Value, Vec<Value>>),
@@ -1040,14 +1036,24 @@ struct JoinBlocks {
 impl JoinBlocks {
     fn emit_for(&mut self, l: Value) -> KResult<()> {
         let lenv = self.env.bind(Arc::clone(&self.lvar), Rt::Val(l));
-        let candidates = match &self.probe {
-            Probe::Scan(right) => right.as_slice(),
+        let (candidates, keys) = match &self.probe {
+            Probe::Scan(right, None) => (right.as_slice(), None),
+            Probe::Scan(right, Some((left_key, right_key))) => {
+                let key = eval(left_key, &lenv, &self.ctx)?;
+                (right.as_slice(), Some((key, right_key)))
+            }
             Probe::Index(left_key, index) => match index.get(&eval(left_key, &lenv, &self.ctx)?) {
-                Some(matches) => matches.as_slice(),
+                Some(matches) => (matches.as_slice(), None),
                 None => return Ok(()),
             },
         };
         for r in candidates {
+            if let Some((key, right_key)) = &keys {
+                let renv = self.env.bind(Arc::clone(&self.rvar), Rt::Val(r.clone()));
+                if eval(right_key, &renv, &self.ctx)? != *key {
+                    continue;
+                }
+            }
             let env2 = lenv.bind(Arc::clone(&self.rvar), Rt::Val(r.clone()));
             if eval_cond(&self.cond, &env2, &self.ctx, "join")? {
                 let piece = eval(&self.body, &env2, &self.ctx)?;

@@ -11,7 +11,14 @@
 //!   the evaluator starts ahead and fetches in full means what
 //!   left-to-right evaluation means; every plan run again with the
 //!   driver answering by row ranges, so a full fetch is three requests,
-//!   and once more with the middle range failing;
+//!   and once more with the middle range failing; every binder named
+//!   from a pool of three, so shadowing is the rule and the evaluators
+//!   must scope a join's keys, condition and body as `nrc::expr`'s
+//!   "Scope" table does;
+//! * the substitution lemma against the definition: running
+//!   `e[x := r]` is running `e` with `x` bound to `r`'s value, whichever
+//!   way it is run — `subst_shared`'s shadowing and renaming mean what
+//!   the evaluators' environments mean;
 //! * the runtime kind errors the type checker cannot rule out on
 //!   `any`-typed values, raised identically at the top of a query and in
 //!   its nested parts;
@@ -96,9 +103,13 @@ impl fmt::Debug for Plan {
     }
 }
 
+/// Every binder's name: few enough that a binder usually shadows one
+/// in scope and a join's two variables are often one name.
+const POOL: [&str; 3] = ["x", "y", "z"];
+
 /// Plan generator: recursive descent on the test RNG. Every method's
-/// `vars` are the int-typed variables in scope; `next` numbers binders
-/// and cache ids.
+/// `vars` are the int-typed variables in scope (with repeats, where one
+/// shadows another); `next` numbers cache ids.
 struct Gen<'a> {
     rng: &'a mut TestRng,
     next: u64,
@@ -113,9 +124,8 @@ impl Gen<'_> {
         KINDS[self.below(3) as usize]
     }
 
-    fn fresh(&mut self, prefix: &str) -> String {
-        self.next += 1;
-        format!("{prefix}{}", self.next)
+    fn binder(&mut self) -> String {
+        POOL[self.below(3) as usize].to_string()
     }
 
     /// An int-valued expression over `vars`; one shape in eight divides
@@ -191,7 +201,7 @@ impl Gen<'_> {
                 // A generator may draw from a collection of any kind.
                 let source_kind = self.kind();
                 let source = self.ints(source_kind, vars, d);
-                let x = self.fresh("x");
+                let x = self.binder();
                 let mut inner = vars.to_vec();
                 inner.push(x.clone());
                 let body = self.body(kind, &inner, d);
@@ -224,7 +234,7 @@ impl Gen<'_> {
                 self.ints(kind, vars, d),
             ),
             _ => {
-                let y = self.fresh("y");
+                let y = self.binder();
                 let def = self.scalar(vars, d);
                 let mut inner = vars.to_vec();
                 inner.push(y.clone());
@@ -235,22 +245,27 @@ impl Gen<'_> {
 
     fn join(&mut self, kind: CollKind, vars: &[String], depth: u32) -> Expr {
         let (left, right) = (self.ints(kind, vars, depth), self.ints(kind, vars, depth));
-        let (l, r) = (self.fresh("l"), self.fresh("r"));
+        let (l, r) = (self.binder(), self.binder());
         let mut inner = vars.to_vec();
         inner.extend([l.clone(), r.clone()]);
         // Keys cannot fail: the hash join evaluates them per side, the
         // nested loop per pair, and the two may not disagree on errors.
+        // Each is over its own side's variable and one from outside the
+        // join — which the other side's variable must not capture.
         let modulus = 1 + self.below(3) as i64;
-        let key = |v: &str| {
-            Arc::new(Expr::prim(
-                Prim::Mod,
-                vec![Expr::var(v), Expr::int(modulus)],
-            ))
+        let mut key = |own: &str| {
+            let outer = match vars.len() {
+                0 => Expr::int(1),
+                n => Expr::var(&vars[self.below(n as u64) as usize]),
+            };
+            let sum = Expr::prim(Prim::Add, vec![Expr::var(own), outer]);
+            Arc::new(Expr::prim(Prim::Mod, vec![sum, Expr::int(modulus)]))
         };
+        let (left_key, right_key) = (Some(key(&l)), Some(key(&r)));
         let (strategy, left_key, right_key) = match self.below(3) {
             0 => (JoinStrategy::BlockedNl, None, None),
-            1 => (JoinStrategy::BlockedNl, Some(key(&l)), Some(key(&r))),
-            _ => (JoinStrategy::IndexedNl, Some(key(&l)), Some(key(&r))),
+            1 => (JoinStrategy::BlockedNl, left_key, right_key),
+            _ => (JoinStrategy::IndexedNl, left_key, right_key),
         };
         Expr::Join {
             kind,
@@ -331,7 +346,7 @@ impl Gen<'_> {
         }
         let source_kind = self.kind();
         let source = self.ints(source_kind, &[], 2);
-        let x = self.fresh("x");
+        let x = self.binder();
         let vars = [x.clone()];
         let (k1, k2) = (self.kind(), self.kind());
         let deep = Expr::record(vec![("more", self.ints(k2, &vars, 1))]);
@@ -374,6 +389,65 @@ proptest! {
                 Scans::SlicedFailing => {}
             }
         }
+    }
+}
+
+/// An open plan over the whole [`POOL`], the name to replace, and an
+/// int-valued replacement that cannot fail (a replacement is evaluated
+/// once per occurrence, a binding once).
+struct Substitutions;
+
+impl Strategy for Substitutions {
+    type Value = (Plan, &'static str, Plan);
+    fn generate(&self, rng: &mut TestRng) -> Self::Value {
+        let mut g = Gen { rng, next: 0 };
+        let kind = g.kind();
+        let e = g.ints(kind, &POOL.map(String::from), 3);
+        let other = Expr::var(g.binder());
+        let r = match g.below(3) {
+            0 => Expr::int(g.below(6) as i64),
+            1 => other,
+            _ => Expr::prim(Prim::Add, vec![other, Expr::int(1)]),
+        };
+        (Plan(e, kind), POOL[g.below(3) as usize], Plan(r, kind))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn running_a_substituted_plan_is_running_the_plan_with_the_name_bound(
+        case in Substitutions
+    ) {
+        let (Plan(e, kind), x, Plan(r, _)) = case;
+        // 3 is the element the generated divisions fail on.
+        let base = POOL.iter().zip([1, 3, 4]).fold(Env::empty(), |env, (n, v)| {
+            env.bind(name(n), Value::Int(v).into())
+        });
+        let ctx = || context(Scans::Whole);
+        let value = eval(&r, &base, &ctx()).expect("replacements cannot fail");
+        let bound = base.bind(name(x), value.into());
+        let substituted = Expr::subst_shared(&Arc::new(e.clone()), x, &Arc::new(r));
+        let text = |r: kleisli_core::KResult<Value>| r.map_err(|err| err.to_string());
+        prop_assert_eq!(
+            text(reference::eval(&substituted, &base, &ctx())),
+            text(reference::eval(&e, &bound, &ctx())),
+            "the definition, on {}", substituted
+        );
+        prop_assert_eq!(
+            text(eval(&substituted, &base, &ctx())),
+            text(eval(&e, &bound, &ctx())),
+            "eval, on {}", substituted
+        );
+        let rows = |e: &Expr, env: &Env| {
+            text(eval_stream(e, env, &ctx()).and_then(|s| collect_stream(s, kind)))
+        };
+        prop_assert_eq!(
+            rows(&substituted, &base),
+            rows(&e, &bound),
+            "a grain-1 drain, on {}", substituted
+        );
     }
 }
 

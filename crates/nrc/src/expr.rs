@@ -37,9 +37,33 @@
 //! Anything that violates the discipline — returning a freshly rebuilt but
 //! structurally identical tree from a "no-op" — silently degrades the
 //! optimizer back to O(plan-size) per pass, so new rules should be written
-//! against the `*_shared` helpers. [`Expr::deep_clone`] exists only to
-//! deliberately *un*-share a plan (benchmarks measuring the cost of the
-//! old copying representation).
+//! against the `*_shared` helpers.
+//!
+//! # Scope
+//!
+//! Which names a node binds over which child is stated once, by
+//! [`Expr::for_each_child_in_scope`]; this is that table, and a child not
+//! listed is under nothing its parent binds:
+//!
+//! * `Let { var, def, body }`: `body` under `var`.
+//! * `Lambda { var, body }`: `body` under `var`.
+//! * `Ext` / `ParExt { var, body, source, .. }`: `body` under `var`.
+//! * `Case { arms, .. }`: each arm's `body` under that arm's `var`.
+//! * `Join { lvar, rvar, .. }`: `left_key` under `lvar`, `right_key` under
+//!   `rvar`, `cond` and `body` under `lvar` then `rvar` (an equal `rvar`
+//!   shadows `lvar`). A key sees its own side only because that is all
+//!   there is when it runs: the indexed join keys the whole inner
+//!   relation by `right_key` before any outer element exists, then
+//!   probes with `left_key` before an inner one is chosen — which is why
+//!   the join rule set splits an equality into keys only when each side
+//!   mentions one variable.
+//!
+//! [`Expr::free_vars`], [`Expr::occurs_free`], [`Expr::count_free`] and
+//! [`Expr::subst_shared`] are all derived from the table, so they cannot
+//! disagree; a rule must ask them (or walk the table) and never compare
+//! binder names itself. The type checker and the evaluators, which give
+//! a binder its type or value, follow the same table and are held to it
+//! by `crates/exec/tests/oracle.rs`.
 //!
 //! # Hashing and interning invariants
 //!
@@ -66,6 +90,7 @@
 //!   for as long as it is alive.
 
 use std::fmt;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -184,8 +209,9 @@ pub enum Expr {
         right: Arc<Expr>,
         lvar: Name,
         rvar: Name,
-        /// Equi-join keys (over `lvar` / `rvar`), used by `IndexedNl`;
-        /// `BlockedNl` folds them into `cond`.
+        /// Equi-join keys, `left_key` over `lvar` and `right_key` over
+        /// `rvar` alone (module docs, "Scope"): `IndexedNl` probes an
+        /// index with them, `BlockedNl` compares them pair by pair.
         left_key: Option<Arc<Expr>>,
         right_key: Option<Arc<Expr>>,
         /// Residual join predicate (may be `Const(true)`).
@@ -300,16 +326,6 @@ impl Expr {
         Expr::Prim(Prim::And, vec![Arc::new(a), Arc::new(b)])
     }
 
-    /// `eq` over already-shared operands — links the subplans by `Arc`.
-    pub fn eq_arc(a: Arc<Expr>, b: Arc<Expr>) -> Expr {
-        Expr::Prim(Prim::Eq, vec![a, b])
-    }
-
-    /// `and` over already-shared operands — links the subplans by `Arc`.
-    pub fn and_arc(a: Arc<Expr>, b: Arc<Expr>) -> Expr {
-        Expr::Prim(Prim::And, vec![a, b])
-    }
-
     /// Primitive application over owned arguments (wraps each in an `Arc`).
     pub fn prim(p: Prim, args: Vec<Expr>) -> Expr {
         Expr::Prim(p, args.into_iter().map(Arc::new).collect())
@@ -355,75 +371,106 @@ impl Expr {
         self.for_each_child(&mut go);
     }
 
-    /// Apply `f` to each direct child handle, in evaluation order.
-    pub fn for_each_child<'a>(&'a self, f: &mut impl FnMut(&'a Arc<Expr>)) {
+    /// The scope table (module docs, "Scope"): apply `f` to each direct
+    /// child handle — in the order [`Expr::map_children_shared`] rebuilds
+    /// and [`crate::hash::plan_hash`] hashes them — together with the
+    /// names this node binds over that child, outermost first, so a later
+    /// equal name shadows an earlier one. Allocation-free.
+    pub fn for_each_child_in_scope<'a>(&'a self, f: &mut impl FnMut(&'a Arc<Expr>, &[&'a Name])) {
         match self {
             Expr::Const(_) | Expr::Var(_) | Expr::Empty(_) | Expr::Remote { .. } => {}
-            Expr::Let { def, body, .. } => {
-                f(def);
-                f(body);
+            Expr::Let { var, def, body } => {
+                f(def, &[]);
+                f(body, &[var]);
             }
-            Expr::Lambda { body, .. } => f(body),
+            Expr::Lambda { var, body } => f(body, &[var]),
             Expr::Apply(a, b) | Expr::Union(_, a, b) => {
-                f(a);
-                f(b);
+                f(a, &[]);
+                f(b, &[]);
             }
-            Expr::Record(fields) => {
-                for (_, e) in fields {
-                    f(e);
-                }
-            }
-            Expr::Proj(e, _) | Expr::Inject(_, e) | Expr::Single(_, e) => f(e),
-            Expr::RemoteApp { arg, .. } => f(arg),
+            Expr::Record(fields) => fields.iter().for_each(|(_, e)| f(e, &[])),
+            Expr::Proj(e, _)
+            | Expr::Inject(_, e)
+            | Expr::Single(_, e)
+            | Expr::RemoteApp { arg: e, .. }
+            | Expr::Cached { expr: e, .. } => f(e, &[]),
             Expr::Case {
                 scrutinee,
                 arms,
                 default,
             } => {
-                f(scrutinee);
-                for arm in arms {
-                    f(&arm.body);
-                }
-                if let Some(d) = default {
-                    f(d);
-                }
+                f(scrutinee, &[]);
+                arms.iter().for_each(|arm| f(&arm.body, &[&arm.var]));
+                default.iter().for_each(|d| f(d, &[]));
             }
-            Expr::Ext { body, source, .. } | Expr::ParExt { body, source, .. } => {
-                f(body);
-                f(source);
+            Expr::Ext {
+                var, body, source, ..
+            }
+            | Expr::ParExt {
+                var, body, source, ..
+            } => {
+                f(body, &[var]);
+                f(source, &[]);
             }
             Expr::If(c, t, e) => {
-                f(c);
-                f(t);
-                f(e);
+                f(c, &[]);
+                f(t, &[]);
+                f(e, &[]);
             }
-            Expr::Prim(_, args) => {
-                for a in args {
-                    f(a);
-                }
-            }
+            Expr::Prim(_, args) => args.iter().for_each(|a| f(a, &[])),
             Expr::Join {
                 left,
                 right,
+                lvar,
+                rvar,
                 left_key,
                 right_key,
                 cond,
                 body,
                 ..
             } => {
-                f(left);
-                f(right);
-                if let Some(k) = left_key {
-                    f(k);
-                }
-                if let Some(k) = right_key {
-                    f(k);
-                }
-                f(cond);
-                f(body);
+                f(left, &[]);
+                f(right, &[]);
+                left_key.iter().for_each(|k| f(k, &[lvar]));
+                right_key.iter().for_each(|k| f(k, &[rvar]));
+                f(cond, &[lvar, rvar]);
+                f(body, &[lvar, rvar]);
             }
-            Expr::Cached { expr, .. } => f(expr),
         }
+    }
+
+    /// [`Expr::for_each_child_in_scope`] for walks that do not look at
+    /// names ([`crate::hash::plan_hash`] hashes children in this order).
+    pub fn for_each_child<'a>(&'a self, f: &mut impl FnMut(&'a Arc<Expr>)) {
+        self.for_each_child_in_scope(&mut |c, _| f(c));
+    }
+
+    /// Early-exit, prunable pre-order search. `at` sees each node with the
+    /// names its parent binds over it (none at the root) and answers
+    /// `Break(Some(t))` — found, the search ends with `t` —, `Break(None)`
+    /// — nothing here, and do not look below — or `Continue(())` — look
+    /// at the children.
+    pub fn find<'a, T>(
+        &'a self,
+        at: &mut impl FnMut(&'a Expr, &[&'a Name]) -> ControlFlow<Option<T>>,
+    ) -> Option<T> {
+        fn go<'a, T>(
+            e: &'a Expr,
+            scope: &[&'a Name],
+            at: &mut impl FnMut(&'a Expr, &[&'a Name]) -> ControlFlow<Option<T>>,
+        ) -> Option<T> {
+            if let ControlFlow::Break(out) = at(e, scope) {
+                return out;
+            }
+            let mut found = None;
+            e.for_each_child_in_scope(&mut |c, scope| {
+                if found.is_none() {
+                    found = go(c, scope, at);
+                }
+            });
+            found
+        }
+        go(self, &[], at)
     }
 
     /// Rebuild this node with each child handle transformed by `f`,
@@ -434,110 +481,98 @@ impl Expr {
         e: &Arc<Expr>,
         f: &mut impl FnMut(&Arc<Expr>) -> Arc<Expr>,
     ) -> Arc<Expr> {
-        // `step` applies f and records whether any child changed.
-        fn step<F: FnMut(&Arc<Expr>) -> Arc<Expr>>(
-            c: &Arc<Expr>,
-            f: &mut F,
-            changed: &mut bool,
-        ) -> Arc<Expr> {
-            let out = f(c);
-            if !Arc::ptr_eq(&out, c) {
-                *changed = true;
-            }
-            out
-        }
+        Expr::rebuild_shared(e, &mut Arc::clone, f)
+    }
+
+    /// [`Expr::map_children_shared`] that also passes the binder names of
+    /// a node it rebuilds through `bind`. Children reach `f` in
+    /// [`Expr::for_each_child_in_scope`]'s order; this is the one place a
+    /// node is reconstructed variant by variant.
+    fn rebuild_shared(
+        e: &Arc<Expr>,
+        bind: &mut impl FnMut(&Name) -> Name,
+        f: &mut impl FnMut(&Arc<Expr>) -> Arc<Expr>,
+    ) -> Arc<Expr> {
         let mut changed = false;
+        let mut step = |c: &Arc<Expr>| {
+            let out = f(c);
+            changed |= !Arc::ptr_eq(&out, c);
+            out
+        };
+        // The slots of a variable-length node, rebuilt lazily: an
+        // unchanged record must not allocate (the whole point of the
+        // sharing pass).
+        fn slots<T: Clone>(
+            items: &[T],
+            child: impl Fn(&T) -> &Arc<Expr>,
+            mut with: impl FnMut(&T, Arc<Expr>) -> T,
+            step: &mut impl FnMut(&Arc<Expr>) -> Arc<Expr>,
+        ) -> Option<Vec<T>> {
+            let mut rebuilt: Option<Vec<T>> = None;
+            for (i, item) in items.iter().enumerate() {
+                let out = step(child(item));
+                if rebuilt.is_none() && !Arc::ptr_eq(&out, child(item)) {
+                    let mut v = Vec::with_capacity(items.len());
+                    v.extend_from_slice(&items[..i]);
+                    rebuilt = Some(v);
+                }
+                if let Some(v) = &mut rebuilt {
+                    v.push(with(item, out));
+                }
+            }
+            rebuilt
+        }
         let rebuilt = match &**e {
             Expr::Const(_) | Expr::Var(_) | Expr::Empty(_) | Expr::Remote { .. } => {
                 return Arc::clone(e)
             }
             Expr::Let { var, def, body } => Expr::Let {
-                var: Arc::clone(var),
-                def: step(def, f, &mut changed),
-                body: step(body, f, &mut changed),
+                def: step(def),
+                body: step(body),
+                var: bind(var),
             },
             Expr::Lambda { var, body } => Expr::Lambda {
-                var: Arc::clone(var),
-                body: step(body, f, &mut changed),
+                body: step(body),
+                var: bind(var),
             },
-            Expr::Apply(a, b) => Expr::Apply(step(a, f, &mut changed), step(b, f, &mut changed)),
+            Expr::Apply(a, b) => Expr::Apply(step(a), step(b)),
             Expr::Record(fields) => {
-                // Rebuild the field vector lazily: an unchanged record
-                // must not allocate (the whole point of the sharing pass).
-                let mut new_fields: Option<Vec<(Name, Arc<Expr>)>> = None;
-                for (i, (n, fe)) in fields.iter().enumerate() {
-                    let out = f(fe);
-                    if new_fields.is_none() && !Arc::ptr_eq(&out, fe) {
-                        let mut v = Vec::with_capacity(fields.len());
-                        v.extend(
-                            fields[..i]
-                                .iter()
-                                .map(|(pn, pe)| (Arc::clone(pn), Arc::clone(pe))),
-                        );
-                        new_fields = Some(v);
-                    }
-                    if let Some(v) = &mut new_fields {
-                        v.push((Arc::clone(n), out));
-                    }
-                }
-                match new_fields {
-                    Some(v) => {
-                        changed = true;
-                        Expr::Record(v)
-                    }
+                let with = |(n, _): &(Name, _), e| (Arc::clone(n), e);
+                match slots(fields, |(_, e)| e, with, &mut step) {
+                    Some(fields) => Expr::Record(fields),
                     None => return Arc::clone(e),
                 }
             }
-            Expr::Proj(inner, n) => Expr::Proj(step(inner, f, &mut changed), Arc::clone(n)),
-            Expr::Inject(n, inner) => Expr::Inject(Arc::clone(n), step(inner, f, &mut changed)),
+            Expr::Proj(inner, n) => Expr::Proj(step(inner), Arc::clone(n)),
+            Expr::Inject(n, inner) => Expr::Inject(Arc::clone(n), step(inner)),
             Expr::RemoteApp { driver, arg } => Expr::RemoteApp {
                 driver: Arc::clone(driver),
-                arg: step(arg, f, &mut changed),
+                arg: step(arg),
             },
             Expr::Case {
                 scrutinee,
                 arms,
                 default,
             } => {
-                let scrutinee2 = step(scrutinee, f, &mut changed);
-                let mut new_arms: Option<Vec<CaseArm>> = None;
-                for (i, arm) in arms.iter().enumerate() {
-                    let out = f(&arm.body);
-                    if new_arms.is_none() && !Arc::ptr_eq(&out, &arm.body) {
-                        let mut v = Vec::with_capacity(arms.len());
-                        v.extend(arms[..i].iter().cloned());
-                        new_arms = Some(v);
-                    }
-                    if let Some(v) = &mut new_arms {
-                        v.push(CaseArm {
-                            tag: Arc::clone(&arm.tag),
-                            var: Arc::clone(&arm.var),
-                            body: out,
-                        });
-                    }
+                let scrutinee = step(scrutinee);
+                let with = |arm: &CaseArm, body| CaseArm {
+                    tag: Arc::clone(&arm.tag),
+                    var: bind(&arm.var),
+                    body,
+                };
+                let rebuilt = slots(arms, |arm| &arm.body, with, &mut step);
+                let default = default.as_ref().map(&mut step);
+                if !changed {
+                    return Arc::clone(e);
                 }
-                let default2 = default.as_ref().map(|d| step(d, f, &mut changed));
-                match new_arms {
-                    Some(v) => {
-                        changed = true;
-                        Expr::Case {
-                            scrutinee: scrutinee2,
-                            arms: v,
-                            default: default2,
-                        }
-                    }
-                    None if changed => Expr::Case {
-                        scrutinee: scrutinee2,
-                        arms: arms.clone(),
-                        default: default2,
-                    },
-                    None => return Arc::clone(e),
+                Expr::Case {
+                    scrutinee,
+                    arms: rebuilt.unwrap_or_else(|| arms.clone()),
+                    default,
                 }
             }
-            Expr::Single(k, inner) => Expr::Single(*k, step(inner, f, &mut changed)),
-            Expr::Union(k, a, b) => {
-                Expr::Union(*k, step(a, f, &mut changed), step(b, f, &mut changed))
-            }
+            Expr::Single(k, inner) => Expr::Single(*k, step(inner)),
+            Expr::Union(k, a, b) => Expr::Union(*k, step(a), step(b)),
             Expr::Ext {
                 kind,
                 var,
@@ -545,36 +580,15 @@ impl Expr {
                 source,
             } => Expr::Ext {
                 kind: *kind,
-                var: Arc::clone(var),
-                body: step(body, f, &mut changed),
-                source: step(source, f, &mut changed),
+                body: step(body),
+                source: step(source),
+                var: bind(var),
             },
-            Expr::If(c, t, el) => Expr::If(
-                step(c, f, &mut changed),
-                step(t, f, &mut changed),
-                step(el, f, &mut changed),
-            ),
-            Expr::Prim(p, args) => {
-                let mut new_args: Option<Vec<Arc<Expr>>> = None;
-                for (i, a) in args.iter().enumerate() {
-                    let out = f(a);
-                    if new_args.is_none() && !Arc::ptr_eq(&out, a) {
-                        let mut v = Vec::with_capacity(args.len());
-                        v.extend(args[..i].iter().map(Arc::clone));
-                        new_args = Some(v);
-                    }
-                    if let Some(v) = &mut new_args {
-                        v.push(out);
-                    }
-                }
-                match new_args {
-                    Some(v) => {
-                        changed = true;
-                        Expr::Prim(*p, v)
-                    }
-                    None => return Arc::clone(e),
-                }
-            }
+            Expr::If(c, t, el) => Expr::If(step(c), step(t), step(el)),
+            Expr::Prim(p, args) => match slots(args, |a| a, |_, a| a, &mut step) {
+                Some(args) => Expr::Prim(*p, args),
+                None => return Arc::clone(e),
+            },
             Expr::Join {
                 kind,
                 strategy,
@@ -589,18 +603,18 @@ impl Expr {
             } => Expr::Join {
                 kind: *kind,
                 strategy: strategy.clone(),
-                left: step(left, f, &mut changed),
-                right: step(right, f, &mut changed),
-                lvar: Arc::clone(lvar),
-                rvar: Arc::clone(rvar),
-                left_key: left_key.as_ref().map(|k| step(k, f, &mut changed)),
-                right_key: right_key.as_ref().map(|k| step(k, f, &mut changed)),
-                cond: step(cond, f, &mut changed),
-                body: step(body, f, &mut changed),
+                left: step(left),
+                right: step(right),
+                left_key: left_key.as_ref().map(&mut step),
+                right_key: right_key.as_ref().map(&mut step),
+                cond: step(cond),
+                body: step(body),
+                lvar: bind(lvar),
+                rvar: bind(rvar),
             },
             Expr::Cached { id, expr } => Expr::Cached {
                 id: *id,
-                expr: step(expr, f, &mut changed),
+                expr: step(expr),
             },
             Expr::ParExt {
                 kind,
@@ -611,9 +625,9 @@ impl Expr {
                 batch,
             } => Expr::ParExt {
                 kind: *kind,
-                var: Arc::clone(var),
-                body: step(body, f, &mut changed),
-                source: step(source, f, &mut changed),
+                body: step(body),
+                source: step(source),
+                var: bind(var),
                 max_in_flight: *max_in_flight,
                 batch: batch.clone(),
             },
@@ -625,114 +639,20 @@ impl Expr {
         }
     }
 
-    /// Fully un-share: rebuild the expression as a tree of fresh nodes.
-    /// Only useful for measuring what plans cost *without* structural
-    /// sharing (see the `plan_sharing` bench); never needed in the engine.
-    pub fn deep_clone(&self) -> Expr {
-        fn dc(c: &Arc<Expr>) -> Arc<Expr> {
-            Arc::new(c.deep_clone())
-        }
-        match self {
-            e @ (Expr::Const(_) | Expr::Var(_) | Expr::Empty(_) | Expr::Remote { .. }) => e.clone(),
-            Expr::Let { var, def, body } => Expr::Let {
-                var: Arc::clone(var),
-                def: dc(def),
-                body: dc(body),
-            },
-            Expr::Lambda { var, body } => Expr::Lambda {
-                var: Arc::clone(var),
-                body: dc(body),
-            },
-            Expr::Apply(a, b) => Expr::Apply(dc(a), dc(b)),
-            Expr::Record(fields) => {
-                Expr::Record(fields.iter().map(|(n, e)| (Arc::clone(n), dc(e))).collect())
-            }
-            Expr::Proj(e, n) => Expr::Proj(dc(e), Arc::clone(n)),
-            Expr::Inject(n, e) => Expr::Inject(Arc::clone(n), dc(e)),
-            Expr::RemoteApp { driver, arg } => Expr::RemoteApp {
-                driver: Arc::clone(driver),
-                arg: dc(arg),
-            },
-            Expr::Case {
-                scrutinee,
-                arms,
-                default,
-            } => Expr::Case {
-                scrutinee: dc(scrutinee),
-                arms: arms
-                    .iter()
-                    .map(|arm| CaseArm {
-                        tag: Arc::clone(&arm.tag),
-                        var: Arc::clone(&arm.var),
-                        body: dc(&arm.body),
-                    })
-                    .collect(),
-                default: default.as_ref().map(dc),
-            },
-            Expr::Single(k, e) => Expr::Single(*k, dc(e)),
-            Expr::Union(k, a, b) => Expr::Union(*k, dc(a), dc(b)),
-            Expr::Ext {
-                kind,
-                var,
-                body,
-                source,
-            } => Expr::Ext {
-                kind: *kind,
-                var: Arc::clone(var),
-                body: dc(body),
-                source: dc(source),
-            },
-            Expr::If(c, t, f) => Expr::If(dc(c), dc(t), dc(f)),
-            Expr::Prim(p, args) => Expr::Prim(*p, args.iter().map(dc).collect()),
-            Expr::Join {
-                kind,
-                strategy,
-                left,
-                right,
-                lvar,
-                rvar,
-                left_key,
-                right_key,
-                cond,
-                body,
-            } => Expr::Join {
-                kind: *kind,
-                strategy: strategy.clone(),
-                left: dc(left),
-                right: dc(right),
-                lvar: Arc::clone(lvar),
-                rvar: Arc::clone(rvar),
-                left_key: left_key.as_ref().map(dc),
-                right_key: right_key.as_ref().map(dc),
-                cond: dc(cond),
-                body: dc(body),
-            },
-            Expr::Cached { id, expr } => Expr::Cached {
-                id: *id,
-                expr: dc(expr),
-            },
-            Expr::ParExt {
-                kind,
-                var,
-                body,
-                source,
-                max_in_flight,
-                batch,
-            } => Expr::ParExt {
-                kind: *kind,
-                var: Arc::clone(var),
-                body: dc(body),
-                source: dc(source),
-                max_in_flight: *max_in_flight,
-                batch: batch.clone(),
-            },
-        }
-    }
-
-    /// Free variables of the expression.
+    /// Free variables of the expression, sorted.
     pub fn free_vars(&self) -> Vec<Name> {
+        fn go<'a>(e: &'a Expr, bound: &mut Vec<&'a Name>, acc: &mut Vec<Name>) {
+            match e {
+                Expr::Var(n) if !bound.contains(&n) => acc.push(Arc::clone(n)),
+                _ => e.for_each_child_in_scope(&mut |c, scope| {
+                    bound.extend_from_slice(scope);
+                    go(c, bound, acc);
+                    bound.truncate(bound.len() - scope.len());
+                }),
+            }
+        }
         let mut acc = Vec::new();
-        self.collect_free(&mut Vec::new(), &mut acc);
+        go(self, &mut Vec::new(), &mut acc);
         acc.sort();
         acc.dedup();
         acc
@@ -741,153 +661,26 @@ impl Expr {
     /// Does `var` occur free in the expression? Allocation-free early-exit
     /// walk — this is the hottest predicate in the rule sets.
     pub fn occurs_free(&self, var: &str) -> bool {
-        fn go(e: &Expr, var: &str) -> bool {
-            match e {
-                Expr::Var(n) => &**n == var,
-                Expr::Let { var: v, def, body } => go(def, var) || (&**v != var && go(body, var)),
-                Expr::Lambda { var: v, body } => &**v != var && go(body, var),
-                Expr::Ext {
-                    var: v,
-                    body,
-                    source,
-                    ..
-                }
-                | Expr::ParExt {
-                    var: v,
-                    body,
-                    source,
-                    ..
-                } => go(source, var) || (&**v != var && go(body, var)),
-                Expr::Case {
-                    scrutinee,
-                    arms,
-                    default,
-                } => {
-                    go(scrutinee, var)
-                        || arms
-                            .iter()
-                            .any(|arm| &*arm.var != var && go(&arm.body, var))
-                        || default.as_deref().is_some_and(|d| go(d, var))
-                }
-                Expr::Join {
-                    left,
-                    right,
-                    lvar,
-                    rvar,
-                    left_key,
-                    right_key,
-                    cond,
-                    body,
-                    ..
-                } => {
-                    // Mirror collect_free's scoping exactly: left_key is
-                    // under lvar only; right_key/cond/body under both.
-                    go(left, var)
-                        || go(right, var)
-                        || (&**lvar != var
-                            && (left_key.as_deref().is_some_and(|k| go(k, var))
-                                || (&**rvar != var
-                                    && (right_key.as_deref().is_some_and(|k| go(k, var))
-                                        || go(cond, var)
-                                        || go(body, var)))))
-                }
-                other => {
-                    let mut found = false;
-                    other.for_each_child(&mut |c| {
-                        if !found {
-                            found = go(c, var);
-                        }
-                    });
-                    found
-                }
-            }
-        }
-        go(self, var)
+        self.find(&mut |e, scope| match e {
+            _ if binds(scope, var) => ControlFlow::Break(None),
+            Expr::Var(n) if &**n == var => ControlFlow::Break(Some(())),
+            _ => ControlFlow::Continue(()),
+        })
+        .is_some()
     }
 
-    fn collect_free(&self, bound: &mut Vec<Name>, acc: &mut Vec<Name>) {
-        match self {
-            Expr::Var(n) => {
-                if !bound.iter().any(|b| b == n) {
-                    acc.push(Arc::clone(n));
-                }
-            }
-            Expr::Let { var, def, body } => {
-                def.collect_free(bound, acc);
-                bound.push(Arc::clone(var));
-                body.collect_free(bound, acc);
-                bound.pop();
-            }
-            Expr::Lambda { var, body } => {
-                bound.push(Arc::clone(var));
-                body.collect_free(bound, acc);
-                bound.pop();
-            }
-            Expr::Ext {
-                var, body, source, ..
-            }
-            | Expr::ParExt {
-                var, body, source, ..
-            } => {
-                source.collect_free(bound, acc);
-                bound.push(Arc::clone(var));
-                body.collect_free(bound, acc);
-                bound.pop();
-            }
-            Expr::Case {
-                scrutinee,
-                arms,
-                default,
-            } => {
-                scrutinee.collect_free(bound, acc);
-                for arm in arms {
-                    bound.push(Arc::clone(&arm.var));
-                    arm.body.collect_free(bound, acc);
-                    bound.pop();
-                }
-                if let Some(d) = default {
-                    d.collect_free(bound, acc);
-                }
-            }
-            Expr::Join {
-                left,
-                right,
-                lvar,
-                rvar,
-                left_key,
-                right_key,
-                cond,
-                body,
-                ..
-            } => {
-                left.collect_free(bound, acc);
-                right.collect_free(bound, acc);
-                bound.push(Arc::clone(lvar));
-                if let Some(k) = left_key {
-                    k.collect_free(bound, acc);
-                }
-                bound.push(Arc::clone(rvar));
-                if let Some(k) = right_key {
-                    // right_key must only see rvar, but binding both is harmless
-                    k.collect_free(bound, acc);
-                }
-                cond.collect_free(bound, acc);
-                body.collect_free(bound, acc);
-                bound.pop();
-                bound.pop();
-            }
-            other => {
-                // All remaining constructs bind nothing.
-                other.for_each_child(&mut |c| c.collect_free(bound, acc));
-            }
+    /// The number of free occurrences of `var` in the expression.
+    pub fn count_free(&self, var: &str) -> usize {
+        if let Expr::Var(n) = self {
+            return usize::from(&**n == var);
         }
-    }
-
-    /// Capture-avoiding substitution of `replacement` for free `var`
-    /// (owned-value convenience over [`Expr::subst_shared`]).
-    pub fn subst(self, var: &str, replacement: &Expr) -> Expr {
-        let out = Expr::subst_shared(&Arc::new(self), var, &Arc::new(replacement.clone()));
-        (*out).clone()
+        let mut n = 0;
+        self.for_each_child_in_scope(&mut |c, scope| {
+            if !binds(scope, var) {
+                n += c.count_free(var);
+            }
+        });
+        n
     }
 
     /// Capture-avoiding substitution over shared handles. Subtrees in
@@ -896,211 +689,74 @@ impl Expr {
     /// not free in `e` at all.
     pub fn subst_shared(e: &Arc<Expr>, var: &str, replacement: &Arc<Expr>) -> Arc<Expr> {
         let free_in_repl = replacement.free_vars();
-        Expr::subst_rec(e, var, replacement, &free_in_repl)
+        Expr::subst_rec(e, var, replacement, &free_in_repl, &mut Vec::new())
     }
 
-    fn subst_rec(e: &Arc<Expr>, var: &str, repl: &Arc<Expr>, free_in_repl: &[Name]) -> Arc<Expr> {
-        // Rebinding of a shadowed binder only matters below a binder whose
-        // name collides with a free variable of the replacement; the
-        // generic path handles everything that binds nothing.
-        match &**e {
-            Expr::Var(n) => {
-                if &**n == var {
-                    Arc::clone(repl)
-                } else {
-                    Arc::clone(e)
-                }
-            }
-            Expr::Let { var: v, def, body } => {
-                let def2 = Expr::subst_rec(def, var, repl, free_in_repl);
-                if &**v == var {
-                    if Arc::ptr_eq(&def2, def) {
-                        Arc::clone(e)
-                    } else {
-                        Arc::new(Expr::Let {
-                            var: Arc::clone(v),
-                            def: def2,
-                            body: Arc::clone(body),
-                        })
-                    }
-                } else if free_in_repl.iter().any(|n| n == v) {
-                    let fresh_v = fresh(v);
-                    let renamed =
-                        Expr::subst_shared(body, v, &Arc::new(Expr::Var(Arc::clone(&fresh_v))));
-                    Arc::new(Expr::Let {
-                        var: fresh_v,
-                        def: def2,
-                        body: Expr::subst_rec(&renamed, var, repl, free_in_repl),
-                    })
-                } else {
-                    let body2 = Expr::subst_rec(body, var, repl, free_in_repl);
-                    if Arc::ptr_eq(&def2, def) && Arc::ptr_eq(&body2, body) {
-                        Arc::clone(e)
-                    } else {
-                        Arc::new(Expr::Let {
-                            var: Arc::clone(v),
-                            def: def2,
-                            body: body2,
-                        })
-                    }
-                }
-            }
-            Expr::Lambda { var: v, body } => {
-                if &**v == var {
-                    Arc::clone(e)
-                } else if free_in_repl.iter().any(|n| n == v) {
-                    let fresh_v = fresh(v);
-                    let renamed =
-                        Expr::subst_shared(body, v, &Arc::new(Expr::Var(Arc::clone(&fresh_v))));
-                    Arc::new(Expr::Lambda {
-                        var: fresh_v,
-                        body: Expr::subst_rec(&renamed, var, repl, free_in_repl),
-                    })
-                } else {
-                    let body2 = Expr::subst_rec(body, var, repl, free_in_repl);
-                    if Arc::ptr_eq(&body2, body) {
-                        Arc::clone(e)
-                    } else {
-                        Arc::new(Expr::Lambda {
-                            var: Arc::clone(v),
-                            body: body2,
-                        })
-                    }
-                }
-            }
-            Expr::Ext { .. } | Expr::ParExt { .. } => {
-                // Shared binding structure; destructure via accessors.
-                let (kind, v, body, source, par) = match &**e {
-                    Expr::Ext {
-                        kind,
-                        var,
-                        body,
-                        source,
-                    } => (*kind, var, body, source, None),
-                    Expr::ParExt {
-                        kind,
-                        var,
-                        body,
-                        source,
-                        max_in_flight,
-                        ..
-                    } => (*kind, var, body, source, Some(*max_in_flight)),
-                    _ => unreachable!(),
-                };
-                // A substitution that actually rebuilds the node would
-                // leave a `batch` mark's cached request argument stale,
-                // so the rebuilt node drops it — the batch pass runs
-                // after every substituting rewrite and re-derives it.
-                // (The no-change fast path below keeps the shared node,
-                // mark included.)
-                let rebuild = |v: Name, body: Arc<Expr>, source: Arc<Expr>| match par {
-                    None => Expr::Ext {
-                        kind,
-                        var: v,
-                        body,
-                        source,
-                    },
-                    Some(m) => Expr::ParExt {
-                        kind,
-                        var: v,
-                        body,
-                        source,
-                        max_in_flight: m,
-                        batch: None,
-                    },
-                };
-                let source2 = Expr::subst_rec(source, var, repl, free_in_repl);
-                if &**v == var {
-                    if Arc::ptr_eq(&source2, source) {
-                        Arc::clone(e)
-                    } else {
-                        Arc::new(rebuild(Arc::clone(v), Arc::clone(body), source2))
-                    }
-                } else if free_in_repl.iter().any(|n| n == v) {
-                    let fresh_v = fresh(v);
-                    let renamed =
-                        Expr::subst_shared(body, v, &Arc::new(Expr::Var(Arc::clone(&fresh_v))));
-                    Arc::new(rebuild(
-                        fresh_v,
-                        Expr::subst_rec(&renamed, var, repl, free_in_repl),
-                        source2,
-                    ))
-                } else {
-                    let body2 = Expr::subst_rec(body, var, repl, free_in_repl);
-                    if Arc::ptr_eq(&source2, source) && Arc::ptr_eq(&body2, body) {
-                        Arc::clone(e)
-                    } else {
-                        Arc::new(rebuild(Arc::clone(v), body2, source2))
-                    }
-                }
-            }
-            Expr::Case {
-                scrutinee,
-                arms,
-                default,
-            } => {
-                let mut changed = false;
-                let scrutinee2 = Expr::subst_rec(scrutinee, var, repl, free_in_repl);
-                changed |= !Arc::ptr_eq(&scrutinee2, scrutinee);
-                // Lazy arm rebuild, mirroring map_children_shared: no
-                // allocation when the variable occurs in no arm.
-                let mut new_arms: Option<Vec<CaseArm>> = None;
-                for (i, arm) in arms.iter().enumerate() {
-                    let arm2 = if &*arm.var == var {
-                        None
-                    } else if free_in_repl.contains(&arm.var) {
-                        let fresh_v = fresh(&arm.var);
-                        let renamed = Expr::subst_shared(
-                            &arm.body,
-                            &arm.var,
-                            &Arc::new(Expr::Var(Arc::clone(&fresh_v))),
-                        );
-                        Some(CaseArm {
-                            tag: Arc::clone(&arm.tag),
-                            var: fresh_v,
-                            body: Expr::subst_rec(&renamed, var, repl, free_in_repl),
-                        })
-                    } else {
-                        let body2 = Expr::subst_rec(&arm.body, var, repl, free_in_repl);
-                        if Arc::ptr_eq(&body2, &arm.body) {
-                            None
-                        } else {
-                            Some(CaseArm {
-                                tag: Arc::clone(&arm.tag),
-                                var: Arc::clone(&arm.var),
-                                body: body2,
-                            })
-                        }
-                    };
-                    if new_arms.is_none() && arm2.is_some() {
-                        let mut v = Vec::with_capacity(arms.len());
-                        v.extend(arms[..i].iter().cloned());
-                        new_arms = Some(v);
-                    }
-                    if let Some(v) = &mut new_arms {
-                        v.push(arm2.unwrap_or_else(|| arm.clone()));
-                    }
-                }
-                changed |= new_arms.is_some();
-                let default2 = default.as_ref().map(|d| {
-                    let d2 = Expr::subst_rec(d, var, repl, free_in_repl);
-                    changed |= !Arc::ptr_eq(&d2, d);
-                    d2
-                });
-                if changed {
-                    Arc::new(Expr::Case {
-                        scrutinee: scrutinee2,
-                        arms: new_arms.unwrap_or_else(|| arms.clone()),
-                        default: default2,
-                    })
-                } else {
-                    Arc::clone(e)
-                }
-            }
-            // Joins are introduced after substitution-driven rewriting;
-            // handle conservatively via the generic (binder-blind) path.
-            _ => Expr::map_children_shared(e, &mut |c| Expr::subst_rec(c, var, repl, free_in_repl)),
+    /// `results` is one stack for the whole substitution: a node parks
+    /// its children's results above its caller's and takes them back off
+    /// before it returns.
+    fn subst_rec(
+        e: &Arc<Expr>,
+        var: &str,
+        repl: &Arc<Expr>,
+        free_in_repl: &[Name],
+        results: &mut Vec<Arc<Expr>>,
+    ) -> Arc<Expr> {
+        if let Expr::Var(n) = &**e {
+            return Arc::clone(if &**n == var { repl } else { e });
         }
+        // A binder that would capture a free name of the replacement on
+        // its way to an occurrence of `var` is renamed — by name, in
+        // every child it reaches, so binders that shadowed one another
+        // still do.
+        let mut renamed: Vec<(&Name, Name)> = Vec::new();
+        e.for_each_child_in_scope(&mut |c, scope| {
+            for b in scope {
+                if free_in_repl.contains(b)
+                    && !renamed.iter().any(|(old, _)| old == b)
+                    && !binds(scope, var)
+                    && c.occurs_free(var)
+                {
+                    renamed.push((b, fresh(b)));
+                }
+            }
+        });
+        let base = results.len();
+        let mut changed = false;
+        e.for_each_child_in_scope(&mut |c, scope| {
+            let mut out = Arc::clone(c);
+            for (old, new) in &renamed {
+                if binds(scope, old) {
+                    out = Expr::subst_shared(&out, old, &Arc::new(Expr::Var(Arc::clone(new))));
+                }
+            }
+            if !binds(scope, var) {
+                out = Expr::subst_rec(&out, var, repl, free_in_repl, results);
+            }
+            changed |= !Arc::ptr_eq(&out, c);
+            results.push(out);
+        });
+        if !changed {
+            results.truncate(base);
+            return Arc::clone(e);
+        }
+        let mut bind = |b: &Name| {
+            let new = renamed.iter().find(|(old, _)| *old == b);
+            Arc::clone(new.map_or(b, |(_, new)| new))
+        };
+        let mut children = results.drain(base..);
+        let mut out = Expr::rebuild_shared(e, &mut bind, &mut |_| {
+            children.next().expect("one result per child")
+        });
+        drop(children);
+        // The rebuilt loop's `batch` mark caches a request argument that
+        // is now stale, so it is dropped — the batch pass runs after
+        // every substituting rewrite and re-derives it. (An untouched
+        // loop above kept its shared node, mark included.)
+        if let Some(Expr::ParExt { batch, .. }) = Arc::get_mut(&mut out) {
+            *batch = None;
+        }
+        out
     }
 
     /// The collection kind this expression produces, when it is evident
@@ -1128,14 +784,17 @@ impl Expr {
     /// True when evaluating this expression may contact a driver. Used by
     /// the caching and concurrency rules to find "expensive" subqueries.
     pub fn touches_remote(&self) -> bool {
-        let mut found = false;
-        self.visit(&mut |e| {
-            if matches!(e, Expr::Remote { .. } | Expr::RemoteApp { .. }) {
-                found = true;
-            }
-        });
-        found
+        self.find(&mut |e, _| match e {
+            Expr::Remote { .. } | Expr::RemoteApp { .. } => ControlFlow::Break(Some(())),
+            _ => ControlFlow::Continue(()),
+        })
+        .is_some()
     }
+}
+
+/// Is `var` one of the names a [scope](Expr::for_each_child_in_scope) binds?
+fn binds(scope: &[&Name], var: &str) -> bool {
+    scope.iter().any(|b| &***b == var)
 }
 
 impl fmt::Display for Expr {
@@ -1147,6 +806,43 @@ impl fmt::Display for Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `e[var := replacement]` over owned values.
+    fn subst(e: Expr, var: &str, replacement: Expr) -> Expr {
+        (*Expr::subst_shared(&Arc::new(e), var, &Arc::new(replacement))).clone()
+    }
+
+    /// `Join(\\lvar <- L, \\rvar <- R, left_key, right_key, true, {body})`.
+    fn join(lvar: &str, rvar: &str, left_key: Expr, right_key: Expr, body: Expr) -> Expr {
+        Expr::Join {
+            kind: CollKind::Set,
+            strategy: JoinStrategy::IndexedNl,
+            left: Arc::new(Expr::var("L")),
+            right: Arc::new(Expr::var("R")),
+            lvar: name(lvar),
+            rvar: name(rvar),
+            left_key: Some(Arc::new(left_key)),
+            right_key: Some(Arc::new(right_key)),
+            cond: Arc::new(Expr::bool(true)),
+            body: Arc::new(Expr::single(CollKind::Set, body)),
+        }
+    }
+
+    fn marked_loop(var: &str, body: Expr) -> Expr {
+        Expr::ParExt {
+            kind: CollKind::Set,
+            var: name(var),
+            body: Arc::new(Expr::single(CollKind::Set, body)),
+            source: Arc::new(Expr::var("S")),
+            max_in_flight: 3,
+            batch: Some(BatchSpec {
+                driver: name("GenBank"),
+                arg: Arc::new(Expr::var(var)),
+                min_keys: 2,
+                max_keys: 8,
+            }),
+        }
+    }
 
     #[test]
     fn free_vars_respect_binders() {
@@ -1198,7 +894,7 @@ mod tests {
             Expr::single(CollKind::Set, Expr::var("x")),
         );
         // the source's x is free, the body's x is bound
-        let r = e.subst("x", &Expr::int(7));
+        let r = subst(e, "x", Expr::int(7));
         match r {
             Expr::Ext { body, source, .. } => {
                 assert_eq!(*body, Expr::var("x"));
@@ -1212,7 +908,7 @@ mod tests {
     fn subst_avoids_capture() {
         // U{ y | \x <- src }  with  y := x   must rename the binder
         let e = Expr::ext(CollKind::Set, "x", Expr::var("y"), Expr::var("src"));
-        let r = e.subst("y", &Expr::var("x"));
+        let r = subst(e, "y", Expr::var("x"));
         match r {
             Expr::Ext { var, body, .. } => {
                 assert_ne!(&*var, "x", "binder must be renamed");
@@ -1225,7 +921,7 @@ mod tests {
     #[test]
     fn lambda_subst_shadowing() {
         let e = Expr::lambda("x", Expr::var("x"));
-        let r = e.clone().subst("x", &Expr::int(1));
+        let r = subst(e.clone(), "x", Expr::int(1));
         assert_eq!(r, e, "bound variable is untouched");
     }
 
@@ -1264,7 +960,7 @@ mod tests {
     }
 
     #[test]
-    fn clone_is_shallow_and_deep_clone_unshares() {
+    fn clone_is_shallow() {
         let shared = Arc::new(Expr::int(5));
         let e = Expr::Union(CollKind::Set, Arc::clone(&shared), Arc::clone(&shared));
         let c = e.clone();
@@ -1272,13 +968,110 @@ mod tests {
             panic!("shape");
         };
         assert!(Arc::ptr_eq(a, b), "clone must share children");
-        let d = e.deep_clone();
-        assert_eq!(d, e, "deep clone is structurally identical");
-        let Expr::Union(_, da, db) = &d else {
-            panic!("shape")
+    }
+
+    #[test]
+    fn subst_respects_join_binders() {
+        // `x` is the join's own left variable: only the operand is free.
+        let mut e = join("x", "r", Expr::var("x"), Expr::var("r"), Expr::var("x"));
+        if let Expr::Join { left, .. } = &mut e {
+            *left = Arc::new(Expr::var("x"));
+        }
+        let Expr::Join {
+            left,
+            left_key,
+            body,
+            ..
+        } = subst(e, "x", Expr::int(7))
+        else {
+            panic!("shape");
         };
-        assert!(!Arc::ptr_eq(da, a), "deep clone must not share");
-        assert!(!Arc::ptr_eq(da, db), "deep clone unfolds internal sharing");
+        assert_eq!(*left, Expr::int(7), "the operand is outside the binder");
+        assert_eq!(left_key.as_deref(), Some(&Expr::var("x")));
+        assert_eq!(*body, Expr::single(CollKind::Set, Expr::var("x")));
+        // `right_key` is under `rvar` alone: an `l` in it is free.
+        let e = join("l", "r", Expr::var("l"), Expr::var("l"), Expr::var("l"));
+        let Expr::Join {
+            left_key,
+            right_key,
+            body,
+            ..
+        } = subst(e, "l", Expr::int(7))
+        else {
+            panic!("shape");
+        };
+        assert_eq!(left_key.as_deref(), Some(&Expr::var("l")));
+        assert_eq!(right_key.as_deref(), Some(&Expr::int(7)));
+        assert_eq!(*body, Expr::single(CollKind::Set, Expr::var("l")));
+    }
+
+    #[test]
+    fn subst_renames_a_capturing_join_binder() {
+        let e = join("l", "r", Expr::var("l"), Expr::var("r"), Expr::var("z"));
+        let Expr::Join {
+            lvar,
+            rvar,
+            left_key,
+            body,
+            ..
+        } = subst(e, "z", Expr::var("l"))
+        else {
+            panic!("shape");
+        };
+        assert_ne!(&*lvar, "l", "the binder must be renamed");
+        assert_eq!(&*rvar, "r", "the other one is left alone");
+        assert_eq!(*body, Expr::single(CollKind::Set, Expr::var("l")));
+        assert_eq!(
+            left_key.as_deref(),
+            Some(&Expr::Var(lvar)),
+            "every child the binder reaches follows the rename"
+        );
+    }
+
+    #[test]
+    fn subst_respects_a_marked_loops_binder() {
+        // Shadowed: nothing to do, so the shared node — mark included —
+        // comes back.
+        let e = Arc::new(marked_loop("x", Expr::var("x")));
+        let out = Expr::subst_shared(&e, "x", &Arc::new(Expr::int(7)));
+        assert!(Arc::ptr_eq(&e, &out));
+        // Free in the source only: the loop is rebuilt around its body,
+        // without the mark.
+        let mut e = marked_loop("x", Expr::var("x"));
+        if let Expr::ParExt { source, .. } = &mut e {
+            *source = Arc::new(Expr::var("x"));
+        }
+        let Expr::ParExt {
+            body,
+            source,
+            batch,
+            ..
+        } = subst(e, "x", Expr::int(7))
+        else {
+            panic!("shape");
+        };
+        assert_eq!(*source, Expr::int(7));
+        assert_eq!(*body, Expr::single(CollKind::Set, Expr::var("x")));
+        assert_eq!(batch, None, "a rebuilt loop drops its stale mark");
+    }
+
+    #[test]
+    fn subst_renames_a_capturing_marked_loops_binder() {
+        let e = marked_loop("x", Expr::var("z"));
+        let Expr::ParExt {
+            var,
+            body,
+            max_in_flight,
+            batch,
+            ..
+        } = subst(e, "z", Expr::var("x"))
+        else {
+            panic!("shape");
+        };
+        assert_ne!(&*var, "x", "the binder must be renamed");
+        assert_eq!(*body, Expr::single(CollKind::Set, Expr::var("x")));
+        assert_eq!(max_in_flight, 3);
+        assert_eq!(batch, None, "a rebuilt loop drops its stale mark");
     }
 
     #[test]

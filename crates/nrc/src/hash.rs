@@ -320,9 +320,12 @@ mod tests {
     fn hash_is_structural_not_pointer() {
         // Two independently built (pointer-distinct) copies hash equal.
         assert_eq!(plan_hash(&sample()), plan_hash(&sample()));
-        // Deep-cloning (un-sharing) does not change the hash either.
-        let e = sample();
-        assert_eq!(plan_hash(&e), plan_hash(&e.deep_clone()));
+        // Un-sharing does not change the hash either: one subplan linked
+        // twice hashes like two separately built copies.
+        let shared = Arc::new(sample());
+        let linked = Expr::Union(CollKind::Set, Arc::clone(&shared), shared);
+        let unshared = Expr::union(CollKind::Set, sample(), sample());
+        assert_eq!(plan_hash(&linked), plan_hash(&unshared));
     }
 
     #[test]

@@ -196,6 +196,8 @@ pub fn infer(e: &Expr, env: &TypeEnv) -> KResult<Type> {
             right,
             lvar,
             rvar,
+            left_key,
+            right_key,
             cond,
             body,
             ..
@@ -204,9 +206,14 @@ pub fn infer(e: &Expr, env: &TypeEnv) -> KResult<Type> {
             let tr = infer(right, env)?;
             let le = coll_elem(&tl, *kind, "join left")?;
             let re = coll_elem(&tr, *kind, "join right")?;
-            let inner = env
-                .bind(Arc::clone(lvar), le)
-                .bind(Arc::clone(rvar), re);
+            // Each key over its own side alone (`crate::expr`, "Scope").
+            let (lenv, renv) = (
+                env.bind(Arc::clone(lvar), le),
+                env.bind(Arc::clone(rvar), re.clone()),
+            );
+            left_key.iter().try_for_each(|k| infer(k, &lenv).map(drop))?;
+            right_key.iter().try_for_each(|k| infer(k, &renv).map(drop))?;
+            let inner = lenv.bind(Arc::clone(rvar), re);
             infer(cond, &inner)?;
             let tb = infer(body, &inner)?;
             let belem = coll_elem(&tb, *kind, "join body")?;
@@ -400,6 +407,31 @@ mod tests {
     fn unbound_variable_is_reported() {
         assert!(matches!(
             infer(&Expr::var("nope"), &TypeEnv::new()),
+            Err(KError::Unbound(_))
+        ));
+    }
+
+    #[test]
+    fn a_join_key_sees_its_own_side_only() {
+        let ints = || Arc::new(Expr::Const(Value::set(vec![Value::Int(1)])));
+        let join = |right_key: &str| Expr::Join {
+            kind: CollKind::Set,
+            strategy: crate::JoinStrategy::IndexedNl,
+            left: ints(),
+            right: ints(),
+            lvar: name("l"),
+            rvar: name("r"),
+            left_key: Some(Arc::new(Expr::var("l"))),
+            right_key: Some(Arc::new(Expr::var(right_key))),
+            cond: Arc::new(Expr::bool(true)),
+            body: Arc::new(Expr::single(CollKind::Set, Expr::var("l"))),
+        };
+        assert_eq!(
+            infer(&join("r"), &TypeEnv::new()).unwrap(),
+            Type::set(Type::Int)
+        );
+        assert!(matches!(
+            infer(&join("l"), &TypeEnv::new()),
             Err(KError::Unbound(_))
         ));
     }

@@ -98,13 +98,3 @@ pub fn optimize(
     let (out, trace) = optimize_shared(Arc::new(e), catalog, config);
     (Arc::try_unwrap(out).unwrap_or_else(|a| (*a).clone()), trace)
 }
-
-/// Optimize with everything enabled and no source information.
-pub fn optimize_default(e: Expr) -> (Expr, Vec<TraceEntry>) {
-    optimize(e, &NullCatalog, &OptConfig::default())
-}
-
-/// [`optimize_default`] over a shared handle.
-pub fn optimize_default_shared(e: Arc<Expr>) -> (Arc<Expr>, Vec<TraceEntry>) {
-    optimize_shared(e, &NullCatalog, &OptConfig::default())
-}

@@ -37,6 +37,7 @@
 //!
 //! [`Capabilities::batching`]: kleisli_core::Capabilities
 
+use std::ops::ControlFlow::{Break, Continue};
 use std::sync::Arc;
 
 use nrc::{BatchSpec, Expr, Name};
@@ -89,20 +90,13 @@ fn pure_local(e: &Expr) -> bool {
 /// the identical wire request, which the coalescing window already
 /// folds — so they are not batch targets.
 fn batch_target(e: &Expr, var: &str) -> Option<(Name, Arc<Expr>)> {
-    match e {
-        Expr::Cached { .. } => None,
-        Expr::RemoteApp { driver, arg } => (pure_local(arg) && arg.occurs_free(var))
-            .then(|| (driver.clone(), Arc::clone(arg))),
-        other => {
-            let mut found = None;
-            other.for_each_child(&mut |c| {
-                if found.is_none() {
-                    found = batch_target(c, var);
-                }
-            });
-            found
-        }
-    }
+    e.find(&mut |e, _| match e {
+        Expr::Cached { .. } => Break(None),
+        Expr::RemoteApp { driver, arg } => Break(
+            (pure_local(arg) && arg.occurs_free(var)).then(|| (driver.clone(), Arc::clone(arg))),
+        ),
+        _ => Continue(()),
+    })
 }
 
 /// The batching policy of the driver behind `e`'s [`batch_target`] over

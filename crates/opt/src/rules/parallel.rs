@@ -6,6 +6,8 @@
 //! degree of parallelism respects the server's tolerated number of
 //! simultaneous requests ("say five").
 
+use std::ops::ControlFlow::{Break, Continue};
+
 use nrc::Expr;
 
 use crate::engine::{Rule, RuleCtx, RuleSet, Strategy, DEFAULT_CONCURRENCY};
@@ -22,39 +24,15 @@ pub fn rule_set() -> RuleSet {
     }
 }
 
-/// Does `e` reach a driver outside of any `Cached` subtree? (A cached
-/// subquery runs once; parallelizing its surrounding loop buys nothing.)
-fn touches_remote_uncached(e: &Expr) -> bool {
-    match e {
-        Expr::Cached { .. } => false,
-        Expr::Remote { .. } | Expr::RemoteApp { .. } => true,
-        other => {
-            let mut found = false;
-            other.for_each_child(&mut |c| {
-                if !found {
-                    found = touches_remote_uncached(c);
-                }
-            });
-            found
-        }
-    }
-}
-
-/// The first driver named by an uncached remote node in `e`.
+/// The first driver `e` reaches outside of any `Cached` subtree. (A
+/// cached subquery runs once; parallelizing its surrounding loop buys
+/// nothing.)
 fn first_driver(e: &Expr) -> Option<nrc::Name> {
-    match e {
-        Expr::Cached { .. } => None,
-        Expr::Remote { driver, .. } | Expr::RemoteApp { driver, .. } => Some(driver.clone()),
-        other => {
-            let mut found = None;
-            other.for_each_child(&mut |c| {
-                if found.is_none() {
-                    found = first_driver(c);
-                }
-            });
-            found
-        }
-    }
+    e.find(&mut |e, _| match e {
+        Expr::Cached { .. } => Break(None),
+        Expr::Remote { driver, .. } | Expr::RemoteApp { driver, .. } => Break(Some(driver.clone())),
+        _ => Continue(()),
+    })
 }
 
 fn parallelize(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
@@ -72,17 +50,15 @@ fn parallelize(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
     };
     // Only loops whose body issues per-element remote requests benefit;
     // a body independent of the loop variable is the caching case.
-    if !touches_remote_uncached(body) || !body.occurs_free(var) {
-        return None;
-    }
-    let driver = first_driver(body);
+    let driver = first_driver(body).filter(|_| body.occurs_free(var))?;
     // `concurrency_limit` is the *normalized* admission budget (a declared
     // 0 means 1, never "unknown"): since the executor enforces the budget
     // at the driver gate, asking for more in-flight work than the server
     // admits would only queue. Unknown servers fall back to
     // `DEFAULT_CONCURRENCY`.
-    let cap = driver
-        .and_then(|d| ctx.catalog.capabilities(&d))
+    let cap = ctx
+        .catalog
+        .capabilities(&driver)
         .map(|c| c.concurrency_limit())
         .unwrap_or(DEFAULT_CONCURRENCY);
     Some(Expr::ParExt {

@@ -83,90 +83,12 @@ fn is_cheap(e: &Expr) -> bool {
     }
 }
 
-/// Count free occurrences of `var` in `e`.
-fn count_occ(e: &Expr, var: &str) -> usize {
-    // Exact count of free occurrences via a manual walk that respects
-    // binders.
-    fn go(e: &Expr, var: &str) -> usize {
-        match e {
-            Expr::Var(n) => usize::from(&**n == var),
-            Expr::Let { var: v, def, body } => {
-                go(def, var) + if &**v == var { 0 } else { go(body, var) }
-            }
-            Expr::Lambda { var: v, body } => {
-                if &**v == var {
-                    0
-                } else {
-                    go(body, var)
-                }
-            }
-            Expr::Ext {
-                var: v,
-                body,
-                source,
-                ..
-            }
-            | Expr::ParExt {
-                var: v,
-                body,
-                source,
-                ..
-            } => go(source, var) + if &**v == var { 0 } else { go(body, var) },
-            Expr::Case {
-                scrutinee,
-                arms,
-                default,
-            } => {
-                let mut n = go(scrutinee, var);
-                for arm in arms {
-                    if &*arm.var != var {
-                        n += go(&arm.body, var);
-                    }
-                }
-                if let Some(d) = default {
-                    n += go(d, var);
-                }
-                n
-            }
-            Expr::Join {
-                left,
-                right,
-                lvar,
-                rvar,
-                left_key,
-                right_key,
-                cond,
-                body,
-                ..
-            } => {
-                let mut n = go(left, var) + go(right, var);
-                if &**lvar != var && &**rvar != var {
-                    n += go(cond, var) + go(body, var);
-                    if let Some(k) = left_key {
-                        n += go(k, var);
-                    }
-                    if let Some(k) = right_key {
-                        n += go(k, var);
-                    }
-                }
-                n
-            }
-            other => {
-                let mut n = 0;
-                other.for_each_child(&mut |c| n += go(c, var));
-                n
-            }
-        }
-    }
-    go(e, var)
-}
-
 /// Inline `let` bindings that are cheap or used at most once (and local).
 fn let_inline(e: &Expr, _ctx: &RuleCtx<'_>) -> Option<Expr> {
     let Expr::Let { var, def, body } = e else {
         return None;
     };
-    let uses = count_occ(body, var);
+    let uses = body.count_free(var);
     if uses == 0 {
         if def.touches_remote() {
             return None; // keep for its (cost-)visible effects? drop anyway is sound, but conservative
