@@ -996,17 +996,21 @@ pub trait Driver: Send + Sync {
         self.submit(req)
     }
 
-    /// How a full fetch of `req` splits into requests the source admits
-    /// side by side: their replies, concatenated in order, are the reply
-    /// of `req`. Empty — the default — means not at all; a caller given
-    /// two or more parts may [`Driver::submit_full`] each instead of
-    /// `req`, so one large reply crosses on several of the source's
-    /// connections at once (`kleisli_exec::eval`, "a full fetch is as
-    /// wide as its reply"). The answer must depend only on the request,
-    /// the source's data and its advertisement — never on load — so the
-    /// same scan costs the same requests every time.
-    fn split_full(&self, _req: &DriverRequest) -> Vec<DriverRequest> {
-        Vec::new()
+    /// How the full fetches of `reqs` — requests **starting together**,
+    /// in source order; one request is the slice of one — split into
+    /// requests the source admits side by side: one answer per request,
+    /// whose replies, concatenated in order, are that request's reply.
+    /// Empty — the default, for every request — means not at all; a
+    /// caller given two or more parts may [`Driver::submit_full`] each
+    /// instead of the request, so one large reply crosses on several of
+    /// the source's connections at once, and siblings share that width
+    /// between them rather than each sizing itself as if alone
+    /// (`kleisli_exec::eval`, "a full fetch is as wide as its reply, and
+    /// siblings share the width"). The answer must depend only on the
+    /// requests, the source's data and its advertisement — never on load
+    /// — so the same scans cost the same requests every time.
+    fn split_full(&self, reqs: &[&DriverRequest]) -> Vec<Vec<DriverRequest>> {
+        vec![Vec::new(); reqs.len()]
     }
 
     /// Does [`Driver::submit`] return *without* running the request

@@ -93,12 +93,14 @@
 //! On a source that answers a scan piecewise
 //! ([`crate::driver::Driver::split_full`]) the evaluator submits such a
 //! fetch as parts, one request — one task here, one buffer — each, and
-//! a part is `ceil(rows / parts)` rows: while the table is within
-//! `limit x prefetch_rows` rows a lifted window holds **at most one
-//! window** again, and the whole reply is spread over as many buffers as
-//! it has windows, filled side by side. The pool knows none of this: a
-//! part is a request like any other, queued as data when the parts of a
-//! query outnumber the workers.
+//! a part is `ceil(rows / parts)` rows: for a scan split alone, while the
+//! table is within `limit x prefetch_rows` rows, a lifted window holds
+//! **at most one window** again, and the whole reply is spread over as
+//! many buffers as it has windows, filled side by side (scans starting
+//! together may each get fewer, longer parts, so that all of them cross
+//! in whole waves of the workers: [`crate::remote::apportion`]). The pool
+//! knows none of this: a part is a request like any other, queued as
+//! data when the parts of a query outnumber the workers.
 //!
 //! # Adaptive depth
 //!

@@ -574,23 +574,26 @@ impl DriverResilience {
         self.submit_direct(driver, req, deadline, cancel, full)
     }
 
-    /// The parts a full fetch of `req` is to be submitted as
-    /// ([`crate::Driver::split_full`]), each through
+    /// The parts each of the full fetches `reqs`, starting together, is
+    /// to be submitted as ([`crate::Driver::split_full`]), each through
     /// [`DriverResilience::submit_as`]; empty: as itself. Nothing is
     /// split unless the breaker is closed — a half-open breaker admits
-    /// one probe at a time, and the whole request is that probe.
-    pub fn split_full(&self, driver: &DriverRef, req: &DriverRequest) -> Vec<DriverRequest> {
-        let parts = driver.split_full(req);
-        let closed = || {
-            self.breaker
-                .as_ref()
-                .is_none_or(|b| b.state() == BreakerState::Closed)
-        };
-        if parts.len() >= 2 && closed() {
-            parts
-        } else {
-            Vec::new()
+    /// one probe at a time, and a whole request is that probe.
+    pub fn split_full(
+        &self,
+        driver: &DriverRef,
+        reqs: &[&DriverRequest],
+    ) -> Vec<Vec<DriverRequest>> {
+        let closed = self
+            .breaker
+            .as_ref()
+            .is_none_or(|b| b.state() == BreakerState::Closed);
+        if !closed {
+            return vec![Vec::new(); reqs.len()];
         }
+        let mut parts = driver.split_full(reqs);
+        parts.iter_mut().filter(|p| p.len() < 2).for_each(Vec::clear);
+        parts
     }
 
     /// The caller's absolute budget tightened by the policy's own

@@ -310,14 +310,16 @@ impl Source for SlowSource {
     }
 
     /// GDB's split (`sybase_sim`), over this source's one row count.
-    fn split(&self, req: &DriverRequest, window: usize, width: usize) -> Vec<DriverRequest> {
-        let DriverRequest::TableScan { table, columns } = req else {
-            return Vec::new();
-        };
-        if !self.sliceable.load(Ordering::SeqCst) {
-            return Vec::new();
-        }
-        row_ranges(table, columns, self.rows.max(0) as u64, window, width)
+    fn split(
+        &self,
+        reqs: &[&DriverRequest],
+        window: usize,
+        width: usize,
+    ) -> Vec<Vec<DriverRequest>> {
+        let sliceable = self.sliceable.load(Ordering::SeqCst);
+        row_ranges(reqs, window, width, |_| {
+            sliceable.then_some(self.rows.max(0) as u64)
+        })
     }
 }
 

@@ -293,13 +293,18 @@ impl Context {
         res.submit_as(driver, req, self.deadline, self.cancel.clone(), full)
     }
 
-    /// The parts a full fetch of `req` is submitted as, each through
+    /// The parts each of the full fetches `reqs`, starting together on
+    /// driver `name`, is submitted as, each through
     /// [`Context::submit_as`]; empty: as itself
     /// ([`DriverResilience::split_full`]).
-    pub(crate) fn split_full(&self, name: &str, req: &DriverRequest) -> Vec<DriverRequest> {
+    pub(crate) fn split_full(
+        &self,
+        name: &str,
+        reqs: &[&DriverRequest],
+    ) -> Vec<Vec<DriverRequest>> {
         match (self.driver(name), self.resilience(name)) {
-            (Ok(driver), Some(res)) => res.split_full(driver, req),
-            _ => Vec::new(),
+            (Ok(driver), Some(res)) => res.split_full(driver, reqs),
+            _ => vec![Vec::new(); reqs.len()],
         }
     }
 

@@ -12,7 +12,7 @@
 //! only for the forms it does not stream, so the mutual recursion always
 //! descends.
 //!
-//! # Strict siblings start together; a value-position scan is a full fetch, as wide as its reply
+//! # Strict siblings start together; a value-position scan is a full fetch, as wide as its reply, and siblings share the width
 //!
 //! The one rule about remote scans, in four clauses, stated here and
 //! relied on by [`crate::stream`]:
@@ -48,33 +48,48 @@
 //!   or never hold the rows, so for it
 //!   [`kleisli_core::Capabilities::prefetch_rows`] stays the ceiling on
 //!   rows shipped but not yet read.
-//! * **A full fetch is as wide as its reply.** One connection ships one
-//!   reply at its row clock, and a server tolerates several ("say five"
-//!   requests, Section 4) — so a full fetch first asks the driver how
-//!   the request splits ([`kleisli_core::Driver::split_full`]). A source
-//!   that answers piecewise and prefetches — GDB, for a table scan
-//!   longer than one window: `min(ceil(rows / window), connections)`
-//!   consecutive row ranges — returns the parts, and each is submitted as
-//!   a full fetch of its own before the first is redeemed; their streams
-//!   are read back to back, in part order. One 100-row scan at a window
-//!   of 32 is then `request ‖ request ‖ request ‖ request`, `rows ‖ rows
-//!   ‖ rows ‖ rows`: P − 1 extra round-trips, paid in parallel, for
-//!   (1 − 1/P) of the row transfer. Each part is an ordinary request —
+//! * **A full fetch is as wide as its reply, and siblings share the
+//!   width.** One connection ships one reply at its row clock, and a
+//!   server tolerates several ("say five" requests, Section 4) — so the
+//!   full fetches one outermost start meets are first only *planned*
+//!   ([`crate::stream`]'s `Wave`), and when it returns each source is
+//!   asked how the requests bound for it split
+//!   ([`kleisli_core::Driver::split_full`], over all of them at once). A
+//!   source that answers piecewise and prefetches — GDB, for a table scan
+//!   longer than one window — returns consecutive row ranges:
+//!   `min(ceil(rows / window), connections)` of them for a scan alone,
+//!   and for siblings whose parts would not fill whole waves of the
+//!   connections, that total rounded *down* to whole waves and handed
+//!   out where it makes the longest part shortest
+//!   ([`kleisli_core::remote::apportion`]). Every part of every request
+//!   is then submitted as a full fetch of its own before the first is
+//!   redeemed, and a request's streams are read back to back, in part
+//!   order. One 100-row scan at a window of 32 is `request ‖ request ‖
+//!   request ‖ request`, `rows ‖ rows ‖ rows ‖ rows`: P − 1 extra
+//!   round-trips, paid in parallel, for (1 − 1/P) of the row transfer.
+//!   Three such scans of 100, 80 and 100 rows on eight connections are
+//!   one wave of 3 + 2 + 3 parts — not 4 + 3 + 4, a wave of eight and
+//!   three stragglers that cost a second round-trip while five
+//!   connections idle. Each part is an ordinary request —
 //!   admitted against the source's limit (parts beyond it queue as data),
 //!   counted, retried, hedged and charged to the breaker on its own, so
 //!   a retried part does not refetch its siblings — and the scan means
 //!   what the unsplit one means: the first error ends it and cancels the
-//!   parts behind, so no row ever follows an error. While the source's
+//!   parts behind, so no row ever follows an error. A scan whose
+//!   submission fails when the wave is launched stays lazy, like a child
+//!   that cannot start: it is submitted again — alone — and fails when
+//!   its turn comes. Whatever blocks while a wave is open (a nested
+//!   [`eval`]) plans and launches a wave of its own. While the source's
 //!   breaker is anything but closed nothing is split: a half-open
-//!   breaker admits one probe, and the whole request is it. What a
+//!   breaker admits one probe, and a whole request is it. What a
 //!   split gives up is the single instant — P reads at P instants, like
 //!   any join that was not pushed down to its source. Stream position is
 //!   never split, so there each request's buffer holds one window at
 //!   most and `prefetch_rows` stays the ceiling for whoever may stop
 //!   early. No plan shows a split and no option selects one: the part
-//!   count is a function of the table's row count and the driver's
-//!   advertised window and width, so the same query costs the same
-//!   requests every time.
+//!   counts are a function of the row counts of the tables scanned
+//!   together and the driver's advertised window and width — never of
+//!   load — so the same query costs the same requests every time.
 
 use std::sync::Arc;
 
@@ -84,7 +99,7 @@ use nrc::{Expr, Name, Prim};
 use crate::context::Context;
 use crate::env::{Env, Rt};
 use crate::prims::apply_prim;
-use crate::stream::{blocks_at, collect_blocks, prefetchable, try_start, Fetch, Want};
+use crate::stream::{blocks_to_end, collect_blocks, prefetchable, try_start, Fetch, Want, Wave};
 
 /// Evaluate a closed, collection- or value-producing expression.
 pub fn eval(e: &Expr, env: &Env, ctx: &Context) -> KResult<Value> {
@@ -172,7 +187,7 @@ pub fn eval_rt(e: &Expr, env: &Env, ctx: &Context) -> KResult<Rt> {
         | Expr::Remote { .. }
         | Expr::RemoteApp { .. } => {
             let kind = e.coll_kind_hint().expect("a collection form");
-            collect_blocks(blocks_at(e, env, ctx, Want::Any, Fetch::Full)?, kind).map(Rt::Val)
+            collect_blocks(blocks_to_end(e, env, ctx, Want::Any)?, kind).map(Rt::Val)
         }
         Expr::If(c, t, f) => {
             let branch = if eval_cond(c, env, ctx, "if")? { t } else { f };
@@ -195,10 +210,12 @@ pub fn eval_rt(e: &Expr, env: &Env, ctx: &Context) -> KResult<Rt> {
         // The strict operators: every child, unconditionally, in order.
         Expr::Record(_) | Expr::Single(..) | Expr::Prim(..) => if prefetchable(e, ctx) {
             // Every sibling that can start is in flight before the
-            // first one drains (module docs).
-            let started = strict_children(e)
-                .map(|child| start(child, env, ctx, Fetch::Full))
-                .collect();
+            // first one drains, their full fetches sized together
+            // (module docs).
+            let started = Wave::of(|fetch| {
+                let children = strict_children(e);
+                children.map(|child| start(child, env, ctx, fetch)).collect()
+            });
             finish_node(e, started, env, ctx)
         } else {
             eval_strict(e, ctx, |child| eval(child, env, ctx))
@@ -298,8 +315,9 @@ pub(crate) enum Pending {
 /// Put in flight whatever `e` will certainly request, without blocking
 /// and without evaluating anything else. `fetch` is the position of the
 /// operator the child belongs to: [`Fetch::Full`] from [`eval`], which
-/// drains every child now; a singleton's own position when it is an
-/// element of a stream that may never be pulled that far.
+/// drains every child now — in flight, then, once the wave `eval` opened
+/// around all its children is launched; a singleton's own position when
+/// it is an element of a stream that may never be pulled that far.
 pub(crate) fn start(e: &Arc<Expr>, env: &Env, ctx: &Context, fetch: Fetch) -> Pending {
     if is_strict(e) && prefetchable(e, ctx) {
         let children = strict_children(e).map(|c| start(c, env, ctx, fetch));

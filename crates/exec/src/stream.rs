@@ -36,27 +36,32 @@
 //! Remote scans follow the rule stated once in [`mod@crate::eval`]'s module
 //! docs — *strict siblings start together; value position fetches in
 //! full; stream position keeps the window; a full fetch is as wide as
-//! its reply*. This module's share of it: a union's right arm is built
-//! ahead when that only puts requests in flight (`try_start`, the step
-//! `eval`'s `start` takes for record fields and primitive arguments), a
-//! singleton arm starts its element and drains it on first pull, every
-//! scan built here without `eval` asking for it in value position
-//! (`Fetch::Window`) leaves the driver's `prefetch_rows` the ceiling on
-//! rows shipped but unread — and is one request, always — and a
-//! value-position scan (`Fetch::Full`) whose driver splits it is
-//! submitted part by part, all parts in flight before the first is read
-//! (`PartBlocks`: `request ‖ request ‖ …`, then `rows ‖ rows ‖ …`, for
-//! one scan). [`eval_blocks_to_end`] is the same position offered to a
-//! caller outside this crate who drains the blocks itself.
+//! its reply, and siblings share the width*. This module's share of it:
+//! a union's right arm is built ahead when that only puts requests in
+//! flight (`try_start`, the step `eval`'s `start` takes for record fields
+//! and primitive arguments), a singleton arm starts its element and
+//! drains it on first pull, every scan built here without `eval` asking
+//! for it in value position (`Fetch::Window`) leaves the driver's
+//! `prefetch_rows` the ceiling on rows shipped but unread — and is one
+//! request, always — and a value-position scan (`Fetch::Full`) is
+//! *planned* where it is met and put on the wire when everything starting
+//! with it has been (`Wave`): the requests bound for one source are
+//! split by its driver together, and each is submitted part by part, all
+//! parts in flight before the first is read (`PartBlocks`: `request ‖
+//! request ‖ …`, then `rows ‖ rows ‖ …`, for one scan).
+//! [`eval_blocks_to_end`] is the same position offered to a caller
+//! outside this crate who drains the blocks itself.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use kleisli_core::{
     blocks_of_rows, BlockSource, BlockStream, CollKind, DriverRequest, Join, KError, KResult, Lead,
     Value, ValueBlock, DEFAULT_BLOCK_ROWS,
 };
 use nrc::{Expr, JoinStrategy, Name};
+use parking_lot::Mutex;
 
 use crate::context::{request_from_value, BatchGuard, Context};
 use crate::env::{Env, Rt};
@@ -89,13 +94,13 @@ pub fn eval_blocks(e: &Expr, env: &Env, ctx: &Context) -> KResult<BlockStream> {
 /// [`eval_blocks`]: a full fetch ships whatever it is not stopped from
 /// shipping.
 pub fn eval_blocks_to_end(e: &Expr, env: &Env, ctx: &Context) -> KResult<BlockStream> {
-    blocks_at(e, env, ctx, Want::Any, Fetch::Full)
+    blocks_to_end(e, env, ctx, Want::Any)
 }
 
 /// How a remote scan's rows are fetched; decided by where its stream is
 /// consumed (the rule is stated once, in [`mod@crate::eval`]'s module docs).
 #[derive(Clone, Copy)]
-pub(crate) enum Fetch {
+pub(crate) enum Fetch<'w> {
     /// Stream position: the consumer may stop early or never hold the
     /// rows, so the driver's `prefetch_rows` is the ceiling on rows
     /// shipped but not yet read.
@@ -103,9 +108,11 @@ pub(crate) enum Fetch {
     /// Value position: the consumer collects the scan to its end and the
     /// rows are the collection it builds, so the whole reply is fetched
     /// ahead — on as many of the source's connections as it has windows
-    /// of rows (`PartBlocks`). Inherited by the arms of a union and by
-    /// what a singleton arm starts for its element, and by nothing else.
-    Full,
+    /// of rows (`PartBlocks`), shared with the full fetches starting
+    /// beside it in this [`Wave`]. Inherited by the arms of a union and
+    /// by what a singleton arm starts for its element, and by nothing
+    /// else.
+    Full(&'w Wave),
 }
 
 /// What the consumer of a block chain requires of the collection feeding
@@ -184,6 +191,17 @@ fn blocks(e: &Expr, env: &Env, ctx: &Context, want: Want) -> KResult<BlockStream
     blocks_at(e, env, ctx, want, Fetch::Window)
 }
 
+/// The stream of `e` in value position, outermost: the full fetches it
+/// starts are one [`Wave`].
+pub(crate) fn blocks_to_end(
+    e: &Expr,
+    env: &Env,
+    ctx: &Context,
+    want: Want,
+) -> KResult<BlockStream> {
+    Wave::of(|fetch| blocks_at(e, env, ctx, want, fetch))
+}
+
 pub(crate) fn blocks_at(
     e: &Expr,
     env: &Env,
@@ -233,9 +251,12 @@ pub(crate) fn blocks_at(
             // never sees the right arm fail.
             let sb = try_start(b, env, ctx, want, fetch).unwrap_or_else(|| {
                 let (b, env2, ctx2) = (Arc::clone(b), env.clone(), ctx.clone());
-                Box::new(LazyBlocks::new(move || {
-                    blocks_at(&b, &env2, &ctx2, want, fetch)
-                }))
+                // Built on first pull, long after this wave has left.
+                let position: fn(&Expr, &Env, &Context, Want) -> _ = match fetch {
+                    Fetch::Window => blocks,
+                    Fetch::Full(_) => blocks_to_end,
+                };
+                Box::new(LazyBlocks::new(move || position(&b, &env2, &ctx2, want)))
             });
             Ok(Box::new(ChainBlocks {
                 a: Some(sa),
@@ -675,29 +696,18 @@ struct PendingBlocks {
 }
 
 impl PendingBlocks {
-    /// Put `req` on the wire through the driver's resilience layer — a
-    /// full fetch as the parts its driver splits it into, when it does
-    /// ([`PartBlocks`]).
+    /// `req` in flight through the driver's resilience layer: on the
+    /// wire now in stream position, with its [`Wave`] in value position.
     fn submit(
         driver: &str,
         req: &DriverRequest,
         ctx: &Context,
         fetch: Fetch,
     ) -> KResult<BlockStream> {
-        let full = matches!(fetch, Fetch::Full);
-        let one = |req| Ok(PendingBlocks::boxed(ctx.submit_as(driver, req, full)?, ctx));
-        let parts = if full {
-            ctx.split_full(driver, req)
-        } else {
-            Vec::new()
-        };
-        if parts.is_empty() {
-            return one(req);
+        match fetch {
+            Fetch::Window => Ok(PendingBlocks::boxed(ctx.submit_as(driver, req, false)?, ctx)),
+            Fetch::Full(wave) => Ok(wave.plan(driver, req, ctx)),
         }
-        // Every part is in flight before the first is redeemed; a failed
-        // submission drops — cancels — the parts in front of it.
-        let parts = parts.iter().map(one).collect::<KResult<_>>()?;
-        Ok(Box::new(PartBlocks { parts }))
     }
 
     fn boxed(handle: kleisli_core::resilience::ResilientHandle, ctx: &Context) -> BlockStream {
@@ -709,6 +719,97 @@ impl PendingBlocks {
             inner: None,
             failed: false,
         })
+    }
+}
+
+/// The full fetches starting together: every value-position scan one
+/// outermost start meets — record fields, primitive arguments, union
+/// arms, singleton elements, however nested — is *planned* here, and all
+/// of them are put on the wire when the start returns. Planning before
+/// submitting is what lets the scans bound for one source be split
+/// **together** (`Context::split_full` over all of them), so siblings
+/// share the source's width instead of each filling it alone (the
+/// fourth clause of the rule in [`mod@crate::eval`]'s module docs).
+/// Nothing pulls a planned stream before its wave is launched: whatever
+/// blocks while the wave is open evaluates under a wave of its own.
+#[derive(Default)]
+pub(crate) struct Wave {
+    /// In source order. A plan whose stream was dropped before the
+    /// launch asks for nothing.
+    plans: RefCell<Vec<Weak<Planned>>>,
+}
+
+/// One planned full fetch, owned by its stream.
+struct Planned {
+    driver: String,
+    req: DriverRequest,
+    ctx: Context,
+    /// What the launch put in flight, until the first pull takes it.
+    launched: Mutex<Option<BlockStream>>,
+}
+
+impl Wave {
+    /// What `build` builds in value position, its full fetches launched
+    /// together.
+    pub(crate) fn of<T>(build: impl FnOnce(Fetch) -> T) -> T {
+        let wave = Wave::default();
+        let built = build(Fetch::Full(&wave));
+        let plans: Vec<_> = wave.plans.take().iter().filter_map(Weak::upgrade).collect();
+        for (plan, stream) in plans.iter().zip(Planned::submit_together(&plans)) {
+            // A scan whose submission fails stays lazy: it submits again,
+            // and fails, when its turn comes.
+            *plan.launched.lock() = stream.ok();
+        }
+        built
+    }
+
+    fn plan(&self, driver: &str, req: &DriverRequest, ctx: &Context) -> BlockStream {
+        let plan = Arc::new(Planned {
+            driver: driver.to_string(),
+            req: req.clone(),
+            ctx: ctx.clone(),
+            launched: Mutex::new(None),
+        });
+        self.plans.borrow_mut().push(Arc::downgrade(&plan));
+        Box::new(LazyBlocks::new(move || {
+            let launched = plan.launched.lock().take();
+            launched.map_or_else(|| Planned::submit_together(&[plan]).remove(0), Ok)
+        }))
+    }
+}
+
+impl Planned {
+    /// Put `plans` on the wire, in order: each as the parts its driver
+    /// splits it into beside the others bound for the same source
+    /// ([`PartBlocks`]), or as itself.
+    fn submit_together(plans: &[Arc<Planned>]) -> Vec<KResult<BlockStream>> {
+        let mut parts = vec![Vec::new(); plans.len()];
+        for (i, first) in plans.iter().enumerate() {
+            // Once per source, at its first plan.
+            if plans[..i].iter().any(|p| p.driver == first.driver) {
+                continue;
+            }
+            let at = (i..plans.len()).filter(|&j| plans[j].driver == first.driver);
+            let reqs: Vec<&DriverRequest> = at.clone().map(|j| &plans[j].req).collect();
+            for (j, of_one) in at.zip(first.ctx.split_full(&first.driver, &reqs)) {
+                parts[j] = of_one;
+            }
+        }
+        plans.iter().zip(parts).map(|(p, parts)| p.submit(&parts)).collect()
+    }
+
+    /// Every part is in flight before the first is redeemed; a failed
+    /// submission drops — cancels — the parts in front of it.
+    fn submit(&self, parts: &[DriverRequest]) -> KResult<BlockStream> {
+        let one = |req| {
+            let handle = self.ctx.submit_as(&self.driver, req, true)?;
+            Ok(PendingBlocks::boxed(handle, &self.ctx))
+        };
+        if parts.is_empty() {
+            return one(&self.req);
+        }
+        let parts = parts.iter().map(one).collect::<KResult<_>>()?;
+        Ok(Box::new(PartBlocks { parts }))
     }
 }
 

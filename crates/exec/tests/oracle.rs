@@ -10,8 +10,10 @@
 //!   prefetching driver whose window is smaller than its table, so what
 //!   the evaluator starts ahead and fetches in full means what
 //!   left-to-right evaluation means; every plan run again with the
-//!   driver answering by row ranges, so a full fetch is three requests,
-//!   and once more with the middle range failing; every binder named
+//!   driver answering by row ranges on four connections, so a full fetch
+//!   is three requests alone, two beside one sibling and 3 + 3 + 2 beside
+//!   two, and once more with the range holding row 5 failing — the
+//!   middle one or the first, whatever the apportionment; every binder named
 //!   from a pool of three, so shadowing is the rule and the evaluators
 //!   must scope a join's keys, condition and body as `nrc::expr`'s
 //!   "Scope" table does;
@@ -48,10 +50,12 @@ const REMOTE_ROWS: i64 = 12;
 enum Scans {
     /// One request, one reply.
     Whole,
-    /// By row ranges: a full fetch is three requests of four rows.
+    /// By row ranges on four connections: a full fetch alone is three
+    /// requests of four rows; two starting together are two of six each,
+    /// three are 3 + 3 + 2 (`kleisli_core::remote::apportion`).
     Sliced,
     /// By row ranges, the one holding row 5 failing: every scan of `R`
-    /// fails, split — behind the four rows in front — or not.
+    /// fails, split — behind the rows in front — or not.
     SlicedFailing,
 }
 
@@ -71,7 +75,13 @@ fn context_over(driver: &Arc<SlowDriver>) -> Context {
 }
 
 fn source(scans: Scans) -> Arc<SlowDriver> {
-    let driver = SlowDriver::pipelined("R", REMOTE_ROWS, Duration::ZERO, Duration::ZERO, 3, 4);
+    source_on(scans, 4)
+}
+
+/// [`source`] on `connections` connections.
+fn source_on(scans: Scans, connections: usize) -> Arc<SlowDriver> {
+    let (free, window) = (Duration::ZERO, 4);
+    let driver = SlowDriver::pipelined("R", REMOTE_ROWS, free, free, connections, window);
     driver.set_sliceable(!matches!(scans, Scans::Whole));
     if matches!(scans, Scans::SlicedFailing) {
         driver.set_fault(Fault::FailRow(5));
@@ -459,9 +469,12 @@ fn the_property_exercises_values_errors_and_every_operator() {
     let (mut ok, mut failed, mut remote_ok, mut remote_failed) = (0, 0, 0, 0);
     let mut seen = [false; 5];
     let (whole, sliced) = (source(Scans::Whole), source(Scans::Sliced));
+    // On three connections every full fetch is three parts, alone or not:
+    // whole waves are not touched.
+    let unshared = source_on(Scans::Sliced, 3);
     for seed in 0..256u64 {
         let plan = Plans.generate(&mut TestRng::new(seed));
-        for driver in [&whole, &sliced] {
+        for driver in [&whole, &sliced, &unshared] {
             let _ = eval(&plan.0, &Env::empty(), &context_over(driver));
         }
         let scans = plan.0.touches_remote();
@@ -487,10 +500,14 @@ fn the_property_exercises_values_errors_and_every_operator() {
         "over remote scans: {remote_ok} values, {remote_failed} errors"
     );
     assert_eq!(seen, [true; 5], "blocked, indexed, par, cached, union");
-    // A split full fetch is three requests where the whole one is one.
+    // A split full fetch is three requests where the whole one is one,
+    // and siblings sharing four connections save one request each (two
+    // siblings) or one between them (three).
     let requests = |d: &SlowDriver| d.performs.load(std::sync::atomic::Ordering::SeqCst);
-    let split = (requests(&sliced) - requests(&whole)) / 2;
+    let split = (requests(&unshared) - requests(&whole)) / 2;
     assert!(split >= 16, "{split} full fetches split");
+    let shared = requests(&unshared) - requests(&sliced);
+    assert!(shared >= 4, "{shared} requests saved by siblings sharing the width");
 }
 
 fn join(kind: CollKind, left: Expr, right: Expr, cond: Expr, body: Expr) -> Expr {

@@ -15,7 +15,13 @@
 //!   row ranges a value-position scan is one request per part, all inside
 //!   the source together; a failing part ends the scan where it stands —
 //!   rows in front of it, nothing behind — and a stream-position scan is
-//!   never split.
+//!   never split;
+//! * and siblings share the width: three scans that alone would be 12
+//!   parts (4 + 4 + 4) for 8 connections are one wave of 3 + 3 + 2, through
+//!   a record, `flatten` and a nested record alike; a part failing, a
+//!   cancel or a deadline inside such a wave leaves the source quiescent;
+//!   a sibling that cannot start is sized alone, in its turn, and the
+//!   others as if it were not there.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -467,4 +473,121 @@ fn a_stream_position_scan_is_never_split() {
     let v = eval(&e, &Env::empty(), &ctx).unwrap();
     assert_eq!(v.project("c").and_then(Value::len), Some(100));
     assert_eq!(driver.performs.load(Ordering::SeqCst), 2 + 3);
+}
+
+#[test]
+fn sibling_scans_share_the_width() {
+    // Three 100-row scans, window 32, eight connections: alone each is 4
+    // parts, 12 in all — a wave of eight and a wave of four stragglers.
+    // Starting together they are one wave of 3 + 3 + 2, all inside the
+    // source at once.
+    let delay = Duration::from_millis(40);
+    type Shape = fn([Expr; 3]) -> Expr;
+    let nested: Shape = |[a, b, c]| {
+        let inner = Expr::record(vec![("b", count(b)), ("c", c)]);
+        Expr::record(vec![("a", a), ("rest", inner)])
+    };
+    let shapes: [(&str, Shape); 3] = [
+        ("record", record_of),
+        ("flatten", flatten_of),
+        ("nested", nested),
+    ];
+    for (what, shape) in shapes {
+        let driver = sliceable(100, delay, Duration::ZERO, 8, 32);
+        let ctx = ctx_of(&[&driver]);
+        let e = shape([scan("S"), scan("S"), scan("S")]);
+        let v = eval(&e, &Env::empty(), &ctx).unwrap();
+        assert_eq!(driver.performs.load(Ordering::SeqCst), 8, "{what}");
+        assert_eq!(driver.max_seen.load(Ordering::SeqCst), 8, "{what}");
+        assert_eq!(quiesced(&driver), 300, "{what}");
+        assert_eq!(v, reference::eval(&e, &Env::empty(), &ctx).unwrap(), "{what}");
+    }
+    // Two of them fit the width as they are: 4 + 4.
+    let driver = sliceable(100, delay, Duration::ZERO, 8, 32);
+    let e = Expr::record(vec![("a", scan("S")), ("b", scan("S"))]);
+    eval(&e, &Env::empty(), &ctx_of(&[&driver])).unwrap();
+    assert_eq!(driver.performs.load(Ordering::SeqCst), 8);
+    // ... and scans of different sources share nothing.
+    let [a, b, c] = ["A", "B", "C"].map(|n| {
+        let d = SlowDriver::pipelined(n, 100, delay, Duration::ZERO, 8, 32);
+        d.set_sliceable(true);
+        d
+    });
+    let e = record_of([scan("A"), scan("B"), scan("C")]);
+    eval(&e, &Env::empty(), &ctx_of(&[&a, &b, &c])).unwrap();
+    for d in [&a, &b, &c] {
+        assert_eq!(d.performs.load(Ordering::SeqCst), 4);
+    }
+}
+
+#[test]
+fn a_sibling_that_cannot_start_is_sized_alone_in_its_turn() {
+    // 100 rows, window 32, six connections. `a` and `c` start together:
+    // 4 + 4 parts for six connections is one wave of 3 + 3. `b` holds a
+    // `Let` — not prefetchable — so it is no part of that wave: its scan
+    // is sized when its turn comes, alone, at 4 parts. (All three
+    // together would have been two whole waves of 4 + 4 + 4.)
+    let driver = sliceable(100, Duration::from_millis(20), Duration::ZERO, 6, 32);
+    let ctx = ctx_of(&[&driver]);
+    let local = Expr::let_("s", Expr::int(0), count(scan("S")));
+    let e = record_of([scan("S"), local, scan("S")]);
+    let v = eval(&e, &Env::empty(), &ctx).unwrap();
+    assert_eq!(v.project("b"), Some(&Value::Int(100)));
+    assert_eq!(driver.performs.load(Ordering::SeqCst), 3 + 3 + 4);
+    assert_eq!(driver.max_seen.load(Ordering::SeqCst), 6);
+    assert_eq!(quiesced(&driver), 300);
+}
+
+#[test]
+fn a_jointly_planned_wave_that_fails_or_is_stopped_ends_quiescent() {
+    // Three scans of 9 000 rows, window 3 000, eight connections: 3 + 3 +
+    // 3 alone, one wave of 3 + 3 + 2 parts of 3 000 / 3 000 / 4 500 rows
+    // together, 200 us a row.
+    let per_row = Duration::from_micros(200);
+    let big = || sliceable(9_000, Duration::from_millis(5), per_row, 8, 3_000);
+    let e = record_of([scan("S"), scan("S"), scan("S")]);
+
+    // The part holding row 100 — the first of each scan — fails: the
+    // error is `a`'s, as the unsplit scan reports it, and the five
+    // healthy parts of the wave are cancelled mid-transfer.
+    let driver = big();
+    driver.set_fault(Fault::FailRow(100));
+    let err = eval(&e, &Env::empty(), &ctx_of(&[&driver])).unwrap_err();
+    assert!(matches!(err, KError::Transport { .. }), "{err}");
+    let shipped = quiesced(&driver);
+    assert_eq!(driver.performs.load(Ordering::SeqCst), 8);
+    assert!(shipped < 1_500, "{shipped} rows of 27 000 shipped");
+    let oracle = reference::eval(&e, &Env::empty(), &ctx_of(&[&driver])).unwrap_err();
+    assert_eq!(err.to_string(), oracle.to_string());
+
+    for what in ["cancel", "deadline"] {
+        let driver = big();
+        let ctx = ctx_of(&[&driver]);
+        let token = Arc::new(CancelToken::new());
+        let ctx = match what {
+            "cancel" => ctx.with_cancel_token(Arc::clone(&token)),
+            _ => ctx.with_deadline(Instant::now() + Duration::from_millis(25)),
+        };
+        let canceller = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(25));
+            token.cancel();
+        });
+        let err = eval(&e, &Env::empty(), &ctx).unwrap_err();
+        canceller.join().unwrap();
+        match what {
+            "cancel" => assert!(matches!(err, KError::Cancelled(_)), "{err}"),
+            _ => assert!(err.is_timeout(), "{err}"),
+        }
+        let shipped = quiesced(&driver);
+        assert_eq!(driver.performs.load(Ordering::SeqCst), 8, "{what}");
+        assert_eq!(driver.max_seen.load(Ordering::SeqCst), 8, "{what}");
+        // Eight parts, each stopped within a block of the 25 ms mark.
+        let per_part = 25_000 / 200 + 2 * DEFAULT_BLOCK_ROWS as u64;
+        assert!(shipped <= 8 * per_part, "{what}: {shipped} rows of 27 000 shipped");
+        assert_eq!(ctx.seeded_flights(), 0, "{what}");
+        // The next query over the same source is sized as ever.
+        let v = eval(&count(scan("S")), &Env::empty(), &ctx_of(&[&driver])).unwrap();
+        assert_eq!(v, Value::Int(9_000), "{what}");
+        assert_eq!(driver.performs.load(Ordering::SeqCst), 8 + 3, "{what}");
+    }
 }

@@ -605,16 +605,18 @@ impl Source for Sybase {
         self.db.read().table(table).ok().map(|t| t.stats().clone())
     }
 
-    /// A table scan splits into row ranges by the table's (memoized) row
-    /// count; SQL does not.
-    fn split(&self, req: &DriverRequest, window: usize, width: usize) -> Vec<DriverRequest> {
-        let DriverRequest::TableScan { table, columns } = req else {
-            return Vec::new();
-        };
-        match self.db.read().table(table) {
-            Ok(t) => row_ranges(table, columns, t.stats().rows, window, width),
-            Err(_) => Vec::new(),
-        }
+    /// Table scans split into row ranges by their tables' (memoized) row
+    /// counts, sharing the width between them; SQL does not.
+    fn split(
+        &self,
+        reqs: &[&DriverRequest],
+        window: usize,
+        width: usize,
+    ) -> Vec<Vec<DriverRequest>> {
+        let db = self.db.read();
+        row_ranges(reqs, window, width, |table| {
+            db.table(table).ok().map(|t| t.stats().rows)
+        })
     }
 }
 

@@ -12,10 +12,13 @@
 # pairs the change read better (ties counting for neither), and each side's
 # failed operations. Judging is the reader's: a gain is claimed when the
 # change wins nine pairs in ten and the medians differ by more than the
-# parent's own quartile distance. Exits non-zero only when a run fails or
-# answers wrongly. The raw result lines go to benchmark/out/pairs-WORKLOAD.jsonl
-# (git-ignored). CI runs one 2 s pair of the tree against itself so that
-# this script cannot rot; those numbers mean nothing.
+# parent's own quartile distance. It ends with one traced run per side on
+# the first seed and prints every exact-count layer metric that differs
+# between them — "the counts moved as predicted and by nothing else" is
+# that list. Exits non-zero only when a run fails or answers wrongly. The
+# raw result lines go to benchmark/out/pairs-WORKLOAD.jsonl (git-ignored).
+# CI runs one 2 s pair of the tree against itself so that this script
+# cannot rot; those numbers mean nothing, and no count may differ.
 set -euo pipefail
 
 if [[ $# -lt 2 ]]; then
@@ -37,11 +40,12 @@ mkdir -p "$change/benchmark/out"
 log=$change/benchmark/out/pairs-$workload.jsonl
 : > "$log"
 
-# run SIDE DIR PAIR SEED: one kbench run, its result line kept under SIDE.
+# run SIDE DIR PAIR SEED [TRACE=0]: one kbench run, its result line kept
+# under SIDE (a traced run's as pair -1).
 run() {
     local result
     result=$(cd "$2" && benchmark/target/release/kbench \
-        --workload "$workload" --seed "$4" --seconds "$seconds" --trace 0 | tail -n 1)
+        --workload "$workload" --seed "$4" --seconds "$seconds" --trace "${5:-0}" | tail -n 1)
     echo "{\"side\": \"$1\", \"pair\": $3, \"seed\": $4, \"result\": $result}" >> "$log"
 }
 
@@ -56,6 +60,8 @@ for ((pair = 0; pair < pairs; pair++)); do
     fi
     echo "pair $((pair + 1))/$pairs (seed $seed) done" >&2
 done
+run parent "$parent" -1 "$first_seed" 1
+run change "$change" -1 "$first_seed" 1
 
 python3 - "$log" "$change/BENCHMARK.json" "$workload" "$seconds" <<'EOF'
 import json
@@ -64,7 +70,13 @@ import sys
 
 log, benchmark, workload, seconds = sys.argv[1:]
 runs = [json.loads(line) for line in open(log)]
+traced = {r["side"]: r["result"]["metrics"] for r in runs if r["pair"] < 0}
+runs = [r for r in runs if r["pair"] >= 0]
 metrics = json.load(open(benchmark))["end_to_end"]
+# Counts the program makes, which repeat exactly from run to run.
+EXACT = ["drivers.wire_requests_per_query", "drivers.rows_shipped_per_query",
+         "drivers.virtual_wire_ms_per_query", "opt.rules_fired", "nrc.plan_nodes",
+         "exec.rows_out_per_query"]
 sides = {side: sorted((r for r in runs if r["side"] == side), key=lambda r: r["pair"])
          for side in ("parent", "change")}
 
@@ -94,6 +106,13 @@ for metric in metrics:
               f"(distance {q3 - q1:.4f})")
     if medians["parent"]:
         print(f"    change / parent: {medians['change'] / medians['parent']:.4f}")
+moved = [(name, traced["parent"][name]["value"], traced["change"][name]["value"])
+         for name in EXACT]
+moved = [(name, p, c) for name, p, c in moved if p != c]
+print(f"  exact counts that differ (one traced run a side, seed {sides['parent'][0]['seed']}): "
+      f"{'none' if not moved else ''}")
+for name, p, c in moved:
+    print(f"    {name}: {p:.4f} -> {c:.4f}")
 failed = False
 for side, rs in sides.items():
     attempted = sum(r["result"]["attempted"] for r in rs)

@@ -263,30 +263,29 @@ const ROW_STREAM: [&str; 3] = [
     r#"[loci = GDB-Tab("locus"), refs = GDB-Tab("object_genbank_eref"), bands = GDB-Tab("locus_cyto_location")]"#,
 ];
 
-/// A GDB of 100 loci, 80 cross-references and 100 bands behind `latency`.
+/// The benchmark's GDB — a `bio_federation` of 100 loci, 80
+/// cross-references and 100 bands — behind `latency`.
 fn row_stream_session(latency: LatencyModel) -> Session {
-    let mut db = sybase_sim::Database::new();
-    for (table, rows) in [
-        ("locus", 100),
-        ("object_genbank_eref", 80),
-        ("locus_cyto_location", 100),
-    ] {
-        db.create_table(table, &["id", "text"]).expect("create");
-        let t = db.table_mut(table).expect("table");
-        for i in 0..rows {
-            t.insert(vec![
-                sybase_sim::Datum::Int(i),
-                sybase_sim::Datum::str(format!("{table}-{i}")),
-            ])
-            .expect("insert");
-        }
-    }
+    let gdb = (0..)
+        .map(|seed| GdbConfig {
+            loci: 100,
+            chromosomes: 24,
+            seed,
+            ..Default::default()
+        })
+        .find(|config| {
+            let loci = bio_data::GdbData::generate(config).loci;
+            loci.iter().filter(|l| l.genbank_ref.is_some()).count() == 80
+        })
+        .expect("some seed cross-references 80 loci of 100");
+    let genbank = GenBankConfig {
+        extra_entries: 0,
+        links_per_entry: 0,
+        ..Default::default()
+    };
+    let fed = bio_federation(&gdb, &genbank, latency, LatencyModel::instant()).expect("federation");
     let mut session = Session::new();
-    session.register_driver(std::sync::Arc::new(sybase_sim::SybaseServer::serve(
-        "GDB",
-        db.into(),
-        latency,
-    )));
+    session.register_driver(fed.gdb.clone());
     session
 }
 
@@ -301,19 +300,22 @@ fn a_served_table_scan_crosses_on_one_connection_per_window_of_rows() {
         (value, m.requests, m.rows_shipped)
     };
     // Rows that cost wall-clock time (as little as a sleep can cost): the
-    // source prefetches, so a scan read to its end is ceil(rows / 32)
-    // requests — 4, 3 and 4 for the three tables.
+    // source prefetches, so a scan read to its end alone is ceil(rows /
+    // 32) requests — 4 — and the three scans of one query, which alone
+    // would be 4 + 3 + 4 for eight connections, share them as one wave
+    // of 3 + 2 + 3.
     let paced = row_stream_session(LatencyModel::real(
         Duration::from_micros(50),
         Duration::from_nanos(1),
     ));
-    // The same rows on the virtual clock: nothing to overlap, one
-    // request a scan, as before.
+    // The same rows on the virtual clock, and rows that cost nothing:
+    // nothing to overlap, one request a scan, as ever.
     let counted = row_stream_session(LatencyModel::virtual_only(
         Duration::from_millis(2),
         Duration::from_micros(100),
     ));
-    let wire = [(4, 1, 100), (11, 3, 280), (11, 3, 280)];
+    let free = row_stream_session(LatencyModel::instant());
+    let wire = [(4, 1, 100), (8, 3, 280), (8, 3, 280)];
     let plans = [
         ("REMOTE[GDB: scan locus]", 1, 4),
         (
@@ -334,9 +336,11 @@ fn a_served_table_scan_crosses_on_one_connection_per_window_of_rows() {
     {
         let (fast, requests, shipped) = served(&paced, text);
         assert_eq!((requests, shipped), (split, rows), "{text}");
-        let (slow, requests, shipped) = served(&counted, text);
-        assert_eq!((requests, shipped), (whole, rows), "{text}");
-        assert_eq!(fast, slow, "{text}");
+        for unsplit in [&counted, &free] {
+            let (slow, requests, shipped) = served(unsplit, text);
+            assert_eq!((requests, shipped), (whole, rows), "{text}");
+            assert_eq!(fast, slow, "{text}");
+        }
         // The split is the driver's, at run time: no plan shows it, and
         // the plan is what it was before a scan could split.
         let explained = paced.explain(text).expect("explain");
@@ -350,4 +354,11 @@ fn a_served_table_scan_crosses_on_one_connection_per_window_of_rows() {
     paced.reset_metrics();
     assert_eq!(paced.query(ROW_STREAM[0]).expect("query").len(), Some(100));
     assert_eq!(paced.driver_metrics("GDB").expect("metrics").requests, 1);
+    // ... and a prefix is one request that ships one window (of rows
+    // not yet read) at most.
+    paced.reset_metrics();
+    assert_eq!(paced.query_first_n(ROW_STREAM[0], 1).expect("prefix").len(), 1);
+    let m = paced.driver_metrics("GDB").expect("metrics");
+    assert_eq!(m.requests, 1);
+    assert!(m.rows_shipped <= 1 + 32 + 2, "{} rows for a prefix of 1", m.rows_shipped);
 }

@@ -3,7 +3,8 @@
 //! test-only source. Pooling, admission and batching live in the shell,
 //! so one generic check covers them all — and, for the one source that
 //! answers a request piecewise, that the pieces are the whole: GDB's
-//! split of a table scan over every table size around its boundaries.
+//! split of table scans starting together, over every table size around
+//! its boundaries, mixed with SQL.
 
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -110,12 +111,25 @@ fn honors_the_shell_contract<S: Source>(drv: &Remote<S>, req: DriverRequest) {
         std::thread::sleep(Duration::from_millis(1));
     }
 
-    // The parts of a split full fetch, in order, are the reply.
-    let parts = drv.split_full(&req);
-    assert_ne!(parts.len(), 1, "{name}: one part is no split");
-    if !parts.is_empty() {
-        let pieces: Vec<Value> = parts.iter().flat_map(|part| rows_of(drv, part)).collect();
-        assert_eq!(pieces, rows_of(drv, &req), "{name}: {parts:?}");
+    // The parts of a split full fetch, in order, are the reply — alone
+    // and beside its siblings.
+    parts_are_the_replies(drv, &[&req]);
+    parts_are_the_replies(drv, &[&req, &req, &req]);
+}
+
+/// `drv`'s split of `reqs` starting together: one answer per request,
+/// each empty or two or more parts whose replies, in order, are the
+/// request's.
+fn parts_are_the_replies(drv: &dyn Driver, reqs: &[&DriverRequest]) {
+    let name = drv.name();
+    let split = drv.split_full(reqs);
+    assert_eq!(split.len(), reqs.len(), "{name}: one answer per request");
+    for (req, parts) in reqs.iter().zip(&split) {
+        assert_ne!(parts.len(), 1, "{name}: one part is no split");
+        if !parts.is_empty() {
+            let pieces: Vec<Value> = parts.iter().flat_map(|part| rows_of(drv, part)).collect();
+            assert_eq!(pieces, rows_of(drv, req), "{name}: {parts:?}");
+        }
     }
 }
 
@@ -189,31 +203,40 @@ fn every_source_honors_the_shell_contract() {
     // that prefetches, and so the only kind that is asked to split.
     let rows = 3 * SYBASE_PREFETCH_ROWS as i64 + 1;
     let paced = LatencyModel::real(Duration::from_millis(5), Duration::from_nanos(1));
-    let gdb = SybaseServer::serve("GDB", numbered(rows).into(), paced);
-    assert_eq!(gdb.split_full(&scan_of(false)).len(), 4);
-    honors_the_shell_contract(&gdb, scan_of(true));
+    let gdb = SybaseServer::serve("GDB", numbered(&[rows]).into(), paced);
+    assert_eq!(gdb.split_full(&[&scan_of(0, false)])[0].len(), 4);
+    honors_the_shell_contract(&gdb, scan_of(0, true));
 }
 
-/// Table `t` of `rows` rows `(id, sym, band)`, `id` counting from 0.
-fn numbered(rows: i64) -> Database {
+/// Tables `t0`, `t1`, … of `rows[i]` rows `(id, sym, band)`, `id`
+/// counting from 0.
+fn numbered(rows: &[i64]) -> Database {
     let mut db = Database::new();
-    db.create_table("t", &["id", "sym", "band"]).unwrap();
-    grow(&mut db, 0..rows);
+    for (t, rows) in rows.iter().enumerate() {
+        db.create_table(&format!("t{t}"), &["id", "sym", "band"]).unwrap();
+        grow(&mut db, t, 0..*rows);
+    }
     db
 }
 
-fn grow(db: &mut Database, ids: std::ops::Range<i64>) {
-    let t = db.table_mut("t").unwrap();
+fn grow(db: &mut Database, table: usize, ids: std::ops::Range<i64>) {
+    let t = db.table_mut(&format!("t{table}")).unwrap();
     for i in ids {
         let sym = Datum::str(format!("S{i}"));
         t.insert(vec![Datum::Int(i), sym, Datum::Int(i % 7)]).unwrap();
     }
 }
 
-fn scan_of(projected: bool) -> DriverRequest {
+fn scan_of(table: usize, projected: bool) -> DriverRequest {
     DriverRequest::TableScan {
-        table: "t".into(),
+        table: format!("t{table}"),
         columns: projected.then(|| vec!["sym".into(), "id".into()]),
+    }
+}
+
+fn sql() -> DriverRequest {
+    DriverRequest::Sql {
+        query: "select id from t0".into(),
     }
 }
 
@@ -226,57 +249,110 @@ fn only_a_source_whose_rows_cost_wall_clock_time_is_split() {
         (LatencyModel::real(rtt, Duration::ZERO), 0),
         (LatencyModel::real(Duration::ZERO, per_row), 4),
     ] {
-        let gdb = SybaseServer::serve("GDB", numbered(100).into(), latency);
-        assert_eq!(gdb.split_full(&scan_of(false)).len(), parts);
+        let gdb = SybaseServer::serve("GDB", numbered(&[100, 80, 100]).into(), latency);
+        assert_eq!(gdb.split_full(&[&scan_of(0, false)])[0].len(), parts);
         // SQL is never split, whatever it costs.
-        let sql = DriverRequest::Sql {
-            query: "select id from t".into(),
-        };
-        assert!(gdb.split_full(&sql).is_empty());
+        assert!(gdb.split_full(&[&sql()])[0].is_empty());
+        // `row_stream`'s three scans, starting together, share the eight
+        // connections: one wave of 3 + 2 + 3, not 4 + 3 + 4.
+        let siblings = [&scan_of(0, false), &scan_of(1, false), &scan_of(2, false)];
+        let together: Vec<usize> = gdb.split_full(&siblings).iter().map(Vec::len).collect();
+        assert_eq!(together, if parts == 0 { [0, 0, 0] } else { [3, 2, 3] });
     }
+}
+
+/// A table size around the split's boundaries.
+fn boundary(window: usize, width: usize, k: usize, size: usize) -> i64 {
+    [
+        0,
+        1,
+        window - 1,
+        window,
+        window + 1,
+        k * window - 1,
+        k * window + 1,
+        width * window,
+        width * window + k,
+    ][size] as i64
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// GDB's split of a table scan, for any window and width, at every
-    /// table size around the boundaries: the part count is the rule's
-    /// (`kleisli_core::remote::row_ranges`), and the parts — answered
-    /// after the table grew by `grown` rows — are the grown table's scan.
+    /// GDB's split of table scans starting together, for any window and
+    /// width, at every table size around the boundaries, mixed with SQL:
+    /// alone, a scan's part count is the rule's
+    /// (`kleisli_core::remote::apportion`); together no scan gets more
+    /// parts than alone, no part is empty for the rows counted, SQL is
+    /// never split, and each request's parts — answered after its table
+    /// grew by `grown` rows — are the grown table's scan.
     #[test]
     fn gdb_splits_a_table_scan_into_ranges_that_are_the_scan(
         window in 1usize..40,
         width in 1usize..10,
-        size in 0usize..9,
         k in 2usize..6,
-        projected in any::<bool>(),
+        sizes in proptest::collection::vec(0usize..9, 1..5),
+        // Per request: which table (or, past the last, SQL) and whether
+        // it projects.
+        picks in proptest::collection::vec((0usize..5, any::<bool>()), 1..6),
         grown in 0i64..6,
     ) {
-        let rows = [
-            0,
-            1,
-            window - 1,
-            window,
-            window + 1,
-            k * window - 1,
-            k * window + 1,
-            width * window,
-            width * window + k,
-        ][size] as i64;
-        let gdb = SybaseServer::serve("GDB", numbered(rows).into(), LatencyModel::instant());
-        let req = scan_of(projected);
-        let parts = gdb.split(&req, window, width);
-        let expected = (rows as usize).div_ceil(window).min(width);
-        prop_assert_eq!(parts.len(), if expected < 2 { 0 } else { expected });
-        gdb.with_db(|db| grow(db, rows..rows + grown));
-        let whole = gdb.answer("GDB", &req).unwrap();
-        prop_assert_eq!(whole.len() as i64, rows + grown);
-        if !parts.is_empty() {
-            let pieces: Vec<Value> = parts
-                .iter()
-                .flat_map(|part| gdb.answer("GDB", part).unwrap())
-                .collect();
-            prop_assert_eq!(pieces, whole);
+        let rows: Vec<i64> = sizes.iter().map(|size| boundary(window, width, k, *size)).collect();
+        let gdb = SybaseServer::serve("GDB", numbered(&rows).into(), LatencyModel::instant());
+        let reqs: Vec<DriverRequest> = picks
+            .iter()
+            .map(|(table, projected)| match rows.get(*table) {
+                Some(_) => scan_of(*table, *projected),
+                None => sql(),
+            })
+            .collect();
+        let rows_of = |req: &DriverRequest| match req {
+            DriverRequest::TableScan { table, .. } => {
+                Some(rows[table[1..].parse::<usize>().unwrap()] as u64)
+            }
+            _ => None,
+        };
+        // How many parts a scan of `rows` rows is cut into when given `parts`.
+        let cut = |rows: u64, parts: u64| match parts {
+            0 | 1 => 0,
+            _ => rows.div_ceil(rows.div_ceil(parts)) as usize,
+        };
+        let refs: Vec<&DriverRequest> = reqs.iter().collect();
+        let together = gdb.split(&refs, window, width);
+        prop_assert_eq!(together.len(), reqs.len());
+        let counts: Vec<Option<u64>> = reqs.iter().map(rows_of).collect();
+        let given = kleisli_core::remote::apportion(&counts, window, width);
+        for ((req, parts), given) in reqs.iter().zip(&together).zip(given) {
+            let alone = gdb.split(&[req], window, width).remove(0);
+            match rows_of(req) {
+                Some(rows) => {
+                    let expected = rows.div_ceil(window as u64).min(width as u64);
+                    prop_assert_eq!(alone.len(), cut(rows, expected));
+                    prop_assert_eq!(parts.len(), cut(rows, given));
+                }
+                None => prop_assert!(alone.is_empty() && parts.is_empty()),
+            }
+            prop_assert!(parts.len() <= alone.len());
+            for part in parts.iter().chain(&alone) {
+                let shipped = gdb.answer("GDB", part).unwrap();
+                prop_assert!(!shipped.is_empty(), "{part:?} ships nothing");
+            }
+        }
+        for (table, rows) in rows.iter().enumerate() {
+            gdb.with_db(|db| grow(db, table, *rows..*rows + grown));
+        }
+        for (req, parts) in reqs.iter().zip(&together) {
+            let whole = gdb.answer("GDB", req).unwrap();
+            if let Some(rows) = rows_of(req) {
+                prop_assert_eq!(whole.len() as u64, rows + grown as u64);
+            }
+            if !parts.is_empty() {
+                let pieces: Vec<Value> = parts
+                    .iter()
+                    .flat_map(|part| gdb.answer("GDB", part).unwrap())
+                    .collect();
+                prop_assert_eq!(pieces, whole);
+            }
         }
     }
 }

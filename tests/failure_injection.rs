@@ -643,13 +643,14 @@ fn a_deadline_inside_a_two_hop_loop_leaves_the_drivers_quiescent() {
 // ---------------------------------------------------------------------------
 
 /// Three value-position scans of a source that answers by row ranges:
-/// 100 rows behind a 32-row window on eight connections, so four parts a
-/// scan — twelve requests for eight workers.
+/// 100 rows behind a 32-row window on six connections, so four parts a
+/// scan — twelve requests, two whole waves of the six workers (siblings
+/// that fill whole waves keep the parts they would have alone).
 const THREE_SCANS: &str =
     r#"[a = SRC([table = "t"]), b = SRC([table = "t"]), c = SRC([table = "t"])]"#;
 const ONE_SCAN: &str = r#"count(SRC([table = "t"]))"#;
 const PARTS: u64 = 4;
-const CONNECTIONS: usize = 8;
+const CONNECTIONS: usize = 6;
 
 fn sliceable_source(delay: Duration) -> Arc<SlowDriver> {
     let drv = SlowDriver::pipelined("SRC", 100, delay, Duration::ZERO, CONNECTIONS, 32);
@@ -681,7 +682,7 @@ fn a_split_scan_is_one_request_per_part_and_never_wider_than_its_source() {
     }
     assert_eq!(drv.performs.load(Ordering::SeqCst), 3 * PARTS);
     // Nothing was abandoned, so what was inside the source was admitted:
-    // twelve parts, never more than the eight connections at once.
+    // twelve parts, never more than the six connections at once.
     assert_eq!(drv.max_seen.load(Ordering::SeqCst), CONNECTIONS);
     assert_source_quiescent(&s, &drv);
     assert_eq!(s.driver_metrics("SRC").expect("metrics").rows_shipped, 300);
@@ -696,7 +697,7 @@ fn cancel_deadline_and_a_failing_part_leave_a_split_scan_quiescent() {
         let err = match what {
             "cancel" => {
                 let handle = s.submit(THREE_SCANS).expect("submit");
-                // Eight parts inside the source, four queued behind them.
+                // Six parts inside the source, six queued behind them.
                 wait_until("every connection to be busy", || {
                     drv.gate().in_flight() == CONNECTIONS
                 });
