@@ -835,13 +835,17 @@ fn slow_client(smoke: bool) -> Json {
     let (reps, ceiling) = if smoke { (5, 2.0) } else { (20, 1.2) };
     let (sessions, stalled_queries) = (8, 16);
     let (server, _) = serve(smoke);
-    // Warm the shared caches so both phases measure the cached path.
-    Client::connect(server.addr())
-        .expect("connect")
-        .query(SERVED_QUERY)
-        .expect("query")
-        .into_value()
-        .expect("value");
+    // Warm the shared caches so both phases measure the cached path: the
+    // result cache keeps a result asked for twice.
+    let mut primer = Client::connect(server.addr()).expect("connect");
+    for _ in 0..2 {
+        primer
+            .query(SERVED_QUERY)
+            .expect("query")
+            .into_value()
+            .expect("value");
+    }
+    drop(primer);
     let baseline = p50(&warm_latencies(server.addr(), sessions, reps));
 
     let mut stalled = std::net::TcpStream::connect(server.addr()).expect("connect stalled");

@@ -8,7 +8,7 @@
 //! thousand clients issuing the same GenBank query evaluate it **once**
 //! and everyone else is served from memory.
 //!
-//! Three properties, each load-bearing for the server deployment:
+//! Four properties, each load-bearing for the server deployment:
 //!
 //! * **Single-flight population.** Each entry is a
 //!   [`kleisli_core::SingleFlight`], and everything about leading,
@@ -27,10 +27,33 @@
 //!   is unknown and evicting them would duplicate the very work the cache
 //!   exists to share). A single entry larger than the whole budget is
 //!   served to its waiters but not retained.
+//! * **Admission.** A committed result is retained only if its key was
+//!   asked for *before this flight*: by an earlier miss still remembered
+//!   in a fixed, direct-mapped table of recently missed keys
+//!   ([`ASKED_SLOTS`] slots of one key each, 32 KiB), or by a caller that
+//!   coalesced onto the flight while it ran. Any other result goes down
+//!   the oversize path — served to its waiters, not retained — and counts
+//!   as `declined`, not as an eviction. So a never-repeated query (ad hoc
+//!   text, a nonce) costs the cache nothing, and the budget holds the
+//!   working set instead of the history: the cost is that a text asked
+//!   exactly twice is evaluated twice (the second ask admits it, nobody
+//!   reads it), while one asked `k ≥ 3` times pays one evaluation more
+//!   over `k`. 4 096 slots remember about the last 4 096 distinct misses —
+//!   more results than the default budget holds at a few tens of KB each,
+//!   for 1/2 048 of it — and a slot holds whichever key missed in it
+//!   last, so a colliding key delays an admission by one ask and never
+//!   admits a stranger. The table is not an entry: it survives
+//!   [`ResultCache::flush_source`] and [`ResultCache::clear`], so a
+//!   refreshed working set is re-admitted on its first recompute. A key
+//!   means the same plan across sessions and recompiles
+//!   (`nrc::hash::plan_hash` hashes fresh binder names by rank), without
+//!   which a plan recompiled after a plan-cache eviction would be a
+//!   stranger every time.
 //! * **Observability.** [`ResultCache::stats`] exposes hits, misses,
-//!   evictions, entry count, resident bytes, and the high-water mark
-//!   (`peak_bytes`) — the server's STATS frame reports it, kbench reads
-//!   it as `exec.result_cache_peak_mb`, and the server suite's
+//!   evictions, declines, entry count, resident bytes, and the
+//!   high-water mark (`peak_bytes`) — the server's STATS frame reports
+//!   it, kbench reads it as `exec.result_cache_peak_mb`, and the server
+//!   suite's
 //!   `result_cache_budget_is_enforced_over_the_wire` asserts
 //!   `peak_bytes <= budget` from it.
 //!
@@ -55,6 +78,17 @@ use kleisli_core::{write_exchange, CancelToken, Join, Lead, SingleFlight, Value,
 /// Default byte budget for a [`ResultCache`]: 64 MiB.
 pub const DEFAULT_RESULT_CACHE_BUDGET: u64 = 64 * 1024 * 1024;
 
+/// Slots in a [`ResultCache`]'s table of recently missed keys, the
+/// memory of its admission rule (module docs, "Admission"). A power of
+/// two.
+pub const ASKED_SLOTS: usize = 4096;
+
+/// The table slot of `key` (Fibonacci hashing: every bit of the key
+/// moves the slot).
+fn asked_slot(key: u64) -> usize {
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - ASKED_SLOTS.trailing_zeros())) as usize
+}
+
 /// Observability counters for a [`ResultCache`]; see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResultCacheStats {
@@ -65,6 +99,9 @@ pub struct ResultCacheStats {
     pub misses: u64,
     /// Committed entries dropped to fit the byte budget.
     pub evictions: u64,
+    /// Commits served but not retained because their key was not asked
+    /// for before their flight (module docs, "Admission").
+    pub declined: u64,
     /// Entries dropped by [`ResultCache::flush_source`] (deliberate
     /// invalidation — counted separately from `evictions`).
     pub flushes: u64,
@@ -95,10 +132,17 @@ struct Entry {
     deps: Vec<Arc<str>>,
     /// Monotone use tick for LRU eviction.
     last_used: u64,
+    /// The key was asked for before this entry's flight, or during it:
+    /// its commit is retained (module docs, "Admission").
+    asked: bool,
 }
 
 struct CacheMap {
     entries: HashMap<u64, Entry>,
+    /// The last key missed in each [`asked_slot`]. An empty slot holds a
+    /// key that maps to another slot, so it matches none: 0 maps to slot
+    /// 0, 1 does not.
+    missed: Box<[u64]>,
     /// Total bytes of committed entries.
     bytes: u64,
     /// Monotone lookup counter feeding `Entry::last_used`.
@@ -116,6 +160,7 @@ pub struct ResultCache {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
+    declined: AtomicU64,
     flushes: AtomicU64,
     peak_bytes: AtomicU64,
 }
@@ -151,6 +196,7 @@ impl ResultCache {
         Arc::new(ResultCache {
             map: StdMutex::new(CacheMap {
                 entries: HashMap::new(),
+                missed: (0..ASKED_SLOTS).map(|slot| u64::from(slot == 0)).collect(),
                 bytes: 0,
                 tick: 0,
                 generations: HashMap::new(),
@@ -159,6 +205,7 @@ impl ResultCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            declined: AtomicU64::new(0),
             flushes: AtomicU64::new(0),
             peak_bytes: AtomicU64::new(0),
         })
@@ -196,6 +243,11 @@ impl ResultCache {
     /// later [`ResultCache::flush_source`] of any of them invalidates
     /// this entry. Tags are recorded when the entry is created; identical
     /// keys are identical plans, so re-lookups carry the same tags.
+    ///
+    /// Every call is an ask (module docs, "Admission"): one that finds
+    /// the entry marks it asked — a coalesced waiter admits the flight it
+    /// waits on — and one that creates it reads and records the key in
+    /// the table of recent misses.
     pub fn join(
         self: &Arc<Self>,
         key: u64,
@@ -207,13 +259,20 @@ impl ResultCache {
             let mut map = self.lock_map();
             map.tick += 1;
             let tick = map.tick;
-            let entry = map.entries.entry(key).or_insert_with(|| Entry {
-                cell: Arc::default(),
-                text: None,
-                bytes: None,
-                deps: deps.to_vec(),
-                last_used: 0,
-            });
+            let CacheMap {
+                entries, missed, ..
+            } = &mut *map;
+            let entry = entries
+                .entry(key)
+                .and_modify(|e| e.asked = true)
+                .or_insert_with(|| Entry {
+                    cell: Arc::default(),
+                    text: None,
+                    bytes: None,
+                    deps: deps.to_vec(),
+                    last_used: 0,
+                    asked: std::mem::replace(&mut missed[asked_slot(key)], key) == key,
+                });
             entry.last_used = tick;
             Arc::clone(&entry.cell)
         };
@@ -283,6 +342,7 @@ impl ResultCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
+            declined: self.declined.load(Ordering::Relaxed),
             flushes: self.flushes.load(Ordering::Relaxed),
             entries: map.entries.values().filter(|e| e.bytes.is_some()).count(),
             bytes: map.bytes,
@@ -291,8 +351,8 @@ impl ResultCache {
         }
     }
 
-    /// Drop every entry (counters are kept), detaching the populations
-    /// in flight (module docs).
+    /// Drop every entry (counters and the table of recent misses are
+    /// kept), detaching the populations in flight (module docs).
     pub fn clear(&self) {
         let mut map = self.lock_map();
         map.entries.clear();
@@ -303,7 +363,8 @@ impl ResultCache {
     /// invalidation generation. Returns the keys of the dropped entries.
     /// Committed entries release their bytes and count toward the
     /// `flushes` stat; in-flight entries are detached like
-    /// [`ResultCache::clear`] does.
+    /// [`ResultCache::clear`] does. The keys stay in the table of recent
+    /// misses, so each is retained on its first recompute.
     pub fn flush_source(&self, source: &str) -> Vec<u64> {
         let mut map = self.lock_map();
         let keys: Vec<u64> = map
@@ -338,11 +399,12 @@ impl ResultCache {
 
     /// Charge `bytes` more to the entry of `key` — a freshly committed
     /// value, or the `text` a reader just serialized from one — and evict
-    /// LRU committed entries until the budget holds again. Called *after*
-    /// the value is published to the cell, so waiters are never delayed
-    /// by eviction. `cell` is the cell the bytes belong to: if a `clear`
-    /// or `flush_source` detached it (whether or not a new entry was
-    /// since created under the same key) nothing is charged or kept —
+    /// LRU committed entries until the budget holds again, or drop the
+    /// entry itself if it was not asked for before its flight. Called
+    /// *after* the value is published to the cell, so waiters are never
+    /// delayed by eviction. `cell` is the cell the bytes belong to: if a
+    /// `clear` or `flush_source` detached it (whether or not a new entry
+    /// was since created under the same key) nothing is charged or kept —
     /// the stale value lives only in the detached cell.
     fn charge(
         &self,
@@ -352,7 +414,7 @@ impl ResultCache {
         text: Option<&Arc<String>>,
     ) {
         let mut map = self.lock_map();
-        match map.entries.get_mut(&key) {
+        let asked = match map.entries.get_mut(&key) {
             Some(entry) if Arc::ptr_eq(&entry.cell, cell) => {
                 if let Some(text) = text {
                     if entry.text.is_some() {
@@ -361,25 +423,34 @@ impl ResultCache {
                     entry.text = Some(Arc::clone(text));
                 }
                 entry.bytes = Some(entry.bytes.unwrap_or(0) + bytes);
+                entry.asked
             }
             _ => return,
-        }
+        };
         map.bytes += bytes;
         // Evict oldest committed entries (never the one just charged —
         // its readers are being served from it right now) until we fit.
-        while map.bytes > self.budget {
-            let victim = map
-                .entries
-                .iter()
-                .filter(|(k, e)| **k != key && e.bytes.is_some())
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
-                // Only the charged entry remains and it alone exceeds
-                // the budget: serve it, do not retain it.
+        while map.bytes > self.budget || !asked {
+            let victim = asked
+                .then(|| {
+                    map.entries
+                        .iter()
+                        .filter(|(k, e)| **k != key && e.bytes.is_some())
+                        .min_by_key(|(_, e)| e.last_used)
+                        .map(|(k, _)| *k)
+                })
+                .flatten()
+                // Not asked for before its flight, or the only one left
+                // and alone over the budget: serve it, do not retain it.
                 .unwrap_or(key);
             if let Some(e) = map.entries.remove(&victim) {
                 map.bytes -= e.bytes.unwrap_or(0);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+                let counter = if asked {
+                    &self.evictions
+                } else {
+                    &self.declined
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
             }
             if victim == key {
                 break;
@@ -413,9 +484,30 @@ mod tests {
         Value::Int(i)
     }
 
+    fn miss_and_commit(cache: &Arc<ResultCache>, key: u64, deps: &[Arc<str>]) {
+        match cache.lookup_or_begin_tagged(key, deps) {
+            ResultLookup::Miss(t) => t.commit(vint(key as i64)),
+            _ => panic!("miss expected"),
+        }
+    }
+
+    /// The first ask of `key`: computed and served, not retained — what
+    /// makes the next commit of `key` stay.
+    fn ask_once(cache: &Arc<ResultCache>, key: u64, deps: &[Arc<str>]) {
+        let declined = cache.stats().declined;
+        miss_and_commit(cache, key, deps);
+        assert_eq!(
+            cache.stats().declined,
+            declined + 1,
+            "a first ask is declined"
+        );
+        assert_eq!(cache.peek(key), None);
+    }
+
     #[test]
     fn hit_after_commit() {
         let cache = ResultCache::new(1 << 20);
+        ask_once(&cache, 1, &[]);
         match cache.lookup_or_begin(1) {
             ResultLookup::Miss(t) => t.commit(vint(42)),
             _ => panic!("fresh key must miss"),
@@ -425,7 +517,7 @@ mod tests {
             _ => panic!("committed key must hit"),
         }
         let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (1, 1));
+        assert_eq!((s.hits, s.misses), (1, 2));
         assert!(s.bytes > 0 && s.bytes <= s.budget);
     }
 
@@ -473,6 +565,7 @@ mod tests {
         // Room for exactly two committed scalars.
         let cache = ResultCache::new(one_entry * 2);
         for key in 0..5u64 {
+            ask_once(&cache, key, &[]);
             match cache.lookup_or_begin(key) {
                 ResultLookup::Miss(t) => t.commit(vint(key as i64)),
                 _ => panic!("fresh keys must miss"),
@@ -496,6 +589,7 @@ mod tests {
     #[test]
     fn oversize_value_is_served_but_not_retained() {
         let cache = ResultCache::new(8); // smaller than any Value node
+        ask_once(&cache, 9, &[]);
         match cache.lookup_or_begin(9) {
             ResultLookup::Miss(t) => t.commit(vint(9)),
             _ => panic!("fresh key must miss"),
@@ -511,6 +605,7 @@ mod tests {
         let one_entry = vint(0).approx_bytes();
         let cache = ResultCache::new(one_entry * 2);
         for key in [1u64, 2] {
+            ask_once(&cache, key, &[]);
             match cache.lookup_or_begin(key) {
                 ResultLookup::Miss(t) => t.commit(vint(key as i64)),
                 _ => panic!("miss expected"),
@@ -518,6 +613,7 @@ mod tests {
         }
         // Touch key 1 so key 2 becomes the LRU victim.
         assert!(matches!(cache.lookup_or_begin(1), ResultLookup::Hit(_)));
+        ask_once(&cache, 3, &[]);
         match cache.lookup_or_begin(3) {
             ResultLookup::Miss(t) => t.commit(vint(3)),
             _ => panic!("miss expected"),
@@ -534,6 +630,7 @@ mod tests {
     fn flush_source_drops_exactly_tagged_entries() {
         let cache = ResultCache::new(1 << 20);
         for (key, deps) in [(1u64, vec![tag("A")]), (2, vec![tag("A"), tag("B")]), (3, vec![tag("B")])] {
+            ask_once(&cache, key, &deps);
             match cache.lookup_or_begin_tagged(key, &deps) {
                 ResultLookup::Miss(t) => t.commit(vint(key as i64)),
                 _ => panic!("fresh keys must miss"),
@@ -590,6 +687,7 @@ mod tests {
             ResultLookup::Miss(t) => t.commit(vint(v)),
             _ => panic!("miss expected"),
         };
+        ask_once(&cache, 1, &[]);
         commit(1, 10);
         let text = cache.exchange_text(1).expect("committed");
         assert_eq!(*text, write_exchange(&vint(10)));
@@ -602,6 +700,7 @@ mod tests {
 
         // Absent and in-flight keys have no text and count nothing.
         assert!(cache.exchange_text(2).is_none());
+        ask_once(&cache, 2, &[]);
         let ResultLookup::Miss(flying) = cache.lookup_or_begin(2) else {
             panic!("miss expected")
         };
@@ -610,6 +709,7 @@ mod tests {
         flying.commit(vint(20));
 
         // Budget pressure evicts key 1, value and text together...
+        ask_once(&cache, 3, &[]);
         commit(3, 30);
         assert_eq!(cache.peek(1), None);
         assert_eq!(cache.stats().bytes, node * 2);
@@ -630,5 +730,134 @@ mod tests {
         // Nothing retained, so the next lookup misses again.
         assert!(matches!(cache.lookup_or_begin(5), ResultLookup::Miss(_)));
         assert_eq!(cache.stats().bytes, 0);
+    }
+
+    #[test]
+    fn a_first_ask_is_served_and_a_second_is_retained() {
+        let cache = ResultCache::new(1 << 20);
+        // First ask: computed and served, nothing resident, no eviction.
+        miss_and_commit(&cache, 5, &[]);
+        let s = cache.stats();
+        assert_eq!((s.entries, s.bytes, s.peak_bytes), (0, 0, 0), "{s:?}");
+        assert_eq!((s.declined, s.evictions, s.misses), (1, 0, 1), "{s:?}");
+        // Second ask: computed again, and retained...
+        miss_and_commit(&cache, 5, &[]);
+        assert_eq!(cache.peek(5), Some(vint(5)));
+        // ...so the third is a hit.
+        assert!(matches!(cache.lookup_or_begin(5), ResultLookup::Hit(_)));
+        let s = cache.stats();
+        assert_eq!(
+            (s.entries, s.declined, s.misses, s.hits),
+            (1, 1, 2, 1),
+            "{s:?}"
+        );
+        assert!(s.bytes > 0 && s.peak_bytes <= s.budget, "{s:?}");
+    }
+
+    #[test]
+    fn a_coalesced_ask_admits_the_flight_it_waits_on() {
+        let cache = ResultCache::new(1 << 20);
+        let ResultLookup::Miss(lead) = cache.lookup_or_begin(6) else {
+            panic!("a first ask misses")
+        };
+        thread::scope(|s| {
+            let waiter = s.spawn(|| match cache.lookup_or_begin(6) {
+                ResultLookup::Hit(v) => v,
+                _ => panic!("a waiter is served the flight's value"),
+            });
+            // The waiter asks (under the map lock) before it parks.
+            let asked = Instant::now() + Duration::from_secs(2);
+            while !cache.lock_map().entries[&6].asked && Instant::now() < asked {
+                thread::yield_now();
+            }
+            lead.commit(vint(6));
+            assert_eq!(waiter.join().unwrap(), vint(6));
+        });
+        assert_eq!(
+            cache.peek(6),
+            Some(vint(6)),
+            "the flight was asked for twice"
+        );
+        let s = cache.stats();
+        assert_eq!(
+            (s.misses, s.hits, s.declined, s.entries),
+            (1, 1, 0, 1),
+            "{s:?}"
+        );
+    }
+
+    #[test]
+    fn the_table_of_misses_survives_a_flush() {
+        let cache = ResultCache::new(1 << 20);
+        let deps = [tag("A")];
+        // Asked once, then the source is refreshed: the second ask still
+        // counts the first.
+        ask_once(&cache, 7, &deps);
+        cache.flush_source("A");
+        miss_and_commit(&cache, 7, &deps);
+        assert_eq!(cache.peek(7), Some(vint(7)));
+        // Resident, then flushed: retained again on its first recompute.
+        assert_eq!(cache.flush_source("A"), vec![7]);
+        miss_and_commit(&cache, 7, &deps);
+        assert_eq!(cache.peek(7), Some(vint(7)));
+        // So does a whole clear.
+        cache.clear();
+        miss_and_commit(&cache, 7, &deps);
+        assert_eq!(cache.peek(7), Some(vint(7)));
+        assert_eq!(cache.stats().declined, 1);
+    }
+
+    #[test]
+    fn an_asked_oversize_value_is_evicted_not_declined() {
+        let cache = ResultCache::new(8); // smaller than any Value node
+        ask_once(&cache, 8, &[]);
+        miss_and_commit(&cache, 8, &[]);
+        assert_eq!(cache.peek(8), None, "oversize entry not retained");
+        let s = cache.stats();
+        assert_eq!(
+            (s.bytes, s.peak_bytes, s.evictions, s.declined),
+            (0, 0, 1, 1),
+            "{s:?}"
+        );
+    }
+
+    #[test]
+    fn a_colliding_key_delays_an_admission_and_admits_no_stranger() {
+        let a = 1u64;
+        let b = (2..).find(|&k| asked_slot(k) == asked_slot(a)).unwrap();
+        let cache = ResultCache::new(1 << 20);
+        ask_once(&cache, a, &[]);
+        ask_once(&cache, b, &[]);
+        // `b` took `a`'s slot: `a`'s second ask is a first ask again...
+        ask_once(&cache, a, &[]);
+        // ...and its third is retained; `b`, pushed out by it, is not.
+        miss_and_commit(&cache, a, &[]);
+        assert_eq!(cache.peek(a), Some(vint(a as i64)));
+        ask_once(&cache, b, &[]);
+        // Empty slots match no key, 0 included.
+        ask_once(&cache, 0, &[]);
+    }
+
+    #[test]
+    fn resident_bytes_and_their_peak_stay_within_the_budget() {
+        let one_entry = vint(0).approx_bytes();
+        let cache = ResultCache::new(one_entry * 3);
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..2000 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let key = rng % 16;
+            if let ResultLookup::Miss(t) = cache.lookup_or_begin(key) {
+                t.commit(vint(key as i64));
+            }
+            let s = cache.stats();
+            let map = cache.lock_map();
+            let resident: u64 = map.entries.values().filter_map(|e| e.bytes).sum();
+            assert_eq!(s.bytes, resident, "{s:?}");
+            assert!(s.bytes <= s.budget && s.peak_bytes <= s.budget, "{s:?}");
+        }
+        let s = cache.stats();
+        assert!(s.declined >= 16 && s.evictions > 0 && s.hits > 0, "{s:?}");
     }
 }

@@ -142,8 +142,9 @@ fn collect_driver_deps(expr: &Expr, deps: &mut Vec<nrc::Name>) {
 impl Compiled {
     /// The deterministic structural hash of the *optimized* plan
     /// ([`nrc::hash::plan_hash`]): pointer-blind and stable across
-    /// recompiles, so two sessions compiling the same query against the
-    /// same topology agree on the key. This is the key of the shared
+    /// recompiles (binder names made by `nrc::fresh` are hashed by rank,
+    /// not spelling), so two sessions compiling the same query against
+    /// the same topology agree on the key. This is the key of the shared
     /// result cache. Computed on demand (a plan traversal) rather than
     /// stored, so a plan whose `optimized` field is replaced — as some
     /// benches do — can never carry a stale hash.
@@ -885,7 +886,9 @@ impl Session {
     ///
     /// * a cached result returns without starting an evaluation;
     /// * a cold key evaluates **on the calling thread** — no second
-    ///   task, no hand-off — and commits the result before returning it;
+    ///   task, no hand-off — and commits the result before returning it
+    ///   (the cache keeps it if the key was asked for before: the
+    ///   admission rule of [`kleisli_exec::result_cache`]);
     /// * a key *currently being computed by another session* waits
     ///   until that computation commits (then a hit), aborts (then this
     ///   caller races for the lead), or `cancel` fires — which ends this

@@ -71,8 +71,10 @@
 //!
 //! * **Structural hashes are pointer-blind.** [`crate::hash::plan_hash`]
 //!   depends only on constructors, names, constants and child hashes —
-//!   never on addresses — so structurally identical plans hash equal no
-//!   matter how they were built. `Cached { id }` ids are derived from this
+//!   never on addresses, and never on the spelling of a [`fresh`] name —
+//!   so structurally identical plans hash equal no matter how they were
+//!   built, and one text compiled twice hashes equal although its binders
+//!   are numbered anew. `Cached { id }` ids are derived from this
 //!   hash by the cache rule; anything that rewrites *inside* a `Cached`
 //!   node after ids are assigned would silently change what the id
 //!   describes, which is why the cache rule set runs after the semantic
@@ -111,6 +113,16 @@ pub fn fresh(prefix: &str) -> Name {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
     Arc::from(format!("{prefix}%{n}"))
+}
+
+/// Was `name` made by [`fresh`]? Such a name says only "distinct from
+/// every other", and its number says how many names the process made
+/// before it — so [`crate::hash::plan_hash`] hashes it by where it first
+/// occurs, not by its spelling. CPL text cannot spell one (`%` starts a
+/// comment).
+pub fn is_fresh(name: &str) -> bool {
+    name.rsplit_once('%')
+        .is_some_and(|(_, n)| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()))
 }
 
 /// Strategy chosen for a local join by the join rule set.
@@ -1099,5 +1111,14 @@ mod tests {
         let a = fresh("x");
         let b = fresh("x");
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn fresh_names_are_recognized_and_nothing_else_is() {
+        assert!(is_fresh(&fresh("g")));
+        assert!(is_fresh(&fresh(&fresh("x"))), "a renamed fresh name");
+        for spelled in ["x", "x%", "x%1a", "locus_id", "GDB-Tab", "a'", ""] {
+            assert!(!is_fresh(spelled), "{spelled}");
+        }
     }
 }

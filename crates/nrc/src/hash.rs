@@ -5,10 +5,22 @@
 //! * [`plan_hash`] — a deterministic 64-bit hash of a subplan's
 //!   *structure* (constructors, names, constants, child hashes). The hash
 //!   is a pure function of the tree shape: it never involves pointer
-//!   values, so two pointer-distinct but structurally identical plans —
-//!   for example, the same CPL source compiled twice — hash identically.
-//!   The cache rule derives [`Expr::Cached`] ids from this hash, which is
-//!   what makes `Context` cache slots stable across recompiles.
+//!   values, so two pointer-distinct but structurally identical plans
+//!   hash identically. Nor does it involve the spelling of a name made by
+//!   [`crate::expr::fresh`] (`g%6027`): its number comes from a
+//!   process-wide counter, so the same CPL source compiled twice — in
+//!   two sessions, or again after a plan-cache eviction or a FLUSH —
+//!   numbers its binders anew. Such a name is hashed by the rank of its
+//!   first occurrence in the traversal instead (its first binder or use,
+//!   fields before children, children in [`Expr::for_each_child`]
+//!   order), ranked in the same walk that hashes the plan. The plans
+//!   hashed bind every fresh name they mention (a whole query, or a
+//!   `Cached` subplan, which the cache rule requires closed), so equal
+//!   ranks are a consistent renaming of bound names: plans that hash
+//!   equal mean the same thing. That is the key's contract — **stable
+//!   across sessions and recompiles** — which the server's result cache
+//!   keys on, and which makes the cache rule's [`Expr::Cached`] ids, and
+//!   so `Context` cache slots, stable too.
 //! * [`Interner`] — a hash-consing table: [`Interner::intern`] rebuilds a
 //!   plan bottom-up so that every structurally identical subtree is
 //!   represented by **one** `Arc<Expr>`. Interning only changes the
@@ -33,10 +45,10 @@
 //! store — and is accepted.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
-use crate::expr::Expr;
+use crate::expr::{is_fresh, Expr};
 
 /// FNV-1a with the standard 64-bit offset basis and prime. Implemented
 /// here (rather than relying on `DefaultHasher`) so the digest is stable
@@ -91,17 +103,24 @@ fn tag(e: &Expr) -> u8 {
     }
 }
 
-/// Hash one node given a function producing the hashes of its children:
-/// constructor tag, every non-child field (names, kinds, constants,
-/// strategies, key-presence flags), then the child hashes in
+/// What [`shallow_hash`] reads beyond the node it hashes.
+trait Digest<'a> {
+    /// Feed a variable name — a binder or a use — into `h`.
+    fn var(&mut self, name: &'a str, h: &mut FnvHasher);
+    /// The hash of a child.
+    fn child(&mut self, c: &'a Arc<Expr>) -> u64;
+}
+
+/// Hash one node: constructor tag, every non-child field (names, kinds,
+/// constants, strategies, key-presence flags), then the child hashes in
 /// `for_each_child` order.
-fn shallow_hash(e: &Expr, child_hash: &mut dyn FnMut(&Arc<Expr>) -> u64) -> u64 {
+fn shallow_hash<'a>(e: &'a Expr, d: &mut impl Digest<'a>) -> u64 {
     let mut h = FnvHasher::default();
     tag(e).hash(&mut h);
     match e {
         Expr::Const(v) => v.hash(&mut h),
-        Expr::Var(n) => n.hash(&mut h),
-        Expr::Let { var, .. } | Expr::Lambda { var, .. } => var.hash(&mut h),
+        Expr::Var(n) => d.var(n, &mut h),
+        Expr::Let { var, .. } | Expr::Lambda { var, .. } => d.var(var, &mut h),
         Expr::Apply(..) | Expr::If(..) => {}
         Expr::Union(k, ..) => k.hash(&mut h),
         Expr::Record(fields) => {
@@ -115,14 +134,14 @@ fn shallow_hash(e: &Expr, child_hash: &mut dyn FnMut(&Arc<Expr>) -> u64) -> u64 
             arms.len().hash(&mut h);
             for arm in arms {
                 arm.tag.hash(&mut h);
-                arm.var.hash(&mut h);
+                d.var(&arm.var, &mut h);
             }
             default.is_some().hash(&mut h);
         }
         Expr::Empty(k) | Expr::Single(k, _) => k.hash(&mut h),
         Expr::Ext { kind, var, .. } => {
             kind.hash(&mut h);
-            var.hash(&mut h);
+            d.var(var, &mut h);
         }
         Expr::Prim(p, args) => {
             p.hash(&mut h);
@@ -144,8 +163,8 @@ fn shallow_hash(e: &Expr, child_hash: &mut dyn FnMut(&Arc<Expr>) -> u64) -> u64 
         } => {
             kind.hash(&mut h);
             strategy.hash(&mut h);
-            lvar.hash(&mut h);
-            rvar.hash(&mut h);
+            d.var(lvar, &mut h);
+            d.var(rvar, &mut h);
             // Presence flags disambiguate the variable-length child list:
             // without them, a key migrating between the left and right
             // slot could produce the same child sequence.
@@ -161,7 +180,7 @@ fn shallow_hash(e: &Expr, child_hash: &mut dyn FnMut(&Arc<Expr>) -> u64) -> u64 
             ..
         } => {
             kind.hash(&mut h);
-            var.hash(&mut h);
+            d.var(var, &mut h);
             max_in_flight.hash(&mut h);
             // The batching mark changes execution strategy, so marked
             // and unmarked plans must not collide in the plan cache.
@@ -176,26 +195,52 @@ fn shallow_hash(e: &Expr, child_hash: &mut dyn FnMut(&Arc<Expr>) -> u64) -> u64 
             }
         }
     }
-    e.for_each_child(&mut |c| child_hash(c).hash(&mut h));
+    e.for_each_child(&mut |c| d.child(c).hash(&mut h));
     h.finish()
 }
 
 /// The deterministic 64-bit structural hash of a plan. Pointer-blind:
 /// structurally identical plans hash equal no matter how they were built
-/// or shared. Shared subtrees are hashed once per call.
+/// or shared, and fresh names are hashed by rank (module docs). Shared
+/// subtrees are hashed once per call.
 pub fn plan_hash(e: &Expr) -> u64 {
-    fn go(e: &Expr, memo: &mut HashMap<usize, u64>) -> u64 {
-        shallow_hash(e, &mut |c: &Arc<Expr>| {
+    /// One walk's state: the hashes of the shared subtrees met so far,
+    /// and the rank of each fresh name by first occurrence. A subtree
+    /// met again is met after its names were ranked, so its memoized
+    /// hash is the one a walk through it would compute. Both maps hash
+    /// with [`FnvHasher`]: their keys are addresses and names this
+    /// process made, never input, and the warm path hashes its plan once
+    /// per hit.
+    #[derive(Default)]
+    struct Walk<'a> {
+        memo: HashMap<usize, u64, Fnv>,
+        ranks: HashMap<&'a str, u64, Fnv>,
+    }
+    type Fnv = BuildHasherDefault<FnvHasher>;
+    impl<'a> Digest<'a> for Walk<'a> {
+        fn var(&mut self, name: &'a str, h: &mut FnvHasher) {
+            if !is_fresh(name) {
+                return name.hash(h);
+            }
+            let next = self.ranks.len() as u64;
+            let rank = *self.ranks.entry(name).or_insert(next);
+            // A spelling hashes as UTF-8 then 0xff, and UTF-8 never holds
+            // 0xfe: no rank reads as a spelling.
+            h.write_u8(0xfe);
+            h.write_u64(rank);
+        }
+
+        fn child(&mut self, c: &'a Arc<Expr>) -> u64 {
             let key = Arc::as_ptr(c) as usize;
-            if let Some(hit) = memo.get(&key) {
+            if let Some(hit) = self.memo.get(&key) {
                 return *hit;
             }
-            let h = go(c, memo);
-            memo.insert(key, h);
+            let h = shallow_hash(c, self);
+            self.memo.insert(key, h);
             h
-        })
+        }
     }
-    go(e, &mut HashMap::new())
+    shallow_hash(e, &mut Walk::default())
 }
 
 /// A hash-consing table for plans.
@@ -265,12 +310,7 @@ impl Interner {
         // Canonicalize children first; sharing-preserving, so a node whose
         // children were already canonical comes back pointer-equal.
         let node = Expr::map_children_shared(e, &mut |c| self.go(c, memo));
-        let h = shallow_hash(&node, &mut |c| {
-            *self
-                .hashes
-                .get(&(Arc::as_ptr(c) as usize))
-                .expect("children are canonical before their parent")
-        });
+        let h = shallow_hash(&node, &mut Canonical(&self.hashes));
         let bucket = self.buckets.entry(h).or_default();
         for cand in bucket.iter() {
             // Children of both sides are canonical, so deep equality here
@@ -286,6 +326,24 @@ impl Interner {
         self.nodes += 1;
         memo.insert(key, Arc::clone(&node));
         node
+    }
+}
+
+/// The interner's digest of a node whose children are canonical: it
+/// buckets nodes that are then compared for equality, so names are
+/// hashed as spelled and a child's hash is the one on record.
+struct Canonical<'t>(&'t HashMap<usize, u64>);
+
+impl<'a> Digest<'a> for Canonical<'_> {
+    fn var(&mut self, name: &'a str, h: &mut FnvHasher) {
+        name.hash(h);
+    }
+
+    fn child(&mut self, c: &'a Arc<Expr>) -> u64 {
+        *self
+            .0
+            .get(&(Arc::as_ptr(c) as usize))
+            .expect("children are canonical before their parent")
     }
 }
 
@@ -343,6 +401,48 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(plan_hash(&Expr::int(1)), plan_hash(&Expr::int(2)));
         assert_ne!(plan_hash(&Expr::var("x")), plan_hash(&Expr::var("y")));
+    }
+
+    /// `U{ U{ {pick(x, y)} | \y <- GDB } | \x <- GDB }` over two fresh binders.
+    fn two_loops(pick_outer: bool) -> Expr {
+        let (x, y) = (crate::fresh("g"), crate::fresh("g"));
+        let head = Expr::Var(Arc::clone(if pick_outer { &x } else { &y }));
+        let inner = Expr::ext(
+            CollKind::Set,
+            &y,
+            Expr::single(CollKind::Set, head),
+            remote(),
+        );
+        Expr::ext(CollKind::Set, &x, inner, remote())
+    }
+
+    #[test]
+    fn fresh_names_hash_by_rank_not_spelling() {
+        // Built twice, numbered twice: one key.
+        assert_eq!(plan_hash(&two_loops(true)), plan_hash(&two_loops(true)));
+        // Which binder a use refers to still tells plans apart...
+        assert_ne!(plan_hash(&two_loops(true)), plan_hash(&two_loops(false)));
+        // ...and so does a fresh name against a spelled one.
+        let spelled = Expr::ext(
+            CollKind::Set,
+            "g",
+            Expr::single(CollKind::Set, Expr::var("g")),
+            remote(),
+        );
+        let g = crate::fresh("g");
+        let numbered = Expr::ext(
+            CollKind::Set,
+            &g,
+            Expr::single(CollKind::Set, Expr::Var(Arc::clone(&g))),
+            remote(),
+        );
+        assert_ne!(plan_hash(&spelled), plan_hash(&numbered));
+        // Sharing stays invisible: one subplan over fresh names linked
+        // twice hashes like two copies spelled alike.
+        let shared = Arc::new(two_loops(false));
+        let linked = Expr::Union(CollKind::Set, Arc::clone(&shared), Arc::clone(&shared));
+        let copied = Expr::Union(CollKind::Set, Arc::new((*shared).clone()), shared);
+        assert_eq!(plan_hash(&linked), plan_hash(&copied));
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! one compiled-plan cache ([`kleisli::PlanCache`]) and one
 //! memory-budgeted single-flight result cache
 //! ([`kleisli_exec::ResultCache`], keyed by
-//! [`kleisli::Compiled::plan_hash`]), so the thousandth user asking the
-//! paper's GenBank question costs a cache hit, not a compile and a
-//! federation round-trip.
+//! [`kleisli::Compiled::plan_hash`], retaining a result from its second
+//! ask on), so the thousandth user asking the paper's GenBank question
+//! costs a cache hit, not a compile and a federation round-trip, while a
+//! question nobody repeats costs the cache nothing.
 //!
 //! * [`serve`] / [`serve_ephemeral`] start a server around a *registrar*
 //!   closure that prepares each connection's [`kleisli::Session`];

@@ -238,7 +238,8 @@ impl ServerShared {
                 "\"errors\":{},\"rejected\":{},\"cancel_requests\":{},\"flush_requests\":{}}},",
                 "\"plan_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"flushes\":{},",
                 "\"entries\":{},\"capacity\":{}}},",
-                "\"result_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"flushes\":{},",
+                "\"result_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"declined\":{},",
+                "\"flushes\":{},",
                 "\"entries\":{},\"bytes\":{},\"peak_bytes\":{},\"budget\":{}}}}}"
             ),
             self.started.elapsed().as_millis(),
@@ -261,6 +262,7 @@ impl ServerShared {
             r.hits,
             r.misses,
             r.evictions,
+            r.declined,
             r.flushes,
             r.entries,
             r.bytes,

@@ -66,6 +66,12 @@ fn roundtrip_fresh_then_shared_cache_hit() {
     let server = serve_ephemeral(ServerConfig::default(), local_registrar()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
 
+    // The first ask is served, not retained; the second is retained.
+    client
+        .query(r"sum({x.v | \x <- DB})")
+        .unwrap()
+        .into_value()
+        .unwrap();
     let (v1, served1) = client
         .query(r"sum({x.v | \x <- DB})")
         .unwrap()
@@ -304,6 +310,7 @@ fn result_cache_budget_is_enforced_over_the_wire() {
 
     for k in 0..7 {
         let src = format!(r"{{[a = x.v, b = {k}] | \x <- DB}}");
+        client.query(&src).unwrap().into_value().unwrap();
         let (v, _) = client.query(&src).unwrap().into_value().unwrap();
         assert_eq!(v.len(), Some(50));
         let stats = server.result_cache().stats();
@@ -337,6 +344,7 @@ fn result_cache_budget_is_enforced_over_the_wire() {
         stats.bytes
     };
     for k in 0..7 {
+        ask(k, ServedFrom::Fresh);
         let value_only = ask(k, ServedFrom::Fresh);
         let with_text = ask(k, ServedFrom::SharedCache);
         assert!(with_text > value_only, "the text is resident, so it is charged");
@@ -455,10 +463,12 @@ fn flush_invalidates_exactly_the_refreshed_source() {
     let qb = r#"sum(SrcB([table = "t"]))"#;
 
     // Warm both sources into the shared caches.
+    client.query(qa).unwrap().into_value().unwrap();
     let (v, _) = client.query(qa).unwrap().into_value().unwrap();
     assert_eq!(v, Value::Int(3));
     let (v, served) = client.query(qa).unwrap().into_value().unwrap();
     assert_eq!((v, served), (Value::Int(3), ServedFrom::SharedCache));
+    client.query(qb).unwrap().into_value().unwrap();
     let (v, _) = client.query(qb).unwrap().into_value().unwrap();
     assert_eq!(v, Value::Int(10));
 
@@ -492,6 +502,7 @@ fn flush_of_a_value_binding_is_conservative_and_typos_are_errors() {
     let server = serve_ephemeral(ServerConfig::default(), local_registrar()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
 
+    client.query(r"count(DB)").unwrap().into_value().unwrap();
     let (v, _) = client.query(r"count(DB)").unwrap().into_value().unwrap();
     assert_eq!(v, Value::Int(50));
     let (_, served) = client.query(r"count(DB)").unwrap().into_value().unwrap();
@@ -508,4 +519,118 @@ fn flush_of_a_value_binding_is_conservative_and_typos_are_errors() {
     // be an availability incident, not a refresh.
     let err = client.flush("NoSuchSource").unwrap_err();
     assert!(err.to_string().contains("no such source"), "{err}");
+}
+
+// ---------------------------------------------------------------------
+// Admission: the shared result cache keeps what is asked for again.
+// ---------------------------------------------------------------------
+
+/// The `result_cache` object of a STATS document.
+fn result_cache_stats(stats: &str) -> &str {
+    let at = stats
+        .find("\"result_cache\"")
+        .expect("a result_cache object");
+    &stats[at..]
+}
+
+#[test]
+fn a_result_is_retained_on_its_second_ask() {
+    let server = serve_ephemeral(ServerConfig::default(), local_registrar()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let src = r"sum({x.v * 2 | \x <- DB})";
+    let mut ask = |expected: ServedFrom| {
+        let (v, served) = client.query(src).unwrap().into_value().unwrap();
+        assert_eq!(
+            (v, served),
+            (Value::Int(2 * (0..50).sum::<i64>()), expected)
+        );
+        server.result_cache().stats()
+    };
+    let first = ask(ServedFrom::Fresh);
+    assert_eq!(
+        (first.entries, first.bytes, first.declined),
+        (0, 0, 1),
+        "{first:?}"
+    );
+    let second = ask(ServedFrom::Fresh);
+    assert_eq!((second.entries, second.declined), (1, 1), "{second:?}");
+    assert!(second.bytes > 0, "{second:?}");
+    let third = ask(ServedFrom::SharedCache);
+    assert_eq!(
+        (third.hits, third.misses, third.evictions),
+        (1, 2, 0),
+        "{third:?}"
+    );
+    let stats = client.stats().unwrap();
+    assert!(
+        result_cache_stats(&stats).contains("\"declined\":1,"),
+        "{stats}"
+    );
+}
+
+#[test]
+fn never_repeated_texts_leave_nothing_behind_and_a_working_set_is_kept() {
+    const TEXTS: usize = 2000;
+    let started = Instant::now();
+    let fed = bio_federation(
+        &GdbConfig {
+            loci: 30,
+            seed: 11,
+            ..Default::default()
+        },
+        &GenBankConfig::default(),
+        LatencyModel::instant(),
+        LatencyModel::instant(),
+    )
+    .expect("federation");
+    let server = serve_ephemeral(ServerConfig::default(), federation_registrar(&fed)).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let text = |k: usize| format!(r#"count({{l | \l <- GDB-Tab("locus"), l.locus_id > {k}}})"#);
+    let mut ask = |k: usize| client.query(&text(k)).unwrap().into_value().unwrap().1;
+
+    // Ad hoc traffic: every text asked once, none retained, so resident
+    // bytes stay flat instead of growing with the history.
+    for k in 0..TEXTS {
+        assert_eq!(ask(k), ServedFrom::Fresh);
+    }
+    let r = server.result_cache().stats();
+    assert_eq!((r.bytes, r.peak_bytes, r.entries), (0, 0, 0), "{r:?}");
+    assert_eq!((r.declined, r.evictions), (TEXTS as u64, 0), "{r:?}");
+    let stats = server.stats_json();
+    let results = result_cache_stats(&stats);
+    for field in [
+        format!("\"declined\":{TEXTS},"),
+        "\"entries\":0,".to_string(),
+        "\"bytes\":0,".to_string(),
+    ] {
+        assert!(results.contains(&field), "missing {field} in {stats}");
+    }
+
+    // A working set: the second ask admits each text, the third hits.
+    let working_set = TEXTS..TEXTS + 16;
+    for round in 0..4 {
+        for k in working_set.clone() {
+            let expected = if round < 2 {
+                ServedFrom::Fresh
+            } else {
+                ServedFrom::SharedCache
+            };
+            assert_eq!(ask(k), expected, "text {k}, ask {}", round + 1);
+        }
+    }
+    let r = server.result_cache().stats();
+    assert_eq!((r.entries, r.hits, r.evictions), (16, 32, 0), "{r:?}");
+
+    // Quiescent: no query, no ticket, no orphaned worker left.
+    let settled = Instant::now() + Duration::from_secs(5);
+    while server.active_queries() > 0 {
+        assert!(Instant::now() < settled, "{}", server.stats_json());
+        thread::yield_now();
+    }
+    assert_eq!((fed.gdb.gate().in_flight(), fed.gdb.orphans()), (0, 0));
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "the soak took {elapsed:?}"
+    );
 }

@@ -1,5 +1,5 @@
 //! Server round-trip: start a `kleislid` server in-process on an
-//! ephemeral port, run the paper's locus query through two client
+//! ephemeral port, run the paper's locus query through three client
 //! connections over real loopback TCP, and read the server's STATS
 //! frame.
 //!
@@ -7,9 +7,10 @@
 //! cargo run --example server_roundtrip
 //! ```
 //!
-//! The second connection's query is served from the **process-wide
-//! shared result cache** populated by the first: the sharing is keyed by
-//! the plan's structural hash, so it crosses session (and connection)
+//! The third connection's query is served from the **process-wide
+//! shared result cache**, which keeps a result once it has been asked for
+//! twice — here by the first two connections: the sharing is keyed by the
+//! plan's structural hash, so it crosses session (and connection)
 //! boundaries. This is the multi-user deployment the paper describes —
 //! one Kleisli server fronting the remote sources for many CPL clients
 //! — with the caches turning N identical queries into one compile and
@@ -74,20 +75,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(served, ServedFrom::Fresh);
 
     // Client B is a different connection — a different session — but the
-    // caches are process-wide: same plan hash, same cached result.
+    // caches are process-wide: same plan hash, so B's ask is the second
+    // one, and the result B computes is retained.
     let mut b = Client::connect(server.addr())?;
     let t1 = Instant::now();
     let (value_b, served) = b.query(query)?.into_value()?;
     println!(
-        "client B: {:?} in {:.2} ms",
+        "client B: {:?} in {:.1} ms (asked twice: retained)",
         served,
         t1.elapsed().as_secs_f64() * 1e3
     );
+    assert_eq!(served, ServedFrom::Fresh);
+    assert_eq!(value_b, value);
+
+    // Client C is served B's result from memory.
+    let mut c = Client::connect(server.addr())?;
+    let t2 = Instant::now();
+    let (value_c, served) = c.query(query)?.into_value()?;
+    println!(
+        "client C: {:?} in {:.2} ms",
+        served,
+        t2.elapsed().as_secs_f64() * 1e3
+    );
     assert_eq!(served, ServedFrom::SharedCache);
-    assert_eq!(value_b, value, "cache serves the same value");
+    assert_eq!(value_c, value, "cache serves the same value");
 
     // The STATS frame: shared-cache and admission counters as JSON.
-    println!("stats: {}", b.stats()?);
+    println!("stats: {}", c.stats()?);
 
     server.shutdown();
     Ok(())

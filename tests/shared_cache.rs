@@ -157,13 +157,83 @@ fn a_cancel_reaches_a_waiter_parked_on_another_sessions_flight() {
     assert_eq!(results.stats().hits, 1);
 }
 
+const DOE_DEFINES: &str = r#"
+    define Loci == \chrom => {[locus_symbol = x, genbank_ref = y] |
+        [locus_symbol = \x, locus_id = \a, ...] <- GDB-Tab("locus"),
+        [genbank_ref = \y, object_id = a, object_class_key = 1, ...] <- GDB-Tab("object_genbank_eref"),
+        [loc_cyto_chrom_num = chrom, locus_cyto_location_id = a, ...] <- GDB-Tab("locus_cyto_location")};
+    define ASN-IDs == \accession =>
+        flatten(GenBank([db = "na", select = "accession " ^ accession, path = "Seq-entry.seq.id..giim"]));
+    define NA-Links == \uid => GenBank([db = "na", link = uid]);
+"#;
+
+/// The paper's DOE query over one chromosome. Compiling it names its
+/// binders with `nrc::fresh` (`g%6027`), numbered anew by every compile.
+fn doe(chromosome: &str) -> String {
+    format!(
+        r#"{{[locus = locus, homologs = {{l | \l <- NA-Links(uid), not (l.organism = "Homo sapiens")}}] | \locus <- Loci("{chromosome}"), \uid <- ASN-IDs(locus.genbank_ref)}}"#
+    )
+}
+
+/// A session over `fed` with the DOE defines and a plan cache of its own.
+fn doe_session(fed: &BioFederation) -> Session {
+    let mut s = Session::new();
+    s.register_driver(fed.gdb.clone());
+    s.register_driver(fed.genbank.clone());
+    s.run(DOE_DEFINES).expect("defines");
+    s
+}
+
 #[test]
 fn plan_hash_is_stable_across_sessions_and_recompiles() {
     let fed = federation(0);
-    let (a, b, _, _) = shared_pair(&fed);
-    let ha = a.compile(COUNT_LOCI).unwrap().plan_hash();
-    let hb = b.compile(COUNT_LOCI).unwrap().plan_hash();
-    assert_eq!(ha, hb, "same topology, same source, same key");
-    let other = a.compile(r#"count({l | \l <- GDB-Tab("object_genbank_eref")})"#).unwrap();
-    assert_ne!(ha, other.plan_hash());
+    let (a, b) = (doe_session(&fed), doe_session(&fed));
+    assert!(!Arc::ptr_eq(a.plan_cache(), b.plan_cache()));
+    let first = a.compile(&doe("1")).unwrap();
+    let key = first.plan_hash();
+    assert_eq!(
+        b.compile(&doe("1")).unwrap().plan_hash(),
+        key,
+        "another session, same key"
+    );
+    a.clear_plan_cache();
+    let again = a.compile(&doe("1")).unwrap();
+    assert_ne!(
+        again.optimized, first.optimized,
+        "a recompile numbers its binders anew"
+    );
+    assert_eq!(again.plan_hash(), key, "recompiled, same key");
+    let other = a.compile(&doe("2")).unwrap();
+    assert_ne!(key, other.plan_hash());
+}
+
+#[test]
+fn a_recompiled_plan_finds_its_result() {
+    // Two texts alternating through a one-plan cache: every ask
+    // recompiles. Were the key the spelling of the binders, no ask would
+    // ever find an earlier one's result, and each would leave an orphan.
+    let fed = federation(0);
+    let mut session = doe_session(&fed);
+    let results = ResultCache::with_default_budget();
+    session.share_result_cache(Arc::clone(&results));
+    session.set_plan_cache_capacity(1);
+    let (one, two) = (doe("1"), doe("2"));
+    let served: Vec<bool> = [&one, &two, &one, &two, &one, &two, &one, &two]
+        .iter()
+        .map(|src| {
+            session
+                .run_shared(src, &Arc::new(CancelToken::new()))
+                .unwrap()
+                .1
+        })
+        .collect();
+    // Asked once: served. Asked twice: admitted. From then on: hits.
+    assert_eq!(served, [false, false, false, false, true, true, true, true]);
+    assert_eq!(session.plan_cache_stats().misses, 8, "every ask recompiled");
+    let r = results.stats();
+    assert_eq!(
+        (r.hits, r.misses, r.declined, r.entries),
+        (4, 4, 2, 2),
+        "{r:?}"
+    );
 }
