@@ -7,19 +7,20 @@
 //! only *hid* the latency with overlap (`ParExt`, prefetch); this module
 //! *removes* round-trips.
 //!
-//! **Multi-key batching.** `DriverResilience::submit_batch` groups up to
-//! [`BatchPolicy::max_keys`] distinct per-key requests into one wire
-//! request (an `IN`-list for SQL sources, a multi-uid fetch for Entrez),
-//! executed by [`crate::Driver::submit_batch`] through the driver's
-//! worker pool. Each key gets a [`Flight`] (a promise of that key's rows
-//! or error) registered in the driver's [`BatchWindow`] while the wire
-//! request is in flight; the batch's completion callback resolves every
-//! flight, and the per-element consumers *attach* — they park on the
-//! flight's [`OneShot`] and replay its shared reply. A plain submission of
-//! a request that already has a pending flight attaches too (counted as
-//! `coalesced`); one that finds none keeps its own lazily streamed wire
-//! request and never registers a flight, so plain submissions never
-//! share with each other.
+//! **Multi-key batching.** A [`crate::Fetch::Batch`] through
+//! `DriverResilience::fetch` groups up to [`BatchPolicy::max_keys`]
+//! distinct per-key requests into one wire request (an `IN`-list for SQL
+//! sources, a multi-uid fetch for Entrez), a [`crate::Fetch::Batch`] of
+//! the driver's own ([`crate::Driver::fetch`]) — one job of its worker
+//! pool. Each key gets a [`Flight`] (a promise of that key's rows or
+//! error) registered in the driver's [`BatchWindow`] while the wire
+//! request is in flight; when the wire request's keys are answered, every
+//! flight is resolved, and the per-element consumers *attach* — they park
+//! on the flight's [`OneShot`] and replay its shared reply. A window or
+//! full fetch of a request that already has a pending flight attaches too
+//! (counted as `coalesced`); one that finds none keeps its own lazily
+//! streamed wire request and never registers a flight, so such fetches
+//! never share with each other.
 //!
 //! # Invariants
 //!
@@ -186,29 +187,22 @@ impl BlockSource for Replay {
 
 /// The shared state of one batched key: a promise the batch operation
 /// covering it resolves once, with that key's rows or error, and that
-/// every waiter reads a clone of. Created by
-/// `DriverResilience::submit_batch` and held by every attached
+/// every waiter reads a clone of. Created by a batch fetch
+/// (`DriverResilience::fetch`) and held by every attached
 /// `ResilientHandle` plus — while pending — the driver's [`BatchWindow`].
 pub struct Flight {
-    pub(crate) driver: String,
     pub(crate) key: u64,
     pub(crate) request: DriverRequest,
     pub(crate) done: OneShot<Result<Arc<SharedReply>, KError>>,
 }
 
 impl Flight {
-    pub(crate) fn new(driver: &str, req: &DriverRequest) -> Arc<Flight> {
+    pub(crate) fn new(req: &DriverRequest) -> Arc<Flight> {
         Arc::new(Flight {
-            driver: driver.to_string(),
             key: request_key(req),
             request: req.clone(),
             done: OneShot::new(),
         })
-    }
-
-    /// The name of the driver this flight belongs to.
-    pub fn driver(&self) -> &str {
-        &self.driver
     }
 
     /// The request every attached waiter is waiting on.
@@ -282,22 +276,22 @@ impl BatchWindow {
 
     /// Attach to the pending flight for `req`, or register a fresh one
     /// the caller must lead (the batched submit path).
-    pub(crate) fn join(&self, driver: &str, req: &DriverRequest) -> Joined {
+    pub(crate) fn join(&self, req: &DriverRequest) -> Joined {
         let mut map = self.lock();
         let chain = map.entry(request_key(req)).or_default();
         if let Some(f) = chain.iter().find(|f| f.request == *req) {
             return Joined::Attached(Arc::clone(f));
         }
-        let f = Flight::new(driver, req);
+        let f = Flight::new(req);
         chain.push(Arc::clone(&f));
         Joined::Lead(f)
     }
 
     /// Attach to the pending flight for `req` without ever registering
-    /// a fresh one. This is the plain submit path: a plain submission
+    /// a fresh one. This is the window and full fetch path: such a fetch
     /// must keep streaming its reply lazily (a flight's reply is
     /// materialized for replay), but an identical request already in
-    /// flight — a batch warm-up seed — still answers this one.
+    /// flight — a batch warm-up's — still answers this one.
     pub(crate) fn try_attach(&self, req: &DriverRequest) -> Option<Arc<Flight>> {
         let map = self.lock();
         let f = map.get(&request_key(req))?.iter().find(|f| f.request == *req)?;
@@ -378,12 +372,12 @@ mod tests {
     #[test]
     fn window_attaches_to_pending_and_prunes_failed_flights() {
         let w = BatchWindow::new();
-        let f = match w.join("E", &req(7)) {
+        let f = match w.join(&req(7)) {
             Joined::Lead(f) => f,
             Joined::Attached(_) => panic!("empty window cannot attach"),
         };
         // Pending flights are attachable, by either door.
-        match w.join("E", &req(7)) {
+        match w.join(&req(7)) {
             Joined::Attached(g) => assert!(Arc::ptr_eq(&f, &g)),
             Joined::Lead(_) => panic!("must attach to the pending flight"),
         }
@@ -391,7 +385,7 @@ mod tests {
         assert!(w.try_attach(&req(8)).is_none(), "try_attach never leads");
         // A failed flight leaves the window: the next join leads afresh.
         w.resolve(&f, Err(KError::eval("boom")));
-        match w.join("E", &req(7)) {
+        match w.join(&req(7)) {
             Joined::Lead(g) => assert!(!Arc::ptr_eq(&f, &g)),
             Joined::Attached(_) => panic!("errors are never cached"),
         }
@@ -400,7 +394,7 @@ mod tests {
     #[test]
     fn zero_window_drops_completed_flights_immediately() {
         let w = BatchWindow::new();
-        let f = match w.join("E", &req(3)) {
+        let f = match w.join(&req(3)) {
             Joined::Lead(f) => f,
             Joined::Attached(_) => panic!(),
         };
@@ -413,12 +407,12 @@ mod tests {
     #[test]
     fn hash_collisions_are_disambiguated_by_request_equality() {
         let w = BatchWindow::new();
-        let Joined::Lead(_f) = w.join("E", &req(1)) else {
+        let Joined::Lead(_f) = w.join(&req(1)) else {
             panic!()
         };
         // A different request always leads its own flight, even if the
         // chain under its key were shared.
-        match w.join("E", &req(2)) {
+        match w.join(&req(2)) {
             Joined::Lead(_) => {}
             Joined::Attached(_) => panic!("different requests must not share"),
         }

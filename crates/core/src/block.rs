@@ -245,6 +245,34 @@ pub fn charged_blocks(
     })
 }
 
+/// A stream built on its first pull.
+struct LazyBlocks<F> {
+    make: Option<F>,
+    inner: Option<BlockStream>,
+}
+
+impl<F: FnOnce() -> KResult<BlockStream> + Send> BlockSource for LazyBlocks<F> {
+    fn next_block(&mut self, max_rows: usize) -> Option<ValueBlock> {
+        if let Some(make) = self.make.take() {
+            match make() {
+                Ok(stream) => self.inner = Some(stream),
+                Err(e) => return Some(ValueBlock::of_err(e)),
+            }
+        }
+        self.inner.as_mut()?.next_block(max_rows)
+    }
+}
+
+/// The stream `make` builds, built when it is first pulled — a reply
+/// redeemed only when its reader reaches it, an operand evaluated only if
+/// it is read. A failure to build is the stream's one error block.
+pub fn lazy_blocks(make: impl FnOnce() -> KResult<BlockStream> + Send + 'static) -> BlockStream {
+    Box::new(LazyBlocks {
+        make: Some(make),
+        inner: None,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,17 +11,22 @@
 //! driver's latency model, which is what the optimization experiments
 //! measure.
 //!
-//! # The submit/handle lifecycle
+//! # The fetch/handle lifecycle
 //!
 //! Remote sources are latency-bound, so the executor must be able to keep
 //! several requests in flight per server while it works on something else.
 //! The driver boundary is therefore *two-phase*:
 //!
-//! 1. **Submit.** [`Driver::submit`] accepts a [`DriverRequest`] and
-//!    returns a [`RequestHandle`] without waiting for the source to
-//!    answer. Submission never blocks on the network: when the driver's
-//!    admission budget is full, the request *queues as data* in the
-//!    driver's worker-pool deque rather than in the caller.
+//! 1. **Fetch.** [`Driver::fetch`] — the boundary's one submitting verb —
+//!    accepts the [`DriverRequest`]s that start together and *how* they
+//!    will be read ([`Fetch`]: a window ahead of a consumer that may stop,
+//!    the whole reply for one that reads to the end, or many keys as one
+//!    wire request), and returns a [`RequestHandle`] per request without
+//!    waiting for the source to answer. Submission never blocks on the
+//!    network: when the driver's admission budget is full, a request
+//!    *queues as data* in the driver's worker-pool deque rather than in
+//!    the caller. [`Driver::submit`] is its one-request `Window`
+//!    shorthand.
 //! 2. **Wait.** The caller holds the handle while it submits other
 //!    requests or consumes other streams, then redeems it:
 //!    [`RequestHandle::wait`] blocks until the source has answered and
@@ -35,8 +40,8 @@
 //! The blocking half lives in [`Driver::perform`], which executes one
 //! request synchronously. Simple drivers — local, in-memory, or
 //! test doubles — implement *only* `perform` and inherit the default
-//! `submit` adapter, which performs inline and returns an
-//! already-completed handle.
+//! `fetch` adapter, which performs inline and returns already-completed
+//! handles.
 //!
 //! # The worker pool
 //!
@@ -78,8 +83,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::Instant;
 
-use crate::batch::{BatchPolicy, SharedReply};
-use crate::block::BlockStream;
+use crate::batch::BatchPolicy;
+use crate::block::{lazy_blocks, BlockStream};
 use crate::error::{KError, KResult};
 use crate::oneshot::{OneShot, PromiseState, Pulsable, WaitFor};
 use crate::pool::PoolCore;
@@ -107,7 +112,7 @@ pub enum DriverRequest {
     },
     /// Rows `from..to` (storage order; `to = None` is "to the end") of a
     /// [`DriverRequest::TableScan`]: one part of a split full fetch.
-    /// Only [`Driver::split_full`] makes these — no plan ever holds one.
+    /// Only [`Driver::parts`] makes these — no plan ever holds one.
     TableRows {
         /// The table to scan.
         table: String,
@@ -652,13 +657,17 @@ pub enum RequestStatus {
 /// One request's blocking round-trip, as queued in a pool.
 pub(crate) type Work = Box<dyn FnOnce() -> KResult<BlockStream> + Send>;
 
+/// What takes a request's outcome in place of a waiter
+/// ([`RequestHandle::then`]).
+type Then = Box<dyn FnOnce(KResult<BlockStream>) + Send>;
+
 /// The handle-side state of one submitted request, shared between the
 /// caller and the pool task that runs it. Built on the shared [`OneShot`]
 /// promise — the same primitive the session's `QueryHandle` uses —
 /// instead of a private mutex+condvar machine.
 pub(crate) struct ReqShared {
     /// The driver/pool name, labelling `Timeout` resolutions.
-    driver: String,
+    pub(crate) driver: String,
     promise: OneShot<KResult<BlockStream>>,
     cancelled: AtomicBool,
     /// The caller's handle is gone: a reply resolved from now on has no
@@ -681,6 +690,13 @@ pub(crate) struct ReqShared {
     /// theft — an empty slot at completion time — and retires itself
     /// (see `PoolCore::abandon_running`).
     ticket: Mutex<Option<GateTicket>>,
+    /// The outcome's reader when the handle handed it on
+    /// ([`RequestHandle::then`]); run once, by whoever finds the request
+    /// resolved and this slot full.
+    then: Mutex<Option<Then>>,
+    /// The handle handed its outcome to `then`: dropping it neither
+    /// cancels the request nor discards its reply.
+    continued: AtomicBool,
 }
 
 impl ReqShared {
@@ -693,6 +709,8 @@ impl ReqShared {
             resolved_cancelled: AtomicBool::new(false),
             work: Mutex::new(work),
             ticket: Mutex::new(None),
+            then: Mutex::new(None),
+            continued: AtomicBool::new(false),
         }
     }
 
@@ -717,15 +735,17 @@ impl ReqShared {
         queued
     }
 
-    /// Park the request's outcome (first resolution wins).
-    pub(crate) fn resolve_stream(&self, result: KResult<BlockStream>) {
-        self.promise.set(result);
+    /// Park the request's outcome; returns whether this resolution won
+    /// the set-once race (false: another outcome was already parked).
+    pub(crate) fn resolve_stream(&self, result: KResult<BlockStream>) -> bool {
+        let won = self.promise.set(result);
+        self.run_then();
+        won
     }
 
-    /// Park an error outcome; returns whether this resolution won the
-    /// set-once race (false: the worker's result was already parked).
+    /// Park an error outcome ([`ReqShared::resolve_stream`]).
     pub(crate) fn resolve_err(&self, err: KError) -> bool {
-        self.promise.set(Err(err))
+        self.resolve_stream(Err(err))
     }
 
     /// Resolve as cancelled-before-running (first resolution wins).
@@ -733,8 +753,22 @@ impl ReqShared {
         // Flag first: a `poll` that observes the promise set must also
         // observe the cancellation marker.
         self.resolved_cancelled.store(true, Ordering::Release);
-        self.promise
-            .set(Err(KError::cancelled("driver request cancelled before it ran")));
+        self.resolve_err(KError::cancelled("driver request cancelled before it ran"));
+    }
+
+    /// Hand a resolved outcome to the reader `then` left, if there is
+    /// one. Both the resolver and [`RequestHandle::then`] call this,
+    /// after their own step: whichever comes second finds both halves.
+    fn run_then(&self) {
+        if self.promise.poll() == PromiseState::Pending {
+            return;
+        }
+        let Some(then) = self.then.lock().unwrap_or_else(|e| e.into_inner()).take() else {
+            return;
+        };
+        if let Some(outcome) = self.promise.try_wait() {
+            then(outcome);
+        }
     }
 
     /// Once the caller's handle is gone, drop a reply it never redeemed.
@@ -779,7 +813,7 @@ impl Pulsable for ReqShared {
 
 /// The caller's half of one submitted request: poll / wait / cancel.
 ///
-/// Obtained from [`Driver::submit`]. Dropping the handle without waiting
+/// Obtained from [`Driver::fetch`]. Dropping the handle without waiting
 /// cancels the request: if it is still queued in the driver's worker
 /// pool its work is dropped without contacting the source (no thread
 /// ever existed for it); if it is already running, the work completes on its
@@ -807,13 +841,24 @@ impl RequestHandle {
         }
     }
 
-    /// Assemble a handle over pool-managed request state
-    /// (`crate::pool::WorkerPool::submit` calls this).
-    pub(crate) fn from_parts(shared: Arc<ReqShared>, pool: Weak<PoolCore>) -> RequestHandle {
-        RequestHandle {
-            shared,
-            pool: Some(pool),
-        }
+    /// Assemble a handle over request state: pool-managed
+    /// (`crate::pool::WorkerPool::submit`), or, with no pool, resolved by
+    /// whoever holds the state (the keys of a batched wire request).
+    pub(crate) fn from_parts(
+        shared: Arc<ReqShared>,
+        pool: Option<Weak<PoolCore>>,
+    ) -> RequestHandle {
+        RequestHandle { shared, pool }
+    }
+
+    /// Hand the outcome to `then` on whichever thread resolves the
+    /// request — at once, if it has — instead of waiting for it. The
+    /// request is not cancelled when the handle goes: `then` is its
+    /// reader.
+    pub(crate) fn then(self, then: impl FnOnce(KResult<BlockStream>) + Send + 'static) {
+        *self.shared.then.lock().unwrap_or_else(|e| e.into_inner()) = Some(Box::new(then));
+        self.shared.continued.store(true, Ordering::Release);
+        self.shared.run_then();
     }
 
     /// The request's progress, without blocking.
@@ -922,6 +967,9 @@ impl RequestHandle {
 
 impl Drop for RequestHandle {
     fn drop(&mut self) {
+        if self.shared.continued.load(Ordering::Acquire) {
+            return;
+        }
         self.cancel();
         self.shared.handle_dropped.store(true, Ordering::Release);
         self.shared.discard_if_unredeemed();
@@ -932,19 +980,33 @@ impl Drop for RequestHandle {
 // The driver trait
 // ------------------------------------------------------------------------
 
-/// The per-key results of one batched wire request: one entry per
-/// submitted request, in submission order. A per-key `Err` means *that
-/// key* failed (e.g. an unknown uid) while the batch itself succeeded;
-/// a batch-level `Err` (the outer `KResult` of [`Driver::batch`]) means
-/// the whole wire request failed and is what the retry loop acts on.
-pub type BatchReply = Vec<KResult<SharedReply>>;
+/// How the requests handed to one fetch — requests that start together —
+/// will be read: the one thing the request path's submitting verbs
+/// ([`Driver::fetch`], [`crate::DriverResilience::fetch`] and the
+/// executor's `Context::fetch`) take besides the requests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fetch {
+    /// For a consumer that may stop early or never hold the rows:
+    /// [`Capabilities::prefetch_rows`] stays the ceiling on rows shipped
+    /// ahead of it, and a request is never split.
+    Window,
+    /// Each request read to its end by a consumer that keeps every row:
+    /// buffering the reply ahead costs no memory the consumer would not
+    /// spend anyway, so a driver that prefetches at all ships the whole
+    /// reply without waiting for it — the consumer may be away draining
+    /// a sibling. Above the driver, a request its source answers
+    /// piecewise is fetched as the parts [`Driver::parts`] names.
+    Full,
+    /// The requests — coalescable keys of a driver that advertises
+    /// [`Capabilities::batching`] — as **one wire round-trip** on one
+    /// admission ticket. Each key's handle holds that key's rows, ending
+    /// in its own error if the source could not answer it; the handles
+    /// resolve together, in order, and resolve `Err` only when the wire
+    /// request itself failed — every one of them, with its error.
+    Batch,
+}
 
-/// Completion callback of [`Driver::submit_batch`], invoked exactly once
-/// with the batch outcome (on the pool worker that ran the wire request,
-/// or inline under the default adapter).
-pub type BatchCompletion = Box<dyn FnOnce(KResult<BatchReply>) + Send>;
-
-/// A registered data-source driver, exposing the two-phase submit/handle
+/// A registered data-source driver, exposing the two-phase fetch/handle
 /// API (see the module docs for the lifecycle).
 pub trait Driver: Send + Sync {
     /// The name queries refer to this source by (e.g. `"GDB"`).
@@ -958,7 +1020,7 @@ pub trait Driver: Send + Sync {
     /// blocks — the blocking half of the boundary. Latency-model charges
     /// for the request round-trip belong here (they then land on whatever
     /// thread runs the request: the caller's under the default adapter, a
-    /// worker under a spawning `submit`); per-row transfer charges belong
+    /// worker under a pooled `fetch`); per-row transfer charges belong
     /// inside the returned [`BlockStream`], firing as rows are packed on
     /// the puller's clock. Drivers whose rows are naturally a single-row
     /// iterator wrap it with [`crate::block::blocks_of_rows`]; consumers
@@ -966,96 +1028,65 @@ pub trait Driver: Send + Sync {
     /// single-row laziness.
     fn perform(&self, req: &DriverRequest) -> KResult<BlockStream>;
 
-    /// Submit one request without waiting for the source to answer; the
-    /// returned [`RequestHandle`] yields the [`BlockStream`] on
-    /// [`RequestHandle::wait`].
+    /// Put `reqs` in flight, `how` they will be read, without waiting for
+    /// the source: one [`RequestHandle`] per request, in order — or that
+    /// request's submission error. The boundary's one submitting verb.
     ///
-    /// The default adapter runs [`Driver::perform`] inline and returns an
-    /// already-completed handle, so simple (local / test) drivers stay
-    /// one method. Remote sources get the pooled override from
-    /// [`crate::remote::Remote`], which submits `perform` through its
+    /// The default adapter runs [`Driver::perform`] inline and returns
+    /// already-completed handles, so simple (local / test) drivers stay
+    /// one method; under it a batch costs one round-trip per key.
+    /// Remote sources get the pooled override from
+    /// [`crate::remote::Remote`], which performs through its
     /// [`crate::pool::WorkerPool`], making submission genuinely
     /// non-blocking, the concurrency budget enforced (the pool's
-    /// width), and — when [`Capabilities::prefetch_rows`] is
-    /// advertised — row transfer pipelined ahead of the consumer.
+    /// width), row transfer pipelined ahead of the consumer when
+    /// [`Capabilities::prefetch_rows`] is advertised, and a
+    /// [`Fetch::Batch`] one wire request.
+    fn fetch(&self, reqs: &[DriverRequest], how: Fetch) -> Vec<KResult<RequestHandle>> {
+        let fetch_one = |req| match self.perform(req) {
+            Ok(stream) => Ok(RequestHandle::ready(stream)),
+            // A key the source could not answer: a reply that is its failure.
+            Err(e) if how == Fetch::Batch => Ok(RequestHandle::ready(lazy_blocks(|| Err(e)))),
+            Err(e) => Err(e),
+        };
+        reqs.iter().map(fetch_one).collect()
+    }
+
+    /// One request, [`Fetch::Window`]: [`Driver::fetch`] of the slice of
+    /// one, the shorthand of callers outside the request path (the
+    /// benchmark, tests). Provided, and never overridden.
     fn submit(&self, req: &DriverRequest) -> KResult<RequestHandle> {
-        Ok(RequestHandle::ready(self.perform(req)?))
+        let mut handles = self.fetch(std::slice::from_ref(req), Fetch::Window);
+        handles.pop().expect("a fetch answers every request")
     }
 
-    /// [`Driver::submit`] for a caller that will read the reply **to its
-    /// end** and keeps every row (the executor collecting a scan into
-    /// the collection it denotes). Buffering such a reply ahead costs no
-    /// memory the caller would not spend anyway, so a driver that
-    /// advertises [`Capabilities::prefetch_rows`] `> 0` lifts the
-    /// prefetch window for it: its pool worker ships the whole reply
-    /// without waiting for the consumer — who may be away draining a
-    /// sibling scan. Said at submission because that is the only moment
-    /// the consumer touches this request before it drains it. The
-    /// default is plain `submit`: lazy drivers stay lazy.
-    fn submit_full(&self, req: &DriverRequest) -> KResult<RequestHandle> {
-        self.submit(req)
-    }
-
-    /// How the full fetches of `reqs` — requests **starting together**,
-    /// in source order; one request is the slice of one — split into
-    /// requests the source admits side by side: one answer per request,
-    /// whose replies, concatenated in order, are that request's reply.
-    /// Empty — the default, for every request — means not at all; a
-    /// caller given two or more parts may [`Driver::submit_full`] each
-    /// instead of the request, so one large reply crosses on several of
-    /// the source's connections at once, and siblings share that width
+    /// The parts a [`Fetch::Full`] of `reqs` — requests **starting
+    /// together**, in source order; one request is the slice of one —
+    /// is cut into, so one large reply crosses on several of the
+    /// source's connections at once, and siblings share that width
     /// between them rather than each sizing itself as if alone
     /// (`kleisli_exec::eval`, "a full fetch is as wide as its reply, and
-    /// siblings share the width"). The answer must depend only on the
-    /// requests, the source's data and its advertisement — never on load
-    /// — so the same scans cost the same requests every time.
-    fn split_full(&self, reqs: &[&DriverRequest]) -> Vec<Vec<DriverRequest>> {
+    /// siblings share the width"). One answer per request: requests the
+    /// source admits side by side whose replies, concatenated in order,
+    /// are that request's reply — or, empty (the default, for every
+    /// request), not at all. Not a submission: the resilience layer asks
+    /// this while the source's breaker is closed and fetches each part
+    /// on its own. The answer must depend only on the requests, the
+    /// source's data and its advertisement — never on load — so the
+    /// same scans cost the same requests every time.
+    fn parts(&self, reqs: &[&DriverRequest]) -> Vec<Vec<DriverRequest>> {
         vec![Vec::new(); reqs.len()]
     }
 
-    /// Does [`Driver::submit`] return *without* running the request
-    /// inline? `false` for the default adapter (submission performs on
-    /// the caller's thread); drivers that submit through a worker pool
-    /// return `true`. The executor consults this
-    /// before prefetching requests whose rows it may never pull (e.g.
-    /// union arms): prefetching through a blocking adapter would execute
-    /// work eagerly instead of merely putting it in flight.
+    /// Does [`Driver::fetch`] return *without* running the requests
+    /// inline? `false` for the default adapter (fetching performs on the
+    /// caller's thread); drivers that submit through a worker pool
+    /// return `true`. The executor consults this before prefetching
+    /// requests whose rows it may never pull (e.g. union arms):
+    /// prefetching through a blocking adapter would execute work eagerly
+    /// instead of merely putting it in flight.
     fn nonblocking_submit(&self) -> bool {
         false
-    }
-
-    /// Execute many per-key requests as **one wire round-trip**,
-    /// synchronously, returning each key's materialized rows in
-    /// submission order — the blocking half of the batched boundary
-    /// (multi-uid Entrez fetch, SQL `IN`-list). Only called with
-    /// requests for which [`DriverRequest::coalescable`] holds and only
-    /// when [`Capabilities::batching`] is advertised.
-    ///
-    /// The default adapter performs each request in turn — correct, but
-    /// it charges one round-trip per key; drivers that advertise
-    /// batching override this to charge the request latency **once**
-    /// for the whole set.
-    fn batch(&self, reqs: &[DriverRequest]) -> KResult<BatchReply> {
-        Ok(reqs
-            .iter()
-            .map(|r| self.perform(r).map(SharedReply::materialize))
-            .collect())
-    }
-
-    /// Submit one batched wire request without waiting, delivering the
-    /// outcome through `complete` (called exactly once). Returns the
-    /// pool handle keeping the wire request alive, or `None` when the
-    /// work ran inline (the default adapter). [`crate::remote::Remote`]
-    /// routes [`Driver::batch`] through its worker pool so the
-    /// whole batch consumes **one admission ticket** — the
-    /// ticket-per-wire-request invariant of [`crate::batch`].
-    fn submit_batch(
-        &self,
-        reqs: Vec<DriverRequest>,
-        complete: BatchCompletion,
-    ) -> Option<RequestHandle> {
-        complete(self.batch(&reqs));
-        None
     }
 
     /// Statistics for a named table, when available.

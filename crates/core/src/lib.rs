@@ -62,10 +62,13 @@ pub mod types;
 pub mod value;
 
 pub use batch::{request_key, BatchPolicy, BatchWindow, Flight, SharedReply};
-pub use block::{blocks_of_rows, charged_blocks, BlockSource, BlockStream, ValueBlock, DEFAULT_BLOCK_ROWS};
+pub use block::{
+    blocks_of_rows, charged_blocks, lazy_blocks, BlockSource, BlockStream, ValueBlock,
+    DEFAULT_BLOCK_ROWS,
+};
 pub use driver::{
-    BatchCompletion, BatchReply, Capabilities, Driver, DriverMetrics, DriverRef, DriverRequest,
-    GateTicket, MetricsSnapshot, RequestGate, RequestHandle, RequestStatus, TableStats,
+    Capabilities, Driver, DriverMetrics, DriverRef, DriverRequest, Fetch, GateTicket,
+    MetricsSnapshot, RequestGate, RequestHandle, RequestStatus, TableStats,
 };
 pub use error::{KError, KResult};
 pub use executor::Executor;
@@ -76,7 +79,7 @@ pub use remote::{Remote, Source};
 pub use remy::{CachedProjector, Directory, RemyRecord};
 pub use resilience::{
     BreakerPolicy, BreakerState, CancelToken, CircuitBreaker, DriverResilience, HedgePolicy,
-    ResiliencePolicy, ResilientHandle, RetryPolicy,
+    ResiliencePolicy, ResilientHandle, RetryPolicy, Seeds,
 };
 pub use token::{
     detokenize, read_exchange, tokenize, write_exchange, write_exchange_into, ExchangeSink, Token,

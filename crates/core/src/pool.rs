@@ -79,9 +79,9 @@
 //! to the pre-block protocol — while a large window ships
 //! [`crate::block::DEFAULT_BLOCK_ROWS`]-row batches.
 //!
-//! A **lifted window** (`FULL_FETCH`, what
-//! [`crate::driver::Driver::submit_full`] asks for on a driver that
-//! prefetches at all) is the limit case: full-size blocks and no depth
+//! A **lifted window** (`FULL_FETCH`, what a
+//! [`crate::driver::Fetch::Full`] asks for on a driver that prefetches at
+//! all) is the limit case: full-size blocks and no depth
 //! ceiling, so the worker ships the whole reply and the buffer holds
 //! whatever the consumer has not taken yet. That is memory-neutral only
 //! because such a consumer keeps every row anyway — it is collecting the
@@ -91,8 +91,8 @@
 //! shipped-but-unread.
 //!
 //! On a source that answers a scan piecewise
-//! ([`crate::driver::Driver::split_full`]) the evaluator submits such a
-//! fetch as parts, one request — one task here, one buffer — each, and
+//! ([`crate::driver::Driver::parts`]) such a fetch arrives as parts, one
+//! request — one task here, one buffer — each, and
 //! a part is `ceil(rows / parts)` rows: for a scan split alone, while the
 //! table is within `limit x prefetch_rows` rows, a lifted window holds
 //! **at most one window** again, and the whole reply is spread over as
@@ -152,7 +152,7 @@ use crate::driver::{DriverMetrics, ReqShared, RequestGate, RequestHandle};
 use crate::error::{KError, KResult};
 use crate::executor::Executor;
 
-/// The prefetch window of a **full fetch** ([`crate::Driver::submit_full`]):
+/// The prefetch window of a **full fetch** ([`crate::Fetch::Full`]):
 /// no row ceiling — the worker ships the whole reply ahead of the
 /// consumer, in [`DEFAULT_BLOCK_ROWS`]-row blocks (module docs, "Block
 /// geometry").
@@ -243,7 +243,7 @@ impl WorkerPool {
         self.core
             .exec
             .spawn_disownable(move || core.request_task(&req, prefetch));
-        RequestHandle::from_parts(shared, Arc::downgrade(&self.core))
+        RequestHandle::from_parts(shared, Some(Arc::downgrade(&self.core)))
     }
 }
 
@@ -342,7 +342,7 @@ impl PoolCore {
                 shared.discard_if_unredeemed();
                 RowBuf::refill(&buf);
             }
-            other => shared.resolve_stream(other),
+            other => _ = shared.resolve_stream(other),
         }
         false
     }

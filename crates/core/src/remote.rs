@@ -5,58 +5,59 @@
 //! point: log in, ship a request in the source's language, stream values
 //! back. Everything *around* that — the registered name, the admission
 //! gate and worker pool, the latency model, the traffic counters, the
-//! submit/handle plumbing — is identical for every remote source, so it
+//! fetch/handle plumbing — is identical for every remote source, so it
 //! lives here exactly once. **A new source is one file: implement
 //! [`Source`]** and register `Remote::serve(name, source, latency)`; it
 //! inherits pooling, row prefetch, batching, and (through the session)
 //! resilience without mentioning them. The Sybase, Entrez and ACE
 //! simulators and the test suites' [`crate::testutil::SlowDriver`] are all
 //! instances of this shell, so the concurrency tests exercise the exact
-//! submit path production uses.
+//! fetch path production uses.
 //!
 //! # The wire protocol, once
 //!
-//! Every wire request — a plain [`Driver::perform`] or a multi-key
-//! [`Driver::batch`] — counts one `requests`, charges one request
-//! latency, asks the source, and ships the rows through
-//! [`charged_blocks`] (per-row latency and traffic accrue as rows are
-//! packed, on the puller's clock). [`Driver::submit`] and
-//! [`Driver::submit_batch`] route exactly those two functions through the
-//! shell's [`WorkerPool`] — the only pool constructed anywhere in the
-//! workspace — so one wire request is one pool job is one admission
-//! ticket, whether it answers one key or sixteen. Only `submit`
-//! prefetches rows (up to the advertised window; [`Driver::submit_full`]
-//! lifts it for a reply that will be read to its end): a batch reply is
-//! materialized on the worker anyway.
+//! Every wire request — one request, or a [`Fetch::Batch`] of many keys —
+//! counts one `requests`, charges one request latency, asks the source,
+//! and ships the rows through [`charged_blocks`] (per-row latency and
+//! traffic accrue as rows are packed, on the puller's clock).
+//! [`Driver::fetch`] runs each wire request as one job of the shell's
+//! [`WorkerPool`] — the only pool constructed anywhere in the workspace —
+//! so one wire request is one pool job is one admission ticket, whether it
+//! answers one key or sixteen. A [`Fetch::Window`] prefetches up to the
+//! advertised window, a [`Fetch::Full`] lifts it for a reply that will be
+//! read to its end, and a batch ships no rows ahead: the resilience layer
+//! reads its keys' replies whole, on the worker that ran it.
 //!
 //! # A full fetch is as wide as its reply, and siblings share the width
 //!
 //! One connection ships one reply at its row clock, so a large scan read
 //! to its end leaves the rest of the source's admitted connections idle.
-//! [`Driver::split_full`] is how the evaluator asks to use them: a
-//! source that can answer a request piecewise ([`Source::split`] — GDB
-//! answers a table scan by consecutive row ranges) returns the parts, and
-//! the evaluator submits each as a full fetch of its own, ordinary in
-//! every respect — one job, one ticket, its own retry, hedge and breaker
-//! charge. It asks for every request that starts together at once, so
-//! three sibling scans split the connections between them in whole waves
-//! ([`apportion`]) instead of each filling them alone and leaving a
-//! straggler wave behind. The shell asks only a source that prefetches
-//! (`prefetch_rows > 0`, which every source routes through
-//! [`LatencyModel::effective_prefetch`]): the same gate that lifts the
-//! window, for the same reason.
+//! [`Driver::parts`] is how a full fetch uses them: a source that can
+//! answer a request piecewise ([`Source::split`] — GDB answers a table
+//! scan by consecutive row ranges) names the parts, and each is fetched
+//! as a full fetch of its own, ordinary in every respect — one job, one
+//! ticket, its own retry, hedge and breaker charge — and read back in
+//! order (`PartBlocks`). The parts of every request that starts
+//! together are asked for at once, so three sibling scans split the
+//! connections between them in whole waves ([`apportion`]) instead of
+//! each filling them alone and leaving a straggler wave behind. The shell
+//! asks only a source that prefetches (`prefetch_rows > 0`, which every
+//! source routes through [`LatencyModel::effective_prefetch`]): the same
+//! gate that lifts the window, for the same reason.
 
 use std::cmp::Reverse;
+use std::collections::VecDeque;
 use std::ops::Deref;
 use std::sync::Arc;
 
-use crate::batch::SharedReply;
-use crate::block::{blocks_of_rows, charged_blocks, BlockStream};
-use crate::driver::{
-    BatchCompletion, BatchReply, Capabilities, Driver, DriverMetrics, DriverRequest,
-    MetricsSnapshot, RequestGate, RequestHandle, TableStats,
+use crate::block::{
+    blocks_of_rows, charged_blocks, lazy_blocks, BlockSource, BlockStream, ValueBlock,
 };
-use crate::error::KResult;
+use crate::driver::{
+    Capabilities, Driver, DriverMetrics, DriverRequest, Fetch, MetricsSnapshot, ReqShared,
+    RequestGate, RequestHandle, TableStats,
+};
+use crate::error::{KError, KResult};
 use crate::latency::LatencyModel;
 use crate::pool::{WorkerPool, FULL_FETCH};
 use crate::value::Value;
@@ -95,8 +96,8 @@ pub trait Source: Send + Sync + 'static {
     }
 
     /// How full fetches of `reqs`, starting together, split
-    /// ([`Driver::split_full`]: one answer per request, empty = not at
-    /// all), for a source that can answer a request piecewise: `window`
+    /// ([`Driver::parts`]: one answer per request, empty = not at all),
+    /// for a source that can answer a request piecewise: `window`
     /// is the advertised [`Capabilities::prefetch_rows`] — a reply no
     /// longer than that gains nothing from a second connection — and
     /// `width` the admission limit, which the requests share
@@ -188,6 +189,32 @@ pub fn row_ranges(
     reqs.iter().zip(rows).zip(parts).map(ranges).collect()
 }
 
+/// One reply fetched as consecutive parts, each a request of its own
+/// ([`Driver::parts`]): the parts' streams back to back, in part order.
+/// Unlike a chain of operands — each with a meaning of its own — this is
+/// *one* reply: the first error block ends it, and the parts behind the
+/// error are dropped with it, which cancels their requests, so no row
+/// ever follows an error.
+pub(crate) struct PartBlocks {
+    pub(crate) parts: VecDeque<BlockStream>,
+}
+
+impl BlockSource for PartBlocks {
+    fn next_block(&mut self, max_rows: usize) -> Option<ValueBlock> {
+        loop {
+            match self.parts.front_mut()?.next_block(max_rows) {
+                Some(block) => {
+                    if block.ends_with_err() {
+                        self.parts.clear();
+                    }
+                    return Some(block);
+                }
+                None => drop(self.parts.pop_front()),
+            }
+        }
+    }
+}
+
 /// What the pool's workers share with the shell: the source and
 /// everything a wire request is charged to.
 struct Wire<S> {
@@ -208,14 +235,34 @@ impl<S: Source> Wire<S> {
         Ok(self.ship(self.source.answer(&self.name, req)?))
     }
 
-    fn batch(&self, reqs: &[DriverRequest]) -> KResult<BatchReply> {
+    /// One wire request for many keys, answering each key with its rows
+    /// — shipped as its reader pulls them — or its own failure, or every
+    /// key with the wire request's.
+    fn batch(&self, reqs: &[DriverRequest], keys: &[Arc<ReqShared>]) {
         self.metrics.record_request();
         self.latency.charge_request();
-        let per_key = self.source.answer_batch(&self.name, reqs)?;
-        Ok(per_key
-            .into_iter()
-            .map(|rows| rows.map(|rows| SharedReply::materialize(self.ship(rows))))
-            .collect())
+        match self.source.answer_batch(&self.name, reqs) {
+            Ok(replies) => {
+                let failed = |e| lazy_blocks(|| Err(e));
+                for (key, rows) in keys.iter().zip(replies) {
+                    key.resolve_stream(Ok(rows.map_or_else(failed, |rows| self.ship(rows))));
+                }
+            }
+            Err(e) => keys.iter().for_each(|key| _ = key.resolve_err(e.clone())),
+        }
+    }
+}
+
+/// The keys of one batched wire request, one handle's state each. Any
+/// still unanswered when the request lets go of them — it panicked, it
+/// never ran, or the source answered fewer keys — fail then.
+struct Keys(Vec<Arc<ReqShared>>);
+
+impl Drop for Keys {
+    fn drop(&mut self) {
+        for key in &self.0 {
+            key.resolve_err(KError::driver(&key.driver, "batched request ended without an answer"));
+        }
     }
 }
 
@@ -283,6 +330,23 @@ impl<S: Source> Remote<S> {
         let req = req.clone();
         self.pool.submit(window, move || wire.perform(&req))
     }
+
+    /// `reqs` as one wire request — one pool job, so one admission
+    /// ticket however many keys — whose reply answers a handle a key.
+    /// Nobody cancels a batch: it runs to its end once submitted.
+    fn batched(&self, reqs: &[DriverRequest]) -> Vec<KResult<RequestHandle>> {
+        let key = |_| Arc::new(ReqShared::pending(&self.wire.name, None));
+        let keys = Keys(reqs.iter().map(key).collect());
+        let handle = |key: &Arc<ReqShared>| Ok(RequestHandle::from_parts(Arc::clone(key), None));
+        let handles = keys.0.iter().map(handle).collect();
+        let (wire, reqs) = (Arc::clone(&self.wire), reqs.to_vec());
+        let job = move || {
+            wire.batch(&reqs, &keys.0);
+            Ok(blocks_of_rows(Box::new(std::iter::empty())))
+        };
+        self.pool.submit(0, job).then(drop);
+        handles
+    }
 }
 
 impl<S: Source> Deref for Remote<S> {
@@ -306,19 +370,20 @@ impl<S: Source> Driver for Remote<S> {
         self.wire.perform(req)
     }
 
-    fn submit(&self, req: &DriverRequest) -> KResult<RequestHandle> {
-        Ok(self.pooled(req, self.prefetch_rows))
+    fn fetch(&self, reqs: &[DriverRequest], how: Fetch) -> Vec<KResult<RequestHandle>> {
+        let window = match how {
+            Fetch::Window => self.prefetch_rows,
+            // Only a driver that prefetches at all lifts its window: with
+            // `prefetch_rows = 0` rows ship on the consumer's clock, always.
+            Fetch::Full if self.prefetch_rows > 0 => FULL_FETCH,
+            Fetch::Full => 0,
+            Fetch::Batch => return self.batched(reqs),
+        };
+        reqs.iter().map(|req| Ok(self.pooled(req, window))).collect()
     }
 
-    fn submit_full(&self, req: &DriverRequest) -> KResult<RequestHandle> {
-        // Only a driver that prefetches at all lifts its window: with
-        // `prefetch_rows = 0` rows ship on the consumer's clock, always.
-        let window = if self.prefetch_rows > 0 { FULL_FETCH } else { 0 };
-        Ok(self.pooled(req, window))
-    }
-
-    fn split_full(&self, reqs: &[&DriverRequest]) -> Vec<Vec<DriverRequest>> {
-        // The gate `submit_full` lifts its window by: where rows ship on
+    fn parts(&self, reqs: &[&DriverRequest]) -> Vec<Vec<DriverRequest>> {
+        // The gate a full fetch lifts its window by: where rows ship on
         // the consumer's clock (virtual-clock experiments, zero-latency
         // sources) there is no transfer to overlap, and one scan stays
         // one request.
@@ -332,24 +397,6 @@ impl<S: Source> Driver for Remote<S> {
 
     fn nonblocking_submit(&self) -> bool {
         true
-    }
-
-    fn batch(&self, reqs: &[DriverRequest]) -> KResult<BatchReply> {
-        self.wire.batch(reqs)
-    }
-
-    fn submit_batch(
-        &self,
-        reqs: Vec<DriverRequest>,
-        complete: BatchCompletion,
-    ) -> Option<RequestHandle> {
-        let wire = Arc::clone(&self.wire);
-        // One pool job == one admission ticket for the whole wire
-        // request, however many logical keys it answers.
-        Some(self.pool.submit(0, move || {
-            complete(wire.batch(&reqs));
-            Ok(blocks_of_rows(Box::new(std::iter::empty())))
-        }))
     }
 
     fn table_stats(&self, table: &str) -> Option<TableStats> {

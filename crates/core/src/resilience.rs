@@ -7,7 +7,7 @@
 //! path built in `crate::driver`/`crate::pool` makes requests *fast*
 //! (non-blocking submission, admission control, row prefetch); this
 //! module makes them *survivable*. Four mechanisms, composed per
-//! request by [`DriverResilience::submit`] and all disabled by the
+//! request by [`DriverResilience::fetch`] and all disabled by the
 //! default [`ResiliencePolicy`]:
 //!
 //! 1. **Deadlines.** A waiter blocks at most until its deadline, then
@@ -37,29 +37,39 @@
 //! `breaker_opens`); the session layer merges these resilience-side
 //! counters with the driver's own traffic counters.
 //!
+//! # Full fetches
+//!
+//! A [`Fetch::Full`] of a request its driver answers piecewise
+//! ([`crate::Driver::parts`]) is fetched as those parts while the breaker
+//! is closed, each an ordinary request of this layer — admitted, counted,
+//! retried, hedged and charged to the breaker on its own — behind one
+//! handle that reads them back in order.
+//!
 //! # Batching
 //!
-//! When a driver advertises [`crate::Capabilities::batching`], the
-//! multi-key [`DriverResilience::submit_batch`] path folds many per-key
-//! requests into single wire requests (one retry loop and one breaker
-//! charge per wire failure, however many consumers wait on the keys),
-//! and a plain submission whose request is already pending in the
-//! driver's [`crate::batch::BatchWindow`] attaches to that flight
+//! When a driver advertises [`crate::Capabilities::batching`], a
+//! [`Fetch::Batch`] folds many per-key requests into single wire requests
+//! (one retry loop and one breaker charge per wire failure, however many
+//! consumers wait on the keys), and any other fetch of a request already
+//! pending in the driver's [`crate::batch::BatchWindow`] — or seeded by a
+//! batch warm-up ([`DriverResilience::seed`]) — attaches to that flight
 //! instead of making its own round-trip. See [`crate::batch`] for the
 //! invariants.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::time::{Duration, Instant};
 
-use crate::batch::{BatchPolicy, BatchWindow, Flight, Joined, SharedReply};
+use crate::batch::{request_key, BatchPolicy, BatchWindow, Flight, Joined, SharedReply};
+use crate::block::{lazy_blocks, BlockStream};
 use crate::driver::{
-    BatchCompletion, DriverMetrics, DriverRef, DriverRequest, MetricsSnapshot, RequestHandle,
+    DriverMetrics, DriverRef, DriverRequest, Fetch, MetricsSnapshot, RequestHandle, RequestStatus,
 };
 use crate::error::{KError, KResult};
 use crate::latency::RttEstimator;
 use crate::oneshot::{Pulsable, WaitFor};
-use crate::BlockStream;
+use crate::remote::PartBlocks;
 
 // ------------------------------------------------------------------------
 // Policies
@@ -410,10 +420,11 @@ fn jittered(backoff: Duration) -> Duration {
 // ------------------------------------------------------------------------
 
 /// One driver's resilience state: its effective [`ResiliencePolicy`],
-/// circuit breaker, RTT estimator (feeding the hedge delay), and the
-/// resilience-side metrics counters. The execution context keeps one of
-/// these per registered driver and routes every remote submission
-/// through [`DriverResilience::submit`].
+/// circuit breaker, RTT estimator (feeding the hedge delay), the
+/// resilience-side metrics counters, and — for a driver that batches —
+/// its batching window and the flights batch warm-ups seeded. The
+/// execution context keeps one of these per registered driver and routes
+/// every remote fetch through [`DriverResilience::fetch`].
 pub struct DriverResilience {
     name: String,
     policy: ResiliencePolicy,
@@ -428,16 +439,29 @@ pub struct DriverResilience {
 struct BatchState {
     policy: BatchPolicy,
     window: BatchWindow,
+    /// Flights kept answerable by live [`Seeds`], by request key — even
+    /// after they resolved, which is what lets a warmed-up loop's bodies
+    /// find their batched replies instead of going to the wire.
+    seeds: Mutex<HashMap<u64, Vec<Arc<Flight>>>>,
+}
+
+impl BatchState {
+    fn lock_seeds(&self) -> MutexGuard<'_, HashMap<u64, Vec<Arc<Flight>>>> {
+        self.seeds.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn seeded(&self, req: &DriverRequest) -> Option<Arc<Flight>> {
+        let seeds = self.lock_seeds();
+        // Nothing seeded is the common case: skip hashing the request.
+        if seeds.is_empty() {
+            return None;
+        }
+        let f = seeds.get(&request_key(req))?.iter().find(|f| f.request() == req)?;
+        Some(Arc::clone(f))
+    }
 }
 
 impl DriverResilience {
-    /// Resilience state for driver `name` under `policy`, with no
-    /// batching window — every submission keeps its own wire
-    /// round-trip, byte-identical to the pre-batching behavior.
-    pub fn new(name: impl Into<String>, policy: ResiliencePolicy) -> DriverResilience {
-        DriverResilience::with_batching(name, policy, None)
-    }
-
     /// Resilience state for driver `name` under `policy`, with a
     /// batching window when the driver advertises one
     /// ([`crate::Capabilities::batching`]).
@@ -456,6 +480,7 @@ impl DriverResilience {
             batching: batching.map(|policy| BatchState {
                 window: BatchWindow::new(),
                 policy,
+                seeds: Mutex::new(HashMap::new()),
             }),
         }
     }
@@ -465,25 +490,22 @@ impl DriverResilience {
         &self.name
     }
 
-    /// The effective policy.
-    pub fn policy(&self) -> &ResiliencePolicy {
-        &self.policy
-    }
-
     /// The breaker's observable state, when one is configured.
     pub fn breaker_state(&self) -> Option<BreakerState> {
         self.breaker.as_ref().map(|b| b.state())
-    }
-
-    /// The RTT estimator feeding the hedge delay.
-    pub fn rtt(&self) -> &RttEstimator {
-        &self.rtt
     }
 
     /// Flights pending in the driver's batching window right now
     /// (tests/inspection; `0` once every batched wire request resolved).
     pub fn pending_flights(&self) -> usize {
         self.batching.as_ref().map_or(0, |b| b.window.len())
+    }
+
+    /// Flights live [`Seeds`] keep answerable right now (tests/inspection;
+    /// `0` once every batch warm-up's loop has finished or been dropped).
+    pub fn seeded_flights(&self) -> usize {
+        let seeded = |b: &BatchState| b.lock_seeds().values().map(Vec::len).sum();
+        self.batching.as_ref().map_or(0, seeded)
     }
 
     /// A snapshot of the resilience-side counters (timeouts, retries,
@@ -518,82 +540,115 @@ impl DriverResilience {
         }
     }
 
-    /// Submit `req` to `driver` under this policy: breaker check first
-    /// (fail-fast with [`KError::CircuitOpen`]), then a real
-    /// [`crate::Driver::submit`], wrapped in a [`ResilientHandle`] that
-    /// enforces the deadline and runs the hedge/retry loops when
-    /// redeemed. `deadline` is the caller's absolute budget (the
-    /// policy's own [`ResiliencePolicy::deadline`] tightens it);
-    /// `cancel` aborts in-flight waits promptly when cancelled.
+    /// Fetch `reqs` — requests starting together on `driver` — `how`
+    /// they will be read, under this policy: one [`ResilientHandle`] per
+    /// request, in order, or that request's error. The layer's one
+    /// submitting verb. `deadline` is the caller's absolute budget (the
+    /// policy's own [`ResiliencePolicy::deadline`] tightens it); `cancel`
+    /// aborts in-flight waits promptly when cancelled.
     ///
-    /// A synchronous submit error (inline drivers) is captured into the
-    /// handle rather than returned, so the retry loop can still
-    /// resubmit it; breaker rejection is returned immediately.
+    /// A [`Fetch::Window`] or [`Fetch::Full`] request is answered by the
+    /// first of:
     ///
-    /// When the driver advertises [`crate::Capabilities::batching`] and
-    /// the request is [`DriverRequest::coalescable`], a flight already
-    /// pending for the identical request in the driver's
-    /// [`crate::batch::BatchWindow`] — a batch warm-up seed — answers
-    /// this submission too (one `coalesced` count, no wire request).
-    /// Otherwise the submission is direct: a plain submission never
-    /// registers a flight, so its reply keeps streaming lazily
-    /// (`first_n` stays cheap against large scans) and concurrent
-    /// identical plain submissions each keep their own round-trip.
-    /// Either way the returned handle redeems the same way.
-    pub fn submit(
+    /// * a batch flight, when the driver advertises
+    ///   [`crate::Capabilities::batching`] and the request is
+    ///   [`DriverRequest::coalescable`]: one live [`Seeds`] keep
+    ///   answerable (even resolved), or else one still pending in the
+    ///   driver's [`BatchWindow`] (one `coalesced` count). Neither is a
+    ///   wire request. These fetches never register a flight of their
+    ///   own, so a reply keeps streaming lazily (`first_n` stays cheap
+    ///   against large scans) and concurrent identical fetches each keep
+    ///   their own round-trip;
+    /// * for a full fetch, while the breaker is closed, the parts its
+    ///   driver cuts it into ([`crate::Driver::parts`], asked once for
+    ///   all of `reqs`): each part is fetched on its own, as below, and
+    ///   the handle reads them back in order — every part in flight
+    ///   before the first is read. A half-open breaker admits one probe
+    ///   at a time, and a whole request is that probe;
+    /// * one wire request: breaker admission first (fail fast with
+    ///   [`KError::CircuitOpen`]), then [`crate::Driver::fetch`], with the
+    ///   deadline, hedge and retry loops run when the handle is redeemed.
+    ///   A retryable submission error (inline drivers) is kept in the
+    ///   handle for the retry loop rather than returned.
+    ///
+    /// A [`Fetch::Batch`] folds `reqs` into batched wire requests of at
+    /// most [`BatchPolicy::max_keys`] distinct keys, one admission ticket
+    /// each ([`crate::batch`]'s invariants), and answers each request
+    /// with its key's flight: a new one, or one already pending. A driver
+    /// that advertises no batching, or a request that cannot be
+    /// coalesced, gets an error instead.
+    pub fn fetch(
         self: &Arc<Self>,
         driver: &DriverRef,
-        req: &DriverRequest,
+        reqs: &[DriverRequest],
+        how: Fetch,
         deadline: Option<Instant>,
         cancel: Option<Arc<CancelToken>>,
-    ) -> KResult<ResilientHandle> {
-        self.submit_as(driver, req, deadline, cancel, false)
+    ) -> Vec<KResult<ResilientHandle>> {
+        let deadline = self.merge_deadline(deadline);
+        if how == Fetch::Batch {
+            return self.batched(driver, reqs, deadline, &cancel);
+        }
+        let one = |req: &DriverRequest| self.fetch_one(driver, req, how, deadline, &cancel);
+        // Only a full fetch is cut into parts, and only while the breaker
+        // is closed: half-open admits one probe, and a whole request is it.
+        let closed = self.breaker.as_ref().is_none_or(|b| b.state() == BreakerState::Closed);
+        let mut parts = match how == Fetch::Full && closed {
+            true => driver.parts(&reqs.iter().collect::<Vec<_>>()).into_iter(),
+            false => Vec::new().into_iter(),
+        };
+        let whole = |req| match parts.next().filter(|parts| parts.len() > 1) {
+            None => one(req),
+            // Every part in flight, or — one failing to start — none.
+            Some(parts) => {
+                let parts = parts.iter().map(one).collect::<KResult<_>>()?;
+                Ok(self.handle(deadline, &cancel, HandleMode::Parts(parts)))
+            }
+        };
+        reqs.iter().map(whole).collect()
     }
 
-    /// [`DriverResilience::submit`]; with `full`, for a caller that will
-    /// read the reply to its end: every wire submission the handle makes
-    /// — the first attempt, each retry, a hedge — is then a
-    /// [`crate::Driver::submit_full`].
-    pub fn submit_as(
+    /// One request, or one part: a batch flight that answers it, or one
+    /// wire request ([`DriverResilience::fetch`]).
+    fn fetch_one(
         self: &Arc<Self>,
         driver: &DriverRef,
         req: &DriverRequest,
+        how: Fetch,
         deadline: Option<Instant>,
-        cancel: Option<Arc<CancelToken>>,
-        full: bool,
+        cancel: &Option<Arc<CancelToken>>,
     ) -> KResult<ResilientHandle> {
-        let deadline = self.merge_deadline(deadline);
-        if let Some(b) = &self.batching {
-            if req.coalescable() {
-                if let Some(flight) = b.window.try_attach(req) {
-                    self.metrics.record_coalesced();
-                    return Ok(self.attached(flight, deadline, cancel));
-                }
+        if let Some(b) = self.batching.as_ref().filter(|_| req.coalescable()) {
+            let pending = || b.window.try_attach(req).inspect(|_| self.metrics.record_coalesced());
+            if let Some(flight) = b.seeded(req).or_else(pending) {
+                return Ok(self.handle(deadline, cancel, HandleMode::Attached { flight }));
             }
         }
-        self.submit_direct(driver, req, deadline, cancel, full)
+        self.admit()?;
+        let mut state = Box::new(DirectState {
+            driver: Arc::clone(driver),
+            req: req.clone(),
+            how,
+            attempt: None,
+            retries: Retries::of(&self.policy),
+        });
+        let attempt = state.wire_fetch().inspect_err(|e| self.record_failure(e));
+        // A retryable submit error is carried into the handle so wait()
+        // can spend the retry budget on it; anything else fails now.
+        state.attempt = Some(match attempt {
+            Ok(h) => Ok(h),
+            Err(e) if e.is_retryable() && self.policy.retry.is_some() => Err(e),
+            Err(e) => return Err(e),
+        });
+        Ok(self.handle(deadline, cancel, HandleMode::Direct(state)))
     }
 
-    /// The parts each of the full fetches `reqs`, starting together, is
-    /// to be submitted as ([`crate::Driver::split_full`]), each through
-    /// [`DriverResilience::submit_as`]; empty: as itself. Nothing is
-    /// split unless the breaker is closed — a half-open breaker admits
-    /// one probe at a time, and a whole request is that probe.
-    pub fn split_full(
-        &self,
-        driver: &DriverRef,
-        reqs: &[&DriverRequest],
-    ) -> Vec<Vec<DriverRequest>> {
-        let closed = self
-            .breaker
-            .as_ref()
-            .is_none_or(|b| b.state() == BreakerState::Closed);
-        if !closed {
-            return vec![Vec::new(); reqs.len()];
+    /// Breaker admission: fail fast while the breaker is open.
+    fn admit(&self) -> KResult<()> {
+        match &self.breaker {
+            Some(b) if !b.try_admit() => Err(KError::circuit_open(&self.name)),
+            _ => Ok(()),
         }
-        let mut parts = driver.split_full(reqs);
-        parts.iter_mut().filter(|p| p.len() < 2).for_each(Vec::clear);
-        parts
     }
 
     /// The caller's absolute budget tightened by the policy's own
@@ -607,125 +662,79 @@ impl DriverResilience {
         }
     }
 
-    /// The pre-batching submit path: breaker, one wire submission, one
-    /// direct handle. `deadline` is already merged with the policy's.
-    fn submit_direct(
+    fn handle(
         self: &Arc<Self>,
-        driver: &DriverRef,
-        req: &DriverRequest,
         deadline: Option<Instant>,
-        cancel: Option<Arc<CancelToken>>,
-        full: bool,
-    ) -> KResult<ResilientHandle> {
-        if let Some(b) = &self.breaker {
-            if !b.try_admit() {
-                return Err(KError::circuit_open(&self.name));
-            }
-        }
-        let retry = self.policy.retry.as_ref();
-        let mut state = Box::new(DirectState {
-            driver: Arc::clone(driver),
-            req: req.clone(),
-            full,
-            attempt: None,
-            retries_left: retry.map_or(0, |r| r.max_retries),
-            backoff: retry.map_or(Duration::ZERO, |r| r.base_backoff),
-        });
-        let attempt = state.wire_submit().inspect_err(|e| self.record_failure(e));
-        // A retryable submit error is carried into the handle so wait()
-        // can spend the retry budget on it; anything else fails now.
-        state.attempt = Some(match attempt {
-            Ok(h) => Ok(h),
-            Err(e) if e.is_retryable() && retry.is_some() => Err(e),
-            Err(e) => return Err(e),
-        });
-        Ok(ResilientHandle {
-            res: Arc::clone(self),
-            deadline,
-            cancel,
-            mode: HandleMode::Direct(state),
-        })
-    }
-
-    /// Wrap `flight` in an attached handle.
-    fn attached(
-        self: &Arc<Self>,
-        flight: Arc<Flight>,
-        deadline: Option<Instant>,
-        cancel: Option<Arc<CancelToken>>,
+        cancel: &Option<Arc<CancelToken>>,
+        mode: HandleMode,
     ) -> ResilientHandle {
         ResilientHandle {
             res: Arc::clone(self),
             deadline,
-            cancel,
-            mode: HandleMode::Attached { flight },
+            cancel: cancel.clone(),
+            mode,
         }
     }
 
-    /// Attach to a flight previously registered by
-    /// [`DriverResilience::submit_batch`] (the executor's warm-up path
-    /// hands these out through its seed table). The caller must have
-    /// checked that `flight.request()` equals the request it wants
-    /// answered. `deadline` is merged with the policy's.
-    pub fn attach_seeded(
-        self: &Arc<Self>,
-        flight: &Arc<Flight>,
-        deadline: Option<Instant>,
-        cancel: Option<Arc<CancelToken>>,
-    ) -> ResilientHandle {
-        self.attached(Arc::clone(flight), self.merge_deadline(deadline), cancel)
-    }
-
-    /// Fold a set of per-key coalescable requests into batched wire
-    /// requests of at most [`BatchPolicy::max_keys`] keys each, one
-    /// admission ticket per wire request, and return the flight of
-    /// every distinct key (newly led or already in the window) so
-    /// per-key consumers can attach via
-    /// [`DriverResilience::attach_seeded`]. Returns `None` when this
-    /// driver has no batching window — callers fall back to per-key
-    /// submission. Non-coalescable and duplicate requests are skipped
-    /// (duplicates share their key's flight by construction).
-    pub fn submit_batch(
+    /// A [`Fetch::Batch`] ([`DriverResilience::fetch`]).
+    fn batched(
         self: &Arc<Self>,
         driver: &DriverRef,
         reqs: &[DriverRequest],
-    ) -> Option<Vec<Arc<Flight>>> {
-        let b = self.batching.as_ref()?;
-        let mut seeds: Vec<Arc<Flight>> = Vec::new();
+        deadline: Option<Instant>,
+        cancel: &Option<Arc<CancelToken>>,
+    ) -> Vec<KResult<ResilientHandle>> {
         let mut fresh: Vec<Arc<Flight>> = Vec::new();
-        for req in reqs.iter().filter(|r| r.coalescable()) {
-            if seeds.iter().any(|f| f.request() == req) {
-                continue;
-            }
-            match b.window.join(&self.name, req) {
-                Joined::Attached(flight) => seeds.push(flight),
+        let attach = |req: &DriverRequest| {
+            let b = self.batching.as_ref().filter(|_| req.coalescable());
+            let cannot = || KError::driver(&self.name, format!("cannot batch {}", req.describe()));
+            let b = b.ok_or_else(cannot)?;
+            let flight = match b.window.join(req) {
+                Joined::Attached(flight) => flight,
                 Joined::Lead(flight) => {
                     fresh.push(Arc::clone(&flight));
-                    seeds.push(flight);
+                    flight
                 }
+            };
+            Ok(self.handle(deadline, cancel, HandleMode::Attached { flight }))
+        };
+        let handles = reqs.iter().map(attach).collect();
+        if let Some(b) = &self.batching {
+            for chunk in fresh.chunks(b.policy.keys_per_request()) {
+                self.metrics.record_batch_request(chunk.len() as u64);
+                let op = BatchOp {
+                    res: Arc::clone(self),
+                    driver: Arc::clone(driver),
+                    reqs: chunk.iter().map(|f| f.request().clone()).collect(),
+                    flights: chunk.to_vec(),
+                    retries: Mutex::new(Retries::of(&self.policy)),
+                };
+                Arc::new(op).launch();
             }
         }
-        for chunk in fresh.chunks(b.policy.keys_per_request()) {
-            let op = Arc::new(BatchOp {
-                res: Arc::clone(self),
-                driver: Arc::clone(driver),
-                reqs: chunk.iter().map(|f| f.request().clone()).collect(),
-                flights: chunk.to_vec(),
-                retries_left: AtomicU32::new(
-                    self.policy.retry.as_ref().map_or(0, |r| r.max_retries),
-                ),
-                backoff: Mutex::new(
-                    self.policy
-                        .retry
-                        .as_ref()
-                        .map_or(Duration::ZERO, |r| r.base_backoff),
-                ),
-                wire: Mutex::new(Vec::new()),
-            });
-            self.metrics.record_batch_request(chunk.len() as u64);
-            op.launch();
+        handles
+    }
+
+    /// Keep the flights `handles` — a batch fetch's — wait on answerable
+    /// for as long as the returned [`Seeds`] lives: a fetch of one of
+    /// their requests then attaches to it even after it resolved. The
+    /// span of the loop whose bodies a batch warm-up fetched for.
+    pub fn seed(self: &Arc<Self>, handles: &[ResilientHandle]) -> Seeds {
+        let attached = handles.iter().filter_map(|h| match &h.mode {
+            HandleMode::Attached { flight } => Some(Arc::clone(flight)),
+            _ => None,
+        });
+        let flights: Vec<Arc<Flight>> = attached.collect();
+        if let Some(b) = &self.batching {
+            let mut seeds = b.lock_seeds();
+            for f in &flights {
+                seeds.entry(f.key()).or_default().push(Arc::clone(f));
+            }
         }
-        Some(seeds)
+        Seeds {
+            res: Arc::clone(self),
+            flights,
+        }
     }
 
     /// Resolve `flight`, dropping its window entry first (no result,
@@ -738,53 +747,83 @@ impl DriverResilience {
     }
 }
 
+/// A batch warm-up's flights, kept answerable while this lives
+/// ([`DriverResilience::seed`]). Dropping it removes exactly the flights
+/// it seeded: concurrent loops over overlapping keys each hold their own,
+/// and a flight seeded twice stays until its last holder goes.
+pub struct Seeds {
+    res: Arc<DriverResilience>,
+    flights: Vec<Arc<Flight>>,
+}
+
+impl Drop for Seeds {
+    fn drop(&mut self) {
+        let Some(b) = &self.res.batching else { return };
+        let mut seeds = b.lock_seeds();
+        for f in &self.flights {
+            if let Some(list) = seeds.get_mut(&f.key()) {
+                if let Some(at) = list.iter().position(|g| Arc::ptr_eq(g, f)) {
+                    list.swap_remove(at);
+                }
+                if list.is_empty() {
+                    seeds.remove(&f.key());
+                }
+            }
+        }
+    }
+}
+
 // ------------------------------------------------------------------------
 // Batched wire requests
 // ------------------------------------------------------------------------
 
 /// One batched wire request in flight: the chunk of per-key requests,
-/// their flights, and the retry state. The completion callback resolves
-/// every flight (per-key results on success, the cloned batch error on
-/// terminal failure) or relaunches the wire request on a retryable one.
+/// their flights, and the retry state. When the wire request answers, its
+/// keys' replies resolve every flight (or the cloned batch error does, on
+/// terminal failure), or the wire request is relaunched on a retryable
+/// failure.
 struct BatchOp {
     res: Arc<DriverResilience>,
     driver: DriverRef,
     reqs: Vec<DriverRequest>,
     flights: Vec<Arc<Flight>>,
-    retries_left: AtomicU32,
-    backoff: Mutex<Duration>,
-    /// Pool handles of every wire attempt, kept alive until the op
-    /// resolves — dropping a `RequestHandle` cancels it.
-    wire: Mutex<Vec<RequestHandle>>,
+    retries: Mutex<Retries>,
 }
 
 impl BatchOp {
     fn launch(self: &Arc<Self>) {
+        let keys = self.driver.fetch(&self.reqs, Fetch::Batch).into_iter().collect();
+        let mut keys: Vec<RequestHandle> = match keys {
+            Ok(keys) => keys,
+            Err(e) => return self.complete(Err(e)),
+        };
+        let Some(last) = keys.pop() else {
+            return self.complete(Ok(Vec::new()));
+        };
+        // A batch's keys resolve together, in order: once the last has,
+        // every one has — on the pool worker that ran the wire request,
+        // or inline under the default adapter.
         let op = Arc::clone(self);
-        let complete: BatchCompletion = Box::new(move |outcome| op.complete(outcome));
-        if let Some(handle) = self.driver.submit_batch(self.reqs.clone(), complete) {
-            self.wire
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(handle);
-        }
+        last.then(move |last| {
+            let replies = keys.into_iter().map(RequestHandle::wait).chain([last]);
+            op.complete(replies.collect());
+        });
     }
 
-    /// Runs exactly once per wire attempt, on the pool worker that
-    /// performed it (or inline under the default adapter).
-    fn complete(self: &Arc<Self>, outcome: KResult<crate::driver::BatchReply>) {
+    /// Resolve the flights with their keys' replies — materialized here,
+    /// where their rows are charged — or spend the retry budget on the
+    /// wire request's failure.
+    fn complete(self: &Arc<Self>, outcome: KResult<Vec<BlockStream>>) {
         match outcome {
-            Ok(per_key) => {
+            Ok(replies) => {
                 self.res.record_success();
-                let mut results = per_key.into_iter();
+                let mut replies = replies.into_iter();
                 for flight in &self.flights {
-                    let r = results.next().unwrap_or_else(|| {
-                        Err(KError::driver(
-                            &self.res.name,
-                            "batched reply is missing a key",
-                        ))
+                    let reply = replies.next().ok_or_else(|| {
+                        KError::driver(&self.res.name, "batched reply is missing a key")
                     });
-                    self.res.finish_flight(flight, r.map(Arc::new));
+                    let reply = reply.map(|r| Arc::new(SharedReply::materialize(r)));
+                    self.res.finish_flight(flight, reply);
                 }
             }
             Err(e) => {
@@ -805,41 +844,52 @@ impl BatchOp {
     /// (slept on this worker), breaker re-admission, one `retries`
     /// count, resubmit. Returns whether a retry was launched.
     fn try_retry(self: &Arc<Self>, err: &KError) -> bool {
-        if !err.is_retryable() || self.res.policy.retry.is_none() {
-            return false;
-        }
-        if self
-            .retries_left
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| v.checked_sub(1))
-            .is_err()
-        {
-            return false;
-        }
-        let pause = {
-            let mut b = self.backoff.lock().unwrap_or_else(|e| e.into_inner());
-            let pause = jittered(*b);
-            let max = self
-                .res
-                .policy
-                .retry
-                .as_ref()
-                .map_or(Duration::ZERO, |r| r.max_backoff);
-            *b = (*b * 2).min(max);
-            pause
-        };
+        let pause = self.retries.lock().unwrap_or_else(|e| e.into_inner()).spend(err);
+        let Some(pause) = pause else { return false };
         std::thread::sleep(pause);
-        if let Some(b) = &self.res.breaker {
-            if !b.try_admit() {
-                let e = KError::circuit_open(&self.res.name);
+        match self.res.admit() {
+            Ok(()) => {
+                self.res.metrics.record_retry();
+                self.launch();
+            }
+            Err(e) => {
                 for flight in &self.flights {
                     self.res.finish_flight(flight, Err(e.clone()));
                 }
-                return true;
             }
         }
-        self.res.metrics.record_retry();
-        self.launch();
         true
+    }
+}
+
+/// What is left of one request's retry budget ([`RetryPolicy`]): the
+/// extra attempts, and the backoff before the next.
+struct Retries {
+    left: u32,
+    backoff: Duration,
+    max: Duration,
+}
+
+impl Retries {
+    fn of(policy: &ResiliencePolicy) -> Retries {
+        let retry = policy.retry.as_ref();
+        Retries {
+            left: retry.map_or(0, |r| r.max_retries),
+            backoff: retry.map_or(Duration::ZERO, |r| r.base_backoff),
+            max: retry.map_or(Duration::ZERO, |r| r.max_backoff),
+        }
+    }
+
+    /// Spend one retry on `err`: the jittered pause to serve before it,
+    /// or `None` — `err` is not retryable, or the budget is spent.
+    fn spend(&mut self, err: &KError) -> Option<Duration> {
+        if !err.is_retryable() || self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let pause = jittered(self.backoff);
+        self.backoff = (self.backoff * 2).min(self.max);
+        Some(pause)
     }
 }
 
@@ -847,18 +897,20 @@ impl BatchOp {
 // The resilient handle
 // ------------------------------------------------------------------------
 
-/// The caller's half of one *resilient* submission: the deadline,
-/// hedge, retry, and cancellation behavior of the driver's policy,
-/// applied when the handle is redeemed with [`ResilientHandle::wait`].
+/// The caller's half of one *resilient* fetch: the deadline, hedge,
+/// retry, and cancellation behavior of the driver's policy, applied when
+/// the handle is redeemed with [`ResilientHandle::wait`].
 ///
-/// A handle is either **direct** — it owns its wire [`RequestHandle`]
-/// and the retry state, and runs deadline → hedge → retry to an outcome
-/// when redeemed — or **attached** to a batch-led [`Flight`], in which
-/// case redeeming parks until the batch operation resolves the flight
-/// and replays its shared reply. Dropping a direct handle unredeemed
-/// abandons the in-flight round-trip (ticket reclaimed, wedged worker
-/// orphaned); dropping an attached handle only detaches this waiter —
-/// the batched wire request belongs to the batch operation.
+/// A handle is **direct** — it owns its wire [`RequestHandle`] and the
+/// retry state, and runs deadline → hedge → retry to an outcome when
+/// redeemed — or **attached** to a batch-led [`Flight`], in which case
+/// redeeming parks until the batch operation resolves the flight and
+/// replays its shared reply, or it holds the **parts** of a split full
+/// fetch, direct handles each, redeemed one after the other as the reply
+/// is read. Dropping a direct handle unredeemed abandons the in-flight
+/// round-trip (ticket reclaimed, wedged worker orphaned); dropping an
+/// attached handle only detaches this waiter — the batched wire request
+/// belongs to the batch operation.
 pub struct ResilientHandle {
     res: Arc<DriverResilience>,
     deadline: Option<Instant>,
@@ -871,25 +923,24 @@ enum HandleMode {
     // an order of magnitude larger than the attached variant's pointer.
     Direct(Box<DirectState>),
     Attached { flight: Arc<Flight> },
+    Parts(Vec<ResilientHandle>),
 }
 
-/// The wire-owning half of a direct submission, including the retry
-/// budget.
+/// The wire-owning half of a direct fetch, including the retry budget.
 struct DirectState {
     driver: DriverRef,
     req: DriverRequest,
-    /// The caller reads the reply to its end
-    /// ([`DriverResilience::submit_as`]).
-    full: bool,
+    /// How the request is read, so every wire fetch the handle makes —
+    /// the first attempt, each retry, a hedge — is the same kind.
+    how: Fetch,
     /// The current attempt (or its synchronous submit error, kept for
     /// the retry loop). `None` once redeemed.
     attempt: Option<Result<RequestHandle, KError>>,
-    retries_left: u32,
-    backoff: Duration,
+    retries: Retries,
 }
 
 /// The bounds one handle is redeemed under: the owning resilience
-/// state and the submission's deadline/cancel.
+/// state and the fetch's deadline/cancel.
 struct DriveCtx<'a> {
     res: &'a DriverResilience,
     deadline: Option<Instant>,
@@ -903,19 +954,6 @@ impl DriveCtx<'_> {
 }
 
 impl ResilientHandle {
-    /// Whether the current attempt has resolved (without blocking).
-    /// `true` also for captured submit errors and redeemed handles —
-    /// "a wait would not block".
-    pub fn is_ready(&self) -> bool {
-        match &self.mode {
-            HandleMode::Direct(st) => match &st.attempt {
-                Some(Ok(h)) => h.poll() != crate::driver::RequestStatus::Pending,
-                _ => true,
-            },
-            HandleMode::Attached { flight } => flight.is_done(),
-        }
-    }
-
     /// The deadline this handle enforces, if any.
     pub fn deadline(&self) -> Option<Instant> {
         self.deadline
@@ -927,7 +965,8 @@ impl ResilientHandle {
     /// resubmitted with jittered exponential backoff, cancellation
     /// honored promptly. An attached handle waits on its flight instead
     /// (under its own deadline and cancellation only) and replays the
-    /// shared reply. Consumes the handle.
+    /// shared reply. A split fetch's handle returns at once: its reply
+    /// redeems each part when the reader reaches it. Consumes the handle.
     pub fn wait(mut self) -> KResult<BlockStream> {
         let cx = DriveCtx {
             res: &self.res,
@@ -937,23 +976,26 @@ impl ResilientHandle {
         match &mut self.mode {
             HandleMode::Direct(st) => st.drive(&cx),
             HandleMode::Attached { flight } => await_flight(&cx, flight),
+            HandleMode::Parts(parts) => {
+                let parts = std::mem::take(parts).into_iter();
+                let parts = parts.map(|part| lazy_blocks(|| part.wait())).collect();
+                Ok(Box::new(PartBlocks { parts }))
+            }
         }
     }
 }
 
 impl DirectState {
     /// Put the request on the wire once more (first attempt, retry, or
-    /// hedge), as the kind of fetch the handle was submitted as.
-    fn wire_submit(&self) -> KResult<RequestHandle> {
-        if self.full {
-            self.driver.submit_full(&self.req)
-        } else {
-            self.driver.submit(&self.req)
-        }
+    /// hedge), as the kind of fetch the handle was made by.
+    fn wire_fetch(&self) -> KResult<RequestHandle> {
+        let mut handles = self.driver.fetch(std::slice::from_ref(&self.req), self.how);
+        handles.pop().expect("a fetch answers every request")
     }
 
     /// The retry loop: one round on the current attempt, then — on a
-    /// retryable failure with budget left — back off and resubmit.
+    /// retryable failure with budget left — back off, re-admit through
+    /// the breaker, and resubmit.
     fn drive(&mut self, cx: &DriveCtx<'_>) -> KResult<BlockStream> {
         loop {
             let attempt = match self.attempt.take() {
@@ -961,49 +1003,28 @@ impl DirectState {
                 None => return Err(KError::eval("request result already taken")),
             };
             let started = Instant::now();
-            match attempt.and_then(|handle| self.round(cx, handle)) {
+            let e = match attempt.and_then(|handle| self.round(cx, handle)) {
                 Ok(stream) => {
                     cx.res.rtt.observe(started.elapsed());
                     cx.res.record_success();
                     return Ok(stream);
                 }
-                Err(e) => {
-                    cx.res.record_failure(&e);
-                    if !e.is_retryable() || self.retries_left == 0 || cx.cancelled() {
-                        return Err(e);
-                    }
-                    self.backoff_and_resubmit(cx, e)?;
-                }
+                Err(e) => e,
+            };
+            cx.res.record_failure(&e);
+            let pause = match self.retries.spend(&e) {
+                Some(pause) if !cx.cancelled() => pause,
+                _ => return Err(e),
+            };
+            // Retry only if the backoff still fits the deadline.
+            if cx.deadline.is_some_and(|d| Instant::now() + pause >= d) {
+                return Err(e);
             }
+            std::thread::sleep(pause);
+            cx.res.admit()?;
+            cx.res.metrics.record_retry();
+            self.attempt = Some(self.wire_fetch());
         }
-    }
-
-    /// Serve the backoff owed for the (already charged) failure `e`,
-    /// re-admit through the breaker, and resubmit. `Err` ends the retry
-    /// loop with that error.
-    fn backoff_and_resubmit(&mut self, cx: &DriveCtx<'_>, e: KError) -> Result<(), KError> {
-        // Retry only if the backoff still fits the deadline.
-        let pause = jittered(self.backoff);
-        if cx.deadline.is_some_and(|d| Instant::now() + pause >= d) {
-            return Err(e);
-        }
-        std::thread::sleep(pause);
-        let max = cx
-            .res
-            .policy
-            .retry
-            .as_ref()
-            .map_or(Duration::ZERO, |r| r.max_backoff);
-        self.backoff = (self.backoff * 2).min(max);
-        self.retries_left -= 1;
-        if let Some(b) = &cx.res.breaker {
-            if !b.try_admit() {
-                return Err(KError::circuit_open(&cx.res.name));
-            }
-        }
-        cx.res.metrics.record_retry();
-        self.attempt = Some(self.wire_submit());
-        Ok(())
     }
 
     /// One round: wait on `primary` until it resolves, the hedge delay
@@ -1035,7 +1056,7 @@ impl DirectState {
         }
         // Phase 2: fire the hedge and wait for either handle.
         cx.res.metrics.record_hedge_fired();
-        let mut hedge = match self.wire_submit() {
+        let mut hedge = match self.wire_fetch() {
             Ok(h) => {
                 h.mirror_into(&primary);
                 if let Some(t) = cx.cancel {
@@ -1051,7 +1072,7 @@ impl DirectState {
             let hedge_ready = || {
                 hedge
                     .as_ref()
-                    .is_some_and(|h| h.poll() != crate::driver::RequestStatus::Pending)
+                    .is_some_and(|h| h.poll() != RequestStatus::Pending)
             };
             match primary.wait_for_ref(cx.deadline, || cx.cancelled() || hedge_ready()) {
                 WaitFor::Ready => {
@@ -1291,19 +1312,32 @@ mod tests {
         ))
     }
 
+    /// The handle of `req` fetched alone, `how` it is read.
+    fn one(
+        res: &Arc<DriverResilience>,
+        dref: &DriverRef,
+        req: DriverRequest,
+        how: Fetch,
+        deadline: Option<Instant>,
+        cancel: Option<Arc<CancelToken>>,
+    ) -> ResilientHandle {
+        let mut handles = res.fetch(dref, &[req], how, deadline, cancel);
+        handles.pop().expect("a handle a request").expect("fetched")
+    }
+
     #[test]
     fn concurrent_identical_requests_share_one_wire_request() {
         let d = SlowDriver::new("co", 4, Duration::from_millis(2), 4);
         d.set_fault(Fault::NeverRespond);
         let dref: DriverRef = d.clone();
         let res = batching("co", ResiliencePolicy::default());
-        // A batch seed for the request is wedged on the wire, so every
-        // plain submission of it attaches instead of going out itself.
-        let seeds = res.submit_batch(&dref, &[links(7)]).expect("batching advertised");
-        assert_eq!(seeds.len(), 1);
+        // A batch for the request is wedged on the wire, so every plain
+        // fetch of it attaches instead of going out itself.
+        let batch = res.fetch(&dref, &[links(7)], Fetch::Batch, None, None);
+        assert_eq!(batch.len(), 1);
         let joins: Vec<_> = (0..8)
             .map(|_| {
-                let h = res.submit(&dref, &links(7), None, None).expect("submit");
+                let h = one(&res, &dref, links(7), Fetch::Window, None, None);
                 thread::spawn(move || h.wait().map(drain))
             })
             .collect();
@@ -1322,15 +1356,14 @@ mod tests {
         d.set_fault(Fault::NeverRespond);
         let dref: DriverRef = d.clone();
         let res = batching("co", ResiliencePolicy::default());
-        let seeds = res.submit_batch(&dref, &[links(1)]).expect("batching advertised");
+        let _batch = one(&res, &dref, links(1), Fetch::Batch, None, None);
         let cancel = Arc::new(CancelToken::new());
-        let cancelled = res.attach_seeded(&seeds[0], None, Some(Arc::clone(&cancel)));
-        let bounded = res
-            .submit(&dref, &links(1), Some(Instant::now() + Duration::from_millis(30)), None)
-            .expect("submit");
+        let cancelled = one(&res, &dref, links(1), Fetch::Batch, None, Some(Arc::clone(&cancel)));
+        let soon = Some(Instant::now() + Duration::from_millis(30));
+        let bounded = one(&res, &dref, links(1), Fetch::Window, soon, None);
         let survivors = [
-            res.attach_seeded(&seeds[0], None, None),
-            res.submit(&dref, &links(1), None, None).expect("submit"),
+            one(&res, &dref, links(1), Fetch::Batch, None, None),
+            one(&res, &dref, links(1), Fetch::Window, None, None),
         ];
         let t_cancelled = thread::spawn(move || cancelled.wait().map(drain));
         let t_bounded = thread::spawn(move || bounded.wait().map(drain));
@@ -1341,7 +1374,7 @@ mod tests {
         cancel.cancel();
         let e = t_cancelled.join().expect("thread").expect_err("own cancellation");
         assert!(format!("{e}").contains("cancelled"), "got: {e}");
-        assert!(!seeds[0].is_done(), "a waiter giving up never resolves the flight");
+        assert_eq!(res.pending_flights(), 1, "a waiter giving up never resolves the flight");
         // The surviving waiters still replay the shared rows.
         d.release_wedged();
         for t in t_survivors {
@@ -1355,15 +1388,15 @@ mod tests {
 
     #[test]
     fn concurrent_plain_submissions_keep_their_own_lazy_wire_requests() {
-        // The production semantics: with no seed in flight, a batching
-        // driver's plain submissions never share — N identical
-        // concurrent requests are N wire requests, each streamed lazily.
+        // The production semantics: with no batch in flight, a batching
+        // driver's plain fetches never share — N identical concurrent
+        // requests are N wire requests, each streamed lazily.
         let d = SlowDriver::new("co", 100, Duration::from_millis(1), 4);
         d.set_fault(Fault::NeverRespond);
         let dref: DriverRef = d.clone();
         let res = batching("co", ResiliencePolicy::default());
         let handles: Vec<_> = (0..4)
-            .map(|_| res.submit(&dref, &links(2), None, None).expect("submit"))
+            .map(|_| one(&res, &dref, links(2), Fetch::Window, None, None))
             .collect();
         while d.current.load(Ordering::SeqCst) < 4 {
             thread::sleep(Duration::from_millis(1)); // all four overlap on the wire
@@ -1390,7 +1423,7 @@ mod tests {
         let dref: DriverRef = d.clone();
         let res = batching("co", ResiliencePolicy::default());
         for _ in 0..3 {
-            let h = res.submit(&dref, &links(4), None, None).expect("submit");
+            let h = one(&res, &dref, links(4), Fetch::Window, None, None);
             assert_eq!(drain(h.wait().expect("rows")), 2);
         }
         assert_eq!(
@@ -1407,14 +1440,14 @@ mod tests {
         d.set_fault(Fault::NeverRespond);
         let dref: DriverRef = d.clone();
         let res = batching("co", ResiliencePolicy::default());
-        let h = res.submit(&dref, &links(3), None, None).expect("submit");
+        let h = one(&res, &dref, links(3), Fetch::Window, None, None);
         thread::sleep(Duration::from_millis(20));
         drop(h); // unredeemed: the wedged wire request is abandoned
         d.release_wedged();
         d.set_fault(Fault::None);
         // Nothing of the abandoned request lingers in the window: a new
-        // submission makes a fresh wire request of its own.
-        let again = res.submit(&dref, &links(3), None, None).expect("submit");
+        // fetch makes a fresh wire request of its own.
+        let again = one(&res, &dref, links(3), Fetch::Window, None, None);
         assert_eq!(drain(again.wait().expect("rows")), 2);
         assert_eq!(d.performs.load(Ordering::SeqCst), 2);
     }
@@ -1431,11 +1464,10 @@ mod tests {
         // Seven logical keys, six distinct: the duplicate shares its
         // key's flight instead of adding a slot.
         let reqs: Vec<DriverRequest> = (0..6).map(links).chain(std::iter::once(links(0))).collect();
-        let seeds = res.submit_batch(&dref, &reqs).expect("batching advertised");
-        assert_eq!(seeds.len(), 6);
-        for f in &seeds {
-            let h = res.attach_seeded(f, None, None);
-            assert_eq!(drain(h.wait().expect("batched rows")), 3);
+        let handles = res.fetch(&dref, &reqs, Fetch::Batch, None, None);
+        assert_eq!(handles.len(), 7, "a handle a request");
+        for h in handles {
+            assert_eq!(drain(h.expect("batched").wait().expect("batched rows")), 3);
         }
         assert_eq!(
             d.batch_performs.load(Ordering::SeqCst),

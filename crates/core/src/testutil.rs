@@ -21,18 +21,23 @@
 //! drive a split full fetch — [`Fault::FailRow`] failing exactly the part
 //! that holds one row — through the same instrumentation. Off by
 //! default: a scan of a plain `SlowDriver` is one request, always.
+//!
+//! [`assert_quiescent`] is how a concurrency test ends: no admission
+//! ticket held and no worker orphaned at a remote, no batch flight
+//! pending or seeded, no task left running on a private executor.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::batch::BatchPolicy;
 use crate::driver::{Capabilities, DriverRequest};
 use crate::error::{KError, KResult};
+use crate::executor::Executor;
 use crate::latency::LatencyModel;
 use crate::remote::{row_ranges, Remote, Source};
-use crate::resilience::ResiliencePolicy;
+use crate::resilience::{DriverResilience, ResiliencePolicy};
 use crate::value::Value;
 
 /// An injectable failure mode for [`SlowSource`].
@@ -320,6 +325,59 @@ impl Source for SlowSource {
         row_ranges(reqs, window, width, |_| {
             sliceable.then_some(self.rows.max(0) as u64)
         })
+    }
+}
+
+// ------------------------------------------------------------------------
+// Quiescence: what a finished test must find empty
+// ------------------------------------------------------------------------
+
+/// Request-path state that a test which has finished with it must find
+/// empty ([`assert_quiescent`]).
+pub trait Quiescent {
+    /// What is still held, or `None` when nothing is.
+    fn held(&self) -> Option<String>;
+}
+
+/// A remote: no admission ticket held, no orphaned worker.
+impl<S: Source> Quiescent for Remote<S> {
+    fn held(&self) -> Option<String> {
+        let (tickets, orphans) = (self.gate().in_flight(), self.orphans());
+        let name = crate::Driver::name(self);
+        (tickets + orphans > 0).then(|| format!("{name}: {tickets} tickets, {orphans} orphans"))
+    }
+}
+
+/// A driver's resilience state: no batch flight pending or seeded.
+impl Quiescent for DriverResilience {
+    fn held(&self) -> Option<String> {
+        let (pending, seeded) = (self.pending_flights(), self.seeded_flights());
+        let name = self.name();
+        let held = format!("{name}: {pending} flights pending, {seeded} seeded");
+        (pending + seeded > 0).then_some(held)
+    }
+}
+
+/// An executor: no task running. The process-wide shared one is exempt:
+/// the tests beside this one use it too.
+impl Quiescent for Executor {
+    fn held(&self) -> Option<String> {
+        let busy = if std::ptr::eq(self, &*Executor::shared()) { 0 } else { self.busy() };
+        (busy > 0).then(|| format!("executor: {busy} tasks running"))
+    }
+}
+
+/// Wait — five seconds at most — until every one of `parts` holds
+/// nothing, and fail naming what is still held.
+pub fn assert_quiescent(parts: &[&dyn Quiescent]) {
+    let t0 = Instant::now();
+    loop {
+        let held: Vec<String> = parts.iter().filter_map(|p| p.held()).collect();
+        if held.is_empty() {
+            return;
+        }
+        assert!(t0.elapsed() < Duration::from_secs(5), "not quiescent: {}", held.join("; "));
+        std::thread::sleep(Duration::from_millis(2));
     }
 }
 

@@ -311,16 +311,24 @@ fn put_escaped(out: &mut impl ExchangeSink, text: &str) -> bool {
     out.put(&text[from..])
 }
 
-/// Parse the textual exchange format back into a value.
+/// Parse the textual exchange format back into exactly one value: a
+/// malformed line fails with its own error, and so does any line after
+/// the value.
 pub fn read_exchange(text: &str) -> KResult<Value> {
     let mut toks = text.lines().filter(|l| !l.is_empty()).map(parse_line);
     let mut iter = ResultIter {
         inner: &mut toks,
         err: None,
     };
-    let v = detokenize(&mut iter)?;
+    let v = detokenize(&mut iter);
+    // A bad line ends the token stream early; the structural error that
+    // follows from that is not the one to report.
     if let Some(e) = iter.err {
         return Err(e);
+    }
+    let v = v?;
+    if toks.next().is_some() {
+        return Err(KError::exchange("trailing lines after the value"));
     }
     Ok(v)
 }

@@ -1,6 +1,8 @@
 //! Execution context: the driver registry, the object store used by
 //! `deref`, the subquery cache, and the compute executor query
-//! evaluation runs on.
+//! evaluation runs on. Every request the evaluator sends a source leaves
+//! through one verb, [`Context::fetch`], into the driver's resilience
+//! layer.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -8,11 +10,11 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use kleisli_core::batch::{request_key, Flight};
 use kleisli_core::resilience::{CancelToken, DriverResilience, ResiliencePolicy, ResilientHandle};
+use kleisli_core::testutil::Quiescent;
 use kleisli_core::{
-    DriverRef, DriverRequest, Executor, Join, KError, KResult, MetricsSnapshot, Oid, SingleFlight,
-    Value,
+    DriverRef, DriverRequest, Executor, Fetch, Join, KError, KResult, MetricsSnapshot, Oid,
+    SingleFlight, Value,
 };
 
 /// Resolves object references for sources with object identity (ACE).
@@ -57,14 +59,6 @@ struct CtxInner {
     /// One [`SingleFlight`] per `Cached { id }` subquery evaluated since
     /// the last [`Context::cache_clear`].
     cache: Mutex<HashMap<u64, Arc<SingleFlight<Value>>>>,
-    /// Flights pre-seeded by [`Context::submit_batch`] (the `ParExt`
-    /// warm-up), keyed by request hash. [`Context::submit_resilient`]
-    /// answers a matching request by attaching to the seeded flight —
-    /// even after it resolved, which is what guarantees the per-element
-    /// loop body observes the batched reply instead of issuing its own
-    /// round-trip. Entries live exactly as long as their
-    /// [`BatchGuard`].
-    batch_seeds: Mutex<HashMap<u64, Vec<Arc<Flight>>>>,
     /// The compute pool `ParExt` chunks (and the session's query
     /// workers) run on.
     executor: Arc<Executor>,
@@ -93,7 +87,6 @@ impl Context {
                 resilience: HashMap::new(),
                 object_stores: Vec::new(),
                 cache: Mutex::new(HashMap::new()),
-                batch_seeds: Mutex::new(HashMap::new()),
                 executor,
             }),
             deadline: None,
@@ -251,99 +244,23 @@ impl Context {
         self.inner.resilience.get(name)
     }
 
-    /// Submit a request through the driver's resilience layer: breaker
-    /// admission, the context's deadline (tightened by the policy's own),
-    /// and the context's cancellation token all apply; retry and hedging
-    /// run when the returned handle is redeemed.
-    pub fn submit_resilient(&self, name: &str, req: &DriverRequest) -> KResult<ResilientHandle> {
-        self.submit_as(name, req, false)
-    }
-
-    /// [`Context::submit_resilient`], as a *full fetch*
-    /// ([`kleisli_core::Driver::submit_full`]) when the caller collects
-    /// the reply to its end.
-    pub(crate) fn submit_as(
+    /// Fetch `reqs` — requests starting together on driver `name` — `how`
+    /// they will be read, through the driver's resilience layer
+    /// ([`DriverResilience::fetch`]): breaker admission, this clone's
+    /// deadline (tightened by the policy's own) and cancellation token
+    /// all apply, and retry and hedging run when a handle is redeemed.
+    /// One handle per request, in order, or that request's error.
+    pub fn fetch(
         &self,
         name: &str,
-        req: &DriverRequest,
-        full: bool,
-    ) -> KResult<ResilientHandle> {
-        let driver = self.driver(name)?;
-        let res = self
-            .inner
-            .resilience
-            .get(name)
-            .ok_or_else(|| KError::driver(name, "no resilience state registered"))?;
-        // A flight pre-seeded by a batch warm-up answers this request
-        // even if it already resolved (the seed table outlives the
-        // flight's window entry for exactly the span of the loop).
-        if req.coalescable() {
-            let seeds = self.inner.batch_seeds.lock();
-            if !seeds.is_empty() {
-                if let Some(flights) = seeds.get(&request_key(req)) {
-                    if let Some(f) = flights
-                        .iter()
-                        .find(|f| f.driver() == name && f.request() == req)
-                    {
-                        return Ok(res.attach_seeded(f, self.deadline, self.cancel.clone()));
-                    }
-                }
-            }
+        reqs: &[DriverRequest],
+        how: Fetch,
+    ) -> Vec<KResult<ResilientHandle>> {
+        let (deadline, cancel) = (self.deadline, self.cancel.clone());
+        match self.driver(name) {
+            Ok(driver) => self.inner.resilience[name].fetch(driver, reqs, how, deadline, cancel),
+            Err(e) => reqs.iter().map(|_| Err(e.clone())).collect(),
         }
-        res.submit_as(driver, req, self.deadline, self.cancel.clone(), full)
-    }
-
-    /// The parts each of the full fetches `reqs`, starting together on
-    /// driver `name`, is submitted as, each through
-    /// [`Context::submit_as`]; empty: as itself
-    /// ([`DriverResilience::split_full`]).
-    pub(crate) fn split_full(
-        &self,
-        name: &str,
-        reqs: &[&DriverRequest],
-    ) -> Vec<Vec<DriverRequest>> {
-        match (self.driver(name), self.resilience(name)) {
-            (Ok(driver), Some(res)) => res.split_full(driver, reqs),
-            _ => vec![Vec::new(); reqs.len()],
-        }
-    }
-
-    /// Fold a `ParExt` warm-up's per-element requests into batched wire
-    /// round-trips (see [`kleisli_core::resilience::DriverResilience::submit_batch`])
-    /// and seed the resulting flights so the loop body's own
-    /// [`Context::submit_resilient`] calls attach to them instead of
-    /// issuing per-key requests. Returns `Ok(None)` when the driver does
-    /// not advertise batching (callers keep the latency-overlap path).
-    /// The returned guard unseeds the flights when dropped — hold it for
-    /// the duration of the loop.
-    pub fn submit_batch(&self, name: &str, reqs: &[DriverRequest]) -> KResult<Option<BatchGuard>> {
-        let driver = self.driver(name)?;
-        let res = self
-            .inner
-            .resilience
-            .get(name)
-            .ok_or_else(|| KError::driver(name, "no resilience state registered"))?;
-        let Some(flights) = res.submit_batch(driver, reqs) else {
-            return Ok(None);
-        };
-        if flights.is_empty() {
-            return Ok(None);
-        }
-        let mut seeds = self.inner.batch_seeds.lock();
-        for f in &flights {
-            seeds.entry(f.key()).or_default().push(Arc::clone(f));
-        }
-        drop(seeds);
-        Ok(Some(BatchGuard {
-            inner: Arc::clone(&self.inner),
-            flights,
-        }))
-    }
-
-    /// Flights seeded by live [`BatchGuard`]s right now (tests/inspection;
-    /// `0` once every batch-marked loop has finished or been dropped).
-    pub fn seeded_flights(&self) -> usize {
-        self.inner.batch_seeds.lock().values().map(Vec::len).sum()
     }
 
     /// A driver's full metrics picture: its own traffic counters merged
@@ -411,29 +328,14 @@ impl Context {
     }
 }
 
-/// Keeps a batch warm-up's flights in the context's seed table for the
-/// duration of a `ParExt` loop; dropping it removes exactly the flights
-/// it seeded (concurrent loops over overlapping key sets each hold
-/// their own guard — a flight seeded twice stays until its last guard
-/// goes).
-pub struct BatchGuard {
-    inner: Arc<CtxInner>,
-    flights: Vec<Arc<Flight>>,
-}
-
-impl Drop for BatchGuard {
-    fn drop(&mut self) {
-        let mut seeds = self.inner.batch_seeds.lock();
-        for f in &self.flights {
-            if let Some(list) = seeds.get_mut(&f.key()) {
-                if let Some(at) = list.iter().position(|g| Arc::ptr_eq(g, f)) {
-                    list.swap_remove(at);
-                }
-                if list.is_empty() {
-                    seeds.remove(&f.key());
-                }
-            }
-        }
+/// A context holds nothing once every driver's resilience state holds
+/// nothing and its executor runs nothing.
+impl Quiescent for Context {
+    fn held(&self) -> Option<String> {
+        let states = self.inner.resilience.values().map(|r| r.as_ref() as &dyn Quiescent);
+        let parts = states.chain([self.executor().as_ref() as &dyn Quiescent]);
+        let held: Vec<String> = parts.filter_map(Quiescent::held).collect();
+        (!held.is_empty()).then(|| held.join("; "))
     }
 }
 

@@ -34,10 +34,10 @@
 //! * **Value position fetches in full.** When this module collects a
 //!   bare `Remote` / `RemoteApp` (or a union spine of them) to its end,
 //!   the rows *are* the collection it builds, so buffering them ahead is
-//!   memory-neutral: the request is a
-//!   [`kleisli_core::Driver::submit_full`], and a prefetching driver's
-//!   worker ships the whole reply without waiting for the consumer — who
-//!   is away draining the sibling in front. The top of a plan is value
+//!   memory-neutral: the request is fetched in full
+//!   ([`kleisli_core::Fetch::Full`]), and a prefetching driver's worker
+//!   ships the whole reply without waiting for the consumer — who is away
+//!   draining the sibling in front. The top of a plan is value
 //!   position too when whoever drains it reads to the end by
 //!   construction and keeps every row
 //!   ([`crate::stream::eval_blocks_to_end`]: the server's admitted
@@ -52,9 +52,10 @@
 //!   width.** One connection ships one reply at its row clock, and a
 //!   server tolerates several ("say five" requests, Section 4) — so the
 //!   full fetches one outermost start meets are first only *planned*
-//!   ([`crate::stream`]'s `Wave`), and when it returns each source is
-//!   asked how the requests bound for it split
-//!   ([`kleisli_core::Driver::split_full`], over all of them at once). A
+//!   ([`crate::stream`]'s `Wave`), and when it returns the requests bound
+//!   for each source are one full fetch ([`crate::Context::fetch`]),
+//!   which asks the source how they split ([`kleisli_core::Driver::parts`],
+//!   over all of them at once). A
 //!   source that answers piecewise and prefetches — GDB, for a table scan
 //!   longer than one window — returns consecutive row ranges:
 //!   `min(ceil(rows / window), connections)` of them for a scan alone,
@@ -62,7 +63,7 @@
 //!   connections, that total rounded *down* to whole waves and handed
 //!   out where it makes the longest part shortest
 //!   ([`kleisli_core::remote::apportion`]). Every part of every request
-//!   is then submitted as a full fetch of its own before the first is
+//!   is then in flight as a request of its own before the first is
 //!   redeemed, and a request's streams are read back to back, in part
 //!   order. One 100-row scan at a window of 32 is `request ‖ request ‖
 //!   request ‖ request`, `rows ‖ rows ‖ rows ‖ rows`: P − 1 extra
@@ -75,11 +76,11 @@
 //!   counted, retried, hedged and charged to the breaker on its own, so
 //!   a retried part does not refetch its siblings — and the scan means
 //!   what the unsplit one means: the first error ends it and cancels the
-//!   parts behind, so no row ever follows an error. A scan whose
-//!   submission fails when the wave is launched stays lazy, like a child
-//!   that cannot start: it is submitted again — alone — and fails when
-//!   its turn comes. Whatever blocks while a wave is open (a nested
-//!   [`eval`]) plans and launches a wave of its own. While the source's
+//!   parts behind, so no row ever follows an error. A scan that fails to
+//!   start when the wave is launched stays lazy, like a child that cannot
+//!   start: it is fetched again — alone — and fails when its turn
+//!   comes. Whatever blocks while a wave is open (a nested [`eval`])
+//!   plans and launches a wave of its own. While the source's
 //!   breaker is anything but closed nothing is split: a half-open
 //!   breaker admits one probe, and a whole request is it. What a
 //!   split gives up is the single instant — P reads at P instants, like

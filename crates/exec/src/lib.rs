@@ -25,7 +25,7 @@ pub mod reference;
 pub mod result_cache;
 pub mod stream;
 
-pub use context::{request_from_value, BatchGuard, Context, ObjectStore};
+pub use context::{request_from_value, Context, ObjectStore};
 pub use env::{Env, Rt};
 pub use eval::{eval, eval_rt};
 pub use result_cache::{

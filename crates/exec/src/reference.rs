@@ -4,7 +4,7 @@
 //! Plain structural recursion over every [`Expr`] form, each collection
 //! built whole and canonicalized the moment it is complete. Both join
 //! strategies are one outer-major nested loop, `ParExt` is `Ext`, `Cached`
-//! is its body, a remote request is submitted and drained on the spot: no
+//! is its body, a remote request is fetched and drained on the spot: no
 //! executor, cache cells, batching, streaming or operator strategies. Keep
 //! it obviously right; never optimize it. It shares leaf semantics with
 //! the evaluator ([`apply_prim`], the driver-request convention, [`Env`])
@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use kleisli_core::{CollKind, DriverRequest, KError, KResult, Value};
+use kleisli_core::{CollKind, DriverRequest, Fetch, KError, KResult, Value};
 use nrc::{Expr, Name, Prim};
 
 use crate::context::{request_from_value, Context};
@@ -194,8 +194,9 @@ fn elems(v: Value, kind: CollKind, what: Option<&str>) -> KResult<Vec<Value>> {
     }
 }
 
-/// Submit, wait, drain row by row: drivers answer with sets.
+/// Fetch, wait, drain row by row: drivers answer with sets.
 fn remote(driver: &str, req: &DriverRequest, ctx: &Context) -> KResult<Value> {
-    let rows: KResult<Vec<Value>> = ctx.submit_resilient(driver, req)?.wait()?.collect();
+    let handle = ctx.fetch(driver, std::slice::from_ref(req), Fetch::Window).pop();
+    let rows: KResult<Vec<Value>> = handle.expect("a handle a request")?.wait()?.collect();
     Ok(Value::set(rows?))
 }

@@ -45,10 +45,10 @@
 //! `prefetch_rows` the ceiling on rows shipped but unread — and is one
 //! request, always — and a value-position scan (`Fetch::Full`) is
 //! *planned* where it is met and put on the wire when everything starting
-//! with it has been (`Wave`): the requests bound for one source are
-//! split by its driver together, and each is submitted part by part, all
-//! parts in flight before the first is read (`PartBlocks`: `request ‖
-//! request ‖ …`, then `rows ‖ rows ‖ …`, for one scan).
+//! with it has been (`Wave`): the requests bound for one source are one
+//! [`Context::fetch`] of [`kleisli_core::Fetch::Full`], which splits them
+//! together and puts every part in flight before the first is read
+//! (`request ‖ request ‖ …`, then `rows ‖ rows ‖ …`, for one scan).
 //! [`eval_blocks_to_end`] is the same position offered to a caller
 //! outside this crate who drains the blocks itself.
 
@@ -56,14 +56,15 @@ use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Weak};
 
+use kleisli_core::resilience::{ResilientHandle, Seeds};
 use kleisli_core::{
-    blocks_of_rows, BlockSource, BlockStream, CollKind, DriverRequest, Join, KError, KResult, Lead,
-    Value, ValueBlock, DEFAULT_BLOCK_ROWS,
+    blocks_of_rows, lazy_blocks, BlockSource, BlockStream, CollKind, DriverRequest, Join, KError,
+    KResult, Lead, Value, ValueBlock, DEFAULT_BLOCK_ROWS,
 };
 use nrc::{Expr, JoinStrategy, Name};
 use parking_lot::Mutex;
 
-use crate::context::{request_from_value, BatchGuard, Context};
+use crate::context::{request_from_value, Context};
 use crate::env::{Env, Rt};
 use crate::eval::{eval, eval_cond, eval_rt, start, strict_children, Pending};
 
@@ -97,8 +98,9 @@ pub fn eval_blocks_to_end(e: &Expr, env: &Env, ctx: &Context) -> KResult<BlockSt
     blocks_to_end(e, env, ctx, Want::Any)
 }
 
-/// How a remote scan's rows are fetched; decided by where its stream is
-/// consumed (the rule is stated once, in [`mod@crate::eval`]'s module docs).
+/// How a remote scan's rows are fetched ([`kleisli_core::Fetch`], with
+/// the wave a full fetch joins); decided by where its stream is consumed
+/// (the rule is stated once, in [`mod@crate::eval`]'s module docs).
 #[derive(Clone, Copy)]
 pub(crate) enum Fetch<'w> {
     /// Stream position: the consumer may stop early or never hold the
@@ -108,10 +110,9 @@ pub(crate) enum Fetch<'w> {
     /// Value position: the consumer collects the scan to its end and the
     /// rows are the collection it builds, so the whole reply is fetched
     /// ahead — on as many of the source's connections as it has windows
-    /// of rows (`PartBlocks`), shared with the full fetches starting
-    /// beside it in this [`Wave`]. Inherited by the arms of a union and
-    /// by what a singleton arm starts for its element, and by nothing
-    /// else.
+    /// of rows, shared with the full fetches starting beside it in this
+    /// [`Wave`]. Inherited by the arms of a union and by what a singleton
+    /// arm starts for its element, and by nothing else.
     Full(&'w Wave),
 }
 
@@ -227,9 +228,9 @@ pub(crate) fn blocks_at(
             // beside them.
             started => {
                 let (env, ctx) = (env.clone(), ctx.clone());
-                Ok(Box::new(LazyBlocks::new(move || {
+                Ok(lazy_blocks(move || {
                     Ok(slice_blocks(Arc::new(vec![started.finish(&env, &ctx)?])))
-                })))
+                }))
             }
         },
         Expr::Union(kind, a, b) => {
@@ -256,7 +257,7 @@ pub(crate) fn blocks_at(
                     Fetch::Window => blocks,
                     Fetch::Full(_) => blocks_to_end,
                 };
-                Box::new(LazyBlocks::new(move || position(&b, &env2, &ctx2, want)))
+                lazy_blocks(move || position(&b, &env2, &ctx2, want))
             });
             Ok(Box::new(ChainBlocks {
                 a: Some(sa),
@@ -315,11 +316,11 @@ pub(crate) fn blocks_at(
             // through the driver's resilience layer: breaker admission
             // here, deadline/retry/hedging when the first pull redeems
             // it.
-            PendingBlocks::submit(driver, request, ctx, fetch)
+            PendingBlocks::start(driver, request, ctx, fetch)
         }
         Expr::RemoteApp { driver, arg } => {
             let argv = eval(arg, env, ctx)?;
-            PendingBlocks::submit(driver, &request_from_value(&argv)?, ctx, fetch)
+            PendingBlocks::start(driver, &request_from_value(&argv)?, ctx, fetch)
         }
         Expr::Join {
             kind,
@@ -589,7 +590,7 @@ impl Iterator for CachingStream {
 /// (union arms here, record fields and primitive arguments in
 /// [`mod@crate::eval`]); everything else (locals with side work, joins that
 /// materialize, cached populations, generators that must canonicalize
-/// their source first, or drivers whose `submit` runs the request
+/// their source first, or drivers whose `fetch` runs the request
 /// inline) keeps the fully lazy path. `RemoteApp` arguments are required
 /// to be remote-free because they are evaluated at construction time. A
 /// strict operator qualifies when any of its children does: starting it
@@ -685,7 +686,7 @@ impl BlockSource for ChainBlocks {
 /// leaks. A join's inner collection simply drains the buffer to
 /// exhaustion.
 struct PendingBlocks {
-    handle: Option<kleisli_core::resilience::ResilientHandle>,
+    handle: Option<ResilientHandle>,
     inner: Option<BlockStream>,
     /// The query budget, tightened by the driver policy's own deadline;
     /// checked at every block boundary so a mid-stream stall resolves as
@@ -698,19 +699,23 @@ struct PendingBlocks {
 impl PendingBlocks {
     /// `req` in flight through the driver's resilience layer: on the
     /// wire now in stream position, with its [`Wave`] in value position.
-    fn submit(
+    fn start(
         driver: &str,
         req: &DriverRequest,
         ctx: &Context,
         fetch: Fetch,
     ) -> KResult<BlockStream> {
         match fetch {
-            Fetch::Window => Ok(PendingBlocks::boxed(ctx.submit_as(driver, req, false)?, ctx)),
+            Fetch::Window => {
+                let req = std::slice::from_ref(req);
+                let mut handles = ctx.fetch(driver, req, kleisli_core::Fetch::Window);
+                Ok(PendingBlocks::boxed(handles.pop().expect("a handle a request")?, ctx))
+            }
             Fetch::Full(wave) => Ok(wave.plan(driver, req, ctx)),
         }
     }
 
-    fn boxed(handle: kleisli_core::resilience::ResilientHandle, ctx: &Context) -> BlockStream {
+    fn boxed(handle: ResilientHandle, ctx: &Context) -> BlockStream {
         Box::new(PendingBlocks {
             ctx: handle
                 .deadline()
@@ -725,13 +730,13 @@ impl PendingBlocks {
 /// The full fetches starting together: every value-position scan one
 /// outermost start meets — record fields, primitive arguments, union
 /// arms, singleton elements, however nested — is *planned* here, and all
-/// of them are put on the wire when the start returns. Planning before
-/// submitting is what lets the scans bound for one source be split
-/// **together** (`Context::split_full` over all of them), so siblings
-/// share the source's width instead of each filling it alone (the
-/// fourth clause of the rule in [`mod@crate::eval`]'s module docs).
-/// Nothing pulls a planned stream before its wave is launched: whatever
-/// blocks while the wave is open evaluates under a wave of its own.
+/// of them are put on the wire when the start returns, one
+/// [`Context::fetch`] per source. Planning before fetching is what lets
+/// the scans bound for one source be split **together**, so siblings
+/// share the source's width instead of each filling it alone (the fourth
+/// clause of the rule in [`mod@crate::eval`]'s module docs). Nothing
+/// pulls a planned stream before its wave is launched: whatever blocks
+/// while the wave is open evaluates under a wave of its own.
 #[derive(Default)]
 pub(crate) struct Wave {
     /// In source order. A plan whose stream was dropped before the
@@ -755,8 +760,8 @@ impl Wave {
         let wave = Wave::default();
         let built = build(Fetch::Full(&wave));
         let plans: Vec<_> = wave.plans.take().iter().filter_map(Weak::upgrade).collect();
-        for (plan, stream) in plans.iter().zip(Planned::submit_together(&plans)) {
-            // A scan whose submission fails stays lazy: it submits again,
+        for (plan, stream) in plans.iter().zip(Planned::launch(&plans)) {
+            // A scan that fails to start stays lazy: it is fetched again,
             // and fails, when its turn comes.
             *plan.launched.lock() = stream.ok();
         }
@@ -771,45 +776,32 @@ impl Wave {
             launched: Mutex::new(None),
         });
         self.plans.borrow_mut().push(Arc::downgrade(&plan));
-        Box::new(LazyBlocks::new(move || {
+        lazy_blocks(move || {
             let launched = plan.launched.lock().take();
-            launched.map_or_else(|| Planned::submit_together(&[plan]).remove(0), Ok)
-        }))
+            launched.map_or_else(|| Planned::launch(&[plan]).remove(0), Ok)
+        })
     }
 }
 
 impl Planned {
-    /// Put `plans` on the wire, in order: each as the parts its driver
-    /// splits it into beside the others bound for the same source
-    /// ([`PartBlocks`]), or as itself.
-    fn submit_together(plans: &[Arc<Planned>]) -> Vec<KResult<BlockStream>> {
-        let mut parts = vec![Vec::new(); plans.len()];
+    /// Put `plans` on the wire as full fetches, one fetch per source for
+    /// all the plans bound for it, in order.
+    fn launch(plans: &[Arc<Planned>]) -> Vec<KResult<BlockStream>> {
+        let mut streams: Vec<Option<KResult<BlockStream>>> = plans.iter().map(|_| None).collect();
         for (i, first) in plans.iter().enumerate() {
             // Once per source, at its first plan.
-            if plans[..i].iter().any(|p| p.driver == first.driver) {
+            if streams[i].is_some() {
                 continue;
             }
-            let at = (i..plans.len()).filter(|&j| plans[j].driver == first.driver);
-            let reqs: Vec<&DriverRequest> = at.clone().map(|j| &plans[j].req).collect();
-            for (j, of_one) in at.zip(first.ctx.split_full(&first.driver, &reqs)) {
-                parts[j] = of_one;
+            let same_source = |j: &usize| plans[*j].driver == first.driver;
+            let at: Vec<usize> = (i..plans.len()).filter(same_source).collect();
+            let reqs: Vec<DriverRequest> = at.iter().map(|&j| plans[j].req.clone()).collect();
+            let handles = first.ctx.fetch(&first.driver, &reqs, kleisli_core::Fetch::Full);
+            for (j, handle) in at.into_iter().zip(handles) {
+                streams[j] = Some(handle.map(|h| PendingBlocks::boxed(h, &plans[j].ctx)));
             }
         }
-        plans.iter().zip(parts).map(|(p, parts)| p.submit(&parts)).collect()
-    }
-
-    /// Every part is in flight before the first is redeemed; a failed
-    /// submission drops — cancels — the parts in front of it.
-    fn submit(&self, parts: &[DriverRequest]) -> KResult<BlockStream> {
-        let one = |req| {
-            let handle = self.ctx.submit_as(&self.driver, req, true)?;
-            Ok(PendingBlocks::boxed(handle, &self.ctx))
-        };
-        if parts.is_empty() {
-            return one(&self.req);
-        }
-        let parts = parts.iter().map(one).collect::<KResult<_>>()?;
-        Ok(Box::new(PartBlocks { parts }))
+        streams.into_iter().map(|s| s.expect("every plan fetched")).collect()
     }
 }
 
@@ -833,67 +825,6 @@ impl BlockSource for PendingBlocks {
             // this closes the block buffer and stops refill work.
             self.inner = None;
             return Some(ValueBlock::of_err(e));
-        }
-        self.inner.as_mut()?.next_block(max_rows)
-    }
-}
-
-/// One scan fetched as consecutive parts, each a request of its own
-/// ([`kleisli_core::Driver::split_full`]): the parts' streams back to
-/// back, in part order. Unlike [`ChainBlocks`] — two operands, each with
-/// a meaning of its own — this is *one* reply: the first error block ends
-/// it, and the parts behind the error are dropped with it, which cancels
-/// their requests, so no row ever follows an error.
-struct PartBlocks {
-    parts: VecDeque<BlockStream>,
-}
-
-impl BlockSource for PartBlocks {
-    fn next_block(&mut self, max_rows: usize) -> Option<ValueBlock> {
-        loop {
-            match self.parts.front_mut()?.next_block(max_rows) {
-                Some(block) => {
-                    if block.ends_with_err() {
-                        self.parts.clear();
-                    }
-                    return Some(block);
-                }
-                None => drop(self.parts.pop_front()),
-            }
-        }
-    }
-}
-
-/// A stream constructed on first pull (for the right side of unions).
-struct LazyBlocks<F: FnOnce() -> KResult<BlockStream>> {
-    make: Option<F>,
-    inner: Option<BlockStream>,
-    failed: bool,
-}
-
-impl<F: FnOnce() -> KResult<BlockStream>> LazyBlocks<F> {
-    fn new(make: F) -> Self {
-        LazyBlocks {
-            make: Some(make),
-            inner: None,
-            failed: false,
-        }
-    }
-}
-
-impl<F: FnOnce() -> KResult<BlockStream> + Send> BlockSource for LazyBlocks<F> {
-    fn next_block(&mut self, max_rows: usize) -> Option<ValueBlock> {
-        if self.failed {
-            return None;
-        }
-        if self.inner.is_none() {
-            match (self.make.take()?)() {
-                Ok(s) => self.inner = Some(s),
-                Err(e) => {
-                    self.failed = true;
-                    return Some(ValueBlock::of_err(e));
-                }
-            }
         }
         self.inner.as_mut()?.next_block(max_rows)
     }
@@ -1253,7 +1184,7 @@ fn remote_nodes(e: &Expr) -> usize {
 struct Chunk {
     elems: Vec<Value>,
     /// The warm-up's seeded flights, held until the bodies have run.
-    guard: Option<BatchGuard>,
+    seeds: Option<Seeds>,
     /// The source error that cut the chunk short.
     source_err: Option<KError>,
 }
@@ -1277,13 +1208,13 @@ impl ParChunkStream {
                 }
             }
         }
-        let guard = self
+        let seeds = self
             .batch
             .as_ref()
             .and_then(|spec| warm_up_batch(spec, &elems, &self.var, &self.env, &self.ctx));
         Chunk {
             elems,
-            guard,
+            seeds,
             source_err,
         }
     }
@@ -1291,7 +1222,7 @@ impl ParChunkStream {
     /// Evaluate one chunk's bodies, buffering the pieces that precede
     /// the first error and recording that error.
     fn run_chunk(&mut self, chunk: Chunk) {
-        let width = if self.attach_only && chunk.guard.is_some() {
+        let width = if self.attach_only && chunk.seeds.is_some() {
             1
         } else {
             self.width
@@ -1350,20 +1281,22 @@ impl Iterator for ParChunkStream {
 /// The batching warm-up for a marked `ParExt` chunk: evaluate the spec's
 /// request argument for every chunk element (it is pure-local by the
 /// optimizer's construction, so this duplicates no driver effects),
-/// and ship the distinct requests as a few multi-key wire round-trips
-/// via [`Context::submit_batch`]. Any surprise — an argument that fails
-/// to evaluate, a non-request value, a request no batch can carry, too
-/// few distinct keys, a driver without batching — skips the warm-up
+/// and ship the distinct requests as a few multi-key wire round-trips —
+/// one [`Context::fetch`] of [`kleisli_core::Fetch::Batch`] — whose
+/// flights stay seeded while the returned [`Seeds`] live, so the loop
+/// bodies' own fetches attach to them. Any surprise — an argument that
+/// fails to evaluate, a non-request value, a request no batch can carry,
+/// too few distinct keys, a driver without batching — skips the warm-up
 /// entirely and returns `None`: the per-element path then behaves
 /// exactly as unbatched, surfacing its own errors in their usual place.
-/// A returned guard therefore seeds the request of *every* element.
+/// Returned seeds therefore answer the request of *every* element.
 fn warm_up_batch(
     spec: &nrc::BatchSpec,
     elems: &[Value],
     var: &Name,
     env: &Env,
     ctx: &Context,
-) -> Option<BatchGuard> {
+) -> Option<Seeds> {
     if elems.len() < spec.min_keys.max(1) {
         return None;
     }
@@ -1386,7 +1319,9 @@ fn warm_up_batch(
     if distinct < spec.min_keys.max(1) {
         return None;
     }
-    ctx.submit_batch(&spec.driver, &reqs).ok().flatten()
+    let handles = ctx.fetch(&spec.driver, &reqs, kleisli_core::Fetch::Batch);
+    let handles: Vec<ResilientHandle> = handles.into_iter().collect::<KResult<_>>().ok()?;
+    Some(ctx.resilience(&spec.driver)?.seed(&handles))
 }
 
 /// Evaluate `body` for every element of `elems`, at most `max_in_flight`

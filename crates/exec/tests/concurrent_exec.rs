@@ -11,7 +11,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use kleisli_core::testutil::SlowDriver;
+use kleisli_core::testutil::{assert_quiescent, SlowDriver};
 use kleisli_core::{CollKind, DriverRequest, Value};
 use kleisli_exec::{collect_stream, eval, eval_stream, reference, Context, Env};
 use nrc::{name, Expr};
@@ -42,7 +42,7 @@ fn admission_limit_is_enforced_beyond_plan_parallelism() {
     let driver = SlowDriver::new("slow", 4, Duration::from_millis(5), 3);
     let max_seen = Arc::clone(&driver.max_seen);
     let mut ctx = Context::new();
-    ctx.register_driver(driver);
+    ctx.register_driver(driver.clone());
     let ctx = Arc::new(ctx);
 
     let e = Expr::ParExt {
@@ -61,6 +61,7 @@ fn admission_limit_is_enforced_beyond_plan_parallelism() {
         "admission limit violated: {seen} concurrent performs for a budget of 3"
     );
     assert!(seen >= 2, "parallel plan should actually overlap requests");
+    assert_quiescent(&[&*driver, &*ctx]);
 }
 
 #[test]
@@ -73,7 +74,8 @@ fn par_ext_runs_on_the_shared_executor_with_bounded_workers() {
 
     let executor = Executor::new("test-exec", 4);
     let mut ctx = Context::with_executor(Arc::clone(&executor));
-    ctx.register_driver(SlowDriver::new("slow", 2, Duration::from_millis(1), 8));
+    let driver = SlowDriver::new("slow", 2, Duration::from_millis(1), 8);
+    ctx.register_driver(driver.clone());
     let ctx = Arc::new(ctx);
 
     let e = Expr::ParExt {
@@ -95,6 +97,7 @@ fn par_ext_runs_on_the_shared_executor_with_bounded_workers() {
         executor.threads_spawned() >= 1,
         "chunks must actually run on the executor"
     );
+    assert_quiescent(&[&*driver, &*ctx]);
 }
 
 #[test]
@@ -140,6 +143,7 @@ fn nested_par_ext_completes_on_a_one_worker_executor() {
     expect.sort();
     assert_eq!(v, Value::set(expect));
     assert!(executor.threads_spawned() <= 1);
+    assert_quiescent(&[&*ctx]);
 }
 
 #[test]
@@ -152,8 +156,8 @@ fn union_arms_overlap_their_round_trips() {
     let a = SlowDriver::new("A", 3, delay, 2);
     let b = SlowDriver::new("B", 3, delay, 2);
     let mut ctx = Context::new();
-    ctx.register_driver(a);
-    ctx.register_driver(b);
+    ctx.register_driver(a.clone());
+    ctx.register_driver(b.clone());
     let ctx = Arc::new(ctx);
 
     let e = Expr::union(CollKind::Set, wrap_ext(scan("A")), wrap_ext(scan("B")));
@@ -175,6 +179,7 @@ fn union_arms_overlap_their_round_trips() {
         "two overlapped round-trips must cost visibly less than two \
          sequential ones: {concurrent:?}"
     );
+    assert_quiescent(&[&*a, &*b, &*ctx]);
 }
 
 #[test]
@@ -183,8 +188,8 @@ fn join_sides_overlap_their_round_trips() {
     let a = SlowDriver::new("A", 5, delay, 2);
     let b = SlowDriver::new("B", 5, delay, 2);
     let mut ctx = Context::new();
-    ctx.register_driver(a);
-    ctx.register_driver(b);
+    ctx.register_driver(a.clone());
+    ctx.register_driver(b.clone());
     let ctx = Arc::new(ctx);
 
     let body = Expr::single(
@@ -219,6 +224,7 @@ fn join_sides_overlap_their_round_trips() {
         concurrent < 2 * delay - delay / 6,
         "join sides must overlap: {concurrent:?} for two {delay:?} round-trips"
     );
+    assert_quiescent(&[&*a, &*b, &*ctx]);
 }
 
 #[test]
@@ -266,6 +272,7 @@ fn blocking_adapter_drivers_are_not_prefetched_in_union_arms() {
         0,
         "a blocking submit adapter must not run at union construction"
     );
+    assert_quiescent(&[&*ctx]);
 }
 
 #[test]
@@ -275,9 +282,8 @@ fn dropped_prefix_stream_frees_the_driver_budget() {
     // submit on the same driver proceeds.
     let driver = SlowDriver::new("gated", 8, Duration::from_millis(20), 1);
     let performs = Arc::clone(&driver.performs);
-    let gate = Arc::clone(driver.gate());
     let mut ctx = Context::new();
-    ctx.register_driver(driver);
+    ctx.register_driver(driver.clone());
     let ctx = Arc::new(ctx);
 
     // Union of two scans on the same driver: both requests submitted at
@@ -293,11 +299,7 @@ fn dropped_prefix_stream_frees_the_driver_budget() {
     // The budget must drain fully; a fresh evaluation still works.
     let v = eval(&wrap_ext(scan("gated")), &Env::empty(), &ctx).unwrap();
     assert_eq!(v.len(), Some(8));
-    let t0 = Instant::now();
-    while gate.in_flight() != 0 {
-        assert!(t0.elapsed() < Duration::from_secs(2), "admission ticket leaked");
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    assert_quiescent(&[&*driver, &*ctx]);
     // The abandoned queued request ideally never performed; allow the
     // race where it slipped in before cancellation, but the follow-up
     // request above must have run regardless.

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use kleisli_core::resilience::CancelToken;
-use kleisli_core::testutil::{Fault, SlowDriver};
+use kleisli_core::testutil::{assert_quiescent, Fault, SlowDriver};
 use kleisli_core::{CollKind, DriverRequest, KError, Value, DEFAULT_BLOCK_ROWS};
 use kleisli_exec::{
     collect_blocks, eval, eval_blocks, eval_blocks_to_end, first_n, reference, Context, Env,
@@ -78,22 +78,18 @@ fn count(e: Expr) -> Expr {
 /// Wait until `driver` holds no ticket, no orphan, and ships no more rows;
 /// return how many rows it shipped in all.
 fn quiesced(driver: &SlowDriver) -> u64 {
+    assert_quiescent(&[driver]);
     let t0 = Instant::now();
     let mut shipped = driver.counters().snapshot().rows_shipped;
     loop {
         std::thread::sleep(Duration::from_millis(15));
         let now = driver.counters().snapshot().rows_shipped;
-        if now == shipped && driver.gate().in_flight() == 0 && driver.orphans() == 0 {
+        if now == shipped {
             return shipped;
         }
         shipped = now;
-        assert!(
-            t0.elapsed() < Duration::from_secs(3),
-            "{}: {} in flight, {} orphans, rows still shipping",
-            kleisli_core::Driver::name(driver),
-            driver.gate().in_flight(),
-            driver.orphans()
-        );
+        let name = kleisli_core::Driver::name(driver);
+        assert!(t0.elapsed() < Duration::from_secs(3), "{name}: rows still shipping");
     }
 }
 
@@ -584,7 +580,7 @@ fn a_jointly_planned_wave_that_fails_or_is_stopped_ends_quiescent() {
         // Eight parts, each stopped within a block of the 25 ms mark.
         let per_part = 25_000 / 200 + 2 * DEFAULT_BLOCK_ROWS as u64;
         assert!(shipped <= 8 * per_part, "{what}: {shipped} rows of 27 000 shipped");
-        assert_eq!(ctx.seeded_flights(), 0, "{what}");
+        assert_quiescent(&[&*driver, &ctx]);
         // The next query over the same source is sized as ever.
         let v = eval(&count(scan("S")), &Env::empty(), &ctx_of(&[&driver])).unwrap();
         assert_eq!(v, Value::Int(9_000), "{what}");

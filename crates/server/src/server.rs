@@ -605,8 +605,8 @@ enum Pending {
 
 /// One tenant's admission state. Run slots are a count; the queries
 /// waiting for one are *data* — `(id, source text)` in arrival order —
-/// exactly as `core::pool::WorkerPool` queues requests, so a waiting
-/// query holds no thread and no executor worker.
+/// as a `Remote`'s pool queues requests, so a waiting query holds no
+/// thread and no executor worker.
 struct Admission {
     /// Run slots taken, at most
     /// [`ServerConfig::max_queries_per_connection`].

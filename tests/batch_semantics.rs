@@ -15,10 +15,12 @@
 //! `OptConfig::none()` and to `kleisli_exec::reference::eval`, with keys
 //! that fail at either hop.
 
+use std::ops::{Deref, DerefMut};
 use std::time::Duration;
 
 use bench_harness::latency_federation;
-use kleisli::Session;
+use kleisli::{BioFederation, Session};
+use kleisli_core::testutil::assert_quiescent;
 use kleisli_core::Value;
 use kleisli_exec::{reference, Env};
 use kleisli_opt::OptConfig;
@@ -35,11 +37,44 @@ const LINK_LIST: &str = r#"[| count(GenBank([db = "na", link = uid])) | \uid <- 
 const NESTED: &str =
     r#"{[u = uid, hits = {l.uid | \l <- GenBank([db = "na", link = uid])}] | \uid <- UIDS}"#;
 
-/// A fresh federation session plus every valid GenBank uid.
-fn fed_session() -> (Session, Vec<i64>) {
+/// A session over the federation, which every test ends with both
+/// sources and every batch flight quiescent: checked when it is dropped.
+struct Fed {
+    session: Session,
+    fed: BioFederation,
+}
+
+impl Deref for Fed {
+    type Target = Session;
+    fn deref(&self) -> &Session {
+        &self.session
+    }
+}
+
+impl DerefMut for Fed {
+    fn deref_mut(&mut self) -> &mut Session {
+        &mut self.session
+    }
+}
+
+impl Drop for Fed {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            assert_quiescent(&[&*self.fed.gdb, &*self.fed.genbank, &*self.session.context()]);
+        }
+    }
+}
+
+fn federation() -> Fed {
     let (session, fed) = latency_federation(12, Duration::ZERO);
-    let uids = fed.genbank_data.entries.iter().map(|e| e.uid).collect();
-    (session, uids)
+    Fed { session, fed }
+}
+
+/// A fresh federation session plus every valid GenBank uid.
+fn fed_session() -> (Fed, Vec<i64>) {
+    let fed = federation();
+    let uids = fed.fed.genbank_data.entries.iter().map(|e| e.uid).collect();
+    (fed, uids)
 }
 
 /// Bind the generated key list both as a set (`UIDS`) and, preserving
@@ -211,10 +246,10 @@ enum Fault {
 /// become duplicate `(i, o)` pairs in the bag and list loops); each
 /// fault breaks the key at its position, with that position in the
 /// error text so the harness can tell *which* failure was reported.
-fn two_hop_session(picks: &[usize], faults: &[(usize, Fault)]) -> Session {
-    let (mut s, fed) = latency_federation(12, Duration::ZERO);
+fn two_hop_session(picks: &[usize], faults: &[(usize, Fault)]) -> Fed {
+    let mut s = federation();
     s.run(IDS).expect("define");
-    let pool = &fed.genbank_data.entries;
+    let pool = &s.fed.genbank_data.entries;
     let mut keys: Vec<(String, i64)> = picks
         .iter()
         .map(|i| (pool[i % pool.len()].accession.clone(), 0))

@@ -6,14 +6,15 @@
 //! split of table scans starting together, over every table size around
 //! its boundaries, mixed with SQL.
 
-use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ace_sim::{AceServer, AceStore};
 use bio_data::{GdbConfig, GenBankConfig};
 use kleisli::bio_federation;
+use kleisli_core::testutil::assert_quiescent;
 use kleisli_core::{
-    Capabilities, Driver, DriverRequest, KResult, LatencyModel, Remote, Source, Value,
+    Capabilities, Driver, DriverRequest, Fetch, KResult, LatencyModel, Remote, RequestHandle,
+    RequestStatus, Source, Value,
 };
 use proptest::prelude::*;
 use sybase_sim::server::SYBASE_PREFETCH_ROWS;
@@ -56,31 +57,26 @@ fn honors_the_shell_contract<S: Source>(drv: &Remote<S>, req: DriverRequest) {
     for h in handles {
         h.wait().unwrap().collect::<KResult<Vec<_>>>().unwrap();
     }
-    assert_eq!(drv.gate().in_flight(), 0, "{name}: all tickets released");
+    assert_quiescent(&[drv]);
     assert!(
         drv.threads_spawned() <= limit,
         "{name}: threads bounded by the budget"
     );
     assert_eq!(drv.metrics().requests, 2 * limit as u64, "{name}");
 
-    // A batched submission of k keys is one wire request on one ticket.
-    let (tx, rx) = mpsc::channel();
-    let wire = drv
-        .submit_batch(
-            vec![req.clone(); 3],
-            Box::new(move |reply| tx.send(reply).unwrap()),
-        )
-        .expect("the shell submits batches through its pool");
+    // A batched fetch of k keys is one wire request on one ticket.
+    let keys = drv.fetch(&vec![req.clone(); 3], Fetch::Batch);
+    let keys: Vec<RequestHandle> = keys.into_iter().collect::<KResult<_>>().unwrap();
     let mut tickets = 0;
-    let reply = loop {
+    while keys.iter().any(|key| key.poll() == RequestStatus::Pending) {
         tickets = tickets.max(drv.gate().in_flight());
-        match rx.recv_timeout(Duration::from_millis(1)) {
-            Ok(reply) => break reply.unwrap(),
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(e) => panic!("{name}: batch completion dropped: {e}"),
-        }
-    };
-    wire.wait().unwrap();
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let reply: Vec<KResult<Vec<Value>>> = keys
+        .into_iter()
+        .map(|key| key.wait().and_then(|rows| rows.collect()))
+        .collect();
+    assert_quiescent(&[drv]);
     assert_eq!(reply.len(), 3, "{name}: one reply per key");
     assert!(reply.iter().all(|key| key.is_ok()), "{name}");
     assert!(tickets <= 1, "{name}: a batch held {tickets} tickets");
@@ -102,14 +98,7 @@ fn honors_the_shell_contract<S: Source>(drv: &Remote<S>, req: DriverRequest) {
         3 * limit as u64 + 1,
         "{name}: the dropped request reached the source"
     );
-    let t0 = Instant::now();
-    while drv.gate().in_flight() != 0 {
-        assert!(
-            t0.elapsed() < Duration::from_secs(2),
-            "{name}: ticket leaked"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    assert_quiescent(&[drv]);
 
     // The parts of a split full fetch, in order, are the reply — alone
     // and beside its siblings.
@@ -122,7 +111,7 @@ fn honors_the_shell_contract<S: Source>(drv: &Remote<S>, req: DriverRequest) {
 /// request's.
 fn parts_are_the_replies(drv: &dyn Driver, reqs: &[&DriverRequest]) {
     let name = drv.name();
-    let split = drv.split_full(reqs);
+    let split = drv.parts(reqs);
     assert_eq!(split.len(), reqs.len(), "{name}: one answer per request");
     for (req, parts) in reqs.iter().zip(&split) {
         assert_ne!(parts.len(), 1, "{name}: one part is no split");
@@ -135,7 +124,10 @@ fn parts_are_the_replies(drv: &dyn Driver, reqs: &[&DriverRequest]) {
 
 /// Everything `drv` answers `req` with.
 fn rows_of(drv: &dyn Driver, req: &DriverRequest) -> Vec<Value> {
-    drv.submit_full(req)
+    let mut handles = drv.fetch(std::slice::from_ref(req), Fetch::Full);
+    handles
+        .pop()
+        .unwrap()
         .unwrap()
         .wait()
         .unwrap()
@@ -204,7 +196,7 @@ fn every_source_honors_the_shell_contract() {
     let rows = 3 * SYBASE_PREFETCH_ROWS as i64 + 1;
     let paced = LatencyModel::real(Duration::from_millis(5), Duration::from_nanos(1));
     let gdb = SybaseServer::serve("GDB", numbered(&[rows]).into(), paced);
-    assert_eq!(gdb.split_full(&[&scan_of(0, false)])[0].len(), 4);
+    assert_eq!(gdb.parts(&[&scan_of(0, false)])[0].len(), 4);
     honors_the_shell_contract(&gdb, scan_of(0, true));
 }
 
@@ -250,13 +242,13 @@ fn only_a_source_whose_rows_cost_wall_clock_time_is_split() {
         (LatencyModel::real(Duration::ZERO, per_row), 4),
     ] {
         let gdb = SybaseServer::serve("GDB", numbered(&[100, 80, 100]).into(), latency);
-        assert_eq!(gdb.split_full(&[&scan_of(0, false)])[0].len(), parts);
+        assert_eq!(gdb.parts(&[&scan_of(0, false)])[0].len(), parts);
         // SQL is never split, whatever it costs.
-        assert!(gdb.split_full(&[&sql()])[0].is_empty());
+        assert!(gdb.parts(&[&sql()])[0].is_empty());
         // `row_stream`'s three scans, starting together, share the eight
         // connections: one wave of 3 + 2 + 3, not 4 + 3 + 4.
         let siblings = [&scan_of(0, false), &scan_of(1, false), &scan_of(2, false)];
-        let together: Vec<usize> = gdb.split_full(&siblings).iter().map(Vec::len).collect();
+        let together: Vec<usize> = gdb.parts(&siblings).iter().map(Vec::len).collect();
         assert_eq!(together, if parts == 0 { [0, 0, 0] } else { [3, 2, 3] });
     }
 }

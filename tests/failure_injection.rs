@@ -185,7 +185,7 @@ fn malformed_formats_error_with_format_name() {
 use std::time::{Duration, Instant};
 
 use kleisli::{BreakerPolicy, BreakerState, HedgePolicy, ResiliencePolicy, RetryPolicy};
-use kleisli_core::testutil::{Fault, SlowDriver};
+use kleisli_core::testutil::{assert_quiescent, Fault, SlowDriver};
 
 /// A whole-set scan against the [`SlowDriver`] (which ignores the request
 /// shape and yields its configured rows).
@@ -265,7 +265,7 @@ fn assert_a_wedged_request_times_out(
     assert!(m.timeouts >= 1, "timeout not counted: {m:?}");
     // Let the wedged worker finish, notice its stolen ticket, and retire.
     drv.release_wedged();
-    wait_until("abandoned workers to retire", || drv.orphans() == 0);
+    assert_quiescent(&[&**drv, &*s.context()]);
 }
 
 #[test]
@@ -348,7 +348,7 @@ fn a_hedge_fires_after_the_learned_delay_and_wins_against_a_straggler() {
         drv.gate().in_flight() == 0
     });
     assert!(t0.elapsed() < spike, "the ticket waited for the straggler");
-    wait_until("the straggler's worker to retire", || drv.orphans() == 0);
+    assert_quiescent(&[&*drv, &*s.context()]);
 }
 
 #[test]
@@ -446,7 +446,7 @@ fn dropping_a_query_over_a_wedged_driver_neither_blocks_nor_leaks_the_ticket() {
         drv.gate().in_flight() == 0
     });
     drv.release_wedged();
-    wait_until("abandoned workers to retire", || drv.orphans() == 0);
+    assert_quiescent(&[&*drv, &*s.context()]);
 }
 
 // ---------------------------------------------------------------------------
@@ -455,7 +455,7 @@ fn dropping_a_query_over_a_wedged_driver_neither_blocks_nor_leaks_the_ticket() {
 // every waiter resolves with the shared error.
 // ---------------------------------------------------------------------------
 
-use kleisli_core::{BatchPolicy, DriverRef, DriverResilience};
+use kleisli_core::{BatchPolicy, DriverRef, DriverResilience, Fetch, ResilientHandle};
 
 #[test]
 fn a_failing_batched_wire_request_fails_every_key_and_charges_the_breaker_once_per_attempt() {
@@ -484,14 +484,18 @@ fn a_failing_batched_wire_request_fails_every_key_and_charges_the_breaker_once_p
             uid,
         })
         .collect();
-    let seeds = res.submit_batch(&dref, &reqs).expect("batching advertised");
-    assert_eq!(seeds.len(), 8, "one flight per distinct key");
+    let batch = res.fetch(&dref, &reqs, Fetch::Batch, None, None);
+    assert_eq!(batch.len(), 8, "one flight per distinct key");
+    let batch: Vec<ResilientHandle> =
+        batch.into_iter().collect::<KResult<_>>().expect("batching advertised");
+    let _seeds = res.seed(&batch);
 
     // Two independent waiters per key — sixteen consumers share the one
     // doomed wire request, and every single one must see its error.
-    for flight in &seeds {
+    for req in &reqs {
         for _ in 0..2 {
-            let err = match res.attach_seeded(flight, None, None).wait() {
+            let mut waiter = res.fetch(&dref, std::slice::from_ref(req), Fetch::Window, None, None);
+            let err = match waiter.pop().expect("a handle a request").expect("attached").wait() {
                 Err(e) => e,
                 Ok(_) => panic!("the batch must fail"),
             };
@@ -554,17 +558,11 @@ fn two_hop_session(delay: Duration) -> (Session, [Arc<SlowDriver>; 2]) {
 }
 
 /// Every batched wire request resolved, every ticket returned, every
-/// guard dropped — and admission never went past the driver's width.
+/// seed dropped — and admission never went past the driver's width.
 fn assert_two_hop_quiescent(s: &Session, hops: &[Arc<SlowDriver>; 2]) {
-    let ctx = s.context();
+    assert_quiescent(&[&*hops[0], &*hops[1], &*s.context()]);
     for drv in hops {
         let name = drv.name();
-        wait_until("admission tickets to be released", || {
-            drv.gate().in_flight() == 0
-        });
-        wait_until("pending flights to resolve", || {
-            ctx.resilience(name).expect("registered").pending_flights() == 0
-        });
         assert!(drv.max_seen.load(Ordering::SeqCst) <= WIDTH, "{name}");
         assert_eq!(
             drv.performs.load(Ordering::SeqCst),
@@ -572,11 +570,6 @@ fn assert_two_hop_quiescent(s: &Session, hops: &[Arc<SlowDriver>; 2]) {
             "{name}: a key went alone"
         );
     }
-    assert_eq!(
-        ctx.seeded_flights(),
-        0,
-        "a dropped loop left its seeds behind"
-    );
 }
 
 #[test]
@@ -663,13 +656,7 @@ fn sliceable_source(delay: Duration) -> Arc<SlowDriver> {
 /// `in_flight < limit` on every pickup of a debug build, so a part
 /// admitted past the width fails its scan with a driver panic.)
 fn assert_source_quiescent(s: &Session, drv: &SlowDriver) {
-    wait_until("admission tickets to be released", || {
-        drv.gate().in_flight() == 0
-    });
-    wait_until("abandoned workers to retire", || drv.orphans() == 0);
-    let ctx = s.context();
-    let res = ctx.resilience("SRC").expect("registered");
-    assert_eq!((res.pending_flights(), ctx.seeded_flights()), (0, 0));
+    assert_quiescent(&[drv, &*s.context()]);
 }
 
 #[test]

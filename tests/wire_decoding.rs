@@ -17,7 +17,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use kleisli_core::token::MAX_NESTING;
-use kleisli_core::{read_exchange, write_exchange, Oid, Value};
+use kleisli_core::{read_exchange, write_exchange, KError, Oid, Value};
 use kleisli_server::proto::{
     decode_request, decode_response, encode_request, encode_response, Request, Response, ServedFrom,
 };
@@ -217,6 +217,26 @@ fn the_valid_frames_are_valid_and_every_prefix_of_a_value_is_an_error() {
     for (at, _) in text.match_indices('\n').rev().skip(1) {
         assert!(read_exchange(&text[..=at]).is_err(), "{:?}", &text[..=at]);
     }
+}
+
+#[test]
+fn a_value_is_the_whole_text() {
+    // One value, then anything at all: not a value.
+    for text in ["I 1\nI 2\n", "I 1\nzzz\n", "C list\nI 1\nI 2\nc\nc\nc\n"] {
+        let err = read_exchange(text).expect_err(text);
+        assert!(matches!(err, KError::Exchange(_)), "{text:?}: {err}");
+    }
+    // Blank lines are no lines.
+    assert_eq!(read_exchange("\nI 1\n\n").expect("a value"), Value::Int(1));
+}
+
+#[test]
+fn a_malformed_line_reports_its_own_error() {
+    // Not the unterminated collection, or the missing value, it leaves.
+    let bad_int = read_exchange("C set\nI x\nc\n").expect_err("a bad int");
+    assert_eq!(bad_int.to_string(), "exchange format error: bad int: x");
+    let bad_escape = read_exchange("S a\\q\n").expect_err("a bad escape");
+    assert!(bad_escape.to_string().contains("bad escape"), "{bad_escape}");
 }
 
 #[test]
