@@ -47,6 +47,18 @@
 //! and evict by different rules. One generic `SingleFlight<K, V>` map
 //! would have to branch on which of them it serves; a cell they each put
 //! in their own map does not.
+//!
+//! **Admission.** The two shared caches keep a committed cell only if it
+//! was asked for *before its flight*: by an earlier miss still remembered
+//! in [`RecentMisses`], or by a caller that coalesced onto the flight
+//! while it ran. The table is fixed and direct-mapped — [`ASKED_SLOTS`]
+//! slots of one key each, at most 32 KiB, allocated a page at a time as
+//! misses land — and is the one table of recently missed keys there is:
+//! each cache keeps one beside its map, under its map's lock, and says in
+//! its own docs what a key is and what the rule costs it. A slot holds
+//! whichever key missed in it last, so a colliding key delays an
+//! admission by one ask and never admits a stranger; and the table is not
+//! an entry, so what invalidates entries leaves it be.
 
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::thread::{self, ThreadId};
@@ -181,6 +193,47 @@ impl<V> Drop for Lead<V> {
     }
 }
 
+/// Slots in a [`RecentMisses`] table (module docs, "Admission"). A power
+/// of two.
+pub const ASKED_SLOTS: usize = 4096;
+
+/// Slots a [`RecentMisses`] allocates together: 4 KiB.
+const PAGE_SLOTS: usize = 512;
+
+/// The table of recently missed keys an admission rule reads (module
+/// docs, "Admission"). It has no lock of its own: a cache keeps it under
+/// the lock of the map it admits to. The default table remembers no miss.
+#[derive(Default)]
+pub struct RecentMisses {
+    /// The last key missed in each slot, `PAGE_SLOTS` slots to a page,
+    /// each page allocated by the first miss that lands on it: a cache
+    /// that sees a few distinct keys keeps a few pages, one that never
+    /// misses (a session's own, replaced by a server's shared one) none.
+    /// An empty slot holds a key that maps to another slot, so it matches
+    /// none: 0 maps to slot 0, which starts at 1, and 1 does not.
+    pages: [Option<Box<[u64]>>; ASKED_SLOTS / PAGE_SLOTS],
+}
+
+impl RecentMisses {
+    /// Record a miss of `key` and say whether it missed before: whether
+    /// it is the key last missed in its slot.
+    pub fn record(&mut self, key: u64) -> bool {
+        let slot = slot(key);
+        let page = self.pages[slot / PAGE_SLOTS].get_or_insert_with(|| {
+            let mut page = vec![0; PAGE_SLOTS].into_boxed_slice();
+            page[0] = u64::from(slot < PAGE_SLOTS);
+            page
+        });
+        std::mem::replace(&mut page[slot % PAGE_SLOTS], key) == key
+    }
+}
+
+/// The slot of `key` (Fibonacci hashing: every bit of the key moves the
+/// slot).
+fn slot(key: u64) -> usize {
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - ASKED_SLOTS.trailing_zeros())) as usize
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,5 +363,32 @@ mod tests {
         assert_eq!(slot.peek(), None);
         lead(&slot).commit(6);
         assert_eq!(slot.peek(), Some(6));
+    }
+
+    #[test]
+    fn a_colliding_key_delays_an_admission_and_admits_no_stranger() {
+        let a = 1u64;
+        let b = (2..).find(|&k| slot(k) == slot(a)).unwrap();
+        let mut misses = RecentMisses::default();
+        assert!(!misses.record(a), "a first miss");
+        assert!(!misses.record(b), "a first miss");
+        // `b` took `a`'s slot: `a`'s second miss is a first miss again...
+        assert!(!misses.record(a));
+        // ...and its third is a repeat; `b`, pushed out by it, is not.
+        assert!(misses.record(a));
+        assert!(!misses.record(b));
+    }
+
+    #[test]
+    fn an_empty_slot_matches_no_key() {
+        let mut misses = RecentMisses::default();
+        for key in 0..2 * ASKED_SLOTS as u64 {
+            assert!(!misses.record(key), "key {key} was never missed");
+        }
+        let mut misses = RecentMisses::default();
+        for key in [0, 1, u64::MAX] {
+            assert!(!misses.record(key), "key {key} was never missed");
+            assert!(misses.record(key), "key {key} just missed");
+        }
     }
 }

@@ -31,7 +31,8 @@
 //!   another caller's result.
 //! * [`flight`] — single flight: one cell holding a value or the attempt
 //!   computing it; what every cache that must compute a thing once is a
-//!   map of.
+//!   map of — and the one table of recently missed keys a shared cache
+//!   admits by.
 //! * [`resilience`] — request deadlines, bounded retry with backoff,
 //!   hedged requests, and per-driver circuit breakers.
 //! * [`latency`] — the simulated wide-area latency model and the EWMA
@@ -72,7 +73,7 @@ pub use driver::{
 };
 pub use error::{KError, KResult};
 pub use executor::Executor;
-pub use flight::{Join, Lead, SingleFlight};
+pub use flight::{Join, Lead, RecentMisses, SingleFlight};
 pub use latency::{LatencyModel, RttEstimator};
 pub use oneshot::{OneShot, PromiseState, Pulsable, WaitFor};
 pub use remote::{Remote, Source};

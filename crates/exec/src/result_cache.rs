@@ -29,22 +29,20 @@
 //!   served to its waiters but not retained.
 //! * **Admission.** A committed result is retained only if its key was
 //!   asked for *before this flight*: by an earlier miss still remembered
-//!   in a fixed, direct-mapped table of recently missed keys
-//!   ([`ASKED_SLOTS`] slots of one key each, 32 KiB), or by a caller that
-//!   coalesced onto the flight while it ran. Any other result goes down
+//!   in the cache's [`RecentMisses`] (the one table of recently missed
+//!   keys, [`kleisli_core::flight`]), or by a caller that coalesced onto
+//!   the flight while it ran. Any other result goes down
 //!   the oversize path — served to its waiters, not retained — and counts
 //!   as `declined`, not as an eviction. So a never-repeated query (ad hoc
 //!   text, a nonce) costs the cache nothing, and the budget holds the
 //!   working set instead of the history: the cost is that a text asked
 //!   exactly twice is evaluated twice (the second ask admits it, nobody
 //!   reads it), while one asked `k ≥ 3` times pays one evaluation more
-//!   over `k`. 4 096 slots remember about the last 4 096 distinct misses —
-//!   more results than the default budget holds at a few tens of KB each,
-//!   for 1/2 048 of it — and a slot holds whichever key missed in it
-//!   last, so a colliding key delays an admission by one ask and never
-//!   admits a stranger. The table is not an entry: it survives
-//!   [`ResultCache::flush_source`] and [`ResultCache::clear`], so a
-//!   refreshed working set is re-admitted on its first recompute. A key
+//!   over `k`. The table's 4 096 slots remember about the last 4 096
+//!   distinct misses — more results than the default budget holds at a
+//!   few tens of KB each, for 1/2 048 of it. The table is not an entry: it
+//!   survives [`ResultCache::flush_source`] and [`ResultCache::clear`], so
+//!   a refreshed working set is re-admitted on its first recompute. A key
 //!   means the same plan across sessions and recompiles
 //!   (`nrc::hash::plan_hash` hashes fresh binder names by rank), without
 //!   which a plan recompiled after a plan-cache eviction would be a
@@ -73,21 +71,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex as StdMutex};
 use std::time::Instant;
 
-use kleisli_core::{write_exchange, CancelToken, Join, Lead, SingleFlight, Value, WaitFor};
+use kleisli_core::{
+    write_exchange, CancelToken, Join, Lead, RecentMisses, SingleFlight, Value, WaitFor,
+};
 
 /// Default byte budget for a [`ResultCache`]: 64 MiB.
 pub const DEFAULT_RESULT_CACHE_BUDGET: u64 = 64 * 1024 * 1024;
-
-/// Slots in a [`ResultCache`]'s table of recently missed keys, the
-/// memory of its admission rule (module docs, "Admission"). A power of
-/// two.
-pub const ASKED_SLOTS: usize = 4096;
-
-/// The table slot of `key` (Fibonacci hashing: every bit of the key
-/// moves the slot).
-fn asked_slot(key: u64) -> usize {
-    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - ASKED_SLOTS.trailing_zeros())) as usize
-}
 
 /// Observability counters for a [`ResultCache`]; see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -139,10 +128,8 @@ struct Entry {
 
 struct CacheMap {
     entries: HashMap<u64, Entry>,
-    /// The last key missed in each [`asked_slot`]. An empty slot holds a
-    /// key that maps to another slot, so it matches none: 0 maps to slot
-    /// 0, 1 does not.
-    missed: Box<[u64]>,
+    /// The keys missed lately (module docs, "Admission").
+    missed: RecentMisses,
     /// Total bytes of committed entries.
     bytes: u64,
     /// Monotone lookup counter feeding `Entry::last_used`.
@@ -196,7 +183,7 @@ impl ResultCache {
         Arc::new(ResultCache {
             map: StdMutex::new(CacheMap {
                 entries: HashMap::new(),
-                missed: (0..ASKED_SLOTS).map(|slot| u64::from(slot == 0)).collect(),
+                missed: RecentMisses::default(),
                 bytes: 0,
                 tick: 0,
                 generations: HashMap::new(),
@@ -271,7 +258,7 @@ impl ResultCache {
                     bytes: None,
                     deps: deps.to_vec(),
                     last_used: 0,
-                    asked: std::mem::replace(&mut missed[asked_slot(key)], key) == key,
+                    asked: missed.record(key),
                 });
             entry.last_used = tick;
             Arc::clone(&entry.cell)
@@ -819,23 +806,6 @@ mod tests {
             (0, 0, 1, 1),
             "{s:?}"
         );
-    }
-
-    #[test]
-    fn a_colliding_key_delays_an_admission_and_admits_no_stranger() {
-        let a = 1u64;
-        let b = (2..).find(|&k| asked_slot(k) == asked_slot(a)).unwrap();
-        let cache = ResultCache::new(1 << 20);
-        ask_once(&cache, a, &[]);
-        ask_once(&cache, b, &[]);
-        // `b` took `a`'s slot: `a`'s second ask is a first ask again...
-        ask_once(&cache, a, &[]);
-        // ...and its third is retained; `b`, pushed out by it, is not.
-        miss_and_commit(&cache, a, &[]);
-        assert_eq!(cache.peek(a), Some(vint(a as i64)));
-        ask_once(&cache, b, &[]);
-        // Empty slots match no key, 0 included.
-        ask_once(&cache, 0, &[]);
     }
 
     #[test]

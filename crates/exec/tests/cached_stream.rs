@@ -12,6 +12,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use kleisli_core::testutil::assert_quiescent;
 use kleisli_core::{
     blocks_of_rows, BlockStream, Capabilities, CollKind, Driver, DriverRequest, KResult,
     MetricsSnapshot, Value,
@@ -91,6 +92,7 @@ fn cached_remote_scan_streams_lazily_on_miss() {
         "pulled {} rows for a 5-row prefix: cached scan is not lazy",
         pulled.load(Ordering::SeqCst)
     );
+    assert_quiescent(&[&*ctx]);
 }
 
 #[test]
@@ -126,6 +128,7 @@ fn abandoned_prefix_leaves_cell_empty_then_full_stream_populates() {
         execs_after_populate,
         "a cache hit must not contact the driver"
     );
+    assert_quiescent(&[&*ctx]);
 }
 
 #[test]
@@ -147,6 +150,7 @@ fn streamed_and_eager_cached_values_are_identical() {
     assert_eq!(eval(&e, &Env::empty(), &ctx_eval).unwrap(), expected);
     assert_eq!(ctx_stream.cache_get(3), Some(expected));
     assert_eq!(ctx_stream.cache_get(3), ctx_eval.cache_get(3));
+    assert_quiescent(&[&*ctx_stream, &*ctx_eval]);
 }
 
 #[test]
@@ -176,6 +180,7 @@ fn cached_subquery_under_parallel_generator_runs_once() {
         1,
         "single-flight: the cached subquery must be evaluated exactly once"
     );
+    assert_quiescent(&[&*ctx]);
 }
 
 #[test]
@@ -204,4 +209,5 @@ fn evaluation_error_aborts_population_and_allows_retry() {
     };
     let v = eval(&good, &Env::empty(), &ctx).unwrap();
     assert_eq!(v, Value::set(vec![Value::Int(5)]));
+    assert_quiescent(&[&*ctx]);
 }

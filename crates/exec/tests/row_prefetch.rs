@@ -7,7 +7,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use kleisli_core::testutil::SlowDriver;
+use kleisli_core::testutil::{assert_quiescent, SlowDriver};
 use kleisli_core::{
     blocks_of_rows, BlockStream, Capabilities, CollKind, Driver, DriverRequest, KError, KResult,
     MetricsSnapshot, Value, DEFAULT_BLOCK_ROWS,
@@ -47,8 +47,8 @@ fn prefetched_stream_agrees_with_lazy_and_eager() {
     let rows = 40;
     let lazy = SlowDriver::new("L", rows, Duration::ZERO, 2);
     let pre = SlowDriver::pipelined("P", rows, Duration::ZERO, Duration::ZERO, 2, 8);
-    let lazy_ctx = ctx_of(lazy);
-    let pre_ctx = ctx_of(pre);
+    let lazy_ctx = ctx_of(Arc::clone(&lazy));
+    let pre_ctx = ctx_of(Arc::clone(&pre));
 
     let lazy_v = collect_stream(
         eval_stream(&wrap_ext(scan("L")), &Env::empty(), &lazy_ctx).unwrap(),
@@ -67,6 +67,7 @@ fn prefetched_stream_agrees_with_lazy_and_eager() {
         eval(&wrap_ext(scan("P")), &Env::empty(), &pre_ctx).unwrap(),
         expected
     );
+    assert_quiescent(&[&*lazy, &*pre, &*lazy_ctx, &*pre_ctx]);
 }
 
 #[test]
@@ -83,9 +84,8 @@ fn first_n_early_stop_releases_the_ticket_and_bounds_row_traffic() {
         1,
         prefetch,
     );
-    let gate = Arc::clone(driver.gate());
     let metrics = Arc::clone(driver.counters());
-    let ctx = ctx_of(driver);
+    let ctx = ctx_of(Arc::clone(&driver));
 
     let cutoff = 3;
     let got = first_n(&wrap_ext(scan("gated")), cutoff, &Env::empty(), &ctx).unwrap();
@@ -93,11 +93,7 @@ fn first_n_early_stop_releases_the_ticket_and_bounds_row_traffic() {
 
     // No ticket leak: the budget-of-1 gate drains, and a fresh request
     // on the same driver proceeds.
-    let t0 = Instant::now();
-    while gate.in_flight() != 0 {
-        assert!(t0.elapsed() < Duration::from_secs(2), "admission ticket leaked");
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    assert_quiescent(&[&*driver, &*ctx]);
 
     // No extra rows after the cutoff: whatever refill was in flight
     // stops at the next row boundary once the stream is dropped. Allow
@@ -120,6 +116,7 @@ fn first_n_early_stop_releases_the_ticket_and_bounds_row_traffic() {
 
     let again = first_n(&wrap_ext(scan("gated")), 2, &Env::empty(), &ctx).unwrap();
     assert_eq!(again.len(), 2, "driver still serves after the early stop");
+    assert_quiescent(&[&*driver, &*ctx]);
 }
 
 #[test]
@@ -128,7 +125,7 @@ fn prefetch_zero_ships_exactly_the_demanded_prefix() {
     // touches the rows, so the prefix is all that crosses the boundary.
     let driver = SlowDriver::new("lazy", 10_000, Duration::ZERO, 1);
     let metrics = Arc::clone(driver.counters());
-    let ctx = ctx_of(driver);
+    let ctx = ctx_of(Arc::clone(&driver));
     let got = first_n(&wrap_ext(scan("lazy")), 5, &Env::empty(), &ctx).unwrap();
     assert_eq!(got.len(), 5);
     let m = metrics.snapshot();
@@ -138,6 +135,7 @@ fn prefetch_zero_ships_exactly_the_demanded_prefix() {
         m.rows_shipped
     );
     assert_eq!(m.rows_prefetched, 0, "nothing may be prefetched at depth 0");
+    assert_quiescent(&[&*driver, &*ctx]);
 }
 
 #[test]
@@ -157,19 +155,14 @@ fn first_n_stopping_mid_block_releases_the_ticket_and_bounds_blocks() {
         1,
         prefetch,
     );
-    let gate = Arc::clone(driver.gate());
     let metrics = Arc::clone(driver.counters());
-    let ctx = ctx_of(driver);
+    let ctx = ctx_of(Arc::clone(&driver));
 
     let cutoff = 3;
     let got = first_n(&wrap_ext(scan("blocked")), cutoff, &Env::empty(), &ctx).unwrap();
     assert_eq!(got.len(), cutoff);
 
-    let t0 = Instant::now();
-    while gate.in_flight() != 0 {
-        assert!(t0.elapsed() < Duration::from_secs(2), "admission ticket leaked");
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    assert_quiescent(&[&*driver, &*ctx]);
 
     // Refill stops at the next *block* boundary once the stream drops.
     let t0 = Instant::now();
@@ -195,6 +188,7 @@ fn first_n_stopping_mid_block_releases_the_ticket_and_bounds_blocks() {
 
     let again = first_n(&wrap_ext(scan("blocked")), 2, &Env::empty(), &ctx).unwrap();
     assert_eq!(again.len(), 2, "driver still serves after the mid-block stop");
+    assert_quiescent(&[&*driver, &*ctx]);
 }
 
 /// A driver whose stream delivers a partial block: `good` rows, then a
@@ -250,6 +244,7 @@ fn driver_error_inside_a_partial_block_surfaces_after_the_good_rows() {
     assert!(items[good as usize].is_err());
     let prefix = first_n(&plan, good as usize, &Env::empty(), &ctx).unwrap();
     assert_eq!(prefix.len() as i64, good);
+    assert_quiescent(&[&*ctx]);
 }
 
 #[test]
@@ -262,8 +257,8 @@ fn clamped_to_zero_full_drain_is_byte_identical_to_fully_lazy() {
     let plain = SlowDriver::new("plain", rows, Duration::ZERO, 2);
     let clamped = SlowDriver::pipelined("clamped", rows, Duration::ZERO, Duration::ZERO, 2, 0);
     let clamped_metrics = Arc::clone(clamped.counters());
-    let plain_ctx = ctx_of(plain);
-    let clamped_ctx = ctx_of(clamped);
+    let plain_ctx = ctx_of(Arc::clone(&plain));
+    let clamped_ctx = ctx_of(Arc::clone(&clamped));
 
     let plain_v = collect_stream(
         eval_stream(&wrap_ext(scan("plain")), &Env::empty(), &plain_ctx).unwrap(),
@@ -289,6 +284,7 @@ fn clamped_to_zero_full_drain_is_byte_identical_to_fully_lazy() {
     let m = clamped_metrics.snapshot();
     assert_eq!(m.rows_prefetched, 0, "clamped-to-0 must prefetch nothing");
     assert_eq!(m.blocks_shipped, 0, "clamped-to-0 must bypass the block buffer");
+    assert_quiescent(&[&*plain, &*clamped, &*plain_ctx, &*clamped_ctx]);
 }
 
 #[test]
@@ -303,9 +299,9 @@ fn union_arms_overlap_their_row_transfer() {
         let a = SlowDriver::pipelined(names.0, rows, Duration::ZERO, per_row, 2, prefetch);
         let b = SlowDriver::pipelined(names.1, rows, Duration::ZERO, per_row, 2, prefetch);
         let mut ctx = Context::new();
-        ctx.register_driver(a);
-        ctx.register_driver(b);
-        Arc::new(ctx)
+        ctx.register_driver(a.clone());
+        ctx.register_driver(b.clone());
+        (Arc::new(ctx), [a, b])
     };
     let run = |ctx: &Arc<Context>, names: (&str, &str)| {
         let e = Expr::union(
@@ -322,8 +318,8 @@ fn union_arms_overlap_their_row_transfer() {
         (v, t0.elapsed())
     };
 
-    let lazy_ctx = mk(0, ("A", "B"));
-    let pre_ctx = mk(rows as usize, ("A", "B"));
+    let (lazy_ctx, lazy_drivers) = mk(0, ("A", "B"));
+    let (pre_ctx, pre_drivers) = mk(rows as usize, ("A", "B"));
     let (lazy_v, lazy_t) = run(&lazy_ctx, ("A", "B"));
     let (pre_v, pre_t) = run(&pre_ctx, ("A", "B"));
     assert_eq!(lazy_v, pre_v);
@@ -340,4 +336,6 @@ fn union_arms_overlap_their_row_transfer() {
         "overlapped row transfer must cost visibly less than sequential \
          ({pre_t:?} for a {sequential_floor:?} sequential floor)"
     );
+    let ([lazy_a, lazy_b], [pre_a, pre_b]) = (&lazy_drivers, &pre_drivers);
+    assert_quiescent(&[&**lazy_a, &**lazy_b, &**pre_a, &**pre_b, &*lazy_ctx, &*pre_ctx]);
 }

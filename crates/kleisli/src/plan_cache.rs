@@ -9,7 +9,7 @@
 //! private cache of the same default capacity, keyed the same way
 //! (source text + [`OptConfig`]), with the same LRU behavior.
 //!
-//! Two things are new relative to the private struct:
+//! What is new relative to the private struct:
 //!
 //! * **Single-flight compilation.** A key whose compile is *in flight*
 //!   has a [`SingleFlight`] of its own for as long as some caller is
@@ -19,9 +19,25 @@
 //!   N. (A failed compile is not cached; the error propagates to the
 //!   compiling caller and one waiting caller compiles in its turn. The
 //!   same holds if the compile panics — [`kleisli_core::flight`].)
+//! * **Admission.** A compiled plan is retained only if its key was
+//!   asked for *before its compile*: by an earlier miss still remembered
+//!   in the cache's [`RecentMisses`] (the one table of recently missed
+//!   keys, [`kleisli_core::flight`]; here a key is the source text and
+//!   the [`OptConfig`], hashed), or by a caller that coalesced onto the
+//!   compile while it ran. Any other plan is handed to its compiler and
+//!   its waiters, not retained, and counts as `declined`, not as an
+//!   eviction. So never-repeated text (ad hoc queries, a nonce) leaves no
+//!   plan behind and pushes no working-set plan out, and the capacity
+//!   holds what is asked again. The cost is one compile more per repeated
+//!   text, on its second ask (which admits the plan); from the third on
+//!   it hits. Like the result cache's, the table is not an entry: it
+//!   survives [`PlanCache::clear`] and [`PlanCache::flush_source`], so a
+//!   text compiled before an invalidation is retained on its first
+//!   recompile.
 //! * **Eviction accounting.** [`PlanCacheStats`] now counts `evictions`
-//!   (plans dropped for capacity), alongside the existing hit/miss
-//!   counters. `misses` equals the number of compiles started.
+//!   (plans dropped for capacity) and `declined` (plans not admitted),
+//!   alongside the existing hit/miss counters. `misses` equals the number
+//!   of compiles started.
 //! * **Source-scoped invalidation.** [`PlanCache::flush_source`] drops
 //!   exactly the plans whose [`Compiled::deps`] mention a refreshed
 //!   driver and bumps that source's generation counter
@@ -43,10 +59,12 @@
 //!   get on the fly"; a mediator registers them, it does not
 //!   interrogate its sources per query.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex as StdMutex, Weak};
 
-use kleisli_core::{Join, KResult, SingleFlight, TableStats};
+use kleisli_core::{Join, KResult, RecentMisses, SingleFlight, TableStats};
 use kleisli_opt::OptConfig;
 
 use crate::session::Compiled;
@@ -61,6 +79,9 @@ pub struct PlanCacheStats {
     pub misses: u64,
     /// Plans evicted to respect the capacity bound.
     pub evictions: u64,
+    /// Plans handed to their callers but not retained, because their key
+    /// was not asked for before their compile (module docs, "Admission").
+    pub declined: u64,
     /// Plans dropped by [`PlanCache::flush_source`] (invalidation, not
     /// capacity pressure — counted separately from `evictions`).
     pub flushes: u64,
@@ -75,10 +96,10 @@ struct State {
     /// over a Vec: capacities are tens of entries, and a scan over that
     /// is noise next to even a cache-hit `Arc` bump.
     entries: Vec<(String, OptConfig, Arc<Compiled>)>,
-    /// Keys whose compile is in flight, each held weakly: a mark is live
-    /// exactly while some caller is inside `get_or_compile` with its
-    /// flight in hand, an unwinding one included.
-    in_flight: Vec<(String, OptConfig, Weak<Flight>)>,
+    /// Keys whose compile is in flight.
+    in_flight: Vec<Mark>,
+    /// The keys missed lately (module docs, "Admission").
+    missed: RecentMisses,
     /// Per-source invalidation generations: bumped by `flush_source`,
     /// never reset. Sources never flushed are implicitly at generation 0.
     generations: HashMap<Arc<str>, u64>,
@@ -86,7 +107,20 @@ struct State {
     hits: u64,
     misses: u64,
     evictions: u64,
+    declined: u64,
     flushes: u64,
+}
+
+/// One key's compile in flight, its flight held weakly: a mark is live
+/// exactly while some caller is inside `get_or_compile` with its flight
+/// in hand, an unwinding one included.
+struct Mark {
+    src: String,
+    config: OptConfig,
+    flight: Weak<Flight>,
+    /// The key missed before this compile, or a caller coalesced onto
+    /// it: its plan is retained (module docs, "Admission").
+    asked: bool,
 }
 
 /// The compiled-plan cache; see the module docs. Construct with
@@ -116,11 +150,13 @@ impl PlanCache {
             state: StdMutex::new(State {
                 entries: Vec::new(),
                 in_flight: Vec::new(),
+                missed: RecentMisses::default(),
                 generations: HashMap::new(),
                 capacity,
                 hits: 0,
                 misses: 0,
                 evictions: 0,
+                declined: 0,
                 flushes: 0,
             }),
             catalog: StdMutex::new(HashMap::new()),
@@ -132,11 +168,12 @@ impl PlanCache {
     }
 
     /// Fetch the plan for `(src, config)`, or compile it via `compile`
-    /// and cache the result. Concurrent calls for the same key from
-    /// other threads wait for the first compile, then share its plan
-    /// (single-flight; see the module docs). The compile closure runs
-    /// **without** the cache lock held, so slow compiles of one query
-    /// never stall lookups of others.
+    /// and cache the result if the key was asked for before (module docs,
+    /// "Admission"). Concurrent calls for the same key from other threads
+    /// wait for the first compile, then share its plan (single-flight;
+    /// see the module docs) — and each such wait is an ask. The compile
+    /// closure runs **without** the cache lock held, so slow compiles of
+    /// one query never stall lookups of others.
     pub fn get_or_compile(
         &self,
         src: &str,
@@ -212,13 +249,14 @@ impl PlanCache {
         fetched
     }
 
-    /// Hit/miss/eviction counters and occupancy.
+    /// Hit/miss/eviction/decline counters and occupancy.
     pub fn stats(&self) -> PlanCacheStats {
         let st = self.lock();
         PlanCacheStats {
             hits: st.hits,
             misses: st.misses,
             evictions: st.evictions,
+            declined: st.declined,
             flushes: st.flushes,
             entries: st.entries.len(),
             capacity: st.capacity,
@@ -229,7 +267,7 @@ impl PlanCache {
     /// and the statistics snapshot of its tables, and bump that source's
     /// invalidation generation. Returns how many plans were dropped.
     /// Plans not reading `source` are untouched; compiles in flight are
-    /// detached (module docs).
+    /// detached, and the table of recent misses is kept (module docs).
     pub fn flush_source(&self, source: &str) -> usize {
         // Statistics first: a compile starting after this line asks the
         // refreshed source, whatever happens to the plans below.
@@ -276,9 +314,9 @@ impl PlanCache {
     }
 
     /// Drop every cached plan and the whole statistics snapshot, and
-    /// detach the compiles in flight (counters are kept; deliberate
-    /// clears are invalidation, not capacity pressure, so they do not
-    /// count as evictions).
+    /// detach the compiles in flight (counters and the table of recent
+    /// misses are kept; deliberate clears are invalidation, not capacity
+    /// pressure, so they do not count as evictions).
     pub fn clear(&self) {
         self.catalog
             .lock()
@@ -305,25 +343,44 @@ impl State {
         Some(plan)
     }
 
-    /// The flight of the key's compile: the live one, or a fresh one.
+    /// The flight of the key's compile: the live one, which the caller
+    /// coalescing onto it marks asked, or a fresh one, asked if the key
+    /// missed before (module docs, "Admission").
     fn flight(&mut self, src: &str, config: &OptConfig) -> Arc<Flight> {
-        self.in_flight.retain(|(.., f)| f.strong_count() > 0);
-        let live = self.in_flight.iter().find(|(s, c, _)| s == src && c == config);
-        live.and_then(|(.., f)| f.upgrade()).unwrap_or_else(|| {
-            let flight = Arc::default();
-            self.in_flight.push((src.to_string(), config.clone(), Arc::downgrade(&flight)));
-            flight
-        })
+        self.in_flight.retain(|m| m.flight.strong_count() > 0);
+        let live = self
+            .in_flight
+            .iter_mut()
+            .find(|m| m.src == src && m.config == *config);
+        if let Some(mark) = live {
+            if let Some(flight) = mark.flight.upgrade() {
+                mark.asked = true;
+                return flight;
+            }
+        }
+        let flight = Arc::default();
+        self.in_flight.push(Mark {
+            src: src.to_string(),
+            config: config.clone(),
+            flight: Arc::downgrade(&flight),
+            asked: self.missed.record(asked_key(src, config)),
+        });
+        flight
     }
 
     /// A compile has produced `plan`: take its mark down and cache the
-    /// plan under the mark's key — unless an invalidation detached the
-    /// flight in the meantime, which took the mark with it.
+    /// plan under the mark's key if it was asked for, count it declined
+    /// if not — unless an invalidation detached the flight in the
+    /// meantime, which took the mark with it.
     fn retire(&mut self, flight: &Arc<Flight>, plan: &Arc<Compiled>) {
         let mine = Arc::downgrade(flight);
-        if let Some(i) = self.in_flight.iter().position(|(.., f)| f.ptr_eq(&mine)) {
-            let (src, config, _) = self.in_flight.swap_remove(i);
-            self.insert(src, config, Arc::clone(plan));
+        if let Some(i) = self.in_flight.iter().position(|m| m.flight.ptr_eq(&mine)) {
+            let mark = self.in_flight.swap_remove(i);
+            if mark.asked {
+                self.insert(mark.src, mark.config, Arc::clone(plan));
+            } else {
+                self.declined += 1;
+            }
         }
     }
 
@@ -339,6 +396,14 @@ impl State {
     }
 }
 
+/// What the table of recent misses remembers a plan by: its source text
+/// and optimizer configuration, hashed.
+fn asked_key(src: &str, config: &OptConfig) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    (src, config).hash(&mut hasher);
+    hasher.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,7 +411,7 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Barrier;
     use std::thread;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     fn plan() -> Arc<Compiled> {
         let e = nrc::Expr::int(1);
@@ -370,17 +435,33 @@ mod tests {
         })
     }
 
+    /// The first ask of `src`: compiled and handed back, not retained —
+    /// what makes the next compile of `src` stay.
+    fn ask_once(cache: &PlanCache, src: &str, compiled: Arc<Compiled>) {
+        let declined = cache.stats().declined;
+        cache
+            .get_or_compile(src, &OptConfig::default(), || Ok(compiled))
+            .unwrap();
+        assert_eq!(
+            cache.stats().declined,
+            declined + 1,
+            "a first ask is declined"
+        );
+        assert!(cache.peek(src, &OptConfig::default()).is_none());
+    }
+
     #[test]
     fn capacity_eviction_is_counted() {
         let cache = PlanCache::new(2);
         let cfg = OptConfig::default();
         for src in ["a", "b", "c"] {
+            ask_once(&cache, src, plan());
             cache.get_or_compile(src, &cfg, || Ok(plan())).unwrap();
         }
         let s = cache.stats();
         assert_eq!(s.entries, 2);
         assert_eq!(s.evictions, 1);
-        assert_eq!(s.misses, 3);
+        assert_eq!(s.misses, 6);
         // "a" was the LRU victim; "b" and "c" still hit.
         cache.get_or_compile("b", &cfg, || Ok(plan())).unwrap();
         assert_eq!(cache.stats().hits, 1);
@@ -391,6 +472,7 @@ mod tests {
         let cache = PlanCache::new(4);
         let cfg = OptConfig::default();
         for src in ["a", "b", "c", "d"] {
+            ask_once(&cache, src, plan());
             cache.get_or_compile(src, &cfg, || Ok(plan())).unwrap();
         }
         cache.set_capacity(1);
@@ -465,15 +547,12 @@ mod tests {
     fn flush_source_drops_exactly_dependent_plans() {
         let cache = PlanCache::new(8);
         let cfg = OptConfig::default();
-        cache
-            .get_or_compile("qa", &cfg, || Ok(plan_on(&["A"])))
-            .unwrap();
-        cache
-            .get_or_compile("qab", &cfg, || Ok(plan_on(&["A", "B"])))
-            .unwrap();
-        cache
-            .get_or_compile("qb", &cfg, || Ok(plan_on(&["B"])))
-            .unwrap();
+        for (src, sources) in [("qa", &["A"][..]), ("qab", &["A", "B"]), ("qb", &["B"])] {
+            ask_once(&cache, src, plan_on(sources));
+            cache
+                .get_or_compile(src, &cfg, || Ok(plan_on(sources)))
+                .unwrap();
+        }
         assert_eq!(cache.generation("A"), 0);
 
         let dropped = cache.flush_source("A");
@@ -516,5 +595,97 @@ mod tests {
             .unwrap();
         let s = cache.stats();
         assert_eq!((s.misses, s.entries), (2, 1), "the next lookup compiles: {s:?}");
+    }
+
+    #[test]
+    fn a_first_ask_is_compiled_and_a_second_is_retained() {
+        let cache = PlanCache::new(8);
+        let cfg = OptConfig::default();
+        // First ask: compiled and handed back, nothing resident, no eviction.
+        cache.get_or_compile("q", &cfg, || Ok(plan())).unwrap();
+        let s = cache.stats();
+        assert_eq!(
+            (s.entries, s.declined, s.evictions, s.misses),
+            (0, 1, 0, 1),
+            "{s:?}"
+        );
+        // Another configuration is another key, with a first ask of its own.
+        cache
+            .get_or_compile("q", &OptConfig::none(), || Ok(plan()))
+            .unwrap();
+        assert_eq!(cache.stats().declined, 2);
+        // Second ask: compiled again, and retained...
+        cache.get_or_compile("q", &cfg, || Ok(plan())).unwrap();
+        assert!(cache.peek("q", &cfg).is_some());
+        // ...so the third is a hit.
+        cache
+            .get_or_compile("q", &cfg, || unreachable!("a hit compiles nothing"))
+            .unwrap();
+        let s = cache.stats();
+        assert_eq!(
+            (s.entries, s.declined, s.misses, s.hits),
+            (1, 2, 3, 1),
+            "{s:?}"
+        );
+    }
+
+    #[test]
+    fn a_coalesced_ask_admits_the_compile_it_waits_on() {
+        let cache = PlanCache::new(8);
+        let cfg = OptConfig::default();
+        let compiling = Barrier::new(2);
+        thread::scope(|s| {
+            let lead = s.spawn(|| {
+                cache.get_or_compile("q", &cfg, || {
+                    compiling.wait();
+                    // The waiter asks (under the state lock) before it parks.
+                    let asked = || cache.lock().in_flight.iter().any(|m| m.asked);
+                    let patience = Instant::now() + Duration::from_secs(2);
+                    while !asked() && Instant::now() < patience {
+                        thread::yield_now();
+                    }
+                    Ok(plan())
+                })
+            });
+            compiling.wait();
+            cache
+                .get_or_compile("q", &cfg, || unreachable!("a waiter compiles nothing"))
+                .unwrap();
+            lead.join().unwrap().unwrap();
+        });
+        assert!(
+            cache.peek("q", &cfg).is_some(),
+            "the compile was asked for twice"
+        );
+        let s = cache.stats();
+        assert_eq!(
+            (s.misses, s.hits, s.declined, s.entries),
+            (1, 1, 0, 1),
+            "{s:?}"
+        );
+    }
+
+    #[test]
+    fn the_table_of_misses_survives_a_flush_and_a_clear() {
+        let cache = PlanCache::new(8);
+        let cfg = OptConfig::default();
+        let compile = || {
+            cache
+                .get_or_compile("qa", &cfg, || Ok(plan_on(&["A"])))
+                .unwrap();
+            cache.peek("qa", &cfg).is_some()
+        };
+        // Asked once, then the source is refreshed: the second ask still
+        // counts the first.
+        ask_once(&cache, "qa", plan_on(&["A"]));
+        cache.flush_source("A");
+        assert!(compile(), "retained on its second ask");
+        // Resident, then flushed: retained again on its first recompile.
+        assert_eq!(cache.flush_source("A"), 1);
+        assert!(compile(), "retained on its first recompile");
+        // So is it after a whole clear.
+        cache.clear();
+        assert!(compile(), "retained on its first recompile");
+        assert_eq!(cache.stats().declined, 1);
     }
 }

@@ -36,8 +36,11 @@
 //! [`Session::compile`] memoizes compiled plans in a small LRU keyed by
 //! the CPL source text plus the [`OptConfig`] in force — re-submitting a
 //! query (the common shape of mediator traffic: the same handful of
-//! queries over and over) skips parse/typecheck/optimize entirely. The
-//! cache is invalidated whenever the meaning of a source string can
+//! queries over and over) skips parse/typecheck/optimize entirely from
+//! its third ask on. A plan is kept only once its text is asked for
+//! again (the second ask compiles it anew and admits it), so text that
+//! is never repeated leaves no plan behind ([`PlanCache`], "Admission").
+//! The cache is invalidated whenever the meaning of a source string can
 //! change: a driver or value binding is registered, or a `define` runs.
 //! The table statistics the optimizer reads while compiling are a
 //! snapshot kept *with* the plans ([`PlanCache::table_stats`]): a source
@@ -780,7 +783,9 @@ impl Session {
 
     /// Compile a single CPL expression: desugar, typecheck, optimize —
     /// or fetch the identical plan from the session plan cache (keyed by
-    /// source text + optimizer config; see the module docs).
+    /// source text + optimizer config; see the module docs). The cache
+    /// keeps a plan once its text has been asked for before, so the first
+    /// two asks of a text compile and the third is a hit.
     pub fn compile(&self, src: &str) -> KResult<Compiled> {
         Ok((*self.compile_shared(src)?).clone())
     }

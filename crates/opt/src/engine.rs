@@ -50,9 +50,9 @@ pub const MIN_BATCH_KEYS: usize = 4;
 pub const MAX_PASSES: usize = 20;
 
 /// Optimizer configuration: one switch per optimization, so benchmarks
-/// can ablate them individually. `PartialEq` makes the config usable as
-/// part of the session plan-cache key.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// can ablate them individually. `PartialEq` and `Hash` make the config
+/// usable as part of the session plan-cache key.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct OptConfig {
     pub enable_monadic: bool,
     pub enable_pushdown: bool,

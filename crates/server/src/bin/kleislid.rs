@@ -25,62 +25,62 @@ struct Args {
     loci: usize,
     latency: Duration,
     plan_cache: usize,
-    budget_mb: u64,
+    /// `--budget-mb` in bytes.
+    budget: u64,
     max_concurrent: usize,
     queue_depth: usize,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: kleislid [--addr HOST:PORT] [--loci N] [--latency-ms MS] \
-         [--plan-cache N] [--budget-mb MB] [--max-concurrent N] [--queue-depth N]"
-    );
-    exit(2);
-}
+const USAGE: &str = "usage: kleislid [--addr HOST:PORT] [--loci N] [--latency-ms MS] \
+                     [--plan-cache N] [--budget-mb MB] [--max-concurrent N] [--queue-depth N]";
 
-fn parse_args() -> Args {
+/// The command line after the program name, or why it is refused (an
+/// empty reason for `--help`).
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         addr: "127.0.0.1:4455".to_string(),
         loci: 500,
         latency: Duration::from_millis(5),
         plan_cache: 64,
-        budget_mb: 64,
+        budget: 64 << 20,
         max_concurrent: 4,
         queue_depth: 16,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().unwrap_or_else(|| {
-            eprintln!("missing value for {name}");
-            usage()
-        });
+        let mut value = || it.next().ok_or_else(|| format!("missing value for {flag}"));
         match flag.as_str() {
-            "--addr" => args.addr = value("--addr"),
-            "--loci" => args.loci = parse(&value("--loci")),
-            "--latency-ms" => args.latency = Duration::from_millis(parse(&value("--latency-ms"))),
-            "--plan-cache" => args.plan_cache = parse(&value("--plan-cache")),
-            "--budget-mb" => args.budget_mb = parse(&value("--budget-mb")),
-            "--max-concurrent" => args.max_concurrent = parse(&value("--max-concurrent")),
-            "--queue-depth" => args.queue_depth = parse(&value("--queue-depth")),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag {other}");
-                usage();
+            "--addr" => args.addr = value()?,
+            "--loci" => args.loci = parse(&value()?)?,
+            "--latency-ms" => args.latency = Duration::from_millis(parse(&value()?)?),
+            "--plan-cache" => args.plan_cache = parse(&value()?)?,
+            "--budget-mb" => {
+                let mb = value()?;
+                args.budget = parse::<u64>(&mb)?
+                    .checked_mul(1 << 20)
+                    .ok_or_else(|| format!("--budget-mb {mb} overflows a 64-bit byte count"))?;
             }
+            "--max-concurrent" => args.max_concurrent = parse(&value()?)?,
+            "--queue-depth" => args.queue_depth = parse(&value()?)?,
+            "--help" | "-h" => return Err(String::new()),
+            other => return Err(format!("unknown flag {other}")),
         }
     }
-    args
+    Ok(args)
 }
 
-fn parse<T: std::str::FromStr>(s: &str) -> T {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("cannot parse {s:?}");
-        usage()
-    })
+fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String> {
+    s.parse().map_err(|_| format!("cannot parse {s:?}"))
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|reason| {
+        if !reason.is_empty() {
+            eprintln!("{reason}");
+        }
+        eprintln!("{USAGE}");
+        exit(2);
+    });
     let fed = bio_federation(
         &GdbConfig {
             loci: args.loci,
@@ -104,7 +104,7 @@ fn main() {
     let genbank = fed.genbank.clone();
     let config = ServerConfig {
         plan_cache_capacity: args.plan_cache,
-        result_cache_budget: args.budget_mb * 1024 * 1024,
+        result_cache_budget: args.budget,
         max_queries_per_connection: args.max_concurrent,
         queue_depth_per_connection: args.queue_depth,
         ..ServerConfig::default()
@@ -123,4 +123,38 @@ fn main() {
     });
     println!("kleislid listening on {}", handle.addr());
     handle.wait();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parsed(argv: &[&str]) -> Result<Args, String> {
+        parse_args(argv.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn a_budget_is_read_in_mebibytes_and_one_past_64_bits_is_refused() {
+        assert_eq!(parsed(&[]).unwrap().budget, 64 << 20);
+        assert_eq!(parsed(&["--budget-mb", "0"]).unwrap().budget, 0);
+        let largest = (u64::MAX >> 20).to_string();
+        assert_eq!(
+            parsed(&["--budget-mb", &largest]).unwrap().budget,
+            (u64::MAX >> 20) << 20
+        );
+        // 2^44 MiB is 2^64 bytes, which wrapped to a zero budget.
+        let wraps = (1u64 << 44).to_string();
+        let refused = parsed(&["--budget-mb", &wraps]).err().unwrap();
+        assert!(refused.contains("--budget-mb"), "{refused}");
+        assert!(parsed(&["--budget-mb", "-1"]).is_err());
+        assert!(parsed(&["--budget-mb"]).is_err());
+    }
+
+    #[test]
+    fn flags_are_read_and_strangers_refused() {
+        let args = parsed(&["--addr", "0.0.0.0:1", "--plan-cache", "8"]).unwrap();
+        assert_eq!((args.addr.as_str(), args.plan_cache), ("0.0.0.0:1", 8));
+        assert_eq!(parsed(&["--help"]).err().unwrap(), "");
+        assert!(parsed(&["--nope"]).err().unwrap().contains("--nope"));
+    }
 }

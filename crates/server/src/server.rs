@@ -113,6 +113,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use kleisli::{PlanCache, Session};
+use kleisli_core::testutil::Quiescent;
 use kleisli_core::{CancelToken, Executor, KError};
 use kleisli_exec::ResultCache;
 
@@ -225,6 +226,19 @@ impl ServerShared {
         self.config.max_result_frame.min(MAX_FRAME_LEN)
     }
 
+    /// Run slots taken and queries waiting for one, over every
+    /// connection.
+    fn admission(&self) -> (usize, usize) {
+        let conns = self.conns.lock().unwrap_or_else(|e| e.into_inner());
+        conns.values().fold((0, 0), |(running, waiting), entry| {
+            let admission = entry.conn.lock_admission();
+            (
+                running + admission.running,
+                waiting + admission.waiting.len(),
+            )
+        })
+    }
+
     /// The STATS payload: one JSON document over the shared-cache and
     /// admission counters (also what `ServerHandle::stats_json` returns).
     fn stats_json(&self) -> String {
@@ -236,8 +250,8 @@ impl ServerShared {
                 "\"connections\":{{\"total\":{},\"open\":{},\"shed\":{}}},",
                 "\"queries\":{{\"total\":{},\"served_fresh\":{},\"served_cached\":{},",
                 "\"errors\":{},\"rejected\":{},\"cancel_requests\":{},\"flush_requests\":{}}},",
-                "\"plan_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"flushes\":{},",
-                "\"entries\":{},\"capacity\":{}}},",
+                "\"plan_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"declined\":{},",
+                "\"flushes\":{},\"entries\":{},\"capacity\":{}}},",
                 "\"result_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"declined\":{},",
                 "\"flushes\":{},",
                 "\"entries\":{},\"bytes\":{},\"peak_bytes\":{},\"budget\":{}}}}}"
@@ -256,6 +270,7 @@ impl ServerShared {
             p.hits,
             p.misses,
             p.evictions,
+            p.declined,
             p.flushes,
             p.entries,
             p.capacity,
@@ -415,6 +430,18 @@ impl ServerHandle {
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.stop(DRAIN_DEADLINE);
+    }
+}
+
+/// A server holds nothing once no query is active — none running, none
+/// waiting in any connection's admission FIFO.
+impl Quiescent for ServerHandle {
+    fn held(&self) -> Option<String> {
+        let (running, waiting) = self.shared.admission();
+        let active = self.active_queries();
+        (active + running as u64 + waiting as u64 > 0).then(|| {
+            format!("kleislid: {active} queries active, {running} running, {waiting} waiting")
+        })
     }
 }
 
@@ -1172,7 +1199,7 @@ fn read_full(stream: &mut TcpStream, buf: &mut [u8], shutdown: &AtomicBool) -> i
 mod tests {
     use super::*;
     use crate::client::{Client, QueryReply};
-    use kleisli_core::testutil::{Fault, SlowDriver};
+    use kleisli_core::testutil::{assert_quiescent, Fault, SlowDriver};
     use kleisli_core::Value;
 
     /// A server over one wedged source (every `SRC` request blocks until
@@ -1203,18 +1230,6 @@ mod tests {
         format!(r#"count(SRC([function = "probe", arg = {k}]))"#)
     }
 
-    /// Run slots taken and queries waiting, over every connection.
-    fn admission(server: &ServerHandle) -> (usize, usize) {
-        let conns = server.shared.conns.lock().unwrap();
-        conns.values().fold((0, 0), |(running, waiting), entry| {
-            let admission = entry.conn.lock_admission();
-            (
-                running + admission.running,
-                waiting + admission.waiting.len(),
-            )
-        })
-    }
-
     fn eventually(what: &str, mut holds: impl FnMut() -> bool) {
         let start = Instant::now();
         while !holds() {
@@ -1224,12 +1239,6 @@ mod tests {
             );
             thread::sleep(Duration::from_millis(1));
         }
-    }
-
-    fn assert_quiescent(server: &ServerHandle) {
-        eventually("every run slot and queue place to be released", || {
-            admission(server) == (0, 0) && server.active_queries() == 0
-        });
     }
 
     #[test]
@@ -1247,7 +1256,7 @@ mod tests {
         });
 
         assert_eq!(
-            admission(&server),
+            server.shared.admission(),
             (1, 2),
             "one running, two waiting as data"
         );
@@ -1274,7 +1283,7 @@ mod tests {
             })
             .collect();
         assert_eq!(order, ids, "one run slot: completion in admission order");
-        assert_quiescent(&server);
+        assert_quiescent(&[&server, &*driver]);
         assert!(executor.threads_spawned() <= executor.limit());
     }
 
@@ -1298,7 +1307,7 @@ mod tests {
         eventually("the first query to reach the source", || {
             driver.requests_started() == 1
         });
-        assert_eq!(admission(&server), (1, 2));
+        assert_eq!(server.shared.admission(), (1, 2));
 
         // The queued id first, then the running one: each ends in its
         // own terminal Error frame, the running one's first (its slot
@@ -1329,6 +1338,6 @@ mod tests {
             2,
             "the cancelled waiter never reached the source"
         );
-        assert_quiescent(&server);
+        assert_quiescent(&[&server, &*driver]);
     }
 }

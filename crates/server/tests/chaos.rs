@@ -3,9 +3,9 @@
 //! live `kleislid` server and misbehaves on the wire — truncated
 //! frames, garbage opcodes, mid-query disconnects, stalled readers —
 //! while a healthy tenant keeps querying. Every test ends by asserting
-//! the server *settled*: the faulty connection (and only it) is gone,
-//! no query worker still holds a gate ticket anywhere
-//! (`active_queries == 0`), and the connection counters balance.
+//! the server *settled* and quiescent: the faulty connection (and only
+//! it) is gone, no query is active or waiting for a run slot, no source
+//! holds a ticket, and the connection counters balance.
 
 use std::sync::Arc;
 use std::thread;
@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use bio_data::{GdbConfig, GenBankConfig};
 use kleisli::{bio_federation, BioFederation, Session};
-use kleisli_core::testutil::{ChaosPlan, ChaosProxy, WireFault};
+use kleisli_core::testutil::{assert_quiescent, ChaosPlan, ChaosProxy, WireFault};
 use kleisli_core::{LatencyModel, Value};
 use kleisli_server::proto::{decode_response, encode_request, read_frame, write_frame};
 use kleisli_server::{
@@ -89,27 +89,22 @@ fn federation_registrar(fed: &BioFederation) -> Arc<kleisli_server::Registrar> {
     })
 }
 
-/// Poll until the server reports exactly `open` live connections and
-/// zero active queries — the "nothing leaked" invariant every fault
+/// Poll until the server reports exactly `open` live connections, then
+/// assert it quiescent — the "nothing leaked" invariant every fault
 /// scenario must restore. Panics (with the stats document) if the
-/// server has not settled within ten seconds.
+/// connections have not settled within ten seconds.
 fn settle(server: &ServerHandle, open: u64) {
     let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        if server.connections_open() == open && server.active_queries() == 0 {
-            return;
-        }
-        if Instant::now() >= deadline {
-            panic!(
-                "server did not settle to {open} open connections / 0 active queries \
-                 (open={}, active={}): {}",
-                server.connections_open(),
-                server.active_queries(),
-                server.stats_json()
-            );
-        }
+    while server.connections_open() != open {
+        assert!(
+            Instant::now() < deadline,
+            "server did not settle to {open} open connections (open={}): {}",
+            server.connections_open(),
+            server.stats_json()
+        );
         thread::sleep(Duration::from_millis(10));
     }
+    assert_quiescent(&[server]);
 }
 
 #[test]
@@ -243,6 +238,7 @@ fn mid_query_disconnect_does_not_poison_the_shared_flight() {
     assert_eq!(served, ServedFrom::Fresh, "aborted flight cached nothing");
     drop(retry);
     settle(&server, 0);
+    assert_quiescent(&[&*fed.gdb, &*fed.genbank]);
 }
 
 #[test]
@@ -357,4 +353,5 @@ fn drain_finishes_in_flight_work_and_rejects_new_queries() {
         }
         other => panic!("expected a drain rejection, got {other:?}"),
     }
+    assert_quiescent(&[&*fed.gdb, &*fed.genbank]);
 }

@@ -8,6 +8,7 @@ use std::time::{Duration, Instant};
 
 use bio_data::{GdbConfig, GenBankConfig, MemorySource};
 use kleisli::{bio_federation, BioFederation, Session};
+use kleisli_core::testutil::assert_quiescent;
 use kleisli_core::{LatencyModel, Value};
 use kleisli_server::{serve_ephemeral, Client, QueryReply, Response, ServedFrom, ServerConfig};
 
@@ -152,12 +153,19 @@ fn n_identical_concurrent_queries_compile_once_and_evaluate_once() {
     assert_eq!(fresh, 1, "exactly one evaluation for {N} identical queries");
 
     let plans = server.plan_cache().stats();
-    assert_eq!(plans.misses, 1, "exactly one compile: {plans:?}");
+    // One compile, kept because another query coalesced onto it — or,
+    // when the first compile was done before a second query could
+    // coalesce, a second one: that ask admits the plan, the rest hit.
+    assert!(
+        matches!((plans.misses, plans.declined), (1, 0) | (2, 1)),
+        "{plans:?}"
+    );
+    assert_eq!(plans.entries, 1, "{plans:?}");
     // Every non-compiling query hits exactly once — also one landing
     // between the plan commit and the result commit, whose fast-path
     // probe finds the plan but no result and falls through to the
     // ordinary (counting) lookup.
-    assert_eq!(plans.hits as usize, N - 1, "{plans:?}");
+    assert_eq!((plans.misses + plans.hits) as usize, N, "{plans:?}");
     let results = server.result_cache().stats();
     assert_eq!(results.misses, 1, "one populate flight: {results:?}");
     assert_eq!(results.hits as usize, N - 1);
@@ -226,11 +234,7 @@ fn a_cancel_reaches_a_query_coalesced_onto_another_connections_flight() {
     let (v, served) = waiter.query(src).unwrap().into_value().unwrap();
     assert_eq!((v, served), (Value::Int(40), ServedFrom::SharedCache));
     // Both run slots go back (a slot is released just after its frame).
-    let settled = Instant::now() + Duration::from_secs(5);
-    while server.active_queries() > 0 {
-        assert!(Instant::now() < settled, "{}", server.stats_json());
-        thread::yield_now();
-    }
+    assert_quiescent(&[&server, &*fed.gdb]);
 }
 
 #[test]
@@ -279,9 +283,10 @@ fn queue_depth_overflow_is_rejected_not_stalled() {
 
 #[test]
 fn a_cached_plan_with_an_uncached_result_counts_one_plan_hit_per_query() {
-    // No result is ever retained, so every repeat takes the fast path's
-    // probe (plan found, no result) and then the ordinary lookup: one
-    // query served must still read as one plan-cache hit.
+    // No result is ever retained, so every repeat from the third (the
+    // second admits the plan) takes the fast path's probe (plan found, no
+    // result) and then the ordinary lookup: one query served must still
+    // read as one plan-cache hit.
     const N: u64 = 6;
     let config = ServerConfig {
         result_cache_budget: 0,
@@ -294,7 +299,11 @@ fn a_cached_plan_with_an_uncached_result_counts_one_plan_hit_per_query() {
         assert_eq!((v, served), (Value::Int(50), ServedFrom::Fresh));
     }
     let plans = server.plan_cache().stats();
-    assert_eq!((plans.misses, plans.hits), (1, N - 1), "{plans:?}");
+    assert_eq!(
+        (plans.misses, plans.declined, plans.hits),
+        (2, 1, N - 2),
+        "{plans:?}"
+    );
 }
 
 #[test]
@@ -522,15 +531,16 @@ fn flush_of_a_value_binding_is_conservative_and_typos_are_errors() {
 }
 
 // ---------------------------------------------------------------------
-// Admission: the shared result cache keeps what is asked for again.
+// Admission: the shared caches keep what is asked for again.
 // ---------------------------------------------------------------------
 
-/// The `result_cache` object of a STATS document.
-fn result_cache_stats(stats: &str) -> &str {
+/// The `name` object of a STATS document (the cache objects are flat).
+fn stats_object<'s>(stats: &'s str, name: &str) -> &'s str {
     let at = stats
-        .find("\"result_cache\"")
-        .expect("a result_cache object");
-    &stats[at..]
+        .find(&format!("\"{name}\":{{"))
+        .unwrap_or_else(|| panic!("a {name} object in {stats}"));
+    let len = stats[at..].find('}').expect("a closed object");
+    &stats[at..at + len]
 }
 
 #[test]
@@ -563,7 +573,7 @@ fn a_result_is_retained_on_its_second_ask() {
     );
     let stats = client.stats().unwrap();
     assert!(
-        result_cache_stats(&stats).contains("\"declined\":1,"),
+        stats_object(&stats, "result_cache").contains("\"declined\":1,"),
         "{stats}"
     );
 }
@@ -589,15 +599,22 @@ fn never_repeated_texts_leave_nothing_behind_and_a_working_set_is_kept() {
     let mut ask = |k: usize| client.query(&text(k)).unwrap().into_value().unwrap().1;
 
     // Ad hoc traffic: every text asked once, none retained, so resident
-    // bytes stay flat instead of growing with the history.
+    // bytes stay flat instead of growing with the history, and no plan
+    // is kept either.
     for k in 0..TEXTS {
         assert_eq!(ask(k), ServedFrom::Fresh);
     }
     let r = server.result_cache().stats();
     assert_eq!((r.bytes, r.peak_bytes, r.entries), (0, 0, 0), "{r:?}");
     assert_eq!((r.declined, r.evictions), (TEXTS as u64, 0), "{r:?}");
+    let p = server.plan_cache().stats();
+    assert_eq!(
+        (p.entries, p.declined, p.evictions),
+        (0, TEXTS as u64, 0),
+        "{p:?}"
+    );
     let stats = server.stats_json();
-    let results = result_cache_stats(&stats);
+    let results = stats_object(&stats, "result_cache");
     for field in [
         format!("\"declined\":{TEXTS},"),
         "\"entries\":0,".to_string(),
@@ -605,8 +622,16 @@ fn never_repeated_texts_leave_nothing_behind_and_a_working_set_is_kept() {
     ] {
         assert!(results.contains(&field), "missing {field} in {stats}");
     }
+    let plans = stats_object(&stats, "plan_cache");
+    for field in [
+        format!("\"declined\":{TEXTS},"),
+        "\"entries\":0,".to_string(),
+    ] {
+        assert!(plans.contains(&field), "missing {field} in {stats}");
+    }
 
-    // A working set: the second ask admits each text, the third hits.
+    // A working set: the second ask admits each text's plan and result,
+    // the third and fourth hit both.
     let working_set = TEXTS..TEXTS + 16;
     for round in 0..4 {
         for k in working_set.clone() {
@@ -617,17 +642,24 @@ fn never_repeated_texts_leave_nothing_behind_and_a_working_set_is_kept() {
             };
             assert_eq!(ask(k), expected, "text {k}, ask {}", round + 1);
         }
+        let p = server.plan_cache().stats();
+        let (entries, hits) = match round {
+            0 => (0, 0),
+            1 => (16, 0),
+            _ => (16, 16 * (round as u64 - 1)),
+        };
+        assert_eq!(
+            (p.entries, p.hits, p.declined, p.evictions),
+            (entries, hits, TEXTS as u64 + 16, 0),
+            "after ask {}: {p:?}",
+            round + 1
+        );
     }
     let r = server.result_cache().stats();
     assert_eq!((r.entries, r.hits, r.evictions), (16, 32, 0), "{r:?}");
 
     // Quiescent: no query, no ticket, no orphaned worker left.
-    let settled = Instant::now() + Duration::from_secs(5);
-    while server.active_queries() > 0 {
-        assert!(Instant::now() < settled, "{}", server.stats_json());
-        thread::yield_now();
-    }
-    assert_eq!((fed.gdb.gate().in_flight(), fed.gdb.orphans()), (0, 0));
+    assert_quiescent(&[&server, &*fed.gdb]);
     let elapsed = started.elapsed();
     assert!(
         elapsed < Duration::from_secs(2),

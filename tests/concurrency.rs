@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use bench_harness::set_par_width;
 use kleisli::{QueryStatus, Session};
-use kleisli_core::testutil::SlowDriver;
+use kleisli_core::testutil::{assert_quiescent, SlowDriver};
 use kleisli_core::Value;
 
 /// A session over one slow driver plus an `IDS` binding for per-element
@@ -29,11 +29,12 @@ const PER_ELEMENT: &str = r#"{[i = i, n = count(SRC([function = "probe", arg = i
 #[test]
 fn submit_then_wait_matches_blocking_evaluation() {
     let driver = SlowDriver::new("SRC", 3, Duration::from_millis(1), 4);
-    let s = slow_session(driver, 6);
+    let s = slow_session(Arc::clone(&driver), 6);
     let compiled = s.compile(PER_ELEMENT).expect("compile");
     let concurrent = s.submit(PER_ELEMENT).expect("submit").wait().expect("wait");
     let blocking = s.run_compiled(&compiled).expect("blocking");
     assert_eq!(concurrent, blocking);
+    assert_quiescent(&[&*driver, &*s.context()]);
 }
 
 #[test]
@@ -41,7 +42,7 @@ fn parallel_plan_overlaps_latency_and_respects_the_budget() {
     let delay = Duration::from_millis(30);
     let driver = SlowDriver::new("SRC", 2, delay, 4);
     let max_seen = Arc::clone(&driver.max_seen);
-    let s = slow_session(driver, 8);
+    let s = slow_session(Arc::clone(&driver), 8);
     let compiled = s.compile(PER_ELEMENT).expect("compile");
 
     // Blocking baseline: width forced to 1 — each of the 8 requests is
@@ -69,12 +70,13 @@ fn parallel_plan_overlaps_latency_and_respects_the_budget() {
         "in-flight requests exceeded the enforced budget: {seen} > 4"
     );
     assert!(seen >= 2, "requests did not overlap at all");
+    assert_quiescent(&[&*driver, &*s.context()]);
 }
 
 #[test]
 fn try_wait_polls_without_blocking() {
     let driver = SlowDriver::new("SRC", 2, Duration::from_millis(40), 2);
-    let s = slow_session(driver, 2);
+    let s = slow_session(Arc::clone(&driver), 2);
     let mut h = s.submit(PER_ELEMENT).expect("submit");
     // Immediately after submit the slow query cannot be done.
     assert_eq!(h.status(), QueryStatus::Running);
@@ -90,6 +92,7 @@ fn try_wait_polls_without_blocking() {
     };
     assert!(result.is_ok());
     assert!(polls > 0, "the first poll should have found it running");
+    assert_quiescent(&[&*driver, &*s.context()]);
 }
 
 #[test]
@@ -98,8 +101,7 @@ fn cancelled_handle_frees_the_driver_budget_for_later_queries() {
     // then prove the driver still serves subsequent queries — no leaked
     // admission ticket.
     let driver = SlowDriver::new("SRC", 2, Duration::from_millis(30), 1);
-    let gate = Arc::clone(driver.gate());
-    let s = slow_session(driver, 4);
+    let s = slow_session(Arc::clone(&driver), 4);
 
     let h = s.submit(PER_ELEMENT).expect("submit");
     std::thread::sleep(Duration::from_millis(10)); // let it get in flight
@@ -114,11 +116,7 @@ fn cancelled_handle_frees_the_driver_budget_for_later_queries() {
         .expect("wait");
     assert_eq!(v.len(), Some(2));
     // Every ticket drains (bounded: a leak must fail, not hang).
-    let t0 = Instant::now();
-    while gate.in_flight() != 0 {
-        assert!(t0.elapsed() < Duration::from_secs(2), "admission ticket leaked");
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    assert_quiescent(&[&*driver, &*s.context()]);
 }
 
 #[test]
@@ -127,7 +125,7 @@ fn first_n_streams_a_prefix_and_cancels_the_rest() {
     // long before the full evaluation would, and stop the worker.
     let driver = SlowDriver::new("SRC", 1, Duration::from_millis(10), 2);
     let performs = Arc::clone(&driver.performs);
-    let s = slow_session(driver, 40);
+    let s = slow_session(Arc::clone(&driver), 40);
     let h = s.submit(PER_ELEMENT).expect("submit");
     let prefix = h.first_n(3).expect("prefix");
     assert_eq!(prefix.len(), 3);
@@ -139,6 +137,7 @@ fn first_n_streams_a_prefix_and_cancels_the_rest() {
         ran < 40,
         "first_n(3) must cancel the remaining evaluation (ran {ran}/40 requests)"
     );
+    assert_quiescent(&[&*driver, &*s.context()]);
 }
 
 #[test]
@@ -158,6 +157,7 @@ fn first_n_prefix_wins_over_a_later_error() {
     // But an error *before* n rows does propagate.
     let h = s.submit(q).expect("submit");
     assert!(h.first_n(6).is_err());
+    assert_quiescent(&[&*s.context()]);
 }
 
 #[test]
@@ -174,6 +174,7 @@ fn dedup_applies_to_set_typed_prefixes() {
     let mut sorted = prefix.clone();
     sorted.sort();
     assert_eq!(sorted, vec![Value::Int(0), Value::Int(1), Value::Int(2)]);
+    assert_quiescent(&[&*s.context()]);
 }
 
 #[test]
@@ -188,7 +189,7 @@ fn query_workers_run_on_a_bounded_shared_executor() {
     let executor = Executor::new("session-test", 3);
     let driver = SlowDriver::new("SRC", 2, Duration::from_millis(1), 4);
     let mut s = Session::with_executor(Arc::clone(&executor));
-    s.register_driver(driver);
+    s.register_driver(driver.clone());
     s.bind_value("IDS", Value::set((0..3).map(Value::Int).collect()));
 
     let q = r#"{[n = x.n] | \x <- SRC([table = "t"])}"#;
@@ -204,6 +205,7 @@ fn query_workers_run_on_a_bounded_shared_executor() {
         executor.threads_spawned()
     );
     assert!(executor.threads_spawned() >= 1);
+    assert_quiescent(&[&*driver, &*s.context()]);
 }
 
 #[test]
@@ -213,7 +215,7 @@ fn two_queries_in_flight_on_one_session() {
     // loaded CI machine.
     let delay = Duration::from_millis(60);
     let driver = SlowDriver::new("SRC", 2, delay, 4);
-    let s = slow_session(driver, 2);
+    let s = slow_session(Arc::clone(&driver), 2);
     let q = r#"{[n = x.n] | \x <- SRC([table = "t"])}"#;
     let t0 = Instant::now();
     let h1 = s.submit(q).expect("submit 1");
@@ -226,6 +228,7 @@ fn two_queries_in_flight_on_one_session() {
         elapsed < 2 * delay - delay / 6,
         "two overlapped queries must beat back-to-back execution: {elapsed:?}"
     );
+    assert_quiescent(&[&*driver, &*s.context()]);
 }
 
 #[test]
@@ -239,9 +242,9 @@ fn session_queries_prefetch_rows_on_latency_charging_drivers() {
     use std::time::Duration as D;
 
     let q = r#"{[s = l.locus_symbol] | \l <- GDB-Tab("locus")}"#;
-    let (pre_session, _pre_fed) =
+    let (pre_session, pre_fed) =
         latency_federation_rows(25, D::from_millis(1), D::from_micros(200));
-    let (lazy_session, _lazy_fed) = latency_federation(25, D::from_millis(1));
+    let (lazy_session, lazy_fed) = latency_federation(25, D::from_millis(1));
 
     let pre = pre_session.query(q).expect("prefetching query");
     let lazy = lazy_session.query(q).expect("lazy query");
@@ -255,4 +258,10 @@ fn session_queries_prefetch_rows_on_latency_charging_drivers() {
     assert!(m.rows_pulled >= m.rows_prefetched);
     let m0 = lazy_session.driver_metrics("GDB").unwrap();
     assert_eq!(m0.rows_prefetched, 0, "instant rows must not be prefetched");
+    assert_quiescent(&[
+        &*pre_fed.gdb,
+        &*lazy_fed.gdb,
+        &*pre_session.context(),
+        &*lazy_session.context(),
+    ]);
 }

@@ -190,6 +190,36 @@ fn one_scope() {
     assert_eq!(paths(copies), Vec::<&str>::new());
 }
 
+/// One admission table. A shared cache keeps what is asked for again by
+/// reading `kleisli_core::RecentMisses`, the one table of recently missed
+/// keys; outside `crates/core` no code spreads keys over slots with the
+/// golden-ratio multiplier or records a key into a slot while comparing
+/// it, and both caches go through the one type.
+#[test]
+fn one_admission_table() {
+    let all = crate_sources();
+    let spread = |line: &str| {
+        let digits: String = line.chars().filter(|c| *c != '_').collect();
+        digits.to_ascii_lowercase().contains("9e3779b9")
+    };
+    let recorded = |line: &str| line.contains("mem::replace(") && line.contains(") ==");
+    let declares = |s: &Source| s.lines.iter().any(|(_, l)| spread(l) || recorded(l));
+    let tables = all
+        .iter()
+        .filter(|s| !s.path.starts_with("crates/core/") && declares(s));
+    assert_eq!(paths(tables), Vec::<&str>::new());
+    let users = all.iter().filter(|s| s.names("RecentMisses"));
+    assert_eq!(
+        paths(users),
+        [
+            "crates/core/src/flight.rs",
+            "crates/core/src/lib.rs",
+            "crates/exec/src/result_cache.rs",
+            "crates/kleisli/src/plan_cache.rs",
+        ]
+    );
+}
+
 /// The methods of the top-level block `header` opens in `file` that put a
 /// request on the wire: named `submit…` or `fetch…`, or returning a request
 /// handle — every method of a trait, the `pub` ones of an `impl`.

@@ -99,10 +99,20 @@ fn plan_cache_hits_and_is_invalidated_by_binding_changes() {
     let first = session.query(q).expect("first");
     let stats = session.plan_cache_stats();
     assert_eq!(stats.hits, 0);
-    assert_eq!(stats.entries, 1);
+    assert_eq!(
+        (stats.entries, stats.declined),
+        (0, 1),
+        "a first ask is not kept"
+    );
 
     let second = session.query(q).expect("second");
     assert_eq!(first, second);
+    let stats = session.plan_cache_stats();
+    assert_eq!(stats.hits, 0);
+    assert_eq!(stats.entries, 1, "the second ask admits the plan");
+
+    let third = session.query(q).expect("third");
+    assert_eq!(first, third);
     let stats = session.plan_cache_stats();
     assert_eq!(stats.hits, 1, "identical source must hit the plan cache");
 
@@ -113,8 +123,8 @@ fn plan_cache_hits_and_is_invalidated_by_binding_changes() {
         Value::set((100..110).map(Value::Int).collect()),
     );
     assert_eq!(session.plan_cache_stats().entries, 0, "invalidated");
-    let third = session.query(q).expect("third");
-    assert_eq!(third, Value::set(vec![]), "new binding, new plan");
+    let fourth = session.query(q).expect("fourth");
+    assert_eq!(fourth, Value::set(vec![]), "new binding, new plan");
 }
 
 #[test]
@@ -122,10 +132,12 @@ fn plan_cache_respects_opt_config_and_capacity() {
     let (session, _fed) = federation(10);
     let mut session = session;
     let a = session.query(CACHEABLE).expect("default config");
+    session.query(CACHEABLE).expect("default config, admitted");
     session.set_opt_config(OptConfig::none());
-    // Different config → different key → a fresh compile, same answer.
+    // Different config → different key → fresh compiles, same answer.
     let before = session.plan_cache_stats();
     let b = session.query(CACHEABLE).expect("none config");
+    session.query(CACHEABLE).expect("none config, admitted");
     let after = session.plan_cache_stats();
     assert_eq!(a, b);
     assert_eq!(after.hits, before.hits, "config change must not hit");
@@ -181,7 +193,8 @@ fn repeated_queries_reuse_the_compiled_plan_and_stay_correct() {
         assert_eq!(session.query(CACHEABLE).expect("re-run"), first);
     }
     let stats = session.plan_cache_stats();
-    assert_eq!(stats.hits, 5, "five warm runs, five plan-cache hits");
+    assert_eq!(stats.misses, 2, "the second run admits the plan");
+    assert_eq!(stats.hits, 4, "four warm runs, four plan-cache hits");
 }
 
 #[test]
@@ -191,6 +204,8 @@ fn a_session_keeps_its_cached_plans_alive_not_every_plan_it_ever_compiled() {
     session.set_plan_cache_capacity(2);
     let query = |k: i64| format!(r"{{x + {k} | \x <- DB}}");
 
+    // Asked twice, so kept.
+    session.compile(&query(0)).unwrap();
     let compiled = session.compile(&query(0)).unwrap();
     let Expr::Ext { body, .. } = &compiled.raw else {
         panic!("a comprehension desugars to a generator: {}", compiled.raw)
@@ -201,9 +216,43 @@ fn a_session_keeps_its_cached_plans_alive_not_every_plan_it_ever_compiled() {
     assert!(subplan.upgrade().is_some(), "the plan cache still holds q0");
     for k in 1..=3 {
         session.compile(&query(k)).unwrap();
+        session.compile(&query(k)).unwrap();
     }
     assert!(
         subplan.upgrade().is_none(),
         "q0 left the plan cache, yet something still holds its subplans"
     );
+}
+
+#[test]
+fn never_repeated_texts_leave_no_plan_resident() {
+    const TEXTS: i64 = 5000;
+    let mut session = Session::new();
+    session.bind_value("DB", Value::set((0..5).map(Value::Int).collect()));
+    let query = |k: i64| format!(r"{{x + {k} | \x <- DB}}");
+
+    // Ad hoc traffic through one session: every text compiled once and
+    // watched without keeping it alive.
+    let watched: Vec<_> = (0..TEXTS)
+        .map(|k| Arc::downgrade(&session.compile_shared(&query(k)).unwrap()))
+        .collect();
+    let stats = session.plan_cache_stats();
+    assert_eq!(
+        (stats.entries, stats.misses, stats.declined, stats.evictions),
+        (0, TEXTS as u64, TEXTS as u64, 0),
+        "{stats:?}"
+    );
+    let alive = watched
+        .iter()
+        .filter(|plan| plan.upgrade().is_some())
+        .count();
+    assert_eq!(alive, 0, "plans outlived the one query that asked for them");
+
+    // A text asked again is kept: its second ask admits it, the third
+    // hits.
+    session.compile_shared(&query(TEXTS)).unwrap();
+    let kept = session.compile_shared(&query(TEXTS)).unwrap();
+    let again = session.compile_shared(&query(TEXTS)).unwrap();
+    assert!(Arc::ptr_eq(&kept, &again));
+    assert_eq!(session.plan_cache_stats().entries, 1);
 }

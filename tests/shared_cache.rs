@@ -1,6 +1,6 @@
 //! Cross-session shared-cache semantics at the `Session` API level
 //! (below the server): two sessions sharing one `PlanCache` and one
-//! `ResultCache` compile a common query once and populate the result
+//! `ResultCache` keep one plan of a common query and populate the result
 //! cache once, and a cancellation mid-flight neither poisons the shared
 //! cell nor caches a partial result.
 
@@ -82,11 +82,16 @@ fn two_concurrent_sessions_compile_once_and_populate_once() {
     assert_eq!(va, Value::Int(30));
     assert_eq!(vb, va);
 
-    // Exactly one compile across both sessions (single-flight plan
-    // cache), and exactly one populate flight in the result cache.
+    // One compile across both sessions (single-flight plan cache), kept
+    // because the other session coalesced onto it — or, when it was done
+    // before the other could, a second compile, whose ask admits the
+    // plan. Exactly one populate flight in the result cache either way.
     let p = plans.stats();
-    assert_eq!(p.misses, 1, "one compile: {p:?}");
-    assert_eq!(p.hits, 1, "the other session hit: {p:?}");
+    assert!(
+        matches!((p.misses, p.hits, p.declined), (1, 1, 0) | (2, 0, 1)),
+        "one compile and a hit, or a declined compile and an admitted one: {p:?}"
+    );
+    assert_eq!(p.entries, 1, "{p:?}");
     let r = results.stats();
     assert_eq!(r.misses, 1, "one result computation: {r:?}");
     assert_eq!(r.hits, 1, "the other session was served: {r:?}");
