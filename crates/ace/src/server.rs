@@ -23,9 +23,8 @@ pub type AceServer = Remote<Ace>;
 /// ACE servers of the era tolerated only a few concurrent clients.
 const ACE_CONCURRENT_REQUESTS: usize = 4;
 
-/// The *ceiling* on rows a pool worker pulls ahead of the consumer per
-/// request; the buffer's effective depth adapts between 0 and this to
-/// the consumer's drain rate (`kleisli_core::pool`, "Adaptive depth").
+/// How many rows a pool worker keeps pulled ahead of the consumer per
+/// request: a fixed window (`kleisli_core::pool`, "A fixed window").
 /// ACE objects are deep trees; keep the buffered working set small.
 /// Advertised only when the server's latency model charges a per-row
 /// transfer cost — with instant rows there is no latency to hide.

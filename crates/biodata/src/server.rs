@@ -82,8 +82,8 @@ impl Driver for MemorySource {
     fn capabilities(&self) -> Capabilities {
         // Local and in-memory: the default (serial) admission budget is
         // fine — there is no latency to overlap — and the default
-        // `prefetch_rows: 0` keeps rows fully lazy (a zero ceiling means
-        // the adaptive buffer never exists at all); with the inline
+        // `prefetch_rows: 0` keeps rows fully lazy (a zero window means
+        // the prefetch buffer never exists at all); with the inline
         // `submit` adapter there is no pool worker to prefetch on, and
         // row "transfer" is an Arc-backed vector read anyway.
         Capabilities::default()

@@ -234,20 +234,18 @@ pub struct Capabilities {
     /// an admission limit and is normalized to `1` (strictly serial) by
     /// [`Capabilities::concurrency_limit`]; `Default` is `1`.
     pub max_concurrent_requests: usize,
-    /// The *ceiling* on rows a pool worker may pull *ahead* of the
-    /// consumer into the bounded prefetch buffer after a request
+    /// The window of rows a pool worker pulls *ahead* of the consumer
+    /// into the request's bounded prefetch buffer after a request
     /// completes. `0` (the default) keeps row transfer fully lazy —
     /// every row is pulled on the consumer's clock, byte-identical to
     /// the pre-prefetch behavior. A positive value trades bounded
     /// laziness for pipelining: up to this many rows may cross the
     /// driver boundary even if the consumer stops early (Section 4's
     /// laziness/cost trade, now at row rather than request
-    /// granularity). The *effective* depth of each request's buffer
-    /// adapts between `0` and this ceiling to the consumer's observed
-    /// drain rate — see `crate::pool` ("Adaptive depth") — so a slow
-    /// consumer stops paying for pipelining it cannot use. Only
-    /// meaningful for drivers that submit through a worker pool; the
-    /// default inline adapter ignores it.
+    /// granularity). The window is fixed: the buffer keeps it full
+    /// whatever the consumer's pace (`crate::pool`, "A fixed window").
+    /// Only meaningful for drivers that submit through a worker pool;
+    /// the default inline adapter ignores it.
     pub prefetch_rows: usize,
     /// The driver's *advertised* failure-handling defaults: per-request
     /// deadline, bounded retry, hedged requests, and circuit breaking
@@ -309,105 +307,119 @@ pub struct TableStats {
     pub distinct: BTreeMap<String, u64>,
 }
 
-/// Counters for traffic crossing a driver boundary. All counters are
-/// atomics: with the two-phase API several worker threads record into the
-/// same metrics concurrently.
-#[derive(Debug, Default)]
-pub struct DriverMetrics {
+/// Declares the driver's traffic counters once, each as its doc and its
+/// name: the atomic field of [`DriverMetrics`], the plain field of
+/// [`MetricsSnapshot`] and the four whole-set operations (`snapshot`,
+/// `reset`, `since`, `merged`) all come from the one list below. The
+/// `record_*` methods are written out, since some count into several.
+macro_rules! driver_counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Counters for traffic crossing a driver boundary. All counters
+        /// are atomics: with the two-phase API several worker threads
+        /// record into the same metrics concurrently.
+        #[derive(Debug, Default)]
+        pub struct DriverMetrics {
+            $($(#[$doc])* pub $name: AtomicU64,)*
+        }
+
+        /// A point-in-time copy of [`DriverMetrics`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct MetricsSnapshot {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl DriverMetrics {
+            /// A point-in-time copy of every counter.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                }
+            }
+
+            /// Zero every counter (used between benchmark phases).
+            pub fn reset(&self) {
+                $(self.$name.store(0, Ordering::Relaxed);)*
+            }
+        }
+
+        impl MetricsSnapshot {
+            /// Difference since an earlier snapshot. Saturating: if the
+            /// counters were reset between the two snapshots the
+            /// "earlier" one can be larger, and the delta clamps to zero
+            /// instead of underflowing.
+            pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $($name: self.$name.saturating_sub(earlier.$name),)*
+                }
+            }
+
+            /// Sum two snapshots counter-by-counter (saturating). The
+            /// session layer uses this to merge a driver's own traffic
+            /// counters with the resilience-layer counters kept outside
+            /// the driver.
+            pub fn merged(&self, other: &MetricsSnapshot) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $($name: self.$name.saturating_add(other.$name),)*
+                }
+            }
+        }
+    };
+}
+
+driver_counters! {
     /// Requests shipped across the driver boundary.
-    pub requests: AtomicU64,
+    requests,
     /// Result rows shipped back by the source.
-    pub rows_shipped: AtomicU64,
+    rows_shipped,
     /// Approximate bytes shipped back by the source.
-    pub bytes_shipped: AtomicU64,
+    bytes_shipped,
     /// Rows pulled *ahead* of the consumer by a pool prefetch worker.
-    pub rows_prefetched: AtomicU64,
+    rows_prefetched,
     /// Rows handed to a consumer through a prefetching stream (whether
     /// served from the buffer or pulled inline on demand). Comparing
     /// this with `rows_prefetched` shows how far ahead the pipeline ran
     /// — prefetched minus pulled is the bounded laziness given up.
-    pub rows_pulled: AtomicU64,
+    rows_pulled,
     /// Row *blocks* handed to a consumer through a prefetching stream —
     /// one buffer handoff (lock + wake) each. `rows_pulled /
     /// blocks_shipped` is the observed amortization factor of the block
     /// pull protocol: 1 for fully-lazy single-row pulls, up to the block
     /// capacity for a draining consumer.
-    pub blocks_shipped: AtomicU64,
-    /// Times an adaptive prefetch buffer *grew* its effective depth
-    /// because the consumer drained faster than rows arrived (see
-    /// `crate::pool`: the depth doubles toward
-    /// [`Capabilities::prefetch_rows`]).
-    pub prefetch_grows: AtomicU64,
-    /// Times an adaptive prefetch buffer *shrank* its effective depth
-    /// because rows sat in the buffer longer than they cost to fetch
-    /// (the depth halves, down to `0` — fully lazy demand pulls).
-    pub prefetch_shrinks: AtomicU64,
+    blocks_shipped,
+    /// Always 0: the prefetch window is fixed (`crate::pool`, "A fixed
+    /// window"), so nothing counts here. Kept, with `prefetch_shrinks`,
+    /// because the benchmark builds a `MetricsSnapshot` by literal; both
+    /// go when it retires its `core.pool.prefetch_shrinks` metric.
+    prefetch_grows,
+    /// Always 0, like `prefetch_grows`.
+    prefetch_shrinks,
     /// Requests that missed their deadline and resolved
     /// [`KError::Timeout`] (their worker abandoned, ticket released).
-    pub timeouts: AtomicU64,
+    timeouts,
     /// Retries issued for retryable ([`KError::is_retryable`]) failures
     /// — the *extra* submissions, not the original attempts.
-    pub retries: AtomicU64,
+    retries,
     /// Hedge submissions fired after the EWMA-p99-derived delay.
-    pub hedges_fired: AtomicU64,
+    hedges_fired,
     /// Hedged requests where the *hedge* answered first (the primary was
     /// abandoned and its ticket released).
-    pub hedge_wins: AtomicU64,
+    hedge_wins,
     /// Circuit-breaker transitions into the open state (from closed on
     /// the consecutive-failure threshold, or from half-open on a failed
     /// probe).
-    pub breaker_opens: AtomicU64,
+    breaker_opens,
     /// Plain submissions answered by attaching to a pending flight in
     /// the driver's [`crate::batch::BatchWindow`] — wire round-trips
     /// *saved* by coalescing.
-    pub coalesced: AtomicU64,
+    coalesced,
     /// Batched wire requests shipped by the multi-key submit path (each
     /// covers up to [`crate::batch::BatchPolicy::max_keys`] logical
     /// keys on one admission ticket).
-    pub batch_requests: AtomicU64,
+    batch_requests,
     /// Logical keys answered through batched wire requests.
     /// `batched_keys - batch_requests` is the round-trips *removed* by
     /// batching (vs merely overlapped).
-    pub batched_keys: AtomicU64,
-}
-
-/// A point-in-time copy of [`DriverMetrics`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MetricsSnapshot {
-    /// Requests shipped across the driver boundary.
-    pub requests: u64,
-    /// Result rows shipped back by the source.
-    pub rows_shipped: u64,
-    /// Approximate bytes shipped back by the source.
-    pub bytes_shipped: u64,
-    /// Rows pulled ahead of the consumer by prefetch workers.
-    pub rows_prefetched: u64,
-    /// Rows delivered to consumers through prefetching streams.
-    pub rows_pulled: u64,
-    /// Row blocks delivered to consumers (see [`DriverMetrics`]).
-    pub blocks_shipped: u64,
-    /// Adaptive prefetch depth increases (see [`DriverMetrics`]).
-    pub prefetch_grows: u64,
-    /// Adaptive prefetch depth decreases (see [`DriverMetrics`]).
-    pub prefetch_shrinks: u64,
-    /// Requests that missed their deadline (see [`DriverMetrics`]).
-    pub timeouts: u64,
-    /// Extra submissions issued by the retry loop (see [`DriverMetrics`]).
-    pub retries: u64,
-    /// Hedge submissions fired (see [`DriverMetrics`]).
-    pub hedges_fired: u64,
-    /// Hedges that answered before their primary (see [`DriverMetrics`]).
-    pub hedge_wins: u64,
-    /// Circuit-breaker open transitions (see [`DriverMetrics`]).
-    pub breaker_opens: u64,
-    /// Submissions coalesced onto an existing flight (see
-    /// [`DriverMetrics`]).
-    pub coalesced: u64,
-    /// Batched multi-key wire requests shipped (see [`DriverMetrics`]).
-    pub batch_requests: u64,
-    /// Logical keys answered through batched wire requests (see
-    /// [`DriverMetrics`]).
-    pub batched_keys: u64,
+    batched_keys,
 }
 
 impl DriverMetrics {
@@ -432,16 +444,6 @@ impl DriverMetrics {
     pub fn record_block(&self, rows: u64) {
         self.blocks_shipped.fetch_add(1, Ordering::Relaxed);
         self.rows_pulled.fetch_add(rows, Ordering::Relaxed);
-    }
-
-    /// One adaptive-depth increase in a prefetch buffer.
-    pub fn record_prefetch_grow(&self) {
-        self.prefetch_grows.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One adaptive-depth decrease in a prefetch buffer.
-    pub fn record_prefetch_shrink(&self) {
-        self.prefetch_shrinks.fetch_add(1, Ordering::Relaxed);
     }
 
     /// One request that missed its deadline.
@@ -479,98 +481,6 @@ impl DriverMetrics {
     pub fn record_batch_request(&self, keys: u64) {
         self.batch_requests.fetch_add(1, Ordering::Relaxed);
         self.batched_keys.fetch_add(keys, Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy of every counter.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            requests: self.requests.load(Ordering::Relaxed),
-            rows_shipped: self.rows_shipped.load(Ordering::Relaxed),
-            bytes_shipped: self.bytes_shipped.load(Ordering::Relaxed),
-            rows_prefetched: self.rows_prefetched.load(Ordering::Relaxed),
-            rows_pulled: self.rows_pulled.load(Ordering::Relaxed),
-            blocks_shipped: self.blocks_shipped.load(Ordering::Relaxed),
-            prefetch_grows: self.prefetch_grows.load(Ordering::Relaxed),
-            prefetch_shrinks: self.prefetch_shrinks.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            hedges_fired: self.hedges_fired.load(Ordering::Relaxed),
-            hedge_wins: self.hedge_wins.load(Ordering::Relaxed),
-            breaker_opens: self.breaker_opens.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            batch_requests: self.batch_requests.load(Ordering::Relaxed),
-            batched_keys: self.batched_keys.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Zero every counter (used between benchmark phases).
-    pub fn reset(&self) {
-        self.requests.store(0, Ordering::Relaxed);
-        self.rows_shipped.store(0, Ordering::Relaxed);
-        self.bytes_shipped.store(0, Ordering::Relaxed);
-        self.rows_prefetched.store(0, Ordering::Relaxed);
-        self.rows_pulled.store(0, Ordering::Relaxed);
-        self.blocks_shipped.store(0, Ordering::Relaxed);
-        self.prefetch_grows.store(0, Ordering::Relaxed);
-        self.prefetch_shrinks.store(0, Ordering::Relaxed);
-        self.timeouts.store(0, Ordering::Relaxed);
-        self.retries.store(0, Ordering::Relaxed);
-        self.hedges_fired.store(0, Ordering::Relaxed);
-        self.hedge_wins.store(0, Ordering::Relaxed);
-        self.breaker_opens.store(0, Ordering::Relaxed);
-        self.coalesced.store(0, Ordering::Relaxed);
-        self.batch_requests.store(0, Ordering::Relaxed);
-        self.batched_keys.store(0, Ordering::Relaxed);
-    }
-}
-
-impl MetricsSnapshot {
-    /// Difference since an earlier snapshot. Saturating: if the counters
-    /// were reset between the two snapshots the "earlier" one can be
-    /// larger, and the delta clamps to zero instead of underflowing.
-    pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            requests: self.requests.saturating_sub(earlier.requests),
-            rows_shipped: self.rows_shipped.saturating_sub(earlier.rows_shipped),
-            bytes_shipped: self.bytes_shipped.saturating_sub(earlier.bytes_shipped),
-            rows_prefetched: self.rows_prefetched.saturating_sub(earlier.rows_prefetched),
-            rows_pulled: self.rows_pulled.saturating_sub(earlier.rows_pulled),
-            blocks_shipped: self.blocks_shipped.saturating_sub(earlier.blocks_shipped),
-            prefetch_grows: self.prefetch_grows.saturating_sub(earlier.prefetch_grows),
-            prefetch_shrinks: self.prefetch_shrinks.saturating_sub(earlier.prefetch_shrinks),
-            timeouts: self.timeouts.saturating_sub(earlier.timeouts),
-            retries: self.retries.saturating_sub(earlier.retries),
-            hedges_fired: self.hedges_fired.saturating_sub(earlier.hedges_fired),
-            hedge_wins: self.hedge_wins.saturating_sub(earlier.hedge_wins),
-            breaker_opens: self.breaker_opens.saturating_sub(earlier.breaker_opens),
-            coalesced: self.coalesced.saturating_sub(earlier.coalesced),
-            batch_requests: self.batch_requests.saturating_sub(earlier.batch_requests),
-            batched_keys: self.batched_keys.saturating_sub(earlier.batched_keys),
-        }
-    }
-
-    /// Sum two snapshots counter-by-counter (saturating). The session
-    /// layer uses this to merge a driver's own traffic counters with the
-    /// resilience-layer counters kept outside the driver.
-    pub fn merged(&self, other: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            requests: self.requests.saturating_add(other.requests),
-            rows_shipped: self.rows_shipped.saturating_add(other.rows_shipped),
-            bytes_shipped: self.bytes_shipped.saturating_add(other.bytes_shipped),
-            rows_prefetched: self.rows_prefetched.saturating_add(other.rows_prefetched),
-            rows_pulled: self.rows_pulled.saturating_add(other.rows_pulled),
-            blocks_shipped: self.blocks_shipped.saturating_add(other.blocks_shipped),
-            prefetch_grows: self.prefetch_grows.saturating_add(other.prefetch_grows),
-            prefetch_shrinks: self.prefetch_shrinks.saturating_add(other.prefetch_shrinks),
-            timeouts: self.timeouts.saturating_add(other.timeouts),
-            retries: self.retries.saturating_add(other.retries),
-            hedges_fired: self.hedges_fired.saturating_add(other.hedges_fired),
-            hedge_wins: self.hedge_wins.saturating_add(other.hedge_wins),
-            breaker_opens: self.breaker_opens.saturating_add(other.breaker_opens),
-            coalesced: self.coalesced.saturating_add(other.coalesced),
-            batch_requests: self.batch_requests.saturating_add(other.batch_requests),
-            batched_keys: self.batched_keys.saturating_add(other.batched_keys),
-        }
     }
 }
 

@@ -22,7 +22,7 @@
 //! * [`remote`] — the one remote-driver shell: `Remote<S: Source>` owns
 //!   the name, pool, gate, latency model and counters; a new source is
 //!   one `Source` impl.
-//! * [`pool`] — the shell's worker pool and the adaptive row-prefetch
+//! * [`pool`] — the shell's worker pool and the fixed-window row-prefetch
 //!   buffer (row-pipelined execution).
 //! * [`executor`] — the shared session-level compute executor behind
 //!   query workers and `ParExt` chunk evaluation.

@@ -123,10 +123,9 @@ pub type EntrezServer = Remote<Entrez>;
 /// The paper's example: an Entrez server tolerating ~5 requests at once.
 const ENTREZ_CONCURRENT_REQUESTS: usize = 5;
 
-/// The *ceiling* on rows a pool worker pulls ahead of the consumer per
-/// request; the buffer's effective depth adapts between 0 and this to
-/// the consumer's drain rate (`kleisli_core::pool`, "Adaptive depth").
-/// ASN.1 entries are chunky; keep the ceiling small. Advertised only
+/// How many rows a pool worker keeps pulled ahead of the consumer per
+/// request: a fixed window (`kleisli_core::pool`, "A fixed window").
+/// ASN.1 entries are chunky; keep the window small. Advertised only
 /// when the server's latency model charges a per-row transfer cost —
 /// with instant rows there is no latency to hide.
 pub const ENTREZ_PREFETCH_ROWS: usize = 16;

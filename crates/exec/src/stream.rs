@@ -486,6 +486,9 @@ impl BlockSource for SliceBlocks {
 /// prefix stop must not cause even one row more than demanded to move.
 pub fn first_n(e: &Expr, n: usize, env: &Env, ctx: &Context) -> KResult<Vec<Value>> {
     let mut out = Vec::with_capacity(n);
+    if n == 0 {
+        return Ok(out);
+    }
     for item in eval_stream(e, env, ctx)? {
         out.push(item?);
         if out.len() >= n {
@@ -1441,6 +1444,10 @@ mod tests {
             Expr::single(CollKind::Set, Expr::proj(Expr::var("x"), "n")),
             remote_scan(),
         );
+        // An empty prefix starts nothing.
+        assert_eq!(first_n(&e, 0, &Env::empty(), &ctx).unwrap(), Vec::<Value>::new());
+        assert_eq!(first_n_distinct(&e, 0, &Env::empty(), &ctx).unwrap(), Vec::<Value>::new());
+        assert_eq!(pulled.load(Ordering::Relaxed), 0, "pulled rows for an empty prefix");
         let got = first_n(&e, 5, &Env::empty(), &ctx).unwrap();
         assert_eq!(got.len(), 5);
         assert!(

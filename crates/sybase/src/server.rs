@@ -513,13 +513,9 @@ impl Sybase {
 /// connections; this is the enforced admission budget.
 const SYBASE_CONCURRENT_REQUESTS: usize = 8;
 
-/// The *ceiling* on how many rows a pool worker may pull ahead of the
-/// consumer per request: each request's buffer adapts its effective
-/// depth between 0 and this, tracking the consumer's drain rate against
-/// the observed per-row latency (`kleisli_core::pool`, "Adaptive
-/// depth"), so a slow consumer collapses to fully-lazy pulls while a
-/// bursty one gets the whole window. Small-ish: SQL result rows are
-/// wide. Advertised only when the server's latency model charges a
+/// How many rows a pool worker keeps pulled ahead of the consumer per
+/// request: a fixed window (`kleisli_core::pool`, "A fixed window").
+/// Small-ish: SQL result rows are wide. Advertised only when the server's latency model charges a
 /// per-row transfer cost — with instant rows there is no latency to
 /// hide, and the buffer handoff would be pure overhead.
 pub const SYBASE_PREFETCH_ROWS: usize = 32;
