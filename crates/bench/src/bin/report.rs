@@ -5,7 +5,7 @@
 //! ```sh
 //! cargo run -p bench-harness --release --bin report              # all, full size; rewrites BENCH_micro.json
 //! cargo run -p bench-harness --release --bin report -- --smoke   # all, CI size; stdout only
-//! cargo run -p bench-harness --release --bin report -- hedged_tail drain
+//! cargo run -p bench-harness --release --bin report -- breaker_fail_fast drain
 //! ```
 //!
 //! The arguments are `--smoke` and measurement names ([`MEASUREMENTS`]),
@@ -26,7 +26,7 @@ use std::time::Duration;
 use bench_harness::*;
 use kbench::json::Json;
 use kbench::stats::percentile;
-use kleisli::{BreakerPolicy, HedgePolicy, ResiliencePolicy, Session};
+use kleisli::{BreakerPolicy, ResiliencePolicy, Session};
 use kleisli_core::testutil::{Fault, SlowDriver};
 use kleisli_core::{CollKind, DriverRequest, Value};
 use kleisli_exec::{
@@ -52,7 +52,6 @@ const MEASUREMENTS: &[Measurement] = &[
     ("e11_concurrency", e11_concurrency),
     ("sharing_fixpoint", sharing_fixpoint),
     ("memoized_fixpoint", memoized_fixpoint),
-    ("hedged_tail", hedged_tail),
     ("breaker_fail_fast", breaker_fail_fast),
     ("row_heavy_scans", row_heavy_scans),
     ("window_below_result", window_below_result),
@@ -455,68 +454,6 @@ fn resilient_session(policy: ResiliencePolicy) -> (Session, Arc<SlowDriver>) {
     let mut session = Session::new();
     session.register_driver(driver.clone());
     (session, driver)
-}
-
-/// Tail-latency hedging: every `every`-th request takes an extra 40 ms.
-/// Unhedged, the straggler is the tail; hedged, a duplicate fires after
-/// the learned delay and its answer wins. The tail named is the one the
-/// sample supports: 1-in-10 stragglers and 200 queries read a p95; the
-/// smoke run's 60 queries support a p80, so it makes every 4th request
-/// a straggler to have them reach that far down.
-fn hedged_tail(smoke: bool) -> Json {
-    let (warmup, queries, every, tail_p, floor) = if smoke {
-        (10, 60, 4, 80.0, 1.5)
-    } else {
-        (20, 200, 10, 95.0, 2.0)
-    };
-    let spike = Duration::from_millis(40);
-    let run = |hedge: Option<HedgePolicy>| {
-        let (session, driver) = resilient_session(ResiliencePolicy {
-            hedge,
-            ..ResiliencePolicy::default()
-        });
-        let compiled = session.compile(SCAN).expect("compile");
-        let query = || session.run_compiled(&compiled).expect("query");
-        // Healthy warm-up: the RTT estimator learns the 2 ms shape.
-        latencies(warmup, query);
-        driver.set_fault(Fault::SpikeEvery {
-            every,
-            extra: spike,
-        });
-        let sample = latencies(queries, query);
-        (sample, session.driver_metrics("SRC").expect("metrics"))
-    };
-    let (unhedged, _) = run(None);
-    let (hedged, metrics) = run(Some(HedgePolicy::default()));
-    let (unhedged_tail, hedged_tail) = (tail(&unhedged, tail_p), tail(&hedged, tail_p));
-    let speedup = ratio(unhedged_tail, hedged_tail);
-    assert!(
-        speedup >= floor,
-        "hedging stopped cutting the tail: unhedged p{tail_p} {unhedged_tail:?} vs \
-         hedged {hedged_tail:?} ({speedup:.2}x < {floor}x floor)"
-    );
-    assert!(
-        metrics.hedge_wins > 0,
-        "no hedge ever won against a {spike:?} straggler: {metrics:?}"
-    );
-    let side = |sample: &[Duration], tail: Duration| {
-        vec![
-            ("p50_ms", ms(p50(sample))),
-            ("tail_ms", ms(tail)),
-        ]
-    };
-    let mut hedged_side = side(&hedged, hedged_tail);
-    hedged_side.push(("hedges_fired", int(metrics.hedges_fired)));
-    hedged_side.push(("hedge_wins", int(metrics.hedge_wins)));
-    Json::obj([
-        ("queries", int(queries as u64)),
-        ("straggler_every", int(every)),
-        ("straggler_extra_ms", ms(spike)),
-        ("tail", Json::str(format!("p{tail_p}"))),
-        ("unhedged", Json::obj(side(&unhedged, unhedged_tail))),
-        ("hedged", Json::obj(hedged_side)),
-        ("tail_speedup", num(speedup)),
-    ])
 }
 
 /// Breaker fail-fast: the source stops answering and every request burns

@@ -247,11 +247,11 @@ pub struct Capabilities {
     /// Only meaningful for drivers that submit through a worker pool;
     /// the default inline adapter ignores it.
     pub prefetch_rows: usize,
-    /// The driver's *advertised* failure-handling defaults: per-request
-    /// deadline, bounded retry, hedged requests, and circuit breaking
-    /// (see [`crate::resilience`]). The default policy disables all four
-    /// — behavior is then byte-identical to the pre-resilience request
-    /// path. Sessions may override the advertisement per driver.
+    /// The driver's failure handling: per-request deadline, bounded
+    /// retry and circuit breaking (see [`crate::resilience`]). The
+    /// default policy disables all three — behavior is then
+    /// byte-identical to the pre-resilience request path. The
+    /// advertisement is the policy: nothing overrides it.
     pub resilience: ResiliencePolicy,
     /// The driver's set-at-a-time advertisement (see
     /// [`crate::batch`]): present when the source can answer many keys
@@ -273,7 +273,7 @@ impl Default for Capabilities {
             max_concurrent_requests: 1,
             // fully lazy by default: rows ship only on consumer demand
             prefetch_rows: 0,
-            // no deadlines, retries, hedging, or breaking by default
+            // no deadlines, retries, or breaking by default
             resilience: ResiliencePolicy::default(),
             // every request on its own round-trip by default
             batching: None,
@@ -399,10 +399,11 @@ driver_counters! {
     /// Retries issued for retryable ([`KError::is_retryable`]) failures
     /// — the *extra* submissions, not the original attempts.
     retries,
-    /// Hedge submissions fired after the EWMA-p99-derived delay.
+    /// Always 0, like `prefetch_grows`: nothing hedges. Kept, with
+    /// `hedge_wins`, because the benchmark builds a `MetricsSnapshot` by
+    /// literal.
     hedges_fired,
-    /// Hedged requests where the *hedge* answered first (the primary was
-    /// abandoned and its ticket released).
+    /// Always 0, like `prefetch_grows`.
     hedge_wins,
     /// Circuit-breaker transitions into the open state (from closed on
     /// the consecutive-failure threshold, or from half-open on a failed
@@ -454,16 +455,6 @@ impl DriverMetrics {
     /// One extra submission issued by the retry loop.
     pub fn record_retry(&self) {
         self.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One hedge submission fired.
-    pub fn record_hedge_fired(&self) {
-        self.hedges_fired.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One hedge that answered before its primary.
-    pub fn record_hedge_win(&self) {
-        self.hedge_wins.fetch_add(1, Ordering::Relaxed);
     }
 
     /// One circuit-breaker transition into the open state.
@@ -848,14 +839,6 @@ impl RequestHandle {
         interrupt: F,
     ) -> WaitFor {
         self.shared.promise.wait_for(deadline, interrupt)
-    }
-
-    /// When this request resolves, pulse `target`'s promise so a waiter
-    /// blocked on `target` re-checks its interrupt predicate (the
-    /// hedge-to-primary wiring in [`crate::resilience`]).
-    pub(crate) fn mirror_into(&self, target: &RequestHandle) {
-        let arc: Arc<dyn Pulsable> = Arc::clone(&target.shared) as Arc<dyn Pulsable>;
-        self.shared.promise.add_mirror(Arc::downgrade(&arc));
     }
 
     /// A weak pulse target for this request's promise, for registration

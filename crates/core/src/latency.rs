@@ -132,116 +132,9 @@ impl LatencyModel {
     }
 }
 
-/// An EWMA round-trip-time estimator in the style of TCP's RTO
-/// calculation: a smoothed mean plus a smoothed mean deviation, both kept
-/// in atomics so observers and recorders never contend on a lock.
-///
-/// The resilience layer derives its hedge-fire delay from
-/// [`RttEstimator::p99_estimate`]: a hedge issued around the tail of the
-/// latency distribution duplicates only the slowest ~1% of requests while
-/// cutting their completion time to roughly the median.
-#[derive(Debug, Default)]
-pub struct RttEstimator {
-    /// Smoothed RTT in nanoseconds (EWMA, gain 1/8).
-    ewma_ns: AtomicU64,
-    /// Smoothed mean deviation in nanoseconds (EWMA, gain 1/4).
-    dev_ns: AtomicU64,
-    samples: AtomicU64,
-}
-
-impl RttEstimator {
-    /// A fresh estimator with no samples.
-    pub fn new() -> RttEstimator {
-        RttEstimator::default()
-    }
-
-    /// Fold one observed round-trip into the estimate. Concurrent calls
-    /// may each lose a fraction of the other's update (plain load/store
-    /// on the atomics); the estimator converges regardless, which is all
-    /// the hedge-delay heuristic needs.
-    pub fn observe(&self, rtt: Duration) {
-        let sample = rtt.as_nanos().min(u64::MAX as u128) as u64;
-        if self.samples.fetch_add(1, Ordering::Relaxed) == 0 {
-            self.ewma_ns.store(sample, Ordering::Relaxed);
-            self.dev_ns.store(sample / 2, Ordering::Relaxed);
-            return;
-        }
-        let ewma = self.ewma_ns.load(Ordering::Relaxed);
-        let err = sample.abs_diff(ewma);
-        let dev = self.dev_ns.load(Ordering::Relaxed);
-        self.dev_ns
-            .store(dev - dev / 4 + err / 4, Ordering::Relaxed);
-        self.ewma_ns
-            .store(ewma - ewma / 8 + sample / 8, Ordering::Relaxed);
-    }
-
-    /// How many round-trips have been folded in.
-    pub fn samples(&self) -> u64 {
-        self.samples.load(Ordering::Relaxed)
-    }
-
-    /// The smoothed round-trip time, or `None` before the first sample.
-    pub fn smoothed(&self) -> Option<Duration> {
-        if self.samples() == 0 {
-            return None;
-        }
-        Some(Duration::from_nanos(self.ewma_ns.load(Ordering::Relaxed)))
-    }
-
-    /// A tail-latency estimate (`ewma + 3 * deviation`, the classic RTO
-    /// bound, which lands near p99 for well-behaved distributions), or
-    /// `None` before the first sample.
-    pub fn p99_estimate(&self) -> Option<Duration> {
-        if self.samples() == 0 {
-            return None;
-        }
-        let ewma = self.ewma_ns.load(Ordering::Relaxed);
-        let dev = self.dev_ns.load(Ordering::Relaxed);
-        Some(Duration::from_nanos(ewma.saturating_add(dev.saturating_mul(3))))
-    }
-
-    /// Forget all samples.
-    pub fn reset(&self) {
-        self.ewma_ns.store(0, Ordering::Relaxed);
-        self.dev_ns.store(0, Ordering::Relaxed);
-        self.samples.store(0, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rtt_estimator_tracks_a_steady_signal() {
-        let rtt = RttEstimator::new();
-        assert!(rtt.p99_estimate().is_none());
-        for _ in 0..64 {
-            rtt.observe(Duration::from_millis(10));
-        }
-        let smoothed = rtt.smoothed().unwrap();
-        assert!(
-            smoothed >= Duration::from_millis(9) && smoothed <= Duration::from_millis(11),
-            "{smoothed:?}"
-        );
-        // steady signal -> deviation decays -> p99 approaches the mean
-        let p99 = rtt.p99_estimate().unwrap();
-        assert!(p99 < Duration::from_millis(25), "{p99:?}");
-        rtt.reset();
-        assert!(rtt.p99_estimate().is_none());
-    }
-
-    #[test]
-    fn rtt_estimator_p99_sits_above_the_mean_under_jitter() {
-        let rtt = RttEstimator::new();
-        for i in 0..100u64 {
-            let ms = if i % 10 == 0 { 50 } else { 5 };
-            rtt.observe(Duration::from_millis(ms));
-        }
-        let p99 = rtt.p99_estimate().unwrap();
-        let smoothed = rtt.smoothed().unwrap();
-        assert!(p99 > smoothed, "p99 {p99:?} must exceed smoothed {smoothed:?}");
-    }
 
     #[test]
     fn virtual_latency_accumulates_without_sleeping() {

@@ -33,10 +33,9 @@
 //!   computing it; what every cache that must compute a thing once is a
 //!   map of — and the one table of recently missed keys a shared cache
 //!   admits by.
-//! * [`resilience`] — request deadlines, bounded retry with backoff,
-//!   hedged requests, and per-driver circuit breakers.
-//! * [`latency`] — the simulated wide-area latency model and the EWMA
-//!   round-trip estimator feeding the hedge delay.
+//! * [`resilience`] — request deadlines, bounded retry with backoff, and
+//!   per-driver circuit breakers.
+//! * [`latency`] — the simulated wide-area latency model.
 //! * [`error`] — the shared error type.
 
 // Every public item of the concurrency stack (and the data model under
@@ -74,13 +73,13 @@ pub use driver::{
 pub use error::{KError, KResult};
 pub use executor::Executor;
 pub use flight::{Join, Lead, RecentMisses, SingleFlight};
-pub use latency::{LatencyModel, RttEstimator};
+pub use latency::LatencyModel;
 pub use oneshot::{OneShot, PromiseState, Pulsable, WaitFor};
 pub use remote::{Remote, Source};
 pub use remy::{CachedProjector, Directory, RemyRecord};
 pub use resilience::{
-    BreakerPolicy, BreakerState, CancelToken, CircuitBreaker, DriverResilience, HedgePolicy,
-    ResiliencePolicy, ResilientHandle, RetryPolicy, Seeds,
+    BreakerPolicy, BreakerState, CancelToken, CircuitBreaker, DriverResilience, ResiliencePolicy,
+    ResilientHandle, RetryPolicy, Seeds,
 };
 pub use token::{
     detokenize, read_exchange, tokenize, write_exchange, write_exchange_into, ExchangeSink, Token,

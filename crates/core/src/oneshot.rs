@@ -40,7 +40,7 @@
 //!   query worker pulses once per block. A promise is itself
 //!   [`Pulsable`], so a `CancelToken` can watch it directly.
 
-use std::sync::{Condvar, Mutex, Weak};
+use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 /// Observed lifecycle stage of a [`OneShot`] cell.
@@ -61,19 +61,17 @@ pub enum WaitFor {
     Ready,
     /// The deadline passed with the promise still pending.
     TimedOut,
-    /// The caller's interrupt predicate fired (cancellation, a hedge
-    /// completing, ...) with the promise still pending.
+    /// The caller's interrupt predicate fired (its query was cancelled)
+    /// with the promise still pending.
     Interrupted,
 }
 
 /// Something that can be nudged awake when an event it watches fires.
 ///
-/// The resilience layer wires cells together with this: a hedged request
-/// mirrors its completion into the primary request's promise (via
-/// [`OneShot::add_mirror`]), and a `CancelToken` pulses every in-flight
-/// request promise it watches, so a waiter blocked in
-/// [`OneShot::wait_for`] re-checks its interrupt predicate the moment the
-/// external event happens instead of spinning on short timeouts.
+/// A `CancelToken` pulses every in-flight request promise and flight it
+/// watches through this, so a waiter blocked in [`OneShot::wait_for`]
+/// re-checks its interrupt predicate the moment the query is cancelled
+/// instead of spinning on short timeouts.
 pub trait Pulsable: Send + Sync {
     /// Wake any waiters so they re-check their predicates. Must not
     /// block and must be safe to call from any thread; implementations
@@ -84,7 +82,6 @@ pub trait Pulsable: Send + Sync {
 struct Slot<T> {
     value: Option<T>,
     set: bool,
-    mirrors: Vec<Weak<dyn Pulsable>>,
     /// Waiters inside [`OneShot::wait_until`] / [`OneShot::wait_for`]:
     /// the ones a pulse is for.
     watchers: usize,
@@ -130,7 +127,6 @@ impl<T> OneShot<T> {
             state: Mutex::new(Slot {
                 value: None,
                 set: false,
-                mirrors: Vec::new(),
                 watchers: 0,
             }),
             cv: Condvar::new(),
@@ -144,7 +140,6 @@ impl<T> OneShot<T> {
             state: Mutex::new(Slot {
                 value: Some(value),
                 set: true,
-                mirrors: Vec::new(),
                 watchers: 0,
             }),
             cv: Condvar::new(),
@@ -164,33 +159,9 @@ impl<T> OneShot<T> {
         }
         st.value = Some(value);
         st.set = true;
-        let mirrors = std::mem::take(&mut st.mirrors);
         drop(st);
         self.cv.notify_all();
-        // Pulse mirrors only after releasing our own lock: each mirror
-        // takes its own cell lock, and the one-directional registration
-        // (hedge -> primary) keeps the ordering acyclic.
-        for m in mirrors {
-            if let Some(m) = m.upgrade() {
-                m.pulse_now();
-            }
-        }
         true
-    }
-
-    /// Register a watcher to be pulsed (once) when this promise is set.
-    /// If the promise is already set the watcher is pulsed immediately.
-    /// Watchers are held weakly, so a dropped watcher costs nothing.
-    pub fn add_mirror(&self, mirror: Weak<dyn Pulsable>) {
-        let mut st = self.lock();
-        if st.set {
-            drop(st);
-            if let Some(m) = mirror.upgrade() {
-                m.pulse_now();
-            }
-            return;
-        }
-        st.mirrors.push(mirror);
     }
 
     /// Where the promise is in its lifecycle, without blocking.
@@ -251,7 +222,7 @@ impl<T> OneShot<T> {
     /// [`OneShot::wait`] / [`OneShot::try_wait`].
     ///
     /// The interrupt predicate is evaluated under the cell lock on every
-    /// wakeup (set, [`OneShot::pulse`], mirror pulse, timeout slice, or
+    /// wakeup (set, [`OneShot::pulse`], timeout slice, or
     /// spurious), with the same caveat as [`OneShot::wait_until`]: it
     /// must not take a lock that a producer holds while setting/pulsing.
     /// A deadline of `None` waits indefinitely (until set/interrupt).
@@ -429,38 +400,6 @@ mod tests {
         });
         assert_eq!(out, WaitFor::Interrupted);
         t.join().unwrap();
-    }
-
-    #[test]
-    fn mirrors_are_pulsed_on_set_and_on_late_registration() {
-        struct Flag(OneShot<()>, AtomicUsize);
-        impl Pulsable for Flag {
-            fn pulse_now(&self) {
-                self.1.fetch_add(1, Ordering::SeqCst);
-                self.0.pulse();
-            }
-        }
-        let watcher = Arc::new(Flag(OneShot::new(), AtomicUsize::new(0)));
-        let dyn_watcher: Arc<dyn Pulsable> = watcher.clone() as Arc<dyn Pulsable>;
-        let p: Arc<OneShot<i32>> = Arc::new(OneShot::new());
-        p.add_mirror(Arc::downgrade(&dyn_watcher));
-        let (p2, w2) = (Arc::clone(&p), Arc::clone(&watcher));
-        let t = std::thread::spawn(move || {
-            // the watcher's own wait is interrupted by the mirror pulse
-            let out = w2
-                .0
-                .wait_for(Some(std::time::Instant::now() + Duration::from_secs(5)), || {
-                    w2.1.load(Ordering::SeqCst) > 0
-                });
-            assert_eq!(out, WaitFor::Interrupted);
-            p2.try_wait()
-        });
-        std::thread::sleep(Duration::from_millis(5));
-        p.set(11);
-        assert_eq!(t.join().unwrap(), Some(11));
-        // registering on an already-set promise pulses immediately
-        p.add_mirror(Arc::downgrade(&dyn_watcher));
-        assert_eq!(watcher.1.load(Ordering::SeqCst), 2);
     }
 
     #[test]

@@ -322,13 +322,13 @@ impl PoolCore {
     /// Steal a mid-flight request's parked admission ticket and release
     /// it, orphaning the worker that is (perhaps forever) running it and
     /// spawning a replacement so pool capacity is restored. Called by an
-    /// abandoning waiter (deadline passed, hedge lost, query cancelled);
-    /// never blocks on the worker. Returns `false` — leaving the ticket
-    /// with the worker — if the request is not mid-flight (not yet
-    /// picked up, or already finished), the pool is shut down, or the
-    /// orphan budget is spent, in which case capacity temporarily
-    /// shrinks instead of the pool growing an unbounded thread herd
-    /// against a dead source.
+    /// abandoning waiter (deadline passed, query cancelled, handle
+    /// dropped unredeemed); never blocks on the worker. Returns `false`
+    /// — leaving the ticket with the worker — if the request is not
+    /// mid-flight (not yet picked up, or already finished), the pool is
+    /// shut down, or the orphan budget is spent, in which case capacity
+    /// temporarily shrinks instead of the pool growing an unbounded
+    /// thread herd against a dead source.
     ///
     /// The ticket is released inside [`Executor::disown`], *before* the
     /// replacement it spawns can reach admission, so `in_flight <= limit`

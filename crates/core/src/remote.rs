@@ -36,7 +36,7 @@
 //! answer a request piecewise ([`Source::split`] — GDB answers a table
 //! scan by consecutive row ranges) names the parts, and each is fetched
 //! as a full fetch of its own, ordinary in every respect — one job, one
-//! ticket, its own retry, hedge and breaker charge — and read back in
+//! ticket, its own retry and breaker charge — and read back in
 //! order (`PartBlocks`). The parts of every request that starts
 //! together are asked for at once, so three sibling scans split the
 //! connections between them in whole waves ([`apportion`]) instead of

@@ -1,14 +1,15 @@
-//! The resilience layer: deadlines, bounded retry, hedged requests, and
-//! per-driver circuit breakers for the two-phase driver API.
+//! The resilience layer: deadlines, bounded retry and per-driver circuit
+//! breakers for the two-phase driver API.
 //!
 //! The paper's sources — GDB's Sybase at Johns Hopkins, GenBank's Entrez
 //! in Bethesda, ACE servers on lab workstations — were reached over 1995
 //! wide-area links: slow, flaky, and sometimes simply gone. The request
 //! path built in `crate::driver`/`crate::pool` makes requests *fast*
 //! (non-blocking submission, admission control, row prefetch); this
-//! module makes them *survivable*. Four mechanisms, composed per
-//! request by [`DriverResilience::fetch`] and all disabled by the
-//! default [`ResiliencePolicy`]:
+//! module makes them *survivable*. Three mechanisms, composed per
+//! request by [`DriverResilience::fetch`], configured by what the driver
+//! advertises ([`crate::Capabilities::resilience`]) and all disabled by
+//! the default [`ResiliencePolicy`]:
 //!
 //! 1. **Deadlines.** A waiter blocks at most until its deadline, then
 //!    resolves [`crate::KError::Timeout`] through the request's one-shot
@@ -20,12 +21,7 @@
 //!    [`crate::KError::is_retryable`] are resubmitted up to
 //!    [`RetryPolicy::max_retries`] times with exponential backoff and
 //!    jitter, never past the deadline.
-//! 3. **Hedged requests.** After a delay derived from the driver's
-//!    EWMA-p99 round-trip estimate ([`crate::latency::RttEstimator`]), a
-//!    second identical submit is issued; the first answer wins and the
-//!    loser is abandoned, its ticket released. Duplicating only the
-//!    slowest ~1% of requests cuts tail latency to roughly the median.
-//! 4. **Circuit breaking.** A per-driver breaker counts consecutive
+//! 3. **Circuit breaking.** A per-driver breaker counts consecutive
 //!    failures; at the threshold it *opens* and subsequent submissions
 //!    fail fast with [`crate::KError::CircuitOpen`] instead of queueing
 //!    doomed work behind a dead source. After a cooldown the breaker
@@ -33,16 +29,15 @@
 //!    failure re-opens it.
 //!
 //! Everything observable is counted in [`crate::DriverMetrics`]
-//! (`timeouts`, `retries`, `hedges_fired`, `hedge_wins`,
-//! `breaker_opens`); the session layer merges these resilience-side
-//! counters with the driver's own traffic counters.
+//! (`timeouts`, `retries`, `breaker_opens`); the session layer merges
+//! these resilience-side counters with the driver's own traffic counters.
 //!
 //! # Full fetches
 //!
 //! A [`Fetch::Full`] of a request its driver answers piecewise
 //! ([`crate::Driver::parts`]) is fetched as those parts while the breaker
 //! is closed, each an ordinary request of this layer — admitted, counted,
-//! retried, hedged and charged to the breaker on its own — behind one
+//! retried and charged to the breaker on its own — behind one
 //! handle that reads them back in order.
 //!
 //! # Batching
@@ -64,10 +59,9 @@ use std::time::{Duration, Instant};
 use crate::batch::{request_key, BatchPolicy, BatchWindow, Flight, Joined, SharedReply};
 use crate::block::{lazy_blocks, BlockStream};
 use crate::driver::{
-    DriverMetrics, DriverRef, DriverRequest, Fetch, MetricsSnapshot, RequestHandle, RequestStatus,
+    DriverMetrics, DriverRef, DriverRequest, Fetch, MetricsSnapshot, RequestHandle,
 };
 use crate::error::{KError, KResult};
-use crate::latency::RttEstimator;
 use crate::oneshot::{Pulsable, WaitFor};
 use crate::remote::PartBlocks;
 
@@ -100,28 +94,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Hedged-request configuration. The hedge delay itself is derived per
-/// request from the driver's observed latency (EWMA + 3 deviations, ~p99
-/// — see [`RttEstimator`]), clamped into `[min_delay, max_delay]`; the
-/// clamp is the policy's protection against a cold or skewed estimator
-/// hedging everything (too small) or never (too large).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HedgePolicy {
-    /// Never hedge sooner than this after the primary submit.
-    pub min_delay: Duration,
-    /// Always hedge by this point, whatever the estimator says.
-    pub max_delay: Duration,
-}
-
-impl Default for HedgePolicy {
-    fn default() -> HedgePolicy {
-        HedgePolicy {
-            min_delay: Duration::from_millis(1),
-            max_delay: Duration::from_millis(500),
-        }
-    }
-}
-
 /// Circuit-breaker configuration (see [`CircuitBreaker`] for the state
 /// machine).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,8 +114,8 @@ impl Default for BreakerPolicy {
 }
 
 /// A driver's failure-handling configuration, carried in
-/// [`crate::Capabilities::resilience`] (the driver's advertisement) and
-/// overridable per session. The default disables every mechanism, making
+/// [`crate::Capabilities::resilience`]: what the driver advertises is
+/// what its requests get. The default disables every mechanism, making
 /// the request path byte-identical to the pre-resilience behavior —
 /// drivers and tests that don't opt in observe no change in request
 /// counts, thread counts, or admission behavior.
@@ -155,23 +127,18 @@ pub struct ResiliencePolicy {
     /// Bounded retry for [`KError::is_retryable`] failures, or `None`
     /// to fail on the first error.
     pub retry: Option<RetryPolicy>,
-    /// Tail-latency hedging, or `None` to never duplicate requests.
-    pub hedge: Option<HedgePolicy>,
     /// Circuit breaking, or `None` to keep submitting to a dead source.
     pub breaker: Option<BreakerPolicy>,
 }
 
 impl ResiliencePolicy {
     /// The recommended advertisement for simulated *remote* drivers:
-    /// bounded retry and a circuit breaker, hedging and deadlines left
-    /// to the session (hedging duplicates requests, which perturbs the
-    /// request-count experiments unless asked for; deadlines are the
-    /// caller's latency budget, not the driver's to guess).
+    /// bounded retry and a circuit breaker, deadlines left to the caller
+    /// (they are its latency budget, not the driver's to guess).
     pub fn standard() -> ResiliencePolicy {
         ResiliencePolicy {
             deadline: None,
             retry: Some(RetryPolicy::default()),
-            hedge: None,
             breaker: Some(BreakerPolicy::default()),
         }
     }
@@ -419,9 +386,9 @@ fn jittered(backoff: Duration) -> Duration {
 // Per-driver resilience state
 // ------------------------------------------------------------------------
 
-/// One driver's resilience state: its effective [`ResiliencePolicy`],
-/// circuit breaker, RTT estimator (feeding the hedge delay), the
-/// resilience-side metrics counters, and — for a driver that batches —
+/// One driver's resilience state: its advertised [`ResiliencePolicy`],
+/// circuit breaker, the resilience-side metrics counters, and — for a
+/// driver that batches —
 /// its batching window and the flights batch warm-ups seeded. The
 /// execution context keeps one of these per registered driver and routes
 /// every remote fetch through [`DriverResilience::fetch`].
@@ -429,7 +396,6 @@ pub struct DriverResilience {
     name: String,
     policy: ResiliencePolicy,
     breaker: Option<CircuitBreaker>,
-    rtt: RttEstimator,
     metrics: Arc<DriverMetrics>,
     /// The driver's batching window, present only when its
     /// capabilities advertise [`crate::Capabilities::batching`].
@@ -475,7 +441,6 @@ impl DriverResilience {
             name: name.into(),
             policy,
             breaker,
-            rtt: RttEstimator::new(),
             metrics: Arc::new(DriverMetrics::default()),
             batching: batching.map(|policy| BatchState {
                 window: BatchWindow::new(),
@@ -509,7 +474,7 @@ impl DriverResilience {
     }
 
     /// A snapshot of the resilience-side counters (timeouts, retries,
-    /// hedges, breaker opens; the traffic counters stay zero here —
+    /// breaker opens; the traffic counters stay zero here —
     /// merge with the driver's own snapshot for the full picture).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.metrics.snapshot()
@@ -567,7 +532,7 @@ impl DriverResilience {
     ///   at a time, and a whole request is that probe;
     /// * one wire request: breaker admission first (fail fast with
     ///   [`KError::CircuitOpen`]), then [`crate::Driver::fetch`], with the
-    ///   deadline, hedge and retry loops run when the handle is redeemed.
+    ///   deadline and retry loops run when the handle is redeemed.
     ///   A retryable submission error (inline drivers) is kept in the
     ///   handle for the retry loop rather than returned.
     ///
@@ -897,13 +862,12 @@ impl Retries {
 // The resilient handle
 // ------------------------------------------------------------------------
 
-/// The caller's half of one *resilient* fetch: the deadline, hedge,
-/// retry, and cancellation behavior of the driver's policy, applied when
-/// the handle is redeemed with [`ResilientHandle::wait`].
+/// The caller's half of one *resilient* fetch: the deadline, retry and
+/// cancellation behavior of the driver's policy, applied when the handle
+/// is redeemed with [`ResilientHandle::wait`].
 ///
 /// A handle is **direct** — it owns its wire [`RequestHandle`] and the
-/// retry state, and runs deadline → hedge → retry to an outcome when
-/// redeemed — or **attached** to a batch-led [`Flight`], in which case
+/// retry state, and runs deadline → retry to an outcome when redeemed — or **attached** to a batch-led [`Flight`], in which case
 /// redeeming parks until the batch operation resolves the flight and
 /// replays its shared reply, or it holds the **parts** of a split full
 /// fetch, direct handles each, redeemed one after the other as the reply
@@ -931,7 +895,7 @@ struct DirectState {
     driver: DriverRef,
     req: DriverRequest,
     /// How the request is read, so every wire fetch the handle makes —
-    /// the first attempt, each retry, a hedge — is the same kind.
+    /// the first attempt and each retry — is the same kind.
     how: Fetch,
     /// The current attempt (or its synchronous submit error, kept for
     /// the retry loop). `None` once redeemed.
@@ -961,9 +925,8 @@ impl ResilientHandle {
 
     /// Block until the request resolves under the policy: deadline
     /// enforced (with the ticket stolen back from a wedged worker on
-    /// expiry), hedge fired after the EWMA-p99 delay, retryable errors
-    /// resubmitted with jittered exponential backoff, cancellation
-    /// honored promptly. An attached handle waits on its flight instead
+    /// expiry), retryable errors resubmitted with jittered exponential
+    /// backoff, cancellation honored promptly. An attached handle waits on its flight instead
     /// (under its own deadline and cancellation only) and replays the
     /// shared reply. A split fetch's handle returns at once: its reply
     /// redeems each part when the reader reaches it. Consumes the handle.
@@ -986,8 +949,8 @@ impl ResilientHandle {
 }
 
 impl DirectState {
-    /// Put the request on the wire once more (first attempt, retry, or
-    /// hedge), as the kind of fetch the handle was made by.
+    /// Put the request on the wire once more (first attempt or retry),
+    /// as the kind of fetch the handle was made by.
     fn wire_fetch(&self) -> KResult<RequestHandle> {
         let mut handles = self.driver.fetch(std::slice::from_ref(&self.req), self.how);
         handles.pop().expect("a fetch answers every request")
@@ -1002,10 +965,8 @@ impl DirectState {
                 Some(a) => a,
                 None => return Err(KError::eval("request result already taken")),
             };
-            let started = Instant::now();
-            let e = match attempt.and_then(|handle| self.round(cx, handle)) {
+            let e = match attempt.and_then(|handle| round(cx, handle)) {
                 Ok(stream) => {
-                    cx.res.rtt.observe(started.elapsed());
                     cx.res.record_success();
                     return Ok(stream);
                 }
@@ -1026,140 +987,45 @@ impl DirectState {
             self.attempt = Some(self.wire_fetch());
         }
     }
+}
 
-    /// One round: wait on `primary` until it resolves, the hedge delay
-    /// elapses (then race a second submit against it), the deadline
-    /// passes (abandon everything, `Timeout`), or cancellation fires
-    /// (abandon everything, `Cancelled`).
-    fn round(&self, cx: &DriveCtx<'_>, primary: RequestHandle) -> KResult<BlockStream> {
-        if let Some(t) = cx.cancel {
-            t.watch(primary.watcher());
-        }
-        // Phase 1: wait for the primary alone until the hedge point.
-        let hedge_at = self.hedge_fire_at(cx);
-        loop {
-            match primary.wait_for_ref(min_deadline(hedge_at, cx.deadline), || cx.cancelled()) {
-                WaitFor::Ready => return primary.wait(),
-                WaitFor::Interrupted => return abandon_cancelled(primary, None),
-                WaitFor::TimedOut => {
-                    let now = Instant::now();
-                    // The deadline outranks the hedge point; a clock
-                    // race re-enters the wait.
-                    if cx.deadline.is_some_and(|d| now >= d) {
-                        return timeout(cx, primary, None);
-                    }
-                    if hedge_at.is_some_and(|h| now >= h) {
-                        break;
-                    }
-                }
-            }
-        }
-        // Phase 2: fire the hedge and wait for either handle.
-        cx.res.metrics.record_hedge_fired();
-        let mut hedge = match self.wire_fetch() {
-            Ok(h) => {
-                h.mirror_into(&primary);
-                if let Some(t) = cx.cancel {
-                    t.watch(h.watcher());
-                }
-                Some(h)
-            }
-            // A failed hedge submit never fails the round — the primary
-            // is still in flight.
-            Err(_) => None,
-        };
-        loop {
-            let hedge_ready = || {
-                hedge
-                    .as_ref()
-                    .is_some_and(|h| h.poll() != RequestStatus::Pending)
-            };
-            match primary.wait_for_ref(cx.deadline, || cx.cancelled() || hedge_ready()) {
-                WaitFor::Ready => {
-                    if let Some(h) = hedge.take() {
-                        h.abandon(KError::cancelled("hedged request lost the race"));
-                    }
-                    return primary.wait();
-                }
-                WaitFor::TimedOut => {
-                    if cx.deadline.is_some_and(|d| Instant::now() >= d) {
-                        return timeout(cx, primary, hedge.take());
-                    }
-                }
-                WaitFor::Interrupted => {
-                    if cx.cancelled() {
-                        return abandon_cancelled(primary, hedge.take());
-                    }
-                    // The hedge resolved first. A failed hedge: keep
-                    // waiting on the primary alone (hedge stays
-                    // taken/None).
-                    if hedge_ready() {
-                        if let Some(Ok(stream)) = hedge.take().map(RequestHandle::wait) {
-                            cx.res.metrics.record_hedge_win();
-                            primary
-                                .abandon(KError::cancelled("primary request lost to its hedge"));
-                            return Ok(stream);
-                        }
-                    }
-                }
-            }
-        }
+/// One round: wait on `handle` until it resolves, the deadline passes
+/// (abandon it, `Timeout`), or cancellation fires (abandon it,
+/// `Cancelled`).
+fn round(cx: &DriveCtx<'_>, handle: RequestHandle) -> KResult<BlockStream> {
+    if let Some(t) = cx.cancel {
+        t.watch(handle.watcher());
     }
-
-    /// Where the hedge should fire, if this round hedges at all:
-    /// policy present, and the driver's submission genuinely
-    /// non-blocking (hedging through an inline adapter would *run* the
-    /// duplicate on this thread instead of putting it in flight).
-    fn hedge_fire_at(&self, cx: &DriveCtx<'_>) -> Option<Instant> {
-        let h = cx.res.policy.hedge.as_ref()?;
-        if !self.driver.nonblocking_submit() {
-            return None;
+    loop {
+        match handle.wait_for_ref(cx.deadline, || cx.cancelled()) {
+            WaitFor::Ready => return handle.wait(),
+            WaitFor::Interrupted => return abandon_cancelled(handle),
+            // A clock race re-enters the wait.
+            WaitFor::TimedOut if cx.deadline.is_some_and(|d| Instant::now() >= d) => {
+                return timeout(cx, handle)
+            }
+            WaitFor::TimedOut => {}
         }
-        let est = cx
-            .res
-            .rtt
-            .p99_estimate()
-            .unwrap_or(h.max_delay)
-            .clamp(h.min_delay, h.max_delay);
-        Some(Instant::now() + est)
     }
 }
 
-fn min_deadline(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
-    match (a, b) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (Some(a), None) => Some(a),
-        (None, b) => b,
-    }
-}
-
-fn timeout(
-    cx: &DriveCtx<'_>,
-    primary: RequestHandle,
-    hedge: Option<RequestHandle>,
-) -> KResult<BlockStream> {
-    if let Some(h) = hedge {
-        h.abandon(KError::timeout(&cx.res.name, "request deadline exceeded"));
-    }
+fn timeout(cx: &DriveCtx<'_>, handle: RequestHandle) -> KResult<BlockStream> {
     let err = KError::timeout(&cx.res.name, "request deadline exceeded");
-    if primary.abandon(err.clone()) {
+    if handle.abandon(err.clone()) {
         cx.res.metrics.record_timeout();
         Err(err)
     } else {
         // The worker's answer won the set-once race: use it.
-        primary.wait()
+        handle.wait()
     }
 }
 
-fn abandon_cancelled(primary: RequestHandle, hedge: Option<RequestHandle>) -> KResult<BlockStream> {
-    if let Some(h) = hedge {
-        h.abandon(KError::cancelled("query cancelled"));
-    }
+fn abandon_cancelled(handle: RequestHandle) -> KResult<BlockStream> {
     let err = KError::cancelled("query cancelled while the request was in flight");
-    if primary.abandon(err.clone()) {
+    if handle.abandon(err.clone()) {
         Err(err)
     } else {
-        primary.wait()
+        handle.wait()
     }
 }
 
@@ -1212,10 +1078,9 @@ mod tests {
         let p = ResiliencePolicy::default();
         assert!(p.deadline.is_none());
         assert!(p.retry.is_none());
-        assert!(p.hedge.is_none());
         assert!(p.breaker.is_none());
         let s = ResiliencePolicy::standard();
-        assert!(s.retry.is_some() && s.breaker.is_some() && s.hedge.is_none());
+        assert!(s.retry.is_some() && s.breaker.is_some());
     }
 
     #[test]

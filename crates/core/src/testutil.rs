@@ -10,7 +10,7 @@
 //!
 //! For the resilience test suites the source can also be put into a
 //! [`Fault`] mode: never answering, failing the next N requests with
-//! transport errors, or spiking the latency of every k-th request. Wedged
+//! transport errors, or failing every request that holds one row. Wedged
 //! workers block on an internal latch until
 //! [`SlowSource::release_wedged`] lets them finish, so tests can assert
 //! that abandoning a wedged round-trip neither blocks the caller nor
@@ -53,14 +53,6 @@ pub enum Fault {
     /// error, then the source recovers — the retry-then-succeed
     /// scenario. (The counter is armed by [`SlowSource::set_fault`].)
     FailRequests(u32),
-    /// Every `every`-th request (1-based) takes `extra` longer — the
-    /// straggler scenario hedging exists for.
-    SpikeEvery {
-        /// Spike period: request numbers divisible by this spike.
-        every: u64,
-        /// Additional wall-clock latency charged to a spiked request.
-        extra: Duration,
-    },
     /// Every request whose reply would hold row `n` (0-based) fails with
     /// a [`KError::Transport`] error after its delay: the whole scan, or
     /// of a split one ([`SlowSource::set_sliceable`]) the one part whose
@@ -116,7 +108,7 @@ pub struct SlowSource {
     fault: Mutex<Fault>,
     /// Requests still owed a transport failure under `FailRequests`.
     fail_remaining: AtomicU64,
-    /// Monotonic request number (1-based), for `SpikeEvery`.
+    /// Wire requests started ([`SlowSource::requests_started`]).
     seq: AtomicU64,
     wedge: WedgeLatch,
     /// The resilience policy advertised in `Capabilities`.
@@ -199,7 +191,7 @@ impl SlowSource {
     }
 
     /// How many wire requests have *started* running (includes wedged
-    /// and failed ones — this is the `SpikeEvery` sequence number).
+    /// and failed ones).
     pub fn requests_started(&self) -> u64 {
         self.seq.load(Ordering::SeqCst)
     }
@@ -237,7 +229,7 @@ impl SlowSource {
     /// source's records: count it, apply the armed fault, then spend
     /// `delay` of worker time.
     fn round_trip(&self, driver: &str, counter: &AtomicU64, rows: &Range<i64>) -> KResult<()> {
-        let seq = self.seq.fetch_add(1, Ordering::SeqCst) + 1;
+        self.seq.fetch_add(1, Ordering::SeqCst);
         counter.fetch_add(1, Ordering::SeqCst);
         let fault = self.fault.lock().unwrap_or_else(|e| e.into_inner()).clone();
         match fault {
@@ -251,11 +243,6 @@ impl SlowSource {
                 }
             }
             Fault::NeverRespond => self.in_flight(|| self.wedge.wedge()),
-            Fault::SpikeEvery { every, extra } => {
-                if every > 0 && seq.is_multiple_of(every) {
-                    std::thread::sleep(extra);
-                }
-            }
             Fault::FailRow(_) | Fault::None => {}
         }
         self.in_flight(|| std::thread::sleep(self.delay));

@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use kleisli_core::resilience::{CancelToken, DriverResilience, ResiliencePolicy, ResilientHandle};
+use kleisli_core::resilience::{CancelToken, DriverResilience, ResilientHandle};
 use kleisli_core::testutil::Quiescent;
 use kleisli_core::{
     DriverRef, DriverRequest, Executor, Fetch, Join, KError, KResult, MetricsSnapshot, Oid,
@@ -50,10 +50,9 @@ pub struct Context {
 
 struct CtxInner {
     drivers: HashMap<String, DriverRef>,
-    /// Per-driver resilience state (policy, breaker, RTT estimator,
-    /// resilience counters), built at registration from the driver's
-    /// advertised `Capabilities::resilience` and replaced wholesale by
-    /// [`Context::set_resilience_policy`].
+    /// Per-driver resilience state (policy, breaker, resilience
+    /// counters), built at registration from the driver's advertised
+    /// `Capabilities::resilience`.
     resilience: HashMap<String, Arc<DriverResilience>>,
     object_stores: Vec<Arc<dyn ObjectStore>>,
     /// One [`SingleFlight`] per `Cached { id }` subquery evaluated since
@@ -107,8 +106,7 @@ impl Context {
     }
 
     /// Register a driver under its own name. Its advertised
-    /// `Capabilities::resilience` becomes the driver's effective policy
-    /// until [`Context::set_resilience_policy`] overrides it.
+    /// `Capabilities::resilience` is the policy its requests get.
     pub fn register_driver(&mut self, driver: DriverRef) {
         let name = driver.name().to_string();
         let caps = driver.capabilities();
@@ -122,25 +120,6 @@ impl Context {
             )),
         );
         inner.drivers.insert(name, driver);
-    }
-
-    /// Replace a registered driver's resilience policy (session-level
-    /// override of the driver's advertisement). Resets that driver's
-    /// breaker, RTT estimate, and resilience counters. Requires the
-    /// context to be uniquely owned, like registration.
-    pub fn set_resilience_policy(&mut self, name: &str, policy: ResiliencePolicy) -> KResult<()> {
-        let inner = self.inner_mut();
-        let Some(driver) = inner.drivers.get(name) else {
-            return Err(KError::driver(name, "no such driver registered"));
-        };
-        // Keep the driver's advertised batching window across policy
-        // swaps — the override replaces *resilience*, not batching.
-        let batching = driver.capabilities().batching;
-        inner.resilience.insert(
-            name.to_string(),
-            Arc::new(DriverResilience::with_batching(name, policy, batching)),
-        );
-        Ok(())
     }
 
     /// Register an object store consulted by `deref`.
@@ -248,7 +227,7 @@ impl Context {
     /// they will be read, through the driver's resilience layer
     /// ([`DriverResilience::fetch`]): breaker admission, this clone's
     /// deadline (tightened by the policy's own) and cancellation token
-    /// all apply, and retry and hedging run when a handle is redeemed.
+    /// all apply, and retry runs when a handle is redeemed.
     /// One handle per request, in order, or that request's error.
     pub fn fetch(
         &self,
@@ -264,8 +243,8 @@ impl Context {
     }
 
     /// A driver's full metrics picture: its own traffic counters merged
-    /// with the resilience-side counters (timeouts, retries, hedges,
-    /// breaker opens) kept outside the driver.
+    /// with the resilience-side counters (timeouts, retries, breaker
+    /// opens) kept outside the driver.
     pub fn driver_metrics(&self, name: &str) -> KResult<MetricsSnapshot> {
         let traffic = self.driver(name)?.metrics();
         Ok(match self.inner.resilience.get(name) {

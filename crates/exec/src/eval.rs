@@ -73,7 +73,7 @@
 //!   three stragglers that cost a second round-trip while five
 //!   connections idle. Each part is an ordinary request —
 //!   admitted against the source's limit (parts beyond it queue as data),
-//!   counted, retried, hedged and charged to the breaker on its own, so
+//!   counted, retried and charged to the breaker on its own, so
 //!   a retried part does not refetch its siblings — and the scan means
 //!   what the unsplit one means: the first error ends it and cancels the
 //!   parts behind, so no row ever follows an error. A scan that fails to

@@ -16,7 +16,10 @@
 //!   ([`kleisli_core::flight`]): the first looker-up receives a
 //!   [`ResultTicket`], concurrent lookers-up of the same key wait — each
 //!   under its own deadline and cancellation token — for its commit, and
-//!   a ticket dropped uncommitted passes the lead to one of them.
+//!   a ticket dropped uncommitted passes the lead to one of them. The
+//!   last caller to let go of a flight nothing was committed to removes
+//!   its entry, so a failed, cancelled or unwound evaluation leaves
+//!   nothing behind (`ResultCache::release`).
 //! * **Memory accounting.** Committed values are sized with
 //!   [`Value::approx_bytes`] and charged against a configurable byte
 //!   budget, and so is the serialized copy a server keeps beside one
@@ -71,6 +74,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex as StdMutex};
 use std::time::Instant;
 
+use kleisli_core::testutil::Quiescent;
 use kleisli_core::{
     write_exchange, CancelToken, Join, Lead, RecentMisses, SingleFlight, Value, WaitFor,
 };
@@ -172,7 +176,8 @@ pub enum ResultLookup {
 pub struct ResultTicket {
     cache: Arc<ResultCache>,
     key: u64,
-    lead: Lead<Value>,
+    /// `None` once committed.
+    lead: Option<Lead<Value>>,
 }
 
 impl ResultCache {
@@ -266,7 +271,8 @@ impl ResultCache {
         // The map lock is released before the (potentially blocking)
         // join: a waiter parked on one key must not hold up lookups of
         // every other key.
-        Ok(match cell.join(deadline, cancel)? {
+        let joined = cell.join(deadline, cancel).inspect_err(|_| self.release(key, cell))?;
+        Ok(match joined {
             Join::Hit(v) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 ResultLookup::Hit(v)
@@ -276,7 +282,7 @@ impl ResultCache {
                 ResultLookup::Miss(ResultTicket {
                     cache: Arc::clone(self),
                     key,
-                    lead,
+                    lead: Some(lead),
                 })
             }
             Join::Reentrant => ResultLookup::Reentrant,
@@ -384,6 +390,26 @@ impl ResultCache {
         self.map.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Let go of a caller's hold on `cell`, the entry of `key` it joined
+    /// and left without a value (its ticket dropped uncommitted, or its
+    /// wait given up). The hold is dropped under the map lock, so of the
+    /// callers letting go of one cell exactly the last sees the map's own
+    /// `Arc` alone; if nothing was committed to the cell, that caller
+    /// removes the entry. A caller still holding the cell — a parked
+    /// waiter about to lead in turn — keeps it. The table of recent
+    /// misses keeps the key, so its next ask is still admitted.
+    fn release(&self, key: u64, cell: Arc<SingleFlight<Value>>) {
+        let mut map = self.lock_map();
+        let held = Arc::as_ptr(&cell);
+        drop(cell);
+        let abandoned = map.entries.get(&key).is_some_and(|e| {
+            Arc::as_ptr(&e.cell) == held && Arc::strong_count(&e.cell) == 1 && e.bytes.is_none()
+        });
+        if abandoned {
+            map.entries.remove(&key);
+        }
+    }
+
     /// Charge `bytes` more to the entry of `key` — a freshly committed
     /// value, or the `text` a reader just serialized from one — and evict
     /// LRU committed entries until the budget holds again, or drop the
@@ -452,12 +478,36 @@ impl ResultCache {
 
 impl ResultTicket {
     /// Publish `v` to every waiter and charge it against the budget.
-    pub fn commit(self, v: Value) {
+    pub fn commit(mut self, v: Value) {
+        let lead = self.lead.take().expect("a ticket commits once");
         let bytes = v.approx_bytes();
-        let cell = Arc::clone(self.lead.flight());
+        let cell = Arc::clone(lead.flight());
         // Publish first (wakes waiters), account second (may evict).
-        self.lead.commit(v);
+        lead.commit(v);
         self.cache.charge(self.key, &cell, bytes, None);
+    }
+}
+
+/// Dropped uncommitted — the evaluation failed, was cancelled or
+/// unwound: hand the lead to a parked waiter, or remove the entry when
+/// there is none (`ResultCache::release`).
+impl Drop for ResultTicket {
+    fn drop(&mut self) {
+        if let Some(lead) = self.lead.take() {
+            let cell = Arc::clone(lead.flight());
+            drop(lead);
+            self.cache.release(self.key, cell);
+        }
+    }
+}
+
+/// The cache: no entry without a committed value — no flight running,
+/// and none left behind by one abandoned.
+impl Quiescent for ResultCache {
+    fn held(&self) -> Option<String> {
+        let map = self.lock_map();
+        let uncommitted = map.entries.values().filter(|e| e.bytes.is_none()).count();
+        (uncommitted > 0).then(|| format!("result cache: {uncommitted} uncommitted entries"))
     }
 }
 
@@ -544,6 +594,37 @@ mod tests {
             _ => panic!("abandoned key must miss again, not hang or hit"),
         }
         assert_eq!(cache.peek(3), Some(vint(3)));
+    }
+
+    #[test]
+    fn an_abandoned_flight_leaves_no_entry() {
+        let cache = ResultCache::new(1 << 20);
+        for key in 0..1000 {
+            match cache.lookup_or_begin(key) {
+                ResultLookup::Miss(t) => drop(t), // the evaluation failed
+                _ => panic!("fresh key must miss"),
+            }
+        }
+        let entries = cache.lock_map().entries.len();
+        assert_eq!(entries, 0, "every abandoned flight left its entry");
+        // The misses are remembered: the next ask of a key is retained.
+        miss_and_commit(&cache, 7, &[]);
+        assert_eq!(cache.peek(7), Some(vint(7)));
+    }
+
+    #[test]
+    fn the_last_caller_to_let_go_of_an_abandoned_flight_removes_its_entry() {
+        let cache = ResultCache::new(1 << 20);
+        let ResultLookup::Miss(lead) = cache.lookup_or_begin(2) else {
+            panic!("a first ask misses")
+        };
+        // A waiter's hold on the cell, still held when the leader gives up.
+        let waiter = Arc::clone(&cache.lock_map().entries[&2].cell);
+        drop(lead);
+        assert_eq!(cache.lock_map().entries.len(), 1, "the waiter may lead in turn");
+        // The waiter gives up too: the last one out removes the entry.
+        cache.release(2, waiter);
+        assert_eq!(cache.lock_map().entries.len(), 0);
     }
 
     #[test]

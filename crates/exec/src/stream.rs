@@ -314,7 +314,7 @@ pub(crate) fn blocks_at(
             // pulled, so independent scans submitted while assembling
             // one pull chain overlap their round-trips. Submission goes
             // through the driver's resilience layer: breaker admission
-            // here, deadline/retry/hedging when the first pull redeems
+            // here, deadline and retry when the first pull redeems
             // it.
             PendingBlocks::start(driver, request, ctx, fetch)
         }

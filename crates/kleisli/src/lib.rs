@@ -28,9 +28,7 @@ pub mod plan_cache;
 pub mod session;
 pub mod sources;
 
-pub use kleisli_core::{
-    BreakerPolicy, BreakerState, HedgePolicy, ResiliencePolicy, RetryPolicy,
-};
+pub use kleisli_core::{BreakerPolicy, BreakerState, ResiliencePolicy, RetryPolicy};
 pub use plan_cache::{PlanCache, PlanCacheStats};
 pub use session::{Compiled, QueryHandle, QueryStatus, Session, SourceFlush, StmtResult};
 pub use sources::{bio_federation, AceObjects, BioFederation};

@@ -77,7 +77,7 @@ use std::time::{Duration, Instant};
 use cpl::{desugar_stmt, parse_expr, parse_program, Definitions, Stmt};
 use kleisli_core::{
     BlockStream, CancelToken, Capabilities, CollKind, DriverRef, Executor, KError, KResult,
-    MetricsSnapshot, OneShot, PromiseState, ResiliencePolicy, TableStats, Type, Value, ValueBlock,
+    MetricsSnapshot, OneShot, PromiseState, TableStats, Type, Value, ValueBlock,
     DEFAULT_BLOCK_ROWS,
 };
 use kleisli_exec::{
@@ -1061,8 +1061,8 @@ impl Session {
 
     /// Traffic *and* resilience counters of a registered driver: the
     /// driver's own request/row counts merged with the timeouts,
-    /// retries, hedges, and breaker opens recorded by the resilience
-    /// layer on its behalf.
+    /// retries and breaker opens recorded by the resilience layer on
+    /// its behalf.
     pub fn driver_metrics(&self, name: &str) -> KResult<MetricsSnapshot> {
         self.ctx.driver_metrics(name)
     }
@@ -1070,19 +1070,6 @@ impl Session {
     /// Reset every driver's traffic and resilience counters.
     pub fn reset_metrics(&self) {
         self.ctx.reset_metrics();
-    }
-
-    /// Override a registered driver's resilience policy (deadline,
-    /// retry, hedging, circuit breaker), replacing its advertised
-    /// default. Resets that driver's breaker state, latency estimate,
-    /// and resilience counters. Like driver registration, this requires
-    /// no queries in flight on the session.
-    pub fn set_resilience_policy(
-        &mut self,
-        name: &str,
-        policy: ResiliencePolicy,
-    ) -> KResult<()> {
-        self.ctx_mut().set_resilience_policy(name, policy)
     }
 
     /// A registered driver's circuit-breaker state, when its policy

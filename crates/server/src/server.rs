@@ -434,14 +434,17 @@ impl Drop for ServerHandle {
 }
 
 /// A server holds nothing once no query is active — none running, none
-/// waiting in any connection's admission FIFO.
+/// waiting in any connection's admission FIFO — and its result cache
+/// keeps no entry without a value.
 impl Quiescent for ServerHandle {
     fn held(&self) -> Option<String> {
         let (running, waiting) = self.shared.admission();
         let active = self.active_queries();
-        (active + running as u64 + waiting as u64 > 0).then(|| {
+        let queries = (active + running as u64 + waiting as u64 > 0).then(|| {
             format!("kleislid: {active} queries active, {running} running, {waiting} waiting")
-        })
+        });
+        let held: Vec<String> = queries.into_iter().chain(self.result_cache().held()).collect();
+        (!held.is_empty()).then(|| held.join("; "))
     }
 }
 

@@ -80,10 +80,14 @@ runs = [json.loads(line) for line in open(log)]
 traced = {r["side"]: r["result"]["metrics"] for r in runs if r["pair"] < 0}
 runs = [r for r in runs if r["pair"] >= 0]
 metrics = json.load(open(benchmark))["end_to_end"]
-# Counts the program makes, which repeat exactly from run to run.
+# Counts the program makes, which repeat exactly from run to run. The last
+# four are the resilience path's and the server's failures: 0 on healthy
+# sources (benchmark/README.md), so any other value is a regression.
 EXACT = ["drivers.wire_requests_per_query", "drivers.rows_shipped_per_query",
          "drivers.virtual_wire_ms_per_query", "opt.rules_fired", "nrc.plan_nodes",
-         "exec.rows_out_per_query", "kleisli.plan_cache_evictions"]
+         "exec.rows_out_per_query", "kleisli.plan_cache_evictions",
+         "core.resilience.retries", "core.resilience.timeouts", "server.errors",
+         "server.rejected"]
 # Cache metrics, which follow the interleaving of connections and so may
 # differ between two runs of one tree.
 REPORTED = ["exec.result_cache_peak_mb", "exec.result_cache_hit_ratio",

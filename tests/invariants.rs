@@ -2,7 +2,8 @@
 //! once and fails when a second one appears. They read code only: no
 //! comment line, nothing from a file's first top-level `#[cfg(test)]` on,
 //! and never a `testutil.rs`, where the test doubles (and the chaos
-//! proxy's socket pumps) live.
+//! proxy's socket pumps) live. Beside them, the knob census counts the
+//! settings the configuration structs expose.
 
 use std::fs;
 use std::path::Path;
@@ -273,4 +274,33 @@ fn one_verb_per_layer() {
     assert_eq!(resilience, ["fetch"], "DriverResilience");
     let context = submitting("crates/exec/src/context.rs", "impl Context");
     assert_eq!(context, ["fetch"], "Context");
+}
+
+/// The `pub` fields of the struct `name` declares in `file`.
+fn pub_fields(file: &str, name: &str) -> Vec<String> {
+    let source = sources(&[file]).pop().expect("the file");
+    let header = format!("pub struct {name} {{");
+    let body = source.lines.iter().skip_while(|(_, line)| line.trim_start() != header).skip(1);
+    let fields = body.take_while(|(_, line)| line.trim() != "}").filter_map(|(_, line)| {
+        let field = line.trim_start().strip_prefix("pub ")?;
+        Some(field.split_once(':')?.0.to_string())
+    });
+    fields.collect()
+}
+
+/// The knob census: how many settings the optimizer, a driver's
+/// advertisement, its failure handling and the server expose. A change
+/// that adds or removes one edits the count here, in its own diff.
+#[test]
+fn the_knob_census() {
+    let census = [
+        ("crates/opt/src/engine.rs", "OptConfig", 6),
+        ("crates/core/src/driver.rs", "Capabilities", 7),
+        ("crates/core/src/resilience.rs", "ResiliencePolicy", 3),
+        ("crates/server/src/server.rs", "ServerConfig", 8),
+    ];
+    for (file, name, count) in census {
+        let fields = pub_fields(file, name);
+        assert_eq!(fields.len(), count, "{name}: {fields:?}");
+    }
 }
