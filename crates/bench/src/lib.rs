@@ -497,20 +497,11 @@ pub fn time_best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> Duration {
 }
 
 /// Wall time of each of `n` runs of `f`, ascending — the sorted sample
-/// `kbench::stats::percentile` and [`tail`] read.
+/// `kbench::stats::percentile` reads.
 pub fn latencies<R>(n: usize, mut f: impl FnMut() -> R) -> Vec<Duration> {
     let mut sample: Vec<Duration> = (0..n).map(|_| time_best_of(1, &mut f)).collect();
     sample.sort();
     sample
-}
-
-/// The `p`-th percentile of an ascending sample, which must be large
-/// enough to support it (`kbench::stats::supported_percentile`: ten
-/// samples beyond the rank). A measurement that names a tail takes the
-/// samples for it; a p99 of 60 samples is a panic, not a number.
-pub fn tail(sorted: &[Duration], p: f64) -> Duration {
-    kbench::stats::supported_percentile(sorted, p)
-        .unwrap_or_else(|| panic!("{} samples do not support a p{p}", sorted.len()))
 }
 
 #[cfg(test)]
@@ -596,21 +587,6 @@ mod tests {
         assert!(sample.windows(2).all(|w| w[0] <= w[1]), "{sample:?}");
         assert!(sample[4] >= Duration::from_millis(20), "{sample:?}");
         assert!(sample[3] < Duration::from_millis(20), "{sample:?}");
-    }
-
-    #[test]
-    fn a_tail_is_the_nearest_rank_of_a_sample_that_supports_it() {
-        let sample = |n: u64| (1..=n).map(Duration::from_millis).collect::<Vec<_>>();
-        // One straggler in ten: 60 samples support p80, 200 support p95.
-        assert_eq!(tail(&sample(60), 80.0), Duration::from_millis(48));
-        assert_eq!(tail(&sample(200), 95.0), Duration::from_millis(190));
-    }
-
-    #[test]
-    #[should_panic(expected = "60 samples do not support a p99")]
-    fn a_tail_the_sample_cannot_support_is_refused() {
-        let sample: Vec<Duration> = (1..=60).map(Duration::from_millis).collect();
-        tail(&sample, 99.0);
     }
 
     #[test]

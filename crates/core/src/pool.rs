@@ -94,14 +94,15 @@
 //! On a source that answers a scan piecewise
 //! ([`crate::driver::Driver::parts`]) such a fetch arrives as parts, one
 //! request — one task here, one buffer — each, and
-//! a part is `ceil(rows / parts)` rows: for a scan split alone, while the
-//! table is within `limit x prefetch_rows` rows, a lifted window holds
-//! **at most one window** again, and the whole reply is spread over as
-//! many buffers as it has windows, filled side by side (scans starting
-//! together may each get fewer, longer parts, so that all of them cross
-//! in whole waves of the workers: [`crate::remote::apportion`]). The pool
-//! knows none of this: a part is a request like any other, queued as
-//! data when the parts of a query outnumber the workers.
+//! a part is `ceil(rows / parts)` rows: a scan split alone takes every
+//! worker (a table shorter than the pool, one row each), so while the
+//! table is within `limit x prefetch_rows` rows a lifted window holds
+//! **at most one window** again, and the whole reply is spread over
+//! `limit` buffers filled side by side (scans starting together share
+//! that one wave of the workers, each with fewer, longer parts:
+//! [`crate::remote::apportion`]). The pool knows none of this: a part is
+//! a request like any other, queued as data when more are in flight than
+//! there are workers.
 //!
 //! # A fixed window
 //!

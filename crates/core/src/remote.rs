@@ -38,9 +38,12 @@
 //! as a full fetch of its own, ordinary in every respect — one job, one
 //! ticket, its own retry and breaker charge — and read back in
 //! order (`PartBlocks`). The parts of every request that starts
-//! together are asked for at once, so three sibling scans split the
-//! connections between them in whole waves ([`apportion`]) instead of
-//! each filling them alone and leaving a straggler wave behind. The shell
+//! together are asked for at once, and they fill one wave of the
+//! connections ([`apportion`]): a lone scan takes all of them, and three
+//! sibling scans share them instead of each filling them alone and
+//! leaving a straggler wave behind. Each part more is one request more:
+//! paid in parallel while no other client wants the connections, queued
+//! ahead of that client's requests when one does. The shell
 //! asks only a source that prefetches (`prefetch_rows > 0`, which every
 //! source routes through [`LatencyModel::effective_prefetch`]): the same
 //! gate that lifts the window, for the same reason.
@@ -99,8 +102,8 @@ pub trait Source: Send + Sync + 'static {
     /// ([`Driver::parts`]: one answer per request, empty = not at all),
     /// for a source that can answer a request piecewise: `window`
     /// is the advertised [`Capabilities::prefetch_rows`] — a reply no
-    /// longer than that gains nothing from a second connection — and
-    /// `width` the admission limit, which the requests share
+    /// longer than that fits one buffer and stays one request — and
+    /// `width` the admission limit, one wave of which the requests share
     /// ([`row_ranges`]). Asked only of a source that prefetches. The
     /// default splits nothing.
     fn split(
@@ -119,31 +122,36 @@ pub trait Source: Send + Sync + 'static {
 /// that cannot be split, one part) and the advertisement alone, so the
 /// same requests always cost the same round-trips.
 ///
-/// Alone, a reply is as wide as it is long: `min(ceil(rows / window),
-/// width)` parts, one while it fits a window. Replies whose parts
-/// together fit the width, or fill whole waves of it, each keep that
-/// count. Otherwise the last wave would run part-empty while its
-/// stragglers cost a whole round-trip more, so the total is rounded
-/// **down** to whole waves — the largest multiple of `width` not above
-/// it, never fewer than one part per reply — and handed out one part at
-/// a time to the reply whose longest part is longest (the earlier one on
-/// a tie), none past its count alone: (100, 80, 100) rows at window 32,
-/// width 8 is 4 + 3 + 4 = 11 parts alone and (3, 2, 3) together.
+/// Replies starting together share **one wave** of the width. Each is
+/// one part to begin with, and stays one if it cannot be split or fits
+/// one `window` (a reply that fits one buffer is one request). The
+/// connections left in the wave (`width` minus the replies) go one at a
+/// time to the splittable reply whose longest part is longest (the
+/// earlier one on a tie), none past as many parts as it has rows: a lone
+/// 100-row scan at window 32, width 8 is 8 parts of 13 rows, and (100,
+/// 80, 100) together are 3 + 2 + 3. More replies than connections are one
+/// part each. The wave waits one request latency plus its longest part's
+/// rows, and a part more shortens that part or keeps it. Two costs come
+/// with it. A part more is a request more, which is free only while no
+/// other client wants the connection: clients contending for one source
+/// lose throughput to it (ARCHITECTURE §5). And one wave is slower than
+/// several when the replies do not share the width evenly and are long:
+/// (1000, 1000, 1000) at width 8 is 3 + 3 + 2, the longest part 500
+/// rows, where three waves of eight parts would each wait for 125 — one
+/// wave loses once the rows it adds cost more than the round-trips it
+/// saves.
 pub fn apportion(rows: &[Option<u64>], window: usize, width: usize) -> Vec<u64> {
-    let width = width.max(1) as u64;
-    let windows = |rows: u64| rows.div_ceil(window.max(1) as u64).clamp(1, width);
-    let alone: Vec<u64> = rows.iter().map(|r| r.map_or(1, windows)).collect();
-    let total: u64 = alone.iter().sum();
-    if total <= width || total.is_multiple_of(width) {
-        return alone;
-    }
+    let cap = |rows: &Option<u64>| rows.filter(|r| *r > window as u64).unwrap_or(1);
+    let caps: Vec<u64> = rows.iter().map(cap).collect();
     let mut parts = vec![1; rows.len()];
-    for _ in rows.len() as u64..total / width * width {
+    for _ in rows.len()..width {
         let longest = |i: &usize| rows[*i].map_or(0, |r| r.div_ceil(parts[*i]));
-        let next = (0..rows.len())
-            .filter(|i| parts[*i] < alone[*i])
+        let Some(next) = (0..rows.len())
+            .filter(|i| parts[*i] < caps[*i])
             .min_by_key(|i| Reverse(longest(i)))
-            .expect("fewer parts handed out than the replies take alone");
+        else {
+            break;
+        };
         parts[next] += 1;
     }
     parts
@@ -499,19 +507,26 @@ mod tests {
     #[test]
     fn siblings_share_the_width_in_whole_waves() {
         let some = |rows: &[u64]| rows.iter().copied().map(Some).collect::<Vec<_>>();
-        // `row_stream`: 4 + 3 + 4 alone is a wave of eight and three
-        // stragglers; together, one wave.
+        // `row_stream`: alone, each scan would fill the eight connections;
+        // together the three share one wave.
+        assert_eq!(apportion(&some(&[100]), 32, 8), [8]);
         assert_eq!(apportion(&some(&[100, 80, 100]), 32, 8), [3, 2, 3]);
-        // Whole waves are not touched.
-        assert_eq!(apportion(&some(&[100, 100, 100]), 8, 4), [4, 4, 4]);
-        // What fits the width is not touched either.
-        assert_eq!(apportion(&some(&[100, 80]), 32, 8), [4, 3]);
-        // A reply that cannot be split counts as one part.
+        assert_eq!(apportion(&some(&[100, 80]), 32, 8), [4, 4]);
+        assert_eq!(apportion(&some(&[100, 100, 100]), 8, 4), [2, 1, 1]);
+        // A reply that fits a window, or cannot be split, is one part; a
+        // reply is never more parts than rows.
+        assert_eq!(apportion(&some(&[32, 33]), 32, 8), [1, 7]);
         assert_eq!(apportion(&[Some(100), None, Some(100)], 32, 8), [4, 1, 3]);
+        assert_eq!(apportion(&some(&[0, 2, 3]), 0, 8), [1, 2, 3]);
         // More replies than connections: one part each.
         assert_eq!(apportion(&some(&[40, 10, 10, 10, 10]), 32, 4), [1; 5]);
         // Ties go to the earlier reply.
         assert_eq!(apportion(&some(&[100, 100, 100]), 32, 8), [3, 3, 2]);
+        // A known cost: replies that do not divide the width get uneven
+        // parts. Three 1000-row scans are 3 + 3 + 2, the longest part 500
+        // rows, where three waves of 8 + 8 + 8 would each wait for 125:
+        // one wave loses whenever 125 rows cost more than two round-trips.
+        assert_eq!(apportion(&some(&[1000, 1000, 1000]), 32, 8), [3, 3, 2]);
     }
 
     fn scan(table: &str) -> DriverRequest {
@@ -540,7 +555,7 @@ mod tests {
         assert_eq!(ranges_of(5, 1, 4), [(0, Some(2)), (2, Some(4)), (4, None)]);
         assert_eq!(ranges_of(9, 2, 4), [(0, Some(3)), (3, Some(6)), (6, None)]);
         assert_eq!(
-            ranges_of(100, 32, 8),
+            ranges_of(100, 32, 4),
             [(0, Some(25)), (25, Some(50)), (50, Some(75)), (75, None)]
         );
         assert!(ranges_of(32, 32, 8).is_empty());
@@ -551,21 +566,22 @@ mod tests {
         let split = row_ranges(&[&sql, &scan("gone"), &scan("t")], 32, 8, |table| {
             (table == "t").then_some(100)
         });
-        assert_eq!(split.iter().map(Vec::len).collect::<Vec<_>>(), [0, 0, 4]);
+        assert_eq!(split.iter().map(Vec::len).collect::<Vec<_>>(), [0, 0, 6]);
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
 
-        /// One request is today's rule, for every row count, window and
-        /// width.
+        /// Alone, a reply past one window is `min(rows, width)` parts —
+        /// the whole wave, or one row a part — and one otherwise, for
+        /// every row count, window and width.
         #[test]
         fn a_lone_reply_is_as_wide_as_it_is_long(
             rows in 0u64..3000,
             window in 1usize..70,
             width in 1usize..12,
         ) {
-            let expected = rows.div_ceil(window as u64).min(width as u64).max(1);
+            let expected = if rows > window as u64 { rows.min(width as u64) } else { 1 };
             proptest::prop_assert_eq!(apportion(&[Some(rows)], window, width), [expected]);
             proptest::prop_assert_eq!(apportion(&[None], window, width), [1]);
             // ... and its ranges tile the counted rows: none empty, the
@@ -582,8 +598,8 @@ mod tests {
             }
         }
 
-        /// Replies starting together: what fits the width is untouched;
-        /// otherwise whole waves, never more parts than alone, placed so
+        /// Replies starting together: one wave of the width (never fewer
+        /// than one part a reply), never more parts than alone, placed so
         /// that moving any one part would not shorten the longest.
         #[test]
         fn replies_starting_together_share_the_width(
@@ -603,13 +619,14 @@ mod tests {
                 let (given, alone) = (parts[i], alone[i]);
                 proptest::prop_assert!(1 <= given && given <= alone, "{parts:?} of {rows:?}");
             }
-            let (total, width64) = (alone.iter().sum::<u64>(), width as u64);
-            if total <= width64 {
-                proptest::prop_assert_eq!(&parts, &alone);
-            } else {
-                let waves = (total / width64 * width64).max(rows.len() as u64);
-                proptest::prop_assert_eq!(parts.iter().sum::<u64>(), waves, "{parts:?}");
-            }
+            // What each reply could take: as many parts as rows, past a
+            // window.
+            let caps: u64 = rows
+                .iter()
+                .map(|r| r.filter(|r| *r > window as u64).unwrap_or(1))
+                .sum();
+            let wave = caps.min(width as u64).max(rows.len() as u64);
+            proptest::prop_assert_eq!(parts.iter().sum::<u64>(), wave, "{parts:?}");
             let longest = |parts: &[u64]| {
                 let each = rows.iter().zip(parts).map(|(r, p)| r.map_or(0, |r| r.div_ceil(*p)));
                 each.max().unwrap()

@@ -57,21 +57,22 @@
 //!   which asks the source how they split ([`kleisli_core::Driver::parts`],
 //!   over all of them at once). A
 //!   source that answers piecewise and prefetches — GDB, for a table scan
-//!   longer than one window — returns consecutive row ranges:
-//!   `min(ceil(rows / window), connections)` of them for a scan alone,
-//!   and for siblings whose parts would not fill whole waves of the
-//!   connections, that total rounded *down* to whole waves and handed
-//!   out where it makes the longest part shortest
+//!   longer than one window — returns consecutive row ranges, as many as
+//!   fill **one wave** of its connections: all of them for a scan alone
+//!   (never more than it has rows), shared between siblings one part at
+//!   a time where it makes the longest part shortest
 //!   ([`kleisli_core::remote::apportion`]). Every part of every request
 //!   is then in flight as a request of its own before the first is
 //!   redeemed, and a request's streams are read back to back, in part
-//!   order. One 100-row scan at a window of 32 is `request ‖ request ‖
-//!   request ‖ request`, `rows ‖ rows ‖ rows ‖ rows`: P − 1 extra
-//!   round-trips, paid in parallel, for (1 − 1/P) of the row transfer.
-//!   Three such scans of 100, 80 and 100 rows on eight connections are
-//!   one wave of 3 + 2 + 3 parts — not 4 + 3 + 4, a wave of eight and
-//!   three stragglers that cost a second round-trip while five
-//!   connections idle. Each part is an ordinary request —
+//!   order. One 100-row scan on eight connections is `request ‖ … ‖
+//!   request`, `rows ‖ … ‖ rows`, eight parts of 13 rows: P − 1 extra
+//!   round-trips, paid in parallel while no other client wants those
+//!   connections, for (1 − 1/P) of the row transfer. Three such scans of
+//!   100, 80 and 100 rows are one wave of 3 + 2 + 3 parts — not 8 + 8 +
+//!   8, three waves, each a round-trip more. (Siblings that do not divide
+//!   the connections get uneven parts, and long enough ones would cross
+//!   sooner in several waves: `apportion` names that cost.) Each part is
+//!   an ordinary request —
 //!   admitted against the source's limit (parts beyond it queue as data),
 //!   counted, retried and charged to the breaker on its own, so
 //!   a retried part does not refetch its siblings — and the scan means

@@ -11,7 +11,7 @@
 //!   the evaluator starts ahead and fetches in full means what
 //!   left-to-right evaluation means; every plan run again with the
 //!   driver answering by row ranges on four connections, so a full fetch
-//!   is three requests alone, two beside one sibling and 3 + 3 + 2 beside
+//!   is four requests alone, two beside one sibling and 2 + 1 + 1 beside
 //!   two, and once more with the range holding row 5 failing — the
 //!   middle one or the first, whatever the apportionment; every binder named
 //!   from a pool of three, so shadowing is the rule and the evaluators
@@ -27,11 +27,15 @@
 //! * generators of one kind drawing from a source of another.
 
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
+use kleisli_core::block::BlockStream;
+use kleisli_core::remote::apportion;
 use kleisli_core::testutil::{Fault, SlowDriver};
-use kleisli_core::{CollKind, DriverRequest, Value};
+use kleisli_core::{
+    Capabilities, CollKind, Driver, DriverRequest, Fetch, KResult, RequestHandle, Value,
+};
 use kleisli_exec::{
     collect_blocks, collect_stream, eval, eval_blocks, eval_stream, reference, Context, Env,
 };
@@ -50,9 +54,9 @@ const REMOTE_ROWS: i64 = 12;
 enum Scans {
     /// One request, one reply.
     Whole,
-    /// By row ranges on four connections: a full fetch alone is three
-    /// requests of four rows; two starting together are two of six each,
-    /// three are 3 + 3 + 2 (`kleisli_core::remote::apportion`).
+    /// By row ranges on four connections: a full fetch alone is four
+    /// requests of three rows; two starting together are two of six each,
+    /// three are 2 + 1 + 1 (`kleisli_core::remote::apportion`).
     Sliced,
     /// By row ranges, the one holding row 5 failing: every scan of `R`
     /// fails, split — behind the rows in front — or not.
@@ -65,23 +69,23 @@ const SCANS: [Scans; 3] = [Scans::Whole, Scans::Sliced, Scans::SlicedFailing];
 /// remote source `R` the generated plans scan.
 fn context(scans: Scans) -> Context {
     static R: [OnceLock<Arc<SlowDriver>>; 3] = [const { OnceLock::new() }; 3];
-    context_over(R[scans as usize].get_or_init(|| source(scans)))
+    context_over(Arc::clone(R[scans as usize].get_or_init(|| source(scans))) as _)
 }
 
-fn context_over(driver: &Arc<SlowDriver>) -> Context {
+fn context_over(driver: Arc<dyn Driver>) -> Context {
     let mut ctx = Context::new();
-    ctx.register_driver(Arc::clone(driver) as _);
+    ctx.register_driver(driver);
     ctx
 }
 
-fn source(scans: Scans) -> Arc<SlowDriver> {
-    source_on(scans, 4)
-}
+/// `R`'s prefetch window and connections.
+const WINDOW: usize = 4;
+const CONNECTIONS: usize = 4;
 
-/// [`source`] on `connections` connections.
-fn source_on(scans: Scans, connections: usize) -> Arc<SlowDriver> {
-    let (free, window) = (Duration::ZERO, 4);
-    let driver = SlowDriver::pipelined("R", REMOTE_ROWS, free, free, connections, window);
+/// `R` as `scans` answers.
+fn source(scans: Scans) -> Arc<SlowDriver> {
+    let free = Duration::ZERO;
+    let driver = SlowDriver::pipelined("R", REMOTE_ROWS, free, free, CONNECTIONS, WINDOW);
     driver.set_sliceable(!matches!(scans, Scans::Whole));
     if matches!(scans, Scans::SlicedFailing) {
         driver.set_fault(Fault::FailRow(5));
@@ -468,15 +472,15 @@ fn the_property_exercises_values_errors_and_every_operator() {
     // for a source that answers by row ranges to split.
     let (mut ok, mut failed, mut remote_ok, mut remote_failed) = (0, 0, 0, 0);
     let mut seen = [false; 5];
-    let (whole, sliced) = (source(Scans::Whole), source(Scans::Sliced));
-    // On three connections every full fetch is three parts, alone or not:
-    // whole waves are not touched.
-    let unshared = source_on(Scans::Sliced, 3);
+    let whole = source(Scans::Whole);
+    let sliced = Arc::new(Waves {
+        driver: source(Scans::Sliced),
+        sizes: Mutex::default(),
+    });
     for seed in 0..256u64 {
         let plan = Plans.generate(&mut TestRng::new(seed));
-        for driver in [&whole, &sliced, &unshared] {
-            let _ = eval(&plan.0, &Env::empty(), &context_over(driver));
-        }
+        let _ = eval(&plan.0, &Env::empty(), &context_over(Arc::clone(&whole) as _));
+        let _ = eval(&plan.0, &Env::empty(), &context_over(Arc::clone(&sliced) as _));
         let scans = plan.0.touches_remote();
         plan.0.visit(&mut |e| match e {
             Expr::Join {
@@ -500,14 +504,56 @@ fn the_property_exercises_values_errors_and_every_operator() {
         "over remote scans: {remote_ok} values, {remote_failed} errors"
     );
     assert_eq!(seen, [true; 5], "blocked, indexed, par, cached, union");
-    // A split full fetch is three requests where the whole one is one,
-    // and siblings sharing four connections save one request each (two
-    // siblings) or one between them (three).
-    let requests = |d: &SlowDriver| d.performs.load(std::sync::atomic::Ordering::SeqCst);
-    let split = (requests(&unshared) - requests(&whole)) / 2;
+    // What the one rule makes of the waves the evaluator asked `R` to
+    // split: the parts of n full fetches starting together, of which one
+    // alone would be `alone` requests.
+    let apportioned = |n: usize| {
+        let rows = vec![Some(REMOTE_ROWS as u64); n];
+        apportion(&rows, WINDOW, CONNECTIONS)
+    };
+    let alone = apportioned(1)[0];
+    let waves = sliced.sizes.lock().unwrap();
+    let split = waves.iter().flat_map(|n| apportioned(*n)).filter(|p| *p >= 2).count();
     assert!(split >= 16, "{split} full fetches split");
-    let shared = requests(&unshared) - requests(&sliced);
+    let requests = |d: &SlowDriver| d.performs.load(std::sync::atomic::Ordering::SeqCst);
+    assert!(requests(&sliced.driver) > requests(&whole), "no part was fetched");
+    let saved = |n: &usize| *n as u64 * alone - apportioned(*n).iter().sum::<u64>();
+    let shared: u64 = waves.iter().map(saved).sum();
     assert!(shared >= 4, "{shared} requests saved by siblings sharing the width");
+}
+
+/// A driver that records how many full fetches start together each time
+/// the evaluator asks it to split some.
+struct Waves {
+    driver: Arc<SlowDriver>,
+    sizes: Mutex<Vec<usize>>,
+}
+
+impl Driver for Waves {
+    fn name(&self) -> &str {
+        self.driver.name()
+    }
+
+    fn capabilities(&self) -> Capabilities {
+        self.driver.capabilities()
+    }
+
+    fn perform(&self, req: &DriverRequest) -> KResult<BlockStream> {
+        self.driver.perform(req)
+    }
+
+    fn fetch(&self, reqs: &[DriverRequest], how: Fetch) -> Vec<KResult<RequestHandle>> {
+        self.driver.fetch(reqs, how)
+    }
+
+    fn parts(&self, reqs: &[&DriverRequest]) -> Vec<Vec<DriverRequest>> {
+        self.sizes.lock().unwrap().push(reqs.len());
+        self.driver.parts(reqs)
+    }
+
+    fn nonblocking_submit(&self) -> bool {
+        self.driver.nonblocking_submit()
+    }
 }
 
 fn join(kind: CollKind, left: Expr, right: Expr, cond: Expr, body: Expr) -> Expr {

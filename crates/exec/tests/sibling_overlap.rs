@@ -347,8 +347,8 @@ fn a_record_of_three_scans_costs_less_than_two_in_series() {
 }
 
 /// `rows` rows behind a `window`-row prefetch window on `limit`
-/// connections, answered by row ranges: a full fetch of it is
-/// `min(ceil(rows / window), limit)` requests.
+/// connections, answered by row ranges: a full fetch of it alone is one
+/// request while it fits the window and `min(rows, limit)` past it.
 fn sliceable(
     rows: i64,
     delay: Duration,
@@ -369,7 +369,8 @@ fn numbered(rows: std::ops::Range<i64>) -> Vec<Value> {
 #[test]
 fn a_value_position_scan_is_as_wide_as_its_reply() {
     // 100 rows, window 8, four connections: four parts of 25 rows, inside
-    // the source together. Three such scans in a record queue 12 parts on
+    // the source together. Three such scans in a record share one wave of
+    // the 4 workers as 2 + 1 + 1; two such records at once put 8 parts on
     // the 4 workers, and admission never exceeds the width.
     let delay = Duration::from_millis(40);
     let driver = sliceable(100, delay, Duration::ZERO, 4, 8);
@@ -381,13 +382,17 @@ fn a_value_position_scan_is_as_wide_as_its_reply() {
     assert_eq!(quiesced(&driver), 100);
 
     let e = record_of([scan("S"), scan("S"), scan("S")]);
-    let v = eval(&e, &Env::empty(), &ctx).unwrap();
+    let [v, w] = std::thread::scope(|scope| {
+        let both = [(); 2].map(|()| scope.spawn(|| eval(&e, &Env::empty(), &ctx_of(&[&driver]))));
+        both.map(|h| h.join().unwrap().unwrap())
+    });
+    assert_eq!(v, w);
     assert_eq!(v, reference::eval(&e, &Env::empty(), &ctx).unwrap());
-    // 12 by `eval`, 3 by the reference, which asks for each scan whole.
-    assert_eq!(driver.performs.load(Ordering::SeqCst), 4 + 12 + 3);
+    // 4 + 4 by `eval`, 3 by the reference, which asks for each scan whole.
+    assert_eq!(driver.performs.load(Ordering::SeqCst), 4 + 8 + 3);
     assert_eq!(driver.max_seen.load(Ordering::SeqCst), 4);
     assert!(driver.threads_spawned() <= 4);
-    assert_eq!(quiesced(&driver), 100 + 300 + 300);
+    assert_eq!(quiesced(&driver), 100 + 600 + 300);
 
     // Not sliceable, too short for a second window, or one connection:
     // one request, as ever.
@@ -473,10 +478,9 @@ fn a_stream_position_scan_is_never_split() {
 
 #[test]
 fn sibling_scans_share_the_width() {
-    // Three 100-row scans, window 32, eight connections: alone each is 4
-    // parts, 12 in all — a wave of eight and a wave of four stragglers.
-    // Starting together they are one wave of 3 + 3 + 2, all inside the
-    // source at once.
+    // Three 100-row scans, window 32, eight connections: alone each would
+    // fill the eight. Starting together they share one wave of 3 + 3 + 2,
+    // all inside the source at once.
     let delay = Duration::from_millis(40);
     type Shape = fn([Expr; 3]) -> Expr;
     let nested: Shape = |[a, b, c]| {
@@ -498,7 +502,7 @@ fn sibling_scans_share_the_width() {
         assert_eq!(quiesced(&driver), 300, "{what}");
         assert_eq!(v, reference::eval(&e, &Env::empty(), &ctx).unwrap(), "{what}");
     }
-    // Two of them fit the width as they are: 4 + 4.
+    // Two of them share it as 4 + 4.
     let driver = sliceable(100, delay, Duration::ZERO, 8, 32);
     let e = Expr::record(vec![("a", scan("S")), ("b", scan("S"))]);
     eval(&e, &Env::empty(), &ctx_of(&[&driver])).unwrap();
@@ -512,32 +516,32 @@ fn sibling_scans_share_the_width() {
     let e = record_of([scan("A"), scan("B"), scan("C")]);
     eval(&e, &Env::empty(), &ctx_of(&[&a, &b, &c])).unwrap();
     for d in [&a, &b, &c] {
-        assert_eq!(d.performs.load(Ordering::SeqCst), 4);
+        assert_eq!(d.performs.load(Ordering::SeqCst), 8);
     }
 }
 
 #[test]
 fn a_sibling_that_cannot_start_is_sized_alone_in_its_turn() {
     // 100 rows, window 32, six connections. `a` and `c` start together:
-    // 4 + 4 parts for six connections is one wave of 3 + 3. `b` holds a
-    // `Let` — not prefetchable — so it is no part of that wave: its scan
-    // is sized when its turn comes, alone, at 4 parts. (All three
-    // together would have been two whole waves of 4 + 4 + 4.)
+    // one wave of 3 + 3. `b` holds a `Let` — not prefetchable — so it is
+    // no part of that wave: its scan is sized when its turn comes, alone,
+    // at 6 parts. (All three together would have been one wave of 2 + 2
+    // + 2.)
     let driver = sliceable(100, Duration::from_millis(20), Duration::ZERO, 6, 32);
     let ctx = ctx_of(&[&driver]);
     let local = Expr::let_("s", Expr::int(0), count(scan("S")));
     let e = record_of([scan("S"), local, scan("S")]);
     let v = eval(&e, &Env::empty(), &ctx).unwrap();
     assert_eq!(v.project("b"), Some(&Value::Int(100)));
-    assert_eq!(driver.performs.load(Ordering::SeqCst), 3 + 3 + 4);
+    assert_eq!(driver.performs.load(Ordering::SeqCst), 3 + 3 + 6);
     assert_eq!(driver.max_seen.load(Ordering::SeqCst), 6);
     assert_eq!(quiesced(&driver), 300);
 }
 
 #[test]
 fn a_jointly_planned_wave_that_fails_or_is_stopped_ends_quiescent() {
-    // Three scans of 9 000 rows, window 3 000, eight connections: 3 + 3 +
-    // 3 alone, one wave of 3 + 3 + 2 parts of 3 000 / 3 000 / 4 500 rows
+    // Three scans of 9 000 rows, window 3 000, eight connections: 8 parts
+    // alone, one wave of 3 + 3 + 2 parts of 3 000 / 3 000 / 4 500 rows
     // together, 200 us a row.
     let per_row = Duration::from_micros(200);
     let big = || sliceable(9_000, Duration::from_millis(5), per_row, 8, 3_000);
@@ -584,6 +588,6 @@ fn a_jointly_planned_wave_that_fails_or_is_stopped_ends_quiescent() {
         // The next query over the same source is sized as ever.
         let v = eval(&count(scan("S")), &Env::empty(), &ctx_of(&[&driver])).unwrap();
         assert_eq!(v, Value::Int(9_000), "{what}");
-        assert_eq!(driver.performs.load(Ordering::SeqCst), 8 + 3, "{what}");
+        assert_eq!(driver.performs.load(Ordering::SeqCst), 8 + 8, "{what}");
     }
 }

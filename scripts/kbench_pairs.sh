@@ -13,9 +13,12 @@
 # kbench is built once per side, in its own checkout. Prints, per end-to-end
 # metric of BENCHMARK.json, each side's median and quartiles, in how many
 # pairs the change read better (ties counting for neither), and each side's
-# failed operations. Judging is the reader's: a gain is claimed when the
-# change wins nine pairs in ten and the medians differ by more than the
-# parent's own quartile distance. It ends with one traced run per side on
+# failed operations, and, once at least ten pairs ran, a verdict: `gain`
+# when the change wins nine in ten and its median is better than the
+# parent's by more than the parent's own quartile distance, `WORSE` when
+# its median is worse than the parent's by more than the metric's
+# BENCHMARK.json bound, and `within bound` otherwise; fewer pairs are too
+# few to judge either way. It ends with one traced run per side on
 # the first seed and prints every exact-count layer metric that differs
 # between them — "the counts moved as predicted and by nothing else" is
 # that list — and, from the same two runs, the cache metrics a memory or
@@ -23,8 +26,8 @@
 # "reported, not exact". Exits non-zero only when a run fails or answers
 # wrongly. The raw result lines go to benchmark/out/pairs-WORKLOAD.jsonl
 # (git-ignored). CI runs one 2 s pair of the tree against itself so that
-# this script cannot rot; those numbers mean nothing, and no count may
-# differ.
+# this script cannot rot; those numbers mean nothing, but no count may
+# differ and every metric must print its verdict line.
 set -euo pipefail
 
 if [[ $# -lt 2 ]]; then
@@ -112,15 +115,27 @@ for metric in metrics:
     wins = sum((c < p) if lower else (c > p)
                for p, c in zip(values["parent"], values["change"]))
     ties = sum(p == c for p, c in zip(values["parent"], values["change"]))
+    pairs_run = len(values["parent"])
     print(f"  {name} ({metric['unit']}, {metric['better']} is better): "
-          f"change better in {wins}/{len(values['parent'])} pairs, {ties} ties")
-    medians = {}
+          f"change better in {wins}/{pairs_run} pairs, {ties} ties")
+    medians, distance = {}, {}
     for side in ("parent", "change"):
         q1, medians[side], q3 = quartiles(values[side])
+        distance[side] = q3 - q1
         print(f"    {side}: median {medians[side]:.4f}  quartiles {q1:.4f}..{q3:.4f}  "
-              f"(distance {q3 - q1:.4f})")
+              f"(distance {distance[side]:.4f})")
     if medians["parent"]:
         print(f"    change / parent: {medians['change'] / medians['parent']:.4f}")
+    gap = medians["parent"] - medians["change"] if lower else medians["change"] - medians["parent"]
+    if pairs_run < 10:
+        verdict = f"too few pairs to judge ({pairs_run} < 10)"
+    elif wins * 10 >= 9 * pairs_run and gap > distance["parent"]:
+        verdict = "gain"
+    elif -gap > metric["bound"] * medians["parent"]:
+        verdict = f"WORSE (bound {metric['bound']:.0%})"
+    else:
+        verdict = "within bound"
+    print(f"    verdict: {verdict}")
 moved = [(name, traced["parent"][name]["value"], traced["change"][name]["value"])
          for name in EXACT]
 moved = [(name, p, c) for name, p, c in moved if p != c]

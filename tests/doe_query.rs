@@ -290,7 +290,7 @@ fn row_stream_session(latency: LatencyModel) -> Session {
 }
 
 #[test]
-fn a_served_table_scan_crosses_on_one_connection_per_window_of_rows() {
+fn a_served_table_scan_fills_one_wave_of_connections() {
     let served = |session: &Session, text: &str| {
         session.reset_metrics();
         let cancel = std::sync::Arc::new(kleisli_core::CancelToken::new());
@@ -300,10 +300,9 @@ fn a_served_table_scan_crosses_on_one_connection_per_window_of_rows() {
         (value, m.requests, m.rows_shipped)
     };
     // Rows that cost wall-clock time (as little as a sleep can cost): the
-    // source prefetches, so a scan read to its end alone is ceil(rows /
-    // 32) requests — 4 — and the three scans of one query, which alone
-    // would be 4 + 3 + 4 for eight connections, share them as one wave
-    // of 3 + 2 + 3.
+    // source prefetches, so a scan read to its end alone fills one wave
+    // of the eight connections — 8 requests — and the three scans of one
+    // query share that wave as 3 + 2 + 3.
     let paced = row_stream_session(LatencyModel::real(
         Duration::from_micros(50),
         Duration::from_nanos(1),
@@ -315,7 +314,7 @@ fn a_served_table_scan_crosses_on_one_connection_per_window_of_rows() {
         Duration::from_micros(100),
     ));
     let free = row_stream_session(LatencyModel::instant());
-    let wire = [(4, 1, 100), (8, 3, 280), (8, 3, 280)];
+    let wire = [(8, 1, 100), (8, 3, 280), (8, 3, 280)];
     let plans = [
         ("REMOTE[GDB: scan locus]", 1, 4),
         (

@@ -196,7 +196,7 @@ fn every_source_honors_the_shell_contract() {
     let rows = 3 * SYBASE_PREFETCH_ROWS as i64 + 1;
     let paced = LatencyModel::real(Duration::from_millis(5), Duration::from_nanos(1));
     let gdb = SybaseServer::serve("GDB", numbered(&[rows]).into(), paced);
-    assert_eq!(gdb.parts(&[&scan_of(0, false)])[0].len(), 4);
+    assert_eq!(gdb.parts(&[&scan_of(0, false)])[0].len(), 8);
     honors_the_shell_contract(&gdb, scan_of(0, true));
 }
 
@@ -239,14 +239,14 @@ fn only_a_source_whose_rows_cost_wall_clock_time_is_split() {
         (LatencyModel::instant(), 0),
         (LatencyModel::virtual_only(rtt, per_row), 0),
         (LatencyModel::real(rtt, Duration::ZERO), 0),
-        (LatencyModel::real(Duration::ZERO, per_row), 4),
+        (LatencyModel::real(Duration::ZERO, per_row), 8),
     ] {
         let gdb = SybaseServer::serve("GDB", numbered(&[100, 80, 100]).into(), latency);
         assert_eq!(gdb.parts(&[&scan_of(0, false)])[0].len(), parts);
         // SQL is never split, whatever it costs.
         assert!(gdb.parts(&[&sql()])[0].is_empty());
         // `row_stream`'s three scans, starting together, share the eight
-        // connections: one wave of 3 + 2 + 3, not 4 + 3 + 4.
+        // connections: one wave of 3 + 2 + 3, where alone each takes all eight.
         let siblings = [&scan_of(0, false), &scan_of(1, false), &scan_of(2, false)];
         let together: Vec<usize> = gdb.parts(&siblings).iter().map(Vec::len).collect();
         assert_eq!(together, if parts == 0 { [0, 0, 0] } else { [3, 2, 3] });
@@ -318,7 +318,7 @@ proptest! {
             let alone = gdb.split(&[req], window, width).remove(0);
             match rows_of(req) {
                 Some(rows) => {
-                    let expected = rows.div_ceil(window as u64).min(width as u64);
+                    let expected = if rows > window as u64 { rows.min(width as u64) } else { 1 };
                     prop_assert_eq!(alone.len(), cut(rows, expected));
                     prop_assert_eq!(parts.len(), cut(rows, given));
                 }

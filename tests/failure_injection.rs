@@ -571,19 +571,21 @@ fn a_deadline_inside_a_two_hop_loop_leaves_the_drivers_quiescent() {
 // ---------------------------------------------------------------------------
 // A split full fetch (`kleisli_exec::eval`, "a full fetch is as wide as its
 // reply"): each part is an ordinary request, so whatever ends the query —
-// cancel, deadline, a failing part — with parts in flight and parts still
-// queued leaves the source quiescent, and a retried part is retried alone.
+// cancel, deadline, a failing part — with every connection busy, and with
+// parts of a second query queued behind them, leaves the source quiescent,
+// and a retried part is retried alone.
 // ---------------------------------------------------------------------------
 
 /// Three value-position scans of a source that answers by row ranges:
-/// 100 rows behind a 32-row window on six connections, so four parts a
-/// scan — twelve requests, two whole waves of the six workers (siblings
-/// that fill whole waves keep the parts they would have alone).
+/// 100 rows behind a 32-row window on six connections, which the three
+/// share as one wave of 2 + 2 + 2 parts.
 const THREE_SCANS: &str =
     r#"[a = SRC([table = "t"]), b = SRC([table = "t"]), c = SRC([table = "t"])]"#;
+/// One such scan alone, which fills the wave with six parts.
 const ONE_SCAN: &str = r#"count(SRC([table = "t"]))"#;
-const PARTS: u64 = 4;
 const CONNECTIONS: usize = 6;
+/// The requests either query makes: one wave.
+const WAVE: u64 = CONNECTIONS as u64;
 
 fn sliceable_source(delay: Duration) -> Arc<SlowDriver> {
     let drv = SlowDriver::pipelined("SRC", 100, delay, Duration::ZERO, CONNECTIONS, 32);
@@ -607,12 +609,31 @@ fn a_split_scan_is_one_request_per_part_and_never_wider_than_its_source() {
     for field in ["a", "b", "c"] {
         assert_eq!(v.project(field).and_then(Value::len), Some(100), "{field}");
     }
-    assert_eq!(drv.performs.load(Ordering::SeqCst), 3 * PARTS);
+    assert_eq!(drv.performs.load(Ordering::SeqCst), WAVE);
     // Nothing was abandoned, so what was inside the source was admitted:
-    // twelve parts, never more than the six connections at once.
+    // six parts, never more than the six connections at once.
     assert_eq!(drv.max_seen.load(Ordering::SeqCst), CONNECTIONS);
     assert_source_quiescent(&s, &drv);
     assert_eq!(s.driver_metrics("SRC").expect("metrics").rows_shipped, 300);
+}
+
+#[test]
+fn a_lone_split_scan_fills_one_wave_of_its_source() {
+    // One value-position scan of 100 rows, three 32-row windows long: a
+    // part on every connection, all inside the source at once.
+    let lone = r#"[a = SRC([table = "t"])]"#;
+    let drv = sliceable_source(Duration::from_millis(40));
+    let s = resilient_session(&drv);
+    let v = s.query(lone).expect("query");
+    assert_eq!(drv.performs.load(Ordering::SeqCst), WAVE);
+    assert_eq!(drv.max_seen.load(Ordering::SeqCst), CONNECTIONS);
+    assert_source_quiescent(&s, &drv);
+    // The same rows, in the same order, as the scan in one request.
+    let unsplit = sliceable_source(Duration::ZERO);
+    unsplit.set_sliceable(false);
+    let whole = resilient_session(&unsplit).query(lone).expect("query");
+    assert_eq!(unsplit.performs.load(Ordering::SeqCst), 1);
+    assert_eq!(v, whole);
 }
 
 #[test]
@@ -623,13 +644,18 @@ fn cancel_deadline_and_a_failing_part_leave_a_split_scan_quiescent() {
         let s = resilient_session(&drv);
         let err = match what {
             "cancel" => {
-                let handle = s.submit(THREE_SCANS).expect("submit");
-                // Six parts inside the source, six queued behind them.
+                // Two such queries at once: twelve parts on six
+                // connections, so parts are queued behind those in flight
+                // when both are cancelled.
+                let other = THREE_SCANS.replace("a =", "x =");
+                let handles = [s.submit(THREE_SCANS), s.submit(&other)].map(|h| h.expect("submit"));
                 wait_until("every connection to be busy", || {
                     drv.gate().in_flight() == CONNECTIONS
                 });
-                handle.cancel();
-                handle.wait().unwrap_err()
+                handles.iter().for_each(|h| h.cancel());
+                let [first, second] = handles.map(|h| h.wait().unwrap_err());
+                assert!(matches!(second, KError::Cancelled(_)), "{what}: {second}");
+                first
             }
             "deadline" => s
                 .submit_with_deadline(THREE_SCANS, delay / 3)
@@ -637,7 +663,7 @@ fn cancel_deadline_and_a_failing_part_leave_a_split_scan_quiescent() {
                 .wait()
                 .unwrap_err(),
             _ => {
-                // The second part of every scan fails; `a`'s is the error.
+                // The first part of every scan fails; `a`'s is the error.
                 drv.set_fault(Fault::FailRow(30));
                 s.query(THREE_SCANS).unwrap_err()
             }
@@ -649,12 +675,13 @@ fn cancel_deadline_and_a_failing_part_leave_a_split_scan_quiescent() {
         }
         drv.set_fault(Fault::None);
         assert_source_quiescent(&s, &drv);
-        assert!(drv.performs.load(Ordering::SeqCst) <= 3 * PARTS, "{what}");
-        // The source is whole again: the next scan is four requests.
+        let queries = if what == "cancel" { 2 } else { 1 };
+        assert!(drv.performs.load(Ordering::SeqCst) <= queries * WAVE, "{what}");
+        // The source is whole again: the next scan is six requests.
         let before = drv.performs.load(Ordering::SeqCst);
         assert_eq!(s.query(ONE_SCAN).expect("query"), Value::Int(100), "{what}");
         let after = drv.performs.load(Ordering::SeqCst);
-        assert_eq!(after - before, PARTS, "{what}");
+        assert_eq!(after - before, WAVE, "{what}");
     }
 }
 
@@ -674,7 +701,7 @@ fn a_retried_part_does_not_refetch_its_siblings() {
     assert_eq!(s.query(ONE_SCAN).expect("retried"), Value::Int(100));
     assert_eq!(
         drv.performs.load(Ordering::SeqCst),
-        PARTS + 1,
+        WAVE + 1,
         "the failed part again, and only it"
     );
     let m = s.driver_metrics("SRC").expect("metrics");
@@ -699,13 +726,13 @@ fn a_half_open_breaker_is_probed_by_the_whole_scan_not_by_a_part() {
     drv.set_fault(Fault::None);
     std::thread::sleep(Duration::from_millis(150));
     assert_eq!(s.breaker_state("SRC"), Some(BreakerState::HalfOpen));
-    // Half-open admits one request at a time: four parts would be one
-    // probe and three refusals.
+    // Half-open admits one request at a time: six parts would be one
+    // probe and five refusals.
     let before = drv.performs.load(Ordering::SeqCst);
     assert_eq!(s.query(ONE_SCAN).expect("the probe"), Value::Int(100));
     assert_eq!(drv.performs.load(Ordering::SeqCst) - before, 1);
     assert_eq!(s.breaker_state("SRC"), Some(BreakerState::Closed));
     assert_eq!(s.query(ONE_SCAN).expect("query"), Value::Int(100));
-    assert_eq!(drv.performs.load(Ordering::SeqCst) - before, 1 + PARTS);
+    assert_eq!(drv.performs.load(Ordering::SeqCst) - before, 1 + WAVE);
     assert_source_quiescent(&s, &drv);
 }
