@@ -26,7 +26,7 @@ use std::time::Duration;
 use bench_harness::*;
 use kbench::json::Json;
 use kbench::stats::percentile;
-use kleisli::{BreakerPolicy, ResiliencePolicy, Session};
+use kleisli::{BreakerPolicy, Compiled, How, ResiliencePolicy, Session};
 use kleisli_core::testutil::{Fault, SlowDriver};
 use kleisli_core::{CollKind, DriverRequest, Value};
 use kleisli_exec::{
@@ -153,7 +153,7 @@ fn t1_pushdown(smoke: bool) -> Json {
             .into_iter()
             .map(|(plan, config)| {
                 session.set_opt_config(config);
-                let compiled = session.compile(LOCI22).expect("compile");
+                let compiled = session.compile_shared(LOCI22).expect("compile");
                 session.reset_metrics();
                 let t = time_mean(reps, || session.run_compiled(&compiled).expect("run"));
                 let m = session.driver_metrics("GDB").expect("metrics");
@@ -175,7 +175,7 @@ fn t2_path_extraction(smoke: bool) -> Json {
     let (loci, reps) = if smoke { (60, 1) } else { (400, 5) };
     let (mut session, _fed) = latency_federation(loci, Duration::from_micros(200));
     let with_path = session
-        .compile(
+        .compile_shared(
             r#"flatten(GenBank([db = "na", select = "organism \"Homo sapiens\"",
                           path = "Seq-entry.seq.id..giim"]))"#,
         )
@@ -187,7 +187,7 @@ fn t2_path_extraction(smoke: bool) -> Json {
         ..OptConfig::default()
     });
     let without = session
-        .compile(
+        .compile_shared(
             r#"{g | \e <- GenBank([db = "na", select = "organism \"Homo sapiens\""]),
                <giim = \g> <- e.seq.id}"#,
         )
@@ -315,7 +315,7 @@ fn e9_caching(smoke: bool) -> Json {
                     enable_cache,
                     ..OptConfig::default()
                 });
-                let compiled = session.compile(CACHEABLE).expect("compile");
+                let compiled = session.compile_shared(CACHEABLE).expect("compile");
                 session.reset_metrics();
                 let t = time_mean(reps, || session.run_compiled(&compiled).expect("run"));
                 let m = session.driver_metrics("GDB").expect("metrics");
@@ -336,8 +336,17 @@ fn e10_laziness(smoke: bool) -> Json {
     let (session, _fed) =
         latency_federation_rows(loci, Duration::from_micros(100), Duration::from_micros(20));
     let scan = r#"{[s = l.locus_symbol] | \l <- GDB-Tab("locus")}"#;
-    let first = time_mean(reps, || session.query_first_n(scan, 10).expect("query"));
-    let compiled = session.compile(scan).expect("compile");
+    let compiled = session.compile_shared(scan).expect("compile");
+    let first_10 = How {
+        limit: Some(10),
+        ..How::default()
+    };
+    let first = time_mean(reps, || {
+        session
+            .start(&compiled, first_10.clone())
+            .wait()
+            .expect("query")
+    });
     let full = time_mean(reps, || session.run_compiled(&compiled).expect("run"));
     Json::obj([
         ("scan_rows", int(loci as u64)),
@@ -364,14 +373,15 @@ fn e11_concurrency(smoke: bool) -> Json {
         enable_batching: false,
         ..OptConfig::default()
     });
-    let compiled = session.compile(CONCURRENCY).expect("compile");
+    let compiled = session.compile_shared(CONCURRENCY).expect("compile");
     let mut sequential = None;
     rows(
         widths
             .iter()
             .map(|&k| {
-                let mut at_k = compiled.clone();
+                let mut at_k = Compiled::clone(&compiled);
                 at_k.optimized = set_par_width(&compiled.optimized, k);
+                let at_k = Arc::new(at_k);
                 let t = time_mean(3, || session.run_compiled(&at_k).expect("run"));
                 Json::obj([
                     ("k", int(k as u64)),
@@ -469,7 +479,7 @@ fn breaker_fail_fast(smoke: bool) -> Json {
             ..ResiliencePolicy::default()
         });
         driver.set_fault(Fault::NeverRespond);
-        let compiled = session.compile(SCAN).expect("compile");
+        let compiled = session.compile_shared(SCAN).expect("compile");
         let total = time_best_of(1, || {
             for _ in 0..queries {
                 session

@@ -40,6 +40,12 @@
 //!   just block — it **helps**: batch items live in a shared list that
 //!   pool workers and the submitting thread drain together.
 //!
+//! [`Executor::spawn_awaited`] is `spawn` for a task whose spawner will
+//! wait for it and run it itself if no worker has (the session's
+//! `QueryHandle::wait`): from one of the executor's own workers — the
+//! server's admitted query — it wakes nobody, so the query evaluates on
+//! its own task instead of racing a woken worker for it.
+//!
 //! # The no-deadlock invariant
 //!
 //! Caller-help is what makes a *bounded shared* pool safe for *nested*
@@ -65,10 +71,17 @@
 //! most of their time *blocked on drivers*, so oversubscription is the
 //! point), clamped to a floor that keeps small containers honest.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
 use std::thread;
+
+thread_local! {
+    /// The core whose worker this thread is (null on any other thread);
+    /// compared, never dereferenced.
+    static WORKER_OF: Cell<*const ExecCore> = const { Cell::new(std::ptr::null()) };
+}
 
 /// A queued task. It returns whether a waiter [disowned](Executor::disown)
 /// it while it ran — in which case its worker has been replaced already
@@ -193,6 +206,27 @@ impl Executor {
             task();
             false
         });
+    }
+
+    /// [`Executor::spawn`] for a task its spawner is about to wait for,
+    /// and will run itself if no worker has taken it yet (the
+    /// caller-helps rule of [`Executor::run_all`]). Called from one of
+    /// this executor's own workers it wakes no other worker: a woken one
+    /// could only race the spawner for the task and, winning, leave the
+    /// spawner waiting on a second thread. Should the spawning task
+    /// return without waiting, its worker takes the task from the queue
+    /// next. From any other thread this is [`Executor::spawn`].
+    pub fn spawn_awaited(&self, task: impl FnOnce() + Send + 'static) {
+        let own_worker = WORKER_OF.with(|core| core.get() == Arc::as_ptr(&self.core));
+        let mut st = self.core.lock_state();
+        if !own_worker || st.shutdown {
+            drop(st);
+            return self.spawn(task);
+        }
+        st.queue.push_back(Box::new(move || {
+            task();
+            false
+        }));
     }
 
     /// [`Executor::spawn`] for a task a waiter may [`Executor::disown`]
@@ -368,6 +402,7 @@ impl ExecCore {
     }
 
     fn worker_loop(core: Arc<ExecCore>) {
+        WORKER_OF.with(|worker_of| worker_of.set(Arc::as_ptr(&core)));
         let mut just_finished = false;
         loop {
             let task = {
@@ -748,6 +783,26 @@ mod tests {
             );
             thread::sleep(Duration::from_millis(1));
         }
+    }
+
+    #[test]
+    fn a_task_awaited_by_a_worker_wakes_no_other_worker() {
+        // `spawn` from inside a task would start a second worker here;
+        // `spawn_awaited` leaves the task to the spawner's own worker,
+        // which runs it once the spawning task returns.
+        let exec = Executor::new("t", 4);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let inner = Arc::clone(&exec);
+        exec.spawn(move || {
+            inner.spawn_awaited(move || tx.send(()).expect("receiver"));
+            assert_eq!(inner.core.lock_state().queue.len(), 1, "still queued");
+        });
+        rx.recv_timeout(Duration::from_secs(5)).expect("the awaited task ran");
+        assert_eq!(exec.threads_spawned(), 1);
+        // From a thread that is not one of its workers it is `spawn`.
+        let (tx, rx) = std::sync::mpsc::channel();
+        exec.spawn_awaited(move || tx.send(()).expect("receiver"));
+        rx.recv_timeout(Duration::from_secs(5)).expect("a worker ran it");
     }
 
     #[test]

@@ -24,6 +24,16 @@
 //! Variant payloads parse at `add` precedence so the closing `>` is not
 //! taken as a comparison (`<controlled = <medline-jta = s>>` nests fine);
 //! wrap comparisons in parentheses inside variants.
+//!
+//! # Nesting budget
+//!
+//! The parser recurses once per nested sub-expression, so nesting is
+//! bounded: past [`MAX_NESTING`] levels of sub-expressions and patterns
+//! (a parenthesis, a collection, a record field, a branch, an operand of
+//! `not` or unary `-`, a variant payload, a nested pattern) the input is
+//! an ordinary parse error naming the limit, never a stack overflow on a
+//! 2 MiB executor worker. A chain of binary operators is a loop, not a
+//! nesting, and does not count.
 
 use std::sync::Arc;
 
@@ -52,9 +62,15 @@ pub fn parse_expr(src: &str) -> KResult<CExpr> {
     Ok(e)
 }
 
+/// The most sub-expressions and patterns one may nest inside another
+/// (module docs).
+pub const MAX_NESTING: usize = 64;
+
 struct Parser {
     toks: Vec<Token>,
     pos: usize,
+    /// Sub-expressions and patterns the parser is inside right now.
+    depth: usize,
 }
 
 impl Parser {
@@ -62,7 +78,22 @@ impl Parser {
         Ok(Parser {
             toks: lex(src)?,
             pos: 0,
+            depth: 0,
         })
+    }
+
+    /// Parse one level further in (`parse`), within the nesting budget.
+    /// The outermost expression is level zero.
+    fn nested<T>(&mut self, parse: fn(&mut Parser) -> KResult<T>) -> KResult<T> {
+        if self.depth > MAX_NESTING {
+            return Err(self.err(format!(
+                "nested deeper than {MAX_NESTING} levels of sub-expressions"
+            )));
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn peek(&self) -> &Tok {
@@ -142,6 +173,10 @@ impl Parser {
     // ---------- expressions ----------
 
     fn expr(&mut self) -> KResult<CExpr> {
+        self.nested(Parser::expr_at_depth)
+    }
+
+    fn expr_at_depth(&mut self) -> KResult<CExpr> {
         // lambda alternatives, tried with backtracking
         if let Some(l) = self.try_lambda()? {
             return Ok(l);
@@ -223,7 +258,7 @@ impl Parser {
 
     fn not_expr(&mut self) -> KResult<CExpr> {
         if self.eat(&Tok::Not) {
-            let inner = self.not_expr()?;
+            let inner = self.nested(Parser::not_expr)?;
             return Ok(CExpr::UnOp(Prim::Not, Box::new(inner)));
         }
         self.cmp_expr()
@@ -283,7 +318,7 @@ impl Parser {
 
     fn unary_expr(&mut self) -> KResult<CExpr> {
         if self.eat(&Tok::Minus) {
-            let inner = self.unary_expr()?;
+            let inner = self.nested(Parser::unary_expr)?;
             return Ok(match inner {
                 CExpr::Lit(Value::Int(i)) => CExpr::Lit(Value::Int(-i)),
                 CExpr::Lit(Value::Float(x)) => CExpr::Lit(Value::Float(-x)),
@@ -397,7 +432,7 @@ impl Parser {
         self.expect(&Tok::Lt)?;
         let tag = self.ident()?;
         self.expect(&Tok::Eq)?;
-        let payload = self.add_expr()?;
+        let payload = self.nested(Parser::add_expr)?;
         self.expect(&Tok::Gt)?;
         Ok(CExpr::Variant(tag, Box::new(payload)))
     }
@@ -454,6 +489,10 @@ impl Parser {
     // ---------- patterns ----------
 
     fn pattern(&mut self) -> KResult<Pattern> {
+        self.nested(Parser::pattern_at_depth)
+    }
+
+    fn pattern_at_depth(&mut self) -> KResult<Pattern> {
         match self.peek().clone() {
             Tok::Backslash => {
                 self.bump();

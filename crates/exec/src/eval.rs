@@ -40,11 +40,12 @@
 //!   draining the sibling in front. The top of a plan is value
 //!   position too when whoever drains it reads to the end by
 //!   construction and keeps every row
-//!   ([`crate::stream::eval_blocks_to_end`]: the server's admitted
-//!   query, which no caller can take a prefix of).
+//!   ([`crate::stream::eval_blocks_to_end`]: every query a session
+//!   starts without a limit, the server's admitted query among them).
 //! * **Stream position keeps the window.** Every other consumer of a
-//!   scan — a top-level stream whose reader may stop, `first_n`, the
-//!   source of a generator, a scan under a local filter — may stop early
+//!   scan — a top-level stream whose reader may stop (a query started
+//!   with a limit), `first_n`, the source of a generator, a scan under a
+//!   local filter — may stop early
 //!   or never hold the rows, so for it
 //!   [`kleisli_core::Capabilities::prefetch_rows`] stays the ceiling on
 //!   rows shipped but not yet read.

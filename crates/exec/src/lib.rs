@@ -33,5 +33,5 @@ pub use result_cache::{
 };
 pub use stream::{
     collect_blocks, collect_stream, eval_blocks, eval_blocks_to_end, eval_stream, first_n,
-    first_n_distinct, RowStream,
+    RowStream,
 };

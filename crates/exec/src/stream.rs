@@ -26,8 +26,9 @@
 //! (set deduplication happens only when the stream is collected), which
 //! is what makes `first_n` cheap — the intended use, as in the paper, is
 //! fast first response on queries whose laziness the optimizer has
-//! identified as profitable. Consumers of a set-typed prefix that must
-//! not see duplicates use [`first_n_distinct`]. Inside a plan the same
+//! identified as profitable. A consumer of a set-typed prefix that must
+//! not see duplicates counts distinct rows (`kleisli::Session::start`
+//! with a limit does). Inside a plan the same
 //! shortcut is taken only where the consumer's own canonicalization
 //! hides it: a bag or list comprehension over a source that assembles a
 //! set (or a list one over a bag) drains and canonicalizes that source
@@ -53,7 +54,7 @@
 //! outside this crate who drains the blocks itself.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Weak};
 
 use kleisli_core::resilience::{ResilientHandle, Seeds};
@@ -493,28 +494,6 @@ pub fn first_n(e: &Expr, n: usize, env: &Env, ctx: &Context) -> KResult<Vec<Valu
         out.push(item?);
         if out.len() >= n {
             break;
-        }
-    }
-    Ok(out)
-}
-
-/// [`first_n`] for *set*-typed plans: streams skip collection
-/// canonicalization (see the module docs), so a set query can yield the
-/// same element several times; here duplicates are dropped and do not
-/// count toward `n`. First-arrival order is preserved.
-pub fn first_n_distinct(e: &Expr, n: usize, env: &Env, ctx: &Context) -> KResult<Vec<Value>> {
-    let mut out = Vec::with_capacity(n);
-    let mut seen: HashSet<Value> = HashSet::new();
-    if n == 0 {
-        return Ok(out);
-    }
-    for item in eval_stream(e, env, ctx)? {
-        let v = item?;
-        if seen.insert(v.clone()) {
-            out.push(v);
-            if out.len() >= n {
-                break;
-            }
         }
     }
     Ok(out)
@@ -1446,7 +1425,6 @@ mod tests {
         );
         // An empty prefix starts nothing.
         assert_eq!(first_n(&e, 0, &Env::empty(), &ctx).unwrap(), Vec::<Value>::new());
-        assert_eq!(first_n_distinct(&e, 0, &Env::empty(), &ctx).unwrap(), Vec::<Value>::new());
         assert_eq!(pulled.load(Ordering::Relaxed), 0, "pulled rows for an empty prefix");
         let got = first_n(&e, 5, &Env::empty(), &ctx).unwrap();
         assert_eq!(got.len(), 5);

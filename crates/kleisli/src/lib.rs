@@ -30,7 +30,7 @@ pub mod sources;
 
 pub use kleisli_core::{BreakerPolicy, BreakerState, ResiliencePolicy, RetryPolicy};
 pub use plan_cache::{PlanCache, PlanCacheStats};
-pub use session::{Compiled, QueryHandle, QueryStatus, Session, SourceFlush, StmtResult};
+pub use session::{Compiled, How, QueryHandle, QueryStatus, Session, SourceFlush, StmtResult};
 pub use sources::{bio_federation, AceObjects, BioFederation};
 
 #[cfg(test)]
@@ -112,7 +112,7 @@ mod tests {
             [genbank_ref = \y, object_id = a, object_class_key = 1, ...] <- GDB-Tab("object_genbank_eref"),
             [loc_cyto_chrom_num = "22", locus_cyto_location_id = a, ...] <- GDB-Tab("locus_cyto_location")}"#;
 
-        let compiled = s.compile(loci22).unwrap();
+        let compiled = s.compile_shared(loci22).unwrap();
         // The optimizer must have reconstructed a single SQL request.
         let mut sql_remotes = 0;
         compiled.optimized.visit(&mut |e| {
@@ -182,10 +182,15 @@ mod tests {
         let mut s = Session::new();
         s.register_driver(fed.gdb.clone());
         s.reset_metrics();
-        let five = s
-            .query_first_n(r#"{[s = l.locus_symbol] | \l <- GDB-Tab("locus")}"#, 5)
+        let plan = s
+            .compile_shared(r#"{[s = l.locus_symbol] | \l <- GDB-Tab("locus")}"#)
             .unwrap();
-        assert_eq!(five.len(), 5);
+        let limit = How {
+            limit: Some(5),
+            ..How::default()
+        };
+        let five = s.start(&plan, limit).wait().unwrap();
+        assert_eq!(five.len(), Some(5));
         let m = s.driver_metrics("GDB").unwrap();
         // This federation's latency model ships rows instantly, so the
         // driver advertises `prefetch_rows: 0` (there is no per-row

@@ -302,17 +302,6 @@ impl PlanCache {
         self.lock().capacity
     }
 
-    /// Resize the cache; `0` disables retention. Entries beyond the new
-    /// capacity are evicted oldest-first (counted in the stats).
-    pub fn set_capacity(&self, capacity: usize) {
-        let mut st = self.lock();
-        st.capacity = capacity;
-        while st.entries.len() > capacity {
-            st.entries.remove(0);
-            st.evictions += 1;
-        }
-    }
-
     /// Drop every cached plan and the whole statistics snapshot, and
     /// detach the compiles in flight (counters and the table of recent
     /// misses are kept; deliberate clears are invalidation, not capacity
@@ -465,20 +454,6 @@ mod tests {
         // "a" was the LRU victim; "b" and "c" still hit.
         cache.get_or_compile("b", &cfg, || Ok(plan())).unwrap();
         assert_eq!(cache.stats().hits, 1);
-    }
-
-    #[test]
-    fn shrinking_capacity_evicts_and_counts() {
-        let cache = PlanCache::new(4);
-        let cfg = OptConfig::default();
-        for src in ["a", "b", "c", "d"] {
-            ask_once(&cache, src, plan());
-            cache.get_or_compile(src, &cfg, || Ok(plan())).unwrap();
-        }
-        cache.set_capacity(1);
-        let s = cache.stats();
-        assert_eq!(s.entries, 1);
-        assert_eq!(s.evictions, 3);
     }
 
     #[test]

@@ -2,38 +2,40 @@
 //! Figure 2, plus driver registration, a compiled-plan cache, and explain
 //! output.
 //!
-//! # Concurrency
+//! # One verb, one drain
 //!
-//! Queries are *submitted*, not executed: [`Session::submit`] compiles
-//! and returns a [`QueryHandle`] while evaluation proceeds as a task on
-//! the session's shared compute [`Executor`] (no per-query OS thread),
-//! shipping its driver requests through the two-phase submit/handle API
-//! so round-trips to independent sources overlap (Section 4, "Laziness,
-//! Latency, and Concurrency"). [`Session::query`] is simply
-//! submit-then-wait. Several handles may be in flight on one session at
-//! once, each bounded by the per-driver admission budgets; submissions
-//! beyond the executor's worker bound queue as data, never as parked
-//! threads. Sessions share the process-wide [`Executor::shared`] pool by
-//! default — construct with [`Session::with_executor`] to isolate or
-//! resize it.
+//! A query starts one way: [`Session::start`] takes a compiled plan and
+//! a [`How`] and returns a [`QueryHandle`] at once, while evaluation
+//! proceeds as a task on the session's shared compute [`Executor`] (no
+//! per-query OS thread), shipping its driver requests through the
+//! two-phase submit/handle API so round-trips to independent sources
+//! overlap (Section 4, "Laziness, Latency, and Concurrency").
+//! [`Session::query`] is the shorthand: compile, start, wait. Several
+//! handles may be in flight on one session at once, each bounded by the
+//! per-driver admission budgets; starts beyond the executor's worker
+//! bound queue as data, never as parked threads. An evaluation no worker
+//! has picked up when its handle is waited for runs on the waiting
+//! thread, and a start from an executor task wakes no other worker to
+//! race for it ([`Executor::spawn_awaited`]), so the server's admitted
+//! query evaluates in place, on its own task. Sessions share the process-wide
+//! [`Executor::shared`] pool by default — construct with
+//! [`Session::with_executor`] to isolate or resize it.
 //!
-//! A [`QueryHandle`]'s worker hands its rows over **a block at a time,
-//! at a grain that doubles per pull** from 1 to
-//! [`kleisli_core::DEFAULT_BLOCK_ROWS`]: the first row is visible as
-//! soon as it exists, a long drain pays one budget check, one lock and
-//! one wake per 64 rows instead of per row, and a prefix consumer
-//! ([`QueryHandle::first_n`]) over-evaluates at most the prefix again.
-//! A caller that already runs on the executor — the server's admitted
-//! query — skips the hand-off altogether and evaluates in place with
-//! [`Session::run_shared`], through the same drain; nobody can take a
-//! prefix of that evaluation, so its plan's top is in *value position*
+//! What is read is a function of the caller's limit alone — the paper's
+//! laziness "to generate initial output quickly, and minimize storage of
+//! intermediate results" (§4) is the consumer's choice, not the
+//! method's. With no limit the top of the plan is in *value position*
 //! (`kleisli_exec::eval`: a scan there is a full fetch, split over the
-//! source's connections when the source can), while a handle's worker
-//! stays in stream position.
+//! source's connections when the source can) and the attached result
+//! cache answers repeats; with `limit: Some(n)` the plan is streamed and
+//! stopped after `n` rows, so a scan keeps its `prefetch_rows` window
+//! and is never split. Either way one drain reads the blocks, at a grain
+//! that doubles per pull from 1 to [`kleisli_core::DEFAULT_BLOCK_ROWS`],
+//! checking the query's deadline and token between blocks.
 //!
 //! # Plan caching
 //!
-//! [`Session::compile`] memoizes compiled plans in a small LRU keyed by
+//! [`Session::compile_shared`] memoizes compiled plans in a small LRU keyed by
 //! the CPL source text plus the [`OptConfig`] in force — re-submitting a
 //! query (the common shape of mediator traffic: the same handful of
 //! queries over and over) skips parse/typecheck/optimize entirely from
@@ -64,10 +66,9 @@
 //! a session can additionally attach a process-wide
 //! [`ResultCache`] keyed by
 //! [`Compiled::plan_hash`] ([`Session::share_result_cache`]); queries
-//! run through [`Session::run_shared`] then consult and populate it
-//! with single-flight semantics ([`kleisli_core::flight`]). Attach shared
-//! caches
-//! *after* registering drivers and bindings — registration invalidates
+//! started with no limit then consult and populate it with
+//! single-flight semantics ([`kleisli_core::flight`]). Attach shared
+//! caches *after* registering drivers and bindings — registration invalidates
 //! whatever caches are attached at that moment.
 
 use std::collections::HashSet;
@@ -77,12 +78,11 @@ use std::time::{Duration, Instant};
 use cpl::{desugar_stmt, parse_expr, parse_program, Definitions, Stmt};
 use kleisli_core::{
     BlockStream, CancelToken, Capabilities, CollKind, DriverRef, Executor, KError, KResult,
-    MetricsSnapshot, OneShot, PromiseState, TableStats, Type, Value, ValueBlock,
-    DEFAULT_BLOCK_ROWS,
+    MetricsSnapshot, OneShot, PromiseState, TableStats, Type, Value, DEFAULT_BLOCK_ROWS,
 };
 use kleisli_exec::{
-    eval, eval_blocks, eval_blocks_to_end, first_n, first_n_distinct, Context, Env, ObjectStore,
-    ResultCache, ResultLookup,
+    eval, eval_blocks, eval_blocks_to_end, Context, Env, ObjectStore, ResultCache, ResultLookup,
+    ResultTicket,
 };
 use kleisli_opt::{optimize_shared, OptConfig, SourceCatalog, TraceEntry};
 use nrc::{Expr, Interner, TypeEnv};
@@ -157,10 +157,35 @@ impl Compiled {
 }
 
 // ------------------------------------------------------------------------
-// Non-blocking query submission
+// Starting a query
 // ------------------------------------------------------------------------
 
-/// How far a query submitted with [`Session::submit`] has progressed.
+/// How [`Session::start`] runs a query: the one choice a caller makes
+/// about an evaluation beyond which plan it is.
+///
+/// * `limit` — `None` reads the result to its end: the top of the plan is
+///   in *value position* (a remote scan there is a full fetch, split over
+///   the source's connections where it can be), and the attached shared
+///   result cache is consulted and populated. `Some(n)` stops after `n`
+///   rows (`n` distinct rows for a set) in *stream position*: nothing is
+///   split, the driver's `prefetch_rows` window bounds what is shipped
+///   ahead, and no result cache is involved (a prefix is not the result).
+/// * `deadline` — an end-to-end budget measured from `start`: once it has
+///   passed, remote waits resolve `KError::Timeout` (abandoning wedged
+///   round-trips and reclaiming their admission tickets) and the drain
+///   stops at its next block. A driver policy's own deadline, when
+///   tighter, still wins for that driver's requests.
+/// * `cancel` — a token the caller keeps and may fire from anywhere
+///   (the server's CANCEL frame); a fresh one when `None`.
+///   [`QueryHandle::cancel`] fires the same token.
+#[derive(Clone, Default)]
+pub struct How {
+    pub limit: Option<usize>,
+    pub deadline: Option<Duration>,
+    pub cancel: Option<Arc<CancelToken>>,
+}
+
+/// How far a started query has progressed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryStatus {
     /// Still evaluating (or queued behind driver admission budgets).
@@ -169,46 +194,78 @@ pub enum QueryStatus {
     Finished,
 }
 
-/// Worker/consumer state of one in-flight query. The completion half is
-/// the shared [`kleisli_core::OneShot`] promise — the same primitive the
-/// driver-level `RequestHandle` is built on — and the streamed-row
-/// progress rides next to it: the worker pushes a block of rows
-/// (releasing the rows lock first), then [`OneShot::pulse`]s the promise
-/// so `first_n` waiters re-check how much has arrived.
+/// The state one query's handle and its executor task share: the
+/// evaluation until someone claims it, and the promise its result lands
+/// in.
 struct QueryShared {
-    /// Rows streamed so far, in arrival order (streaming plans only).
-    rows: StdMutex<Vec<Value>>,
-    /// The final result, set exactly once when evaluation completes.
+    /// The evaluation, until an executor worker or the waiting caller
+    /// claims it (whoever comes first runs it; the other finds `None`).
+    job: StdMutex<Option<Job>>,
+    /// The final result, set exactly once.
     done: OneShot<KResult<Value>>,
     /// Cooperative cancellation, shared with the evaluation context so
     /// in-flight driver round-trips are woken and abandoned immediately
     /// (their admission tickets reclaimed) rather than discovered at the
     /// next block boundary.
     cancel: Arc<CancelToken>,
-    /// Lock-and-pulse rounds the worker has made (one per block).
-    #[cfg(test)]
-    rounds: std::sync::atomic::AtomicUsize,
 }
 
-/// A query in flight: the public face of the two-phase execution API.
+impl QueryShared {
+    /// Run the evaluation unless somebody already has (or is), and
+    /// resolve the promise with its result. A panic parks an error: the
+    /// caller may be blocked in `wait`.
+    fn run_unclaimed(&self) {
+        let job = self.job.lock().unwrap_or_else(|e| e.into_inner()).take();
+        if let Some(job) = job {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job.run()))
+                .unwrap_or_else(|_| Err(KError::eval("query evaluation panicked")));
+            self.done.set(result);
+        }
+    }
+}
+
+/// One query's evaluation, owned by whoever claims it.
+struct Job {
+    compiled: Arc<Compiled>,
+    /// The session's context under the query's token and deadline.
+    ctx: Context,
+    limit: Option<usize>,
+    /// The result cache's populate ticket, when the lookup missed: the
+    /// result is committed before it is returned, and a failed, cancelled
+    /// or never-run evaluation drops it uncommitted, handing the lead to
+    /// a waiting session.
+    ticket: Option<ResultTicket>,
+}
+
+impl Job {
+    fn run(self) -> KResult<Value> {
+        let value = drain(&self.compiled, &self.ctx, self.limit)?;
+        if let Some(ticket) = self.ticket {
+            ticket.commit(value.clone());
+        }
+        Ok(value)
+    }
+}
+
+/// A started query: the handle [`Session::start`] returns.
 ///
-/// Obtained from [`Session::submit`], which returns as soon as the plan
-/// is compiled — evaluation proceeds as a task on the session's shared
-/// compute executor, submitting its driver requests through the
-/// non-blocking handle machinery (bounded by each driver's admission
-/// budget). Redeem it with:
+/// Evaluation is a task on the session's compute executor, submitting
+/// its driver requests through the non-blocking handle machinery
+/// (bounded by each driver's admission budget). Redeem it with:
 ///
-/// * [`QueryHandle::wait`] — block until the full result is ready;
+/// * [`QueryHandle::wait`] — block until the result is ready. An
+///   evaluation no executor worker has picked up yet runs **on the
+///   waiting thread** (the caller-helps rule of `Executor::run_all`), so
+///   a caller that is itself an executor task — the server's admitted
+///   query — evaluates in place and never waits on a second task;
 /// * [`QueryHandle::try_wait`] — non-blocking poll that takes the result
 ///   when finished;
-/// * [`QueryHandle::first_n`] — block only until `n` rows have streamed
-///   in (set-typed prefixes are deduplicated, as in
-///   [`Session::query_first_n`]), then cancel the remainder;
 /// * [`QueryHandle::cancel`] — stop the evaluation cooperatively: the
-///   worker aborts at the next block boundary, and driver requests still
+///   drain aborts at the next block boundary, driver requests still
 ///   queued behind admission gates are discarded without ever reaching
-///   their source. Dropping the handle cancels too; either way no driver
-///   admission ticket is leaked.
+///   their source, and an evaluation nobody has started never starts.
+///   Dropping the handle cancels too; either way no driver admission
+///   ticket is leaked.
 ///
 /// Cancellation granularity: a request already running inside a driver
 /// finishes on its worker (its result is thrown away); a plan that is not
@@ -217,12 +274,13 @@ struct QueryShared {
 /// round-trips, i.e. cancellation is cooperative, not preemptive.
 ///
 /// ```
-/// use kleisli::{QueryStatus, Session};
+/// use kleisli::{How, QueryStatus, Session};
 /// use kleisli_core::Value;
 ///
 /// let mut session = Session::new();
 /// session.bind_value("DB", Value::set((0..10).map(Value::Int).collect()));
-/// let mut handle = session.submit(r"sum({x | \x <- DB})").unwrap();
+/// let plan = session.compile_shared(r"sum({x | \x <- DB})").unwrap();
+/// let mut handle = session.start(&plan, How::default());
 ///
 /// // Poll without blocking until the result is in (a real caller
 /// // would do other work between polls; see `wait` to just block).
@@ -237,97 +295,23 @@ struct QueryShared {
 /// ```
 pub struct QueryHandle {
     shared: Arc<QueryShared>,
-    /// Deduplicate the streamed prefix (set-typed plans).
-    dedup: bool,
+    /// Answered by the shared result cache at `start`, without an
+    /// evaluation.
+    from_cache: bool,
 }
 
 impl QueryHandle {
-    /// Submit the evaluation of `compiled` against `ctx` as a task on
-    /// the context's shared [`Executor`] — no ad-hoc OS thread exists
-    /// per query; a burst of submissions beyond the executor's worker
-    /// bound queues as data and runs as workers free up. The task
-    /// resolves the handle's [`OneShot`] promise when it finishes.
-    fn spawn(
-        compiled: Arc<Compiled>,
-        ctx: Arc<Context>,
-        deadline: Option<Duration>,
-    ) -> QueryHandle {
-        // The same kind/dedup decisions as the synchronous query paths:
-        // stream block by block when the plan's collection kind is
-        // syntactically evident, else evaluate in one piece on the worker.
-        let kind = compiled.optimized.coll_kind_hint();
-        let dedup = match &compiled.ty {
-            Type::Coll(k, _) => *k == CollKind::Set,
-            _ => kind == Some(CollKind::Set),
-        };
-        let cancel = Arc::new(CancelToken::new());
-        // Thread the query budget into the evaluation context: every
-        // remote wait and row-boundary check below this clone observes
-        // the deadline and the cancellation token.
-        let mut qctx = ctx.with_cancel_token(Arc::clone(&cancel));
-        if let Some(budget) = deadline {
-            qctx = qctx.with_deadline(Instant::now() + budget);
-        }
-        let ctx = Arc::new(qctx);
-        let shared = Arc::new(QueryShared {
-            rows: StdMutex::new(Vec::new()),
-            done: OneShot::new(),
+    /// A handle whose result is known at `start`.
+    fn resolved(result: KResult<Value>, cancel: Arc<CancelToken>, from_cache: bool) -> QueryHandle {
+        let shared = QueryShared {
+            job: StdMutex::new(None),
+            done: OneShot::ready(result),
             cancel,
-            #[cfg(test)]
-            rounds: Default::default(),
-        });
-        let worker = Arc::clone(&shared);
-        let executor = Arc::clone(ctx.executor());
-        executor.spawn(move || {
-            // A panic in evaluation must park an error, never leave
-            // the handle unfinished (the caller is blocked in wait).
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                QueryHandle::run(&worker, &compiled, &ctx, kind)
-            }))
-            .unwrap_or_else(|_| Err(KError::eval("query evaluation panicked")));
-            worker.done.set(result);
-        });
-        QueryHandle { shared, dedup }
-    }
-
-    /// The worker body: stream blocks of rows into the shared state when
-    /// the plan is collection-shaped, evaluate it in one piece otherwise.
-    /// Either way the block evaluator runs the plan; only the grain
-    /// differs.
-    fn run(
-        shared: &Arc<QueryShared>,
-        compiled: &Compiled,
-        ctx: &Arc<Context>,
-        kind: Option<CollKind>,
-    ) -> KResult<Value> {
-        let Some(kind) = kind else {
-            // Not visibly a collection: no row-granular progress (and no
-            // row-granular cancellation) to offer.
-            return eval(&compiled.optimized, &Env::empty(), ctx);
         };
-        // Stream position: the handle's owner may take a prefix and
-        // cancel ([`QueryHandle::first_n`]) at any moment.
-        let blocks = eval_blocks(&compiled.optimized, &Env::empty(), ctx)?;
-        drain(blocks, ctx, |block| {
-            let mut rows = shared.rows.lock().unwrap_or_else(|e| e.into_inner());
-            let pushed = push_rows(&mut rows, block);
-            drop(rows);
-            #[cfg(test)]
-            shared
-                .rounds
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            // Wake first_n waiters to re-count the arrived prefix. The
-            // rows lock is released first: pulse holds the promise lock,
-            // and waiters evaluate their row-count predicate under it.
-            shared.done.pulse();
-            pushed
-        })?;
-        // Move the rows out rather than cloning them: first_n's fallback
-        // already serves the prefix from the final value when the row
-        // buffer is empty.
-        let mut rows = shared.rows.lock().unwrap_or_else(|e| e.into_inner());
-        let rows = std::mem::take(&mut *rows);
-        Ok(Value::collection(kind, rows))
+        QueryHandle {
+            shared: Arc::new(shared),
+            from_cache,
+        }
     }
 
     /// Progress, without blocking.
@@ -338,8 +322,17 @@ impl QueryHandle {
         }
     }
 
-    /// Block until evaluation completes and return the full result.
+    /// Whether the shared result cache answered this query without an
+    /// evaluation (kleislid's `ServedFrom`). Settled when `start`
+    /// returns.
+    pub fn from_cache(&self) -> bool {
+        self.from_cache
+    }
+
+    /// Block until evaluation completes and return the result — running
+    /// it right here if no worker has picked it up yet.
     pub fn wait(self) -> KResult<Value> {
+        self.shared.run_unclaimed();
         self.shared
             .done
             .wait()
@@ -359,98 +352,6 @@ impl QueryHandle {
         }
     }
 
-    /// Block until `n` rows have streamed in (fewer if the query finishes
-    /// first), return them in arrival order — canonical collection order
-    /// when the evaluation had already completed — and cancel the
-    /// remainder of the evaluation. Set-typed prefixes are
-    /// duplicate-free — duplicates do not count toward `n`. An
-    /// evaluation error arriving before `n` rows propagates.
-    pub fn first_n(self, n: usize) -> KResult<Vec<Value>> {
-        // Block until enough rows arrived or the promise resolved. The
-        // worker pushes each block (releasing the rows lock) and then
-        // pulses the promise, so the predicate re-runs per block. The
-        // wakeup check only needs a count (capped at `n`), maintained
-        // *incrementally* across pulses: each wakeup scans only the rows
-        // that arrived since the last one, so a long stream of
-        // duplicates costs O(rows) hashing total, not O(rows^2).
-        {
-            let mut seen: HashSet<Value> = HashSet::new();
-            let mut scanned = 0usize;
-            self.shared.done.wait_until(|| {
-                let rows = self.shared.rows.lock().unwrap_or_else(|e| e.into_inner());
-                if !self.dedup {
-                    return rows.len() >= n;
-                }
-                while scanned < rows.len() && seen.len() < n {
-                    // contains-before-insert bounds the deep clones to
-                    // at most `n` distinct values; duplicate rows (the
-                    // common case on this path) cost only a hash.
-                    if !seen.contains(&rows[scanned]) {
-                        seen.insert(rows[scanned].clone());
-                    }
-                    scanned += 1;
-                }
-                seen.len() >= n
-            });
-        }
-        // Snapshot the streamed prefix *before* inspecting the result:
-        // the worker's completion path moves its rows into the final
-        // collection, and deciding on a stale count here would race that
-        // move and return a short (even empty) prefix for a query that
-        // streamed plenty.
-        let prefix = {
-            let rows = self.shared.rows.lock().unwrap_or_else(|e| e.into_inner());
-            if self.dedup {
-                distinct_prefix(&rows, n)
-            } else {
-                rows.iter().take(n).cloned().collect::<Vec<_>>()
-            }
-        };
-        if prefix.len() < n {
-            // Not enough in the stream buffer. Either the promise has
-            // resolved (wait_until only returns early on promise set),
-            // or the worker is mid-completion: it has already moved its
-            // rows into the final collection but not yet set the promise
-            // (the take and the set are separate steps). In the latter
-            // case the set is imminent — block for it; the row count is
-            // monotone until the take, so a short snapshot proves the
-            // take happened.
-            let result = match self.shared.done.try_wait() {
-                some @ Some(_) => some,
-                None => self.shared.done.wait(),
-            };
-            match result {
-                Some(Ok(v)) => {
-                    // Serve the prefix from the final value: the
-                    // one-piece fallback, and the streaming worker's
-                    // completion path (whose collection holds every
-                    // streamed row, superseding whatever snapshot we
-                    // took above).
-                    return match v.elements() {
-                        Some(es) => Ok(if self.dedup {
-                            distinct_prefix(es, n)
-                        } else {
-                            es.iter().take(n).cloned().collect()
-                        }),
-                        None => Err(KError::eval(format!(
-                            "cannot take a row prefix of a non-collection ({})",
-                            v.kind_name()
-                        ))),
-                    };
-                }
-                // An error arriving before `n` rows propagates.
-                Some(Err(e)) => return Err(e),
-                // Result already taken (impossible for an owned handle):
-                // serve the streamed rows.
-                None => {}
-            }
-        }
-        // Enough rows arrived (or the stream ended): the rest of the
-        // evaluation is wasted work.
-        self.cancel();
-        Ok(prefix)
-    }
-
     /// Stop the evaluation cooperatively (see the type docs). Driver
     /// round-trips in flight are woken through the cancellation token
     /// and abandoned — their admission tickets reclaimed at once, even
@@ -459,67 +360,109 @@ impl QueryHandle {
     /// Idempotent.
     pub fn cancel(&self) {
         self.shared.cancel.cancel();
-        self.shared.done.pulse();
+        let job = self.shared.job.lock().unwrap_or_else(|e| e.into_inner()).take();
+        if job.is_some() {
+            drop(job);
+            self.shared.done.set(Err(KError::cancelled("query cancelled")));
+        }
     }
 }
 
+/// Dropping an unfinished handle cancels it; a finished one leaves the
+/// token alone (a caller may share it with other queries).
 impl Drop for QueryHandle {
     fn drop(&mut self) {
-        self.cancel();
+        if self.status() == QueryStatus::Running {
+            self.cancel();
+        }
     }
 }
 
-/// Drain a collection-shaped plan's stream block by block, handing each
-/// block to `deliver` — the one loop behind every query evaluated for a
-/// consumer who may be watching or may cancel ([`QueryHandle`]'s worker,
-/// and [`Session::run_shared`] on its caller's thread).
+/// The one drain behind every started query, a function of the limit
+/// alone ([`How`]):
 ///
-/// **The grain rule: it doubles per pull**, from 1 up to
-/// [`DEFAULT_BLOCK_ROWS`]. The first row is handed over as soon as it
-/// exists (the paper's fast first response), a long drain pays one
-/// budget check, one hand-over and one wake per 64 rows, and a prefix
-/// consumer over-evaluates at most the prefix again: when its `n`-th row
-/// arrives fewer than `2n` have been delivered (the pull then in flight,
-/// which its cancel stops, asks for at most as many again).
-fn drain(
+/// * **No limit: value position.** Nobody can take a prefix, the result
+///   is read to its end and every row kept — so a scan at the top of
+///   the plan is a full fetch, as it would be one level down
+///   ([`kleisli_exec::eval_blocks_to_end`]).
+/// * **A limit: stream position**, stopped once `n` rows (distinct rows,
+///   for a set) are in; the stream's drop cancels what is still in
+///   flight. The prefix comes back as a collection of the plan's kind.
+///
+/// A plan that is not visibly a collection is evaluated in one piece.
+fn drain(compiled: &Compiled, ctx: &Context, limit: Option<usize>) -> KResult<Value> {
+    let plan = &compiled.optimized;
+    let env = Env::empty();
+    let Some(n) = limit else {
+        let Some(kind) = plan.coll_kind_hint() else {
+            return eval(plan, &env, ctx);
+        };
+        let blocks = eval_blocks_to_end(plan, &env, ctx)?;
+        return Ok(Value::collection(kind, read(blocks, ctx, usize::MAX, false)?));
+    };
+    let kind = match &compiled.ty {
+        Type::Coll(kind, _) => Some(*kind),
+        _ => plan.coll_kind_hint(),
+    };
+    let Some(kind) = kind else {
+        let value = eval(plan, &env, ctx)?;
+        return match (value.coll_kind(), value.elements()) {
+            (Some(kind), Some(rows)) => {
+                Ok(Value::collection(kind, rows.iter().take(n).cloned().collect()))
+            }
+            _ => Err(KError::eval(format!(
+                "cannot take a row prefix of a non-collection ({})",
+                value.kind_name()
+            ))),
+        };
+    };
+    if n == 0 {
+        // An empty prefix starts nothing.
+        return Ok(Value::collection(kind, Vec::new()));
+    }
+    let blocks = eval_blocks(plan, &env, ctx)?;
+    Ok(Value::collection(kind, read(blocks, ctx, n, kind == CollKind::Set)?))
+}
+
+/// Read `blocks` until `limit` rows are in — distinct ones when
+/// `distinct`, duplicates not counting — checking the query's budget
+/// between blocks: `KError::Cancelled` once its token fires,
+/// `KError::Timeout` past its deadline, even when every round-trip was
+/// fast (the budget is end-to-end).
+///
+/// **The grain doubles per pull**, from 1 up to [`DEFAULT_BLOCK_ROWS`],
+/// and never asks for more rows than the limit still wants: the first
+/// row costs one row's work, a long drain pays one budget check per 64
+/// rows, and a prefix pulls no row it does not need.
+fn read(
     mut blocks: BlockStream,
     ctx: &Context,
-    mut deliver: impl FnMut(ValueBlock) -> KResult<()>,
-) -> KResult<()> {
+    limit: usize,
+    distinct: bool,
+) -> KResult<Vec<Value>> {
+    let mut rows = Vec::new();
+    let mut seen = HashSet::new();
     let mut grain = 1;
-    while let Some(block) = blocks.next_block(grain) {
-        // Cancelled -> KError::Cancelled; past the query deadline ->
-        // KError::Timeout, even when every individual round-trip was
-        // fast (the budget is end-to-end).
+    while rows.len() < limit {
+        let Some(block) = blocks.next_block(grain.min(limit - rows.len())) else {
+            break;
+        };
         ctx.check_budget()?;
-        deliver(block)?;
+        // A block's error is its last row.
+        for row in block.into_rows() {
+            let row = row?;
+            if distinct {
+                // contains-before-insert clones only the distinct rows.
+                if seen.contains(&row) {
+                    continue;
+                }
+                seen.insert(row.clone());
+            }
+            rows.push(row);
+        }
         grain = (grain * 2).min(DEFAULT_BLOCK_ROWS);
     }
-    Ok(())
-}
-
-/// Move a block's rows behind `rows`; a block's error is its last row,
-/// so the rows in front of it are kept.
-fn push_rows(rows: &mut Vec<Value>, block: ValueBlock) -> KResult<()> {
-    for row in block.into_rows() {
-        rows.push(row?);
-    }
-    Ok(())
-}
-
-/// First-arrival-order distinct prefix of at most `n` rows.
-fn distinct_prefix(rows: &[Value], n: usize) -> Vec<Value> {
-    let mut seen: HashSet<&Value> = HashSet::new();
-    let mut out = Vec::new();
-    for v in rows {
-        if out.len() >= n {
-            break;
-        }
-        if seen.insert(v) {
-            out.push(v.clone());
-        }
-    }
-    out
+    Ok(rows)
 }
 
 /// A CPL/Kleisli session. Drivers are registered once; `define`s
@@ -532,7 +475,7 @@ pub struct Session {
     /// server swaps in a shared one ([`Session::share_plan_cache`]).
     plan_cache: Arc<PlanCache>,
     /// Shared whole-query result cache, when attached
-    /// ([`Session::share_result_cache`]); consulted by `run_shared`.
+    /// ([`Session::share_result_cache`]); consulted by `start`.
     result_cache: Option<Arc<ResultCache>>,
 }
 
@@ -600,8 +543,8 @@ impl Session {
     }
 
     /// Attach a process-wide single-flight result cache, keyed by
-    /// [`Compiled::plan_hash`]; [`Session::run_shared`] consults and
-    /// populates it. The same topology caveat as
+    /// [`Compiled::plan_hash`]; a query started with no limit
+    /// ([`Session::start`]) consults and populates it. The same topology caveat as
     /// [`Session::share_plan_cache`] applies, and like the plan cache it
     /// is cleared by [`Session::clear_plan_cache`] (registration and
     /// `define` both invalidate it).
@@ -636,24 +579,6 @@ impl Session {
 
     pub fn opt_config(&self) -> &OptConfig {
         &self.config
-    }
-
-    /// Enable or disable batched driver round-trips (the IN-list /
-    /// multi-uid pushdown mark). A convenience over [`set_opt_config`]
-    /// for the equivalence harness and the batching benchmark, which
-    /// compare the two execution paths on the same session. Like any
-    /// config change, the toggle is part of the plan-cache key, so both
-    /// variants cache independently.
-    ///
-    /// [`set_opt_config`]: Session::set_opt_config
-    pub fn set_batching(&mut self, on: bool) {
-        self.config.enable_batching = on;
-    }
-
-    /// Resize the plan cache; `0` disables it. Existing entries beyond
-    /// the new capacity are evicted oldest-first.
-    pub fn set_plan_cache_capacity(&mut self, capacity: usize) {
-        self.plan_cache.set_capacity(capacity);
     }
 
     /// Hit/miss/eviction counters and occupancy of the plan cache.
@@ -785,14 +710,7 @@ impl Session {
     /// or fetch the identical plan from the session plan cache (keyed by
     /// source text + optimizer config; see the module docs). The cache
     /// keeps a plan once its text has been asked for before, so the first
-    /// two asks of a text compile and the third is a hit.
-    pub fn compile(&self, src: &str) -> KResult<Compiled> {
-        Ok((*self.compile_shared(src)?).clone())
-    }
-
-    /// [`Session::compile`] returning the cache's shared handle: a cache
-    /// hit is a pointer bump, no `Compiled` clone. The internal query
-    /// paths use this.
+    /// two asks of a text compile and the third is a hit, a pointer bump.
     pub fn compile_shared(&self, src: &str) -> KResult<Arc<Compiled>> {
         self.plan_cache.get_or_compile(src, &self.config, || {
             Ok(Arc::new(self.compile_uncached(src)?))
@@ -831,169 +749,110 @@ impl Session {
         optimize_shared(shared, &catalog, &self.config)
     }
 
-    /// Submit one CPL expression for evaluation without waiting for it:
-    /// compilation (and any compile error) happens here, then evaluation
-    /// proceeds as a task on the session's shared compute executor,
-    /// shipping its driver requests through the non-blocking
-    /// submit/handle machinery. Returns a [`QueryHandle`] exposing
-    /// wait / try_wait / cancel / first_n.
+    /// Start evaluating `compiled` — the one way a query starts — and
+    /// return its handle at once: the evaluation is a task on the
+    /// session's compute executor (or runs on the thread that
+    /// [waits](QueryHandle::wait) for it, if that comes first). What is
+    /// read, and how far, is `how` ([`How`]): with no limit the result
+    /// is read to its end in value position, with a limit the plan is
+    /// streamed and stopped after that many rows.
+    ///
+    /// Without a limit the attached shared result cache (see
+    /// [`Session::share_result_cache`]) is consulted here, on the calling
+    /// thread, keyed by [`Compiled::plan_hash`] with single-flight
+    /// semantics ([`kleisli_core::flight`]):
+    ///
+    /// * a cached result is the handle's result, with no evaluation
+    ///   ([`QueryHandle::from_cache`]);
+    /// * a key *currently being computed by another session* is waited
+    ///   for here until that computation commits (then a hit), aborts
+    ///   (then this caller races for the lead), or the handle's deadline
+    ///   or token ends the wait — with the error of a cancelled or late
+    ///   query, touching nothing else;
+    /// * a cold key is evaluated and committed before the handle resolves
+    ///   (the cache keeps it if the key was asked for before: the
+    ///   admission rule of [`kleisli_exec::result_cache`]).
     ///
     /// ```
-    /// use kleisli::Session;
+    /// use kleisli::{How, Session};
     /// use kleisli_core::Value;
     ///
     /// let mut session = Session::new();
     /// session.bind_value("DB", Value::set((0..100).map(Value::Int).collect()));
+    /// let doubles = session.compile_shared(r"{x * 2 | \x <- DB}").unwrap();
+    /// let evens = session.compile_shared(r"{x | \x <- DB, x mod 2 = 0}").unwrap();
     ///
-    /// // Both queries are in flight at once; neither submit blocks.
-    /// let doubles = session.submit(r"{x * 2 | \x <- DB}").unwrap();
-    /// let evens = session.submit(r"{x | \x <- DB, x mod 2 = 0}").unwrap();
+    /// // Both queries are in flight at once; neither start blocks.
+    /// let all = session.start(&doubles, How::default());
+    /// let five = session.start(&evens, How { limit: Some(5), ..How::default() });
     ///
-    /// // A streamed prefix: blocks only until 5 rows have arrived,
-    /// // then cancels the rest of that query's evaluation.
-    /// let five = evens.first_n(5).unwrap();
-    /// assert_eq!(five.len(), 5);
-    ///
+    /// // A prefix: the evaluation stops once 5 rows are in.
+    /// assert_eq!(five.wait().unwrap().len(), Some(5));
     /// // The full result of the other query.
-    /// let all = doubles.wait().unwrap();
-    /// assert_eq!(all.len(), Some(100));
+    /// assert_eq!(all.wait().unwrap().len(), Some(100));
     /// ```
     ///
-    /// Note: like every query entry point, submission clears the
-    /// session's subquery cache, so results of queries *currently in
-    /// flight* on the same session may recompute cached subtrees.
-    pub fn submit(&self, src: &str) -> KResult<QueryHandle> {
-        let compiled = self.compile_shared(src)?;
-        self.ctx.cache_clear();
-        Ok(QueryHandle::spawn(compiled, Arc::clone(&self.ctx), None))
-    }
-
-    /// [`Session::submit`] with an end-to-end latency budget: once
-    /// `budget` has elapsed (measured from submission), remote waits
-    /// resolve `KError::Timeout` — abandoning wedged round-trips and
-    /// reclaiming their admission tickets — and the evaluation aborts at
-    /// the next block boundary. A driver policy's own deadline, when
-    /// tighter, still wins for that driver's requests.
-    pub fn submit_with_deadline(&self, src: &str, budget: Duration) -> KResult<QueryHandle> {
-        let compiled = self.compile_shared(src)?;
-        self.ctx.cache_clear();
-        Ok(QueryHandle::spawn(
-            compiled,
-            Arc::clone(&self.ctx),
-            Some(budget),
-        ))
-    }
-
-    /// [`Session::run`] consulting the attached shared result cache (see
-    /// [`Session::share_result_cache`]) with single-flight semantics,
-    /// keyed by [`Compiled::plan_hash`], for a caller that already *is*
-    /// a task on the compute executor (the server's admitted query):
-    ///
-    /// * a cached result returns without starting an evaluation;
-    /// * a cold key evaluates **on the calling thread** — no second
-    ///   task, no hand-off — and commits the result before returning it
-    ///   (the cache keeps it if the key was asked for before: the
-    ///   admission rule of [`kleisli_exec::result_cache`]);
-    /// * a key *currently being computed by another session* waits
-    ///   until that computation commits (then a hit), aborts (then this
-    ///   caller races for the lead), or `cancel` fires — which ends this
-    ///   caller's wait at once, with the error of a cancelled query, and
-    ///   touches nothing else ([`kleisli_core::flight`]).
-    ///
-    /// Returns the value and whether it came from the shared cache.
-    /// Without an attached cache (or on a re-entrant lookup) the
-    /// evaluation is invisible to other sessions.
-    ///
-    /// `cancel` stops the evaluation cooperatively, exactly as
-    /// [`QueryHandle::cancel`] does; the drain is the handle worker's
-    /// (the grain rule on [`QueryHandle`]), so cancellation is noticed
-    /// at block boundaries and inside remote waits. Unlike a handle's,
-    /// this evaluation cannot be asked for a prefix, so it drains
-    /// [`kleisli_exec::eval_blocks_to_end`]: a remote scan at the top of
-    /// the plan is fetched the way one inside a record field is. A failed or
-    /// cancelled evaluation drops its populate ticket uncommitted,
-    /// handing the lead to a waiting session.
-    pub fn run_shared(&self, src: &str, cancel: &Arc<CancelToken>) -> KResult<(Value, bool)> {
-        let compiled = self.compile_shared(src)?;
-        let ctx = self.ctx.with_cancel_token(Arc::clone(cancel));
-        let ticket = match &self.result_cache {
-            None => None,
-            Some(cache) => match cache
-                .join(compiled.plan_hash(), &compiled.deps, ctx.deadline(), Some(cancel))
-                .map_err(|_| ctx.spent_budget())?
-            {
-                ResultLookup::Hit(v) => return Ok((v, true)),
-                ResultLookup::Reentrant => None,
-                ResultLookup::Miss(ticket) => Some(ticket),
-            },
-        };
-        self.ctx.cache_clear();
-        let value = match compiled.optimized.coll_kind_hint() {
-            None => eval(&compiled.optimized, &Env::empty(), &ctx)?,
-            Some(kind) => {
-                // Value position: nobody can take a prefix of this
-                // evaluation, it reads its plan to the end and keeps
-                // every row — so a scan at the top of the plan is a full
-                // fetch, as it would be one level down.
-                let blocks = eval_blocks_to_end(&compiled.optimized, &Env::empty(), &ctx)?;
-                let mut rows = Vec::new();
-                drain(blocks, &ctx, |block| push_rows(&mut rows, block))?;
-                Value::collection(kind, rows)
+    /// Note: starting a query clears the session's subquery cache, so
+    /// queries *currently in flight* on the same session may recompute
+    /// cached subtrees.
+    pub fn start(&self, compiled: &Arc<Compiled>, how: How) -> QueryHandle {
+        let cancel = how.cancel.unwrap_or_default();
+        // Thread the query budget into the evaluation context: every
+        // remote wait and block boundary below this clone observes the
+        // deadline and the cancellation token.
+        let mut ctx = self.ctx.with_cancel_token(Arc::clone(&cancel));
+        if let Some(budget) = how.deadline {
+            ctx = ctx.with_deadline(Instant::now() + budget);
+        }
+        let ticket = match (&self.result_cache, how.limit) {
+            (Some(cache), None) => {
+                let hash = compiled.plan_hash();
+                match cache.join(hash, &compiled.deps, ctx.deadline(), Some(&cancel)) {
+                    Err(_) => return QueryHandle::resolved(Err(ctx.spent_budget()), cancel, false),
+                    Ok(ResultLookup::Hit(v)) => return QueryHandle::resolved(Ok(v), cancel, true),
+                    Ok(ResultLookup::Reentrant) => None,
+                    Ok(ResultLookup::Miss(ticket)) => Some(ticket),
+                }
             }
+            _ => None,
         };
-        if let Some(ticket) = ticket {
-            ticket.commit(value.clone());
-        }
-        Ok((value, false))
-    }
-
-    /// [`Session::submit`] for an already-compiled plan.
-    pub fn submit_compiled(&self, compiled: &Compiled) -> QueryHandle {
         self.ctx.cache_clear();
-        QueryHandle::spawn(Arc::new(compiled.clone()), Arc::clone(&self.ctx), None)
+        let job = Job {
+            compiled: Arc::clone(compiled),
+            ctx,
+            limit: how.limit,
+            ticket,
+        };
+        let shared = Arc::new(QueryShared {
+            job: StdMutex::new(Some(job)),
+            done: OneShot::new(),
+            cancel,
+        });
+        let worker = Arc::clone(&shared);
+        self.executor().spawn_awaited(move || worker.run_unclaimed());
+        QueryHandle {
+            shared,
+            from_cache: false,
+        }
     }
 
-    /// Compile and evaluate one CPL expression: submit-then-wait through
-    /// the concurrency machinery, so independent remote subplans overlap
-    /// their round-trips.
+    /// Compile and evaluate one CPL expression to its end: the
+    /// shorthand for [`Session::compile_shared`], [`Session::start`]
+    /// with no limit, and [`QueryHandle::wait`].
     pub fn query(&self, src: &str) -> KResult<Value> {
-        self.submit(src)?.wait()
+        self.start(&self.compile_shared(src)?, How::default()).wait()
     }
 
-    /// Evaluate an already-compiled query on the caller's thread: the
-    /// same block evaluator [`Session::submit_compiled`] runs on a worker,
-    /// drained at the full grain with no per-row hand-off, progress or
-    /// cancellation. Union arms, join sides and `ParExt` chunks overlap
-    /// their round-trips exactly as they do there. (`run` evaluates
-    /// program statements the same way.)
-    pub fn run_compiled(&self, compiled: &Compiled) -> KResult<Value> {
-        self.ctx.cache_clear();
-        eval(&compiled.optimized, &Env::empty(), &self.ctx)
+    /// [`Session::start`] with no limit, waited for. Kept only because
+    /// the benchmark calls it (ROADMAP item 14).
+    pub fn run_compiled(&self, compiled: &Arc<Compiled>) -> KResult<Value> {
+        self.start(compiled, How::default()).wait()
     }
 
-    /// Evaluate lazily, returning only the first `n` elements — the
-    /// paper's fast-first-response path. Streams skip collection
-    /// canonicalization, so when the plan produces a *set* (by inferred
-    /// type, or plan syntax where typing says `Any`) the streamed prefix
-    /// is deduplicated (duplicates do not count toward `n`); bag/list
-    /// prefixes are returned in arrival order as-is.
-    ///
-    /// This synchronous path pulls rows on the caller's thread, so driver
-    /// traffic is strictly bounded by demand; [`QueryHandle::first_n`] is
-    /// the concurrent variant (its worker may run slightly ahead of the
-    /// prefix before cancellation lands).
-    pub fn query_first_n(&self, src: &str, n: usize) -> KResult<Vec<Value>> {
-        let compiled = self.compile_shared(src)?;
-        self.ctx.cache_clear();
-        let is_set = match &compiled.ty {
-            Type::Coll(kind, _) => *kind == CollKind::Set,
-            _ => compiled.optimized.coll_kind_hint() == Some(CollKind::Set),
-        };
-        if is_set {
-            first_n_distinct(&compiled.optimized, n, &Env::empty(), &self.ctx)
-        } else {
-            first_n(&compiled.optimized, n, &Env::empty(), &self.ctx)
-        }
+    /// [`Session::start`] with no limit. Kept only because the benchmark
+    /// calls it (ROADMAP item 14).
+    pub fn submit_compiled(&self, compiled: &Arc<Compiled>) -> QueryHandle {
+        self.start(compiled, How::default())
     }
 
     /// Run a whole program (defines and queries).
@@ -1034,7 +893,7 @@ impl Session {
     /// and the inferred type.
     pub fn explain(&self, src: &str) -> KResult<String> {
         use std::fmt::Write as _;
-        let c = self.compile(src)?;
+        let c = self.compile_shared(src)?;
         let mut out = String::new();
         let _ = writeln!(out, "== type ==\n{}", c.ty);
         let _ = writeln!(out, "\n== NRC (desugared, {} nodes) ==\n{}", c.raw.size(), c.raw);
@@ -1083,27 +942,5 @@ impl Session {
     /// unique ownership.
     pub fn context(&self) -> Arc<Context> {
         Arc::clone(&self.ctx)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::Ordering;
-
-    #[test]
-    fn a_long_drain_hands_over_per_block_not_per_row() {
-        let mut session = Session::new();
-        session.bind_value("DB", Value::list((0..10_000).map(Value::Int).collect()));
-        let handle = session.submit(r"[| x + 1 | \x <- DB |]").expect("submit");
-        let shared = Arc::clone(&handle.shared);
-        assert_eq!(handle.wait().expect("drain").len(), Some(10_000));
-        // The grain ramps 1, 2, 4, .. 64 and stays there: 7 pulls for the
-        // first 127 rows, then one per 64.
-        let rounds = shared.rounds.load(Ordering::Relaxed);
-        assert!(
-            (100..=200).contains(&rounds),
-            "{rounds} lock-and-pulse rounds"
-        );
     }
 }

@@ -774,8 +774,8 @@ impl Expr {
     /// The collection kind this expression produces, when it is evident
     /// from the plan's syntax. Used by the evaluator to canonicalize a
     /// drained plan (or a cached subquery's teed rows) into the right
-    /// collection, and by `Session::query_first_n` to decide whether the
-    /// streamed prefix needs set deduplication. `None` means the kind is
+    /// collection, and by the session to decide the kind of a streamed
+    /// prefix and whether it needs set deduplication. `None` means the kind is
     /// only knowable from types or runtime values (e.g. a bare `Var`).
     pub fn coll_kind_hint(&self) -> Option<CollKind> {
         match self {

@@ -23,9 +23,12 @@
 //!   warm fast path)         evaluate · serialize into the frame
 //! ```
 //!
-//! The task evaluates *in place* ([`Session::run_shared`]): the block
-//! evaluator's parallel chunks may borrow further executor workers, but
-//! the query itself never waits on a second task. The one thing a task
+//! The task evaluates *in place*: it starts the query with no limit
+//! ([`Session::start`]: value position, through the shared result cache)
+//! and waits for it, and [`kleisli::QueryHandle::wait`] runs an
+//! evaluation no worker has picked up yet on the waiting thread. The
+//! block evaluator's parallel chunks may borrow further executor
+//! workers, but the query itself never waits on a second task. The one thing a task
 //! may park its worker on is another session's single flight of the
 //! very same plan or result ([`kleisli_core::flight`]) — until that
 //! leader commits, which needs no further worker (it is itself running,
@@ -112,7 +115,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use kleisli::{PlanCache, Session};
+use kleisli::{How, PlanCache, Session};
 use kleisli_core::testutil::Quiescent;
 use kleisli_core::{CancelToken, Executor, KError};
 use kleisli_exec::ResultCache;
@@ -1101,10 +1104,20 @@ fn run_query(slot: &RunSlot, id: u64, src: &str) {
         started
     };
     let outcome = if started {
-        // A panic must still end in a terminal frame for this id.
-        catch_unwind(AssertUnwindSafe(|| session.run_shared(src, &token)))
-            .unwrap_or_else(|_| Err(KError::eval("query evaluation panicked")))
-            .map_err(|e| e.to_string())
+        // A panic must still end in a terminal frame for this id. No
+        // limit: the result is read to its end in value position, through
+        // the shared result cache; the wait evaluates right here.
+        catch_unwind(AssertUnwindSafe(|| {
+            let how = How {
+                cancel: Some(token),
+                ..How::default()
+            };
+            let handle = session.start(&session.compile_shared(src)?, how);
+            let cached = handle.from_cache();
+            Ok((handle.wait()?, cached))
+        }))
+        .unwrap_or_else(|_| Err(KError::eval("query evaluation panicked")))
+        .map_err(|e: KError| e.to_string())
     } else {
         Err("query cancelled before it started".to_string())
     };
@@ -1242,6 +1255,24 @@ mod tests {
             );
             thread::sleep(Duration::from_millis(1));
         }
+    }
+
+    #[test]
+    fn a_one_wide_executor_still_serves_a_query() {
+        // The admitted query is the executor's one task, so nobody but
+        // the task itself can evaluate what it starts: its wait must run
+        // the evaluation in place.
+        let executor = Executor::new("one-wide", 1);
+        let registrar: Arc<Registrar> = Arc::new(|session: &mut Session| {
+            session.bind_value("DB", Value::set((0..5).map(Value::Int).collect()));
+        });
+        let config = ServerConfig::default();
+        let server = serve_on("127.0.0.1:0", config, registrar, Arc::clone(&executor)).unwrap();
+        let mut client = Client::connect(server.addr()).unwrap();
+        let (v, _) = client.query(r"{x + 1 | \x <- DB}").unwrap().into_value().unwrap();
+        assert_eq!(v, Value::set((1..6).map(Value::Int).collect()));
+        assert_eq!(executor.threads_spawned(), 1);
+        assert_quiescent(&[&server]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Concurrent sources: the non-blocking `Session::submit` → `QueryHandle`
+//! Concurrent sources: the non-blocking `Session::start` → `QueryHandle`
 //! API over two simulated remote servers with real per-request latency.
 //!
 //! ```sh
@@ -9,13 +9,13 @@
 //! and GenBank (Entrez) are *submitted* rather than executed, each
 //! driver keeps up to its tolerated number of requests in flight
 //! (enforced admission: GDB 8, GenBank 5), and the session exposes the
-//! same two-phase shape publicly — submit, poll, stream a prefix,
-//! cancel, or wait.
+//! same two-phase shape publicly — start, poll, take a prefix, cancel,
+//! or wait.
 
 use std::time::{Duration, Instant};
 
 use bio_data::{GdbConfig, GenBankConfig};
-use kleisli::{bio_federation, Session};
+use kleisli::{bio_federation, How, Session};
 use kleisli_core::{LatencyModel, Value};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -56,10 +56,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
            loci = count({l | \l <- GDB-Tab("locus"), l.locus_id = uid})] |
         \uid <- UIDS}"#;
 
-    // 1. Submit without blocking, poll while it runs, then wait.
+    // 1. Start without blocking, poll while it runs, then wait.
+    let plan = session.compile_shared(two_source)?;
     let t0 = Instant::now();
-    let mut handle = session.submit(two_source)?;
-    println!("submitted; status = {:?}", handle.status());
+    let mut handle = session.start(&plan, How::default());
+    println!("started; status = {:?}", handle.status());
     let result = loop {
         match handle.try_wait() {
             Some(r) => break r?,
@@ -74,8 +75,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Two independent queries in flight on one session.
     let t0 = Instant::now();
-    let h_gdb = session.submit(r#"count(GDB-Tab("locus"))"#)?;
-    let h_gb = session.submit(r#"count(GenBank([db = "na", select = "organism \"Homo sapiens\""]))"#)?;
+    let gdb = session.compile_shared(r#"count(GDB-Tab("locus"))"#)?;
+    let gb = session
+        .compile_shared(r#"count(GenBank([db = "na", select = "organism \"Homo sapiens\""]))"#)?;
+    let h_gdb = session.start(&gdb, How::default());
+    let h_gb = session.start(&gb, How::default());
     let (n_gdb, n_gb) = (h_gdb.wait()?, h_gb.wait()?);
     println!(
         "both sources answered in {:?} (each costs one {latency:?} round-trip): \
@@ -83,18 +87,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         t0.elapsed()
     );
 
-    // 3. Stream a prefix and cancel the rest: first_n redeems as soon as
-    //    three rows have arrived, then stops the evaluation.
+    // 3. A prefix: with a limit the plan is streamed and the evaluation
+    //    stops once three rows are in.
     let t0 = Instant::now();
-    let prefix = session.submit(two_source)?.first_n(3)?;
+    let first_3 = How {
+        limit: Some(3),
+        ..How::default()
+    };
+    let prefix = session.start(&plan, first_3).wait()?;
     println!(
         "first 3 rows in {:?} (remaining requests cancelled): {} rows",
         t0.elapsed(),
-        prefix.len()
+        prefix.len().unwrap_or(0)
     );
 
-    // 4. Explicit cancellation: submit and abandon.
-    let handle = session.submit(two_source)?;
+    // 4. Explicit cancellation: start and abandon.
+    let handle = session.start(&plan, How::default());
     handle.cancel();
     match handle.wait() {
         Err(e) => println!("cancelled query reports: {e}"),

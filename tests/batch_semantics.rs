@@ -19,9 +19,9 @@ use std::ops::{Deref, DerefMut};
 use std::time::Duration;
 
 use bench_harness::latency_federation;
-use kleisli::{BioFederation, Session};
+use kleisli::{BioFederation, How, Session};
 use kleisli_core::testutil::assert_quiescent;
-use kleisli_core::Value;
+use kleisli_core::{KResult, Value};
 use kleisli_exec::{reference, Env};
 use kleisli_opt::OptConfig;
 use proptest::prelude::*;
@@ -85,12 +85,34 @@ fn bind_keys(session: &mut Session, keys: &[i64]) {
     session.bind_value("UIDL", Value::list(vals));
 }
 
+/// Turn batched driver round-trips off or on, the rest of the optimizer
+/// configuration unchanged.
+fn set_batching(session: &mut Session, on: bool) {
+    let config = OptConfig {
+        enable_batching: on,
+        ..session.opt_config().clone()
+    };
+    session.set_opt_config(config);
+}
+
+/// The rows of the first `n` of `query`: a prefix, as a caller holding a
+/// limit asks for it.
+fn first_n(session: &Session, query: &str, n: usize) -> KResult<Vec<Value>> {
+    let plan = session.compile_shared(query)?;
+    let how = How {
+        limit: Some(n),
+        ..How::default()
+    };
+    let rows = session.start(&plan, how).wait()?;
+    Ok(rows.elements().expect("a collection").to_vec())
+}
+
 /// Run `query` with batching off then on; both outcomes stringified so
 /// error messages participate in the equivalence check too.
 fn both_ways(session: &mut Session, query: &str) -> (Result<String, String>, Result<String, String>) {
-    session.set_batching(false);
+    set_batching(session, false);
     let plain = session.query(query).map(|v| v.to_string()).map_err(|e| e.to_string());
-    session.set_batching(true);
+    set_batching(session, true);
     let batched = session.query(query).map(|v| v.to_string()).map_err(|e| e.to_string());
     (plain, batched)
 }
@@ -136,10 +158,10 @@ proptest! {
         let (mut s, pool) = fed_session();
         let keys: Vec<i64> = picks.iter().map(|i| pool[i % pool.len()]).collect();
         bind_keys(&mut s, &keys);
-        s.set_batching(false);
-        let plain = s.query_first_n(LINK_LIST, n).map_err(|e| e.to_string());
-        s.set_batching(true);
-        let batched = s.query_first_n(LINK_LIST, n).map_err(|e| e.to_string());
+        set_batching(&mut s, false);
+        let plain = first_n(&s, LINK_LIST, n).map_err(|e| e.to_string());
+        set_batching(&mut s, true);
+        let batched = first_n(&s, LINK_LIST, n).map_err(|e| e.to_string());
         prop_assert_eq!(plain, batched);
     }
 }
@@ -197,7 +219,7 @@ fn batched_run_actually_batches() {
     let (mut s, pool) = fed_session();
     let keys: Vec<i64> = (0..32).map(|i| pool[i % pool.len()]).collect();
     bind_keys(&mut s, &keys);
-    s.set_batching(true);
+    set_batching(&mut s, true);
     s.reset_metrics();
     s.query(LINK_SET).expect("query");
     let m = s.driver_metrics("GenBank").expect("metrics");
@@ -281,7 +303,7 @@ fn two_hop_session(picks: &[usize], faults: &[(usize, Fault)]) -> Fed {
 /// (batching-off) plan and the staged (batching-on) plan — as printed
 /// values or error texts.
 fn four_ways(s: &mut Session, query: &str) -> [Result<String, String>; 4] {
-    let raw = s.compile(query).expect("compile").raw;
+    let raw = s.compile_shared(query).expect("compile").raw.clone();
     let by_the_book = reference::eval(&raw, &Env::empty(), &s.context());
     let mut run = |config: OptConfig| {
         s.set_opt_config(config);
@@ -333,14 +355,14 @@ proptest! {
         let query = two_hop(LIST);
         let prefix = |s: &mut Session, config: OptConfig| {
             s.set_opt_config(config);
-            s.query_first_n(&query, n).map_err(|e| e.to_string())
+            first_n(s, &query, n).map_err(|e| e.to_string())
         };
         let naive = prefix(&mut s, OptConfig::none());
         let nested = prefix(&mut s, OptConfig { enable_batching: false, ..OptConfig::default() });
         let staged = prefix(&mut s, OptConfig::default());
         prop_assert_eq!(&nested, &naive);
         prop_assert_eq!(&staged, &naive);
-        let raw = s.compile(&query).expect("compile").raw;
+        let raw = s.compile_shared(&query).expect("compile").raw.clone();
         match (reference::eval(&raw, &Env::empty(), &s.context()), staged) {
             (Ok(all), staged) => {
                 let all = all.elements().expect("a list");
@@ -364,7 +386,7 @@ proptest! {
             let query = two_hop(*kind);
             let all = s.query(&query).expect("query");
             let all = all.elements().expect("a collection");
-            let got = s.query_first_n(&query, n).expect("prefix");
+            let got = first_n(&s, &query, n).expect("prefix");
             prop_assert_eq!(got.len(), n.min(all.len()));
             prop_assert!(got.iter().all(|row| all.contains(row)));
         }
@@ -395,8 +417,8 @@ fn a_bad_key_at_both_hops_reports_the_earlier_element() {
         }
         // The rows in front of the failure still arrive.
         s.set_opt_config(OptConfig::default());
-        assert_eq!(s.query_first_n(&two_hop(LIST), 3).expect("prefix").len(), 3);
-        assert!(s.query_first_n(&two_hop(LIST), 4).is_err());
+        assert_eq!(first_n(&s, &two_hop(LIST), 3).expect("prefix").len(), 3);
+        assert!(first_n(&s, &two_hop(LIST), 4).is_err());
     }
 }
 

@@ -1,14 +1,14 @@
 //! End-to-end tests of the concurrency-first session API: non-blocking
-//! [`kleisli::Session::submit`], `QueryHandle` wait / try_wait / cancel /
-//! first_n, enforced per-driver admission budgets, and latency overlap
-//! across parallel plans.
+//! [`kleisli::Session::start`], `QueryHandle` wait / try_wait / cancel,
+//! prefixes (`How::limit`), enforced per-driver admission budgets, and
+//! latency overlap across parallel plans.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bench_harness::set_par_width;
-use kleisli::{QueryStatus, Session};
+use kleisli::{Compiled, How, QueryHandle, QueryStatus, Session};
 use kleisli_core::testutil::{assert_quiescent, SlowDriver};
 use kleisli_core::Value;
 
@@ -26,12 +26,18 @@ fn slow_session(driver: Arc<SlowDriver>, ids: i64) -> Session {
 /// the subquery).
 const PER_ELEMENT: &str = r#"{[i = i, n = count(SRC([function = "probe", arg = i]))] | \i <- IDS}"#;
 
+/// Start `src` on `s`, read to its end unless `limit` rows are enough.
+fn start(s: &Session, src: &str, limit: Option<usize>) -> QueryHandle {
+    let plan = s.compile_shared(src).expect("compile");
+    s.start(&plan, How { limit, ..How::default() })
+}
+
 #[test]
 fn submit_then_wait_matches_blocking_evaluation() {
     let driver = SlowDriver::new("SRC", 3, Duration::from_millis(1), 4);
     let s = slow_session(Arc::clone(&driver), 6);
-    let compiled = s.compile(PER_ELEMENT).expect("compile");
-    let concurrent = s.submit(PER_ELEMENT).expect("submit").wait().expect("wait");
+    let compiled = s.compile_shared(PER_ELEMENT).expect("compile");
+    let concurrent = start(&s, PER_ELEMENT, None).wait().expect("wait");
     let blocking = s.run_compiled(&compiled).expect("blocking");
     assert_eq!(concurrent, blocking);
     assert_quiescent(&[&*driver, &*s.context()]);
@@ -43,12 +49,13 @@ fn parallel_plan_overlaps_latency_and_respects_the_budget() {
     let driver = SlowDriver::new("SRC", 2, delay, 4);
     let max_seen = Arc::clone(&driver.max_seen);
     let s = slow_session(Arc::clone(&driver), 8);
-    let compiled = s.compile(PER_ELEMENT).expect("compile");
+    let compiled = s.compile_shared(PER_ELEMENT).expect("compile");
 
     // Blocking baseline: width forced to 1 — each of the 8 requests is
     // submitted and waited on in turn.
-    let mut sequential = compiled.clone();
+    let mut sequential = Compiled::clone(&compiled);
     sequential.optimized = set_par_width(&compiled.optimized, 1);
+    let sequential = Arc::new(sequential);
     let t0 = Instant::now();
     let blocking_result = s.run_compiled(&sequential).expect("blocking");
     let blocking = t0.elapsed();
@@ -77,7 +84,7 @@ fn parallel_plan_overlaps_latency_and_respects_the_budget() {
 fn try_wait_polls_without_blocking() {
     let driver = SlowDriver::new("SRC", 2, Duration::from_millis(40), 2);
     let s = slow_session(Arc::clone(&driver), 2);
-    let mut h = s.submit(PER_ELEMENT).expect("submit");
+    let mut h = start(&s, PER_ELEMENT, None);
     // Immediately after submit the slow query cannot be done.
     assert_eq!(h.status(), QueryStatus::Running);
     let mut polls = 0u32;
@@ -103,15 +110,13 @@ fn cancelled_handle_frees_the_driver_budget_for_later_queries() {
     let driver = SlowDriver::new("SRC", 2, Duration::from_millis(30), 1);
     let s = slow_session(Arc::clone(&driver), 4);
 
-    let h = s.submit(PER_ELEMENT).expect("submit");
+    let h = start(&s, PER_ELEMENT, None);
     std::thread::sleep(Duration::from_millis(10)); // let it get in flight
     h.cancel();
     drop(h);
 
     // The next query on the same (budget-1) driver must complete.
-    let v = s
-        .submit(r#"{[n = x.n] | \x <- SRC([table = "t"])}"#)
-        .expect("submit")
+    let v = start(&s, r#"{[n = x.n] | \x <- SRC([table = "t"])}"#, None)
         .wait()
         .expect("wait");
     assert_eq!(v.len(), Some(2));
@@ -126,9 +131,8 @@ fn first_n_streams_a_prefix_and_cancels_the_rest() {
     let driver = SlowDriver::new("SRC", 1, Duration::from_millis(10), 2);
     let performs = Arc::clone(&driver.performs);
     let s = slow_session(Arc::clone(&driver), 40);
-    let h = s.submit(PER_ELEMENT).expect("submit");
-    let prefix = h.first_n(3).expect("prefix");
-    assert_eq!(prefix.len(), 3);
+    let prefix = start(&s, PER_ELEMENT, Some(3)).wait().expect("prefix");
+    assert_eq!(prefix.len(), Some(3));
     // Give cancellation a moment to land, then check the worker stopped
     // far short of the 40 requests the full query would need.
     std::thread::sleep(Duration::from_millis(60));
@@ -149,14 +153,16 @@ fn first_n_prefix_wins_over_a_later_error() {
     let mut s = Session::new();
     s.bind_value("DB", Value::set((0..6).map(Value::Int).collect()));
     let q = r"{| if x = 5 then 10 / 0 else x | \x <- DB |}";
-    // Let the worker run to the error before asking for the prefix.
-    let h = s.submit(q).expect("submit");
+    // Let the worker run before asking for the prefix.
+    let h = start(&s, q, Some(3));
     std::thread::sleep(Duration::from_millis(20));
-    let prefix = h.first_n(3).expect("prefix must not be poisoned by a later error");
-    assert_eq!(prefix, vec![Value::Int(0), Value::Int(1), Value::Int(2)]);
+    let prefix = h.wait().expect("prefix must not be poisoned by a later error");
+    assert_eq!(
+        prefix.elements(),
+        Some(&[Value::Int(0), Value::Int(1), Value::Int(2)][..])
+    );
     // But an error *before* n rows does propagate.
-    let h = s.submit(q).expect("submit");
-    assert!(h.first_n(6).is_err());
+    assert!(start(&s, q, Some(6)).wait().is_err());
     assert_quiescent(&[&*s.context()]);
 }
 
@@ -167,11 +173,10 @@ fn dedup_applies_to_set_typed_prefixes() {
         "DB",
         Value::set((0..30).map(|i| Value::Int(i % 3)).collect()),
     );
-    let h = s.submit(r"{x | \x <- DB}").expect("submit");
-    let prefix = h.first_n(10).expect("prefix");
+    let prefix = start(&s, r"{x | \x <- DB}", Some(10)).wait().expect("prefix");
     // only 3 distinct values exist; duplicates must not count toward n
-    assert_eq!(prefix.len(), 3);
-    let mut sorted = prefix.clone();
+    assert_eq!(prefix.len(), Some(3));
+    let mut sorted = prefix.elements().expect("a set").to_vec();
     sorted.sort();
     assert_eq!(sorted, vec![Value::Int(0), Value::Int(1), Value::Int(2)]);
     assert_quiescent(&[&*s.context()]);
@@ -193,7 +198,7 @@ fn query_workers_run_on_a_bounded_shared_executor() {
     s.bind_value("IDS", Value::set((0..3).map(Value::Int).collect()));
 
     let q = r#"{[n = x.n] | \x <- SRC([table = "t"])}"#;
-    let handles: Vec<_> = (0..20).map(|_| s.submit(q).expect("submit")).collect();
+    let handles: Vec<_> = (0..20).map(|_| start(&s, q, None)).collect();
     let mut results = Vec::new();
     for h in handles {
         results.push(h.wait().expect("wait"));
@@ -218,8 +223,8 @@ fn two_queries_in_flight_on_one_session() {
     let s = slow_session(Arc::clone(&driver), 2);
     let q = r#"{[n = x.n] | \x <- SRC([table = "t"])}"#;
     let t0 = Instant::now();
-    let h1 = s.submit(q).expect("submit 1");
-    let h2 = s.submit(q).expect("submit 2");
+    let h1 = start(&s, q, None);
+    let h2 = start(&s, q, None);
     let v1 = h1.wait().expect("wait 1");
     let v2 = h2.wait().expect("wait 2");
     let elapsed = t0.elapsed();

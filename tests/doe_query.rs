@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 
 use bio_data::{GdbConfig, GenBankConfig};
-use kleisli::{bio_federation, Session};
+use kleisli::{bio_federation, How, Session};
 use kleisli_core::testutil::SlowDriver;
 use kleisli_core::{DriverRequest, LatencyModel, Value};
 use nrc::Expr;
@@ -118,7 +118,7 @@ fn doe_query_matches_ground_truth_exactly() {
 #[test]
 fn doe_plan_uses_every_optimization_of_section_4() {
     let (session, _fed) = federation();
-    let compiled = session.compile(DOE).expect("compile");
+    let compiled = session.compile_shared(DOE).expect("compile");
     let mut sql = 0;
     let mut paths = 0;
     let mut pars = 0;
@@ -218,7 +218,10 @@ fn only_a_dependent_loop_with_two_batchable_hops_is_staged() {
         assert!(plan.contains(parallel), "{plan}");
     }
 
-    session.set_batching(false);
+    session.set_opt_config(kleisli_opt::OptConfig {
+        enable_batching: false,
+        ..kleisli_opt::OptConfig::default()
+    });
     assert_eq!(stagings(&session, DOE), 0);
 }
 
@@ -293,9 +296,10 @@ fn row_stream_session(latency: LatencyModel) -> Session {
 fn a_served_table_scan_fills_one_wave_of_connections() {
     let served = |session: &Session, text: &str| {
         session.reset_metrics();
-        let cancel = std::sync::Arc::new(kleisli_core::CancelToken::new());
-        let (value, cached) = session.run_shared(text, &cancel).expect("query");
-        assert!(!cached);
+        let plan = session.compile_shared(text).expect("compile");
+        let handle = session.start(&plan, How::default());
+        assert!(!handle.from_cache());
+        let value = handle.wait().expect("query");
         let m = session.driver_metrics("GDB").expect("metrics");
         (value, m.requests, m.rows_shipped)
     };
@@ -349,14 +353,19 @@ fn a_served_table_scan_fills_one_wave_of_connections() {
         let also = counted.explain(text).expect("explain");
         assert!(also.contains(&optimized), "{also}");
     }
-    // A handle's owner may still take a prefix: its scan is one request.
+    // `query` reads to the end as the server does: one wave.
     paced.reset_metrics();
     assert_eq!(paced.query(ROW_STREAM[0]).expect("query").len(), Some(100));
-    assert_eq!(paced.driver_metrics("GDB").expect("metrics").requests, 1);
-    // ... and a prefix is one request that ships one window (of rows
-    // not yet read) at most.
+    assert_eq!(paced.driver_metrics("GDB").expect("metrics").requests, 8);
+    // A prefix is one request that ships one window (of rows not yet
+    // read) at most.
     paced.reset_metrics();
-    assert_eq!(paced.query_first_n(ROW_STREAM[0], 1).expect("prefix").len(), 1);
+    let plan = paced.compile_shared(ROW_STREAM[0]).expect("compile");
+    let first = How {
+        limit: Some(1),
+        ..How::default()
+    };
+    assert_eq!(paced.start(&plan, first).wait().expect("prefix").len(), Some(1));
     let m = paced.driver_metrics("GDB").expect("metrics");
     assert_eq!(m.requests, 1);
     assert!(m.rows_shipped <= 1 + 32 + 2, "{} rows for a prefix of 1", m.rows_shipped);

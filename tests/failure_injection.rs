@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use kleisli::Session;
+use kleisli::{How, QueryHandle, Session};
 use kleisli_core::{
     blocks_of_rows, BlockStream, Capabilities, Driver, DriverRequest, KError, KResult, Value,
 };
@@ -51,6 +51,27 @@ fn session_with(driver: FlakyDriver) -> Session {
     s
 }
 
+/// Start `src` on `s` under `how`.
+fn start(s: &Session, src: &str, how: How) -> QueryHandle {
+    s.start(&s.compile_shared(src).expect("compile"), how)
+}
+
+/// Stop after `n` rows.
+fn limit(n: usize) -> How {
+    How {
+        limit: Some(n),
+        ..How::default()
+    }
+}
+
+/// Give up once `budget` has passed.
+fn within(budget: Duration) -> How {
+    How {
+        deadline: Some(budget),
+        ..How::default()
+    }
+}
+
 #[test]
 fn refused_connection_is_a_driver_error() {
     let s = session_with(FlakyDriver {
@@ -81,10 +102,10 @@ fn mid_stream_failure_propagates() {
         .unwrap_err();
     assert!(matches!(err, KError::Driver { .. }), "{err}");
     // but a lazy consumer that stops before row 4 succeeds
-    let ok = s
-        .query_first_n(r#"{x.n | \x <- FLAKY([class = "c"])}"#, 3)
+    let ok = start(&s, r#"{x.n | \x <- FLAKY([class = "c"])}"#, limit(3))
+        .wait()
         .expect("lazy prefix");
-    assert_eq!(ok.len(), 3);
+    assert_eq!(ok.len(), Some(3));
 }
 
 #[test]
@@ -225,9 +246,7 @@ fn a_mid_stream_stall_resolves_as_a_timeout_at_the_row_boundary() {
     );
     let s = resilient_session(&drv);
     let t0 = Instant::now();
-    let err = s
-        .submit_with_deadline(SCAN, Duration::from_millis(60))
-        .expect("submit")
+    let err = start(&s, SCAN, within(Duration::from_millis(60)))
         .wait()
         .unwrap_err();
     assert!(err.is_timeout(), "expected a timeout, got: {err}");
@@ -273,9 +292,7 @@ fn a_never_responding_driver_times_out_and_releases_its_ticket() {
     let drv = SlowDriver::new("SRC", 5, Duration::from_millis(1), 2);
     let deadline = Duration::from_millis(50);
     assert_a_wedged_request_times_out(&drv, deadline, |s| {
-        s.submit_with_deadline(SCAN, deadline)
-            .expect("submit")
-            .wait()
+        start(s, SCAN, within(deadline)).wait()
     });
 }
 
@@ -367,7 +384,7 @@ fn dropping_a_query_over_a_wedged_driver_neither_blocks_nor_leaks_the_ticket() {
     let drv = SlowDriver::new("SRC", 5, Duration::from_millis(1), 1);
     drv.set_fault(Fault::NeverRespond);
     let s = resilient_session(&drv);
-    let handle = s.submit(SCAN).expect("submit");
+    let handle = start(&s, SCAN, How::default());
     wait_until("the request to wedge on the wire", || {
         drv.gate().in_flight() == 1
     });
@@ -516,8 +533,8 @@ fn assert_two_hop_quiescent(s: &Session, hops: &[Arc<SlowDriver>; 2]) {
 fn a_prefix_over_a_two_hop_loop_reads_one_chunk_ahead_per_hop() {
     let (s, hops) = two_hop_session(Duration::from_millis(1));
     assert_eq!(
-        s.query_first_n(TWO_HOP, 1).expect("prefix"),
-        [Value::Int(0)]
+        start(&s, TWO_HOP, limit(1)).wait().expect("prefix").elements(),
+        Some(&[Value::Int(0)][..])
     );
     assert_two_hop_quiescent(&s, &hops);
     for drv in &hops {
@@ -544,7 +561,7 @@ fn a_prefix_over_a_two_hop_loop_reads_one_chunk_ahead_per_hop() {
 #[test]
 fn cancelling_a_two_hop_loop_mid_read_ahead_leaves_the_drivers_quiescent() {
     let (s, hops) = two_hop_session(Duration::from_millis(30));
-    let handle = s.submit(TWO_HOP).expect("submit");
+    let handle = start(&s, TWO_HOP, How::default());
     // Both of hop 1's warm-ups — the demanded chunk and the one read
     // ahead — are on the wire before any body has run.
     wait_until("hop 1's read-ahead to be in flight", || {
@@ -559,9 +576,7 @@ fn cancelling_a_two_hop_loop_mid_read_ahead_leaves_the_drivers_quiescent() {
 #[test]
 fn a_deadline_inside_a_two_hop_loop_leaves_the_drivers_quiescent() {
     let (s, hops) = two_hop_session(Duration::from_millis(30));
-    let err = s
-        .submit_with_deadline(TWO_HOP, Duration::from_millis(10))
-        .expect("submit")
+    let err = start(&s, TWO_HOP, within(Duration::from_millis(10)))
         .wait()
         .unwrap_err();
     assert!(err.is_timeout(), "expected a timeout, got: {err}");
@@ -637,6 +652,43 @@ fn a_lone_split_scan_fills_one_wave_of_its_source() {
 }
 
 #[test]
+fn a_session_query_reads_a_scan_as_kleislid_serves_it() {
+    // A scan at the top of the query: `query` reads it to its end, as
+    // the server does, so both fill one wave of the source.
+    let text = r#"SRC([table = "t"])"#;
+    let drv = sliceable_source(Duration::from_millis(5));
+    let s = resilient_session(&drv);
+    let in_process = s.query(text).expect("query");
+    let queried = drv.performs.load(Ordering::SeqCst);
+
+    let registered = Arc::clone(&drv);
+    let registrar = move |session: &mut Session| session.register_driver(registered.clone());
+    let server = kleisli_server::serve_ephemeral(Default::default(), Arc::new(registrar))
+        .expect("serve");
+    let mut client = kleisli_server::Client::connect(server.addr()).expect("connect");
+    let reply = client.query(text).expect("served").into_value().expect("a value");
+    let served = drv.performs.load(Ordering::SeqCst) - queried;
+    assert_eq!(reply.0, in_process);
+    assert_eq!((queried, served), (WAVE, WAVE));
+    assert_quiescent(&[&server, &*drv, &*s.context()]);
+    server.shutdown();
+}
+
+#[test]
+fn a_limit_reads_a_scan_in_stream_position_one_window_at_most() {
+    // Three rows of the 100-row scan: one request, never split, and the
+    // source ships no more than its window ahead of the reader.
+    let drv = sliceable_source(Duration::from_millis(5));
+    let s = resilient_session(&drv);
+    let three = start(&s, r#"SRC([table = "t"])"#, limit(3)).wait().expect("prefix");
+    assert_eq!(three.len(), Some(3));
+    let m = s.driver_metrics("SRC").expect("metrics");
+    assert_eq!((m.requests, drv.performs.load(Ordering::SeqCst)), (1, 1));
+    assert!(m.rows_shipped <= 32, "{} rows shipped for a prefix of 3", m.rows_shipped);
+    assert_source_quiescent(&s, &drv);
+}
+
+#[test]
 fn cancel_deadline_and_a_failing_part_leave_a_split_scan_quiescent() {
     let delay = Duration::from_millis(30);
     for what in ["cancel", "deadline", "failing part"] {
@@ -648,7 +700,7 @@ fn cancel_deadline_and_a_failing_part_leave_a_split_scan_quiescent() {
                 // connections, so parts are queued behind those in flight
                 // when both are cancelled.
                 let other = THREE_SCANS.replace("a =", "x =");
-                let handles = [s.submit(THREE_SCANS), s.submit(&other)].map(|h| h.expect("submit"));
+                let handles = [THREE_SCANS, &other].map(|q| start(&s, q, How::default()));
                 wait_until("every connection to be busy", || {
                     drv.gate().in_flight() == CONNECTIONS
                 });
@@ -657,9 +709,7 @@ fn cancel_deadline_and_a_failing_part_leave_a_split_scan_quiescent() {
                 assert!(matches!(second, KError::Cancelled(_)), "{what}: {second}");
                 first
             }
-            "deadline" => s
-                .submit_with_deadline(THREE_SCANS, delay / 3)
-                .expect("submit")
+            "deadline" => start(&s, THREE_SCANS, within(delay / 3))
                 .wait()
                 .unwrap_err(),
             _ => {

@@ -7,7 +7,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use kleisli::{PlanCache, Session};
+use kleisli::{How, PlanCache, Session};
 use kleisli_core::testutil::SlowDriver;
 use kleisli_core::{
     write_exchange, Capabilities, DriverRequest, KResult, LatencyModel, Oid, Remote, Source,
@@ -24,19 +24,23 @@ use proptest::prelude::*;
 #[test]
 fn a_three_row_prefix_costs_a_handful_of_requests_not_the_loop() {
     // `tests/concurrency.rs`'s per-element remote loop: 40 ids, one
-    // 10 ms request each. The grain doubles per pull (1, 2, 4, ..), so
-    // when the third row arrives the worker is at most one four-row
-    // pull further; a drain at the full grain runs all 40 requests
-    // before the first row shows.
+    // 10 ms request each. The grain doubles per pull (1, 2, 4, ..) and
+    // never asks past the limit, so a three-row prefix is a one-row
+    // pull and a two-row one; a drain at the full grain runs all 40
+    // requests before the first row shows.
     let driver = SlowDriver::new("SRC", 1, Duration::from_millis(10), 2);
     let performs = Arc::clone(&driver.performs);
     let mut s = Session::new();
     s.register_driver(driver);
     s.bind_value("IDS", Value::set((0..40).map(Value::Int).collect()));
-    let h = s
-        .submit(r#"{[i = i, n = count(SRC([function = "probe", arg = i]))] | \i <- IDS}"#)
-        .expect("submit");
-    assert_eq!(h.first_n(3).expect("prefix").len(), 3);
+    let plan = s
+        .compile_shared(r#"{[i = i, n = count(SRC([function = "probe", arg = i]))] | \i <- IDS}"#)
+        .expect("compile");
+    let how = How {
+        limit: Some(3),
+        ..How::default()
+    };
+    assert_eq!(s.start(&plan, how).wait().expect("prefix").len(), Some(3));
     std::thread::sleep(Duration::from_millis(60));
     let ran = performs.load(Ordering::SeqCst);
     assert!(ran <= 16, "first_n(3) ran {ran} of the loop's 40 requests");

@@ -221,10 +221,10 @@ fn one_admission_table() {
     );
 }
 
-/// The methods of the top-level block `header` opens in `file` that put a
-/// request on the wire: named `submit…` or `fetch…`, or returning a request
-/// handle — every method of a trait, the `pub` ones of an `impl`.
-fn submitting(file: &str, header: &str) -> Vec<String> {
+/// The methods of the top-level block `header` opens in `file` that start
+/// work: named with one of the prefixes `verbs`, or returning one of the
+/// types `handles` — every method of a trait, the `pub` ones of an `impl`.
+fn starting(file: &str, header: &str, verbs: &[&str], handles: &[&str]) -> Vec<String> {
     let source = sources(&[file]).pop().expect("the file");
     let public = header.contains("trait");
     let mut found = Vec::new();
@@ -250,12 +250,19 @@ fn submitting(file: &str, header: &str) -> Vec<String> {
             .take_while(|c| c.is_alphanumeric() || *c == '_')
             .collect();
         let returns = signature.split_once("->").map_or("", |(_, r)| r);
-        let verb = name.starts_with("submit") || name.starts_with("fetch");
-        if verb || returns.contains("RequestHandle") || returns.contains("ResilientHandle") {
+        let verb = verbs.iter().any(|verb| name.starts_with(verb));
+        if verb || handles.iter().any(|handle| returns.contains(handle)) {
             found.push(name);
         }
     }
     found
+}
+
+/// The methods of `header` in `file` that put a request on the wire:
+/// named `submit…` or `fetch…`, or returning a request handle.
+fn submitting(file: &str, header: &str) -> Vec<String> {
+    let handles = ["RequestHandle", "ResilientHandle"];
+    starting(file, header, &["submit", "fetch"], &handles)
 }
 
 /// One verb per layer. A request reaches its source through `Driver`,
@@ -264,7 +271,11 @@ fn submitting(file: &str, header: &str) -> Vec<String> {
 /// windowed or full, split or whole, one key or a batch is the `Fetch`
 /// it is given, not another method. `Driver::perform` is the blocking
 /// half a source implements, and `Driver::submit` the one-request window
-/// shorthand the benchmark calls.
+/// shorthand the benchmark calls. Above them a query starts one way,
+/// `Session::start(&plan, how)`: read to the end or stopped after a
+/// limit is the `How` it is given. A starter is named `submit…`,
+/// `query…` or `run_…`, or returns a `QueryHandle`; `run`, the statement
+/// runner that binds `define`s, is not one.
 #[test]
 fn one_verb_per_layer() {
     let mut driver = submitting("crates/core/src/driver.rs", "pub trait Driver");
@@ -274,6 +285,13 @@ fn one_verb_per_layer() {
     assert_eq!(resilience, ["fetch"], "DriverResilience");
     let context = submitting("crates/exec/src/context.rs", "impl Context");
     assert_eq!(context, ["fetch"], "Context");
+    let (file, verbs) = ("crates/kleisli/src/session.rs", ["start", "submit", "query", "run_"]);
+    let mut session = starting(file, "impl Session", &verbs, &["QueryHandle"]);
+    // `query` is the compile-start-wait shorthand; `run_compiled` and
+    // `submit_compiled` are forwards kept only for the benchmark, retired
+    // with `Driver::submit` (ROADMAP item 14).
+    session.retain(|name| !["query", "run_compiled", "submit_compiled"].contains(&name.as_str()));
+    assert_eq!(session, ["start"], "Session");
 }
 
 /// The `pub` fields of the struct `name` declares in `file`.

@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use bio_data::{GdbConfig, GenBankConfig};
-use kleisli::{bio_federation, BioFederation, Session};
+use kleisli::{bio_federation, BioFederation, How, Session};
 use kleisli_core::{LatencyModel, Value};
 use kleisli_opt::OptConfig;
 
@@ -136,7 +136,7 @@ fn e11_parallel_gather_is_bounded_and_correct() {
         \e <- GenBank([db = "na", select = "organism \"Homo sapiens\""]),
         \uid <- {g | <giim = \g> <- e.seq.id}}"#;
 
-    let compiled = session.compile(q).expect("compile");
+    let compiled = session.compile_shared(q).expect("compile");
     let mut widths = Vec::new();
     compiled.optimized.visit(&mut |e| {
         if let nrc::Expr::ParExt { max_in_flight, .. } = e {
@@ -163,10 +163,15 @@ fn e11_parallel_gather_is_bounded_and_correct() {
 fn e10_first_n_ships_a_fraction_of_the_rows() {
     let (session, _fed) = federation(3000);
     session.reset_metrics();
-    let rows = session
-        .query_first_n(r#"{[s = l.locus_symbol] | \l <- GDB-Tab("locus")}"#, 7)
-        .expect("first_n");
-    assert_eq!(rows.len(), 7);
+    let plan = session
+        .compile_shared(r#"{[s = l.locus_symbol] | \l <- GDB-Tab("locus")}"#)
+        .expect("compile");
+    let first_7 = How {
+        limit: Some(7),
+        ..How::default()
+    };
+    let rows = session.start(&plan, first_7).wait().expect("first_n");
+    assert_eq!(rows.len(), Some(7));
     let m = session.driver_metrics("GDB").unwrap();
     // This federation's latency is virtual-only (an accounting tool), so
     // GDB advertises `prefetch_rows: 0` and laziness stays strict —
@@ -193,7 +198,7 @@ fn e8_join_strategies_choose_by_condition_shape() {
         enable_pushdown: false,
         ..OptConfig::default()
     });
-    let compiled = s2.compile(eq_query).expect("compile");
+    let compiled = s2.compile_shared(eq_query).expect("compile");
     let mut indexed = 0;
     compiled.optimized.visit(&mut |e| {
         if let nrc::Expr::Join { strategy, .. } = e {
@@ -220,7 +225,7 @@ fn an_optimized_list_join_keeps_the_naive_order_on_every_path() {
         let expected = naive.query(src).expect("naive");
 
         let mut session = Session::new();
-        let compiled = session.compile(src).expect("compile");
+        let compiled = session.compile_shared(src).expect("compile");
         assert!(
             compiled.optimized.to_string().contains("BLOCKED-NL-JOIN"),
             "the default optimizer plans a join here: {}",
@@ -247,7 +252,7 @@ fn a_bag_drawn_from_a_set_counts_each_element_once_on_every_path() {
     for config in [OptConfig::default(), OptConfig::none()] {
         let mut session = Session::new();
         session.set_opt_config(config);
-        let compiled = session.compile(SRC).expect("compile");
+        let compiled = session.compile_shared(SRC).expect("compile");
         assert_eq!(session.query(SRC).expect("query"), expected);
         assert_eq!(
             session.run_compiled(&compiled).expect("run_compiled"),

@@ -154,7 +154,7 @@ fn papers_of_uses_list_membership() {
 fn nested_result_types_are_inferred() {
     let s = session();
     let compiled = s
-        .compile(r"{[keyword = k, titles = {x.title | \x <- DB, k <- x.keywd}] | \y <- DB, \k <- y.keywd}")
+        .compile_shared(r"{[keyword = k, titles = {x.title | \x <- DB, k <- x.keywd}] | \y <- DB, \k <- y.keywd}")
         .unwrap();
     let t = compiled.ty.to_string();
     assert!(

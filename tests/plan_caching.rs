@@ -1,13 +1,13 @@
 //! Session-level behavior of the deterministic subplan-caching subsystem:
 //! stable `Cached` ids across pointer-distinct compiles, the compiled-plan
 //! LRU (hits, invalidation, correctness), and the set-deduplicated
-//! `query_first_n` prefix.
+//! `How::limit` prefix.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use bio_data::{GdbConfig, GenBankConfig};
-use kleisli::{bio_federation, BioFederation, Session};
+use kleisli::{bio_federation, BioFederation, How, PlanCache, Session};
 use kleisli_core::{LatencyModel, Value};
 use kleisli_opt::OptConfig;
 use nrc::Expr;
@@ -59,8 +59,8 @@ fn cached_ids_are_stable_across_pointer_distinct_compiles() {
     // to the same Context cache slots.
     let (s1, _fed1) = federation(20);
     let (s2, _fed2) = federation(20);
-    let c1 = s1.compile(CACHEABLE).expect("compile 1");
-    let c2 = s2.compile(CACHEABLE).expect("compile 2");
+    let c1 = s1.compile_shared(CACHEABLE).expect("compile 1");
+    let c2 = s2.compile_shared(CACHEABLE).expect("compile 2");
 
     let ids1 = cached_ids(&c1.optimized);
     let ids2 = cached_ids(&c2.optimized);
@@ -144,7 +144,7 @@ fn plan_cache_respects_opt_config_and_capacity() {
     assert_eq!(after.entries, before.entries + 1);
 
     // Capacity 0 disables caching entirely.
-    session.set_plan_cache_capacity(0);
+    session.share_plan_cache(PlanCache::new(0));
     assert_eq!(session.plan_cache_stats().entries, 0);
     session.query(CACHEABLE).expect("uncached run");
     assert_eq!(session.plan_cache_stats().entries, 0);
@@ -165,9 +165,7 @@ fn first_n_prefix_of_a_set_query_is_duplicate_free() {
                 .collect(),
         ),
     );
-    let got = session
-        .query_first_n(r"{x.k | \x <- DB}", 10)
-        .expect("first_n");
+    let got = prefix(&session, r"{x.k | \x <- DB}", 10);
     let mut uniq = got.clone();
     uniq.sort();
     uniq.dedup();
@@ -179,10 +177,19 @@ fn first_n_prefix_of_a_set_query_is_duplicate_free() {
     assert_eq!(got.len(), 4, "only 4 distinct keys exist");
 
     // Bag prefixes keep duplicates (kind-faithful behavior).
-    let bag = session
-        .query_first_n(r"{| x.k | \x <- DB |}", 10)
-        .expect("bag first_n");
+    let bag = prefix(&session, r"{| x.k | \x <- DB |}", 10);
     assert_eq!(bag.len(), 10);
+}
+
+/// The rows of the first `n` of `src`.
+fn prefix(session: &Session, src: &str, n: usize) -> Vec<Value> {
+    let plan = session.compile_shared(src).expect("compile");
+    let how = How {
+        limit: Some(n),
+        ..How::default()
+    };
+    let rows = session.start(&plan, how).wait().expect("prefix");
+    rows.elements().expect("a collection").to_vec()
 }
 
 #[test]
@@ -201,12 +208,12 @@ fn repeated_queries_reuse_the_compiled_plan_and_stay_correct() {
 fn a_session_keeps_its_cached_plans_alive_not_every_plan_it_ever_compiled() {
     let mut session = Session::new();
     session.bind_value("DB", Value::set((0..5).map(Value::Int).collect()));
-    session.set_plan_cache_capacity(2);
+    session.share_plan_cache(PlanCache::new(2));
     let query = |k: i64| format!(r"{{x + {k} | \x <- DB}}");
 
     // Asked twice, so kept.
-    session.compile(&query(0)).unwrap();
-    let compiled = session.compile(&query(0)).unwrap();
+    session.compile_shared(&query(0)).unwrap();
+    let compiled = session.compile_shared(&query(0)).unwrap();
     let Expr::Ext { body, .. } = &compiled.raw else {
         panic!("a comprehension desugars to a generator: {}", compiled.raw)
     };
@@ -215,8 +222,8 @@ fn a_session_keeps_its_cached_plans_alive_not_every_plan_it_ever_compiled() {
     drop(compiled);
     assert!(subplan.upgrade().is_some(), "the plan cache still holds q0");
     for k in 1..=3 {
-        session.compile(&query(k)).unwrap();
-        session.compile(&query(k)).unwrap();
+        session.compile_shared(&query(k)).unwrap();
+        session.compile_shared(&query(k)).unwrap();
     }
     assert!(
         subplan.upgrade().is_none(),

@@ -9,8 +9,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use bio_data::{GdbConfig, GenBankConfig};
-use kleisli::{bio_federation, BioFederation, PlanCache, Session};
-use kleisli_core::{CancelToken, KError, LatencyModel, Value};
+use kleisli::{bio_federation, BioFederation, How, PlanCache, Session};
+use kleisli_core::{CancelToken, KError, KResult, LatencyModel, Value};
 use kleisli_exec::ResultCache;
 
 fn shared_pair(fed: &BioFederation) -> (Session, Session, Arc<PlanCache>, Arc<ResultCache>) {
@@ -52,12 +52,22 @@ fn federation(latency_ms: u64) -> BioFederation {
 
 const COUNT_LOCI: &str = r#"count({l | \l <- GDB-Tab("locus")})"#;
 
-/// Run one query through the shared caches — what a server connection
-/// does per admitted query.
+/// What a server connection does per admitted query: start it with no
+/// limit under `cancel` and wait; and whether the shared cache answered.
+fn run_shared(session: &Session, src: &str, cancel: &Arc<CancelToken>) -> KResult<(Value, bool)> {
+    let how = How {
+        cancel: Some(Arc::clone(cancel)),
+        ..How::default()
+    };
+    let handle = session.start(&session.compile_shared(src)?, how);
+    let from_cache = handle.from_cache();
+    Ok((handle.wait()?, from_cache))
+}
+
+/// Run one query through the shared caches.
 fn run(session: &Session, src: &str) -> Value {
-    let (value, _from_cache) = session
-        .run_shared(src, &Arc::new(CancelToken::new()))
-        .expect("query");
+    let (value, _from_cache) =
+        run_shared(session, src, &Arc::new(CancelToken::new())).expect("query");
     value
 }
 
@@ -112,7 +122,7 @@ fn cancelled_flight_does_not_poison_the_shared_cell() {
             thread::sleep(Duration::from_millis(50));
             token.cancel();
         });
-        a.run_shared(COUNT_LOCI, &token).expect_err("cancelled query")
+        run_shared(&a, COUNT_LOCI, &token).expect_err("cancelled query")
     });
     assert!(err.to_string().to_lowercase().contains("cancel"), "{err}");
     assert_eq!(results.stats().entries, 0, "nothing cached by the abort");
@@ -142,7 +152,7 @@ fn a_cancel_reaches_a_waiter_parked_on_another_sessions_flight() {
             token.cancel();
         });
         let parked = Instant::now();
-        let err = b.run_shared(COUNT_LOCI, &token).expect_err("cancelled while waiting");
+        let err = run_shared(&b, COUNT_LOCI, &token).expect_err("cancelled while waiting");
         let waited = parked.elapsed();
         assert!(matches!(err, KError::Cancelled(_)), "{err}");
         assert!(
@@ -155,9 +165,8 @@ fn a_cancel_reaches_a_waiter_parked_on_another_sessions_flight() {
     // ...and the waiter that gave up counted neither a hit nor a miss.
     let r = results.stats();
     assert_eq!((r.misses, r.hits, r.entries), (1, 0, 1), "{r:?}");
-    let (v, cached) = b
-        .run_shared(COUNT_LOCI, &Arc::new(CancelToken::new()))
-        .expect("a third lookup");
+    let (v, cached) =
+        run_shared(&b, COUNT_LOCI, &Arc::new(CancelToken::new())).expect("a third lookup");
     assert_eq!((v, cached), (Value::Int(30), true));
     assert_eq!(results.stats().hits, 1);
 }
@@ -194,21 +203,21 @@ fn plan_hash_is_stable_across_sessions_and_recompiles() {
     let fed = federation(0);
     let (a, b) = (doe_session(&fed), doe_session(&fed));
     assert!(!Arc::ptr_eq(a.plan_cache(), b.plan_cache()));
-    let first = a.compile(&doe("1")).unwrap();
+    let first = a.compile_shared(&doe("1")).unwrap();
     let key = first.plan_hash();
     assert_eq!(
-        b.compile(&doe("1")).unwrap().plan_hash(),
+        b.compile_shared(&doe("1")).unwrap().plan_hash(),
         key,
         "another session, same key"
     );
     a.clear_plan_cache();
-    let again = a.compile(&doe("1")).unwrap();
+    let again = a.compile_shared(&doe("1")).unwrap();
     assert_ne!(
         again.optimized, first.optimized,
         "a recompile numbers its binders anew"
     );
     assert_eq!(again.plan_hash(), key, "recompiled, same key");
-    let other = a.compile(&doe("2")).unwrap();
+    let other = a.compile_shared(&doe("2")).unwrap();
     assert_ne!(key, other.plan_hash());
 }
 
@@ -221,13 +230,12 @@ fn a_recompiled_plan_finds_its_result() {
     let mut session = doe_session(&fed);
     let results = ResultCache::with_default_budget();
     session.share_result_cache(Arc::clone(&results));
-    session.set_plan_cache_capacity(1);
+    session.share_plan_cache(PlanCache::new(1));
     let (one, two) = (doe("1"), doe("2"));
     let served: Vec<bool> = [&one, &two, &one, &two, &one, &two, &one, &two]
         .iter()
         .map(|src| {
-            session
-                .run_shared(src, &Arc::new(CancelToken::new()))
+            run_shared(&session, src, &Arc::new(CancelToken::new()))
                 .unwrap()
                 .1
         })
