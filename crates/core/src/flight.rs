@@ -1,15 +1,15 @@
 //! Single flight: the one place a caller waits for another caller's
-//! result.
+//! result, and the one shared cache built on it.
 //!
 //! The paper's Section 4 caches the result of a subquery so that an inner
 //! relation is computed once however many outer elements ask for it; a
 //! mediator serving many sessions extends the promise across them. A
 //! [`SingleFlight`] is one cell of that promise: it holds a value, or the
 //! attempt currently computing it. The per-query subquery slots
-//! (`exec::Context`), the cross-session result cache
-//! (`exec::ResultCache`) and the plan cache's in-flight compiles
-//! (`kleisli::PlanCache`) are all maps of these cells and state nothing
-//! of their own about waiting. The semantics, once:
+//! (`exec::Context`) are a bare map of these cells; the two shared caches,
+//! compiled plans (`kleisli::PlanCache`) and results
+//! (`exec::ResultCache`), are one [`FlightCache`] each. None of them states
+//! anything of its own about waiting. The semantics, once:
 //!
 //! * **The first caller leads, the rest wait.** [`SingleFlight::join`] on
 //!   an empty cell returns [`Join::Lead`]; every other caller parks until
@@ -41,31 +41,70 @@
 //! and `None` by a dropped lead, so the only blocking loop here is
 //! [`OneShot::wait_for`].
 //!
-//! **Why there is no key.** The maps around these cells keep different
-//! things beside each one — an LRU tick, a byte charge and source tags; a
-//! source text and optimizer configuration in LRU order; nothing at all —
-//! and evict by different rules. One generic `SingleFlight<K, V>` map
-//! would have to branch on which of them it serves; a cell they each put
-//! in their own map does not.
+//! # The shared cache
 //!
-//! **Admission.** The two shared caches keep a committed cell only if it
-//! was asked for *before its flight*: by an earlier miss still remembered
-//! in [`RecentMisses`], or by a caller that coalesced onto the flight
-//! while it ran. The table is fixed and direct-mapped — [`ASKED_SLOTS`]
-//! slots of one key each, at most 32 KiB, allocated a page at a time as
-//! misses land — and is the one table of recently missed keys there is:
-//! each cache keeps one beside its map, under its map's lock, and says in
-//! its own docs what a key is and what the rule costs it. A slot holds
-//! whichever key missed in it last, so a colliding key delays an
-//! admission by one ask and never admits a stranger; and the table is not
-//! an entry, so what invalidates entries leaves it be.
+//! A [`FlightCache`] maps keys to cells and keeps their committed values
+//! under a budget. Its user says what a key is and what one unit of cost
+//! is; the rules are the same for both caches:
+//!
+//! * **Admission.** A committed value is kept only if its key was asked
+//!   for *before its flight*: by an earlier miss still remembered in the
+//!   cache's table of recently missed keys, or by a caller that coalesced
+//!   onto the flight while it ran. Any other value is served to its
+//!   leader and waiters, not kept, and counts as `declined`, not as an
+//!   eviction. So a never-repeated key (ad hoc text, a nonce) costs the
+//!   cache nothing and the budget holds what is asked again. The price is
+//!   one computation more per repeated key, on its second ask, which
+//!   admits it; from the third ask on it hits. The table is fixed and
+//!   direct-mapped: 4 096 slots of one key digest each, at most
+//!   32 KiB, allocated a page at a time as misses land, so it remembers
+//!   about the last 4 096 distinct misses. A slot holds whichever key
+//!   missed in it last, so a colliding key delays an admission by one ask
+//!   and never admits a stranger.
+//! * **A budget, spent least recently asked first.** A commit charges its
+//!   value's cost, and what is kept beside a value may be charged to it
+//!   later ([`FlightCache::charge`]). A charge that takes the total over
+//!   the budget evicts committed entries, least recently asked first,
+//!   until the total fits. The entry just charged is never the victim
+//!   while another committed entry is left: its callers are being served
+//!   from it. An entry larger than the whole budget is served and not
+//!   kept (an eviction). In-flight entries cost nothing and are never
+//!   evicted, since evicting one would repeat the work the cache exists to
+//!   share. The budget caps *resident* cost: the high-water mark is taken
+//!   after eviction, under the same lock.
+//! * **Sources and generations.** An entry is tagged with the sources its
+//!   value derives from: when it is first asked for, or, if they are not
+//!   yet known then, when it is committed. [`FlightCache::flush_source`]
+//!   drops every entry tagged with the source (counted as `flushes`),
+//!   detaches every entry whose sources are not yet known (uncounted), and
+//!   bumps the source's generation: 0 until its first flush, then +1 per
+//!   flush. [`FlightCache::clear`] detaches everything.
+//! * **Detach.** Invalidation drops the map's hold on a cell and leaves
+//!   the flight alone (the cell rules above): a late commit reaches the
+//!   callers already parked on it and is charged to nothing, and the next
+//!   ask starts a fresh flight.
+//! * **Release.** An abandoned flight leaves no entry behind. A flight is
+//!   abandoned when its [`Ticket`] is dropped uncommitted (the computation
+//!   failed, was cancelled or unwound) or a waiter's wait is given up.
+//!   Holds on a cell are let go under the map's lock, so exactly the last
+//!   caller to let go of a cell nothing was committed to sees the map's
+//!   own `Arc` alone, and it removes the entry. A caller still holding the
+//!   cell, such as a parked waiter about to lead in turn, keeps it. A
+//!   cache is quiescent when every entry holds a committed value.
+//!
+//! The table of recent misses is not an entry: invalidation leaves it be,
+//! and so does release. A key flushed, cleared or abandoned after an ask
+//! is kept on its next computation.
 
+use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::thread::{self, ThreadId};
 use std::time::Instant;
 
 use crate::oneshot::{OneShot, PromiseState, Pulsable, WaitFor};
 use crate::resilience::CancelToken;
+use crate::testutil::Quiescent;
 
 /// One attempt at the value: `Some(v)` once its leader commits, `None`
 /// once the leader gives up.
@@ -193,18 +232,353 @@ impl<V> Drop for Lead<V> {
     }
 }
 
-/// Slots in a [`RecentMisses`] table (module docs, "Admission"). A power
-/// of two.
-pub const ASKED_SLOTS: usize = 4096;
+/// A map from key to [`SingleFlight`] cell that keeps committed values
+/// under a budget; see the module docs, "The shared cache". A value is
+/// shared, so a hit is an `Arc` bump.
+pub struct FlightCache<K, T> {
+    map: Mutex<Map<K, T>>,
+    /// What the table of recent misses remembers a key by.
+    digest: fn(&K) -> u64,
+    budget: u64,
+}
+
+struct Map<K, T> {
+    entries: HashMap<K, Entry<T>>,
+    /// The keys missed lately (module docs, "Admission").
+    missed: RecentMisses,
+    /// The counters, and the total cost charged and its high-water mark;
+    /// the occupancy is counted when asked for.
+    counts: FlightStats,
+    /// Monotone ask counter feeding `Entry::last_used`.
+    tick: u64,
+    /// Per-source generations: bumped by `flush_source`, never reset. A
+    /// source never flushed is at generation 0.
+    generations: HashMap<Arc<str>, u64>,
+}
+
+struct Entry<T> {
+    cell: Arc<SingleFlight<Arc<T>>>,
+    /// Cost charged for the committed value and what is kept beside it;
+    /// `None` until the commit is charged.
+    cost: Option<u64>,
+    /// The sources the value derives from; `None` while not yet known.
+    sources: Option<Box<[Arc<str>]>>,
+    /// The tick of the last ask, for LRU eviction.
+    last_used: u64,
+    /// The key was asked for before this entry's flight, or during it:
+    /// its commit is kept (module docs, "Admission").
+    asked: bool,
+}
+
+/// What [`FlightCache::join`] found.
+pub enum Lookup<K: Eq + Hash, T> {
+    /// The committed value, already there or committed while this caller
+    /// waited.
+    Hit(Arc<T>),
+    /// The caller leads: compute the value and [`Ticket::commit`] it, or
+    /// drop the ticket to let a waiter try.
+    Miss(Ticket<K, T>),
+    /// This thread already leads this key further up its own stack
+    /// ([`Join::Reentrant`]); compute without the cache.
+    Reentrant,
+}
+
+/// The right to fill one [`FlightCache`] entry. Dropped uncommitted, it
+/// hands the lead to a parked waiter, or removes the entry when there is
+/// none (module docs, "Release").
+pub struct Ticket<K: Eq + Hash, T> {
+    cache: Arc<FlightCache<K, T>>,
+    key: K,
+    /// `None` once committed.
+    lead: Option<Lead<Arc<T>>>,
+}
+
+/// The counters and occupancy of a [`FlightCache`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct FlightStats {
+    /// Joins served a committed value, waits included, and counted
+    /// [`FlightCache::hit`]s.
+    pub hits: u64,
+    /// Joins that took the lead (one per computation started).
+    pub misses: u64,
+    /// Committed entries dropped to fit the budget.
+    pub evictions: u64,
+    /// Commits served but not kept, because their key was not asked for
+    /// before their flight.
+    pub declined: u64,
+    /// Entries dropped by [`FlightCache::flush_source`] because they are
+    /// tagged with the flushed source.
+    pub flushes: u64,
+    /// Entries with a charged commit.
+    pub entries: usize,
+    /// Entries whose flight has not committed yet.
+    pub flying: usize,
+    /// Cost charged by the entries.
+    pub cost: u64,
+    /// High-water mark of `cost`; never above the budget.
+    pub peak_cost: u64,
+}
+
+impl<K: Eq + Hash, T> FlightCache<K, T> {
+    fn lock(&self) -> MutexGuard<'_, Map<K, T>> {
+        self.map.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The budget, in cost units.
+    pub fn budget(&self) -> u64 {
+        self.budget
+    }
+
+    /// Point-in-time counters; see [`FlightStats`].
+    pub fn stats(&self) -> FlightStats {
+        let map = self.lock();
+        let entries = map.entries.values().filter(|e| e.cost.is_some()).count();
+        let flying = map.entries.len() - entries;
+        FlightStats { entries, flying, ..map.counts }
+    }
+
+    /// Whether `key` has an entry whose commit will be kept (module docs,
+    /// "Admission").
+    pub fn asked(&self, key: &K) -> bool {
+        self.lock().entries.get(key).is_some_and(|e| e.asked)
+    }
+
+    /// The generation of `source`: 0 until its first
+    /// [`FlightCache::flush_source`], then +1 per flush.
+    pub fn generation(&self, source: &str) -> u64 {
+        self.lock().generations.get(source).copied().unwrap_or(0)
+    }
+
+    /// Detach every entry. The counters, the generations and the table of
+    /// recent misses are kept.
+    pub fn clear(&self) {
+        let mut map = self.lock();
+        map.entries.clear();
+        map.counts.cost = 0;
+    }
+
+    /// Let go of a caller's hold on `cell`, the entry of `key` it joined
+    /// and left without a value (module docs, "Release").
+    fn release(&self, key: &K, cell: Arc<SingleFlight<Arc<T>>>) {
+        let mut map = self.lock();
+        let held = Arc::as_ptr(&cell);
+        drop(cell);
+        let abandoned = map.entries.get(key).is_some_and(|e| {
+            Arc::as_ptr(&e.cell) == held && Arc::strong_count(&e.cell) == 1 && e.cost.is_none()
+        });
+        if abandoned {
+            map.entries.remove(key);
+        }
+    }
+}
+
+impl<K: Eq + Hash + Clone, T: Send + Sync + 'static> FlightCache<K, T> {
+    /// An empty cache of `budget` cost units, whose table of recent misses
+    /// remembers a key by `digest`.
+    pub fn new(budget: u64, digest: fn(&K) -> u64) -> Arc<Self> {
+        let map = Map {
+            entries: HashMap::new(),
+            missed: RecentMisses::default(),
+            counts: FlightStats::default(),
+            tick: 0,
+            generations: HashMap::new(),
+        };
+        Arc::new(FlightCache { map: Mutex::new(map), digest, budget })
+    }
+
+    /// Read the committed value of `key`, take the lead on computing it,
+    /// or wait for the caller computing it: at most until `deadline`
+    /// passes or `cancel` fires, which end this caller's wait (`Err`,
+    /// counting neither a hit nor a miss) and nothing else.
+    ///
+    /// Every call is an ask (module docs). One that finds the entry marks
+    /// it asked, so a coalesced waiter admits the flight it waits on. One
+    /// that creates the entry tags it with `sources` (`None`: not yet
+    /// known) and reads and records the key in the table of recent misses.
+    pub fn join(
+        self: &Arc<Self>,
+        key: K,
+        sources: Option<&[Arc<str>]>,
+        deadline: Option<Instant>,
+        cancel: Option<&Arc<CancelToken>>,
+    ) -> Result<Lookup<K, T>, WaitFor> {
+        let cell = {
+            let mut map = self.lock();
+            map.tick += 1;
+            let (tick, Map { entries, missed, .. }) = (map.tick, &mut *map);
+            let entry = match entries.get_mut(&key) {
+                Some(entry) => {
+                    entry.asked = true;
+                    entry
+                }
+                None => entries.entry(key.clone()).or_insert(Entry {
+                    cell: Arc::default(),
+                    cost: None,
+                    sources: sources.map(Into::into),
+                    last_used: tick,
+                    asked: missed.record((self.digest)(&key)),
+                }),
+            };
+            entry.last_used = tick;
+            Arc::clone(&entry.cell)
+        };
+        // The map lock is released before the (potentially blocking)
+        // join: a waiter parked on one key must not hold up lookups of
+        // every other key.
+        let joined = cell.join(deadline, cancel).inspect_err(|_| self.release(&key, cell))?;
+        let counts = &mut self.lock().counts;
+        Ok(match joined {
+            Join::Hit(value) => {
+                counts.hits += 1;
+                Lookup::Hit(value)
+            }
+            Join::Lead(lead) => {
+                counts.misses += 1;
+                let cache = Arc::clone(self);
+                Lookup::Miss(Ticket { cache, key, lead: Some(lead) })
+            }
+            Join::Reentrant => Lookup::Reentrant,
+        })
+    }
+
+    /// The committed value of `key`, if any, without joining: no counter
+    /// moves and no LRU position is refreshed.
+    pub fn peek(&self, key: &K) -> Option<Arc<T>> {
+        self.lock().entries.get(key)?.cell.peek()
+    }
+
+    /// The committed value of `key`, if any, as a counted hit that
+    /// refreshes its LRU position: for a reader that serves it without
+    /// joining.
+    pub fn hit(&self, key: &K) -> Option<Arc<T>> {
+        let mut map = self.lock();
+        map.tick += 1;
+        let tick = map.tick;
+        let entry = map.entries.get_mut(key)?;
+        let value = entry.cell.peek()?;
+        entry.last_used = tick;
+        map.counts.hits += 1;
+        Some(value)
+    }
+
+    /// Charge `cost` more to the entry of `key` for something kept beside
+    /// `value`, and evict as a commit does. Nothing is charged unless
+    /// `value` is still the entry's committed value.
+    pub fn charge(&self, key: &K, value: &Arc<T>, cost: u64) {
+        self.account(key, cost, None, |cell| {
+            cell.peek().is_some_and(|v| Arc::ptr_eq(&v, value))
+        });
+    }
+
+    /// Drop every entry tagged with `source` and detach every entry whose
+    /// sources are not yet known, then bump the source's generation.
+    /// Returns the keys of the tagged entries, which count as `flushes`.
+    pub fn flush_source(&self, source: &str) -> Vec<K> {
+        let mut map = self.lock();
+        let Map { entries, counts, generations, .. } = &mut *map;
+        let mut flushed = Vec::new();
+        entries.retain(|key, entry| {
+            let tagged = entry.sources.as_ref().map(|s| s.iter().any(|s| &**s == source));
+            if tagged == Some(false) {
+                return true;
+            }
+            counts.cost -= entry.cost.unwrap_or(0);
+            if tagged == Some(true) {
+                flushed.push(key.clone());
+            }
+            false
+        });
+        counts.flushes += flushed.len() as u64;
+        *generations.entry(Arc::from(source)).or_insert(0) += 1;
+        flushed
+    }
+
+    /// Charge `cost` to the entry of `key` if `mine` says its cell is the
+    /// one the cost belongs to (a detached cell is charged nothing), record
+    /// `sources` if the entry's are not yet known, and evict (module docs,
+    /// "A budget"): least recently asked committed entries until the total
+    /// fits, or the entry itself when it was not asked for before its
+    /// flight or is alone over the budget. Called after the value is
+    /// published to the cell, so waiters never wait for eviction.
+    fn account(
+        &self,
+        key: &K,
+        cost: u64,
+        sources: Option<&[Arc<str>]>,
+        mine: impl FnOnce(&Arc<SingleFlight<Arc<T>>>) -> bool,
+    ) {
+        let mut map = self.lock();
+        let Map { entries, counts, .. } = &mut *map;
+        let asked = match entries.get_mut(key) {
+            Some(entry) if mine(&entry.cell) => {
+                entry.cost = Some(entry.cost.unwrap_or(0) + cost);
+                if entry.sources.is_none() {
+                    entry.sources = sources.map(Into::into);
+                }
+                entry.asked
+            }
+            _ => return,
+        };
+        counts.cost += cost;
+        while counts.cost > self.budget || !asked {
+            let others = entries.iter().filter(|(k, e)| *k != key && e.cost.is_some());
+            let lru = asked.then(|| others.min_by_key(|(_, e)| e.last_used)).flatten();
+            let victim = lru.map_or_else(|| key.clone(), |(k, _)| k.clone());
+            if let Some(e) = entries.remove(&victim) {
+                counts.cost -= e.cost.unwrap_or(0);
+                *if asked { &mut counts.evictions } else { &mut counts.declined } += 1;
+            }
+            if victim == *key {
+                break;
+            }
+        }
+        counts.peak_cost = counts.peak_cost.max(counts.cost);
+    }
+}
+
+impl<K: Eq + Hash + Clone, T: Send + Sync + 'static> Ticket<K, T> {
+    /// Publish `value` to every waiter, then charge `cost` for it (module
+    /// docs). `sources` become the entry's tags if they were not yet known
+    /// when it was first asked for.
+    pub fn commit(mut self, value: Arc<T>, cost: u64, sources: &[Arc<str>]) {
+        let lead = self.lead.take().expect("a ticket commits once");
+        let cell = Arc::clone(lead.flight());
+        lead.commit(value);
+        self.cache.account(&self.key, cost, Some(sources), |held| Arc::ptr_eq(held, &cell));
+    }
+}
+
+impl<K: Eq + Hash, T> Drop for Ticket<K, T> {
+    fn drop(&mut self) {
+        if let Some(lead) = self.lead.take() {
+            let cell = Arc::clone(lead.flight());
+            drop(lead);
+            self.cache.release(&self.key, cell);
+        }
+    }
+}
+
+/// A cache holds nothing while every entry has a committed value: no
+/// flight running, and none left behind by one abandoned.
+impl<K: Eq + Hash, T> Quiescent for FlightCache<K, T> {
+    fn held(&self) -> Option<String> {
+        let flying = self.stats().flying;
+        (flying > 0).then(|| format!("{flying} uncommitted entries"))
+    }
+}
+
+/// Slots in the table of recent misses (module docs, "Admission"). A
+/// power of two.
+const ASKED_SLOTS: usize = 4096;
 
 /// Slots a [`RecentMisses`] allocates together: 4 KiB.
 const PAGE_SLOTS: usize = 512;
 
-/// The table of recently missed keys an admission rule reads (module
-/// docs, "Admission"). It has no lock of its own: a cache keeps it under
-/// the lock of the map it admits to. The default table remembers no miss.
+/// The table of recently missed keys an admission reads (module docs,
+/// "Admission"). It has no lock of its own: a [`FlightCache`] keeps it
+/// under its map's lock. The default table remembers no miss.
 #[derive(Default)]
-pub struct RecentMisses {
+struct RecentMisses {
     /// The last key missed in each slot, `PAGE_SLOTS` slots to a page,
     /// each page allocated by the first miss that lands on it: a cache
     /// that sees a few distinct keys keeps a few pages, one that never
@@ -217,7 +591,7 @@ pub struct RecentMisses {
 impl RecentMisses {
     /// Record a miss of `key` and say whether it missed before: whether
     /// it is the key last missed in its slot.
-    pub fn record(&mut self, key: u64) -> bool {
+    fn record(&mut self, key: u64) -> bool {
         let slot = slot(key);
         let page = self.pages[slot / PAGE_SLOTS].get_or_insert_with(|| {
             let mut page = vec![0; PAGE_SLOTS].into_boxed_slice();

@@ -72,7 +72,7 @@ pub use driver::{
 };
 pub use error::{KError, KResult};
 pub use executor::Executor;
-pub use flight::{Join, Lead, RecentMisses, SingleFlight};
+pub use flight::{FlightCache, FlightStats, Join, Lead, Lookup, SingleFlight, Ticket};
 pub use latency::LatencyModel;
 pub use oneshot::{OneShot, PromiseState, Pulsable, WaitFor};
 pub use remote::{Remote, Source};

@@ -30,10 +30,13 @@
 //! The parser recurses once per nested sub-expression, so nesting is
 //! bounded: past [`MAX_NESTING`] levels of sub-expressions and patterns
 //! (a parenthesis, a collection, a record field, a branch, an operand of
-//! `not` or unary `-`, a variant payload, a nested pattern) the input is
-//! an ordinary parse error naming the limit, never a stack overflow on a
-//! 2 MiB executor worker. A chain of binary operators is a loop, not a
-//! nesting, and does not count.
+//! `not` or unary `-`, the right side of a comparison, a variant payload,
+//! a nested pattern) the input is an ordinary parse error naming the
+//! limit, never a stack overflow on a 2 MiB executor worker. A chain of
+//! binary operators or postfix projections and applications is a loop
+//! here, but it builds a left-deep tree that every later stage walks
+//! recursively, so each operator the loop folds counts as one level too
+//! (and an operand parsed after it is that much deeper).
 
 use std::sync::Arc;
 
@@ -85,15 +88,48 @@ impl Parser {
     /// Parse one level further in (`parse`), within the nesting budget.
     /// The outermost expression is level zero.
     fn nested<T>(&mut self, parse: fn(&mut Parser) -> KResult<T>) -> KResult<T> {
+        self.deeper()?;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
+    }
+
+    /// Go one level further in, within the nesting budget.
+    fn deeper(&mut self) -> KResult<()> {
         if self.depth > MAX_NESTING {
             return Err(self.err(format!(
                 "nested deeper than {MAX_NESTING} levels of sub-expressions"
             )));
         }
         self.depth += 1;
+        Ok(())
+    }
+
+    /// Parse a left-deep chain (`parse`), which calls [`Parser::deeper`]
+    /// once per operator it folds; the chain's levels end with it.
+    fn chain(&mut self, parse: impl FnOnce(&mut Parser) -> KResult<CExpr>) -> KResult<CExpr> {
+        let depth = self.depth;
         let parsed = parse(self);
-        self.depth -= 1;
+        self.depth = depth;
         parsed
+    }
+
+    /// `operand (op operand)*`, folded to the left, one level per `op`.
+    fn binary_chain(
+        &mut self,
+        operand: fn(&mut Parser) -> KResult<CExpr>,
+        op: fn(&Tok) -> Option<Prim>,
+    ) -> KResult<CExpr> {
+        self.chain(|p| {
+            let mut lhs = operand(p)?;
+            while let Some(op) = op(p.peek()) {
+                p.bump();
+                p.deeper()?;
+                let rhs = operand(p)?;
+                lhs = CExpr::BinOp(op, Box::new(lhs), Box::new(rhs));
+            }
+            Ok(lhs)
+        })
     }
 
     fn peek(&self) -> &Tok {
@@ -239,21 +275,11 @@ impl Parser {
     }
 
     fn or_expr(&mut self) -> KResult<CExpr> {
-        let mut lhs = self.and_expr()?;
-        while self.eat(&Tok::Or) {
-            let rhs = self.and_expr()?;
-            lhs = CExpr::BinOp(Prim::Or, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        self.binary_chain(Parser::and_expr, |t| matches!(t, Tok::Or).then_some(Prim::Or))
     }
 
     fn and_expr(&mut self) -> KResult<CExpr> {
-        let mut lhs = self.not_expr()?;
-        while self.eat(&Tok::And) {
-            let rhs = self.not_expr()?;
-            lhs = CExpr::BinOp(Prim::And, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        self.binary_chain(Parser::not_expr, |t| matches!(t, Tok::And).then_some(Prim::And))
     }
 
     fn not_expr(&mut self) -> KResult<CExpr> {
@@ -277,7 +303,7 @@ impl Parser {
         };
         if let Some(op) = op {
             self.bump();
-            let rhs = self.add_expr()?;
+            let rhs = self.nested(Parser::add_expr)?;
             Ok(CExpr::BinOp(op, Box::new(lhs), Box::new(rhs)))
         } else {
             Ok(lhs)
@@ -285,35 +311,21 @@ impl Parser {
     }
 
     fn add_expr(&mut self) -> KResult<CExpr> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => Prim::Add,
-                Tok::Minus => Prim::Sub,
-                Tok::Caret => Prim::StrCat,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.mul_expr()?;
-            lhs = CExpr::BinOp(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        self.binary_chain(Parser::mul_expr, |t| match t {
+            Tok::Plus => Some(Prim::Add),
+            Tok::Minus => Some(Prim::Sub),
+            Tok::Caret => Some(Prim::StrCat),
+            _ => None,
+        })
     }
 
     fn mul_expr(&mut self) -> KResult<CExpr> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Star => Prim::Mul,
-                Tok::Slash => Prim::Div,
-                Tok::Mod => Prim::Mod,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.unary_expr()?;
-            lhs = CExpr::BinOp(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        self.binary_chain(Parser::unary_expr, |t| match t {
+            Tok::Star => Some(Prim::Mul),
+            Tok::Slash => Some(Prim::Div),
+            Tok::Mod => Some(Prim::Mod),
+            _ => None,
+        })
     }
 
     fn unary_expr(&mut self) -> KResult<CExpr> {
@@ -329,29 +341,33 @@ impl Parser {
     }
 
     fn postfix_expr(&mut self) -> KResult<CExpr> {
-        let mut e = self.atom()?;
-        loop {
-            if self.eat(&Tok::Dot) {
-                let field = self.ident()?;
-                e = CExpr::Proj(Box::new(e), field);
-            } else if self.at(&Tok::LParen) {
-                self.bump();
-                let mut args = Vec::new();
-                if !self.at(&Tok::RParen) {
-                    loop {
-                        args.push(self.expr()?);
-                        if !self.eat(&Tok::Comma) {
-                            break;
+        self.chain(|p| {
+            let mut e = p.atom()?;
+            loop {
+                if p.eat(&Tok::Dot) {
+                    p.deeper()?;
+                    let field = p.ident()?;
+                    e = CExpr::Proj(Box::new(e), field);
+                } else if p.at(&Tok::LParen) {
+                    p.bump();
+                    p.deeper()?;
+                    let mut args = Vec::new();
+                    if !p.at(&Tok::RParen) {
+                        loop {
+                            args.push(p.expr()?);
+                            if !p.eat(&Tok::Comma) {
+                                break;
+                            }
                         }
                     }
+                    p.expect(&Tok::RParen)?;
+                    e = CExpr::App(Box::new(e), args);
+                } else {
+                    break;
                 }
-                self.expect(&Tok::RParen)?;
-                e = CExpr::App(Box::new(e), args);
-            } else {
-                break;
             }
-        }
-        Ok(e)
+            Ok(e)
+        })
     }
 
     fn atom(&mut self) -> KResult<CExpr> {

@@ -1,83 +1,41 @@
-//! A process-wide, memory-accounted, single-flight result cache.
+//! The process-wide result cache: one [`FlightCache`] from 64-bit keys —
+//! in practice `nrc::hash::plan_hash` digests of optimized plans — to
+//! computed [`Value`]s. It is the cross-*session* counterpart of the
+//! per-query subquery slots in [`crate::context::Context`]: many sessions
+//! (the connections of a `kleislid` server) share one
+//! `Arc<ResultCache>`, so a thousand clients issuing the same GenBank
+//! query evaluate it **once** and everyone else is served from memory.
 //!
-//! [`ResultCache`] maps 64-bit keys — in practice `nrc::hash::plan_hash`
-//! digests of optimized plans or subplans — to computed [`Value`]s. It is
-//! the cross-*session* counterpart of the per-query subquery slots in
-//! [`crate::context::Context`]: many sessions (for example, the
-//! connections of a `kleislid` server) share one `Arc<ResultCache>`, so a
-//! thousand clients issuing the same GenBank query evaluate it **once**
-//! and everyone else is served from memory.
+//! Leading, waiting, second-ask admission, LRU eviction under the budget,
+//! source tags, generations, detach and release are the shared cache's
+//! ([`kleisli_core::flight`], "The shared cache"). What is the result
+//! cache's own:
 //!
-//! Four properties, each load-bearing for the server deployment:
+//! * **The key and the cost.** A key is the table of recent misses' key
+//!   as it is, and it means the same plan across sessions and recompiles
+//!   (`plan_hash` hashes fresh binder names by rank), without which a plan
+//!   recompiled after a plan-cache eviction would be a stranger every
+//!   time. A result costs its [`Value::approx_bytes`], and the budget is
+//!   in bytes ([`DEFAULT_RESULT_CACHE_BUDGET`] by default). An entry is
+//!   tagged with its plan's sources when it is first asked for
+//!   ([`ResultCache::join`]), so a flush drops exactly the results of the
+//!   refreshed source, in flight or not.
+//! * **The exchange text.** The serialized copy a server ships on a warm
+//!   hit ([`ResultCache::exchange_text`]) is kept beside the value,
+//!   written by the first reader of a commit and charged to the entry
+//!   then: value and text are one entry and leave together, so a
+//!   re-commit is always serialized afresh.
 //!
-//! * **Single-flight population.** Each entry is a
-//!   [`kleisli_core::SingleFlight`], and everything about leading,
-//!   waiting, giving up and handing the lead over is stated there
-//!   ([`kleisli_core::flight`]): the first looker-up receives a
-//!   [`ResultTicket`], concurrent lookers-up of the same key wait — each
-//!   under its own deadline and cancellation token — for its commit, and
-//!   a ticket dropped uncommitted passes the lead to one of them. The
-//!   last caller to let go of a flight nothing was committed to removes
-//!   its entry, so a failed, cancelled or unwound evaluation leaves
-//!   nothing behind (`ResultCache::release`).
-//! * **Memory accounting.** Committed values are sized with
-//!   [`Value::approx_bytes`] and charged against a configurable byte
-//!   budget, and so is the serialized copy a server keeps beside one
-//!   ([`ResultCache::exchange_text`]): value and text are one entry, one
-//!   charge, and leave together. A charge that pushes the total over
-//!   budget evicts least-recently-used *committed* entries until the
-//!   total fits again (in-flight entries are never evicted — their size
-//!   is unknown and evicting them would duplicate the very work the cache
-//!   exists to share). A single entry larger than the whole budget is
-//!   served to its waiters but not retained.
-//! * **Admission.** A committed result is retained only if its key was
-//!   asked for *before this flight*: by an earlier miss still remembered
-//!   in the cache's [`RecentMisses`] (the one table of recently missed
-//!   keys, [`kleisli_core::flight`]), or by a caller that coalesced onto
-//!   the flight while it ran. Any other result goes down
-//!   the oversize path — served to its waiters, not retained — and counts
-//!   as `declined`, not as an eviction. So a never-repeated query (ad hoc
-//!   text, a nonce) costs the cache nothing, and the budget holds the
-//!   working set instead of the history: the cost is that a text asked
-//!   exactly twice is evaluated twice (the second ask admits it, nobody
-//!   reads it), while one asked `k ≥ 3` times pays one evaluation more
-//!   over `k`. The table's 4 096 slots remember about the last 4 096
-//!   distinct misses — more results than the default budget holds at a
-//!   few tens of KB each, for 1/2 048 of it. The table is not an entry: it
-//!   survives [`ResultCache::flush_source`] and [`ResultCache::clear`], so
-//!   a refreshed working set is re-admitted on its first recompute. A key
-//!   means the same plan across sessions and recompiles
-//!   (`nrc::hash::plan_hash` hashes fresh binder names by rank), without
-//!   which a plan recompiled after a plan-cache eviction would be a
-//!   stranger every time.
-//! * **Observability.** [`ResultCache::stats`] exposes hits, misses,
-//!   evictions, declines, entry count, resident bytes, and the
-//!   high-water mark (`peak_bytes`) — the server's STATS frame reports
-//!   it, kbench reads it as `exec.result_cache_peak_mb`, and the server
-//!   suite's
-//!   `result_cache_budget_is_enforced_over_the_wire` asserts
-//!   `peak_bytes <= budget` from it.
-//!
-//! Entries may additionally be **tagged with source names**
-//! ([`ResultCache::lookup_or_begin_tagged`]): the drivers the cached
-//! plan read from. [`ResultCache::flush_source`] then drops exactly the
-//! entries derived from a refreshed source and bumps that source's
-//! invalidation generation ([`ResultCache::generation`]) — the
-//! result-side half of the wire-level FLUSH verb. An in-flight
-//! population of a flushed key is *detached* rather than aborted: its
-//! late commit reaches the waiters already parked on it and nobody else,
-//! and is charged to nothing, while post-flush lookups of the same key
-//! start a fresh flight against the refreshed source.
+//! The server's STATS frame reports [`ResultCache::stats`], kbench reads
+//! its `peak_bytes` as `exec.result_cache_peak_mb`, and the server suite's
+//! `result_cache_budget_is_enforced_over_the_wire` asserts
+//! `peak_bytes <= budget` from it.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex as StdMutex};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use kleisli_core::testutil::Quiescent;
-use kleisli_core::{
-    write_exchange, CancelToken, Join, Lead, RecentMisses, SingleFlight, Value, WaitFor,
-};
+use kleisli_core::{write_exchange, CancelToken, FlightCache, Lookup, Ticket, Value, WaitFor};
 
 /// Default byte budget for a [`ResultCache`]: 64 MiB.
 pub const DEFAULT_RESULT_CACHE_BUDGET: u64 = 64 * 1024 * 1024;
@@ -93,7 +51,7 @@ pub struct ResultCacheStats {
     /// Committed entries dropped to fit the byte budget.
     pub evictions: u64,
     /// Commits served but not retained because their key was not asked
-    /// for before their flight (module docs, "Admission").
+    /// for before their flight.
     pub declined: u64,
     /// Entries dropped by [`ResultCache::flush_source`] (deliberate
     /// invalidation — counted separately from `evictions`).
@@ -111,52 +69,19 @@ pub struct ResultCacheStats {
     pub budget: u64,
 }
 
-/// One cache slot plus its accounting metadata.
-struct Entry {
-    cell: Arc<SingleFlight<Value>>,
-    /// The committed value's exchange text, once a reader has asked for
-    /// it ([`ResultCache::exchange_text`]).
-    text: Option<Arc<String>>,
-    /// Bytes charged for the committed value and its text; `None` while
-    /// in flight.
-    bytes: Option<u64>,
-    /// Source names the cached plan reads from (empty for untagged
-    /// entries); what [`ResultCache::flush_source`] matches against.
-    deps: Vec<Arc<str>>,
-    /// Monotone use tick for LRU eviction.
-    last_used: u64,
-    /// The key was asked for before this entry's flight, or during it:
-    /// its commit is retained (module docs, "Admission").
-    asked: bool,
-}
-
-struct CacheMap {
-    entries: HashMap<u64, Entry>,
-    /// The keys missed lately (module docs, "Admission").
-    missed: RecentMisses,
-    /// Total bytes of committed entries.
-    bytes: u64,
-    /// Monotone lookup counter feeding `Entry::last_used`.
-    tick: u64,
-    /// Per-source invalidation generations: bumped by `flush_source`,
-    /// never reset. Sources never flushed are implicitly at generation 0.
-    generations: HashMap<Arc<str>, u64>,
+/// A committed result, and its exchange text once a reader asked for it.
+struct Resident {
+    value: Value,
+    text: OnceLock<Arc<String>>,
 }
 
 /// The shared cache; see the module docs. Construct with
 /// [`ResultCache::new`] and share via `Arc`.
 pub struct ResultCache {
-    map: StdMutex<CacheMap>,
-    budget: u64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    declined: AtomicU64,
-    flushes: AtomicU64,
-    peak_bytes: AtomicU64,
+    results: Arc<FlightCache<u64, Resident>>,
 }
 
-/// Outcome of [`ResultCache::lookup_or_begin`].
+/// Outcome of [`ResultCache::join`].
 pub enum ResultLookup {
     /// A committed value (possibly after waiting out another populator).
     Hit(Value),
@@ -165,20 +90,15 @@ pub enum ResultLookup {
     /// committing aborts, waking waiters to retry).
     Miss(ResultTicket),
     /// The calling thread is already populating this key further up its
-    /// own stack (see [`Join::Reentrant`]); compute without touching the
-    /// cache.
+    /// own stack (see [`kleisli_core::Join::Reentrant`]); compute without
+    /// touching the cache.
     Reentrant,
 }
 
 /// Exclusive permission to populate one [`ResultCache`] entry. Commit
 /// publishes the value to every waiter *and* charges it against the
 /// cache's byte budget; dropping without commit releases the claim.
-pub struct ResultTicket {
-    cache: Arc<ResultCache>,
-    key: u64,
-    /// `None` once committed.
-    lead: Option<Lead<Value>>,
-}
+pub struct ResultTicket(Ticket<u64, Resident>);
 
 impl ResultCache {
     /// A cache enforcing the given byte budget (`0` disables retention:
@@ -186,20 +106,7 @@ impl ResultCache {
     /// pure single-flight deduplication of concurrent identical work).
     pub fn new(budget: u64) -> Arc<ResultCache> {
         Arc::new(ResultCache {
-            map: StdMutex::new(CacheMap {
-                entries: HashMap::new(),
-                missed: RecentMisses::default(),
-                bytes: 0,
-                tick: 0,
-                generations: HashMap::new(),
-            }),
-            budget,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            declined: AtomicU64::new(0),
-            flushes: AtomicU64::new(0),
-            peak_bytes: AtomicU64::new(0),
+            results: FlightCache::new(budget, |key| *key),
         })
     }
 
@@ -210,19 +117,19 @@ impl ResultCache {
 
     /// The configured byte budget.
     pub fn budget(&self) -> u64 {
-        self.budget
+        self.results.budget()
     }
 
     /// Read the committed value for `key`, or acquire the right to
     /// compute it. Blocks while another session's population of the same
     /// key is in flight (single-flight: the work runs once process-wide).
-    pub fn lookup_or_begin(self: &Arc<Self>, key: u64) -> ResultLookup {
+    pub fn lookup_or_begin(&self, key: u64) -> ResultLookup {
         self.lookup_or_begin_tagged(key, &[])
     }
 
     /// [`ResultCache::lookup_or_begin`] with source tags; a
     /// [`ResultCache::join`] with no budget to run out of.
-    pub fn lookup_or_begin_tagged(self: &Arc<Self>, key: u64, deps: &[Arc<str>]) -> ResultLookup {
+    pub fn lookup_or_begin_tagged(&self, key: u64, deps: &[Arc<str>]) -> ResultLookup {
         self.join(key, deps, None, None)
             .expect("a wait with no deadline and no token never gives up")
     }
@@ -235,57 +142,17 @@ impl ResultCache {
     /// later [`ResultCache::flush_source`] of any of them invalidates
     /// this entry. Tags are recorded when the entry is created; identical
     /// keys are identical plans, so re-lookups carry the same tags.
-    ///
-    /// Every call is an ask (module docs, "Admission"): one that finds
-    /// the entry marks it asked — a coalesced waiter admits the flight it
-    /// waits on — and one that creates it reads and records the key in
-    /// the table of recent misses.
     pub fn join(
-        self: &Arc<Self>,
+        &self,
         key: u64,
         deps: &[Arc<str>],
         deadline: Option<Instant>,
         cancel: Option<&Arc<CancelToken>>,
     ) -> Result<ResultLookup, WaitFor> {
-        let cell = {
-            let mut map = self.lock_map();
-            map.tick += 1;
-            let tick = map.tick;
-            let CacheMap {
-                entries, missed, ..
-            } = &mut *map;
-            let entry = entries
-                .entry(key)
-                .and_modify(|e| e.asked = true)
-                .or_insert_with(|| Entry {
-                    cell: Arc::default(),
-                    text: None,
-                    bytes: None,
-                    deps: deps.to_vec(),
-                    last_used: 0,
-                    asked: missed.record(key),
-                });
-            entry.last_used = tick;
-            Arc::clone(&entry.cell)
-        };
-        // The map lock is released before the (potentially blocking)
-        // join: a waiter parked on one key must not hold up lookups of
-        // every other key.
-        let joined = cell.join(deadline, cancel).inspect_err(|_| self.release(key, cell))?;
-        Ok(match joined {
-            Join::Hit(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                ResultLookup::Hit(v)
-            }
-            Join::Lead(lead) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                ResultLookup::Miss(ResultTicket {
-                    cache: Arc::clone(self),
-                    key,
-                    lead: Some(lead),
-                })
-            }
-            Join::Reentrant => ResultLookup::Reentrant,
+        Ok(match self.results.join(key, Some(deps), deadline, cancel)? {
+            Lookup::Hit(resident) => ResultLookup::Hit(resident.value.clone()),
+            Lookup::Miss(ticket) => ResultLookup::Miss(ResultTicket(ticket)),
+            Lookup::Reentrant => ResultLookup::Reentrant,
         })
     }
 
@@ -293,211 +160,72 @@ impl ResultCache {
     /// ships it as is (the server's warm fast path): a counted hit with
     /// an LRU refresh that neither clones the value out nor — after the
     /// first reader of a commit — serializes it. `None`, counting
-    /// nothing, while absent or in flight. The text is charged to the
-    /// entry like the value and dropped with it by eviction, flush and
-    /// clear, so a re-commit is always serialized afresh.
+    /// nothing, while absent or in flight.
     pub fn exchange_text(&self, key: u64) -> Option<Arc<String>> {
-        let (cell, value) = {
-            let mut map = self.lock_map();
-            map.tick += 1;
-            let tick = map.tick;
-            let entry = map.entries.get_mut(&key)?;
-            let value = entry.cell.peek()?;
-            entry.last_used = tick;
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            if let Some(text) = &entry.text {
-                return Some(Arc::clone(text));
-            }
-            (Arc::clone(&entry.cell), value)
-        };
-        // Serialized outside the lock; of two first readers racing here
-        // one copy is kept and charged.
-        let text = Arc::new(write_exchange(&value));
-        self.charge(key, &cell, text.len() as u64, Some(&text));
-        Some(text)
+        let resident = self.results.hit(&key)?;
+        let mut written = false;
+        let text = resident.text.get_or_init(|| {
+            written = true;
+            Arc::new(write_exchange(&resident.value))
+        });
+        if written {
+            self.results.charge(&key, &resident, text.len() as u64);
+        }
+        Some(Arc::clone(text))
     }
 
     /// The committed value for `key`, if any, without claiming
     /// population (non-blocking; testing/inspection — no counters or
     /// LRU refresh).
     pub fn peek(&self, key: u64) -> Option<Value> {
-        let cell = {
-            let map = self.lock_map();
-            map.entries.get(&key).map(|e| Arc::clone(&e.cell))?
-        };
-        cell.peek()
+        self.results.peek(&key).map(|resident| resident.value.clone())
     }
 
     /// Point-in-time counters; see [`ResultCacheStats`].
     pub fn stats(&self) -> ResultCacheStats {
-        let map = self.lock_map();
+        let s = self.results.stats();
         ResultCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            declined: self.declined.load(Ordering::Relaxed),
-            flushes: self.flushes.load(Ordering::Relaxed),
-            entries: map.entries.values().filter(|e| e.bytes.is_some()).count(),
-            bytes: map.bytes,
-            peak_bytes: self.peak_bytes.load(Ordering::Relaxed),
-            budget: self.budget,
+            hits: s.hits,
+            misses: s.misses,
+            evictions: s.evictions,
+            declined: s.declined,
+            flushes: s.flushes,
+            entries: s.entries,
+            bytes: s.cost,
+            peak_bytes: s.peak_cost,
+            budget: self.budget(),
         }
     }
 
     /// Drop every entry (counters and the table of recent misses are
-    /// kept), detaching the populations in flight (module docs).
+    /// kept), detaching the populations in flight.
     pub fn clear(&self) {
-        let mut map = self.lock_map();
-        map.entries.clear();
-        map.bytes = 0;
+        self.results.clear();
     }
 
-    /// Drop every entry tagged with `source` and bump that source's
-    /// invalidation generation. Returns the keys of the dropped entries.
-    /// Committed entries release their bytes and count toward the
-    /// `flushes` stat; in-flight entries are detached like
-    /// [`ResultCache::clear`] does. The keys stay in the table of recent
-    /// misses, so each is retained on its first recompute.
+    /// Drop every entry tagged with `source`, in flight or not, and bump
+    /// that source's invalidation generation. Returns the keys of the
+    /// dropped entries.
     pub fn flush_source(&self, source: &str) -> Vec<u64> {
-        let mut map = self.lock_map();
-        let keys: Vec<u64> = map
-            .entries
-            .iter()
-            .filter(|(_, e)| e.deps.iter().any(|d| &**d == source))
-            .map(|(k, _)| *k)
-            .collect();
-        for k in &keys {
-            if let Some(e) = map.entries.remove(k) {
-                map.bytes -= e.bytes.unwrap_or(0);
-            }
-        }
-        self.flushes.fetch_add(keys.len() as u64, Ordering::Relaxed);
-        *map.generations.entry(Arc::from(source)).or_insert(0) += 1;
-        keys
+        self.results.flush_source(source)
     }
 
     /// The invalidation generation of `source`: 0 until the first
     /// [`ResultCache::flush_source`], then +1 per flush.
     pub fn generation(&self, source: &str) -> u64 {
-        self.lock_map()
-            .generations
-            .get(source)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    fn lock_map(&self) -> std::sync::MutexGuard<'_, CacheMap> {
-        self.map.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Let go of a caller's hold on `cell`, the entry of `key` it joined
-    /// and left without a value (its ticket dropped uncommitted, or its
-    /// wait given up). The hold is dropped under the map lock, so of the
-    /// callers letting go of one cell exactly the last sees the map's own
-    /// `Arc` alone; if nothing was committed to the cell, that caller
-    /// removes the entry. A caller still holding the cell — a parked
-    /// waiter about to lead in turn — keeps it. The table of recent
-    /// misses keeps the key, so its next ask is still admitted.
-    fn release(&self, key: u64, cell: Arc<SingleFlight<Value>>) {
-        let mut map = self.lock_map();
-        let held = Arc::as_ptr(&cell);
-        drop(cell);
-        let abandoned = map.entries.get(&key).is_some_and(|e| {
-            Arc::as_ptr(&e.cell) == held && Arc::strong_count(&e.cell) == 1 && e.bytes.is_none()
-        });
-        if abandoned {
-            map.entries.remove(&key);
-        }
-    }
-
-    /// Charge `bytes` more to the entry of `key` — a freshly committed
-    /// value, or the `text` a reader just serialized from one — and evict
-    /// LRU committed entries until the budget holds again, or drop the
-    /// entry itself if it was not asked for before its flight. Called
-    /// *after* the value is published to the cell, so waiters are never
-    /// delayed by eviction. `cell` is the cell the bytes belong to: if a
-    /// `clear` or `flush_source` detached it (whether or not a new entry
-    /// was since created under the same key) nothing is charged or kept —
-    /// the stale value lives only in the detached cell.
-    fn charge(
-        &self,
-        key: u64,
-        cell: &Arc<SingleFlight<Value>>,
-        bytes: u64,
-        text: Option<&Arc<String>>,
-    ) {
-        let mut map = self.lock_map();
-        let asked = match map.entries.get_mut(&key) {
-            Some(entry) if Arc::ptr_eq(&entry.cell, cell) => {
-                if let Some(text) = text {
-                    if entry.text.is_some() {
-                        return; // a racing reader's copy is kept and charged
-                    }
-                    entry.text = Some(Arc::clone(text));
-                }
-                entry.bytes = Some(entry.bytes.unwrap_or(0) + bytes);
-                entry.asked
-            }
-            _ => return,
-        };
-        map.bytes += bytes;
-        // Evict oldest committed entries (never the one just charged —
-        // its readers are being served from it right now) until we fit.
-        while map.bytes > self.budget || !asked {
-            let victim = asked
-                .then(|| {
-                    map.entries
-                        .iter()
-                        .filter(|(k, e)| **k != key && e.bytes.is_some())
-                        .min_by_key(|(_, e)| e.last_used)
-                        .map(|(k, _)| *k)
-                })
-                .flatten()
-                // Not asked for before its flight, or the only one left
-                // and alone over the budget: serve it, do not retain it.
-                .unwrap_or(key);
-            if let Some(e) = map.entries.remove(&victim) {
-                map.bytes -= e.bytes.unwrap_or(0);
-                let counter = if asked {
-                    &self.evictions
-                } else {
-                    &self.declined
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
-            }
-            if victim == key {
-                break;
-            }
-        }
-        // The high-water mark is taken after eviction: the budget is a
-        // cap on *resident* bytes, and eviction runs under the same lock
-        // as the charge, so no reader ever observes an over-budget total.
-        self.peak_bytes.fetch_max(map.bytes, Ordering::Relaxed);
+        self.results.generation(source)
     }
 }
 
 impl ResultTicket {
     /// Publish `v` to every waiter and charge it against the budget.
-    pub fn commit(mut self, v: Value) {
-        let lead = self.lead.take().expect("a ticket commits once");
+    pub fn commit(self, v: Value) {
         let bytes = v.approx_bytes();
-        let cell = Arc::clone(lead.flight());
-        // Publish first (wakes waiters), account second (may evict).
-        lead.commit(v);
-        self.cache.charge(self.key, &cell, bytes, None);
-    }
-}
-
-/// Dropped uncommitted — the evaluation failed, was cancelled or
-/// unwound: hand the lead to a parked waiter, or remove the entry when
-/// there is none (`ResultCache::release`).
-impl Drop for ResultTicket {
-    fn drop(&mut self) {
-        if let Some(lead) = self.lead.take() {
-            let cell = Arc::clone(lead.flight());
-            drop(lead);
-            self.cache.release(self.key, cell);
-        }
+        let resident = Resident {
+            value: v,
+            text: OnceLock::new(),
+        };
+        self.0.commit(Arc::new(resident), bytes, &[]);
     }
 }
 
@@ -505,15 +233,14 @@ impl Drop for ResultTicket {
 /// and none left behind by one abandoned.
 impl Quiescent for ResultCache {
     fn held(&self) -> Option<String> {
-        let map = self.lock_map();
-        let uncommitted = map.entries.values().filter(|e| e.bytes.is_none()).count();
-        (uncommitted > 0).then(|| format!("result cache: {uncommitted} uncommitted entries"))
+        self.results.held().map(|held| format!("result cache: {held}"))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
     use std::thread;
     use std::time::Duration;
 
@@ -605,7 +332,8 @@ mod tests {
                 _ => panic!("fresh key must miss"),
             }
         }
-        let entries = cache.lock_map().entries.len();
+        let s = cache.results.stats();
+        let entries = s.entries + s.flying;
         assert_eq!(entries, 0, "every abandoned flight left its entry");
         // The misses are remembered: the next ask of a key is retained.
         miss_and_commit(&cache, 7, &[]);
@@ -618,13 +346,24 @@ mod tests {
         let ResultLookup::Miss(lead) = cache.lookup_or_begin(2) else {
             panic!("a first ask misses")
         };
-        // A waiter's hold on the cell, still held when the leader gives up.
-        let waiter = Arc::clone(&cache.lock_map().entries[&2].cell);
-        drop(lead);
-        assert_eq!(cache.lock_map().entries.len(), 1, "the waiter may lead in turn");
-        // The waiter gives up too: the last one out removes the entry.
-        cache.release(2, waiter);
-        assert_eq!(cache.lock_map().entries.len(), 0);
+        let held = || {
+            let s = cache.results.stats();
+            s.entries + s.flying
+        };
+        thread::scope(|s| {
+            // A waiter's hold on the cell, still held when the leader
+            // gives up: it inherits the lead and keeps its ticket.
+            let waiter = s.spawn(|| cache.lookup_or_begin(2));
+            // The waiter asks (under the map lock) before it parks.
+            while !cache.results.asked(&2) {
+                thread::yield_now();
+            }
+            drop(lead);
+            assert_eq!(held(), 1, "the waiter may lead in turn");
+            // The waiter gives up too: the last one out removes the entry.
+            drop(waiter.join().unwrap());
+            assert_eq!(held(), 0);
+        });
     }
 
     #[test]
@@ -835,7 +574,7 @@ mod tests {
             });
             // The waiter asks (under the map lock) before it parks.
             let asked = Instant::now() + Duration::from_secs(2);
-            while !cache.lock_map().entries[&6].asked && Instant::now() < asked {
+            while !cache.results.asked(&6) && Instant::now() < asked {
                 thread::yield_now();
             }
             lead.commit(vint(6));
@@ -903,8 +642,7 @@ mod tests {
                 t.commit(vint(key as i64));
             }
             let s = cache.stats();
-            let map = cache.lock_map();
-            let resident: u64 = map.entries.values().filter_map(|e| e.bytes).sum();
+            let resident: u64 = (0..16).filter_map(|k| cache.peek(k)).map(|v| v.approx_bytes()).sum();
             assert_eq!(s.bytes, resident, "{s:?}");
             assert!(s.bytes <= s.budget && s.peak_bytes <= s.budget, "{s:?}");
         }

@@ -1,53 +1,22 @@
-//! The compiled-plan cache, as a standalone `Arc`-shareable type.
+//! The compiled-plan cache: one [`FlightCache`] that many sessions — the
+//! connections of a `kleislid` server — can share, so a query compiled by
+//! any session is a compile skipped by every other. A session constructed
+//! with [`Session::new`](crate::Session::new) gets a private one of the
+//! same default capacity.
 //!
-//! Until the server PR this LRU lived as a private struct inside
-//! [`Session`](crate::Session); it is now a first-class [`PlanCache`] so
-//! that many sessions — the connections of a `kleislid` server — can
-//! share **one** cache: a query compiled by any session is a compile
-//! skipped by every other. Solo semantics are unchanged: a session
-//! constructed with [`Session::new`](crate::Session::new) still gets a
-//! private cache of the same default capacity, keyed the same way
-//! (source text + [`OptConfig`]), with the same LRU behavior.
+//! Leading, waiting, second-ask admission, LRU eviction, source tags,
+//! generations, detach and release are the shared cache's
+//! ([`kleisli_core::flight`], "The shared cache"). What is the plan
+//! cache's own:
 //!
-//! What is new relative to the private struct:
-//!
-//! * **Single-flight compilation.** A key whose compile is *in flight*
-//!   has a [`SingleFlight`] of its own for as long as some caller is
-//!   inside [`PlanCache::get_or_compile`] for it: concurrent lookups of
-//!   the same key wait for the first compiler's plan and nobody else's,
-//!   so N sessions racing the same cold query cost **one** compile, not
-//!   N. (A failed compile is not cached; the error propagates to the
-//!   compiling caller and one waiting caller compiles in its turn. The
-//!   same holds if the compile panics — [`kleisli_core::flight`].)
-//! * **Admission.** A compiled plan is retained only if its key was
-//!   asked for *before its compile*: by an earlier miss still remembered
-//!   in the cache's [`RecentMisses`] (the one table of recently missed
-//!   keys, [`kleisli_core::flight`]; here a key is the source text and
-//!   the [`OptConfig`], hashed), or by a caller that coalesced onto the
-//!   compile while it ran. Any other plan is handed to its compiler and
-//!   its waiters, not retained, and counts as `declined`, not as an
-//!   eviction. So never-repeated text (ad hoc queries, a nonce) leaves no
-//!   plan behind and pushes no working-set plan out, and the capacity
-//!   holds what is asked again. The cost is one compile more per repeated
-//!   text, on its second ask (which admits the plan); from the third on
-//!   it hits. Like the result cache's, the table is not an entry: it
-//!   survives [`PlanCache::clear`] and [`PlanCache::flush_source`], so a
-//!   text compiled before an invalidation is retained on its first
-//!   recompile.
-//! * **Eviction accounting.** [`PlanCacheStats`] now counts `evictions`
-//!   (plans dropped for capacity) and `declined` (plans not admitted),
-//!   alongside the existing hit/miss counters. `misses` equals the number
-//!   of compiles started.
-//! * **Source-scoped invalidation.** [`PlanCache::flush_source`] drops
-//!   exactly the plans whose [`Compiled::deps`] mention a refreshed
-//!   driver and bumps that source's generation counter
-//!   ([`PlanCache::generation`]), so a stale plan can never be served
-//!   after the flush returns. It also *detaches* every compile in
-//!   flight, as [`PlanCache::clear`] does: a plan's sources are unknown
-//!   until it exists, so a compile that overlapped an invalidation is
-//!   handed to its caller and the waiters already parked on it, and is
-//!   not retained — the next lookup compiles against the refreshed
-//!   source. This is the compile-side half of the wire-level FLUSH verb.
+//! * **The key and the cost.** A plan is keyed by its source text and
+//!   [`OptConfig`]; the table of recent misses remembers the two hashed
+//!   together. A plan costs one unit, so the capacity is the budget. A
+//!   plan's sources ([`Compiled::deps`]) are not known until it is
+//!   compiled, so every flush detaches a compile in flight: a plan
+//!   compiled across an invalidation is handed to its caller and the
+//!   waiters already parked on it, not retained, and the next lookup
+//!   compiles against the refreshed source.
 //! * **The source catalog lives here.** The table statistics the
 //!   optimizer consults while compiling ([`PlanCache::table_stats`]) are
 //!   a snapshot with the plans' lifetime: fetched from the source at most
@@ -62,9 +31,10 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex as StdMutex, Weak};
+use std::sync::{Arc, Mutex as StdMutex};
 
-use kleisli_core::{Join, KResult, RecentMisses, SingleFlight, TableStats};
+use kleisli_core::testutil::Quiescent;
+use kleisli_core::{FlightCache, KResult, Lookup, TableStats};
 use kleisli_opt::OptConfig;
 
 use crate::session::Compiled;
@@ -80,7 +50,7 @@ pub struct PlanCacheStats {
     /// Plans evicted to respect the capacity bound.
     pub evictions: u64,
     /// Plans handed to their callers but not retained, because their key
-    /// was not asked for before their compile (module docs, "Admission").
+    /// was not asked for before their compile.
     pub declined: u64,
     /// Plans dropped by [`PlanCache::flush_source`] (invalidation, not
     /// capacity pressure — counted separately from `evictions`).
@@ -91,43 +61,14 @@ pub struct PlanCacheStats {
     pub capacity: usize,
 }
 
-struct State {
-    /// `(source, config, plan)`, most recently used last. Linear-scan
-    /// over a Vec: capacities are tens of entries, and a scan over that
-    /// is noise next to even a cache-hit `Arc` bump.
-    entries: Vec<(String, OptConfig, Arc<Compiled>)>,
-    /// Keys whose compile is in flight.
-    in_flight: Vec<Mark>,
-    /// The keys missed lately (module docs, "Admission").
-    missed: RecentMisses,
-    /// Per-source invalidation generations: bumped by `flush_source`,
-    /// never reset. Sources never flushed are implicitly at generation 0.
-    generations: HashMap<Arc<str>, u64>,
-    capacity: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    declined: u64,
-    flushes: u64,
-}
-
-/// One key's compile in flight, its flight held weakly: a mark is live
-/// exactly while some caller is inside `get_or_compile` with its flight
-/// in hand, an unwinding one included.
-struct Mark {
-    src: String,
-    config: OptConfig,
-    flight: Weak<Flight>,
-    /// The key missed before this compile, or a caller coalesced onto
-    /// it: its plan is retained (module docs, "Admission").
-    asked: bool,
-}
+/// A plan's key: its source text and optimizer configuration.
+type Key = (String, OptConfig);
 
 /// The compiled-plan cache; see the module docs. Construct with
 /// [`PlanCache::new`] and share across sessions via
 /// [`Session::share_plan_cache`](crate::Session::share_plan_cache).
 pub struct PlanCache {
-    state: StdMutex<State>,
+    plans: Arc<FlightCache<Key, Compiled>>,
     /// The source-catalog snapshot, by source. A lock of its own, held
     /// across the fetch: that is what makes "at most once" true under
     /// concurrent compiles, and plan lookups never wait behind it.
@@ -138,72 +79,40 @@ pub struct PlanCache {
 /// no statistics for that one) included.
 type SourceTables = HashMap<String, Option<Arc<TableStats>>>;
 
-/// One key's compile in flight.
-type Flight = SingleFlight<Arc<Compiled>>;
-
 impl PlanCache {
     /// A cache keeping at most `capacity` compiled plans (`0` disables
     /// retention but keeps single-flight deduplication of concurrent
     /// compiles).
     pub fn new(capacity: usize) -> Arc<PlanCache> {
         Arc::new(PlanCache {
-            state: StdMutex::new(State {
-                entries: Vec::new(),
-                in_flight: Vec::new(),
-                missed: RecentMisses::default(),
-                generations: HashMap::new(),
-                capacity,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-                declined: 0,
-                flushes: 0,
-            }),
+            plans: FlightCache::new(capacity as u64, asked_key),
             catalog: StdMutex::new(HashMap::new()),
         })
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, State> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// Fetch the plan for `(src, config)`, or compile it via `compile`
-    /// and cache the result if the key was asked for before (module docs,
-    /// "Admission"). Concurrent calls for the same key from other threads
-    /// wait for the first compile, then share its plan (single-flight;
-    /// see the module docs) — and each such wait is an ask. The compile
-    /// closure runs **without** the cache lock held, so slow compiles of
-    /// one query never stall lookups of others.
+    /// and cache it if the key was asked for before. Concurrent calls for
+    /// the same key wait for the first compile, then share its plan — and
+    /// each such wait is an ask. The compile closure runs **without** the
+    /// cache lock held, so slow compiles of one query never stall lookups
+    /// of others.
     pub fn get_or_compile(
         &self,
         src: &str,
         config: &OptConfig,
         compile: impl FnOnce() -> KResult<Arc<Compiled>>,
     ) -> KResult<Arc<Compiled>> {
-        let flight = {
-            let mut st = self.lock();
-            if let Some(plan) = st.hit(src, config) {
-                return Ok(plan);
-            }
-            st.flight(src, config)
-        };
-        match flight.join(None, None) {
-            // Waited out another session's compile of this very key.
-            Ok(Join::Hit(plan)) => {
-                self.lock().hits += 1;
-                Ok(plan)
-            }
-            Ok(Join::Lead(lead)) => {
-                self.lock().misses += 1;
-                // An `Err` or an unwind drops the lead: a waiter compiles.
+        match self.plans.join(key(src, config), None, None, None) {
+            Ok(Lookup::Hit(plan)) => Ok(plan),
+            Ok(Lookup::Miss(ticket)) => {
+                // An `Err` or an unwind drops the ticket: a waiter compiles.
                 let plan = compile()?;
-                self.lock().retire(lead.flight(), &plan);
-                lead.commit(Arc::clone(&plan));
+                ticket.commit(Arc::clone(&plan), 1, &plan.deps);
                 Ok(plan)
             }
             // A compile that asks for its own key compiles it; a wait
             // with no budget never gives up.
-            Ok(Join::Reentrant) | Err(_) => compile(),
+            Ok(Lookup::Reentrant) | Err(_) => compile(),
         }
     }
 
@@ -216,15 +125,13 @@ impl PlanCache {
     /// [`PlanCache::get_or_compile`], which counts — one hit per query
     /// served, either way.
     pub fn peek(&self, src: &str, config: &OptConfig) -> Option<Arc<Compiled>> {
-        let st = self.lock();
-        let (_, _, plan) = st.entries.iter().find(|(s, c, _)| s == src && c == config)?;
-        Some(Arc::clone(plan))
+        self.plans.peek(&key(src, config))
     }
 
     /// A query was served from the plan [`PlanCache::peek`] found: count
     /// the hit and refresh the plan's LRU position.
     pub fn record_hit(&self, src: &str, config: &OptConfig) {
-        self.lock().hit(src, config);
+        self.plans.hit(&key(src, config));
     }
 
     /// The statistics of `table` at `source` as of the source's current
@@ -251,23 +158,22 @@ impl PlanCache {
 
     /// Hit/miss/eviction/decline counters and occupancy.
     pub fn stats(&self) -> PlanCacheStats {
-        let st = self.lock();
+        let s = self.plans.stats();
         PlanCacheStats {
-            hits: st.hits,
-            misses: st.misses,
-            evictions: st.evictions,
-            declined: st.declined,
-            flushes: st.flushes,
-            entries: st.entries.len(),
-            capacity: st.capacity,
+            hits: s.hits,
+            misses: s.misses,
+            evictions: s.evictions,
+            declined: s.declined,
+            flushes: s.flushes,
+            entries: s.entries,
+            capacity: self.capacity(),
         }
     }
 
     /// Drop every cached plan whose [`Compiled::deps`] mention `source`
-    /// and the statistics snapshot of its tables, and bump that source's
-    /// invalidation generation. Returns how many plans were dropped.
-    /// Plans not reading `source` are untouched; compiles in flight are
-    /// detached, and the table of recent misses is kept (module docs).
+    /// and the statistics snapshot of its tables, detach the compiles in
+    /// flight, and bump that source's invalidation generation. Returns
+    /// how many plans were dropped.
     pub fn flush_source(&self, source: &str) -> usize {
         // Statistics first: a compile starting after this line asks the
         // refreshed source, whatever happens to the plans below.
@@ -275,121 +181,49 @@ impl PlanCache {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .remove(source);
-        let mut st = self.lock();
-        st.in_flight.clear();
-        let before = st.entries.len();
-        st.entries
-            .retain(|(_, _, plan)| !plan.deps.iter().any(|d| &**d == source));
-        let dropped = before - st.entries.len();
-        st.flushes += dropped as u64;
-        *st.generations.entry(Arc::from(source)).or_insert(0) += 1;
-        dropped
+        self.plans.flush_source(source).len()
     }
 
     /// The invalidation generation of `source`: 0 until the first
-    /// [`PlanCache::flush_source`], then +1 per flush. Lets tests and
-    /// callers observe that a refresh actually invalidated.
+    /// [`PlanCache::flush_source`], then +1 per flush.
     pub fn generation(&self, source: &str) -> u64 {
-        self.lock()
-            .generations
-            .get(source)
-            .copied()
-            .unwrap_or(0)
+        self.plans.generation(source)
     }
 
     /// The current capacity bound.
     pub fn capacity(&self) -> usize {
-        self.lock().capacity
+        self.plans.budget() as usize
     }
 
     /// Drop every cached plan and the whole statistics snapshot, and
-    /// detach the compiles in flight (counters and the table of recent
-    /// misses are kept; deliberate clears are invalidation, not capacity
-    /// pressure, so they do not count as evictions).
+    /// detach the compiles in flight. Deliberate clears are invalidation,
+    /// not capacity pressure, so they count as nothing.
     pub fn clear(&self) {
         self.catalog
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .clear();
-        let mut st = self.lock();
-        st.in_flight.clear();
-        st.entries.clear();
+        self.plans.clear();
     }
 }
 
-impl State {
-    /// The committed plan for the key, counted as a hit and moved to the
-    /// MRU position.
-    fn hit(&mut self, src: &str, config: &OptConfig) -> Option<Arc<Compiled>> {
-        let i = self
-            .entries
-            .iter()
-            .position(|(s, c, _)| s == src && c == config)?;
-        let entry = self.entries.remove(i);
-        let plan = Arc::clone(&entry.2);
-        self.entries.push(entry);
-        self.hits += 1;
-        Some(plan)
+/// The cache: no compile in flight, and none left behind by one that
+/// failed.
+impl Quiescent for PlanCache {
+    fn held(&self) -> Option<String> {
+        self.plans.held().map(|held| format!("plan cache: {held}"))
     }
+}
 
-    /// The flight of the key's compile: the live one, which the caller
-    /// coalescing onto it marks asked, or a fresh one, asked if the key
-    /// missed before (module docs, "Admission").
-    fn flight(&mut self, src: &str, config: &OptConfig) -> Arc<Flight> {
-        self.in_flight.retain(|m| m.flight.strong_count() > 0);
-        let live = self
-            .in_flight
-            .iter_mut()
-            .find(|m| m.src == src && m.config == *config);
-        if let Some(mark) = live {
-            if let Some(flight) = mark.flight.upgrade() {
-                mark.asked = true;
-                return flight;
-            }
-        }
-        let flight = Arc::default();
-        self.in_flight.push(Mark {
-            src: src.to_string(),
-            config: config.clone(),
-            flight: Arc::downgrade(&flight),
-            asked: self.missed.record(asked_key(src, config)),
-        });
-        flight
-    }
-
-    /// A compile has produced `plan`: take its mark down and cache the
-    /// plan under the mark's key if it was asked for, count it declined
-    /// if not — unless an invalidation detached the flight in the
-    /// meantime, which took the mark with it.
-    fn retire(&mut self, flight: &Arc<Flight>, plan: &Arc<Compiled>) {
-        let mine = Arc::downgrade(flight);
-        if let Some(i) = self.in_flight.iter().position(|m| m.flight.ptr_eq(&mine)) {
-            let mark = self.in_flight.swap_remove(i);
-            if mark.asked {
-                self.insert(mark.src, mark.config, Arc::clone(plan));
-            } else {
-                self.declined += 1;
-            }
-        }
-    }
-
-    fn insert(&mut self, src: String, config: OptConfig, plan: Arc<Compiled>) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.entries.len() >= self.capacity {
-            self.entries.remove(0); // evict LRU
-            self.evictions += 1;
-        }
-        self.entries.push((src, config, plan));
-    }
+fn key(src: &str, config: &OptConfig) -> Key {
+    (src.to_string(), config.clone())
 }
 
 /// What the table of recent misses remembers a plan by: its source text
 /// and optimizer configuration, hashed.
-fn asked_key(src: &str, config: &OptConfig) -> u64 {
+fn asked_key(key: &Key) -> u64 {
     let mut hasher = DefaultHasher::new();
-    (src, config).hash(&mut hasher);
+    key.hash(&mut hasher);
     hasher.finish()
 }
 
@@ -492,6 +326,21 @@ mod tests {
         // The key is compilable again — no wedged in-flight marker.
         cache.get_or_compile("bad", &cfg, || Ok(plan())).unwrap();
         assert_eq!(cache.stats().entries, 1);
+    }
+
+    #[test]
+    fn an_abandoned_compile_leaves_no_entry() {
+        let cache = PlanCache::new(8);
+        let cfg = OptConfig::default();
+        for i in 0..1000 {
+            let failed = cache.get_or_compile(&format!("bad {i}"), &cfg, || {
+                Err(kleisli_core::KError::eval("boom"))
+            });
+            assert!(failed.is_err());
+        }
+        let s = cache.plans.stats();
+        assert_eq!((s.entries, s.flying), (0, 0), "{s:?}");
+        assert_eq!(cache.held(), None);
     }
 
     #[test]
@@ -614,7 +463,7 @@ mod tests {
                 cache.get_or_compile("q", &cfg, || {
                     compiling.wait();
                     // The waiter asks (under the state lock) before it parks.
-                    let asked = || cache.lock().in_flight.iter().any(|m| m.asked);
+                    let asked = || cache.plans.asked(&key("q", &cfg));
                     let patience = Instant::now() + Duration::from_secs(2);
                     while !asked() && Instant::now() < patience {
                         thread::yield_now();

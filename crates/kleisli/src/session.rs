@@ -35,13 +35,14 @@
 //!
 //! # Plan caching
 //!
-//! [`Session::compile_shared`] memoizes compiled plans in a small LRU keyed by
+//! [`Session::compile_shared`] memoizes compiled plans in a [`PlanCache`] keyed by
 //! the CPL source text plus the [`OptConfig`] in force — re-submitting a
 //! query (the common shape of mediator traffic: the same handful of
 //! queries over and over) skips parse/typecheck/optimize entirely from
 //! its third ask on. A plan is kept only once its text is asked for
 //! again (the second ask compiles it anew and admits it), so text that
-//! is never repeated leaves no plan behind ([`PlanCache`], "Admission").
+//! is never repeated leaves no plan behind ([`kleisli_core::flight`],
+//! "Admission").
 //! The cache is invalidated whenever the meaning of a source string can
 //! change: a driver or value binding is registered, or a `define` runs.
 //! The table statistics the optimizer reads while compiling are a
@@ -771,7 +772,7 @@ impl Session {
     ///   query, touching nothing else;
     /// * a cold key is evaluated and committed before the handle resolves
     ///   (the cache keeps it if the key was asked for before: the
-    ///   admission rule of [`kleisli_exec::result_cache`]).
+    ///   admission rule of [`kleisli_core::flight`]).
     ///
     /// ```
     /// use kleisli::{How, Session};

@@ -437,8 +437,8 @@ impl Drop for ServerHandle {
 }
 
 /// A server holds nothing once no query is active — none running, none
-/// waiting in any connection's admission FIFO — and its result cache
-/// keeps no entry without a value.
+/// waiting in any connection's admission FIFO — and neither shared cache
+/// keeps an entry without a value.
 impl Quiescent for ServerHandle {
     fn held(&self) -> Option<String> {
         let (running, waiting) = self.shared.admission();
@@ -446,7 +446,8 @@ impl Quiescent for ServerHandle {
         let queries = (active + running as u64 + waiting as u64 > 0).then(|| {
             format!("kleislid: {active} queries active, {running} running, {waiting} waiting")
         });
-        let held: Vec<String> = queries.into_iter().chain(self.result_cache().held()).collect();
+        let caches = [self.plan_cache().held(), self.result_cache().held()];
+        let held: Vec<String> = queries.into_iter().chain(caches.into_iter().flatten()).collect();
         (!held.is_empty()).then(|| held.join("; "))
     }
 }

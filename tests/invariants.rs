@@ -191,13 +191,14 @@ fn one_scope() {
     assert_eq!(paths(copies), Vec::<&str>::new());
 }
 
-/// One admission table. A shared cache keeps what is asked for again by
-/// reading `kleisli_core::RecentMisses`, the one table of recently missed
-/// keys; outside `crates/core` no code spreads keys over slots with the
-/// golden-ratio multiplier or records a key into a slot while comparing
-/// it, and both caches go through the one type.
+/// One shared cache. Both shared caches are a `kleisli_core::FlightCache`,
+/// which keeps the one table of recently missed keys (`RecentMisses`,
+/// private to `core::flight`); outside `crates/core` no code spreads keys
+/// over slots with the golden-ratio multiplier or records a key into a
+/// slot while comparing it, and only the per-query `Cached` slots of
+/// `exec::Context` keep a map of `SingleFlight` cells of their own.
 #[test]
-fn one_admission_table() {
+fn one_shared_cache() {
     let all = crate_sources();
     let spread = |line: &str| {
         let digits: String = line.chars().filter(|c| *c != '_').collect();
@@ -210,15 +211,11 @@ fn one_admission_table() {
         .filter(|s| !s.path.starts_with("crates/core/") && declares(s));
     assert_eq!(paths(tables), Vec::<&str>::new());
     let users = all.iter().filter(|s| s.names("RecentMisses"));
-    assert_eq!(
-        paths(users),
-        [
-            "crates/core/src/flight.rs",
-            "crates/core/src/lib.rs",
-            "crates/exec/src/result_cache.rs",
-            "crates/kleisli/src/plan_cache.rs",
-        ]
-    );
+    assert_eq!(paths(users), ["crates/core/src/flight.rs"]);
+    let cells = all
+        .iter()
+        .filter(|s| !s.path.starts_with("crates/core/") && s.names("SingleFlight"));
+    assert_eq!(paths(cells), ["crates/exec/src/context.rs"]);
 }
 
 /// The methods of the top-level block `header` opens in `file` that start

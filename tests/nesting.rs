@@ -1,20 +1,22 @@
 //! The parser's nesting budget (`cpl::parser::MAX_NESTING`): a query
-//! nested to the budget in any bracket form parses and runs on a 2 MiB
-//! stack — what every executor worker has — and one nested a level
-//! deeper, or a thousand levels deeper, is an ordinary parse error that
-//! names the limit rather than a stack overflow that aborts the process.
+//! nested to the budget in any bracket form, or chaining that many
+//! operators, parses and runs on a 2 MiB stack — what every executor
+//! worker has — and one nested a level deeper, or a thousand levels
+//! deeper, is an ordinary parse error that names the limit rather than a
+//! stack overflow that aborts the process.
 
 use cpl::parser::MAX_NESTING;
 use kleisli::Session;
 use kleisli_core::{KError, Value};
 
-/// `depth` levels of each bracket form around `1`: parentheses, set
-/// literals and record fields.
-fn forms(depth: usize) -> [String; 3] {
+/// `depth` levels of each bracket form around `1` — parentheses, set
+/// literals and record fields — and a chain of `depth` additions.
+fn forms(depth: usize) -> [String; 4] {
     [
         format!("{}1{}", "(".repeat(depth), ")".repeat(depth)),
         format!("{}1{}", "{".repeat(depth), "}".repeat(depth)),
         format!("{}1{}", "[a = ".repeat(depth), "]".repeat(depth)),
+        format!("1{}", " + 1".repeat(depth)),
     ]
 }
 
@@ -42,8 +44,9 @@ fn assert_names_the_limit(err: &KError, text: &str) {
 fn a_query_nested_to_the_budget_runs_and_one_level_deeper_is_a_parse_error() {
     on_a_worker_sized_stack(|| {
         let session = Session::new();
-        let [parens, sets, records] = forms(MAX_NESTING).map(|text| session.query(&text));
+        let [parens, sets, records, chain] = forms(MAX_NESTING).map(|text| session.query(&text));
         assert_eq!(parens.expect("parentheses"), Value::Int(1));
+        assert_eq!(chain.expect("a chain"), Value::Int(MAX_NESTING as i64 + 1));
         let mut set = sets.expect("sets");
         let mut record = records.expect("records");
         for _ in 0..MAX_NESTING {
@@ -64,6 +67,7 @@ fn a_thousand_levels_is_a_parse_error_not_an_abort() {
             format!("{}true", "not ".repeat(1000)),
             format!("{}1{}", "<a = ".repeat(1000), " >".repeat(1000)),
             format!("{}\\x{} => 1", "(".repeat(1000), ")".repeat(1000)),
+            format!("1{}", " + 1".repeat(1999)),
         ];
         for text in forms(1000).into_iter().chain(operands) {
             assert_names_the_limit(&cpl::parse_expr(&text).unwrap_err(), &text);
