@@ -235,7 +235,10 @@ fn t3_remy_projection(smoke: bool) -> Json {
 }
 
 /// E4–E6: the monadic rules, each plan evaluated as written and as
-/// optimized by the monadic rule sets alone.
+/// optimized by the monadic rule sets alone. Each rule has a floor on
+/// its own plan: fusion and promotion never lose, and R2's one scan
+/// where there were two keeps 0.6x (ROADMAP item 5: its side condition
+/// is open).
 fn e4_fusion(smoke: bool) -> Json {
     let (n, reps) = if smoke { (5_000, 2) } else { (100_000, 5) };
     let config = OptConfig {
@@ -248,23 +251,29 @@ fn e4_fusion(smoke: bool) -> Json {
     let ctx = Context::new();
     rows(
         [
-            ("R1 vertical fusion", vertical_pipeline(n)),
-            ("R2 horizontal fusion", horizontal_pipeline(n / 2)),
-            ("R3 filter promotion (false)", invariant_filter(n, 0)),
+            ("R1 vertical fusion", vertical_pipeline(n), 1.0),
+            ("R2 horizontal fusion", horizontal_pipeline(n / 2), 0.6),
+            ("R3 filter promotion (false)", invariant_filter(n, 0), 1.0),
         ]
         .into_iter()
-        .map(|(rule, raw)| {
+        .map(|(rule, raw, floor)| {
             let optimized =
                 kleisli_opt::optimize(raw.clone(), &kleisli_opt::NullCatalog, &config).0;
             let t_raw = time_mean(reps, || eval(&raw, &Env::empty(), &ctx).expect("eval"));
             let t_opt = time_mean(reps, || {
                 eval(&optimized, &Env::empty(), &ctx).expect("eval")
             });
+            let speedup = ratio(t_raw, t_opt);
+            assert!(
+                speedup >= floor,
+                "{rule}: the optimized plan ran {speedup:.2}x as fast as the plan as written \
+                 (floor {floor}x): {t_raw:?} -> {t_opt:?}"
+            );
             Json::obj([
                 ("rule", Json::str(rule)),
                 ("unoptimized_us", us(t_raw)),
                 ("optimized_us", us(t_opt)),
-                ("speedup", num(ratio(t_raw, t_opt))),
+                ("speedup", num(speedup)),
             ])
         })
         .collect(),

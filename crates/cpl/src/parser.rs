@@ -36,7 +36,9 @@
 //! binary operators or postfix projections and applications is a loop
 //! here, but it builds a left-deep tree that every later stage walks
 //! recursively, so each operator the loop folds counts as one level too
-//! (and an operand parsed after it is that much deeper).
+//! (and an operand parsed after it is that much deeper). So does each
+//! qualifier of a comprehension after the first: desugaring nests every
+//! qualifier inside the one before it.
 
 use std::sync::Arc;
 
@@ -107,7 +109,7 @@ impl Parser {
 
     /// Parse a left-deep chain (`parse`), which calls [`Parser::deeper`]
     /// once per operator it folds; the chain's levels end with it.
-    fn chain(&mut self, parse: impl FnOnce(&mut Parser) -> KResult<CExpr>) -> KResult<CExpr> {
+    fn chain<T>(&mut self, parse: impl FnOnce(&mut Parser) -> KResult<T>) -> KResult<T> {
         let depth = self.depth;
         let parsed = parse(self);
         self.depth = depth;
@@ -477,15 +479,17 @@ impl Parser {
         Ok(CExpr::Coll(kind, elems))
     }
 
+    /// `qualifier (',' qualifier)*`, each qualifier one level inside the
+    /// one before it, as it is once desugared.
     fn qualifiers(&mut self) -> KResult<Vec<Qual>> {
-        let mut quals = Vec::new();
-        loop {
-            quals.push(self.qualifier()?);
-            if !self.eat(&Tok::Comma) {
-                break;
+        self.chain(|p| {
+            let mut quals = vec![p.qualifier()?];
+            while p.eat(&Tok::Comma) {
+                p.deeper()?;
+                quals.push(p.qualifier()?);
             }
-        }
-        Ok(quals)
+            Ok(quals)
+        })
     }
 
     /// `pattern <- expr` (generator) or a boolean filter expression.

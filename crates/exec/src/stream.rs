@@ -15,12 +15,12 @@
 //! wherever it sits. The unit of transfer is a
 //! [`ValueBlock`] whose grain the *consumer* chooses per pull
 //! (`next_block(max_rows)`): full drains ask for
-//! [`DEFAULT_BLOCK_ROWS`]-row batches — and `Ext` generators whose body
-//! is a pure filter/projection evaluate the whole batch in one fused
-//! pass — while order-sensitive consumers (`first_n` prefix stops,
-//! set-dedup, the `Cached` tee) pull at grain 1, which is byte-identical
-//! to the single-row protocol. [`eval_stream`] is exactly that grain-1
-//! view.
+//! [`DEFAULT_BLOCK_ROWS`]-row batches — and a generator whose body
+//! yields a bounded number of rows evaluates the whole batch in one pass
+//! (*One generator operator*, below) — while order-sensitive consumers
+//! (`first_n` prefix stops, set-dedup, the `Cached` tee) pull at grain
+//! 1, which is byte-identical to the single-row protocol.
+//! [`eval_stream`] is exactly that grain-1 view.
 //!
 //! A stream yields elements *without* final collection canonicalization
 //! (set deduplication happens only when the stream is collected), which
@@ -52,6 +52,32 @@
 //! (`request ‖ request ‖ …`, then `rows ‖ rows ‖ …`, for one scan).
 //! [`eval_blocks_to_end`] is the same position offered to a caller
 //! outside this crate who drains the blocks itself.
+//!
+//! # One generator operator
+//!
+//! Every `Ext` and every `Join` is one operator, `Generate`. It expands
+//! each source element (a join's outer element) into the block the
+//! consumer asked for, in one of three ways:
+//!
+//! * a body with a bounded number of rows — `{e}`, `{}`, or `if` / `∪` /
+//!   `let` over such bodies, every piece of the comprehension's kind —
+//!   goes through the **body kernel** (`Body`), which evaluates it
+//!   straight into the output block. Only the rows past the consumer's
+//!   grain wait in a queue for the next pull. A union whose arms both
+//!   reach a source is not taken, so its arms still start together;
+//! * any other `Ext` body is streamed, at the consumer's grain;
+//! * a join's probe sends each match's body through the same kernel,
+//!   and evaluates a body the kernel cannot take to its collection.
+//!
+//! **The pull grain** is one rule: the source is asked for the rows the
+//! consumer still wants, divided by the most rows one element can yield,
+//! and for one element at a time when that is unbounded (a streamed body,
+//! a join). A grain-1 consumer therefore moves one source row per pull,
+//! and a full drain moves whole batches through one loop.
+//!
+//! **Rows before errors.** An error — the source's, or a body's, key's or
+//! condition's on a later match — goes behind every row the element
+//! yielded before it, and ends the stream, whatever the grain.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -272,34 +298,8 @@ pub(crate) fn blocks_at(
             source,
         } => {
             let src = blocks(source, env, ctx, Want::Source(*kind))?;
-            let ctx = ctx.for_bodies([&**body]);
-            // Fused fast path: a body that is a pure projection
-            // (`Single`) or filter+projection (`If(c, Single, Empty)`)
-            // evaluates a whole source batch in one pass — no per-row
-            // body stream construction at all. Anything else flat-maps
-            // a body block stream per source element.
-            if let Some(fused) = FusedBody::of(body, *kind) {
-                return Ok(Box::new(FusedExtBlocks {
-                    source: Some(src),
-                    leftover: VecDeque::new(),
-                    fused,
-                    var: Arc::clone(var),
-                    env: env.clone(),
-                    ctx,
-                    failed: false,
-                }));
-            }
-            Ok(Box::new(ExtBlocks {
-                source: Some(src),
-                src_rows: VecDeque::new(),
-                current: None,
-                kind: *kind,
-                var: Arc::clone(var),
-                body: Arc::clone(body),
-                env: env.clone(),
-                ctx,
-                failed: false,
-            }))
+            let how = Expand::Ext(Arc::clone(var), Body::of(body, *kind));
+            Ok(how.over(src, *kind, env, ctx.for_bodies([&**body])))
         }
         Expr::If(c, t, f) => {
             let branch = if eval_cond(c, env, ctx, "if")? { t } else { f };
@@ -360,20 +360,14 @@ pub(crate) fn blocks_at(
             };
             let keys = left_key.iter().chain(right_key).map(|k| &**k);
             let per_pair = [&**cond, &**body].into_iter().chain(keys);
-            let ctx = ctx.for_bodies(per_pair);
-            Ok(Box::new(JoinBlocks {
-                left: lstream,
+            let how = Expand::Join {
                 probe,
-                pending: VecDeque::new(),
-                kind: *kind,
                 lvar: Arc::clone(lvar),
                 rvar: Arc::clone(rvar),
                 cond: Arc::clone(cond),
-                body: Arc::clone(body),
-                env: env.clone(),
-                ctx,
-                failed: false,
-            }))
+                body: Body::of(body, *kind),
+            };
+            Ok(how.over(lstream, *kind, env, ctx.for_bodies(per_pair)))
         }
         Expr::Cached { id, expr } => match ctx.cache_join(*id)? {
             // Hit: stream the memoized rows; no driver traffic at all.
@@ -812,212 +806,6 @@ impl BlockSource for PendingBlocks {
     }
 }
 
-/// The body shapes the `Ext` generator evaluates in one fused pass over
-/// a whole source batch: no body stream is ever constructed, the
-/// filter/projection runs right in the generator's pull loop.
-enum FusedBody {
-    /// `{ f(x) }` — pure per-element projection.
-    Project { inner: Arc<Expr> },
-    /// `if p(x) then { f(x) } else {}` — filter + projection.
-    FilterProject { cond: Arc<Expr>, inner: Arc<Expr> },
-}
-
-impl FusedBody {
-    /// Recognize a fusable body of a `kind` comprehension. A body piece
-    /// of another kind is left to the general path, which rejects it.
-    fn of(body: &Expr, kind: CollKind) -> Option<FusedBody> {
-        match body {
-            Expr::Single(k, inner) if *k == kind => Some(FusedBody::Project {
-                inner: Arc::clone(inner),
-            }),
-            Expr::If(c, t, f) => match (t.as_ref(), f.as_ref()) {
-                (Expr::Single(k, inner), Expr::Empty(k2)) if *k == kind && *k2 == kind => {
-                    Some(FusedBody::FilterProject {
-                        cond: Arc::clone(c),
-                        inner: Arc::clone(inner),
-                    })
-                }
-                _ => None,
-            },
-            _ => None,
-        }
-    }
-
-    /// Evaluate the body for one source element: `Ok(Some)` emits,
-    /// `Ok(None)` is a filtered-out element. Error semantics match the
-    /// unfused path exactly (a body-stream construction error there).
-    fn apply(&self, el: Value, var: &Name, env: &Env, ctx: &Context) -> KResult<Option<Value>> {
-        let env2 = env.bind(Arc::clone(var), Rt::Val(el));
-        match self {
-            FusedBody::Project { inner } => eval(inner, &env2, ctx).map(Some),
-            FusedBody::FilterProject { cond, inner } => {
-                if eval_cond(cond, &env2, ctx, "if")? {
-                    eval(inner, &env2, ctx).map(Some)
-                } else {
-                    Ok(None)
-                }
-            }
-        }
-    }
-}
-
-/// Fused streaming `Ext`: filter/projection over a batch at a time. The
-/// source is pulled at exactly the grain still needed for the output
-/// block (`max_rows - packed`), so a grain-1 consumer induces grain-1
-/// source pulls — byte-identical laziness — while a full drain moves
-/// whole batches through one `apply` loop per block.
-struct FusedExtBlocks {
-    source: Option<BlockStream>,
-    /// Source rows pulled but not yet evaluated (a filter that passed
-    /// fewer rows than requested leaves the rest here).
-    leftover: VecDeque<KResult<Value>>,
-    fused: FusedBody,
-    var: Name,
-    env: Env,
-    ctx: Context,
-    failed: bool,
-}
-
-impl BlockSource for FusedExtBlocks {
-    fn next_block(&mut self, max_rows: usize) -> Option<ValueBlock> {
-        if self.failed {
-            return None;
-        }
-        let max = max_rows.max(1);
-        let mut out = ValueBlock::with_capacity(max.min(DEFAULT_BLOCK_ROWS));
-        loop {
-            while out.len() < max {
-                let Some(row) = self.leftover.pop_front() else {
-                    break;
-                };
-                match row {
-                    Err(e) => {
-                        // A source error ends the generator: good rows
-                        // already packed ship in front of it.
-                        self.failed = true;
-                        out.push_err(e);
-                        return Some(out);
-                    }
-                    Ok(el) => match self.fused.apply(el, &self.var, &self.env, &self.ctx) {
-                        Ok(Some(v)) => out.push_row(v),
-                        Ok(None) => {}
-                        Err(e) => {
-                            self.failed = true;
-                            out.push_err(e);
-                            return Some(out);
-                        }
-                    },
-                }
-            }
-            if out.len() >= max {
-                return Some(out);
-            }
-            let Some(src) = &mut self.source else {
-                return if out.is_empty() { None } else { Some(out) };
-            };
-            match src.next_block(max - out.len()) {
-                Some(b) => {
-                    if b.ends_with_err() {
-                        self.source = None;
-                    }
-                    self.leftover.extend(b.into_rows());
-                }
-                None => {
-                    self.source = None;
-                    return if out.is_empty() { None } else { Some(out) };
-                }
-            }
-        }
-    }
-}
-
-/// Streaming `Ext` for general bodies: flat-maps a body block stream
-/// over the source stream. Body blocks pass through at the consumer's
-/// grain.
-struct ExtBlocks {
-    source: Option<BlockStream>,
-    /// Source rows pulled but not yet expanded.
-    src_rows: VecDeque<KResult<Value>>,
-    current: Option<BlockStream>,
-    kind: CollKind,
-    var: Name,
-    body: Arc<Expr>,
-    env: Env,
-    ctx: Context,
-    failed: bool,
-}
-
-impl BlockSource for ExtBlocks {
-    fn next_block(&mut self, max_rows: usize) -> Option<ValueBlock> {
-        if self.failed {
-            return None;
-        }
-        let max = max_rows.max(1);
-        loop {
-            if let Some(cur) = &mut self.current {
-                match cur.next_block(max) {
-                    // Pass body blocks (and body errors) through, as the
-                    // row-level operator did.
-                    Some(b) => return Some(b),
-                    None => self.current = None,
-                }
-            }
-            let next = match self.src_rows.pop_front() {
-                Some(r) => Some(r),
-                None => {
-                    let src = self.source.as_mut()?;
-                    match src.next_block(max) {
-                        Some(b) => {
-                            if b.ends_with_err() {
-                                self.source = None;
-                            }
-                            self.src_rows.extend(b.into_rows());
-                            self.src_rows.pop_front()
-                        }
-                        None => {
-                            self.source = None;
-                            return None;
-                        }
-                    }
-                }
-            };
-            match next {
-                None => return None,
-                Some(Err(e)) => {
-                    self.failed = true;
-                    return Some(ValueBlock::of_err(e));
-                }
-                Some(Ok(el)) => {
-                    let env2 = self.env.bind(Arc::clone(&self.var), Rt::Val(el));
-                    match blocks(&self.body, &env2, &self.ctx, Want::Piece(self.kind)) {
-                        Ok(s) => self.current = Some(s),
-                        Err(e) => {
-                            self.failed = true;
-                            return Some(ValueBlock::of_err(e));
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Pull a single row off a block stream (grain-1 helper for the join
-/// operators' outer side, which expands one outer element at a time).
-fn next_row(s: &mut BlockStream) -> Option<KResult<Value>> {
-    s.next_block(1).and_then(|b| b.into_rows().next())
-}
-
-/// Drain up to `max` pending join results into one block.
-fn drain_pending(pending: &mut VecDeque<Value>, max: usize) -> ValueBlock {
-    let k = max.max(1).min(pending.len());
-    let mut b = ValueBlock::with_capacity(k);
-    for v in pending.drain(..k) {
-        b.push_row(v);
-    }
-    b
-}
-
 /// How the join operator finds an outer element's inner candidates —
 /// the one thing the two Section-4 strategies differ in.
 enum Probe {
@@ -1030,73 +818,267 @@ enum Probe {
     Index(Arc<Expr>, HashMap<Value, Vec<Value>>),
 }
 
-/// Streaming join: the outer side streams, the inner side is
-/// materialized; results come out outer-major, so list joins keep the
-/// nested-loop order under either strategy.
-struct JoinBlocks {
-    left: BlockStream,
-    probe: Probe,
-    pending: VecDeque<Value>,
+
+/// The one generator operator, of `Ext` and `Join` (module docs, "One
+/// generator operator"): the source — a join's outer side — is pulled at
+/// the pull-grain rule's grain, and each element expands into the block
+/// the consumer asked for.
+struct Generate {
+    /// `None` once exhausted or failed.
+    source: Option<BlockStream>,
+    /// Source rows pulled but not yet expanded.
+    elems: VecDeque<KResult<Value>>,
+    /// The rows an element yielded past the consumer's grain, in order,
+    /// and the error that ends the stream behind them.
+    overflow: VecDeque<KResult<Value>>,
+    /// The body stream of the element being expanded ([`Body::Other`]).
+    streaming: Option<BlockStream>,
+    /// The most rows one element yields; `None` when unbounded.
+    per_elem: Option<usize>,
+    how: Expand,
     kind: CollKind,
-    lvar: Name,
-    rvar: Name,
-    cond: Arc<Expr>,
-    body: Arc<Expr>,
     env: Env,
     ctx: Context,
     failed: bool,
 }
 
-impl JoinBlocks {
-    fn emit_for(&mut self, l: Value) -> KResult<()> {
-        let lenv = self.env.bind(Arc::clone(&self.lvar), Rt::Val(l));
-        let (candidates, keys) = match &self.probe {
-            Probe::Scan(right, None) => (right.as_slice(), None),
-            Probe::Scan(right, Some((left_key, right_key))) => {
-                let key = eval(left_key, &lenv, &self.ctx)?;
-                (right.as_slice(), Some((key, right_key)))
+enum Expand {
+    /// An `Ext`: the body through the kernel, or else streamed.
+    Ext(Name, Body),
+    /// A join: every match's body through the kernel, or else evaluated.
+    Join {
+        probe: Probe,
+        lvar: Name,
+        rvar: Name,
+        cond: Arc<Expr>,
+        body: Body,
+    },
+}
+
+/// The body kernel's view of a body of a `kind` comprehension or join:
+/// one with a bounded number of rows — `{}`, `{e}`, or `if` / `∪` / `let`
+/// over such bodies, every piece of kind `kind` — is evaluated straight
+/// into the output block, and no body stream is built.
+enum Body {
+    Empty,
+    Single(Arc<Expr>),
+    If(Arc<Expr>, Box<Body>, Box<Body>),
+    Union(Box<Body>, Box<Body>),
+    Let(Name, Arc<Expr>, Box<Body>),
+    /// Any other body.
+    Other(Arc<Expr>),
+}
+
+impl Body {
+    fn of(body: &Arc<Expr>, kind: CollKind) -> Body {
+        Body::bounded(body, kind).unwrap_or_else(|| Body::Other(Arc::clone(body)))
+    }
+
+    fn bounded(e: &Expr, kind: CollKind) -> Option<Body> {
+        let of = |e: &Expr| Body::bounded(e, kind).map(Box::new);
+        Some(match e {
+            Expr::Empty(k) if *k == kind => Body::Empty,
+            Expr::Single(k, inner) if *k == kind => Body::Single(Arc::clone(inner)),
+            Expr::If(c, t, f) => Body::If(Arc::clone(c), of(t)?, of(f)?),
+            // Arms that both reach a source are streamed: they start together.
+            Expr::Union(k, a, b) if *k == kind && !(a.touches_remote() && b.touches_remote()) => {
+                Body::Union(of(a)?, of(b)?)
             }
-            Probe::Index(left_key, index) => match index.get(&eval(left_key, &lenv, &self.ctx)?) {
-                Some(matches) => (matches.as_slice(), None),
-                None => return Ok(()),
-            },
-        };
-        for r in candidates {
-            if let Some((key, right_key)) = &keys {
-                let renv = self.env.bind(Arc::clone(&self.rvar), Rt::Val(r.clone()));
-                if eval(right_key, &renv, &self.ctx)? != *key {
-                    continue;
+            Expr::Let { var, def, body } => Body::Let(Arc::clone(var), Arc::clone(def), of(body)?),
+            _ => return None,
+        })
+    }
+
+    /// The most rows one evaluation yields; `None` when unbounded.
+    fn rows(&self) -> Option<usize> {
+        match self {
+            Body::Empty => Some(0),
+            Body::Single(_) => Some(1),
+            Body::If(_, t, f) => Some(t.rows()?.max(f.rows()?)),
+            Body::Union(t, u) => Some(t.rows()? + u.rows()?),
+            Body::Let(_, _, body) => body.rows(),
+            Body::Other(_) => None,
+        }
+    }
+
+    /// Evaluate the body into `out`, in order; the rows written before
+    /// an error stay written.
+    fn write(&self, env: &Env, ctx: &Context, kind: CollKind, out: &mut Out) -> KResult<()> {
+        match self {
+            Body::Empty => {}
+            Body::Single(e) => out.push(eval(e, env, ctx)?),
+            Body::If(c, t, f) => {
+                let branch = if eval_cond(c, env, ctx, "if")? { t } else { f };
+                match &**branch {
+                    Body::Single(e) => out.push(eval(e, env, ctx)?),
+                    Body::Empty => {}
+                    branch => branch.write(env, ctx, kind, out)?,
                 }
             }
-            let env2 = lenv.bind(Arc::clone(&self.rvar), Rt::Val(r.clone()));
-            if eval_cond(&self.cond, &env2, &self.ctx, "join")? {
-                let piece = eval(&self.body, &env2, &self.ctx)?;
-                self.pending
-                    .extend(piece_elems(&piece, self.kind)?.iter().cloned());
+            Body::Union(t, u) => {
+                t.write(env, ctx, kind, out)?;
+                u.write(env, ctx, kind, out)?
             }
+            Body::Let(var, def, body) => {
+                let env = env.bind(Arc::clone(var), eval_rt(def, env, ctx)?);
+                body.write(&env, ctx, kind, out)?
+            }
+            Body::Other(e) => piece_elems(&eval(e, env, ctx)?, kind)?
+                .iter()
+                .for_each(|v| out.push(v.clone())),
         }
         Ok(())
     }
 }
 
-impl BlockSource for JoinBlocks {
+/// The block one pull fills, and where the rows past its grain go.
+struct Out<'a> {
+    block: ValueBlock,
+    max: usize,
+    overflow: &'a mut VecDeque<KResult<Value>>,
+}
+
+impl Out<'_> {
+    fn push(&mut self, v: Value) {
+        if self.block.len() < self.max {
+            self.block.push_row(v)
+        } else {
+            self.overflow.push_back(Ok(v))
+        }
+    }
+}
+
+impl Expand {
+    /// The generator that expands each element of `source` this way.
+    fn over(self, source: BlockStream, kind: CollKind, env: &Env, ctx: Context) -> BlockStream {
+        Box::new(Generate {
+            source: Some(source),
+            elems: VecDeque::new(),
+            overflow: VecDeque::new(),
+            streaming: None,
+            per_elem: match &self {
+                Expand::Ext(_, body) => body.rows(),
+                Expand::Join { .. } => None,
+            },
+            how: self,
+            kind,
+            env: env.clone(),
+            ctx,
+            failed: false,
+        })
+    }
+
+    /// Expand the element `el` into `out`; a streamed body's stream is
+    /// returned instead.
+    fn expand(
+        &self,
+        el: Value,
+        (kind, env, ctx): (CollKind, &Env, &Context),
+        out: &mut Out,
+    ) -> KResult<Option<BlockStream>> {
+        let (lvar, probe, rvar, cond, body) = match self {
+            Expand::Ext(var, Body::Other(body)) => {
+                let env = env.bind(Arc::clone(var), Rt::Val(el));
+                return blocks(body, &env, ctx, Want::Piece(kind)).map(Some);
+            }
+            Expand::Ext(var, body) => {
+                let env = env.bind(Arc::clone(var), Rt::Val(el));
+                return body.write(&env, ctx, kind, out).map(|()| None);
+            }
+            Expand::Join { probe, lvar, rvar, cond, body } => (lvar, probe, rvar, cond, body),
+        };
+        let lenv = env.bind(Arc::clone(lvar), Rt::Val(el));
+        let (candidates, keys) = match probe {
+            Probe::Scan(right, None) => (right.as_slice(), None),
+            Probe::Scan(right, Some((lk, rk))) => {
+                (right.as_slice(), Some((eval(lk, &lenv, ctx)?, rk)))
+            }
+            Probe::Index(lk, index) => match index.get(&eval(lk, &lenv, ctx)?) {
+                Some(matches) => (matches.as_slice(), None),
+                None => return Ok(None),
+            },
+        };
+        for r in candidates {
+            if let Some((key, rk)) = &keys {
+                if eval(rk, &env.bind(Arc::clone(rvar), Rt::Val(r.clone())), ctx)? != *key {
+                    continue;
+                }
+            }
+            let env = lenv.bind(Arc::clone(rvar), Rt::Val(r.clone()));
+            if eval_cond(cond, &env, ctx, "join")? {
+                body.write(&env, ctx, kind, out)?;
+            }
+        }
+        Ok(None)
+    }
+}
+
+impl BlockSource for Generate {
     fn next_block(&mut self, max_rows: usize) -> Option<ValueBlock> {
         if self.failed {
             return None;
         }
-        loop {
-            if !self.pending.is_empty() {
-                return Some(drain_pending(&mut self.pending, max_rows));
+        let max = max_rows.max(1);
+        let block = ValueBlock::with_capacity(max.min(DEFAULT_BLOCK_ROWS));
+        let mut out = Out { block, max, overflow: &mut self.overflow };
+        // What an element yielded past the last pull's grain comes first.
+        // Within a pull, only a full block overflows.
+        while out.block.len() < max {
+            match out.overflow.pop_front() {
+                Some(Ok(v)) => out.block.push_row(v),
+                Some(Err(e)) => out.block.push_err(e),
+                None => break,
             }
-            match next_row(&mut self.left)? {
-                Err(e) => {
-                    self.failed = true;
-                    return Some(ValueBlock::of_err(e));
+        }
+        loop {
+            if out.block.len() == max || out.block.ends_with_err() {
+                self.failed = out.block.ends_with_err();
+                return Some(out.block);
+            }
+            if let Some(body) = &mut self.streaming {
+                match body.next_block(max - out.block.len()) {
+                    Some(b) => out.block.append(b),
+                    None => self.streaming = None,
                 }
-                Ok(l) => {
-                    if let Err(e) = self.emit_for(l) {
-                        self.failed = true;
-                        return Some(ValueBlock::of_err(e));
+                continue;
+            }
+            if self.elems.is_empty() {
+                let Some(src) = &mut self.source else {
+                    return (!out.block.is_empty()).then_some(out.block);
+                };
+                // The pull-grain rule.
+                let want = max - out.block.len();
+                let grain =
+                    self.per_elem.map_or(1, |n| if n > 1 { (want / n).max(1) } else { want });
+                match src.next_block(grain) {
+                    Some(b) if !b.ends_with_err() => self.elems.extend(b.into_rows()),
+                    b => {
+                        self.source = None;
+                        self.elems.extend(b.into_iter().flat_map(ValueBlock::into_rows));
+                    }
+                }
+            }
+            // Expand the elements pulled while the block has room.
+            let at = (self.kind, &self.env, &self.ctx);
+            while out.block.len() < max {
+                let Some(el) = self.elems.pop_front() else {
+                    break;
+                };
+                match el.and_then(|el| self.how.expand(el, at, &mut out)) {
+                    Ok(None) => {}
+                    Ok(stream) => {
+                        self.streaming = stream;
+                        break;
+                    }
+                    // Rows before errors: the error that ends the stream
+                    // goes behind every row the element yielded.
+                    Err(e) if out.block.len() < max => {
+                        out.block.push_err(e);
+                        break;
+                    }
+                    Err(e) => {
+                        out.overflow.push_back(Err(e));
+                        break;
                     }
                 }
             }
@@ -1689,5 +1671,56 @@ mod tests {
         let items: Vec<_> = eval_stream(&e, &Env::empty(), &ctx).unwrap().collect();
         assert_eq!(items.len(), 6);
         assert!(items[5].is_err());
+    }
+
+    #[test]
+    fn a_join_ships_the_rows_before_a_failing_match() {
+        // [1/(5-r) | \l <- [0], \r <- [0..8]]: the matches r = 0..4
+        // evaluate and r = 5 divides by zero. Under either strategy the
+        // five rows come out in front of the error, at any grain — also
+        // the one they fill exactly.
+        let list = |n: i64| Expr::Const(Value::list((0..n).map(Value::Int).collect()));
+        let zero = |v: &str| Expr::prim(nrc::Prim::Mul, vec![Expr::var(v), Expr::int(0)]);
+        let body = Expr::single(
+            CollKind::List,
+            Expr::prim(
+                nrc::Prim::Div,
+                vec![
+                    Expr::int(1),
+                    Expr::prim(nrc::Prim::Sub, vec![Expr::int(5), Expr::var("r")]),
+                ],
+            ),
+        );
+        let ctx = Arc::new(Context::new());
+        for (what, strategy) in [
+            ("blocked", JoinStrategy::BlockedNl),
+            ("indexed", JoinStrategy::IndexedNl),
+        ] {
+            let e = Expr::Join {
+                kind: CollKind::List,
+                strategy,
+                left: Arc::new(list(1)),
+                right: Arc::new(list(8)),
+                lvar: name("l"),
+                rvar: name("r"),
+                left_key: Some(Arc::new(zero("l"))),
+                right_key: Some(Arc::new(zero("r"))),
+                cond: Arc::new(Expr::bool(true)),
+                body: Arc::new(body.clone()),
+            };
+            for grain in [DEFAULT_BLOCK_ROWS, 5, 1] {
+                let mut s = eval_blocks(&e, &Env::empty(), &ctx).unwrap();
+                let mut rows = Vec::new();
+                while let Some(b) = s.next_block(grain) {
+                    assert!(b.len() <= grain);
+                    rows.extend(b.into_rows());
+                }
+                assert_eq!(rows.len(), 6, "{what} at {grain}: five rows and the error");
+                for (r, row) in (0..5).zip(&rows) {
+                    assert_eq!(row.as_ref().ok(), Some(&Value::Int(1 / (5 - r))), "{what}");
+                }
+                assert!(rows[5].is_err(), "{what} at {grain}");
+            }
+        }
     }
 }

@@ -35,6 +35,7 @@ use kleisli_core::remote::apportion;
 use kleisli_core::testutil::{Fault, SlowDriver};
 use kleisli_core::{
     Capabilities, CollKind, Driver, DriverRequest, Fetch, KResult, RequestHandle, Value,
+    DEFAULT_BLOCK_ROWS,
 };
 use kleisli_exec::{
     collect_blocks, collect_stream, eval, eval_blocks, eval_stream, reference, Context, Env,
@@ -104,6 +105,25 @@ fn every_way(e: &Expr, kind: CollKind, scans: Scans) -> [Outcome; 4] {
         text(eval_stream(e, &env, &context(scans)).and_then(|s| collect_stream(s, kind))),
         text(reference::eval(e, &env, &context(scans))),
     ]
+}
+
+/// The rows of `e`'s stream drained at `grain`, up to and including
+/// the first error: an error never overtakes a row before it, at any
+/// grain.
+fn rows_at(e: &Expr, grain: usize, scans: Scans) -> Result<Vec<Outcome>, String> {
+    let mut stream = eval_blocks(e, &Env::empty(), &context(scans)).map_err(|e| e.to_string())?;
+    let mut rows = Vec::new();
+    while let Some(block) = stream.next_block(grain) {
+        assert!(block.len() <= grain, "{} rows at grain {grain}", block.len());
+        for row in block.into_rows() {
+            let failed = row.is_err();
+            rows.push(row.map_err(|e| e.to_string()));
+            if failed {
+                return Ok(rows);
+            }
+        }
+    }
+    Ok(rows)
 }
 
 const KINDS: [CollKind; 3] = [CollKind::Set, CollKind::Bag, CollKind::List];
@@ -187,15 +207,53 @@ impl Gen<'_> {
 
     /// The body of a `kind` comprehension binding `x`.
     fn body(&mut self, kind: CollKind, vars: &[String], depth: u32) -> Expr {
-        match self.below(4) {
+        match self.below(6) {
             0 => Expr::single(kind, self.scalar(vars, depth)),
             1 => Expr::if_(
                 self.cond(vars, depth),
                 Expr::single(kind, self.scalar(vars, depth)),
                 Expr::Empty(kind),
             ),
+            2 => self.bounded(kind, vars, 2),
+            // A piece the body kernel cannot take makes the whole body
+            // stream.
+            3 => {
+                let other = match depth {
+                    0 => self.literal(kind),
+                    _ => self.ints(kind, vars, depth - 1),
+                };
+                Expr::union(kind, self.bounded(kind, vars, 1), other)
+            }
             _ if depth > 0 => self.ints(kind, vars, depth - 1),
             _ => Expr::single(kind, self.scalar(vars, 0)),
+        }
+    }
+
+    /// A body with a bounded number of rows, which the body kernel
+    /// evaluates into the output block: unions, `if`s and `let`s,
+    /// `levels` deep, over singletons and empties.
+    fn bounded(&mut self, kind: CollKind, vars: &[String], levels: u32) -> Expr {
+        if levels == 0 {
+            return match self.below(4) {
+                0 => Expr::Empty(kind),
+                _ => Expr::single(kind, self.scalar(vars, 0)),
+            };
+        }
+        let l = levels - 1;
+        match self.below(3) {
+            0 => Expr::union(kind, self.bounded(kind, vars, l), self.bounded(kind, vars, l)),
+            1 => Expr::if_(
+                self.cond(vars, 0),
+                self.bounded(kind, vars, l),
+                self.bounded(kind, vars, l),
+            ),
+            _ => {
+                let y = self.binder();
+                let def = self.scalar(vars, 0);
+                let mut inner = vars.to_vec();
+                inner.push(y.clone());
+                Expr::let_(&y, def, self.bounded(kind, &inner, l))
+            }
         }
     }
 
@@ -396,6 +454,11 @@ proptest! {
             prop_assert_eq!(&evaluated, &oracle, "{:?}", scans);
             prop_assert_eq!(&blocks, &oracle, "{:?}", scans);
             prop_assert_eq!(&rows, &oracle, "{:?}", scans);
+            prop_assert_eq!(
+                rows_at(&plan.0, 1, scans),
+                rows_at(&plan.0, DEFAULT_BLOCK_ROWS, scans),
+                "{:?}", scans
+            );
             // How a reply crosses the wire is not part of its meaning.
             match scans {
                 Scans::Whole => whole = Some(oracle),

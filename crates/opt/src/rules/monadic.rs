@@ -209,6 +209,20 @@ fn vertical_fusion(e: &Expr, _ctx: &RuleCtx<'_>) -> Option<Expr> {
 
 /// Rule R2, horizontal loop fusion (sets and bags, **not** lists):
 /// `U{ e1 | \x <- e } U U{ e2 | \x <- e }  ==>  U{ e1 U e2 | \x <- e }`
+///
+/// Cost model: R2 buys one scan of `e` instead of two, and pays in row
+/// order. The two loops yield all of `e1`'s rows, then all of `e2`'s;
+/// the fused loop interleaves them element by element. A set or bag is
+/// sorted when it is collected, so over a materialized `e` the scan R2
+/// saves can cost less than the sort it forces. Measured on `report
+/// e4_fusion`'s plan (`{x + 0} U {x + n}` over 50 000 elements; best of
+/// 7 on a 2-vCPU VM): the two loops' 100 000 rows arrive as one ordered
+/// run, which `Value::set` checks and deduplicates in 1.0 ms; the fused
+/// rows need a sort, 8.0 ms. The fused loop itself, collected as a list,
+/// runs in 10.3 ms against the two loops' 14.8 ms. So the rule wins
+/// where a scan costs more than a sort — a remote or not yet
+/// materialized `e` — and the side condition that would fire it only
+/// there is still open (ROADMAP item 5).
 fn horizontal_fusion(e: &Expr, _ctx: &RuleCtx<'_>) -> Option<Expr> {
     let Expr::Union(kind, a, b) = e else {
         return None;

@@ -124,6 +124,20 @@ fn compile_errors_come_back_as_error_frames() {
 }
 
 #[test]
+fn a_thousand_qualifiers_come_back_as_an_error_frame() {
+    let server = serve_ephemeral(ServerConfig::default(), local_registrar()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let generators: String = (1..=1000).map(|i| format!(r", \x{i} <- {{1}}")).collect();
+    let text = format!("{{x1 | {}}}", &generators[2..]);
+    match client.query(&text).unwrap() {
+        QueryReply::Error(message) => assert!(message.contains("levels"), "{message}"),
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    let (v, _) = client.query("count(DB)").unwrap().into_value().unwrap();
+    assert_eq!(v, Value::Int(50));
+}
+
+#[test]
 fn n_identical_concurrent_queries_compile_once_and_evaluate_once() {
     const N: usize = 8;
     let fed = slow_federation(30);

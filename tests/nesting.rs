@@ -10,13 +10,18 @@ use kleisli::Session;
 use kleisli_core::{KError, Value};
 
 /// `depth` levels of each bracket form around `1` — parentheses, set
-/// literals and record fields — and a chain of `depth` additions.
-fn forms(depth: usize) -> [String; 4] {
+/// literals and record fields — a chain of `depth` additions, and
+/// comprehensions whose last qualifier sits `depth` levels deep: each
+/// qualifier is one level inside the one before it, and a generator's
+/// source `{1}` holds its element one level further in.
+fn forms(depth: usize) -> [String; 6] {
     [
         format!("{}1{}", "(".repeat(depth), ")".repeat(depth)),
         format!("{}1{}", "{".repeat(depth), "}".repeat(depth)),
         format!("{}1{}", "[a = ".repeat(depth), "]".repeat(depth)),
         format!("1{}", " + 1".repeat(depth)),
+        format!(r"{{x | \x <- {{1}}{}}}", r", \x <- {1}".repeat(depth - 2)),
+        format!("{{1 | true{}}}", ", true".repeat(depth - 1)),
     ]
 }
 
@@ -44,9 +49,13 @@ fn assert_names_the_limit(err: &KError, text: &str) {
 fn a_query_nested_to_the_budget_runs_and_one_level_deeper_is_a_parse_error() {
     on_a_worker_sized_stack(|| {
         let session = Session::new();
-        let [parens, sets, records, chain] = forms(MAX_NESTING).map(|text| session.query(&text));
+        let [parens, sets, records, chain, generators, filters] =
+            forms(MAX_NESTING).map(|text| session.query(&text));
         assert_eq!(parens.expect("parentheses"), Value::Int(1));
         assert_eq!(chain.expect("a chain"), Value::Int(MAX_NESTING as i64 + 1));
+        let one = Value::set(vec![Value::Int(1)]);
+        assert_eq!(generators.expect("generators"), one);
+        assert_eq!(filters.expect("filters"), one);
         let mut set = sets.expect("sets");
         let mut record = records.expect("records");
         for _ in 0..MAX_NESTING {
@@ -68,6 +77,8 @@ fn a_thousand_levels_is_a_parse_error_not_an_abort() {
             format!("{}1{}", "<a = ".repeat(1000), " >".repeat(1000)),
             format!("{}\\x{} => 1", "(".repeat(1000), ")".repeat(1000)),
             format!("1{}", " + 1".repeat(1999)),
+            format!(r"{{x | {}true}}", r"[a = \x] <- {[a = 1]}, ".repeat(1000)),
+            format!("{{1 | true{}}}", ", true".repeat(2999)),
         ];
         for text in forms(1000).into_iter().chain(operands) {
             assert_names_the_limit(&cpl::parse_expr(&text).unwrap_err(), &text);
