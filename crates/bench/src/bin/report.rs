@@ -307,30 +307,41 @@ fn e8_joins(smoke: bool) -> Json {
     )
 }
 
-/// E9: caching the outer-independent inner subquery.
+/// E9: caching the outer-independent inner subquery. The cached plan
+/// ships at most a tenth of the uncached plan's requests and runs at
+/// least 4x as fast.
 fn e9_caching(smoke: bool) -> Json {
     let (loci, per_request) = if smoke { (20, 100) } else { (60, 500) };
     let (mut session, _fed) = latency_federation(loci, Duration::from_micros(per_request));
     let reps = 3;
     let runs = reps as u64 + 1; // the warm-up run ships too
+    let [cached, uncached] = [true, false].map(|enable_cache| {
+        session.set_opt_config(OptConfig {
+            enable_pushdown: false,
+            enable_joins: false,
+            enable_parallel: false,
+            enable_cache,
+            ..OptConfig::default()
+        });
+        let compiled = session.compile_shared(CACHEABLE).expect("compile");
+        session.reset_metrics();
+        let t = time_mean(reps, || session.run_compiled(&compiled).expect("run"));
+        (session.driver_metrics("GDB").expect("metrics").requests / runs, t)
+    });
+    let speedup = ratio(uncached.1, cached.1);
+    assert!(
+        cached.0 * 10 <= uncached.0 && speedup >= 4.0,
+        "caching lost its win: {} -> {} requests, {speedup:.2}x",
+        uncached.0,
+        cached.0
+    );
     rows(
-        [("cached", true), ("uncached", false)]
+        [("cached", cached), ("uncached", uncached)]
             .into_iter()
-            .map(|(plan, enable_cache)| {
-                session.set_opt_config(OptConfig {
-                    enable_pushdown: false,
-                    enable_joins: false,
-                    enable_parallel: false,
-                    enable_cache,
-                    ..OptConfig::default()
-                });
-                let compiled = session.compile_shared(CACHEABLE).expect("compile");
-                session.reset_metrics();
-                let t = time_mean(reps, || session.run_compiled(&compiled).expect("run"));
-                let m = session.driver_metrics("GDB").expect("metrics");
+            .map(|(plan, (requests, t))| {
                 Json::obj([
                     ("plan", Json::str(plan)),
-                    ("requests", int(m.requests / runs)),
+                    ("requests", int(requests)),
                     ("ms", ms(t)),
                 ])
             })
@@ -368,7 +379,8 @@ fn e10_laziness(smoke: bool) -> Json {
 /// E11: bounded-concurrency retrieval — per-element link lookups at K
 /// requests in flight, saturating at the server's cap of 5. Batching is
 /// ablated with caching: it would answer every uid in one request and
-/// leave nothing for K to overlap.
+/// leave nothing for K to overlap. Five in flight run at least 2.5x as
+/// fast as one.
 fn e11_concurrency(smoke: bool) -> Json {
     let (uids, per_request, widths): (_, _, &[usize]) = if smoke {
         (10, 1, &[1, 5])
@@ -392,10 +404,15 @@ fn e11_concurrency(smoke: bool) -> Json {
                 at_k.optimized = set_par_width(&compiled.optimized, k);
                 let at_k = Arc::new(at_k);
                 let t = time_mean(3, || session.run_compiled(&at_k).expect("run"));
+                let speedup = ratio(*sequential.get_or_insert(t), t);
+                assert!(
+                    k != 5 || speedup >= 2.5,
+                    "five requests in flight ran only {speedup:.2}x as fast as one"
+                );
                 Json::obj([
                     ("k", int(k as u64)),
                     ("ms", ms(t)),
-                    ("speedup", num(ratio(*sequential.get_or_insert(t), t))),
+                    ("speedup", num(speedup)),
                 ])
             })
             .collect(),
@@ -475,7 +492,7 @@ fn resilient_session(policy: ResiliencePolicy) -> (Session, Arc<SlowDriver>) {
     (session, driver)
 }
 
-/// Breaker fail-fast: the source stops answering and every request burns
+/// Breaker fail-fast: the source stops answering and every query burns
 /// its 30 ms deadline; with a breaker the first two timeouts trip it and
 /// the rest fail in microseconds.
 fn breaker_fail_fast(smoke: bool) -> Json {
@@ -483,16 +500,20 @@ fn breaker_fail_fast(smoke: bool) -> Json {
     let deadline = Duration::from_millis(30);
     let run = |breaker: Option<BreakerPolicy>| {
         let (session, driver) = resilient_session(ResiliencePolicy {
-            deadline: Some(deadline),
             breaker,
             ..ResiliencePolicy::default()
         });
         driver.set_fault(Fault::NeverRespond);
         let compiled = session.compile_shared(SCAN).expect("compile");
+        let within = How {
+            deadline: Some(deadline),
+            ..How::default()
+        };
         let total = time_best_of(1, || {
             for _ in 0..queries {
                 session
-                    .run_compiled(&compiled)
+                    .start(&compiled, within.clone())
+                    .wait()
                     .expect_err("the source is dead");
             }
         });

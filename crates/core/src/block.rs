@@ -12,9 +12,9 @@
 //! bodies over a batch at a time.
 //!
 //! Laziness is preserved by making the *consumer* choose the grain:
-//! [`BlockSource::next_block`] takes `max_rows`, so order-sensitive
-//! consumers (`first_n` prefix stops, set-dedup, the `Cached` tee) pull
-//! at grain 1 — byte-identical to the single-row protocol — while full
+//! [`BlockSource::next_block`] takes `max_rows`, so a prefix consumer
+//! (`first_n`) pulls at grain 1 — byte-identical to the single-row
+//! protocol — a limited query pulls the rows it still lacks, and full
 //! drains pull [`DEFAULT_BLOCK_ROWS`] at a time.
 
 use crate::error::{KError, KResult};

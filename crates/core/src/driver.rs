@@ -223,8 +223,6 @@ pub struct Capabilities {
     pub sql: bool,
     /// Supports server-side path extraction (the ASN.1 driver).
     pub path_extraction: bool,
-    /// Supports precomputed link lookups.
-    pub links: bool,
     /// How many in-flight requests the server tolerates (the paper's
     /// example: "say five"). This is an **enforced admission limit**, not
     /// advisory metadata: it is the width of the driver's worker pool —
@@ -247,9 +245,9 @@ pub struct Capabilities {
     /// Only meaningful for drivers that submit through a worker pool;
     /// the default inline adapter ignores it.
     pub prefetch_rows: usize,
-    /// The driver's failure handling: per-request deadline, bounded
-    /// retry and circuit breaking (see [`crate::resilience`]). The
-    /// default policy disables all three — behavior is then
+    /// The driver's failure handling: bounded retry and circuit
+    /// breaking (see [`crate::resilience`]). The default policy disables
+    /// both — behavior is then
     /// byte-identical to the pre-resilience request path. The
     /// advertisement is the policy: nothing overrides it.
     pub resilience: ResiliencePolicy,
@@ -267,7 +265,6 @@ impl Default for Capabilities {
         Capabilities {
             sql: false,
             path_extraction: false,
-            links: false,
             // serial by default: one request at a time is the safe floor
             // for an *enforced* limit (0 would mean "admit nothing")
             max_concurrent_requests: 1,

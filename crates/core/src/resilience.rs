@@ -7,11 +7,13 @@
 //! path built in `crate::driver`/`crate::pool` makes requests *fast*
 //! (non-blocking submission, admission control, row prefetch); this
 //! module makes them *survivable*. Three mechanisms, composed per
-//! request by [`DriverResilience::fetch`], configured by what the driver
-//! advertises ([`crate::Capabilities::resilience`]) and all disabled by
-//! the default [`ResiliencePolicy`]:
+//! request by [`DriverResilience::fetch`]: the caller's deadline, and the
+//! retry and breaking the driver advertises
+//! ([`crate::Capabilities::resilience`]), both disabled by the default
+//! [`ResiliencePolicy`]:
 //!
-//! 1. **Deadlines.** A waiter blocks at most until its deadline, then
+//! 1. **Deadlines.** A waiter blocks at most until its caller's deadline
+//!    (the query's budget; a source advertises none), then
 //!    resolves [`crate::KError::Timeout`] through the request's one-shot
 //!    promise, steals the parked admission ticket back from the (maybe
 //!    wedged) worker, and returns — never blocking on the worker. The
@@ -121,9 +123,6 @@ impl Default for BreakerPolicy {
 /// counts, thread counts, or admission behavior.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ResiliencePolicy {
-    /// Per-request deadline measured from submission, or `None` for
-    /// unbounded waits. A session-level deadline, when tighter, wins.
-    pub deadline: Option<Duration>,
     /// Bounded retry for [`KError::is_retryable`] failures, or `None`
     /// to fail on the first error.
     pub retry: Option<RetryPolicy>,
@@ -137,7 +136,6 @@ impl ResiliencePolicy {
     /// (they are its latency budget, not the driver's to guess).
     pub fn standard() -> ResiliencePolicy {
         ResiliencePolicy {
-            deadline: None,
             retry: Some(RetryPolicy::default()),
             breaker: Some(BreakerPolicy::default()),
         }
@@ -508,9 +506,8 @@ impl DriverResilience {
     /// Fetch `reqs` — requests starting together on `driver` — `how`
     /// they will be read, under this policy: one [`ResilientHandle`] per
     /// request, in order, or that request's error. The layer's one
-    /// submitting verb. `deadline` is the caller's absolute budget (the
-    /// policy's own [`ResiliencePolicy::deadline`] tightens it); `cancel`
-    /// aborts in-flight waits promptly when cancelled.
+    /// submitting verb. `deadline` is the caller's absolute budget;
+    /// `cancel` aborts in-flight waits promptly when cancelled.
     ///
     /// A [`Fetch::Window`] or [`Fetch::Full`] request is answered by the
     /// first of:
@@ -550,7 +547,6 @@ impl DriverResilience {
         deadline: Option<Instant>,
         cancel: Option<Arc<CancelToken>>,
     ) -> Vec<KResult<ResilientHandle>> {
-        let deadline = self.merge_deadline(deadline);
         if how == Fetch::Batch {
             return self.batched(driver, reqs, deadline, &cancel);
         }
@@ -613,17 +609,6 @@ impl DriverResilience {
         match &self.breaker {
             Some(b) if !b.try_admit() => Err(KError::circuit_open(&self.name)),
             _ => Ok(()),
-        }
-    }
-
-    /// The caller's absolute budget tightened by the policy's own
-    /// per-request deadline.
-    fn merge_deadline(&self, deadline: Option<Instant>) -> Option<Instant> {
-        match (deadline, self.policy.deadline) {
-            (Some(d), Some(p)) => Some(d.min(Instant::now() + p)),
-            (Some(d), None) => Some(d),
-            (None, Some(p)) => Some(Instant::now() + p),
-            (None, None) => None,
         }
     }
 
@@ -918,11 +903,6 @@ impl DriveCtx<'_> {
 }
 
 impl ResilientHandle {
-    /// The deadline this handle enforces, if any.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
-
     /// Block until the request resolves under the policy: deadline
     /// enforced (with the ticket stolen back from a wedged worker on
     /// expiry), retryable errors resubmitted with jittered exponential
@@ -1076,7 +1056,6 @@ mod tests {
     #[test]
     fn default_policy_disables_everything() {
         let p = ResiliencePolicy::default();
-        assert!(p.deadline.is_none());
         assert!(p.retry.is_none());
         assert!(p.breaker.is_none());
         let s = ResiliencePolicy::standard();

@@ -123,7 +123,19 @@ fn desugar_in(e: &CExpr, defs: &Definitions, scope: &mut Vec<Name>) -> KResult<E
                 vec![Expr::str("no pattern alternative matched the argument")],
             );
             for (pat, body) in alts.iter().rev() {
-                acc = compile_match(pat, &Expr::Var(Arc::clone(&arg)), body, acc, defs, scope)?;
+                let scrut = Expr::Var(Arc::clone(&arg));
+                if pat.failure_points() < 2 {
+                    acc = compile_match(pat, &scrut, body, acc, defs, scope)?;
+                    continue;
+                }
+                // The rest of the alternatives, bound once and applied at
+                // each point this pattern can fail: copying it into every
+                // point doubles the function with each alternative.
+                let k = fresh("alt");
+                let fail = Expr::apply(Expr::Var(Arc::clone(&k)), Expr::Const(Value::Unit));
+                let matched = compile_match(pat, &scrut, body, fail, defs, scope)?;
+                let rest = Expr::Lambda { var: fresh("unit"), body: Arc::new(acc) };
+                acc = Expr::Let { var: k, def: Arc::new(rest), body: Arc::new(matched) };
             }
             Ok(Expr::Lambda {
                 var: arg,
@@ -435,6 +447,20 @@ impl Pattern {
             out.push(n);
         }
     }
+
+    /// The points at which [`compile_pattern`] makes matching this
+    /// pattern fail, each a copy of the failure continuation.
+    fn failure_points(&self) -> usize {
+        match self {
+            Pattern::Wild | Pattern::Bind(_) => 0,
+            Pattern::Lit(_) | Pattern::EqVar(_) => 1,
+            Pattern::Variant(_, inner) => 1 + inner.failure_points(),
+            Pattern::Record(fields, open) => {
+                let fields: usize = fields.iter().map(|(_, p)| 1 + p.failure_points()).sum();
+                fields + usize::from(!open)
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -631,6 +657,23 @@ mod tests {
         });
         assert!(fails >= 1, "fallback Fail expected in {e}");
         assert!(matches!(e, Expr::Lambda { .. }));
+    }
+
+    #[test]
+    fn alternatives_desugar_to_linear_size() {
+        // Each pattern fails at two points (two `Case` defaults), so the
+        // rest of the function is bound once, not copied into both.
+        let alternatives: Vec<String> =
+            (0..20).map(|i| format!(r"<c = <t{i} = \s>> => s")).collect();
+        let e = ds(&format!("({})", alternatives.join(" | ")));
+        assert!(e.size() <= 400, "{} nodes", e.size());
+        // A pattern that cannot fail, or fails at one point, binds no
+        // second function.
+        for one in [r"\chrom => chrom", r"<a = \s> => s | <b = \s> => s"] {
+            let mut lambdas = 0;
+            ds(one).visit(&mut |node| lambdas += usize::from(matches!(node, Expr::Lambda { .. })));
+            assert_eq!(lambdas, 1, "{one}");
+        }
     }
 
     #[test]

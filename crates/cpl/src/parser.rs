@@ -38,7 +38,9 @@
 //! recursively, so each operator the loop folds counts as one level too
 //! (and an operand parsed after it is that much deeper). So does each
 //! qualifier of a comprehension after the first: desugaring nests every
-//! qualifier inside the one before it.
+//! qualifier inside the one before it. So does each alternative of a
+//! pattern-matching function after the first: desugaring nests every
+//! alternative inside the failure of the one before it.
 
 use std::sync::Arc;
 
@@ -244,7 +246,11 @@ impl Parser {
         self.or_expr()
     }
 
-    /// Try to parse `pattern => body { | pattern => body }`.
+    /// Try to parse `pattern => body { | pattern => body }`, each
+    /// alternative's body one level inside the one before it, as it is
+    /// once desugared. Every pattern is parsed at the function's own
+    /// level, where the first one parsed, so a long function never reads
+    /// as one that ends early.
     fn try_lambda(&mut self) -> KResult<Option<CExpr>> {
         let start = self.pos;
         let Ok(pat) = self.pattern() else {
@@ -256,13 +262,17 @@ impl Parser {
             return Ok(None);
         }
         let body = self.expr()?;
+        let level = self.depth;
         let mut alts = vec![(pat, body)];
         loop {
             let alt_start = self.pos;
             if !self.eat(&Tok::Pipe) {
                 break;
             }
-            let Ok(pat) = self.pattern() else {
+            let depth = std::mem::replace(&mut self.depth, level);
+            let pat = self.pattern();
+            self.depth = depth;
+            let Ok(pat) = pat else {
                 self.pos = alt_start;
                 break;
             };
@@ -270,9 +280,11 @@ impl Parser {
                 self.pos = alt_start;
                 break;
             }
+            self.deeper()?;
             let body = self.expr()?;
             alts.push((pat, body));
         }
+        self.depth = level;
         Ok(Some(CExpr::Lambda(alts)))
     }
 

@@ -140,7 +140,6 @@ impl Source for Entrez {
         Capabilities {
             sql: false,
             path_extraction: true,
-            links: true,
             // the paper's example: a server tolerating ~5 requests at
             // once — enforced by the shell's admission gate
             max_concurrent_requests: ENTREZ_CONCURRENT_REQUESTS,

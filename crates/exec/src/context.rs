@@ -226,8 +226,7 @@ impl Context {
     /// Fetch `reqs` — requests starting together on driver `name` — `how`
     /// they will be read, through the driver's resilience layer
     /// ([`DriverResilience::fetch`]): breaker admission, this clone's
-    /// deadline (tightened by the policy's own) and cancellation token
-    /// all apply, and retry runs when a handle is redeemed.
+    /// deadline and cancellation token all apply, and retry runs when a handle is redeemed.
     /// One handle per request, in order, or that request's error.
     pub fn fetch(
         &self,

@@ -17,10 +17,12 @@
 //! (`next_block(max_rows)`): full drains ask for
 //! [`DEFAULT_BLOCK_ROWS`]-row batches — and a generator whose body
 //! yields a bounded number of rows evaluates the whole batch in one pass
-//! (*One generator operator*, below) — while order-sensitive consumers
-//! (`first_n` prefix stops, set-dedup, the `Cached` tee) pull at grain
-//! 1, which is byte-identical to the single-row protocol.
-//! [`eval_stream`] is exactly that grain-1 view.
+//! (*One generator operator*, below) — while a prefix consumer
+//! (`first_n`) pulls at grain 1, which is byte-identical to the
+//! single-row protocol. [`eval_stream`] is exactly that grain-1 view.
+//! Every operator here passes on the grain it is asked for: none reads
+//! its input a row at a time (the `Cached` tee records the rows of each
+//! block it passes).
 //!
 //! A stream yields elements *without* final collection canonicalization
 //! (set deduplication happens only when the stream is collected), which
@@ -55,29 +57,38 @@
 //!
 //! # One generator operator
 //!
-//! Every `Ext` and every `Join` is one operator, `Generate`. It expands
-//! each source element (a join's outer element) into the block the
-//! consumer asked for, in one of three ways:
+//! Every `Ext`, `Join` and `ParExt` is one operator, `Generate`. It
+//! expands each source element (a join's outer element) into the block
+//! the consumer asked for, through one of three arms (`Expand`):
 //!
-//! * a body with a bounded number of rows — `{e}`, `{}`, or `if` / `∪` /
-//!   `let` over such bodies, every piece of the comprehension's kind —
-//!   goes through the **body kernel** (`Body`), which evaluates it
-//!   straight into the output block. Only the rows past the consumer's
-//!   grain wait in a queue for the next pull. A union whose arms both
-//!   reach a source is not taken, so its arms still start together;
-//! * any other `Ext` body is streamed, at the consumer's grain;
-//! * a join's probe sends each match's body through the same kernel,
-//!   and evaluates a body the kernel cannot take to its collection.
+//! * **`Ext`**: a body with a bounded number of rows — `{e}`, `{}`, or
+//!   `if` / `∪` / `let` over such bodies, every piece of the
+//!   comprehension's kind — goes through the **body kernel** (`Body`),
+//!   which evaluates it straight into the output block. Only the rows
+//!   past the consumer's grain wait in a queue for the next pull. A union
+//!   whose arms both reach a source is not taken, so its arms still start
+//!   together. Any other body is streamed, at the consumer's grain;
+//! * **`Join`**: the probe sends each match's body through the same
+//!   kernel, and evaluates a body the kernel cannot take to its
+//!   collection;
+//! * **`Par`** (a `ParExt`): a chunk of `width` elements (`max_keys` for
+//!   a batch-marked loop, if more), filled across source blocks, is warmed
+//!   up, its bodies run at most `width` at once, and their pieces are
+//!   written in element order (`Par`'s docs). A chunk boundary is a
+//!   concurrency boundary and the keys of a batched wire request, so it
+//!   does not move with the consumer's grain.
 //!
 //! **The pull grain** is one rule: the source is asked for the rows the
 //! consumer still wants, divided by the most rows one element can yield,
 //! and for one element at a time when that is unbounded (a streamed body,
-//! a join). A grain-1 consumer therefore moves one source row per pull,
-//! and a full drain moves whole batches through one loop.
+//! a join); a `ParExt` asks for what its chunk still lacks. A grain-1
+//! consumer therefore moves one source row per pull, and a full drain
+//! moves whole batches through one loop.
 //!
 //! **Rows before errors.** An error — the source's, or a body's, key's or
 //! condition's on a later match — goes behind every row the element
-//! yielded before it, and ends the stream, whatever the grain.
+//! yielded before it (`Out::fail`), and ends the stream, whatever the
+//! grain.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -85,8 +96,8 @@ use std::sync::{Arc, Weak};
 
 use kleisli_core::resilience::{ResilientHandle, Seeds};
 use kleisli_core::{
-    blocks_of_rows, lazy_blocks, BlockSource, BlockStream, CollKind, DriverRequest, Join, KError,
-    KResult, Lead, Value, ValueBlock, DEFAULT_BLOCK_ROWS,
+    lazy_blocks, BlockSource, BlockStream, CollKind, DriverRequest, Join, KError, KResult, Lead,
+    Value, ValueBlock, DEFAULT_BLOCK_ROWS,
 };
 use nrc::{Expr, JoinStrategy, Name};
 use parking_lot::Mutex;
@@ -247,7 +258,7 @@ pub(crate) fn blocks_at(
         }
     }
     match e {
-        Expr::Empty(_) => Ok(blocks_of_rows(Box::new(std::iter::empty()))),
+        Expr::Empty(_) => Ok(slice_blocks(Arc::new(Vec::new()))),
         Expr::Single(_, inner) => match start(inner, env, ctx, fetch) {
             Pending::Lazy(_) => Ok(slice_blocks(Arc::new(vec![eval(inner, env, ctx)?]))),
             // The element has requests in flight; it is drained on first
@@ -382,21 +393,15 @@ pub(crate) fn blocks_at(
             // scan still pulls only what it needs (an abandoned prefix
             // drops the lead and leaves the slot empty). The lead rides
             // inside the stream, so racing evaluators wait for its commit
-            // or its drop exactly as under `eval`'s `Cached` arm. The tee
-            // is order-sensitive (it must record every row that passed),
-            // so it stays a single-row operator over the grain-1 view.
+            // or its drop exactly as under `eval`'s `Cached` arm.
             Join::Lead(lead) => match expr.coll_kind_hint() {
-                Some(kind) => {
+                Some(kind) => Ok(Box::new(Tee {
                     // An Err here drops the lead on the way out.
-                    let inner: RowStream = Box::new(blocks(expr, env, ctx, want)?);
-                    Ok(blocks_of_rows(Box::new(CachingStream {
-                        inner,
-                        lead: Some(lead),
-                        rows: Vec::new(),
-                        kind,
-                        done: false,
-                    })))
-                }
+                    inner: Some(blocks(expr, env, ctx, want)?),
+                    lead: Some(lead),
+                    rows: Vec::new(),
+                    kind,
+                })),
                 None => {
                     // Kind unknowable from syntax: compute the value,
                     // commit it, then stream it.
@@ -414,24 +419,16 @@ pub(crate) fn blocks_at(
             max_in_flight,
             batch,
         } => {
-            // Chunk assembly is order-sensitive (a chunk boundary is an
-            // observable concurrency boundary), so the parallel operator
-            // keeps its single-row pull loop over the grain-1 view.
-            let src: RowStream = Box::new(blocks(source, env, ctx, Want::Source(*kind))?);
-            Ok(blocks_of_rows(Box::new(ParChunkStream {
-                source: Some(src),
-                buffer: VecDeque::new(),
-                error: None,
-                ahead: None,
-                kind: *kind,
+            let src = blocks(source, env, ctx, Want::Source(*kind))?;
+            let how = Expand::Par(Par {
                 var: Arc::clone(var),
                 body: Arc::clone(body),
-                env: env.clone(),
-                ctx: ctx.for_bodies([&**body]),
                 width: (*max_in_flight).max(1),
                 attach_only: batch.is_some() && remote_nodes(body) == 1,
                 batch: batch.clone(),
-            })))
+                ahead: None,
+            });
+            Ok(how.over(src, *kind, env, ctx.for_bodies([&**body])))
         }
         // Everything else is a value: compute it and stream its elements.
         other => value_blocks(&eval(other, env, ctx)?, want),
@@ -517,44 +514,36 @@ fn collect_rows(mut stream: BlockStream) -> KResult<Vec<Value>> {
 }
 
 /// Lazy population of a cached subquery's slot: passes the inner
-/// stream's rows through while teeing them aside, and commits the
-/// canonical collection (`Value::collection`, exactly what draining the
-/// subquery yields) when the inner stream is exhausted. Dropping the
-/// stream early drops the lead uncommitted, releasing the slot still
-/// empty.
-struct CachingStream {
-    inner: RowStream,
+/// stream's blocks through at the consumer's grain while teeing their rows
+/// aside, and commits the canonical collection (`Value::collection`,
+/// exactly what draining the subquery yields) when the inner stream is
+/// exhausted. An error, or dropping the stream early, drops the lead
+/// uncommitted, releasing the slot still empty.
+struct Tee {
+    /// `None` once exhausted or failed.
+    inner: Option<BlockStream>,
     lead: Option<Lead<Value>>,
     rows: Vec<Value>,
     kind: CollKind,
-    done: bool,
 }
 
-impl Iterator for CachingStream {
-    type Item = KResult<Value>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        match self.inner.next() {
-            Some(Ok(v)) => {
-                self.rows.push(v.clone());
-                Some(Ok(v))
-            }
-            Some(Err(e)) => {
-                self.done = true;
+impl BlockSource for Tee {
+    fn next_block(&mut self, max_rows: usize) -> Option<ValueBlock> {
+        let block = self.inner.as_mut()?.next_block(max_rows);
+        match &block {
+            Some(b) if !b.ends_with_err() => self.rows.extend(b.rows().iter().flatten().cloned()),
+            Some(_) => {
+                self.inner = None;
                 self.lead = None; // do not cache a partial result
-                Some(Err(e))
             }
             None => {
-                self.done = true;
+                self.inner = None;
                 if let Some(lead) = self.lead.take() {
                     lead.commit(Value::collection(self.kind, std::mem::take(&mut self.rows)));
                 }
-                None
             }
         }
+        block
     }
 }
 
@@ -664,10 +653,10 @@ impl BlockSource for ChainBlocks {
 struct PendingBlocks {
     handle: Option<ResilientHandle>,
     inner: Option<BlockStream>,
-    /// The query budget, tightened by the driver policy's own deadline;
-    /// checked at every block boundary so a mid-stream stall resolves as
-    /// `Timeout`/`Cancelled` at the next pull instead of silently hanging
-    /// the consumer forever. (Grain-1 consumers check per row.)
+    /// The query budget, checked at every block boundary so a mid-stream
+    /// stall resolves as `Timeout`/`Cancelled` at the next pull instead of
+    /// silently hanging the consumer forever. (Grain-1 consumers check
+    /// per row.)
     ctx: Context,
     failed: bool,
 }
@@ -693,9 +682,7 @@ impl PendingBlocks {
 
     fn boxed(handle: ResilientHandle, ctx: &Context) -> BlockStream {
         Box::new(PendingBlocks {
-            ctx: handle
-                .deadline()
-                .map_or_else(|| ctx.clone(), |d| ctx.with_deadline(d)),
+            ctx: ctx.clone(),
             handle: Some(handle),
             inner: None,
             failed: false,
@@ -818,11 +805,10 @@ enum Probe {
     Index(Arc<Expr>, HashMap<Value, Vec<Value>>),
 }
 
-
-/// The one generator operator, of `Ext` and `Join` (module docs, "One
-/// generator operator"): the source — a join's outer side — is pulled at
-/// the pull-grain rule's grain, and each element expands into the block
-/// the consumer asked for.
+/// The one generator operator, of `Ext`, `Join` and `ParExt` (module
+/// docs, "One generator operator"): the source — a join's outer side — is
+/// pulled at the pull-grain rule's grain, or a chunk at a time, and each
+/// element expands into the block the consumer asked for.
 struct Generate {
     /// `None` once exhausted or failed.
     source: Option<BlockStream>,
@@ -853,6 +839,132 @@ enum Expand {
         cond: Arc<Expr>,
         body: Body,
     },
+    /// A `ParExt`: a chunk of elements at a time, their bodies run
+    /// concurrently.
+    Par(Par),
+}
+
+/// The `Par` arm: pulls a chunk of `width` source elements, filled
+/// across source blocks, evaluates their bodies at most `width` at once
+/// ([`eval_parallel`]), writes their pieces in element order, then pulls
+/// the next chunk. A chunk boundary is a concurrency boundary, so it
+/// does not move with the consumer's grain.
+///
+/// **Rows before errors.** A source error ends the chunk being
+/// assembled; the elements pulled before it still run, their pieces are
+/// written, and then the error — unless one of those bodies fails, which
+/// is the earlier error and wins. Likewise the pieces of the bodies
+/// preceding a failing one are written in front of its error. The stream
+/// thus fails exactly where an element-at-a-time evaluation would, which
+/// is what lets a staged two-hop loop (`opt::rules::batch`) report what
+/// the nested one does.
+///
+/// **Read-ahead (batch-marked loops only).** [`warm_up_batch`] does not
+/// block: it puts the chunk's batched requests on the wire and returns.
+/// So a marked loop pulls and warms up *two* chunks whenever it has none
+/// in hand, then runs them in turn — the two chunks' wire requests are
+/// in flight together instead of the second waiting behind the first's
+/// bodies. At most one chunk beyond the one whose rows are being
+/// consumed is ever pulled, so a prefix consumer costs at most
+/// `2 * max_keys` keys per loop. Unmarked loops pull one chunk at a
+/// time.
+struct Par {
+    var: Name,
+    body: Arc<Expr>,
+    width: usize,
+    /// The optimizer's batching mark: assemble chunks at the driver's
+    /// key-per-request grain (never below `width`) and warm each one up
+    /// into batched wire round-trips before its bodies run. Output
+    /// values and their order are unchanged — only the wire traffic is.
+    batch: Option<nrc::BatchSpec>,
+    /// The marked request is the body's only remote node: the bodies of
+    /// a warmed-up chunk then do nothing but attach to its flights, so
+    /// they run on the calling thread — executor hands would only park
+    /// on the same few wire requests.
+    attach_only: bool,
+    /// The chunk pulled and warmed up ahead of the one last run.
+    ahead: Option<Chunk>,
+}
+
+/// How many driver calls `e` holds.
+fn remote_nodes(e: &Expr) -> usize {
+    let mut n = 0;
+    e.visit(&mut |node| {
+        n += usize::from(matches!(node, Expr::Remote { .. } | Expr::RemoteApp { .. }))
+    });
+    n
+}
+
+/// One chunk of source elements, warmed up but not yet run.
+struct Chunk {
+    elems: Vec<Value>,
+    /// The warm-up's seeded flights, held until the bodies have run.
+    seeds: Option<Seeds>,
+    /// The source error that cut the chunk short.
+    source_err: Option<KError>,
+}
+
+impl Par {
+    /// The next chunk to run: the one read ahead, or one pulled now (and,
+    /// for a marked loop, the one after it); `None` at the end.
+    fn next_chunk(
+        &mut self,
+        source: &mut Option<BlockStream>,
+        env: &Env,
+        ctx: &Context,
+    ) -> Option<Chunk> {
+        if let Some(chunk) = self.ahead.take() {
+            return Some(chunk);
+        }
+        source.as_ref()?;
+        let chunk = self.pull(source, env, ctx);
+        if self.batch.is_some() && source.is_some() {
+            self.ahead = Some(self.pull(source, env, ctx));
+        }
+        Some(chunk)
+    }
+
+    /// Pull up to one chunk grain of source elements and warm them up.
+    fn pull(&self, source: &mut Option<BlockStream>, env: &Env, ctx: &Context) -> Chunk {
+        let grain = self.batch.as_ref().map_or(self.width, |spec| self.width.max(spec.max_keys));
+        let mut elems = Vec::with_capacity(grain);
+        let mut source_err = None;
+        while elems.len() < grain {
+            let want = grain - elems.len();
+            let Some(block) = source.as_mut().and_then(|s| s.next_block(want)) else {
+                *source = None;
+                break;
+            };
+            for row in block.into_rows() {
+                match row {
+                    Ok(v) => elems.push(v),
+                    Err(e) => (source_err, *source) = (Some(e), None),
+                }
+            }
+        }
+        let warm_up = |spec| warm_up_batch(spec, &elems, &self.var, env, ctx);
+        let seeds = self.batch.as_ref().and_then(warm_up);
+        Chunk { elems, seeds, source_err }
+    }
+
+    /// Run one chunk's bodies and write their pieces into `out`, up to
+    /// the first error, which is returned.
+    fn run(
+        &self,
+        chunk: Chunk,
+        (kind, env, ctx): (CollKind, &Env, &Context),
+        out: &mut Out,
+    ) -> KResult<()> {
+        let width = if self.attach_only && chunk.seeds.is_some() { 1 } else { self.width };
+        let mut pieces = Vec::with_capacity(chunk.elems.len());
+        let ran = eval_parallel(&chunk.elems, &self.var, &self.body, env, ctx, width, &mut pieces);
+        // In element order: a piece of the wrong kind, then the first
+        // failing body, then the source error behind the chunk.
+        for piece in &pieces {
+            piece_elems(piece, kind)?.iter().for_each(|v| out.push(v.clone()));
+        }
+        ran.and(chunk.source_err.map_or(Ok(()), Err))
+    }
 }
 
 /// The body kernel's view of a body of a `kind` comprehension or join:
@@ -946,6 +1058,15 @@ impl Out<'_> {
             self.overflow.push_back(Ok(v))
         }
     }
+
+    /// End the stream with `e`, behind every row written so far.
+    fn fail(&mut self, e: KError) {
+        if self.block.len() < self.max {
+            self.block.push_err(e)
+        } else {
+            self.overflow.push_back(Err(e))
+        }
+    }
 }
 
 impl Expand {
@@ -958,7 +1079,7 @@ impl Expand {
             streaming: None,
             per_elem: match &self {
                 Expand::Ext(_, body) => body.rows(),
-                Expand::Join { .. } => None,
+                Expand::Join { .. } | Expand::Par(_) => None,
             },
             how: self,
             kind,
@@ -986,6 +1107,7 @@ impl Expand {
                 return body.write(&env, ctx, kind, out).map(|()| None);
             }
             Expand::Join { probe, lvar, rvar, cond, body } => (lvar, probe, rvar, cond, body),
+            Expand::Par(_) => unreachable!("a `ParExt` expands a chunk at a time"),
         };
         let lenv = env.bind(Arc::clone(lvar), Rt::Val(el));
         let (candidates, keys) = match probe {
@@ -1042,6 +1164,17 @@ impl BlockSource for Generate {
                 }
                 continue;
             }
+            let at = (self.kind, &self.env, &self.ctx);
+            if let Expand::Par(par) = &mut self.how {
+                let Some(chunk) = par.next_chunk(&mut self.source, &self.env, &self.ctx) else {
+                    return (!out.block.is_empty()).then_some(out.block);
+                };
+                if let Err(e) = par.run(chunk, at, &mut out) {
+                    (self.source, par.ahead) = (None, None);
+                    out.fail(e);
+                }
+                continue;
+            }
             if self.elems.is_empty() {
                 let Some(src) = &mut self.source else {
                     return (!out.block.is_empty()).then_some(out.block);
@@ -1059,7 +1192,6 @@ impl BlockSource for Generate {
                 }
             }
             // Expand the elements pulled while the block has room.
-            let at = (self.kind, &self.env, &self.ctx);
             while out.block.len() < max {
                 let Some(el) = self.elems.pop_front() else {
                     break;
@@ -1072,172 +1204,12 @@ impl BlockSource for Generate {
                     }
                     // Rows before errors: the error that ends the stream
                     // goes behind every row the element yielded.
-                    Err(e) if out.block.len() < max => {
-                        out.block.push_err(e);
-                        break;
-                    }
                     Err(e) => {
-                        out.overflow.push_back(Err(e));
+                        out.fail(e);
                         break;
                     }
                 }
             }
-        }
-    }
-}
-
-/// Streaming bounded-parallel `Ext`: pulls a chunk of `width` source
-/// elements, evaluates their bodies concurrently, yields the union, then
-/// pulls the next chunk. Concurrency never exceeds `width`.
-///
-/// **Rows before errors.** A source error ends the chunk being
-/// assembled; the elements pulled before it still run, their pieces are
-/// delivered, and then the error — unless one of those bodies fails,
-/// which is the earlier error and wins. Likewise the pieces of the
-/// bodies preceding a failing one are delivered in front of its error.
-/// The stream thus fails exactly where an element-at-a-time evaluation
-/// would, which is what lets a staged two-hop loop (`opt::rules::batch`)
-/// report what the nested one does.
-///
-/// **Read-ahead (batch-marked loops only).** [`warm_up_batch`] does not
-/// block: it puts the chunk's batched requests on the wire and returns.
-/// So a marked loop pulls and warms up *two* chunks whenever it has none
-/// in hand, then runs them in turn — the two chunks' wire requests are
-/// in flight together instead of the second waiting behind the first's
-/// bodies. At most one chunk beyond the one whose rows are being
-/// consumed is ever pulled, so a prefix consumer costs at most
-/// `2 * max_keys` keys per loop. Unmarked loops pull one chunk at a
-/// time, as they always did.
-struct ParChunkStream {
-    /// `None` once exhausted or failed.
-    source: Option<RowStream>,
-    /// Rows of the chunks run so far, not yet handed out.
-    buffer: VecDeque<Value>,
-    /// The error that ends the stream once `buffer` has drained.
-    error: Option<KError>,
-    /// The chunk pulled and warmed up ahead of the one last run.
-    ahead: Option<Chunk>,
-    kind: CollKind,
-    var: Name,
-    body: Arc<Expr>,
-    env: Env,
-    ctx: Context,
-    width: usize,
-    /// The optimizer's batching mark: assemble chunks at the driver's
-    /// key-per-request grain (never below `width`) and warm each one up
-    /// into batched wire round-trips before its bodies run. Output
-    /// values and their order are unchanged — only the wire traffic is.
-    batch: Option<nrc::BatchSpec>,
-    /// The marked request is the body's only remote node: the bodies of
-    /// a warmed-up chunk then do nothing but attach to its flights, so
-    /// they run on the calling thread — executor hands would only park
-    /// on the same few wire requests.
-    attach_only: bool,
-}
-
-/// How many driver calls `e` holds.
-fn remote_nodes(e: &Expr) -> usize {
-    let mut n = 0;
-    e.visit(&mut |node| {
-        n += usize::from(matches!(node, Expr::Remote { .. } | Expr::RemoteApp { .. }))
-    });
-    n
-}
-
-/// One chunk of source elements, warmed up but not yet run.
-struct Chunk {
-    elems: Vec<Value>,
-    /// The warm-up's seeded flights, held until the bodies have run.
-    seeds: Option<Seeds>,
-    /// The source error that cut the chunk short.
-    source_err: Option<KError>,
-}
-
-impl ParChunkStream {
-    /// Pull up to one chunk grain of source elements and warm them up.
-    fn pull_chunk(&mut self) -> Chunk {
-        let grain = match &self.batch {
-            Some(spec) => self.width.max(spec.max_keys),
-            None => self.width,
-        };
-        let mut elems = Vec::with_capacity(grain);
-        let mut source_err = None;
-        while elems.len() < grain {
-            match self.source.as_mut().and_then(Iterator::next) {
-                Some(Ok(v)) => elems.push(v),
-                end => {
-                    self.source = None;
-                    source_err = end.and_then(Result::err);
-                    break;
-                }
-            }
-        }
-        let seeds = self
-            .batch
-            .as_ref()
-            .and_then(|spec| warm_up_batch(spec, &elems, &self.var, &self.env, &self.ctx));
-        Chunk {
-            elems,
-            seeds,
-            source_err,
-        }
-    }
-
-    /// Evaluate one chunk's bodies, buffering the pieces that precede
-    /// the first error and recording that error.
-    fn run_chunk(&mut self, chunk: Chunk) {
-        let width = if self.attach_only && chunk.seeds.is_some() {
-            1
-        } else {
-            self.width
-        };
-        let mut pieces = Vec::with_capacity(chunk.elems.len());
-        let ran = eval_parallel(
-            &chunk.elems,
-            &self.var,
-            &self.body,
-            &self.env,
-            &self.ctx,
-            width,
-            &mut pieces,
-        );
-        let unpacked = pieces.iter().try_for_each(|piece| {
-            self.buffer
-                .extend(piece_elems(piece, self.kind)?.iter().cloned());
-            Ok(())
-        });
-        // In element order: a piece of the wrong kind, then the first
-        // failing body, then the source error behind the chunk.
-        if let Err(e) = unpacked.and(ran).and(chunk.source_err.map_or(Ok(()), Err)) {
-            self.error = Some(e);
-            self.source = None;
-            self.ahead = None;
-        }
-    }
-}
-
-impl Iterator for ParChunkStream {
-    type Item = KResult<Value>;
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(v) = self.buffer.pop_front() {
-                return Some(Ok(v));
-            }
-            if let Some(e) = self.error.take() {
-                return Some(Err(e));
-            }
-            let chunk = match self.ahead.take() {
-                Some(chunk) => chunk,
-                None => {
-                    self.source.as_ref()?;
-                    let chunk = self.pull_chunk();
-                    if self.batch.is_some() && self.source.is_some() {
-                        self.ahead = Some(self.pull_chunk());
-                    }
-                    chunk
-                }
-            };
-            self.run_chunk(chunk);
         }
     }
 }

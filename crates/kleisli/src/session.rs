@@ -174,8 +174,7 @@ impl Compiled {
 /// * `deadline` — an end-to-end budget measured from `start`: once it has
 ///   passed, remote waits resolve `KError::Timeout` (abandoning wedged
 ///   round-trips and reclaiming their admission tickets) and the drain
-///   stops at its next block. A driver policy's own deadline, when
-///   tighter, still wins for that driver's requests.
+///   stops at its next block.
 /// * `cancel` — a token the caller keeps and may fire from anywhere
 ///   (the server's CANCEL frame); a fresh one when `None`.
 ///   [`QueryHandle::cancel`] fires the same token.

@@ -138,6 +138,21 @@ fn a_thousand_qualifiers_come_back_as_an_error_frame() {
 }
 
 #[test]
+fn a_thousand_alternatives_come_back_as_an_error_frame() {
+    let server = serve_ephemeral(ServerConfig::default(), local_registrar()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let alternatives: Vec<String> =
+        (0..1000).map(|i| format!(r"<c = <t{i} = \s>> => s")).collect();
+    let text = format!("({})(<c = <t0 = 1>>)", alternatives.join(" | "));
+    match client.query(&text).unwrap() {
+        QueryReply::Error(message) => assert!(message.contains("levels"), "{message}"),
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    let (v, _) = client.query("count(DB)").unwrap().into_value().unwrap();
+    assert_eq!(v, Value::Int(50));
+}
+
+#[test]
 fn n_identical_concurrent_queries_compile_once_and_evaluate_once() {
     const N: usize = 8;
     let fed = slow_federation(30);

@@ -529,7 +529,6 @@ impl Source for Sybase {
         Capabilities {
             sql: true,
             path_extraction: false,
-            links: false,
             max_concurrent_requests: SYBASE_CONCURRENT_REQUESTS,
             // 0 unless the latency model realizes a real per-row sleep:
             // prefetch pipelines wall-clock transfer latency only.

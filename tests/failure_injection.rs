@@ -297,18 +297,6 @@ fn a_never_responding_driver_times_out_and_releases_its_ticket() {
 }
 
 #[test]
-fn a_policy_deadline_turns_a_wedged_request_into_a_timeout() {
-    // No session deadline: the budget is the one the source advertises.
-    let drv = SlowDriver::new("SRC", 5, Duration::from_millis(1), 2);
-    let deadline = Duration::from_millis(50);
-    drv.set_resilience(ResiliencePolicy {
-        deadline: Some(deadline),
-        ..ResiliencePolicy::default()
-    });
-    assert_a_wedged_request_times_out(&drv, deadline, |s| s.query(SCAN));
-}
-
-#[test]
 fn transport_failures_are_retried_and_rows_arrive_exactly_once() {
     let drv = SlowDriver::new("SRC", 4, Duration::from_millis(1), 2);
     drv.set_resilience(ResiliencePolicy {
@@ -431,7 +419,6 @@ fn a_failing_batched_wire_request_fails_every_key_and_charges_the_breaker_once_p
                 failure_threshold: 3,
                 cooldown: Duration::from_secs(60),
             }),
-            ..ResiliencePolicy::default()
         },
         Some(BatchPolicy { max_keys: 16 }),
     ));

@@ -6,15 +6,17 @@
 //! stack overflow that aborts the process.
 
 use cpl::parser::MAX_NESTING;
-use kleisli::Session;
+use kleisli::{Session, StmtResult};
 use kleisli_core::{KError, Value};
 
 /// `depth` levels of each bracket form around `1` — parentheses, set
 /// literals and record fields — a chain of `depth` additions, and
-/// comprehensions whose last qualifier sits `depth` levels deep: each
-/// qualifier is one level inside the one before it, and a generator's
-/// source `{1}` holds its element one level further in.
-fn forms(depth: usize) -> [String; 6] {
+/// comprehensions and a function whose last qualifier or alternative sits
+/// `depth` levels deep: each qualifier is one level inside the one before
+/// it, a generator's source `{1}` holds its element one level further in,
+/// each alternative's body is one level inside the one before it, and the
+/// parenthesized function holds its first body one level in.
+fn forms(depth: usize) -> [String; 7] {
     [
         format!("{}1{}", "(".repeat(depth), ")".repeat(depth)),
         format!("{}1{}", "{".repeat(depth), "}".repeat(depth)),
@@ -22,7 +24,14 @@ fn forms(depth: usize) -> [String; 6] {
         format!("1{}", " + 1".repeat(depth)),
         format!(r"{{x | \x <- {{1}}{}}}", r", \x <- {1}".repeat(depth - 2)),
         format!("{{1 | true{}}}", ", true".repeat(depth - 1)),
+        format!("({})(<c = <t{} = 1>>)", alternatives(depth - 1), depth - 2),
     ]
+}
+
+/// A function of `n` pattern alternatives, each failing at two points.
+fn alternatives(n: usize) -> String {
+    let alternatives: Vec<String> = (0..n).map(|i| format!(r"<c = <t{i} = \s>> => s")).collect();
+    alternatives.join(" | ")
 }
 
 /// Run `test` on a thread with a 2 MiB stack.
@@ -49,9 +58,10 @@ fn assert_names_the_limit(err: &KError, text: &str) {
 fn a_query_nested_to_the_budget_runs_and_one_level_deeper_is_a_parse_error() {
     on_a_worker_sized_stack(|| {
         let session = Session::new();
-        let [parens, sets, records, chain, generators, filters] =
+        let [parens, sets, records, chain, generators, filters, alternatives] =
             forms(MAX_NESTING).map(|text| session.query(&text));
         assert_eq!(parens.expect("parentheses"), Value::Int(1));
+        assert_eq!(alternatives.expect("alternatives"), Value::Int(1));
         assert_eq!(chain.expect("a chain"), Value::Int(MAX_NESTING as i64 + 1));
         let one = Value::set(vec![Value::Int(1)]);
         assert_eq!(generators.expect("generators"), one);
@@ -65,6 +75,21 @@ fn a_query_nested_to_the_budget_runs_and_one_level_deeper_is_a_parse_error() {
         assert_eq!((set, record), (Value::Int(1), Value::Int(1)));
         for text in forms(MAX_NESTING + 1) {
             assert_names_the_limit(&session.query(&text).unwrap_err(), &text);
+        }
+    });
+}
+
+#[test]
+fn a_defined_function_of_the_budgets_alternatives_runs_and_one_more_is_a_parse_error() {
+    on_a_worker_sized_stack(|| {
+        let mut session = Session::new();
+        let program =
+            |n: usize| format!("define f == {}; f(<c = <t{} = 1>>)", alternatives(n), n - 1);
+        let ran = session.run(&program(MAX_NESTING)).expect("64 alternatives");
+        assert!(matches!(ran.last(), Some(StmtResult::Value(Value::Int(1)))));
+        for n in [MAX_NESTING + 1, 1000] {
+            let text = program(n);
+            assert_names_the_limit(&session.run(&text).unwrap_err(), &text);
         }
     });
 }
