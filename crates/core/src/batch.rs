@@ -13,14 +13,15 @@
 //! sources, a multi-uid fetch for Entrez), a [`crate::Fetch::Batch`] of
 //! the driver's own ([`crate::Driver::fetch`]) — one job of its worker
 //! pool. Each key gets a [`Flight`] (a promise of that key's rows or
-//! error) registered in the driver's [`BatchWindow`] while the wire
-//! request is in flight; when the wire request's keys are answered, every
-//! flight is resolved, and the per-element consumers *attach* — they park
-//! on the flight's [`OneShot`] and replay its shared reply. A window or
-//! full fetch of a request that already has a pending flight attaches too
-//! (counted as `coalesced`); one that finds none keeps its own lazily
-//! streamed wire request and never registers a flight, so such fetches
-//! never share with each other.
+//! error) registered in the driver's [`BatchWindow`], which each handle the
+//! batch fetch returns *holds* while it lives; when the wire request's keys
+//! are answered, every flight is resolved, and the per-element consumers
+//! *attach* — they park on the flight's [`OneShot`] and replay its shared
+//! reply. A window or full fetch of a request whose flight is held —
+//! pending or resolved — attaches to it, and so does one whose flight is
+//! pending but no longer held (counted as `coalesced`); one that finds
+//! neither keeps its own lazily streamed wire request and never registers
+//! a flight, so such fetches never share with each other.
 //!
 //! # Invariants
 //!
@@ -30,8 +31,9 @@
 //! * **Failures are charged once.** The batch operation records breaker
 //!   failures and `retries` per *wire* event; attached waiters receive
 //!   the cloned error without touching the breaker.
-//! * **Errors are never cached.** A flight leaves the window the moment
-//!   it resolves, `Ok` or `Err`; the next submitter makes a fresh wire
+//! * **Nothing outlives its batch fetch.** A resolved flight, `Ok` or
+//!   `Err`, leaves the window when its last holding handle is dropped
+//!   (at once, if none is left); the next submitter makes a fresh wire
 //!   request.
 //! * **A waiter giving up resolves only itself.** An attached waiter
 //!   waits in [`OneShot::wait_for`] under its own deadline and
@@ -79,23 +81,37 @@ impl BatchPolicy {
     }
 }
 
+/// FNV-1a with the standard 64-bit offset basis and prime: the one
+/// hasher of digests that must not change between runs or toolchains
+/// (window keys here, plan hashes and `Cached` ids in `nrc::hash`), which
+/// `DefaultHasher` does not promise.
+#[derive(Clone)]
+pub struct FnvHasher(u64);
+
+impl Default for FnvHasher {
+    fn default() -> Self {
+        FnvHasher(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for FnvHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
 /// The deterministic window key of a request: an FNV-1a fold over the
 /// request's `Hash` impl. Collisions are tolerated — the window chains
 /// flights per key and compares the full [`DriverRequest`] on attach.
 pub fn request_key(req: &DriverRequest) -> u64 {
-    struct Fnv(u64);
-    impl Hasher for Fnv {
-        fn finish(&self) -> u64 {
-            self.0
-        }
-        fn write(&mut self, bytes: &[u8]) {
-            for &b in bytes {
-                self.0 ^= u64::from(b);
-                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-    }
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut h = FnvHasher::default();
     req.hash(&mut h);
     h.finish()
 }
@@ -189,7 +205,8 @@ impl BlockSource for Replay {
 /// covering it resolves once, with that key's rows or error, and that
 /// every waiter reads a clone of. Created by a batch fetch
 /// (`DriverResilience::fetch`) and held by every attached
-/// `ResilientHandle` plus — while pending — the driver's [`BatchWindow`].
+/// `ResilientHandle` plus — while pending or held — the driver's
+/// [`BatchWindow`].
 pub struct Flight {
     pub(crate) key: u64,
     pub(crate) request: DriverRequest,
@@ -208,11 +225,6 @@ impl Flight {
     /// The request every attached waiter is waiting on.
     pub fn request(&self) -> &DriverRequest {
         &self.request
-    }
-
-    /// The window key of [`Flight::request`].
-    pub fn key(&self) -> u64 {
-        self.key
     }
 
     /// Whether the flight has resolved (without blocking).
@@ -244,14 +256,30 @@ pub(crate) enum Joined {
     Lead(Arc<Flight>),
 }
 
-/// The per-driver submit window: request hash → pending flights. A
-/// flight is registered by the batched submit path and leaves *before*
-/// it turns `Done` — so every flight found here is attachable and no
-/// result, `Ok` or `Err`, is ever served to a submission that did not
-/// overlap the wire request.
+/// One flight of the window, with the number of live batch-fetch handles
+/// holding it and whether it has resolved.
+struct Entry {
+    flight: Arc<Flight>,
+    holds: usize,
+    resolved: bool,
+}
+
+/// The per-driver submit window: request hash → the flights a fetch of
+/// that request can attach to. A batch fetch registers or joins a flight
+/// and holds it once per handle it returns, and four rules follow:
+///
+/// * a resolved flight no handle holds leaves at once, so no result, `Ok`
+///   or `Err`, is served to a fetch that neither overlapped its wire
+///   request nor ran while a batch fetch of it was alive;
+/// * a held flight stays after it resolves, answering every window or full
+///   fetch of its request until its last holder is dropped — the span of
+///   the loop whose bodies a batch warm-up fetched for;
+/// * an unheld pending flight answers them too, each counted `coalesced`;
+/// * a batch fetch never attaches to a resolved flight: a later batch
+///   fetch of the request leads a fresh one.
 #[derive(Default)]
 pub struct BatchWindow {
-    entries: Mutex<HashMap<u64, Vec<Arc<Flight>>>>,
+    entries: Mutex<HashMap<u64, Vec<Entry>>>,
 }
 
 impl BatchWindow {
@@ -260,11 +288,12 @@ impl BatchWindow {
         BatchWindow::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Vec<Arc<Flight>>>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Vec<Entry>>> {
         self.entries.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Pending flights registered right now (tests/inspection).
+    /// Flights in the window right now, pending or held
+    /// (tests/inspection).
     pub fn len(&self) -> usize {
         self.lock().values().map(Vec::len).sum()
     }
@@ -275,42 +304,73 @@ impl BatchWindow {
     }
 
     /// Attach to the pending flight for `req`, or register a fresh one
-    /// the caller must lead (the batched submit path).
+    /// the caller must lead (the batched submit path). A resolved flight
+    /// is never joined.
     pub(crate) fn join(&self, req: &DriverRequest) -> Joined {
         let mut map = self.lock();
         let chain = map.entry(request_key(req)).or_default();
-        if let Some(f) = chain.iter().find(|f| f.request == *req) {
-            return Joined::Attached(Arc::clone(f));
+        if let Some(e) = chain.iter().find(|e| !e.resolved && e.flight.request == *req) {
+            return Joined::Attached(Arc::clone(&e.flight));
         }
-        let f = Flight::new(req);
-        chain.push(Arc::clone(&f));
-        Joined::Lead(f)
+        let flight = Flight::new(req);
+        chain.push(Entry { flight: Arc::clone(&flight), holds: 0, resolved: false });
+        Joined::Lead(flight)
     }
 
-    /// Attach to the pending flight for `req` without ever registering
-    /// a fresh one. This is the window and full fetch path: such a fetch
-    /// must keep streaming its reply lazily (a flight's reply is
-    /// materialized for replay), but an identical request already in
-    /// flight — a batch warm-up's — still answers this one.
-    pub(crate) fn try_attach(&self, req: &DriverRequest) -> Option<Arc<Flight>> {
+    /// Hold `flight` — one [`BatchWindow::join`] returned — for a batch
+    /// fetch's handle until [`BatchWindow::release`]. A flight that
+    /// resolved and left since the join comes back.
+    pub(crate) fn hold(&self, flight: &Arc<Flight>) {
+        let mut map = self.lock();
+        let chain = map.entry(flight.key).or_default();
+        match chain.iter_mut().find(|e| Arc::ptr_eq(&e.flight, flight)) {
+            Some(e) => e.holds += 1,
+            // Only a resolved flight leaves the window.
+            None => chain.push(Entry { flight: Arc::clone(flight), holds: 1, resolved: true }),
+        }
+    }
+
+    /// The flight that answers `req` — a held one before an unheld one —
+    /// and whether it is held, without ever registering or holding one.
+    /// This is the window and full fetch path: such a fetch must keep
+    /// streaming its reply lazily (a flight's reply is materialized for
+    /// replay), but a batch warm-up's flight of the same request still
+    /// answers this one.
+    pub(crate) fn try_attach(&self, req: &DriverRequest) -> Option<(Arc<Flight>, bool)> {
         let map = self.lock();
-        let f = map.get(&request_key(req))?.iter().find(|f| f.request == *req)?;
-        Some(Arc::clone(f))
+        let chain = map.get(&request_key(req))?.iter().filter(|e| e.flight.request == *req);
+        let e = chain.max_by_key(|e| e.holds > 0)?;
+        Some((Arc::clone(&e.flight), e.holds > 0))
     }
 
-    /// Drop `flight`'s window entry (by identity; a newer flight under
-    /// the same key is left alone), then resolve it.
+    /// Mark `flight` resolved, dropping its entry unless a handle holds
+    /// it, then resolve it.
     pub(crate) fn resolve(&self, flight: &Arc<Flight>, result: Result<Arc<SharedReply>, KError>) {
-        {
-            let mut map = self.lock();
-            if let Some(chain) = map.get_mut(&flight.key) {
-                chain.retain(|f| !Arc::ptr_eq(f, flight));
-                if chain.is_empty() {
-                    map.remove(&flight.key);
-                }
+        self.update(flight, |e| e.resolved = true);
+        flight.finish(result);
+    }
+
+    /// Release one hold on `flight`: a resolved flight leaves with its
+    /// last.
+    pub(crate) fn release(&self, flight: &Arc<Flight>) {
+        self.update(flight, |e| e.holds -= 1);
+    }
+
+    /// Apply `change` to `flight`'s entry (by identity: a newer flight
+    /// under the same key is left alone), then drop the entry if it is
+    /// resolved and unheld.
+    fn update(&self, flight: &Arc<Flight>, change: impl FnOnce(&mut Entry)) {
+        let mut map = self.lock();
+        let Some(chain) = map.get_mut(&flight.key) else { return };
+        if let Some(at) = chain.iter().position(|e| Arc::ptr_eq(&e.flight, flight)) {
+            change(&mut chain[at]);
+            if chain[at].resolved && chain[at].holds == 0 {
+                chain.swap_remove(at);
             }
         }
-        flight.finish(result);
+        if chain.is_empty() {
+            map.remove(&flight.key);
+        }
     }
 }
 
@@ -331,6 +391,20 @@ mod tests {
     fn request_keys_are_deterministic_and_distinguish_requests() {
         assert_eq!(request_key(&req(1)), request_key(&req(1)));
         assert_ne!(request_key(&req(1)), request_key(&req(2)));
+    }
+
+    #[test]
+    fn fnv_1a_matches_the_published_64_bit_vectors() {
+        let vectors = [
+            ("", 0xcbf2_9ce4_8422_2325),
+            ("a", 0xaf63_dc4c_8601_ec8c),
+            ("foobar", 0x8594_4171_f739_67e8),
+        ];
+        for (text, digest) in vectors {
+            let mut h = FnvHasher::default();
+            h.write(text.as_bytes());
+            assert_eq!(h.finish(), digest, "{text:?}");
+        }
     }
 
     #[test]
@@ -381,7 +455,7 @@ mod tests {
             Joined::Attached(g) => assert!(Arc::ptr_eq(&f, &g)),
             Joined::Lead(_) => panic!("must attach to the pending flight"),
         }
-        assert!(Arc::ptr_eq(&f, &w.try_attach(&req(7)).expect("pending")));
+        assert!(Arc::ptr_eq(&f, &w.try_attach(&req(7)).expect("pending").0));
         assert!(w.try_attach(&req(8)).is_none(), "try_attach never leads");
         // A failed flight leaves the window: the next join leads afresh.
         w.resolve(&f, Err(KError::eval("boom")));
@@ -417,5 +491,30 @@ mod tests {
             Joined::Attached(_) => panic!("different requests must not share"),
         }
         assert_eq!(w.len(), 2);
+    }
+
+    #[test]
+    fn a_held_flight_stays_answerable_until_its_last_hold_is_released() {
+        let w = BatchWindow::new();
+        let Joined::Lead(f) = w.join(&req(5)) else {
+            panic!("empty window cannot attach")
+        };
+        w.hold(&f);
+        w.hold(&f);
+        w.resolve(&f, Ok(Arc::new(SharedReply::of_rows(vec![Value::Int(1)]))));
+        let (g, held) = w.try_attach(&req(5)).expect("a held flight answers after it resolves");
+        assert!(Arc::ptr_eq(&f, &g) && held);
+        // A batch fetch never attaches to a resolved flight: it leads.
+        let Joined::Lead(fresh) = w.join(&req(5)) else {
+            panic!("a resolved flight is never joined")
+        };
+        assert!(!Arc::ptr_eq(&f, &fresh));
+        w.resolve(&fresh, Err(KError::eval("boom")));
+        assert_eq!(w.len(), 1, "an unheld flight leaves as it resolves");
+        w.release(&f);
+        assert!(Arc::ptr_eq(&f, &w.try_attach(&req(5)).expect("held once more").0));
+        w.release(&f);
+        assert!(w.is_empty(), "the last release drops the resolved flight");
+        assert!(w.try_attach(&req(5)).is_none());
     }
 }

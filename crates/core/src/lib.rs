@@ -61,7 +61,7 @@ pub mod token;
 pub mod types;
 pub mod value;
 
-pub use batch::{request_key, BatchPolicy, BatchWindow, Flight, SharedReply};
+pub use batch::{request_key, BatchPolicy, BatchWindow, Flight, FnvHasher, SharedReply};
 pub use block::{
     blocks_of_rows, charged_blocks, lazy_blocks, BlockSource, BlockStream, ValueBlock,
     DEFAULT_BLOCK_ROWS,
@@ -79,7 +79,7 @@ pub use remote::{Remote, Source};
 pub use remy::{CachedProjector, Directory, RemyRecord};
 pub use resilience::{
     BreakerPolicy, BreakerState, CancelToken, CircuitBreaker, DriverResilience, ResiliencePolicy,
-    ResilientHandle, RetryPolicy, Seeds,
+    ResilientHandle, RetryPolicy,
 };
 pub use token::{
     detokenize, read_exchange, tokenize, write_exchange, write_exchange_into, ExchangeSink, Token,

@@ -1,5 +1,8 @@
-//! The resilience layer: deadlines, bounded retry and per-driver circuit
-//! breakers for the two-phase driver API.
+//! The resilience layer: deadlines, bounded retry and circuit breakers for
+//! the two-phase driver API, in one [`DriverResilience`] per driver per
+//! execution context — so per session, not per process: the breaker, the
+//! batching window and the resilience-side counters of one session's
+//! fetches are its own, and only the advertised policy is the driver's.
 //!
 //! The paper's sources — GDB's Sybase at Johns Hopkins, GenBank's Entrez
 //! in Bethesda, ACE servers on lab workstations — were reached over 1995
@@ -47,18 +50,16 @@
 //! When a driver advertises [`crate::Capabilities::batching`], a
 //! [`Fetch::Batch`] folds many per-key requests into single wire requests
 //! (one retry loop and one breaker charge per wire failure, however many
-//! consumers wait on the keys), and any other fetch of a request already
-//! pending in the driver's [`crate::batch::BatchWindow`] — or seeded by a
-//! batch warm-up ([`DriverResilience::seed`]) — attaches to that flight
-//! instead of making its own round-trip. See [`crate::batch`] for the
-//! invariants.
+//! consumers wait on the keys), and any other fetch of a request whose
+//! flight is pending in the driver's [`crate::batch::BatchWindow`], or held
+//! there by a live handle of a batch fetch, attaches to that flight instead
+//! of making its own round-trip. See [`crate::batch`] for the invariants.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, Weak};
+use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
-use crate::batch::{request_key, BatchPolicy, BatchWindow, Flight, Joined, SharedReply};
+use crate::batch::{BatchPolicy, BatchWindow, Flight, Joined, SharedReply};
 use crate::block::{lazy_blocks, BlockStream};
 use crate::driver::{
     DriverMetrics, DriverRef, DriverRequest, Fetch, MetricsSnapshot, RequestHandle,
@@ -386,10 +387,9 @@ fn jittered(backoff: Duration) -> Duration {
 
 /// One driver's resilience state: its advertised [`ResiliencePolicy`],
 /// circuit breaker, the resilience-side metrics counters, and — for a
-/// driver that batches —
-/// its batching window and the flights batch warm-ups seeded. The
-/// execution context keeps one of these per registered driver and routes
-/// every remote fetch through [`DriverResilience::fetch`].
+/// driver that batches — its batching window. The execution context keeps
+/// one of these per registered driver and routes every remote fetch
+/// through [`DriverResilience::fetch`].
 pub struct DriverResilience {
     name: String,
     policy: ResiliencePolicy,
@@ -403,26 +403,6 @@ pub struct DriverResilience {
 struct BatchState {
     policy: BatchPolicy,
     window: BatchWindow,
-    /// Flights kept answerable by live [`Seeds`], by request key — even
-    /// after they resolved, which is what lets a warmed-up loop's bodies
-    /// find their batched replies instead of going to the wire.
-    seeds: Mutex<HashMap<u64, Vec<Arc<Flight>>>>,
-}
-
-impl BatchState {
-    fn lock_seeds(&self) -> MutexGuard<'_, HashMap<u64, Vec<Arc<Flight>>>> {
-        self.seeds.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn seeded(&self, req: &DriverRequest) -> Option<Arc<Flight>> {
-        let seeds = self.lock_seeds();
-        // Nothing seeded is the common case: skip hashing the request.
-        if seeds.is_empty() {
-            return None;
-        }
-        let f = seeds.get(&request_key(req))?.iter().find(|f| f.request() == req)?;
-        Some(Arc::clone(f))
-    }
 }
 
 impl DriverResilience {
@@ -443,7 +423,6 @@ impl DriverResilience {
             batching: batching.map(|policy| BatchState {
                 window: BatchWindow::new(),
                 policy,
-                seeds: Mutex::new(HashMap::new()),
             }),
         }
     }
@@ -458,17 +437,11 @@ impl DriverResilience {
         self.breaker.as_ref().map(|b| b.state())
     }
 
-    /// Flights pending in the driver's batching window right now
-    /// (tests/inspection; `0` once every batched wire request resolved).
+    /// Flights in the driver's batching window right now, pending or held
+    /// by a batch fetch's handle (tests/inspection; `0` once every batched
+    /// wire request resolved and every such handle was dropped).
     pub fn pending_flights(&self) -> usize {
         self.batching.as_ref().map_or(0, |b| b.window.len())
-    }
-
-    /// Flights live [`Seeds`] keep answerable right now (tests/inspection;
-    /// `0` once every batch warm-up's loop has finished or been dropped).
-    pub fn seeded_flights(&self) -> usize {
-        let seeded = |b: &BatchState| b.lock_seeds().values().map(Vec::len).sum();
-        self.batching.as_ref().map_or(0, seeded)
     }
 
     /// A snapshot of the resilience-side counters (timeouts, retries,
@@ -514,10 +487,10 @@ impl DriverResilience {
     ///
     /// * a batch flight, when the driver advertises
     ///   [`crate::Capabilities::batching`] and the request is
-    ///   [`DriverRequest::coalescable`]: one live [`Seeds`] keep
-    ///   answerable (even resolved), or else one still pending in the
-    ///   driver's [`BatchWindow`] (one `coalesced` count). Neither is a
-    ///   wire request. These fetches never register a flight of their
+    ///   [`DriverRequest::coalescable`]: one a live handle of a batch
+    ///   fetch holds in the driver's [`BatchWindow`] (even resolved), or
+    ///   else one still pending there (one `coalesced` count). Neither is
+    ///   a wire request. These fetches never register a flight of their
     ///   own, so a reply keeps streaming lazily (`first_n` stays cheap
     ///   against large scans) and concurrent identical fetches each keep
     ///   their own round-trip;
@@ -536,9 +509,11 @@ impl DriverResilience {
     /// A [`Fetch::Batch`] folds `reqs` into batched wire requests of at
     /// most [`BatchPolicy::max_keys`] distinct keys, one admission ticket
     /// each ([`crate::batch`]'s invariants), and answers each request
-    /// with its key's flight: a new one, or one already pending. A driver
-    /// that advertises no batching, or a request that cannot be
-    /// coalesced, gets an error instead.
+    /// with its key's flight: a new one, or one already pending. Each of
+    /// these handles holds its flight in the window while it lives, so the
+    /// window and full fetches of the loop a batch warm-up fetched for find
+    /// it even after it resolved. A driver that advertises no batching, or
+    /// a request that cannot be coalesced, gets an error instead.
     pub fn fetch(
         self: &Arc<Self>,
         driver: &DriverRef,
@@ -579,11 +554,13 @@ impl DriverResilience {
         deadline: Option<Instant>,
         cancel: &Option<Arc<CancelToken>>,
     ) -> KResult<ResilientHandle> {
-        if let Some(b) = self.batching.as_ref().filter(|_| req.coalescable()) {
-            let pending = || b.window.try_attach(req).inspect(|_| self.metrics.record_coalesced());
-            if let Some(flight) = b.seeded(req).or_else(pending) {
-                return Ok(self.handle(deadline, cancel, HandleMode::Attached { flight }));
+        let batching = self.batching.as_ref().filter(|_| req.coalescable());
+        if let Some((flight, held)) = batching.and_then(|b| b.window.try_attach(req)) {
+            if !held {
+                self.metrics.record_coalesced();
             }
+            let attached = HandleMode::Attached { flight, held: false };
+            return Ok(self.handle(deadline, cancel, attached));
         }
         self.admit()?;
         let mut state = Box::new(DirectState {
@@ -646,7 +623,8 @@ impl DriverResilience {
                     flight
                 }
             };
-            Ok(self.handle(deadline, cancel, HandleMode::Attached { flight }))
+            b.window.hold(&flight);
+            Ok(self.handle(deadline, cancel, HandleMode::Attached { flight, held: true }))
         };
         let handles = reqs.iter().map(attach).collect();
         if let Some(b) = &self.batching {
@@ -665,60 +643,12 @@ impl DriverResilience {
         handles
     }
 
-    /// Keep the flights `handles` — a batch fetch's — wait on answerable
-    /// for as long as the returned [`Seeds`] lives: a fetch of one of
-    /// their requests then attaches to it even after it resolved. The
-    /// span of the loop whose bodies a batch warm-up fetched for.
-    pub fn seed(self: &Arc<Self>, handles: &[ResilientHandle]) -> Seeds {
-        let attached = handles.iter().filter_map(|h| match &h.mode {
-            HandleMode::Attached { flight } => Some(Arc::clone(flight)),
-            _ => None,
-        });
-        let flights: Vec<Arc<Flight>> = attached.collect();
-        if let Some(b) = &self.batching {
-            let mut seeds = b.lock_seeds();
-            for f in &flights {
-                seeds.entry(f.key()).or_default().push(Arc::clone(f));
-            }
-        }
-        Seeds {
-            res: Arc::clone(self),
-            flights,
-        }
-    }
-
-    /// Resolve `flight`, dropping its window entry first (no result,
-    /// `Ok` or `Err`, is ever cached).
+    /// Resolve `flight`, dropping its window entry unless a handle holds
+    /// it.
     fn finish_flight(&self, flight: &Arc<Flight>, result: Result<Arc<SharedReply>, KError>) {
         match &self.batching {
             Some(b) => b.window.resolve(flight, result),
             None => flight.finish(result),
-        }
-    }
-}
-
-/// A batch warm-up's flights, kept answerable while this lives
-/// ([`DriverResilience::seed`]). Dropping it removes exactly the flights
-/// it seeded: concurrent loops over overlapping keys each hold their own,
-/// and a flight seeded twice stays until its last holder goes.
-pub struct Seeds {
-    res: Arc<DriverResilience>,
-    flights: Vec<Arc<Flight>>,
-}
-
-impl Drop for Seeds {
-    fn drop(&mut self) {
-        let Some(b) = &self.res.batching else { return };
-        let mut seeds = b.lock_seeds();
-        for f in &self.flights {
-            if let Some(list) = seeds.get_mut(&f.key()) {
-                if let Some(at) = list.iter().position(|g| Arc::ptr_eq(g, f)) {
-                    list.swap_remove(at);
-                }
-                if list.is_empty() {
-                    seeds.remove(&f.key());
-                }
-            }
         }
     }
 }
@@ -780,35 +710,25 @@ impl BatchOp {
                 // Charged once per wire failure, exactly like a direct
                 // request — never once per attached waiter.
                 self.res.record_failure(&e);
-                if self.try_retry(&e) {
-                    return;
-                }
-                for flight in &self.flights {
-                    self.res.finish_flight(flight, Err(e.clone()));
+                match self.try_retry(e) {
+                    Ok(()) => self.launch(),
+                    Err(e) => {
+                        for flight in &self.flights {
+                            self.res.finish_flight(flight, Err(e.clone()));
+                        }
+                    }
                 }
             }
         }
     }
 
-    /// Mirror of the direct retry loop: jittered exponential backoff
-    /// (slept on this worker), breaker re-admission, one `retries`
-    /// count, resubmit. Returns whether a retry was launched.
-    fn try_retry(self: &Arc<Self>, err: &KError) -> bool {
-        let pause = self.retries.lock().unwrap_or_else(|e| e.into_inner()).spend(err);
-        let Some(pause) = pause else { return false };
-        std::thread::sleep(pause);
-        match self.res.admit() {
-            Ok(()) => {
-                self.res.metrics.record_retry();
-                self.launch();
-            }
-            Err(e) => {
-                for flight in &self.flights {
-                    self.res.finish_flight(flight, Err(e.clone()));
-                }
-            }
-        }
-        true
+    /// The retry step after `err` ([`Retries::step`]), with no deadline
+    /// and no cancellation: a batch belongs to no one waiter. The lock is
+    /// released before the caller relaunches — under the inline adapter
+    /// a relaunch that fails comes straight back here.
+    fn try_retry(&self, err: KError) -> KResult<()> {
+        let cx = DriveCtx { res: &self.res, deadline: None, cancel: None };
+        self.retries.lock().unwrap_or_else(|e| e.into_inner()).step(&cx, err)
     }
 }
 
@@ -830,16 +750,26 @@ impl Retries {
         }
     }
 
-    /// Spend one retry on `err`: the jittered pause to serve before it,
-    /// or `None` — `err` is not retryable, or the budget is spent.
-    fn spend(&mut self, err: &KError) -> Option<Duration> {
+    /// The retry step after `err`, for a direct request and a batched
+    /// one alike: spend one retry — giving up, `Err(err)`, if `err` is not
+    /// retryable or the budget is spent; give up if `cx` is cancelled or
+    /// the jittered back-off would pass its deadline; otherwise sleep the
+    /// back-off, re-admit through the breaker and count the retry. `Ok`
+    /// means resubmit.
+    fn step(&mut self, cx: &DriveCtx<'_>, err: KError) -> KResult<()> {
         if !err.is_retryable() || self.left == 0 {
-            return None;
+            return Err(err);
         }
         self.left -= 1;
         let pause = jittered(self.backoff);
         self.backoff = (self.backoff * 2).min(self.max);
-        Some(pause)
+        if cx.cancelled() || cx.deadline.is_some_and(|d| Instant::now() + pause >= d) {
+            return Err(err);
+        }
+        std::thread::sleep(pause);
+        cx.res.admit()?;
+        cx.res.metrics.record_retry();
+        Ok(())
     }
 }
 
@@ -859,7 +789,8 @@ impl Retries {
 /// is read. Dropping a direct handle unredeemed abandons the in-flight
 /// round-trip (ticket reclaimed, wedged worker orphaned); dropping an
 /// attached handle only detaches this waiter — the batched wire request
-/// belongs to the batch operation.
+/// belongs to the batch operation — and, for a batch fetch's handle,
+/// releases its hold on the flight.
 pub struct ResilientHandle {
     res: Arc<DriverResilience>,
     deadline: Option<Instant>,
@@ -871,7 +802,8 @@ enum HandleMode {
     // Boxed: the direct state (request, retry budget, parked attempt) is
     // an order of magnitude larger than the attached variant's pointer.
     Direct(Box<DirectState>),
-    Attached { flight: Arc<Flight> },
+    /// `held`: a batch fetch's handle, holding its flight in the window.
+    Attached { flight: Arc<Flight>, held: bool },
     Parts(Vec<ResilientHandle>),
 }
 
@@ -918,7 +850,7 @@ impl ResilientHandle {
         };
         match &mut self.mode {
             HandleMode::Direct(st) => st.drive(&cx),
-            HandleMode::Attached { flight } => await_flight(&cx, flight),
+            HandleMode::Attached { flight, .. } => await_flight(&cx, flight),
             HandleMode::Parts(parts) => {
                 let parts = std::mem::take(parts).into_iter();
                 let parts = parts.map(|part| lazy_blocks(|| part.wait())).collect();
@@ -936,9 +868,8 @@ impl DirectState {
         handles.pop().expect("a fetch answers every request")
     }
 
-    /// The retry loop: one round on the current attempt, then — on a
-    /// retryable failure with budget left — back off, re-admit through
-    /// the breaker, and resubmit.
+    /// The retry loop: one round on the current attempt, then — while
+    /// [`Retries::step`] allows — resubmit.
     fn drive(&mut self, cx: &DriveCtx<'_>) -> KResult<BlockStream> {
         loop {
             let attempt = match self.attempt.take() {
@@ -953,17 +884,7 @@ impl DirectState {
                 Err(e) => e,
             };
             cx.res.record_failure(&e);
-            let pause = match self.retries.spend(&e) {
-                Some(pause) if !cx.cancelled() => pause,
-                _ => return Err(e),
-            };
-            // Retry only if the backoff still fits the deadline.
-            if cx.deadline.is_some_and(|d| Instant::now() + pause >= d) {
-                return Err(e);
-            }
-            std::thread::sleep(pause);
-            cx.res.admit()?;
-            cx.res.metrics.record_retry();
+            self.retries.step(cx, e)?;
             self.attempt = Some(self.wire_fetch());
         }
     }
@@ -1039,11 +960,16 @@ impl Drop for ResilientHandle {
         // just flag it cancelled (the worker would hold the admission
         // ticket until the — possibly wedged — work returns), abandon it
         // so the ticket is reclaimed now. An attached handle owns no
-        // wire request; dropping it only detaches this waiter.
-        if let HandleMode::Direct(st) = &mut self.mode {
-            if let Some(Ok(h)) = st.attempt.take() {
-                h.abandon(KError::cancelled("resilient handle dropped unredeemed"));
+        // wire request; dropping it only detaches this waiter and releases
+        // its hold, if it has one.
+        match (&mut self.mode, &self.res.batching) {
+            (HandleMode::Direct(st), _) => {
+                if let Some(Ok(h)) = st.attempt.take() {
+                    h.abandon(KError::cancelled("resilient handle dropped unredeemed"));
+                }
             }
+            (HandleMode::Attached { flight, held: true }, Some(b)) => b.window.release(flight),
+            _ => {}
         }
     }
 }
@@ -1179,6 +1105,8 @@ mod tests {
         // fetch of it attaches instead of going out itself.
         let batch = res.fetch(&dref, &[links(7)], Fetch::Batch, None, None);
         assert_eq!(batch.len(), 1);
+        // Unheld once its handle is gone: each attach is a coalesce.
+        drop(batch);
         let joins: Vec<_> = (0..8)
             .map(|_| {
                 let h = one(&res, &dref, links(7), Fetch::Window, None, None);
@@ -1227,7 +1155,32 @@ mod tests {
         assert_eq!(d.batch_performs.load(Ordering::SeqCst), 1);
         assert_eq!(d.performs.load(Ordering::SeqCst), 0);
         let m = res.metrics_snapshot();
-        assert_eq!((m.timeouts, m.coalesced), (1, 2), "{m:?}");
+        assert_eq!((m.timeouts, m.coalesced), (1, 0), "{m:?}");
+    }
+
+    #[test]
+    fn a_batch_handle_keeps_its_resolved_flight_answering_until_dropped() {
+        let d = SlowDriver::new("co", 3, Duration::from_millis(1), 2);
+        let dref: DriverRef = d.clone();
+        let res = batching("co", ResiliencePolicy::default());
+        // Two handles of one flight: redeeming one waits out the batch.
+        let batch = res.fetch(&dref, &[links(9), links(9)], Fetch::Batch, None, None);
+        let mut batch = batch.into_iter().map(|h| h.expect("batched"));
+        let (held, redeemed) = (batch.next().expect("a handle"), batch.next().expect("two"));
+        assert_eq!(drain(redeemed.wait().expect("batched rows")), 3);
+        // The batch answered; `held` still holds the flight, so a window
+        // fetch replays its reply: no wire request, no coalesce.
+        let window = || one(&res, &dref, links(9), Fetch::Window, None, None);
+        assert_eq!(drain(window().wait().expect("replayed")), 3);
+        assert_eq!(d.performs.load(Ordering::SeqCst), 0, "served from the flight");
+        assert_eq!(res.metrics_snapshot().coalesced, 0);
+        // Dropped, the handle releases the flight: the same fetch now
+        // goes to the wire.
+        drop(held);
+        assert_eq!(drain(window().wait().expect("fetched")), 3);
+        assert_eq!(d.performs.load(Ordering::SeqCst), 1);
+        assert_eq!(res.metrics_snapshot().coalesced, 0);
+        crate::testutil::assert_quiescent(&[&*d, &*res]);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!
 //! [`assert_quiescent`] is how a concurrency test ends: no admission
 //! ticket held and no worker orphaned at a remote, no batch flight
-//! pending or seeded, no task left running on a private executor.
+//! pending or held, no task left running on a private executor.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -335,13 +335,11 @@ impl<S: Source> Quiescent for Remote<S> {
     }
 }
 
-/// A driver's resilience state: no batch flight pending or seeded.
+/// A driver's resilience state: no batch flight pending or held.
 impl Quiescent for DriverResilience {
     fn held(&self) -> Option<String> {
-        let (pending, seeded) = (self.pending_flights(), self.seeded_flights());
-        let name = self.name();
-        let held = format!("{name}: {pending} flights pending, {seeded} seeded");
-        (pending + seeded > 0).then_some(held)
+        let (name, flights) = (self.name(), self.pending_flights());
+        (flights > 0).then(|| format!("{name}: {flights} flights pending or held"))
     }
 }
 

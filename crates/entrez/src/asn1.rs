@@ -18,9 +18,14 @@
 //! `identifier : <value>` makes a CHOICE (variant), and bare values make a
 //! SEQUENCE OF (decoded as a list). This matches how the simulator's data
 //! is generated and round-trips exactly.
+//!
+//! Parsing recurses once per level of braces and variants, so a value
+//! nested deeper than [`MAX_NESTING`] — the bound the exchange reader
+//! puts on values a source hands us — is an error, not a stack overflow.
 
 use std::sync::Arc;
 
+use kleisli_core::token::MAX_NESTING;
 use kleisli_core::{KError, KResult, Value};
 
 /// Print a value in ASN.1 value notation with the given type name header.
@@ -112,11 +117,13 @@ pub fn parse_value(text: &str) -> KResult<Value> {
 struct P<'a> {
     b: &'a [u8],
     i: usize,
+    /// Values open around the one being parsed.
+    depth: usize,
 }
 
 impl<'a> P<'a> {
     fn new(s: &'a str) -> P<'a> {
-        P { b: s.as_bytes(), i: 0 }
+        P { b: s.as_bytes(), i: 0, depth: 0 }
     }
 
     fn err(&self, msg: impl Into<String>) -> KError {
@@ -188,7 +195,18 @@ impl<'a> P<'a> {
         Some(String::from_utf8_lossy(&self.b[start..self.i]).into_owned())
     }
 
+    /// One value, at most [`MAX_NESTING`] levels deep.
     fn value(&mut self) -> KResult<Value> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("value nested deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let v = self.term();
+        self.depth -= 1;
+        v
+    }
+
+    fn term(&mut self) -> KResult<Value> {
         self.ws();
         match self.peek() {
             None => Err(self.err("unexpected end of input")),
@@ -396,6 +414,22 @@ mod tests {
         ] {
             let text = print_value_string(&v);
             assert_eq!(parse_value(&text).unwrap(), v, "text: {text}");
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_exchange_bound_is_an_error_not_a_stack_overflow() {
+        let nested = |n: usize| format!("{}{}", "{ ".repeat(n), "}".repeat(n));
+        // What an executor worker has.
+        let on_worker_stack = std::thread::Builder::new().stack_size(2 << 20);
+        let parsed = on_worker_stack.spawn(move || {
+            [MAX_NESTING, MAX_NESTING + 1, 100_000].map(|n| parse_value(&nested(n)))
+        });
+        let [deepest, one_past, far_past] = parsed.expect("spawned").join().expect("no overflow");
+        assert!(deepest.is_ok(), "{deepest:?}");
+        for e in [one_past, far_past] {
+            let e = e.expect_err("past the bound");
+            assert!(e.to_string().contains("nested deeper than 256 levels"), "{e}");
         }
     }
 

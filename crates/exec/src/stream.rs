@@ -94,7 +94,7 @@ use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Weak};
 
-use kleisli_core::resilience::{ResilientHandle, Seeds};
+use kleisli_core::resilience::ResilientHandle;
 use kleisli_core::{
     lazy_blocks, BlockSource, BlockStream, CollKind, DriverRequest, Join, KError, KResult, Lead,
     Value, ValueBlock, DEFAULT_BLOCK_ROWS,
@@ -898,8 +898,9 @@ fn remote_nodes(e: &Expr) -> usize {
 /// One chunk of source elements, warmed up but not yet run.
 struct Chunk {
     elems: Vec<Value>,
-    /// The warm-up's seeded flights, held until the bodies have run.
-    seeds: Option<Seeds>,
+    /// The warm-up's batch handles: they hold its flights answerable
+    /// until the bodies have run.
+    held: Option<Vec<ResilientHandle>>,
     /// The source error that cut the chunk short.
     source_err: Option<KError>,
 }
@@ -943,8 +944,8 @@ impl Par {
             }
         }
         let warm_up = |spec| warm_up_batch(spec, &elems, &self.var, env, ctx);
-        let seeds = self.batch.as_ref().and_then(warm_up);
-        Chunk { elems, seeds, source_err }
+        let held = self.batch.as_ref().and_then(warm_up);
+        Chunk { elems, held, source_err }
     }
 
     /// Run one chunk's bodies and write their pieces into `out`, up to
@@ -955,7 +956,7 @@ impl Par {
         (kind, env, ctx): (CollKind, &Env, &Context),
         out: &mut Out,
     ) -> KResult<()> {
-        let width = if self.attach_only && chunk.seeds.is_some() { 1 } else { self.width };
+        let width = if self.attach_only && chunk.held.is_some() { 1 } else { self.width };
         let mut pieces = Vec::with_capacity(chunk.elems.len());
         let ran = eval_parallel(&chunk.elems, &self.var, &self.body, env, ctx, width, &mut pieces);
         // In element order: a piece of the wrong kind, then the first
@@ -1218,21 +1219,22 @@ impl BlockSource for Generate {
 /// request argument for every chunk element (it is pure-local by the
 /// optimizer's construction, so this duplicates no driver effects),
 /// and ship the distinct requests as a few multi-key wire round-trips —
-/// one [`Context::fetch`] of [`kleisli_core::Fetch::Batch`] — whose
-/// flights stay seeded while the returned [`Seeds`] live, so the loop
-/// bodies' own fetches attach to them. Any surprise — an argument that
-/// fails to evaluate, a non-request value, a request no batch can carry,
-/// too few distinct keys, a driver without batching — skips the warm-up
-/// entirely and returns `None`: the per-element path then behaves
-/// exactly as unbatched, surfacing its own errors in their usual place.
-/// Returned seeds therefore answer the request of *every* element.
+/// one [`Context::fetch`] of [`kleisli_core::Fetch::Batch`] — and return
+/// its handles: while they live they hold their flights in the driver's
+/// batching window, resolved or not, so the loop bodies' own fetches
+/// attach to them. Any surprise — an argument that fails to evaluate, a
+/// non-request value, a request no batch can carry, too few distinct
+/// keys, a driver without batching — skips the warm-up entirely and
+/// returns `None`: the per-element path then behaves exactly as
+/// unbatched, surfacing its own errors in their usual place. Returned
+/// handles therefore answer the request of *every* element.
 fn warm_up_batch(
     spec: &nrc::BatchSpec,
     elems: &[Value],
     var: &Name,
     env: &Env,
     ctx: &Context,
-) -> Option<Seeds> {
+) -> Option<Vec<ResilientHandle>> {
     if elems.len() < spec.min_keys.max(1) {
         return None;
     }
@@ -1256,8 +1258,7 @@ fn warm_up_batch(
         return None;
     }
     let handles = ctx.fetch(&spec.driver, &reqs, kleisli_core::Fetch::Batch);
-    let handles: Vec<ResilientHandle> = handles.into_iter().collect::<KResult<_>>().ok()?;
-    Some(ctx.resilience(&spec.driver)?.seed(&handles))
+    handles.into_iter().collect::<KResult<_>>().ok()
 }
 
 /// Evaluate `body` for every element of `elems`, at most `max_in_flight`

@@ -241,8 +241,8 @@ pub enum Expr {
     /// `max_in_flight` source elements concurrently and take the union of
     /// the results. When `batch` is set, the executor first folds the
     /// per-element requests into batched wire round-trips (the loop body
-    /// is unchanged; per-element submissions attach to the pre-seeded
-    /// flights).
+    /// is unchanged; per-element submissions attach to the flights the
+    /// warm-up's batch fetch holds).
     ParExt {
         kind: CollKind,
         var: Name,

@@ -48,33 +48,9 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
+use kleisli_core::FnvHasher;
+
 use crate::expr::{is_fresh, Expr};
-
-/// FNV-1a with the standard 64-bit offset basis and prime. Implemented
-/// here (rather than relying on `DefaultHasher`) so the digest is stable
-/// across processes and toolchain versions — cache ids derived from it
-/// must not change between runs.
-#[derive(Clone)]
-pub struct FnvHasher(u64);
-
-impl Default for FnvHasher {
-    fn default() -> Self {
-        FnvHasher(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
 
 /// Stable constructor tags. `std::mem::discriminant` is hashable but its
 /// layout is unspecified, so each variant gets an explicit code instead.

@@ -5,7 +5,7 @@
 //! key set in `ceil(n / max_keys)` wire round-trips instead of `n`.
 //!
 //! The mark is *advisory*: the loop body is untouched, and at run time
-//! each per-element submission attaches to a pre-seeded flight when one
+//! each per-element submission attaches to a warmed-up flight when one
 //! matches (byte-identical results by construction). A key set smaller
 //! than `min_keys` skips warm-up entirely — for a handful of keys the
 //! latency-overlap path already hides the round-trips, and the batch

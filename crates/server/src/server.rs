@@ -7,10 +7,14 @@
 //! thread, and its own [`Session`] — built by the server's *registrar*
 //! (the closure that registers drivers and bindings), then attached to
 //! the **shared** [`PlanCache`] and [`ResultCache`]. Driver `Arc`s
-//! captured by the registrar are shared across sessions, so per-driver
-//! admission gates, resilience policies, and metrics are process-wide,
-//! exactly as they were per-session; and every session evaluates on the
-//! process-wide compute [`Executor`].
+//! captured by the registrar are shared across sessions, so a driver's
+//! admission gate, its advertised resilience policy and its traffic
+//! counters are process-wide; and every session evaluates on the
+//! process-wide compute [`Executor`]. What the policy drives is not:
+//! each session's context builds its own resilience state per driver as
+//! it registers it, so the circuit breaker, the batch flight table and
+//! the resilience-side counters (`timeouts`, `retries`, `breaker_opens`,
+//! `coalesced`, `batch_requests`, `batched_keys`) are per session.
 //!
 //! Those are all the threads there are: the accept loop, and a reader
 //! and a writer per connection. **A fresh query is one executor task

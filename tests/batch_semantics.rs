@@ -4,7 +4,7 @@
 //! order-sensitive observables (`first_n`, list order, set dedup) —
 //! from the same plan executed per element with batching disabled.
 //!
-//! Batching is *advisory* by construction (warm-up pre-seeds shared
+//! Batching is *advisory* by construction (warm-up holds shared
 //! flights; the loop body is unchanged and merely attaches to them), so
 //! any divergence here is a real defect in the coalescing window, the
 //! batched reply splitting, or the warm-up's sharing discipline.

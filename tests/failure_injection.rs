@@ -430,9 +430,9 @@ fn a_failing_batched_wire_request_fails_every_key_and_charges_the_breaker_once_p
         .collect();
     let batch = res.fetch(&dref, &reqs, Fetch::Batch, None, None);
     assert_eq!(batch.len(), 8, "one flight per distinct key");
-    let batch: Vec<ResilientHandle> =
+    // Held to the end: the handles keep their flights answerable.
+    let _batch: Vec<ResilientHandle> =
         batch.into_iter().collect::<KResult<_>>().expect("batching advertised");
-    let _seeds = res.seed(&batch);
 
     // Two independent waiters per key — sixteen consumers share the one
     // doomed wire request, and every single one must see its error.
@@ -595,7 +595,7 @@ fn sliceable_source(delay: Duration) -> Arc<SlowDriver> {
     drv
 }
 
-/// No ticket, no orphan, no flight pending or seeded. (Admission itself
+/// No ticket, no orphan, no flight pending or held. (Admission itself
 /// is asserted where it happens: `RequestGate::admit` checks
 /// `in_flight < limit` on every pickup of a debug build, so a part
 /// admitted past the width fails its scan with a driver panic.)

@@ -237,6 +237,24 @@ fn one_generator_operator() {
     assert_eq!(single_row, Vec::<String>::new());
 }
 
+/// One flight table. A batched key's `Flight` is kept in one keyed table
+/// per driver, `core::batch`'s `BatchWindow`, whether it is still pending
+/// or held answerable by a batch fetch's live handles; a second map of
+/// flights elsewhere is a second copy of its hold and resolve rules under
+/// a second lock.
+#[test]
+fn one_flight_table() {
+    let mut tables = Vec::new();
+    for s in crate_sources().iter().filter(|s| s.path != "crates/core/src/batch.rs") {
+        for (number, line) in &s.lines {
+            if names_word(line, "HashMap") && names_word(line, "Flight") {
+                tables.push(format!("{}:{number}", s.path));
+            }
+        }
+    }
+    assert_eq!(tables, Vec::<String>::new());
+}
+
 /// The methods of the top-level block `header` opens in `file` that start
 /// work: named with one of the prefixes `verbs`, or returning one of the
 /// types `handles` — every method of a trait, the `pub` ones of an `impl`.
