@@ -516,5 +516,10 @@ mod tests {
         w.release(&f);
         assert!(w.is_empty(), "the last release drops the resolved flight");
         assert!(w.try_attach(&req(5)).is_none());
+        // A hold taken after its flight resolved and left brings it back.
+        w.hold(&fresh);
+        assert!(Arc::ptr_eq(&fresh, &w.try_attach(&req(5)).expect("held").0));
+        w.release(&fresh);
+        assert!(w.is_empty());
     }
 }
