@@ -154,9 +154,9 @@ fn t1_pushdown(smoke: bool) -> Json {
             .map(|(plan, config)| {
                 session.set_opt_config(config);
                 let compiled = session.compile_shared(LOCI22).expect("compile");
-                session.reset_metrics();
+                let before = session.driver_metrics("GDB").expect("metrics");
                 let t = time_mean(reps, || session.run_compiled(&compiled).expect("run"));
-                let m = session.driver_metrics("GDB").expect("metrics");
+                let m = session.driver_metrics("GDB").expect("metrics").since(&before);
                 Json::obj([
                     ("plan", Json::str(plan)),
                     ("requests", int(m.requests / runs)),
@@ -197,9 +197,9 @@ fn t2_path_extraction(smoke: bool) -> Json {
         [("path-at-driver", &with_path), ("whole-entries", &without)]
             .into_iter()
             .map(|(plan, compiled)| {
-                session.reset_metrics();
+                let before = session.driver_metrics("GenBank").expect("metrics");
                 let t = time_mean(reps, || session.run_compiled(compiled).expect("run"));
-                let m = session.driver_metrics("GenBank").expect("metrics");
+                let m = session.driver_metrics("GenBank").expect("metrics").since(&before);
                 Json::obj([
                     ("plan", Json::str(plan)),
                     ("rows", int(m.rows_shipped / runs)),
@@ -324,9 +324,9 @@ fn e9_caching(smoke: bool) -> Json {
             ..OptConfig::default()
         });
         let compiled = session.compile_shared(CACHEABLE).expect("compile");
-        session.reset_metrics();
+        let before = session.driver_metrics("GDB").expect("metrics");
         let t = time_mean(reps, || session.run_compiled(&compiled).expect("run"));
-        (session.driver_metrics("GDB").expect("metrics").requests / runs, t)
+        (session.driver_metrics("GDB").expect("metrics").since(&before).requests / runs, t)
     });
     let speedup = ratio(uncached.1, cached.1);
     assert!(

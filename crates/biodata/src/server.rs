@@ -9,11 +9,11 @@
 //! method" end of the API; see `kleisli_core::driver` for the lifecycle.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use kleisli_core::{
-    Capabilities, Driver, DriverMetrics, DriverRequest, KError, KResult, MetricsSnapshot,
-    TableStats, Value, blocks_of_rows, BlockStream,
+    Capabilities, Driver, DriverMetrics, DriverRequest, DriverResilience, KError, KResult,
+    MetricsSnapshot, TableStats, Value, blocks_of_rows, BlockStream,
 };
 
 /// Named in-memory collections served as tables: `MemorySource::new("Pubs")
@@ -26,7 +26,8 @@ pub struct MemorySource {
     /// — the cache-invalidation tests model "the source changed
     /// underneath the mediator" this way.
     tables: Mutex<HashMap<String, Arc<Vec<Value>>>>,
-    metrics: DriverMetrics,
+    metrics: Arc<DriverMetrics>,
+    resilience: OnceLock<Arc<DriverResilience>>,
 }
 
 impl MemorySource {
@@ -34,7 +35,8 @@ impl MemorySource {
         MemorySource {
             name: name.into(),
             tables: Mutex::new(HashMap::new()),
-            metrics: DriverMetrics::default(),
+            metrics: Arc::default(),
+            resilience: OnceLock::new(),
         }
     }
 
@@ -135,8 +137,8 @@ impl Driver for MemorySource {
         self.metrics.snapshot()
     }
 
-    fn reset_metrics(&self) {
-        self.metrics.reset();
+    fn resilience(&self) -> &Arc<DriverResilience> {
+        self.resilience.get_or_init(|| DriverResilience::of(self, Arc::clone(&self.metrics)))
     }
 }
 

@@ -276,7 +276,11 @@ struct Entry {
 ///   the loop whose bodies a batch warm-up fetched for;
 /// * an unheld pending flight answers them too, each counted `coalesced`;
 /// * a batch fetch never attaches to a resolved flight: a later batch
-///   fetch of the request leads a fresh one.
+///   fetch of the request leads a fresh one;
+/// * a FLUSH of the source retires every resolved flight
+///   ([`crate::DriverResilience::retire_resolved`]): it leaves the window,
+///   its holders keep reading their own handles, and their releases find
+///   nothing.
 #[derive(Default)]
 pub struct BatchWindow {
     entries: Mutex<HashMap<u64, Vec<Entry>>>,
@@ -348,6 +352,14 @@ impl BatchWindow {
     pub(crate) fn resolve(&self, flight: &Arc<Flight>, result: Result<Arc<SharedReply>, KError>) {
         self.update(flight, |e| e.resolved = true);
         flight.finish(result);
+    }
+
+    /// Drop every resolved flight, held or not, so no fetch from now on
+    /// is answered by a reply fetched before. Pending flights stay.
+    pub(crate) fn retire_resolved(&self) {
+        let mut map = self.lock();
+        map.values_mut().for_each(|chain| chain.retain(|e| !e.resolved));
+        map.retain(|_, chain| !chain.is_empty());
     }
 
     /// Release one hold on `flight`: a resolved flight leaves with its

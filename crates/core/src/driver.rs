@@ -88,7 +88,7 @@ use crate::block::{lazy_blocks, BlockStream};
 use crate::error::{KError, KResult};
 use crate::oneshot::{OneShot, PromiseState, Pulsable, WaitFor};
 use crate::pool::PoolCore;
-use crate::resilience::ResiliencePolicy;
+use crate::resilience::{DriverResilience, ResiliencePolicy};
 use crate::value::Value;
 
 /// A request shipped to a driver, in a form the optimizer can construct and
@@ -304,16 +304,20 @@ pub struct TableStats {
     pub distinct: BTreeMap<String, u64>,
 }
 
-/// Declares the driver's traffic counters once, each as its doc and its
-/// name: the atomic field of [`DriverMetrics`], the plain field of
-/// [`MetricsSnapshot`] and the four whole-set operations (`snapshot`,
-/// `reset`, `since`, `merged`) all come from the one list below. The
-/// `record_*` methods are written out, since some count into several.
+/// Declares the driver's counters once, each as its doc and its name: the
+/// atomic field of [`DriverMetrics`], the plain field of
+/// [`MetricsSnapshot`] and the two whole-set operations (`snapshot`,
+/// `since`) all come from the one list below. The `record_*` methods are
+/// written out, since some count into several.
 macro_rules! driver_counters {
     ($($(#[$doc:meta])* $name:ident,)*) => {
-        /// Counters for traffic crossing a driver boundary. All counters
-        /// are atomics: with the two-phase API several worker threads
-        /// record into the same metrics concurrently.
+        /// Counters for traffic crossing a driver boundary and for what
+        /// its resilience state did about it — one set per driver, shared
+        /// by every session that registers it. All counters are atomics:
+        /// with the two-phase API several worker threads record into the
+        /// same metrics concurrently. They only grow: a reader that wants
+        /// one phase's counts takes a snapshot before it and
+        /// [`MetricsSnapshot::since`] after.
         #[derive(Debug, Default)]
         pub struct DriverMetrics {
             $($(#[$doc])* pub $name: AtomicU64,)*
@@ -332,31 +336,15 @@ macro_rules! driver_counters {
                     $($name: self.$name.load(Ordering::Relaxed),)*
                 }
             }
-
-            /// Zero every counter (used between benchmark phases).
-            pub fn reset(&self) {
-                $(self.$name.store(0, Ordering::Relaxed);)*
-            }
         }
 
         impl MetricsSnapshot {
-            /// Difference since an earlier snapshot. Saturating: if the
-            /// counters were reset between the two snapshots the
-            /// "earlier" one can be larger, and the delta clamps to zero
-            /// instead of underflowing.
+            /// Difference since an earlier snapshot. Saturating: handed a
+            /// later snapshot instead, the delta clamps to zero rather
+            /// than underflowing.
             pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
                 MetricsSnapshot {
                     $($name: self.$name.saturating_sub(earlier.$name),)*
-                }
-            }
-
-            /// Sum two snapshots counter-by-counter (saturating). The
-            /// session layer uses this to merge a driver's own traffic
-            /// counters with the resilience-layer counters kept outside
-            /// the driver.
-            pub fn merged(&self, other: &MetricsSnapshot) -> MetricsSnapshot {
-                MetricsSnapshot {
-                    $($name: self.$name.saturating_add(other.$name),)*
                 }
             }
         }
@@ -984,13 +972,17 @@ pub trait Driver: Send + Sync {
         None
     }
 
-    /// Traffic counters for this driver.
+    /// Traffic counters for this driver, and the resilience counters its
+    /// [`Driver::resilience`] state records into them.
     fn metrics(&self) -> MetricsSnapshot {
         MetricsSnapshot::default()
     }
 
-    /// Reset traffic counters (used between benchmark phases).
-    fn reset_metrics(&self) {}
+    /// The driver's one resilience state — breaker, batch flight table,
+    /// counters — built on first use from what the driver advertises then
+    /// ([`crate::DriverResilience::of`]) and shared by every session that
+    /// registers the driver. Every fetch above the boundary goes through it.
+    fn resilience(&self) -> &Arc<DriverResilience>;
 }
 
 /// A shared, thread-safe driver handle.
@@ -1023,12 +1015,12 @@ mod tests {
     fn since_saturates_across_a_reset() {
         let m = DriverMetrics::default();
         m.record_request();
+        let earlier = m.snapshot();
+        m.record_request();
         m.record_row(10);
-        let before = m.snapshot();
-        m.reset();
-        let after = m.snapshot();
-        // `after` is behind `before`; the diff must clamp, not underflow.
-        let d = after.since(&before);
+        let later = m.snapshot();
+        // `earlier` is behind `later`; the diff must clamp, not underflow.
+        let d = earlier.since(&later);
         assert_eq!(d, MetricsSnapshot::default());
     }
 

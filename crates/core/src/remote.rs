@@ -8,8 +8,9 @@
 //! fetch/handle plumbing — is identical for every remote source, so it
 //! lives here exactly once. **A new source is one file: implement
 //! [`Source`]** and register `Remote::serve(name, source, latency)`; it
-//! inherits pooling, row prefetch, batching, and (through the session)
-//! resilience without mentioning them. The Sybase, Entrez and ACE
+//! inherits pooling, row prefetch, batching and resilience — the one
+//! [`DriverResilience`] state every session shares — without mentioning
+//! them. The Sybase, Entrez and ACE
 //! simulators and the test suites' [`crate::testutil::SlowDriver`] are all
 //! instances of this shell, so the concurrency tests exercise the exact
 //! fetch path production uses.
@@ -51,7 +52,7 @@
 use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::block::{
     blocks_of_rows, charged_blocks, lazy_blocks, BlockSource, BlockStream, ValueBlock,
@@ -63,6 +64,7 @@ use crate::driver::{
 use crate::error::{KError, KResult};
 use crate::latency::LatencyModel;
 use crate::pool::{WorkerPool, FULL_FETCH};
+use crate::resilience::DriverResilience;
 use crate::value::Value;
 
 /// The blocking, data-only half of a remote driver: what the source can
@@ -282,6 +284,8 @@ pub struct Remote<S: Source> {
     pool: WorkerPool,
     /// The source's advertised [`Capabilities::prefetch_rows`], read once.
     prefetch_rows: usize,
+    /// The one resilience state, built on first use ([`Driver::resilience`]).
+    resilience: OnceLock<Arc<DriverResilience>>,
 }
 
 impl<S: Source> Remote<S> {
@@ -302,6 +306,7 @@ impl<S: Source> Remote<S> {
                 metrics,
             }),
             pool,
+            resilience: OnceLock::new(),
         }
     }
 
@@ -415,8 +420,8 @@ impl<S: Source> Driver for Remote<S> {
         self.wire.metrics.snapshot()
     }
 
-    fn reset_metrics(&self) {
-        self.wire.metrics.reset();
+    fn resilience(&self) -> &Arc<DriverResilience> {
+        self.resilience.get_or_init(|| DriverResilience::of(self, Arc::clone(self.counters())))
     }
 }
 

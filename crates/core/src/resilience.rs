@@ -1,8 +1,9 @@
 //! The resilience layer: deadlines, bounded retry and circuit breakers for
-//! the two-phase driver API, in one [`DriverResilience`] per driver per
-//! execution context — so per session, not per process: the breaker, the
-//! batching window and the resilience-side counters of one session's
-//! fetches are its own, and only the advertised policy is the driver's.
+//! the two-phase driver API, in one [`DriverResilience`] per driver
+//! ([`crate::Driver::resilience`]), built once and shared by every session
+//! that registers the driver: one breaker, one batching window and one
+//! counter set per source, so what one session learns about a source's
+//! health — an open breaker — every other session acts on at once.
 //!
 //! The paper's sources — GDB's Sybase at Johns Hopkins, GenBank's Entrez
 //! in Bethesda, ACE servers on lab workstations — were reached over 1995
@@ -33,9 +34,22 @@
 //!    goes *half-open* and admits one probe: success closes it,
 //!    failure re-opens it.
 //!
-//! Everything observable is counted in [`crate::DriverMetrics`]
-//! (`timeouts`, `retries`, `breaker_opens`); the session layer merges
-//! these resilience-side counters with the driver's own traffic counters.
+//! Everything observable is counted in the driver's own
+//! [`crate::DriverMetrics`] (`timeouts`, `retries`, `breaker_opens`, and
+//! for batching `coalesced`, `batch_requests`, `batched_keys`), beside its
+//! traffic counters: one set per driver, read through
+//! [`crate::Driver::metrics`].
+//!
+//! # What the breaker is charged
+//!
+//! Only failures that speak to the source's health: a transport error
+//! ([`KError::is_retryable`]) or a timeout — never a semantic error (bad
+//! SQL, an unknown table) and never a cancellation. A timeout is any wait
+//! that reached its deadline, and that deadline is the *caller's* (the
+//! query's `How::deadline`): since the breaker is shared, one embedder's
+//! tight deadline can open it for every session of the process. `kleislid`
+//! sets no per-query deadline, so no tenant of the server can; a per-query
+//! deadline on the wire must settle this rule before it lands.
 //!
 //! # Full fetches
 //!
@@ -61,9 +75,7 @@ use std::time::{Duration, Instant};
 
 use crate::batch::{BatchPolicy, BatchWindow, Flight, Joined, SharedReply};
 use crate::block::{lazy_blocks, BlockStream};
-use crate::driver::{
-    DriverMetrics, DriverRef, DriverRequest, Fetch, MetricsSnapshot, RequestHandle,
-};
+use crate::driver::{Driver, DriverMetrics, DriverRef, DriverRequest, Fetch, RequestHandle};
 use crate::error::{KError, KResult};
 use crate::oneshot::{Pulsable, WaitFor};
 use crate::remote::PartBlocks;
@@ -386,14 +398,15 @@ fn jittered(backoff: Duration) -> Duration {
 // ------------------------------------------------------------------------
 
 /// One driver's resilience state: its advertised [`ResiliencePolicy`],
-/// circuit breaker, the resilience-side metrics counters, and — for a
-/// driver that batches — its batching window. The execution context keeps
-/// one of these per registered driver and routes every remote fetch
-/// through [`DriverResilience::fetch`].
+/// circuit breaker, the counters it records into — the driver's own — and,
+/// for a driver that batches, its batching window. The driver holds the one
+/// of these ([`crate::Driver::resilience`]), and the execution context
+/// routes every remote fetch through [`DriverResilience::fetch`].
 pub struct DriverResilience {
     name: String,
     policy: ResiliencePolicy,
     breaker: Option<CircuitBreaker>,
+    /// The driver's counters: the resilience side records here.
     metrics: Arc<DriverMetrics>,
     /// The driver's batching window, present only when its
     /// capabilities advertise [`crate::Capabilities::batching`].
@@ -406,25 +419,20 @@ struct BatchState {
 }
 
 impl DriverResilience {
-    /// Resilience state for driver `name` under `policy`, with a
-    /// batching window when the driver advertises one
-    /// ([`crate::Capabilities::batching`]).
-    pub fn with_batching(
-        name: impl Into<String>,
-        policy: ResiliencePolicy,
-        batching: Option<BatchPolicy>,
-    ) -> DriverResilience {
-        let breaker = policy.breaker.clone().map(CircuitBreaker::new);
-        DriverResilience {
-            name: name.into(),
-            policy,
-            breaker,
-            metrics: Arc::new(DriverMetrics::default()),
-            batching: batching.map(|policy| BatchState {
-                window: BatchWindow::new(),
-                policy,
-            }),
-        }
+    /// The resilience state of `driver`, under the policy and batching it
+    /// advertises now ([`crate::Capabilities::resilience`],
+    /// [`crate::Capabilities::batching`]), recording into `counters` — the
+    /// driver's own, or a fresh set for a driver that keeps none. A driver
+    /// builds this once, on first use, in [`crate::Driver::resilience`].
+    pub fn of(driver: &dyn Driver, counters: Arc<DriverMetrics>) -> Arc<DriverResilience> {
+        let caps = driver.capabilities();
+        Arc::new(DriverResilience {
+            name: driver.name().to_string(),
+            breaker: caps.resilience.breaker.clone().map(CircuitBreaker::new),
+            policy: caps.resilience,
+            metrics: counters,
+            batching: caps.batching.map(|policy| BatchState { policy, window: BatchWindow::new() }),
+        })
     }
 
     /// The driver name this state belongs to.
@@ -444,22 +452,17 @@ impl DriverResilience {
         self.batching.as_ref().map_or(0, |b| b.window.len())
     }
 
-    /// A snapshot of the resilience-side counters (timeouts, retries,
-    /// breaker opens; the traffic counters stay zero here —
-    /// merge with the driver's own snapshot for the full picture).
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
-    }
-
-    /// Zero the resilience-side counters.
-    pub fn reset_metrics(&self) {
-        self.metrics.reset();
+    /// Retire every resolved flight of the batching window: the source was
+    /// refreshed (a FLUSH), so no fetch from now on may be answered by a
+    /// reply fetched before. A handle keeps reading its own flight; pending
+    /// flights stay, as a wire request started before the flush does.
+    pub fn retire_resolved(&self) {
+        self.batching.iter().for_each(|b| b.window.retire_resolved());
     }
 
     fn record_failure(&self, err: &KError) {
-        // Only failures that speak to the *source's health* trip the
-        // breaker: timeouts and transport errors. Semantic errors (bad
-        // SQL, unknown tables) and cancellations do not.
+        // The breaker rule (module docs): timeouts and transport errors
+        // only, never a semantic error or a cancellation.
         if !(err.is_retryable() || err.is_timeout()) {
             return;
         }
@@ -1074,12 +1077,10 @@ mod tests {
         n
     }
 
-    fn batching(name: &str, policy: ResiliencePolicy) -> Arc<DriverResilience> {
-        Arc::new(DriverResilience::with_batching(
-            name,
-            policy,
-            Some(BatchPolicy::default()),
-        ))
+    /// `d`'s own resilience state, once it advertises batching.
+    fn batching(d: &SlowDriver) -> Arc<DriverResilience> {
+        d.set_batching(Some(BatchPolicy::default()));
+        Arc::clone(d.resilience())
     }
 
     /// The handle of `req` fetched alone, `how` it is read.
@@ -1100,7 +1101,7 @@ mod tests {
         let d = SlowDriver::new("co", 4, Duration::from_millis(2), 4);
         d.set_fault(Fault::NeverRespond);
         let dref: DriverRef = d.clone();
-        let res = batching("co", ResiliencePolicy::default());
+        let res = batching(&d);
         // A batch for the request is wedged on the wire, so every plain
         // fetch of it attaches instead of going out itself.
         let batch = res.fetch(&dref, &[links(7)], Fetch::Batch, None, None);
@@ -1119,7 +1120,7 @@ mod tests {
         }
         assert_eq!(d.batch_performs.load(Ordering::SeqCst), 1, "one wire request for 8 waiters");
         assert_eq!(d.performs.load(Ordering::SeqCst), 0, "no per-submission round-trips");
-        assert_eq!(res.metrics_snapshot().coalesced, 8);
+        assert_eq!(d.metrics().coalesced, 8);
     }
 
     #[test]
@@ -1127,7 +1128,7 @@ mod tests {
         let d = SlowDriver::new("co", 3, Duration::from_millis(2), 2);
         d.set_fault(Fault::NeverRespond);
         let dref: DriverRef = d.clone();
-        let res = batching("co", ResiliencePolicy::default());
+        let res = batching(&d);
         let _batch = one(&res, &dref, links(1), Fetch::Batch, None, None);
         let cancel = Arc::new(CancelToken::new());
         let cancelled = one(&res, &dref, links(1), Fetch::Batch, None, Some(Arc::clone(&cancel)));
@@ -1154,7 +1155,7 @@ mod tests {
         }
         assert_eq!(d.batch_performs.load(Ordering::SeqCst), 1);
         assert_eq!(d.performs.load(Ordering::SeqCst), 0);
-        let m = res.metrics_snapshot();
+        let m = d.metrics();
         assert_eq!((m.timeouts, m.coalesced), (1, 0), "{m:?}");
     }
 
@@ -1162,7 +1163,7 @@ mod tests {
     fn a_batch_handle_keeps_its_resolved_flight_answering_until_dropped() {
         let d = SlowDriver::new("co", 3, Duration::from_millis(1), 2);
         let dref: DriverRef = d.clone();
-        let res = batching("co", ResiliencePolicy::default());
+        let res = batching(&d);
         // Two handles of one flight: redeeming one waits out the batch.
         let batch = res.fetch(&dref, &[links(9), links(9)], Fetch::Batch, None, None);
         let mut batch = batch.into_iter().map(|h| h.expect("batched"));
@@ -1173,13 +1174,13 @@ mod tests {
         let window = || one(&res, &dref, links(9), Fetch::Window, None, None);
         assert_eq!(drain(window().wait().expect("replayed")), 3);
         assert_eq!(d.performs.load(Ordering::SeqCst), 0, "served from the flight");
-        assert_eq!(res.metrics_snapshot().coalesced, 0);
+        assert_eq!(d.metrics().coalesced, 0);
         // Dropped, the handle releases the flight: the same fetch now
         // goes to the wire.
         drop(held);
         assert_eq!(drain(window().wait().expect("fetched")), 3);
         assert_eq!(d.performs.load(Ordering::SeqCst), 1);
-        assert_eq!(res.metrics_snapshot().coalesced, 0);
+        assert_eq!(d.metrics().coalesced, 0);
         crate::testutil::assert_quiescent(&[&*d, &*res]);
     }
 
@@ -1191,7 +1192,7 @@ mod tests {
         let d = SlowDriver::new("co", 100, Duration::from_millis(1), 4);
         d.set_fault(Fault::NeverRespond);
         let dref: DriverRef = d.clone();
-        let res = batching("co", ResiliencePolicy::default());
+        let res = batching(&d);
         let handles: Vec<_> = (0..4)
             .map(|_| one(&res, &dref, links(2), Fetch::Window, None, None))
             .collect();
@@ -1202,7 +1203,7 @@ mod tests {
         let mut streams: Vec<BlockStream> =
             handles.into_iter().map(|h| h.wait().expect("reply")).collect();
         assert_eq!(d.performs.load(Ordering::SeqCst), 4);
-        assert_eq!(res.metrics_snapshot().coalesced, 0);
+        assert_eq!(d.metrics().coalesced, 0);
         assert_eq!(d.counters().snapshot().rows_shipped, 0, "nothing ships until pulled");
         for s in &mut streams {
             assert_eq!(s.next_block(1).expect("first row").len(), 1);
@@ -1218,7 +1219,7 @@ mod tests {
     fn zero_window_never_replays_completed_flights() {
         let d = SlowDriver::new("co", 2, Duration::from_millis(1), 2);
         let dref: DriverRef = d.clone();
-        let res = batching("co", ResiliencePolicy::default());
+        let res = batching(&d);
         for _ in 0..3 {
             let h = one(&res, &dref, links(4), Fetch::Window, None, None);
             assert_eq!(drain(h.wait().expect("rows")), 2);
@@ -1228,7 +1229,7 @@ mod tests {
             3,
             "sequential requests keep their own round-trips"
         );
-        assert_eq!(res.metrics_snapshot().coalesced, 0);
+        assert_eq!(d.metrics().coalesced, 0);
     }
 
     #[test]
@@ -1236,7 +1237,7 @@ mod tests {
         let d = SlowDriver::new("co", 2, Duration::from_millis(2), 2);
         d.set_fault(Fault::NeverRespond);
         let dref: DriverRef = d.clone();
-        let res = batching("co", ResiliencePolicy::default());
+        let res = batching(&d);
         let h = one(&res, &dref, links(3), Fetch::Window, None, None);
         thread::sleep(Duration::from_millis(20));
         drop(h); // unredeemed: the wedged wire request is abandoned
@@ -1253,11 +1254,8 @@ mod tests {
     fn submit_batch_folds_keys_into_chunked_wire_requests() {
         let d = SlowDriver::new("bat", 3, Duration::from_millis(2), 2);
         let dref: DriverRef = d.clone();
-        let res = Arc::new(DriverResilience::with_batching(
-            "bat",
-            ResiliencePolicy::default(),
-            Some(BatchPolicy { max_keys: 4 }),
-        ));
+        d.set_batching(Some(BatchPolicy { max_keys: 4 }));
+        let res = Arc::clone(d.resilience());
         // Seven logical keys, six distinct: the duplicate shares its
         // key's flight instead of adding a slot.
         let reqs: Vec<DriverRequest> = (0..6).map(links).chain(std::iter::once(links(0))).collect();
@@ -1272,7 +1270,7 @@ mod tests {
             "6 keys under max_keys=4 is two wire requests"
         );
         assert_eq!(d.performs.load(Ordering::SeqCst), 0, "no per-key round-trips");
-        let m = res.metrics_snapshot();
+        let m = d.metrics();
         assert_eq!(m.batch_requests, 2);
         assert_eq!(m.batched_keys, 6);
     }

@@ -355,8 +355,8 @@ mod tests {
                 path: None,
             },
         );
-        let full_bytes = s.metrics().bytes_shipped;
-        s.reset_metrics();
+        let before = s.metrics();
+        let full_bytes = before.bytes_shipped;
         let pruned = collect(
             &s,
             &DriverRequest::EntrezFetch {
@@ -365,7 +365,7 @@ mod tests {
                 path: Some("Seq-entry.seq.id..giim".into()),
             },
         );
-        let pruned_bytes = s.metrics().bytes_shipped;
+        let pruned_bytes = s.metrics().since(&before).bytes_shipped;
         assert_eq!(pruned, vec![Value::set(vec![Value::Int(100)])]);
         assert!(
             pruned_bytes < full_bytes / 2,

@@ -2,7 +2,8 @@
 //! `deref`, the subquery cache, and the compute executor query
 //! evaluation runs on. Every request the evaluator sends a source leaves
 //! through one verb, [`Context::fetch`], into the driver's resilience
-//! layer.
+//! state — the driver's own, shared with every other context that
+//! registers it ([`kleisli_core::Driver::resilience`]).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -10,11 +11,10 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use kleisli_core::resilience::{CancelToken, DriverResilience, ResilientHandle};
+use kleisli_core::resilience::{CancelToken, ResilientHandle};
 use kleisli_core::testutil::Quiescent;
 use kleisli_core::{
-    DriverRef, DriverRequest, Executor, Fetch, Join, KError, KResult, MetricsSnapshot, Oid,
-    SingleFlight, Value,
+    DriverRef, DriverRequest, Executor, Fetch, Join, KError, KResult, Oid, SingleFlight, Value,
 };
 
 /// Resolves object references for sources with object identity (ACE).
@@ -50,10 +50,6 @@ pub struct Context {
 
 struct CtxInner {
     drivers: HashMap<String, DriverRef>,
-    /// Per-driver resilience state (policy, breaker, resilience
-    /// counters), built at registration from the driver's advertised
-    /// `Capabilities::resilience`.
-    resilience: HashMap<String, Arc<DriverResilience>>,
     object_stores: Vec<Arc<dyn ObjectStore>>,
     /// One [`SingleFlight`] per `Cached { id }` subquery evaluated since
     /// the last [`Context::cache_clear`].
@@ -83,7 +79,6 @@ impl Context {
         Context {
             inner: Arc::new(CtxInner {
                 drivers: HashMap::new(),
-                resilience: HashMap::new(),
                 object_stores: Vec::new(),
                 cache: Mutex::new(HashMap::new()),
                 executor,
@@ -105,21 +100,12 @@ impl Context {
             .expect("context must be uniquely owned while registering sources")
     }
 
-    /// Register a driver under its own name. Its advertised
-    /// `Capabilities::resilience` is the policy its requests get.
+    /// Register a driver under its own name. Its requests go through its
+    /// one resilience state, built on first use from what it advertises
+    /// then — this registration, if no other context registered it yet.
     pub fn register_driver(&mut self, driver: DriverRef) {
-        let name = driver.name().to_string();
-        let caps = driver.capabilities();
-        let inner = self.inner_mut();
-        inner.resilience.insert(
-            name.clone(),
-            Arc::new(DriverResilience::with_batching(
-                &name,
-                caps.resilience,
-                caps.batching,
-            )),
-        );
-        inner.drivers.insert(name, driver);
+        driver.resilience();
+        self.inner_mut().drivers.insert(driver.name().to_string(), driver);
     }
 
     /// Register an object store consulted by `deref`.
@@ -218,15 +204,11 @@ impl Context {
         Ok(())
     }
 
-    /// The resilience state for a registered driver.
-    pub fn resilience(&self, name: &str) -> Option<&Arc<DriverResilience>> {
-        self.inner.resilience.get(name)
-    }
-
     /// Fetch `reqs` — requests starting together on driver `name` — `how`
-    /// they will be read, through the driver's resilience layer
-    /// ([`DriverResilience::fetch`]): breaker admission, this clone's
-    /// deadline and cancellation token all apply, and retry runs when a handle is redeemed.
+    /// they will be read, through the driver's resilience state
+    /// ([`kleisli_core::DriverResilience::fetch`]): breaker admission, this
+    /// clone's deadline and cancellation token all apply, and retry runs
+    /// when a handle is redeemed.
     /// One handle per request, in order, or that request's error.
     pub fn fetch(
         &self,
@@ -236,29 +218,8 @@ impl Context {
     ) -> Vec<KResult<ResilientHandle>> {
         let (deadline, cancel) = (self.deadline, self.cancel.clone());
         match self.driver(name) {
-            Ok(driver) => self.inner.resilience[name].fetch(driver, reqs, how, deadline, cancel),
+            Ok(driver) => driver.resilience().fetch(driver, reqs, how, deadline, cancel),
             Err(e) => reqs.iter().map(|_| Err(e.clone())).collect(),
-        }
-    }
-
-    /// A driver's full metrics picture: its own traffic counters merged
-    /// with the resilience-side counters (timeouts, retries, breaker
-    /// opens) kept outside the driver.
-    pub fn driver_metrics(&self, name: &str) -> KResult<MetricsSnapshot> {
-        let traffic = self.driver(name)?.metrics();
-        Ok(match self.inner.resilience.get(name) {
-            Some(res) => traffic.merged(&res.metrics_snapshot()),
-            None => traffic,
-        })
-    }
-
-    /// Reset every driver's traffic *and* resilience counters.
-    pub fn reset_metrics(&self) {
-        for d in self.inner.drivers.values() {
-            d.reset_metrics();
-        }
-        for r in self.inner.resilience.values() {
-            r.reset_metrics();
         }
     }
 
@@ -310,7 +271,7 @@ impl Context {
 /// nothing and its executor runs nothing.
 impl Quiescent for Context {
     fn held(&self) -> Option<String> {
-        let states = self.inner.resilience.values().map(|r| r.as_ref() as &dyn Quiescent);
+        let states = self.drivers().map(|d| d.resilience().as_ref() as &dyn Quiescent);
         let parts = states.chain([self.executor().as_ref() as &dyn Quiescent]);
         let held: Vec<String> = parts.filter_map(Quiescent::held).collect();
         (!held.is_empty()).then(|| held.join("; "))

@@ -1316,16 +1316,19 @@ fn eval_parallel(
 mod tests {
     use super::*;
     use kleisli_core::{
-        blocks_of_rows, BlockStream, Capabilities, Driver, DriverRequest, MetricsSnapshot,
+        blocks_of_rows, BlockStream, Capabilities, Driver, DriverRequest, DriverResilience,
+        MetricsSnapshot,
     };
     use nrc::name;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::OnceLock;
 
     /// A driver that yields `rows` integers and counts how many were
     /// actually pulled — the laziness probe.
     struct CountingDriver {
         rows: i64,
         pulled: Arc<AtomicU64>,
+        resilience: OnceLock<Arc<DriverResilience>>,
     }
 
     impl Driver for CountingDriver {
@@ -1346,6 +1349,9 @@ mod tests {
         fn metrics(&self) -> MetricsSnapshot {
             MetricsSnapshot::default()
         }
+        fn resilience(&self) -> &Arc<DriverResilience> {
+            self.resilience.get_or_init(|| DriverResilience::of(self, Arc::default()))
+        }
     }
 
     fn counting_ctx(rows: i64) -> (Arc<Context>, Arc<AtomicU64>) {
@@ -1354,6 +1360,7 @@ mod tests {
         ctx.register_driver(Arc::new(CountingDriver {
             rows,
             pulled: Arc::clone(&pulled),
+            resilience: OnceLock::new(),
         }));
         (Arc::new(ctx), pulled)
     }

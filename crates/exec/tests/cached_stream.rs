@@ -10,12 +10,12 @@
 //!   populates it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use kleisli_core::testutil::assert_quiescent;
 use kleisli_core::{
-    blocks_of_rows, BlockStream, Capabilities, CollKind, Driver, DriverRequest, KResult,
-    MetricsSnapshot, Value,
+    blocks_of_rows, BlockStream, Capabilities, CollKind, Driver, DriverRequest, DriverResilience,
+    KResult, MetricsSnapshot, Value,
 };
 use kleisli_exec::{collect_stream, eval, eval_stream, first_n, reference, Context, Env};
 use nrc::{name, Expr};
@@ -25,6 +25,7 @@ struct CountingDriver {
     rows: i64,
     execs: Arc<AtomicU64>,
     pulled: Arc<AtomicU64>,
+    resilience: OnceLock<Arc<DriverResilience>>,
 }
 
 impl Driver for CountingDriver {
@@ -46,6 +47,9 @@ impl Driver for CountingDriver {
     fn metrics(&self) -> MetricsSnapshot {
         MetricsSnapshot::default()
     }
+    fn resilience(&self) -> &Arc<DriverResilience> {
+        self.resilience.get_or_init(|| DriverResilience::of(self, Arc::default()))
+    }
 }
 
 fn counting_ctx(rows: i64) -> (Arc<Context>, Arc<AtomicU64>, Arc<AtomicU64>) {
@@ -56,6 +60,7 @@ fn counting_ctx(rows: i64) -> (Arc<Context>, Arc<AtomicU64>, Arc<AtomicU64>) {
         rows,
         execs: Arc::clone(&execs),
         pulled: Arc::clone(&pulled),
+        resilience: OnceLock::new(),
     }));
     (Arc::new(ctx), execs, pulled)
 }

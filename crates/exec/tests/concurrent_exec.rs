@@ -232,11 +232,15 @@ fn blocking_adapter_drivers_are_not_prefetched_in_union_arms() {
     // A one-method driver's submit runs the request inline, so
     // prefetching it would execute eagerly: the right arm must stay
     // fully lazy for such drivers.
-    use kleisli_core::{blocks_of_rows, BlockStream, Capabilities, Driver, KResult};
+    use kleisli_core::{
+        blocks_of_rows, BlockStream, Capabilities, Driver, DriverResilience, KResult,
+    };
     use std::sync::atomic::AtomicU64;
+    use std::sync::OnceLock;
 
     struct OneMethod {
         performs: Arc<AtomicU64>,
+        resilience: OnceLock<Arc<DriverResilience>>,
     }
     impl Driver for OneMethod {
         fn name(&self) -> &str {
@@ -251,12 +255,16 @@ fn blocking_adapter_drivers_are_not_prefetched_in_union_arms() {
                 (0..3).map(|i| Ok(Value::record_from(vec![("n", Value::Int(i))]))),
             )))
         }
+        fn resilience(&self) -> &Arc<DriverResilience> {
+            self.resilience.get_or_init(|| DriverResilience::of(self, Arc::default()))
+        }
     }
 
     let performs = Arc::new(AtomicU64::new(0));
     let mut ctx = Context::new();
     ctx.register_driver(Arc::new(OneMethod {
         performs: Arc::clone(&performs),
+        resilience: OnceLock::new(),
     }));
     let ctx = Arc::new(ctx);
 

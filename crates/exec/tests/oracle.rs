@@ -34,8 +34,8 @@ use kleisli_core::block::BlockStream;
 use kleisli_core::remote::apportion;
 use kleisli_core::testutil::{Fault, SlowDriver};
 use kleisli_core::{
-    Capabilities, CollKind, Driver, DriverRequest, Fetch, KResult, RequestHandle, Value,
-    DEFAULT_BLOCK_ROWS,
+    Capabilities, CollKind, Driver, DriverRequest, DriverResilience, Fetch, KResult,
+    RequestHandle, Value, DEFAULT_BLOCK_ROWS,
 };
 use kleisli_exec::{
     collect_blocks, collect_stream, eval, eval_blocks, eval_stream, reference, Context, Env,
@@ -616,6 +616,10 @@ impl Driver for Waves {
 
     fn nonblocking_submit(&self) -> bool {
         self.driver.nonblocking_submit()
+    }
+
+    fn resilience(&self) -> &Arc<DriverResilience> {
+        self.driver.resilience()
     }
 }
 

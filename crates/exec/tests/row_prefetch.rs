@@ -4,13 +4,13 @@
 //! termination must cancel outstanding prefetch work and release the
 //! admission ticket, with row traffic bounded by prefix + buffer.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use kleisli_core::testutil::{assert_quiescent, SlowDriver};
 use kleisli_core::{
-    blocks_of_rows, BlockStream, Capabilities, CollKind, Driver, DriverRequest, KError, KResult,
-    MetricsSnapshot, Value, DEFAULT_BLOCK_ROWS,
+    blocks_of_rows, BlockStream, Capabilities, CollKind, Driver, DriverRequest, DriverResilience,
+    KError, KResult, MetricsSnapshot, Value, DEFAULT_BLOCK_ROWS,
 };
 use kleisli_exec::{
     collect_stream, eval, eval_blocks, eval_stream, first_n, reference, Context, Env,
@@ -195,6 +195,7 @@ fn first_n_stopping_mid_block_releases_the_ticket_and_bounds_blocks() {
 /// driver error inside the same block.
 struct PartialBlockDriver {
     good: i64,
+    resilience: OnceLock<Arc<DriverResilience>>,
 }
 
 impl Driver for PartialBlockDriver {
@@ -217,13 +218,16 @@ impl Driver for PartialBlockDriver {
     fn metrics(&self) -> MetricsSnapshot {
         MetricsSnapshot::default()
     }
+    fn resilience(&self) -> &Arc<DriverResilience> {
+        self.resilience.get_or_init(|| DriverResilience::of(self, Arc::default()))
+    }
 }
 
 #[test]
 fn driver_error_inside_a_partial_block_surfaces_after_the_good_rows() {
     let good = 3;
     let mut ctx = Context::new();
-    ctx.register_driver(Arc::new(PartialBlockDriver { good }));
+    ctx.register_driver(Arc::new(PartialBlockDriver { good, resilience: OnceLock::new() }));
     let ctx = Arc::new(ctx);
     let plan = wrap_ext(scan("partial"));
 

@@ -124,9 +124,9 @@ mod tests {
         });
         assert_eq!(sql_remotes, 1, "pushdown failed: {}", compiled.optimized);
 
-        s.reset_metrics();
+        let before = s.driver_metrics("GDB").unwrap();
         let result = s.run_compiled(&compiled).unwrap();
-        let m = s.driver_metrics("GDB").unwrap();
+        let m = s.driver_metrics("GDB").unwrap().since(&before);
         assert_eq!(m.requests, 1, "exactly one shipped query");
         assert_eq!(
             result.len(),
@@ -136,7 +136,7 @@ mod tests {
 
         // Without pushdown but with local join operators the paper's
         // description holds: three table scans shipped, join done locally.
-        s.reset_metrics();
+        let before = s.driver_metrics("GDB").unwrap();
         let local_joins = kleisli_opt::OptConfig {
             enable_pushdown: false,
             ..Default::default()
@@ -144,16 +144,16 @@ mod tests {
         s.set_opt_config(local_joins);
         let baseline = s.query(loci22).unwrap();
         assert_eq!(baseline, result);
-        let m2 = s.driver_metrics("GDB").unwrap();
+        let m2 = s.driver_metrics("GDB").unwrap().since(&before);
         assert_eq!(m2.requests, 3, "without pushdown: three table scans");
 
         // With *no* optimization at all, the naive nested loops re-fetch
         // inner tables once per outer row — dramatically more requests.
-        s.reset_metrics();
+        let before = s.driver_metrics("GDB").unwrap();
         s.set_opt_config(kleisli_opt::OptConfig::none());
         let naive = s.query(loci22).unwrap();
         assert_eq!(naive, result);
-        let m3 = s.driver_metrics("GDB").unwrap();
+        let m3 = s.driver_metrics("GDB").unwrap().since(&before);
         assert!(
             m3.requests > 50,
             "naive plan must re-fetch inner scans (got {})",
@@ -181,7 +181,7 @@ mod tests {
         .unwrap();
         let mut s = Session::new();
         s.register_driver(fed.gdb.clone());
-        s.reset_metrics();
+        let before = s.driver_metrics("GDB").unwrap();
         let plan = s
             .compile_shared(r#"{[s = l.locus_symbol] | \l <- GDB-Tab("locus")}"#)
             .unwrap();
@@ -191,7 +191,7 @@ mod tests {
         };
         let five = s.start(&plan, limit).wait().unwrap();
         assert_eq!(five.len(), Some(5));
-        let m = s.driver_metrics("GDB").unwrap();
+        let m = s.driver_metrics("GDB").unwrap().since(&before);
         // This federation's latency model ships rows instantly, so the
         // driver advertises `prefetch_rows: 0` (there is no per-row
         // latency to pipeline) and laziness stays strict: only the

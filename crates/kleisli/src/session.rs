@@ -614,9 +614,11 @@ impl Session {
     ///
     /// Either way the source's invalidation generations (plan and
     /// result side) are bumped, so a refresh is observable even when
-    /// nothing was resident.
+    /// nothing was resident. A driver's resolved batch flights are retired
+    /// too, for every session: a fetch that starts after the flush never
+    /// replays rows fetched before it.
     pub fn flush_source(&self, source: &str) -> KResult<SourceFlush> {
-        let is_driver = self.ctx.driver(source).is_ok();
+        let is_driver = self.ctx.driver(source).inspect(|d| d.resilience().retire_resolved()).is_ok();
         if !is_driver && self.defs.get(source).is_none() {
             return Err(KError::eval(format!(
                 "flush: no such source or binding: {source}"
@@ -918,23 +920,19 @@ impl Session {
         Ok(out)
     }
 
-    /// Traffic *and* resilience counters of a registered driver: the
-    /// driver's own request/row counts merged with the timeouts,
-    /// retries and breaker opens recorded by the resilience layer on
-    /// its behalf.
+    /// Traffic *and* resilience counters of a registered driver — one set
+    /// per driver, shared by every session that registers it, and only
+    /// growing: take a snapshot before a phase and
+    /// [`MetricsSnapshot::since`] after it.
     pub fn driver_metrics(&self, name: &str) -> KResult<MetricsSnapshot> {
-        self.ctx.driver_metrics(name)
-    }
-
-    /// Reset every driver's traffic and resilience counters.
-    pub fn reset_metrics(&self) {
-        self.ctx.reset_metrics();
+        Ok(self.ctx.driver(name)?.metrics())
     }
 
     /// A registered driver's circuit-breaker state, when its policy
-    /// configures a breaker.
+    /// configures a breaker: the driver's one breaker, which every
+    /// session's fetches charge and obey.
     pub fn breaker_state(&self, name: &str) -> Option<kleisli_core::BreakerState> {
-        self.ctx.resilience(name).and_then(|r| r.breaker_state())
+        self.ctx.driver(name).ok()?.resilience().breaker_state()
     }
 
     /// The execution context (for advanced embedding). Register all

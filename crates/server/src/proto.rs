@@ -59,7 +59,8 @@ pub enum Request {
     /// Cooperatively stop the in-flight query with this id (idempotent;
     /// unknown ids are ignored — the query may have just finished).
     Cancel { id: u64 },
-    /// Reply with a `Stats` frame (shared-cache and admission counters).
+    /// Reply with a `Stats` frame (shared-cache and admission counters,
+    /// and each driver's resilience counters and breaker state).
     Stats { id: u64 },
     /// Invalidate every cached plan and result derived from `source`
     /// (a refreshed driver or binding); reply with a `Flushed` frame.

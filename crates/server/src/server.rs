@@ -7,14 +7,15 @@
 //! thread, and its own [`Session`] — built by the server's *registrar*
 //! (the closure that registers drivers and bindings), then attached to
 //! the **shared** [`PlanCache`] and [`ResultCache`]. Driver `Arc`s
-//! captured by the registrar are shared across sessions, so a driver's
-//! admission gate, its advertised resilience policy and its traffic
-//! counters are process-wide; and every session evaluates on the
-//! process-wide compute [`Executor`]. What the policy drives is not:
-//! each session's context builds its own resilience state per driver as
-//! it registers it, so the circuit breaker, the batch flight table and
-//! the resilience-side counters (`timeouts`, `retries`, `breaker_opens`,
-//! `coalesced`, `batch_requests`, `batched_keys`) are per session.
+//! captured by the registrar are shared across sessions, and a driver
+//! carries its whole request path: its admission gate, its counters and
+//! its one resilience state ([`kleisli_core::Driver::resilience`]) — the
+//! circuit breaker, the batch flight table, and the resilience counters
+//! (`timeouts`, `retries`, `breaker_opens`, `coalesced`,
+//! `batch_requests`, `batched_keys`) — are process-wide. A breaker one
+//! connection's queries open fails the next query of every connection
+//! fast, and STATS shows it (`drivers`). Every session evaluates on the
+//! process-wide compute [`Executor`].
 //!
 //! Those are all the threads there are: the accept loop, and a reader
 //! and a writer per connection. **A fresh query is one executor task
@@ -110,7 +111,7 @@
 //! `Flushed` frame with the drop counts. Source generations are
 //! observable through the caches' `generation` accessors.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -121,7 +122,8 @@ use std::time::{Duration, Instant};
 
 use kleisli::{How, PlanCache, Session};
 use kleisli_core::testutil::Quiescent;
-use kleisli_core::{CancelToken, Executor, KError};
+use kleisli_core::print::escape_str;
+use kleisli_core::{BreakerState, CancelToken, DriverRef, Executor, KError};
 use kleisli_exec::ResultCache;
 
 use crate::proto::{
@@ -247,8 +249,10 @@ impl ServerShared {
     }
 
     /// The STATS payload: one JSON document over the shared-cache and
-    /// admission counters (also what `ServerHandle::stats_json` returns).
-    fn stats_json(&self) -> String {
+    /// admission counters and, given a connection's `session`, a
+    /// `drivers` object ([`drivers_json`]); `ServerHandle::stats_json`
+    /// has no session, and leaves it out.
+    fn stats_json(&self, session: Option<&Session>) -> String {
         let p = self.plan_cache.stats();
         let r = self.result_cache.stats();
         format!(
@@ -261,7 +265,7 @@ impl ServerShared {
                 "\"flushes\":{},\"entries\":{},\"capacity\":{}}},",
                 "\"result_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"declined\":{},",
                 "\"flushes\":{},",
-                "\"entries\":{},\"bytes\":{},\"peak_bytes\":{},\"budget\":{}}}}}"
+                "\"entries\":{},\"bytes\":{},\"peak_bytes\":{},\"budget\":{}}}{}}}"
             ),
             self.started.elapsed().as_millis(),
             self.connections_total.load(Ordering::Relaxed),
@@ -290,8 +294,35 @@ impl ServerShared {
             r.bytes,
             r.peak_bytes,
             r.budget,
+            session.map_or(String::new(), |s| format!(",\"drivers\":{}", drivers_json(s))),
         )
     }
+}
+
+/// The `drivers` object of a STATS document: every driver `session`
+/// registered, by name in order, with its counters and its breaker's state
+/// (`null` without one). Each is the driver's own, shared by every session,
+/// so one connection's view is the process's.
+fn drivers_json(session: &Session) -> String {
+    let ctx = session.context();
+    let drivers: BTreeMap<&str, &DriverRef> = ctx.drivers().map(|d| (d.name(), d)).collect();
+    let driver = |(name, d): (&&str, &&DriverRef)| {
+        let m = d.metrics();
+        let breaker = d.resilience().breaker_state().map_or("null", |state| match state {
+            BreakerState::Closed => "\"closed\"",
+            BreakerState::Open => "\"open\"",
+            BreakerState::HalfOpen => "\"half_open\"",
+        });
+        format!(
+            concat!(
+                "\"{}\":{{\"requests\":{},\"timeouts\":{},\"retries\":{},\"breaker_opens\":{},",
+                "\"coalesced\":{},\"batch_requests\":{},\"batched_keys\":{},\"breaker\":{}}}"
+            ),
+            escape_str(name), m.requests, m.timeouts, m.retries, m.breaker_opens,
+            m.coalesced, m.batch_requests, m.batched_keys, breaker,
+        )
+    };
+    format!("{{{}}}", drivers.iter().map(driver).collect::<Vec<_>>().join(","))
 }
 
 /// What a graceful shutdown accomplished; see
@@ -333,9 +364,10 @@ impl ServerHandle {
         &self.shared.result_cache
     }
 
-    /// The same JSON document a STATS frame returns.
+    /// The JSON document a STATS frame returns, but for its `drivers`
+    /// object, which is read from the asking connection's session.
     pub fn stats_json(&self) -> String {
-        self.shared.stats_json()
+        self.shared.stats_json(None)
     }
 
     /// Connections currently being served.
@@ -877,7 +909,7 @@ fn handle_connection(mut reader: TcpStream, conn: Arc<Conn>, shared: &Arc<Server
             Request::Stats { id } => {
                 conn.send(&Response::Stats {
                     id,
-                    json: shared.stats_json(),
+                    json: shared.stats_json(Some(&session)),
                 });
             }
             Request::Cancel { id } => {

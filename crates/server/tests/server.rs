@@ -7,8 +7,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use bio_data::{GdbConfig, GenBankConfig, MemorySource};
-use kleisli::{bio_federation, BioFederation, Session};
-use kleisli_core::testutil::assert_quiescent;
+use kleisli::{bio_federation, BioFederation, BreakerPolicy, ResiliencePolicy, Session};
+use kleisli_core::testutil::{assert_quiescent, Fault, SlowDriver};
 use kleisli_core::{LatencyModel, Value};
 use kleisli_server::{serve_ephemeral, Client, QueryReply, Response, ServedFrom, ServerConfig};
 
@@ -694,4 +694,47 @@ fn never_repeated_texts_leave_nothing_behind_and_a_working_set_is_kept() {
         elapsed < Duration::from_secs(2),
         "the soak took {elapsed:?}"
     );
+}
+
+// ---------------------------------------------------------------------
+// One resilience state per driver: a breaker one connection's queries
+// opened is every connection's, and STATS shows it.
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_breaker_one_connection_opened_fails_the_next_connections_first_query() {
+    let drv = SlowDriver::new("SRC", 3, Duration::from_millis(1), 2);
+    drv.set_resilience(ResiliencePolicy {
+        breaker: Some(BreakerPolicy {
+            failure_threshold: 2,
+            cooldown: Duration::from_secs(60),
+        }),
+        ..ResiliencePolicy::default()
+    });
+    drv.set_fault(Fault::FailRequests(u32::MAX));
+    let registered = Arc::clone(&drv);
+    let registrar: Arc<kleisli_server::Registrar> =
+        Arc::new(move |session: &mut Session| session.register_driver(registered.clone()));
+    let server = serve_ephemeral(ServerConfig::default(), registrar).unwrap();
+    let scan = r#"{x.n | \x <- SRC([class = "any"])}"#;
+    let failed = |client: &mut Client| match client.query(scan).unwrap() {
+        QueryReply::Error(message) => message,
+        other => panic!("expected an error frame, got {other:?}"),
+    };
+    let mut first = Client::connect(server.addr()).unwrap();
+    for _ in 0..2 {
+        let message = failed(&mut first);
+        assert!(message.contains("injected transport failure"), "{message}");
+    }
+    let mut second = Client::connect(server.addr()).unwrap();
+    let message = failed(&mut second);
+    assert!(message.contains("circuit open for 'SRC'"), "{message}");
+    let stats = second.stats().unwrap();
+    let drivers = stats_object(&stats, "drivers");
+    assert!(drivers.starts_with("\"drivers\":{\"SRC\":{"), "{stats}");
+    for field in ["\"breaker_opens\":1,", "\"breaker\":\"open\""] {
+        assert!(drivers.contains(field), "missing {field} in {stats}");
+    }
+    drop((first, second));
+    assert_quiescent(&[&*drv, &server]);
 }

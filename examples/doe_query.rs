@@ -81,7 +81,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("{}", session.explain(doe)?);
 
-    session.reset_metrics();
+    let gdb_before = session.driver_metrics("GDB")?;
+    let gb_before = session.driver_metrics("GenBank")?;
     fed.gdb.latency().reset();
     fed.genbank.latency().reset();
     let t0 = std::time::Instant::now();
@@ -117,8 +118,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  ... and {} more", rows.len() - 5);
     }
 
-    let gdb_m = session.driver_metrics("GDB")?;
-    let gb_m = session.driver_metrics("GenBank")?;
+    let gdb_m = session.driver_metrics("GDB")?.since(&gdb_before);
+    let gb_m = session.driver_metrics("GenBank")?.since(&gb_before);
     println!("\n— driver traffic —");
     println!(
         "GDB:     {} request(s), {} rows, {} bytes",

@@ -54,9 +54,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("no optimization at all", OptConfig::none()),
     ] {
         session.set_opt_config(config);
-        session.reset_metrics();
+        let before = session.driver_metrics("GDB")?;
         let v = session.query(loci22)?;
-        let m = session.driver_metrics("GDB")?;
+        let m = session.driver_metrics("GDB")?.since(&before);
         println!(
             "{label:>24}: {} request(s), {} rows shipped, result {} rows",
             m.requests,

@@ -188,10 +188,10 @@ fn duplicate_keys_share_one_flight_per_distinct_key() {
     // positions.
     let keys: Vec<i64> = (0..16).map(|i| pool[i % 6]).collect();
     bind_keys(&mut s, &keys);
-    s.reset_metrics();
+    let before = s.driver_metrics("GenBank").expect("metrics");
     let (plain, batched) = both_ways(&mut s, LINK_LIST);
     assert_eq!(plain, batched);
-    let m = s.driver_metrics("GenBank").expect("metrics");
+    let m = s.driver_metrics("GenBank").expect("metrics").since(&before);
     assert_eq!(m.batched_keys, 6, "duplicates must not inflate the batch: {m:?}");
     assert_eq!(m.batch_requests, 1, "6 distinct keys fit one wire request: {m:?}");
 }
@@ -220,9 +220,9 @@ fn batched_run_actually_batches() {
     let keys: Vec<i64> = (0..32).map(|i| pool[i % pool.len()]).collect();
     bind_keys(&mut s, &keys);
     set_batching(&mut s, true);
-    s.reset_metrics();
+    let before = s.driver_metrics("GenBank").expect("metrics");
     s.query(LINK_SET).expect("query");
-    let m = s.driver_metrics("GenBank").expect("metrics");
+    let m = s.driver_metrics("GenBank").expect("metrics").since(&before);
     assert!(
         m.batch_requests >= 1 && m.batched_keys >= 16,
         "batching never engaged: {m:?}"
@@ -436,9 +436,9 @@ fn two_hop_run_actually_stages() {
                 .contains("batch/stage-dependent-remote-loop"),
             "{kind:?} loop was not staged"
         );
-        s.reset_metrics();
+        let before = s.driver_metrics("GenBank").expect("metrics");
         s.query(&query).expect("query");
-        let m = s.driver_metrics("GenBank").expect("metrics");
+        let m = s.driver_metrics("GenBank").expect("metrics").since(&before);
         assert_eq!((m.requests, m.batched_keys), (6, 80), "{kind:?}: {m:?}");
     }
 }

@@ -167,14 +167,15 @@ fn doe_query_ships_one_relational_request() {
     let (session, fed) = federation_of(1200);
     let loci = fed.gdb_data.expected_loci("22").len() as u64;
     assert!(loci > 16, "the seed must give each hop more than one chunk");
-    session.reset_metrics();
+    let gdb_before = session.driver_metrics("GDB").expect("gdb metrics");
+    let gb_before = session.driver_metrics("GenBank").expect("genbank metrics");
     let _ = session.query(DOE).expect("query");
-    let gdb = session.driver_metrics("GDB").expect("gdb metrics");
+    let gdb = session.driver_metrics("GDB").expect("gdb metrics").since(&gdb_before);
     assert_eq!(gdb.requests, 1, "Loci22 must be a single shipped SQL query");
     // Staged, each hop sees all its keys: ceil(n/16) multi-key requests
     // for the accession look-ups, as many again for the links, and not
     // one key travelling alone.
-    let gb = session.driver_metrics("GenBank").expect("genbank metrics");
+    let gb = session.driver_metrics("GenBank").expect("genbank metrics").since(&gb_before);
     assert_eq!(gb.requests, 2 * loci.div_ceil(16), "{gb:?}");
     assert_eq!(gb.batch_requests, gb.requests, "{gb:?}");
     assert_eq!(gb.batched_keys, 2 * loci, "{gb:?}");
@@ -295,12 +296,12 @@ fn row_stream_session(latency: LatencyModel) -> Session {
 #[test]
 fn a_served_table_scan_fills_one_wave_of_connections() {
     let served = |session: &Session, text: &str| {
-        session.reset_metrics();
+        let before = session.driver_metrics("GDB").expect("metrics");
         let plan = session.compile_shared(text).expect("compile");
         let handle = session.start(&plan, How::default());
         assert!(!handle.from_cache());
         let value = handle.wait().expect("query");
-        let m = session.driver_metrics("GDB").expect("metrics");
+        let m = session.driver_metrics("GDB").expect("metrics").since(&before);
         (value, m.requests, m.rows_shipped)
     };
     // Rows that cost wall-clock time (as little as a sleep can cost): the
@@ -354,19 +355,19 @@ fn a_served_table_scan_fills_one_wave_of_connections() {
         assert!(also.contains(&optimized), "{also}");
     }
     // `query` reads to the end as the server does: one wave.
-    paced.reset_metrics();
+    let before = paced.driver_metrics("GDB").expect("metrics");
     assert_eq!(paced.query(ROW_STREAM[0]).expect("query").len(), Some(100));
-    assert_eq!(paced.driver_metrics("GDB").expect("metrics").requests, 8);
+    assert_eq!(paced.driver_metrics("GDB").expect("metrics").since(&before).requests, 8);
     // A prefix is one request that ships one window (of rows not yet
     // read) at most.
-    paced.reset_metrics();
+    let before = paced.driver_metrics("GDB").expect("metrics");
     let plan = paced.compile_shared(ROW_STREAM[0]).expect("compile");
     let first = How {
         limit: Some(1),
         ..How::default()
     };
     assert_eq!(paced.start(&plan, first).wait().expect("prefix").len(), Some(1));
-    let m = paced.driver_metrics("GDB").expect("metrics");
+    let m = paced.driver_metrics("GDB").expect("metrics").since(&before);
     assert_eq!(m.requests, 1);
     assert!(m.rows_shipped <= 1 + 32 + 2, "{} rows for a prefix of 1", m.rows_shipped);
 }

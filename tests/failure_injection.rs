@@ -3,11 +3,12 @@
 //! panics or wrong answers.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use kleisli::{How, QueryHandle, Session};
 use kleisli_core::{
-    blocks_of_rows, BlockStream, Capabilities, Driver, DriverRequest, KError, KResult, Value,
+    blocks_of_rows, BlockStream, Capabilities, Driver, DriverRequest, DriverResilience, KError,
+    KResult, Value,
 };
 
 /// A driver that fails in configurable ways.
@@ -18,6 +19,7 @@ struct FlakyDriver {
     /// yield this many rows, then fail mid-stream
     fail_after: Option<usize>,
     calls: AtomicU64,
+    resilience: OnceLock<Arc<DriverResilience>>,
 }
 
 impl Driver for FlakyDriver {
@@ -26,6 +28,9 @@ impl Driver for FlakyDriver {
     }
     fn capabilities(&self) -> Capabilities {
         Capabilities::default()
+    }
+    fn resilience(&self) -> &Arc<DriverResilience> {
+        self.resilience.get_or_init(|| DriverResilience::of(self, Arc::default()))
     }
     fn perform(&self, _req: &DriverRequest) -> KResult<BlockStream> {
         self.calls.fetch_add(1, Ordering::Relaxed);
@@ -79,6 +84,7 @@ fn refused_connection_is_a_driver_error() {
         refuse: true,
         fail_after: None,
         calls: AtomicU64::new(0),
+        resilience: OnceLock::new(),
     });
     let err = s
         .query(r#"{x.n | \x <- DOWN([class = "anything"])}"#)
@@ -96,6 +102,7 @@ fn mid_stream_failure_propagates() {
         refuse: false,
         fail_after: Some(4),
         calls: AtomicU64::new(0),
+        resilience: OnceLock::new(),
     });
     let err = s
         .query(r#"{x.n | \x <- FLAKY([class = "c"])}"#)
@@ -138,6 +145,7 @@ fn malformed_driver_requests_are_eval_errors() {
         refuse: false,
         fail_after: None,
         calls: AtomicU64::new(0),
+        resilience: OnceLock::new(),
     });
     // not a record
     assert!(s.query(r#"D(42)"#).is_err());
@@ -400,28 +408,26 @@ fn dropping_a_query_over_a_wedged_driver_neither_blocks_nor_leaks_the_ticket() {
 // every waiter resolves with the shared error.
 // ---------------------------------------------------------------------------
 
-use kleisli_core::{BatchPolicy, DriverRef, DriverResilience, Fetch, ResilientHandle};
+use kleisli_core::{BatchPolicy, DriverRef, Fetch, ResilientHandle};
 
 #[test]
 fn a_failing_batched_wire_request_fails_every_key_and_charges_the_breaker_once_per_attempt() {
     let drv = SlowDriver::new("SRC", 3, Duration::from_millis(1), 2);
     drv.set_fault(Fault::FailRequests(u32::MAX));
     let dref: DriverRef = drv.clone();
-    let res = Arc::new(DriverResilience::with_batching(
-        "SRC",
-        ResiliencePolicy {
-            retry: Some(RetryPolicy {
-                max_retries: 2,
-                base_backoff: Duration::from_millis(1),
-                max_backoff: Duration::from_millis(2),
-            }),
-            breaker: Some(BreakerPolicy {
-                failure_threshold: 3,
-                cooldown: Duration::from_secs(60),
-            }),
-        },
-        Some(BatchPolicy { max_keys: 16 }),
-    ));
+    drv.set_resilience(ResiliencePolicy {
+        retry: Some(RetryPolicy {
+            max_retries: 2,
+            base_backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(2),
+        }),
+        breaker: Some(BreakerPolicy {
+            failure_threshold: 3,
+            cooldown: Duration::from_secs(60),
+        }),
+    });
+    drv.set_batching(Some(BatchPolicy { max_keys: 16 }));
+    let res = Arc::clone(drv.resilience());
     let reqs: Vec<kleisli_core::DriverRequest> = (0..8)
         .map(|uid| kleisli_core::DriverRequest::EntrezLinks {
             db: "na".into(),
@@ -458,7 +464,7 @@ fn a_failing_batched_wire_request_fails_every_key_and_charges_the_breaker_once_p
     // budget ran out.
     assert_eq!(drv.batch_performs.load(Ordering::SeqCst), 3);
     assert_eq!(drv.performs.load(Ordering::SeqCst), 0);
-    let m = res.metrics_snapshot();
+    let m = drv.metrics();
     assert_eq!(m.retries, 2, "{m:?}");
     assert_eq!(m.breaker_opens, 1, "{m:?}");
     assert_eq!(m.batch_requests, 1, "8 keys fit one wire request: {m:?}");
@@ -536,11 +542,12 @@ fn a_prefix_over_a_two_hop_loop_reads_one_chunk_ahead_per_hop() {
     }
 
     // The full drain, for contrast: every key, ceil(100/16) requests.
-    s.reset_metrics();
+    let metrics = |name| s.driver_metrics(name).expect("metrics");
+    let before = ["HOP1", "HOP2"].map(metrics);
     assert_eq!(s.query(TWO_HOP).expect("query").len(), Some(100));
     assert_two_hop_quiescent(&s, &hops);
-    for name in ["HOP1", "HOP2"] {
-        let m = s.driver_metrics(name).expect("metrics");
+    for (name, before) in ["HOP1", "HOP2"].into_iter().zip(before) {
+        let m = metrics(name).since(&before);
         assert_eq!((m.batched_keys, m.batch_requests), (100, 7), "{name}");
     }
 }

@@ -255,6 +255,28 @@ fn one_flight_table() {
     assert_eq!(tables, Vec::<String>::new());
 }
 
+/// One resilience state per driver. A driver builds its `DriverResilience`
+/// once and every session that registers it shares that breaker, flight
+/// table and counter set (`Driver::resilience`); an executor, session or
+/// server layer naming the type is building a second one per context, and
+/// a `reset_metrics` is a second path to counters that only grow — a
+/// reader takes `MetricsSnapshot::since` instead.
+#[test]
+fn one_resilience_per_driver() {
+    let naming = |files: Vec<Source>, word: &str| -> Vec<String> {
+        let lines = files.into_iter().flat_map(|s| {
+            let at = |(number, line): &(usize, String)| {
+                names_word(line, word).then(|| format!("{}:{number}", s.path))
+            };
+            s.lines.iter().filter_map(at).collect::<Vec<_>>()
+        });
+        lines.collect()
+    };
+    let layers = sources(&["crates/exec/src", "crates/kleisli/src", "crates/server/src"]);
+    assert_eq!(naming(layers, "DriverResilience"), Vec::<String>::new());
+    assert_eq!(naming(crate_sources(), "reset_metrics"), Vec::<String>::new());
+}
+
 /// The methods of the top-level block `header` opens in `file` that start
 /// work: named with one of the prefixes `verbs`, or returning one of the
 /// types `handles` — every method of a trait, the `pub` ones of an `impl`.

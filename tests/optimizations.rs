@@ -42,20 +42,20 @@ const LOCI22: &str = r#"{[locus_symbol = x, genbank_ref = y] |
 fn e7_pushdown_collapses_requests_and_virtual_latency() {
     let (mut session, fed) = federation(200);
 
-    session.reset_metrics();
+    let before = session.driver_metrics("GDB").unwrap();
     fed.gdb.latency().reset();
     let full = session.query(LOCI22).expect("full");
-    let full_requests = session.driver_metrics("GDB").unwrap().requests;
+    let full_requests = session.driver_metrics("GDB").unwrap().since(&before).requests;
     let full_latency = fed.gdb.latency().virtual_elapsed();
 
     session.set_opt_config(OptConfig {
         enable_pushdown: false,
         ..OptConfig::default()
     });
-    session.reset_metrics();
+    let before = session.driver_metrics("GDB").unwrap();
     fed.gdb.latency().reset();
     let local = session.query(LOCI22).expect("local");
-    let local_requests = session.driver_metrics("GDB").unwrap().requests;
+    let local_requests = session.driver_metrics("GDB").unwrap().since(&before).requests;
     let local_latency = fed.gdb.latency().virtual_elapsed();
 
     assert_eq!(full, local, "same answer");
@@ -70,17 +70,17 @@ fn e7_pushdown_collapses_requests_and_virtual_latency() {
 #[test]
 fn e7_pushdown_ships_fewer_rows_and_bytes() {
     let (mut session, _fed) = federation(200);
-    session.reset_metrics();
+    let before = session.driver_metrics("GDB").unwrap();
     let _ = session.query(LOCI22).expect("full");
-    let with = session.driver_metrics("GDB").unwrap();
+    let with = session.driver_metrics("GDB").unwrap().since(&before);
 
     session.set_opt_config(OptConfig {
         enable_pushdown: false,
         ..OptConfig::default()
     });
-    session.reset_metrics();
+    let before = session.driver_metrics("GDB").unwrap();
     let _ = session.query(LOCI22).expect("local");
-    let without = session.driver_metrics("GDB").unwrap();
+    let without = session.driver_metrics("GDB").unwrap().since(&before);
 
     assert!(
         with.rows_shipped < without.rows_shipped / 5,
@@ -108,17 +108,17 @@ fn e9_cache_fetches_inner_subquery_once() {
         enable_cache: true,
         ..base.clone()
     });
-    session.reset_metrics();
+    let before = session.driver_metrics("GDB").unwrap();
     let cached = session.query(q).expect("cached");
-    let with_cache = session.driver_metrics("GDB").unwrap().requests;
+    let with_cache = session.driver_metrics("GDB").unwrap().since(&before).requests;
 
     session.set_opt_config(OptConfig {
         enable_cache: false,
         ..base
     });
-    session.reset_metrics();
+    let before = session.driver_metrics("GDB").unwrap();
     let uncached = session.query(q).expect("uncached");
-    let without_cache = session.driver_metrics("GDB").unwrap().requests;
+    let without_cache = session.driver_metrics("GDB").unwrap().since(&before).requests;
 
     assert_eq!(cached, uncached, "same answer");
     assert_eq!(with_cache, 2, "outer scan + one cached inner fetch");
@@ -162,7 +162,7 @@ fn e11_parallel_gather_is_bounded_and_correct() {
 #[test]
 fn e10_first_n_ships_a_fraction_of_the_rows() {
     let (session, _fed) = federation(3000);
-    session.reset_metrics();
+    let before = session.driver_metrics("GDB").unwrap();
     let plan = session
         .compile_shared(r#"{[s = l.locus_symbol] | \l <- GDB-Tab("locus")}"#)
         .expect("compile");
@@ -172,7 +172,7 @@ fn e10_first_n_ships_a_fraction_of_the_rows() {
     };
     let rows = session.start(&plan, first_7).wait().expect("first_n");
     assert_eq!(rows.len(), Some(7));
-    let m = session.driver_metrics("GDB").unwrap();
+    let m = session.driver_metrics("GDB").unwrap().since(&before);
     // This federation's latency is virtual-only (an accounting tool), so
     // GDB advertises `prefetch_rows: 0` and laziness stays strict —
     // prefetch only engages for *real* (slept) per-row latency, where
@@ -270,9 +270,9 @@ fn a_constant_head_field_stays_local_when_the_rest_is_pushed_down() {
     let query = r#"{[sym = x, ref = y, nonce = 7] |
         [locus_symbol = \x, locus_id = \a, ...] <- GDB-Tab("locus"),
         [genbank_ref = \y, object_id = a, ...] <- GDB-Tab("object_genbank_eref")}"#;
-    session.reset_metrics();
+    let before = session.driver_metrics("GDB").unwrap();
     let pushed = session.query(query).expect("a constant head field");
-    let gdb = session.driver_metrics("GDB").unwrap();
+    let gdb = session.driver_metrics("GDB").unwrap().since(&before);
     assert_eq!(gdb.requests, 1, "still one SQL query");
     assert!(!pushed.elements().expect("a set").is_empty());
 
