@@ -28,7 +28,7 @@ pub enum KError {
         /// What the driver reported.
         msg: String,
     },
-    /// Malformed token stream / exchange text.
+    /// Malformed exchange text.
     Exchange(String),
     /// Malformed native-format data (SQL, ASN.1, ACE, FASTA, ...).
     Format {

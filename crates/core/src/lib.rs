@@ -10,8 +10,9 @@
 //! * [`types`] — the CPL type system, including open record/variant types.
 //! * [`remy`] — Rémy's directory+array record representation and the
 //!   homogeneous-projection fast path (Section 4 of the paper).
-//! * [`token`] — token streams and the textual exchange format used
-//!   between the system and its drivers.
+//! * [`token`] — the textual exchange format used between the system and
+//!   its drivers: the paper's token stream as lines, one per token,
+//!   written and read in one pass with no token type in between.
 //! * [`mod@print`] — CPL-syntax, HTML, and tabular printers.
 //! * [`block`] — columnar row batches ([`ValueBlock`]): the unit of
 //!   transfer between drivers, the prefetch buffer, and the executor.
@@ -81,8 +82,6 @@ pub use resilience::{
     BreakerPolicy, BreakerState, CancelToken, CircuitBreaker, DriverResilience, ResiliencePolicy,
     ResilientHandle, RetryPolicy,
 };
-pub use token::{
-    detokenize, read_exchange, tokenize, write_exchange, write_exchange_into, ExchangeSink, Token,
-};
+pub use token::{read_exchange, write_exchange, write_exchange_into, ExchangeSink};
 pub use types::Type;
 pub use value::{CollKind, Oid, Value};

@@ -15,7 +15,7 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 
@@ -62,21 +62,37 @@ impl fmt::Debug for Directory {
     }
 }
 
-/// Global directory interner. Record shapes are few (they come from
-/// schemas), so directories live for the life of the process.
-/// Interned directories keyed by their field-name shape.
-type DirMap = HashMap<Box<[Arc<str>]>, Arc<Directory>>;
+/// Interned directories keyed by their field-name shape, held weakly:
+/// records of one shape share one directory while any of them lives, and
+/// a shape no record uses any more leaves only a dead entry, pruned once
+/// the map has doubled since the last prune. Shapes come from query text
+/// and from peers' exchange text, not only from schemas, so holding them
+/// strongly would keep every shape ever built resident. A shape built
+/// again after its directory died gets a fresh one, with a fresh `magic`.
+type DirMap = HashMap<Box<[Arc<str>]>, Weak<Directory>>;
+
+/// The map's size below which it is never pruned.
+const MIN_PRUNE: usize = 256;
 
 struct Interner {
-    dirs: Mutex<DirMap>,
+    dirs: Mutex<Dirs>,
     next_magic: AtomicU64,
+}
+
+struct Dirs {
+    map: DirMap,
+    /// The map's size after the last prune.
+    pruned_to: usize,
 }
 
 fn interner() -> &'static Interner {
     use std::sync::OnceLock;
     static INTERNER: OnceLock<Interner> = OnceLock::new();
     INTERNER.get_or_init(|| Interner {
-        dirs: Mutex::new(HashMap::new()),
+        dirs: Mutex::new(Dirs {
+            map: HashMap::new(),
+            pruned_to: 0,
+        }),
         next_magic: AtomicU64::new(1),
     })
 }
@@ -85,8 +101,8 @@ fn interner() -> &'static Interner {
 fn intern(names: Box<[Arc<str>]>) -> Arc<Directory> {
     let it = interner();
     let mut dirs = it.dirs.lock();
-    if let Some(d) = dirs.get(&names) {
-        return Arc::clone(d);
+    if let Some(d) = dirs.map.get(&names).and_then(Weak::upgrade) {
+        return d;
     }
     let magic = it.next_magic.fetch_add(1, AtomicOrdering::Relaxed);
     let index = names
@@ -99,13 +115,18 @@ fn intern(names: Box<[Arc<str>]>) -> Arc<Directory> {
         magic,
         index,
     });
-    dirs.insert(names, Arc::clone(&dir));
+    dirs.map.insert(names, Arc::downgrade(&dir));
+    if dirs.map.len() >= MIN_PRUNE.max(2 * dirs.pruned_to) {
+        dirs.map.retain(|_, d| d.strong_count() > 0);
+        dirs.pruned_to = dirs.map.len();
+    }
     dir
 }
 
-/// Number of directories interned so far (diagnostics only).
+/// Entries in the directory interner, live or awaiting a prune
+/// (diagnostics only).
 pub fn interned_directory_count() -> usize {
-    interner().dirs.lock().len()
+    interner().dirs.lock().map.len()
 }
 
 /// A record value in Rémy representation.

@@ -1,193 +1,27 @@
-//! Token streams — Kleisli's mechanism for "laziness, pipelining and fast
-//! response" (Section 3).
+//! The exchange format — Kleisli's token stream (Section 3), spelled as
+//! text between the system and its drivers.
 //!
-//! A complex object is flattened into a stream of tokens so that a consumer
-//! (a driver, a printer, or the pipelined executor) can start working on a
-//! prefix of a value before the producer has finished materializing it. The
-//! textual exchange format used between drivers and the system is a direct
-//! rendering of this token stream.
+//! The paper flattens a complex object into a stream of tokens so that a
+//! consumer can start on a prefix of a value before the producer has
+//! finished it. Here that stream is lines, one per token: `U`, `B 0` /
+//! `B 1`, `I <decimal>`, `F <16 hex digits of the bits>`, `S <text>`,
+//! `C set|bag|list` … `c`, `R` then `L <name>` and its value per field …
+//! `r`, `V <tag>` and its value then `v`, and `O <class> <id>`; text has
+//! backslash, newline and carriage return escaped, so a token never spans
+//! lines. [`write_exchange_into`] writes a value's lines in one walk over
+//! it and [`read_exchange`] builds the value in one pass over its lines:
+//! there is no token type in between.
 
 use std::sync::Arc;
 
 use crate::error::{KError, KResult};
 use crate::value::{CollKind, Oid, Value};
 
-/// One token of the exchange stream.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Token {
-    /// The unit value `()`.
-    Unit,
-    /// A boolean literal.
-    Bool(bool),
-    /// An integer literal.
-    Int(i64),
-    /// A float literal.
-    Float(f64),
-    /// A string literal.
-    Str(Arc<str>),
-    /// Opens a collection of the given kind; closed by [`Token::EndColl`].
-    StartColl(CollKind),
-    /// Closes the innermost open collection.
-    EndColl,
-    /// Opens a record; closed by [`Token::EndRecord`].
-    StartRecord,
-    /// Introduces the next record field; followed by that field's value.
-    Field(Arc<str>),
-    /// Closes the innermost open record.
-    EndRecord,
-    /// Introduces a variant; followed by the payload value.
-    StartVariant(Arc<str>),
-    /// Closes the innermost open variant.
-    EndVariant,
-    /// An object reference by identity.
-    Ref(Oid),
-}
-
-/// Lazily tokenize a value (depth-first, with an explicit work stack so the
-/// stream is produced incrementally rather than all at once).
-pub struct Tokenizer {
-    stack: Vec<Frame>,
-}
-
-enum Frame {
-    Value(Value),
-    Emit(Token),
-}
-
-impl Tokenizer {
-    /// A tokenizer that will emit `v`'s token stream.
-    pub fn new(v: Value) -> Tokenizer {
-        Tokenizer {
-            stack: vec![Frame::Value(v)],
-        }
-    }
-}
-
-impl Iterator for Tokenizer {
-    type Item = Token;
-
-    fn next(&mut self) -> Option<Token> {
-        match self.stack.pop()? {
-            Frame::Emit(t) => Some(t),
-            Frame::Value(v) => match v {
-                Value::Unit => Some(Token::Unit),
-                Value::Bool(b) => Some(Token::Bool(b)),
-                Value::Int(i) => Some(Token::Int(i)),
-                Value::Float(x) => Some(Token::Float(x)),
-                Value::Str(s) => Some(Token::Str(s)),
-                Value::Ref(o) => Some(Token::Ref(o)),
-                ref coll @ (Value::Set(_) | Value::Bag(_) | Value::List(_)) => {
-                    let kind = coll.coll_kind().expect("collection");
-                    let es = coll.elements().expect("collection").to_vec();
-                    self.stack.push(Frame::Emit(Token::EndColl));
-                    for e in es.iter().rev() {
-                        self.stack.push(Frame::Value(e.clone()));
-                    }
-                    Some(Token::StartColl(kind))
-                }
-                Value::Record(r) => {
-                    self.stack.push(Frame::Emit(Token::EndRecord));
-                    let pairs: Vec<_> = r
-                        .iter()
-                        .map(|(n, fv)| (Arc::clone(n), fv.clone()))
-                        .collect();
-                    for (n, fv) in pairs.into_iter().rev() {
-                        self.stack.push(Frame::Value(fv));
-                        self.stack.push(Frame::Emit(Token::Field(n)));
-                    }
-                    Some(Token::StartRecord)
-                }
-                Value::Variant(tag, inner) => {
-                    self.stack.push(Frame::Emit(Token::EndVariant));
-                    self.stack.push(Frame::Value((*inner).clone()));
-                    Some(Token::StartVariant(tag))
-                }
-            },
-        }
-    }
-}
-
-/// Tokenize a value.
-pub fn tokenize(v: &Value) -> Tokenizer {
-    Tokenizer::new(v.clone())
-}
-
-/// How deeply a token stream may nest collections, records and variants.
-/// The stream may come from a peer, and rebuilding it recurses once per
-/// level: unbounded, a few hundred kilobytes of `C set` lines — far
+/// How deeply an exchange text may nest collections, records and
+/// variants. The text may come from a peer, and reading it recurses once
+/// per level: unbounded, a few hundred kilobytes of `C set` lines — far
 /// inside any frame limit — would overflow the reader's stack.
 pub const MAX_NESTING: usize = 256;
-
-/// Rebuild a value from a token stream. Fails on malformed streams, and
-/// on one nested deeper than [`MAX_NESTING`].
-pub fn detokenize<I: Iterator<Item = Token>>(tokens: &mut I) -> KResult<Value> {
-    next_value(tokens, 0)
-}
-
-fn next_value<I: Iterator<Item = Token>>(tokens: &mut I, depth: usize) -> KResult<Value> {
-    let tok = tokens
-        .next()
-        .ok_or_else(|| KError::exchange("unexpected end of token stream"))?;
-    value_from(tok, tokens, depth)
-}
-
-/// The value `tok` opens, itself `depth` levels down.
-fn value_from<I: Iterator<Item = Token>>(tok: Token, rest: &mut I, depth: usize) -> KResult<Value> {
-    if depth > MAX_NESTING {
-        return Err(KError::exchange(format!(
-            "value nested deeper than {MAX_NESTING} levels"
-        )));
-    }
-    match tok {
-        Token::Unit => Ok(Value::Unit),
-        Token::Bool(b) => Ok(Value::Bool(b)),
-        Token::Int(i) => Ok(Value::Int(i)),
-        Token::Float(x) => Ok(Value::Float(x)),
-        Token::Str(s) => Ok(Value::Str(s)),
-        Token::Ref(o) => Ok(Value::Ref(o)),
-        Token::StartColl(kind) => {
-            let mut elems = Vec::new();
-            loop {
-                match rest
-                    .next()
-                    .ok_or_else(|| KError::exchange("unterminated collection"))?
-                {
-                    Token::EndColl => break,
-                    t => elems.push(value_from(t, rest, depth + 1)?),
-                }
-            }
-            Ok(Value::collection(kind, elems))
-        }
-        Token::StartRecord => {
-            let mut fields = Vec::new();
-            loop {
-                match rest
-                    .next()
-                    .ok_or_else(|| KError::exchange("unterminated record"))?
-                {
-                    Token::EndRecord => break,
-                    Token::Field(n) => fields.push((n, next_value(rest, depth + 1)?)),
-                    other => {
-                        return Err(KError::exchange(format!(
-                            "expected field or end-of-record, got {other:?}"
-                        )))
-                    }
-                }
-            }
-            Ok(Value::record(fields))
-        }
-        Token::StartVariant(tag) => {
-            let inner = next_value(rest, depth + 1)?;
-            match rest.next() {
-                Some(Token::EndVariant) => Ok(Value::Variant(tag, Arc::new(inner))),
-                other => Err(KError::exchange(format!(
-                    "expected end-of-variant, got {other:?}"
-                ))),
-            }
-        }
-        other => Err(KError::exchange(format!("unexpected token {other:?}"))),
-    }
-}
 
 /// Where [`write_exchange_into`] puts its text: a `String`, a byte
 /// buffer, or a caller's bounded frame.
@@ -212,8 +46,7 @@ impl ExchangeSink for Vec<u8> {
 }
 
 /// Render a value in the line-oriented textual exchange format used
-/// between Kleisli and its drivers — one line per token of
-/// [`tokenize`]'s stream.
+/// between Kleisli and its drivers (module docs).
 pub fn write_exchange(v: &Value) -> String {
     let mut out = String::new();
     write_exchange_into(v, &mut out);
@@ -311,97 +144,129 @@ fn put_escaped(out: &mut impl ExchangeSink, text: &str) -> bool {
     out.put(&text[from..])
 }
 
-/// Parse the textual exchange format back into exactly one value: a
-/// malformed line fails with its own error, and so does any line after
-/// the value.
+/// Parse the textual exchange format back into exactly one value, in
+/// one pass over its lines: each value is built as its lines are read.
+/// A malformed line fails with its own error, and so do a value nested
+/// deeper than [`MAX_NESTING`] and any line after the value. Blank lines
+/// are skipped.
 pub fn read_exchange(text: &str) -> KResult<Value> {
-    let mut toks = text.lines().filter(|l| !l.is_empty()).map(parse_line);
-    let mut iter = ResultIter {
-        inner: &mut toks,
-        err: None,
-    };
-    let v = detokenize(&mut iter);
-    // A bad line ends the token stream early; the structural error that
-    // follows from that is not the one to report.
-    if let Some(e) = iter.err {
-        return Err(e);
-    }
-    let v = v?;
-    if toks.next().is_some() {
+    let mut lines = text.lines().filter(|l| !l.is_empty());
+    let v = read_value(next_line(&mut lines)?, &mut lines, 0)?;
+    if lines.next().is_some() {
         return Err(KError::exchange("trailing lines after the value"));
     }
     Ok(v)
 }
 
-struct ResultIter<'a, I: Iterator<Item = KResult<Token>>> {
-    inner: &'a mut I,
-    err: Option<KError>,
+fn next_line<'t>(lines: &mut impl Iterator<Item = &'t str>) -> KResult<&'t str> {
+    lines
+        .next()
+        .ok_or_else(|| KError::exchange("unexpected end of exchange text"))
 }
 
-impl<I: Iterator<Item = KResult<Token>>> Iterator for ResultIter<'_, I> {
-    type Item = Token;
-    fn next(&mut self) -> Option<Token> {
-        if self.err.is_some() {
-            return None;
-        }
-        match self.inner.next()? {
-            Ok(t) => Some(t),
-            Err(e) => {
-                self.err = Some(e);
-                None
+/// The value `line` opens, itself `depth` levels down; a collection,
+/// record or variant reads the lines up to its close from `rest`.
+fn read_value<'t>(
+    line: &'t str,
+    rest: &mut impl Iterator<Item = &'t str>,
+    depth: usize,
+) -> KResult<Value> {
+    if depth > MAX_NESTING {
+        return Err(KError::exchange(format!(
+            "value nested deeper than {MAX_NESTING} levels"
+        )));
+    }
+    // The lines that are their whole token: the writer puts nothing after
+    // these tags, and a `B` line is `B 0` or `B 1`.
+    match line {
+        "U" => return Ok(Value::Unit),
+        "B 0" => return Ok(Value::Bool(false)),
+        "B 1" => return Ok(Value::Bool(true)),
+        "R" => {
+            let mut fields = Vec::new();
+            loop {
+                let line = rest
+                    .next()
+                    .ok_or_else(|| KError::exchange("unterminated record"))?;
+                if line == "r" {
+                    return Ok(Value::record(fields));
+                }
+                let Some(name) = line.strip_prefix("L ") else {
+                    return Err(KError::exchange(format!(
+                        "expected field or end-of-record, got line {line:?}"
+                    )));
+                };
+                let name = unescape(name)?;
+                fields.push((name, read_value(next_line(rest)?, rest, depth + 1)?));
             }
         }
+        _ => {}
     }
-}
-
-fn parse_line(line: &str) -> KResult<Token> {
-    let (tag, rest) = match line.split_once(' ') {
-        Some((t, r)) => (t, r),
-        None => (line, ""),
+    let Some((tag, arg)) = line.split_once(' ') else {
+        return Err(unknown(line));
     };
     match tag {
-        "U" => Ok(Token::Unit),
-        "B" => Ok(Token::Bool(rest == "1")),
-        "I" => rest
+        "I" => arg
             .parse()
-            .map(Token::Int)
-            .map_err(|_| KError::exchange(format!("bad int: {rest}"))),
-        "F" => parse_hex_f64(rest)
-            .map(Token::Float)
-            .ok_or_else(|| KError::exchange(format!("bad float: {rest}"))),
-        "S" => Ok(Token::Str(Arc::from(unescape(rest)?))),
-        "C" => match rest {
-            "set" => Ok(Token::StartColl(CollKind::Set)),
-            "bag" => Ok(Token::StartColl(CollKind::Bag)),
-            "list" => Ok(Token::StartColl(CollKind::List)),
-            _ => Err(KError::exchange(format!("bad collection kind: {rest}"))),
-        },
-        "c" => Ok(Token::EndColl),
-        "R" => Ok(Token::StartRecord),
-        "L" => Ok(Token::Field(Arc::from(unescape(rest)?))),
-        "r" => Ok(Token::EndRecord),
-        "V" => Ok(Token::StartVariant(Arc::from(unescape(rest)?))),
-        "v" => Ok(Token::EndVariant),
+            .map(Value::Int)
+            .map_err(|_| KError::exchange(format!("bad int: {arg}"))),
+        "F" => u64::from_str_radix(arg, 16)
+            .map(|bits| Value::Float(f64::from_bits(bits)))
+            .map_err(|_| KError::exchange(format!("bad float: {arg}"))),
+        "S" => Ok(Value::Str(unescape(arg)?)),
+        "C" => {
+            let kind = match arg {
+                "set" => CollKind::Set,
+                "bag" => CollKind::Bag,
+                "list" => CollKind::List,
+                _ => return Err(KError::exchange(format!("bad collection kind: {arg}"))),
+            };
+            let mut elems = Vec::new();
+            loop {
+                let line = rest
+                    .next()
+                    .ok_or_else(|| KError::exchange("unterminated collection"))?;
+                if line == "c" {
+                    return Ok(Value::collection(kind, elems));
+                }
+                elems.push(read_value(line, rest, depth + 1)?);
+            }
+        }
+        "V" => {
+            let tag = unescape(arg)?;
+            let inner = read_value(next_line(rest)?, rest, depth + 1)?;
+            match rest.next() {
+                Some("v") => Ok(Value::Variant(tag, Arc::new(inner))),
+                other => Err(KError::exchange(format!(
+                    "expected end-of-variant, got {other:?}"
+                ))),
+            }
+        }
         "O" => {
-            let (class, id) = rest
+            let (class, id) = arg
                 .rsplit_once(' ')
                 .ok_or_else(|| KError::exchange("bad ref"))?;
-            Ok(Token::Ref(Oid {
-                class: Arc::from(unescape(class)?),
+            Ok(Value::Ref(Oid {
+                class: unescape(class)?,
                 id: id
                     .parse()
                     .map_err(|_| KError::exchange(format!("bad oid: {id}")))?,
             }))
         }
-        _ => Err(KError::exchange(format!("unknown token line: {line}"))),
+        _ => Err(unknown(line)),
     }
 }
 
-fn parse_hex_f64(s: &str) -> Option<f64> {
-    u64::from_str_radix(s, 16).ok().map(f64::from_bits)
+fn unknown(line: &str) -> KError {
+    KError::exchange(format!("unknown exchange line: {line:?}"))
 }
 
-fn unescape(s: &str) -> KResult<String> {
+/// `s` with its escapes undone; a run with no backslash goes from the
+/// line straight into the `Arc`.
+fn unescape(s: &str) -> KResult<Arc<str>> {
+    if !s.contains('\\') {
+        return Ok(Arc::from(s));
+    }
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -418,7 +283,7 @@ fn unescape(s: &str) -> KResult<String> {
             out.push(c);
         }
     }
-    Ok(out)
+    Ok(Arc::from(out))
 }
 
 #[cfg(test)]
@@ -452,15 +317,6 @@ mod tests {
                 ("year", Value::Int(1990)),
             ]),
         ])
-    }
-
-    #[test]
-    fn tokenize_detokenize_roundtrip() {
-        let v = sample();
-        let mut toks = tokenize(&v);
-        let back = detokenize(&mut toks).unwrap();
-        assert_eq!(v, back);
-        assert!(toks.next().is_none(), "no trailing tokens");
     }
 
     #[test]
@@ -539,15 +395,6 @@ mod tests {
         assert!(read_exchange(&nested(MAX_NESTING)).is_ok());
         let err = read_exchange(&nested(200_000)).unwrap_err();
         assert!(err.to_string().contains("nested deeper"), "{err}");
-    }
-
-    #[test]
-    fn tokenizer_is_incremental() {
-        // The first token of a large set arrives without traversing it all.
-        let big = Value::set((0..10_000).map(Value::Int).collect());
-        let mut t = tokenize(&big);
-        assert_eq!(t.next(), Some(Token::StartColl(CollKind::Set)));
-        assert_eq!(t.next(), Some(Token::Int(0)));
     }
 
     #[test]

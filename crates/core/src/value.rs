@@ -26,7 +26,7 @@ pub enum CollKind {
 }
 
 impl CollKind {
-    /// Short lowercase name, used in error messages and the token format.
+    /// Short lowercase name, used in error messages and the exchange format.
     pub fn name(self) -> &'static str {
         match self {
             CollKind::Set => "set",

@@ -1,41 +1,41 @@
 //! Property tests for the foundations everything else relies on: the
 //! total order over values (what keeps sets/bags canonical), record
-//! shape-sharing, and the token / exchange-format round-trips.
+//! shape-sharing, and the exchange-format writer and round-trip.
 
 use std::sync::Arc;
 
-use kleisli_core::{
-    detokenize, read_exchange, tokenize, write_exchange, write_exchange_into, Oid, Token, Value,
-};
+use kleisli_core::{read_exchange, write_exchange, write_exchange_into, Oid, Value};
 use proptest::prelude::*;
 
-/// The exchange text as the token stream spells it, one `format!` per
-/// token — the definition the direct writer is checked against.
+/// The exchange text spelled from the format's definition (`core::token`'s
+/// module docs), one `format!` per line — the definition the direct
+/// writer is checked against.
 fn exchange_by_tokens(v: &Value) -> String {
     fn escape(s: &str) -> String {
         s.replace('\\', "\\\\")
             .replace('\n', "\\n")
             .replace('\r', "\\r")
     }
-    let mut out = String::new();
-    for t in tokenize(v) {
-        out.push_str(&match t {
-            Token::Unit => "U\n".to_string(),
-            Token::Bool(b) => format!("B {}\n", u8::from(b)),
-            Token::Int(i) => format!("I {i}\n"),
-            Token::Float(x) => format!("F {:016x}\n", x.to_bits()),
-            Token::Str(s) => format!("S {}\n", escape(&s)),
-            Token::StartColl(k) => format!("C {}\n", k.name()),
-            Token::EndColl => "c\n".to_string(),
-            Token::StartRecord => "R\n".to_string(),
-            Token::Field(n) => format!("L {}\n", escape(&n)),
-            Token::EndRecord => "r\n".to_string(),
-            Token::StartVariant(t) => format!("V {}\n", escape(&t)),
-            Token::EndVariant => "v\n".to_string(),
-            Token::Ref(o) => format!("O {} {}\n", escape(&o.class), o.id),
-        });
+    match v {
+        Value::Unit => "U\n".to_string(),
+        Value::Bool(b) => format!("B {}\n", u8::from(*b)),
+        Value::Int(i) => format!("I {i}\n"),
+        Value::Float(x) => format!("F {:016x}\n", x.to_bits()),
+        Value::Str(s) => format!("S {}\n", escape(s)),
+        Value::Set(es) | Value::Bag(es) | Value::List(es) => {
+            let kind = v.coll_kind().expect("a collection").name();
+            let elems: String = es.iter().map(exchange_by_tokens).collect();
+            format!("C {kind}\n{elems}c\n")
+        }
+        Value::Record(r) => {
+            let field = |(n, fv): (&Arc<str>, &Value)| {
+                format!("L {}\n{}", escape(n), exchange_by_tokens(fv))
+            };
+            format!("R\n{}r\n", r.iter().map(field).collect::<String>())
+        }
+        Value::Variant(t, inner) => format!("V {}\n{}v\n", escape(t), exchange_by_tokens(inner)),
+        Value::Ref(o) => format!("O {} {}\n", escape(&o.class), o.id),
     }
-    out
 }
 
 /// An arbitrary value, nesting up to `depth`.
@@ -144,14 +144,6 @@ proptest! {
     }
 
     #[test]
-    fn tokenize_roundtrip(v in value(4)) {
-        let mut toks = tokenize(&v);
-        let back = detokenize(&mut toks).expect("detokenize");
-        prop_assert_eq!(&back, &v);
-        prop_assert!(toks.next().is_none(), "no trailing tokens");
-    }
-
-    #[test]
     fn direct_writer_is_byte_identical_to_the_token_stream(v in value(4)) {
         let by_tokens = exchange_by_tokens(&v);
         prop_assert_eq!(&write_exchange(&v), &by_tokens);
@@ -186,4 +178,27 @@ proptest! {
         let wrapped = Value::set(vec![v.clone()]);
         prop_assert!(wrapped.approx_size() >= v.approx_size());
     }
+}
+
+/// A record shape no record uses any more does not stay resident: shapes
+/// come from query text and peers' exchange text, so the directory
+/// interner holds them weakly and prunes the dead ones as it grows.
+#[test]
+fn dropped_record_shapes_do_not_stay_interned() {
+    let bound = 512;
+    for i in 0..10_000 {
+        let built = Value::record_from(vec![(format!("built_{i}").as_str(), Value::Int(i))]);
+        drop(built);
+        let text = format!("R\nL read_{i}\nI {i}\nr\n");
+        drop(read_exchange(&text).expect("a record"));
+        let count = kleisli_core::remy::interned_directory_count();
+        assert!(count < bound, "{count} directories interned after {i} shapes");
+    }
+    // Live records of one shape still share one directory.
+    let a = Value::record_from(vec![("kept", Value::Int(1))]);
+    let b = read_exchange("R\nL kept\nI 2\nr\n").expect("a record");
+    let (Value::Record(a), Value::Record(b)) = (&a, &b) else {
+        unreachable!()
+    };
+    assert_eq!(a.magic(), b.magic());
 }

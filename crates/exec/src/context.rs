@@ -6,6 +6,7 @@
 //! registers it ([`kleisli_core::Driver::resilience`]).
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -15,6 +16,7 @@ use kleisli_core::resilience::{CancelToken, ResilientHandle};
 use kleisli_core::testutil::Quiescent;
 use kleisli_core::{
     DriverRef, DriverRequest, Executor, Fetch, Join, KError, KResult, Oid, SingleFlight, Value,
+    ValueBlock,
 };
 
 /// Resolves object references for sources with object identity (ACE).
@@ -42,10 +44,19 @@ pub struct Context {
     deadline: Option<Instant>,
     /// Per-query cooperative cancellation; see [`CancelToken`].
     cancel: Option<Arc<CancelToken>>,
+    /// Per-query byte budget ([`Context::with_byte_budget`]), shared by
+    /// every clone of the query's context.
+    bytes: Option<Arc<ByteBudget>>,
     /// This clone evaluates an expression that mentions no remote source
     /// ([`Context::for_bodies`]): nothing under it can start ahead, and the
     /// evaluator need not look.
     remote_free: bool,
+}
+
+/// What a query's generators may materialize, and what they have.
+struct ByteBudget {
+    limit: u64,
+    spent: AtomicU64,
 }
 
 struct CtxInner {
@@ -85,6 +96,7 @@ impl Context {
             }),
             deadline: None,
             cancel: None,
+            bytes: None,
             remote_free: false,
         }
     }
@@ -143,6 +155,38 @@ impl Context {
         let mut c = self.clone();
         c.cancel = Some(token);
         c
+    }
+
+    /// A clone of this context whose generators charge every block they
+    /// return, in `Value::approx_bytes`, to one fresh budget of `limit`
+    /// bytes, shared by every clone made from it — a `ParExt` chunk's
+    /// bodies charge the same count. The charge is what was produced,
+    /// not what is still held, so it bounds a query's heap from above.
+    pub fn with_byte_budget(&self, limit: u64) -> Context {
+        let mut c = self.clone();
+        c.bytes = Some(Arc::new(ByteBudget {
+            limit,
+            spent: AtomicU64::new(0),
+        }));
+        c
+    }
+
+    /// Charge `block` to the query's byte budget: the budget's error once
+    /// the charges have passed it. A context with no budget charges
+    /// nothing.
+    pub(crate) fn charge(&self, block: &ValueBlock) -> KResult<()> {
+        let Some(budget) = &self.bytes else {
+            return Ok(());
+        };
+        let rows = block.rows().iter().flatten();
+        let bytes: u64 = rows.map(Value::approx_bytes).sum();
+        if budget.spent.fetch_add(bytes, Ordering::Relaxed) + bytes > budget.limit {
+            return Err(KError::eval(format!(
+                "query exceeded its memory budget of {} bytes",
+                budget.limit
+            )));
+        }
+        Ok(())
     }
 
     /// The clone an operator evaluates `bodies` under, once per element:

@@ -1137,7 +1137,24 @@ impl Expand {
 }
 
 impl BlockSource for Generate {
+    /// Every block returned is charged to the query's byte budget
+    /// ([`Context::with_byte_budget`]); past it, the block is the
+    /// budget's error, which ends the stream.
     fn next_block(&mut self, max_rows: usize) -> Option<ValueBlock> {
+        let block = self.fill(max_rows)?;
+        match self.ctx.charge(&block) {
+            Ok(()) => Some(block),
+            Err(e) => {
+                self.failed = true;
+                Some(ValueBlock::of_err(e))
+            }
+        }
+    }
+}
+
+impl Generate {
+    /// The next block, of at most `max_rows` rows.
+    fn fill(&mut self, max_rows: usize) -> Option<ValueBlock> {
         if self.failed {
             return None;
         }

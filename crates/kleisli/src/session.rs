@@ -178,11 +178,17 @@ impl Compiled {
 /// * `cancel` — a token the caller keeps and may fire from anywhere
 ///   (the server's CANCEL frame); a fresh one when `None`.
 ///   [`QueryHandle::cancel`] fires the same token.
+/// * `max_bytes` — a budget on what the evaluation materializes: every
+///   block a generator (`Ext`, `Join`, `ParExt`) returns is charged its
+///   rows' `Value::approx_bytes`, and once the charges pass the budget
+///   the query fails with an error naming it, dropping its streams (and
+///   so cancelling their requests). A cache hit charges nothing.
 #[derive(Clone, Default)]
 pub struct How {
     pub limit: Option<usize>,
     pub deadline: Option<Duration>,
     pub cancel: Option<Arc<CancelToken>>,
+    pub max_bytes: Option<u64>,
 }
 
 /// How far a started query has progressed.
@@ -801,10 +807,14 @@ impl Session {
         let cancel = how.cancel.unwrap_or_default();
         // Thread the query budget into the evaluation context: every
         // remote wait and block boundary below this clone observes the
-        // deadline and the cancellation token.
+        // deadline and the cancellation token, and every generator
+        // charges the byte budget.
         let mut ctx = self.ctx.with_cancel_token(Arc::clone(&cancel));
         if let Some(budget) = how.deadline {
             ctx = ctx.with_deadline(Instant::now() + budget);
+        }
+        if let Some(limit) = how.max_bytes {
+            ctx = ctx.with_byte_budget(limit);
         }
         let ticket = match (&self.result_cache, how.limit) {
             (Some(cache), None) => {

@@ -19,7 +19,7 @@
 //! [`Response::Stats`] (a JSON document, UTF-8), [`Response::Flushed`]
 //! (two 8-byte big-endian counts: plans flushed, results flushed).
 //!
-//! Values cross the wire in the [`kleisli_core::write_exchange`] token
+//! Values cross the wire in the [`kleisli_core::write_exchange`] line
 //! format — the same self-describing exchange format drivers use, per
 //! the paper's uniform-exchange-language design.
 
@@ -299,8 +299,9 @@ pub fn decode_response(payload: &[u8]) -> io::Result<Response> {
                 1 => ServedFrom::SharedCache,
                 other => return Err(malformed(format!("bad served-from byte {other}"))),
             };
-            let text = utf8_body(text, "result value")?;
-            let value = read_exchange(&text)
+            let text = std::str::from_utf8(text)
+                .map_err(|_| malformed("result value is not UTF-8"))?;
+            let value = read_exchange(text)
                 .map_err(|e| malformed(format!("bad value payload: {e}")))?;
             Ok(Response::Result { id, served, value })
         }

@@ -42,6 +42,17 @@
 //! reply is written once, straight into the frame the writer puts on the
 //! socket ([`encode_result_frame`]).
 //!
+//! # The byte budget
+//!
+//! Every query evaluates under a byte budget ([`kleisli::How::max_bytes`])
+//! of 16 bytes per byte of [`ServerConfig::max_result_frame`], and never
+//! less than 16 MiB: a value in memory is several times its exchange
+//! text (a 4-byte `I 7` line is a 32-byte `Value`), and a row is charged
+//! once per generator it passes. A text that asks for more — six
+//! generators over one 20-element literal is 64 M records — gets an
+//! `Error` frame naming the budget, and the connection and every other
+//! query keep being served.
+//!
 //! # Admission (per-tenant fair share)
 //!
 //! A connection is a tenant. Each has
@@ -161,7 +172,8 @@ pub struct ServerConfig {
     pub write_deadline: Duration,
     /// Largest result frame the server will send (capped by the
     /// protocol's `MAX_FRAME_LEN`); a larger result becomes a clean
-    /// `Error` frame instead of a hung client.
+    /// `Error` frame instead of a hung client. It also sets every
+    /// query's byte budget (module docs, "The byte budget").
     pub max_result_frame: usize,
 }
 
@@ -233,6 +245,11 @@ impl ServerShared {
     /// Largest RESULT payload this server sends.
     fn result_limit(&self) -> usize {
         self.config.max_result_frame.min(MAX_FRAME_LEN)
+    }
+
+    /// The byte budget each query evaluates under (module docs).
+    fn query_budget(&self) -> u64 {
+        (16 * self.result_limit() as u64).max(16 << 20)
     }
 
     /// Run slots taken and queries waiting for one, over every
@@ -1147,6 +1164,7 @@ fn run_query(slot: &RunSlot, id: u64, src: &str) {
         catch_unwind(AssertUnwindSafe(|| {
             let how = How {
                 cancel: Some(token),
+                max_bytes: Some(shared.query_budget()),
                 ..How::default()
             };
             let handle = session.start(&session.compile_shared(src)?, how);

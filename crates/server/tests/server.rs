@@ -474,6 +474,44 @@ fn oversized_results_become_clean_error_frames() {
     assert_eq!(v, Value::Int(50));
 }
 
+/// Six generators over one 20-element literal: 20⁶ = 64 M records from
+/// a text of about 500 bytes.
+fn six_generators() -> String {
+    let twenty: Vec<String> = (1..=20).map(|i| i.to_string()).collect();
+    let twenty = twenty.join(", ");
+    let names = ["a", "b", "c", "d", "e", "f"];
+    let fields: Vec<String> = names.iter().map(|n| format!("{n} = {n}")).collect();
+    let generators: Vec<String> = names.iter().map(|n| format!(r"\{n} <- {{{twenty}}}")).collect();
+    format!("{{[{}] | {}}}", fields.join(", "), generators.join(", "))
+}
+
+#[test]
+fn a_query_past_its_byte_budget_is_an_error_frame_and_everyone_keeps_being_served() {
+    let config = ServerConfig {
+        max_result_frame: 1024,
+        ..ServerConfig::default()
+    };
+    let server = serve_ephemeral(config, local_registrar()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let probe = six_generators();
+    assert!(probe.len() < 600, "{}", probe.len());
+
+    match client.query(&probe).unwrap() {
+        QueryReply::Error(message) => {
+            assert!(message.contains("memory budget"), "{message}");
+        }
+        other => panic!("expected the budget's error, got {other:?}"),
+    }
+    // The same connection, and a second one, are served.
+    let (v, _) = client.query("count(DB)").unwrap().into_value().unwrap();
+    assert_eq!(v, Value::Int(50));
+    let mut second = Client::connect(server.addr()).unwrap();
+    let (v, _) = second.query(r"sum({x.v | \x <- DB})").unwrap().into_value().unwrap();
+    assert_eq!(v, Value::Int(49 * 50 / 2));
+    drop((client, second));
+    assert_quiescent(&[&server]);
+}
+
 // ---------------------------------------------------------------------
 // FLUSH over the wire: refreshing a source invalidates exactly the
 // entries derived from it, and the invalidation generations move.

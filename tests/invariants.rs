@@ -277,6 +277,26 @@ fn one_resilience_per_driver() {
     assert_eq!(naming(crate_sources(), "reset_metrics"), Vec::<String>::new());
 }
 
+/// One exchange reader. The exchange format is lines, one per token:
+/// `write_exchange_into` writes a value's lines in one walk over it and
+/// `read_exchange` builds the value in one pass over them. A token type
+/// between text and `Value`, or a tokenizer producing it, is a second
+/// spelling of every value that crosses the wire, to be kept in step with
+/// the first. (`cpl::lexer`'s `Token` is the query language's.)
+#[test]
+fn one_exchange_reader() {
+    let mut naming = Vec::new();
+    for s in sources(&["crates/core/src"]) {
+        for (number, line) in &s.lines {
+            let declares = line.contains("enum Token") && names_word(line, "Token");
+            if declares || names_word(line, "Tokenizer") || names_word(line, "detokenize") {
+                naming.push(format!("{}:{number}", s.path));
+            }
+        }
+    }
+    assert_eq!(naming, Vec::<String>::new());
+}
+
 /// The methods of the top-level block `header` opens in `file` that start
 /// work: named with one of the prefixes `verbs`, or returning one of the
 /// types `handles` — every method of a trait, the `pub` ones of an `impl`.

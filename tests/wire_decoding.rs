@@ -240,6 +240,28 @@ fn a_malformed_line_reports_its_own_error() {
 }
 
 #[test]
+fn a_line_the_writer_never_writes_is_an_error_naming_it() {
+    // A `B` line is `B 0` or `B 1`; `U`, `R`, `c`, `r` and `v` stand alone.
+    for (text, line) in [
+        ("B 7\n", "B 7"),
+        ("B\n", "B"),
+        ("B 10\n", "B 10"),
+        ("U x\n", "U x"),
+        ("U \n", "U "),
+        ("R x\nr\n", "R x"),
+        ("C list\nc x\n", "c x"),
+        ("R\nr x\n", "r x"),
+        ("V tag\nU\nv x\n", "v x"),
+    ] {
+        let err = read_exchange(text).expect_err(text);
+        assert!(matches!(err, KError::Exchange(_)), "{text:?}: {err}");
+        assert!(err.to_string().contains(&format!("{line:?}")), "{text:?}: {err}");
+    }
+    assert_eq!(read_exchange("B 0\n").expect("false"), Value::Bool(false));
+    assert_eq!(read_exchange("B 1\n").expect("true"), Value::Bool(true));
+}
+
+#[test]
 fn nesting_as_deep_as_a_frame_allows_is_an_error_not_a_stack_overflow() {
     // 1.4 MB of a 64 MiB frame limit: each line opens one more level.
     let levels = 200_000;
