@@ -13,15 +13,15 @@
 //! sources, a multi-uid fetch for Entrez), a [`crate::Fetch::Batch`] of
 //! the driver's own ([`crate::Driver::fetch`]) — one job of its worker
 //! pool. Each key gets a [`Flight`] (a promise of that key's rows or
-//! error) registered in the driver's [`BatchWindow`], which each handle the
-//! batch fetch returns *holds* while it lives; when the wire request's keys
-//! are answered, every flight is resolved, and the per-element consumers
-//! *attach* — they park on the flight's [`OneShot`] and replay its shared
-//! reply. A window or full fetch of a request whose flight is held —
-//! pending or resolved — attaches to it, and so does one whose flight is
-//! pending but no longer held (counted as `coalesced`); one that finds
-//! neither keeps its own lazily streamed wire request and never registers
-//! a flight, so such fetches never share with each other.
+//! error) registered in the driver's [`BatchWindow`] while its wire request
+//! is in the air; when the wire request's keys are answered, every flight
+//! leaves the window and is resolved, and the per-element consumers —
+//! the handles the batch fetch returned, which a `ParExt` hands to its
+//! elements' bodies — replay its shared reply, as often as they are read.
+//! A window or full fetch of a request whose flight is still pending
+//! attaches to it (counted as `coalesced`); one that finds none keeps its
+//! own lazily streamed wire request and never registers a flight, so such
+//! fetches never share with each other.
 //!
 //! # Invariants
 //!
@@ -31,10 +31,10 @@
 //! * **Failures are charged once.** The batch operation records breaker
 //!   failures and `retries` per *wire* event; attached waiters receive
 //!   the cloned error without touching the breaker.
-//! * **Nothing outlives its batch fetch.** A resolved flight, `Ok` or
-//!   `Err`, leaves the window when its last holding handle is dropped
-//!   (at once, if none is left); the next submitter makes a fresh wire
-//!   request.
+//! * **Nothing outlives its wire request.** A flight, `Ok` or `Err`,
+//!   leaves the window as it resolves; the next submitter makes a fresh
+//!   wire request, and only the handles of the batch fetch and the
+//!   waiters that attached in the air still read its reply.
 //! * **A waiter giving up resolves only itself.** An attached waiter
 //!   waits in [`OneShot::wait_for`] under its own deadline and
 //!   cancellation token, like every waiter for another caller's result
@@ -182,7 +182,8 @@ impl BlockSource for Replay {
         }
         let max = max_rows.max(1);
         let rows = &self.reply.rows;
-        let mut block = ValueBlock::with_capacity(max.min(DEFAULT_BLOCK_ROWS));
+        // The rows left, and a slot for the terminal error.
+        let mut block = ValueBlock::with_capacity(max.min(rows.len() - self.pos + 1));
         while block.len() < max && self.pos < rows.len() {
             block.push_row(rows[self.pos].clone());
             self.pos += 1;
@@ -205,8 +206,7 @@ impl BlockSource for Replay {
 /// covering it resolves once, with that key's rows or error, and that
 /// every waiter reads a clone of. Created by a batch fetch
 /// (`DriverResilience::fetch`) and held by every attached
-/// `ResilientHandle` plus — while pending or held — the driver's
-/// [`BatchWindow`].
+/// `ResilientHandle` plus — while pending — the driver's [`BatchWindow`].
 pub struct Flight {
     pub(crate) key: u64,
     pub(crate) request: DriverRequest,
@@ -256,34 +256,16 @@ pub(crate) enum Joined {
     Lead(Arc<Flight>),
 }
 
-/// One flight of the window, with the number of live batch-fetch handles
-/// holding it and whether it has resolved.
-struct Entry {
-    flight: Arc<Flight>,
-    holds: usize,
-    resolved: bool,
-}
-
-/// The per-driver submit window: request hash → the flights a fetch of
-/// that request can attach to. A batch fetch registers or joins a flight
-/// and holds it once per handle it returns, and four rules follow:
-///
-/// * a resolved flight no handle holds leaves at once, so no result, `Ok`
-///   or `Err`, is served to a fetch that neither overlapped its wire
-///   request nor ran while a batch fetch of it was alive;
-/// * a held flight stays after it resolves, answering every window or full
-///   fetch of its request until its last holder is dropped — the span of
-///   the loop whose bodies a batch warm-up fetched for;
-/// * an unheld pending flight answers them too, each counted `coalesced`;
-/// * a batch fetch never attaches to a resolved flight: a later batch
-///   fetch of the request leads a fresh one;
-/// * a FLUSH of the source retires every resolved flight
-///   ([`crate::DriverResilience::retire_resolved`]): it leaves the window,
-///   its holders keep reading their own handles, and their releases find
-///   nothing.
+/// The per-driver submit window: request hash → the flights in the air
+/// for that request. A batch fetch joins a pending flight or leads a fresh
+/// one, any other fetch of a coalescable request attaches to a pending one
+/// if there is one, and a flight leaves the moment it resolves, `Ok` or
+/// `Err` — so no reply is served to a fetch that did not overlap its wire
+/// request. The batch fetch's own handles keep their flights and replay
+/// them as often as they are read.
 #[derive(Default)]
 pub struct BatchWindow {
-    entries: Mutex<HashMap<u64, Vec<Entry>>>,
+    entries: Mutex<HashMap<u64, Vec<Arc<Flight>>>>,
 }
 
 impl BatchWindow {
@@ -292,97 +274,55 @@ impl BatchWindow {
         BatchWindow::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Vec<Entry>>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Vec<Arc<Flight>>>> {
         self.entries.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Flights in the window right now, pending or held
-    /// (tests/inspection).
+    /// Flights in the air right now (tests/inspection).
     pub fn len(&self) -> usize {
         self.lock().values().map(Vec::len).sum()
     }
 
-    /// Whether the window holds no flights.
+    /// Whether no flight is in the air.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Attach to the pending flight for `req`, or register a fresh one
-    /// the caller must lead (the batched submit path). A resolved flight
-    /// is never joined.
+    /// the caller must lead (the batched submit path).
     pub(crate) fn join(&self, req: &DriverRequest) -> Joined {
         let mut map = self.lock();
         let chain = map.entry(request_key(req)).or_default();
-        if let Some(e) = chain.iter().find(|e| !e.resolved && e.flight.request == *req) {
-            return Joined::Attached(Arc::clone(&e.flight));
+        if let Some(f) = chain.iter().find(|f| f.request == *req) {
+            return Joined::Attached(Arc::clone(f));
         }
         let flight = Flight::new(req);
-        chain.push(Entry { flight: Arc::clone(&flight), holds: 0, resolved: false });
+        chain.push(Arc::clone(&flight));
         Joined::Lead(flight)
     }
 
-    /// Hold `flight` — one [`BatchWindow::join`] returned — for a batch
-    /// fetch's handle until [`BatchWindow::release`]. A flight that
-    /// resolved and left since the join comes back.
-    pub(crate) fn hold(&self, flight: &Arc<Flight>) {
-        let mut map = self.lock();
-        let chain = map.entry(flight.key).or_default();
-        match chain.iter_mut().find(|e| Arc::ptr_eq(&e.flight, flight)) {
-            Some(e) => e.holds += 1,
-            // Only a resolved flight leaves the window.
-            None => chain.push(Entry { flight: Arc::clone(flight), holds: 1, resolved: true }),
-        }
-    }
-
-    /// The flight that answers `req` — a held one before an unheld one —
-    /// and whether it is held, without ever registering or holding one.
-    /// This is the window and full fetch path: such a fetch must keep
+    /// The pending flight that answers `req`, without ever registering
+    /// one. This is the window and full fetch path: such a fetch must keep
     /// streaming its reply lazily (a flight's reply is materialized for
-    /// replay), but a batch warm-up's flight of the same request still
+    /// replay), but a batch's flight of the same request in the air
     /// answers this one.
-    pub(crate) fn try_attach(&self, req: &DriverRequest) -> Option<(Arc<Flight>, bool)> {
+    pub(crate) fn try_attach(&self, req: &DriverRequest) -> Option<Arc<Flight>> {
         let map = self.lock();
-        let chain = map.get(&request_key(req))?.iter().filter(|e| e.flight.request == *req);
-        let e = chain.max_by_key(|e| e.holds > 0)?;
-        Some((Arc::clone(&e.flight), e.holds > 0))
+        map.get(&request_key(req))?.iter().find(|f| f.request == *req).cloned()
     }
 
-    /// Mark `flight` resolved, dropping its entry unless a handle holds
-    /// it, then resolve it.
+    /// Take `flight` out of the window (by identity: a newer flight under
+    /// the same key stays), then resolve it.
     pub(crate) fn resolve(&self, flight: &Arc<Flight>, result: Result<Arc<SharedReply>, KError>) {
-        self.update(flight, |e| e.resolved = true);
-        flight.finish(result);
-    }
-
-    /// Drop every resolved flight, held or not, so no fetch from now on
-    /// is answered by a reply fetched before. Pending flights stay.
-    pub(crate) fn retire_resolved(&self) {
         let mut map = self.lock();
-        map.values_mut().for_each(|chain| chain.retain(|e| !e.resolved));
-        map.retain(|_, chain| !chain.is_empty());
-    }
-
-    /// Release one hold on `flight`: a resolved flight leaves with its
-    /// last.
-    pub(crate) fn release(&self, flight: &Arc<Flight>) {
-        self.update(flight, |e| e.holds -= 1);
-    }
-
-    /// Apply `change` to `flight`'s entry (by identity: a newer flight
-    /// under the same key is left alone), then drop the entry if it is
-    /// resolved and unheld.
-    fn update(&self, flight: &Arc<Flight>, change: impl FnOnce(&mut Entry)) {
-        let mut map = self.lock();
-        let Some(chain) = map.get_mut(&flight.key) else { return };
-        if let Some(at) = chain.iter().position(|e| Arc::ptr_eq(&e.flight, flight)) {
-            change(&mut chain[at]);
-            if chain[at].resolved && chain[at].holds == 0 {
-                chain.swap_remove(at);
+        if let Some(chain) = map.get_mut(&flight.key) {
+            chain.retain(|f| !Arc::ptr_eq(f, flight));
+            if chain.is_empty() {
+                map.remove(&flight.key);
             }
         }
-        if chain.is_empty() {
-            map.remove(&flight.key);
-        }
+        drop(map);
+        flight.finish(result);
     }
 }
 
@@ -467,7 +407,7 @@ mod tests {
             Joined::Attached(g) => assert!(Arc::ptr_eq(&f, &g)),
             Joined::Lead(_) => panic!("must attach to the pending flight"),
         }
-        assert!(Arc::ptr_eq(&f, &w.try_attach(&req(7)).expect("pending").0));
+        assert!(Arc::ptr_eq(&f, &w.try_attach(&req(7)).expect("pending")));
         assert!(w.try_attach(&req(8)).is_none(), "try_attach never leads");
         // A failed flight leaves the window: the next join leads afresh.
         w.resolve(&f, Err(KError::eval("boom")));
@@ -503,35 +443,5 @@ mod tests {
             Joined::Attached(_) => panic!("different requests must not share"),
         }
         assert_eq!(w.len(), 2);
-    }
-
-    #[test]
-    fn a_held_flight_stays_answerable_until_its_last_hold_is_released() {
-        let w = BatchWindow::new();
-        let Joined::Lead(f) = w.join(&req(5)) else {
-            panic!("empty window cannot attach")
-        };
-        w.hold(&f);
-        w.hold(&f);
-        w.resolve(&f, Ok(Arc::new(SharedReply::of_rows(vec![Value::Int(1)]))));
-        let (g, held) = w.try_attach(&req(5)).expect("a held flight answers after it resolves");
-        assert!(Arc::ptr_eq(&f, &g) && held);
-        // A batch fetch never attaches to a resolved flight: it leads.
-        let Joined::Lead(fresh) = w.join(&req(5)) else {
-            panic!("a resolved flight is never joined")
-        };
-        assert!(!Arc::ptr_eq(&f, &fresh));
-        w.resolve(&fresh, Err(KError::eval("boom")));
-        assert_eq!(w.len(), 1, "an unheld flight leaves as it resolves");
-        w.release(&f);
-        assert!(Arc::ptr_eq(&f, &w.try_attach(&req(5)).expect("held once more").0));
-        w.release(&f);
-        assert!(w.is_empty(), "the last release drops the resolved flight");
-        assert!(w.try_attach(&req(5)).is_none());
-        // A hold taken after its flight resolved and left brings it back.
-        w.hold(&fresh);
-        assert!(Arc::ptr_eq(&fresh, &w.try_attach(&req(5)).expect("held").0));
-        w.release(&fresh);
-        assert!(w.is_empty());
     }
 }

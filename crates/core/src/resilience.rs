@@ -65,9 +65,9 @@
 //! [`Fetch::Batch`] folds many per-key requests into single wire requests
 //! (one retry loop and one breaker charge per wire failure, however many
 //! consumers wait on the keys), and any other fetch of a request whose
-//! flight is pending in the driver's [`crate::batch::BatchWindow`], or held
-//! there by a live handle of a batch fetch, attaches to that flight instead
-//! of making its own round-trip. See [`crate::batch`] for the invariants.
+//! flight is still in the air in the driver's [`crate::batch::BatchWindow`]
+//! attaches to that flight instead of making its own round-trip. See
+//! [`crate::batch`] for the invariants.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
@@ -445,19 +445,10 @@ impl DriverResilience {
         self.breaker.as_ref().map(|b| b.state())
     }
 
-    /// Flights in the driver's batching window right now, pending or held
-    /// by a batch fetch's handle (tests/inspection; `0` once every batched
-    /// wire request resolved and every such handle was dropped).
+    /// Flights in the air in the driver's batching window right now
+    /// (tests/inspection; `0` once every batched wire request resolved).
     pub fn pending_flights(&self) -> usize {
         self.batching.as_ref().map_or(0, |b| b.window.len())
-    }
-
-    /// Retire every resolved flight of the batching window: the source was
-    /// refreshed (a FLUSH), so no fetch from now on may be answered by a
-    /// reply fetched before. A handle keeps reading its own flight; pending
-    /// flights stay, as a wire request started before the flush does.
-    pub fn retire_resolved(&self) {
-        self.batching.iter().for_each(|b| b.window.retire_resolved());
     }
 
     fn record_failure(&self, err: &KError) {
@@ -488,15 +479,13 @@ impl DriverResilience {
     /// A [`Fetch::Window`] or [`Fetch::Full`] request is answered by the
     /// first of:
     ///
-    /// * a batch flight, when the driver advertises
-    ///   [`crate::Capabilities::batching`] and the request is
-    ///   [`DriverRequest::coalescable`]: one a live handle of a batch
-    ///   fetch holds in the driver's [`BatchWindow`] (even resolved), or
-    ///   else one still pending there (one `coalesced` count). Neither is
-    ///   a wire request. These fetches never register a flight of their
-    ///   own, so a reply keeps streaming lazily (`first_n` stays cheap
-    ///   against large scans) and concurrent identical fetches each keep
-    ///   their own round-trip;
+    /// * a batch flight still in the air in the driver's [`BatchWindow`],
+    ///   when the driver advertises [`crate::Capabilities::batching`] and
+    ///   the request is [`DriverRequest::coalescable`] (one `coalesced`
+    ///   count, no wire request). These fetches never register a flight of
+    ///   their own, so a reply keeps streaming lazily (`first_n` stays
+    ///   cheap against large scans) and concurrent identical fetches each
+    ///   keep their own round-trip;
     /// * for a full fetch, while the breaker is closed, the parts its
     ///   driver cuts it into ([`crate::Driver::parts`], asked once for
     ///   all of `reqs`): each part is fetched on its own, as below, and
@@ -512,11 +501,11 @@ impl DriverResilience {
     /// A [`Fetch::Batch`] folds `reqs` into batched wire requests of at
     /// most [`BatchPolicy::max_keys`] distinct keys, one admission ticket
     /// each ([`crate::batch`]'s invariants), and answers each request
-    /// with its key's flight: a new one, or one already pending. Each of
-    /// these handles holds its flight in the window while it lives, so the
-    /// window and full fetches of the loop a batch warm-up fetched for find
-    /// it even after it resolved. A driver that advertises no batching, or
-    /// a request that cannot be coalesced, gets an error instead.
+    /// with its key's flight: a new one, or one already pending. The
+    /// handle replays that flight's reply however long after it resolved
+    /// ([`ResilientHandle::replay`]), while the window forgets it as it
+    /// resolves. A driver that advertises no batching, or a request that
+    /// cannot be coalesced, gets an error instead.
     pub fn fetch(
         self: &Arc<Self>,
         driver: &DriverRef,
@@ -558,12 +547,9 @@ impl DriverResilience {
         cancel: &Option<Arc<CancelToken>>,
     ) -> KResult<ResilientHandle> {
         let batching = self.batching.as_ref().filter(|_| req.coalescable());
-        if let Some((flight, held)) = batching.and_then(|b| b.window.try_attach(req)) {
-            if !held {
-                self.metrics.record_coalesced();
-            }
-            let attached = HandleMode::Attached { flight, held: false };
-            return Ok(self.handle(deadline, cancel, attached));
+        if let Some(flight) = batching.and_then(|b| b.window.try_attach(req)) {
+            self.metrics.record_coalesced();
+            return Ok(self.handle(deadline, cancel, HandleMode::Attached(flight)));
         }
         self.admit()?;
         let mut state = Box::new(DirectState {
@@ -626,8 +612,7 @@ impl DriverResilience {
                     flight
                 }
             };
-            b.window.hold(&flight);
-            Ok(self.handle(deadline, cancel, HandleMode::Attached { flight, held: true }))
+            Ok(self.handle(deadline, cancel, HandleMode::Attached(flight)))
         };
         let handles = reqs.iter().map(attach).collect();
         if let Some(b) = &self.batching {
@@ -646,8 +631,7 @@ impl DriverResilience {
         handles
     }
 
-    /// Resolve `flight`, dropping its window entry unless a handle holds
-    /// it.
+    /// Resolve `flight`, which leaves the window.
     fn finish_flight(&self, flight: &Arc<Flight>, result: Result<Arc<SharedReply>, KError>) {
         match &self.batching {
             Some(b) => b.window.resolve(flight, result),
@@ -792,8 +776,7 @@ impl Retries {
 /// is read. Dropping a direct handle unredeemed abandons the in-flight
 /// round-trip (ticket reclaimed, wedged worker orphaned); dropping an
 /// attached handle only detaches this waiter — the batched wire request
-/// belongs to the batch operation — and, for a batch fetch's handle,
-/// releases its hold on the flight.
+/// belongs to the batch operation.
 pub struct ResilientHandle {
     res: Arc<DriverResilience>,
     deadline: Option<Instant>,
@@ -805,8 +788,7 @@ enum HandleMode {
     // Boxed: the direct state (request, retry budget, parked attempt) is
     // an order of magnitude larger than the attached variant's pointer.
     Direct(Box<DirectState>),
-    /// `held`: a batch fetch's handle, holding its flight in the window.
-    Attached { flight: Arc<Flight>, held: bool },
+    Attached(Arc<Flight>),
     Parts(Vec<ResilientHandle>),
 }
 
@@ -853,13 +835,25 @@ impl ResilientHandle {
         };
         match &mut self.mode {
             HandleMode::Direct(st) => st.drive(&cx),
-            HandleMode::Attached { flight, .. } => await_flight(&cx, flight),
+            HandleMode::Attached(flight) => await_flight(&cx, flight),
             HandleMode::Parts(parts) => {
                 let parts = std::mem::take(parts).into_iter();
                 let parts = parts.map(|part| lazy_blocks(|| part.wait())).collect();
                 Ok(Box::new(PartBlocks { parts }))
             }
         }
+    }
+
+    /// Another handle of this one's flight, reading the same reply under
+    /// the same deadline and cancellation — so a batch fetch's handle
+    /// answers its key as often as it is asked; `None` for a handle that
+    /// owns its wire request.
+    pub fn replay(&self) -> Option<ResilientHandle> {
+        let HandleMode::Attached(flight) = &self.mode else {
+            return None;
+        };
+        let mode = HandleMode::Attached(Arc::clone(flight));
+        Some(self.res.handle(self.deadline, &self.cancel, mode))
     }
 }
 
@@ -963,16 +957,11 @@ impl Drop for ResilientHandle {
         // just flag it cancelled (the worker would hold the admission
         // ticket until the — possibly wedged — work returns), abandon it
         // so the ticket is reclaimed now. An attached handle owns no
-        // wire request; dropping it only detaches this waiter and releases
-        // its hold, if it has one.
-        match (&mut self.mode, &self.res.batching) {
-            (HandleMode::Direct(st), _) => {
-                if let Some(Ok(h)) = st.attempt.take() {
-                    h.abandon(KError::cancelled("resilient handle dropped unredeemed"));
-                }
+        // wire request; dropping it only detaches this waiter.
+        if let HandleMode::Direct(st) = &mut self.mode {
+            if let Some(Ok(h)) = st.attempt.take() {
+                h.abandon(KError::cancelled("resilient handle dropped unredeemed"));
             }
-            (HandleMode::Attached { flight, held: true }, Some(b)) => b.window.release(flight),
-            _ => {}
         }
     }
 }
@@ -1106,7 +1095,8 @@ mod tests {
         // fetch of it attaches instead of going out itself.
         let batch = res.fetch(&dref, &[links(7)], Fetch::Batch, None, None);
         assert_eq!(batch.len(), 1);
-        // Unheld once its handle is gone: each attach is a coalesce.
+        // Its handle gone, the flight is still in the air: each attach is
+        // a coalesce.
         drop(batch);
         let joins: Vec<_> = (0..8)
             .map(|_| {
@@ -1156,31 +1146,40 @@ mod tests {
         assert_eq!(d.batch_performs.load(Ordering::SeqCst), 1);
         assert_eq!(d.performs.load(Ordering::SeqCst), 0);
         let m = d.metrics();
-        assert_eq!((m.timeouts, m.coalesced), (1, 0), "{m:?}");
+        // The two window fetches attached in the air.
+        assert_eq!((m.timeouts, m.coalesced), (1, 2), "{m:?}");
     }
 
     #[test]
-    fn a_batch_handle_keeps_its_resolved_flight_answering_until_dropped() {
+    fn a_resolved_flight_leaves_the_window_and_its_batch_handles_still_replay() {
         let d = SlowDriver::new("co", 3, Duration::from_millis(1), 2);
         let dref: DriverRef = d.clone();
         let res = batching(&d);
         // Two handles of one flight: redeeming one waits out the batch.
         let batch = res.fetch(&dref, &[links(9), links(9)], Fetch::Batch, None, None);
         let mut batch = batch.into_iter().map(|h| h.expect("batched"));
-        let (held, redeemed) = (batch.next().expect("a handle"), batch.next().expect("two"));
+        let (kept, redeemed) = (batch.next().expect("a handle"), batch.next().expect("two"));
         assert_eq!(drain(redeemed.wait().expect("batched rows")), 3);
-        // The batch answered; `held` still holds the flight, so a window
-        // fetch replays its reply: no wire request, no coalesce.
-        let window = || one(&res, &dref, links(9), Fetch::Window, None, None);
-        assert_eq!(drain(window().wait().expect("replayed")), 3);
-        assert_eq!(d.performs.load(Ordering::SeqCst), 0, "served from the flight");
-        assert_eq!(d.metrics().coalesced, 0);
-        // Dropped, the handle releases the flight: the same fetch now
-        // goes to the wire.
-        drop(held);
-        assert_eq!(drain(window().wait().expect("fetched")), 3);
+        // The batch answered, so its flight left the window at once: a
+        // window fetch of the same request goes to the wire.
+        assert_eq!(res.pending_flights(), 0);
+        let window = one(&res, &dref, links(9), Fetch::Window, None, None);
+        assert_eq!(drain(window.wait().expect("fetched")), 3);
         assert_eq!(d.performs.load(Ordering::SeqCst), 1);
         assert_eq!(d.metrics().coalesced, 0);
+        // The kept handle replays its key's reply, as often as asked,
+        // with no wire request.
+        for _ in 0..2 {
+            let again = kept.replay().expect("a batch handle replays");
+            assert_eq!(drain(again.wait().expect("replayed")), 3);
+        }
+        assert_eq!(drain(kept.wait().expect("replayed")), 3);
+        assert_eq!(d.performs.load(Ordering::SeqCst), 1);
+        assert_eq!(d.batch_performs.load(Ordering::SeqCst), 1);
+        // A handle that owns its wire request has nothing to replay.
+        let direct = one(&res, &dref, links(9), Fetch::Window, None, None);
+        assert!(direct.replay().is_none());
+        drop(direct);
         crate::testutil::assert_quiescent(&[&*d, &*res]);
     }
 

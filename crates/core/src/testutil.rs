@@ -23,8 +23,8 @@
 //! default: a scan of a plain `SlowDriver` is one request, always.
 //!
 //! [`assert_quiescent`] is how a concurrency test ends: no admission
-//! ticket held and no worker orphaned at a remote, no batch flight
-//! pending or held, no task left running on a private executor.
+//! ticket held and no worker orphaned at a remote, no batch flight in
+//! the air, no task left running on a private executor.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -335,11 +335,11 @@ impl<S: Source> Quiescent for Remote<S> {
     }
 }
 
-/// A driver's resilience state: no batch flight pending or held.
+/// A driver's resilience state: no batch flight in the air.
 impl Quiescent for DriverResilience {
     fn held(&self) -> Option<String> {
         let (name, flights) = (self.name(), self.pending_flights());
-        (flights > 0).then(|| format!("{name}: {flights} flights pending or held"))
+        (flights > 0).then(|| format!("{name}: {flights} flights in the air"))
     }
 }
 

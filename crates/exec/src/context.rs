@@ -51,6 +51,11 @@ pub struct Context {
     /// ([`Context::for_bodies`]): nothing under it can start ahead, and the
     /// evaluator need not look.
     remote_free: bool,
+    /// The element of a warmed-up batch-marked chunk whose body this clone
+    /// evaluates: the driver and argument of the loop's marked call, and
+    /// the batch handle that call replays instead of building its request
+    /// (`exec::stream`'s `Par`).
+    pub(crate) element: Option<Arc<(nrc::Name, Arc<nrc::Expr>, ResilientHandle)>>,
 }
 
 /// What a query's generators may materialize, and what they have.
@@ -98,6 +103,7 @@ impl Context {
             cancel: None,
             bytes: None,
             remote_free: false,
+            element: None,
         }
     }
 
@@ -157,11 +163,15 @@ impl Context {
         c
     }
 
-    /// A clone of this context whose generators charge every block they
-    /// return, in `Value::approx_bytes`, to one fresh budget of `limit`
-    /// bytes, shared by every clone made from it — a `ParExt` chunk's
-    /// bodies charge the same count. The charge is what was produced,
-    /// not what is still held, so it bounds a query's heap from above.
+    /// A clone of this context that charges every row its evaluation
+    /// collects into a value — the result, a join's inner side, a body's
+    /// piece, a source canonicalized first — in `Value::approx_bytes`, to
+    /// one fresh budget of `limit` bytes, shared by every clone made from
+    /// it: a `ParExt` chunk's bodies charge the same count. A row is
+    /// charged once per value it is collected into, however many
+    /// generators it streamed through on the way. The charge is what was
+    /// collected, not what is still held, so it bounds a query's heap from
+    /// above.
     pub fn with_byte_budget(&self, limit: u64) -> Context {
         let mut c = self.clone();
         c.bytes = Some(Arc::new(ByteBudget {
@@ -174,7 +184,7 @@ impl Context {
     /// Charge `block` to the query's byte budget: the budget's error once
     /// the charges have passed it. A context with no budget charges
     /// nothing.
-    pub(crate) fn charge(&self, block: &ValueBlock) -> KResult<()> {
+    pub fn charge(&self, block: &ValueBlock) -> KResult<()> {
         let Some(budget) = &self.bytes else {
             return Ok(());
         };

@@ -102,7 +102,7 @@ use nrc::{Expr, Name, Prim};
 use crate::context::Context;
 use crate::env::{Env, Rt};
 use crate::prims::apply_prim;
-use crate::stream::{blocks_to_end, collect_blocks, prefetchable, try_start, Fetch, Want, Wave};
+use crate::stream::{blocks_to_end, collect_in, prefetchable, try_start, Fetch, Want, Wave};
 
 /// Evaluate a closed, collection- or value-producing expression.
 pub fn eval(e: &Expr, env: &Env, ctx: &Context) -> KResult<Value> {
@@ -190,7 +190,7 @@ pub fn eval_rt(e: &Expr, env: &Env, ctx: &Context) -> KResult<Rt> {
         | Expr::Remote { .. }
         | Expr::RemoteApp { .. } => {
             let kind = e.coll_kind_hint().expect("a collection form");
-            collect_blocks(blocks_to_end(e, env, ctx, Want::Any)?, kind).map(Rt::Val)
+            collect_in(blocks_to_end(e, env, ctx, Want::Any)?, kind, ctx).map(Rt::Val)
         }
         Expr::If(c, t, f) => {
             let branch = if eval_cond(c, env, ctx, "if")? { t } else { f };
@@ -342,7 +342,7 @@ impl Pending {
     pub(crate) fn finish(self, env: &Env, ctx: &Context) -> KResult<Value> {
         match self {
             Pending::Lazy(e) => eval(&e, env, ctx),
-            Pending::Stream(stream, kind) => collect_blocks(stream, kind),
+            Pending::Stream(stream, kind) => collect_in(stream, kind, ctx),
             Pending::Node(e, children) => finish_node(&e, children, env, ctx),
         }
     }

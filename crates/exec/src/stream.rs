@@ -90,6 +90,7 @@
 //! yielded before it (`Out::fail`), and ends the stream, whatever the
 //! grain.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Weak};
@@ -252,7 +253,7 @@ pub(crate) fn blocks_at(
         want.check(Some(built), built.name())?;
         if let Want::Source(consumer) = want {
             if canonicalizes_first(consumer, e) {
-                let v = collect_blocks(blocks(e, env, ctx, Want::Any)?, built)?;
+                let v = collect_in(blocks(e, env, ctx, Want::Any)?, built, ctx)?;
                 return value_blocks(&v, want);
             }
         }
@@ -331,6 +332,12 @@ pub(crate) fn blocks_at(
             PendingBlocks::start(driver, request, ctx, fetch)
         }
         Expr::RemoteApp { driver, arg } => {
+            // An element's marked call replays the element's batch handle.
+            let element = ctx.element.as_deref();
+            let marked = element.filter(|(d, a, _)| d == driver && a == arg);
+            if let Some(handle) = marked.and_then(|(_, _, handle)| handle.replay()) {
+                return Ok(PendingBlocks::boxed(handle, ctx));
+            }
             let argv = eval(arg, env, ctx)?;
             PendingBlocks::start(driver, &request_from_value(&argv)?, ctx, fetch)
         }
@@ -351,7 +358,8 @@ pub(crate) fn blocks_at(
             // any) is then already in flight while the inner relation is
             // being collected, overlapping the two sources' round-trips.
             let lstream = blocks(left, env, ctx, Want::Operand("join left", *kind))?;
-            let rv = collect_rows(blocks(right, env, ctx, Want::Operand("join right", *kind))?)?;
+            let right = blocks(right, env, ctx, Want::Operand("join right", *kind))?;
+            let rv = collect_rows(right, Some(ctx))?;
             // Each key runs under its own side's variable alone (`nrc::expr`,
             // "Scope"), so neither strategy can fold them into `cond`.
             let probe = match (strategy, left_key, right_key) {
@@ -424,7 +432,7 @@ pub(crate) fn blocks_at(
                 var: Arc::clone(var),
                 body: Arc::clone(body),
                 width: (*max_in_flight).max(1),
-                attach_only: batch.is_some() && remote_nodes(body) == 1,
+                replay_only: batch.is_some() && remote_nodes(body) == 1,
                 batch: batch.clone(),
                 ahead: None,
             });
@@ -497,15 +505,26 @@ pub fn collect_stream(stream: RowStream, kind: CollKind) -> KResult<Value> {
 }
 
 /// Collect a block stream into a canonical collection, draining at the
-/// full [`DEFAULT_BLOCK_ROWS`] grain — the batched full-drain path.
+/// full [`DEFAULT_BLOCK_ROWS`] grain — the batched full-drain path. It
+/// charges no byte budget: the evaluation's own collections charge theirs
+/// (`collect_in`).
 pub fn collect_blocks(stream: BlockStream, kind: CollKind) -> KResult<Value> {
-    Ok(Value::collection(kind, collect_rows(stream)?))
+    Ok(Value::collection(kind, collect_rows(stream, None)?))
 }
 
-/// Drain a block stream to a row vector at the full grain.
-fn collect_rows(mut stream: BlockStream) -> KResult<Vec<Value>> {
+/// [`collect_blocks`] inside an evaluation under `ctx`: the rows are
+/// charged to its byte budget ([`Context::with_byte_budget`]) as they are
+/// collected into the value.
+pub(crate) fn collect_in(stream: BlockStream, kind: CollKind, ctx: &Context) -> KResult<Value> {
+    Ok(Value::collection(kind, collect_rows(stream, Some(ctx))?))
+}
+
+/// Drain a block stream to a row vector at the full grain, charging each
+/// block to `budget`'s byte budget, if given.
+fn collect_rows(mut stream: BlockStream, budget: Option<&Context>) -> KResult<Vec<Value>> {
     let mut elems = Vec::new();
     while let Some(b) = stream.next_block(DEFAULT_BLOCK_ROWS) {
+        budget.map_or(Ok(()), |ctx| ctx.charge(&b))?;
         for item in b.into_rows() {
             elems.push(item?);
         }
@@ -859,6 +878,18 @@ enum Expand {
 /// is what lets a staged two-hop loop (`opt::rules::batch`) report what
 /// the nested one does.
 ///
+/// **The hand-off (batch-marked loops only).** A warmed-up chunk holds
+/// one batch handle per element, and element *i*'s body runs under a
+/// context carrying handle *i*: the marked call — every `RemoteApp` of
+/// the mark's driver on an argument equal to the mark's `arg` — replays
+/// that handle's flight, each time it runs, instead of building, hashing
+/// and fetching its request. An element with no handle of its loop's
+/// (an unmarked loop, a skipped warm-up) keeps the one it inherited, so
+/// a marked call under an inner loop still replays. The optimizer marks
+/// only a call whose argument no binder inside the body rebinds
+/// (`opt::rules::batch`), so the handle is always the request the body
+/// would have built.
+///
 /// **Read-ahead (batch-marked loops only).** [`warm_up_batch`] does not
 /// block: it puts the chunk's batched requests on the wire and returns.
 /// So a marked loop pulls and warms up *two* chunks whenever it has none
@@ -877,11 +908,11 @@ struct Par {
     /// into batched wire round-trips before its bodies run. Output
     /// values and their order are unchanged — only the wire traffic is.
     batch: Option<nrc::BatchSpec>,
-    /// The marked request is the body's only remote node: the bodies of
-    /// a warmed-up chunk then do nothing but attach to its flights, so
-    /// they run on the calling thread — executor hands would only park
-    /// on the same few wire requests.
-    attach_only: bool,
+    /// The marked call is the body's only remote node: the bodies of a
+    /// warmed-up chunk then do nothing but replay its flights, so they run
+    /// on the calling thread — executor hands would only park on the same
+    /// few wire requests.
+    replay_only: bool,
     /// The chunk pulled and warmed up ahead of the one last run.
     ahead: Option<Chunk>,
 }
@@ -897,10 +928,11 @@ fn remote_nodes(e: &Expr) -> usize {
 
 /// One chunk of source elements, warmed up but not yet run.
 struct Chunk {
-    elems: Vec<Value>,
-    /// The warm-up's batch handles: they hold its flights answerable
-    /// until the bodies have run.
-    held: Option<Vec<ResilientHandle>>,
+    /// One environment per element, binding it to the loop variable.
+    elems: Vec<Env>,
+    /// The warm-up's batch handles, one per element, each handed to its
+    /// element's body.
+    handles: Option<Vec<ResilientHandle>>,
     /// The source error that cut the chunk short.
     source_err: Option<KError>,
 }
@@ -938,27 +970,33 @@ impl Par {
             };
             for row in block.into_rows() {
                 match row {
-                    Ok(v) => elems.push(v),
+                    Ok(v) => elems.push(env.bind(Arc::clone(&self.var), Rt::Val(v))),
                     Err(e) => (source_err, *source) = (Some(e), None),
                 }
             }
         }
-        let warm_up = |spec| warm_up_batch(spec, &elems, &self.var, env, ctx);
-        let held = self.batch.as_ref().and_then(warm_up);
-        Chunk { elems, held, source_err }
+        let handles = self.batch.as_ref().and_then(|spec| warm_up_batch(spec, &elems, ctx));
+        Chunk { elems, handles, source_err }
     }
 
     /// Run one chunk's bodies and write their pieces into `out`, up to
     /// the first error, which is returned.
-    fn run(
-        &self,
-        chunk: Chunk,
-        (kind, env, ctx): (CollKind, &Env, &Context),
-        out: &mut Out,
-    ) -> KResult<()> {
-        let width = if self.attach_only && chunk.held.is_some() { 1 } else { self.width };
-        let mut pieces = Vec::with_capacity(chunk.elems.len());
-        let ran = eval_parallel(&chunk.elems, &self.var, &self.body, env, ctx, width, &mut pieces);
+    fn run(&self, chunk: Chunk, kind: CollKind, ctx: &Context, out: &mut Out) -> KResult<()> {
+        let width = if self.replay_only && chunk.handles.is_some() { 1 } else { self.width };
+        // Element i's body gets handle i; an element with no handle here
+        // keeps the context's own — an enclosing loop's element's, if any.
+        let mut handles = chunk.handles.into_iter().flatten();
+        let with_handle = |env| match self.batch.as_ref().zip(handles.next()) {
+            Some((spec, h)) => {
+                let mut ctx = ctx.clone();
+                ctx.element = Some(Arc::new((spec.driver.clone(), Arc::clone(&spec.arg), h)));
+                (env, Cow::Owned(ctx))
+            }
+            None => (env, Cow::Borrowed(ctx)),
+        };
+        let work: Vec<(Env, Cow<Context>)> = chunk.elems.into_iter().map(with_handle).collect();
+        let mut pieces = Vec::with_capacity(work.len());
+        let ran = eval_parallel(&self.body, &work, width, &mut pieces);
         // In element order: a piece of the wrong kind, then the first
         // failing body, then the source error behind the chunk.
         for piece in &pieces {
@@ -1137,24 +1175,8 @@ impl Expand {
 }
 
 impl BlockSource for Generate {
-    /// Every block returned is charged to the query's byte budget
-    /// ([`Context::with_byte_budget`]); past it, the block is the
-    /// budget's error, which ends the stream.
-    fn next_block(&mut self, max_rows: usize) -> Option<ValueBlock> {
-        let block = self.fill(max_rows)?;
-        match self.ctx.charge(&block) {
-            Ok(()) => Some(block),
-            Err(e) => {
-                self.failed = true;
-                Some(ValueBlock::of_err(e))
-            }
-        }
-    }
-}
-
-impl Generate {
     /// The next block, of at most `max_rows` rows.
-    fn fill(&mut self, max_rows: usize) -> Option<ValueBlock> {
+    fn next_block(&mut self, max_rows: usize) -> Option<ValueBlock> {
         if self.failed {
             return None;
         }
@@ -1187,7 +1209,7 @@ impl Generate {
                 let Some(chunk) = par.next_chunk(&mut self.source, &self.env, &self.ctx) else {
                     return (!out.block.is_empty()).then_some(out.block);
                 };
-                if let Err(e) = par.run(chunk, at, &mut out) {
+                if let Err(e) = par.run(chunk, self.kind, &self.ctx, &mut out) {
                     (self.source, par.ahead) = (None, None);
                     out.fail(e);
                 }
@@ -1233,13 +1255,12 @@ impl Generate {
 }
 
 /// The batching warm-up for a marked `ParExt` chunk: evaluate the spec's
-/// request argument for every chunk element (it is pure-local by the
+/// request argument in every chunk element's environment (it is pure-local by the
 /// optimizer's construction, so this duplicates no driver effects),
 /// and ship the distinct requests as a few multi-key wire round-trips —
 /// one [`Context::fetch`] of [`kleisli_core::Fetch::Batch`] — and return
-/// its handles: while they live they hold their flights in the driver's
-/// batching window, resolved or not, so the loop bodies' own fetches
-/// attach to them. Any surprise — an argument that fails to evaluate, a
+/// its handles, one per element, which `Par::run` hands to the elements'
+/// bodies. Any surprise — an argument that fails to evaluate, a
 /// non-request value, a request no batch can carry, too few distinct
 /// keys, a driver without batching — skips the warm-up entirely and
 /// returns `None`: the per-element path then behaves exactly as
@@ -1247,30 +1268,18 @@ impl Generate {
 /// handles therefore answer the request of *every* element.
 fn warm_up_batch(
     spec: &nrc::BatchSpec,
-    elems: &[Value],
-    var: &Name,
-    env: &Env,
+    elems: &[Env],
     ctx: &Context,
 ) -> Option<Vec<ResilientHandle>> {
     if elems.len() < spec.min_keys.max(1) {
         return None;
     }
-    let mut reqs = Vec::with_capacity(elems.len());
-    for el in elems {
-        let env2 = env.bind(Arc::clone(var), Rt::Val(el.clone()));
-        let v = eval(&spec.arg, &env2, ctx).ok()?;
-        reqs.push(
-            request_from_value(&v)
-                .ok()
-                .filter(DriverRequest::coalescable)?,
-        );
-    }
-    let mut distinct = 0usize;
-    for (i, r) in reqs.iter().enumerate() {
-        if !reqs[..i].contains(r) {
-            distinct += 1;
-        }
-    }
+    let request = |env: &Env| {
+        let v = eval(&spec.arg, env, ctx).ok()?;
+        request_from_value(&v).ok().filter(DriverRequest::coalescable)
+    };
+    let reqs: Vec<DriverRequest> = elems.iter().map(request).collect::<Option<_>>()?;
+    let distinct = (0..reqs.len()).filter(|&i| !reqs[..i].contains(&reqs[i])).count();
     if distinct < spec.min_keys.max(1) {
         return None;
     }
@@ -1278,8 +1287,9 @@ fn warm_up_batch(
     handles.into_iter().collect::<KResult<_>>().ok()
 }
 
-/// Evaluate `body` for every element of `elems`, at most `max_in_flight`
-/// at a time, preserving element order in the result. This is the
+/// Evaluate `body` for every element — under its own environment and
+/// context in `work` — at most `max_in_flight` at a time, preserving
+/// element order in the result. This is the
 /// parallel-retrieval primitive of Section 4 ("Laziness, Latency, and
 /// Concurrency"): requests to remote servers overlap, but no more than the
 /// server's tolerated number run at once.
@@ -1295,34 +1305,28 @@ fn warm_up_batch(
 /// submitted at all; `out` then holds the results of the elements in
 /// front of the failing one.
 fn eval_parallel(
-    elems: &[Value],
-    var: &Name,
     body: &Arc<Expr>,
-    env: &Env,
-    ctx: &Context,
+    work: &[(Env, Cow<Context>)],
     max_in_flight: usize,
     out: &mut Vec<Value>,
 ) -> KResult<()> {
     let width = max_in_flight.max(1);
-    if width == 1 || elems.len() <= 1 {
-        for el in elems {
-            let env2 = env.bind(Arc::clone(var), Rt::Val(el.clone()));
-            out.push(eval(body, &env2, ctx)?);
+    if width == 1 || work.len() <= 1 {
+        for (env, ctx) in work {
+            out.push(eval(body, env, ctx)?);
         }
         return Ok(());
     }
-    for chunk in elems.chunks(width) {
+    for chunk in work.chunks(width) {
         let tasks: Vec<Box<dyn FnOnce() -> KResult<Value> + Send>> = chunk
             .iter()
-            .map(|el| {
-                let env2 = env.bind(Arc::clone(var), Rt::Val(el.clone()));
-                let body = Arc::clone(body);
-                let ctx = ctx.clone();
-                Box::new(move || eval(&body, &env2, &ctx))
+            .map(|(env, ctx)| {
+                let (body, env, ctx) = (Arc::clone(body), env.clone(), Context::clone(ctx));
+                Box::new(move || eval(&body, &env, &ctx))
                     as Box<dyn FnOnce() -> KResult<Value> + Send>
             })
             .collect();
-        for r in ctx.executor().run_all(tasks) {
+        for r in chunk[0].1.executor().run_all(tasks) {
             out.push(r.unwrap_or_else(|| Err(KError::eval("worker thread panicked")))?);
         }
     }

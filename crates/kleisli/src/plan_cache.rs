@@ -244,6 +244,7 @@ mod tests {
             trace: Vec::new(),
             ty: Type::Int,
             deps: Vec::new(),
+            _shapes: Vec::new(),
         })
     }
 
@@ -255,6 +256,7 @@ mod tests {
             trace: Vec::new(),
             ty: Type::Int,
             deps: sources.iter().map(|s| Arc::from(*s)).collect(),
+            _shapes: Vec::new(),
         })
     }
 

@@ -78,8 +78,9 @@ use std::time::{Duration, Instant};
 
 use cpl::{desugar_stmt, parse_expr, parse_program, Definitions, Stmt};
 use kleisli_core::{
-    BlockStream, CancelToken, Capabilities, CollKind, DriverRef, Executor, KError, KResult,
-    MetricsSnapshot, OneShot, PromiseState, TableStats, Type, Value, DEFAULT_BLOCK_ROWS,
+    BlockStream, CancelToken, Capabilities, CollKind, Directory, DriverRef, Executor, KError,
+    KResult, MetricsSnapshot, OneShot, PromiseState, RemyRecord, TableStats, Type, Value,
+    DEFAULT_BLOCK_ROWS,
 };
 use kleisli_exec::{
     eval, eval_blocks, eval_blocks_to_end, Context, Env, ObjectStore, ResultCache, ResultLookup,
@@ -130,6 +131,23 @@ pub struct Compiled {
     /// matches against to invalidate exactly the plans derived from a
     /// refreshed source.
     pub deps: Vec<nrc::Name>,
+    /// The directories of the record shapes the optimized plan builds,
+    /// kept while the plan lives: a shape none of whose records outlives
+    /// its statement — a driver request record, say — would otherwise
+    /// intern a fresh directory every time one is built.
+    pub(crate) _shapes: Vec<Arc<Directory>>,
+}
+
+/// The directory of every record shape `plan` constructs.
+fn record_shapes(plan: &Expr) -> Vec<Arc<Directory>> {
+    let mut shapes = Vec::new();
+    plan.visit(&mut |e| {
+        if let Expr::Record(fields) = e {
+            let shape = fields.iter().map(|(name, _)| (Arc::clone(name), Value::Unit));
+            shapes.push(Arc::clone(RemyRecord::new(shape.collect()).dir()));
+        }
+    });
+    shapes
 }
 
 /// Collect every driver name mentioned by `Remote`/`RemoteApp` nodes
@@ -179,10 +197,11 @@ impl Compiled {
 ///   (the server's CANCEL frame); a fresh one when `None`.
 ///   [`QueryHandle::cancel`] fires the same token.
 /// * `max_bytes` — a budget on what the evaluation materializes: every
-///   block a generator (`Ext`, `Join`, `ParExt`) returns is charged its
-///   rows' `Value::approx_bytes`, and once the charges pass the budget
-///   the query fails with an error naming it, dropping its streams (and
-///   so cancelling their requests). A cache hit charges nothing.
+///   row collected into a value — the result, a join's inner side, a
+///   body's piece — is charged its `Value::approx_bytes`, once per value
+///   however many generators it passed, and once the charges pass the
+///   budget the query fails with an error naming it, dropping its streams
+///   (and so cancelling their requests). A cache hit charges nothing.
 #[derive(Clone, Default)]
 pub struct How {
     pub limit: Option<usize>,
@@ -434,7 +453,8 @@ fn drain(compiled: &Compiled, ctx: &Context, limit: Option<usize>) -> KResult<Va
 /// `distinct`, duplicates not counting — checking the query's budget
 /// between blocks: `KError::Cancelled` once its token fires,
 /// `KError::Timeout` past its deadline, even when every round-trip was
-/// fast (the budget is end-to-end).
+/// fast (the budget is end-to-end), and charging each block's rows to its
+/// byte budget as they are collected.
 ///
 /// **The grain doubles per pull**, from 1 up to [`DEFAULT_BLOCK_ROWS`],
 /// and never asks for more rows than the limit still wants: the first
@@ -454,6 +474,7 @@ fn read(
             break;
         };
         ctx.check_budget()?;
+        ctx.charge(&block)?;
         // A block's error is its last row.
         for row in block.into_rows() {
             let row = row?;
@@ -620,11 +641,11 @@ impl Session {
     ///
     /// Either way the source's invalidation generations (plan and
     /// result side) are bumped, so a refresh is observable even when
-    /// nothing was resident. A driver's resolved batch flights are retired
-    /// too, for every session: a fetch that starts after the flush never
-    /// replays rows fetched before it.
+    /// nothing was resident. A driver's batching window needs nothing: it
+    /// keeps only flights in the air, so a fetch that starts after the
+    /// flush never replays rows fetched before it.
     pub fn flush_source(&self, source: &str) -> KResult<SourceFlush> {
-        let is_driver = self.ctx.driver(source).inspect(|d| d.resilience().retire_resolved()).is_ok();
+        let is_driver = self.ctx.driver(source).is_ok();
         if !is_driver && self.defs.get(source).is_none() {
             return Err(KError::eval(format!(
                 "flush: no such source or binding: {source}"
@@ -736,6 +757,7 @@ impl Session {
         deps.sort_unstable();
         deps.dedup();
         Ok(Compiled {
+            _shapes: record_shapes(&optimized),
             raw,
             optimized: (*optimized).clone(),
             trace,
@@ -807,7 +829,7 @@ impl Session {
         let cancel = how.cancel.unwrap_or_default();
         // Thread the query budget into the evaluation context: every
         // remote wait and block boundary below this clone observes the
-        // deadline and the cancellation token, and every generator
+        // deadline and the cancellation token, and every collection
         // charges the byte budget.
         let mut ctx = self.ctx.with_cancel_token(Arc::clone(&cancel));
         if let Some(budget) = how.deadline {

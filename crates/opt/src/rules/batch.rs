@@ -86,17 +86,32 @@ fn pure_local(e: &Expr) -> bool {
 /// and actually depends on the loop variable. Returns the driver and the
 /// argument expression (abstracted over `var`).
 ///
+/// The mark is exact or absent: the warm-up evaluates the argument with
+/// the loop variable alone bound, and the executor hands that request's
+/// reply to every call of this driver on an equal argument in the body,
+/// so such a call under a binder of `e` that rebinds a free variable of
+/// the argument refuses the mark.
+///
 /// `Remote` nodes carry a *static* request — every element would issue
 /// the identical wire request, which the coalescing window already
 /// folds — so they are not batch targets.
 fn batch_target(e: &Expr, var: &str) -> Option<(Name, Arc<Expr>)> {
-    e.find(&mut |e, _| match e {
+    let (driver, arg) = e.find(&mut |e, _| match e {
         Expr::Cached { .. } => Break(None),
         Expr::RemoteApp { driver, arg } => Break(
             (pure_local(arg) && arg.occurs_free(var)).then(|| (driver.clone(), Arc::clone(arg))),
         ),
         _ => Continue(()),
-    })
+    })?;
+    let rebound = e.find(&mut |e, scope| {
+        let mut call = false;
+        if scope.iter().any(|b| arg.occurs_free(b)) {
+            let on_arg = |e: &Expr| matches!(e, Expr::RemoteApp { driver: d, arg: a } if *d == driver && *a == arg);
+            e.visit(&mut |e| call |= on_arg(e));
+        }
+        if call { Break(Some(())) } else { Continue(()) }
+    });
+    rebound.is_none().then_some((driver, arg))
 }
 
 /// The batching policy of the driver behind `e`'s [`batch_target`] over
@@ -326,6 +341,50 @@ mod tests {
             batch: None,
         };
         assert_eq!(run(e.clone(), &batching_catalog(16), &OptConfig::default()), e);
+    }
+
+    #[test]
+    fn a_call_under_a_binder_of_its_argument_stays_unmarked() {
+        let links = |db: Expr| {
+            let arg = Expr::record(vec![("db", db), ("link", Expr::var("x"))]);
+            Arc::new(Expr::RemoteApp { driver: nrc::name("GenBank"), arg: Arc::new(arg) })
+        };
+        let over = |body: Arc<Expr>| Expr::ParExt {
+            kind: CollKind::Set,
+            var: nrc::name("x"),
+            body,
+            source: Arc::new(Expr::var("UIDS")),
+            max_in_flight: 5,
+            batch: None,
+        };
+        let under_let = |var: &str, body: Arc<Expr>| {
+            over(Arc::new(Expr::Let { var: nrc::name(var), def: Arc::new(Expr::int(0)), body }))
+        };
+        let marked = |e: Expr| {
+            let out = run(e, &batching_catalog(16), &OptConfig::default());
+            matches!(out, Expr::ParExt { batch: Some(_), .. })
+        };
+        // A binder that leaves the argument be keeps the mark.
+        assert!(marked(under_let("y", links(Expr::str("na")))));
+        // One that rebinds the loop variable, or another free variable of
+        // the argument, refuses it.
+        assert!(!marked(under_let("x", links(Expr::str("na")))));
+        assert!(!marked(under_let("db", links(Expr::var("db")))));
+        // So does one rebinding a free variable over a second call on the
+        // same argument (equal subplans share one), though the first call
+        // is exact.
+        let call = links(Expr::str("na"));
+        let inner = |body: &Arc<Expr>| Expr::Ext {
+            kind: CollKind::Set,
+            var: nrc::name("x"),
+            body: Arc::clone(body),
+            source: Arc::new(Expr::var("UIDS")),
+        };
+        assert!(!marked(over(Arc::new(Expr::union(CollKind::Set, (*call).clone(), inner(&call))))));
+        // A call of another driver there is never handed the reply.
+        let Expr::RemoteApp { arg, .. } = &*call else { unreachable!() };
+        let other = Arc::new(Expr::RemoteApp { driver: nrc::name("Other"), arg: Arc::clone(arg) });
+        assert!(marked(over(Arc::new(Expr::union(CollKind::Set, (*call).clone(), inner(&other))))));
     }
 
     /// `ParExt o <- S: ParExt i <- hop(o): links(i)` of the given kinds.

@@ -48,7 +48,7 @@
 //! of 16 bytes per byte of [`ServerConfig::max_result_frame`], and never
 //! less than 16 MiB: a value in memory is several times its exchange
 //! text (a 4-byte `I 7` line is a 32-byte `Value`), and a row is charged
-//! once per generator it passes. A text that asks for more — six
+//! once per value it is collected into. A text that asks for more — six
 //! generators over one 20-element literal is 64 M records — gets an
 //! `Error` frame naming the budget, and the connection and every other
 //! query keep being served.

@@ -19,7 +19,7 @@ use std::time::Duration;
 use bio_data::{GdbConfig, GenBankConfig};
 use kleisli::{bio_federation, Session};
 use kleisli_core::print::to_table;
-use kleisli_core::{LatencyModel, Value};
+use kleisli_core::{Driver, LatencyModel, Value};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);
@@ -128,6 +128,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "GenBank: {} request(s), {} rows, {} bytes",
         gb_m.requests, gb_m.rows_shipped, gb_m.bytes_shipped
+    );
+    // Each loop body replays its element's batch handle: none goes back
+    // to the window, and every flight left it as it resolved.
+    println!(
+        "GenBank: coalesced {}, {} flight(s) in the air",
+        gb_m.coalesced,
+        fed.genbank.resilience().pending_flights()
     );
     println!(
         "simulated network time: GDB {:?} + GenBank {:?}; local wall clock {:?}",

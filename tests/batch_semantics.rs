@@ -16,14 +16,17 @@
 //! that fail at either hop.
 
 use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 use std::time::Duration;
 
 use bench_harness::latency_federation;
 use kleisli::{BioFederation, How, Session};
 use kleisli_core::testutil::assert_quiescent;
-use kleisli_core::{KResult, Value};
-use kleisli_exec::{reference, Env};
-use kleisli_opt::OptConfig;
+use entrez_sim::{Entrez, EntrezServer, Link};
+use kleisli_core::{CollKind, KResult, LatencyModel, Value, DEFAULT_BLOCK_ROWS};
+use kleisli_exec::{eval, eval_blocks, reference, Env};
+use kleisli_opt::{OptConfig, RuleCtx, StaticCatalog};
+use nrc::{BatchSpec, Expr, Prim};
 use proptest::prelude::*;
 
 /// Set comprehension (dedup observable): per-uid link counts.
@@ -227,6 +230,199 @@ fn batched_run_actually_batches() {
         m.batch_requests >= 1 && m.batched_keys >= 16,
         "batching never engaged: {m:?}"
     );
+}
+
+// ------------------------------------------------------------------------
+// The hand-off: each element's marked call replays the element's handle
+// ------------------------------------------------------------------------
+
+/// `PAR U{ {count(let <binder> = 0 in GenBank([db = "na", link = x + 1]))}
+/// | \x <- KEYS }` with the `let` binding `binder` — built by hand:
+/// desugaring names every binder afresh and the optimizer inlines a `let`,
+/// so only such a plan has a call under a binder of its argument's
+/// variable — through the batch rule set alone.
+fn let_over_the_call(s: &Session, binder: &str, keys: &[i64]) -> (Expr, Option<BatchSpec>) {
+    let next = Expr::prim(Prim::Add, vec![Expr::var("x"), Expr::int(1)]);
+    let arg = Expr::record(vec![("db", Expr::str("na")), ("link", next)]);
+    let call = Expr::RemoteApp { driver: nrc::name("GenBank"), arg: Arc::new(arg) };
+    let body = Expr::let_(binder, Expr::int(0), call);
+    let keys = Value::set(keys.iter().map(|&k| Value::Int(k)).collect());
+    let e = Expr::ParExt {
+        kind: CollKind::Set,
+        var: nrc::name("x"),
+        body: Arc::new(Expr::single(CollKind::Set, Expr::prim(Prim::Count, vec![body]))),
+        source: Arc::new(Expr::Const(keys)),
+        max_in_flight: 5,
+        batch: None,
+    };
+    let out = through_batch_rules(s, &e, &["GenBank"]);
+    let Expr::ParExt { batch, .. } = &*out else {
+        panic!("not a loop: {out}")
+    };
+    (e, batch.clone())
+}
+
+/// `e` through the batch rule set alone, over a catalog of `drivers`.
+fn through_batch_rules(s: &Session, e: &Expr, drivers: &[&str]) -> Arc<Expr> {
+    let mut catalog = StaticCatalog::new();
+    for &d in drivers {
+        catalog.add_driver(d, s.context().driver(d).expect("registered").capabilities());
+    }
+    let ctx = RuleCtx { catalog: &catalog, config: &OptConfig::default() };
+    kleisli_opt::rules::batch::rule_set().run(Arc::new(e.clone()), &ctx, &mut Vec::new())
+}
+
+#[test]
+fn a_call_under_a_let_rebinding_its_argument_is_not_marked_and_answers_unbatched() {
+    let (s, pool) = fed_session();
+    // Keys one below valid uids: `x + 1` is valid, `0 + 1` is not.
+    let keys: Vec<i64> = pool.iter().take(20).map(|uid| uid - 1).collect();
+    let run = |e: &Expr| eval(e, &Env::empty(), &s.context()).map_err(|e| e.to_string());
+    // A binder the argument does not read keeps the mark, and the marked
+    // loop batches to the unmarked loop's answer.
+    let (plain, spec) = let_over_the_call(&s, "y", &keys);
+    let spec = spec.expect("marked");
+    let marked = Expr::ParExt {
+        kind: CollKind::Set,
+        var: nrc::name("x"),
+        body: Arc::clone(match &plain {
+            Expr::ParExt { body, .. } => body,
+            _ => unreachable!(),
+        }),
+        source: Arc::new(Expr::Const(Value::set(keys.iter().map(|&k| Value::Int(k)).collect()))),
+        max_in_flight: 5,
+        batch: Some(spec),
+    };
+    let before = s.driver_metrics("GenBank").expect("metrics");
+    assert_eq!(run(&marked), run(&plain));
+    assert!(run(&plain).is_ok());
+    let m = s.driver_metrics("GenBank").expect("metrics").since(&before);
+    assert_eq!(m.batched_keys, 20, "{m:?}");
+    // Rebinding the loop variable the argument reads refuses the mark.
+    let (rebound, spec) = let_over_the_call(&s, "x", &keys);
+    assert!(spec.is_none(), "a call under a binder of its argument was marked");
+    assert_eq!(run(&rebound), Err("driver 'GenBank': no entry with uid 1 in 'na'".into()));
+}
+
+/// GenBank's `(requests, batch_requests, coalesced)` over one batched run
+/// of `query`, once it answered what the unbatched run did.
+fn batched_traffic(s: &mut Fed, query: &str) -> (u64, u64, u64) {
+    let (plain, batched) = both_ways(s, query);
+    assert_eq!(plain, batched);
+    assert!(batched.is_ok(), "{batched:?}");
+    let before = s.driver_metrics("GenBank").expect("metrics");
+    s.query(query).expect("batched");
+    let m = s.driver_metrics("GenBank").expect("metrics").since(&before);
+    (m.requests, m.batch_requests, m.coalesced)
+}
+
+#[test]
+fn a_marked_call_run_twice_per_element_replays_one_flight() {
+    let (mut s, pool) = fed_session();
+    let keys: Vec<i64> = pool.iter().take(20).copied().collect();
+    bind_keys(&mut s, &keys);
+    // The call sits under an inner generator: it runs twice per element.
+    let twice = r#"{[u = uid, n = count({l | \v <- {1, 2}, \l <- GenBank([db = "na", link = uid])})] | \uid <- UIDS}"#;
+    let plan = s.compile_shared(twice).expect("compile");
+    assert!(matches!(plan.optimized, Expr::ParExt { batch: Some(_), .. }), "{}", plan.optimized);
+    let once = batched_traffic(&mut s, LINK_SET);
+    assert_eq!(batched_traffic(&mut s, twice), once, "the second run of each call is a replay");
+    assert_eq!(once.2, 0, "no body goes back to the window");
+}
+
+#[test]
+fn a_marked_call_under_an_inner_remote_generator_replays_its_element_handle() {
+    let (mut s, pool) = fed_session();
+    let keys: Vec<i64> = pool.iter().take(20).copied().collect();
+    bind_keys(&mut s, &keys);
+    // The inner generator reads a remote source and its body calls one,
+    // so it is a loop of its own, unmarked: the marked call, its source
+    // and again under it once per link, replays the outer element's
+    // handle every time it runs.
+    let inner = r#"{[u = uid, n = count({[v = v.uid, l = l.uid] | \v <- GenBank([db = "na", link = uid]), \l <- GenBank([db = "na", link = uid])})] | \uid <- UIDS}"#;
+    let plan = s.compile_shared(inner).expect("compile");
+    let text = plan.optimized.to_string();
+    assert!(matches!(plan.optimized, Expr::ParExt { batch: Some(_), .. }), "{text}");
+    assert_eq!(text.matches("PAR[").count(), 2, "an inner loop of its own: {text}");
+    let once = batched_traffic(&mut s, LINK_SET);
+    assert_eq!(batched_traffic(&mut s, inner), once, "every run of the call is a replay");
+}
+
+#[test]
+fn two_drivers_called_on_one_argument_answer_each_its_own() {
+    let (s, pool) = fed_session();
+    // A second Entrez whose entries link once each, where GenBank's link
+    // three times.
+    let other = Arc::new(EntrezServer::serve("Other", Entrez::default(), LatencyModel::instant()));
+    other.with_division("na", |d| {
+        for &uid in &pool {
+            d.add_entry(uid, Value::Int(uid), []).expect("a fresh uid");
+            d.add_link(uid, Link { uid, score: 1.0, organism: "other".into() });
+        }
+    });
+    let mut s = s;
+    s.register_driver(other.clone());
+    // `PAR U{ {[u = x, g = count(GenBank(r)), o = count(Other(r))]} | \x
+    // <- KEYS }`, both calls on one argument node `r` — a plan shared by
+    // hand, as hash-consing shares equal subplans.
+    let arg = Arc::new(Expr::record(vec![("db", Expr::str("na")), ("link", Expr::var("x"))]));
+    let count = |driver: &str| {
+        let call = Expr::RemoteApp { driver: nrc::name(driver), arg: Arc::clone(&arg) };
+        Expr::prim(Prim::Count, vec![call])
+    };
+    let row = Expr::record(vec![("u", Expr::var("x")), ("g", count("GenBank")), ("o", count("Other"))]);
+    let keys = Value::set(pool.iter().take(20).map(|&k| Value::Int(k)).collect());
+    let plain = Expr::ParExt {
+        kind: CollKind::Set,
+        var: nrc::name("x"),
+        body: Arc::new(Expr::single(CollKind::Set, row)),
+        source: Arc::new(Expr::Const(keys)),
+        max_in_flight: 5,
+        batch: None,
+    };
+    let marked = through_batch_rules(&s, &plain, &["GenBank", "Other"]);
+    assert!(matches!(&*marked, Expr::ParExt { batch: Some(_), .. }), "{marked}");
+    let mut args = Vec::new();
+    marked.visit(&mut |e| {
+        if let Expr::RemoteApp { arg, .. } = e {
+            args.push(Arc::clone(arg));
+        }
+    });
+    assert!(args.len() == 2 && Arc::ptr_eq(&args[0], &args[1]), "one argument node");
+    let run = |e: &Expr| eval(e, &Env::empty(), &s.context()).map(|v| v.to_string()).map_err(|e| e.to_string());
+    let answer = run(&plain).expect("unbatched");
+    assert!(answer.contains("o = 1") && !answer.contains("o = 3"), "{answer}");
+    assert_eq!(run(&marked), Ok(answer));
+    assert_quiescent(&[&*other]);
+}
+
+#[test]
+fn an_element_whose_key_failed_ships_the_rows_before_it_then_the_error() {
+    let (mut s, pool) = fed_session();
+    let keys = vec![pool[0], pool[1], pool[2], -7777, pool[3], pool[4]];
+    bind_keys(&mut s, &keys);
+    // The rows of the elements in front of the failing one, then its
+    // error, at the full grain and at grain 1, batched or not.
+    let drain = |s: &Fed, grain: usize| {
+        let plan = s.compile_shared(LINK_LIST).expect("compile");
+        let mut blocks = eval_blocks(&plan.optimized, &Env::empty(), &s.context()).expect("built");
+        let mut rows = Vec::new();
+        while let Some(block) = blocks.next_block(grain) {
+            rows.extend(block.into_rows().map(|r| r.map_err(|e| e.to_string())));
+        }
+        rows
+    };
+    for grain in [DEFAULT_BLOCK_ROWS, 1] {
+        set_batching(&mut s, false);
+        let plain = drain(&s, grain);
+        set_batching(&mut s, true);
+        let batched = drain(&s, grain);
+        assert_eq!(plain, batched, "grain {grain}");
+        assert_eq!(batched.len(), 4, "three rows, then the error: {batched:?}");
+        assert!(batched[..3].iter().all(Result::is_ok));
+        let err = batched[3].as_ref().expect_err("the failing key");
+        assert!(err.contains("no entry with uid -7777"), "{err}");
+    }
 }
 
 // ------------------------------------------------------------------------

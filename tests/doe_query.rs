@@ -3,7 +3,7 @@
 //! GDB source joined through Entrez sequence ids to non-human homology
 //! links, validated exactly against the generator's ground truth.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use bio_data::{GdbConfig, GenBankConfig};
 use kleisli::{bio_federation, How, Session};
@@ -113,6 +113,27 @@ fn doe_query_matches_ground_truth_exactly() {
             );
         }
     }
+}
+
+#[test]
+fn rerunning_a_compiled_plan_builds_none_of_its_record_shapes() {
+    let (session, _fed) = federation();
+    let plan = session.compile_shared(DOE).expect("compile");
+    // The directory of every result record — a shape the plan builds —
+    // by its magic: a directory built afresh has a fresh one. (The loci
+    // come from the SQL the plan ships: their shape is the driver's.)
+    let shapes = |result: Value| -> BTreeSet<u64> {
+        let magic = |r: &Value| match r {
+            Value::Record(r) => r.magic(),
+            other => panic!("not a record: {other}"),
+        };
+        result.elements().expect("a set").iter().map(magic).collect()
+    };
+    let first = shapes(session.start(&plan, How::default()).wait().expect("query"));
+    // No record of the first run is left: only the plan keeps the shape.
+    let second = shapes(session.start(&plan, How::default()).wait().expect("query"));
+    assert_eq!(first.len(), 1, "{first:?}");
+    assert_eq!(first, second);
 }
 
 #[test]

@@ -416,10 +416,13 @@ fn a_failing_batched_wire_request_fails_every_key_and_charges_the_breaker_once_p
     drv.set_fault(Fault::FailRequests(u32::MAX));
     let dref: DriverRef = drv.clone();
     drv.set_resilience(ResiliencePolicy {
+        // Backoffs long enough (at least 150 ms in all, after jitter) that
+        // the doomed wire request is still in the air while every waiter
+        // attaches.
         retry: Some(RetryPolicy {
             max_retries: 2,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(2),
+            base_backoff: Duration::from_millis(100),
+            max_backoff: Duration::from_millis(200),
         }),
         breaker: Some(BreakerPolicy {
             failure_threshold: 3,
@@ -436,26 +439,33 @@ fn a_failing_batched_wire_request_fails_every_key_and_charges_the_breaker_once_p
         .collect();
     let batch = res.fetch(&dref, &reqs, Fetch::Batch, None, None);
     assert_eq!(batch.len(), 8, "one flight per distinct key");
-    // Held to the end: the handles keep their flights answerable.
-    let _batch: Vec<ResilientHandle> =
+    let batch: Vec<ResilientHandle> =
         batch.into_iter().collect::<KResult<_>>().expect("batching advertised");
 
-    // Two independent waiters per key — sixteen consumers share the one
-    // doomed wire request, and every single one must see its error.
-    for req in &reqs {
-        for _ in 0..2 {
+    // Two independent waiters per key attach while the wire request is in
+    // the air — sixteen consumers share the one doomed wire request, and
+    // every single one, like every handle of the batch, must see its error.
+    let waiters: Vec<ResilientHandle> = reqs
+        .iter()
+        .flat_map(|req| [req, req])
+        .map(|req| {
             let mut waiter = res.fetch(&dref, std::slice::from_ref(req), Fetch::Window, None, None);
-            let err = match waiter.pop().expect("a handle a request").expect("attached").wait() {
-                Err(e) => e,
-                Ok(_) => panic!("the batch must fail"),
-            };
-            assert!(
-                matches!(err, KError::Transport { .. })
-                    && err.to_string().contains("injected transport failure"),
-                "waiter got the wrong error: {err}"
-            );
-        }
+            waiter.pop().expect("a handle a request").expect("attached")
+        })
+        .collect();
+    assert_eq!(res.pending_flights(), 8, "attached while in the air");
+    for handle in waiters.into_iter().chain(batch) {
+        let err = match handle.wait() {
+            Err(e) => e,
+            Ok(_) => panic!("the batch must fail"),
+        };
+        assert!(
+            matches!(err, KError::Transport { .. })
+                && err.to_string().contains("injected transport failure"),
+            "waiter got the wrong error: {err}"
+        );
     }
+    assert_eq!(res.pending_flights(), 0, "a failed flight leaves the window");
 
     // The wire saw exactly 1 + max_retries batched attempts, no per-key
     // round-trips, and the three failures were charged to the breaker at
@@ -469,6 +479,7 @@ fn a_failing_batched_wire_request_fails_every_key_and_charges_the_breaker_once_p
     assert_eq!(m.breaker_opens, 1, "{m:?}");
     assert_eq!(m.batch_requests, 1, "8 keys fit one wire request: {m:?}");
     assert_eq!(m.batched_keys, 8, "{m:?}");
+    assert_eq!(m.coalesced, 16, "every waiter attached in the air: {m:?}");
     assert_eq!(res.breaker_state(), Some(BreakerState::Open));
 }
 
@@ -602,7 +613,7 @@ fn sliceable_source(delay: Duration) -> Arc<SlowDriver> {
     drv
 }
 
-/// No ticket, no orphan, no flight pending or held. (Admission itself
+/// No ticket, no orphan, no flight in the air. (Admission itself
 /// is asserted where it happens: `RequestGate::admit` checks
 /// `in_flight < limit` on every pickup of a debug build, so a part
 /// admitted past the width fails its scan with a driver panic.)

@@ -1,7 +1,8 @@
 //! A query's byte budget (`kleisli::How::max_bytes`). A short text can ask
 //! for more than any heap holds — six generators over one 20-element
-//! literal is 20⁶ = 64 M records — so every block a generator returns is
-//! charged, and past the budget the query is an error naming it. The
+//! literal is 20⁶ = 64 M records — so every row collected into a value is
+//! charged, once per value however many generators it streamed through,
+//! and past the budget the query is an error naming it. The
 //! heap the query took on the way is measured by a counting allocator
 //! over the whole process (the evaluation runs on executor workers), so
 //! this binary holds only these tests, and they run one at a time.
@@ -97,4 +98,27 @@ fn a_query_one_block_inside_its_budget_runs() {
     assert_eq!(at, result);
     let err = session.start(&plan, within(charge - 1)).wait().expect_err("one byte short");
     assert!(err.to_string().contains("memory budget"), "{err}");
+}
+
+#[test]
+fn a_flat_and_a_nested_query_yielding_the_same_rows_fail_at_the_same_budget() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut session = Session::new();
+    let ints = |n: i64| Value::set((0..n).map(Value::Int).collect());
+    session.bind_value("A", ints(20));
+    session.bind_value("B", ints(20));
+    let pairs = (0..20).flat_map(|a| (0..20).map(move |b| (a, b)));
+    let pairs = pairs.map(|(a, b)| Value::record_from([("a", Value::Int(a)), ("b", Value::Int(b))]));
+    session.bind_value("PAIRS", Value::set(pairs.collect()));
+    let flat = session.compile_shared(r"{[a = p.a, b = p.b] | \p <- PAIRS}").expect("compile");
+    let nested = session.compile_shared(r"{[a = a, b = b] | \a <- A, \b <- B}").expect("compile");
+    let result = session.start(&flat, How::default()).wait().expect("unbudgeted");
+    assert_eq!(session.start(&nested, How::default()).wait().expect("unbudgeted"), result);
+    let charge: u64 = result.elements().expect("a set").iter().map(Value::approx_bytes).sum();
+    for plan in [&flat, &nested] {
+        let at = session.start(plan, within(charge)).wait().expect("inside the budget");
+        assert_eq!(at, result);
+        let err = session.start(plan, within(charge - 1)).wait().expect_err("one byte short");
+        assert!(err.to_string().contains("memory budget"), "{err}");
+    }
 }

@@ -1,8 +1,8 @@
 //! One resilience state per driver: every session that registers a driver
 //! shares its circuit breaker, its batch flight table and its counters
 //! (`kleisli_core::Driver::resilience`), so what one session learns about a
-//! source another acts on, and a FLUSH of the source retires what any of
-//! them fetched before it.
+//! source another acts on, and no fetch after a FLUSH of the source replays
+//! what any of them fetched before it.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -137,7 +137,7 @@ fn a_flush_retires_the_batch_flights_fetched_before_it() {
     let s = session(&drv);
     let ctx = s.context();
     // Two handles of one flight: redeeming one waits out the batch, and
-    // the other keeps the resolved flight answering.
+    // the flight leaves the window as it resolves.
     let batch = ctx.fetch("SRC", &[links(9), links(9)], Fetch::Batch);
     let mut batch = batch.into_iter().map(|h| h.expect("batched"));
     let (kept, redeemed) = (batch.next().expect("a handle"), batch.next().expect("two"));
@@ -147,8 +147,7 @@ fn a_flush_retires_the_batch_flights_fetched_before_it() {
     let window = one(&ctx, links(9), Fetch::Window);
     assert_eq!(window.wait().and_then(drain).expect("fetched"), 3);
     assert_eq!(drv.performs.load(Ordering::SeqCst), 1, "the window fetch went to the wire");
-    // The holder still reads its own handle, and releasing the retired
-    // flight finds nothing left to release.
+    // The other handle still replays its own flight.
     assert_eq!(kept.wait().and_then(drain).expect("its own rows"), 3);
     assert_quiescent(&[&*drv, &*ctx]);
 }
