@@ -280,7 +280,6 @@ pub fn set_par_width(e: &Expr, width: usize) -> Expr {
                 var,
                 body,
                 source,
-                batch,
                 ..
             } => Arc::new(Expr::ParExt {
                 kind: *kind,
@@ -288,7 +287,6 @@ pub fn set_par_width(e: &Expr, width: usize) -> Expr {
                 body: body.clone(),
                 source: source.clone(),
                 max_in_flight: width,
-                batch: batch.clone(),
             }),
             _ => e,
         }

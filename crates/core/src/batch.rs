@@ -16,8 +16,9 @@
 //! error) registered in the driver's [`BatchWindow`] while its wire request
 //! is in the air; when the wire request's keys are answered, every flight
 //! leaves the window and is resolved, and the per-element consumers —
-//! the handles the batch fetch returned, which a `ParExt` hands to its
-//! elements' bodies — replay its shared reply, as often as they are read.
+//! the handles the batch fetch returned, which a batch-marked loop hands
+//! to its elements' bodies — replay its shared reply, as often as they
+//! are read.
 //! A window or full fetch of a request whose flight is still pending
 //! attaches to it (counted as `coalesced`); one that finds none keeps its
 //! own lazily streamed wire request and never registers a flight, so such

@@ -236,6 +236,7 @@ fn desugar_comp(
                 var,
                 body: Arc::new(body),
                 source: Arc::new(src_e),
+                batch: None,
             })
         }
     }

@@ -51,11 +51,19 @@ pub struct Context {
     /// ([`Context::for_bodies`]): nothing under it can start ahead, and the
     /// evaluator need not look.
     remote_free: bool,
-    /// The element of a warmed-up batch-marked chunk whose body this clone
-    /// evaluates: the driver and argument of the loop's marked call, and
-    /// the batch handle that call replays instead of building its request
-    /// (`exec::stream`'s `Par`).
-    pub(crate) element: Option<Arc<(nrc::Name, Arc<nrc::Expr>, ResilientHandle)>>,
+    /// The element of the innermost warmed-up batch-marked loop whose
+    /// body this clone evaluates ([`Context::for_element`]).
+    pub(crate) element: Option<Arc<Element>>,
+}
+
+/// One element of a warmed-up batch-marked loop: the loop's mark, the
+/// batch handle its marked call replays instead of building its request
+/// (`exec::stream`'s `RemoteApp` arm), and the element of the marked loop
+/// around this one, if any.
+pub(crate) struct Element {
+    pub(crate) mark: nrc::BatchSpec,
+    pub(crate) handle: ResilientHandle,
+    pub(crate) outer: Option<Arc<Element>>,
 }
 
 /// What a query's generators may materialize, and what they have.
@@ -221,6 +229,20 @@ impl Context {
         }
         let mut c = self.clone();
         c.remote_free = c.remote_free || bodies.into_iter().all(local);
+        c
+    }
+
+    /// The clone an element of a warmed-up loop marked `mark` evaluates
+    /// its body under: the loop's marked call replays `handle`, and every
+    /// enclosing marked loop's call still replays its own element's.
+    pub(crate) fn for_element(&self, mark: &nrc::BatchSpec, handle: ResilientHandle) -> Context {
+        let mut c = self.clone();
+        let outer = self.element.clone();
+        c.element = Some(Arc::new(Element {
+            mark: mark.clone(),
+            handle,
+            outer,
+        }));
         c
     }
 

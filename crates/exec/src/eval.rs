@@ -663,19 +663,13 @@ mod tests {
             CollKind::Set,
             Expr::prim(Prim::Mul, vec![Expr::var("x"), Expr::int(3)]),
         );
-        let seq = Expr::Ext {
-            kind: CollKind::Set,
-            var: name("x"),
-            body: Arc::new(body.clone()),
-            source: Arc::new(Expr::Const(src.clone())),
-        };
+        let seq = Expr::ext(CollKind::Set, "x", body.clone(), Expr::Const(src.clone()));
         let par = Expr::ParExt {
             kind: CollKind::Set,
             var: name("x"),
             body: Arc::new(body),
             source: Arc::new(Expr::Const(src)),
             max_in_flight: 8,
-            batch: None,
         };
         let ctx = Context::new();
         assert_eq!(
@@ -695,7 +689,6 @@ mod tests {
             body: Arc::new(body),
             source: Arc::new(Expr::Const(src.clone())),
             max_in_flight: 4,
-            batch: None,
         };
         let got = eval(&par, &Env::empty(), &Context::new()).unwrap();
         assert_eq!(got, src);

@@ -111,6 +111,7 @@ fn rt(e: &Expr, env: &Env, ctx: &Context) -> KResult<Rt> {
             var,
             body,
             source,
+            ..
         }
         | Expr::ParExt {
             kind,

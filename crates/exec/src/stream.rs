@@ -67,23 +67,41 @@
 //!   which evaluates it straight into the output block. Only the rows
 //!   past the consumer's grain wait in a queue for the next pull. A union
 //!   whose arms both reach a source is not taken, so its arms still start
-//!   together. Any other body is streamed, at the consumer's grain;
+//!   together. Any other body is streamed, at the consumer's grain. A
+//!   batch-marked loop runs its bodies the same way, in order, a chunk of
+//!   elements at a time (*Batched loops*, below);
 //! * **`Join`**: the probe sends each match's body through the same
 //!   kernel, and evaluates a body the kernel cannot take to its
 //!   collection;
-//! * **`Par`** (a `ParExt`): a chunk of `width` elements (`max_keys` for
-//!   a batch-marked loop, if more), filled across source blocks, is warmed
-//!   up, its bodies run at most `width` at once, and their pieces are
-//!   written in element order (`Par`'s docs). A chunk boundary is a
-//!   concurrency boundary and the keys of a batched wire request, so it
+//! * **`Par`** (a `ParExt`, the paper's "say five"): a chunk of `width`
+//!   elements, filled across source blocks, runs its bodies at most
+//!   `width` at once, and their pieces are written in element order
+//!   (`Par`'s docs). A chunk boundary is a concurrency boundary, so it
 //!   does not move with the consumer's grain.
 //!
 //! **The pull grain** is one rule: the source is asked for the rows the
 //! consumer still wants, divided by the most rows one element can yield,
 //! and for one element at a time when that is unbounded (a streamed body,
-//! a join); a `ParExt` asks for what its chunk still lacks. A grain-1
-//! consumer therefore moves one source row per pull, and a full drain
-//! moves whole batches through one loop.
+//! a join); a `ParExt` or a marked loop asks for what its chunk still
+//! lacks. A grain-1 consumer therefore moves one source row per pull, and
+//! a full drain moves whole batches through one loop.
+//!
+//! **Batched loops.** An `Ext` the optimizer marked (`opt::rules::batch`)
+//! takes its source `max_keys` elements at a time and warms each chunk up
+//! (`warm_up_batch`): the chunk's requests go on the wire as a few
+//! multi-key fetches, and element *i*'s body runs under a context that
+//! carries the handle of its own request (`Context::for_element`). The
+//! body's marked call — every `RemoteApp` of the mark's driver on an
+//! argument equal to the mark's `arg`, also under an inner loop — replays
+//! that handle each time it runs instead of building, hashing and
+//! fetching its request. An element keeps the handles of the marked loops
+//! around it, so an outer loop's marked call in an inner marked loop's
+//! body replays too. A warm-up does not block, so a marked loop pulls and
+//! warms up *two* chunks whenever it has none in hand: the second chunk's
+//! wire requests are in flight while the first's bodies run, and a prefix
+//! consumer costs at most `2 * max_keys` keys per loop. A chunk is the
+//! keys of a batched wire request, so it does not move with the
+//! consumer's grain either.
 //!
 //! **Rows before errors.** An error — the source's, or a body's, key's or
 //! condition's on a later match — goes behind every row the element
@@ -308,9 +326,10 @@ pub(crate) fn blocks_at(
             var,
             body,
             source,
+            batch,
         } => {
             let src = blocks(source, env, ctx, Want::Source(*kind))?;
-            let how = Expand::Ext(Arc::clone(var), Body::of(body, *kind));
+            let how = Expand::Ext(Arc::clone(var), Body::of(body, *kind), batch.clone());
             Ok(how.over(src, *kind, env, ctx.for_bodies([&**body])))
         }
         Expr::If(c, t, f) => {
@@ -332,10 +351,12 @@ pub(crate) fn blocks_at(
             PendingBlocks::start(driver, request, ctx, fetch)
         }
         Expr::RemoteApp { driver, arg } => {
-            // An element's marked call replays the element's batch handle.
+            // A marked call replays its element's batch handle: that of the
+            // innermost enclosing marked loop whose mark it is.
             let element = ctx.element.as_deref();
-            let marked = element.filter(|(d, a, _)| d == driver && a == arg);
-            if let Some(handle) = marked.and_then(|(_, _, handle)| handle.replay()) {
+            let mut elements = std::iter::successors(element, |e| e.outer.as_deref());
+            let own = elements.find(|e| e.mark.driver == *driver && e.mark.arg == *arg);
+            if let Some(handle) = own.and_then(|e| e.handle.replay()) {
                 return Ok(PendingBlocks::boxed(handle, ctx));
             }
             let argv = eval(arg, env, ctx)?;
@@ -409,6 +430,7 @@ pub(crate) fn blocks_at(
                     lead: Some(lead),
                     rows: Vec::new(),
                     kind,
+                    ctx: ctx.clone(),
                 })),
                 None => {
                     // Kind unknowable from syntax: compute the value,
@@ -425,16 +447,12 @@ pub(crate) fn blocks_at(
             body,
             source,
             max_in_flight,
-            batch,
         } => {
             let src = blocks(source, env, ctx, Want::Source(*kind))?;
             let how = Expand::Par(Par {
                 var: Arc::clone(var),
                 body: Arc::clone(body),
                 width: (*max_in_flight).max(1),
-                replay_only: batch.is_some() && remote_nodes(body) == 1,
-                batch: batch.clone(),
-                ahead: None,
             });
             Ok(how.over(src, *kind, env, ctx.for_bodies([&**body])))
         }
@@ -534,23 +552,32 @@ fn collect_rows(mut stream: BlockStream, budget: Option<&Context>) -> KResult<Ve
 
 /// Lazy population of a cached subquery's slot: passes the inner
 /// stream's blocks through at the consumer's grain while teeing their rows
-/// aside, and commits the canonical collection (`Value::collection`,
-/// exactly what draining the subquery yields) when the inner stream is
-/// exhausted. An error, or dropping the stream early, drops the lead
-/// uncommitted, releasing the slot still empty.
+/// aside — a collection the evaluation builds, so each block is charged to
+/// the query's byte budget as `collect_in` charges, and the stream ends
+/// with the budget's error past it — and commits the canonical collection
+/// (`Value::collection`, exactly what draining the subquery yields) when
+/// the inner stream is exhausted. An error, or dropping the stream early,
+/// drops the lead uncommitted, releasing the slot still empty.
 struct Tee {
     /// `None` once exhausted or failed.
     inner: Option<BlockStream>,
     lead: Option<Lead<Value>>,
     rows: Vec<Value>,
     kind: CollKind,
+    ctx: Context,
 }
 
 impl BlockSource for Tee {
     fn next_block(&mut self, max_rows: usize) -> Option<ValueBlock> {
         let block = self.inner.as_mut()?.next_block(max_rows);
         match &block {
-            Some(b) if !b.ends_with_err() => self.rows.extend(b.rows().iter().flatten().cloned()),
+            Some(b) if !b.ends_with_err() => match self.ctx.charge(b) {
+                Ok(()) => self.rows.extend(b.rows().iter().flatten().cloned()),
+                Err(e) => {
+                    (self.inner, self.lead) = (None, None);
+                    return Some(ValueBlock::of_err(e));
+                }
+            },
             Some(_) => {
                 self.inner = None;
                 self.lead = None; // do not cache a partial result
@@ -833,6 +860,9 @@ struct Generate {
     source: Option<BlockStream>,
     /// Source rows pulled but not yet expanded.
     elems: VecDeque<KResult<Value>>,
+    /// A marked loop's: the warm-up's batch handle of each element in
+    /// `elems` (`None` where a warm-up was skipped), in order.
+    handles: VecDeque<Option<ResilientHandle>>,
     /// The rows an element yielded past the consumer's grain, in order,
     /// and the error that ends the stream behind them.
     overflow: VecDeque<KResult<Value>>,
@@ -848,8 +878,9 @@ struct Generate {
 }
 
 enum Expand {
-    /// An `Ext`: the body through the kernel, or else streamed.
-    Ext(Name, Body),
+    /// An `Ext`: the body through the kernel, or else streamed; a chunk
+    /// warmed up at a time when the loop is batch-marked.
+    Ext(Name, Body, Option<nrc::BatchSpec>),
     /// A join: every match's body through the kernel, or else evaluated.
     Join {
         probe: Probe,
@@ -863,146 +894,66 @@ enum Expand {
     Par(Par),
 }
 
-/// The `Par` arm: pulls a chunk of `width` source elements, filled
-/// across source blocks, evaluates their bodies at most `width` at once
-/// ([`eval_parallel`]), writes their pieces in element order, then pulls
-/// the next chunk. A chunk boundary is a concurrency boundary, so it
-/// does not move with the consumer's grain.
+/// The `Par` arm, the paper's "say five" primitive: pulls a chunk of
+/// `width` source elements, filled across source blocks, evaluates their
+/// bodies at most `width` at once ([`eval_parallel`]), writes their pieces
+/// in element order, then pulls the next chunk. A chunk boundary is a
+/// concurrency boundary, so it does not move with the consumer's grain.
 ///
 /// **Rows before errors.** A source error ends the chunk being
 /// assembled; the elements pulled before it still run, their pieces are
 /// written, and then the error — unless one of those bodies fails, which
 /// is the earlier error and wins. Likewise the pieces of the bodies
 /// preceding a failing one are written in front of its error. The stream
-/// thus fails exactly where an element-at-a-time evaluation would, which
-/// is what lets a staged two-hop loop (`opt::rules::batch`) report what
-/// the nested one does.
-///
-/// **The hand-off (batch-marked loops only).** A warmed-up chunk holds
-/// one batch handle per element, and element *i*'s body runs under a
-/// context carrying handle *i*: the marked call — every `RemoteApp` of
-/// the mark's driver on an argument equal to the mark's `arg` — replays
-/// that handle's flight, each time it runs, instead of building, hashing
-/// and fetching its request. An element with no handle of its loop's
-/// (an unmarked loop, a skipped warm-up) keeps the one it inherited, so
-/// a marked call under an inner loop still replays. The optimizer marks
-/// only a call whose argument no binder inside the body rebinds
-/// (`opt::rules::batch`), so the handle is always the request the body
-/// would have built.
-///
-/// **Read-ahead (batch-marked loops only).** [`warm_up_batch`] does not
-/// block: it puts the chunk's batched requests on the wire and returns.
-/// So a marked loop pulls and warms up *two* chunks whenever it has none
-/// in hand, then runs them in turn — the two chunks' wire requests are
-/// in flight together instead of the second waiting behind the first's
-/// bodies. At most one chunk beyond the one whose rows are being
-/// consumed is ever pulled, so a prefix consumer costs at most
-/// `2 * max_keys` keys per loop. Unmarked loops pull one chunk at a
-/// time.
+/// thus fails exactly where an element-at-a-time evaluation would.
 struct Par {
     var: Name,
     body: Arc<Expr>,
     width: usize,
-    /// The optimizer's batching mark: assemble chunks at the driver's
-    /// key-per-request grain (never below `width`) and warm each one up
-    /// into batched wire round-trips before its bodies run. Output
-    /// values and their order are unchanged — only the wire traffic is.
-    batch: Option<nrc::BatchSpec>,
-    /// The marked call is the body's only remote node: the bodies of a
-    /// warmed-up chunk then do nothing but replay its flights, so they run
-    /// on the calling thread — executor hands would only park on the same
-    /// few wire requests.
-    replay_only: bool,
-    /// The chunk pulled and warmed up ahead of the one last run.
-    ahead: Option<Chunk>,
-}
-
-/// How many driver calls `e` holds.
-fn remote_nodes(e: &Expr) -> usize {
-    let mut n = 0;
-    e.visit(&mut |node| {
-        n += usize::from(matches!(node, Expr::Remote { .. } | Expr::RemoteApp { .. }))
-    });
-    n
-}
-
-/// One chunk of source elements, warmed up but not yet run.
-struct Chunk {
-    /// One environment per element, binding it to the loop variable.
-    elems: Vec<Env>,
-    /// The warm-up's batch handles, one per element, each handed to its
-    /// element's body.
-    handles: Option<Vec<ResilientHandle>>,
-    /// The source error that cut the chunk short.
-    source_err: Option<KError>,
 }
 
 impl Par {
-    /// The next chunk to run: the one read ahead, or one pulled now (and,
-    /// for a marked loop, the one after it); `None` at the end.
-    fn next_chunk(
-        &mut self,
-        source: &mut Option<BlockStream>,
-        env: &Env,
-        ctx: &Context,
-    ) -> Option<Chunk> {
-        if let Some(chunk) = self.ahead.take() {
-            return Some(chunk);
-        }
-        source.as_ref()?;
-        let chunk = self.pull(source, env, ctx);
-        if self.batch.is_some() && source.is_some() {
-            self.ahead = Some(self.pull(source, env, ctx));
-        }
-        Some(chunk)
-    }
-
-    /// Pull up to one chunk grain of source elements and warm them up.
-    fn pull(&self, source: &mut Option<BlockStream>, env: &Env, ctx: &Context) -> Chunk {
-        let grain = self.batch.as_ref().map_or(self.width, |spec| self.width.max(spec.max_keys));
-        let mut elems = Vec::with_capacity(grain);
-        let mut source_err = None;
-        while elems.len() < grain {
-            let want = grain - elems.len();
-            let Some(block) = source.as_mut().and_then(|s| s.next_block(want)) else {
-                *source = None;
-                break;
-            };
-            for row in block.into_rows() {
-                match row {
-                    Ok(v) => elems.push(env.bind(Arc::clone(&self.var), Rt::Val(v))),
-                    Err(e) => (source_err, *source) = (Some(e), None),
-                }
-            }
-        }
-        let handles = self.batch.as_ref().and_then(|spec| warm_up_batch(spec, &elems, ctx));
-        Chunk { elems, handles, source_err }
-    }
-
     /// Run one chunk's bodies and write their pieces into `out`, up to
     /// the first error, which is returned.
-    fn run(&self, chunk: Chunk, kind: CollKind, ctx: &Context, out: &mut Out) -> KResult<()> {
-        let width = if self.replay_only && chunk.handles.is_some() { 1 } else { self.width };
-        // Element i's body gets handle i; an element with no handle here
-        // keeps the context's own — an enclosing loop's element's, if any.
-        let mut handles = chunk.handles.into_iter().flatten();
-        let with_handle = |env| match self.batch.as_ref().zip(handles.next()) {
-            Some((spec, h)) => {
-                let mut ctx = ctx.clone();
-                ctx.element = Some(Arc::new((spec.driver.clone(), Arc::clone(&spec.arg), h)));
-                (env, Cow::Owned(ctx))
+    fn run(
+        &self,
+        chunk: impl Iterator<Item = KResult<Value>>,
+        (kind, env, ctx): (CollKind, &Env, &Context),
+        out: &mut Out,
+    ) -> KResult<()> {
+        let mut envs = Vec::with_capacity(self.width);
+        let mut source_err = Ok(());
+        for row in chunk {
+            match row {
+                Ok(v) => envs.push(env.bind(Arc::clone(&self.var), Rt::Val(v))),
+                Err(e) => source_err = Err(e),
             }
-            None => (env, Cow::Borrowed(ctx)),
-        };
-        let work: Vec<(Env, Cow<Context>)> = chunk.elems.into_iter().map(with_handle).collect();
-        let mut pieces = Vec::with_capacity(work.len());
-        let ran = eval_parallel(&self.body, &work, width, &mut pieces);
+        }
+        let mut pieces = Vec::with_capacity(envs.len());
+        let ran = eval_parallel(&self.body, &envs, ctx, &mut pieces);
         // In element order: a piece of the wrong kind, then the first
         // failing body, then the source error behind the chunk.
         for piece in &pieces {
             piece_elems(piece, kind)?.iter().for_each(|v| out.push(v.clone()));
         }
-        ran.and(chunk.source_err.map_or(Ok(()), Err))
+        ran.and(source_err)
+    }
+}
+
+/// Pull up to `grain` rows of `source` into `into`, filled across its
+/// blocks. A source error ends the pull, last; `source` is `None` once it
+/// ended or failed.
+fn pull(source: &mut Option<BlockStream>, grain: usize, into: &mut VecDeque<KResult<Value>>) {
+    let end = into.len() + grain;
+    while into.len() < end {
+        let Some(block) = source.as_mut().and_then(|s| s.next_block(end - into.len())) else {
+            *source = None;
+            break;
+        };
+        if block.ends_with_err() {
+            *source = None;
+        }
+        into.extend(block.into_rows());
     }
 }
 
@@ -1114,10 +1065,11 @@ impl Expand {
         Box::new(Generate {
             source: Some(source),
             elems: VecDeque::new(),
+            handles: VecDeque::new(),
             overflow: VecDeque::new(),
             streaming: None,
             per_elem: match &self {
-                Expand::Ext(_, body) => body.rows(),
+                Expand::Ext(_, body, _) => body.rows(),
                 Expand::Join { .. } | Expand::Par(_) => None,
             },
             how: self,
@@ -1137,11 +1089,11 @@ impl Expand {
         out: &mut Out,
     ) -> KResult<Option<BlockStream>> {
         let (lvar, probe, rvar, cond, body) = match self {
-            Expand::Ext(var, Body::Other(body)) => {
+            Expand::Ext(var, Body::Other(body), _) => {
                 let env = env.bind(Arc::clone(var), Rt::Val(el));
                 return blocks(body, &env, ctx, Want::Piece(kind)).map(Some);
             }
-            Expand::Ext(var, body) => {
+            Expand::Ext(var, body, _) => {
                 let env = env.bind(Arc::clone(var), Rt::Val(el));
                 return body.write(&env, ctx, kind, out).map(|()| None);
             }
@@ -1204,38 +1156,51 @@ impl BlockSource for Generate {
                 }
                 continue;
             }
-            let at = (self.kind, &self.env, &self.ctx);
-            if let Expand::Par(par) = &mut self.how {
-                let Some(chunk) = par.next_chunk(&mut self.source, &self.env, &self.ctx) else {
+            if self.elems.is_empty() {
+                if self.source.is_none() {
                     return (!out.block.is_empty()).then_some(out.block);
-                };
-                if let Err(e) = par.run(chunk, self.kind, &self.ctx, &mut out) {
-                    (self.source, par.ahead) = (None, None);
+                }
+                match &self.how {
+                    Expand::Par(par) => pull(&mut self.source, par.width, &mut self.elems),
+                    // Two chunks whenever none is in hand (module docs,
+                    // "Batched loops").
+                    Expand::Ext(var, _, Some(mark)) => {
+                        for _ in 0..2 {
+                            pull(&mut self.source, mark.max_keys.max(1), &mut self.elems);
+                            let chunk = self.elems.range(self.handles.len()..);
+                            let handles = warm_up_batch(mark, var, chunk, &self.env, &self.ctx);
+                            self.handles.extend(handles);
+                        }
+                    }
+                    // The pull-grain rule.
+                    _ => {
+                        let want = max - out.block.len();
+                        let grain = self.per_elem.map_or(1, |n| (want / n.max(1)).max(1));
+                        pull(&mut self.source, grain, &mut self.elems);
+                    }
+                }
+            }
+            if let Expand::Par(par) = &self.how {
+                let at = (self.kind, &self.env, &self.ctx);
+                if let Err(e) = par.run(self.elems.drain(..), at, &mut out) {
+                    self.source = None;
                     out.fail(e);
                 }
                 continue;
             }
-            if self.elems.is_empty() {
-                let Some(src) = &mut self.source else {
-                    return (!out.block.is_empty()).then_some(out.block);
-                };
-                // The pull-grain rule.
-                let want = max - out.block.len();
-                let grain =
-                    self.per_elem.map_or(1, |n| if n > 1 { (want / n).max(1) } else { want });
-                match src.next_block(grain) {
-                    Some(b) if !b.ends_with_err() => self.elems.extend(b.into_rows()),
-                    b => {
-                        self.source = None;
-                        self.elems.extend(b.into_iter().flat_map(ValueBlock::into_rows));
-                    }
-                }
-            }
-            // Expand the elements pulled while the block has room.
+            // Expand the elements pulled while the block has room, a
+            // warmed-up element's body under its batch handle.
             while out.block.len() < max {
                 let Some(el) = self.elems.pop_front() else {
                     break;
                 };
+                let ctx = match (&self.how, self.handles.pop_front().flatten()) {
+                    (Expand::Ext(_, _, Some(mark)), Some(h)) => {
+                        Cow::Owned(self.ctx.for_element(mark, h))
+                    }
+                    _ => Cow::Borrowed(&self.ctx),
+                };
+                let at = (self.kind, &self.env, &*ctx);
                 match el.and_then(|el| self.how.expand(el, at, &mut out)) {
                     Ok(None) => {}
                     Ok(stream) => {
@@ -1254,81 +1219,79 @@ impl BlockSource for Generate {
     }
 }
 
-/// The batching warm-up for a marked `ParExt` chunk: evaluate the spec's
-/// request argument in every chunk element's environment (it is pure-local by the
-/// optimizer's construction, so this duplicates no driver effects),
-/// and ship the distinct requests as a few multi-key wire round-trips —
-/// one [`Context::fetch`] of [`kleisli_core::Fetch::Batch`] — and return
-/// its handles, one per element, which `Par::run` hands to the elements'
-/// bodies. Any surprise — an argument that fails to evaluate, a
-/// non-request value, a request no batch can carry, too few distinct
-/// keys, a driver without batching — skips the warm-up entirely and
-/// returns `None`: the per-element path then behaves exactly as
-/// unbatched, surfacing its own errors in their usual place. Returned
-/// handles therefore answer the request of *every* element.
-fn warm_up_batch(
-    spec: &nrc::BatchSpec,
-    elems: &[Env],
+/// The batching warm-up of a marked loop's chunk: evaluate the mark's
+/// request argument for every element of `chunk` (it is pure-local by the
+/// optimizer's construction, so this duplicates no driver effects), ship
+/// the requests as a few multi-key wire round-trips — one
+/// [`Context::fetch`] of [`kleisli_core::Fetch::Batch`] — and return one
+/// handle per element, which its body replays. Any surprise — an argument
+/// that fails to evaluate, a non-request value, a request no batch can
+/// carry, a driver without batching — skips the warm-up: every element
+/// gets `None`, and its body then behaves exactly as unbatched, surfacing
+/// its own errors in their usual place. A returned handle therefore
+/// answers its element's request.
+fn warm_up_batch<'a>(
+    mark: &nrc::BatchSpec,
+    var: &Name,
+    chunk: impl Iterator<Item = &'a KResult<Value>> + Clone,
+    env: &Env,
     ctx: &Context,
-) -> Option<Vec<ResilientHandle>> {
-    if elems.len() < spec.min_keys.max(1) {
-        return None;
-    }
-    let request = |env: &Env| {
-        let v = eval(&spec.arg, env, ctx).ok()?;
-        request_from_value(&v).ok().filter(DriverRequest::coalescable)
+) -> Vec<Option<ResilientHandle>> {
+    let elems = chunk.flatten();
+    let request = |v: &Value| {
+        let env = env.bind(Arc::clone(var), Rt::Val(v.clone()));
+        let v = eval(&mark.arg, &env, ctx).ok()?;
+        request_from_value(&v)
+            .ok()
+            .filter(DriverRequest::coalescable)
     };
-    let reqs: Vec<DriverRequest> = elems.iter().map(request).collect::<Option<_>>()?;
-    let distinct = (0..reqs.len()).filter(|&i| !reqs[..i].contains(&reqs[i])).count();
-    if distinct < spec.min_keys.max(1) {
-        return None;
+    let reqs: Option<Vec<DriverRequest>> = elems.clone().map(request).collect();
+    let handles = reqs.filter(|reqs| !reqs.is_empty()).and_then(|reqs| {
+        let handles = ctx.fetch(&mark.driver, &reqs, kleisli_core::Fetch::Batch);
+        handles.into_iter().collect::<KResult<Vec<_>>>().ok()
+    });
+    match handles {
+        Some(handles) => handles.into_iter().map(Some).collect(),
+        None => elems.map(|_| None).collect(),
     }
-    let handles = ctx.fetch(&spec.driver, &reqs, kleisli_core::Fetch::Batch);
-    handles.into_iter().collect::<KResult<_>>().ok()
 }
 
-/// Evaluate `body` for every element — under its own environment and
-/// context in `work` — at most `max_in_flight` at a time, preserving
-/// element order in the result. This is the
-/// parallel-retrieval primitive of Section 4 ("Laziness, Latency, and
-/// Concurrency"): requests to remote servers overlap, but no more than the
-/// server's tolerated number run at once.
+/// Evaluate `body` under every environment of `envs` at once — the
+/// caller bounds them at the server's tolerated number —, preserving
+/// element order in the result. This is the parallel-retrieval primitive
+/// of Section 4 ("Laziness, Latency, and Concurrency"): requests to remote
+/// servers overlap, but no more than the server's tolerated number run at
+/// once.
 ///
-/// Each chunk runs as a batch on the context's shared
+/// The bodies run as a batch on the context's shared
 /// [`kleisli_core::Executor`] — tasks own cheap clones of the body
 /// `Arc`, the environment, and the context handle, so no OS thread is
 /// ever created per element. The submitting thread helps drain its own
-/// batch, which both caps in-flight work at `max_in_flight` and keeps
-/// nested parallel loops deadlock-free on the bounded pool (see
-/// `kleisli_core::executor`). A task that panics surfaces as an
-/// evaluation error, and an error stops later chunks from being
-/// submitted at all; `out` then holds the results of the elements in
-/// front of the failing one.
+/// batch, which keeps nested parallel loops deadlock-free on the bounded
+/// pool (see `kleisli_core::executor`). A task that panics surfaces as an
+/// evaluation error; `out` then holds the results of the elements in
+/// front of the first failing one.
 fn eval_parallel(
     body: &Arc<Expr>,
-    work: &[(Env, Cow<Context>)],
-    max_in_flight: usize,
+    envs: &[Env],
+    ctx: &Context,
     out: &mut Vec<Value>,
 ) -> KResult<()> {
-    let width = max_in_flight.max(1);
-    if width == 1 || work.len() <= 1 {
-        for (env, ctx) in work {
+    if envs.len() <= 1 {
+        for env in envs {
             out.push(eval(body, env, ctx)?);
         }
         return Ok(());
     }
-    for chunk in work.chunks(width) {
-        let tasks: Vec<Box<dyn FnOnce() -> KResult<Value> + Send>> = chunk
-            .iter()
-            .map(|(env, ctx)| {
-                let (body, env, ctx) = (Arc::clone(body), env.clone(), Context::clone(ctx));
-                Box::new(move || eval(&body, &env, &ctx))
-                    as Box<dyn FnOnce() -> KResult<Value> + Send>
-            })
-            .collect();
-        for r in chunk[0].1.executor().run_all(tasks) {
-            out.push(r.unwrap_or_else(|| Err(KError::eval("worker thread panicked")))?);
-        }
+    let tasks: Vec<Box<dyn FnOnce() -> KResult<Value> + Send>> = envs
+        .iter()
+        .map(|env| {
+            let (body, env, ctx) = (Arc::clone(body), env.clone(), ctx.clone());
+            Box::new(move || eval(&body, &env, &ctx)) as Box<dyn FnOnce() -> KResult<Value> + Send>
+        })
+        .collect();
+    for r in ctx.executor().run_all(tasks) {
+        out.push(r.unwrap_or_else(|| Err(KError::eval("worker thread panicked")))?);
     }
     Ok(())
 }
@@ -1605,14 +1568,8 @@ mod tests {
             body: Arc::new(body.clone()),
             source: Arc::new(src.clone()),
             max_in_flight: 4,
-            batch: None,
         };
-        let seq = Expr::Ext {
-            kind: CollKind::Set,
-            var: name("x"),
-            body: Arc::new(body),
-            source: Arc::new(src),
-        };
+        let seq = Expr::ext(CollKind::Set, "x", body, src);
         let ctx = Arc::new(Context::new());
         let a = collect_stream(
             eval_stream(&par, &Env::empty(), &ctx).unwrap(),

@@ -40,7 +40,6 @@ fn operators_pull_blocks_not_rows() {
                 )),
                 source: scan(),
                 max_in_flight: 4,
-                batch: None,
             },
         ),
     ];

@@ -176,7 +176,6 @@ fn cached_subquery_under_parallel_generator_runs_once() {
         body: Arc::new(body),
         source: Arc::new(Expr::Const(Value::set((0..16).map(Value::Int).collect()))),
         max_in_flight: 8,
-        batch: None,
     };
     let v = eval(&e, &Env::empty(), &ctx).unwrap();
     assert_eq!(v.len(), Some(100));
@@ -215,4 +214,39 @@ fn evaluation_error_aborts_population_and_allows_retry() {
     let v = eval(&good, &Env::empty(), &ctx).unwrap();
     assert_eq!(v, Value::set(vec![Value::Int(5)]));
     assert_quiescent(&[&*ctx]);
+}
+
+#[test]
+fn a_cached_subquery_past_the_byte_budget_fails_as_its_rows_collected_uncached() {
+    // U{ if x = 0 then {x} else {} | \x <- Cached(REMOTE) } yields one row,
+    // but the cache's value collects all 100 of the scan's: the tee
+    // charges them.
+    let (ctx, _execs, _pulled) = counting_ctx(100);
+    let Expr::Cached { expr: scan, .. } = cached_scan(11) else {
+        unreachable!()
+    };
+    let rows: u64 = (0..100).map(|i| Value::Int(i).approx_bytes()).sum();
+    let run = |e: &Expr, budget: u64| {
+        eval(e, &Env::empty(), &ctx.with_byte_budget(budget)).map_err(|e| e.to_string())
+    };
+    let uncached = run(&scan, rows - 1);
+    assert!(
+        uncached
+            .as_ref()
+            .is_err_and(|e| e.contains("memory budget")),
+        "{uncached:?}"
+    );
+    let first = Expr::if_(
+        Expr::eq(Expr::var("x"), Expr::int(0)),
+        Expr::single(CollKind::Set, Expr::var("x")),
+        Expr::Empty(CollKind::Set),
+    );
+    let cached = Expr::ext(CollKind::Set, "x", first, cached_scan(11));
+    assert_eq!(run(&cached, rows - 1), uncached);
+    assert_eq!(ctx.cache_get(11), None, "a failed tee commits nothing");
+    assert_quiescent(&[&*ctx]);
+    // The scan's rows, teed, and the one row collected, fit.
+    let fits = rows + Value::Int(0).approx_bytes();
+    assert_eq!(run(&cached, fits), Ok(Value::set(vec![Value::Int(0)])));
+    assert_eq!(ctx.cache_get(11).and_then(|v| v.len()), Some(100));
 }

@@ -51,7 +51,6 @@ fn admission_limit_is_enforced_beyond_plan_parallelism() {
         body: Arc::new(wrap_ext(scan("slow"))),
         source: Arc::new(Expr::Const(Value::set((0..16).map(Value::Int).collect()))),
         max_in_flight: 8,
-        batch: None,
     };
     let v = eval(&e, &Env::empty(), &ctx).unwrap();
     assert_eq!(v.len(), Some(4), "4 distinct rows per scan");
@@ -84,7 +83,6 @@ fn par_ext_runs_on_the_shared_executor_with_bounded_workers() {
         body: Arc::new(wrap_ext(scan("slow"))),
         source: Arc::new(Expr::Const(Value::set((0..64).map(Value::Int).collect()))),
         max_in_flight: 8,
-        batch: None,
     };
     let v = eval(&e, &Env::empty(), &ctx).unwrap();
     assert_eq!(v.len(), Some(2));
@@ -126,7 +124,6 @@ fn nested_par_ext_completes_on_a_one_worker_executor() {
         )),
         source: Arc::new(Expr::Const(Value::set((0..4).map(Value::Int).collect()))),
         max_in_flight: 3,
-        batch: None,
     };
     let outer = Expr::ParExt {
         kind: CollKind::Set,
@@ -134,7 +131,6 @@ fn nested_par_ext_completes_on_a_one_worker_executor() {
         body: Arc::new(inner),
         source: Arc::new(Expr::Const(Value::set((0..4).map(Value::Int).collect()))),
         max_in_flight: 3,
-        batch: None,
     };
     let v = eval(&outer, &Env::empty(), &ctx).unwrap();
     let mut expect: Vec<Value> = (0..4)

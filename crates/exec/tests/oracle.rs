@@ -284,7 +284,6 @@ impl Gen<'_> {
                         body: Arc::new(body),
                         source: Arc::new(source),
                         max_in_flight: 1 + self.below(4) as usize,
-                        batch: None,
                     }
                 } else {
                     Expr::ext(kind, &x, body, source)
@@ -652,7 +651,6 @@ fn runtime_kind_errors_are_the_same_everywhere() {
         body: Arc::new(body),
         source: Arc::new(set()),
         max_in_flight: 2,
-        batch: None,
     };
     let cases: Vec<(&str, Expr, &str)> = vec![
         (

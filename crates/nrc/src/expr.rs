@@ -183,12 +183,17 @@ pub enum Expr {
     Single(CollKind, Arc<Expr>),
     /// Collection union: set union, bag additive union, list append.
     Union(CollKind, Arc<Expr>, Arc<Expr>),
-    /// The monad extension `U{ body | \var <- source }`.
+    /// The monad extension `U{ body | \var <- source }`. When `batch` is
+    /// set, the executor folds the body's per-element remote requests into
+    /// batched wire round-trips, a chunk of elements at a time, and each
+    /// element's body replays its own request's reply (the body itself is
+    /// unchanged).
     Ext {
         kind: CollKind,
         var: Name,
         body: Arc<Expr>,
         source: Arc<Expr>,
+        batch: Option<BatchSpec>,
     },
     If(Arc<Expr>, Arc<Expr>, Arc<Expr>),
     /// Primitive application.
@@ -239,21 +244,17 @@ pub enum Expr {
     },
     /// `Ext` whose body issues remote requests: evaluate bodies for up to
     /// `max_in_flight` source elements concurrently and take the union of
-    /// the results. When `batch` is set, the executor first folds the
-    /// per-element requests into batched wire round-trips (the loop body
-    /// is unchanged; per-element submissions attach to the flights the
-    /// warm-up's batch fetch holds).
+    /// the results.
     ParExt {
         kind: CollKind,
         var: Name,
         body: Arc<Expr>,
         source: Arc<Expr>,
         max_in_flight: usize,
-        batch: Option<BatchSpec>,
     },
 }
 
-/// The optimizer's batching mark on a [`Expr::ParExt`]: the per-element
+/// The optimizer's batching mark on an [`Expr::Ext`]: the per-element
 /// remote request inside the loop body, abstracted over the loop
 /// variable, so the executor can pre-compute the whole key set's
 /// requests and ship them as a few multi-key wire round-trips (the
@@ -267,9 +268,6 @@ pub struct BatchSpec {
     /// `kleisli_exec::request_from_value`), with the loop variable
     /// still free — evaluated once per source element during warm-up.
     pub arg: Arc<Expr>,
-    /// Skip warm-up below this many distinct keys: small key sets keep
-    /// the plain latency-overlap path.
-    pub min_keys: usize,
     /// The driver's advertised per-request key ceiling (warm-up chunk
     /// grain).
     pub max_keys: usize,
@@ -302,6 +300,7 @@ impl Expr {
             var: name(var),
             body: Arc::new(body),
             source: Arc::new(source),
+            batch: None,
         }
     }
 
@@ -590,11 +589,13 @@ impl Expr {
                 var,
                 body,
                 source,
+                batch,
             } => Expr::Ext {
                 kind: *kind,
                 body: step(body),
                 source: step(source),
                 var: bind(var),
+                batch: batch.clone(),
             },
             Expr::If(c, t, el) => Expr::If(step(c), step(t), step(el)),
             Expr::Prim(p, args) => match slots(args, |a| a, |_, a| a, &mut step) {
@@ -634,14 +635,12 @@ impl Expr {
                 body,
                 source,
                 max_in_flight,
-                batch,
             } => Expr::ParExt {
                 kind: *kind,
                 body: step(body),
                 source: step(source),
                 var: bind(var),
                 max_in_flight: *max_in_flight,
-                batch: batch.clone(),
             },
         };
         if changed {
@@ -765,7 +764,7 @@ impl Expr {
         // is now stale, so it is dropped — the batch pass runs after
         // every substituting rewrite and re-derives it. (An untouched
         // loop above kept its shared node, mark included.)
-        if let Some(Expr::ParExt { batch, .. }) = Arc::get_mut(&mut out) {
+        if let Some(Expr::Ext { batch, .. }) = Arc::get_mut(&mut out) {
             *batch = None;
         }
         out
@@ -841,16 +840,14 @@ mod tests {
     }
 
     fn marked_loop(var: &str, body: Expr) -> Expr {
-        Expr::ParExt {
+        Expr::Ext {
             kind: CollKind::Set,
             var: name(var),
             body: Arc::new(Expr::single(CollKind::Set, body)),
             source: Arc::new(Expr::var("S")),
-            max_in_flight: 3,
             batch: Some(BatchSpec {
                 driver: name("GenBank"),
                 arg: Arc::new(Expr::var(var)),
-                min_keys: 2,
                 max_keys: 8,
             }),
         }
@@ -1050,10 +1047,10 @@ mod tests {
         // Free in the source only: the loop is rebuilt around its body,
         // without the mark.
         let mut e = marked_loop("x", Expr::var("x"));
-        if let Expr::ParExt { source, .. } = &mut e {
+        if let Expr::Ext { source, .. } = &mut e {
             *source = Arc::new(Expr::var("x"));
         }
-        let Expr::ParExt {
+        let Expr::Ext {
             body,
             source,
             batch,
@@ -1070,19 +1067,14 @@ mod tests {
     #[test]
     fn subst_renames_a_capturing_marked_loops_binder() {
         let e = marked_loop("x", Expr::var("z"));
-        let Expr::ParExt {
-            var,
-            body,
-            max_in_flight,
-            batch,
-            ..
+        let Expr::Ext {
+            var, body, batch, ..
         } = subst(e, "z", Expr::var("x"))
         else {
             panic!("shape");
         };
         assert_ne!(&*var, "x", "the binder must be renamed");
         assert_eq!(*body, Expr::single(CollKind::Set, Expr::var("x")));
-        assert_eq!(max_in_flight, 3);
         assert_eq!(batch, None, "a rebuilt loop drops its stale mark");
     }
 

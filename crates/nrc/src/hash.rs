@@ -115,9 +115,19 @@ fn shallow_hash<'a>(e: &'a Expr, d: &mut impl Digest<'a>) -> u64 {
             default.is_some().hash(&mut h);
         }
         Expr::Empty(k) | Expr::Single(k, _) => k.hash(&mut h),
-        Expr::Ext { kind, var, .. } => {
+        Expr::Ext {
+            kind, var, batch, ..
+        } => {
             kind.hash(&mut h);
             d.var(var, &mut h);
+            // The batching mark changes execution strategy, so marked
+            // and unmarked plans must not collide in the plan cache.
+            // The request argument is derived from the body (already
+            // hashed as a child); the scalar fields identify the mark.
+            if let Some(b) = batch {
+                b.driver.hash(&mut h);
+                b.max_keys.hash(&mut h);
+            }
         }
         Expr::Prim(p, args) => {
             p.hash(&mut h);
@@ -152,23 +162,11 @@ fn shallow_hash<'a>(e: &'a Expr, d: &mut impl Digest<'a>) -> u64 {
             kind,
             var,
             max_in_flight,
-            batch,
             ..
         } => {
             kind.hash(&mut h);
             d.var(var, &mut h);
             max_in_flight.hash(&mut h);
-            // The batching mark changes execution strategy, so marked
-            // and unmarked plans must not collide in the plan cache.
-            // The request argument is derived from the body (already
-            // hashed as a child); the scalar fields identify the mark.
-            if let Some(b) = batch {
-                b.driver.hash(&mut h);
-                b.min_keys.hash(&mut h);
-                b.max_keys.hash(&mut h);
-            } else {
-                false.hash(&mut h);
-            }
         }
     }
     e.for_each_child(&mut |c| d.child(c).hash(&mut h));

@@ -104,7 +104,11 @@ pub fn write_expr(f: &mut fmt::Formatter<'_>, e: &Expr, depth: usize) -> fmt::Re
             var,
             body,
             source,
+            batch,
         } => {
+            if let Some(b) = batch {
+                write!(f, "BATCH[{}≤{}]", b.driver, b.max_keys)?;
+            }
             write!(f, "{}{{ ", union_symbol(*kind))?;
             write_expr(f, body, depth + 1)?;
             write!(f, " | \\{var} <- ")?;
@@ -180,12 +184,8 @@ pub fn write_expr(f: &mut fmt::Formatter<'_>, e: &Expr, depth: usize) -> fmt::Re
             body,
             source,
             max_in_flight,
-            batch,
         } => {
             write!(f, "PAR[{max_in_flight}]")?;
-            if let Some(b) = batch {
-                write!(f, "BATCH[{}≥{},≤{}]", b.driver, b.min_keys, b.max_keys)?;
-            }
             write!(f, "{}{{ ", union_symbol(*kind))?;
             write_expr(f, body, depth + 1)?;
             write!(f, " | \\{var} <- ")?;

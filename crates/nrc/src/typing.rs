@@ -146,6 +146,7 @@ pub fn infer(e: &Expr, env: &TypeEnv) -> KResult<Type> {
             var,
             body,
             source,
+            ..
         }
         | Expr::ParExt {
             kind,

@@ -54,16 +54,14 @@ impl Gen<'_> {
             3 => Expr::ext(Set, self.name(), self.expr(d), self.expr(d)),
             4 => {
                 let var = self.name();
-                Expr::ParExt {
+                Expr::Ext {
                     kind: Set,
                     var: name(var),
                     body: self.arc(d),
                     source: self.arc(d),
-                    max_in_flight: 2,
                     batch: Some(BatchSpec {
                         driver: name("D"),
                         arg: Arc::new(Expr::var(var)),
-                        min_keys: 2,
                         max_keys: 8,
                     }),
                 }

@@ -40,11 +40,6 @@ pub struct RuleCtx<'a> {
 /// declare a limit (the paper's "say five").
 pub const DEFAULT_CONCURRENCY: usize = 5;
 
-/// Distinct-key floor below which a batch-marked loop skips warm-up: a
-/// handful of keys is served as well by overlapped round-trips, without
-/// delaying first output behind one batched request.
-pub const MIN_BATCH_KEYS: usize = 4;
-
 /// Upper bound on passes per rule set (safety net; the monad rules are
 /// strongly normalizing so the bound is rarely reached).
 pub const MAX_PASSES: usize = 20;

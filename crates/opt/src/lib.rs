@@ -15,13 +15,13 @@
 //! 4. **joins** — introducing the blocked / indexed nested-loop join
 //!    operators for joins that must run locally;
 //! 5. **cache** — memoizing outer-independent remote subqueries;
-//! 6. **parallel** — bounded-concurrency retrieval for remote calls in
-//!    inner loops;
-//! 7. **batch** — marking remote inner loops over batching-capable
+//! 6. **batch** — marking remote inner loops over batching-capable
 //!    servers so the executor folds per-element requests into multi-key
 //!    wire round-trips (IN-list / multi-uid pushdown), after staging
 //!    two-hop dependent loops so the second hop's keys reach the batch
-//!    grain.
+//!    grain;
+//! 7. **parallel** — bounded-concurrency retrieval for the remote inner
+//!    loops that do not batch.
 
 pub mod catalog;
 pub mod engine;
@@ -30,7 +30,6 @@ pub mod rules;
 pub use catalog::{NullCatalog, SourceCatalog, StaticCatalog};
 pub use engine::{
     OptConfig, Rule, RuleCtx, RuleSet, Strategy, TraceEntry, DEFAULT_CONCURRENCY, MAX_PASSES,
-    MIN_BATCH_KEYS,
 };
 
 use std::sync::Arc;
@@ -76,13 +75,14 @@ pub fn optimize_shared(
     if config.enable_cache {
         e = rules::cache::rule_set().run(e, &ctx, &mut trace);
     }
-    if config.enable_parallel {
-        e = rules::parallel::rule_set().run(e, &ctx, &mut trace);
-    }
-    // Batching runs last: its marks on ParExt nodes are advisory for the
-    // executor, and every substituting rewrite above drops stale marks.
+    // Batching runs after every substituting rewrite, which drops the
+    // stale marks it meets, and before the parallel rule, which leaves a
+    // marked loop sequential: its warm-up puts the keys on the wire.
     if config.enable_batching {
         e = rules::batch::rule_set().run(e, &ctx, &mut trace);
+    }
+    if config.enable_parallel {
+        e = rules::parallel::rule_set().run(e, &ctx, &mut trace);
     }
     (e, trace)
 }

@@ -1,30 +1,34 @@
-//! Batched round-trip rules (IN-list / multi-uid pushdown): a
-//! bounded-concurrency loop whose body issues one remote request per
-//! element against a server advertising [`Capabilities::batching`] is
-//! marked with a [`BatchSpec`], so the executor pre-fetches the whole
-//! key set in `ceil(n / max_keys)` wire round-trips instead of `n`.
+//! Batched round-trip rules (IN-list / multi-uid pushdown): a loop whose
+//! body makes one remote request per element, against a server
+//! advertising [`Capabilities::batching`], is marked with a [`BatchSpec`],
+//! so the executor ships the whole key set in `ceil(n / max_keys)` wire
+//! round-trips instead of `n`.
 //!
-//! The mark is *advisory*: the loop body is untouched, and at run time
-//! each per-element submission attaches to a warmed-up flight when one
-//! matches (byte-identical results by construction). A key set smaller
-//! than `min_keys` skips warm-up entirely — for a handful of keys the
-//! latency-overlap path already hides the round-trips, and the batch
-//! would only serialize them behind one wire request.
+//! The mark is *advisory*: the loop body is untouched. At run time the
+//! loop takes its source `max_keys` elements at a time, puts each chunk's
+//! requests on the wire as batched fetches, and element *i*'s body replays
+//! the reply to its own request instead of building it (byte-identical
+//! results by construction). A loop is marked only when every remote call
+//! in its body outside `Cached` subqueries is that one call, so once the
+//! warm-up has put the keys on the wire a body makes no request of its
+//! own: the loop runs its bodies in order, and the parallel rule set,
+//! which runs after this one, leaves it alone. A body that also calls
+//! another source stays unmarked and is parallelized instead.
 //!
 //!
 //! # Staging dependent loops
 //!
-//! The mark only pays when the loop sees enough keys. In a two-hop
+//! The mark only pays when the loop sees many keys. In a two-hop
 //! dependent loop — the DOE query's `\locus <- Loci(c), \uid <-
 //! ASN-IDs(locus.genbank_ref)` with `NA-Links(uid)` in the head — the
 //! second hop's loop is nested *inside* each outer iteration, where it
-//! sees only that element's handful of keys (one `uid`) and never
-//! reaches `min_keys`. `stage-dependent-remote-loop` therefore rewrites
+//! sees only that element's handful of keys (one `uid`): one round-trip
+//! per outer element. `stage-dependent-remote-loop` therefore rewrites
 //!
 //! ```text
-//! ParExt o <- S: ParExt i <- f(o): body(i, o)
+//! Ext o <- S: Ext i <- f(o): body(i, o)
 //!   ==>
-//! ParExt p <- (ParExt o <- S: Ext i <- f(o): {[i = i, o = o]}): body(p.i, p.o)
+//! Ext p <- (Ext o <- S: Ext i <- f(o): {[i = i, o = o]}): body(p.i, p.o)
 //! ```
 //!
 //! (monad associativity; same collection kind throughout, so sets, bag
@@ -32,8 +36,9 @@
 //! iterates one flat stream of `(i, o)` pairs, and both stages are plain
 //! remote inner loops for the marking rule below. It fires only when
 //! both hops would batch — `f` depends on `o`, and `f` and `body` each
-//! hold a markable request on a batching-capable driver — and runs before
-//! the marking rule so the staged loops, not the nested ones, are marked.
+//! hold only a markable request on a batching-capable driver — and runs
+//! before the marking rule so the staged loops, not the nested ones, are
+//! marked.
 //!
 //! [`Capabilities::batching`]: kleisli_core::Capabilities
 
@@ -42,7 +47,7 @@ use std::sync::Arc;
 
 use nrc::{BatchSpec, Expr, Name};
 
-use crate::engine::{Rule, RuleCtx, RuleSet, Strategy, MIN_BATCH_KEYS};
+use crate::engine::{Rule, RuleCtx, RuleSet, Strategy};
 
 /// Build the batching rule set.
 pub fn rule_set() -> RuleSet {
@@ -81,37 +86,35 @@ fn pure_local(e: &Expr) -> bool {
     }
 }
 
-/// The first per-element remote call in `e` worth batching: a
-/// `RemoteApp` outside any `Cached` subtree whose argument is pure-local
-/// and actually depends on the loop variable. Returns the driver and the
-/// argument expression (abstracted over `var`).
+/// The call a loop over `var` whose body is `e` batches: the driver and
+/// argument of `e`'s first `RemoteApp` outside any `Cached` subtree, when
+/// that argument is pure-local, depends on the loop variable, and is the
+/// argument of every remote call of `e` outside `Cached`, all of them on
+/// that driver.
 ///
 /// The mark is exact or absent: the warm-up evaluates the argument with
 /// the loop variable alone bound, and the executor hands that request's
-/// reply to every call of this driver on an equal argument in the body,
-/// so such a call under a binder of `e` that rebinds a free variable of
-/// the argument refuses the mark.
-///
-/// `Remote` nodes carry a *static* request — every element would issue
-/// the identical wire request, which the coalescing window already
-/// folds — so they are not batch targets.
+/// reply to every call in the body, so a call under a binder of `e` that
+/// rebinds a free variable of the argument refuses the mark. A `Remote`
+/// carries a *static* request — every element would issue the identical
+/// wire request, caching territory — so it is another call.
 fn batch_target(e: &Expr, var: &str) -> Option<(Name, Arc<Expr>)> {
     let (driver, arg) = e.find(&mut |e, _| match e {
         Expr::Cached { .. } => Break(None),
-        Expr::RemoteApp { driver, arg } => Break(
-            (pure_local(arg) && arg.occurs_free(var)).then(|| (driver.clone(), Arc::clone(arg))),
-        ),
+        Expr::RemoteApp { driver, arg } => Break(Some((driver.clone(), Arc::clone(arg)))),
         _ => Continue(()),
     })?;
-    let rebound = e.find(&mut |e, scope| {
-        let mut call = false;
-        if scope.iter().any(|b| arg.occurs_free(b)) {
-            let on_arg = |e: &Expr| matches!(e, Expr::RemoteApp { driver: d, arg: a } if *d == driver && *a == arg);
-            e.visit(&mut |e| call |= on_arg(e));
-        }
-        if call { Break(Some(())) } else { Continue(()) }
+    if !pure_local(&arg) || !arg.occurs_free(var) {
+        return None;
+    }
+    let other = e.find(&mut |e, scope| match e {
+        Expr::Cached { .. } => Break(None),
+        _ if scope.iter().any(|b| arg.occurs_free(b)) && e.touches_remote() => Break(Some(())),
+        Expr::Remote { .. } => Break(Some(())),
+        Expr::RemoteApp { driver: d, arg: a } if *d != driver || *a != arg => Break(Some(())),
+        _ => Continue(()),
     });
-    rebound.is_none().then_some((driver, arg))
+    other.is_none().then_some((driver, arg))
 }
 
 /// The batching policy of the driver behind `e`'s [`batch_target`] over
@@ -127,23 +130,21 @@ fn stage_dependent_loop(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
     if !ctx.config.enable_batching {
         return None;
     }
-    let Expr::ParExt {
+    let Expr::Ext {
         kind,
         var: outer,
         body: nested,
         source,
-        max_in_flight: outer_width,
         batch: None,
     } = e
     else {
         return None;
     };
-    let Expr::ParExt {
+    let Expr::Ext {
         kind: inner_kind,
         var: inner,
         body,
         source: hop,
-        max_in_flight: inner_width,
         batch: None,
     } = &**nested
     else {
@@ -162,7 +163,7 @@ fn stage_dependent_loop(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
     // occurrences are the inner variable's.
     let body = Expr::subst_shared(body, inner, &field("i"));
     let body = Expr::subst_shared(&body, outer, &field("o"));
-    let pairs = Expr::ParExt {
+    let pairs = Expr::Ext {
         kind: *kind,
         var: Arc::clone(outer),
         body: Arc::new(Expr::Ext {
@@ -176,17 +177,16 @@ fn stage_dependent_loop(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
                 ]),
             )),
             source: Arc::clone(hop),
+            batch: None,
         }),
         source: Arc::clone(source),
-        max_in_flight: *outer_width,
         batch: None,
     };
-    Some(Expr::ParExt {
+    Some(Expr::Ext {
         kind: *kind,
         var: pair,
         body,
         source: Arc::new(pairs),
-        max_in_flight: *inner_width,
         batch: None,
     })
 }
@@ -195,28 +195,25 @@ fn mark_batchable(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
     if !ctx.config.enable_batching {
         return None;
     }
-    let Expr::ParExt {
+    let Expr::Ext {
         kind,
         var,
         body,
         source,
-        max_in_flight,
         batch: None,
     } = e
     else {
         return None;
     };
     let (driver, arg, max_keys) = batchable(body, var, ctx)?;
-    Some(Expr::ParExt {
+    Some(Expr::Ext {
         kind: *kind,
         var: var.clone(),
         body: body.clone(),
         source: source.clone(),
-        max_in_flight: *max_in_flight,
         batch: Some(BatchSpec {
             driver,
             arg,
-            min_keys: MIN_BATCH_KEYS,
             max_keys,
         }),
     })
@@ -235,46 +232,50 @@ mod tests {
         rule_set().run_owned(e, &ctx, &mut trace)
     }
 
+    /// `U{ body | \x <- UIDS }`.
+    fn over_uids(body: Expr) -> Expr {
+        Expr::ext(CollKind::Set, "x", body, Expr::var("UIDS"))
+    }
+
     fn link_loop() -> Expr {
-        // PAR-U{ REMOTE-APP[GenBank]([db=..., link=x]) | \x <- UIDS }
-        Expr::ParExt {
-            kind: CollKind::Set,
-            var: nrc::name("x"),
-            body: Arc::new(Expr::RemoteApp {
-                driver: nrc::name("GenBank"),
-                arg: Arc::new(Expr::record(vec![
-                    ("db", Expr::str("na")),
-                    ("link", Expr::var("x")),
-                ])),
-            }),
-            source: Arc::new(Expr::var("UIDS")),
-            max_in_flight: 5,
-            batch: None,
-        }
+        // U{ REMOTE-APP[GenBank]([db=..., link=x]) | \x <- UIDS }
+        over_uids(Expr::RemoteApp {
+            driver: nrc::name("GenBank"),
+            arg: Arc::new(Expr::record(vec![
+                ("db", Expr::str("na")),
+                ("link", Expr::var("x")),
+            ])),
+        })
     }
 
     fn batching_catalog(max_keys: usize) -> StaticCatalog {
         let mut catalog = StaticCatalog::new();
-        catalog.add_driver(
-            "GenBank",
-            Capabilities {
-                batching: Some(BatchPolicy { max_keys }),
-                ..Default::default()
-            },
-        );
+        for driver in ["GenBank", "Other"] {
+            catalog.add_driver(
+                driver,
+                Capabilities {
+                    batching: Some(BatchPolicy { max_keys }),
+                    ..Default::default()
+                },
+            );
+        }
         catalog
+    }
+
+    fn marked(e: Expr) -> bool {
+        let out = run(e, &batching_catalog(16), &OptConfig::default());
+        matches!(out, Expr::Ext { batch: Some(_), .. })
     }
 
     #[test]
     fn remote_inner_loop_gets_a_batch_mark() {
         let out = run(link_loop(), &batching_catalog(16), &OptConfig::default());
         match out {
-            Expr::ParExt {
+            Expr::Ext {
                 batch: Some(spec), ..
             } => {
                 assert_eq!(spec.driver.as_ref(), "GenBank");
                 assert_eq!(spec.max_keys, 16);
-                assert_eq!(spec.min_keys, MIN_BATCH_KEYS);
                 assert!(spec.arg.occurs_free("x"));
             }
             other => panic!("no batch mark: {other}"),
@@ -305,17 +306,10 @@ mod tests {
         // The request does not mention the loop variable: caching
         // territory, and batching N identical requests buys nothing the
         // coalescing window doesn't already.
-        let e = Expr::ParExt {
-            kind: CollKind::Set,
-            var: nrc::name("x"),
-            body: Arc::new(Expr::RemoteApp {
-                driver: nrc::name("GenBank"),
-                arg: Arc::new(Expr::record(vec![("db", Expr::str("na"))])),
-            }),
-            source: Arc::new(Expr::var("UIDS")),
-            max_in_flight: 5,
-            batch: None,
-        };
+        let e = over_uids(Expr::RemoteApp {
+            driver: nrc::name("GenBank"),
+            arg: Arc::new(Expr::record(vec![("db", Expr::str("na"))])),
+        });
         assert_eq!(run(e.clone(), &batching_catalog(16), &OptConfig::default()), e);
     }
 
@@ -323,24 +317,54 @@ mod tests {
     fn impure_request_arguments_stay_unmarked() {
         // A request argument that itself calls a driver must not be
         // evaluated during warm-up.
-        let e = Expr::ParExt {
-            kind: CollKind::Set,
-            var: nrc::name("x"),
-            body: Arc::new(Expr::RemoteApp {
-                driver: nrc::name("GenBank"),
-                arg: Arc::new(Expr::record(vec![(
-                    "link",
-                    Expr::RemoteApp {
-                        driver: nrc::name("GDB"),
-                        arg: Arc::new(Expr::var("x")),
-                    },
-                )])),
-            }),
-            source: Arc::new(Expr::var("UIDS")),
-            max_in_flight: 5,
-            batch: None,
-        };
+        let e = over_uids(Expr::RemoteApp {
+            driver: nrc::name("GenBank"),
+            arg: Arc::new(Expr::record(vec![(
+                "link",
+                Expr::RemoteApp {
+                    driver: nrc::name("GDB"),
+                    arg: Arc::new(Expr::var("x")),
+                },
+            )])),
+        });
         assert_eq!(run(e.clone(), &batching_catalog(16), &OptConfig::default()), e);
+    }
+
+    #[test]
+    fn a_body_with_any_other_call_stays_unmarked() {
+        let call = |driver: &str, field: &str| Expr::RemoteApp {
+            driver: nrc::name(driver),
+            arg: Arc::new(Expr::record(vec![(field, Expr::var("x"))])),
+        };
+        let both = |a: Expr, b: Expr| over_uids(Expr::union(CollKind::Set, a, b));
+        // Two calls on equal arguments are one marked call.
+        assert!(marked(both(
+            call("GenBank", "link"),
+            call("GenBank", "link")
+        )));
+        // Another argument, another driver or a static request is not.
+        assert!(!marked(both(
+            call("GenBank", "link"),
+            call("GenBank", "uid")
+        )));
+        assert!(!marked(both(
+            call("GenBank", "link"),
+            call("Other", "link")
+        )));
+        let scan = Expr::Remote {
+            driver: nrc::name("GenBank"),
+            request: kleisli_core::DriverRequest::TableScan {
+                table: "t".into(),
+                columns: None,
+            },
+        };
+        assert!(!marked(both(call("GenBank", "link"), scan.clone())));
+        // A cached subquery is evaluated once, not per element.
+        let cached = Expr::Cached {
+            id: 1,
+            expr: Arc::new(scan),
+        };
+        assert!(marked(both(call("GenBank", "link"), cached)));
     }
 
     #[test]
@@ -349,20 +373,12 @@ mod tests {
             let arg = Expr::record(vec![("db", db), ("link", Expr::var("x"))]);
             Arc::new(Expr::RemoteApp { driver: nrc::name("GenBank"), arg: Arc::new(arg) })
         };
-        let over = |body: Arc<Expr>| Expr::ParExt {
-            kind: CollKind::Set,
-            var: nrc::name("x"),
-            body,
-            source: Arc::new(Expr::var("UIDS")),
-            max_in_flight: 5,
-            batch: None,
-        };
         let under_let = |var: &str, body: Arc<Expr>| {
-            over(Arc::new(Expr::Let { var: nrc::name(var), def: Arc::new(Expr::int(0)), body }))
-        };
-        let marked = |e: Expr| {
-            let out = run(e, &batching_catalog(16), &OptConfig::default());
-            matches!(out, Expr::ParExt { batch: Some(_), .. })
+            over_uids(Expr::Let {
+                var: nrc::name(var),
+                def: Arc::new(Expr::int(0)),
+                body,
+            })
         };
         // A binder that leaves the argument be keeps the mark.
         assert!(marked(under_let("y", links(Expr::str("na")))));
@@ -374,20 +390,21 @@ mod tests {
         // same argument (equal subplans share one), though the first call
         // is exact.
         let call = links(Expr::str("na"));
-        let inner = |body: &Arc<Expr>| Expr::Ext {
+        let inner = Expr::Ext {
             kind: CollKind::Set,
             var: nrc::name("x"),
-            body: Arc::clone(body),
+            body: Arc::clone(&call),
             source: Arc::new(Expr::var("UIDS")),
+            batch: None,
         };
-        assert!(!marked(over(Arc::new(Expr::union(CollKind::Set, (*call).clone(), inner(&call))))));
-        // A call of another driver there is never handed the reply.
-        let Expr::RemoteApp { arg, .. } = &*call else { unreachable!() };
-        let other = Arc::new(Expr::RemoteApp { driver: nrc::name("Other"), arg: Arc::clone(arg) });
-        assert!(marked(over(Arc::new(Expr::union(CollKind::Set, (*call).clone(), inner(&other))))));
+        assert!(!marked(over_uids(Expr::union(
+            CollKind::Set,
+            (*call).clone(),
+            inner
+        ))));
     }
 
-    /// `ParExt o <- S: ParExt i <- hop(o): links(i)` of the given kinds.
+    /// `Ext o <- S: Ext i <- hop(o): links(i)` of the given kinds.
     fn two_hop(outer: CollKind, inner: CollKind) -> Expr {
         let remote = |field: &str, key: &str| Expr::RemoteApp {
             driver: nrc::name("GenBank"),
@@ -396,21 +413,8 @@ mod tests {
                 (field, Expr::var(key)),
             ])),
         };
-        Expr::ParExt {
-            kind: outer,
-            var: nrc::name("o"),
-            body: Arc::new(Expr::ParExt {
-                kind: inner,
-                var: nrc::name("i"),
-                body: Arc::new(remote("link", "i")),
-                source: Arc::new(remote("select", "o")),
-                max_in_flight: 3,
-                batch: None,
-            }),
-            source: Arc::new(Expr::var("S")),
-            max_in_flight: 5,
-            batch: None,
-        }
+        let hop = Expr::ext(inner, "i", remote("link", "i"), remote("select", "o"));
+        Expr::ext(outer, "o", hop, Expr::var("S"))
     }
 
     #[test]
@@ -421,35 +425,33 @@ mod tests {
                 &batching_catalog(16),
                 &OptConfig::default(),
             );
-            // ParExt p <- (ParExt o <- S: Ext i <- hop(o): {[i, o]}): links(p.i)
-            let Expr::ParExt {
+            // Ext p <- (Ext o <- S: Ext i <- hop(o): {[i, o]}): links(p.i)
+            let Expr::Ext {
                 kind: k2,
                 var: pair,
                 body,
                 source,
-                max_in_flight: 3,
                 batch: Some(links),
             } = &out
             else {
-                panic!("second hop not a marked loop of the inner width: {out}");
+                panic!("second hop not a marked loop: {out}");
             };
             assert_eq!(*k2, kind);
             assert!(links.arg.occurs_free(pair), "hop 2 keys are pair fields");
             assert!(body.occurs_free(pair) && !body.occurs_free("i"));
-            let Expr::ParExt {
+            let Expr::Ext {
                 kind: k1,
                 body: pairs,
                 source: s,
-                max_in_flight: 5,
                 batch: Some(hop),
                 ..
             } = &**source
             else {
-                panic!("first hop not a marked loop of the outer width: {source}");
+                panic!("first hop not a marked loop: {source}");
             };
             assert_eq!(*k1, kind);
             assert!(hop.arg.occurs_free("o"));
-            assert!(matches!(&**pairs, Expr::Ext { kind: k, .. } if *k == kind));
+            assert!(matches!(&**pairs, Expr::Ext { kind: k, batch: None, .. } if *k == kind));
             assert_eq!(**s, Expr::var("S"));
         }
     }
@@ -461,10 +463,17 @@ mod tests {
             &batching_catalog(16),
             &OptConfig::default(),
         );
-        let Expr::ParExt { body, source, .. } = &out else {
+        // The outer body calls two requests: it stays unmarked.
+        let Expr::Ext {
+            body,
+            source,
+            batch: None,
+            ..
+        } = &out
+        else {
             panic!("shape changed: {out}");
         };
         assert_eq!(**source, Expr::var("S"));
-        assert!(matches!(&**body, Expr::ParExt { batch: Some(_), .. }));
+        assert!(matches!(&**body, Expr::Ext { batch: Some(_), .. }));
     }
 }

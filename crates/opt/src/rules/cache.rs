@@ -40,41 +40,24 @@ fn cache_inner(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
     if !ctx.config.enable_cache {
         return None;
     }
-    match e {
-        Expr::Ext {
-            kind,
-            var,
-            body,
-            source,
-        } => {
-            let new_body = wrap_outermost(body)?;
-            Some(Expr::Ext {
-                kind: *kind,
-                var: var.clone(),
-                body: new_body,
-                source: source.clone(),
-            })
-        }
-        Expr::ParExt {
-            kind,
-            var,
-            body,
-            source,
-            max_in_flight,
-            batch,
-        } => {
-            let new_body = wrap_outermost(body)?;
-            Some(Expr::ParExt {
-                kind: *kind,
-                var: var.clone(),
-                body: new_body,
-                source: source.clone(),
-                max_in_flight: *max_in_flight,
-                batch: batch.clone(),
-            })
-        }
-        _ => None,
-    }
+    // No `ParExt` exists yet: the parallel rule set runs after this one.
+    let Expr::Ext {
+        kind,
+        var,
+        body,
+        source,
+        batch,
+    } = e
+    else {
+        return None;
+    };
+    Some(Expr::Ext {
+        kind: *kind,
+        var: var.clone(),
+        body: wrap_outermost(body)?,
+        source: source.clone(),
+        batch: batch.clone(),
+    })
 }
 
 /// Wrap the outermost cacheable subexpressions of `e`; `None` if nothing

@@ -34,6 +34,7 @@ fn local_join(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
         var: v1,
         body,
         source: s1,
+        batch: None,
     } = e
     else {
         return None;
@@ -43,6 +44,7 @@ fn local_join(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
         var: v2,
         body: inner_body,
         source: s2,
+        batch: None,
     } = &**body
     else {
         return None;

@@ -83,6 +83,7 @@ fn right_unit(e: &Expr, _ctx: &RuleCtx<'_>) -> Option<Expr> {
         var,
         body,
         source,
+        batch: None,
     } = e
     else {
         return None;
@@ -142,6 +143,7 @@ fn ext_singleton_source(e: &Expr, _ctx: &RuleCtx<'_>) -> Option<Expr> {
         var,
         body,
         source,
+        batch: None,
     } = e
     else {
         return None;
@@ -167,6 +169,7 @@ fn vertical_fusion(e: &Expr, _ctx: &RuleCtx<'_>) -> Option<Expr> {
         var: x,
         body: e1,
         source,
+        batch: None,
     } = e
     else {
         return None;
@@ -176,6 +179,7 @@ fn vertical_fusion(e: &Expr, _ctx: &RuleCtx<'_>) -> Option<Expr> {
         var: y,
         body: e2,
         source: e3,
+        batch: None,
     } = &**source
     else {
         return None;
@@ -202,8 +206,10 @@ fn vertical_fusion(e: &Expr, _ctx: &RuleCtx<'_>) -> Option<Expr> {
             var: x.clone(),
             body: e1.clone(),
             source: e2,
+            batch: None,
         }),
         source: e3.clone(),
+        batch: None,
     })
 }
 
@@ -235,6 +241,7 @@ fn horizontal_fusion(e: &Expr, _ctx: &RuleCtx<'_>) -> Option<Expr> {
         var: x1,
         body: b1,
         source: s1,
+        batch: None,
     } = &**a
     else {
         return None;
@@ -244,6 +251,7 @@ fn horizontal_fusion(e: &Expr, _ctx: &RuleCtx<'_>) -> Option<Expr> {
         var: x2,
         body: b2,
         source: s2,
+        batch: None,
     } = &**b
     else {
         return None;
@@ -265,6 +273,7 @@ fn horizontal_fusion(e: &Expr, _ctx: &RuleCtx<'_>) -> Option<Expr> {
         var: x1.clone(),
         body: Arc::new(Expr::Union(*kind, b1.clone(), b2)),
         source: s1.clone(),
+        batch: None,
     })
 }
 
@@ -278,6 +287,7 @@ fn filter_promotion(e: &Expr, _ctx: &RuleCtx<'_>) -> Option<Expr> {
         var,
         body,
         source,
+        batch: None,
     } = e
     else {
         return None;
@@ -295,12 +305,14 @@ fn filter_promotion(e: &Expr, _ctx: &RuleCtx<'_>) -> Option<Expr> {
             var: var.clone(),
             body: t.clone(),
             source: source.clone(),
+            batch: None,
         },
         Expr::Ext {
             kind: *kind,
             var: var.clone(),
             body: f.clone(),
             source: source.clone(),
+            batch: None,
         },
     ))
 }

@@ -4,7 +4,9 @@
 //! sequential loop with "a primitive that retrieves elements from a
 //! collection in parallel and returns the union of the results". The
 //! degree of parallelism respects the server's tolerated number of
-//! simultaneous requests ("say five").
+//! simultaneous requests ("say five"). A loop the batch rule set marked
+//! is left sequential: its warm-up already ships the keys as a few
+//! multi-key requests, and its bodies only replay the replies.
 
 use std::ops::ControlFlow::{Break, Continue};
 
@@ -44,6 +46,7 @@ fn parallelize(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
         var,
         body,
         source,
+        batch: None,
     } = e
     else {
         return None;
@@ -67,8 +70,6 @@ fn parallelize(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
         body: body.clone(),
         source: source.clone(),
         max_in_flight: cap.max(1),
-        // the batch pass (which runs after this one) decides batching
-        batch: None,
     })
 }
 
@@ -152,6 +153,23 @@ mod tests {
             Expr::ParExt { max_in_flight, .. } => assert_eq!(max_in_flight, 1),
             other => panic!("not parallelized: {other}"),
         }
+    }
+
+    #[test]
+    fn batch_marked_loops_stay_sequential() {
+        let mut e = dependent_remote_loop();
+        if let Expr::Ext { body, batch, .. } = &mut e {
+            let Expr::RemoteApp { driver, arg } = &**body else {
+                unreachable!()
+            };
+            let (driver, arg) = (driver.clone(), Arc::clone(arg));
+            *batch = Some(nrc::BatchSpec {
+                driver,
+                arg,
+                max_keys: 16,
+            });
+        }
+        assert_eq!(run(e.clone(), &NullCatalog), e);
     }
 
     #[test]

@@ -111,6 +111,7 @@ fn sql_migrate(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
         )),
         var: row,
         source: Arc::new(shipped),
+        batch: None,
     })
 }
 
@@ -122,6 +123,7 @@ fn recognize(e: &Expr, ctx: &RuleCtx<'_>) -> Option<ConjQuery> {
         var,
         body,
         source,
+        batch: None,
     } = e
     else {
         return None;
@@ -175,6 +177,7 @@ fn walk_body(e: &Expr, q: &mut ConjQuery, ctx: &RuleCtx<'_>) -> Option<()> {
             var,
             body,
             source,
+            batch: None,
         } => {
             let (driver, table) = scan_of(source)?;
             if driver != q.driver {
@@ -335,6 +338,7 @@ fn entrez_path_migrate(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
         var,
         body,
         source,
+        batch: None,
     } = e
     else {
         return None;
@@ -374,6 +378,7 @@ fn path_of_body(body: &Expr, var: &Name) -> Option<String> {
             var: y,
             body: inner,
             source,
+            batch: None,
         } => {
             let prefix = proj_chain(source, var)?;
             let tag = tag_extraction(inner, y)?;
@@ -692,10 +697,10 @@ mod tests {
         let e = Expr::ext(
             CollKind::Set,
             "x",
-            Expr::Ext {
-                kind: CollKind::Set,
-                var: nrc::name("y"),
-                body: Arc::new(Expr::Case {
+            Expr::ext(
+                CollKind::Set,
+                "y",
+                Expr::Case {
                     scrutinee: Arc::new(Expr::var("y")),
                     arms: vec![CaseArm {
                         tag: nrc::name("giim"),
@@ -703,9 +708,9 @@ mod tests {
                         body: Arc::new(Expr::single(CollKind::Set, Expr::var("w"))),
                     }],
                     default: Some(Arc::new(Expr::Empty(CollKind::Set))),
-                }),
-                source: Arc::new(Expr::proj(Expr::proj(Expr::var("x"), "seq"), "id")),
-            },
+                },
+                Expr::proj(Expr::proj(Expr::var("x"), "seq"), "id"),
+            ),
             fetch,
         );
         let out = run(e, &gdb_catalog());

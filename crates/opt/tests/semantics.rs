@@ -89,12 +89,7 @@ fn coll_expr(scope: Scope, depth: u32) -> BoxedStrategy<Expr> {
         2 => (any_kind(), coll_expr(scope, depth - 1), coll_expr(scope, depth - 1))
             .prop_map(|(k, a, b)| Expr::union(k, fit_kind(a, k), fit_kind(b, k))),
         3 => (any_kind(), coll_expr(scope, depth - 1), coll_body(scope, depth - 1))
-            .prop_map(move |(k, src, body)| Expr::Ext {
-                kind: k,
-                var: nrc::name(format!("v{}", scope.0)),
-                body: std::sync::Arc::new(fit_kind(body, k)),
-                source: std::sync::Arc::new(src),
-            }),
+            .prop_map(move |(k, src, body)| Expr::ext(k, format!("v{}", scope.0), fit_kind(body, k), src)),
         1 => (bool_expr(scope, depth - 1), any_kind(), coll_expr(scope, depth - 1), coll_expr(scope, depth - 1))
             .prop_map(|(c, k, t, f)| Expr::if_(c, fit_kind(t, k), fit_kind(f, k))),
     ]

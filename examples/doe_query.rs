@@ -7,7 +7,8 @@
 //! multidatabase user-view (the Figure-1 form) over the simulated GDB
 //! (Sybase) and GenBank (Entrez/ASN.1) sources, with the optimizer
 //! migrating the relational part into one SQL query and the per-sequence
-//! link lookups into a bounded-concurrency parallel loop.
+//! lookups into batched loops, each shipping its keys a few multi-key
+//! requests at a time.
 //!
 //! ```sh
 //! cargo run --example doe_query [CHROMOSOME] [BAND-PREFIX]

@@ -4,10 +4,11 @@
 //! order-sensitive observables (`first_n`, list order, set dedup) —
 //! from the same plan executed per element with batching disabled.
 //!
-//! Batching is *advisory* by construction (warm-up holds shared
-//! flights; the loop body is unchanged and merely attaches to them), so
-//! any divergence here is a real defect in the coalescing window, the
-//! batched reply splitting, or the warm-up's sharing discipline.
+//! Batching is *advisory* by construction (a warm-up puts a chunk's keys
+//! on the wire, and each element's marked call replays its own key's
+//! reply; the loop body is unchanged), so any divergence here is a real
+//! defect in the warm-up, the batched reply splitting, or the hand-off of
+//! each reply to its element.
 //!
 //! The one exception is a two-hop dependent loop, which batching
 //! *rewrites* (`batch/stage-dependent-remote-loop`): the second half of
@@ -185,10 +186,9 @@ fn empty_and_singleton_key_sets() {
 #[test]
 fn duplicate_keys_share_one_flight_per_distinct_key() {
     let (mut s, pool) = fed_session();
-    // 16 logical keys (one warm-up chunk), 6 distinct: well past
-    // min_keys, and the batch must fold to the distinct set (one 6-key
-    // wire request), while the list result still answers all 16
-    // positions.
+    // 16 logical keys (one warm-up chunk), 6 distinct: the batch must
+    // fold to the distinct set (one 6-key wire request), while the list
+    // result still answers all 16 positions.
     let keys: Vec<i64> = (0..16).map(|i| pool[i % 6]).collect();
     bind_keys(&mut s, &keys);
     let before = s.driver_metrics("GenBank").expect("metrics");
@@ -216,6 +216,39 @@ fn a_bad_key_fails_identically_in_both_modes() {
 }
 
 #[test]
+fn three_distinct_keys_are_one_batched_wire_request() {
+    let (mut s, pool) = fed_session();
+    bind_keys(&mut s, &pool[..3]);
+    let before = s.driver_metrics("GenBank").expect("metrics");
+    let (plain, batched) = both_ways(&mut s, LINK_SET);
+    assert_eq!(plain, batched);
+    let m = s.driver_metrics("GenBank").expect("metrics").since(&before);
+    // The unbatched run's three requests, then one for all three keys.
+    assert_eq!(
+        (m.requests, m.batch_requests, m.batched_keys),
+        (4, 1, 3),
+        "{m:?}"
+    );
+}
+
+#[test]
+fn batching_does_not_need_the_parallel_rule() {
+    let (mut s, pool) = fed_session();
+    let keys: Vec<i64> = (0..32).map(|i| pool[i % pool.len()]).collect();
+    bind_keys(&mut s, &keys);
+    s.set_opt_config(OptConfig {
+        enable_parallel: false,
+        ..OptConfig::default()
+    });
+    let before = s.driver_metrics("GenBank").expect("metrics");
+    let (plain, batched) = both_ways(&mut s, LINK_SET);
+    assert_eq!(plain, batched);
+    assert!(batched.is_ok(), "{batched:?}");
+    let m = s.driver_metrics("GenBank").expect("metrics").since(&before);
+    assert!(m.batch_requests >= 1, "batching never engaged: {m:?}");
+}
+
+#[test]
 fn batched_run_actually_batches() {
     // Guard against the harness silently testing nothing: on a 32-key
     // workload the batched path must issue multi-key wire requests.
@@ -236,30 +269,21 @@ fn batched_run_actually_batches() {
 // The hand-off: each element's marked call replays the element's handle
 // ------------------------------------------------------------------------
 
-/// `PAR U{ {count(let <binder> = 0 in GenBank([db = "na", link = x + 1]))}
+/// `U{ {count(let <binder> = 0 in GenBank([db = "na", link = x + 1]))}
 /// | \x <- KEYS }` with the `let` binding `binder` — built by hand:
 /// desugaring names every binder afresh and the optimizer inlines a `let`,
 /// so only such a plan has a call under a binder of its argument's
-/// variable — through the batch rule set alone.
-fn let_over_the_call(s: &Session, binder: &str, keys: &[i64]) -> (Expr, Option<BatchSpec>) {
+/// variable — and the same loop through the batch rule set alone.
+fn let_over_the_call(s: &Session, binder: &str, keys: &[i64]) -> (Expr, Arc<Expr>) {
     let next = Expr::prim(Prim::Add, vec![Expr::var("x"), Expr::int(1)]);
     let arg = Expr::record(vec![("db", Expr::str("na")), ("link", next)]);
     let call = Expr::RemoteApp { driver: nrc::name("GenBank"), arg: Arc::new(arg) };
     let body = Expr::let_(binder, Expr::int(0), call);
     let keys = Value::set(keys.iter().map(|&k| Value::Int(k)).collect());
-    let e = Expr::ParExt {
-        kind: CollKind::Set,
-        var: nrc::name("x"),
-        body: Arc::new(Expr::single(CollKind::Set, Expr::prim(Prim::Count, vec![body]))),
-        source: Arc::new(Expr::Const(keys)),
-        max_in_flight: 5,
-        batch: None,
-    };
+    let body = Expr::single(CollKind::Set, Expr::prim(Prim::Count, vec![body]));
+    let e = Expr::ext(CollKind::Set, "x", body, Expr::Const(keys));
     let out = through_batch_rules(s, &e, &["GenBank"]);
-    let Expr::ParExt { batch, .. } = &*out else {
-        panic!("not a loop: {out}")
-    };
-    (e, batch.clone())
+    (e, out)
 }
 
 /// `e` through the batch rule set alone, over a catalog of `drivers`.
@@ -272,6 +296,11 @@ fn through_batch_rules(s: &Session, e: &Expr, drivers: &[&str]) -> Arc<Expr> {
     kleisli_opt::rules::batch::rule_set().run(Arc::new(e.clone()), &ctx, &mut Vec::new())
 }
 
+/// Is `e` a batch-marked loop?
+fn is_marked(e: &Expr) -> bool {
+    matches!(e, Expr::Ext { batch: Some(_), .. })
+}
+
 #[test]
 fn a_call_under_a_let_rebinding_its_argument_is_not_marked_and_answers_unbatched() {
     let (s, pool) = fed_session();
@@ -280,28 +309,23 @@ fn a_call_under_a_let_rebinding_its_argument_is_not_marked_and_answers_unbatched
     let run = |e: &Expr| eval(e, &Env::empty(), &s.context()).map_err(|e| e.to_string());
     // A binder the argument does not read keeps the mark, and the marked
     // loop batches to the unmarked loop's answer.
-    let (plain, spec) = let_over_the_call(&s, "y", &keys);
-    let spec = spec.expect("marked");
-    let marked = Expr::ParExt {
-        kind: CollKind::Set,
-        var: nrc::name("x"),
-        body: Arc::clone(match &plain {
-            Expr::ParExt { body, .. } => body,
-            _ => unreachable!(),
-        }),
-        source: Arc::new(Expr::Const(Value::set(keys.iter().map(|&k| Value::Int(k)).collect()))),
-        max_in_flight: 5,
-        batch: Some(spec),
-    };
+    let (plain, marked) = let_over_the_call(&s, "y", &keys);
+    assert!(is_marked(&marked), "{marked}");
     let before = s.driver_metrics("GenBank").expect("metrics");
     assert_eq!(run(&marked), run(&plain));
     assert!(run(&plain).is_ok());
     let m = s.driver_metrics("GenBank").expect("metrics").since(&before);
     assert_eq!(m.batched_keys, 20, "{m:?}");
     // Rebinding the loop variable the argument reads refuses the mark.
-    let (rebound, spec) = let_over_the_call(&s, "x", &keys);
-    assert!(spec.is_none(), "a call under a binder of its argument was marked");
-    assert_eq!(run(&rebound), Err("driver 'GenBank': no entry with uid 1 in 'na'".into()));
+    let (rebound, out) = let_over_the_call(&s, "x", &keys);
+    assert!(
+        !is_marked(&out),
+        "a call under a binder of its argument was marked"
+    );
+    assert_eq!(
+        run(&rebound),
+        Err("driver 'GenBank': no entry with uid 1 in 'na'".into())
+    );
 }
 
 /// GenBank's `(requests, batch_requests, coalesced)` over one batched run
@@ -324,7 +348,7 @@ fn a_marked_call_run_twice_per_element_replays_one_flight() {
     // The call sits under an inner generator: it runs twice per element.
     let twice = r#"{[u = uid, n = count({l | \v <- {1, 2}, \l <- GenBank([db = "na", link = uid])})] | \uid <- UIDS}"#;
     let plan = s.compile_shared(twice).expect("compile");
-    assert!(matches!(plan.optimized, Expr::ParExt { batch: Some(_), .. }), "{}", plan.optimized);
+    assert!(is_marked(&plan.optimized), "{}", plan.optimized);
     let once = batched_traffic(&mut s, LINK_SET);
     assert_eq!(batched_traffic(&mut s, twice), once, "the second run of each call is a replay");
     assert_eq!(once.2, 0, "no body goes back to the window");
@@ -336,52 +360,100 @@ fn a_marked_call_under_an_inner_remote_generator_replays_its_element_handle() {
     let keys: Vec<i64> = pool.iter().take(20).copied().collect();
     bind_keys(&mut s, &keys);
     // The inner generator reads a remote source and its body calls one,
-    // so it is a loop of its own, unmarked: the marked call, its source
-    // and again under it once per link, replays the outer element's
-    // handle every time it runs.
+    // so it is a parallel loop of its own, unmarked: the marked call, its
+    // source and again under it once per link, replays the outer
+    // element's handle every time it runs.
     let inner = r#"{[u = uid, n = count({[v = v.uid, l = l.uid] | \v <- GenBank([db = "na", link = uid]), \l <- GenBank([db = "na", link = uid])})] | \uid <- UIDS}"#;
     let plan = s.compile_shared(inner).expect("compile");
     let text = plan.optimized.to_string();
-    assert!(matches!(plan.optimized, Expr::ParExt { batch: Some(_), .. }), "{text}");
-    assert_eq!(text.matches("PAR[").count(), 2, "an inner loop of its own: {text}");
+    assert!(is_marked(&plan.optimized), "{text}");
+    assert_eq!(
+        text.matches("PAR[").count(),
+        1,
+        "an inner loop of its own: {text}"
+    );
     let once = batched_traffic(&mut s, LINK_SET);
     assert_eq!(batched_traffic(&mut s, inner), once, "every run of the call is a replay");
 }
 
-#[test]
-fn two_drivers_called_on_one_argument_answer_each_its_own() {
-    let (s, pool) = fed_session();
-    // A second Entrez whose entries link once each, where GenBank's link
-    // three times.
+/// A second Entrez whose entries link once each, where GenBank's link
+/// three times, registered on `s`.
+fn other_entrez(s: &mut Session, pool: &[i64]) -> Arc<EntrezServer> {
     let other = Arc::new(EntrezServer::serve("Other", Entrez::default(), LatencyModel::instant()));
     other.with_division("na", |d| {
-        for &uid in &pool {
+        for &uid in pool {
             d.add_entry(uid, Value::Int(uid), []).expect("a fresh uid");
             d.add_link(uid, Link { uid, score: 1.0, organism: "other".into() });
         }
     });
-    let mut s = s;
     s.register_driver(other.clone());
-    // `PAR U{ {[u = x, g = count(GenBank(r)), o = count(Other(r))]} | \x
-    // <- KEYS }`, both calls on one argument node `r` — a plan shared by
-    // hand, as hash-consing shares equal subplans.
-    let arg = Arc::new(Expr::record(vec![("db", Expr::str("na")), ("link", Expr::var("x"))]));
-    let count = |driver: &str| {
-        let call = Expr::RemoteApp { driver: nrc::name(driver), arg: Arc::clone(&arg) };
-        Expr::prim(Prim::Count, vec![call])
-    };
-    let row = Expr::record(vec![("u", Expr::var("x")), ("g", count("GenBank")), ("o", count("Other"))]);
-    let keys = Value::set(pool.iter().take(20).map(|&k| Value::Int(k)).collect());
-    let plain = Expr::ParExt {
+    other
+}
+
+/// `driver([db = "na", link = <var>])`.
+fn links_of(driver: &str, var: &str) -> Expr {
+    let arg = Expr::record(vec![("db", Expr::str("na")), ("link", Expr::var(var))]);
+    Expr::RemoteApp {
+        driver: nrc::name(driver),
+        arg: Arc::new(arg),
+    }
+}
+
+/// `U{ body | \var <- source }`, marked for `call` when given.
+fn loop_over(var: &str, body: Expr, source: Expr, call: Option<&Expr>) -> Expr {
+    let mark = call.map(|call| match call {
+        Expr::RemoteApp { driver, arg } => BatchSpec {
+            driver: driver.clone(),
+            arg: Arc::clone(arg),
+            max_keys: 16,
+        },
+        other => panic!("not a call: {other}"),
+    });
+    Expr::Ext {
         kind: CollKind::Set,
-        var: nrc::name("x"),
-        body: Arc::new(Expr::single(CollKind::Set, row)),
-        source: Arc::new(Expr::Const(keys)),
-        max_in_flight: 5,
-        batch: None,
+        var: nrc::name(var),
+        body: Arc::new(body),
+        source: Arc::new(source),
+        batch: mark,
+    }
+}
+
+fn count(e: Expr) -> Expr {
+    Expr::prim(Prim::Count, vec![e])
+}
+
+#[test]
+fn two_drivers_called_on_one_argument_answer_each_its_own() {
+    let (mut s, pool) = fed_session();
+    let other = other_entrez(&mut s, &pool);
+    // `U{ {[u = x, g = count(GenBank(r)), o = count(Other(r))]} | \x <-
+    // KEYS }`, both calls on one argument node `r` — a plan shared by
+    // hand, as hash-consing shares equal subplans.
+    let arg = Arc::new(Expr::record(vec![
+        ("db", Expr::str("na")),
+        ("link", Expr::var("x")),
+    ]));
+    let call = |driver: &str| Expr::RemoteApp {
+        driver: nrc::name(driver),
+        arg: Arc::clone(&arg),
     };
-    let marked = through_batch_rules(&s, &plain, &["GenBank", "Other"]);
-    assert!(matches!(&*marked, Expr::ParExt { batch: Some(_), .. }), "{marked}");
+    let row = Expr::record(vec![
+        ("u", Expr::var("x")),
+        ("g", count(call("GenBank"))),
+        ("o", count(call("Other"))),
+    ]);
+    let keys = Expr::Const(Value::set(
+        pool.iter().take(20).map(|&k| Value::Int(k)).collect(),
+    ));
+    let body = Expr::single(CollKind::Set, row);
+    let plain = loop_over("x", body.clone(), keys.clone(), None);
+    // A body calling two drivers stays unmarked (the parallel rule takes
+    // it in the full pipeline).
+    let out = through_batch_rules(&s, &plain, &["GenBank", "Other"]);
+    assert_eq!(*out, plain, "a body calling two drivers was marked");
+    // Marked by hand for GenBank, the Other call on the same argument
+    // node is never handed GenBank's reply.
+    let marked = loop_over("x", body, keys, Some(&call("GenBank")));
     let mut args = Vec::new();
     marked.visit(&mut |e| {
         if let Expr::RemoteApp { arg, .. } = e {
@@ -393,6 +465,54 @@ fn two_drivers_called_on_one_argument_answer_each_its_own() {
     let answer = run(&plain).expect("unbatched");
     assert!(answer.contains("o = 1") && !answer.contains("o = 3"), "{answer}");
     assert_eq!(run(&marked), Ok(answer));
+    assert_quiescent(&[&*other]);
+}
+
+#[test]
+fn a_marked_loop_inside_another_keeps_the_outer_elements_handle() {
+    let (mut s, pool) = fed_session();
+    let other = other_entrez(&mut s, &pool);
+    // Built by hand, since the optimizer marks neither loop (each body
+    // calls two drivers): `BATCH[GenBank] U{ BATCH[Other] U{ {[u = x,
+    // v = y, g = count(GenBank(x)), o = count(Other(y))]} | \y <- YS } |
+    // \x <- KEYS }`. The outer marked call runs in the inner loop's body.
+    let set = |keys: &[i64]| Expr::Const(Value::set(keys.iter().map(|&k| Value::Int(k)).collect()));
+    let (genbank, links) = (links_of("GenBank", "x"), links_of("Other", "y"));
+    let row = |inner: bool| {
+        let mut fields = vec![("u", Expr::var("x")), ("g", count(genbank.clone()))];
+        if inner {
+            fields.extend([("v", Expr::var("y")), ("o", count(links.clone()))]);
+        }
+        Expr::single(CollKind::Set, Expr::record(fields))
+    };
+    let nested = |marked: bool| {
+        let inner = loop_over("y", row(true), set(&pool[20..23]), marked.then_some(&links));
+        loop_over("x", inner, set(&pool[..20]), marked.then_some(&genbank))
+    };
+    let unnested = loop_over("x", row(false), set(&pool[..20]), Some(&genbank));
+    let run = |e: &Expr| {
+        let before = s.driver_metrics("GenBank").expect("metrics");
+        let v = eval(e, &Env::empty(), &s.context())
+            .map(|v| v.to_string())
+            .map_err(|e| e.to_string());
+        (
+            v,
+            s.driver_metrics("GenBank")
+                .expect("metrics")
+                .since(&before)
+                .requests,
+        )
+    };
+    let (plain, _) = run(&nested(false));
+    let (batched, requests) = run(&nested(true));
+    assert!(plain.is_ok(), "{plain:?}");
+    assert_eq!(batched, plain);
+    let (_, unnested_requests) = run(&unnested);
+    assert_eq!(unnested_requests, 2, "20 keys, 16 a request");
+    assert_eq!(
+        requests, unnested_requests,
+        "an outer call in the inner body went to the wire"
+    );
     assert_quiescent(&[&*other]);
 }
 

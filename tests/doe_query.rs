@@ -142,7 +142,7 @@ fn doe_plan_uses_every_optimization_of_section_4() {
     let compiled = session.compile_shared(DOE).expect("compile");
     let mut sql = 0;
     let mut paths = 0;
-    let mut pars = 0;
+    let mut batched = 0;
     compiled.optimized.visit(&mut |e| match e {
         Expr::Remote { request, .. } => match request {
             DriverRequest::Sql { query } => {
@@ -157,17 +157,20 @@ fn doe_plan_uses_every_optimization_of_section_4() {
             }
             _ => {}
         },
-        Expr::ParExt { max_in_flight, .. } => {
-            pars += 1;
-            assert!(
-                *max_in_flight <= 5,
-                "server tolerates at most 5 concurrent requests"
-            );
+        Expr::Ext {
+            batch: Some(spec), ..
+        } => {
+            batched += 1;
+            assert_eq!(&*spec.driver, "GenBank");
         }
+        Expr::ParExt { .. } => panic!("a batched loop runs its bodies in order"),
         _ => {}
     });
     assert_eq!(sql, 1, "relational part must ship as one SQL query");
-    assert_eq!(pars, 2, "both remote inner loops run with bounded concurrency");
+    assert_eq!(
+        batched, 2,
+        "both remote inner loops ship their keys in batches"
+    );
     // the authored path expression is preserved through optimization
     let mut remote_apps_with_path = 0;
     compiled.optimized.visit(&mut |e| {
@@ -204,9 +207,14 @@ fn doe_query_ships_one_relational_request() {
 
 /// How often `explain` reports the staging rule for `query`.
 fn stagings(session: &Session, query: &str) -> usize {
+    fired(session, query, "batch/stage-dependent-remote-loop")
+}
+
+/// How often `explain` reports `rule` for `query`.
+fn fired(session: &Session, query: &str, rule: &str) -> usize {
     let plan = session.explain(query).expect("explain");
     plan.lines()
-        .filter(|l| l.contains("batch/stage-dependent-remote-loop"))
+        .filter(|l| l.contains(rule))
         .map(|l| {
             let count = l.trim().split(' ').next().expect("`<n> x <rule>`");
             count.parse::<usize>().expect("a count")
@@ -233,11 +241,17 @@ fn only_a_dependent_loop_with_two_batchable_hops_is_staged() {
     let plain_first = r#"{l.uid | \locus <- Loci22, \h <- PLAIN([class = locus.locus_symbol]),
         \l <- NA-Links(h.n)}"#;
     assert_eq!(stagings(&session, plain_first), 0);
-    // Those loops are still parallel ones; it is staging that declined.
+    // Those loops are still parallel or batched ones; it is staging that
+    // declined.
     for query in [independent, plain_second, plain_first] {
-        let plan = session.explain(query).expect("explain");
-        let parallel = "2 x parallel/parallel-remote-inner-loop";
-        assert!(plan.contains(parallel), "{plan}");
+        let parallel = fired(&session, query, "parallel/parallel-remote-inner-loop");
+        let batched = fired(&session, query, "batch/batch-remote-inner-loop");
+        assert_eq!(
+            parallel + batched,
+            2,
+            "{}",
+            session.explain(query).expect("explain")
+        );
     }
 
     session.set_opt_config(kleisli_opt::OptConfig {

@@ -132,6 +132,11 @@ fn e9_cache_fetches_inner_subquery_once() {
 #[test]
 fn e11_parallel_gather_is_bounded_and_correct() {
     let (mut session, _fed) = federation(60);
+    // The parallel rule leaves a loop the batch rules mark sequential.
+    session.set_opt_config(OptConfig {
+        enable_batching: false,
+        ..OptConfig::default()
+    });
     let q = r#"{[u = uid, n = count(GenBank([db = "na", link = uid]))] |
         \e <- GenBank([db = "na", select = "organism \"Homo sapiens\""]),
         \uid <- {g | <giim = \g> <- e.seq.id}}"#;
