@@ -14,7 +14,7 @@ use kleisli::{bio_federation, BioFederation, Session};
 use kleisli_core::{CollKind, DriverRequest, LatencyModel, RemyRecord, Value};
 use kleisli_exec::{Context, Env};
 use kleisli_opt::OptConfig;
-use nrc::{Expr, JoinStrategy, Prim};
+use nrc::{Expr, JoinStrategy, LoopStrategy, Prim};
 
 /// Rows for the Rémy-projection experiment (E3): `n` records of `width`
 /// fields, all sharing one directory (the homogeneous case the paper
@@ -269,24 +269,24 @@ pub fn bind_uids(session: &mut Session, fed: &BioFederation, n: usize) {
     session.bind_value("UIDS", Value::set(uids));
 }
 
-/// Rewrite every `ParExt` in the plan to the requested width (1 =
+/// Set every parallel loop of the plan to the requested width (1 =
 /// sequential), sharing untouched subtrees.
 pub fn set_par_width(e: &Expr, width: usize) -> Expr {
     fn go(e: &Arc<Expr>, width: usize) -> Arc<Expr> {
         let e = Expr::map_children_shared(e, &mut |c| go(c, width));
         match &*e {
-            Expr::ParExt {
+            Expr::Ext {
                 kind,
                 var,
                 body,
                 source,
-                ..
-            } => Arc::new(Expr::ParExt {
+                strategy: LoopStrategy::Parallel(_),
+            } => Arc::new(Expr::Ext {
                 kind: *kind,
                 var: var.clone(),
                 body: body.clone(),
                 source: source.clone(),
-                max_in_flight: width,
+                strategy: LoopStrategy::Parallel(width),
             }),
             _ => e,
         }

@@ -4,7 +4,7 @@
 //! The paper's Section 4 semijoin strategy ships a *set* of keys to a
 //! source in one request instead of one round-trip per element. Through
 //! PR 8 this reproduction still issued one driver request per uid and
-//! only *hid* the latency with overlap (`ParExt`, prefetch); this module
+//! only *hid* the latency with overlap (parallel loops, prefetch); this module
 //! *removes* round-trips.
 //!
 //! **Multi-key batching.** A [`crate::Fetch::Batch`] through

@@ -228,7 +228,7 @@ pub struct Capabilities {
     /// advisory metadata: it is the width of the driver's worker pool —
     /// submissions beyond it queue as data — its [`RequestGate`] counts
     /// the requests in flight against it, and the optimizer's parallel
-    /// rule sizes `ParExt` loops by it. A value of `0` is meaningless for
+    /// rule sizes parallel loops by it. A value of `0` is meaningless for
     /// an admission limit and is normalized to `1` (strictly serial) by
     /// [`Capabilities::concurrency_limit`]; `Default` is `1`.
     pub max_concurrent_requests: usize,

@@ -1,20 +1,20 @@
 //! The one scheduler: a bounded, lazily-grown pool of reusable worker
 //! threads running queued tasks. Every thread that does work on behalf of
-//! a query — query evaluation, `ParExt` chunks, driver requests, row
-//! prefetch refills — is a worker of an [`Executor`]; nothing else in
+//! a query — query evaluation, parallel loops' chunks, driver requests,
+//! row prefetch refills — is a worker of an [`Executor`]; nothing else in
 //! `kleisli-core` spawns a thread.
 //!
 //! # One scheduler, two kinds of instance
 //!
 //! Queued work is *data* in a deque, never a parked stack: a burst of
-//! queries, of `ParExt` elements or of driver submissions costs deque
-//! slots, and at most [`Executor::limit`] threads — spawned on demand,
+//! queries, of parallel loops' elements or of driver submissions costs
+//! deque slots, and at most [`Executor::limit`] threads — spawned on demand,
 //! kept parked and reused — ever exist to run them. The instances differ
 //! only in width and in what their tasks wait on:
 //!
 //! * [`Executor::shared`] — one per process, oversubscribing the cores,
 //!   for compute tasks (a session's query worker, the server's admitted
-//!   queries, `ParExt` runners) that spend their time blocked *on
+//!   queries, parallel loops' runners) that spend their time blocked *on
 //!   drivers*.
 //! * one **private** executor per remote driver, owned by its
 //!   [`crate::pool::WorkerPool`], of exactly the source's
@@ -36,7 +36,7 @@
 //!   owns everything it needs and reports through its own promise (the
 //!   session's `QueryHandle` resolves a [`crate::oneshot::OneShot`]).
 //! * [`Executor::run_all`] — a batch of tasks whose results the caller
-//!   needs *now*, in order: the `ParExt` chunk. The caller does not
+//!   needs *now*, in order: a parallel loop's chunk. The caller does not
 //!   just block — it **helps**: batch items live in a shared list that
 //!   pool workers and the submitting thread drain together.
 //!
@@ -49,7 +49,7 @@
 //! # The no-deadlock invariant
 //!
 //! Caller-help is what makes a *bounded shared* pool safe for *nested*
-//! parallelism. A `ParExt` body may contain another `ParExt`; a query
+//! parallelism. A parallel loop's body may contain another; a query
 //! task running on an executor worker submits batches to the same
 //! executor. If batch items could only run on pool workers, a pool
 //! saturated with blocked parents would deadlock waiting for children
@@ -59,7 +59,7 @@
 //! already picked up (and will finish). Progress therefore never
 //! depends on pool capacity: with zero free workers the batch simply
 //! runs sequentially on the caller, which is the correct degraded
-//! behavior (and exactly what `max_in_flight = 1` means).
+//! behavior (and exactly what a `PAR[1]` loop means).
 //!
 //! # Observability
 //!
@@ -119,7 +119,7 @@ struct ExecCore {
 
 /// A bounded, lazily-grown pool of compute workers shared by the
 /// session layer (query evaluation) and the streaming executor
-/// (`ParExt` chunk evaluation). See the module docs for the design.
+/// (parallel loops' chunk evaluation). See the module docs for the design.
 ///
 /// Dropping the last handle shuts the pool down: workers exit as they
 /// go idle, and tasks still queued at that moment run *inline on the

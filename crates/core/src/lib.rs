@@ -26,7 +26,7 @@
 //! * [`pool`] — the shell's worker pool and the fixed-window row-prefetch
 //!   buffer (row-pipelined execution).
 //! * [`executor`] — the shared session-level compute executor behind
-//!   query workers and `ParExt` chunk evaluation.
+//!   query workers and parallel loops' chunk evaluation.
 //! * [`oneshot`] — the one-shot promise: the single blocking primitive
 //!   behind every submit-now/redeem-later handle and every wait for
 //!   another caller's result.

@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use kleisli_core::{CollKind, KError, KResult, Value};
-use nrc::{fresh, CaseArm, Expr, Name, Prim};
+use nrc::{fresh, CaseArm, Expr, LoopStrategy, Name, Prim};
 
 use crate::ast::{CExpr, Pattern, Qual, Stmt};
 
@@ -236,7 +236,7 @@ fn desugar_comp(
                 var,
                 body: Arc::new(body),
                 source: Arc::new(src_e),
-                batch: None,
+                strategy: LoopStrategy::Sequential,
             })
         }
     }

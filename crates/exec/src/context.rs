@@ -78,7 +78,7 @@ struct CtxInner {
     /// One [`SingleFlight`] per `Cached { id }` subquery evaluated since
     /// the last [`Context::cache_clear`].
     cache: Mutex<HashMap<u64, Arc<SingleFlight<Value>>>>,
-    /// The compute pool `ParExt` chunks (and the session's query
+    /// The compute pool parallel loops' chunks (and the session's query
     /// workers) run on.
     executor: Arc<Executor>,
 }
@@ -115,8 +115,8 @@ impl Context {
         }
     }
 
-    /// The compute executor query evaluation and `ParExt` chunks are
-    /// scheduled on.
+    /// The compute executor query evaluation and parallel loops' chunks
+    /// are scheduled on.
     pub fn executor(&self) -> &Arc<Executor> {
         &self.inner.executor
     }
@@ -175,7 +175,7 @@ impl Context {
     /// collects into a value — the result, a join's inner side, a body's
     /// piece, a source canonicalized first — in `Value::approx_bytes`, to
     /// one fresh budget of `limit` bytes, shared by every clone made from
-    /// it: a `ParExt` chunk's bodies charge the same count. A row is
+    /// it: a parallel loop's chunk of bodies charges the same count. A row is
     /// charged once per value it is collected into, however many
     /// generators it streamed through on the way. The charge is what was
     /// collected, not what is still held, so it bounds a query's heap from
@@ -314,12 +314,11 @@ impl Context {
     /// ([`kleisli_core::flight`]): the first evaluator leads — it computes
     /// and commits, and may carry the lead into a lazy stream — and the
     /// rest read its value, which is what makes a cached subquery under a
-    /// parallel generator (`ParExt`) run exactly once however many
-    /// workers race to it. A waiter parks under this clone's deadline and
-    /// cancellation token; cut short, it fails with the budget's error.
-    /// Ids are the subplan's deterministic structural hash (assigned by
-    /// the optimizer's cache rule), so recompiled plans address the same
-    /// slots.
+    /// parallel loop run exactly once however many workers race to it. A
+    /// waiter parks under this clone's deadline and cancellation token; cut
+    /// short, it fails with the budget's error. Ids are the subplan's
+    /// deterministic structural hash (assigned by the optimizer's cache
+    /// rule), so recompiled plans address the same slots.
     pub(crate) fn cache_join(&self, id: u64) -> KResult<Join<Value>> {
         let slot = Arc::clone(self.inner.cache.lock().entry(id).or_default());
         slot.join(self.deadline, self.cancel.as_ref())

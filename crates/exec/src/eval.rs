@@ -4,7 +4,7 @@
 //! Kleisli's evaluation mechanism "is basically eager, with rules used to
 //! introduce a limited amount of laziness in strategic places" (Section 4).
 //! This module is the eager core. It does not iterate collections: every
-//! form that assembles one (`Union`, `Ext`, `ParExt`, `Join`, `Remote`,
+//! form that assembles one (`Union`, `Ext`, `Join`, `Remote`,
 //! `RemoteApp`) is handed to the block evaluator in [`crate::stream`] and
 //! drained at the full grain, so a comprehension means the same thing —
 //! same operators, same overlap, same errors — at the top of a query and
@@ -185,7 +185,6 @@ pub fn eval_rt(e: &Expr, env: &Env, ctx: &Context) -> KResult<Rt> {
         Expr::Empty(kind) => Ok(Rt::Val(Value::empty(*kind))),
         Expr::Union(..)
         | Expr::Ext { .. }
-        | Expr::ParExt { .. }
         | Expr::Join { .. }
         | Expr::Remote { .. }
         | Expr::RemoteApp { .. } => {
@@ -657,19 +656,19 @@ mod tests {
 
     #[test]
     fn par_ext_matches_sequential() {
-        use nrc::name;
+        use nrc::{name, LoopStrategy};
         let src = Value::set((0..50).map(Value::Int).collect());
         let body = Expr::single(
             CollKind::Set,
             Expr::prim(Prim::Mul, vec![Expr::var("x"), Expr::int(3)]),
         );
         let seq = Expr::ext(CollKind::Set, "x", body.clone(), Expr::Const(src.clone()));
-        let par = Expr::ParExt {
+        let par = Expr::Ext {
             kind: CollKind::Set,
             var: name("x"),
             body: Arc::new(body),
             source: Arc::new(Expr::Const(src)),
-            max_in_flight: 8,
+            strategy: LoopStrategy::Parallel(8),
         };
         let ctx = Context::new();
         assert_eq!(
@@ -680,15 +679,15 @@ mod tests {
 
     #[test]
     fn par_ext_preserves_list_order() {
-        use nrc::name;
+        use nrc::{name, LoopStrategy};
         let src = Value::list((0..20).rev().map(Value::Int).collect());
         let body = Expr::single(CollKind::List, Expr::var("x"));
-        let par = Expr::ParExt {
+        let par = Expr::Ext {
             kind: CollKind::List,
             var: name("x"),
             body: Arc::new(body),
             source: Arc::new(Expr::Const(src.clone())),
-            max_in_flight: 4,
+            strategy: LoopStrategy::Parallel(4),
         };
         let got = eval(&par, &Env::empty(), &Context::new()).unwrap();
         assert_eq!(got, src);

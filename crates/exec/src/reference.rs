@@ -3,9 +3,10 @@
 //!
 //! Plain structural recursion over every [`Expr`] form, each collection
 //! built whole and canonicalized the moment it is complete. Both join
-//! strategies are one outer-major nested loop, `ParExt` is `Ext`, `Cached`
-//! is its body, a remote request is fetched and drained on the spot: no
-//! executor, cache cells, batching, streaming or operator strategies. Keep
+//! strategies are one outer-major nested loop, every loop strategy runs
+//! its bodies one after another, `Cached` is its body, a remote request
+//! is fetched and drained on the spot: no executor, cache cells,
+//! batching, streaming or operator strategies. Keep
 //! it obviously right; never optimize it. It shares leaf semantics with
 //! the evaluator ([`apply_prim`], the driver-request convention, [`Env`])
 //! and raises the same error texts, so results compare equal on values and
@@ -107,13 +108,6 @@ fn rt(e: &Expr, env: &Env, ctx: &Context) -> KResult<Rt> {
             Value::collection(*kind, out)
         }
         Expr::Ext {
-            kind,
-            var,
-            body,
-            source,
-            ..
-        }
-        | Expr::ParExt {
             kind,
             var,
             body,

@@ -7,7 +7,7 @@
 //! output quickly, and minimize storage of intermediate results."
 //!
 //! `eval_blocks` compiles a collection-valued NRC expression into a
-//! pull-based [`BlockSource`]: generators (`Ext`, `ParExt`), unions,
+//! pull-based [`BlockSource`]: generators (`Ext`), unions,
 //! conditionals, remote scans, joins and cached subqueries all stream;
 //! everything else is a value, computed by [`crate::eval()`] — which in turn
 //! hands every collection form it meets (a comprehension in a record
@@ -57,9 +57,10 @@
 //!
 //! # One generator operator
 //!
-//! Every `Ext`, `Join` and `ParExt` is one operator, `Generate`. It
-//! expands each source element (a join's outer element) into the block
-//! the consumer asked for, through one of three arms (`Expand`):
+//! Every `Ext` and `Join` is one operator, `Generate`. It expands each
+//! source element (a join's outer element) into the block the consumer
+//! asked for, through one of three arms (`Expand`), chosen by the loop's
+//! [`nrc::LoopStrategy`] or the join:
 //!
 //! * **`Ext`**: a body with a bounded number of rows — `{e}`, `{}`, or
 //!   `if` / `∪` / `let` over such bodies, every piece of the
@@ -73,7 +74,7 @@
 //! * **`Join`**: the probe sends each match's body through the same
 //!   kernel, and evaluates a body the kernel cannot take to its
 //!   collection;
-//! * **`Par`** (a `ParExt`, the paper's "say five"): a chunk of `width`
+//! * **`Par`** (a parallel loop, the paper's "say five"): a chunk of `width`
 //!   elements, filled across source blocks, runs its bodies at most
 //!   `width` at once, and their pieces are written in element order
 //!   (`Par`'s docs). A chunk boundary is a concurrency boundary, so it
@@ -82,7 +83,7 @@
 //! **The pull grain** is one rule: the source is asked for the rows the
 //! consumer still wants, divided by the most rows one element can yield,
 //! and for one element at a time when that is unbounded (a streamed body,
-//! a join); a `ParExt` or a marked loop asks for what its chunk still
+//! a join); a parallel or batched loop asks for what its chunk still
 //! lacks. A grain-1 consumer therefore moves one source row per pull, and
 //! a full drain moves whole batches through one loop.
 //!
@@ -118,7 +119,7 @@ use kleisli_core::{
     lazy_blocks, BlockSource, BlockStream, CollKind, DriverRequest, Join, KError, KResult, Lead,
     Value, ValueBlock, DEFAULT_BLOCK_ROWS,
 };
-use nrc::{Expr, JoinStrategy, Name};
+use nrc::{Expr, JoinStrategy, LoopStrategy, Name};
 use parking_lot::Mutex;
 
 use crate::context::{request_from_value, Context};
@@ -326,10 +327,21 @@ pub(crate) fn blocks_at(
             var,
             body,
             source,
-            batch,
+            strategy,
         } => {
             let src = blocks(source, env, ctx, Want::Source(*kind))?;
-            let how = Expand::Ext(Arc::clone(var), Body::of(body, *kind), batch.clone());
+            let var = Arc::clone(var);
+            let how = match strategy {
+                LoopStrategy::Parallel(width) => Expand::Par(Par {
+                    var,
+                    body: Arc::clone(body),
+                    width: (*width).max(1),
+                }),
+                LoopStrategy::Sequential => Expand::Ext(var, Body::of(body, *kind), None),
+                LoopStrategy::Batched(mark) => {
+                    Expand::Ext(var, Body::of(body, *kind), Some(mark.clone()))
+                }
+            };
             Ok(how.over(src, *kind, env, ctx.for_bodies([&**body])))
         }
         Expr::If(c, t, f) => {
@@ -441,21 +453,6 @@ pub(crate) fn blocks_at(
                 }
             },
         },
-        Expr::ParExt {
-            kind,
-            var,
-            body,
-            source,
-            max_in_flight,
-        } => {
-            let src = blocks(source, env, ctx, Want::Source(*kind))?;
-            let how = Expand::Par(Par {
-                var: Arc::clone(var),
-                body: Arc::clone(body),
-                width: (*max_in_flight).max(1),
-            });
-            Ok(how.over(src, *kind, env, ctx.for_bodies([&**body])))
-        }
         // Everything else is a value: compute it and stream its elements.
         other => value_blocks(&eval(other, env, ctx)?, want),
     }
@@ -618,7 +615,7 @@ pub(crate) fn prefetchable(e: &Expr, ctx: &Context) -> bool {
     match e {
         Expr::Remote { driver, .. } => nonblocking(driver),
         Expr::RemoteApp { driver, arg } => !arg.touches_remote() && nonblocking(driver),
-        Expr::Ext { kind, source, .. } | Expr::ParExt { kind, source, .. } => {
+        Expr::Ext { kind, source, .. } => {
             !canonicalizes_first(*kind, source) && prefetchable(source, ctx)
         }
         Expr::Union(_, a, b) => prefetchable(a, ctx) && prefetchable(b, ctx),
@@ -851,7 +848,7 @@ enum Probe {
     Index(Arc<Expr>, HashMap<Value, Vec<Value>>),
 }
 
-/// The one generator operator, of `Ext`, `Join` and `ParExt` (module
+/// The one generator operator, of `Ext` and `Join` (module
 /// docs, "One generator operator"): the source — a join's outer side — is
 /// pulled at the pull-grain rule's grain, or a chunk at a time, and each
 /// element expands into the block the consumer asked for.
@@ -889,7 +886,7 @@ enum Expand {
         cond: Arc<Expr>,
         body: Body,
     },
-    /// A `ParExt`: a chunk of elements at a time, their bodies run
+    /// A parallel loop: a chunk of elements at a time, their bodies run
     /// concurrently.
     Par(Par),
 }
@@ -1098,7 +1095,7 @@ impl Expand {
                 return body.write(&env, ctx, kind, out).map(|()| None);
             }
             Expand::Join { probe, lvar, rvar, cond, body } => (lvar, probe, rvar, cond, body),
-            Expand::Par(_) => unreachable!("a `ParExt` expands a chunk at a time"),
+            Expand::Par(_) => unreachable!("a parallel loop expands a chunk at a time"),
         };
         let lenv = env.bind(Arc::clone(lvar), Rt::Val(el));
         let (candidates, keys) = match probe {
@@ -1562,12 +1559,12 @@ mod tests {
             CollKind::Set,
             Expr::prim(nrc::Prim::Add, vec![Expr::var("x"), Expr::int(100)]),
         );
-        let par = Expr::ParExt {
+        let par = Expr::Ext {
             kind: CollKind::Set,
             var: name("x"),
             body: Arc::new(body.clone()),
             source: Arc::new(src.clone()),
-            max_in_flight: 4,
+            strategy: LoopStrategy::Parallel(4),
         };
         let seq = Expr::ext(CollKind::Set, "x", body, src);
         let ctx = Arc::new(Context::new());

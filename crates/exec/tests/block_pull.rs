@@ -11,7 +11,7 @@ use std::time::Duration;
 use kleisli_core::testutil::{assert_quiescent, SlowDriver};
 use kleisli_core::{CollKind, Driver, DriverRequest};
 use kleisli_exec::{collect_blocks, eval_blocks, reference, Context, Env};
-use nrc::{name, Expr};
+use nrc::{name, Expr, LoopStrategy};
 
 const ROWS: i64 = 64;
 
@@ -31,7 +31,7 @@ fn operators_pull_blocks_not_rows() {
         ("a cached scan", Expr::Cached { id: 7, expr: scan() }),
         (
             "a width-4 parallel generator",
-            Expr::ParExt {
+            Expr::Ext {
                 kind: CollKind::Set,
                 var: name("x"),
                 body: Arc::new(Expr::single(
@@ -39,7 +39,7 @@ fn operators_pull_blocks_not_rows() {
                     Expr::proj(Expr::var("x"), "n"),
                 )),
                 source: scan(),
-                max_in_flight: 4,
+                strategy: LoopStrategy::Parallel(4),
             },
         ),
     ];

@@ -4,7 +4,7 @@
 //!   lazily on miss (a `first_n` consumer pulls only what it needs) and
 //!   streams from the cache on hit (no driver traffic);
 //! * single-flight population — a `Cached` subquery under a parallel
-//!   generator (`ParExt`) is evaluated exactly once no matter how many
+//!   loop is evaluated exactly once no matter how many
 //!   worker threads race to it;
 //! * abandoned prefixes do not poison the cell: the next consumer
 //!   populates it.
@@ -18,7 +18,7 @@ use kleisli_core::{
     KResult, MetricsSnapshot, Value,
 };
 use kleisli_exec::{collect_stream, eval, eval_stream, first_n, reference, Context, Env};
-use nrc::{name, Expr};
+use nrc::{name, Expr, LoopStrategy};
 
 /// Counts both `perform` calls and per-row pulls.
 struct CountingDriver {
@@ -161,7 +161,7 @@ fn streamed_and_eager_cached_values_are_identical() {
 #[test]
 fn cached_subquery_under_parallel_generator_runs_once() {
     let (ctx, execs, _pulled) = counting_ctx(100);
-    // ParExt{ U{ {y} | \y <- Cached(REMOTE) } | \x <- {0..15} }, width 8:
+    // PAR[8]U{ U{ {y} | \y <- Cached(REMOTE) } | \x <- {0..15} }:
     // 16 worker evaluations race to the same cache cell; single-flight
     // must let exactly one of them contact the driver.
     let body = Expr::ext(
@@ -170,12 +170,12 @@ fn cached_subquery_under_parallel_generator_runs_once() {
         Expr::single(CollKind::Set, Expr::var("y")),
         cached_scan(42),
     );
-    let e = Expr::ParExt {
+    let e = Expr::Ext {
         kind: CollKind::Set,
         var: name("x"),
         body: Arc::new(body),
         source: Arc::new(Expr::Const(Value::set((0..16).map(Value::Int).collect()))),
-        max_in_flight: 8,
+        strategy: LoopStrategy::Parallel(8),
     };
     let v = eval(&e, &Env::empty(), &ctx).unwrap();
     assert_eq!(v.len(), Some(100));

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use kleisli_core::testutil::{assert_quiescent, SlowDriver};
 use kleisli_core::{CollKind, DriverRequest, Value};
 use kleisli_exec::{collect_stream, eval, eval_stream, reference, Context, Env};
-use nrc::{name, Expr};
+use nrc::{name, Expr, LoopStrategy};
 
 fn scan(driver: &str) -> Expr {
     Expr::Remote {
@@ -37,7 +37,7 @@ fn wrap_ext(inner: Expr) -> Expr {
 
 #[test]
 fn admission_limit_is_enforced_beyond_plan_parallelism() {
-    // ParExt asks for 8-wide parallelism, but the driver tolerates 3:
+    // The loop asks for 8-wide parallelism, but the driver tolerates 3:
     // in-flight performs must never exceed 3, and the result is correct.
     let driver = SlowDriver::new("slow", 4, Duration::from_millis(5), 3);
     let max_seen = Arc::clone(&driver.max_seen);
@@ -45,12 +45,12 @@ fn admission_limit_is_enforced_beyond_plan_parallelism() {
     ctx.register_driver(driver.clone());
     let ctx = Arc::new(ctx);
 
-    let e = Expr::ParExt {
+    let e = Expr::Ext {
         kind: CollKind::Set,
         var: name("i"),
         body: Arc::new(wrap_ext(scan("slow"))),
         source: Arc::new(Expr::Const(Value::set((0..16).map(Value::Int).collect()))),
-        max_in_flight: 8,
+        strategy: LoopStrategy::Parallel(8),
     };
     let v = eval(&e, &Env::empty(), &ctx).unwrap();
     assert_eq!(v.len(), Some(4), "4 distinct rows per scan");
@@ -65,7 +65,7 @@ fn admission_limit_is_enforced_beyond_plan_parallelism() {
 
 #[test]
 fn par_ext_runs_on_the_shared_executor_with_bounded_workers() {
-    // 64 elements through a width-8 ParExt on a private 4-worker
+    // 64 elements through a width-8 parallel loop on a private 4-worker
     // executor: the chunk evaluators are executor tasks, not ad-hoc
     // scoped threads, so the worker count is bounded by the executor
     // limit and does not grow with the element count.
@@ -77,12 +77,12 @@ fn par_ext_runs_on_the_shared_executor_with_bounded_workers() {
     ctx.register_driver(driver.clone());
     let ctx = Arc::new(ctx);
 
-    let e = Expr::ParExt {
+    let e = Expr::Ext {
         kind: CollKind::Set,
         var: name("i"),
         body: Arc::new(wrap_ext(scan("slow"))),
         source: Arc::new(Expr::Const(Value::set((0..64).map(Value::Int).collect()))),
-        max_in_flight: 8,
+        strategy: LoopStrategy::Parallel(8),
     };
     let v = eval(&e, &Env::empty(), &ctx).unwrap();
     assert_eq!(v.len(), Some(2));
@@ -100,7 +100,7 @@ fn par_ext_runs_on_the_shared_executor_with_bounded_workers() {
 
 #[test]
 fn nested_par_ext_completes_on_a_one_worker_executor() {
-    // A ParExt body containing another ParExt, on an executor with a
+    // A parallel loop's body holding another, on an executor with a
     // single worker: caller-help in the batch runner means progress
     // never depends on free pool capacity — this must complete, not
     // deadlock, and still agree with the sequential answer.
@@ -109,7 +109,7 @@ fn nested_par_ext_completes_on_a_one_worker_executor() {
     let executor = Executor::new("tiny", 1);
     let ctx = Arc::new(Context::with_executor(Arc::clone(&executor)));
 
-    let inner = Expr::ParExt {
+    let inner = Expr::Ext {
         kind: CollKind::Set,
         var: name("j"),
         body: Arc::new(Expr::single(
@@ -123,14 +123,14 @@ fn nested_par_ext_completes_on_a_one_worker_executor() {
             ),
         )),
         source: Arc::new(Expr::Const(Value::set((0..4).map(Value::Int).collect()))),
-        max_in_flight: 3,
+        strategy: LoopStrategy::Parallel(3),
     };
-    let outer = Expr::ParExt {
+    let outer = Expr::Ext {
         kind: CollKind::Set,
         var: name("i"),
         body: Arc::new(inner),
         source: Arc::new(Expr::Const(Value::set((0..4).map(Value::Int).collect()))),
-        max_in_flight: 3,
+        strategy: LoopStrategy::Parallel(3),
     };
     let v = eval(&outer, &Env::empty(), &ctx).unwrap();
     let mut expect: Vec<Value> = (0..4)

@@ -3,8 +3,8 @@
 //! reference interpreter, on values and on stringified errors.
 //!
 //! * a property over small random plans (sets / bags / lists, both join
-//!   strategies, `ParExt`, `Cached`, collections nested in record fields
-//!   to depth 2, an element whose evaluation fails), a quarter of them
+//!   strategies, parallel loops, `Cached`, collections nested in record
+//!   fields to depth 2, an element whose evaluation fails), a quarter of them
 //!   strict siblings over remote scans — records of collections,
 //!   `flatten` of singleton unions, primitives over scans — on a
 //!   prefetching driver whose window is smaller than its table, so what
@@ -40,7 +40,7 @@ use kleisli_core::{
 use kleisli_exec::{
     collect_blocks, collect_stream, eval, eval_blocks, eval_stream, reference, Context, Env,
 };
-use nrc::{name, Expr, JoinStrategy, Prim};
+use nrc::{name, Expr, JoinStrategy, LoopStrategy, Prim};
 use proptest::prelude::*;
 use proptest::TestRng;
 
@@ -278,12 +278,12 @@ impl Gen<'_> {
                 inner.push(x.clone());
                 let body = self.body(kind, &inner, d);
                 if self.below(3) == 0 {
-                    Expr::ParExt {
+                    Expr::Ext {
                         kind,
                         var: name(&x),
                         body: Arc::new(body),
                         source: Arc::new(source),
-                        max_in_flight: 1 + self.below(4) as usize,
+                        strategy: LoopStrategy::Parallel(1 + self.below(4) as usize),
                     }
                 } else {
                     Expr::ext(kind, &x, body, source)
@@ -550,7 +550,10 @@ fn the_property_exercises_values_errors_and_every_operator() {
                 ..
             } => seen[0] = true,
             Expr::Join { .. } => seen[1] = true,
-            Expr::ParExt { .. } => seen[2] = true,
+            Expr::Ext {
+                strategy: LoopStrategy::Parallel(_),
+                ..
+            } => seen[2] = true,
             Expr::Cached { .. } => seen[3] = true,
             Expr::Union(..) => seen[4] = true,
             _ => {}
@@ -645,12 +648,12 @@ fn runtime_kind_errors_are_the_same_everywhere() {
     // `any`-typed at compile time: a runtime-selected branch.
     let either = |e: Expr| Expr::if_(Expr::bool(true), e, Expr::Empty(Set));
     let pair = || Expr::single(Set, Expr::var("l"));
-    let par = |body: Expr| Expr::ParExt {
+    let par = |body: Expr| Expr::Ext {
         kind: Set,
         var: name("x"),
         body: Arc::new(body),
         source: Arc::new(set()),
-        max_in_flight: 2,
+        strategy: LoopStrategy::Parallel(2),
     };
     let cases: Vec<(&str, Expr, &str)> = vec![
         (

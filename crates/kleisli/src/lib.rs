@@ -61,6 +61,57 @@ mod tests {
     }
 
     #[test]
+    fn a_program_query_runs_like_a_session_query() {
+        let fed = bio_federation(
+            &GdbConfig {
+                loci: 150,
+                seed: 5,
+                ..Default::default()
+            },
+            &GenBankConfig {
+                extra_entries: 20,
+                links_per_entry: 2,
+                seed: 5,
+                ..Default::default()
+            },
+            LatencyModel::instant(),
+            LatencyModel::instant(),
+        )
+        .unwrap();
+        let mut s = Session::new();
+        s.register_driver(fed.gdb.clone());
+        s.register_driver(fed.genbank.clone());
+        let defines = r#"
+            define Loci22 == {[locus_symbol = x, genbank_ref = y] |
+                [locus_symbol = \x, locus_id = \a, ...] <- GDB-Tab("locus"),
+                [genbank_ref = \y, object_id = a, object_class_key = 1, ...] <- GDB-Tab("object_genbank_eref"),
+                [loc_cyto_chrom_num = "22", locus_cyto_location_id = a, ...] <- GDB-Tab("locus_cyto_location")};
+            define ASN-IDs == \accession =>
+                flatten(GenBank([db = "na",
+                                 select = "accession " ^ accession,
+                                 path = "Seq-entry.seq.id..giim"]));
+            define NA-Links == \uid => GenBank([db = "na", link = uid]);
+        "#;
+        let doe = r#"{[locus = locus, homologs =
+                {l | \l <- NA-Links(uid), not (l.organism = "Homo sapiens")}] |
+            \locus <- Loci22, \uid <- ASN-IDs(locus.genbank_ref)}"#;
+        let requests = |s: &Session| ["GDB", "GenBank"].map(|d| s.driver_metrics(d).unwrap());
+        let before = requests(&s);
+        let program = s.run(&format!("{defines} {doe};")).unwrap();
+        let between = requests(&s);
+        let queried = s.query(doe).unwrap();
+        let after = requests(&s);
+        assert!(queried.len().is_some_and(|n| n > 0), "{queried}");
+        assert_eq!(program.last(), Some(&StmtResult::Value(queried)));
+        for (i, driver) in ["GDB", "GenBank"].into_iter().enumerate() {
+            let ran = between[i].since(&before[i]);
+            let asked = after[i].since(&between[i]);
+            assert!(ran.requests > 0, "{driver}: {ran:?}");
+            assert_eq!(ran.requests, asked.requests, "{driver}: {ran:?} against {asked:?}");
+        }
+    }
+
+    #[test]
     fn type_errors_are_rejected_before_execution() {
         let s = pub_session();
         // year is an int; projecting .title from it is a definite error

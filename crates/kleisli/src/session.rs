@@ -544,7 +544,7 @@ impl Session {
         Session::with_executor(Executor::shared())
     }
 
-    /// A session evaluating its queries (and `ParExt` chunks) on a
+    /// A session evaluating its queries (and parallel loops' chunks) on a
     /// caller-supplied [`Executor`] — for embedders that want their own
     /// worker sizing or an isolated pool, and for tests that assert on
     /// executor thread counts.
@@ -747,10 +747,22 @@ impl Session {
     }
 
     fn compile_uncached(&self, src: &str) -> KResult<Compiled> {
-        let ast = parse_expr(src)?;
-        let raw = cpl::desugar(&ast, &self.defs)?;
+        self.compile_desugared(cpl::desugar(&parse_expr(src)?, &self.defs)?)
+    }
+
+    /// The back half of compilation, shared by a text and a program's
+    /// query: typecheck the desugared plan, hash-cons it — identical
+    /// subplans within it become one Arc, which the engine's
+    /// identity-keyed memo then rewrites once; the table dies with the
+    /// call (module docs) — and run the optimizer pipeline.
+    fn compile_desugared(&self, raw: Expr) -> KResult<Compiled> {
         let ty = nrc::infer(&raw, &TypeEnv::new())?;
-        let (optimized, trace) = self.intern_and_optimize(raw.clone());
+        let catalog = CtxCatalog {
+            ctx: &self.ctx,
+            plans: &self.plan_cache,
+        };
+        let shared = Interner::new().intern(&Arc::new(raw.clone()));
+        let (optimized, trace) = optimize_shared(shared, &catalog, &self.config);
         let mut deps = Vec::new();
         collect_driver_deps(&raw, &mut deps);
         collect_driver_deps(&optimized, &mut deps);
@@ -764,19 +776,6 @@ impl Session {
             ty,
             deps,
         })
-    }
-
-    /// The shared back half of compilation: hash-cons the raw plan —
-    /// identical subplans within it become one Arc, which the engine's
-    /// identity-keyed memo then rewrites once — and run the optimizer
-    /// pipeline. The table dies with the call (module docs).
-    fn intern_and_optimize(&self, raw: Expr) -> (Arc<Expr>, Vec<TraceEntry>) {
-        let shared = Interner::new().intern(&Arc::new(raw));
-        let catalog = CtxCatalog {
-            ctx: &self.ctx,
-            plans: &self.plan_cache,
-        };
-        optimize_shared(shared, &catalog, &self.config)
     }
 
     /// Start evaluating `compiled` — the one way a query starts — and
@@ -904,19 +903,12 @@ impl Session {
                 Stmt::Query(_) => {
                     // Statements have no stable source key (defines in the
                     // same program may change their meaning mid-stream),
-                    // so program queries do not consult the plan LRU; they
-                    // still go through the interner + optimizer pipeline.
+                    // so program queries do not consult the plan cache.
                     let Some(raw) = desugar_stmt(stmt, &mut self.defs)? else {
                         continue;
                     };
-                    nrc::infer(&raw, &TypeEnv::new())?;
-                    let (optimized, _trace) = self.intern_and_optimize(raw);
-                    self.ctx.cache_clear();
-                    out.push(StmtResult::Value(eval(
-                        &optimized,
-                        &Env::empty(),
-                        &self.ctx,
-                    )?));
+                    let plan = Arc::new(self.compile_desugared(raw)?);
+                    out.push(StmtResult::Value(self.start(&plan, How::default()).wait()?));
                 }
             }
         }

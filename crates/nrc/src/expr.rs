@@ -11,8 +11,9 @@
 //! Besides the logical constructs, the enum carries the *physical* nodes
 //! introduced by the non-monadic optimizations: [`Expr::Remote`] (a request
 //! shipped to a driver), [`Expr::Join`] (blocked / indexed nested-loop
-//! joins), [`Expr::Cached`] (memoized subquery), and [`Expr::ParExt`]
-//! (bounded-concurrency retrieval).
+//! joins) and [`Expr::Cached`] (memoized subquery). How a loop's bodies
+//! run — one at a time, batched or in parallel — is not a node but the
+//! [`LoopStrategy`] field of its [`Expr::Ext`].
 //!
 //! # Structural sharing
 //!
@@ -47,7 +48,7 @@
 //!
 //! * `Let { var, def, body }`: `body` under `var`.
 //! * `Lambda { var, body }`: `body` under `var`.
-//! * `Ext` / `ParExt { var, body, source, .. }`: `body` under `var`.
+//! * `Ext { var, body, source, .. }`: `body` under `var`.
 //! * `Case { arms, .. }`: each arm's `body` under that arm's `var`.
 //! * `Join { lvar, rvar, .. }`: `left_key` under `lvar`, `right_key` under
 //!   `rvar`, `cond` and `body` under `lvar` then `rvar` (an equal `rvar`
@@ -183,17 +184,14 @@ pub enum Expr {
     Single(CollKind, Arc<Expr>),
     /// Collection union: set union, bag additive union, list append.
     Union(CollKind, Arc<Expr>, Arc<Expr>),
-    /// The monad extension `U{ body | \var <- source }`. When `batch` is
-    /// set, the executor folds the body's per-element remote requests into
-    /// batched wire round-trips, a chunk of elements at a time, and each
-    /// element's body replays its own request's reply (the body itself is
-    /// unchanged).
+    /// The monad extension `U{ body | \var <- source }`. `strategy` says
+    /// how the executor runs the bodies; the value is the same under each.
     Ext {
         kind: CollKind,
         var: Name,
         body: Arc<Expr>,
         source: Arc<Expr>,
-        batch: Option<BatchSpec>,
+        strategy: LoopStrategy,
     },
     If(Arc<Expr>, Arc<Expr>, Arc<Expr>),
     /// Primitive application.
@@ -242,16 +240,23 @@ pub enum Expr {
         id: u64,
         expr: Arc<Expr>,
     },
-    /// `Ext` whose body issues remote requests: evaluate bodies for up to
-    /// `max_in_flight` source elements concurrently and take the union of
-    /// the results.
-    ParExt {
-        kind: CollKind,
-        var: Name,
-        body: Arc<Expr>,
-        source: Arc<Expr>,
-        max_in_flight: usize,
-    },
+}
+
+/// How an [`Expr::Ext`] runs its bodies. Only the optimizer's last two
+/// rule sets choose anything but [`LoopStrategy::Sequential`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum LoopStrategy {
+    /// One element's body after another.
+    Sequential,
+    /// The batch rule set's mark: the executor folds the body's
+    /// per-element remote requests into batched wire round-trips, a chunk
+    /// of elements at a time, and each element's body, run in order,
+    /// replays its own request's reply (the body itself is unchanged).
+    Batched(BatchSpec),
+    /// The parallel rule set's "say five": the bodies of up to this many
+    /// source elements run concurrently, and their pieces are united in
+    /// element order.
+    Parallel(usize),
 }
 
 /// The optimizer's batching mark on an [`Expr::Ext`]: the per-element
@@ -300,7 +305,7 @@ impl Expr {
             var: name(var),
             body: Arc::new(body),
             source: Arc::new(source),
-            batch: None,
+            strategy: LoopStrategy::Sequential,
         }
     }
 
@@ -415,9 +420,6 @@ impl Expr {
                 default.iter().for_each(|d| f(d, &[]));
             }
             Expr::Ext {
-                var, body, source, ..
-            }
-            | Expr::ParExt {
                 var, body, source, ..
             } => {
                 f(body, &[var]);
@@ -589,13 +591,13 @@ impl Expr {
                 var,
                 body,
                 source,
-                batch,
+                strategy,
             } => Expr::Ext {
                 kind: *kind,
                 body: step(body),
                 source: step(source),
                 var: bind(var),
-                batch: batch.clone(),
+                strategy: strategy.clone(),
             },
             Expr::If(c, t, el) => Expr::If(step(c), step(t), step(el)),
             Expr::Prim(p, args) => match slots(args, |a| a, |_, a| a, &mut step) {
@@ -628,19 +630,6 @@ impl Expr {
             Expr::Cached { id, expr } => Expr::Cached {
                 id: *id,
                 expr: step(expr),
-            },
-            Expr::ParExt {
-                kind,
-                var,
-                body,
-                source,
-                max_in_flight,
-            } => Expr::ParExt {
-                kind: *kind,
-                body: step(body),
-                source: step(source),
-                var: bind(var),
-                max_in_flight: *max_in_flight,
             },
         };
         if changed {
@@ -760,12 +749,15 @@ impl Expr {
             children.next().expect("one result per child")
         });
         drop(children);
-        // The rebuilt loop's `batch` mark caches a request argument that
+        // The rebuilt loop's batch mark caches a request argument that
         // is now stale, so it is dropped — the batch pass runs after
         // every substituting rewrite and re-derives it. (An untouched
-        // loop above kept its shared node, mark included.)
-        if let Some(Expr::Ext { batch, .. }) = Arc::get_mut(&mut out) {
-            *batch = None;
+        // loop above kept its shared node, mark included.) A width
+        // reads nothing of the body and stays.
+        if let Some(Expr::Ext { strategy, .. }) = Arc::get_mut(&mut out) {
+            if let LoopStrategy::Batched(_) = strategy {
+                *strategy = LoopStrategy::Sequential;
+            }
         }
         out
     }
@@ -779,9 +771,7 @@ impl Expr {
     pub fn coll_kind_hint(&self) -> Option<CollKind> {
         match self {
             Expr::Empty(k) | Expr::Single(k, _) | Expr::Union(k, ..) => Some(*k),
-            Expr::Ext { kind, .. } | Expr::ParExt { kind, .. } | Expr::Join { kind, .. } => {
-                Some(*kind)
-            }
+            Expr::Ext { kind, .. } | Expr::Join { kind, .. } => Some(*kind),
             // Drivers answer with sets (so `typing` says too).
             Expr::Remote { .. } | Expr::RemoteApp { .. } => Some(CollKind::Set),
             Expr::Cached { expr, .. } => expr.coll_kind_hint(),
@@ -845,7 +835,7 @@ mod tests {
             var: name(var),
             body: Arc::new(Expr::single(CollKind::Set, body)),
             source: Arc::new(Expr::var("S")),
-            batch: Some(BatchSpec {
+            strategy: LoopStrategy::Batched(BatchSpec {
                 driver: name("GenBank"),
                 arg: Arc::new(Expr::var(var)),
                 max_keys: 8,
@@ -1053,7 +1043,7 @@ mod tests {
         let Expr::Ext {
             body,
             source,
-            batch,
+            strategy,
             ..
         } = subst(e, "x", Expr::int(7))
         else {
@@ -1061,21 +1051,46 @@ mod tests {
         };
         assert_eq!(*source, Expr::int(7));
         assert_eq!(*body, Expr::single(CollKind::Set, Expr::var("x")));
-        assert_eq!(batch, None, "a rebuilt loop drops its stale mark");
+        assert_eq!(
+            strategy,
+            LoopStrategy::Sequential,
+            "a rebuilt loop drops its stale mark"
+        );
     }
 
     #[test]
     fn subst_renames_a_capturing_marked_loops_binder() {
         let e = marked_loop("x", Expr::var("z"));
         let Expr::Ext {
-            var, body, batch, ..
+            var,
+            body,
+            strategy,
+            ..
         } = subst(e, "z", Expr::var("x"))
         else {
             panic!("shape");
         };
         assert_ne!(&*var, "x", "the binder must be renamed");
         assert_eq!(*body, Expr::single(CollKind::Set, Expr::var("x")));
-        assert_eq!(batch, None, "a rebuilt loop drops its stale mark");
+        assert_eq!(
+            strategy,
+            LoopStrategy::Sequential,
+            "a rebuilt loop drops its stale mark"
+        );
+    }
+
+    #[test]
+    fn subst_keeps_a_parallel_loops_width() {
+        let body = Expr::single(CollKind::Set, Expr::var("y"));
+        let mut e = Expr::ext(CollKind::Set, "x", body, Expr::var("S"));
+        if let Expr::Ext { strategy, .. } = &mut e {
+            *strategy = LoopStrategy::Parallel(5);
+        }
+        let Expr::Ext { body, strategy, .. } = subst(e, "y", Expr::int(7)) else {
+            panic!("shape");
+        };
+        assert_eq!(*body, Expr::single(CollKind::Set, Expr::int(7)));
+        assert_eq!(strategy, LoopStrategy::Parallel(5));
     }
 
     #[test]

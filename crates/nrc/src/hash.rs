@@ -50,7 +50,7 @@ use std::sync::Arc;
 
 use kleisli_core::FnvHasher;
 
-use crate::expr::{is_fresh, Expr};
+use crate::expr::{is_fresh, Expr, LoopStrategy};
 
 /// Stable constructor tags. `std::mem::discriminant` is hashable but its
 /// layout is unspecified, so each variant gets an explicit code instead.
@@ -75,7 +75,6 @@ fn tag(e: &Expr) -> u8 {
         Expr::Remote { .. } => 16,
         Expr::Join { .. } => 17,
         Expr::Cached { .. } => 18,
-        Expr::ParExt { .. } => 19,
     }
 }
 
@@ -116,17 +115,25 @@ fn shallow_hash<'a>(e: &'a Expr, d: &mut impl Digest<'a>) -> u64 {
         }
         Expr::Empty(k) | Expr::Single(k, _) => k.hash(&mut h),
         Expr::Ext {
-            kind, var, batch, ..
+            kind,
+            var,
+            strategy,
+            ..
         } => {
             kind.hash(&mut h);
             d.var(var, &mut h);
-            // The batching mark changes execution strategy, so marked
-            // and unmarked plans must not collide in the plan cache.
-            // The request argument is derived from the body (already
-            // hashed as a child); the scalar fields identify the mark.
-            if let Some(b) = batch {
-                b.driver.hash(&mut h);
-                b.max_keys.hash(&mut h);
+            // How the bodies run is part of the plan. The hash keys the
+            // shared result cache and the `Cached` ids, so a run that
+            // ablates one strategy is never answered by another's entry.
+            // A batch mark's request argument is derived from the body
+            // (already hashed as a child); its scalar fields identify it.
+            match strategy {
+                LoopStrategy::Sequential => {}
+                LoopStrategy::Batched(b) => {
+                    b.driver.hash(&mut h);
+                    b.max_keys.hash(&mut h);
+                }
+                LoopStrategy::Parallel(width) => width.hash(&mut h),
             }
         }
         Expr::Prim(p, args) => {
@@ -158,16 +165,6 @@ fn shallow_hash<'a>(e: &'a Expr, d: &mut impl Digest<'a>) -> u64 {
             right_key.is_some().hash(&mut h);
         }
         Expr::Cached { id, .. } => id.hash(&mut h),
-        Expr::ParExt {
-            kind,
-            var,
-            max_in_flight,
-            ..
-        } => {
-            kind.hash(&mut h);
-            d.var(var, &mut h);
-            max_in_flight.hash(&mut h);
-        }
     }
     e.for_each_child(&mut |c| d.child(c).hash(&mut h));
     h.finish()
@@ -375,6 +372,49 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(plan_hash(&Expr::int(1)), plan_hash(&Expr::int(2)));
         assert_ne!(plan_hash(&Expr::var("x")), plan_hash(&Expr::var("y")));
+    }
+
+    #[test]
+    fn each_loop_strategy_hashes_apart() {
+        let under = |strategy| {
+            let Expr::Ext {
+                kind,
+                var,
+                body,
+                source,
+                ..
+            } = sample()
+            else {
+                unreachable!()
+            };
+            plan_hash(&Expr::Ext {
+                kind,
+                var,
+                body,
+                source,
+                strategy,
+            })
+        };
+        let batched = |max_keys| {
+            LoopStrategy::Batched(crate::BatchSpec {
+                driver: crate::name("GDB"),
+                arg: Arc::new(Expr::var("x")),
+                max_keys,
+            })
+        };
+        let hashes = [
+            under(LoopStrategy::Sequential),
+            under(batched(16)),
+            under(batched(64)),
+            under(LoopStrategy::Parallel(1)),
+            under(LoopStrategy::Parallel(5)),
+        ];
+        for (i, a) in hashes.iter().enumerate() {
+            for b in &hashes[i + 1..] {
+                assert_ne!(a, b, "{hashes:x?}");
+            }
+        }
+        assert_eq!(hashes[0], plan_hash(&sample()), "`Expr::ext` is sequential");
     }
 
     /// `U{ U{ {pick(x, y)} | \y <- GDB } | \x <- GDB }` over two fresh binders.

@@ -6,7 +6,7 @@ use std::fmt;
 
 use kleisli_core::CollKind;
 
-use crate::expr::{Expr, JoinStrategy};
+use crate::expr::{Expr, JoinStrategy, LoopStrategy};
 
 fn union_symbol(kind: CollKind) -> &'static str {
     match kind {
@@ -104,10 +104,12 @@ pub fn write_expr(f: &mut fmt::Formatter<'_>, e: &Expr, depth: usize) -> fmt::Re
             var,
             body,
             source,
-            batch,
+            strategy,
         } => {
-            if let Some(b) = batch {
-                write!(f, "BATCH[{}≤{}]", b.driver, b.max_keys)?;
+            match strategy {
+                LoopStrategy::Sequential => {}
+                LoopStrategy::Batched(b) => write!(f, "BATCH[{}≤{}]", b.driver, b.max_keys)?,
+                LoopStrategy::Parallel(width) => write!(f, "PAR[{width}]")?,
             }
             write!(f, "{}{{ ", union_symbol(*kind))?;
             write_expr(f, body, depth + 1)?;
@@ -177,20 +179,6 @@ pub fn write_expr(f: &mut fmt::Formatter<'_>, e: &Expr, depth: usize) -> fmt::Re
             write!(f, "CACHED[{id}](")?;
             write_expr(f, expr, depth + 1)?;
             write!(f, ")")
-        }
-        Expr::ParExt {
-            kind,
-            var,
-            body,
-            source,
-            max_in_flight,
-        } => {
-            write!(f, "PAR[{max_in_flight}]")?;
-            write!(f, "{}{{ ", union_symbol(*kind))?;
-            write_expr(f, body, depth + 1)?;
-            write!(f, " | \\{var} <- ")?;
-            write_expr(f, source, depth + 1)?;
-            write!(f, " }}")
         }
     }
 }

@@ -147,13 +147,6 @@ pub fn infer(e: &Expr, env: &TypeEnv) -> KResult<Type> {
             body,
             source,
             ..
-        }
-        | Expr::ParExt {
-            kind,
-            var,
-            body,
-            source,
-            ..
         } => {
             let ts = infer(source, env)?;
             // Generators may draw from any collection kind (the paper:

@@ -16,7 +16,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use kleisli_core::CollKind::Set;
-use nrc::{name, plan_hash, BatchSpec, CaseArm, Expr, JoinStrategy, Prim};
+use nrc::{name, plan_hash, BatchSpec, CaseArm, Expr, JoinStrategy, LoopStrategy, Prim};
 use proptest::prelude::*;
 use proptest::TestRng;
 
@@ -59,7 +59,7 @@ impl Gen<'_> {
                     var: name(var),
                     body: self.arc(d),
                     source: self.arc(d),
-                    batch: Some(BatchSpec {
+                    strategy: LoopStrategy::Batched(BatchSpec {
                         driver: name("D"),
                         arg: Arc::new(Expr::var(var)),
                         max_keys: 8,

@@ -22,6 +22,11 @@
 //!    grain;
 //! 7. **parallel** — bounded-concurrency retrieval for the remote inner
 //!    loops that do not batch.
+//!
+//! The last two sets decide how loops run, never what they mean: a loop's
+//! [`nrc::LoopStrategy`] — `Sequential` until one of them makes it
+//! `Batched` or `Parallel` — is a field of its [`nrc::Expr::Ext`], not a
+//! node of its own.
 
 pub mod catalog;
 pub mod engine;

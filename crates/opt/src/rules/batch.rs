@@ -45,7 +45,7 @@
 use std::ops::ControlFlow::{Break, Continue};
 use std::sync::Arc;
 
-use nrc::{BatchSpec, Expr, Name};
+use nrc::{BatchSpec, Expr, LoopStrategy, Name};
 
 use crate::engine::{Rule, RuleCtx, RuleSet, Strategy};
 
@@ -135,7 +135,7 @@ fn stage_dependent_loop(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
         var: outer,
         body: nested,
         source,
-        batch: None,
+        strategy: LoopStrategy::Sequential,
     } = e
     else {
         return None;
@@ -145,7 +145,7 @@ fn stage_dependent_loop(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
         var: inner,
         body,
         source: hop,
-        batch: None,
+        strategy: LoopStrategy::Sequential,
     } = &**nested
     else {
         return None;
@@ -177,17 +177,17 @@ fn stage_dependent_loop(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
                 ]),
             )),
             source: Arc::clone(hop),
-            batch: None,
+            strategy: LoopStrategy::Sequential,
         }),
         source: Arc::clone(source),
-        batch: None,
+        strategy: LoopStrategy::Sequential,
     };
     Some(Expr::Ext {
         kind: *kind,
         var: pair,
         body,
         source: Arc::new(pairs),
-        batch: None,
+        strategy: LoopStrategy::Sequential,
     })
 }
 
@@ -200,7 +200,7 @@ fn mark_batchable(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
         var,
         body,
         source,
-        batch: None,
+        strategy: LoopStrategy::Sequential,
     } = e
     else {
         return None;
@@ -211,7 +211,7 @@ fn mark_batchable(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
         var: var.clone(),
         body: body.clone(),
         source: source.clone(),
-        batch: Some(BatchSpec {
+        strategy: LoopStrategy::Batched(BatchSpec {
             driver,
             arg,
             max_keys,
@@ -264,7 +264,13 @@ mod tests {
 
     fn marked(e: Expr) -> bool {
         let out = run(e, &batching_catalog(16), &OptConfig::default());
-        matches!(out, Expr::Ext { batch: Some(_), .. })
+        matches!(
+            out,
+            Expr::Ext {
+                strategy: LoopStrategy::Batched(_),
+                ..
+            }
+        )
     }
 
     #[test]
@@ -272,7 +278,8 @@ mod tests {
         let out = run(link_loop(), &batching_catalog(16), &OptConfig::default());
         match out {
             Expr::Ext {
-                batch: Some(spec), ..
+                strategy: LoopStrategy::Batched(spec),
+                ..
             } => {
                 assert_eq!(spec.driver.as_ref(), "GenBank");
                 assert_eq!(spec.max_keys, 16);
@@ -395,7 +402,7 @@ mod tests {
             var: nrc::name("x"),
             body: Arc::clone(&call),
             source: Arc::new(Expr::var("UIDS")),
-            batch: None,
+            strategy: LoopStrategy::Sequential,
         };
         assert!(!marked(over_uids(Expr::union(
             CollKind::Set,
@@ -431,7 +438,7 @@ mod tests {
                 var: pair,
                 body,
                 source,
-                batch: Some(links),
+                strategy: LoopStrategy::Batched(links),
             } = &out
             else {
                 panic!("second hop not a marked loop: {out}");
@@ -443,7 +450,7 @@ mod tests {
                 kind: k1,
                 body: pairs,
                 source: s,
-                batch: Some(hop),
+                strategy: LoopStrategy::Batched(hop),
                 ..
             } = &**source
             else {
@@ -451,7 +458,10 @@ mod tests {
             };
             assert_eq!(*k1, kind);
             assert!(hop.arg.occurs_free("o"));
-            assert!(matches!(&**pairs, Expr::Ext { kind: k, batch: None, .. } if *k == kind));
+            assert!(matches!(
+                &**pairs,
+                Expr::Ext { kind: k, strategy: LoopStrategy::Sequential, .. } if *k == kind
+            ));
             assert_eq!(**s, Expr::var("S"));
         }
     }
@@ -467,13 +477,19 @@ mod tests {
         let Expr::Ext {
             body,
             source,
-            batch: None,
+            strategy: LoopStrategy::Sequential,
             ..
         } = &out
         else {
             panic!("shape changed: {out}");
         };
         assert_eq!(**source, Expr::var("S"));
-        assert!(matches!(&**body, Expr::Ext { batch: Some(_), .. }));
+        assert!(matches!(
+            &**body,
+            Expr::Ext {
+                strategy: LoopStrategy::Batched(_),
+                ..
+            }
+        ));
     }
 }

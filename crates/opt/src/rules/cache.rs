@@ -40,13 +40,12 @@ fn cache_inner(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
     if !ctx.config.enable_cache {
         return None;
     }
-    // No `ParExt` exists yet: the parallel rule set runs after this one.
     let Expr::Ext {
         kind,
         var,
         body,
         source,
-        batch,
+        strategy,
     } = e
     else {
         return None;
@@ -56,7 +55,7 @@ fn cache_inner(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
         var: var.clone(),
         body: wrap_outermost(body)?,
         source: source.clone(),
-        batch: batch.clone(),
+        strategy: strategy.clone(),
     })
 }
 

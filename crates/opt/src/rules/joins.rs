@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use nrc::{Expr, JoinStrategy, Name, Prim};
+use nrc::{Expr, JoinStrategy, LoopStrategy, Name, Prim};
 
 use crate::engine::{Rule, RuleCtx, RuleSet, Strategy};
 
@@ -34,7 +34,7 @@ fn local_join(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
         var: v1,
         body,
         source: s1,
-        batch: None,
+        strategy: LoopStrategy::Sequential,
     } = e
     else {
         return None;
@@ -44,7 +44,7 @@ fn local_join(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
         var: v2,
         body: inner_body,
         source: s2,
-        batch: None,
+        strategy: LoopStrategy::Sequential,
     } = &**body
     else {
         return None;

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use kleisli_core::CollKind;
-use nrc::{fresh, Expr};
+use nrc::{fresh, Expr, LoopStrategy};
 
 use crate::engine::{Rule, RuleCtx, RuleSet, Strategy};
 
@@ -63,7 +63,7 @@ fn definite_kind(e: &Expr) -> Option<CollKind> {
     match e {
         Expr::Const(v) => v.coll_kind(),
         Expr::Empty(k) | Expr::Single(k, _) | Expr::Union(k, ..) => Some(*k),
-        Expr::Ext { kind, .. } | Expr::ParExt { kind, .. } | Expr::Join { kind, .. } => Some(*kind),
+        Expr::Ext { kind, .. } | Expr::Join { kind, .. } => Some(*kind),
         Expr::Remote { .. } | Expr::RemoteApp { .. } => Some(CollKind::Set),
         Expr::Cached { expr, .. } => definite_kind(expr),
         Expr::Let { body, .. } => definite_kind(body),
@@ -83,7 +83,7 @@ fn right_unit(e: &Expr, _ctx: &RuleCtx<'_>) -> Option<Expr> {
         var,
         body,
         source,
-        batch: None,
+        strategy: LoopStrategy::Sequential,
     } = e
     else {
         return None;
@@ -143,7 +143,7 @@ fn ext_singleton_source(e: &Expr, _ctx: &RuleCtx<'_>) -> Option<Expr> {
         var,
         body,
         source,
-        batch: None,
+        strategy: LoopStrategy::Sequential,
     } = e
     else {
         return None;
@@ -169,7 +169,7 @@ fn vertical_fusion(e: &Expr, _ctx: &RuleCtx<'_>) -> Option<Expr> {
         var: x,
         body: e1,
         source,
-        batch: None,
+        strategy: LoopStrategy::Sequential,
     } = e
     else {
         return None;
@@ -179,7 +179,7 @@ fn vertical_fusion(e: &Expr, _ctx: &RuleCtx<'_>) -> Option<Expr> {
         var: y,
         body: e2,
         source: e3,
-        batch: None,
+        strategy: LoopStrategy::Sequential,
     } = &**source
     else {
         return None;
@@ -206,10 +206,10 @@ fn vertical_fusion(e: &Expr, _ctx: &RuleCtx<'_>) -> Option<Expr> {
             var: x.clone(),
             body: e1.clone(),
             source: e2,
-            batch: None,
+            strategy: LoopStrategy::Sequential,
         }),
         source: e3.clone(),
-        batch: None,
+        strategy: LoopStrategy::Sequential,
     })
 }
 
@@ -241,7 +241,7 @@ fn horizontal_fusion(e: &Expr, _ctx: &RuleCtx<'_>) -> Option<Expr> {
         var: x1,
         body: b1,
         source: s1,
-        batch: None,
+        strategy: LoopStrategy::Sequential,
     } = &**a
     else {
         return None;
@@ -251,7 +251,7 @@ fn horizontal_fusion(e: &Expr, _ctx: &RuleCtx<'_>) -> Option<Expr> {
         var: x2,
         body: b2,
         source: s2,
-        batch: None,
+        strategy: LoopStrategy::Sequential,
     } = &**b
     else {
         return None;
@@ -273,7 +273,7 @@ fn horizontal_fusion(e: &Expr, _ctx: &RuleCtx<'_>) -> Option<Expr> {
         var: x1.clone(),
         body: Arc::new(Expr::Union(*kind, b1.clone(), b2)),
         source: s1.clone(),
-        batch: None,
+        strategy: LoopStrategy::Sequential,
     })
 }
 
@@ -287,7 +287,7 @@ fn filter_promotion(e: &Expr, _ctx: &RuleCtx<'_>) -> Option<Expr> {
         var,
         body,
         source,
-        batch: None,
+        strategy: LoopStrategy::Sequential,
     } = e
     else {
         return None;
@@ -305,14 +305,14 @@ fn filter_promotion(e: &Expr, _ctx: &RuleCtx<'_>) -> Option<Expr> {
             var: var.clone(),
             body: t.clone(),
             source: source.clone(),
-            batch: None,
+            strategy: LoopStrategy::Sequential,
         },
         Expr::Ext {
             kind: *kind,
             var: var.clone(),
             body: f.clone(),
             source: source.clone(),
-            batch: None,
+            strategy: LoopStrategy::Sequential,
         },
     ))
 }

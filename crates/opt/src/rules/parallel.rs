@@ -4,13 +4,15 @@
 //! sequential loop with "a primitive that retrieves elements from a
 //! collection in parallel and returns the union of the results". The
 //! degree of parallelism respects the server's tolerated number of
-//! simultaneous requests ("say five"). A loop the batch rule set marked
-//! is left sequential: its warm-up already ships the keys as a few
-//! multi-key requests, and its bodies only replay the replies.
+//! simultaneous requests ("say five"). That primitive is the loop's
+//! `Parallel` strategy; only a `Sequential` loop is rewritten. A loop the
+//! batch rule set marked keeps its `Batched` strategy and runs its bodies
+//! in order: its warm-up already ships the keys as a few multi-key
+//! requests, and its bodies only replay the replies.
 
 use std::ops::ControlFlow::{Break, Continue};
 
-use nrc::Expr;
+use nrc::{Expr, LoopStrategy};
 
 use crate::engine::{Rule, RuleCtx, RuleSet, Strategy, DEFAULT_CONCURRENCY};
 
@@ -46,7 +48,7 @@ fn parallelize(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
         var,
         body,
         source,
-        batch: None,
+        strategy: LoopStrategy::Sequential,
     } = e
     else {
         return None;
@@ -64,12 +66,12 @@ fn parallelize(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
         .capabilities(&driver)
         .map(|c| c.concurrency_limit())
         .unwrap_or(DEFAULT_CONCURRENCY);
-    Some(Expr::ParExt {
+    Some(Expr::Ext {
         kind: *kind,
         var: var.clone(),
         body: body.clone(),
         source: source.clone(),
-        max_in_flight: cap.max(1),
+        strategy: LoopStrategy::Parallel(cap.max(1)),
     })
 }
 
@@ -120,7 +122,10 @@ mod tests {
         );
         let out = run(dependent_remote_loop(), &catalog);
         match out {
-            Expr::ParExt { max_in_flight, .. } => assert_eq!(max_in_flight, 5),
+            Expr::Ext {
+                strategy: LoopStrategy::Parallel(width),
+                ..
+            } => assert_eq!(width, 5),
             other => panic!("not parallelized: {other}"),
         }
     }
@@ -129,9 +134,10 @@ mod tests {
     fn unknown_server_uses_default_concurrency() {
         let out = run(dependent_remote_loop(), &NullCatalog);
         match out {
-            Expr::ParExt { max_in_flight, .. } => {
-                assert_eq!(max_in_flight, DEFAULT_CONCURRENCY)
-            }
+            Expr::Ext {
+                strategy: LoopStrategy::Parallel(width),
+                ..
+            } => assert_eq!(width, DEFAULT_CONCURRENCY),
             other => panic!("not parallelized: {other}"),
         }
     }
@@ -150,7 +156,10 @@ mod tests {
         );
         let out = run(dependent_remote_loop(), &catalog);
         match out {
-            Expr::ParExt { max_in_flight, .. } => assert_eq!(max_in_flight, 1),
+            Expr::Ext {
+                strategy: LoopStrategy::Parallel(width),
+                ..
+            } => assert_eq!(width, 1),
             other => panic!("not parallelized: {other}"),
         }
     }
@@ -158,12 +167,12 @@ mod tests {
     #[test]
     fn batch_marked_loops_stay_sequential() {
         let mut e = dependent_remote_loop();
-        if let Expr::Ext { body, batch, .. } = &mut e {
+        if let Expr::Ext { body, strategy, .. } = &mut e {
             let Expr::RemoteApp { driver, arg } = &**body else {
                 unreachable!()
             };
             let (driver, arg) = (driver.clone(), Arc::clone(arg));
-            *batch = Some(nrc::BatchSpec {
+            *strategy = LoopStrategy::Batched(nrc::BatchSpec {
                 driver,
                 arg,
                 max_keys: 16,

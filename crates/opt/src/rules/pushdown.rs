@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use kleisli_core::{CollKind, DriverRequest, Value};
-use nrc::{CaseArm, Expr, Name, Prim};
+use nrc::{CaseArm, Expr, LoopStrategy, Name, Prim};
 
 use crate::engine::{Rule, RuleCtx, RuleSet, Strategy};
 
@@ -111,7 +111,7 @@ fn sql_migrate(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
         )),
         var: row,
         source: Arc::new(shipped),
-        batch: None,
+        strategy: LoopStrategy::Sequential,
     })
 }
 
@@ -123,7 +123,7 @@ fn recognize(e: &Expr, ctx: &RuleCtx<'_>) -> Option<ConjQuery> {
         var,
         body,
         source,
-        batch: None,
+        strategy: LoopStrategy::Sequential,
     } = e
     else {
         return None;
@@ -177,7 +177,7 @@ fn walk_body(e: &Expr, q: &mut ConjQuery, ctx: &RuleCtx<'_>) -> Option<()> {
             var,
             body,
             source,
-            batch: None,
+            strategy: LoopStrategy::Sequential,
         } => {
             let (driver, table) = scan_of(source)?;
             if driver != q.driver {
@@ -338,7 +338,7 @@ fn entrez_path_migrate(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
         var,
         body,
         source,
-        batch: None,
+        strategy: LoopStrategy::Sequential,
     } = e
     else {
         return None;
@@ -378,7 +378,7 @@ fn path_of_body(body: &Expr, var: &Name) -> Option<String> {
             var: y,
             body: inner,
             source,
-            batch: None,
+            strategy: LoopStrategy::Sequential,
         } => {
             let prefix = proj_chain(source, var)?;
             let tag = tag_extraction(inner, y)?;

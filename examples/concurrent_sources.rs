@@ -48,9 +48,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     session.bind_value("UIDS", Value::set(uids));
 
-    // Per-uid requests to both sources: the optimizer parallelizes the
-    // loop up to GenBank's budget of 5, and the executor overlaps the
-    // round-trips.
+    // Per-uid requests to both sources. The GDB scan does not depend on
+    // `uid`, so the optimizer caches it: one request serves every
+    // element. GenBank batches, so the loop is marked for it and its 15
+    // per-uid link requests ship as one multi-key request (GenBank takes
+    // up to 16 keys a request).
     let two_source = r#"{[u = uid,
            links = count(GenBank([db = "na", link = uid])),
            loci = count({l | \l <- GDB-Tab("locus"), l.locus_id = uid})] |
@@ -58,6 +60,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 1. Start without blocking, poll while it runs, then wait.
     let plan = session.compile_shared(two_source)?;
+    let gdb_before = session.driver_metrics("GDB")?;
+    let gb_before = session.driver_metrics("GenBank")?;
     let t0 = Instant::now();
     let mut handle = session.start(&plan, How::default());
     println!("started; status = {:?}", handle.status());
@@ -68,9 +72,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     };
     println!(
-        "two-source query: {} rows in {:?} (30 requests at 3 ms each, overlapped)",
+        "two-source query: {} rows in {:?}",
         result.len().unwrap_or(0),
         t0.elapsed()
+    );
+    let gdb_m = session.driver_metrics("GDB")?.since(&gdb_before);
+    let gb_m = session.driver_metrics("GenBank")?.since(&gb_before);
+    println!("GDB:     {} request(s)", gdb_m.requests);
+    println!(
+        "GenBank: {} request(s) carrying {} key(s)",
+        gb_m.requests, gb_m.batched_keys
     );
 
     // 2. Two independent queries in flight on one session.

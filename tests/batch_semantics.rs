@@ -27,7 +27,7 @@ use entrez_sim::{Entrez, EntrezServer, Link};
 use kleisli_core::{CollKind, KResult, LatencyModel, Value, DEFAULT_BLOCK_ROWS};
 use kleisli_exec::{eval, eval_blocks, reference, Env};
 use kleisli_opt::{OptConfig, RuleCtx, StaticCatalog};
-use nrc::{BatchSpec, Expr, Prim};
+use nrc::{BatchSpec, Expr, LoopStrategy, Prim};
 use proptest::prelude::*;
 
 /// Set comprehension (dedup observable): per-uid link counts.
@@ -298,7 +298,13 @@ fn through_batch_rules(s: &Session, e: &Expr, drivers: &[&str]) -> Arc<Expr> {
 
 /// Is `e` a batch-marked loop?
 fn is_marked(e: &Expr) -> bool {
-    matches!(e, Expr::Ext { batch: Some(_), .. })
+    matches!(
+        e,
+        Expr::Ext {
+            strategy: LoopStrategy::Batched(_),
+            ..
+        }
+    )
 }
 
 #[test]
@@ -401,12 +407,12 @@ fn links_of(driver: &str, var: &str) -> Expr {
 
 /// `U{ body | \var <- source }`, marked for `call` when given.
 fn loop_over(var: &str, body: Expr, source: Expr, call: Option<&Expr>) -> Expr {
-    let mark = call.map(|call| match call {
-        Expr::RemoteApp { driver, arg } => BatchSpec {
+    let strategy = call.map_or(LoopStrategy::Sequential, |call| match call {
+        Expr::RemoteApp { driver, arg } => LoopStrategy::Batched(BatchSpec {
             driver: driver.clone(),
             arg: Arc::clone(arg),
             max_keys: 16,
-        },
+        }),
         other => panic!("not a call: {other}"),
     });
     Expr::Ext {
@@ -414,7 +420,7 @@ fn loop_over(var: &str, body: Expr, source: Expr, call: Option<&Expr>) -> Expr {
         var: nrc::name(var),
         body: Arc::new(body),
         source: Arc::new(source),
-        batch: mark,
+        strategy,
     }
 }
 

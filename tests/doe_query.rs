@@ -9,7 +9,7 @@ use bio_data::{GdbConfig, GenBankConfig};
 use kleisli::{bio_federation, How, Session};
 use kleisli_core::testutil::SlowDriver;
 use kleisli_core::{DriverRequest, LatencyModel, Value};
-use nrc::Expr;
+use nrc::{Expr, LoopStrategy};
 use std::time::Duration;
 
 fn federation() -> (Session, kleisli::BioFederation) {
@@ -158,12 +158,16 @@ fn doe_plan_uses_every_optimization_of_section_4() {
             _ => {}
         },
         Expr::Ext {
-            batch: Some(spec), ..
+            strategy: LoopStrategy::Batched(spec),
+            ..
         } => {
             batched += 1;
             assert_eq!(&*spec.driver, "GenBank");
         }
-        Expr::ParExt { .. } => panic!("a batched loop runs its bodies in order"),
+        Expr::Ext {
+            strategy: LoopStrategy::Parallel(_),
+            ..
+        } => panic!("a batched loop runs its bodies in order"),
         _ => {}
     });
     assert_eq!(sql, 1, "relational part must ship as one SQL query");

@@ -237,11 +237,24 @@ fn one_generator_operator() {
     assert_eq!(single_row, Vec::<String>::new());
 }
 
+/// One loop node. How a loop runs its bodies — one after another,
+/// batched, or `width` at once — is the `strategy` of `nrc::Expr::Ext`; a
+/// second loop variant is a second arm in every IR walk, the type checker,
+/// the printer, the hash and each evaluator, kept in step by hand.
+#[test]
+fn one_loop_node() {
+    // Spelled in two halves, so that this file does not name it.
+    let second = concat!("Par", "Ext");
+    let all = sources(&["crates", "tests", "examples", "src"]);
+    let naming = all.iter().filter(|s| s.names(second));
+    assert_eq!(paths(naming), Vec::<&str>::new());
+}
+
 /// One flight table. A batched key's `Flight` is kept in one keyed table
-/// per driver, `core::batch`'s `BatchWindow`, whether it is still pending
-/// or held answerable by a batch fetch's live handles; a second map of
-/// flights elsewhere is a second copy of its hold and resolve rules under
-/// a second lock.
+/// per driver, `core::batch`'s `BatchWindow`, only while its wire request
+/// is in the air (a batch fetch's handles hold their own flights); a
+/// second map of flights elsewhere is a second copy of its hold and
+/// resolve rules under a second lock.
 #[test]
 fn one_flight_table() {
     let mut tables = Vec::new();

@@ -144,8 +144,12 @@ fn e11_parallel_gather_is_bounded_and_correct() {
     let compiled = session.compile_shared(q).expect("compile");
     let mut widths = Vec::new();
     compiled.optimized.visit(&mut |e| {
-        if let nrc::Expr::ParExt { max_in_flight, .. } = e {
-            widths.push(*max_in_flight);
+        if let nrc::Expr::Ext {
+            strategy: nrc::LoopStrategy::Parallel(width),
+            ..
+        } = e
+        {
+            widths.push(*width);
         }
     });
     assert!(!widths.is_empty(), "loops over remote calls must parallelize");
