@@ -35,7 +35,7 @@ use kleisli_exec::{
 use kleisli_opt::OptConfig;
 use kleisli_server::proto::{encode_request, write_frame, Request};
 use kleisli_server::{serve_ephemeral, Client, ServedFrom, ServerConfig, DRAIN_DEADLINE};
-use nrc::{Expr, JoinStrategy, Prim};
+use nrc::{Expr, Prim};
 
 /// One measurement: its name on the command line and in the document,
 /// and the function that runs it at CI (`smoke`) or full size.
@@ -290,8 +290,8 @@ fn e8_joins(smoke: bool) -> Json {
             .iter()
             .map(|&n| {
                 let (l, r) = join_inputs(n, (n / 10).max(1));
-                let time = |strategy| {
-                    let plan = join_query(l.clone(), r.clone(), strategy);
+                let time = |keyed| {
+                    let plan = join_query(l.clone(), r.clone(), keyed);
                     ms(time_mean(3, || {
                         eval(&plan, &Env::empty(), &ctx).expect("eval")
                     }))
@@ -299,8 +299,8 @@ fn e8_joins(smoke: bool) -> Json {
                 Json::obj([
                     ("n", int(n as u64)),
                     ("naive_nl_ms", time(None)),
-                    ("blocked_nl_ms", time(Some(JoinStrategy::BlockedNl))),
-                    ("indexed_nl_ms", time(Some(JoinStrategy::IndexedNl))),
+                    ("blocked_nl_ms", time(Some(false))),
+                    ("indexed_nl_ms", time(Some(true))),
                 ])
             })
             .collect(),

@@ -14,7 +14,7 @@ use kleisli::{bio_federation, BioFederation, Session};
 use kleisli_core::{CollKind, DriverRequest, LatencyModel, RemyRecord, Value};
 use kleisli_exec::{Context, Env};
 use kleisli_opt::OptConfig;
-use nrc::{Expr, JoinStrategy, LoopStrategy, Prim};
+use nrc::{Expr, LoopStrategy, Prim};
 
 /// Rows for the Rémy-projection experiment (E3): `n` records of `width`
 /// fields, all sharing one directory (the homogeneous case the paper
@@ -135,13 +135,13 @@ pub fn join_inputs(n: i64, modulus: i64) -> (Expr, Expr) {
     (table(n, modulus, "a"), table(n, modulus, "b"))
 }
 
-/// E8: a join of the two inputs under the given strategy (or the naive
-/// nested loop when `strategy` is `None`).
-pub fn join_query(left: Expr, right: Expr, strategy: Option<JoinStrategy>) -> Expr {
-    let cond = Expr::eq(
-        Expr::proj(Expr::var("l"), "k"),
-        Expr::proj(Expr::var("r"), "k"),
-    );
+/// E8: a join of the two inputs on `l.k = r.k`. `None` is the naive
+/// nested loop; `Some(keyed)` a local join operator: the indexed one, the
+/// equality its keys, when `keyed`, else the blocked one, the equality its
+/// condition.
+pub fn join_query(left: Expr, right: Expr, keyed: Option<bool>) -> Expr {
+    let key = |v: &str| Expr::proj(Expr::var(v), "k");
+    let cond = Expr::eq(key("l"), key("r"));
     let body = Expr::single(
         CollKind::Set,
         Expr::record(vec![
@@ -149,7 +149,7 @@ pub fn join_query(left: Expr, right: Expr, strategy: Option<JoinStrategy>) -> Ex
             ("b", Expr::proj(Expr::var("r"), "b")),
         ]),
     );
-    match strategy {
+    match keyed {
         None => Expr::ext(
             CollKind::Set,
             "l",
@@ -161,16 +161,14 @@ pub fn join_query(left: Expr, right: Expr, strategy: Option<JoinStrategy>) -> Ex
             ),
             left,
         ),
-        Some(strategy) => Expr::Join {
+        Some(keyed) => Expr::Join {
             kind: CollKind::Set,
-            strategy,
             left: Arc::new(left),
             right: Arc::new(right),
             lvar: nrc::name("l"),
             rvar: nrc::name("r"),
-            left_key: Some(Arc::new(Expr::proj(Expr::var("l"), "k"))),
-            right_key: Some(Arc::new(Expr::proj(Expr::var("r"), "k"))),
-            cond: Arc::new(Expr::bool(true)),
+            keys: keyed.then(|| (Arc::new(key("l")), Arc::new(key("r")))),
+            cond: Arc::new(if keyed { Expr::bool(true) } else { cond }),
             body: Arc::new(body),
         },
     }
@@ -530,9 +528,9 @@ mod tests {
         let (l, r) = join_inputs(200, 10);
         let ctx = Context::new();
         let naive = eval(&join_query(l.clone(), r.clone(), None), &Env::empty(), &ctx).unwrap();
-        for s in [JoinStrategy::BlockedNl, JoinStrategy::IndexedNl] {
+        for keyed in [false, true] {
             let v = eval(
-                &join_query(l.clone(), r.clone(), Some(s)),
+                &join_query(l.clone(), r.clone(), Some(keyed)),
                 &Env::empty(),
                 &ctx,
             )

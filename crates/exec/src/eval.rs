@@ -364,7 +364,6 @@ mod tests {
     use super::*;
     use cpl::{desugar, parse_expr, Definitions};
     use kleisli_core::CollKind;
-    use nrc::JoinStrategy;
 
     fn run_with(src: &str, defs: &Definitions) -> KResult<Value> {
         let ast = parse_expr(src).expect("parse");
@@ -616,16 +615,16 @@ mod tests {
                 ("b", Expr::proj(Expr::var("r"), "v")),
             ]),
         );
-        for strategy in [JoinStrategy::BlockedNl, JoinStrategy::IndexedNl] {
+        // Blocked: no keys, the equality in `cond`; indexed: keys too.
+        let key = |v: &str| Arc::new(Expr::proj(Expr::var(v), "k"));
+        for (what, keys) in [("blocked", None), ("indexed", Some((key("l"), key("r"))))] {
             let e = Expr::Join {
                 kind: CollKind::Set,
-                strategy: strategy.clone(),
                 left: Arc::new(Expr::Const(left.clone())),
                 right: Arc::new(Expr::Const(right.clone())),
                 lvar: name("l"),
                 rvar: name("r"),
-                left_key: Some(Arc::new(Expr::proj(Expr::var("l"), "k"))),
-                right_key: Some(Arc::new(Expr::proj(Expr::var("r"), "k"))),
+                keys,
                 cond: Arc::new(Expr::eq(
                     Expr::proj(Expr::var("l"), "k"),
                     Expr::proj(Expr::var("r"), "k"),
@@ -633,9 +632,9 @@ mod tests {
                 body: Arc::new(body.clone()),
             };
             let got = eval(&e, &Env::empty(), &Context::new()).unwrap();
-            assert_eq!(got, reference, "strategy {strategy:?}");
+            assert_eq!(got, reference, "{what}");
             let by_the_book = crate::reference::eval(&e, &Env::empty(), &Context::new());
-            assert_eq!(by_the_book.unwrap(), reference, "strategy {strategy:?}");
+            assert_eq!(by_the_book.unwrap(), reference, "{what}");
         }
     }
 

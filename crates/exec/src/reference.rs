@@ -134,11 +134,9 @@ fn rt(e: &Expr, env: &Env, ctx: &Context) -> KResult<Rt> {
             right,
             lvar,
             rvar,
-            left_key,
-            right_key,
+            keys,
             cond,
             body,
-            ..
         } => {
             let ls = elems(val(left, env)?, *kind, Some("join left"))?;
             let rs = elems(val(right, env)?, *kind, Some("join right"))?;
@@ -148,9 +146,9 @@ fn rt(e: &Expr, env: &Env, ctx: &Context) -> KResult<Rt> {
                     let lenv = env.bind(Arc::clone(lvar), Rt::Val(l.clone()));
                     let renv = env.bind(Arc::clone(rvar), Rt::Val(r.clone()));
                     // Equi-keys the optimizer split off are part of the
-                    // condition, whichever strategy it chose — each over
-                    // its own side alone (`nrc::expr`, "Scope").
-                    if let (Some(lk), Some(rk)) = (left_key, right_key) {
+                    // condition — each over its own side alone
+                    // (`nrc::expr`, "Scope").
+                    if let Some((lk, rk)) = keys {
                         if val(lk, &lenv)? != val(rk, &renv)? {
                             continue;
                         }

@@ -119,7 +119,7 @@ use kleisli_core::{
     lazy_blocks, BlockSource, BlockStream, CollKind, DriverRequest, Join, KError, KResult, Lead,
     Value, ValueBlock, DEFAULT_BLOCK_ROWS,
 };
-use nrc::{Expr, JoinStrategy, LoopStrategy, Name};
+use nrc::{Expr, LoopStrategy, Name};
 use parking_lot::Mutex;
 
 use crate::context::{request_from_value, Context};
@@ -376,13 +376,11 @@ pub(crate) fn blocks_at(
         }
         Expr::Join {
             kind,
-            strategy,
             left,
             right,
             lvar,
             rvar,
-            left_key,
-            right_key,
+            keys,
             cond,
             body,
         } => {
@@ -394,10 +392,10 @@ pub(crate) fn blocks_at(
             let right = blocks(right, env, ctx, Want::Operand("join right", *kind))?;
             let rv = collect_rows(right, Some(ctx))?;
             // Each key runs under its own side's variable alone (`nrc::expr`,
-            // "Scope"), so neither strategy can fold them into `cond`.
-            let probe = match (strategy, left_key, right_key) {
+            // "Scope"), so the indexed join cannot fold them into `cond`.
+            let probe = match keys {
                 // Index the inner relation on the fly by its key.
-                (JoinStrategy::IndexedNl, Some(lk), Some(rk)) => {
+                Some((lk, rk)) => {
                     let mut index: HashMap<Value, Vec<Value>> = HashMap::new();
                     for r in rv {
                         let key = eval(rk, &env.bind(Arc::clone(rvar), Rt::Val(r.clone())), ctx)?;
@@ -405,12 +403,9 @@ pub(crate) fn blocks_at(
                     }
                     Probe::Index(Arc::clone(lk), index)
                 }
-                (JoinStrategy::IndexedNl, ..) => {
-                    return Err(KError::eval("indexed join without keys"))
-                }
-                (JoinStrategy::BlockedNl, lk, rk) => Probe::Scan(rv, lk.clone().zip(rk.clone())),
+                None => Probe::Scan(rv),
             };
-            let keys = left_key.iter().chain(right_key).map(|k| &**k);
+            let keys = keys.iter().flat_map(|(lk, rk)| [&**lk, &**rk]);
             let per_pair = [&**cond, &**body].into_iter().chain(keys);
             let how = Expand::Join {
                 probe,
@@ -837,14 +832,15 @@ impl BlockSource for PendingBlocks {
 }
 
 /// How the join operator finds an outer element's inner candidates —
-/// the one thing the two Section-4 strategies differ in.
+/// the one thing the two Section-4 operators differ in, chosen by whether
+/// the join has keys.
 enum Probe {
-    /// Blocked nested loop [Kim 80]: every element of the materialized
-    /// inner relation, kept when its `right_key` equals the outer
-    /// element's `left_key` (if the join has keys).
-    Scan(Vec<Value>, Option<(Arc<Expr>, Arc<Expr>)>),
-    /// Indexed nested loop [Nakayama et al. 88]: the inner elements whose
-    /// key equals the outer element's, by an index built on the fly.
+    /// Blocked nested loop [Kim 80], a join without keys: every element
+    /// of the materialized inner relation.
+    Scan(Vec<Value>),
+    /// Indexed nested loop [Nakayama et al. 88], a join with keys: the
+    /// inner elements whose right key equals the outer element's left key
+    /// (held here), by an index built on the fly.
     Index(Arc<Expr>, HashMap<Value, Vec<Value>>),
 }
 
@@ -1098,22 +1094,14 @@ impl Expand {
             Expand::Par(_) => unreachable!("a parallel loop expands a chunk at a time"),
         };
         let lenv = env.bind(Arc::clone(lvar), Rt::Val(el));
-        let (candidates, keys) = match probe {
-            Probe::Scan(right, None) => (right.as_slice(), None),
-            Probe::Scan(right, Some((lk, rk))) => {
-                (right.as_slice(), Some((eval(lk, &lenv, ctx)?, rk)))
-            }
+        let candidates = match probe {
+            Probe::Scan(right) => right.as_slice(),
             Probe::Index(lk, index) => match index.get(&eval(lk, &lenv, ctx)?) {
-                Some(matches) => (matches.as_slice(), None),
+                Some(matches) => matches.as_slice(),
                 None => return Ok(None),
             },
         };
         for r in candidates {
-            if let Some((key, rk)) = &keys {
-                if eval(rk, &env.bind(Arc::clone(rvar), Rt::Val(r.clone())), ctx)? != *key {
-                    continue;
-                }
-            }
             let env = lenv.bind(Arc::clone(rvar), Rt::Val(r.clone()));
             if eval_cond(cond, &env, ctx, "join")? {
                 body.write(&env, ctx, kind, out)?;
@@ -1522,16 +1510,16 @@ mod tests {
                 ("b", Expr::proj(Expr::var("r"), "b")),
             ]),
         );
-        for strategy in [JoinStrategy::BlockedNl, JoinStrategy::IndexedNl] {
+        // Blocked: no keys, the equality in `cond`; indexed: keys too.
+        let key = |v: &str| Arc::new(Expr::proj(Expr::var(v), "k"));
+        for keys in [None, Some((key("l"), key("r")))] {
             let e = Expr::Join {
                 kind: CollKind::Set,
-                strategy,
                 left: Arc::new(left.clone()),
                 right: Arc::new(right.clone()),
                 lvar: name("l"),
                 rvar: name("r"),
-                left_key: Some(Arc::new(Expr::proj(Expr::var("l"), "k"))),
-                right_key: Some(Arc::new(Expr::proj(Expr::var("r"), "k"))),
+                keys,
                 cond: Arc::new(Expr::eq(
                     Expr::proj(Expr::var("l"), "k"),
                     Expr::proj(Expr::var("r"), "k"),
@@ -1647,20 +1635,20 @@ mod tests {
             ),
         );
         let ctx = Arc::new(Context::new());
-        for (what, strategy) in [
-            ("blocked", JoinStrategy::BlockedNl),
-            ("indexed", JoinStrategy::IndexedNl),
+        // Blocked: no keys, the equality in `cond`; indexed: the keys.
+        let on_zero = Expr::eq(zero("l"), zero("r"));
+        for (what, keys, cond) in [
+            ("blocked", None, on_zero),
+            ("indexed", Some((Arc::new(zero("l")), Arc::new(zero("r")))), Expr::bool(true)),
         ] {
             let e = Expr::Join {
                 kind: CollKind::List,
-                strategy,
                 left: Arc::new(list(1)),
                 right: Arc::new(list(8)),
                 lvar: name("l"),
                 rvar: name("r"),
-                left_key: Some(Arc::new(zero("l"))),
-                right_key: Some(Arc::new(zero("r"))),
-                cond: Arc::new(Expr::bool(true)),
+                keys,
+                cond: Arc::new(cond),
                 body: Arc::new(body.clone()),
             };
             for grain in [DEFAULT_BLOCK_ROWS, 5, 1] {

@@ -197,13 +197,14 @@ fn join_sides_overlap_their_round_trips() {
     );
     let e = Expr::Join {
         kind: CollKind::Set,
-        strategy: nrc::JoinStrategy::IndexedNl,
         left: Arc::new(scan("A")),
         right: Arc::new(scan("B")),
         lvar: name("l"),
         rvar: name("r"),
-        left_key: Some(Arc::new(Expr::proj(Expr::var("l"), "n"))),
-        right_key: Some(Arc::new(Expr::proj(Expr::var("r"), "n"))),
+        keys: Some((
+            Arc::new(Expr::proj(Expr::var("l"), "n")),
+            Arc::new(Expr::proj(Expr::var("r"), "n")),
+        )),
         cond: Arc::new(Expr::bool(true)),
         body: Arc::new(body),
     };

@@ -3,7 +3,7 @@
 //! reference interpreter, on values and on stringified errors.
 //!
 //! * a property over small random plans (sets / bags / lists, both join
-//!   strategies, parallel loops, `Cached`, collections nested in record
+//!   operators, parallel loops, `Cached`, collections nested in record
 //!   fields to depth 2, an element whose evaluation fails), a quarter of them
 //!   strict siblings over remote scans — records of collections,
 //!   `flatten` of singleton unions, primitives over scans — on a
@@ -40,7 +40,7 @@ use kleisli_core::{
 use kleisli_exec::{
     collect_blocks, collect_stream, eval, eval_blocks, eval_stream, reference, Context, Env,
 };
-use nrc::{name, Expr, JoinStrategy, LoopStrategy, Prim};
+use nrc::{name, Expr, LoopStrategy, Prim};
 use proptest::prelude::*;
 use proptest::TestRng;
 
@@ -332,21 +332,16 @@ impl Gen<'_> {
             let sum = Expr::prim(Prim::Add, vec![Expr::var(own), outer]);
             Arc::new(Expr::prim(Prim::Mod, vec![sum, Expr::int(modulus)]))
         };
-        let (left_key, right_key) = (Some(key(&l)), Some(key(&r)));
-        let (strategy, left_key, right_key) = match self.below(3) {
-            0 => (JoinStrategy::BlockedNl, None, None),
-            1 => (JoinStrategy::BlockedNl, left_key, right_key),
-            _ => (JoinStrategy::IndexedNl, left_key, right_key),
-        };
+        let keys = (key(&l), key(&r));
+        // Keyed (the indexed join) or not (the blocked one).
+        let keys = (self.below(2) == 1).then_some(keys);
         Expr::Join {
             kind,
-            strategy,
             left: Arc::new(left),
             right: Arc::new(right),
             lvar: name(&l),
             rvar: name(&r),
-            left_key,
-            right_key,
+            keys,
             cond: Arc::new(self.cond(&inner, 0)),
             body: Arc::new(self.body(kind, &inner, depth.min(1))),
         }
@@ -545,10 +540,7 @@ fn the_property_exercises_values_errors_and_every_operator() {
         let _ = eval(&plan.0, &Env::empty(), &context_over(Arc::clone(&sliced) as _));
         let scans = plan.0.touches_remote();
         plan.0.visit(&mut |e| match e {
-            Expr::Join {
-                strategy: JoinStrategy::BlockedNl,
-                ..
-            } => seen[0] = true,
+            Expr::Join { keys: None, .. } => seen[0] = true,
             Expr::Join { .. } => seen[1] = true,
             Expr::Ext {
                 strategy: LoopStrategy::Parallel(_),
@@ -628,13 +620,11 @@ impl Driver for Waves {
 fn join(kind: CollKind, left: Expr, right: Expr, cond: Expr, body: Expr) -> Expr {
     Expr::Join {
         kind,
-        strategy: JoinStrategy::BlockedNl,
         left: Arc::new(left),
         right: Arc::new(right),
         lvar: name("l"),
         rvar: name("r"),
-        left_key: None,
-        right_key: None,
+        keys: None,
         cond: Arc::new(cond),
         body: Arc::new(body),
     }

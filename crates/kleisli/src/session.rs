@@ -60,6 +60,13 @@
 //! structural hash, not an interner identity, so recompiling the same
 //! query addresses the same `Context` cache slots.
 //!
+//! Hash-consing happens before optimization only. A rule that rebuilds a
+//! subtree builds new nodes, so two subtrees that are equal in the
+//! optimized plan can be two `Arc`s, each rewritten on its own. That is
+//! why the executor matches a marked call to its loop's mark
+//! structurally (`BatchSpec::arg` by `==`, not by pointer); keeping the
+//! sharing through the optimizer is ROADMAP item 21.
+//!
 //! # Process-wide sharing
 //!
 //! The plan cache is a standalone [`PlanCache`] that a

@@ -50,14 +50,14 @@
 //! * `Lambda { var, body }`: `body` under `var`.
 //! * `Ext { var, body, source, .. }`: `body` under `var`.
 //! * `Case { arms, .. }`: each arm's `body` under that arm's `var`.
-//! * `Join { lvar, rvar, .. }`: `left_key` under `lvar`, `right_key` under
-//!   `rvar`, `cond` and `body` under `lvar` then `rvar` (an equal `rvar`
-//!   shadows `lvar`). A key sees its own side only because that is all
-//!   there is when it runs: the indexed join keys the whole inner
-//!   relation by `right_key` before any outer element exists, then
-//!   probes with `left_key` before an inner one is chosen — which is why
-//!   the join rule set splits an equality into keys only when each side
-//!   mentions one variable.
+//! * `Join { lvar, rvar, keys, .. }`: the left key under `lvar`, the
+//!   right key under `rvar`, `cond` and `body` under `lvar` then `rvar`
+//!   (an equal `rvar` shadows `lvar`). A key sees its own side only
+//!   because that is all there is when it runs: the indexed join keys the
+//!   whole inner relation by the right key before any outer element
+//!   exists, then probes with the left key before an inner one is chosen
+//!   — which is why the join rule set splits an equality into keys only
+//!   when each side mentions one variable.
 //!
 //! [`Expr::free_vars`], [`Expr::occurs_free`], [`Expr::count_free`] and
 //! [`Expr::subst_shared`] are all derived from the table, so they cannot
@@ -124,20 +124,6 @@ pub fn fresh(prefix: &str) -> Name {
 pub fn is_fresh(name: &str) -> bool {
     name.rsplit_once('%')
         .is_some_and(|(_, n)| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()))
-}
-
-/// Strategy chosen for a local join by the join rule set.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum JoinStrategy {
-    /// Blocked nested-loop join [Kim 80]: the inner collection is
-    /// materialized and scanned per outer element (in memory the block
-    /// structure of the I/O pattern is unobservable, so none is kept).
-    BlockedNl,
-    /// Indexed blocked nested-loop join (a variation of the hashed-loop
-    /// join of [Nakayama et al. 88]): an index is built on the fly over the
-    /// inner collection, keyed by `right_key`; outer elements probe it with
-    /// `left_key`.
-    IndexedNl,
 }
 
 /// One arm of a `Case` expression: tag, bound variable, arm body.
@@ -213,22 +199,26 @@ pub enum Expr {
         driver: Name,
         request: DriverRequest,
     },
-    /// A local join with an explicit strategy. Semantically equal to
+    /// A local join, whose operator is whether it has keys. Semantically
+    /// equal to
     /// `U{ U{ if cond then body else empty | \rvar <- right } | \lvar <- left }`,
-    /// where for `IndexedNl` the condition additionally includes
-    /// `left_key(lvar) == right_key(rvar)`.
+    /// where with `keys: Some((lk, rk))` the condition additionally
+    /// includes `lk(lvar) == rk(rvar)`.
     Join {
         kind: CollKind,
-        strategy: JoinStrategy,
         left: Arc<Expr>,
         right: Arc<Expr>,
         lvar: Name,
         rvar: Name,
-        /// Equi-join keys, `left_key` over `lvar` and `right_key` over
-        /// `rvar` alone (module docs, "Scope"): `IndexedNl` probes an
-        /// index with them, `BlockedNl` compares them pair by pair.
-        left_key: Option<Arc<Expr>>,
-        right_key: Option<Arc<Expr>>,
+        /// Equi-join keys, the left one over `lvar` and the right one over
+        /// `rvar` alone (module docs, "Scope"). `Some` is the indexed
+        /// nested-loop join (a variation of the hashed-loop join of
+        /// [Nakayama et al. 88]): an index over the inner collection, keyed
+        /// by the right key, probed with the left one. `None` is the
+        /// blocked nested-loop join [Kim 80]: the inner collection is
+        /// materialized and scanned per outer element (in memory the block
+        /// structure of the I/O pattern is unobservable, so none is kept).
+        keys: Option<(Arc<Expr>, Arc<Expr>)>,
         /// Residual join predicate (may be `Const(true)`).
         cond: Arc<Expr>,
         /// Collection-valued output expression for each matching pair.
@@ -436,16 +426,17 @@ impl Expr {
                 right,
                 lvar,
                 rvar,
-                left_key,
-                right_key,
+                keys,
                 cond,
                 body,
                 ..
             } => {
                 f(left, &[]);
                 f(right, &[]);
-                left_key.iter().for_each(|k| f(k, &[lvar]));
-                right_key.iter().for_each(|k| f(k, &[rvar]));
+                if let Some((lk, rk)) = keys {
+                    f(lk, &[lvar]);
+                    f(rk, &[rvar]);
+                }
                 f(cond, &[lvar, rvar]);
                 f(body, &[lvar, rvar]);
             }
@@ -606,22 +597,18 @@ impl Expr {
             },
             Expr::Join {
                 kind,
-                strategy,
                 left,
                 right,
                 lvar,
                 rvar,
-                left_key,
-                right_key,
+                keys,
                 cond,
                 body,
             } => Expr::Join {
                 kind: *kind,
-                strategy: strategy.clone(),
                 left: step(left),
                 right: step(right),
-                left_key: left_key.as_ref().map(&mut step),
-                right_key: right_key.as_ref().map(&mut step),
+                keys: keys.as_ref().map(|(lk, rk)| (step(lk), step(rk))),
                 cond: step(cond),
                 body: step(body),
                 lvar: bind(lvar),
@@ -813,17 +800,15 @@ mod tests {
         (*Expr::subst_shared(&Arc::new(e), var, &Arc::new(replacement))).clone()
     }
 
-    /// `Join(\\lvar <- L, \\rvar <- R, left_key, right_key, true, {body})`.
-    fn join(lvar: &str, rvar: &str, left_key: Expr, right_key: Expr, body: Expr) -> Expr {
+    /// `Join(\\lvar <- L, \\rvar <- R, (lk, rk), true, {body})`.
+    fn join(lvar: &str, rvar: &str, lk: Expr, rk: Expr, body: Expr) -> Expr {
         Expr::Join {
             kind: CollKind::Set,
-            strategy: JoinStrategy::IndexedNl,
             left: Arc::new(Expr::var("L")),
             right: Arc::new(Expr::var("R")),
             lvar: name(lvar),
             rvar: name(rvar),
-            left_key: Some(Arc::new(left_key)),
-            right_key: Some(Arc::new(right_key)),
+            keys: Some((Arc::new(lk), Arc::new(rk))),
             cond: Arc::new(Expr::bool(true)),
             body: Arc::new(Expr::single(CollKind::Set, body)),
         }
@@ -861,20 +846,9 @@ mod tests {
 
     #[test]
     fn occurs_free_matches_free_vars_on_join_keys() {
-        // left_key is scoped under lvar only: rvar occurring in it is
+        // The left key is scoped under lvar only: rvar occurring in it is
         // FREE, and both predicates must agree on that.
-        let join = Expr::Join {
-            kind: CollKind::Set,
-            strategy: JoinStrategy::IndexedNl,
-            left: Arc::new(Expr::var("L")),
-            right: Arc::new(Expr::var("R")),
-            lvar: name("l"),
-            rvar: name("r"),
-            left_key: Some(Arc::new(Expr::var("r"))),
-            right_key: Some(Arc::new(Expr::var("r"))),
-            cond: Arc::new(Expr::bool(true)),
-            body: Arc::new(Expr::single(CollKind::Set, Expr::var("l"))),
-        };
+        let join = join("l", "r", Expr::var("r"), Expr::var("r"), Expr::var("l"));
         let fv = join.free_vars();
         assert!(fv.iter().any(|n| &**n == "r"), "free_vars: {fv:?}");
         assert!(
@@ -978,7 +952,7 @@ mod tests {
         }
         let Expr::Join {
             left,
-            left_key,
+            keys: Some((lk, _)),
             body,
             ..
         } = subst(e, "x", Expr::int(7))
@@ -986,21 +960,20 @@ mod tests {
             panic!("shape");
         };
         assert_eq!(*left, Expr::int(7), "the operand is outside the binder");
-        assert_eq!(left_key.as_deref(), Some(&Expr::var("x")));
+        assert_eq!(*lk, Expr::var("x"));
         assert_eq!(*body, Expr::single(CollKind::Set, Expr::var("x")));
-        // `right_key` is under `rvar` alone: an `l` in it is free.
+        // The right key is under `rvar` alone: an `l` in it is free.
         let e = join("l", "r", Expr::var("l"), Expr::var("l"), Expr::var("l"));
         let Expr::Join {
-            left_key,
-            right_key,
+            keys: Some((lk, rk)),
             body,
             ..
         } = subst(e, "l", Expr::int(7))
         else {
             panic!("shape");
         };
-        assert_eq!(left_key.as_deref(), Some(&Expr::var("l")));
-        assert_eq!(right_key.as_deref(), Some(&Expr::int(7)));
+        assert_eq!(*lk, Expr::var("l"));
+        assert_eq!(*rk, Expr::int(7));
         assert_eq!(*body, Expr::single(CollKind::Set, Expr::var("l")));
     }
 
@@ -1010,7 +983,7 @@ mod tests {
         let Expr::Join {
             lvar,
             rvar,
-            left_key,
+            keys: Some((lk, _)),
             body,
             ..
         } = subst(e, "z", Expr::var("l"))
@@ -1021,8 +994,8 @@ mod tests {
         assert_eq!(&*rvar, "r", "the other one is left alone");
         assert_eq!(*body, Expr::single(CollKind::Set, Expr::var("l")));
         assert_eq!(
-            left_key.as_deref(),
-            Some(&Expr::Var(lvar)),
+            *lk,
+            Expr::Var(lvar),
             "every child the binder reaches follows the rename"
         );
     }

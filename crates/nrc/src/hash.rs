@@ -147,22 +147,17 @@ fn shallow_hash<'a>(e: &'a Expr, d: &mut impl Digest<'a>) -> u64 {
         }
         Expr::Join {
             kind,
-            strategy,
             lvar,
             rvar,
-            left_key,
-            right_key,
+            keys,
             ..
         } => {
             kind.hash(&mut h);
-            strategy.hash(&mut h);
             d.var(lvar, &mut h);
             d.var(rvar, &mut h);
-            // Presence flags disambiguate the variable-length child list:
-            // without them, a key migrating between the left and right
-            // slot could produce the same child sequence.
-            left_key.is_some().hash(&mut h);
-            right_key.is_some().hash(&mut h);
+            // The presence flag is the join's operator, and it delimits
+            // the variable-length child list.
+            keys.is_some().hash(&mut h);
         }
         Expr::Cached { id, .. } => id.hash(&mut h),
     }
@@ -461,21 +456,19 @@ mod tests {
 
     #[test]
     fn join_key_slots_hash_distinctly() {
-        let base = |lk: Option<Expr>, rk: Option<Expr>| Expr::Join {
+        let base = |keys: Option<(&str, &str)>| Expr::Join {
             kind: CollKind::Set,
-            strategy: crate::JoinStrategy::IndexedNl,
             left: Arc::new(Expr::var("L")),
             right: Arc::new(Expr::var("R")),
             lvar: crate::name("l"),
             rvar: crate::name("r"),
-            left_key: lk.map(Arc::new),
-            right_key: rk.map(Arc::new),
+            keys: keys.map(|(lk, rk)| (Arc::new(Expr::var(lk)), Arc::new(Expr::var(rk)))),
             cond: Arc::new(Expr::bool(true)),
             body: Arc::new(Expr::single(CollKind::Set, Expr::var("l"))),
         };
-        let only_left = base(Some(Expr::var("k")), None);
-        let only_right = base(None, Some(Expr::var("k")));
-        assert_ne!(plan_hash(&only_left), plan_hash(&only_right));
+        let keyed = plan_hash(&base(Some(("j", "k"))));
+        assert_ne!(keyed, plan_hash(&base(Some(("k", "j")))), "swapped keys");
+        assert_ne!(keyed, plan_hash(&base(None)), "keyed against unkeyed");
     }
 
     #[test]

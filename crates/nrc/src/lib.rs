@@ -20,7 +20,7 @@ pub mod pretty;
 pub mod prim;
 pub mod typing;
 
-pub use expr::{fresh, name, BatchSpec, CaseArm, Expr, JoinStrategy, LoopStrategy, Name};
+pub use expr::{fresh, name, BatchSpec, CaseArm, Expr, LoopStrategy, Name};
 pub use hash::{plan_hash, Interner};
 pub use prim::Prim;
 pub use typing::{infer, TypeEnv};

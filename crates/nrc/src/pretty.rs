@@ -6,7 +6,7 @@ use std::fmt;
 
 use kleisli_core::CollKind;
 
-use crate::expr::{Expr, JoinStrategy, LoopStrategy};
+use crate::expr::{Expr, LoopStrategy};
 
 fn union_symbol(kind: CollKind) -> &'static str {
     match kind {
@@ -152,7 +152,7 @@ pub fn write_expr(f: &mut fmt::Formatter<'_>, e: &Expr, depth: usize) -> fmt::Re
             write!(f, "REMOTE[{driver}: {}]", request.describe())
         }
         Expr::Join {
-            strategy,
+            keys,
             left,
             right,
             lvar,
@@ -161,9 +161,9 @@ pub fn write_expr(f: &mut fmt::Formatter<'_>, e: &Expr, depth: usize) -> fmt::Re
             body,
             ..
         } => {
-            let tag = match strategy {
-                JoinStrategy::BlockedNl => "BLOCKED-NL-JOIN",
-                JoinStrategy::IndexedNl => "INDEXED-NL-JOIN",
+            let tag = match keys {
+                None => "BLOCKED-NL-JOIN",
+                Some(_) => "INDEXED-NL-JOIN",
             };
             write!(f, "{tag}(\\{lvar} <- ")?;
             write_expr(f, left, depth + 1)?;

@@ -190,11 +190,9 @@ pub fn infer(e: &Expr, env: &TypeEnv) -> KResult<Type> {
             right,
             lvar,
             rvar,
-            left_key,
-            right_key,
+            keys,
             cond,
             body,
-            ..
         } => {
             let tl = infer(left, env)?;
             let tr = infer(right, env)?;
@@ -205,8 +203,10 @@ pub fn infer(e: &Expr, env: &TypeEnv) -> KResult<Type> {
                 env.bind(Arc::clone(lvar), le),
                 env.bind(Arc::clone(rvar), re.clone()),
             );
-            left_key.iter().try_for_each(|k| infer(k, &lenv).map(drop))?;
-            right_key.iter().try_for_each(|k| infer(k, &renv).map(drop))?;
+            if let Some((lk, rk)) = keys {
+                infer(lk, &lenv)?;
+                infer(rk, &renv)?;
+            }
             let inner = lenv.bind(Arc::clone(rvar), re);
             infer(cond, &inner)?;
             let tb = infer(body, &inner)?;
@@ -408,15 +408,13 @@ mod tests {
     #[test]
     fn a_join_key_sees_its_own_side_only() {
         let ints = || Arc::new(Expr::Const(Value::set(vec![Value::Int(1)])));
-        let join = |right_key: &str| Expr::Join {
+        let join = |rk: &str| Expr::Join {
             kind: CollKind::Set,
-            strategy: crate::JoinStrategy::IndexedNl,
             left: ints(),
             right: ints(),
             lvar: name("l"),
             rvar: name("r"),
-            left_key: Some(Arc::new(Expr::var("l"))),
-            right_key: Some(Arc::new(Expr::var(right_key))),
+            keys: Some((Arc::new(Expr::var("l")), Arc::new(Expr::var(rk)))),
             cond: Arc::new(Expr::bool(true)),
             body: Arc::new(Expr::single(CollKind::Set, Expr::var("l"))),
         };

@@ -16,7 +16,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use kleisli_core::CollKind::Set;
-use nrc::{name, plan_hash, BatchSpec, CaseArm, Expr, JoinStrategy, LoopStrategy, Prim};
+use nrc::{name, plan_hash, BatchSpec, CaseArm, Expr, LoopStrategy, Prim};
 use proptest::prelude::*;
 use proptest::TestRng;
 
@@ -81,13 +81,11 @@ impl Gen<'_> {
                 let keyed = self.below(3) > 0;
                 Expr::Join {
                     kind: Set,
-                    strategy: JoinStrategy::IndexedNl,
                     left: self.arc(d),
                     right: self.arc(d),
                     lvar: name(self.name()),
                     rvar: name(self.name()),
-                    left_key: keyed.then(|| self.arc(d)),
-                    right_key: keyed.then(|| self.arc(d)),
+                    keys: keyed.then(|| (self.arc(d), self.arc(d))),
                     cond: self.arc(d),
                     body: self.arc(d),
                 }

@@ -5,11 +5,14 @@
 //! the indexed blocked nested-loop join with indexes built on the fly —
 //! plus a rule set "dedicated to recognizing under what conditions to apply
 //! which join operator": the indexed join fires only when equality tests in
-//! the join condition can be turned into index keys.
+//! the join condition can be turned into index keys. The rule's choice *is*
+//! the keys: it builds `Join { keys: Some(..) }`, the indexed operator, from
+//! the equalities it splits off, and `Join { keys: None }`, the blocked one,
+//! when there are none.
 
 use std::sync::Arc;
 
-use nrc::{Expr, JoinStrategy, LoopStrategy, Name, Prim};
+use nrc::{Expr, LoopStrategy, Name, Prim};
 
 use crate::engine::{Rule, RuleCtx, RuleSet, Strategy};
 
@@ -66,24 +69,16 @@ fn local_join(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
     // Split the condition into equi-key pairs and a residual.
     let mut conjuncts = Vec::new();
     flatten_and(cond, &mut conjuncts);
-    let mut left_keys: Vec<Expr> = Vec::new();
-    let mut right_keys: Vec<Expr> = Vec::new();
+    let mut pairs: Vec<(Expr, Expr)> = Vec::new();
     let mut residual: Vec<Expr> = Vec::new();
     for c in conjuncts {
         match equi_key(&c, v1, v2) {
-            Some((l, r)) => {
-                left_keys.push(l);
-                right_keys.push(r);
-            }
+            Some(pair) => pairs.push(pair),
             None => residual.push(c),
         }
     }
-    let residual_cond = residual
-        .into_iter()
-        .reduce(Expr::and)
-        .unwrap_or_else(|| Expr::bool(true));
-    let (strategy, lk, rk, cond) = if left_keys.is_empty() {
-        (JoinStrategy::BlockedNl, None, None, Arc::clone(cond))
+    let (keys, cond) = if pairs.is_empty() {
+        (None, Arc::clone(cond))
     } else {
         let key = |ks: Vec<Expr>| {
             if ks.len() == 1 {
@@ -97,22 +92,20 @@ fn local_join(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
                 ))
             }
         };
+        let (lks, rks) = pairs.into_iter().unzip();
+        let residual = residual.into_iter().reduce(Expr::and);
         (
-            JoinStrategy::IndexedNl,
-            Some(key(left_keys)),
-            Some(key(right_keys)),
-            Arc::new(residual_cond),
+            Some((key(lks), key(rks))),
+            Arc::new(residual.unwrap_or_else(|| Expr::bool(true))),
         )
     };
     Some(Expr::Join {
         kind: *kind,
-        strategy,
         left: s1.clone(),
         right: s2.clone(),
         lvar: v1.clone(),
         rvar: v2.clone(),
-        left_key: lk,
-        right_key: rk,
+        keys,
         cond,
         body: then.clone(),
     })
@@ -128,7 +121,7 @@ fn flatten_and(e: &Expr, out: &mut Vec<Expr>) {
 }
 
 /// Recognize `a = b` where one side mentions only `v1` and the other only
-/// `v2`; returns `(left_key, right_key)`.
+/// `v2`; returns `(left key, right key)`.
 fn equi_key(e: &Expr, v1: &Name, v2: &Name) -> Option<(Expr, Expr)> {
     let Expr::Prim(Prim::Eq, args) = e else {
         return None;
@@ -205,7 +198,7 @@ mod tests {
         let before = eval(&e, &Env::empty(), &Context::new()).unwrap();
         let opt = run(e);
         match &opt {
-            Expr::Join { strategy, .. } => assert_eq!(*strategy, JoinStrategy::IndexedNl),
+            Expr::Join { keys, .. } => assert!(keys.is_some()),
             other => panic!("no join operator introduced: {other}"),
         }
         assert_eq!(eval(&opt, &Env::empty(), &Context::new()).unwrap(), before);
@@ -229,8 +222,8 @@ mod tests {
         let before = eval(&e, &Env::empty(), &Context::new()).unwrap();
         let opt = run(e);
         match &opt {
-            Expr::Join { strategy, cond, .. } => {
-                assert_eq!(*strategy, JoinStrategy::IndexedNl);
+            Expr::Join { keys, cond, .. } => {
+                assert!(keys.is_some());
                 assert!(matches!(&**cond, Expr::Prim(Prim::Lt, _)));
             }
             other => panic!("no join operator introduced: {other}"),
@@ -250,9 +243,7 @@ mod tests {
         let before = eval(&e, &Env::empty(), &Context::new()).unwrap();
         let opt = run(e);
         match &opt {
-            Expr::Join { strategy, .. } => {
-                assert!(matches!(strategy, JoinStrategy::BlockedNl))
-            }
+            Expr::Join { keys, .. } => assert!(keys.is_none()),
             other => panic!("no join operator introduced: {other}"),
         }
         assert_eq!(eval(&opt, &Env::empty(), &Context::new()).unwrap(), before);
@@ -296,7 +287,8 @@ mod tests {
         let opt = run(e);
         match &opt {
             Expr::Join {
-                left_key: Some(lk), ..
+                keys: Some((lk, _)),
+                ..
             } => {
                 assert!(matches!(&**lk, Expr::Record(fs) if fs.len() == 2));
             }

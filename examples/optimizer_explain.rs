@@ -1,7 +1,7 @@
 //! A tour of the optimizer (Section 4): shows the desugared NRC, the
 //! rewrite rules firing, and the final plans for the paper's motivating
-//! queries — including what changes when individual optimizations are
-//! disabled (the ablations `report t1_pushdown` measures; see
+//! queries and both local join operators — including what changes when
+//! individual optimizations are disabled (the ablations `report t1_pushdown` measures; see
 //! `crates/bench/src/bin/report.rs`).
 //!
 //! ```sh
@@ -91,5 +91,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             r#"{x.seq.descr | \x <- GenBank([db = "na", select = "organism \"Homo sapiens\""])}"#
         )?
     );
+
+    // 5. Local joins: the join rule set picks the operator. An equality
+    //    becomes the keys of an INDEXED-NL-JOIN; a theta-join has none
+    //    and is a BLOCKED-NL-JOIN. Either way the value is the naive one.
+    println!("########## Local join operators ##########\n");
+    for (label, src) in [
+        (
+            "equi-join",
+            r"{[a = p.title, b = q.title] | \p <- PUBS, \q <- PUBS, p.year = q.year}",
+        ),
+        (
+            "theta-join",
+            r"{[a = p.title, b = q.title] | \p <- PUBS, \q <- PUBS, p.year < q.year}",
+        ),
+    ] {
+        println!("{}", session.explain(src)?);
+        let v = session.query(src)?;
+        session.set_opt_config(OptConfig::none());
+        let naive = session.query(src)?;
+        session.set_opt_config(OptConfig::default());
+        assert_eq!(v, naive, "{label}: the operator must not change the value");
+        println!(
+            "{label}: {} rows, equal to the unoptimized plan's\n",
+            v.len().unwrap_or(0)
+        );
+    }
     Ok(())
 }

@@ -250,6 +250,20 @@ fn one_loop_node() {
     assert_eq!(paths(naming), Vec::<&str>::new());
 }
 
+/// One join choice. A local join's operator is whether it has keys
+/// (`nrc::Expr::Join::keys`: `Some` the indexed nested loop, `None` the
+/// blocked one); a strategy tag beside the keys stores that one decision
+/// twice and admits plans no rule builds — a blocked join with keys, an
+/// indexed one without.
+#[test]
+fn one_join_choice() {
+    // Spelled in halves, so that this file does not name them.
+    let tags = [concat!("Join", "Strategy"), concat!("Blocked", "Nl"), concat!("Indexed", "Nl")];
+    let all = sources(&["crates", "tests", "examples", "src"]);
+    let naming = all.iter().filter(|s| tags.iter().any(|t| s.names(t)));
+    assert_eq!(paths(naming), Vec::<&str>::new());
+}
+
 /// One flight table. A batched key's `Flight` is kept in one keyed table
 /// per driver, `core::batch`'s `BatchWindow`, only while its wire request
 /// is in the air (a batch fetch's handles hold their own flights); a

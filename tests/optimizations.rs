@@ -210,10 +210,8 @@ fn e8_join_strategies_choose_by_condition_shape() {
     let compiled = s2.compile_shared(eq_query).expect("compile");
     let mut indexed = 0;
     compiled.optimized.visit(&mut |e| {
-        if let nrc::Expr::Join { strategy, .. } = e {
-            if *strategy == nrc::JoinStrategy::IndexedNl {
-                indexed += 1;
-            }
+        if let nrc::Expr::Join { keys: Some(_), .. } = e {
+            indexed += 1;
         }
     });
     assert_eq!(indexed, 1, "equality predicates become index keys: {}", compiled.optimized);
