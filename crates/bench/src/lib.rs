@@ -436,11 +436,7 @@ pub fn shared_subtree_plan(copies: usize, depth: usize, width: i64) -> Arc<Expr>
 /// configuration: the sharing-preserving engine with its rewrite memo, or
 /// (`memo = false`) through its unmemoized reference entry point.
 pub fn fixpoint(e: Arc<Expr>, memo: bool) -> Arc<Expr> {
-    let config = OptConfig::default();
-    let ctx = kleisli_opt::RuleCtx {
-        catalog: &kleisli_opt::NullCatalog,
-        config: &config,
-    };
+    let ctx = kleisli_opt::RuleCtx { catalog: &kleisli_opt::NullCatalog };
     let mut trace = Vec::new();
     let sets = [
         kleisli_opt::rules::resolve::rule_set(),

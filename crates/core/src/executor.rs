@@ -14,7 +14,7 @@
 //!
 //! * [`Executor::shared`] — one per process, oversubscribing the cores,
 //!   for compute tasks (a session's query worker, the server's admitted
-//!   queries, parallel loops' runners) that spend their time blocked *on
+//!   queries, parallel loops' bodies) that spend their time blocked *on
 //!   drivers*.
 //! * one **private** executor per remote driver, owned by its
 //!   [`crate::pool::WorkerPool`], of exactly the source's
@@ -32,34 +32,35 @@
 //!
 //! # Two submission shapes
 //!
-//! * [`Executor::spawn`] — fire-and-forget: the query worker. The task
-//!   owns everything it needs and reports through its own promise (the
-//!   session's `QueryHandle` resolves a [`crate::oneshot::OneShot`]).
-//! * [`Executor::run_all`] — a batch of tasks whose results the caller
-//!   needs *now*, in order: a parallel loop's chunk. The caller does not
-//!   just block — it **helps**: batch items live in a shared list that
-//!   pool workers and the submitting thread drain together.
-//!
-//! [`Executor::spawn_awaited`] is `spawn` for a task whose spawner will
-//! wait for it and run it itself if no worker has (the session's
-//! `QueryHandle::wait`): from one of the executor's own workers — the
-//! server's admitted query — it wakes nobody, so the query evaluates on
-//! its own task instead of racing a woken worker for it.
+//! * [`Executor::spawn`] — fire-and-forget: the task owns everything it
+//!   needs and reports through its own channel, if at all (the server's
+//!   admitted query, a driver pool's row refill).
+//! * An [`Awaited`] task — one its spawner waits for, and **helps**
+//!   with: the work sits in a claim slot that exactly one party empties
+//!   — a worker, which runs it; the waiter, which runs it inline; or a
+//!   cancel, which drops it unrun — and its result lands in a
+//!   [`OneShot`]. [`Executor::spawn_awaited`] queues one: a session's
+//!   query, which its `QueryHandle` waits for. From one of the
+//!   executor's own workers — the server's admitted query — it wakes
+//!   nobody, so the query evaluates on its own task instead of racing a
+//!   woken worker for it. [`Executor::run_all`] — a parallel loop's
+//!   chunk, whose results the caller needs now, in order — spawns each
+//!   task but the first, runs the first, then every task no worker has
+//!   claimed, and then reads the results in order.
 //!
 //! # The no-deadlock invariant
 //!
 //! Caller-help is what makes a *bounded shared* pool safe for *nested*
 //! parallelism. A parallel loop's body may contain another; a query
-//! task running on an executor worker submits batches to the same
-//! executor. If batch items could only run on pool workers, a pool
-//! saturated with blocked parents would deadlock waiting for children
-//! that never get a thread. Instead [`Executor::run_all`] only enqueues
-//! *extra hands* — the submitting thread itself drains the batch list
-//! until it is empty and then waits only for items another worker has
-//! already picked up (and will finish). Progress therefore never
-//! depends on pool capacity: with zero free workers the batch simply
-//! runs sequentially on the caller, which is the correct degraded
-//! behavior (and exactly what a `PAR[1]` loop means).
+//! task running on an executor worker runs chunks on the same executor.
+//! If an awaited task could only run on a pool worker, a pool saturated
+//! with blocked parents would deadlock waiting for children that never
+//! get a thread. Instead a waiter runs every awaited task no worker has
+//! claimed itself, and then waits only for tasks a worker has already
+//! taken (and will finish). Progress therefore never depends on pool
+//! capacity: with zero free workers a chunk simply runs sequentially on
+//! the caller, which is the correct degraded behavior (and exactly what
+//! a `PAR[1]` loop means).
 //!
 //! # Observability
 //!
@@ -74,7 +75,9 @@
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
+
+use crate::oneshot::{OneShot, PromiseState};
 use std::thread;
 
 thread_local! {
@@ -208,25 +211,39 @@ impl Executor {
         });
     }
 
-    /// [`Executor::spawn`] for a task its spawner is about to wait for,
-    /// and will run itself if no worker has taken it yet (the
-    /// caller-helps rule of [`Executor::run_all`]). Called from one of
-    /// this executor's own workers it wakes no other worker: a woken one
-    /// could only race the spawner for the task and, winning, leave the
-    /// spawner waiting on a second thread. Should the spawning task
-    /// return without waiting, its worker takes the task from the queue
-    /// next. From any other thread this is [`Executor::spawn`].
-    pub fn spawn_awaited(&self, task: impl FnOnce() + Send + 'static) {
+    /// Queue `work` as an [`Awaited`] task: its spawner is about to wait
+    /// for it, and will run it itself if no worker has taken it yet.
+    /// Called from one of this executor's own workers it wakes no other
+    /// worker: a woken one could only race the spawner for the task and,
+    /// winning, leave the spawner waiting on a second thread. Should the
+    /// spawning task return without waiting, its worker takes the task
+    /// from the queue next. From any other thread a worker is woken as by
+    /// [`Executor::spawn`].
+    pub fn spawn_awaited<T: Send + 'static>(
+        &self,
+        work: impl FnOnce() -> T + Send + 'static,
+    ) -> Arc<Awaited<T>> {
         let own_worker = WORKER_OF.with(|core| core.get() == Arc::as_ptr(&self.core));
-        let mut st = self.core.lock_state();
-        if !own_worker || st.shutdown {
-            drop(st);
-            return self.spawn(task);
-        }
-        st.queue.push_back(Box::new(move || {
-            task();
-            false
-        }));
+        self.queue_awaited(work, !own_worker)
+    }
+
+    /// Queue `work` as an [`Awaited`] task, waking a worker for it if
+    /// `wake`.
+    fn queue_awaited<T: Send + 'static>(
+        &self,
+        work: impl FnOnce() -> T + Send + 'static,
+        wake: bool,
+    ) -> Arc<Awaited<T>> {
+        let task = Arc::new(Awaited::new(work));
+        let run = Arc::clone(&task);
+        self.queue(
+            Box::new(move || {
+                run.run();
+                false
+            }),
+            wake,
+        );
+        task
     }
 
     /// [`Executor::spawn`] for a task a waiter may [`Executor::disown`]
@@ -235,14 +252,22 @@ impl Executor {
     /// it — and `true` retires the worker without touching the counts
     /// `disown` already settled.
     pub fn spawn_disownable(&self, task: impl FnOnce() -> bool + Send + 'static) {
+        self.queue(Box::new(task), true);
+    }
+
+    /// Queue `task`, waking a worker for it if `wake`; on a shut-down
+    /// executor it runs inline instead.
+    fn queue(&self, task: Task, wake: bool) {
         let mut st = self.core.lock_state();
         if st.shutdown {
             drop(st);
             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
             return;
         }
-        st.queue.push_back(Box::new(task));
-        self.core.ensure_worker(&mut st);
+        st.queue.push_back(task);
+        if wake {
+            self.core.ensure_worker(&mut st);
+        }
     }
 
     /// A waiter gave up on the task one of this executor's workers is
@@ -314,48 +339,34 @@ impl Executor {
     /// `None` for a task that panicked. Concurrency is bounded by
     /// `min(tasks, executor workers + 1)`; the call never deadlocks
     /// even when every worker is busy or the batch nests inside
-    /// another batch, because the submitting thread drains items
-    /// itself while it waits.
+    /// another batch, because the caller runs every task no worker has
+    /// claimed before it waits.
     pub fn run_all<T: Send + 'static>(
         &self,
         tasks: Vec<Box<dyn FnOnce() -> T + Send>>,
     ) -> Vec<Option<T>> {
-        let n = tasks.len();
-        if n == 0 {
+        let mut tasks = tasks.into_iter();
+        let Some(first) = tasks.next() else {
             return Vec::new();
+        };
+        // The caller is one of the hands: it runs the first task, and one
+        // worker is woken for each of the others.
+        let rest: Vec<_> = tasks.map(|work| self.queue_awaited(work, true)).collect();
+        let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(first)).ok();
+        for task in &rest {
+            task.run();
         }
-        if n == 1 {
-            // One task: nothing to overlap, skip the batch machinery.
-            let mut tasks = tasks;
-            let task = tasks.pop().expect("one task");
-            return vec![
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)).ok(),
-            ];
-        }
-        let batch = Batch::new(tasks);
-        // One extra hand to start with; each runner requests another
-        // only when it claims an item and sees more still unclaimed
-        // (Batch::drain), so hands scale up with genuine demand and at
-        // most one stale runner per batch is ever left in the queue for
-        // a worker to pop and discard — never a pile of dead entries
-        // inflating the spawn policy's demand count.
-        self.core.enqueue(batch.runner(&Arc::downgrade(&self.core)));
-        // The caller is always one of the hands: progress never depends
-        // on a pool worker showing up.
-        batch.drain_as(&Arc::downgrade(&self.core));
-        batch.wait_done();
-        let mut results = batch.results.lock().unwrap_or_else(|e| e.into_inner());
-        std::mem::take(&mut *results)
+        std::iter::once(first).chain(rest.iter().map(|task| task.wait())).collect()
     }
 }
 
 impl Drop for Executor {
     fn drop(&mut self) {
-        // Queued tasks must not be silently discarded: a queued query
-        // worker carries a OneShot someone may be blocked on, so
+        // Queued tasks must not be silently discarded: a queued awaited
+        // task resolves a OneShot someone may be blocked on, so
         // `shutdown` runs them inline here — the equivalent of `spawn`'s
-        // inline fallback. (Batch runner tasks are cheap no-ops by now
-        // or do useful draining; either is correct.)
+        // inline fallback. (An awaited task its waiter ran already is a
+        // no-op by now.)
         self.shutdown();
     }
 }
@@ -363,18 +374,6 @@ impl Drop for Executor {
 impl ExecCore {
     fn lock_state(&self) -> std::sync::MutexGuard<'_, ExecState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Queue a task and make sure a worker will look at it. Dropped
-    /// silently on a shut-down core (used only for batch runners, whose
-    /// batch the submitting thread drains itself).
-    fn enqueue(self: &Arc<Self>, task: Task) {
-        let mut st = self.lock_state();
-        if st.shutdown {
-            return;
-        }
-        st.queue.push_back(task);
-        self.ensure_worker(&mut st);
     }
 
     /// Make sure a worker will pick up freshly queued work: wake an idle
@@ -439,92 +438,72 @@ impl ExecCore {
     }
 }
 
-/// An indexed batch task: original slot plus the work to run there.
-type BatchTask<T> = (usize, Box<dyn FnOnce() -> T + Send>);
-
-/// One [`Executor::run_all`] call in flight: the shared item list the
-/// caller and any helping workers drain together, the slot-per-task
-/// result vector, and the completion latch.
-struct Batch<T> {
-    pending: Mutex<VecDeque<BatchTask<T>>>,
-    results: Mutex<Vec<Option<T>>>,
-    remaining: Mutex<usize>,
-    done_cv: Condvar,
+/// A task its spawner waits for (module docs, "Two submission shapes"):
+/// the work sits in a claim slot that exactly one party empties — a
+/// worker, which runs it; the waiter, which runs it inline
+/// ([`Awaited::wait`]); or a cancel, which drops it unrun
+/// ([`Awaited::cancel`]) — and its result lands in a [`OneShot`].
+pub struct Awaited<T> {
+    work: Mutex<Option<Box<dyn FnOnce() -> T + Send>>>,
+    /// The result; `None` if the work panicked.
+    done: OneShot<Option<T>>,
 }
 
-impl<T: Send + 'static> Batch<T> {
-    fn new(tasks: Vec<Box<dyn FnOnce() -> T + Send>>) -> Arc<Batch<T>> {
-        let n = tasks.len();
-        Arc::new(Batch {
-            pending: Mutex::new(tasks.into_iter().enumerate().collect()),
-            results: Mutex::new((0..n).map(|_| None).collect()),
-            remaining: Mutex::new(n),
-            done_cv: Condvar::new(),
-        })
-    }
-
-    /// One executor task that drains this batch (via
-    /// [`Batch::drain_as`], so it also asks for further hands while
-    /// demand lasts). Holds the core only weakly: a runner popped
-    /// during executor teardown still drains its batch — the items are
-    /// what matter — it just stops recruiting.
-    fn runner(self: &Arc<Self>, core: &Weak<ExecCore>) -> Task {
-        let batch = Arc::clone(self);
-        let core = core.clone();
-        Box::new(move || {
-            batch.drain_as(&core);
-            false
-        })
-    }
-
-    /// Run batch items until the shared list is empty. Called by the
-    /// submitting thread and by any executor worker that picked up a
-    /// runner task; each item is claimed exactly once and its slot
-    /// filled (left `None` on panic) before the latch decrements.
-    ///
-    /// Recruitment: the *first* claim that leaves further items
-    /// unclaimed enqueues exactly one more runner on `core` — each hand
-    /// recruits at most one successor, so hands ramp up one at a time
-    /// while demand lasts (never faster than items are claimed), and a
-    /// batch the caller out-drains strands only O(hands) stale runners
-    /// in the executor queue, not one per item.
-    fn drain_as(self: &Arc<Self>, core: &Weak<ExecCore>) {
-        let mut recruited = false;
-        loop {
-            let (item, more) = {
-                let mut p = self.pending.lock().unwrap_or_else(|e| e.into_inner());
-                let item = p.pop_front();
-                let more = !p.is_empty();
-                (item, more)
-            };
-            let Some((i, task)) = item else { return };
-            if more && !recruited {
-                recruited = true;
-                if let Some(c) = core.upgrade() {
-                    c.enqueue(self.runner(core));
-                }
-            }
-            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)).ok();
-            {
-                let mut r = self.results.lock().unwrap_or_else(|e| e.into_inner());
-                r[i] = out;
-            }
-            let mut left = self.remaining.lock().unwrap_or_else(|e| e.into_inner());
-            *left -= 1;
-            if *left == 0 {
-                drop(left);
-                self.done_cv.notify_all();
-            }
+impl<T> Awaited<T> {
+    fn new(work: impl FnOnce() -> T + Send + 'static) -> Awaited<T> {
+        Awaited {
+            work: Mutex::new(Some(Box::new(work))),
+            done: OneShot::new(),
         }
     }
 
-    /// Block until every item — including ones claimed by helping
-    /// workers — has finished.
-    fn wait_done(&self) {
-        let mut left = self.remaining.lock().unwrap_or_else(|e| e.into_inner());
-        while *left > 0 {
-            left = self.done_cv.wait(left).unwrap_or_else(|e| e.into_inner());
+    /// A task whose result is known already: there is nothing to run.
+    pub fn ready(value: T) -> Awaited<T> {
+        Awaited {
+            work: Mutex::new(None),
+            done: OneShot::ready(Some(value)),
         }
+    }
+
+    fn claim(&self) -> Option<Box<dyn FnOnce() -> T + Send>> {
+        self.work.lock().unwrap_or_else(|e| e.into_inner()).take()
+    }
+
+    /// Run the work unless another party has claimed it. A panic still
+    /// resolves the task: someone may be waiting.
+    fn run(&self) {
+        if let Some(work) = self.claim() {
+            self.done.set(std::panic::catch_unwind(std::panic::AssertUnwindSafe(work)).ok());
+        }
+    }
+
+    /// Block until the result exists and take it — running the work
+    /// right here if no worker has taken it yet. `None` if the work
+    /// panicked or the result was taken already.
+    pub fn wait(&self) -> Option<T> {
+        self.run();
+        self.done.wait().flatten()
+    }
+
+    /// Where the result is, without blocking.
+    pub fn poll(&self) -> PromiseState {
+        self.done.poll()
+    }
+
+    /// Take the result if it exists; `None` while pending, and as
+    /// [`Awaited::wait`].
+    pub fn try_wait(&self) -> Option<T> {
+        self.done.try_wait().flatten()
+    }
+
+    /// Drop the work unrun, if no party has claimed it, and resolve the
+    /// task with `value`; whether it did.
+    pub fn cancel(&self, value: T) -> bool {
+        let Some(work) = self.claim() else {
+            return false;
+        };
+        drop(work);
+        self.done.set(Some(value))
     }
 }
 

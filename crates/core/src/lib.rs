@@ -72,7 +72,7 @@ pub use driver::{
     MetricsSnapshot, RequestGate, RequestHandle, RequestStatus, TableStats,
 };
 pub use error::{KError, KResult};
-pub use executor::Executor;
+pub use executor::{Awaited, Executor};
 pub use flight::{FlightCache, FlightStats, Join, Lead, Lookup, SingleFlight, Ticket};
 pub use latency::LatencyModel;
 pub use oneshot::{OneShot, PromiseState, Pulsable, WaitFor};

@@ -1,12 +1,14 @@
 //! A one-shot promise: the single blocking primitive of the system.
 //!
 //! Every "submit now, redeem later" handle — the driver-level
-//! [`crate::driver::RequestHandle`], the session-level `QueryHandle` in
-//! the `kleisli` crate — and every place where one caller waits for
-//! *another caller's* result — [`crate::flight::SingleFlight`] and its
-//! clients, the batched [`crate::batch::Flight`] — parks here and nowhere
-//! else: [`OneShot::wait_for`] is the only loop in the workspace in which
-//! a caller sleeps until someone else's value exists, its own deadline
+//! [`crate::driver::RequestHandle`], the executor's caller-helped
+//! [`crate::executor::Awaited`] task behind the session-level `QueryHandle`
+//! in the `kleisli` crate and behind each body of a parallel loop's chunk
+//! — and every place where one caller waits for *another caller's* result
+//! — [`crate::flight::SingleFlight`] and its clients, the batched
+//! [`crate::batch::Flight`] — parks here and nowhere else:
+//! [`OneShot::wait_for`] is the only loop in the workspace in which a
+//! caller sleeps until someone else's value exists, its own deadline
 //! passes, or its own query is cancelled. (A condition variable elsewhere
 //! parks a thread on a *queue* — executor workers, `RowBuf`, the server's
 //! writer queue — never on a result.) [`OneShot`] is a single mutex +

@@ -59,8 +59,7 @@
 //!
 //! Every `Ext` and `Join` is one operator, `Generate`. It expands each
 //! source element (a join's outer element) into the block the consumer
-//! asked for, through one of three arms (`Expand`), chosen by the loop's
-//! [`nrc::LoopStrategy`] or the join:
+//! asked for, through one of two arms (`Expand`):
 //!
 //! * **`Ext`**: a body with a bounded number of rows — `{e}`, `{}`, or
 //!   `if` / `∪` / `let` over such bodies, every piece of the
@@ -68,41 +67,48 @@
 //!   which evaluates it straight into the output block. Only the rows
 //!   past the consumer's grain wait in a queue for the next pull. A union
 //!   whose arms both reach a source is not taken, so its arms still start
-//!   together. Any other body is streamed, at the consumer's grain. A
-//!   batch-marked loop runs its bodies the same way, in order, a chunk of
-//!   elements at a time (*Batched loops*, below);
+//!   together. Any other body is streamed, at the consumer's grain. The
+//!   loop's [`nrc::LoopStrategy`] says how its source is pulled: an
+//!   element at a time, or — a batched or parallel loop — a chunk at a
+//!   time, warmed up (*Warmed-up chunks*, below);
 //! * **`Join`**: the probe sends each match's body through the same
 //!   kernel, and evaluates a body the kernel cannot take to its
-//!   collection;
-//! * **`Par`** (a parallel loop, the paper's "say five"): a chunk of `width`
-//!   elements, filled across source blocks, runs its bodies at most
-//!   `width` at once, and their pieces are written in element order
-//!   (`Par`'s docs). A chunk boundary is a concurrency boundary, so it
-//!   does not move with the consumer's grain.
+//!   collection.
 //!
 //! **The pull grain** is one rule: the source is asked for the rows the
 //! consumer still wants, divided by the most rows one element can yield,
 //! and for one element at a time when that is unbounded (a streamed body,
-//! a join); a parallel or batched loop asks for what its chunk still
-//! lacks. A grain-1 consumer therefore moves one source row per pull, and
-//! a full drain moves whole batches through one loop.
+//! a join); a batched or parallel loop asks for a chunk when it has no
+//! element in hand. A grain-1 consumer therefore moves one source row per
+//! pull, and a full drain moves whole batches through one loop.
 //!
-//! **Batched loops.** An `Ext` the optimizer marked (`opt::rules::batch`)
-//! takes its source `max_keys` elements at a time and warms each chunk up
-//! (`warm_up_batch`): the chunk's requests go on the wire as a few
-//! multi-key fetches, and element *i*'s body runs under a context that
-//! carries the handle of its own request (`Context::for_element`). The
-//! body's marked call — every `RemoteApp` of the mark's driver on an
-//! argument equal to the mark's `arg`, also under an inner loop — replays
-//! that handle each time it runs instead of building, hashing and
-//! fetching its request. An element keeps the handles of the marked loops
-//! around it, so an outer loop's marked call in an inner marked loop's
-//! body replays too. A warm-up does not block, so a marked loop pulls and
-//! warms up *two* chunks whenever it has none in hand: the second chunk's
-//! wire requests are in flight while the first's bodies run, and a prefix
-//! consumer costs at most `2 * max_keys` keys per loop. A chunk is the
-//! keys of a batched wire request, so it does not move with the
-//! consumer's grain either.
+//! **Warmed-up chunks.** A chunk's warm-up leaves each of its elements
+//! something (`Warm`), and the elements are then expanded in order, each
+//! under what it was left. A chunk is a concurrency boundary, so it does
+//! not move with the consumer's grain.
+//!
+//! * A **batched** loop — an `Ext` the optimizer marked
+//!   (`opt::rules::batch`) — takes its source `max_keys` elements at a
+//!   time (`warm_up_batch`): the chunk's requests go on the wire as a few
+//!   multi-key fetches, and element *i*'s body runs under a context that
+//!   carries the handle of its own request (`Context::for_element`). The
+//!   body's marked call — every `RemoteApp` of the mark's driver on an
+//!   argument equal to the mark's `arg`, also under an inner loop —
+//!   replays that handle each time it runs instead of building, hashing
+//!   and fetching its request. An element keeps the handles of the marked
+//!   loops around it, so an outer loop's marked call in an inner marked
+//!   loop's body replays too. A warm-up does not block, so a marked loop
+//!   pulls and warms up *two* chunks whenever it has none in hand: the
+//!   second chunk's wire requests are in flight while the first's bodies
+//!   run, and a prefix consumer costs at most `2 * max_keys` keys per
+//!   loop.
+//! * A **parallel** loop (the paper's "say five") takes `width` elements,
+//!   with no read-ahead, so at most `width` bodies run at once: its
+//!   warm-up runs their bodies into pieces (`run_bodies`), and element
+//!   *i*'s expansion writes piece *i* through the same `Out` the body
+//!   kernel writes to. Every body of the chunk runs, but a failing one's
+//!   error is written where element *i* stands, behind the pieces in
+//!   front of it.
 //!
 //! **Rows before errors.** An error — the source's, or a body's, key's or
 //! condition's on a later match — goes behind every row the element
@@ -330,18 +336,12 @@ pub(crate) fn blocks_at(
             strategy,
         } => {
             let src = blocks(source, env, ctx, Want::Source(*kind))?;
-            let var = Arc::clone(var);
-            let how = match strategy {
-                LoopStrategy::Parallel(width) => Expand::Par(Par {
-                    var,
-                    body: Arc::clone(body),
-                    width: (*width).max(1),
-                }),
-                LoopStrategy::Sequential => Expand::Ext(var, Body::of(body, *kind), None),
-                LoopStrategy::Batched(mark) => {
-                    Expand::Ext(var, Body::of(body, *kind), Some(mark.clone()))
-                }
+            // A parallel loop's warm-up evaluates each body whole.
+            let kernel = match strategy {
+                LoopStrategy::Parallel(_) => Body::Other(Arc::clone(body)),
+                _ => Body::of(body, *kind),
             };
+            let how = Expand::Ext(Arc::clone(var), kernel, strategy.clone());
             Ok(how.over(src, *kind, env, ctx.for_bodies([&**body])))
         }
         Expr::If(c, t, f) => {
@@ -853,9 +853,9 @@ struct Generate {
     source: Option<BlockStream>,
     /// Source rows pulled but not yet expanded.
     elems: VecDeque<KResult<Value>>,
-    /// A marked loop's: the warm-up's batch handle of each element in
-    /// `elems` (`None` where a warm-up was skipped), in order.
-    handles: VecDeque<Option<ResilientHandle>>,
+    /// A batched or parallel loop's: what the warm-up left each element
+    /// in `elems` (`None` where it left nothing), in order.
+    warm: VecDeque<Option<Warm>>,
     /// The rows an element yielded past the consumer's grain, in order,
     /// and the error that ends the stream behind them.
     overflow: VecDeque<KResult<Value>>,
@@ -872,8 +872,8 @@ struct Generate {
 
 enum Expand {
     /// An `Ext`: the body through the kernel, or else streamed; a chunk
-    /// warmed up at a time when the loop is batch-marked.
-    Ext(Name, Body, Option<nrc::BatchSpec>),
+    /// warmed up at a time when the loop is batched or parallel.
+    Ext(Name, Body, LoopStrategy),
     /// A join: every match's body through the kernel, or else evaluated.
     Join {
         probe: Probe,
@@ -882,55 +882,16 @@ enum Expand {
         cond: Arc<Expr>,
         body: Body,
     },
-    /// A parallel loop: a chunk of elements at a time, their bodies run
-    /// concurrently.
-    Par(Par),
 }
 
-/// The `Par` arm, the paper's "say five" primitive: pulls a chunk of
-/// `width` source elements, filled across source blocks, evaluates their
-/// bodies at most `width` at once ([`eval_parallel`]), writes their pieces
-/// in element order, then pulls the next chunk. A chunk boundary is a
-/// concurrency boundary, so it does not move with the consumer's grain.
-///
-/// **Rows before errors.** A source error ends the chunk being
-/// assembled; the elements pulled before it still run, their pieces are
-/// written, and then the error — unless one of those bodies fails, which
-/// is the earlier error and wins. Likewise the pieces of the bodies
-/// preceding a failing one are written in front of its error. The stream
-/// thus fails exactly where an element-at-a-time evaluation would.
-struct Par {
-    var: Name,
-    body: Arc<Expr>,
-    width: usize,
-}
-
-impl Par {
-    /// Run one chunk's bodies and write their pieces into `out`, up to
-    /// the first error, which is returned.
-    fn run(
-        &self,
-        chunk: impl Iterator<Item = KResult<Value>>,
-        (kind, env, ctx): (CollKind, &Env, &Context),
-        out: &mut Out,
-    ) -> KResult<()> {
-        let mut envs = Vec::with_capacity(self.width);
-        let mut source_err = Ok(());
-        for row in chunk {
-            match row {
-                Ok(v) => envs.push(env.bind(Arc::clone(&self.var), Rt::Val(v))),
-                Err(e) => source_err = Err(e),
-            }
-        }
-        let mut pieces = Vec::with_capacity(envs.len());
-        let ran = eval_parallel(&self.body, &envs, ctx, &mut pieces);
-        // In element order: a piece of the wrong kind, then the first
-        // failing body, then the source error behind the chunk.
-        for piece in &pieces {
-            piece_elems(piece, kind)?.iter().for_each(|v| out.push(v.clone()));
-        }
-        ran.and(source_err)
-    }
+/// What a chunk's warm-up left one of its elements (module docs,
+/// "Warmed-up chunks").
+enum Warm {
+    /// A batched loop's: the context the body runs under, whose marked
+    /// call replays the element's batch handle.
+    Under(Context),
+    /// A parallel loop's: the body's piece.
+    Piece(KResult<Value>),
 }
 
 /// Pull up to `grain` rows of `source` into `into`, filled across its
@@ -1018,9 +979,7 @@ impl Body {
                 let env = env.bind(Arc::clone(var), eval_rt(def, env, ctx)?);
                 body.write(&env, ctx, kind, out)?
             }
-            Body::Other(e) => piece_elems(&eval(e, env, ctx)?, kind)?
-                .iter()
-                .for_each(|v| out.push(v.clone())),
+            Body::Other(e) => out.write_piece(&eval(e, env, ctx)?, kind)?,
         }
         Ok(())
     }
@@ -1042,6 +1001,12 @@ impl Out<'_> {
         }
     }
 
+    /// Write the elements of a body's `piece`, in order.
+    fn write_piece(&mut self, piece: &Value, kind: CollKind) -> KResult<()> {
+        piece_elems(piece, kind)?.iter().for_each(|v| self.push(v.clone()));
+        Ok(())
+    }
+
     /// End the stream with `e`, behind every row written so far.
     fn fail(&mut self, e: KError) {
         if self.block.len() < self.max {
@@ -1058,12 +1023,12 @@ impl Expand {
         Box::new(Generate {
             source: Some(source),
             elems: VecDeque::new(),
-            handles: VecDeque::new(),
+            warm: VecDeque::new(),
             overflow: VecDeque::new(),
             streaming: None,
             per_elem: match &self {
                 Expand::Ext(_, body, _) => body.rows(),
-                Expand::Join { .. } | Expand::Par(_) => None,
+                Expand::Join { .. } => None,
             },
             how: self,
             kind,
@@ -1073,25 +1038,31 @@ impl Expand {
         })
     }
 
-    /// Expand the element `el` into `out`; a streamed body's stream is
-    /// returned instead.
+    /// Expand the element `el` into `out`, under what its chunk's warm-up
+    /// left it; a streamed body's stream is returned instead.
     fn expand(
         &self,
         el: Value,
+        warm: Option<Warm>,
         (kind, env, ctx): (CollKind, &Env, &Context),
         out: &mut Out,
     ) -> KResult<Option<BlockStream>> {
         let (lvar, probe, rvar, cond, body) = match self {
-            Expand::Ext(var, Body::Other(body), _) => {
-                let env = env.bind(Arc::clone(var), Rt::Val(el));
-                return blocks(body, &env, ctx, Want::Piece(kind)).map(Some);
-            }
             Expand::Ext(var, body, _) => {
+                let ctx = match warm {
+                    Some(Warm::Piece(piece)) => {
+                        return out.write_piece(&piece?, kind).map(|()| None);
+                    }
+                    Some(Warm::Under(ctx)) => Cow::Owned(ctx),
+                    None => Cow::Borrowed(ctx),
+                };
                 let env = env.bind(Arc::clone(var), Rt::Val(el));
-                return body.write(&env, ctx, kind, out).map(|()| None);
+                return match body {
+                    Body::Other(body) => blocks(body, &env, &ctx, Want::Piece(kind)).map(Some),
+                    body => body.write(&env, &ctx, kind, out).map(|()| None),
+                };
             }
             Expand::Join { probe, lvar, rvar, cond, body } => (lvar, probe, rvar, cond, body),
-            Expand::Par(_) => unreachable!("a parallel loop expands a chunk at a time"),
         };
         let lenv = env.bind(Arc::clone(lvar), Rt::Val(el));
         let candidates = match probe {
@@ -1145,17 +1116,21 @@ impl BlockSource for Generate {
                 if self.source.is_none() {
                     return (!out.block.is_empty()).then_some(out.block);
                 }
+                // A chunk when none is in hand (module docs, "Warmed-up
+                // chunks"): two of a batched loop, one of a parallel one.
                 match &self.how {
-                    Expand::Par(par) => pull(&mut self.source, par.width, &mut self.elems),
-                    // Two chunks whenever none is in hand (module docs,
-                    // "Batched loops").
-                    Expand::Ext(var, _, Some(mark)) => {
+                    Expand::Ext(var, _, LoopStrategy::Batched(mark)) => {
                         for _ in 0..2 {
                             pull(&mut self.source, mark.max_keys.max(1), &mut self.elems);
-                            let chunk = self.elems.range(self.handles.len()..);
-                            let handles = warm_up_batch(mark, var, chunk, &self.env, &self.ctx);
-                            self.handles.extend(handles);
+                            let chunk = self.elems.range(self.warm.len()..);
+                            let warm = warm_up_batch(mark, var, chunk, &self.env, &self.ctx);
+                            self.warm.extend(warm);
                         }
+                    }
+                    Expand::Ext(var, Body::Other(body), LoopStrategy::Parallel(width)) => {
+                        pull(&mut self.source, (*width).max(1), &mut self.elems);
+                        let chunk = self.elems.iter();
+                        self.warm.extend(run_bodies(body, var, chunk, &self.env, &self.ctx));
                     }
                     // The pull-grain rule.
                     _ => {
@@ -1165,28 +1140,14 @@ impl BlockSource for Generate {
                     }
                 }
             }
-            if let Expand::Par(par) = &self.how {
-                let at = (self.kind, &self.env, &self.ctx);
-                if let Err(e) = par.run(self.elems.drain(..), at, &mut out) {
-                    self.source = None;
-                    out.fail(e);
-                }
-                continue;
-            }
-            // Expand the elements pulled while the block has room, a
-            // warmed-up element's body under its batch handle.
+            // Expand the elements pulled while the block has room.
             while out.block.len() < max {
                 let Some(el) = self.elems.pop_front() else {
                     break;
                 };
-                let ctx = match (&self.how, self.handles.pop_front().flatten()) {
-                    (Expand::Ext(_, _, Some(mark)), Some(h)) => {
-                        Cow::Owned(self.ctx.for_element(mark, h))
-                    }
-                    _ => Cow::Borrowed(&self.ctx),
-                };
-                let at = (self.kind, &self.env, &*ctx);
-                match el.and_then(|el| self.how.expand(el, at, &mut out)) {
+                let warm = self.warm.pop_front().flatten();
+                let at = (self.kind, &self.env, &self.ctx);
+                match el.and_then(|el| self.how.expand(el, warm, at, &mut out)) {
                     Ok(None) => {}
                     Ok(stream) => {
                         self.streaming = stream;
@@ -1214,14 +1175,15 @@ impl BlockSource for Generate {
 /// carry, a driver without batching — skips the warm-up: every element
 /// gets `None`, and its body then behaves exactly as unbatched, surfacing
 /// its own errors in their usual place. A returned handle therefore
-/// answers its element's request.
+/// answers its element's request; it is left to the element in the
+/// context its body runs under.
 fn warm_up_batch<'a>(
     mark: &nrc::BatchSpec,
     var: &Name,
     chunk: impl Iterator<Item = &'a KResult<Value>> + Clone,
     env: &Env,
     ctx: &Context,
-) -> Vec<Option<ResilientHandle>> {
+) -> Vec<Option<Warm>> {
     let elems = chunk.flatten();
     let request = |v: &Value| {
         let env = env.bind(Arc::clone(var), Rt::Val(v.clone()));
@@ -1236,49 +1198,41 @@ fn warm_up_batch<'a>(
         handles.into_iter().collect::<KResult<Vec<_>>>().ok()
     });
     match handles {
-        Some(handles) => handles.into_iter().map(Some).collect(),
+        Some(handles) => {
+            handles.into_iter().map(|h| Some(Warm::Under(ctx.for_element(mark, h)))).collect()
+        }
         None => elems.map(|_| None).collect(),
     }
 }
 
-/// Evaluate `body` under every environment of `envs` at once — the
-/// caller bounds them at the server's tolerated number —, preserving
-/// element order in the result. This is the parallel-retrieval primitive
-/// of Section 4 ("Laziness, Latency, and Concurrency"): requests to remote
-/// servers overlap, but no more than the server's tolerated number run at
-/// once.
+/// The warm-up of a parallel loop's chunk, the parallel-retrieval
+/// primitive of Section 4 ("Laziness, Latency, and Concurrency"):
+/// evaluate `body` for every element of `chunk` at once — the chunk is as
+/// wide as the server's tolerated number of requests, so requests to
+/// remote servers overlap, but no more than that many run at once — and
+/// leave each element its piece, in order.
 ///
-/// The bodies run as a batch on the context's shared
-/// [`kleisli_core::Executor`] — tasks own cheap clones of the body
-/// `Arc`, the environment, and the context handle, so no OS thread is
-/// ever created per element. The submitting thread helps drain its own
-/// batch, which keeps nested parallel loops deadlock-free on the bounded
-/// pool (see `kleisli_core::executor`). A task that panics surfaces as an
-/// evaluation error; `out` then holds the results of the elements in
-/// front of the first failing one.
-fn eval_parallel(
+/// The bodies run through [`kleisli_core::Executor::run_all`] on the
+/// context's executor — tasks own cheap clones of the body `Arc`, the
+/// environment and the context handle, so no OS thread is ever created
+/// per element — and the caller runs every body no worker has claimed,
+/// which keeps nested parallel loops deadlock-free on the bounded pool. A
+/// body that panics leaves an evaluation error.
+fn run_bodies<'a>(
     body: &Arc<Expr>,
-    envs: &[Env],
+    var: &Name,
+    chunk: impl Iterator<Item = &'a KResult<Value>>,
+    env: &Env,
     ctx: &Context,
-    out: &mut Vec<Value>,
-) -> KResult<()> {
-    if envs.len() <= 1 {
-        for env in envs {
-            out.push(eval(body, env, ctx)?);
-        }
-        return Ok(());
-    }
-    let tasks: Vec<Box<dyn FnOnce() -> KResult<Value> + Send>> = envs
-        .iter()
-        .map(|env| {
-            let (body, env, ctx) = (Arc::clone(body), env.clone(), ctx.clone());
-            Box::new(move || eval(&body, &env, &ctx)) as Box<dyn FnOnce() -> KResult<Value> + Send>
-        })
-        .collect();
-    for r in ctx.executor().run_all(tasks) {
-        out.push(r.unwrap_or_else(|| Err(KError::eval("worker thread panicked")))?);
-    }
-    Ok(())
+) -> Vec<Option<Warm>> {
+    let tasks = chunk.flatten().map(|v| {
+        let env = env.bind(Arc::clone(var), Rt::Val(v.clone()));
+        let (body, ctx) = (Arc::clone(body), ctx.clone());
+        Box::new(move || eval(&body, &env, &ctx)) as Box<dyn FnOnce() -> KResult<Value> + Send>
+    });
+    let pieces = ctx.executor().run_all(tasks.collect());
+    let panicked = || Err(KError::eval("worker thread panicked"));
+    pieces.into_iter().map(|piece| Some(Warm::Piece(piece.unwrap_or_else(panicked)))).collect()
 }
 
 #[cfg(test)]

@@ -80,13 +80,13 @@
 //! whatever caches are attached at that moment.
 
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex as StdMutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cpl::{desugar_stmt, parse_expr, parse_program, Definitions, Stmt};
 use kleisli_core::{
-    BlockStream, CancelToken, Capabilities, CollKind, Directory, DriverRef, Executor, KError,
-    KResult, MetricsSnapshot, OneShot, PromiseState, RemyRecord, TableStats, Type, Value,
+    Awaited, BlockStream, CancelToken, Capabilities, CollKind, Directory, DriverRef, Executor,
+    KError, KResult, MetricsSnapshot, PromiseState, RemyRecord, TableStats, Type, Value,
     DEFAULT_BLOCK_ROWS,
 };
 use kleisli_exec::{
@@ -226,37 +226,7 @@ pub enum QueryStatus {
     Finished,
 }
 
-/// The state one query's handle and its executor task share: the
-/// evaluation until someone claims it, and the promise its result lands
-/// in.
-struct QueryShared {
-    /// The evaluation, until an executor worker or the waiting caller
-    /// claims it (whoever comes first runs it; the other finds `None`).
-    job: StdMutex<Option<Job>>,
-    /// The final result, set exactly once.
-    done: OneShot<KResult<Value>>,
-    /// Cooperative cancellation, shared with the evaluation context so
-    /// in-flight driver round-trips are woken and abandoned immediately
-    /// (their admission tickets reclaimed) rather than discovered at the
-    /// next block boundary.
-    cancel: Arc<CancelToken>,
-}
-
-impl QueryShared {
-    /// Run the evaluation unless somebody already has (or is), and
-    /// resolve the promise with its result. A panic parks an error: the
-    /// caller may be blocked in `wait`.
-    fn run_unclaimed(&self) {
-        let job = self.job.lock().unwrap_or_else(|e| e.into_inner()).take();
-        if let Some(job) = job {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job.run()))
-                .unwrap_or_else(|_| Err(KError::eval("query evaluation panicked")));
-            self.done.set(result);
-        }
-    }
-}
-
-/// One query's evaluation, owned by whoever claims it.
+/// One query's evaluation, owned by whoever claims its task.
 struct Job {
     compiled: Arc<Compiled>,
     /// The session's context under the query's token and deadline.
@@ -287,9 +257,10 @@ impl Job {
 ///
 /// * [`QueryHandle::wait`] — block until the result is ready. An
 ///   evaluation no executor worker has picked up yet runs **on the
-///   waiting thread** (the caller-helps rule of `Executor::run_all`), so
-///   a caller that is itself an executor task — the server's admitted
-///   query — evaluates in place and never waits on a second task;
+///   waiting thread** (it is a caller-helped `kleisli_core::Awaited`
+///   task, as a parallel loop's bodies are), so a caller that is itself
+///   an executor task — the server's admitted query — evaluates in place
+///   and never waits on a second task;
 /// * [`QueryHandle::try_wait`] — non-blocking poll that takes the result
 ///   when finished;
 /// * [`QueryHandle::cancel`] — stop the evaluation cooperatively: the
@@ -326,7 +297,13 @@ impl Job {
 /// assert_eq!(handle.status(), QueryStatus::Finished);
 /// ```
 pub struct QueryHandle {
-    shared: Arc<QueryShared>,
+    /// The evaluation, and the promise its result lands in.
+    task: Arc<Awaited<KResult<Value>>>,
+    /// Cooperative cancellation, shared with the evaluation context so
+    /// in-flight driver round-trips are woken and abandoned immediately
+    /// (their admission tickets reclaimed) rather than discovered at the
+    /// next block boundary.
+    cancel: Arc<CancelToken>,
     /// Answered by the shared result cache at `start`, without an
     /// evaluation.
     from_cache: bool,
@@ -335,20 +312,16 @@ pub struct QueryHandle {
 impl QueryHandle {
     /// A handle whose result is known at `start`.
     fn resolved(result: KResult<Value>, cancel: Arc<CancelToken>, from_cache: bool) -> QueryHandle {
-        let shared = QueryShared {
-            job: StdMutex::new(None),
-            done: OneShot::ready(result),
-            cancel,
-        };
         QueryHandle {
-            shared: Arc::new(shared),
+            task: Arc::new(Awaited::ready(result)),
+            cancel,
             from_cache,
         }
     }
 
     /// Progress, without blocking.
     pub fn status(&self) -> QueryStatus {
-        match self.shared.done.poll() {
+        match self.task.poll() {
             PromiseState::Pending => QueryStatus::Running,
             PromiseState::Ready | PromiseState::Taken => QueryStatus::Finished,
         }
@@ -364,23 +337,16 @@ impl QueryHandle {
     /// Block until evaluation completes and return the result — running
     /// it right here if no worker has picked it up yet.
     pub fn wait(self) -> KResult<Value> {
-        self.shared.run_unclaimed();
-        self.shared
-            .done
-            .wait()
-            .unwrap_or_else(|| Err(KError::eval("query result already taken")))
+        self.task.wait().unwrap_or_else(lost)
     }
 
     /// Take the result if evaluation has finished; `None` while running.
     pub fn try_wait(&mut self) -> Option<KResult<Value>> {
-        match self.shared.done.poll() {
+        match self.task.poll() {
             PromiseState::Pending => None,
-            PromiseState::Ready | PromiseState::Taken => Some(
-                self.shared
-                    .done
-                    .try_wait()
-                    .unwrap_or_else(|| Err(KError::eval("query result already taken"))),
-            ),
+            PromiseState::Ready | PromiseState::Taken => {
+                Some(self.task.try_wait().unwrap_or_else(lost))
+            }
         }
     }
 
@@ -391,13 +357,14 @@ impl QueryHandle {
     /// blocks on, or leaks gate width to, an unresponsive source.
     /// Idempotent.
     pub fn cancel(&self) {
-        self.shared.cancel.cancel();
-        let job = self.shared.job.lock().unwrap_or_else(|e| e.into_inner()).take();
-        if job.is_some() {
-            drop(job);
-            self.shared.done.set(Err(KError::cancelled("query cancelled")));
-        }
+        self.cancel.cancel();
+        self.task.cancel(Err(KError::cancelled("query cancelled")));
     }
+}
+
+/// The result of a finished query whose task has none to give.
+fn lost() -> KResult<Value> {
+    Err(KError::eval("query result lost: its evaluation panicked or it was taken"))
 }
 
 /// Dropping an unfinished handle cancels it; a finished one leaves the
@@ -863,15 +830,9 @@ impl Session {
             limit: how.limit,
             ticket,
         };
-        let shared = Arc::new(QueryShared {
-            job: StdMutex::new(Some(job)),
-            done: OneShot::new(),
-            cancel,
-        });
-        let worker = Arc::clone(&shared);
-        self.executor().spawn_awaited(move || worker.run_unclaimed());
         QueryHandle {
-            shared,
+            task: self.executor().spawn_awaited(move || job.run()),
+            cancel,
             from_cache: false,
         }
     }

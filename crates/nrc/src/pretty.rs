@@ -16,13 +16,27 @@ fn union_symbol(kind: CollKind) -> &'static str {
     }
 }
 
+/// The most elements a constant collection shows; the rest are counted, so
+/// a plan over a bound value stays readable in `explain` output.
+const SHOWN_ELEMENTS: usize = 3;
+
 /// Write `e` at the given indentation depth (used by `Display`).
 pub fn write_expr(f: &mut fmt::Formatter<'_>, e: &Expr, depth: usize) -> fmt::Result {
     if depth > 64 {
         return write!(f, "...");
     }
     match e {
-        Expr::Const(v) => write!(f, "{v}"),
+        Expr::Const(v) => match (v.coll_kind(), v.elements()) {
+            (Some(kind), Some(elems)) if elems.len() > SHOWN_ELEMENTS => {
+                let (open, close) = kind.brackets();
+                write!(f, "{open}")?;
+                for e in &elems[..SHOWN_ELEMENTS] {
+                    write!(f, "{e}, ")?;
+                }
+                write!(f, "... {} more{close}", elems.len() - SHOWN_ELEMENTS)
+            }
+            _ => write!(f, "{v}"),
+        },
         Expr::Var(n) => write!(f, "{n}"),
         Expr::Let { var, def, body } => {
             write!(f, "let {var} = ")?;
@@ -198,6 +212,13 @@ mod tests {
             Expr::var("DB"),
         );
         assert_eq!(e.to_string(), "U{ {x.title} | \\x <- DB }");
+    }
+
+    #[test]
+    fn a_large_constant_collection_prints_its_first_elements_and_a_count() {
+        let ints = |n: i64| Expr::Const(kleisli_core::Value::set((0..n).map(Into::into).collect()));
+        assert_eq!(ints(3).to_string(), "{0, 1, 2}");
+        assert_eq!(ints(10).to_string(), "{0, 1, 2, ... 7 more}");
     }
 
     #[test]

@@ -29,11 +29,11 @@ pub struct Rule {
     pub apply: fn(&Expr, &RuleCtx<'_>) -> Option<Expr>,
 }
 
-/// Context available to rules: source capabilities/statistics and tuning
-/// knobs.
+/// Context available to rules: source capabilities and statistics.
+/// Which rule sets run is [`crate::optimize_shared`]'s to read from an
+/// [`OptConfig`]; no rule reads it.
 pub struct RuleCtx<'a> {
     pub catalog: &'a dyn SourceCatalog,
-    pub config: &'a OptConfig,
 }
 
 /// Concurrency of a parallelized loop over a server that does not
@@ -293,11 +293,7 @@ mod tests {
             Expr::if_(Expr::bool(false), Expr::int(1), Expr::int(2)),
             Expr::int(3),
         );
-        let config = OptConfig::default();
-        let ctx = RuleCtx {
-            catalog: &NullCatalog,
-            config: &config,
-        };
+        let ctx = RuleCtx { catalog: &NullCatalog };
         let mut trace = Vec::new();
         let out = set.run_owned(e, &ctx, &mut trace);
         assert_eq!(out, Expr::int(2));
@@ -316,11 +312,7 @@ mod tests {
             }],
         };
         let e = Arc::new(Expr::prim(Prim::Add, vec![Expr::int(1), Expr::int(2)]));
-        let config = OptConfig::default();
-        let ctx = RuleCtx {
-            catalog: &NullCatalog,
-            config: &config,
-        };
+        let ctx = RuleCtx { catalog: &NullCatalog };
         let mut trace = Vec::new();
         let out = set.run(Arc::clone(&e), &ctx, &mut trace);
         assert!(
@@ -348,12 +340,8 @@ mod tests {
             Arc::clone(&shared),
         ));
         let catalog = NullCatalog;
-        let config = OptConfig::default();
         let run_with = |memo: bool| {
-            let ctx = RuleCtx {
-                catalog: &catalog,
-                config: &config,
-            };
+            let ctx = RuleCtx { catalog: &catalog };
             let mut trace = Vec::new();
             let out = if memo {
                 set().run(Arc::clone(&e), &ctx, &mut trace)
@@ -403,11 +391,7 @@ mod tests {
             Arc::clone(&left),
             Arc::new(right),
         ));
-        let config = OptConfig::default();
-        let ctx = RuleCtx {
-            catalog: &NullCatalog,
-            config: &config,
-        };
+        let ctx = RuleCtx { catalog: &NullCatalog };
         let mut trace = Vec::new();
         let out = set.run(e, &ctx, &mut trace);
         assert_eq!(trace.len(), 1);

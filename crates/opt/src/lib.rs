@@ -52,7 +52,7 @@ pub fn optimize_shared(
     catalog: &dyn SourceCatalog,
     config: &OptConfig,
 ) -> (Arc<Expr>, Vec<TraceEntry>) {
-    let ctx = RuleCtx { catalog, config };
+    let ctx = RuleCtx { catalog };
     let mut trace = Vec::new();
     let mut e = rules::resolve::rule_set().run(e, &ctx, &mut trace);
     // Pushdown runs twice: once on the freshly resolved form — vertical

@@ -127,9 +127,6 @@ fn batchable(e: &Expr, var: &str, ctx: &RuleCtx<'_>) -> Option<(Name, Arc<Expr>,
 
 /// See the module docs ("Staging dependent loops").
 fn stage_dependent_loop(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
-    if !ctx.config.enable_batching {
-        return None;
-    }
     let Expr::Ext {
         kind,
         var: outer,
@@ -192,9 +189,6 @@ fn stage_dependent_loop(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
 }
 
 fn mark_batchable(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
-    if !ctx.config.enable_batching {
-        return None;
-    }
     let Expr::Ext {
         kind,
         var,
@@ -226,8 +220,8 @@ mod tests {
     use crate::engine::OptConfig;
     use kleisli_core::{BatchPolicy, Capabilities, CollKind};
 
-    fn run(e: Expr, catalog: &dyn crate::catalog::SourceCatalog, config: &OptConfig) -> Expr {
-        let ctx = RuleCtx { catalog, config };
+    fn run(e: Expr, catalog: &dyn crate::catalog::SourceCatalog) -> Expr {
+        let ctx = RuleCtx { catalog };
         let mut trace = Vec::new();
         rule_set().run_owned(e, &ctx, &mut trace)
     }
@@ -263,7 +257,7 @@ mod tests {
     }
 
     fn marked(e: Expr) -> bool {
-        let out = run(e, &batching_catalog(16), &OptConfig::default());
+        let out = run(e, &batching_catalog(16));
         matches!(
             out,
             Expr::Ext {
@@ -275,7 +269,7 @@ mod tests {
 
     #[test]
     fn remote_inner_loop_gets_a_batch_mark() {
-        let out = run(link_loop(), &batching_catalog(16), &OptConfig::default());
+        let out = run(link_loop(), &batching_catalog(16));
         match out {
             Expr::Ext {
                 strategy: LoopStrategy::Batched(spec),
@@ -294,18 +288,21 @@ mod tests {
         let mut catalog = StaticCatalog::new();
         catalog.add_driver("GenBank", Capabilities::default());
         let e = link_loop();
-        assert_eq!(run(e.clone(), &catalog, &OptConfig::default()), e);
-        assert_eq!(run(e.clone(), &NullCatalog, &OptConfig::default()), e);
+        assert_eq!(run(e.clone(), &catalog), e);
+        assert_eq!(run(e.clone(), &NullCatalog), e);
     }
 
     #[test]
     fn disabled_config_never_marks() {
+        // The parallel rule would take the loop the batch rule leaves: it
+        // is off too, so an unchanged plan shows that nothing marked it.
         let config = OptConfig {
             enable_batching: false,
+            enable_parallel: false,
             ..OptConfig::default()
         };
         let e = link_loop();
-        assert_eq!(run(e.clone(), &batching_catalog(16), &config), e);
+        assert_eq!(crate::optimize(e.clone(), &batching_catalog(16), &config).0, e);
     }
 
     #[test]
@@ -317,7 +314,7 @@ mod tests {
             driver: nrc::name("GenBank"),
             arg: Arc::new(Expr::record(vec![("db", Expr::str("na"))])),
         });
-        assert_eq!(run(e.clone(), &batching_catalog(16), &OptConfig::default()), e);
+        assert_eq!(run(e.clone(), &batching_catalog(16)), e);
     }
 
     #[test]
@@ -334,7 +331,7 @@ mod tests {
                 },
             )])),
         });
-        assert_eq!(run(e.clone(), &batching_catalog(16), &OptConfig::default()), e);
+        assert_eq!(run(e.clone(), &batching_catalog(16)), e);
     }
 
     #[test]
@@ -427,11 +424,7 @@ mod tests {
     #[test]
     fn a_dependent_two_hop_loop_is_staged_and_both_stages_marked() {
         for kind in [CollKind::Set, CollKind::Bag, CollKind::List] {
-            let out = run(
-                two_hop(kind, kind),
-                &batching_catalog(16),
-                &OptConfig::default(),
-            );
+            let out = run(two_hop(kind, kind), &batching_catalog(16));
             // Ext p <- (Ext o <- S: Ext i <- hop(o): {[i, o]}): links(p.i)
             let Expr::Ext {
                 kind: k2,
@@ -468,11 +461,7 @@ mod tests {
 
     #[test]
     fn loops_of_different_kinds_are_marked_but_not_staged() {
-        let out = run(
-            two_hop(CollKind::List, CollKind::Set),
-            &batching_catalog(16),
-            &OptConfig::default(),
-        );
+        let out = run(two_hop(CollKind::List, CollKind::Set), &batching_catalog(16));
         // The outer body calls two requests: it stays unmarked.
         let Expr::Ext {
             body,

@@ -36,10 +36,7 @@ fn cacheable(e: &Expr) -> bool {
 /// Inside the body of a loop (or the right side of a join), wrap the
 /// outermost closed remote subqueries in `Cached` so they are evaluated
 /// once instead of once per outer element.
-fn cache_inner(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
-    if !ctx.config.enable_cache {
-        return None;
-    }
+fn cache_inner(e: &Expr, _ctx: &RuleCtx<'_>) -> Option<Expr> {
     let Expr::Ext {
         kind,
         var,
@@ -99,15 +96,10 @@ fn wrap_outermost(e: &Arc<Expr>) -> Option<Arc<Expr>> {
 mod tests {
     use super::*;
     use crate::catalog::NullCatalog;
-    use crate::engine::OptConfig;
     use kleisli_core::{CollKind, DriverRequest};
 
     fn run(e: Expr) -> Expr {
-        let config = OptConfig::default();
-        let ctx = RuleCtx {
-            catalog: &NullCatalog,
-            config: &config,
-        };
+        let ctx = RuleCtx { catalog: &NullCatalog };
         let mut trace = Vec::new();
         rule_set().run_owned(e, &ctx, &mut trace)
     }

@@ -28,10 +28,7 @@ pub fn rule_set() -> RuleSet {
     }
 }
 
-fn local_join(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
-    if !ctx.config.enable_joins {
-        return None;
-    }
+fn local_join(e: &Expr, _ctx: &RuleCtx<'_>) -> Option<Expr> {
     let Expr::Ext {
         kind,
         var: v1,
@@ -141,16 +138,11 @@ fn equi_key(e: &Expr, v1: &Name, v2: &Name) -> Option<(Expr, Expr)> {
 mod tests {
     use super::*;
     use crate::catalog::NullCatalog;
-    use crate::engine::OptConfig;
     use kleisli_core::{CollKind, Value};
     use kleisli_exec::{eval, Context, Env};
 
     fn run(e: Expr) -> Expr {
-        let config = OptConfig::default();
-        let ctx = RuleCtx {
-            catalog: &NullCatalog,
-            config: &config,
-        };
+        let ctx = RuleCtx { catalog: &NullCatalog };
         let mut trace = Vec::new();
         rule_set().run_owned(e, &ctx, &mut trace)
     }

@@ -338,16 +338,11 @@ fn union_empty(e: &Expr, _ctx: &RuleCtx<'_>) -> Option<Expr> {
 mod tests {
     use super::*;
     use crate::catalog::NullCatalog;
-    use crate::engine::OptConfig;
     use kleisli_core::Value;
     use kleisli_exec::{eval, Context, Env};
 
     fn normalize(e: Expr) -> Expr {
-        let config = OptConfig::default();
-        let ctx = RuleCtx {
-            catalog: &NullCatalog,
-            config: &config,
-        };
+        let ctx = RuleCtx { catalog: &NullCatalog };
         let mut trace = Vec::new();
         rule_set().run_owned(e, &ctx, &mut trace)
     }

@@ -28,21 +28,24 @@ pub fn rule_set() -> RuleSet {
     }
 }
 
-/// The first driver `e` reaches outside of any `Cached` subtree. (A
-/// cached subquery runs once; parallelizing its surrounding loop buys
-/// nothing.)
-fn first_driver(e: &Expr) -> Option<nrc::Name> {
-    e.find(&mut |e, _| match e {
+/// The driver of the first remote call in the body of a loop over `var`
+/// whose request changes per element: a call outside any `Cached`
+/// subtree whose argument names `var` or a variable bound inside `body`,
+/// i.e. any variable but the loop's free ones. (A cached subquery runs
+/// once, and a call on the loop's free variables alone asks the same of
+/// every element; parallelizing the loop for either buys nothing.)
+fn varying_call(body: &Expr, var: &str) -> Option<nrc::Name> {
+    let outer: Vec<nrc::Name> = body.free_vars().into_iter().filter(|v| &**v != var).collect();
+    body.find(&mut |e, _| match e {
         Expr::Cached { .. } => Break(None),
-        Expr::Remote { driver, .. } | Expr::RemoteApp { driver, .. } => Break(Some(driver.clone())),
+        Expr::RemoteApp { driver, arg } if arg.free_vars().iter().any(|v| !outer.contains(v)) => {
+            Break(Some(driver.clone()))
+        }
         _ => Continue(()),
     })
 }
 
 fn parallelize(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
-    if !ctx.config.enable_parallel {
-        return None;
-    }
     let Expr::Ext {
         kind,
         var,
@@ -55,7 +58,7 @@ fn parallelize(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
     };
     // Only loops whose body issues per-element remote requests benefit;
     // a body independent of the loop variable is the caching case.
-    let driver = first_driver(body).filter(|_| body.occurs_free(var))?;
+    let driver = varying_call(body, var).filter(|_| body.occurs_free(var))?;
     // `concurrency_limit` is the *normalized* admission budget (a declared
     // 0 means 1, never "unknown"): since the executor enforces the budget
     // at the driver gate, asking for more in-flight work than the server
@@ -81,15 +84,10 @@ mod tests {
 
     use super::*;
     use crate::catalog::{NullCatalog, StaticCatalog};
-    use crate::engine::OptConfig;
     use kleisli_core::{Capabilities, CollKind};
 
     fn run(e: Expr, catalog: &dyn crate::catalog::SourceCatalog) -> Expr {
-        let config = OptConfig::default();
-        let ctx = RuleCtx {
-            catalog,
-            config: &config,
-        };
+        let ctx = RuleCtx { catalog };
         let mut trace = Vec::new();
         rule_set().run_owned(e, &ctx, &mut trace)
     }
@@ -179,6 +177,26 @@ mod tests {
             });
         }
         assert_eq!(run(e.clone(), &NullCatalog), e);
+    }
+
+    #[test]
+    fn a_call_that_asks_every_element_the_same_stays_sequential() {
+        // U{ {x} ∪ REMOTE-APP[GenBank]([db=..., link=u]) | \x <- S }: the
+        // body names x, but its one call names only the loop's free u.
+        let call = |link: &str| Expr::RemoteApp {
+            driver: nrc::name("GenBank"),
+            arg: Arc::new(Expr::record(vec![("db", Expr::str("na")), ("link", Expr::var(link))])),
+        };
+        let x = Expr::single(CollKind::Set, Expr::var("x"));
+        let e = Expr::ext(CollKind::Set, "x", Expr::union(CollKind::Set, x, call("u")), Expr::var("S"));
+        assert_eq!(run(e.clone(), &NullCatalog), e);
+        // A call on a variable bound inside the body changes per element.
+        let inner = Expr::ext(CollKind::Set, "y", call("y"), Expr::var("x"));
+        let e = Expr::ext(CollKind::Set, "x", inner, Expr::var("S"));
+        assert!(matches!(
+            run(e, &NullCatalog),
+            Expr::Ext { strategy: LoopStrategy::Parallel(_), .. }
+        ));
     }
 
     #[test]

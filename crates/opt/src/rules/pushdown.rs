@@ -75,9 +75,6 @@ struct ConjQuery {
 }
 
 fn sql_migrate(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
-    if !ctx.config.enable_pushdown {
-        return None;
-    }
     // Only rewrite when there is something to gain: a single bare scan
     // with neither predicates nor projection stays a TableScan.
     let q = recognize(e, ctx)?;
@@ -330,9 +327,6 @@ fn generate_sql(q: &ConjQuery) -> String {
 /// `entrez(select, path=".seq.id")`, and a variant extraction mapped over
 /// a nested collection appends a `..tag` segment.
 fn entrez_path_migrate(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
-    if !ctx.config.enable_pushdown {
-        return None;
-    }
     let Expr::Ext {
         kind: CollKind::Set,
         var,
@@ -431,7 +425,6 @@ fn tag_extraction(e: &Expr, y: &Name) -> Option<String> {
 mod tests {
     use super::*;
     use crate::catalog::StaticCatalog;
-    use crate::engine::OptConfig;
     use kleisli_core::{Capabilities, TableStats};
 
     fn gdb_catalog() -> StaticCatalog {
@@ -485,11 +478,7 @@ mod tests {
     }
 
     fn run(e: Expr, catalog: &StaticCatalog) -> Expr {
-        let config = OptConfig::default();
-        let ctx = RuleCtx {
-            catalog,
-            config: &config,
-        };
+        let ctx = RuleCtx { catalog };
         let mut trace = Vec::new();
         rule_set().run_owned(e, &ctx, &mut trace)
     }

@@ -242,15 +242,10 @@ fn resolve_remote_call(e: &Expr, _ctx: &RuleCtx<'_>) -> Option<Expr> {
 mod tests {
     use super::*;
     use crate::catalog::NullCatalog;
-    use crate::engine::OptConfig;
     use kleisli_core::{DriverRequest, Value};
 
     fn run(e: Expr) -> Expr {
-        let config = OptConfig::default();
-        let ctx = RuleCtx {
-            catalog: &NullCatalog,
-            config: &config,
-        };
+        let ctx = RuleCtx { catalog: &NullCatalog };
         let mut trace = Vec::new();
         rule_set().run_owned(e, &ctx, &mut trace)
     }

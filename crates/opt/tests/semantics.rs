@@ -253,8 +253,7 @@ proptest! {
     fn rewrite_memo_never_changes_plans(e in coll_expr(Scope(0), 3)) {
         use kleisli_opt::rules::{batch, cache, joins, monadic, parallel, pushdown, resolve};
         use std::sync::Arc;
-        let config = OptConfig::default();
-        let rules = RuleCtx { catalog: &NullCatalog, config: &config };
+        let rules = RuleCtx { catalog: &NullCatalog };
         let ctx = Context::new();
         let mut plan = Arc::new(e.clone());
         for set in [

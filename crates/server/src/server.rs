@@ -1331,6 +1331,38 @@ mod tests {
     }
 
     #[test]
+    fn a_one_wide_executor_runs_a_parallel_loop_in_place() {
+        // Both waiters nested on the executor's one worker: the admitted
+        // query runs the evaluation it waits for, and the parallel loop
+        // inside it runs every body of its chunk itself, since there is
+        // no other worker to claim one.
+        let executor = Executor::new("one-wide", 1);
+        let driver = SlowDriver::new("SRC", 2, Duration::ZERO, 4);
+        let registered = Arc::clone(&driver);
+        let register = move |session: &mut Session| {
+            session.register_driver(registered.clone());
+            session.bind_value("DB", Value::set((0..5).map(Value::Int).collect()));
+        };
+        let text = r#"{[x = x, n = y.n] | \x <- DB, \y <- SRC([function = "probe", arg = x])}"#;
+        let mut local = Session::new();
+        register(&mut local);
+        let plan = local.compile_shared(text).unwrap();
+        assert!(plan.optimized.to_string().contains("PAR[4]"), "{}", plan.optimized);
+        local.set_opt_config(kleisli_opt::OptConfig::none());
+        let expected = local.query(text).unwrap();
+        assert_eq!(expected.len(), Some(10));
+
+        let config = ServerConfig::default();
+        let server = serve_on("127.0.0.1:0", config, Arc::new(register), Arc::clone(&executor));
+        let server = server.unwrap();
+        let mut client = Client::connect(server.addr()).unwrap();
+        let (v, _) = client.query(text).unwrap().into_value().unwrap();
+        assert_eq!(v, expected);
+        assert_eq!(executor.threads_spawned(), 1);
+        assert_quiescent(&[&server, &*driver]);
+    }
+
+    #[test]
     fn a_gate_wait_is_data_and_holds_no_executor_worker() {
         // Two workers. If a query waiting for its connection's run slot
         // parked one, the wedged query and the first waiter would hold

@@ -292,7 +292,7 @@ fn through_batch_rules(s: &Session, e: &Expr, drivers: &[&str]) -> Arc<Expr> {
     for &d in drivers {
         catalog.add_driver(d, s.context().driver(d).expect("registered").capabilities());
     }
-    let ctx = RuleCtx { catalog: &catalog, config: &OptConfig::default() };
+    let ctx = RuleCtx { catalog: &catalog };
     kleisli_opt::rules::batch::rule_set().run(Arc::new(e.clone()), &ctx, &mut Vec::new())
 }
 
@@ -366,17 +366,18 @@ fn a_marked_call_under_an_inner_remote_generator_replays_its_element_handle() {
     let keys: Vec<i64> = pool.iter().take(20).copied().collect();
     bind_keys(&mut s, &keys);
     // The inner generator reads a remote source and its body calls one,
-    // so it is a parallel loop of its own, unmarked: the marked call, its
-    // source and again under it once per link, replays the outer
-    // element's handle every time it runs.
+    // but both calls ask for the outer element's `uid` alone, so it stays
+    // a sequential loop, unmarked: the marked call, its source and again
+    // under it once per link, replays the outer element's handle every
+    // time it runs.
     let inner = r#"{[u = uid, n = count({[v = v.uid, l = l.uid] | \v <- GenBank([db = "na", link = uid]), \l <- GenBank([db = "na", link = uid])})] | \uid <- UIDS}"#;
     let plan = s.compile_shared(inner).expect("compile");
     let text = plan.optimized.to_string();
     assert!(is_marked(&plan.optimized), "{text}");
     assert_eq!(
         text.matches("PAR[").count(),
-        1,
-        "an inner loop of its own: {text}"
+        0,
+        "no request of the inner loop changes per element: {text}"
     );
     let once = batched_traffic(&mut s, LINK_SET);
     assert_eq!(batched_traffic(&mut s, inner), once, "every run of the call is a replay");

@@ -250,6 +250,19 @@ fn one_loop_node() {
     assert_eq!(paths(naming), Vec::<&str>::new());
 }
 
+/// One caller-helps task. A task whose spawner waits for it, and runs it
+/// inline if no worker has taken it, is a `core::executor::Awaited`: a
+/// session's query (`Executor::spawn_awaited`) and each body of a parallel
+/// loop's chunk (`Executor::run_all`) alike. The names below are the
+/// second claim slot, batch list and parallel-loop arm this replaced.
+#[test]
+fn one_caller_helps_task() {
+    let gone = ["QueryShared", "run_unclaimed", "drain_as", "eval_parallel", "Expand::Par"];
+    let all = crate_sources();
+    let naming = all.iter().filter(|s| gone.iter().any(|w| s.names(w)));
+    assert_eq!(paths(naming), Vec::<&str>::new());
+}
+
 /// One join choice. A local join's operator is whether it has keys
 /// (`nrc::Expr::Join::keys`: `Some` the indexed nested loop, `None` the
 /// blocked one); a strategy tag beside the keys stores that one decision
