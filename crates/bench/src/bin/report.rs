@@ -21,7 +21,7 @@
 
 use std::sync::{Arc, Barrier};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bench_harness::*;
 use kbench::json::Json;
@@ -281,30 +281,38 @@ fn e4_fusion(smoke: bool) -> Json {
 }
 
 /// E8: the local join operators' crossover, |R| = |S| = n at 10 % key
-/// selectivity.
+/// selectivity. The three plans of one n are timed interleaved — naive,
+/// blocked, indexed, once each a round, seven rounds after a warm-up
+/// round — so a slow stretch of the machine lands on all three alike;
+/// each is reported as its median and interquartile range.
 fn e8_joins(smoke: bool) -> Json {
+    const ROUNDS: usize = 7;
     let sizes: &[i64] = if smoke { &[50, 100] } else { &[100, 400, 1600] };
     let ctx = Context::new();
-    rows(
-        sizes
-            .iter()
-            .map(|&n| {
-                let (l, r) = join_inputs(n, (n / 10).max(1));
-                let time = |keyed| {
-                    let plan = join_query(l.clone(), r.clone(), keyed);
-                    ms(time_mean(3, || {
-                        eval(&plan, &Env::empty(), &ctx).expect("eval")
-                    }))
-                };
-                Json::obj([
-                    ("n", int(n as u64)),
-                    ("naive_nl_ms", time(None)),
-                    ("blocked_nl_ms", time(Some(false))),
-                    ("indexed_nl_ms", time(Some(true))),
-                ])
-            })
-            .collect(),
-    )
+    let plans = [("naive_nl", None), ("blocked_nl", Some(false)), ("indexed_nl", Some(true))];
+    let row = |&n: &i64| {
+        let (l, r) = join_inputs(n, (n / 10).max(1));
+        let plans = plans.map(|(name, keyed)| (name, join_query(l.clone(), r.clone(), keyed)));
+        let mut samples = plans.each_ref().map(|_| Vec::with_capacity(ROUNDS));
+        for round in 0..=ROUNDS {
+            for ((_, plan), times) in plans.iter().zip(&mut samples) {
+                let t0 = Instant::now();
+                std::hint::black_box(eval(plan, &Env::empty(), &ctx).expect("eval"));
+                if round > 0 {
+                    times.push(t0.elapsed());
+                }
+            }
+        }
+        let mut fields = vec![("n".to_string(), int(n as u64))];
+        for ((name, _), mut times) in plans.into_iter().zip(samples) {
+            times.sort();
+            let at = |p| percentile(&times, p).expect("a sample");
+            fields.push((format!("{name}_ms"), ms(at(50.0))));
+            fields.push((format!("{name}_iqr_ms"), ms(at(75.0) - at(25.0))));
+        }
+        Json::obj(fields)
+    };
+    rows(sizes.iter().map(row).collect())
 }
 
 /// E9: caching the outer-independent inner subquery. The cached plan

@@ -50,7 +50,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
-use crate::block::{BlockSource, BlockStream, ValueBlock, DEFAULT_BLOCK_ROWS};
+use crate::block::{shared_blocks, BlockStream, DEFAULT_BLOCK_ROWS};
 use crate::driver::DriverRequest;
 use crate::error::KError;
 use crate::oneshot::{OneShot, PromiseState, Pulsable};
@@ -124,7 +124,7 @@ pub fn request_key(req: &DriverRequest) -> u64 {
 #[derive(Debug)]
 pub struct SharedReply {
     /// The rows of the wire stream, in delivery order.
-    pub rows: Vec<Value>,
+    pub rows: Arc<Vec<Value>>,
     /// The mid-stream failure that ended the wire stream, if any.
     pub terminal: Option<KError>,
 }
@@ -133,7 +133,7 @@ impl SharedReply {
     /// A successful reply of plain rows.
     pub fn of_rows(rows: Vec<Value>) -> SharedReply {
         SharedReply {
-            rows,
+            rows: Arc::new(rows),
             terminal: None,
         }
     }
@@ -143,63 +143,27 @@ impl SharedReply {
     /// traffic counters) fire here, once, on the caller's clock.
     pub fn materialize(mut stream: BlockStream) -> SharedReply {
         let mut rows = Vec::new();
-        let mut terminal = None;
         while let Some(block) = stream.next_block(DEFAULT_BLOCK_ROWS) {
             for r in block.into_rows() {
                 match r {
                     Ok(v) => rows.push(v),
                     Err(e) => {
-                        terminal = Some(e);
-                        return SharedReply { rows, terminal };
+                        return SharedReply {
+                            rows: Arc::new(rows),
+                            terminal: Some(e),
+                        }
                     }
                 }
             }
         }
-        SharedReply { rows, terminal }
+        SharedReply::of_rows(rows)
     }
 
     /// A fresh [`BlockStream`] replaying the shared rows (then the
     /// terminal error, if any). Replayed rows charge nothing: the wire
     /// stream already charged them once at materialization.
-    pub fn replay(self: &Arc<Self>) -> BlockStream {
-        Box::new(Replay {
-            reply: Arc::clone(self),
-            pos: 0,
-            done: false,
-        })
-    }
-}
-
-struct Replay {
-    reply: Arc<SharedReply>,
-    pos: usize,
-    done: bool,
-}
-
-impl BlockSource for Replay {
-    fn next_block(&mut self, max_rows: usize) -> Option<ValueBlock> {
-        if self.done {
-            return None;
-        }
-        let max = max_rows.max(1);
-        let rows = &self.reply.rows;
-        // The rows left, and a slot for the terminal error.
-        let mut block = ValueBlock::with_capacity(max.min(rows.len() - self.pos + 1));
-        while block.len() < max && self.pos < rows.len() {
-            block.push_row(rows[self.pos].clone());
-            self.pos += 1;
-        }
-        if self.pos >= rows.len() && block.len() < max {
-            self.done = true;
-            if let Some(e) = &self.reply.terminal {
-                block.push_err(e.clone());
-            }
-        }
-        if block.is_empty() {
-            None
-        } else {
-            Some(block)
-        }
+    pub fn replay(&self) -> BlockStream {
+        shared_blocks(Arc::clone(&self.rows), self.terminal.clone())
     }
 }
 
@@ -363,7 +327,7 @@ mod tests {
     #[test]
     fn shared_reply_replays_rows_and_terminal_error() {
         let reply = Arc::new(SharedReply {
-            rows: vec![Value::Int(1), Value::Int(2)],
+            rows: Arc::new(vec![Value::Int(1), Value::Int(2)]),
             terminal: Some(KError::eval("boom")),
         });
         // Two independent replays see the same rows then the same error.

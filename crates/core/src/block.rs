@@ -17,6 +17,8 @@
 //! protocol — a limited query pulls the rows it still lacks, and full
 //! drains pull [`DEFAULT_BLOCK_ROWS`] at a time.
 
+use std::sync::Arc;
+
 use crate::error::{KError, KResult};
 use crate::value::Value;
 
@@ -242,6 +244,43 @@ pub fn charged_blocks(
         rows: rows.into_iter(),
         latency,
         metrics,
+    })
+}
+
+/// A native block source over a shared row vector ([`shared_blocks`]).
+struct SharedRows {
+    rows: Arc<Vec<Value>>,
+    pos: usize,
+    /// The error after the last row, until it is delivered.
+    terminal: Option<KError>,
+}
+
+impl BlockSource for SharedRows {
+    fn next_block(&mut self, max_rows: usize) -> Option<ValueBlock> {
+        let max = max_rows.max(1);
+        let rest = &self.rows[self.pos..];
+        let n = rest.len().min(max);
+        let err = self.terminal.take_if(|_| n < max);
+        // Right-sized: the rows left, and a slot for the error.
+        let mut block = ValueBlock::with_capacity(n + usize::from(err.is_some()));
+        rest[..n].iter().for_each(|v| block.push_row(v.clone()));
+        self.pos += n;
+        if let Some(e) = err {
+            block.push_err(e);
+        }
+        (!block.is_empty()).then_some(block)
+    }
+}
+
+/// Stream `rows`, shared — a computed collection, a cached subquery, a
+/// batched key's reply — then `terminal`, if any, as the stream's one
+/// error. Nothing is copied up front: a row is cloned as it is packed,
+/// so a prefix of a huge collection touches only the prefix.
+pub fn shared_blocks(rows: Arc<Vec<Value>>, terminal: Option<KError>) -> BlockStream {
+    Box::new(SharedRows {
+        rows,
+        pos: 0,
+        terminal,
     })
 }
 

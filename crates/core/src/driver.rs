@@ -31,11 +31,28 @@
 //!    requests or consumes other streams, then redeems it:
 //!    [`RequestHandle::wait`] blocks until the source has answered and
 //!    yields a [`BlockStream`] of row batches; [`RequestHandle::poll`] checks
-//!    progress without blocking; [`RequestHandle::cancel`] (or dropping
-//!    the handle) abandons the request — a request still queued has
-//!    its work dropped without ever contacting the source (and without
-//!    a thread ever having existed for it), and in every case the
-//!    driver's admission ticket is released, never leaked.
+//!    progress without blocking.
+//!
+//! In between, a pooled request is in one of three stages, one value
+//! under one lock, and each move is one step:
+//!
+//! ```text
+//! Queued(work) ──pickup──► Running(ticket) ──finish──► Over
+//!      └──── drop / abandon / shutdown ──────────────────►┘   (abandon also takes a Running ticket)
+//! ```
+//!
+//! A worker's pickup takes the admission ticket and the work in the same
+//! step, and its finish hands the ticket back — or finds `Over`, which
+//! means an abandoner took the ticket and the worker retires. A handle
+//! lets go of its request in one of two ways. **Dropped** unredeemed, it
+//! cancels a queued request — the work is dropped without ever
+//! contacting the source (and without a thread ever having existed for
+//! it) — and lets a running one finish, throwing its reply away.
+//! **Abandoned** ([`RequestHandle::abandon`], the resilience layer's
+//! deadline and cancellation), it resolves with the caller's error at
+//! once, then cancels a queued request or takes the ticket back from the
+//! worker on the wire, which is orphaned and replaced (`crate::pool`).
+//! Either way the driver's admission ticket is released, never leaked.
 //!
 //! The blocking half lives in [`Driver::perform`], which executes one
 //! request synchronously. Simple drivers — local, in-memory, or
@@ -64,9 +81,9 @@
 //! runs one round-trip at a time — which makes the limit *enforced
 //! admission*, not advisory metadata, with no second mechanism to keep
 //! in step. [`RequestGate`] is that budget's observable count: a worker
-//! takes a [`GateTicket`] at pickup (never waiting for one), parks it
-//! where an abandoning waiter can steal it back, and releases it when the
-//! round-trip ends, so `in_flight()` reads the requests at the source
+//! takes a [`GateTicket`] at pickup (never waiting for one), holds it on
+//! the request — where an abandoning waiter can take it back — and
+//! releases it when the round-trip ends, so `in_flight()` reads the requests at the source
 //! right now and `in_flight() == 0` is the quiescence check. When the
 //! source also advertises
 //! [`Capabilities::prefetch_rows`], the worker that performed a request
@@ -86,8 +103,8 @@ use std::time::Instant;
 use crate::batch::BatchPolicy;
 use crate::block::{lazy_blocks, BlockStream};
 use crate::error::{KError, KResult};
+use crate::executor::Executor;
 use crate::oneshot::{OneShot, PromiseState, Pulsable, WaitFor};
-use crate::pool::PoolCore;
 use crate::resilience::{DriverResilience, ResiliencePolicy};
 use crate::value::Value;
 
@@ -534,10 +551,9 @@ impl Drop for GateTicket {
 pub enum RequestStatus {
     /// Queued behind the driver's admission budget, or running.
     Pending,
-    /// The source has answered; the result is waiting in the handle.
+    /// Resolved: the source's answer, or the error that ended the
+    /// request, is waiting in the handle.
     Ready,
-    /// Cancelled before the source was contacted.
-    Cancelled,
 }
 
 /// One request's blocking round-trip, as queued in a pool.
@@ -547,35 +563,32 @@ pub(crate) type Work = Box<dyn FnOnce() -> KResult<BlockStream> + Send>;
 /// ([`RequestHandle::then`]).
 type Then = Box<dyn FnOnce(KResult<BlockStream>) + Send>;
 
+/// Where a request is (module docs, "The fetch/handle lifecycle"). Each
+/// move is one step under the stage's lock, and the party that makes it
+/// owns what the stage held: the worker that picks a request up runs its
+/// work, a canceller that finds it queued drops the work unrun, and an
+/// abandoner that finds it running takes its ticket back.
+enum Stage {
+    /// In the pool's deque; nobody has started the work.
+    Queued(Work),
+    /// A worker is on the wire, holding the request's admission ticket.
+    Running(GateTicket),
+    /// Done with the source: finished, let go, or never pooled.
+    Over,
+}
+
 /// The handle-side state of one submitted request, shared between the
-/// caller and the pool task that runs it. Built on the shared [`OneShot`]
-/// promise — the same primitive the session's `QueryHandle` uses —
-/// instead of a private mutex+condvar machine.
+/// caller and the pool task that runs it: its [`Stage`] and its outcome,
+/// a [`OneShot`] promise — the same primitive the session's `QueryHandle`
+/// uses.
 pub(crate) struct ReqShared {
-    /// The driver/pool name, labelling `Timeout` resolutions.
+    /// The driver/pool name, labelling errors the request raises itself.
     pub(crate) driver: String,
     promise: OneShot<KResult<BlockStream>>,
-    cancelled: AtomicBool,
-    /// The caller's handle is gone: a reply resolved from now on has no
-    /// reader (unlike `cancelled`, which an abandoning waiter sets while
-    /// it may still take a reply that beat it to the promise).
-    handle_dropped: AtomicBool,
-    /// Set (before the promise) when the request resolved *as
-    /// cancelled*, so `poll` can report `Cancelled` rather than `Ready`.
-    resolved_cancelled: AtomicBool,
-    /// The request's blocking work while it is *queued*. Whoever takes it
-    /// out owns the request: the pool worker that picks it up runs it; a
-    /// `cancel` / `abandon` that gets there first drops it, so a request
-    /// cancelled before pickup never reaches its source.
-    work: Mutex<Option<Work>>,
-    /// The admission ticket, *parked here by the worker* for the
-    /// duration of the request round-trip. Parking makes the ticket
-    /// stealable: a waiter whose deadline passed takes it out from under
-    /// the (possibly wedged) worker and releases it, restoring the gate
-    /// width without blocking on the worker. The worker detects the
-    /// theft — an empty slot at completion time — and retires itself
-    /// (see `PoolCore::abandon_running`).
-    ticket: Mutex<Option<GateTicket>>,
+    stage: Mutex<Stage>,
+    /// The caller's handle was dropped: a reply resolved from now on has
+    /// no reader.
+    dropped: AtomicBool,
     /// The outcome's reader when the handle handed it on
     /// ([`RequestHandle::then`]); run once, by whoever finds the request
     /// resolved and this slot full.
@@ -586,39 +599,85 @@ pub(crate) struct ReqShared {
 }
 
 impl ReqShared {
+    /// A request queued with its `work`, or — with none — one a caller
+    /// resolves itself (the keys of a batched wire request).
     pub(crate) fn pending(driver: impl Into<String>, work: Option<Work>) -> ReqShared {
         ReqShared {
             driver: driver.into(),
             promise: OneShot::new(),
-            cancelled: AtomicBool::new(false),
-            handle_dropped: AtomicBool::new(false),
-            resolved_cancelled: AtomicBool::new(false),
-            work: Mutex::new(work),
-            ticket: Mutex::new(None),
+            stage: Mutex::new(work.map_or(Stage::Over, Stage::Queued)),
+            dropped: AtomicBool::new(false),
             then: Mutex::new(None),
             continued: AtomicBool::new(false),
         }
     }
 
-    pub(crate) fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Acquire)
+    fn stage(&self) -> std::sync::MutexGuard<'_, Stage> {
+        self.stage.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Queued → running: take the work out of its slot. `None` means a
-    /// cancellation claimed it first (and resolved the handle).
-    pub(crate) fn claim_work(&self) -> Option<Work> {
-        self.work.lock().unwrap_or_else(|e| e.into_inner()).take()
+    /// Queued → running, in one step: the ticket `admit` hands out goes
+    /// on the request as its work comes off it, so whoever lets go of
+    /// the request finds one or the other. `None` is the husk of a
+    /// request let go while queued (and resolved by whoever let go).
+    pub(crate) fn pick_up(&self, admit: impl FnOnce() -> GateTicket) -> Option<Work> {
+        let mut stage = self.stage();
+        // A task runs once, so the stage here is never `Running`.
+        let Stage::Queued(work) = std::mem::replace(&mut *stage, Stage::Over) else {
+            return None;
+        };
+        *stage = Stage::Running(admit());
+        Some(work)
     }
 
-    /// Queued → cancelled: if no worker has picked the request up yet,
-    /// drop its work unrun and resolve as cancelled — at once, with no
-    /// thread ever involved. Returns whether the request was still queued.
-    fn cancel_queued(&self) -> bool {
-        let queued = self.claim_work().is_some();
-        if queued {
-            self.resolve_cancelled();
+    /// Running → over, as the round-trip ends: the ticket back. `None`
+    /// means an abandoner took it (and released it) — the worker is an
+    /// orphan and retires instead of resolving.
+    pub(crate) fn finish(&self) -> Option<GateTicket> {
+        match std::mem::replace(&mut *self.stage(), Stage::Over) {
+            Stage::Running(ticket) => Some(ticket),
+            _ => None,
         }
-        queued
+    }
+
+    /// Queued → over: drop the work unrun. Running → over only through
+    /// `workers`, when they disown the worker on the wire: its ticket is
+    /// released inside [`Executor::disown`], before the replacement it
+    /// spawns can reach admission. Lock order: the stage, then the
+    /// executor's state; no path takes them the other way. Whether the
+    /// request was still queued.
+    fn let_go(&self, workers: Option<&Executor>) -> bool {
+        let mut stage = self.stage();
+        match *stage {
+            Stage::Queued(_) => {
+                let work = std::mem::replace(&mut *stage, Stage::Over);
+                // Dropping the work may resolve other requests (a batch's
+                // keys): not under this one's lock.
+                drop(stage);
+                drop(work);
+                true
+            }
+            Stage::Running(_) => {
+                if let Some(workers) = workers {
+                    workers.disown(|| *stage = Stage::Over);
+                }
+                false
+            }
+            Stage::Over => false,
+        }
+    }
+
+    /// Queued → over, resolved `Cancelled`: a request nobody picked up
+    /// is dropped at once, with no thread ever involved.
+    pub(crate) fn cancel_queued(&self) {
+        if self.let_go(None) {
+            self.resolve_err(KError::cancelled("driver request cancelled before it ran"));
+        }
+    }
+
+    /// Whether the caller's handle was dropped.
+    pub(crate) fn is_dropped(&self) -> bool {
+        self.dropped.load(Ordering::Acquire)
     }
 
     /// Park the request's outcome; returns whether this resolution won
@@ -632,14 +691,6 @@ impl ReqShared {
     /// Park an error outcome ([`ReqShared::resolve_stream`]).
     pub(crate) fn resolve_err(&self, err: KError) -> bool {
         self.resolve_stream(Err(err))
-    }
-
-    /// Resolve as cancelled-before-running (first resolution wins).
-    pub(crate) fn resolve_cancelled(&self) {
-        // Flag first: a `poll` that observes the promise set must also
-        // observe the cancellation marker.
-        self.resolved_cancelled.store(true, Ordering::Release);
-        self.resolve_err(KError::cancelled("driver request cancelled before it ran"));
     }
 
     /// Hand a resolved outcome to the reader `then` left, if there is
@@ -667,27 +718,11 @@ impl ReqShared {
     /// critical section of the promise's lock). A no-op while the handle
     /// lives, while the request is pending, and after the reply was taken.
     pub(crate) fn discard_if_unredeemed(&self) {
-        if self.handle_dropped.load(Ordering::Acquire) {
+        if self.is_dropped() {
             if let Some(Ok(stream)) = self.promise.try_wait() {
                 crate::pool::guarded_drop(stream);
             }
         }
-    }
-
-    pub(crate) fn lock_ticket_slot(&self) -> std::sync::MutexGuard<'_, Option<GateTicket>> {
-        self.ticket.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Worker side: park the admission ticket for the round-trip.
-    pub(crate) fn park_ticket(&self, ticket: GateTicket) {
-        *self.lock_ticket_slot() = Some(ticket);
-    }
-
-    /// Worker side: reclaim the parked ticket at completion. `None`
-    /// means an abandoning waiter stole (and released) it — the worker
-    /// is an orphan and must retire instead of resolving.
-    pub(crate) fn steal_ticket(&self) -> Option<GateTicket> {
-        self.lock_ticket_slot().take()
     }
 }
 
@@ -697,20 +732,22 @@ impl Pulsable for ReqShared {
     }
 }
 
-/// The caller's half of one submitted request: poll / wait / cancel.
+/// The caller's half of one submitted request: poll, wait, or let go.
 ///
-/// Obtained from [`Driver::fetch`]. Dropping the handle without waiting
-/// cancels the request: if it is still queued in the driver's worker
-/// pool its work is dropped without contacting the source (no thread
-/// ever existed for it); if it is already running, the work completes on its
-/// pool worker and is thrown away; if it has completed, the unread reply
-/// is dropped (which stops a row prefetch in progress). Either way the
-/// admission ticket is released.
+/// Obtained from [`Driver::fetch`]. A handle lets go of its request in
+/// one of two ways. Dropped unredeemed, it cancels a request still
+/// queued in the driver's worker pool — the work is dropped without
+/// contacting the source, and no thread ever existed for it — lets a
+/// running one finish on its worker and throws the reply away, and drops
+/// an unread reply (which stops a row prefetch in progress).
+/// [Abandoned](RequestHandle::abandon), it resolves at once and takes the
+/// admission ticket back from a worker still on the wire. Either way the
+/// ticket is released, never leaked.
 pub struct RequestHandle {
     shared: Arc<ReqShared>,
-    /// The pool whose worker may be running the request, so `abandon`
-    /// can orphan and replace it.
-    pool: Option<Weak<PoolCore>>,
+    /// The pool's workers, one of which may be running the request, so
+    /// `abandon` can disown it and have it replaced.
+    workers: Option<Weak<Executor>>,
 }
 
 impl RequestHandle {
@@ -723,7 +760,7 @@ impl RequestHandle {
                 promise: OneShot::ready(Ok(stream)),
                 ..ReqShared::pending("inline", None)
             }),
-            pool: None,
+            workers: None,
         }
     }
 
@@ -732,9 +769,9 @@ impl RequestHandle {
     /// whoever holds the state (the keys of a batched wire request).
     pub(crate) fn from_parts(
         shared: Arc<ReqShared>,
-        pool: Option<Weak<PoolCore>>,
+        workers: Option<Weak<Executor>>,
     ) -> RequestHandle {
-        RequestHandle { shared, pool }
+        RequestHandle { shared, workers }
     }
 
     /// Hand the outcome to `then` on whichever thread resolves the
@@ -751,18 +788,12 @@ impl RequestHandle {
     pub fn poll(&self) -> RequestStatus {
         match self.shared.promise.poll() {
             PromiseState::Pending => RequestStatus::Pending,
-            PromiseState::Ready | PromiseState::Taken => {
-                if self.shared.resolved_cancelled.load(Ordering::Acquire) {
-                    RequestStatus::Cancelled
-                } else {
-                    RequestStatus::Ready
-                }
-            }
+            PromiseState::Ready | PromiseState::Taken => RequestStatus::Ready,
         }
     }
 
     /// Block until the source answers and yield its block stream. A
-    /// handle cancelled before the work started yields
+    /// request cancelled before it ran (its pool shut down) yields
     /// [`KError::Cancelled`].
     pub fn wait(self) -> KResult<BlockStream> {
         self.shared
@@ -771,47 +802,19 @@ impl RequestHandle {
             .unwrap_or_else(|| Err(KError::eval("request result already taken")))
     }
 
-    /// Block until the source answers **or** `deadline` passes. On the
-    /// deadline the request is [abandoned](RequestHandle::abandon) with
-    /// [`KError::Timeout`]: the admission ticket is released (stolen from
-    /// the worker if the request is mid-flight, so a wedged worker never
-    /// holds gate width hostage), still-queued work is removed, and the
-    /// call returns promptly — within scheduler noise of the deadline,
-    /// never blocking on the wedged worker. If the worker's answer races
-    /// the deadline and wins the set-once promise, that answer is
-    /// returned instead of the timeout.
-    pub fn wait_deadline(self, deadline: Instant) -> KResult<BlockStream> {
-        match self.shared.promise.wait_for(Some(deadline), || false) {
-            WaitFor::Ready | WaitFor::Interrupted => self.wait(),
-            WaitFor::TimedOut => {
-                let driver = self.shared.driver.clone();
-                self.abandon(KError::timeout(driver, "request deadline exceeded"));
-                // Resolved now — by our timeout, or by a worker that won
-                // the race to the promise.
-                self.wait()
-            }
-        }
-    }
-
-    /// Resolve this request *now* with `err` and reclaim its resources
-    /// without blocking: still-queued work is dropped unrun, and a
-    /// mid-flight request has its parked admission ticket stolen and
-    /// released (the wedged worker is orphaned and replaced — see
-    /// `crate::pool`). Returns whether `err` won the set-once promise
-    /// (`false`: the request had already resolved, and the caller should
-    /// use that result instead). Idempotent; used by the deadline and
-    /// cancellation paths of [`crate::resilience`].
+    /// Resolve this request *now* with `err` and let go of it without
+    /// blocking: still-queued work is dropped unrun, and a running
+    /// request has its admission ticket taken back and released (the
+    /// wedged worker is orphaned and replaced — see `crate::pool`).
+    /// Returns whether `err` won the set-once promise (`false`: the
+    /// request had already resolved, and the caller should use that
+    /// result instead). Idempotent; the deadline and cancellation paths
+    /// of [`crate::resilience`] give up on a request this way.
     pub fn abandon(&self, err: KError) -> bool {
+        // Resolve first: a reply that comes later loses the race.
         let won = self.shared.resolve_err(err);
-        self.shared.cancelled.store(true, Ordering::Release);
-        // Still queued: claim the work (its resolve-as-cancelled is a
-        // set-once no-op after ours). Mid-flight: steal the parked
-        // ticket and orphan the worker.
-        if !self.shared.cancel_queued() {
-            if let Some(core) = self.pool.as_ref().and_then(Weak::upgrade) {
-                core.abandon_running(&self.shared);
-            }
-        }
+        let workers = self.workers.as_ref().and_then(Weak::upgrade);
+        self.shared.let_go(workers.as_deref());
         won
     }
 
@@ -832,15 +835,6 @@ impl RequestHandle {
         let arc: Arc<dyn Pulsable> = Arc::clone(&self.shared) as Arc<dyn Pulsable>;
         Arc::downgrade(&arc)
     }
-
-    /// Abandon the request. Still-queued work is dropped before it
-    /// contacts the source (resolving the handle as cancelled); running
-    /// work finishes on its worker and is dropped. The admission ticket
-    /// is released in both cases. Idempotent.
-    pub fn cancel(&self) {
-        self.shared.cancelled.store(true, Ordering::Release);
-        self.shared.cancel_queued();
-    }
 }
 
 impl Drop for RequestHandle {
@@ -848,8 +842,8 @@ impl Drop for RequestHandle {
         if self.shared.continued.load(Ordering::Acquire) {
             return;
         }
-        self.cancel();
-        self.shared.handle_dropped.store(true, Ordering::Release);
+        self.shared.cancel_queued();
+        self.shared.dropped.store(true, Ordering::Release);
         self.shared.discard_if_unredeemed();
     }
 }
@@ -1077,6 +1071,144 @@ mod tests {
 
     fn rows_stream(n: i64) -> BlockStream {
         crate::block::blocks_of_rows(Box::new((0..n).map(|i| Ok(Value::Int(i)))))
+    }
+
+    /// A latch each round's requests wedge on until it is released
+    /// (sticky).
+    type Latch = Arc<(Mutex<bool>, std::sync::Condvar)>;
+
+    fn wedge(latch: &Latch) {
+        let (lock, cv) = &**latch;
+        let mut released = lock.lock().unwrap();
+        while !*released {
+            released = cv.wait(released).unwrap();
+        }
+    }
+
+    fn release(latch: &Latch) {
+        *latch.0.lock().unwrap() = true;
+        latch.1.notify_all();
+    }
+
+    /// Poll `done` until it holds (bounded: a stuck pool fails, not hangs).
+    fn await_that(what: &str, done: impl Fn() -> bool) {
+        let t0 = Instant::now();
+        while !done() {
+            assert!(t0.elapsed() < Duration::from_secs(5), "never: {what}");
+            thread::yield_now();
+        }
+    }
+
+    /// Drop `h`, keeping what its request resolves with: a reader in
+    /// its `then` slot takes the outcome the dropping handle would have
+    /// discarded.
+    fn drop_recording(h: RequestHandle) -> Arc<Mutex<Option<KResult<Vec<Value>>>>> {
+        let seen: Arc<Mutex<Option<_>>> = Arc::default();
+        let out = Arc::clone(&seen);
+        let read = move |reply: KResult<BlockStream>| {
+            *out.lock().unwrap() = Some(reply.and_then(|rows| rows.collect()));
+        };
+        *h.shared.then.lock().unwrap() = Some(Box::new(read));
+        h.shared.run_then();
+        drop(h);
+        seen
+    }
+
+    #[test]
+    fn the_stage_machine_holds_whatever_order_handles_let_go() {
+        // A width-1 pool, 200 rounds. Each round submits three requests
+        // that record that they ran and wedge until the round's latch is
+        // released: the first runs, two queue behind it. Each handle is
+        // then dropped, abandoned or waited — a wait releases the latch
+        // first — in a seed-chosen order.
+        let pool = crate::pool::WorkerPool::new("t", 1, None);
+        let mut seed = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = |n: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % n
+        };
+        let rows = |h: RequestHandle| h.wait()?.collect::<KResult<Vec<Value>>>();
+        for round in 0..200i64 {
+            let latch: Latch = Arc::default();
+            let ran: Vec<Arc<AtomicUsize>> = (0..3).map(|_| Arc::default()).collect();
+            let id = |i: usize| Value::Int(round * 3 + i as i64);
+            let mut handles: Vec<Option<RequestHandle>> = (0..3)
+                .map(|i| {
+                    let (latch, ran, id) = (Arc::clone(&latch), Arc::clone(&ran[i]), id(i));
+                    Some(pool.submit(0, move || {
+                        ran.fetch_add(1, Ordering::SeqCst);
+                        wedge(&latch);
+                        let reply = std::iter::once(Ok(id));
+                        Ok(crate::block::blocks_of_rows(Box::new(reply)))
+                    }))
+                })
+                .collect();
+            let cells: Vec<_> = handles
+                .iter()
+                .flatten()
+                .map(|h| Arc::clone(&h.shared))
+                .collect();
+            await_that("the first request runs", || pool.gate().in_flight() == 1);
+            let mut order = vec![0, 1, 2];
+            for i in (1..3).rev() {
+                order.swap(i, next(i as u64 + 1) as usize);
+            }
+            let abandon_err = |i: usize| KError::timeout("t", format!("round {round}: {i}"));
+            let (mut dropped, mut abandoned, mut waited) = (Vec::new(), Vec::new(), Vec::new());
+            for &i in &order {
+                let h = handles[i].take().expect("one way to let go each");
+                match next(3) {
+                    0 => dropped.push((i, drop_recording(h))),
+                    1 => abandoned.push((i, h.abandon(abandon_err(i)), h)),
+                    _ => {
+                        release(&latch);
+                        waited.push((i, rows(h)));
+                    }
+                }
+                assert!(pool.orphans() <= pool.orphan_budget());
+            }
+            release(&latch);
+            await_that("the round settles", || {
+                let pending = |c: &Arc<ReqShared>| c.promise.poll() == PromiseState::Pending;
+                let resolved = !cells.iter().any(pending);
+                let read = !dropped.iter().any(|(_, seen)| seen.lock().unwrap().is_none());
+                resolved && read && pool.gate().in_flight() == 0 && pool.orphans() == 0
+            });
+            let ran = |i: usize| ran[i].load(Ordering::SeqCst);
+            assert!((0..3).all(|i| ran(i) <= 1), "round {round}: ran twice");
+            for (i, out) in waited {
+                assert_eq!(out.unwrap(), [id(i)], "round {round}: waited {i}");
+                assert_eq!(ran(i), 1);
+            }
+            for (i, won, h) in abandoned {
+                match rows(h) {
+                    Err(e) => {
+                        assert!(won, "round {round}: {i} lost the race yet ended in {e}");
+                        assert_eq!(e.to_string(), abandon_err(i).to_string());
+                    }
+                    Ok(got) => {
+                        assert!(!won && ran(i) == 1, "round {round}: {i} won, yet answered");
+                        assert_eq!(got, [id(i)]);
+                    }
+                }
+            }
+            for (i, seen) in dropped {
+                match seen.lock().unwrap().take() {
+                    Some(Err(KError::Cancelled(_))) => {
+                        assert_eq!(ran(i), 0, "round {round}: {i} cancelled, yet ran")
+                    }
+                    Some(Ok(got)) => {
+                        assert_eq!(got, [id(i)], "round {round}: dropped {i}");
+                        assert_eq!(ran(i), 1);
+                    }
+                    other => panic!("round {round}: dropped {i} ended in {other:?}"),
+                }
+            }
+        }
+        assert_eq!(pool.gate().in_flight(), 0);
+        assert_eq!(pool.orphans(), 0);
     }
 
     #[test]

@@ -64,8 +64,8 @@ pub mod value;
 
 pub use batch::{request_key, BatchPolicy, BatchWindow, Flight, FnvHasher, SharedReply};
 pub use block::{
-    blocks_of_rows, charged_blocks, lazy_blocks, BlockSource, BlockStream, ValueBlock,
-    DEFAULT_BLOCK_ROWS,
+    blocks_of_rows, charged_blocks, lazy_blocks, shared_blocks, BlockSource, BlockStream,
+    ValueBlock, DEFAULT_BLOCK_ROWS,
 };
 pub use driver::{
     Capabilities, Driver, DriverMetrics, DriverRef, DriverRequest, Fetch, GateTicket,

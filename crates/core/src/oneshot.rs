@@ -1,7 +1,9 @@
 //! A one-shot promise: the single blocking primitive of the system.
 //!
 //! Every "submit now, redeem later" handle — the driver-level
-//! [`crate::driver::RequestHandle`], the executor's caller-helped
+//! [`crate::driver::RequestHandle`], whose promise sits beside its
+//! request's one stage (queued work, a running worker's ticket, or over),
+//! the executor's caller-helped
 //! [`crate::executor::Awaited`] task behind the session-level `QueryHandle`
 //! in the `kleisli` crate and behind each body of a parallel loop's chunk
 //! — and every place where one caller waits for *another caller's* result
@@ -19,7 +21,9 @@
 //!
 //! * **Set-once.** The first [`OneShot::set`] wins; later sets are
 //!   rejected (returning `false`) instead of overwriting, so a racing
-//!   cancel/complete pair resolves deterministically.
+//!   cancel/complete pair resolves deterministically — an abandoning
+//!   waiter resolves before it lets go, and a reply that comes later
+//!   loses.
 //! * **Take-once, or clone-out.** [`OneShot::wait`] / [`OneShot::try_wait`]
 //!   move the value out; a second take observes [`PromiseState::Taken`]
 //!   rather than a stale clone. A promise with many readers is never

@@ -16,19 +16,22 @@
 //! "Admission control"). What the pool adds is what makes a task a
 //! *request*:
 //!
-//! * **Cancel before pickup.** The request's work sits in a slot on its
-//!   handle state until a worker claims it. A `cancel` / `abandon` /
-//!   handle drop that claims it first drops it unrun and resolves the
-//!   handle at once — no thread ever existed for it, and the husk left
-//!   in the deque does nothing when a worker reaches it.
-//! * **Orphan and replace.** The worker takes a
-//!   [`crate::driver::GateTicket`] at pickup and *parks* it on the
-//!   handle state for the round-trip. A waiter whose deadline passes
-//!   steals it (`PoolCore::abandon_running`), which releases the slot
-//!   and has the executor [disown](Executor::disown) the wedged worker
-//!   and spawn a replacement, within a budget; the wedged worker finds
-//!   its ticket gone when (if) it returns, discards its result and
-//!   retires.
+//! * **Cancel before pickup.** A request's stage is one value on its
+//!   handle state (`crate::driver`, "The fetch/handle lifecycle"): its
+//!   work stays there, `Queued`, until a worker picks it up. A handle
+//!   dropped or abandoned first moves it to `Over`, dropping the work
+//!   unrun, and resolves the handle at once — no thread ever existed for
+//!   it, and the husk left in the deque does nothing when a worker
+//!   reaches it.
+//! * **Orphan and replace.** A worker's pickup is one step: it takes a
+//!   [`crate::driver::GateTicket`] and moves the request to `Running`
+//!   with that ticket on it. An abandoning waiter that finds it there
+//!   has the executor [disown](Executor::disown) the (maybe wedged)
+//!   worker — within a budget of `2 * limit + 2` — and moves the request
+//!   to `Over` inside the disowning, which releases the ticket before
+//!   the replacement spawned can reach admission, so `in_flight <=
+//!   limit` holds at every instant. The wedged worker finds `Over` when
+//!   (if) it returns, discards its result and retires.
 //! * **Shutdown.** Dropping the pool shuts the executor down explicitly
 //!   (queued tasks hold the pool, and so their own executor, alive);
 //!   from then on a request task resolves `Cancelled` and a refill task
@@ -132,7 +135,7 @@ use crate::executor::Executor;
 /// geometry").
 pub(crate) const FULL_FETCH: usize = usize::MAX;
 
-pub(crate) struct PoolCore {
+struct PoolCore {
     name: String,
     gate: Arc<RequestGate>,
     metrics: Option<Arc<DriverMetrics>>,
@@ -216,7 +219,7 @@ impl WorkerPool {
         self.core
             .exec
             .spawn_disownable(move || core.request_task(&req, prefetch));
-        RequestHandle::from_parts(shared, Some(Arc::downgrade(&self.core)))
+        RequestHandle::from_parts(shared, Some(Arc::downgrade(&self.core.exec)))
     }
 }
 
@@ -245,9 +248,9 @@ impl PoolCore {
                 // Set-once: a no-op if the request already resolved
                 // before the panic.
                 shared.resolve_stream(Err(self.request_panicked()));
-                // Release the ticket if the unwind left it parked; this
-                // worker is still accounted for.
-                drop(shared.steal_ticket());
+                // Release the ticket if the unwind left the request
+                // running; this worker is still accounted for.
+                drop(shared.finish());
                 false
             })
     }
@@ -257,42 +260,25 @@ impl PoolCore {
     }
 
     fn run_request(self: &Arc<Self>, shared: &Arc<ReqShared>, prefetch: usize) -> bool {
-        // Queued -> running. An empty slot is the husk of a request that
-        // was cancelled before pickup (and resolved by its canceller).
-        let Some(work) = shared.claim_work() else { return false };
         if self.exec.is_shut_down() {
-            shared.resolve_cancelled();
+            shared.cancel_queued();
             return false;
         }
-        // The admission ticket is taken by this worker at pickup time —
-        // the pool's width guarantees there is one — and covers the
-        // request round-trip (not the row stream, whose transfer the
-        // prefetch buffer pipelines separately). It is *parked* on the
-        // shared state for the duration of the round-trip so a waiter
-        // whose deadline passes can steal it back (`abandon_running`)
-        // instead of blocking on this worker.
-        shared.park_ticket(self.gate.admit());
-        if shared.is_cancelled() {
-            match shared.steal_ticket() {
-                Some(ticket) => {
-                    drop(ticket);
-                    shared.resolve_cancelled();
-                    return false;
-                }
-                // An abandoner raced us between park and this check; it
-                // already resolved the promise and replaced us.
-                None => return true,
-            }
-        }
+        // Queued -> running. The admission ticket is taken here — the
+        // pool's width guarantees there is one — and covers the request
+        // round-trip (not the row stream, whose transfer the prefetch
+        // buffer pipelines separately).
+        let Some(work) = shared.pick_up(|| self.gate.admit()) else {
+            return false;
+        };
         // A panicking driver must park an error, not leave the handle
         // pending forever (the caller may be blocked in wait()).
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(work))
             .unwrap_or_else(|_| Err(self.request_panicked()));
-        // Reclaim the parked ticket. An empty slot means a deadline (or
-        // cancellation) stole it mid-flight: the waiter is gone, the
-        // promise already resolved, a replacement worker may already be
-        // running — discard the result and retire.
-        let Some(ticket) = shared.steal_ticket() else {
+        // Running -> over. No ticket means an abandoner took it
+        // mid-flight: the promise is resolved, a replacement worker may
+        // already be running — discard the result and retire.
+        let Some(ticket) = shared.finish() else {
             if let Ok(stream) = result {
                 guarded_drop(stream);
             }
@@ -300,11 +286,11 @@ impl PoolCore {
         };
         drop(ticket); // release the admission slot
         match result {
-            // A request cancelled while it performed gets its raw stream
-            // parked (the dropping handle discards it); starting a
-            // prefetch for it would burn this worker on per-row latency
-            // nobody will consume.
-            Ok(stream) if prefetch > 0 && !shared.is_cancelled() => {
+            // A request whose handle is gone gets its raw stream parked
+            // (dropped with the request); starting a prefetch for it
+            // would burn this worker on per-row latency nobody will
+            // consume.
+            Ok(stream) if prefetch > 0 && !shared.is_dropped() => {
                 let buf = RowBuf::new(stream, prefetch, self);
                 // Resolve first so waiters start consuming while this
                 // worker works ahead of them.
@@ -318,27 +304,6 @@ impl PoolCore {
             other => _ = shared.resolve_stream(other),
         }
         false
-    }
-
-    /// Steal a mid-flight request's parked admission ticket and release
-    /// it, orphaning the worker that is (perhaps forever) running it and
-    /// spawning a replacement so pool capacity is restored. Called by an
-    /// abandoning waiter (deadline passed, query cancelled, handle
-    /// dropped unredeemed); never blocks on the worker. Returns `false`
-    /// — leaving the ticket with the worker — if the request is not
-    /// mid-flight (not yet picked up, or already finished), the pool is
-    /// shut down, or the orphan budget is spent, in which case capacity
-    /// temporarily shrinks instead of the pool growing an unbounded
-    /// thread herd against a dead source.
-    ///
-    /// The ticket is released inside [`Executor::disown`], *before* the
-    /// replacement it spawns can reach admission, so `in_flight <= limit`
-    /// holds at every instant. Lock order: the ticket slot, then the
-    /// executor's state. The finishing worker takes only the ticket
-    /// slot; no path takes them in the opposite order.
-    pub(crate) fn abandon_running(&self, shared: &ReqShared) -> bool {
-        let mut slot = shared.lock_ticket_slot();
-        slot.is_some() && self.exec.disown(|| drop(slot.take()))
     }
 
     /// Queue a row-prefetch refill. On a shut-down pool the task runs
@@ -730,13 +695,9 @@ mod tests {
             })
         };
         assert_eq!(queued.poll(), RequestStatus::Pending);
-        queued.cancel();
-        // Cancellation resolves immediately — queue removal, no worker.
-        assert_eq!(queued.poll(), RequestStatus::Cancelled);
-        match queued.wait() {
-            Err(e) => assert!(matches!(e, KError::Cancelled(_)), "{e}"),
-            Ok(_) => panic!("cancelled request must not yield a stream"),
-        }
+        // Dropping the handle cancels the request: queue removal, no
+        // worker.
+        drop(queued);
         assert_eq!(collect(slow).len(), 1);
         assert_eq!(ran.load(Ordering::SeqCst), 1, "queued request never ran");
         assert_eq!(pool.threads_spawned(), 1, "no thread for the queued request");
@@ -1082,9 +1043,8 @@ mod tests {
             );
             thread::sleep(Duration::from_millis(1));
         }
-        // in_flight counts the ticket acquisition; give the worker a
-        // beat to park the ticket where an abandoner can steal it.
-        thread::sleep(Duration::from_millis(5));
+        // The ticket is on the request from the moment it is counted:
+        // an abandoner can take it back at once.
     }
 
     fn await_orphans(pool: &WorkerPool, n: usize) {
@@ -1105,14 +1065,17 @@ mod tests {
         let latch = wedge_latch();
         let h = submit_wedged(&pool, &latch);
         await_in_flight(&pool, 1);
+        // The deadline passes: the waiter abandons the request.
+        thread::sleep(Duration::from_millis(50));
         let t0 = std::time::Instant::now();
-        let out = h.wait_deadline(std::time::Instant::now() + Duration::from_millis(50));
+        assert!(h.abandon(KError::timeout("t", "request deadline exceeded")));
+        let out = h.wait();
         let elapsed = t0.elapsed();
         match out {
             Err(e) => assert!(e.is_timeout(), "{e}"),
             Ok(_) => panic!("wedged work must not yield a stream"),
         }
-        assert!(elapsed < Duration::from_millis(300), "timed out in {elapsed:?}");
+        assert!(elapsed < Duration::from_millis(250), "abandoned in {elapsed:?}");
         assert_eq!(pool.gate().in_flight(), 0, "ticket stolen back on timeout");
         assert_eq!(pool.orphans(), 1, "the wedged worker was orphaned");
         // The pool still serves: a replacement worker takes new work
@@ -1127,17 +1090,21 @@ mod tests {
     }
 
     #[test]
-    fn wait_deadline_returns_rows_when_the_work_beats_the_clock() {
+    fn abandon_loses_to_rows_that_beat_it() {
         let pool = WorkerPool::new("t", 1, None);
         let h = pool.submit(0, move || {
             thread::sleep(Duration::from_millis(2));
             Ok(rows_stream(3))
         });
-        let stream = h
-            .wait_deadline(std::time::Instant::now() + Duration::from_secs(5))
-            .unwrap();
+        let t0 = std::time::Instant::now();
+        while h.poll() == RequestStatus::Pending {
+            assert!(t0.elapsed() < Duration::from_secs(2), "request never resolved");
+            thread::sleep(Duration::from_millis(1));
+        }
+        assert!(!h.abandon(KError::timeout("t", "too late")), "the reply won");
+        let stream = h.wait().unwrap();
         assert_eq!(stream.collect::<KResult<Vec<_>>>().unwrap().len(), 3);
-        assert_eq!(pool.orphans(), 0, "no abandonment on the happy path");
+        assert_eq!(pool.orphans(), 0, "no worker was on the wire to orphan");
     }
 
     #[test]
@@ -1204,8 +1171,8 @@ mod tests {
         assert_eq!(collect(running).len(), 1, "the last request runs to its end");
         await_orphans(&pool, 0);
         assert_eq!(pool.gate().in_flight(), 0);
-        // One replacement per stolen ticket (an abandonment that lands
-        // before the ticket is parked orphans nobody).
+        // One replacement per ticket taken back (an abandonment that
+        // finds the orphan budget spent orphans nobody).
         let spawned = pool.threads_spawned();
         assert!((100..=1 + 200).contains(&spawned), "{spawned} threads for 200 abandonments");
     }

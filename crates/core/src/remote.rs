@@ -464,7 +464,7 @@ mod tests {
 
     #[test]
     fn pool_errors_name_the_registered_driver() {
-        let gdb = Remote::serve("GDB", Scripted { limit: 2 }, LatencyModel::instant());
+        let gdb = Arc::new(Remote::serve("GDB", Scripted { limit: 2 }, LatencyModel::instant()));
         // a panic while performing the request
         let err = gdb
             .submit(&call("panic"))
@@ -477,11 +477,10 @@ mod tests {
             "driver 'GDB': driver panicked while performing the request"
         );
         // a missed deadline
-        let hung = gdb.submit(&call("hang")).unwrap();
-        let err = hung
-            .wait_deadline(Instant::now() + Duration::from_millis(10))
-            .err()
-            .expect("timed out");
+        let driver: crate::DriverRef = Arc::clone(&gdb) as _;
+        let deadline = Some(Instant::now() + Duration::from_millis(10));
+        let mut hung = gdb.resilience().fetch(&driver, &[call("hang")], Fetch::Window, deadline, None);
+        let err = hung.pop().unwrap().unwrap().wait().err().expect("timed out");
         assert!(
             matches!(&err, KError::Timeout { driver, .. } if driver == "GDB"),
             "{err}"

@@ -19,8 +19,8 @@
 //! 1. **Deadlines.** A waiter blocks at most until its caller's deadline
 //!    (the query's budget; a source advertises none), then
 //!    resolves [`crate::KError::Timeout`] through the request's one-shot
-//!    promise, steals the parked admission ticket back from the (maybe
-//!    wedged) worker, and returns — never blocking on the worker. The
+//!    promise, takes the admission ticket back from the (maybe wedged)
+//!    worker, and returns — never blocking on the worker. The
 //!    pool replaces the abandoned worker up to a bounded orphan budget
 //!    (`crate::pool`).
 //! 2. **Bounded retry.** Failures classified retryable by
@@ -309,9 +309,9 @@ impl CircuitBreaker {
 /// query: the session's `QueryHandle` cancels it (explicitly or on
 /// drop), and every in-flight driver request registered via
 /// [`CancelToken::watch`] is pulsed awake so its waiter abandons the
-/// round-trip *immediately* — stealing the parked admission ticket back
-/// from a wedged worker — instead of discovering the flag at the next
-/// row boundary. This is what makes dropping a query against a
+/// round-trip *immediately* — taking the admission ticket back from a
+/// wedged worker — instead of discovering the flag at the next row
+/// boundary. This is what makes dropping a query against a
 /// never-responding driver release the gate width without blocking the
 /// dropper.
 #[derive(Default)]
@@ -894,37 +894,27 @@ fn round(cx: &DriveCtx<'_>, handle: RequestHandle) -> KResult<BlockStream> {
     if let Some(t) = cx.cancel {
         t.watch(handle.watcher());
     }
-    loop {
+    let err = loop {
         match handle.wait_for_ref(cx.deadline, || cx.cancelled()) {
             WaitFor::Ready => return handle.wait(),
-            WaitFor::Interrupted => return abandon_cancelled(handle),
+            WaitFor::Interrupted => {
+                break KError::cancelled("query cancelled while the request was in flight")
+            }
             // A clock race re-enters the wait.
             WaitFor::TimedOut if cx.deadline.is_some_and(|d| Instant::now() >= d) => {
-                return timeout(cx, handle)
+                break KError::timeout(&cx.res.name, "request deadline exceeded")
             }
             WaitFor::TimedOut => {}
         }
-    }
-}
-
-fn timeout(cx: &DriveCtx<'_>, handle: RequestHandle) -> KResult<BlockStream> {
-    let err = KError::timeout(&cx.res.name, "request deadline exceeded");
-    if handle.abandon(err.clone()) {
-        cx.res.metrics.record_timeout();
-        Err(err)
-    } else {
+    };
+    if !handle.abandon(err.clone()) {
         // The worker's answer won the set-once race: use it.
-        handle.wait()
+        return handle.wait();
     }
-}
-
-fn abandon_cancelled(handle: RequestHandle) -> KResult<BlockStream> {
-    let err = KError::cancelled("query cancelled while the request was in flight");
-    if handle.abandon(err.clone()) {
-        Err(err)
-    } else {
-        handle.wait()
+    if err.is_timeout() {
+        cx.res.metrics.record_timeout();
     }
+    Err(err)
 }
 
 /// An attached waiter's wait for its flight: replay the result the batch

@@ -47,6 +47,10 @@ pub struct Context {
     /// Per-query byte budget ([`Context::with_byte_budget`]), shared by
     /// every clone of the query's context.
     bytes: Option<Arc<ByteBudget>>,
+    /// One [`SingleFlight`] per `Cached { id }` subquery evaluated since
+    /// the table was made ([`Context::with_own_cache`]) or cleared; per
+    /// query, like the byte budget.
+    cache: Arc<Mutex<HashMap<u64, Arc<SingleFlight<Value>>>>>,
     /// This clone evaluates an expression that mentions no remote source
     /// ([`Context::for_bodies`]): nothing under it can start ahead, and the
     /// evaluator need not look.
@@ -75,9 +79,6 @@ struct ByteBudget {
 struct CtxInner {
     drivers: HashMap<String, DriverRef>,
     object_stores: Vec<Arc<dyn ObjectStore>>,
-    /// One [`SingleFlight`] per `Cached { id }` subquery evaluated since
-    /// the last [`Context::cache_clear`].
-    cache: Mutex<HashMap<u64, Arc<SingleFlight<Value>>>>,
     /// The compute pool parallel loops' chunks (and the session's query
     /// workers) run on.
     executor: Arc<Executor>,
@@ -104,12 +105,12 @@ impl Context {
             inner: Arc::new(CtxInner {
                 drivers: HashMap::new(),
                 object_stores: Vec::new(),
-                cache: Mutex::new(HashMap::new()),
                 executor,
             }),
             deadline: None,
             cancel: None,
             bytes: None,
+            cache: Arc::default(),
             remote_free: false,
             element: None,
         }
@@ -186,6 +187,16 @@ impl Context {
             limit,
             spent: AtomicU64::new(0),
         }));
+        c
+    }
+
+    /// A clone of this context with an empty table of subquery slots of
+    /// its own, shared by every clone made from it: a query started
+    /// under it evaluates each `Cached` subquery once, whatever other
+    /// queries on the same registry start or clear.
+    pub fn with_own_cache(&self) -> Context {
+        let mut c = self.clone();
+        c.cache = Arc::default();
         c
     }
 
@@ -320,7 +331,7 @@ impl Context {
     /// deterministic structural hash (assigned by the optimizer's cache
     /// rule), so recompiled plans address the same slots.
     pub(crate) fn cache_join(&self, id: u64) -> KResult<Join<Value>> {
-        let slot = Arc::clone(self.inner.cache.lock().entry(id).or_default());
+        let slot = Arc::clone(self.cache.lock().entry(id).or_default());
         slot.join(self.deadline, self.cancel.as_ref())
             .map_err(|_| self.spent_budget())
     }
@@ -333,12 +344,13 @@ impl Context {
 
     /// Look up a memoized subquery result (testing convenience).
     pub fn cache_get(&self, id: u64) -> Option<Value> {
-        self.inner.cache.lock().get(&id)?.peek()
+        self.cache.lock().get(&id)?.peek()
     }
 
-    /// Drop all memoized results (between queries).
+    /// Drop all memoized results in this context's table (between
+    /// queries evaluated on it directly).
     pub fn cache_clear(&self) {
-        self.inner.cache.lock().clear();
+        self.cache.lock().clear();
     }
 }
 
@@ -448,7 +460,7 @@ impl Context {
         if let Ok(Join::Lead(lead)) = slot.join(None, None) {
             lead.commit(v);
         }
-        self.inner.cache.lock().insert(id, slot);
+        self.cache.lock().insert(id, slot);
     }
 }
 

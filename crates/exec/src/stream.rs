@@ -122,8 +122,8 @@ use std::sync::{Arc, Weak};
 
 use kleisli_core::resilience::ResilientHandle;
 use kleisli_core::{
-    lazy_blocks, BlockSource, BlockStream, CollKind, DriverRequest, Join, KError, KResult, Lead,
-    Value, ValueBlock, DEFAULT_BLOCK_ROWS,
+    lazy_blocks, shared_blocks, BlockSource, BlockStream, CollKind, DriverRequest, Join, KError,
+    KResult, Lead, Value, ValueBlock, DEFAULT_BLOCK_ROWS,
 };
 use nrc::{Expr, LoopStrategy, Name};
 use parking_lot::Mutex;
@@ -284,16 +284,17 @@ pub(crate) fn blocks_at(
         }
     }
     match e {
-        Expr::Empty(_) => Ok(slice_blocks(Arc::new(Vec::new()))),
+        Expr::Empty(_) => Ok(shared_blocks(Arc::default(), None)),
         Expr::Single(_, inner) => match start(inner, env, ctx, fetch) {
-            Pending::Lazy(_) => Ok(slice_blocks(Arc::new(vec![eval(inner, env, ctx)?]))),
+            Pending::Lazy(_) => Ok(shared_blocks(Arc::new(vec![eval(inner, env, ctx)?]), None)),
             // The element has requests in flight; it is drained on first
             // pull, so the sibling arms built next put theirs in flight
             // beside them.
             started => {
                 let (env, ctx) = (env.clone(), ctx.clone());
                 Ok(lazy_blocks(move || {
-                    Ok(slice_blocks(Arc::new(vec![started.finish(&env, &ctx)?])))
+                    let v = started.finish(&env, &ctx)?;
+                    Ok(shared_blocks(Arc::new(vec![v]), None))
                 }))
             }
         },
@@ -462,33 +463,7 @@ fn value_blocks(v: &Value, want: Want) -> KResult<BlockStream> {
     let (Value::Set(es) | Value::Bag(es) | Value::List(es)) = v else {
         unreachable!("`Want::check` rejects non-collections")
     };
-    Ok(slice_blocks(Arc::clone(es)))
-}
-
-fn slice_blocks(elems: Arc<Vec<Value>>) -> BlockStream {
-    Box::new(SliceBlocks { elems, i: 0 })
-}
-
-/// Blocks over a shared element vector (cache hits, `Single`, computed
-/// values). Clones elements only as they are packed.
-struct SliceBlocks {
-    elems: Arc<Vec<Value>>,
-    i: usize,
-}
-
-impl BlockSource for SliceBlocks {
-    fn next_block(&mut self, max_rows: usize) -> Option<ValueBlock> {
-        let n = (self.elems.len() - self.i).min(max_rows.max(1));
-        if n == 0 {
-            return None;
-        }
-        let mut b = ValueBlock::with_capacity(n);
-        for v in &self.elems[self.i..self.i + n] {
-            b.push_row(v.clone());
-        }
-        self.i += n;
-        Some(b)
-    }
+    Ok(shared_blocks(Arc::clone(es), None))
 }
 
 /// Pull at most `n` elements from the stream of `e` — the "fast response"

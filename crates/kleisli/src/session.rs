@@ -794,17 +794,14 @@ impl Session {
     /// // The full result of the other query.
     /// assert_eq!(all.wait().unwrap().len(), Some(100));
     /// ```
-    ///
-    /// Note: starting a query clears the session's subquery cache, so
-    /// queries *currently in flight* on the same session may recompute
-    /// cached subtrees.
     pub fn start(&self, compiled: &Arc<Compiled>, how: How) -> QueryHandle {
         let cancel = how.cancel.unwrap_or_default();
-        // Thread the query budget into the evaluation context: every
+        // Thread the query budget into the evaluation context, with
+        // subquery slots of its own: every
         // remote wait and block boundary below this clone observes the
         // deadline and the cancellation token, and every collection
         // charges the byte budget.
-        let mut ctx = self.ctx.with_cancel_token(Arc::clone(&cancel));
+        let mut ctx = self.ctx.with_own_cache().with_cancel_token(Arc::clone(&cancel));
         if let Some(budget) = how.deadline {
             ctx = ctx.with_deadline(Instant::now() + budget);
         }
@@ -823,7 +820,6 @@ impl Session {
             }
             _ => None,
         };
-        self.ctx.cache_clear();
         let job = Job {
             compiled: Arc::clone(compiled),
             ctx,

@@ -9,8 +9,8 @@ use std::time::{Duration, Instant};
 
 use bench_harness::set_par_width;
 use kleisli::{Compiled, How, QueryHandle, QueryStatus, Session};
-use kleisli_core::testutil::{assert_quiescent, SlowDriver};
-use kleisli_core::Value;
+use kleisli_core::testutil::{assert_quiescent, Fault, SlowDriver};
+use kleisli_core::{Driver, Value};
 
 /// A session over one slow driver plus an `IDS` binding for per-element
 /// remote loops.
@@ -269,4 +269,28 @@ fn session_queries_prefetch_rows_on_latency_charging_drivers() {
         &*pre_session.context(),
         &*lazy_session.context(),
     ]);
+}
+
+#[test]
+fn a_query_started_beside_another_keeps_its_cached_subquery() {
+    // A cached scan re-joined by every element of a loop that is parked
+    // on a wedged call: a second query started on the same session
+    // meanwhile must not make the first fetch its cached subquery again.
+    let src = SlowDriver::new("SRC", 3, Duration::ZERO, 4);
+    let other = SlowDriver::new("OTHER", 1, Duration::ZERO, 1);
+    other.set_fault(Fault::NeverRespond);
+    let mut s = slow_session(Arc::clone(&src), 6);
+    s.register_driver(other.clone());
+    let q = r#"{[i = i, n = count(SRC([table = "t"])), m = count(OTHER([function = "probe", arg = i]))] | \i <- IDS}"#;
+    let first = start(&s, q, None);
+    let t0 = Instant::now();
+    while other.requests_started() == 0 {
+        assert!(t0.elapsed() < Duration::from_secs(5), "the loop never reached OTHER");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(start(&s, "count(IDS)", None).wait().unwrap(), Value::Int(6));
+    other.release_wedged();
+    assert_eq!(first.wait().unwrap().len(), Some(6));
+    assert_eq!(src.metrics().requests, 1, "one SRC request for the cached scan");
+    assert_quiescent(&[&*src, &*other, &*s.context()]);
 }

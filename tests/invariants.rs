@@ -263,6 +263,26 @@ fn one_caller_helps_task() {
     assert_eq!(paths(naming), Vec::<&str>::new());
 }
 
+/// One request cell. A driver request's stage — queued work, a running
+/// worker's admission ticket, or over — is one value under one lock in
+/// `core::driver`, and a handle lets go of it by dropping or abandoning
+/// it. The names below are the second slot, the flags and the second
+/// deadline wait this replaced.
+#[test]
+fn one_request_cell() {
+    let gone = [
+        "claim_work",
+        "park_ticket",
+        "steal_ticket",
+        "lock_ticket_slot",
+        "resolved_cancelled",
+        "wait_deadline",
+    ];
+    let all = crate_sources();
+    let naming = all.iter().filter(|s| gone.iter().any(|w| s.names(w)));
+    assert_eq!(paths(naming), Vec::<&str>::new());
+}
+
 /// One join choice. A local join's operator is whether it has keys
 /// (`nrc::Expr::Join::keys`: `Some` the indexed nested loop, `None` the
 /// blocked one); a strategy tag beside the keys stores that one decision

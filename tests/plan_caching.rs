@@ -9,6 +9,7 @@ use std::time::Duration;
 use bio_data::{GdbConfig, GenBankConfig};
 use kleisli::{bio_federation, BioFederation, How, PlanCache, Session};
 use kleisli_core::{LatencyModel, Value};
+use kleisli_exec::{eval, Env};
 use kleisli_opt::OptConfig;
 use nrc::Expr;
 
@@ -75,10 +76,11 @@ fn cached_ids_are_stable_across_pointer_distinct_compiles() {
     };
     assert_ne!(arcs(&c1.optimized), arcs(&c2.optimized));
 
-    // Running the query populates exactly those slots in the session's
-    // Context — the deterministic id is a real slot address.
-    let s1 = s1;
-    let v = s1.query(CACHEABLE).expect("run");
+    // Evaluating the plan populates exactly those slots in the Context
+    // it runs on — the deterministic id is a real slot address. (A query
+    // the session starts gets a table of its own; the session's Context
+    // keeps the one direct evaluation uses.)
+    let v = eval(&c2.optimized, &Env::empty(), &s1.context()).expect("run");
     assert_eq!(v.len(), Some(20));
     for id in &ids1 {
         assert!(
