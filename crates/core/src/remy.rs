@@ -156,6 +156,14 @@ impl RemyRecord {
         RemyRecord { dir, fields }
     }
 
+    /// A record of `dir`'s shape from its values in directory order: no
+    /// sort and no interning, for a caller holding the directory already.
+    pub fn from_dir(dir: Arc<Directory>, values: impl IntoIterator<Item = Value>) -> RemyRecord {
+        let fields: Arc<[Value]> = values.into_iter().collect();
+        debug_assert_eq!(dir.width(), fields.len(), "one value per field");
+        RemyRecord { dir, fields }
+    }
+
     /// The empty record `[]`.
     pub fn empty() -> RemyRecord {
         RemyRecord::new(Vec::new())

@@ -10,11 +10,16 @@
 //! backslash, newline and carriage return escaped, so a token never spans
 //! lines. [`write_exchange_into`] writes a value's lines in one walk over
 //! it and [`read_exchange`] builds the value in one pass over its lines:
-//! there is no token type in between.
+//! there is no token type in between. A reply's records mostly share a
+//! few shapes, so the reader keeps, for one read, the last directory it
+//! read at each nesting depth, and builds a record whose `L` lines spell
+//! that directory's names in order from it ([`RemyRecord::from_dir`])
+//! without interning it again.
 
 use std::sync::Arc;
 
 use crate::error::{KError, KResult};
+use crate::remy::{Directory, RemyRecord};
 use crate::value::{CollKind, Oid, Value};
 
 /// How deeply an exchange text may nest collections, records and
@@ -151,7 +156,7 @@ fn put_escaped(out: &mut impl ExchangeSink, text: &str) -> bool {
 /// are skipped.
 pub fn read_exchange(text: &str) -> KResult<Value> {
     let mut lines = text.lines().filter(|l| !l.is_empty());
-    let v = read_value(next_line(&mut lines)?, &mut lines, 0)?;
+    let v = read_value(next_line(&mut lines)?, &mut lines, &mut Vec::new(), 0)?;
     if lines.next().is_some() {
         return Err(KError::exchange("trailing lines after the value"));
     }
@@ -164,11 +169,15 @@ fn next_line<'t>(lines: &mut impl Iterator<Item = &'t str>) -> KResult<&'t str> 
         .ok_or_else(|| KError::exchange("unexpected end of exchange text"))
 }
 
+/// The last directory read at each nesting depth (module docs).
+type Shapes = Vec<Option<Arc<Directory>>>;
+
 /// The value `line` opens, itself `depth` levels down; a collection,
 /// record or variant reads the lines up to its close from `rest`.
 fn read_value<'t>(
     line: &'t str,
     rest: &mut impl Iterator<Item = &'t str>,
+    shapes: &mut Shapes,
     depth: usize,
 ) -> KResult<Value> {
     if depth > MAX_NESTING {
@@ -183,21 +192,21 @@ fn read_value<'t>(
         "B 0" => return Ok(Value::Bool(false)),
         "B 1" => return Ok(Value::Bool(true)),
         "R" => {
-            let mut fields = Vec::new();
+            let width = shapes.get(depth).and_then(Option::as_ref).map_or(0, |d| d.width());
+            let mut fields = Vec::with_capacity(width);
             loop {
                 let line = rest
                     .next()
                     .ok_or_else(|| KError::exchange("unterminated record"))?;
                 if line == "r" {
-                    return Ok(Value::record(fields));
+                    return record(fields, shapes, depth).map(Value::Record);
                 }
                 let Some(name) = line.strip_prefix("L ") else {
                     return Err(KError::exchange(format!(
                         "expected field or end-of-record, got line {line:?}"
                     )));
                 };
-                let name = unescape(name)?;
-                fields.push((name, read_value(next_line(rest)?, rest, depth + 1)?));
+                fields.push((name, read_value(next_line(rest)?, rest, shapes, depth + 1)?));
             }
         }
         _ => {}
@@ -229,12 +238,12 @@ fn read_value<'t>(
                 if line == "c" {
                     return Ok(Value::collection(kind, elems));
                 }
-                elems.push(read_value(line, rest, depth + 1)?);
+                elems.push(read_value(line, rest, shapes, depth + 1)?);
             }
         }
         "V" => {
             let tag = unescape(arg)?;
-            let inner = read_value(next_line(rest)?, rest, depth + 1)?;
+            let inner = read_value(next_line(rest)?, rest, shapes, depth + 1)?;
             match rest.next() {
                 Some("v") => Ok(Value::Variant(tag, Arc::new(inner))),
                 other => Err(KError::exchange(format!(
@@ -255,6 +264,27 @@ fn read_value<'t>(
         }
         _ => Err(unknown(line)),
     }
+}
+
+/// The record of `fields`, named as their `L` lines spell them: built
+/// from the last directory read at `depth` if the names spell it in
+/// order, and otherwise anew, its directory becoming that depth's last.
+fn record(fields: Vec<(&str, Value)>, shapes: &mut Shapes, depth: usize) -> KResult<RemyRecord> {
+    // A line with an escape in it names something other than its text,
+    // so it is never taken as spelling a name.
+    let spelled = |dir: &&Arc<Directory>| {
+        let mut names = dir.names().iter().zip(&fields);
+        dir.width() == fields.len() && names.all(|(n, (raw, _))| **n == **raw && !raw.contains('\\'))
+    };
+    if let Some(dir) = shapes.get(depth).and_then(Option::as_ref).filter(spelled) {
+        let dir = Arc::clone(dir);
+        return Ok(RemyRecord::from_dir(dir, fields.into_iter().map(|(_, v)| v)));
+    }
+    let fields = fields.into_iter().map(|(raw, v)| Ok((unescape(raw)?, v)));
+    let record = RemyRecord::new(fields.collect::<KResult<_>>()?);
+    shapes.resize(shapes.len().max(depth + 1), None);
+    shapes[depth] = Some(Arc::clone(record.dir()));
+    Ok(record)
 }
 
 fn unknown(line: &str) -> KError {

@@ -10,9 +10,7 @@ use std::time::Duration;
 
 use kleisli_core::Value;
 
-use crate::proto::{
-    encode_request, read_frame, write_frame, Request, Response, ServedFrom,
-};
+use crate::proto::{encode_request, read_frame, write_frame, Request, Response, ServedFrom};
 
 /// The terminal outcome of one query. The server's admission and drain
 /// rejections arrive as `Error` frames with well-known message
@@ -130,7 +128,11 @@ impl Client {
     pub fn wait_reply(&mut self, id: u64) -> io::Result<QueryReply> {
         loop {
             match self.read_response()? {
-                Response::Result { id: got, served, value } if got == id => {
+                Response::Result {
+                    id: got,
+                    served,
+                    value,
+                } if got == id => {
                     return Ok(QueryReply::Value { value, served });
                 }
                 Response::Error { id: got, message } if got == id => {
@@ -172,7 +174,11 @@ impl Client {
         })?;
         loop {
             match self.read_response()? {
-                Response::Flushed { id: got, plans, results } if got == id => {
+                Response::Flushed {
+                    id: got,
+                    plans,
+                    results,
+                } if got == id => {
                     return Ok((plans, results));
                 }
                 Response::Error { id: got, message } if got == id => {

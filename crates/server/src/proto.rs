@@ -299,10 +299,10 @@ pub fn decode_response(payload: &[u8]) -> io::Result<Response> {
                 1 => ServedFrom::SharedCache,
                 other => return Err(malformed(format!("bad served-from byte {other}"))),
             };
-            let text = std::str::from_utf8(text)
-                .map_err(|_| malformed("result value is not UTF-8"))?;
-            let value = read_exchange(text)
-                .map_err(|e| malformed(format!("bad value payload: {e}")))?;
+            let text =
+                std::str::from_utf8(text).map_err(|_| malformed("result value is not UTF-8"))?;
+            let value =
+                read_exchange(text).map_err(|e| malformed(format!("bad value payload: {e}")))?;
             Ok(Response::Result { id, served, value })
         }
         OP_ERROR => Ok(Response::Error {

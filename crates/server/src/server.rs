@@ -58,13 +58,25 @@
 //! A connection is a tenant. Each has
 //! [`ServerConfig::max_queries_per_connection`] *run slots* and a FIFO
 //! of at most [`ServerConfig::queue_depth_per_connection`] admitted
-//! queries waiting for one; a QUERY arriving with the queue full is
-//! rejected immediately with an `Error` response (message prefix
-//! `"busy:"`) instead of stalling the connection. **A gate wait is
-//! data**: the waiting query is an `(id, text)` entry in its
-//! connection's queue — no thread, no executor worker — and the run
-//! slot a finishing query releases is handed straight to the head of
-//! that queue, which only then becomes a task (`RunSlot`). A hot tenant
+//! queries waiting for one; a QUERY arriving with both full is rejected
+//! immediately with an `Error` response (message prefix `"busy:"`)
+//! instead of stalling the connection. **A query is one cell entry** from
+//! admission to its terminal frame: the connection's `Queries` maps each
+//! admitted id to its stage — `Waiting(text)` or `Running(token)` — and
+//! keeps the FIFO of waiting ids, under one lock, so admission, CANCEL
+//! routing, the hand-on of run slots and the drain's count all read and
+//! move the same state:
+//!
+//! ```text
+//!  QUERY ──admit──► Waiting(text) ──start──► Running(token) ──finish──► gone
+//!   │ (duplicate id,       │                      │   (hands the slot to
+//!   │  or slots and FIFO   └─cancel: answered     │    the FIFO's head)
+//!   └─ full: refused)        at once, gone        └─cancel: token cancelled
+//! ```
+//!
+//! **A gate wait is data**: a waiting query holds no thread and no
+//! executor worker, and becomes a task only when it takes a run slot —
+//! at once, or when a finishing query hands its slot on. A hot tenant
 //! therefore saturates *its own* slots and queue while every other
 //! tenant's queries keep flowing — downstream, the shared executor and
 //! the per-driver gates arbitrate between tenants' admitted queries on
@@ -82,8 +94,8 @@
 //! ([`ServerConfig::write_deadline`]). A client that stops reading
 //! fills its kernel send buffer, the writer's next write times out (or
 //! the queue overflows first), and the connection is *condemned*: the
-//! socket is shut down, pending frames are dropped, and its in-flight
-//! queries are cancelled. The stall costs the stalled tenant its
+//! socket is shut down, pending frames are dropped, and the reader,
+//! finding its socket closed, cancels its in-flight queries. The stall costs the stalled tenant its
 //! connection and nothing else — no executor worker, and no other
 //! tenant's responses, ever block on a hostile peer's socket.
 //!
@@ -91,27 +103,31 @@
 //!
 //! [`ServerHandle::shutdown`] (and `shutdown_within`) drains rather
 //! than drops: accepting stops, new QUERY frames are rejected with a
-//! `shutting-down:` error, in-flight queries run to completion and
-//! flush their terminal frames through the writer queues — all bounded
-//! by [`DRAIN_DEADLINE`] (or the caller's own bound), after which
-//! stragglers are cancelled. Each reader waits until its connection's
-//! last query task has released its run slot (a count, not a join: the
-//! tasks are the executor's), then closes and joins its writer; every
-//! reader is joined before `shutdown` returns.
+//! `shutting-down:` error, and in-flight queries run to completion and
+//! flush their terminal frames through the writer queues. The drain
+//! waits on each connection's cell until it is empty, all under one
+//! absolute deadline — [`DRAIN_DEADLINE`] or the caller's own bound —
+//! after which the stragglers are cancelled. No connection can join
+//! mid-wait: accepting stopped first. Each reader then waits until its
+//! cell is empty (the tasks are the executor's, so it waits on the
+//! cell, not on a join), closes and joins its writer; every reader is
+//! joined before `shutdown` returns.
 //!
 //! # Cancellation
 //!
-//! CANCEL frames act on the query id: a running query is stopped
-//! cooperatively through its cancellation token, a queued one — waiting
-//! for a run slot or for an executor worker — is marked and answers as
-//! soon as its turn comes, without evaluating (the client still
-//! receives a terminal frame for that id, normally an `Error` reporting
-//! the cancellation). Cancelling a query that is populating the shared
-//! result cache drops its populate ticket, handing the lead to a waiting
-//! session — the shared cache is never poisoned by a cancelled flight —
-//! and cancelling one that is *waiting* on another session's flight
-//! answers it at once and leaves that flight alone. CANCEL for an
-//! unknown or already-finished id is an acknowledged no-op.
+//! CANCEL frames act on the query id. A waiting query leaves the FIFO
+//! and is answered when the CANCEL arrives — an `Error` reporting the
+//! cancellation — and its place is free for the next QUERY. A running
+//! one is stopped cooperatively through its token; the token is made
+//! when the query takes its run slot, so one still waiting for an
+//! executor worker answers "cancelled before it started" without
+//! compiling. Either way the client receives a terminal frame for the
+//! id. Cancelling a query that is populating the shared result cache
+//! drops its populate ticket, handing the lead to a waiting session —
+//! the shared cache is never poisoned by a cancelled flight — and
+//! cancelling one that is *waiting* on another session's flight answers
+//! it at once and leaves that flight alone. CANCEL for an unknown or
+//! already-finished id is an acknowledged no-op.
 //!
 //! # Wire-level cache invalidation
 //!
@@ -123,6 +139,7 @@
 //! observable through the caches' `generation` accessors.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -132,14 +149,14 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use kleisli::{How, PlanCache, Session};
-use kleisli_core::testutil::Quiescent;
 use kleisli_core::print::escape_str;
+use kleisli_core::testutil::Quiescent;
 use kleisli_core::{BreakerState, CancelToken, DriverRef, Executor, KError};
 use kleisli_exec::ResultCache;
 
 use crate::proto::{
-    decode_request, encode_response, encode_result_frame, encode_result_text, frame, write_frame,
-    Request, Response, ServedFrom, MAX_FRAME_LEN,
+    decode_request, encode_response, encode_result_frame, encode_result_text, frame, read_frame,
+    write_frame, Request, Response, ServedFrom, MAX_FRAME_LEN,
 };
 
 /// Tuning knobs for a [`serve`] call. `Default` gives a 64-plan shared
@@ -220,9 +237,6 @@ struct ServerShared {
     /// state, so shutdown can cancel stragglers and join every reader.
     conns: Mutex<HashMap<u64, ConnEntry>>,
     next_conn_id: AtomicU64,
-    /// Queries admitted (queued or running) but not yet terminal —
-    /// what the drain phase waits on.
-    active_queries: AtomicU64,
     connections_total: AtomicU64,
     connections_open: AtomicU64,
     connections_shed: AtomicU64,
@@ -237,7 +251,7 @@ struct ServerShared {
 
 /// One live connection as seen by the accept loop and shutdown.
 struct ConnEntry {
-    handle: Option<JoinHandle<()>>,
+    handle: JoinHandle<()>,
     conn: Arc<Conn>,
 }
 
@@ -252,17 +266,19 @@ impl ServerShared {
         (16 * self.result_limit() as u64).max(16 << 20)
     }
 
+    fn conns(&self) -> MutexGuard<'_, HashMap<u64, ConnEntry>> {
+        self.conns.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Run slots taken and queries waiting for one, over every
     /// connection.
     fn admission(&self) -> (usize, usize) {
-        let conns = self.conns.lock().unwrap_or_else(|e| e.into_inner());
-        conns.values().fold((0, 0), |(running, waiting), entry| {
-            let admission = entry.conn.lock_admission();
-            (
-                running + admission.running,
-                waiting + admission.waiting.len(),
-            )
-        })
+        self.conns()
+            .values()
+            .fold((0, 0), |(running, waiting), entry| {
+                let (r, w) = entry.conn.queries.counts();
+                (running + r, waiting + w)
+            })
     }
 
     /// The STATS payload: one JSON document over the shared-cache and
@@ -311,7 +327,10 @@ impl ServerShared {
             r.bytes,
             r.peak_bytes,
             r.budget,
-            session.map_or(String::new(), |s| format!(",\"drivers\":{}", drivers_json(s))),
+            session.map_or(String::new(), |s| format!(
+                ",\"drivers\":{}",
+                drivers_json(s)
+            )),
         )
     }
 }
@@ -325,21 +344,34 @@ fn drivers_json(session: &Session) -> String {
     let drivers: BTreeMap<&str, &DriverRef> = ctx.drivers().map(|d| (d.name(), d)).collect();
     let driver = |(name, d): (&&str, &&DriverRef)| {
         let m = d.metrics();
-        let breaker = d.resilience().breaker_state().map_or("null", |state| match state {
-            BreakerState::Closed => "\"closed\"",
-            BreakerState::Open => "\"open\"",
-            BreakerState::HalfOpen => "\"half_open\"",
-        });
+        let breaker = d
+            .resilience()
+            .breaker_state()
+            .map_or("null", |state| match state {
+                BreakerState::Closed => "\"closed\"",
+                BreakerState::Open => "\"open\"",
+                BreakerState::HalfOpen => "\"half_open\"",
+            });
         format!(
             concat!(
                 "\"{}\":{{\"requests\":{},\"timeouts\":{},\"retries\":{},\"breaker_opens\":{},",
                 "\"coalesced\":{},\"batch_requests\":{},\"batched_keys\":{},\"breaker\":{}}}"
             ),
-            escape_str(name), m.requests, m.timeouts, m.retries, m.breaker_opens,
-            m.coalesced, m.batch_requests, m.batched_keys, breaker,
+            escape_str(name),
+            m.requests,
+            m.timeouts,
+            m.retries,
+            m.breaker_opens,
+            m.coalesced,
+            m.batch_requests,
+            m.batched_keys,
+            breaker,
         )
     };
-    format!("{{{}}}", drivers.iter().map(driver).collect::<Vec<_>>().join(","))
+    format!(
+        "{{{}}}",
+        drivers.iter().map(driver).collect::<Vec<_>>().join(",")
+    )
 }
 
 /// What a graceful shutdown accomplished; see
@@ -361,7 +393,6 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<ServerShared>,
     accept: Option<JoinHandle<()>>,
-    stopped: bool,
 }
 
 impl ServerHandle {
@@ -403,12 +434,13 @@ impl ServerHandle {
         self.shared.connections_shed.load(Ordering::Relaxed)
     }
 
-    /// Queries admitted but not yet terminal — the quantity the drain
-    /// phase waits on; `0` means no query holds a run slot or a place in
+    /// Queries admitted but not yet terminal, over every connection's
+    /// cell — what the drain waits on; `0` means no query holds a run slot or a place in
     /// a wait queue anywhere in the server (what the chaos suite asserts
     /// after every injected fault).
     pub fn active_queries(&self) -> u64 {
-        self.shared.active_queries.load(Ordering::SeqCst)
+        let (running, waiting) = self.shared.admission();
+        (running + waiting) as u64
     }
 
     /// Block on the accept loop (for a daemon main: serve until killed).
@@ -434,52 +466,40 @@ impl ServerHandle {
     }
 
     fn stop(&mut self, deadline: Duration) -> DrainReport {
-        if self.stopped {
-            return DrainReport {
-                drained: true,
-                elapsed: Duration::ZERO,
-            };
-        }
-        self.stopped = true;
         let start = Instant::now();
         // Phase 1: stop accepting. New QUERYs on live connections are
         // rejected by the readers once `draining` is up.
-        self.shared.draining.store(true, Ordering::SeqCst);
+        if self.shared.draining.swap(true, Ordering::SeqCst) {
+            let elapsed = Duration::ZERO;
+            return DrainReport {
+                drained: true,
+                elapsed,
+            };
+        }
         let _ = TcpStream::connect(self.addr); // nudge the listener
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
-        // Phase 2: drain — wait out admitted queries, bounded.
-        let mut drained = true;
-        while self.shared.active_queries.load(Ordering::SeqCst) > 0 {
-            if start.elapsed() >= deadline {
-                drained = false;
-                break;
-            }
-            thread::sleep(Duration::from_millis(2));
-        }
+        // Phase 2: drain — wait, under one absolute deadline, until every
+        // connection's cell is empty. Accepting has stopped and new
+        // QUERYs are refused, so no connection joins mid-wait.
+        let until = start.checked_add(deadline);
+        let entries: Vec<ConnEntry> = self.shared.conns().drain().map(|(_, e)| e).collect();
+        let drained = entries.iter().all(|e| e.conn.queries.wait_quiet(until));
         // Phase 3: stop the readers (they poll `shutdown` at 50 ms) and
         // cancel whatever outlived the deadline so the readers' waits
         // for their query tasks are prompt.
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        let entries: Vec<ConnEntry> = {
-            let mut conns = self.shared.conns.lock().unwrap_or_else(|e| e.into_inner());
-            conns.drain().map(|(_, e)| e).collect()
-        };
         if !drained {
             for entry in &entries {
-                entry.conn.cancel_all_pending();
+                entry.conn.cancel_all(&self.shared);
             }
         }
-        for mut entry in entries {
-            if let Some(handle) = entry.handle.take() {
-                let _ = handle.join();
-            }
+        for entry in entries {
+            let _ = entry.handle.join();
         }
-        DrainReport {
-            drained,
-            elapsed: start.elapsed(),
-        }
+        let elapsed = start.elapsed();
+        DrainReport { drained, elapsed }
     }
 }
 
@@ -495,12 +515,13 @@ impl Drop for ServerHandle {
 impl Quiescent for ServerHandle {
     fn held(&self) -> Option<String> {
         let (running, waiting) = self.shared.admission();
-        let active = self.active_queries();
-        let queries = (active + running as u64 + waiting as u64 > 0).then(|| {
-            format!("kleislid: {active} queries active, {running} running, {waiting} waiting")
-        });
+        let queries = (running + waiting > 0)
+            .then(|| format!("kleislid: {running} queries running, {waiting} waiting"));
         let caches = [self.plan_cache().held(), self.result_cache().held()];
-        let held: Vec<String> = queries.into_iter().chain(caches.into_iter().flatten()).collect();
+        let held: Vec<String> = queries
+            .into_iter()
+            .chain(caches.into_iter().flatten())
+            .collect();
         (!held.is_empty()).then(|| held.join("; "))
     }
 }
@@ -535,7 +556,6 @@ fn serve_on(
         started: Instant::now(),
         conns: Mutex::new(HashMap::new()),
         next_conn_id: AtomicU64::new(0),
-        active_queries: AtomicU64::new(0),
         connections_total: AtomicU64::new(0),
         connections_open: AtomicU64::new(0),
         connections_shed: AtomicU64::new(0),
@@ -556,13 +576,15 @@ fn serve_on(
         addr,
         shared,
         accept: Some(accept),
-        stopped: false,
     })
 }
 
 /// [`serve`] on `127.0.0.1` with an OS-assigned port — for tests,
 /// examples, and the bench harness.
-pub fn serve_ephemeral(config: ServerConfig, registrar: Arc<Registrar>) -> io::Result<ServerHandle> {
+pub fn serve_ephemeral(
+    config: ServerConfig,
+    registrar: Arc<Registrar>,
+) -> io::Result<ServerHandle> {
     serve("127.0.0.1:0", config, registrar)
 }
 
@@ -573,30 +595,21 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
         }
         let Ok(stream) = incoming else { continue };
         stream.set_nodelay(true).ok();
-        // Reap finished connections so the registry (and the live count
-        // it implies) tracks reality.
+        // Reap finished connections so the registry (and the live
+        // count it implies) tracks reality.
         let open = {
-            let mut conns = shared.conns.lock().unwrap_or_else(|e| e.into_inner());
-            let done: Vec<u64> = conns
-                .iter()
-                .filter(|(_, e)| e.handle.as_ref().is_none_or(|h| h.is_finished()))
-                .map(|(id, _)| *id)
-                .collect();
-            for id in done {
-                if let Some(mut entry) = conns.remove(&id) {
-                    if let Some(handle) = entry.handle.take() {
-                        let _ = handle.join();
-                    }
-                }
+            let mut conns = shared.conns();
+            for (_, entry) in conns.extract_if(|_, entry| entry.handle.is_finished()) {
+                let _ = entry.handle.join();
             }
             conns.len()
         };
         if open >= shared.config.max_connections {
-            shed(stream, &shared);
+            shed(&stream, &shared);
             continue;
         }
         let Ok(socket) = stream.try_clone() else {
-            shed(stream, &shared);
+            shed(&stream, &shared);
             continue;
         };
         // The write deadline is a socket option shared by both handles;
@@ -613,12 +626,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
                 cv: Condvar::new(),
                 capacity: shared.config.writer_queue_frames.max(1),
             },
-            admission: Mutex::new(Admission {
-                running: 0,
-                waiting: VecDeque::new(),
-            }),
-            quiet: Condvar::new(),
-            pending: Mutex::new(HashMap::new()),
+            queries: Queries::new(&shared.config),
         });
         let id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
         let conn_shared = Arc::clone(&shared);
@@ -635,28 +643,11 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
                 // Counted only now: a connection is "handled" once its
                 // reader thread actually exists.
                 shared.connections_total.fetch_add(1, Ordering::Relaxed);
-                shared
-                    .conns
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .insert(
-                        id,
-                        ConnEntry {
-                            handle: Some(handle),
-                            conn,
-                        },
-                    );
+                shared.conns().insert(id, ConnEntry { handle, conn });
             }
-            Err(_) => {
-                // Thread exhaustion: shed the connection rather than
-                // dropping the whole server.
-                match conn.socket.try_clone() {
-                    Ok(socket) => shed(socket, &shared),
-                    Err(_) => {
-                        shared.connections_shed.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
+            // Thread exhaustion: shed the connection rather than dropping
+            // the whole server.
+            Err(_) => shed(&conn.socket, &shared),
         }
     }
 }
@@ -664,7 +655,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
 /// Refuse a connection at accept time: count it, tell the client why
 /// (best effort, briefly bounded — a peer that won't read its rejection
 /// doesn't get to block the accept loop), drop the socket.
-fn shed(stream: TcpStream, shared: &ServerShared) {
+fn shed(stream: &TcpStream, shared: &ServerShared) {
     shared.connections_shed.fetch_add(1, Ordering::Relaxed);
     let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
     let payload = encode_response(&Response::Error {
@@ -674,33 +665,171 @@ fn shed(stream: TcpStream, shared: &ServerShared) {
             shared.config.max_connections
         ),
     });
-    let _ = write_frame(&mut &stream, &payload);
+    let _ = write_frame(&mut &*stream, &payload);
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// The lifecycle of one query id on a connection, from QUERY frame to
-/// terminal response. Tracked so a CANCEL can land while the query is
-/// still waiting — for a run slot, or for an executor worker.
-enum Pending {
-    /// QUERY admitted, its task not yet started.
-    Requested,
-    /// CANCEL received before the task started.
-    Cancelled,
-    /// Compiling or evaluating; cancel through the query's token.
+/// One connection's queries, from admission to terminal frame, in one
+/// cell under one lock: each admitted id's stage and the FIFO of waiting
+/// ids. The queries holding a run slot are the entries not in the FIFO.
+/// Its moves are [`Queries::admit`], [`Queries::finish`],
+/// [`Queries::cancel`] and [`Queries::cancel_all`], and each one that
+/// frees a run slot gives it to the FIFO's head (module docs,
+/// "Admission").
+struct Queries {
+    cell: Mutex<Cell>,
+    /// Signalled when the cell empties: teardown and the drain wait here.
+    quiet: Condvar,
+    /// [`ServerConfig::max_queries_per_connection`], at least 1.
+    slots: usize,
+    /// [`ServerConfig::queue_depth_per_connection`].
+    depth: usize,
+}
+
+#[derive(Default)]
+struct Cell {
+    stages: HashMap<u64, Stage>,
+    /// The waiting ids in arrival order.
+    waiting: VecDeque<u64>,
+}
+
+/// Where an admitted query is.
+enum Stage {
+    /// Waiting as data for a run slot: no thread, no executor worker.
+    Waiting(String),
+    /// Holding a run slot: queued on the executor, compiling, evaluating
+    /// or answering. A CANCEL goes through the token.
     Running(Arc<CancelToken>),
 }
 
-/// One tenant's admission state. Run slots are a count; the queries
-/// waiting for one are *data* — `(id, source text)` in arrival order —
-/// as a `Remote`'s pool queues requests, so a waiting query holds no
-/// thread and no executor worker.
-struct Admission {
-    /// Run slots taken, at most
-    /// [`ServerConfig::max_queries_per_connection`].
-    running: usize,
-    /// Admitted queries waiting for a slot, at most
-    /// [`ServerConfig::queue_depth_per_connection`].
-    waiting: VecDeque<(u64, String)>,
+/// A query that has just taken a run slot: its id, text and token.
+type Started = (u64, String, Arc<CancelToken>);
+
+/// What [`Queries::admit`] made of a QUERY.
+enum Admit {
+    /// It took a free run slot: spawn its task.
+    Run(Started),
+    /// It waits in the FIFO.
+    Queued,
+    /// Its id is already admitted.
+    Duplicate,
+    /// Every run slot is taken and the FIFO is full.
+    Full,
+}
+
+impl Queries {
+    fn new(config: &ServerConfig) -> Queries {
+        Queries {
+            cell: Mutex::default(),
+            quiet: Condvar::new(),
+            slots: config.max_queries_per_connection.max(1),
+            depth: config.queue_depth_per_connection,
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Cell> {
+        self.cell.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Whether `id` is admitted and not yet answered.
+    fn holds(&self, id: u64) -> bool {
+        self.lock().stages.contains_key(&id)
+    }
+
+    /// Run slots taken and queries waiting for one.
+    fn counts(&self) -> (usize, usize) {
+        let cell = self.lock();
+        (cell.stages.len() - cell.waiting.len(), cell.waiting.len())
+    }
+
+    /// Admit query `id` unless its id is already admitted or its
+    /// connection's slots and FIFO are all taken.
+    fn admit(&self, id: u64, src: String) -> Admit {
+        let mut cell = self.lock();
+        if cell.stages.contains_key(&id) {
+            return Admit::Duplicate;
+        }
+        if cell.stages.len() >= self.slots + self.depth {
+            return Admit::Full;
+        }
+        cell.stages.insert(id, Stage::Waiting(src));
+        cell.waiting.push_back(id);
+        self.start(&mut cell).map_or(Admit::Queued, Admit::Run)
+    }
+
+    /// Give a free run slot to the FIFO's head, if there are both. The
+    /// query's token is made here, so a CANCEL reaches it while its task
+    /// still waits for an executor worker.
+    fn start(&self, cell: &mut Cell) -> Option<Started> {
+        if cell.stages.len() - cell.waiting.len() >= self.slots {
+            return None;
+        }
+        let id = cell.waiting.pop_front()?;
+        let token = Arc::new(CancelToken::new());
+        match cell.stages.insert(id, Stage::Running(Arc::clone(&token))) {
+            Some(Stage::Waiting(src)) => Some((id, src, token)),
+            _ => unreachable!("a waiting id is waiting"),
+        }
+    }
+
+    /// Query `id` has enqueued its terminal frame: drop it, and hand its
+    /// run slot to the FIFO's head, which its caller spawns.
+    fn finish(&self, id: u64) -> Option<Started> {
+        let mut cell = self.lock();
+        cell.stages.remove(&id);
+        let next = self.start(&mut cell);
+        self.notify_if_quiet(&cell);
+        next
+    }
+
+    /// A CANCEL: a running query is stopped through its token; a waiting
+    /// one leaves the FIFO, and answering it falls to the caller (`true`).
+    /// An unknown or answered id is a no-op.
+    fn cancel(&self, id: u64) -> bool {
+        let mut cell = self.lock();
+        match cell.stages.get(&id) {
+            Some(Stage::Running(token)) => token.cancel(),
+            Some(Stage::Waiting(_)) => {
+                cell.stages.remove(&id);
+                cell.waiting.retain(|&waiting| waiting != id);
+                self.notify_if_quiet(&cell);
+                return true;
+            }
+            None => {}
+        }
+        false
+    }
+
+    /// [`Queries::cancel`] every query: at EOF and for the drain's
+    /// stragglers. Returns the waiting ids, for the caller to answer.
+    fn cancel_all(&self) -> Vec<u64> {
+        let ids: Vec<u64> = self.lock().stages.keys().copied().collect();
+        ids.into_iter().filter(|&id| self.cancel(id)).collect()
+    }
+
+    /// Wait until every admitted query has enqueued its terminal frame,
+    /// or until `deadline`; whether the cell emptied.
+    fn wait_quiet(&self, deadline: Option<Instant>) -> bool {
+        let mut cell = self.lock();
+        while !cell.stages.is_empty() {
+            let left = deadline.map_or(Duration::MAX, |d| d - Instant::now().min(d));
+            if left.is_zero() {
+                return false;
+            }
+            cell = self
+                .quiet
+                .wait_timeout(cell, left)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+        }
+        true
+    }
+
+    fn notify_if_quiet(&self, cell: &Cell) {
+        if cell.stages.is_empty() {
+            self.quiet.notify_all();
+        }
+    }
 }
 
 /// The bounded outbound frame queue one writer thread drains; see the
@@ -724,16 +853,11 @@ struct WriterState {
 struct Conn {
     /// The connection's socket (a second handle to the reader's): the
     /// writer thread writes through it, and condemnation shuts it down
-    /// — which unblocks the reader too.
+    /// — which ends the reader too.
     socket: TcpStream,
     writer: WriterQueue,
-    /// This tenant's run slots and wait queue.
-    admission: Mutex<Admission>,
-    /// Signalled when the last admitted query releases its run slot;
-    /// connection teardown waits here.
-    quiet: Condvar,
-    /// In-flight queries by id, for CANCEL routing.
-    pending: Mutex<HashMap<u64, Pending>>,
+    /// This tenant's admitted queries.
+    queries: Queries,
 }
 
 impl Conn {
@@ -753,20 +877,17 @@ impl Conn {
     /// thread. Never blocks: a full queue means the client has stopped
     /// reading, and the connection is condemned on the spot.
     fn send_frame(&self, frame: Vec<u8>) {
-        let overflow = {
-            let mut st = self.lock_writer();
-            if st.dead || st.closing {
-                // Condemned or draining shut: the frame has nowhere to
-                // go; its query already ran.
-                return;
-            }
-            if st.frames.len() >= self.writer.capacity {
-                true
-            } else {
-                st.frames.push_back(frame);
-                false
-            }
-        };
+        let mut st = self.lock_writer();
+        if st.dead || st.closing {
+            // Condemned or draining shut: the frame has nowhere to go;
+            // its query already ran.
+            return;
+        }
+        let overflow = st.frames.len() >= self.writer.capacity;
+        if !overflow {
+            st.frames.push_back(frame);
+        }
+        drop(st);
         self.writer.cv.notify_all();
         if overflow {
             self.condemn();
@@ -774,8 +895,9 @@ impl Conn {
     }
 
     /// Kill a connection whose peer has stopped reading (queue overflow
-    /// or write deadline): drop undeliverable frames, shut the socket
-    /// (unblocking the reader), cancel this tenant's in-flight queries.
+    /// or write deadline): drop undeliverable frames and shut the socket,
+    /// which ends the reader, and the reader cancels this tenant's
+    /// queries.
     fn condemn(&self) {
         {
             let mut st = self.lock_writer();
@@ -784,60 +906,25 @@ impl Conn {
         }
         self.writer.cv.notify_all();
         let _ = self.socket.shutdown(Shutdown::Both);
-        self.cancel_all_pending();
     }
 
-    /// Stop cooperatively everything this connection has in flight;
-    /// queries not yet started are marked cancelled so their tasks
-    /// short-circuit.
-    fn cancel_all_pending(&self) {
-        for p in self.lock_pending().values_mut() {
-            cancel(p);
-        }
-    }
-
-    /// Wait until every admitted query has enqueued its terminal frame
-    /// and released its run slot.
-    fn wait_quiet(&self) {
-        let mut admission = self.lock_admission();
-        while admission.running > 0 || !admission.waiting.is_empty() {
-            admission = self
-                .quiet
-                .wait(admission)
-                .unwrap_or_else(|e| e.into_inner());
+    /// Cancel every query this connection has admitted, answering the
+    /// waiting ones at once.
+    fn cancel_all(&self, shared: &ServerShared) {
+        for id in self.queries.cancel_all() {
+            answer_cancelled(shared, self, id);
         }
     }
 
     /// Flag the queue closed and wait for the writer to drain it (each
     /// residual frame write is bounded by the write deadline).
     fn finish_writer(&self) {
-        {
-            let mut st = self.lock_writer();
-            st.closing = true;
-        }
+        self.lock_writer().closing = true;
         self.writer.cv.notify_all();
     }
 
     fn lock_writer(&self) -> MutexGuard<'_, WriterState> {
         self.writer.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn lock_admission(&self) -> MutexGuard<'_, Admission> {
-        self.admission.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn lock_pending(&self) -> MutexGuard<'_, HashMap<u64, Pending>> {
-        self.pending.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// Apply a CANCEL to one query's state: a query not yet started is
-/// marked, a started one is stopped through its token.
-fn cancel(p: &mut Pending) {
-    match p {
-        Pending::Requested => *p = Pending::Cancelled,
-        Pending::Running(token) => token.cancel(),
-        Pending::Cancelled => {}
     }
 }
 
@@ -858,11 +945,7 @@ fn writer_loop(conn: &Conn) {
                 if st.closing {
                     return;
                 }
-                st = conn
-                    .writer
-                    .cv
-                    .wait(st)
-                    .unwrap_or_else(|e| e.into_inner());
+                st = conn.writer.cv.wait(st).unwrap_or_else(|e| e.into_inner());
             }
         };
         if (&conn.socket).write_all(&frame).is_err() {
@@ -872,7 +955,7 @@ fn writer_loop(conn: &Conn) {
     }
 }
 
-fn handle_connection(mut reader: TcpStream, conn: Arc<Conn>, shared: &Arc<ServerShared>) {
+fn handle_connection(reader: TcpStream, conn: Arc<Conn>, shared: &Arc<ServerShared>) {
     // Idle readers must notice shutdown: poll with a short read timeout.
     let _ = reader.set_read_timeout(Some(Duration::from_millis(50)));
 
@@ -893,8 +976,12 @@ fn handle_connection(mut reader: TcpStream, conn: Arc<Conn>, shared: &Arc<Server
     session.share_result_cache(Arc::clone(&shared.result_cache));
     let session = Arc::new(session);
 
+    let mut polled = Polled {
+        stream: &reader,
+        shutdown: &shared.shutdown,
+    };
     loop {
-        let payload = match read_frame_with_shutdown(&mut reader, &shared.shutdown) {
+        let payload = match read_frame(&mut polled) {
             Ok(Some(payload)) => payload,
             Ok(None) => break,
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
@@ -924,16 +1011,13 @@ fn handle_connection(mut reader: TcpStream, conn: Arc<Conn>, shared: &Arc<Server
         };
         match req {
             Request::Stats { id } => {
-                conn.send(&Response::Stats {
-                    id,
-                    json: shared.stats_json(Some(&session)),
-                });
+                let json = shared.stats_json(Some(&session));
+                conn.send(&Response::Stats { id, json });
             }
             Request::Cancel { id } => {
                 shared.cancel_requests.fetch_add(1, Ordering::Relaxed);
-                // Already finished (or never existed): nothing to do.
-                if let Some(p) = conn.lock_pending().get_mut(&id) {
-                    cancel(p);
+                if conn.queries.cancel(id) {
+                    answer_cancelled(shared, &conn, id);
                 }
             }
             Request::Flush { id, source } => {
@@ -946,24 +1030,22 @@ fn handle_connection(mut reader: TcpStream, conn: Arc<Conn>, shared: &Arc<Server
                             results: flush.results,
                         });
                     }
-                    Err(e) => {
-                        shared.errors.fetch_add(1, Ordering::Relaxed);
-                        conn.send(&Response::Error {
-                            id,
-                            message: e.to_string(),
-                        });
-                    }
+                    Err(e) => send_error(shared, &conn, id, e.to_string()),
                 }
             }
             Request::Query { id, src } => {
                 if shared.draining.load(Ordering::SeqCst) {
+                    let message = "shutting-down: server is draining; no new queries";
                     conn.send(&Response::Error {
                         id,
-                        message: "shutting-down: server is draining; no new queries".to_string(),
+                        message: message.to_string(),
                     });
                     continue;
                 }
-                start_query(shared, &conn, &session, id, src);
+                if !conn.queries.holds(id) && try_fast_path(shared, &conn, &session, id, &src) {
+                    continue;
+                }
+                admit(shared, &conn, &session, id, src);
             }
         }
     }
@@ -972,8 +1054,8 @@ fn handle_connection(mut reader: TcpStream, conn: Arc<Conn>, shared: &Arc<Server
     // in-flight queries, wait out their tasks so every terminal frame
     // is enqueued, then let the writer drain and join it. After this no
     // thread of the connection survives and no task refers to it.
-    conn.cancel_all_pending();
-    conn.wait_quiet();
+    conn.cancel_all(shared);
+    conn.queries.wait_quiet(None);
     conn.finish_writer();
     let _ = writer.join();
     // The registry ([`ServerShared::conns`]) still holds this
@@ -983,118 +1065,78 @@ fn handle_connection(mut reader: TcpStream, conn: Arc<Conn>, shared: &Arc<Server
     let _ = conn.socket.shutdown(Shutdown::Both);
 }
 
+/// Answer query `id` with an `Error` frame, counted in `errors`.
+fn send_error(shared: &ServerShared, conn: &Conn, id: u64, message: String) {
+    shared.errors.fetch_add(1, Ordering::Relaxed);
+    conn.send(&Response::Error { id, message });
+}
+
 /// Tell the client its result passed the configured frame bound — a
 /// clean `Error` frame instead of a frame it would refuse to read (a
 /// silently hung client).
 fn send_too_large(shared: &ServerShared, conn: &Conn, id: u64) {
-    shared.errors.fetch_add(1, Ordering::Relaxed);
-    conn.send(&Response::Error {
-        id,
-        message: format!(
-            "result too large: the frame exceeds the {}-byte limit",
-            shared.result_limit()
-        ),
-    });
+    let limit = shared.result_limit();
+    let message = format!("result too large: the frame exceeds the {limit}-byte limit");
+    send_error(shared, conn, id, message);
 }
 
-/// Admission-check a QUERY frame. An admitted query is an executor task
-/// as soon as one of its connection's run slots is free — at once, or
-/// when a finishing query hands its slot on ([`RunSlot`]); until then it
-/// waits as data in the connection's FIFO.
-fn start_query(
+/// Answer a query cancelled before it compiled: a waiting one when its
+/// CANCEL arrives, a started one when its task finds its token cancelled.
+fn answer_cancelled(shared: &ServerShared, conn: &Conn, id: u64) {
+    shared.queries.fetch_add(1, Ordering::Relaxed);
+    let message = "query cancelled before it started";
+    send_error(shared, conn, id, message.to_string());
+}
+
+/// Admit a QUERY frame into its connection's cell: it becomes an
+/// executor task at once if a run slot is free, and otherwise waits as
+/// data in the connection's FIFO until a finishing query hands its slot
+/// on ([`Queries::finish`]).
+fn admit(
     shared: &Arc<ServerShared>,
     conn: &Arc<Conn>,
     session: &Arc<Session>,
     id: u64,
     src: String,
 ) {
-    if conn.lock_pending().contains_key(&id) {
-        conn.send(&Response::Error {
+    match conn.queries.admit(id, src) {
+        Admit::Run(started) => spawn_query(shared, conn, session, started),
+        Admit::Queued => {}
+        Admit::Duplicate => conn.send(&Response::Error {
             id,
             message: format!("protocol error: query id {id} already in flight"),
-        });
-        return;
-    }
-    if try_fast_path(shared, conn, session, id, &src) {
-        return;
-    }
-    let mut admission = conn.lock_admission();
-    let run_now = admission.running < shared.config.max_queries_per_connection.max(1);
-    if !run_now && admission.waiting.len() >= shared.config.queue_depth_per_connection {
-        // Admission: reject instead of queueing without bound.
-        drop(admission);
-        shared.rejected.fetch_add(1, Ordering::Relaxed);
-        conn.send(&Response::Error {
-            id,
-            message: format!(
-                "busy: connection queue depth {} exceeded",
-                shared.config.queue_depth_per_connection
-            ),
-        });
-        return;
-    }
-    // Admitted: cancellable by id and counted for the drain *before* it
-    // can start.
-    conn.lock_pending().insert(id, Pending::Requested);
-    shared.active_queries.fetch_add(1, Ordering::SeqCst);
-    if run_now {
-        admission.running += 1;
-        drop(admission);
-        RunSlot {
-            shared: Arc::clone(shared),
-            conn: Arc::clone(conn),
-            session: Arc::clone(session),
+        }),
+        Admit::Full => {
+            shared.rejected.fetch_add(1, Ordering::Relaxed);
+            let depth = conn.queries.depth;
+            let message = format!("busy: connection queue depth {depth} exceeded");
+            conn.send(&Response::Error { id, message });
         }
-        .spawn(id, src);
-    } else {
-        admission.waiting.push_back((id, src));
     }
 }
 
-/// Possession of one of a connection's run slots, from the moment an
-/// admitted query becomes an executor task until its terminal frame is
-/// enqueued. Dropping it — on every path, unwinding included — hands the
-/// slot to the connection's longest-waiting query, which becomes a task
-/// in turn, or frees it.
-struct RunSlot {
-    shared: Arc<ServerShared>,
-    conn: Arc<Conn>,
-    session: Arc<Session>,
-}
-
-impl RunSlot {
-    /// Make query `id` a task on the shared executor: it compiles,
-    /// evaluates, serializes and enqueues its own terminal frame there,
-    /// then releases the slot.
-    fn spawn(self, id: u64, src: String) {
-        let executor = Arc::clone(&self.shared.executor);
-        executor.spawn(move || run_query(&self, id, &src));
-    }
-}
-
-impl Drop for RunSlot {
-    fn drop(&mut self) {
-        let next = {
-            let mut admission = self.conn.lock_admission();
-            let next = admission.waiting.pop_front();
-            if next.is_none() {
-                admission.running -= 1;
-                if admission.running == 0 {
-                    self.conn.quiet.notify_all();
-                }
-            }
-            next
-        };
-        if let Some((id, src)) = next {
-            RunSlot {
-                shared: Arc::clone(&self.shared),
-                conn: Arc::clone(&self.conn),
-                session: Arc::clone(&self.session),
-            }
-            .spawn(id, src);
+/// Make a started query a task on the shared executor: it answers, then
+/// [`Queries::finish`]es, and spawns the query its run slot goes to. A
+/// panic still ends in a terminal frame and frees the slot.
+fn spawn_query(
+    shared: &Arc<ServerShared>,
+    conn: &Arc<Conn>,
+    session: &Arc<Session>,
+    started: Started,
+) {
+    let (shared, conn, session) = (Arc::clone(shared), Arc::clone(conn), Arc::clone(session));
+    let executor = Arc::clone(&shared.executor);
+    executor.spawn(move || {
+        let (id, src, token) = started;
+        let run = AssertUnwindSafe(|| run_query(&shared, &conn, &session, id, &src, token));
+        if catch_unwind(run).is_err() {
+            let message = KError::eval("query evaluation panicked").to_string();
+            send_error(&shared, &conn, id, message);
         }
-        self.shared.active_queries.fetch_sub(1, Ordering::SeqCst);
-    }
+        if let Some(next) = conn.queries.finish(id) {
+            spawn_query(&shared, &conn, &session, next);
+        }
+    });
 }
 
 /// Warm fast path: a fully cached query is served inline on the reader
@@ -1134,49 +1176,35 @@ fn try_fast_path(
     true
 }
 
-/// The body of one admitted query's task: make it cancellable by id,
-/// compile and evaluate through the shared-cache path right here, write
-/// the reply once — straight into its frame — and enqueue it, and
-/// maintain the counters.
-fn run_query(slot: &RunSlot, id: u64, src: &str) {
-    let RunSlot {
-        shared,
-        conn,
-        session,
-    } = slot;
+/// The body of one started query's task: compile and evaluate through
+/// the shared-cache path right here under the query's token, write the
+/// reply once — straight into its frame — and enqueue it. A query whose
+/// CANCEL (or its connection's end) landed while it waited for a worker
+/// is answered without compiling.
+fn run_query(
+    shared: &ServerShared,
+    conn: &Conn,
+    session: &Session,
+    id: u64,
+    src: &str,
+    token: Arc<CancelToken>,
+) {
+    if token.is_cancelled() {
+        return answer_cancelled(shared, conn, id);
+    }
     shared.queries.fetch_add(1, Ordering::Relaxed);
-    // Requested -> Running, unless a CANCEL (or the connection's death)
-    // landed while the query waited: don't evaluate a query nobody is
-    // waiting for.
-    let token = Arc::new(CancelToken::new());
-    let started = {
-        let mut pending = conn.lock_pending();
-        let started = !matches!(pending.get(&id), Some(Pending::Cancelled));
-        if started {
-            pending.insert(id, Pending::Running(Arc::clone(&token)));
-        }
-        started
+    // No limit: the result is read to its end in value position, through
+    // the shared result cache; the wait evaluates right here.
+    let how = How {
+        cancel: Some(token),
+        max_bytes: Some(shared.query_budget()),
+        ..How::default()
     };
-    let outcome = if started {
-        // A panic must still end in a terminal frame for this id. No
-        // limit: the result is read to its end in value position, through
-        // the shared result cache; the wait evaluates right here.
-        catch_unwind(AssertUnwindSafe(|| {
-            let how = How {
-                cancel: Some(token),
-                max_bytes: Some(shared.query_budget()),
-                ..How::default()
-            };
-            let handle = session.start(&session.compile_shared(src)?, how);
-            let cached = handle.from_cache();
-            Ok((handle.wait()?, cached))
-        }))
-        .unwrap_or_else(|_| Err(KError::eval("query evaluation panicked")))
-        .map_err(|e: KError| e.to_string())
-    } else {
-        Err("query cancelled before it started".to_string())
-    };
-    conn.lock_pending().remove(&id);
+    let outcome = session.compile_shared(src).and_then(|compiled| {
+        let handle = session.start(&compiled, how);
+        let cached = handle.from_cache();
+        Ok((handle.wait()?, cached))
+    });
     match outcome {
         Ok((value, cached)) => {
             let served = if cached {
@@ -1191,79 +1219,33 @@ fn run_query(slot: &RunSlot, id: u64, src: &str) {
                 None => send_too_large(shared, conn, id),
             }
         }
-        Err(message) => {
-            shared.errors.fetch_add(1, Ordering::Relaxed);
-            conn.send(&Response::Error { id, message });
-        }
+        Err(e) => send_error(shared, conn, id, e.to_string()),
     }
 }
 
-/// [`crate::proto::read_frame`] for the server side: the stream has a
-/// short read timeout so readers can observe `shutdown` — idle or
-/// mid-frame alike (a peer trickling bytes must not pin the drain);
-/// otherwise timeouts mid-frame keep waiting (the peer is mid-write,
-/// not gone).
-fn read_frame_with_shutdown(
-    stream: &mut TcpStream,
-    shutdown: &AtomicBool,
-) -> io::Result<Option<Vec<u8>>> {
-    let mut len = [0u8; 4];
-    if !read_full(stream, &mut len, shutdown)? {
-        return Ok(None);
-    }
-    let len = u32::from_be_bytes(len) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("peer announced a {len}-byte frame (limit {MAX_FRAME_LEN})"),
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    if !read_full(stream, &mut payload, shutdown)? {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "EOF mid-frame",
-        ));
-    }
-    Ok(Some(payload))
+/// A reader's socket as [`read_frame`] reads it. The socket has a short
+/// read timeout so that the reader observes `shutdown`, idle or mid-frame
+/// alike (a peer trickling bytes must not pin the drain): a read that
+/// times out is tried again, and at shutdown reads as EOF — a frame read
+/// halfway is abandoned, the connection is closing either way.
+struct Polled<'a> {
+    stream: &'a TcpStream,
+    shutdown: &'a AtomicBool,
 }
 
-/// Fill `buf`, riding out read timeouts. `Ok(false)`: clean EOF (or
-/// shutdown) before the first byte; EOF after the first byte is an
-/// error. At shutdown a partially read frame is abandoned — the
-/// connection is closing either way.
-fn read_full(stream: &mut TcpStream, buf: &mut [u8], shutdown: &AtomicBool) -> io::Result<bool> {
-    if buf.is_empty() {
-        return Ok(true);
-    }
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if filled == 0 {
-                    return Ok(false);
+impl Read for Polled<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        loop {
+            match self.stream.read(buf) {
+                Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => {
+                    if self.shutdown.load(Ordering::SeqCst) {
+                        return Ok(0);
+                    }
                 }
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "EOF mid-frame",
-                ));
+                read => return read,
             }
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
-                ) =>
-            {
-                if shutdown.load(Ordering::SeqCst) {
-                    return Ok(false);
-                }
-                continue;
-            }
-            Err(e) => return Err(e),
         }
     }
-    Ok(true)
 }
 
 #[cfg(test)]
@@ -1324,7 +1306,11 @@ mod tests {
         let config = ServerConfig::default();
         let server = serve_on("127.0.0.1:0", config, registrar, Arc::clone(&executor)).unwrap();
         let mut client = Client::connect(server.addr()).unwrap();
-        let (v, _) = client.query(r"{x + 1 | \x <- DB}").unwrap().into_value().unwrap();
+        let (v, _) = client
+            .query(r"{x + 1 | \x <- DB}")
+            .unwrap()
+            .into_value()
+            .unwrap();
         assert_eq!(v, Value::set((1..6).map(Value::Int).collect()));
         assert_eq!(executor.threads_spawned(), 1);
         assert_quiescent(&[&server]);
@@ -1347,13 +1333,22 @@ mod tests {
         let mut local = Session::new();
         register(&mut local);
         let plan = local.compile_shared(text).unwrap();
-        assert!(plan.optimized.to_string().contains("PAR[4]"), "{}", plan.optimized);
+        assert!(
+            plan.optimized.to_string().contains("PAR[4]"),
+            "{}",
+            plan.optimized
+        );
         local.set_opt_config(kleisli_opt::OptConfig::none());
         let expected = local.query(text).unwrap();
         assert_eq!(expected.len(), Some(10));
 
         let config = ServerConfig::default();
-        let server = serve_on("127.0.0.1:0", config, Arc::new(register), Arc::clone(&executor));
+        let server = serve_on(
+            "127.0.0.1:0",
+            config,
+            Arc::new(register),
+            Arc::clone(&executor),
+        );
         let server = server.unwrap();
         let mut client = Client::connect(server.addr()).unwrap();
         let (v, _) = client.query(text).unwrap().into_value().unwrap();
@@ -1431,11 +1426,11 @@ mod tests {
         assert_eq!(server.shared.admission(), (1, 2));
 
         // The queued id first, then the running one: each ends in its
-        // own terminal Error frame, the running one's first (its slot
-        // is what the queued one is waiting for).
+        // own terminal Error frame, the queued one's first (it is
+        // answered when its CANCEL arrives).
         client.cancel(queued).unwrap();
         client.cancel(running).unwrap();
-        for expected in [running, queued] {
+        for expected in [queued, running] {
             match client.read_response().unwrap() {
                 Response::Error { id, message } => {
                     assert_eq!(id, expected);
@@ -1453,6 +1448,51 @@ mod tests {
         match client.wait_reply(survivor).unwrap() {
             QueryReply::Value { value, .. } => assert_eq!(value, Value::Int(1)),
             other => panic!("expected a value, got {other:?}"),
+        }
+        assert_eq!(
+            driver.requests_started(),
+            2,
+            "the cancelled waiter never reached the source"
+        );
+        assert_quiescent(&[&server, &*driver]);
+    }
+
+    #[test]
+    fn a_cancelled_waiter_is_answered_at_once_and_frees_its_place() {
+        let executor = Executor::new("served-path", 2);
+        let (server, driver) = wedged_server(1, &executor);
+        let mut client = Client::connect(server.addr()).unwrap();
+        let running = client.send_query(&probe(0)).unwrap();
+        let waiting = client.send_query(&probe(1)).unwrap();
+        eventually("the first query to reach the source", || {
+            driver.requests_started() == 1
+        });
+        assert_eq!(server.shared.admission(), (1, 1), "the queue is full");
+
+        client.cancel(waiting).unwrap();
+        match client.read_response().unwrap() {
+            Response::Error { id, message } => {
+                assert_eq!(id, waiting);
+                assert!(message.contains("cancelled before it started"), "{message}");
+            }
+            other => panic!("expected the waiter's cancellation, got {other:?}"),
+        }
+        assert_eq!(
+            server.shared.admission(),
+            (1, 0),
+            "still wedged, its place free"
+        );
+
+        // The freed place takes a new query: a full queue would refuse it.
+        let next = client.send_query(&probe(2)).unwrap();
+        client.stats().unwrap(); // the reader has admitted it
+        assert_eq!(server.shared.admission(), (1, 1));
+        driver.release_wedged();
+        for id in [running, next] {
+            match client.wait_reply(id).unwrap() {
+                QueryReply::Value { value, .. } => assert_eq!(value, Value::Int(1)),
+                other => panic!("expected a value, got {other:?}"),
+            }
         }
         assert_eq!(
             driver.requests_started(),

@@ -17,8 +17,8 @@ use kleisli_core::testutil::{assert_quiescent, ChaosPlan, ChaosProxy, WireFault}
 use kleisli_core::{LatencyModel, Value};
 use kleisli_server::proto::{decode_response, encode_request, read_frame, write_frame};
 use kleisli_server::{
-    serve_ephemeral, Client, QueryReply, Request, Response, ServedFrom, ServerConfig,
-    ServerHandle, MAX_FRAME_LEN,
+    serve_ephemeral, Client, QueryReply, Request, Response, ServedFrom, ServerConfig, ServerHandle,
+    MAX_FRAME_LEN,
 };
 
 /// A registrar binding a small instant local dataset.
@@ -29,10 +29,7 @@ fn local_registrar() -> Arc<kleisli_server::Registrar> {
             Value::set(
                 (0..50)
                     .map(|i| {
-                        Value::record_from(vec![
-                            ("k", Value::Int(i % 7)),
-                            ("v", Value::Int(i)),
-                        ])
+                        Value::record_from(vec![("k", Value::Int(i % 7)), ("v", Value::Int(i))])
                     })
                     .collect(),
             ),
@@ -48,10 +45,7 @@ fn big_registrar(rows: usize) -> Arc<kleisli_server::Registrar> {
     let big = Value::set(
         (0..rows)
             .map(|i| {
-                Value::record_from(vec![
-                    ("i", Value::Int(i as i64)),
-                    ("pad", Value::str(&pad)),
-                ])
+                Value::record_from(vec![("i", Value::Int(i as i64)), ("pad", Value::str(&pad))])
             })
             .collect(),
     );
@@ -127,7 +121,11 @@ fn truncated_frame_sheds_only_the_faulty_connection() {
     assert_eq!(v, Value::Int(50));
 
     settle(&server, 1); // only the healthy connection remains
-    assert_eq!(server.connections_shed(), 0, "EOF is not accept-time shedding");
+    assert_eq!(
+        server.connections_shed(),
+        0,
+        "EOF is not accept-time shedding"
+    );
     drop(healthy);
     settle(&server, 0);
 }
@@ -226,8 +224,13 @@ fn mid_query_disconnect_does_not_poison_the_shared_flight() {
     let mut victim = Client::connect(proxy.addr()).unwrap();
     victim.send_query(src).unwrap();
     // The victim's reply never arrives; the read fails with the cut.
-    victim.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    assert!(victim.read_response().is_err(), "the proxy cut this connection");
+    victim
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    assert!(
+        victim.read_response().is_err(),
+        "the proxy cut this connection"
+    );
 
     // The aborted populate flight must not wedge the shared cache cell:
     // a retry computes the same plan to completion.
@@ -307,7 +310,10 @@ fn connection_cap_sheds_excess_with_a_busy_frame() {
         }
         other => panic!("expected a busy frame, got {other:?}"),
     }
-    assert!(server.connections_shed() >= 1, "the third connection was shed");
+    assert!(
+        server.connections_shed() >= 1,
+        "the third connection was shed"
+    );
 
     // The tenants inside the cap are unaffected.
     let (v, _) = first.query(r"count(DB)").unwrap().into_value().unwrap();

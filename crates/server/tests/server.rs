@@ -21,10 +21,7 @@ fn local_registrar() -> Arc<kleisli_server::Registrar> {
             Value::set(
                 (0..50)
                     .map(|i| {
-                        Value::record_from(vec![
-                            ("k", Value::Int(i % 7)),
-                            ("v", Value::Int(i)),
-                        ])
+                        Value::record_from(vec![("k", Value::Int(i % 7)), ("v", Value::Int(i))])
                     })
                     .collect(),
             ),
@@ -115,11 +112,7 @@ fn compile_errors_come_back_as_error_frames() {
         other => panic!("expected an error frame, got {other:?}"),
     }
     // The connection survives an error and still serves queries.
-    let (v, _) = client
-        .query(r"count(DB)")
-        .unwrap()
-        .into_value()
-        .unwrap();
+    let (v, _) = client.query(r"count(DB)").unwrap().into_value().unwrap();
     assert_eq!(v, Value::Int(50));
 }
 
@@ -141,8 +134,9 @@ fn a_thousand_qualifiers_come_back_as_an_error_frame() {
 fn a_thousand_alternatives_come_back_as_an_error_frame() {
     let server = serve_ephemeral(ServerConfig::default(), local_registrar()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
-    let alternatives: Vec<String> =
-        (0..1000).map(|i| format!(r"<c = <t{i} = \s>> => s")).collect();
+    let alternatives: Vec<String> = (0..1000)
+        .map(|i| format!(r"<c = <t{i} = \s>> => s"))
+        .collect();
     let text = format!("({})(<c = <t0 = 1>>)", alternatives.join(" | "));
     match client.query(&text).unwrap() {
         QueryReply::Error(message) => assert!(message.contains("levels"), "{message}"),
@@ -259,7 +253,11 @@ fn a_cancel_reaches_a_query_coalesced_onto_another_connections_flight() {
         "ERROR after {answered:?}, the leader's RESULT after {landed:?}"
     );
     let r = server.result_cache().stats();
-    assert_eq!((r.misses, r.hits), (1, 0), "the waiter counted nothing: {r:?}");
+    assert_eq!(
+        (r.misses, r.hits),
+        (1, 0),
+        "the waiter counted nothing: {r:?}"
+    );
     let (v, served) = waiter.query(src).unwrap().into_value().unwrap();
     assert_eq!((v, served), (Value::Int(40), ServedFrom::SharedCache));
     // Both run slots go back (a slot is released just after its frame).
@@ -378,15 +376,25 @@ fn result_cache_budget_is_enforced_over_the_wire() {
         assert_eq!(v, Value::set((0..10).map(row).collect()), "query {k}");
         assert_eq!(served, expected, "query {k}");
         let stats = server.result_cache().stats();
-        assert!(stats.bytes <= stats.budget && stats.peak_bytes <= stats.budget, "{stats:?}");
+        assert!(
+            stats.bytes <= stats.budget && stats.peak_bytes <= stats.budget,
+            "{stats:?}"
+        );
         stats.bytes
     };
     for k in 0..7 {
         ask(k, ServedFrom::Fresh);
         let value_only = ask(k, ServedFrom::Fresh);
         let with_text = ask(k, ServedFrom::SharedCache);
-        assert!(with_text > value_only, "the text is resident, so it is charged");
-        assert_eq!(ask(k, ServedFrom::SharedCache), with_text, "and serialized once");
+        assert!(
+            with_text > value_only,
+            "the text is resident, so it is charged"
+        );
+        assert_eq!(
+            ask(k, ServedFrom::SharedCache),
+            with_text,
+            "and serialized once"
+        );
     }
     // Long evicted, value and text together: recomputed, not replayed.
     ask(0, ServedFrom::Fresh);
@@ -420,7 +428,11 @@ fn cancel_after_the_terminal_frame_is_a_noop() {
 
     // The query is already terminal; cancelling its id does nothing.
     client.cancel(id).unwrap();
-    let (v, _) = client.query(r"sum({x.v | \x <- DB})").unwrap().into_value().unwrap();
+    let (v, _) = client
+        .query(r"sum({x.v | \x <- DB})")
+        .unwrap()
+        .into_value()
+        .unwrap();
     assert_eq!(v, Value::Int((0..50).sum::<i64>()));
 }
 
@@ -481,7 +493,10 @@ fn six_generators() -> String {
     let twenty = twenty.join(", ");
     let names = ["a", "b", "c", "d", "e", "f"];
     let fields: Vec<String> = names.iter().map(|n| format!("{n} = {n}")).collect();
-    let generators: Vec<String> = names.iter().map(|n| format!(r"\{n} <- {{{twenty}}}")).collect();
+    let generators: Vec<String> = names
+        .iter()
+        .map(|n| format!(r"\{n} <- {{{twenty}}}"))
+        .collect();
     format!("{{[{}] | {}}}", fields.join(", "), generators.join(", "))
 }
 
@@ -506,7 +521,11 @@ fn a_query_past_its_byte_budget_is_an_error_frame_and_everyone_keeps_being_serve
     let (v, _) = client.query("count(DB)").unwrap().into_value().unwrap();
     assert_eq!(v, Value::Int(50));
     let mut second = Client::connect(server.addr()).unwrap();
-    let (v, _) = second.query(r"sum({x.v | \x <- DB})").unwrap().into_value().unwrap();
+    let (v, _) = second
+        .query(r"sum({x.v | \x <- DB})")
+        .unwrap()
+        .into_value()
+        .unwrap();
     assert_eq!(v, Value::Int(49 * 50 / 2));
     drop((client, second));
     assert_quiescent(&[&server]);
@@ -520,12 +539,10 @@ fn a_query_past_its_byte_budget_is_an_error_frame_and_everyone_keeps_being_serve
 #[test]
 fn flush_invalidates_exactly_the_refreshed_source() {
     let src_a = Arc::new(
-        MemorySource::new("SrcA")
-            .with_table("t", Value::set(vec![Value::Int(1), Value::Int(2)])),
+        MemorySource::new("SrcA").with_table("t", Value::set(vec![Value::Int(1), Value::Int(2)])),
     );
-    let src_b = Arc::new(
-        MemorySource::new("SrcB").with_table("t", Value::set(vec![Value::Int(10)])),
-    );
+    let src_b =
+        Arc::new(MemorySource::new("SrcB").with_table("t", Value::set(vec![Value::Int(10)])));
     let registrar: Arc<kleisli_server::Registrar> = {
         let (a, b) = (src_a.clone(), src_b.clone());
         Arc::new(move |session: &mut Session| {
@@ -589,7 +606,11 @@ fn flush_of_a_value_binding_is_conservative_and_typos_are_errors() {
     let (plans, results) = client.flush("DB").unwrap();
     assert_eq!((plans, results), (1, 1));
     let (_, served) = client.query(r"count(DB)").unwrap().into_value().unwrap();
-    assert_eq!(served, ServedFrom::Fresh, "conservative flush dropped the entry");
+    assert_eq!(
+        served,
+        ServedFrom::Fresh,
+        "conservative flush dropped the entry"
+    );
 
     // Unknown names are refused — flushing everything on a typo would
     // be an availability incident, not a refresh.

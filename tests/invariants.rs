@@ -114,8 +114,11 @@ fn one_thread_lifecycle() {
 /// `core::oneshot` (`core::flight::SingleFlight` and `batch::Flight` park
 /// in `OneShot::wait_for`). A condition variable anywhere else parks a
 /// thread on a *queue* — executor workers, `RowBuf`, the server's writer
-/// queue and quiescence count, testutil's latches; a new file naming one,
-/// or a second timed wait, is a second waiting room.
+/// queue and query cells, testutil's latches; a new file naming one, or
+/// a second timed wait, is a second waiting room. The one other timed
+/// wait is the server's drain, on a connection's query cell until it is
+/// empty: it waits for a count under the drain's deadline, not for a
+/// result.
 #[test]
 fn one_waiting_room() {
     let all = crate_sources();
@@ -130,7 +133,7 @@ fn one_waiting_room() {
         .filter(|s| s.names("Condvar") && !queues.contains(&s.path.as_str()));
     assert_eq!(paths(condvars), Vec::<&str>::new());
     let timed = all.iter().filter(|s| s.contains("wait_timeout"));
-    assert_eq!(paths(timed), ["crates/core/src/oneshot.rs"]);
+    assert_eq!(paths(timed), ["crates/core/src/oneshot.rs", "crates/server/src/server.rs"]);
 }
 
 /// No thread per query. An admitted query is a task on the shared
@@ -280,6 +283,20 @@ fn one_request_cell() {
     ];
     let all = crate_sources();
     let naming = all.iter().filter(|s| gone.iter().any(|w| s.names(w)));
+    assert_eq!(paths(naming), Vec::<&str>::new());
+}
+
+/// One query cell. A kleislid query's life on its connection — waiting
+/// for a run slot, running under its token, answered — is one entry in
+/// `server::Queries`, which admission, CANCEL routing, the hand-on of run
+/// slots and the drain all move under one lock. The names below are the
+/// second table, the separate admission state, their locks and the slot
+/// guard this replaced.
+#[test]
+fn one_query_cell() {
+    let gone = ["lock_pending", "lock_admission", "Pending::Requested", "RunSlot"];
+    let server = sources(&["crates/server/src"]);
+    let naming = server.iter().filter(|s| gone.iter().any(|w| s.names(w)));
     assert_eq!(paths(naming), Vec::<&str>::new());
 }
 

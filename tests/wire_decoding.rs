@@ -3,7 +3,12 @@
 //! what arrived (ROADMAP item 6c): `proto::decode_request` (what a client
 //! sends `kleislid`), `proto::decode_response` (what a server sends a
 //! client) and `read_exchange` (the value inside a result frame, and what
-//! a driver process sends the system).
+//! a driver process sends the system). The texts inside those bytes are
+//! read by three parsers more, each run here on a thread with a 2 MiB
+//! stack: CPL through `Session::query` (a QUERY frame's payload),
+//! `sybase::sql::parse` (what the Sybase driver is sent) and
+//! `entrez::asn1::{parse_entry, parse_value}` (what an Entrez server
+//! answers).
 //!
 //! Two families of input: arbitrary bytes, and valid frames with one byte
 //! flipped or the tail cut off — the near-misses a decoder's happy path
@@ -16,8 +21,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use kleisli::Session;
 use kleisli_core::token::MAX_NESTING;
 use kleisli_core::{read_exchange, write_exchange, KError, Oid, Value};
+use entrez_sim::asn1;
 use kleisli_server::proto::{
     decode_request, decode_response, encode_request, encode_response, Request, Response, ServedFrom,
 };
@@ -162,6 +169,57 @@ fn valid_payloads() -> Vec<Vec<u8>> {
         .collect()
 }
 
+/// A session with `DB`, five integers, and `PUBS`, the records of
+/// [`sample_value`], bound.
+fn session() -> Session {
+    let mut session = Session::new();
+    session.bind_value("DB", Value::set((0..5).map(Value::Int).collect()));
+    let pubs = sample_value().elements().expect("a set").to_vec();
+    let records = pubs.into_iter().filter(|v| matches!(v, Value::Record(_)));
+    session.bind_value("PUBS", Value::set(records.collect()));
+    session
+}
+
+/// Valid texts for the three text parsers: CPL queries over
+/// [`session`]'s bindings, SQL the Sybase driver takes, and an ASN.1
+/// entry.
+fn valid_texts() -> Vec<String> {
+    let record = Value::record_from(vec![
+        ("title", Value::str("Structure of the \"perforin\" gene")),
+        ("year", Value::Int(1989)),
+        ("kw", Value::list(vec![Value::Float(2.5), Value::variant("giim", Value::Int(7))])),
+    ]);
+    [
+        r"{[t = p.title, n = count(p.kw)] | \p <- PUBS, p.year > 1988}",
+        r"sum({x * 2 | \x <- DB, x <> 3}) + 1",
+        r#"{[x = x, y = y] | \x <- DB, \y <- {"a", "b"}, x < 2 or not (y = "a")}"#,
+        "select l.locus_symbol as s from locus l where l.chrom = '22' and l.id >= 5",
+        "SELECT a, b FROM t WHERE a <> 'it''s' AND b <= 3.5",
+    ]
+    .map(String::from)
+    .into_iter()
+    .chain([asn1::print_entry("Pub-set", &Value::list(vec![record]))])
+    .collect()
+}
+
+/// Parse `text` every way the three text parsers do, on a thread with a
+/// 2 MiB stack; none may panic, overflow it, or over-allocate.
+fn parse_all(text: String) {
+    let small = std::thread::Builder::new().stack_size(2 << 20).spawn(move || {
+        let session = session();
+        let allowed = allowance(text.len());
+        let rise = heap_rise(|| session.query(&text));
+        assert!(rise <= allowed, "CPL: {rise} bytes for {text:?}");
+        let rise = heap_rise(|| sybase_sim::parse(&text));
+        assert!(rise <= allowed, "SQL: {rise} bytes for {text:?}");
+        let rise = heap_rise(|| asn1::parse_entry(&text));
+        assert!(rise <= allowed, "ASN.1 entry: {rise} bytes for {text:?}");
+        let rise = heap_rise(|| asn1::parse_value(&text));
+        assert!(rise <= allowed, "ASN.1 value: {rise} bytes for {text:?}");
+    });
+    small.expect("a thread").join().expect("no parser panicked");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -198,6 +256,46 @@ proptest! {
             prop_assert!(decode_request(&payload).is_err());
             prop_assert!(decode_response(&payload).is_err());
         }
+    }
+
+    #[test]
+    fn a_short_byte_soup_parses_to_a_value_or_an_error_as_cpl_sql_or_asn1(
+        bytes in proptest::collection::vec((0u16..256).prop_map(|b| b as u8), 0..160),
+    ) {
+        parse_all(String::from_utf8_lossy(&bytes).into_owned());
+    }
+
+    #[test]
+    fn a_valid_text_with_one_byte_flipped_or_its_tail_missing_parses_or_errs(
+        which in 0usize..6,
+        at in any::<u64>(),
+        bit in 0u32..8,
+        cut in any::<bool>(),
+    ) {
+        let mut text = valid_texts().swap_remove(which).into_bytes();
+        let at = (at % text.len() as u64) as usize;
+        if cut {
+            text.truncate(at);
+        } else {
+            text[at] ^= 1 << bit;
+        }
+        parse_all(String::from_utf8_lossy(&text).into_owned());
+    }
+}
+
+#[test]
+fn the_valid_texts_are_valid() {
+    let texts = valid_texts();
+    let session = session();
+    for text in &texts[..3] {
+        session.query(text).expect(text);
+    }
+    for text in &texts[3..5] {
+        sybase_sim::parse(text).expect(text);
+    }
+    asn1::parse_entry(&texts[5]).expect("an ASN.1 entry");
+    for text in texts {
+        parse_all(text);
     }
 }
 
