@@ -27,8 +27,9 @@ pub fn parse_ace(text: &str) -> KResult<AceStore> {
     for (pno, para) in paragraphs(text).into_iter().enumerate() {
         let mut lines = para.iter();
         let header = lines.next().expect("non-empty paragraph");
-        let (class, name) = parse_header(header)
-            .ok_or_else(|| KError::format("ace", format!("bad paragraph {pno} header: {header}")))?;
+        let (class, name) = parse_header(header).ok_or_else(|| {
+            KError::format("ace", format!("bad paragraph {pno} header: {header}"))
+        })?;
         let mut tags: Vec<(String, Vec<Value>)> = Vec::new();
         for line in lines {
             let (tag, values) = parse_tag_line(line, &mut store)

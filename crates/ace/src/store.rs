@@ -94,10 +94,7 @@ impl AceStore {
     }
 
     pub fn find(&self, class: &str, name: &str) -> Option<&AceObject> {
-        self.classes
-            .get(class)?
-            .iter()
-            .find(|o| o.name == name)
+        self.classes.get(class)?.iter().find(|o| o.name == name)
     }
 
     fn find_mut(&mut self, class: &str, name: &str) -> Option<&mut AceObject> {
@@ -193,8 +190,16 @@ mod tests {
     #[test]
     fn upsert_accumulates_multivalued_tags() {
         let mut s = AceStore::new();
-        s.upsert("Clone", "c1", vec![("Remark".into(), vec![Value::str("a")])]);
-        s.upsert("Clone", "c1", vec![("Remark".into(), vec![Value::str("b")])]);
+        s.upsert(
+            "Clone",
+            "c1",
+            vec![("Remark".into(), vec![Value::str("a")])],
+        );
+        s.upsert(
+            "Clone",
+            "c1",
+            vec![("Remark".into(), vec![Value::str("b")])],
+        );
         let v = s.find("Clone", "c1").unwrap().to_value();
         assert_eq!(
             v.project("Remark"),

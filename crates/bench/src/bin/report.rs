@@ -156,7 +156,10 @@ fn t1_pushdown(smoke: bool) -> Json {
                 let compiled = session.compile_shared(LOCI22).expect("compile");
                 let before = session.driver_metrics("GDB").expect("metrics");
                 let t = time_mean(reps, || session.run_compiled(&compiled).expect("run"));
-                let m = session.driver_metrics("GDB").expect("metrics").since(&before);
+                let m = session
+                    .driver_metrics("GDB")
+                    .expect("metrics")
+                    .since(&before);
                 Json::obj([
                     ("plan", Json::str(plan)),
                     ("requests", int(m.requests / runs)),
@@ -199,7 +202,10 @@ fn t2_path_extraction(smoke: bool) -> Json {
             .map(|(plan, compiled)| {
                 let before = session.driver_metrics("GenBank").expect("metrics");
                 let t = time_mean(reps, || session.run_compiled(compiled).expect("run"));
-                let m = session.driver_metrics("GenBank").expect("metrics").since(&before);
+                let m = session
+                    .driver_metrics("GenBank")
+                    .expect("metrics")
+                    .since(&before);
                 Json::obj([
                     ("plan", Json::str(plan)),
                     ("rows", int(m.rows_shipped / runs)),
@@ -289,7 +295,11 @@ fn e8_joins(smoke: bool) -> Json {
     const ROUNDS: usize = 7;
     let sizes: &[i64] = if smoke { &[50, 100] } else { &[100, 400, 1600] };
     let ctx = Context::new();
-    let plans = [("naive_nl", None), ("blocked_nl", Some(false)), ("indexed_nl", Some(true))];
+    let plans = [
+        ("naive_nl", None),
+        ("blocked_nl", Some(false)),
+        ("indexed_nl", Some(true)),
+    ];
     let row = |&n: &i64| {
         let (l, r) = join_inputs(n, (n / 10).max(1));
         let plans = plans.map(|(name, keyed)| (name, join_query(l.clone(), r.clone(), keyed)));
@@ -334,7 +344,15 @@ fn e9_caching(smoke: bool) -> Json {
         let compiled = session.compile_shared(CACHEABLE).expect("compile");
         let before = session.driver_metrics("GDB").expect("metrics");
         let t = time_mean(reps, || session.run_compiled(&compiled).expect("run"));
-        (session.driver_metrics("GDB").expect("metrics").since(&before).requests / runs, t)
+        (
+            session
+                .driver_metrics("GDB")
+                .expect("metrics")
+                .since(&before)
+                .requests
+                / runs,
+            t,
+        )
     });
     let speedup = ratio(uncached.1, cached.1);
     assert!(

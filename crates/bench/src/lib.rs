@@ -312,7 +312,11 @@ pub fn row_pipeline_workload(
     per_request: Duration,
     per_row: Duration,
     prefetch_rows: usize,
-) -> (Arc<Context>, Expr, Vec<Arc<kleisli_core::testutil::SlowDriver>>) {
+) -> (
+    Arc<Context>,
+    Expr,
+    Vec<Arc<kleisli_core::testutil::SlowDriver>>,
+) {
     use kleisli_core::testutil::SlowDriver;
     let mut ctx = Context::new();
     let mut slow = Vec::new();
@@ -436,7 +440,9 @@ pub fn shared_subtree_plan(copies: usize, depth: usize, width: i64) -> Arc<Expr>
 /// configuration: the sharing-preserving engine with its rewrite memo, or
 /// (`memo = false`) through its unmemoized reference entry point.
 pub fn fixpoint(e: Arc<Expr>, memo: bool) -> Arc<Expr> {
-    let ctx = kleisli_opt::RuleCtx { catalog: &kleisli_opt::NullCatalog };
+    let ctx = kleisli_opt::RuleCtx {
+        catalog: &kleisli_opt::NullCatalog,
+    };
     let mut trace = Vec::new();
     let sets = [
         kleisli_opt::rules::resolve::rule_set(),

@@ -66,7 +66,11 @@ impl GdbData {
         for i in 0..config.loci {
             let chromosome = chromosome_name(rng.gen_range(0..config.chromosomes.max(1)));
             let arm = if rng.gen_bool(0.5) { "p" } else { "q" };
-            let band = format!("{chromosome}{arm}{}{}", rng.gen_range(1..=3), rng.gen_range(1..=9));
+            let band = format!(
+                "{chromosome}{arm}{}{}",
+                rng.gen_range(1..=3),
+                rng.gen_range(1..=9)
+            );
             let has_ref = rng.gen_range(0..100) < config.genbank_ref_pct;
             loci.push(Locus {
                 locus_id: i as i64 + 1,
@@ -94,7 +98,11 @@ impl GdbData {
         )?;
         db.create_table(
             "locus_cyto_location",
-            &["locus_cyto_location_id", "loc_cyto_chrom_num", "loc_cyto_band"],
+            &[
+                "locus_cyto_location_id",
+                "loc_cyto_chrom_num",
+                "loc_cyto_band",
+            ],
         )?;
         for l in &self.loci {
             db.table_mut("locus")?
@@ -113,7 +121,8 @@ impl GdbData {
             ])?;
         }
         db.table_mut("locus")?.create_index("locus_id")?;
-        db.table_mut("object_genbank_eref")?.create_index("object_id")?;
+        db.table_mut("object_genbank_eref")?
+            .create_index("object_id")?;
         db.table_mut("locus_cyto_location")?
             .create_index("locus_cyto_location_id")?;
         Ok(())
@@ -125,11 +134,7 @@ impl GdbData {
         self.loci
             .iter()
             .filter(|l| l.chromosome == chromosome && l.object_class_key == 1)
-            .filter_map(|l| {
-                l.genbank_ref
-                    .as_deref()
-                    .map(|acc| (l.symbol.as_str(), acc))
-            })
+            .filter_map(|l| l.genbank_ref.as_deref().map(|acc| (l.symbol.as_str(), acc)))
             .collect()
     }
 }

@@ -283,11 +283,7 @@ mod tests {
         let (gdb, gb) = data();
         let server = EntrezServer::serve("GenBank", Default::default(), LatencyModel::instant());
         gb.load(&server, "na").unwrap();
-        let locus = gdb
-            .loci
-            .iter()
-            .find(|l| l.genbank_ref.is_some())
-            .unwrap();
+        let locus = gdb.loci.iter().find(|l| l.genbank_ref.is_some()).unwrap();
         let acc = locus.genbank_ref.as_deref().unwrap();
         let hits: Vec<Value> = server
             .submit(&DriverRequest::EntrezFetch {

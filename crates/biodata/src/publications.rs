@@ -59,7 +59,10 @@ pub fn publications(n: usize, seed: u64) -> Value {
         let journal = if rng.gen_ratio(1, 3) {
             Value::variant(
                 "uncontrolled",
-                s(format!("{} lab report", SURNAMES[rng.gen_range(0..SURNAMES.len())])),
+                s(format!(
+                    "{} lab report",
+                    SURNAMES[rng.gen_range(0..SURNAMES.len())]
+                )),
             )
         } else {
             let name = JOURNALS[rng.gen_range(0..JOURNALS.len())];

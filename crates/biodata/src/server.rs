@@ -12,8 +12,8 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use kleisli_core::{
-    Capabilities, Driver, DriverMetrics, DriverRequest, DriverResilience, KError, KResult,
-    MetricsSnapshot, TableStats, Value, blocks_of_rows, BlockStream,
+    blocks_of_rows, BlockStream, Capabilities, Driver, DriverMetrics, DriverRequest,
+    DriverResilience, KError, KResult, MetricsSnapshot, TableStats, Value,
 };
 
 /// Named in-memory collections served as tables: `MemorySource::new("Pubs")
@@ -94,8 +94,13 @@ impl Driver for MemorySource {
     fn perform(&self, req: &DriverRequest) -> KResult<BlockStream> {
         self.metrics.record_request();
         let table = match req {
-            DriverRequest::TableScan { table, columns: None } => table,
-            DriverRequest::TableScan { columns: Some(_), .. } => {
+            DriverRequest::TableScan {
+                table,
+                columns: None,
+            } => table,
+            DriverRequest::TableScan {
+                columns: Some(_), ..
+            } => {
                 return Err(KError::driver(
                     &self.name,
                     "memory source does not project columns; scan whole tables",
@@ -138,7 +143,8 @@ impl Driver for MemorySource {
     }
 
     fn resilience(&self) -> &Arc<DriverResilience> {
-        self.resilience.get_or_init(|| DriverResilience::of(self, Arc::clone(&self.metrics)))
+        self.resilience
+            .get_or_init(|| DriverResilience::of(self, Arc::clone(&self.metrics)))
     }
 }
 

@@ -134,8 +134,15 @@ fn desugar_in(e: &CExpr, defs: &Definitions, scope: &mut Vec<Name>) -> KResult<E
                 let k = fresh("alt");
                 let fail = Expr::apply(Expr::Var(Arc::clone(&k)), Expr::Const(Value::Unit));
                 let matched = compile_match(pat, &scrut, body, fail, defs, scope)?;
-                let rest = Expr::Lambda { var: fresh("unit"), body: Arc::new(acc) };
-                acc = Expr::Let { var: k, def: Arc::new(rest), body: Arc::new(matched) };
+                let rest = Expr::Lambda {
+                    var: fresh("unit"),
+                    body: Arc::new(acc),
+                };
+                acc = Expr::Let {
+                    var: k,
+                    def: Arc::new(rest),
+                    body: Arc::new(matched),
+                };
             }
             Ok(Expr::Lambda {
                 var: arg,
@@ -664,8 +671,9 @@ mod tests {
     fn alternatives_desugar_to_linear_size() {
         // Each pattern fails at two points (two `Case` defaults), so the
         // rest of the function is bound once, not copied into both.
-        let alternatives: Vec<String> =
-            (0..20).map(|i| format!(r"<c = <t{i} = \s>> => s")).collect();
+        let alternatives: Vec<String> = (0..20)
+            .map(|i| format!(r"<c = <t{i} = \s>> => s"))
+            .collect();
         let e = ds(&format!("({})", alternatives.join(" | ")));
         assert!(e.size() <= 400, "{} nodes", e.size());
         // A pattern that cannot fail, or fails at one point, binds no

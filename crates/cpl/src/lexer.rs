@@ -40,18 +40,18 @@ pub enum Tok {
     Not,
     Mod,
     // brackets
-    LBrace,     // {
-    RBrace,     // }
-    LBraceBar,  // {|
-    RBraceBar,  // |}
-    LBrack,     // [
-    RBrack,     // ]
-    LBrackBar,  // [|
-    RBrackBar,  // |]
-    LParen,     // (
-    RParen,     // )
-    Lt,         // <
-    Gt,         // >
+    LBrace,    // {
+    RBrace,    // }
+    LBraceBar, // {|
+    RBraceBar, // |}
+    LBrack,    // [
+    RBrack,    // ]
+    LBrackBar, // [|
+    RBrackBar, // |]
+    LParen,    // (
+    RParen,    // )
+    Lt,        // <
+    Gt,        // >
     // punctuation / operators
     Comma,
     Semi,
@@ -479,11 +479,21 @@ mod tests {
     fn bag_and_list_brackets() {
         assert_eq!(
             kinds("{| x |}"),
-            vec![Tok::LBraceBar, Tok::Ident("x".into()), Tok::RBraceBar, Tok::Eof]
+            vec![
+                Tok::LBraceBar,
+                Tok::Ident("x".into()),
+                Tok::RBraceBar,
+                Tok::Eof
+            ]
         );
         assert_eq!(
             kinds("[| x |]"),
-            vec![Tok::LBrackBar, Tok::Ident("x".into()), Tok::RBrackBar, Tok::Eof]
+            vec![
+                Tok::LBrackBar,
+                Tok::Ident("x".into()),
+                Tok::RBrackBar,
+                Tok::Eof
+            ]
         );
     }
 

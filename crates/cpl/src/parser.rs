@@ -289,11 +289,15 @@ impl Parser {
     }
 
     fn or_expr(&mut self) -> KResult<CExpr> {
-        self.binary_chain(Parser::and_expr, |t| matches!(t, Tok::Or).then_some(Prim::Or))
+        self.binary_chain(Parser::and_expr, |t| {
+            matches!(t, Tok::Or).then_some(Prim::Or)
+        })
     }
 
     fn and_expr(&mut self) -> KResult<CExpr> {
-        self.binary_chain(Parser::not_expr, |t| matches!(t, Tok::And).then_some(Prim::And))
+        self.binary_chain(Parser::not_expr, |t| {
+            matches!(t, Tok::And).then_some(Prim::And)
+        })
     }
 
     fn not_expr(&mut self) -> KResult<CExpr> {
@@ -671,7 +675,10 @@ mod tests {
         let e = q(r"{t | [title = \t, year = \y, ...] <- DB, y = 1988}");
         match e {
             CExpr::Comp { quals, .. } => {
-                assert!(matches!(&quals[1], Qual::Filter(CExpr::BinOp(Prim::Eq, ..))));
+                assert!(matches!(
+                    &quals[1],
+                    Qual::Filter(CExpr::BinOp(Prim::Eq, ..))
+                ));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -696,7 +703,9 @@ mod tests {
         match e {
             CExpr::Comp { quals, .. } => match &quals[0] {
                 Qual::Gen(Pattern::Record(fields, true), _) => {
-                    assert!(matches!(&fields[1].1, Pattern::Variant(tag, _) if &**tag == "uncontrolled"));
+                    assert!(
+                        matches!(&fields[1].1, Pattern::Variant(tag, _) if &**tag == "uncontrolled")
+                    );
                 }
                 other => panic!("unexpected {other:?}"),
             },
@@ -843,7 +852,9 @@ mod tests {
 
     #[test]
     fn deeply_nested_comprehension() {
-        let e = q(r"{[keyword = k, titles = {x.title | \x <- DB, k <- x.keywd}] | \y <- DB, \k <- y.keywd}");
+        let e = q(
+            r"{[keyword = k, titles = {x.title | \x <- DB, k <- x.keywd}] | \y <- DB, \k <- y.keywd}",
+        );
         assert!(matches!(e, CExpr::Comp { .. }));
     }
 

@@ -48,9 +48,7 @@ fn reference_filter(db: &Value, op: &str, c: i64) -> Value {
                 Some(Value::Int(y)) => keep(*y),
                 _ => false,
             })
-            .map(|p| {
-                Value::record_from(vec![("title", p.project("title").unwrap().clone())])
-            })
+            .map(|p| Value::record_from(vec![("title", p.project("title").unwrap().clone())]))
             .collect(),
     )
 }

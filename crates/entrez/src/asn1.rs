@@ -123,7 +123,11 @@ struct P<'a> {
 
 impl<'a> P<'a> {
     fn new(s: &'a str) -> P<'a> {
-        P { b: s.as_bytes(), i: 0, depth: 0 }
+        P {
+            b: s.as_bytes(),
+            i: 0,
+            depth: 0,
+        }
     }
 
     fn err(&self, msg: impl Into<String>) -> KError {
@@ -429,7 +433,10 @@ mod tests {
         assert!(deepest.is_ok(), "{deepest:?}");
         for e in [one_past, far_past] {
             let e = e.expect_err("past the bound");
-            assert!(e.to_string().contains("nested deeper than 256 levels"), "{e}");
+            assert!(
+                e.to_string().contains("nested deeper than 256 levels"),
+                "{e}"
+            );
         }
     }
 

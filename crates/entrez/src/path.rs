@@ -62,13 +62,14 @@ impl Path {
                 i += 1;
             }
             if start == i {
-                return Err(KError::format(
-                    "path",
-                    format!("empty segment in '{text}'"),
-                ));
+                return Err(KError::format("path", format!("empty segment in '{text}'")));
             }
             let name = rest[start..i].to_string();
-            steps.push(if tag { Step::Tag(name) } else { Step::Field(name) });
+            steps.push(if tag {
+                Step::Tag(name)
+            } else {
+                Step::Field(name)
+            });
         }
         Ok(Path { steps })
     }
@@ -102,9 +103,10 @@ fn apply_step(v: &Value, step: &Step) -> KResult<Value> {
             Ok(Value::set(out))
         }
         Value::Record(r) => match step {
-            Step::Field(f) => r.get(f).cloned().ok_or_else(|| {
-                KError::format("path", format!("record has no field '{f}'"))
-            }),
+            Step::Field(f) => r
+                .get(f)
+                .cloned()
+                .ok_or_else(|| KError::format("path", format!("record has no field '{f}'"))),
             Step::Tag(t) => Err(KError::format(
                 "path",
                 format!("'..{t}' applied to a record, expected a variant"),
@@ -187,7 +189,7 @@ mod tests {
     fn parse_errors() {
         assert!(Path::parse(".seq..").is_err());
         assert!(Path::parse(".se q").is_ok()); // spaces allowed inside segment? no:
-        // the above parses 'se q' as one segment name; navigation would just fail.
+                                               // the above parses 'se q' as one segment name; navigation would just fail.
         assert!(Path::parse("...x").is_err());
     }
 

@@ -102,7 +102,9 @@ impl Division {
             }
             BoolQuery::Not(a) => {
                 let sa = self.eval_query(a);
-                (0..self.entries.len()).filter(|i| !sa.contains(i)).collect()
+                (0..self.entries.len())
+                    .filter(|i| !sa.contains(i))
+                    .collect()
             }
         }
     }

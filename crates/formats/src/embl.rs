@@ -129,7 +129,10 @@ pub fn print_embl(v: &Value) -> KResult<String> {
     for e in entries {
         let get_str = |f: &str| match e.project(f) {
             Some(Value::Str(s)) => Ok(s.to_string()),
-            _ => Err(KError::format("embl", format!("missing string field '{f}'"))),
+            _ => Err(KError::format(
+                "embl",
+                format!("missing string field '{f}'"),
+            )),
         };
         let id = get_str("id")?;
         let seq = get_str("sequence")?;

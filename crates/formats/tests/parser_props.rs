@@ -13,11 +13,8 @@ use proptest::prelude::*;
 /// generated texts both wander deep into the parsers' state machines and
 /// hit non-ASCII at arbitrary byte offsets.
 fn soup() -> impl Strategy<Value = String> {
-    proptest::collection::vec(
-        "[A-Za-z0-9;:./> é€µΩ中\n-]{0,12}",
-        0..8,
-    )
-    .prop_map(|lines| lines.join("\n"))
+    proptest::collection::vec("[A-Za-z0-9;:./> é€µΩ中\n-]{0,12}", 0..8)
+        .prop_map(|lines| lines.join("\n"))
 }
 
 /// Like [`soup`] but each chunk is prefixed by a plausible format line,

@@ -70,9 +70,9 @@ impl Prim {
     pub fn arity(self) -> usize {
         use Prim::*;
         match self {
-            Neg | Not | StrLen | StrUpper | StrLower | ToString | IsEmpty | Flatten
-            | Distinct | SetOf | BagOf | ListOf | Count | Sum | Max | Min | Avg | Deref
-            | RecordWidth | Fail => 1,
+            Neg | Not | StrLen | StrUpper | StrLower | ToString | IsEmpty | Flatten | Distinct
+            | SetOf | BagOf | ListOf | Count | Sum | Max | Min | Avg | Deref | RecordWidth
+            | Fail => 1,
             Add | Sub | Mul | Div | Mod | Eq | Ne | Lt | Le | Gt | Ge | And | Or | StrCat
             | StrContains | StrStartsWith | Member | Append | Nth | Range | HasField => 2,
             Substr => 3,

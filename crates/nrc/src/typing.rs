@@ -101,11 +101,7 @@ pub fn infer(e: &Expr, env: &TypeEnv) -> KResult<Type> {
             let st = infer(scrutinee, env)?;
             match &st {
                 Type::Variant(..) | Type::Any => {}
-                other => {
-                    return Err(KError::ty(format!(
-                        "case on non-variant type {other}"
-                    )))
-                }
+                other => return Err(KError::ty(format!("case on non-variant type {other}"))),
             }
             let mut result: Option<Type> = None;
             for arm in arms {
@@ -173,10 +169,8 @@ pub fn infer(e: &Expr, env: &TypeEnv) -> KResult<Type> {
                     args.len()
                 )));
             }
-            let arg_types: Vec<Type> = args
-                .iter()
-                .map(|a| infer(a, env))
-                .collect::<KResult<_>>()?;
+            let arg_types: Vec<Type> =
+                args.iter().map(|a| infer(a, env)).collect::<KResult<_>>()?;
             prim_result(*p, &arg_types)
         }
         Expr::Remote { .. } => Ok(Type::set(Type::Any)),
@@ -350,7 +344,10 @@ mod tests {
     #[test]
     fn infers_comprehension_over_records() {
         // U{ {[t = x.title]} | \x <- DB } : {[t: string]}
-        let db_ty = Type::set(Type::record(vec![("title", Type::Str), ("year", Type::Int)]));
+        let db_ty = Type::set(Type::record(vec![
+            ("title", Type::Str),
+            ("year", Type::Int),
+        ]));
         let e = Expr::ext(
             CollKind::Set,
             "x",
@@ -367,10 +364,7 @@ mod tests {
     #[test]
     fn rejects_projection_on_base_type() {
         let e = Expr::proj(Expr::int(3), "x");
-        assert!(matches!(
-            infer(&e, &TypeEnv::new()),
-            Err(KError::Type(_))
-        ));
+        assert!(matches!(infer(&e, &TypeEnv::new()), Err(KError::Type(_))));
     }
 
     #[test]

@@ -35,9 +35,7 @@ impl<'a> Binder<'a> {
                     .iter()
                     .enumerate()
                     .find(|(_, (alias, _))| *alias == q.as_str())
-                    .ok_or_else(|| {
-                        KError::format("sql", format!("unknown table alias '{q}'"))
-                    })?;
+                    .ok_or_else(|| KError::format("sql", format!("unknown table alias '{q}'")))?;
                 Ok(Resolved {
                     table: ti,
                     col: t.col_index(&c.column)?,
@@ -197,10 +195,7 @@ pub fn execute_query(db: &Database, q: &Query) -> KResult<Vec<Value>> {
             // hash join on composite key
             let mut index: HashMap<Vec<Datum>, Vec<&Row>> = HashMap::new();
             for r in new_rows {
-                let key: Vec<Datum> = key_pairs
-                    .iter()
-                    .map(|(_, b)| r[b.col].clone())
-                    .collect();
+                let key: Vec<Datum> = key_pairs.iter().map(|(_, b)| r[b.col].clone()).collect();
                 index.entry(key).or_default().push(r);
             }
             for tup in &tuples {
@@ -622,7 +617,8 @@ mod tests {
 
     fn sample_db() -> Database {
         let mut db = Database::new();
-        db.create_table("locus", &["locus_id", "locus_symbol"]).unwrap();
+        db.create_table("locus", &["locus_id", "locus_symbol"])
+            .unwrap();
         db.create_table(
             "object_genbank_eref",
             &["object_id", "genbank_ref", "object_class_key"],
@@ -654,7 +650,10 @@ mod tests {
                 ])
                 .unwrap();
         }
-        db.table_mut("locus").unwrap().create_index("locus_id").unwrap();
+        db.table_mut("locus")
+            .unwrap()
+            .create_index("locus_id")
+            .unwrap();
         db
     }
 

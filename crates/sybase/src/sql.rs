@@ -203,7 +203,9 @@ fn lex(src: &str) -> KResult<Vec<Tok>> {
                     i += 1;
                 }
                 out.push(Tok::Ident(
-                    std::str::from_utf8(&b[start..i]).expect("ascii").to_string(),
+                    std::str::from_utf8(&b[start..i])
+                        .expect("ascii")
+                        .to_string(),
                 ));
             }
             other => return Err(err(format!("unexpected character '{}'", other as char))),

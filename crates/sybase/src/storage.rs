@@ -121,15 +121,12 @@ impl Table {
     }
 
     pub fn col_index(&self, col: &str) -> KResult<usize> {
-        self.columns
-            .iter()
-            .position(|c| c == col)
-            .ok_or_else(|| {
-                KError::format(
-                    "sql",
-                    format!("table '{}' has no column '{col}'", self.name),
-                )
-            })
+        self.columns.iter().position(|c| c == col).ok_or_else(|| {
+            KError::format(
+                "sql",
+                format!("table '{}' has no column '{col}'", self.name),
+            )
+        })
     }
 
     pub fn insert(&mut self, row: Vec<Datum>) -> KResult<()> {
@@ -336,8 +333,13 @@ mod tests {
             t.index_lookup("locus_id", &Datum::Int(3)).unwrap(),
             &[3, 10]
         );
-        assert!(t.index_lookup("locus_id", &Datum::Int(99)).unwrap().is_empty());
-        assert!(t.index_lookup("locus_symbol", &Datum::str("SYM1")).is_none());
+        assert!(t
+            .index_lookup("locus_id", &Datum::Int(99))
+            .unwrap()
+            .is_empty());
+        assert!(t
+            .index_lookup("locus_symbol", &Datum::str("SYM1"))
+            .is_none());
     }
 
     #[test]

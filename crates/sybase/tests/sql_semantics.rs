@@ -4,9 +4,9 @@
 use proptest::prelude::*;
 
 use kleisli_core::Value;
+use sybase_sim::execute_query;
 use sybase_sim::sql::{self, CmpOp, ColRef, Operand, Pred, Query, SelectItem, SelectList};
 use sybase_sim::storage::{Database, Datum};
-use sybase_sim::execute_query;
 
 fn small_db(rows_a: &[(i64, i64)], rows_b: &[(i64, i64)], index: bool) -> Database {
     let mut db = Database::new();
