@@ -34,7 +34,9 @@ use kleisli_exec::{
 };
 use kleisli_opt::OptConfig;
 use kleisli_server::proto::{encode_request, write_frame, Request};
-use kleisli_server::{serve_ephemeral, Client, ServedFrom, ServerConfig, DRAIN_DEADLINE};
+use kleisli_server::{
+    serve_ephemeral, Client, QueryReply, ServedFrom, ServerConfig, DRAIN_DEADLINE,
+};
 use nrc::{Expr, Prim};
 
 /// One measurement: its name on the command line and in the document,
@@ -882,17 +884,32 @@ fn slow_client(smoke: bool) -> Json {
 }
 
 /// Drain: a graceful shutdown issued with one fresh (one federation
-/// round-trip) query mid-flight must finish it inside the drain deadline.
+/// round-trip) query mid-flight must finish it inside the drain deadline,
+/// and within 10 ms of the query's own latency: the readers are woken,
+/// not polled, so the stop waits on no clock tick.
 fn drain(smoke: bool) -> Json {
     let (server, latency) = serve(smoke);
     let mut client = Client::connect(server.addr()).expect("connect");
-    client.send_query(SERVED_QUERY).expect("send");
-    // Let the query be admitted and reach the driver before draining.
+    let id = client.send_query(SERVED_QUERY).expect("send");
+    // The reader answers frames in order, so the query is admitted once
+    // STATS is answered (else the drain would refuse it and time an empty
+    // server); then let it reach the driver.
+    client.stats().expect("stats");
     thread::sleep(latency / 3);
     let report = server.shutdown();
     assert!(
         report.drained,
         "the single in-flight query must finish inside the {DRAIN_DEADLINE:?} drain deadline"
+    );
+    match client.wait_reply(id).expect("the drained query's reply") {
+        QueryReply::Value { .. } => {}
+        other => panic!("the drained query was not answered: {other:?}"),
+    }
+    let ceiling = latency + Duration::from_millis(10);
+    assert!(
+        report.elapsed <= ceiling,
+        "the drain took {:?} for a query of {latency:?} (ceiling {ceiling:?})",
+        report.elapsed
     );
     Json::obj([
         ("in_flight_queries", int(1)),

@@ -51,6 +51,11 @@ impl ValueBlock {
         }
     }
 
+    /// Make room for `additional` more rows.
+    pub fn reserve(&mut self, additional: usize) {
+        self.rows.reserve(additional);
+    }
+
     /// A one-row block carrying an error — the block form of a stream
     /// that fails before producing any rows.
     pub fn of_err(e: KError) -> ValueBlock {

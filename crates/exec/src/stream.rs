@@ -1064,7 +1064,7 @@ impl BlockSource for Generate {
             return None;
         }
         let max = max_rows.max(1);
-        let block = ValueBlock::with_capacity(max.min(DEFAULT_BLOCK_ROWS));
+        let block = ValueBlock::with_capacity(self.overflow.len().min(max));
         let mut out = Out { block, max, overflow: &mut self.overflow };
         // What an element yielded past the last pull's grain comes first.
         // Within a pull, only a full block overflows.
@@ -1115,6 +1115,11 @@ impl BlockSource for Generate {
                     }
                 }
             }
+            // Room for what the elements in hand can yield, not for the
+            // whole grain: a bounded body's rows each, a default block for
+            // a streamed body or a join.
+            let room = self.per_elem.map_or(DEFAULT_BLOCK_ROWS, |n| n * self.elems.len());
+            out.block.reserve(room.min(max - out.block.len()));
             // Expand the elements pulled while the block has room.
             while out.block.len() < max {
                 let Some(el) = self.elems.pop_front() else {

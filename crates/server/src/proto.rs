@@ -349,14 +349,20 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 }
 
 /// Read one length-prefixed frame. `Ok(None)` on clean EOF (the peer
-/// closed between frames); EOF mid-frame is an error.
+/// closed between frames); EOF mid-frame is an error. An interrupted read
+/// is tried again, the first one as much as the rest.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut len = [0u8; 4];
-    match r.read(&mut len) {
-        Ok(0) => return Ok(None),
-        Ok(n) => r.read_exact(&mut len[n..])?,
-        Err(e) => return Err(e),
+    let first = loop {
+        match r.read(&mut len) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            read => break read?,
+        }
+    };
+    if first == 0 {
+        return Ok(None);
     }
+    r.read_exact(&mut len[first..])?;
     let len = u32::from_be_bytes(len) as usize;
     if len > MAX_FRAME_LEN {
         return Err(malformed(format!(
@@ -451,6 +457,31 @@ mod tests {
         let mut r = &wire[..];
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(&b"hello"[..]));
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(&b""[..]));
+        assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
+    }
+
+    #[test]
+    fn an_interrupted_first_read_is_tried_again() {
+        /// Interrupted once, then the bytes of `rest`.
+        struct Interrupted<'a> {
+            fired: bool,
+            rest: &'a [u8],
+        }
+        impl Read for Interrupted<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                if !std::mem::replace(&mut self.fired, true) {
+                    return Err(io::ErrorKind::Interrupted.into());
+                }
+                self.rest.read(buf)
+            }
+        }
+        let mut wire = Vec::new();
+        write_frame(&mut wire, b"hello").unwrap();
+        let mut r = Interrupted {
+            fired: false,
+            rest: &wire,
+        };
+        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(&b"hello"[..]));
         assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
     }
 

@@ -93,11 +93,24 @@
 //! writer thread under a write deadline
 //! ([`ServerConfig::write_deadline`]). A client that stops reading
 //! fills its kernel send buffer, the writer's next write times out (or
-//! the queue overflows first), and the connection is *condemned*: the
-//! socket is shut down, pending frames are dropped, and the reader,
-//! finding its socket closed, cancels its in-flight queries. The stall costs the stalled tenant its
+//! the queue overflows first), and the connection is *condemned*: its
+//! pending frames are cleared, its queue is closed, and both halves of
+//! its socket are shut, which wakes the reader into the one end of a
+//! connection (below). The stall costs the stalled tenant its
 //! connection and nothing else — no executor worker, and no other
 //! tenant's responses, ever block on a hostile peer's socket.
+//!
+//! # One end of a connection
+//!
+//! A reader blocks in its read with no timeout: it is woken, not polled.
+//! Whatever ends a connection makes that read return EOF — the peer
+//! closing, condemnation shutting both halves of the socket, or the stop
+//! shutting its read half — and the reader then ends it one way: it
+//! cancels what its cell still holds, answering the waiting queries at
+//! once, waits until the running ones have enqueued their terminal
+//! frames (the tasks are the executor's, so it waits on the cell, not on
+//! a join), closes its writer's queue and joins the writer once the
+//! frames are flushed.
 //!
 //! # Graceful drain
 //!
@@ -106,12 +119,16 @@
 //! `shutting-down:` error, and in-flight queries run to completion and
 //! flush their terminal frames through the writer queues. The drain
 //! waits on each connection's cell until it is empty, all under one
-//! absolute deadline — [`DRAIN_DEADLINE`] or the caller's own bound —
-//! after which the stragglers are cancelled. No connection can join
-//! mid-wait: accepting stopped first. Each reader then waits until its
-//! cell is empty (the tasks are the executor's, so it waits on the
-//! cell, not on a join), closes and joins its writer; every reader is
-//! joined before `shutdown` returns.
+//! absolute deadline — [`DRAIN_DEADLINE`] or the caller's own bound. No
+//! connection can join mid-wait: accepting stopped first. Then the stop
+//! flag goes up, which each reader checks between frames, and every
+//! connection's read half is shut, which returns a blocked read as EOF
+//! (on Linux in about 0.1 ms, idle or mid-frame) while the write half
+//! still flushes. A query still running past the deadline is cancelled by
+//! its reader's exit path, and its terminal frame still goes out. So no
+//! client can hold the stop open — not an idle one, not one that sent
+//! half a frame, and not one sending a frame every few milliseconds.
+//! Every reader is joined before `shutdown` returns.
 //!
 //! # Cancellation
 //!
@@ -139,8 +156,7 @@
 //! observable through the caches' `generation` accessors.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -230,11 +246,13 @@ struct ServerShared {
     config: ServerConfig,
     /// Stop accepting and reject new QUERYs; in-flight work continues.
     draining: AtomicBool,
-    /// Final stop: connection readers exit at the next poll tick.
+    /// Final stop: each reader exits before its next frame; the stop
+    /// wakes a reader blocked in a read by shutting its socket's read
+    /// half.
     shutdown: AtomicBool,
     started: Instant,
     /// Live connections by id: reader join handle + per-connection
-    /// state, so shutdown can cancel stragglers and join every reader.
+    /// state, so shutdown can wake and join every reader.
     conns: Mutex<HashMap<u64, ConnEntry>>,
     next_conn_id: AtomicU64,
     connections_total: AtomicU64,
@@ -486,14 +504,14 @@ impl ServerHandle {
         let until = start.checked_add(deadline);
         let entries: Vec<ConnEntry> = self.shared.conns().drain().map(|(_, e)| e).collect();
         let drained = entries.iter().all(|e| e.conn.queries.wait_quiet(until));
-        // Phase 3: stop the readers (they poll `shutdown` at 50 ms) and
-        // cancel whatever outlived the deadline so the readers' waits
-        // for their query tasks are prompt.
+        // Phase 3: stop the readers. Each checks `shutdown` between
+        // frames, and shutting its socket's read half turns a read
+        // blocked on an idle or half-sent frame into EOF; its exit path
+        // cancels whatever outlived the deadline, waits for the terminal
+        // frames and flushes them through the write half.
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        if !drained {
-            for entry in &entries {
-                entry.conn.cancel_all(&self.shared);
-            }
+        for entry in &entries {
+            let _ = entry.conn.socket.shutdown(Shutdown::Read);
         }
         for entry in entries {
             let _ = entry.handle.join();
@@ -590,7 +608,7 @@ pub fn serve_ephemeral(
 
 fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
     for incoming in listener.incoming() {
-        if shared.draining.load(Ordering::SeqCst) || shared.shutdown.load(Ordering::SeqCst) {
+        if shared.draining.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = incoming else { continue };
@@ -613,7 +631,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
             continue;
         };
         // The write deadline is a socket option shared by both handles;
-        // reads are governed separately by the reader's poll timeout.
+        // reads have no timeout: a reader is woken, not polled.
         let _ = stream.set_write_timeout(Some(shared.config.write_deadline));
         let conn = Arc::new(Conn {
             socket,
@@ -621,7 +639,6 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
                 state: Mutex::new(WriterState {
                     frames: VecDeque::new(),
                     closing: false,
-                    dead: false,
                 }),
                 cv: Condvar::new(),
                 capacity: shared.config.writer_queue_frames.max(1),
@@ -800,8 +817,8 @@ impl Queries {
         false
     }
 
-    /// [`Queries::cancel`] every query: at EOF and for the drain's
-    /// stragglers. Returns the waiting ids, for the caller to answer.
+    /// [`Queries::cancel`] every query, when the connection's reader
+    /// ends. Returns the waiting ids, for the caller to answer.
     fn cancel_all(&self) -> Vec<u64> {
         let ids: Vec<u64> = self.lock().stages.keys().copied().collect();
         ids.into_iter().filter(|&id| self.cancel(id)).collect()
@@ -842,18 +859,17 @@ struct WriterQueue {
 
 struct WriterState {
     frames: VecDeque<Vec<u8>>,
-    /// No further enqueues; the writer drains what's left, then exits.
+    /// No further enqueues; the writer drains what's left, then exits —
+    /// at once when the connection is condemned, which clears the frames.
     closing: bool,
-    /// The connection is condemned: frames are dropped, not sent.
-    dead: bool,
 }
 
 /// Per-connection state shared between the reader thread, the writer
 /// thread, and the connection's query tasks.
 struct Conn {
     /// The connection's socket (a second handle to the reader's): the
-    /// writer thread writes through it, and condemnation shuts it down
-    /// — which ends the reader too.
+    /// writer thread writes through it, and condemnation and the stop
+    /// shut it down, which wakes the reader.
     socket: TcpStream,
     writer: WriterQueue,
     /// This tenant's admitted queries.
@@ -878,9 +894,9 @@ impl Conn {
     /// reading, and the connection is condemned on the spot.
     fn send_frame(&self, frame: Vec<u8>) {
         let mut st = self.lock_writer();
-        if st.dead || st.closing {
-            // Condemned or draining shut: the frame has nowhere to go;
-            // its query already ran.
+        if st.closing {
+            // Condemned or shut: the frame has nowhere to go; its query
+            // already ran.
             return;
         }
         let overflow = st.frames.len() >= self.writer.capacity;
@@ -895,29 +911,21 @@ impl Conn {
     }
 
     /// Kill a connection whose peer has stopped reading (queue overflow
-    /// or write deadline): drop undeliverable frames and shut the socket,
-    /// which ends the reader, and the reader cancels this tenant's
-    /// queries.
+    /// or write deadline): drop undeliverable frames, close the queue and
+    /// shut both halves of the socket, which wakes the reader, and the
+    /// reader cancels this tenant's queries.
     fn condemn(&self) {
         {
             let mut st = self.lock_writer();
-            st.dead = true;
             st.frames.clear();
+            st.closing = true;
         }
         self.writer.cv.notify_all();
         let _ = self.socket.shutdown(Shutdown::Both);
     }
 
-    /// Cancel every query this connection has admitted, answering the
-    /// waiting ones at once.
-    fn cancel_all(&self, shared: &ServerShared) {
-        for id in self.queries.cancel_all() {
-            answer_cancelled(shared, self, id);
-        }
-    }
-
-    /// Flag the queue closed and wait for the writer to drain it (each
-    /// residual frame write is bounded by the write deadline).
+    /// Flag the queue closed: the writer drains what is left (each write
+    /// bounded by the write deadline), then exits.
     fn finish_writer(&self) {
         self.lock_writer().closing = true;
         self.writer.cv.notify_all();
@@ -936,9 +944,6 @@ fn writer_loop(conn: &Conn) {
         let frame = {
             let mut st = conn.lock_writer();
             loop {
-                if st.dead {
-                    return;
-                }
                 if let Some(frame) = st.frames.pop_front() {
                     break frame;
                 }
@@ -956,9 +961,6 @@ fn writer_loop(conn: &Conn) {
 }
 
 fn handle_connection(reader: TcpStream, conn: Arc<Conn>, shared: &Arc<ServerShared>) {
-    // Idle readers must notice shutdown: poll with a short read timeout.
-    let _ = reader.set_read_timeout(Some(Duration::from_millis(50)));
-
     let writer_conn = Arc::clone(&conn);
     let Ok(writer) = thread::Builder::new()
         .name("kleislid-writer".to_string())
@@ -976,12 +978,10 @@ fn handle_connection(reader: TcpStream, conn: Arc<Conn>, shared: &Arc<ServerShar
     session.share_result_cache(Arc::clone(&shared.result_cache));
     let session = Arc::new(session);
 
-    let mut polled = Polled {
-        stream: &reader,
-        shutdown: &shared.shutdown,
-    };
-    loop {
-        let payload = match read_frame(&mut polled) {
+    // The stop is checked between frames; a read it finds blocked is
+    // woken as EOF (`ServerHandle::stop`, phase 3).
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        let payload = match read_frame(&mut &reader) {
             Ok(Some(payload)) => payload,
             Ok(None) => break,
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
@@ -1050,11 +1050,14 @@ fn handle_connection(reader: TcpStream, conn: Arc<Conn>, shared: &Arc<ServerShar
         }
     }
 
-    // Reader gone (EOF, condemned, or shutdown): stop this tenant's
-    // in-flight queries, wait out their tasks so every terminal frame
-    // is enqueued, then let the writer drain and join it. After this no
-    // thread of the connection survives and no task refers to it.
-    conn.cancel_all(shared);
+    // Reader gone (EOF, condemned, or stopped): stop this tenant's
+    // in-flight queries, answering the waiting ones at once, wait out
+    // the running ones' tasks so every terminal frame is enqueued, then
+    // let the writer drain and join it. After this no thread of the
+    // connection survives and no task refers to it.
+    for id in conn.queries.cancel_all() {
+        answer_cancelled(shared, &conn, id);
+    }
     conn.queries.wait_quiet(None);
     conn.finish_writer();
     let _ = writer.join();
@@ -1220,31 +1223,6 @@ fn run_query(
             }
         }
         Err(e) => send_error(shared, conn, id, e.to_string()),
-    }
-}
-
-/// A reader's socket as [`read_frame`] reads it. The socket has a short
-/// read timeout so that the reader observes `shutdown`, idle or mid-frame
-/// alike (a peer trickling bytes must not pin the drain): a read that
-/// times out is tried again, and at shutdown reads as EOF — a frame read
-/// halfway is abandoned, the connection is closing either way.
-struct Polled<'a> {
-    stream: &'a TcpStream,
-    shutdown: &'a AtomicBool,
-}
-
-impl Read for Polled<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        loop {
-            match self.stream.read(buf) {
-                Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => {
-                    if self.shutdown.load(Ordering::SeqCst) {
-                        return Ok(0);
-                    }
-                }
-                read => return read,
-            }
-        }
     }
 }
 

@@ -2,6 +2,8 @@
 //! sockets: roundtrips, cross-session shared-cache behavior,
 //! cancellation, admission control, and the memory budget.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -796,4 +798,94 @@ fn a_breaker_one_connection_opened_fails_the_next_connections_first_query() {
     }
     drop((first, second));
     assert_quiescent(&[&*drv, &server]);
+}
+
+// ---------------------------------------------------------------------
+// Stopping: a reader is woken, not polled. It checks the stop between
+// frames, and the stop shuts every connection's read half, which turns
+// a read blocked on an idle or half-sent frame into EOF.
+// ---------------------------------------------------------------------
+
+/// Wait until `holds`, for at most 10 s.
+fn eventually(what: &str, holds: impl Fn() -> bool) {
+    let start = Instant::now();
+    while !holds() {
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "timed out waiting for {what}"
+        );
+        thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn a_chatty_client_cannot_hold_a_shutdown_open() {
+    // A frame every 10 ms: a reader that looked at the stop only when a
+    // read timed out would never look.
+    let server = serve_ephemeral(ServerConfig::default(), local_registrar()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.stats().unwrap();
+    let chatty = thread::spawn(move || {
+        let start = Instant::now();
+        while start.elapsed() < Duration::from_secs(5) && client.stats().is_ok() {
+            thread::sleep(Duration::from_millis(10));
+        }
+        start.elapsed()
+    });
+    thread::sleep(Duration::from_millis(100));
+    let report = server.shutdown_within(Duration::from_millis(100));
+    assert!(report.drained, "{report:?}");
+    assert!(report.elapsed < Duration::from_secs(1), "{report:?}");
+    let chatted = chatty.join().unwrap();
+    assert!(
+        chatted < Duration::from_secs(2),
+        "the client was cut off at {chatted:?}"
+    );
+}
+
+#[test]
+fn a_shutdown_answers_the_query_in_flight_and_wakes_idle_readers() {
+    let driver = SlowDriver::new("SRC", 1, Duration::from_millis(300), 4);
+    let registered = Arc::clone(&driver);
+    let registrar: Arc<kleisli_server::Registrar> =
+        Arc::new(move |session: &mut Session| session.register_driver(registered.clone()));
+    let server = serve_ephemeral(ServerConfig::default(), registrar).unwrap();
+    let (plans, results) = (
+        Arc::clone(server.plan_cache()),
+        Arc::clone(server.result_cache()),
+    );
+
+    // Two of a frame's four length bytes, then nothing.
+    let mut half = TcpStream::connect(server.addr()).unwrap();
+    half.write_all(&[0, 0]).unwrap();
+    let mut idle = TcpStream::connect(server.addr()).unwrap();
+    let mut busy = Client::connect(server.addr()).unwrap();
+    let id = busy
+        .send_query(r#"count(SRC([function = "probe", arg = 1]))"#)
+        .unwrap();
+    eventually("three connections", || server.connections_open() == 3);
+    eventually("the query to reach the source", || {
+        driver.requests_started() == 1
+    });
+
+    let report = server.shutdown();
+    assert!(report.drained, "{report:?}");
+    assert!(report.elapsed < Duration::from_secs(2), "{report:?}");
+    match busy.wait_reply(id).unwrap() {
+        QueryReply::Value { value, .. } => assert_eq!(value, Value::Int(1)),
+        other => panic!("expected the query's value, got {other:?}"),
+    }
+    for stream in [&mut half, &mut idle] {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(
+            stream.read(&mut [0; 16]).unwrap(),
+            0,
+            "a woken reader closed"
+        );
+    }
+    // `shutdown` returned, so every reader was joined, and each reader
+    // joined its writer.
+    assert_quiescent(&[&*plans, &*results, &*driver]);
 }

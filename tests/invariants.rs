@@ -300,6 +300,21 @@ fn one_query_cell() {
     assert_eq!(paths(naming), Vec::<&str>::new());
 }
 
+/// One way to stop a reader. A kleislid reader blocks in its read with
+/// no timeout and checks the stop between frames; the stop wakes it by
+/// shutting its socket's read half, as condemnation does. A read timeout,
+/// or the wrapper that retried it until the stop showed, is a second way
+/// to end a connection: by a clock, which a client sending a frame every
+/// tick keeps from ever striking.
+#[test]
+fn one_way_to_stop_a_reader() {
+    let gone = ["set_read_timeout", "Polled"];
+    let server = sources(&["crates/server/src/server.rs"]);
+    assert_eq!(server.len(), 1, "the server's source file");
+    let naming = server.iter().filter(|s| gone.iter().any(|w| s.names(w)));
+    assert_eq!(paths(naming), Vec::<&str>::new());
+}
+
 /// One join choice. A local join's operator is whether it has keys
 /// (`nrc::Expr::Join::keys`: `Some` the indexed nested loop, `None` the
 /// blocked one); a strategy tag beside the keys stores that one decision
